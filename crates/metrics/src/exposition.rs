@@ -12,11 +12,12 @@
 //! teemon_syscalls_total{syscall="read"} 42 1607731200000
 //! ```
 
-use std::collections::BTreeMap;
+use std::borrow::{Borrow, Cow};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::collector::{CollectError, Collector};
 use crate::error::MetricError;
-use crate::label::Labels;
+use crate::label::{LabelName, Labels, MetricName};
 use crate::snapshot::{FamilySnapshot, MetricKind, MetricPoint, PointValue, Sample};
 use crate::value::{HistogramSnapshot, SummarySnapshot};
 
@@ -179,133 +180,172 @@ impl ParsedExposition {
     /// into histogram and summary points.  Families appear in document order;
     /// samples without a `# TYPE` declaration become untyped families.
     pub fn to_families(&self) -> Vec<FamilySnapshot> {
-        let mut families: Vec<FamilySnapshot> = Vec::new();
-        // Distribution accumulators keyed by (family index, grouping labels).
-        let mut accs: Vec<(usize, Labels, DistAcc)> = Vec::new();
+        fold_families(
+            &self.types,
+            &self.help,
+            self.samples.iter().map(|s| RawSample {
+                name: &s.name,
+                labels: s.labels.clone(),
+                value: s.value,
+                timestamp_ms: s.timestamp_ms,
+            }),
+        )
+    }
+}
 
-        let family_index = |families: &mut Vec<FamilySnapshot>, name: &str| -> usize {
-            if let Some(i) = families.iter().position(|f| f.name == name) {
-                return i;
-            }
-            let kind = self.types.get(name).copied().unwrap_or(MetricKind::Untyped);
-            let help = self.help.get(name).cloned().unwrap_or_default();
-            families.push(FamilySnapshot::new(name, help, kind));
-            families.len() - 1
+/// One tokenised sample line: the name still borrowed from the document, the
+/// label set already in the owned form its [`MetricPoint`] will hold.
+struct RawSample<'a> {
+    name: &'a str,
+    labels: Labels,
+    value: f64,
+    timestamp_ms: Option<u64>,
+}
+
+/// A tokenised document, keyed by names borrowed from it: what
+/// [`parse_text_bounded`] copies into a [`ParsedExposition`] and
+/// [`parse_families_bounded`] folds directly.
+struct Tokens<'a> {
+    samples: Vec<RawSample<'a>>,
+    types: BTreeMap<&'a str, MetricKind>,
+    help: BTreeMap<&'a str, String>,
+}
+
+/// Folds wire samples into typed families under the document's complete
+/// `# TYPE`/`# HELP` declarations (complete, so that a declaration after a
+/// family's first sample still applies to it).  Each sample's label set is
+/// moved into its point.
+fn fold_families<'a, K: Borrow<str> + Ord>(
+    types: &BTreeMap<K, MetricKind>,
+    help: &BTreeMap<K, String>,
+    samples: impl Iterator<Item = RawSample<'a>>,
+) -> Vec<FamilySnapshot> {
+    let mut families: Vec<FamilySnapshot> = Vec::new();
+    // Distribution accumulators keyed by (family index, grouping labels).
+    let mut accs: Vec<(usize, Labels, DistAcc)> = Vec::new();
+    // Index of the family the previous sample went to: exporters emit a
+    // family's samples together, so this is nearly always the answer.
+    let mut last = 0;
+
+    for sample in samples {
+        let (family_name, part) = split_sample_name(types, sample.name);
+        let index = match families.get(last) {
+            Some(family) if family.name == family_name => last,
+            _ => families.iter().position(|f| f.name == family_name).unwrap_or_else(|| {
+                let kind = types.get(family_name).copied().unwrap_or(MetricKind::Untyped);
+                let help = help.get(family_name).cloned().unwrap_or_default();
+                families.push(FamilySnapshot::new(family_name, help, kind));
+                families.len() - 1
+            }),
         };
-
-        for sample in &self.samples {
-            let (family_name, part) = self.split_sample_name(&sample.name);
-            let index = family_index(&mut families, family_name);
-            let kind = families[index].kind;
-            match kind {
-                MetricKind::Counter | MetricKind::Gauge | MetricKind::Untyped => {
-                    let value = match kind {
-                        MetricKind::Counter => PointValue::Counter(sample.value),
-                        MetricKind::Gauge => PointValue::Gauge(sample.value),
-                        _ => PointValue::Untyped(sample.value),
-                    };
-                    let mut point = MetricPoint::new(sample.labels.clone(), value);
-                    point.timestamp_ms = sample.timestamp_ms;
-                    families[index].points.push(point);
-                }
-                MetricKind::Histogram | MetricKind::Summary => {
-                    let mut group_labels = sample.labels.clone();
-                    let detail = match part {
-                        SamplePart::Value if kind == MetricKind::Summary => {
-                            group_labels.remove("quantile")
-                        }
-                        SamplePart::Bucket => group_labels.remove("le"),
-                        _ => None,
-                    };
-                    let found = accs
-                        .iter()
-                        .position(|(i, labels, _)| *i == index && *labels == group_labels);
-                    let pos = match found {
-                        Some(pos) => pos,
-                        None => {
-                            families[index].points.push(MetricPoint::new(
-                                group_labels.clone(),
-                                PointValue::Untyped(0.0), // patched below
-                            ));
-                            let acc = DistAcc {
-                                point_slot: families[index].points.len() - 1,
-                                ..DistAcc::default()
-                            };
-                            accs.push((index, group_labels, acc));
-                            accs.len() - 1
-                        }
-                    };
-                    let acc = &mut accs[pos].2;
-                    acc.timestamp_ms = acc.timestamp_ms.or(sample.timestamp_ms);
-                    match part {
-                        SamplePart::Bucket => {
-                            if let Some(bound) = detail.as_deref().and_then(parse_bound) {
-                                if bound.is_finite() {
-                                    acc.buckets.push((bound, sample.value as u64));
-                                } else {
-                                    acc.inf_count = sample.value as u64;
-                                }
+        last = index;
+        let Some(family) = families.get_mut(index) else { continue };
+        let kind = family.kind;
+        match kind {
+            MetricKind::Counter | MetricKind::Gauge | MetricKind::Untyped => {
+                let value = match kind {
+                    MetricKind::Counter => PointValue::Counter(sample.value),
+                    MetricKind::Gauge => PointValue::Gauge(sample.value),
+                    _ => PointValue::Untyped(sample.value),
+                };
+                family.points.push(MetricPoint {
+                    labels: sample.labels,
+                    value,
+                    timestamp_ms: sample.timestamp_ms,
+                });
+            }
+            MetricKind::Histogram | MetricKind::Summary => {
+                let mut group_labels = sample.labels;
+                let detail = match part {
+                    SamplePart::Value if kind == MetricKind::Summary => {
+                        group_labels.remove("quantile")
+                    }
+                    SamplePart::Bucket => group_labels.remove("le"),
+                    _ => None,
+                };
+                let found =
+                    accs.iter().position(|(i, labels, _)| *i == index && *labels == group_labels);
+                let pos = found.unwrap_or_else(|| {
+                    family.points.push(MetricPoint::new(
+                        group_labels.clone(),
+                        PointValue::Untyped(0.0), // patched below
+                    ));
+                    let acc = DistAcc { point_slot: family.points.len() - 1, ..DistAcc::default() };
+                    accs.push((index, group_labels, acc));
+                    accs.len() - 1
+                });
+                let Some((_, _, acc)) = accs.get_mut(pos) else { continue };
+                acc.timestamp_ms = acc.timestamp_ms.or(sample.timestamp_ms);
+                match part {
+                    SamplePart::Bucket => {
+                        if let Some(bound) = detail.as_deref().and_then(parse_value) {
+                            if bound.is_finite() {
+                                acc.buckets.push((bound, sample.value as u64));
+                            } else {
+                                acc.inf_count = sample.value as u64;
                             }
                         }
-                        SamplePart::Sum => acc.sum = sample.value,
-                        SamplePart::Count => acc.count = sample.value as u64,
-                        SamplePart::Value => {
-                            if let Some(q) = detail.as_deref().and_then(parse_bound) {
-                                acc.quantiles.push((q, sample.value));
-                            }
+                    }
+                    SamplePart::Sum => acc.sum = sample.value,
+                    SamplePart::Count => acc.count = sample.value as u64,
+                    SamplePart::Value => {
+                        if let Some(q) = detail.as_deref().and_then(parse_value) {
+                            acc.quantiles.push((q, sample.value));
                         }
                     }
                 }
             }
         }
-
-        // Patch the accumulated distribution points in place.
-        for (index, _, acc) in accs {
-            let kind = families[index].kind;
-            let point = &mut families[index].points[acc.point_slot];
-            point.timestamp_ms = acc.timestamp_ms;
-            point.value = if kind == MetricKind::Histogram {
-                let mut buckets = acc.buckets;
-                buckets.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-                let bounds: Vec<f64> = buckets.iter().map(|(b, _)| *b).collect();
-                let mut cumulative_counts: Vec<u64> = buckets.iter().map(|(_, c)| *c).collect();
-                cumulative_counts.push(acc.inf_count);
-                PointValue::Histogram(HistogramSnapshot {
-                    bounds,
-                    cumulative_counts,
-                    sum: acc.sum,
-                    count: acc.count,
-                })
-            } else {
-                PointValue::Summary(SummarySnapshot {
-                    quantiles: acc.quantiles,
-                    sum: acc.sum,
-                    count: acc.count,
-                })
-            };
-        }
-        families
     }
 
-    /// Splits a wire sample name into its family name and role, honouring the
-    /// `# TYPE` declarations (`lat_bucket` only folds into `lat` when `lat`
-    /// is a declared histogram).
-    fn split_sample_name<'a>(&self, name: &'a str) -> (&'a str, SamplePart) {
-        for (suffix, part) in [
-            ("_bucket", SamplePart::Bucket),
-            ("_sum", SamplePart::Sum),
-            ("_count", SamplePart::Count),
-        ] {
-            if let Some(base) = name.strip_suffix(suffix) {
-                match self.types.get(base) {
-                    Some(MetricKind::Histogram) => return (base, part),
-                    Some(MetricKind::Summary) if part != SamplePart::Bucket => return (base, part),
-                    _ => {}
-                }
+    // Patch the accumulated distribution points in place.
+    for (index, _, acc) in accs {
+        let Some(family) = families.get_mut(index) else { continue };
+        let kind = family.kind;
+        let Some(point) = family.points.get_mut(acc.point_slot) else { continue };
+        point.timestamp_ms = acc.timestamp_ms;
+        point.value = if kind == MetricKind::Histogram {
+            let mut buckets = acc.buckets;
+            buckets.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            let bounds: Vec<f64> = buckets.iter().map(|(b, _)| *b).collect();
+            let mut cumulative_counts: Vec<u64> = buckets.iter().map(|(_, c)| *c).collect();
+            cumulative_counts.push(acc.inf_count);
+            PointValue::Histogram(HistogramSnapshot {
+                bounds,
+                cumulative_counts,
+                sum: acc.sum,
+                count: acc.count,
+            })
+        } else {
+            PointValue::Summary(SummarySnapshot {
+                quantiles: acc.quantiles,
+                sum: acc.sum,
+                count: acc.count,
+            })
+        };
+    }
+    families
+}
+
+/// Splits a wire sample name into its family name and role, honouring the
+/// `# TYPE` declarations (`lat_bucket` only folds into `lat` when `lat`
+/// is a declared histogram).
+fn split_sample_name<'a, K: Borrow<str> + Ord>(
+    types: &BTreeMap<K, MetricKind>,
+    name: &'a str,
+) -> (&'a str, SamplePart) {
+    for (suffix, part) in
+        [("_bucket", SamplePart::Bucket), ("_sum", SamplePart::Sum), ("_count", SamplePart::Count)]
+    {
+        if let Some(base) = name.strip_suffix(suffix) {
+            match types.get(base) {
+                Some(MetricKind::Histogram) => return (base, part),
+                Some(MetricKind::Summary) if part != SamplePart::Bucket => return (base, part),
+                _ => {}
             }
         }
-        (name, SamplePart::Value)
     }
+    (name, SamplePart::Value)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,10 +366,6 @@ struct DistAcc {
     sum: f64,
     count: u64,
     timestamp_ms: Option<u64>,
-}
-
-fn parse_bound(s: &str) -> Option<f64> {
-    parse_value(s)
 }
 
 /// Resource limits applied to an inbound exposition document while it is
@@ -379,11 +415,12 @@ impl Default for ParseLimits {
 ///
 /// Returns [`MetricError::Parse`] describing the first malformed line.
 pub fn parse_families(input: &str) -> Result<Vec<FamilySnapshot>, MetricError> {
-    Ok(parse_text(input)?.to_families())
+    parse_families_bounded(input, ParseLimits::unbounded())
 }
 
 /// [`parse_families`] with [`ParseLimits`] enforced — the entry point for
-/// documents received from the network.
+/// documents received from the network.  Each line is tokenised once and
+/// its label set moved into the point that keeps it.
 ///
 /// # Errors
 ///
@@ -393,7 +430,8 @@ pub fn parse_families_bounded(
     input: &str,
     limits: ParseLimits,
 ) -> Result<Vec<FamilySnapshot>, MetricError> {
-    Ok(parse_text_bounded(input, limits)?.to_families())
+    let tokens = tokenize(input, limits)?;
+    Ok(fold_families(&tokens.types, &tokens.help, tokens.samples.into_iter()))
 }
 
 /// Parses a text exposition document.
@@ -417,11 +455,29 @@ pub fn parse_text_bounded(
     input: &str,
     limits: ParseLimits,
 ) -> Result<ParsedExposition, MetricError> {
-    let mut parsed = ParsedExposition::default();
-    let mut family_names: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    let note_family = |family_names: &mut std::collections::BTreeSet<String>,
-                       name: &str|
-     -> Result<(), MetricError> {
+    let tokens = tokenize(input, limits)?;
+    Ok(ParsedExposition {
+        samples: tokens
+            .samples
+            .into_iter()
+            .map(|s| Sample {
+                name: s.name.to_string(),
+                labels: s.labels,
+                value: s.value,
+                timestamp_ms: s.timestamp_ms,
+            })
+            .collect(),
+        types: tokens.types.into_iter().map(|(name, kind)| (name.to_string(), kind)).collect(),
+        help: tokens.help.into_iter().map(|(name, help)| (name.to_string(), help)).collect(),
+    })
+}
+
+/// The one pass over the document's lines that every parse entry point
+/// shares.
+fn tokenize(input: &str, limits: ParseLimits) -> Result<Tokens<'_>, MetricError> {
+    let mut tokens = Tokens { samples: Vec::new(), types: BTreeMap::new(), help: BTreeMap::new() };
+    let mut family_names: BTreeSet<&str> = BTreeSet::new();
+    let mut note_family = |name| -> Result<(), MetricError> {
         if !family_names.contains(name) {
             if family_names.len() >= limits.max_families {
                 return Err(MetricError::LimitExceeded {
@@ -430,10 +486,13 @@ pub fn parse_text_bounded(
                     actual: family_names.len() + 1,
                 });
             }
-            family_names.insert(name.to_string());
+            family_names.insert(name);
         }
         Ok(())
     };
+    // Name of the previous sample line: a run of one family's samples
+    // consults the family set once.
+    let mut noted = "";
     for (idx, raw_line) in input.lines().enumerate() {
         let line_no = idx + 1;
         if raw_line.len() > limits.max_line_bytes {
@@ -448,73 +507,67 @@ pub fn parse_text_bounded(
             continue;
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.splitn(2, ' ');
-            let name = parts.next().unwrap_or_default().to_string();
-            let kind_token = parts.next().unwrap_or_default().trim();
+            let (name, kind_token) = rest.split_once(' ').unwrap_or((rest, ""));
+            let kind_token = kind_token.trim();
             let kind = MetricKind::from_str_token(kind_token).ok_or(MetricError::Parse {
                 line: line_no,
                 message: format!("unknown metric type {kind_token:?}"),
             })?;
-            note_family(&mut family_names, &name)?;
-            parsed.types.insert(name, kind);
+            note_family(name)?;
+            tokens.types.insert(name, kind);
             continue;
         }
         if let Some(rest) = line.strip_prefix("# HELP ") {
-            let mut parts = rest.splitn(2, ' ');
-            let name = parts.next().unwrap_or_default().to_string();
-            let help = unescape_help(parts.next().unwrap_or_default());
-            note_family(&mut family_names, &name)?;
-            parsed.help.insert(name, help);
+            let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
+            note_family(name)?;
+            tokens.help.insert(name, unescape_help(help));
             continue;
         }
         if line.starts_with('#') {
             // Other comments are ignored.
             continue;
         }
-        if parsed.samples.len() >= limits.max_samples {
+        if tokens.samples.len() >= limits.max_samples {
             return Err(MetricError::LimitExceeded {
                 what: "samples",
                 limit: limits.max_samples,
-                actual: parsed.samples.len() + 1,
+                actual: tokens.samples.len() + 1,
             });
         }
         let sample = parse_sample_line(line, line_no)?;
-        note_family(&mut family_names, &sample.name)?;
-        parsed.samples.push(sample);
+        if sample.name != noted {
+            note_family(sample.name)?;
+            noted = sample.name;
+        }
+        tokens.samples.push(sample);
     }
-    Ok(parsed)
+    Ok(tokens)
 }
 
-fn parse_sample_line(line: &str, line_no: usize) -> Result<Sample, MetricError> {
+fn parse_sample_line(line: &str, line_no: usize) -> Result<RawSample<'_>, MetricError> {
     let err = |message: String| MetricError::Parse { line: line_no, message };
 
-    let (name_and_labels, value_part) = match line.find('{') {
-        Some(open) => {
-            let close = line.rfind('}').ok_or_else(|| err("missing closing '}'".into()))?;
-            if close < open {
-                return Err(err("'}' before '{'".into()));
-            }
-            (&line[..close + 1], line[close + 1..].trim())
+    // The label block runs from the first '{' to the last '}' of the line.
+    let (name, labels, value_part) = match line.split_once('{') {
+        Some((name, rest)) => {
+            let Some((labels_str, value_part)) = rest.rsplit_once('}') else {
+                let message =
+                    if name.contains('}') { "'}' before '{'" } else { "missing closing '}'" };
+                return Err(err(message.into()));
+            };
+            (name, parse_labels(labels_str, line_no)?, value_part)
         }
         None => {
-            let mut split = line.splitn(2, char::is_whitespace);
-            let name = split.next().unwrap_or_default();
-            let rest = split.next().unwrap_or_default().trim();
-            (&line[..name.len()], rest)
+            let (name, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+            (name, Labels::new(), rest)
         }
-    };
-
-    let (name, labels) = match name_and_labels.find('{') {
-        Some(open) => {
-            let name = &name_and_labels[..open];
-            let labels_str = &name_and_labels[open + 1..name_and_labels.len() - 1];
-            (name, parse_labels(labels_str, line_no)?)
-        }
-        None => (name_and_labels, Labels::new()),
     };
 
     if name.is_empty() {
         return Err(err("empty metric name".into()));
+    }
+    if !MetricName::is_valid(name) {
+        return Err(err(format!("invalid metric name {name:?}")));
     }
 
     let mut value_fields = value_part.split_whitespace();
@@ -528,7 +581,7 @@ fn parse_sample_line(line: &str, line_no: usize) -> Result<Sample, MetricError> 
         return Err(err("trailing garbage after timestamp".into()));
     }
 
-    Ok(Sample { name: name.to_string(), labels, value, timestamp_ms })
+    Ok(RawSample { name, labels, value, timestamp_ms })
 }
 
 fn parse_value(s: &str) -> Option<f64> {
@@ -540,39 +593,55 @@ fn parse_value(s: &str) -> Option<f64> {
     }
 }
 
+/// Parses the inside of a `{…}` label block into its final packed form.
+/// Names must be valid, unreserved and distinct: the rest of the system
+/// cannot represent anything else (a `__name__` label would render as a
+/// second metric name, `a b` would be re-emitted verbatim by federation).
 fn parse_labels(s: &str, line_no: usize) -> Result<Labels, MetricError> {
     let err = |message: String| MetricError::Parse { line: line_no, message };
-    let mut labels = Labels::new();
+    // Every label carries two quotes and the block is longer than its
+    // names and unescaped values together: one reservation, no regrowth.
+    let quotes = s.bytes().filter(|&b| b == b'"').count();
+    let mut labels = Labels::with_capacity(quotes / 2, s.len());
     let mut rest = s.trim();
     while !rest.is_empty() {
-        let eq =
-            rest.find('=').ok_or_else(|| err(format!("missing '=' in labels near {rest:?}")))?;
-        let key = rest[..eq].trim();
-        let after_eq = rest[eq + 1..].trim_start();
-        if !after_eq.starts_with('"') {
+        let (key, after_eq) = rest
+            .split_once('=')
+            .ok_or_else(|| err(format!("missing '=' in labels near {rest:?}")))?;
+        let key = key.trim();
+        let Some(quoted) = after_eq.trim_start().strip_prefix('"') else {
             return Err(err(format!("label value for {key:?} not quoted")));
-        }
+        };
         // Find the closing quote, skipping escaped quotes.
-        let bytes = after_eq.as_bytes();
-        let mut i = 1;
         let mut escaped = false;
+        let mut has_escape = false;
         let mut end = None;
-        while i < bytes.len() {
-            let c = bytes[i] as char;
+        for (i, b) in quoted.bytes().enumerate() {
             if escaped {
                 escaped = false;
-            } else if c == '\\' {
+            } else if b == b'\\' {
                 escaped = true;
-            } else if c == '"' {
+                has_escape = true;
+            } else if b == b'"' {
                 end = Some(i);
                 break;
             }
-            i += 1;
         }
-        let end = end.ok_or_else(|| err(format!("unterminated label value for {key:?}")))?;
-        let raw_value = &after_eq[1..end];
-        labels.insert(key, unescape_label_value(raw_value));
-        rest = after_eq[end + 1..].trim_start();
+        let (raw_value, after_value) = end
+            .and_then(|end| Some((quoted.get(..end)?, quoted.get(end + 1..)?)))
+            .ok_or_else(|| err(format!("unterminated label value for {key:?}")))?;
+        if !LabelName::is_valid(key) {
+            return Err(err(format!("invalid label name {key:?}")));
+        }
+        let value = if has_escape {
+            Cow::Owned(unescape_label_value(raw_value))
+        } else {
+            Cow::Borrowed(raw_value)
+        };
+        if labels.insert_str(key, &value) {
+            return Err(err(format!("duplicate label name {key:?}")));
+        }
+        rest = after_value.trim_start();
         if let Some(stripped) = rest.strip_prefix(',') {
             rest = stripped.trim_start();
         } else if !rest.is_empty() {

@@ -5,14 +5,17 @@
 //! saw last round" without interning strings or consulting any index.  This
 //! module provides that identity:
 //!
+//! * [`SeriesKey`] — the owned form a cache stores per series.  The warm
+//!   pass of a positional cache already knows *which* entry a sample should
+//!   be, so it asks [`SeriesKey::matches`]: real equality over the borrowed
+//!   name and the packed [`Labels`] — a few slice compares, no hashing.
 //! * [`series_hash`] — a stable structural hash of a borrowed
-//!   `(name, Labels)` pair.  No allocation, no hasher state to set up, and
-//!   independent of process, run, or label insertion order ([`Labels`] is
-//!   already order-normalised).
-//! * [`SeriesKey`] — the owned form a cache stores per series, carrying the
-//!   pre-computed hash plus the key strings so a hash match can be verified
-//!   by real equality over the borrowed data (a hash collision must degrade
-//!   to a cache miss, never to a wrong-series hit).
+//!   `(name, Labels)` pair, for the repair pass that has to *find* a
+//!   surviving entry after the series set changed.  No allocation, no hasher
+//!   state to set up, and independent of process, run, or label insertion
+//!   order ([`Labels`] is already order-normalised).  A hash only ever
+//!   nominates candidates; `matches` decides, so a collision degrades to a
+//!   cache miss, never to a wrong-series hit.
 //!
 //! The hash is FNV-1a over the metric name and every `(key, value)` pair,
 //! with a `0xFF` separator byte between components.  `0xFF` never occurs in
@@ -53,8 +56,9 @@ pub fn series_hash(name: &str, labels: &Labels) -> u64 {
     hash
 }
 
-/// The owned identity of one series as a cache stores it: the structural
-/// hash plus the key strings for collision-proof verification.
+/// The owned identity of one series as a cache stores it: the key strings,
+/// which decide every match, plus the structural hash a repair pass indexes
+/// its candidates by.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeriesKey {
     name: String,
@@ -85,13 +89,11 @@ impl SeriesKey {
         &self.labels
     }
 
-    /// `true` when the borrowed `(name, labels)` pair — whose
-    /// [`series_hash`] the caller has already computed as `hash` — is this
-    /// series.  The hash comparison rejects non-matches in one instruction;
-    /// on a hash match the key strings are compared for real, so a collision
-    /// reads as a miss rather than a wrong-series hit.  Allocation-free.
-    pub fn matches(&self, hash: u64, name: &str, labels: &Labels) -> bool {
-        self.hash == hash && self.name == name && &self.labels == labels
+    /// `true` when the borrowed `(name, labels)` pair is this series: real
+    /// equality, so neither a hash collision nor a positional coincidence can
+    /// read as a wrong-series hit.  Allocation-free.
+    pub fn matches(&self, name: &str, labels: &Labels) -> bool {
+        self.name == name && &self.labels == labels
     }
 }
 
@@ -142,12 +144,11 @@ mod tests {
         assert_eq!(key.hash(), hash);
         assert_eq!(key.name(), "teemon_syscalls_total");
         assert_eq!(key.labels(), &l);
-        assert!(key.matches(hash, "teemon_syscalls_total", &l));
-        // Right hash, wrong data: a simulated collision must read as a miss.
-        assert!(!key.matches(hash, "other_metric", &l));
-        assert!(!key.matches(hash, "teemon_syscalls_total", &labels(&[("node", "n2")])));
-        // Wrong hash short-circuits without touching the strings.
-        assert!(!key.matches(hash ^ 1, "teemon_syscalls_total", &l));
+        assert!(key.matches("teemon_syscalls_total", &l));
+        // Whatever nominated the entry, only equal data is a match.
+        assert!(!key.matches("other_metric", &l));
+        assert!(!key.matches("teemon_syscalls_total", &labels(&[("node", "n2")])));
+        assert!(!key.matches("teemon_syscalls_total", &Labels::new()));
     }
 
     #[test]

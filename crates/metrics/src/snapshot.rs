@@ -202,10 +202,10 @@ impl FamilySnapshot {
                 PointValue::Histogram(h) => {
                     suffixed("_bucket", &mut scratch);
                     for (i, bound) in h.bounds.iter().enumerate() {
-                        let labels = point.labels.with("le", format_bound(*bound));
+                        let labels = point.labels.with_str("le", &format_bound(*bound));
                         visit(&scratch, &labels, h.cumulative_counts[i] as f64, ts);
                     }
-                    let inf_labels = point.labels.with("le", "+Inf");
+                    let inf_labels = point.labels.with_str("le", "+Inf");
                     visit(
                         &scratch,
                         &inf_labels,
@@ -219,7 +219,7 @@ impl FamilySnapshot {
                 }
                 PointValue::Summary(s) => {
                     for (q, v) in &s.quantiles {
-                        let labels = point.labels.with("quantile", format_bound(*q));
+                        let labels = point.labels.with_str("quantile", &format_bound(*q));
                         visit(&self.name, &labels, *v, ts);
                     }
                     suffixed("_sum", &mut scratch);

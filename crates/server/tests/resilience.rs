@@ -157,6 +157,35 @@ fn rate_limited_client_gets_429_with_retry_after() {
     assert_eq!(status_of(&serve(&core, conn)), Some(200));
 }
 
+#[test]
+fn unrepresentable_names_get_400_and_store_nothing() {
+    // Names the rest of the system cannot represent used to be accepted
+    // here, stored, re-emitted verbatim by `/metrics` federation
+    // (`m{a b="x"}`) and rendered by the query API as a `metric` object
+    // with two `__name__` keys.  The text edge now refuses them.
+    let db = TimeSeriesDb::new();
+    let core = ServerCore::new(ServerConfig::default(), db.clone());
+    let post = |body: &str| {
+        let request =
+            format!("POST /api/v1/write HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        serve(&core, MockConn::with_bytes(request.into_bytes()))
+    };
+    for body in [
+        "m{=\"x\"} 1\n",
+        "m{a b=\"x\"} 1\n",
+        "m{__name__=\"evil\"} 1\n",
+        "9bad-name{a=\"1\"} 1\n",
+        "m{a=\"1\",a=\"2\"} 1\n",
+    ] {
+        let text = post(body);
+        assert_eq!(status_of(&text), Some(400), "{body:?} → {text}");
+        assert!(text.contains("bad_data"), "{body:?} → {text}");
+    }
+    assert_eq!(db.stats().series, 0, "a refused document must leave nothing behind");
+    assert_eq!(status_of(&post("m{a=\"1\"} 1\n")), Some(200));
+    assert_eq!(db.stats().series, 1);
+}
+
 /// A deterministic xorshift byte-mangler in the FaultFs spirit: valid
 /// requests with seeded corruption — truncation, bit flips, byte
 /// insertion — must always produce a clean HTTP response (or a silent

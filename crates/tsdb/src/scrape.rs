@@ -26,16 +26,18 @@
 //! entry per wire sample, holding the sample's structural identity
 //! ([`teemon_metrics::SeriesKey`]), the target-label-merged key and a
 //! resolved [`crate::SeriesHandle`].  A steady-state round walks the
-//! borrowed snapshots positionally, verifies identity with a cheap
-//! structural hash plus real equality, and hands the whole round to
-//! [`TimeSeriesDb::append_batch`], which takes each shard lock once per
-//! round.  No allocation (for plain counter/gauge/untyped points —
+//! borrowed snapshots positionally, verifies each sample against the entry
+//! at its position by real equality (a name compare and two slice compares
+//! over the packed [`Labels`] — nothing is hashed), and hands the whole
+//! round to [`TimeSeriesDb::append_batch`], which takes each shard lock once
+//! per round.  No allocation (for plain counter/gauge/untyped points —
 //! histogram and summary families allocate their `le`/`quantile` label
 //! expansions in the snapshot walk itself), no interning, no index
 //! traffic.  Churn (new,
 //! vanished or reordered series) flips the round into a repair pass that
-//! reuses every surviving entry's handle and resolves only what actually
-//! changed; stale handles (series evicted by retention or dropped) are
+//! finds every surviving entry by its structural hash
+//! ([`teemon_metrics::series_hash`], confirmed by the same equality), reuses
+//! its handle and resolves only what actually changed; stale handles (series evicted by retention or dropped) are
 //! re-resolved by key, so the fast lane can miss a beat but never writes to
 //! the wrong series.  [`IngestMode::PerSample`] keeps the pre-cache path —
 //! merge + [`TimeSeriesDb::append`] per sample — as the correctness oracle
@@ -481,8 +483,8 @@ struct CacheEntry {
 /// The per-target scrape cache: one [`CacheEntry`] per wire sample in
 /// snapshot order, plus the reusable batch buffer handed to
 /// [`TimeSeriesDb::append_batch`].  Steady state, the cache turns a scrape
-/// round into: one structural hash + one equality check per sample, one
-/// batch append.  Any churn — a series appearing, vanishing or moving —
+/// round into: one equality check per sample against the entry at its
+/// position, one batch append.  Any churn — a series appearing, vanishing or moving —
 /// fails the positional check and triggers [`TargetCache::rebuild`], which
 /// reuses every surviving entry and resolves only what changed.
 #[derive(Default)]
@@ -530,9 +532,8 @@ impl TargetCache {
                 if !matched {
                     return;
                 }
-                let hash = identity::series_hash(name, labels);
                 match self.entries.get(position) {
-                    Some(entry) if entry.key.matches(hash, name, labels) => {
+                    Some(entry) if entry.key.matches(name, labels) => {
                         if entry.admitted {
                             self.batch.push((entry.handle, timestamp_ms.unwrap_or(now_ms), value));
                             self.batch_entry.push(position as u32);
@@ -588,7 +589,7 @@ impl TargetCache {
                 let reused = reuse.get_mut(&hash).and_then(|candidates| {
                     candidates
                         .iter()
-                        .position(|e| e.key.matches(hash, name, labels))
+                        .position(|e| e.key.matches(name, labels))
                         .map(|at| candidates.swap_remove(at))
                 });
                 let admit = admitted < cap;

@@ -230,3 +230,43 @@ fn churn_repairs_then_returns_to_allocation_free() {
     }
     assert_eq!(allocations() - before, 0, "post-churn rounds must be allocation-free again");
 }
+
+#[test]
+fn text_edge_parse_allocates_twice_per_sample() {
+    // The inbound text edge cannot be allocation-free — every sample's label
+    // set has to be owned by the point that keeps it — but it can be exact:
+    // the packed `Labels` is two allocations (bytes, offsets), the sample's
+    // name stays borrowed from the document and the label set is moved, not
+    // cloned, into its `MetricPoint`.  Everything else (the token list, each
+    // family's name and point vector, the `# TYPE` map) grows by doubling
+    // and is bounded per family, not per sample.
+    use std::fmt::Write;
+    const FAMILIES: usize = 8;
+    const PER_FAMILY: usize = 125;
+    let mut doc = String::new();
+    for f in 0..FAMILIES {
+        writeln!(doc, "# TYPE bench_metric_{f} gauge").unwrap();
+        for i in 0..PER_FAMILY {
+            writeln!(
+                doc,
+                "bench_metric_{f}{{client=\"0\",idx=\"{i}\",node=\"node-{}\",pod=\"pod-{i:05}\"}} {i}.5 1700000000000",
+                i % 64
+            )
+            .unwrap();
+        }
+    }
+    let limits = teemon_metrics::exposition::ParseLimits::network();
+    let parse = || teemon_metrics::exposition::parse_families_bounded(&doc, limits).unwrap();
+    let samples = (FAMILIES * PER_FAMILY) as u64;
+    assert_eq!(parse().iter().map(|f| f.points.len() as u64).sum::<u64>(), samples);
+
+    let before = allocations();
+    let families = parse();
+    let spent = allocations() - before;
+    assert_eq!(families.len(), FAMILIES);
+    let budget = 2 * samples + 16 * FAMILIES as u64 + 32;
+    assert!(
+        spent <= budget,
+        "parsing {samples} samples in {FAMILIES} families allocated {spent} times (budget {budget})"
+    );
+}

@@ -2,7 +2,9 @@
 //!
 //! The container has no crates.io, so this is a hand-rolled reader for the
 //! small TOML subset the config actually uses: `[section]` headers, string
-//! and string-array values (arrays may span lines), and booleans.  Unknown
+//! and string-array values (arrays may span lines), and booleans.  A
+//! `[path_sets]` section names lists of paths; a rule's `paths` refers to
+//! one as `"@name"`.  Unknown
 //! rule names and malformed lines are hard errors — a typo in the config
 //! must fail the gate, not silently disable a rule.
 
@@ -173,9 +175,41 @@ fn unquote(text: &str) -> Option<String> {
     Some(inner.to_string())
 }
 
-fn build(sections: BTreeMap<String, Vec<(String, Value, usize)>>) -> Result<Config, ConfigError> {
+/// Expands `@name` entries of a rule's `paths` into the named set's paths,
+/// so a file that joins a set is listed once however many rules cover it.
+fn expand_paths(
+    list: Vec<String>,
+    path_sets: &BTreeMap<String, Vec<String>>,
+    line_no: usize,
+) -> Result<Vec<String>, ConfigError> {
+    let mut paths = Vec::new();
+    for item in list {
+        match item.strip_prefix('@') {
+            Some(name) => paths.extend(
+                path_sets
+                    .get(name)
+                    .ok_or_else(|| err(line_no, format!("unknown path set `@{name}`")))?
+                    .iter()
+                    .cloned(),
+            ),
+            None => paths.push(item),
+        }
+    }
+    Ok(paths)
+}
+
+fn build(
+    mut sections: BTreeMap<String, Vec<(String, Value, usize)>>,
+) -> Result<Config, ConfigError> {
     let mut config = Config::default();
     let mut saw_workspace = false;
+    let mut path_sets: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for (name, value, line_no) in sections.remove("path_sets").unwrap_or_default() {
+        match value {
+            Value::List(list) if !list.is_empty() => path_sets.insert(name, list),
+            _ => return Err(err(line_no, format!("path set `{name}` must be a non-empty array"))),
+        };
+    }
     for (header, entries) in sections {
         if header == "workspace" {
             saw_workspace = true;
@@ -201,7 +235,9 @@ fn build(sections: BTreeMap<String, Vec<(String, Value, usize)>>) -> Result<Conf
             };
             for (key, value, line_no) in entries {
                 match (key.as_str(), value) {
-                    ("paths", Value::List(list)) => rule.paths = list,
+                    ("paths", Value::List(list)) => {
+                        rule.paths = expand_paths(list, &path_sets, line_no)?;
+                    }
                     ("include_tests", Value::Bool(b)) => rule.include_tests = b,
                     ("receivers", Value::List(list)) => rule.receivers = list,
                     ("allow_fns", Value::List(list)) => rule.allow_fns = list,
@@ -237,11 +273,17 @@ mod tests {
         roots = ["crates", "src"]
         exclude = ["vendor"]
 
-        [rules.no-unwrap]
-        paths = [
+        [path_sets]
+        hot_path = [
             "crates/tsdb/src/storage.rs",
             "crates/query/src/stream.rs", # hot path
         ]
+
+        [rules.no-unwrap]
+        paths = ["@hot_path"]
+
+        [rules.no-index]
+        paths = ["@hot_path", "crates/obs/src/hist.rs"]
 
         [rules.no-std-sync]
         paths = [""]
@@ -258,7 +300,16 @@ mod tests {
         let config = parse(SAMPLE).expect("sample config must parse");
         assert_eq!(config.roots, ["crates", "src"]);
         assert_eq!(config.exclude, ["vendor"]);
-        assert_eq!(config.rules.len(), 3);
+        assert_eq!(config.rules.len(), 4);
+        let rule = |name: &str| config.rules.iter().find(|r| r.name == name).expect(name);
+        assert_eq!(
+            rule("no-unwrap").paths,
+            ["crates/tsdb/src/storage.rs", "crates/query/src/stream.rs"]
+        );
+        assert_eq!(
+            rule("no-index").paths,
+            ["crates/tsdb/src/storage.rs", "crates/query/src/stream.rs", "crates/obs/src/hist.rs"]
+        );
         let std_sync =
             config.rules.iter().find(|r| r.name == "no-std-sync").expect("no-std-sync present");
         assert!(std_sync.include_tests);
@@ -276,5 +327,9 @@ mod tests {
         assert!(parse(bad_key).is_err());
         let no_roots = "[rules.no-unwrap]\npaths = [\"x\"]";
         assert!(parse(no_roots).is_err());
+        let bad_set = "[workspace]\nroots = [\"crates\"]\n[rules.no-unwrap]\npaths = [\"@nope\"]";
+        assert!(parse(bad_set).is_err());
+        let empty_set = "[workspace]\nroots = [\"crates\"]\n[path_sets]\nhot = []";
+        assert!(parse(empty_set).is_err());
     }
 }
