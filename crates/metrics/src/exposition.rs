@@ -73,7 +73,7 @@ fn encode_sample(out: &mut String, sample: &Sample) {
         out.push('}');
     }
     out.push(' ');
-    out.push_str(&format_value(sample.value));
+    write_value(out, sample.value);
     if let Some(ts) = sample.timestamp_ms {
         out.push(' ');
         out.push_str(&ts.to_string());
@@ -84,15 +84,24 @@ fn encode_sample(out: &mut String, sample: &Sample) {
 /// Formats a sample value: integral values print without a decimal point,
 /// specials print as `NaN`, `+Inf`, `-Inf`.
 pub fn format_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
+    let mut out = String::new();
+    write_value(&mut out, v);
+    out
+}
+
+/// Appends [`format_value`]'s text for `v` to `out` without a temporary
+/// (`fmt::Write` into a `String` cannot fail).
+pub fn write_value(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
+    let _ = if v.is_nan() {
+        out.write_str("NaN")
     } else if v == f64::INFINITY {
-        "+Inf".to_string()
+        out.write_str("+Inf")
     } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
+        out.write_str("-Inf")
     } else {
-        format!("{v}")
-    }
+        write!(out, "{v}")
+    };
 }
 
 fn escape_help(s: &str) -> String {

@@ -154,6 +154,9 @@ pub enum EvalError {
     VectorRequired(&'static str),
     /// A range query was issued with `step_ms == 0`.
     ZeroStep,
+    /// A range query asked for this many steps, more than
+    /// [`QueryEngine::MAX_RANGE_STEPS`].
+    TooManySteps(u64),
     /// A vector-vector binary operation found several right-hand samples
     /// with the same label set, so matching would be ambiguous.
     ManyToOneMatch(Labels),
@@ -175,6 +178,12 @@ impl fmt::Display for EvalError {
                 write!(f, "{what} expects an instant vector operand")
             }
             EvalError::ZeroStep => write!(f, "range query step must be non-zero"),
+            EvalError::TooManySteps(steps) => write!(
+                f,
+                "range query would evaluate {steps} steps per series, above the limit of {}; \
+                 raise `step` or narrow the range",
+                QueryEngine::MAX_RANGE_STEPS
+            ),
             EvalError::ManyToOneMatch(labels) => {
                 write!(f, "many-to-one matching: multiple right-hand series share {labels}")
             }
@@ -242,6 +251,12 @@ impl QueryEngine {
     /// Default staleness window for instant selectors: samples older than
     /// this (relative to the query time) are not returned.
     pub const DEFAULT_LOOKBACK_MS: u64 = 5 * 60 * 1000;
+
+    /// The most steps one range query may evaluate (Prometheus' fixed
+    /// 11 000 points per series).  Work and result size grow with
+    /// `series × steps`, so without a bound a single request — a ten-year
+    /// range at millisecond steps — asks for unbounded time and memory.
+    pub const MAX_RANGE_STEPS: u64 = 11_000;
 
     /// Creates an engine over `db` with the default lookback window.
     pub fn new(db: TimeSeriesDb) -> Self {
@@ -360,10 +375,10 @@ impl QueryEngine {
     ///
     /// Expressions made of selectors, range functions, grouped aggregations
     /// and constant arithmetic/comparisons take the **streaming** path
-    /// ([`crate::stream`]): per-series sliding-window state machines advance
-    /// two monotone cursors across the steps and update the window aggregates
-    /// incrementally, so the whole range costs `O(samples touched)` instead
-    /// of `O(steps × window)`.  Everything else (vector-vector matching,
+    /// ([`crate::stream`]): each series is decoded once and two monotone
+    /// indices slide its window across all the steps, updating the window
+    /// aggregates incrementally, so the whole range costs `O(samples
+    /// touched)` instead of `O(steps × window)`.  Everything else (vector-vector matching,
     /// type errors) falls back to [`QueryEngine::range_per_step`].
     ///
     /// With debug assertions enabled and `TEEMON_VERIFY_STREAM=1` in the
@@ -373,9 +388,12 @@ impl QueryEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError::ZeroStep`] for a zero step and propagates the
-    /// expression's evaluation errors.  A whole-query range selector
-    /// (`m[5m]`) is not rangeable and yields [`EvalError::UnexpectedRange`].
+    /// Returns [`EvalError::ZeroStep`] for a zero step,
+    /// [`EvalError::TooManySteps`] when the grid has more than
+    /// [`QueryEngine::MAX_RANGE_STEPS`] steps (refused before any planning),
+    /// and propagates the expression's evaluation errors.  A whole-query
+    /// range selector (`m[5m]`) is not rangeable and yields
+    /// [`EvalError::UnexpectedRange`].
     ///
     /// Selectors are resolved against the storage index once for the whole
     /// query; every step then reads the same immutable `Arc`-shared chunk
@@ -407,6 +425,10 @@ impl QueryEngine {
         }
         if start_ms > end_ms {
             return Ok((Vec::new(), RangeRun::default()));
+        }
+        let steps = ((end_ms - start_ms) / step_ms).saturating_add(1);
+        if steps > Self::MAX_RANGE_STEPS {
+            return Err(EvalError::TooManySteps(steps));
         }
         let watch = Stopwatch::start();
         let (result, mut run) =
@@ -836,6 +858,30 @@ mod tests {
         // Errors render readable messages.
         let msg = QueryError::from(EvalError::RangeRequired(RangeFunc::Rate)).to_string();
         assert!(msg.contains("rate"), "{msg}");
+    }
+
+    #[test]
+    fn range_queries_are_bounded_in_steps() {
+        let engine = QueryEngine::new(db());
+        // Exactly the limit is served — on the streaming path and on the
+        // per-step fallback alike — and one step more is refused unplanned.
+        for query in ["1", "sgx_nr_free_pages", "sgx_nr_free_pages + sgx_nr_free_pages"] {
+            let at_limit = engine.range_query(query, 5_000, 5_000 + 10_999, 1).unwrap();
+            assert_eq!(at_limit[0].points.len(), 11_000, "`{query}`");
+            assert_eq!(
+                engine.range_query(query, 5_000, 5_000 + 11_000, 1),
+                Err(QueryError::Eval(EvalError::TooManySteps(11_001))),
+                "`{query}`"
+            );
+        }
+        // The shape that used to ask for 4·10¹² points answers at once.
+        let refused = engine.range_query("1", 0, 4_000_000_000_000, 1).unwrap_err();
+        assert_eq!(refused, QueryError::Eval(EvalError::TooManySteps(4_000_000_000_001)));
+        assert!(refused.to_string().contains("11000"), "{refused}");
+        assert_eq!(
+            engine.range_query("1", 0, u64::MAX, 1),
+            Err(QueryError::Eval(EvalError::TooManySteps(u64::MAX)))
+        );
     }
 
     #[test]

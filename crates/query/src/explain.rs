@@ -28,8 +28,8 @@ use crate::stream;
 /// Which evaluator answers the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanChoice {
-    /// The whole expression compiles into sliding-window state machines:
-    /// cost `O(samples touched)`.
+    /// The whole expression compiles into a series-major sliding-window
+    /// plan: cost `O(samples touched)`.
     Streamed,
     /// The expression needs the per-step fallback (`O(steps × window)`),
     /// for the stated planner reason.

@@ -14,49 +14,110 @@
 //! Sample values are rendered as **strings** (`"1"`, `"NaN"`, `"+Inf"`),
 //! exactly like the exposition format, because JSON numbers cannot carry the
 //! IEEE specials; timestamps are seconds as JSON numbers.
+//!
+//! Bodies are written straight into one pre-sized `String` — envelope,
+//! `metric` object, timestamps and value strings appended in order, no
+//! intermediate tree — because a dashboard refresh renders tens of thousands
+//! of points and a tree costs three allocations per point before a byte is
+//! produced.
 
-use serde::Value as Json;
-use teemon_metrics::exposition::format_value;
+use std::fmt::Write as _;
+
+use teemon_metrics::exposition::write_value;
 use teemon_metrics::Labels;
 
 use crate::eval::{RangeSeries, Value};
 
+/// Bytes reserved per rendered point: `[1700000000,"12.480833333333324"],`
+/// is 35; short values leave slack, long ones grow the buffer once.
+const BYTES_PER_POINT: usize = 32;
+/// Bytes reserved per series for `{"metric":{…},"values":[]},` around a
+/// handful of labels.
+const BYTES_PER_SERIES: usize = 128;
+
+/// The success envelope around whatever `result` writes, in a body reserved
+/// for about `capacity` bytes of it.
+fn success(result_type: &str, capacity: usize, result: impl FnOnce(&mut String)) -> String {
+    let mut out = String::with_capacity(64 + capacity);
+    out.push_str(r#"{"status":"success","data":{"resultType":""#);
+    out.push_str(result_type);
+    out.push_str(r#"","result":"#);
+    result(&mut out);
+    out.push_str("}}");
+    out
+}
+
+/// A JSON string literal with the escapes `serde_json` applies: `\"`, `\\`,
+/// `\n`, `\r`, `\t`, `\u00XX` for the other control characters, everything
+/// else (multi-byte UTF-8 included) verbatim.
+fn push_string(out: &mut String, text: &str) {
+    out.push('"');
+    let mut clean_from = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // `at` is an ASCII byte, hence a char boundary.
+        out.push_str(text.get(clean_from..at).unwrap_or_default());
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        clean_from = at + 1;
+    }
+    out.push_str(text.get(clean_from..).unwrap_or_default());
+    out.push('"');
+}
+
 /// `{"__name__": name?, ...labels}` — the `metric` object of one series.
-fn metric_object(name: Option<&str>, labels: &Labels) -> Json {
-    let mut entries: Vec<(String, Json)> = Vec::with_capacity(labels.len() + 1);
-    if let Some(name) = name {
-        entries.push(("__name__".to_string(), Json::String(name.to_string())));
+fn push_metric(out: &mut String, name: Option<&str>, labels: &Labels) {
+    out.push('{');
+    let name = name.map(|name| ("__name__", name));
+    for (i, (key, value)) in name.into_iter().chain(labels.iter()).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_string(out, key);
+        out.push(':');
+        push_string(out, value);
     }
-    for (k, v) in labels.iter() {
-        entries.push((k.to_string(), Json::String(v.to_string())));
+    out.push('}');
+}
+
+/// `[seconds, "value"]` — one sample pair.  The timestamp is a JSON number
+/// (whole seconds without a fraction); the value is the exposition format's
+/// text ([`write_value`]), which never needs escaping.
+fn push_pair(out: &mut String, timestamp_ms: u64, value: f64) {
+    out.push('[');
+    let seconds = timestamp_ms as f64 / 1e3;
+    let _ = if seconds.fract() == 0.0 && seconds < 9.0e15 {
+        write!(out, "{}", seconds as i64)
+    } else {
+        write!(out, "{seconds}")
+    };
+    out.push_str(",\"");
+    write_value(out, value);
+    out.push_str("\"]");
+}
+
+/// `[a,b,…]` with each element written by `item`; `[]` when there are none.
+fn push_array<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, element) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, element);
     }
-    Json::Object(entries)
-}
-
-/// `[seconds, "value"]` — one sample pair.
-fn sample_pair(timestamp_ms: u64, value: f64) -> Json {
-    Json::Array(vec![Json::Number(timestamp_ms as f64 / 1e3), Json::String(format_value(value))])
-}
-
-/// Wraps a `data` payload in the success envelope.
-fn success(result_type: &str, result: Json) -> String {
-    let data = Json::Object(vec![
-        ("resultType".to_string(), Json::String(result_type.to_string())),
-        ("result".to_string(), result),
-    ]);
-    let envelope = Json::Object(vec![
-        ("status".to_string(), Json::String("success".to_string())),
-        ("data".to_string(), data),
-    ]);
-    render(&envelope)
-}
-
-/// Serialises an envelope; `serde_json::to_string` over a [`Json`] tree
-/// cannot fail, so the fallback body is unreachable.
-fn render(envelope: &Json) -> String {
-    serde_json::to_string(envelope).unwrap_or_else(|_| {
-        r#"{"status":"error","errorType":"internal","error":"serialize"}"#.to_string()
-    })
+    out.push(']');
 }
 
 /// Renders an instant-query [`Value`] as a success response.  Scalars become
@@ -65,64 +126,283 @@ fn render(envelope: &Json) -> String {
 /// timestamp of their own).
 pub fn instant_response(value: &Value, at_ms: u64) -> String {
     match value {
-        Value::Scalar(v) => success("scalar", sample_pair(at_ms, *v)),
+        Value::Scalar(v) => success("scalar", BYTES_PER_POINT, |out| push_pair(out, at_ms, *v)),
         Value::Vector(samples) => {
-            let result = samples
-                .iter()
-                .map(|s| {
-                    Json::Object(vec![
-                        ("metric".to_string(), metric_object(s.name.as_deref(), &s.labels)),
-                        ("value".to_string(), sample_pair(at_ms, s.value)),
-                    ])
-                })
-                .collect();
-            success("vector", Json::Array(result))
+            let capacity = samples.len() * (BYTES_PER_SERIES + BYTES_PER_POINT);
+            success("vector", capacity, |out| {
+                push_array(out, samples, |out, s| {
+                    out.push_str(r#"{"metric":"#);
+                    push_metric(out, s.name.as_deref(), &s.labels);
+                    out.push_str(r#","value":"#);
+                    push_pair(out, at_ms, s.value);
+                    out.push('}');
+                });
+            })
         }
-        Value::Matrix(series) => success("matrix", matrix_result(series)),
+        Value::Matrix(series) => range_response(series),
     }
 }
 
 /// Renders a range-query result as a `resultType: "matrix"` success
 /// response.
 pub fn range_response(series: &[RangeSeries]) -> String {
-    success("matrix", matrix_result(series))
-}
-
-fn matrix_result(series: &[RangeSeries]) -> Json {
-    Json::Array(
-        series
-            .iter()
-            .map(|s| {
-                let values =
-                    s.points.iter().map(|&(t, v)| sample_pair(t, v)).collect::<Vec<Json>>();
-                Json::Object(vec![
-                    ("metric".to_string(), metric_object(s.name.as_deref(), &s.labels)),
-                    ("values".to_string(), Json::Array(values)),
-                ])
-            })
-            .collect(),
-    )
+    let capacity: usize =
+        series.iter().map(|s| BYTES_PER_SERIES + s.points.len() * BYTES_PER_POINT).sum();
+    success("matrix", capacity, |out| {
+        push_array(out, series, |out, s| {
+            out.push_str(r#"{"metric":"#);
+            push_metric(out, s.name.as_deref(), &s.labels);
+            out.push_str(r#","values":"#);
+            push_array(out, &s.points, |out, &(t, v)| push_pair(out, t, v));
+            out.push('}');
+        });
+    })
 }
 
 /// Renders an error response: `{"status":"error","errorType":...,
 /// "error":...}`.  `error_type` follows the Prometheus vocabulary —
 /// `"bad_data"` for malformed queries, `"internal"` for engine failures.
 pub fn error_response(error_type: &str, message: &str) -> String {
-    let envelope = Json::Object(vec![
-        ("status".to_string(), Json::String("error".to_string())),
-        ("errorType".to_string(), Json::String(error_type.to_string())),
-        ("error".to_string(), Json::String(message.to_string())),
-    ]);
-    render(&envelope)
+    let mut out = String::with_capacity(48 + error_type.len() + message.len());
+    out.push_str(r#"{"status":"error","errorType":"#);
+    push_string(&mut out, error_type);
+    out.push_str(r#","error":"#);
+    push_string(&mut out, message);
+    out.push('}');
+    out
+}
+
+/// The renderer this module had before the direct writer — a `serde::Value`
+/// tree handed to `serde_json::to_string` — kept as the byte-for-byte oracle.
+#[cfg(test)]
+mod tree {
+    use serde::Value as Json;
+    use teemon_metrics::exposition::format_value;
+    use teemon_metrics::Labels;
+
+    use crate::eval::{RangeSeries, Value};
+
+    fn metric_object(name: Option<&str>, labels: &Labels) -> Json {
+        let mut entries: Vec<(String, Json)> = Vec::with_capacity(labels.len() + 1);
+        if let Some(name) = name {
+            entries.push(("__name__".to_string(), Json::String(name.to_string())));
+        }
+        for (k, v) in labels.iter() {
+            entries.push((k.to_string(), Json::String(v.to_string())));
+        }
+        Json::Object(entries)
+    }
+
+    fn sample_pair(timestamp_ms: u64, value: f64) -> Json {
+        Json::Array(vec![
+            Json::Number(timestamp_ms as f64 / 1e3),
+            Json::String(format_value(value)),
+        ])
+    }
+
+    fn success(result_type: &str, result: Json) -> String {
+        let data = Json::Object(vec![
+            ("resultType".to_string(), Json::String(result_type.to_string())),
+            ("result".to_string(), result),
+        ]);
+        let envelope = Json::Object(vec![
+            ("status".to_string(), Json::String("success".to_string())),
+            ("data".to_string(), data),
+        ]);
+        serde_json::to_string(&envelope).unwrap()
+    }
+
+    pub fn instant_response(value: &Value, at_ms: u64) -> String {
+        match value {
+            Value::Scalar(v) => success("scalar", sample_pair(at_ms, *v)),
+            Value::Vector(samples) => {
+                let result = samples
+                    .iter()
+                    .map(|s| {
+                        Json::Object(vec![
+                            ("metric".to_string(), metric_object(s.name.as_deref(), &s.labels)),
+                            ("value".to_string(), sample_pair(at_ms, s.value)),
+                        ])
+                    })
+                    .collect();
+                success("vector", Json::Array(result))
+            }
+            Value::Matrix(series) => success("matrix", matrix_result(series)),
+        }
+    }
+
+    pub fn range_response(series: &[RangeSeries]) -> String {
+        success("matrix", matrix_result(series))
+    }
+
+    fn matrix_result(series: &[RangeSeries]) -> Json {
+        Json::Array(
+            series
+                .iter()
+                .map(|s| {
+                    let values =
+                        s.points.iter().map(|&(t, v)| sample_pair(t, v)).collect::<Vec<Json>>();
+                    Json::Object(vec![
+                        ("metric".to_string(), metric_object(s.name.as_deref(), &s.labels)),
+                        ("values".to_string(), Json::Array(values)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+
+    pub fn error_response(error_type: &str, message: &str) -> String {
+        let envelope = Json::Object(vec![
+            ("status".to_string(), Json::String("error".to_string())),
+            ("errorType".to_string(), Json::String(error_type.to_string())),
+            ("error".to_string(), Json::String(message.to_string())),
+        ]);
+        serde_json::to_string(&envelope).unwrap()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::proptest;
+    use serde::Value as Json;
+
     use super::*;
     use crate::eval::VectorSample;
 
     fn parse(text: &str) -> Json {
         serde_json::from_str(text).expect("rendered JSON must reparse")
+    }
+
+    /// Strings that exercise every escape arm and multi-byte passthrough.
+    fn text(pick: u8, n: u16) -> String {
+        match pick % 9 {
+            0 => String::new(),
+            1 => format!("plain_{n}"),
+            2 => format!("quo\"te{n}"),
+            3 => format!("back\\slash\\{n}"),
+            4 => format!("line\nbreak\rreturn{n}"),
+            5 => format!("tab\there{n}"),
+            6 => format!("ctl\u{1}\u{1f}\u{0}{n}"),
+            7 => format!("ünï-cødé-節点-🦀{n}"),
+            _ => format!("\"\\\n\t\u{7}é{n}\u{7f}"),
+        }
+    }
+
+    fn value(pick: u8, raw: u16) -> f64 {
+        match pick % 12 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => 0.0,
+            5 => 1e21,
+            6 => 1e-7,
+            7 => f64::from(raw),
+            8 => -f64::from(raw) * 1e300,
+            9 => f64::from(raw) / 7.0,
+            10 => 9.0e15 + f64::from(raw),
+            _ => f64::from(raw) * 1e-310,
+        }
+    }
+
+    /// Whole seconds, fractional seconds, zero and the top of the range.
+    fn timestamp(pick: u8, raw: u16) -> u64 {
+        match pick % 5 {
+            0 => u64::from(raw) * 1_000,
+            1 => u64::from(raw) * 1_000 + u64::from(raw % 999) + 1,
+            2 => 0,
+            3 => u64::MAX - u64::from(raw),
+            _ => 1_700_000_000_000 + u64::from(raw) * 15_000,
+        }
+    }
+
+    /// (name pick, n), label specs, point specs.
+    type SeriesSpec = ((u8, u16), Vec<(u8, u16)>, Vec<(u8, u8, u16)>);
+
+    fn labels(spec: &[(u8, u16)]) -> Labels {
+        Labels::from_pairs(spec.iter().map(|&(pick, n)| (format!("l{n}"), text(pick, n))))
+    }
+
+    fn range_series(specs: &[SeriesSpec]) -> Vec<RangeSeries> {
+        specs
+            .iter()
+            .map(|((name_pick, n), label_spec, points)| RangeSeries {
+                // `name: None` with empty labels renders `"metric":{}`.
+                name: (name_pick % 3 != 0).then(|| text(*name_pick, *n)),
+                labels: labels(label_spec),
+                points: points
+                    .iter()
+                    .map(|&(tp, vp, raw)| (timestamp(tp, raw), value(vp, raw)))
+                    .collect(),
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The direct writer is byte-identical to the tree renderer over
+        /// random matrices: hostile names and label values, every special
+        /// float, whole and fractional timestamps, empty matrices, empty
+        /// point lists and nameless label-less series.
+        #[test]
+        fn range_bodies_match_the_tree_renderer(
+            specs in proptest::collection::vec(
+                (
+                    (0u8..18, 0u16..1000),
+                    proptest::collection::vec((0u8..18, 0u16..6), 0..4),
+                    proptest::collection::vec((0u8..10, 0u8..24, 0u16..u16::MAX), 0..12),
+                ),
+                0..5,
+            ),
+        ) {
+            let series = range_series(&specs);
+            assert_eq!(range_response(&series), tree::range_response(&series));
+            let matrix = Value::Matrix(series);
+            assert_eq!(instant_response(&matrix, 1_500), tree::instant_response(&matrix, 1_500));
+        }
+
+        #[test]
+        fn instant_and_error_bodies_match_the_tree_renderer(
+            specs in proptest::collection::vec(
+                ((0u8..18, 0u16..1000), proptest::collection::vec((0u8..18, 0u16..6), 0..4), 0u8..24),
+                0..6,
+            ),
+            at in (0u8..10, 0u16..u16::MAX),
+            message in (0u8..18, 0u8..18, 0u16..1000),
+        ) {
+            let at_ms = timestamp(at.0, at.1);
+            let vector = Value::Vector(
+                specs
+                    .iter()
+                    .map(|((name_pick, n), label_spec, vp)| VectorSample {
+                        name: (name_pick % 3 != 0).then(|| text(*name_pick, *n)),
+                        labels: labels(label_spec),
+                        value: value(*vp, *n),
+                    })
+                    .collect(),
+            );
+            assert_eq!(instant_response(&vector, at_ms), tree::instant_response(&vector, at_ms));
+            let scalar = Value::Scalar(value(message.0, message.2));
+            assert_eq!(instant_response(&scalar, at_ms), tree::instant_response(&scalar, at_ms));
+            let (kind, text) = (text(message.0, message.2), text(message.1, message.2));
+            assert_eq!(error_response(&kind, &text), tree::error_response(&kind, &text));
+        }
+    }
+
+    #[test]
+    fn empties_render_as_empty_containers() {
+        assert_eq!(
+            range_response(&[]),
+            r#"{"status":"success","data":{"resultType":"matrix","result":[]}}"#
+        );
+        let bare = RangeSeries { name: None, labels: Labels::new(), points: Vec::new() };
+        assert_eq!(
+            range_response(&[bare]),
+            r#"{"status":"success","data":{"resultType":"matrix","result":[{"metric":{},"values":[]}]}}"#
+        );
+        assert_eq!(
+            instant_response(&Value::Vector(Vec::new()), 0),
+            r#"{"status":"success","data":{"resultType":"vector","result":[]}}"#
+        );
     }
 
     #[test]

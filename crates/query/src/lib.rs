@@ -11,10 +11,10 @@
 //!   equal tree,
 //! * [`QueryEngine`] — instant and range evaluation over a
 //!   [`teemon_tsdb::TimeSeriesDb`].  Range queries stream: the [`stream`]
-//!   module compiles supported expressions into per-series sliding-window
-//!   state machines whose cost is `O(samples touched)` rather than
-//!   `O(steps × window)`, with the per-step evaluator retained as fallback
-//!   and equivalence oracle,
+//!   module evaluates supported expressions series by series, sliding each
+//!   series' window over the whole step grid at `O(samples touched)` rather
+//!   than `O(steps × window)`, with the per-step evaluator retained as
+//!   fallback and equivalence oracle,
 //! * [`RuleEngine`] — [`RecordingRule`]s that write derived series back into
 //!   the database and [`AlertRule`]s (expression + `for` hold + severity)
 //!   that supersede the ad-hoc [`teemon_analysis::ThresholdKind`] path

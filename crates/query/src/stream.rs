@@ -1,31 +1,57 @@
-//! Streaming range-query evaluation.
+//! Streaming range-query evaluation, series by series.
 //!
 //! The per-step evaluator ([`crate::QueryEngine::range_per_step`]) re-runs
 //! the whole instant pipeline at every step: a 1 h / 15 s-step
 //! `rate(m[5m])` query extracts and re-aggregates ~240 overlapping 5 m
 //! windows per series, so its cost is `O(steps × window)`.  This module
-//! replaces that with per-series **sliding-window state machines**: two
-//! monotone cursors (window entry and exit) advance across the steps, every
-//! sample is admitted once and evicted once, and the window aggregates update
-//! incrementally — `O(samples touched)` overall.
+//! evaluates **series-major** instead: one series at a time is taken across
+//! the *whole* step grid before the next one is touched.
+//!
+//! **The leaf.**  A series' samples for `[start − window, end]` are decoded
+//! once — sealed chunks in bulk — into a flat `(timestamp, value)` buffer
+//! that the next series reuses.  Two indices then slide over that buffer as
+//! the steps advance: the *entry* index admits samples with `ts <= t`, the
+//! *exit* index evicts samples with `ts < t − window`, and the window at a
+//! step is simply the contiguous slice between them.  Every sample is
+//! admitted once and evicted once, and the window aggregates update
+//! incrementally — `O(samples touched)` overall:
 //!
 //! * `sum`/`avg` (and the reset-adjusted pair sum behind `rate`/`increase`)
 //!   are running deltas: a sample's contribution is added when it enters and
 //!   subtracted when it leaves.  Non-finite values are counted, not summed,
 //!   so a `NaN`/`±inf` passing through the window cannot poison it forever.
-//! * `min`/`max` use monotonic deques (amortised O(1) per sample).
+//! * `min`/`max` use a monotonic deque keyed by buffer index (amortised O(1)
+//!   per sample).
 //! * `count`/`last_over_time` (and instant selectors, which are
-//!   `last_over_time` over the staleness lookback) read the window ends.
-//! * `quantile_over_time` re-sorts, but into one scratch buffer reused per
-//!   series instead of a fresh allocation per step.
+//!   `last_over_time` over the staleness lookback) read the slice's ends.
+//! * `quantile_over_time` re-sorts, but into one scratch buffer reused for
+//!   every step of every series.
 //!
-//! On top of the window layer, the plan composes the vector-shaped operators
-//! without ever materialising per-step `Value::Vector`s: every node's output
-//! universe (its series names/labels) is resolved **once** at plan time, and
-//! per step only a slab of `Option<f64>` slots moves between nodes.  Grouped
-//! aggregations fold child slots into group accumulators through a
-//! slot→group table computed once; arithmetic/comparison against constants
-//! maps slots in place.
+//! **Columns.**  What a leaf hands to its parent is that series' *column*:
+//! one `Option<f64>` per step of the grid, `None` where the function is
+//! undefined.  Every node's output universe (its series names/labels, one
+//! *slot* each) is resolved **once** at plan time, and a node emits its
+//! columns to its parent in slot order.  `Map` (arithmetic or a filtering
+//! comparison against a constant) rewrites a column in place and passes it
+//! on.  `Group` folds each child column into its row of a `groups × steps`
+//! accumulator through a slot→group table computed at plan time, and emits
+//! the rows as columns once its child is done.  The root turns each column
+//! into a [`RangeSeries`].
+//!
+//! **Why the floats are bit-identical.**  A step-major evaluator would fill
+//! every slot for step 0, fold them, then move to step 1.  For one cell
+//! `(group, step)` of a `Group` the only thing that matters is the order in
+//! which that cell's additions happen, and because children emit in slot
+//! order each cell still sees its members' values in slot order — exactly
+//! the per-step aggregator's order, so not one addition is re-associated.
+//! Inside a leaf, a series' window operations (admit up to `t`, evict below
+//! `t − window`, check the drift guard, evaluate) run in the same order step
+//! after step whether or not other series are interleaved between them.
+//!
+//! **The memory bound.**  Live at any moment: one series' decoded samples,
+//! one column per pipeline stage, the `groups × steps` accumulators, and the
+//! result being built — never `series × steps` intermediate cells, and never
+//! more than one series decoded at a time.
 //!
 //! [`plan`] returns `None` for expressions outside this shape (vector-vector
 //! binary operations, aggregations over scalars, type errors, output-key
@@ -42,18 +68,20 @@ use std::collections::VecDeque;
 
 use teemon_metrics::Labels;
 use teemon_tsdb::query::{quantile_of_sorted, reset_adjusted_delta};
-use teemon_tsdb::{AggregateOp, OwnedSampleCursor, TimeSeriesDb};
+use teemon_tsdb::{AggregateOp, OwnedSampleCursor, Sample, TimeSeriesDb};
 
 use crate::ast::{BinOp, Expr, RangeFunc};
 use crate::eval::RangeSeries;
 
-/// Work counters of one plan execution, totalled across every window
-/// machine when [`StreamPlan::run_with_stats`] finishes.  These feed the
+/// Work counters of one plan execution, totalled across every series when
+/// [`StreamPlan::run_with_stats`] finishes.  These feed the
 /// `teemon_query_samples_decoded_total` / `teemon_query_window_rebuilds_total`
 /// probes and `QueryEngine::analyze`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Chunk samples decoded (each stored sample is admitted exactly once).
+    /// Chunk samples the windows consumed: every sample admitted (each stored
+    /// sample exactly once) plus, per series, the first one past the last
+    /// step — the sample that tells a reader the grid is done with it.
     pub samples_decoded: u64,
     /// Exact window-aggregate rebuilds triggered by numeric-drift guards.
     pub window_rebuilds: u64,
@@ -67,7 +95,7 @@ type SeriesKey = (Option<String>, Labels);
 /// Built by [`plan`]; consumed by [`StreamPlan::run`].  Selectors were
 /// already resolved against the storage index during planning, so running
 /// the plan touches no locks and no index — only the immutable `Arc`-shared
-/// chunk snapshots each window machine's cursor walks.
+/// chunk snapshots each leaf's cursors drain.
 pub struct StreamPlan {
     kind: PlanKind,
 }
@@ -85,74 +113,82 @@ enum PlanKind {
 impl StreamPlan {
     /// Evaluates the plan over `[start_ms, end_ms]` at `step_ms` intervals.
     /// The step grid is identical to the per-step evaluator's (`start`,
-    /// `start + step`, … up to and including the last step `<= end`).
+    /// `start + step`, … up to and including the last step `<= end`).  Columns
+    /// and accumulators are sized by the grid: bounding the number of steps
+    /// is the caller's business ([`crate::QueryEngine::range`] refuses more
+    /// than [`crate::QueryEngine::MAX_RANGE_STEPS`]).
     pub fn run(self, start_ms: u64, end_ms: u64, step_ms: u64) -> Vec<RangeSeries> {
         self.run_with_stats(start_ms, end_ms, step_ms).0
     }
 
     /// [`StreamPlan::run`], also returning the work counters totalled across
-    /// every window machine of the plan.
+    /// every series of the plan.
     pub fn run_with_stats(
         self,
         start_ms: u64,
         end_ms: u64,
         step_ms: u64,
     ) -> (Vec<RangeSeries>, RunStats) {
-        let step_ms = step_ms.max(1);
+        let grid = Grid::new(start_ms, end_ms, step_ms);
+        let mut stats = RunStats::default();
         match self.kind {
             PlanKind::Scalar(value) => {
-                let mut points = Vec::new();
-                for_each_step(start_ms, end_ms, step_ms, |t| points.push((t, value)));
-                (
-                    vec![RangeSeries { name: None, labels: Labels::new(), points }],
-                    RunStats::default(),
-                )
+                let points = grid.times().map(|t| (t, value)).collect();
+                (vec![RangeSeries { name: None, labels: Labels::new(), points }], stats)
             }
-            PlanKind::Vector { mut root, keys } => {
-                let mut out = vec![None; keys.len()];
-                let mut points: Vec<Vec<(u64, f64)>> = vec![Vec::new(); keys.len()];
-                for_each_step(start_ms, end_ms, step_ms, |t| {
-                    root.step(t, &mut out);
-                    for (value, series_points) in out.iter().zip(points.iter_mut()) {
-                        if let Some(v) = value {
-                            series_points.push((t, *v));
-                        }
+            PlanKind::Vector { root, keys } => {
+                let mut series = Vec::new();
+                // Columns arrive in slot order, one per key.
+                let mut keys = keys.into_iter();
+                root.emit(&grid, &mut stats, &mut |column| {
+                    let Some((name, labels)) = keys.next() else { return };
+                    let present = column.iter().flatten().count();
+                    if present == 0 {
+                        return;
                     }
+                    let mut points = Vec::with_capacity(present);
+                    points.extend(
+                        grid.times().zip(column.iter()).filter_map(|(t, v)| v.map(|v| (t, v))),
+                    );
+                    series.push(RangeSeries { name, labels, points });
                 });
-                let mut stats = RunStats::default();
-                root.collect_stats(&mut stats);
-                let mut series: Vec<RangeSeries> = keys
-                    .into_iter()
-                    .zip(points)
-                    .filter(|(_, points)| !points.is_empty())
-                    .map(|((name, labels), points)| RangeSeries { name, labels, points })
-                    .collect();
-                // The per-step accumulator returns series sorted by key.
-                series.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+                // The per-step accumulator returns series sorted by key (keys
+                // are unique — `plan_or_reason` refuses collisions).
+                series.sort_unstable_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
                 (series, stats)
             }
         }
     }
 }
 
-/// Walks the same step grid as the per-step evaluator (overflow-safe at the
-/// top of the `u64` range).
-fn for_each_step(start_ms: u64, end_ms: u64, step_ms: u64, mut f: impl FnMut(u64)) {
-    let mut t = start_ms;
-    loop {
-        f(t);
-        let Some(next) = t.checked_add(step_ms) else { break };
-        if next > end_ms {
-            break;
-        }
-        t = next;
+/// The step grid of one run: `start`, `start + step`, … up to and including
+/// the last step `<= end` — identical to the per-step evaluator's, and
+/// overflow-safe at the top of the `u64` range because every step is
+/// `<= end`.  A grid is never empty (`end < start` still evaluates `start`).
+struct Grid {
+    start_ms: u64,
+    step_ms: u64,
+    steps: usize,
+}
+
+impl Grid {
+    fn new(start_ms: u64, end_ms: u64, step_ms: u64) -> Self {
+        let step_ms = step_ms.max(1);
+        let after_first = end_ms.saturating_sub(start_ms) / step_ms;
+        let steps = usize::try_from(after_first).unwrap_or(usize::MAX).saturating_add(1);
+        Self { start_ms, step_ms, steps }
+    }
+
+    /// The step timestamps, in order.
+    fn times(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.steps as u64).map(|k| self.start_ms + k * self.step_ms)
     }
 }
 
 /// Compiles `expr` into a streaming plan, or `None` when the expression
 /// needs the per-step fallback.  `lookback_ms` is the engine's instant-
 /// selector staleness window; `start_ms`/`end_ms` bound the sample range the
-/// window machines will ever touch.
+/// leaves will ever decode.
 pub fn plan(
     db: &TimeSeriesDb,
     lookback_ms: u64,
@@ -209,19 +245,16 @@ fn plan_vector(
         Expr::Selector(selector) => {
             let window_ms = lookback_ms;
             let mut keys = Vec::new();
-            let mut machines = Vec::new();
+            let mut cursors = Vec::new();
             for snapshot in db.select(selector) {
                 keys.push((Some(snapshot.name().to_string()), snapshot.to_labels()));
-                machines.push(WindowMachine::new(
-                    snapshot.owned_cursor(start_ms.saturating_sub(window_ms), end_ms),
-                    window_ms,
-                    WindowFunc::Last,
-                ));
+                cursors.push(snapshot.owned_cursor(start_ms.saturating_sub(window_ms), end_ms));
             }
-            Ok((Node::Windows { machines }, keys))
+            Ok((Node::Windows { cursors, window_ms, func: WindowFunc::Last }, keys))
         }
-        // A range function over a range selector: one window machine per
-        // series; the name is dropped (function semantics).
+        // A range function over a range selector: one cursor per series,
+        // one window slid over each in turn; the name is dropped (function
+        // semantics).
         Expr::Call { func, param, arg } => {
             let Expr::Range { selector, window_ms } = &**arg else {
                 return Err("range function over a non-range argument (type error)");
@@ -232,7 +265,7 @@ fn plan_vector(
                     return Err("quantile parameter outside [0, 1] (type error)");
                 }
             }
-            let wf = match func {
+            let func = match func {
                 RangeFunc::Rate => WindowFunc::Rate,
                 RangeFunc::Increase => WindowFunc::Increase,
                 RangeFunc::AvgOverTime => WindowFunc::Avg,
@@ -244,16 +277,12 @@ fn plan_vector(
                 RangeFunc::LastOverTime => WindowFunc::Last,
             };
             let mut keys = Vec::new();
-            let mut machines = Vec::new();
+            let mut cursors = Vec::new();
             for snapshot in db.select(selector) {
                 keys.push((None, snapshot.to_labels()));
-                machines.push(WindowMachine::new(
-                    snapshot.owned_cursor(start_ms.saturating_sub(*window_ms), end_ms),
-                    *window_ms,
-                    wf,
-                ));
+                cursors.push(snapshot.owned_cursor(start_ms.saturating_sub(*window_ms), end_ms));
             }
-            Ok((Node::Windows { machines }, keys))
+            Ok((Node::Windows { cursors, window_ms: *window_ms, func }, keys))
         }
         // Grouped aggregation: the slot→group table and the group label sets
         // are fixed by the child's (plan-time) universe.
@@ -270,19 +299,8 @@ fn plan_vector(
                 .map(|labels| unique.binary_search(labels).expect("deduped from the same set"))
                 .collect();
             let keys: Vec<SeriesKey> = unique.into_iter().map(|labels| (None, labels)).collect();
-            let scratch = vec![None; child_keys.len()];
             let groups = keys.len();
-            Ok((
-                Node::Group {
-                    input: Box::new(child),
-                    op: *op,
-                    slot_group,
-                    scratch,
-                    acc_value: vec![0.0; groups],
-                    acc_count: vec![0; groups],
-                },
-                keys,
-            ))
+            Ok((Node::Group { input: Box::new(child), op: *op, slot_group, groups }, keys))
         }
         // Arithmetic / comparison against a constant side (either order).
         // Arithmetic drops the metric name; comparisons filter and keep it.
@@ -300,8 +318,7 @@ fn plan_vector(
             } else {
                 child_keys.into_iter().map(|(_, labels)| (None, labels)).collect()
             };
-            let scratch = vec![None; keys.len()];
-            Ok((Node::Map { input: Box::new(child), op: *op, scalar, scalar_left, scratch }, keys))
+            Ok((Node::Map { input: Box::new(child), op: *op, scalar, scalar_left }, keys))
         }
         // `Number` is handled by `fold_const`; a bare `Range` is a type
         // error for range queries — the fallback reports it.
@@ -310,101 +327,103 @@ fn plan_vector(
     }
 }
 
-/// One operator of the streaming pipeline.  `step` fills `out` (one slot per
-/// output series) with each series' value at `t`, `None` meaning absent.
+/// One operator of the streaming pipeline.  [`Node::emit`] hands the node's
+/// output columns to `sink` one series at a time, in slot order.
 enum Node {
-    /// The leaves: per-series sliding-window machines over storage cursors.
-    Windows { machines: Vec<WindowMachine> },
+    /// The leaves: one storage cursor per series, all sliding the same window
+    /// function over the same window length.
+    Windows { cursors: Vec<OwnedSampleCursor>, window_ms: u64, func: WindowFunc },
     /// Vector ⇄ constant arithmetic or filtering comparison.
-    Map { input: Box<Node>, op: BinOp, scalar: f64, scalar_left: bool, scratch: Vec<Option<f64>> },
+    Map { input: Box<Node>, op: BinOp, scalar: f64, scalar_left: bool },
     /// Grouped cross-series aggregation via a plan-time slot→group table.
-    Group {
-        input: Box<Node>,
-        op: AggregateOp,
-        slot_group: Vec<usize>,
-        scratch: Vec<Option<f64>>,
-        acc_value: Vec<f64>,
-        acc_count: Vec<u32>,
-    },
+    Group { input: Box<Node>, op: AggregateOp, slot_group: Vec<usize>, groups: usize },
 }
 
-impl Node {
-    /// Totals the window machines' work counters into `stats`.
-    fn collect_stats(&self, stats: &mut RunStats) {
-        match self {
-            Node::Windows { machines } => {
-                for machine in machines {
-                    stats.samples_decoded += machine.decoded;
-                    stats.window_rebuilds += machine.rebuilds;
-                }
-            }
-            Node::Map { input, .. } => input.collect_stats(stats),
-            Node::Group { input, .. } => input.collect_stats(stats),
-        }
-    }
+/// Receives one output column — a series' value at every step of the grid,
+/// `None` meaning absent — per call, in slot order.  The column is scratch
+/// the callee may rewrite; it is reused for the next series.
+type ColumnSink<'a> = &'a mut dyn FnMut(&mut [Option<f64>]);
 
-    fn step(&mut self, t: u64, out: &mut [Option<f64>]) {
+impl Node {
+    fn emit(self, grid: &Grid, stats: &mut RunStats, sink: ColumnSink<'_>) {
         match self {
-            Node::Windows { machines } => {
-                for (machine, slot) in machines.iter_mut().zip(out.iter_mut()) {
-                    *slot = machine.step(t);
+            Node::Windows { cursors, window_ms, func } => {
+                let mut window = Window::new(window_ms, func);
+                let mut column = vec![None; grid.steps];
+                for cursor in cursors {
+                    window.evaluate_series(cursor, grid, &mut column, stats);
+                    sink(&mut column);
                 }
             }
-            Node::Map { input, op, scalar, scalar_left, scratch } => {
-                input.step(t, scratch);
-                for (value, slot) in scratch.iter().zip(out.iter_mut()) {
-                    *slot = value.and_then(|v| {
-                        let (lhs, rhs) = if *scalar_left { (*scalar, v) } else { (v, *scalar) };
-                        if op.is_comparison() {
-                            // Comparisons filter: the sample survives as-is.
-                            op.compare(lhs, rhs).then_some(v)
-                        } else {
-                            Some(op.apply(lhs, rhs))
-                        }
-                    });
-                }
+            Node::Map { input, op, scalar, scalar_left } => {
+                input.emit(grid, stats, &mut |column| {
+                    for slot in column.iter_mut() {
+                        *slot = slot.and_then(|v| {
+                            let (lhs, rhs) = if scalar_left { (scalar, v) } else { (v, scalar) };
+                            if op.is_comparison() {
+                                // Comparisons filter: the sample survives as-is.
+                                op.compare(lhs, rhs).then_some(v)
+                            } else {
+                                Some(op.apply(lhs, rhs))
+                            }
+                        });
+                    }
+                    sink(column);
+                })
             }
-            Node::Group { input, op, slot_group, scratch, acc_value, acc_count } => {
-                input.step(t, scratch);
+            Node::Group { input, op, slot_group, groups } => {
+                let steps = grid.steps;
                 let init = match op {
                     AggregateOp::Min => f64::INFINITY,
                     AggregateOp::Max => f64::NEG_INFINITY,
                     _ => 0.0,
                 };
-                acc_value.fill(init);
-                acc_count.fill(0);
-                // Fold child slots in order: the same accumulation order (and
+                // Row `g` of each accumulator is group `g`'s cell at every step.
+                let mut acc_value = vec![init; groups * steps];
+                let mut acc_count = vec![0u32; groups * steps];
+                // Children arrive in slot order, so every cell folds its
+                // members in slot order: the same accumulation order (and
                 // therefore bit-identical floats) as the per-step aggregator.
-                for (value, &group) in scratch.iter().zip(slot_group.iter()) {
-                    let Some(v) = value else { continue };
-                    let (Some(count), Some(acc)) =
-                        (acc_count.get_mut(group), acc_value.get_mut(group))
+                let mut slot_group = slot_group.iter();
+                input.emit(grid, stats, &mut |column| {
+                    // One table entry per child slot, every entry `< groups`:
+                    // neither lookup can miss.
+                    let Some(&group) = slot_group.next() else { return };
+                    let row = group * steps..(group + 1) * steps;
+                    let (Some(values), Some(counts)) =
+                        (acc_value.get_mut(row.clone()), acc_count.get_mut(row))
                     else {
-                        continue; // unreachable: groups were built from these slots
+                        return;
                     };
-                    *count += 1;
-                    match op {
-                        AggregateOp::Sum | AggregateOp::Avg => *acc += v,
-                        AggregateOp::Min => *acc = acc.min(*v),
-                        AggregateOp::Max => *acc = acc.max(*v),
-                        AggregateOp::Count => {}
+                    let cells = values.iter_mut().zip(counts.iter_mut()).zip(column.iter());
+                    for ((acc, count), value) in cells {
+                        let Some(v) = *value else { continue };
+                        *count += 1;
+                        match op {
+                            AggregateOp::Sum | AggregateOp::Avg => *acc += v,
+                            AggregateOp::Min => *acc = acc.min(v),
+                            AggregateOp::Max => *acc = acc.max(v),
+                            AggregateOp::Count => {}
+                        }
                     }
-                }
-                for ((slot, value), count) in
-                    out.iter_mut().zip(acc_value.iter()).zip(acc_count.iter())
-                {
-                    *slot = (*count > 0).then(|| match op {
-                        AggregateOp::Sum | AggregateOp::Min | AggregateOp::Max => *value,
-                        AggregateOp::Avg => *value / f64::from(*count),
-                        AggregateOp::Count => f64::from(*count),
-                    });
+                });
+                let mut column = vec![None; steps];
+                for (values, counts) in acc_value.chunks(steps).zip(acc_count.chunks(steps)) {
+                    for ((slot, value), count) in column.iter_mut().zip(values).zip(counts) {
+                        *slot = (*count > 0).then(|| match op {
+                            AggregateOp::Sum | AggregateOp::Min | AggregateOp::Max => *value,
+                            AggregateOp::Avg => *value / f64::from(*count),
+                            AggregateOp::Count => f64::from(*count),
+                        });
+                    }
+                    sink(&mut column);
                 }
             }
         }
     }
 }
 
-/// The aggregate a window machine maintains.
+/// The aggregate a [`Window`] maintains.
 #[derive(Clone, Copy)]
 enum WindowFunc {
     Rate,
@@ -429,8 +448,8 @@ enum WindowFunc {
 /// reached and the number of operations applied; [`RunningSum::drifted`]
 /// reports when the accumulated error bound is no longer negligible against
 /// the current value (or simply after a few thousand operations), and the
-/// window machine responds by rebuilding the sum exactly from the live
-/// window contents — O(window), amortised away by the rebuild period.
+/// window responds by rebuilding the sum exactly from its live contents —
+/// O(window), amortised away by the rebuild period.
 #[derive(Debug, Default, Clone)]
 struct RunningSum {
     finite: f64,
@@ -448,31 +467,46 @@ struct RunningSum {
 const REBUILD_PERIOD: u32 = 4096;
 
 impl RunningSum {
+    /// The sum of `values` added left to right — the same order as a fresh
+    /// per-step evaluation — with the drift bookkeeping starting over.
+    fn exact(values: impl Iterator<Item = f64>) -> Self {
+        let mut sum = Self::default();
+        for value in values {
+            sum.add(value);
+        }
+        sum.ops = 0;
+        sum.peak = sum.finite.abs();
+        sum
+    }
+
     fn add(&mut self, v: f64) {
-        if v.is_nan() {
-            self.nan += 1;
-        } else if v == f64::INFINITY {
-            self.pos_inf += 1;
-        } else if v == f64::NEG_INFINITY {
-            self.neg_inf += 1;
-        } else {
+        if v.is_finite() {
             self.finite += v;
             self.peak = self.peak.max(self.finite.abs());
             self.ops += 1;
+        } else {
+            *self.special(v) += 1;
         }
     }
 
     fn sub(&mut self, v: f64) {
-        if v.is_nan() {
-            self.nan -= 1;
-        } else if v == f64::INFINITY {
-            self.pos_inf -= 1;
-        } else if v == f64::NEG_INFINITY {
-            self.neg_inf -= 1;
-        } else {
+        if v.is_finite() {
             self.finite -= v;
             self.peak = self.peak.max(self.finite.abs());
             self.ops += 1;
+        } else {
+            *self.special(v) -= 1;
+        }
+    }
+
+    /// The counter a non-finite `v` is tallied in.
+    fn special(&mut self, v: f64) -> &mut u32 {
+        if v.is_nan() {
+            &mut self.nan
+        } else if v > 0.0 {
+            &mut self.pos_inf
+        } else {
+            &mut self.neg_inf
         }
     }
 
@@ -500,222 +534,175 @@ impl RunningSum {
     }
 }
 
-/// The per-series sliding-window state machine.
+/// The sliding-window evaluator of one leaf, reused from series to series.
 ///
-/// `source` is the window-entry cursor (each stored sample is decoded and
-/// admitted exactly once); eviction pops the deque front as the window's
-/// trailing edge passes it.  Both edges move monotonically with the query
-/// step, which is what makes whole-range cost `O(samples touched)`.
-struct WindowMachine {
-    source: OwnedSampleCursor,
-    /// The next sample read from `source` but not yet inside the window.
-    pending: Option<(u64, f64)>,
-    window: VecDeque<(u64, f64)>,
+/// [`Window::evaluate_series`] decodes one series into `samples` and walks
+/// the step grid with two indices into it: `entry` (the next sample not yet
+/// admitted) and `exit` (the oldest sample not yet evicted).  The window at a
+/// step is `samples[exit..entry]`.  Both indices only move forward, which is
+/// what makes whole-range cost `O(samples touched)`.
+struct Window {
     window_ms: u64,
     func: WindowFunc,
+    /// One series' samples over `[start − window, end]`, in time order.
+    samples: Vec<Sample>,
     /// Running Σvalue (for `sum`/`avg`).
     sum: RunningSum,
     /// Running Σ reset-adjusted pair deltas (for `rate`/`increase`).
     pairs: RunningSum,
-    /// Monotonic deques holding (sequence, value); fronts are the window's
-    /// min/max.  NaN samples are skipped — `f64::min`/`max` ignore them.
-    min_deque: VecDeque<(u64, f64)>,
-    max_deque: VecDeque<(u64, f64)>,
-    /// Sequence numbers of the window front/next-pushed element, linking the
-    /// monotonic deques to evictions.
-    front_seq: u64,
-    next_seq: u64,
+    /// Monotonic deque of (sample index, value) whose front is the window's
+    /// min (or max, per `func`).  NaN samples are skipped — `f64::min`/`max`
+    /// ignore them.
+    extremes: VecDeque<(usize, f64)>,
     /// Reused sort buffer for `quantile_over_time`.
     scratch: Vec<f64>,
-    /// Samples pulled from `source` (each stored sample decodes once).
-    decoded: u64,
-    /// Drift-guard rebuilds of the running sums.
-    rebuilds: u64,
 }
 
-impl WindowMachine {
-    fn new(source: OwnedSampleCursor, window_ms: u64, func: WindowFunc) -> Self {
+impl Window {
+    fn new(window_ms: u64, func: WindowFunc) -> Self {
         Self {
-            source,
-            pending: None,
-            window: VecDeque::new(),
             window_ms,
             func,
+            samples: Vec::new(),
             sum: RunningSum::default(),
             pairs: RunningSum::default(),
-            min_deque: VecDeque::new(),
-            max_deque: VecDeque::new(),
-            front_seq: 0,
-            next_seq: 0,
+            extremes: VecDeque::new(),
             scratch: Vec::new(),
-            decoded: 0,
-            rebuilds: 0,
         }
     }
 
-    /// Advances the window to `[t - window_ms, t]` and evaluates the
-    /// function over it; `None` when the function is undefined there.
-    fn step(&mut self, t: u64) -> Option<f64> {
-        // Entry edge: admit samples up to t.
-        loop {
-            let (ts, value) = match self.pending.take() {
-                Some(sample) => sample,
-                None => match self.source.next() {
-                    Some(s) => {
-                        self.decoded += 1;
-                        (s.timestamp_ms, s.value)
-                    }
-                    None => break,
-                },
-            };
-            if ts > t {
-                self.pending = Some((ts, value));
-                break;
+    /// Fills `column` with the function's value over `[t − window_ms, t]` at
+    /// every step `t` of `grid` for the series behind `cursor` (`None` where
+    /// it is undefined), and adds the work done to `stats`.
+    fn evaluate_series(
+        &mut self,
+        mut cursor: OwnedSampleCursor,
+        grid: &Grid,
+        column: &mut [Option<f64>],
+        stats: &mut RunStats,
+    ) {
+        self.samples.clear();
+        cursor.read_into(&mut self.samples);
+        self.sum = RunningSum::default();
+        self.pairs = RunningSum::default();
+        self.extremes.clear();
+        let (mut exit, mut entry) = (0usize, 0usize);
+        for (t, slot) in grid.times().zip(column.iter_mut()) {
+            // Entry edge: admit samples up to t.
+            while let Some(sample) = self.samples.get(entry).filter(|s| s.timestamp_ms <= t) {
+                let value = sample.value;
+                let newest = if entry > exit { self.samples.get(entry - 1) } else { None };
+                self.admit(entry, value, newest.map(|s| s.value));
+                entry += 1;
             }
-            self.push(ts, value);
+            // Exit edge: evict samples the trailing boundary passed.
+            let window_start = t.saturating_sub(self.window_ms);
+            while exit < entry {
+                let Some(sample) = self.samples.get(exit).filter(|s| s.timestamp_ms < window_start)
+                else {
+                    break;
+                };
+                let value = sample.value;
+                let oldest = if exit + 1 < entry { self.samples.get(exit + 1) } else { None };
+                self.evict(exit, value, oldest.map(|s| s.value));
+                exit += 1;
+            }
+            *slot = self.evaluate(exit, entry, stats);
         }
-        // Exit edge: evict samples the trailing boundary passed.
-        let window_start = t.saturating_sub(self.window_ms);
-        while self.window.front().is_some_and(|&(ts, _)| ts < window_start) {
-            self.pop_front();
-        }
-        self.evaluate()
+        // See `RunStats::samples_decoded`: admitted, plus one look-ahead.
+        stats.samples_decoded += self.samples.len().min(entry + 1) as u64;
     }
 
-    fn push(&mut self, ts: u64, value: f64) {
+    /// A sample joins the window's newest end; `newest` is the value it
+    /// follows, when the window is not empty.
+    fn admit(&mut self, index: usize, value: f64, newest: Option<f64>) {
         match self.func {
             WindowFunc::Sum | WindowFunc::Avg => self.sum.add(value),
             WindowFunc::Rate | WindowFunc::Increase => {
-                if let Some(&(_, prev)) = self.window.back() {
+                if let Some(prev) = newest {
                     self.pairs.add(reset_adjusted_delta(prev, value));
                 }
             }
-            WindowFunc::Min => {
+            WindowFunc::Min | WindowFunc::Max => {
                 if !value.is_nan() {
-                    while self.min_deque.back().is_some_and(|&(_, back)| back >= value) {
-                        self.min_deque.pop_back();
+                    let keep_min = matches!(self.func, WindowFunc::Min);
+                    while self.extremes.back().is_some_and(|&(_, back)| {
+                        if keep_min {
+                            back >= value
+                        } else {
+                            back <= value
+                        }
+                    }) {
+                        self.extremes.pop_back();
                     }
-                    self.min_deque.push_back((self.next_seq, value));
-                }
-            }
-            WindowFunc::Max => {
-                if !value.is_nan() {
-                    while self.max_deque.back().is_some_and(|&(_, back)| back <= value) {
-                        self.max_deque.pop_back();
-                    }
-                    self.max_deque.push_back((self.next_seq, value));
+                    self.extremes.push_back((index, value));
                 }
             }
             WindowFunc::Count | WindowFunc::Last | WindowFunc::Quantile(_) => {}
         }
-        self.window.push_back((ts, value));
-        self.next_seq += 1;
     }
 
-    fn pop_front(&mut self) {
-        let Some((_, value)) = self.window.pop_front() else { return };
-        let seq = self.front_seq;
-        self.front_seq += 1;
+    /// The window's oldest sample leaves; `oldest` is the value that becomes
+    /// the oldest, when one remains.
+    fn evict(&mut self, index: usize, value: f64, oldest: Option<f64>) {
         match self.func {
             WindowFunc::Sum | WindowFunc::Avg => self.sum.sub(value),
             WindowFunc::Rate | WindowFunc::Increase => {
-                if let Some(&(_, next)) = self.window.front() {
+                if let Some(next) = oldest {
                     self.pairs.sub(reset_adjusted_delta(value, next));
                 }
             }
-            WindowFunc::Min => {
-                if self.min_deque.front().is_some_and(|&(front_seq, _)| front_seq == seq) {
-                    self.min_deque.pop_front();
-                }
-            }
-            WindowFunc::Max => {
-                if self.max_deque.front().is_some_and(|&(front_seq, _)| front_seq == seq) {
-                    self.max_deque.pop_front();
+            WindowFunc::Min | WindowFunc::Max => {
+                if self.extremes.front().is_some_and(|&(front, _)| front == index) {
+                    self.extremes.pop_front();
                 }
             }
             WindowFunc::Count | WindowFunc::Last | WindowFunc::Quantile(_) => {}
         }
     }
 
-    /// Recomputes the value sum exactly from the live window, in the same
-    /// left-to-right order as a fresh per-step evaluation.
-    fn rebuild_sum(&mut self) {
-        let mut sum = RunningSum::default();
-        for &(_, value) in &self.window {
-            sum.add(value);
-        }
-        sum.ops = 0;
-        sum.peak = sum.finite.abs();
-        self.sum = sum;
-        self.rebuilds += 1;
-    }
-
-    /// Recomputes the reset-adjusted pair sum exactly from the live window.
-    fn rebuild_pairs(&mut self) {
-        let mut pairs = RunningSum::default();
-        let mut prev: Option<f64> = None;
-        for &(_, value) in &self.window {
-            if let Some(prev) = prev {
-                pairs.add(reset_adjusted_delta(prev, value));
-            }
-            prev = Some(value);
-        }
-        pairs.ops = 0;
-        pairs.peak = pairs.finite.abs();
-        self.pairs = pairs;
-        self.rebuilds += 1;
-    }
-
-    fn evaluate(&mut self) -> Option<f64> {
-        if self.window.is_empty() {
-            return None;
-        }
+    /// The function over the window `samples[exit..entry]`; `None` when it is
+    /// undefined there.
+    fn evaluate(&mut self, exit: usize, entry: usize, stats: &mut RunStats) -> Option<f64> {
+        let window = self.samples.get(exit..entry)?;
+        let (first, last) = (window.first()?, window.last()?);
         match self.func {
-            WindowFunc::Rate => {
-                if self.window.len() < 2 {
+            WindowFunc::Rate | WindowFunc::Increase => {
+                if window.len() < 2 {
                     return None;
                 }
                 if self.pairs.drifted() {
-                    self.rebuild_pairs();
+                    self.pairs = RunningSum::exact(
+                        window
+                            .iter()
+                            .zip(window.iter().skip(1))
+                            .map(|(prev, next)| reset_adjusted_delta(prev.value, next.value)),
+                    );
+                    stats.window_rebuilds += 1;
                 }
-                let (t0, t1) = match (self.window.front(), self.window.back()) {
-                    (Some(&(t0, _)), Some(&(t1, _))) => (t0, t1),
-                    _ => return None,
-                };
-                if t1 <= t0 {
-                    return None;
+                if matches!(self.func, WindowFunc::Increase) {
+                    return Some(self.pairs.value());
                 }
-                Some(self.pairs.value() / ((t1 - t0) as f64 / 1000.0))
+                let (t0, t1) = (first.timestamp_ms, last.timestamp_ms);
+                (t1 > t0).then(|| self.pairs.value() / ((t1 - t0) as f64 / 1000.0))
             }
-            WindowFunc::Increase => (self.window.len() >= 2).then(|| {
-                if self.pairs.drifted() {
-                    self.rebuild_pairs();
-                }
-                self.pairs.value()
-            }),
-            WindowFunc::Sum => {
+            WindowFunc::Sum | WindowFunc::Avg => {
                 if self.sum.drifted() {
-                    self.rebuild_sum();
+                    self.sum = RunningSum::exact(window.iter().map(|s| s.value));
+                    stats.window_rebuilds += 1;
                 }
-                Some(self.sum.value())
+                Some(match self.func {
+                    WindowFunc::Avg => self.sum.value() / window.len() as f64,
+                    _ => self.sum.value(),
+                })
             }
-            WindowFunc::Avg => {
-                if self.sum.drifted() {
-                    self.rebuild_sum();
-                }
-                Some(self.sum.value() / self.window.len() as f64)
-            }
-            WindowFunc::Min => {
-                Some(self.min_deque.front().map(|&(_, v)| v).unwrap_or(f64::INFINITY))
-            }
-            WindowFunc::Max => {
-                Some(self.max_deque.front().map(|&(_, v)| v).unwrap_or(f64::NEG_INFINITY))
-            }
-            WindowFunc::Count => Some(self.window.len() as f64),
-            WindowFunc::Last => self.window.back().map(|&(_, v)| v),
+            WindowFunc::Min => Some(self.extremes.front().map_or(f64::INFINITY, |&(_, v)| v)),
+            WindowFunc::Max => Some(self.extremes.front().map_or(f64::NEG_INFINITY, |&(_, v)| v)),
+            WindowFunc::Count => Some(window.len() as f64),
+            WindowFunc::Last => Some(last.value),
             WindowFunc::Quantile(q) => {
                 self.scratch.clear();
-                self.scratch.extend(self.window.iter().map(|&(_, v)| v));
+                self.scratch.extend(window.iter().map(|s| s.value));
                 self.scratch.sort_by(|a, b| a.total_cmp(b));
                 quantile_of_sorted(&self.scratch, q)
             }

@@ -1,0 +1,123 @@
+//! Code-level proof of the read path's allocation bounds, in the
+//! counting-allocator idiom of `crates/tsdb/tests/alloc_free_scrape.rs`:
+//!
+//! * rendering a matrix allocates a constant handful of times — one pre-sized
+//!   body, not a tree node per point;
+//! * running a streaming plan allocates `O(series + groups)` — the reused
+//!   decode buffer and columns, the group accumulators and the result — and
+//!   the count does not move when every series holds twice the samples.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use teemon_metrics::Labels;
+use teemon_query::stream::plan;
+use teemon_query::{json, parse, QueryEngine, RangeSeries};
+use teemon_tsdb::TimeSeriesDb;
+
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: delegates every operation to `System`; only bookkeeping is added.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Heap allocations (and reallocations) `f` performs on this thread.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn rendering_a_matrix_allocates_a_constant_handful() {
+    let series: Vec<RangeSeries> = (0..50)
+        .map(|i| RangeSeries {
+            name: Some("teemon_syscalls_total".to_string()),
+            labels: Labels::from_pairs([
+                ("node", format!("node-{i}")),
+                ("pod", format!("pod-{i}-a1b2c3")),
+            ]),
+            points: (0..240u64)
+                .map(|t| (1_700_000_000_000 + t * 15_000, 12.480833333333324 * (t + i) as f64))
+                .collect(),
+        })
+        .collect();
+    let (body, allocations) = allocations_in(|| json::range_response(&series));
+    assert!(body.len() > 50 * 240 * 20, "{} bytes", body.len());
+    assert!(allocations <= 4, "{allocations} allocations for {} bytes", body.len());
+}
+
+const NODES: usize = 50;
+const PODS: usize = 10;
+
+/// 500 counters (50 nodes × 10 pods), `ticks` samples each at 15 s.
+fn store(ticks: u64) -> TimeSeriesDb {
+    let db = TimeSeriesDb::new();
+    for node in 0..NODES {
+        for pod in 0..PODS {
+            let labels = Labels::from_pairs([
+                ("node", format!("node-{node}")),
+                ("pod", format!("pod-{pod}")),
+            ]);
+            let slope = (25 + (node * PODS + pod) % 100) as f64;
+            for tick in 0..ticks {
+                db.append("m", &labels, tick * 15_000, slope * tick as f64);
+            }
+        }
+    }
+    db
+}
+
+/// Allocations of one warm `sum by (node) (rate(m[5m]))` run over the whole
+/// store at 61 steps, with the samples it decoded.
+fn run_allocations(ticks: u64) -> (u64, u64) {
+    let db = store(ticks);
+    let expr = parse("sum by (node) (rate(m[5m]))").unwrap();
+    let (start, end) = (300_000, (ticks - 1) * 15_000);
+    let step = (end - start) / 60;
+    let mut counted = (0, 0);
+    // The first run is the warm-up; the second is counted.
+    for _ in 0..2 {
+        let plan = plan(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end).unwrap();
+        let ((series, stats), allocations) =
+            allocations_in(|| plan.run_with_stats(start, end, step));
+        assert_eq!(series.len(), NODES);
+        assert!(series.iter().all(|s| s.points.len() == 61));
+        counted = (allocations, stats.samples_decoded);
+    }
+    counted
+}
+
+#[test]
+fn a_streaming_run_allocates_per_series_and_group_not_per_sample() {
+    let (allocations, decoded) = run_allocations(240);
+    let (allocations_doubled, decoded_doubled) = run_allocations(480);
+    assert!(decoded_doubled > decoded * 2 - 1_000, "{decoded} → {decoded_doubled} samples");
+    assert_eq!(
+        allocations, allocations_doubled,
+        "decoding {decoded} vs {decoded_doubled} samples must allocate alike"
+    );
+    // One result series per group plus the shared buffers — far below one
+    // per input series, let alone one per sample.
+    assert!(allocations <= (NODES + 16) as u64, "{allocations} allocations");
+}

@@ -6,7 +6,7 @@
 use proptest::proptest;
 use teemon_metrics::Labels;
 use teemon_query::stream::{plan, ranges_equivalent};
-use teemon_query::{parse, QueryEngine};
+use teemon_query::{parse, QueryEngine, RangeSeries};
 use teemon_tsdb::{TimeSeriesDb, TsdbConfig};
 
 /// One generated series: metric selector, node selector and sample shapes.
@@ -88,6 +88,7 @@ proptest! {
         let query = build_query(pick, w, q);
         let expr = parse(&query).unwrap();
         let end = start + span;
+        let step = step.max(span / 10_000 + 1); // inside `MAX_RANGE_STEPS`
 
         // Every template must actually exercise the streaming path.
         let streamed = plan(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
@@ -102,4 +103,127 @@ proptest! {
              streamed: {streamed:?}\noracle: {oracle:?}"
         );
     }
+}
+
+/// A harsher store for the composed-expression property below: one metric,
+/// tiny chunks (sealed Gorilla chunks plus a raw head per series), counter
+/// resets, duplicate timestamps, gaps longer than every window, and the IEEE
+/// specials in the data.
+fn build_wild_db(series_specs: &[(u8, Vec<(u8, u16)>)]) -> TimeSeriesDb {
+    let db = TimeSeriesDb::with_config(TsdbConfig {
+        chunk_size: 5,
+        retention_ms: u64::MAX,
+        raw_chunks: false,
+    });
+    for (i, (node, samples)) in series_specs.iter().enumerate() {
+        let labels =
+            Labels::from_pairs([("node", format!("n{}", node % 3)), ("idx", format!("{i}"))]);
+        let mut ts = u64::from(*node) * 900;
+        let mut counter = 0.0f64;
+        for (gap, raw) in samples {
+            ts += match gap % 8 {
+                0 => 0,       // duplicate timestamp
+                7 => 190_000, // longer than the longest window
+                g => u64::from(g) * 1_500,
+            };
+            let value = match raw % 23 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => {
+                    counter = f64::from(raw % 3); // reset
+                    counter
+                }
+                4 => -f64::from(*raw) / 3.0,
+                _ => {
+                    counter += f64::from(raw % 97) * 0.5;
+                    counter
+                }
+            };
+            db.append("wild", &labels, ts, value);
+        }
+    }
+    db
+}
+
+/// Every range function × {no grouping, `by`, `without`} × a wrapper that
+/// nests `Map` and `Group` nodes above it.
+fn compose(func: u8, grouping: u8, wrap: u8, w: u8, q: u8) -> String {
+    let window = ["4s", "11s", "40s", "3m"][w as usize % 4];
+    let quantile = f64::from(q % 11) / 10.0;
+    let leaf = match func % 10 {
+        0 => format!("rate(wild[{window}])"),
+        1 => format!("increase(wild[{window}])"),
+        2 => format!("avg_over_time(wild[{window}])"),
+        3 => format!("min_over_time(wild[{window}])"),
+        4 => format!("max_over_time(wild[{window}])"),
+        5 => format!("sum_over_time(wild[{window}])"),
+        6 => format!("count_over_time(wild[{window}])"),
+        7 => format!("last_over_time(wild[{window}])"),
+        8 => format!("quantile_over_time({quantile}, wild[{window}])"),
+        _ => "wild".to_string(),
+    };
+    let agg = ["sum", "avg", "min", "max", "count"][(func / 10 + grouping / 3) as usize % 5];
+    let grouped = match grouping % 3 {
+        0 => leaf,
+        1 => format!("{agg} by (node) ({leaf})"),
+        _ => format!("{agg} without (idx) ({leaf})"),
+    };
+    match wrap % 6 {
+        0 => grouped,
+        1 => format!("({grouped}) * 2 - 1"),
+        2 => format!("max(({grouped}) + 1)"),
+        3 => format!("({grouped}) > 0"),
+        4 => format!("sum by (node) (({grouped}) >= -1000) / 3"),
+        _ => format!("100 - count(3 < ({grouped}))"),
+    }
+}
+
+proptest! {
+    /// Series-major evaluation — one reused window per leaf, columns folded
+    /// into group accumulators — against the per-step oracle over composed
+    /// expressions and hostile data, with ranges that start mid-chunk.
+    #[test]
+    fn composed_expressions_match_per_step_oracle(
+        series_specs in proptest::collection::vec(
+            (0u8..6, proptest::collection::vec((0u8..16, 0u16..u16::MAX), 1..30)),
+            1..7,
+        ),
+        shape in (0u8..50, 0u8..15, 0u8..12),
+        params in (0u8..8, 0u8..22),
+        range in (0u64..90_000, 1u64..250_000, 1u64..30_000),
+    ) {
+        let db = build_wild_db(&series_specs);
+        let engine = QueryEngine::new(db.clone());
+        let query = compose(shape.0, shape.1, shape.2, params.0, params.1);
+        let expr = parse(&query).unwrap_or_else(|e| panic!("`{query}`: {e}"));
+        let (start, end) = (range.0, range.0 + range.1);
+        let step = range.2.max(range.1 / 10_000 + 1); // inside `MAX_RANGE_STEPS`
+
+        let streamed = plan(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
+            .unwrap_or_else(|| panic!("`{query}` must stream"))
+            .run(start, end, step);
+        // Planning and running twice is bit-for-bit repeatable (`==` would
+        // reject the NaNs this data produces).
+        let again = engine.range(&expr, start, end, step).unwrap();
+        assert!(bit_identical(&again, &streamed), "`{query}`: {again:?} vs {streamed:?}");
+        let oracle = engine.range_per_step(&expr, start, end, step).unwrap();
+        assert!(
+            ranges_equivalent(&streamed, &oracle),
+            "`{query}` over [{start}, {end}] step {step} diverged\n\
+             streamed: {streamed:?}\noracle: {oracle:?}"
+        );
+    }
+}
+
+fn bit_identical(a: &[RangeSeries], b: &[RangeSeries]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            (&x.name, &x.labels) == (&y.name, &y.labels)
+                && x.points.len() == y.points.len()
+                && x.points
+                    .iter()
+                    .zip(&y.points)
+                    .all(|(p, q)| p.0 == q.0 && p.1.to_bits() == q.1.to_bits())
+        })
 }

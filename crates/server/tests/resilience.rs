@@ -186,6 +186,32 @@ fn unrepresentable_names_get_400_and_store_nothing() {
     assert_eq!(db.stats().series, 1);
 }
 
+#[test]
+fn unbounded_range_queries_get_400_not_unbounded_work() {
+    // `step` only had to be positive: this request asked the evaluator for
+    // 4·10¹² points per series and the monitor grew until it was killed.  A
+    // grid above 11 000 steps is now refused before anything is planned.
+    let db = TimeSeriesDb::new();
+    db.append("m", &teemon_metrics::Labels::new(), 0, 1.0);
+    let core = ServerCore::new(ServerConfig::default(), db);
+    let get = |target: &str| {
+        serve(&core, MockConn::with_bytes(format!("GET {target} HTTP/1.1\r\n\r\n").into_bytes()))
+    };
+    for query in ["1", "m", "m%20%2B%20m"] {
+        let text =
+            get(&format!("/api/v1/query_range?query={query}&start=0&end=4000000000&step=0.001"));
+        assert_eq!(status_of(&text), Some(400), "{query} → {text}");
+        assert!(text.contains("bad_data") && text.contains("11000"), "{query} → {text}");
+    }
+    // The limit itself is served: 11 000 steps, and not one more.
+    let at_limit = get("/api/v1/query_range?query=1&start=0&end=10.999&step=0.001");
+    assert_eq!(status_of(&at_limit), Some(200), "{at_limit}");
+    let beyond = get("/api/v1/query_range?query=1&start=0&end=11&step=0.001");
+    assert_eq!(status_of(&beyond), Some(400), "{beyond}");
+    // The connection path survived to answer an ordinary request.
+    assert_eq!(status_of(&get("/healthz")), Some(200));
+}
+
 /// A deterministic xorshift byte-mangler in the FaultFs spirit: valid
 /// requests with seeded corruption — truncation, bit flips, byte
 /// insertion — must always produce a clean HTTP response (or a silent

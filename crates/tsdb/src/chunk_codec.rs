@@ -21,13 +21,22 @@
 //!   either `0` + the meaningful bits inside the previous leading/trailing
 //!   window, or `1` + 6-bit leading-zero count + 6-bit length + the bits.
 //!
-//! Decoding is *streaming*: [`GorillaState`] is a few words of cursor state
-//! that yields one [`Sample`] per call without materialising the chunk, so
-//! query cursors walk compressed chunks with no intermediate buffer.  The
+//! There is one decoder with two front ends.  [`GorillaState`] is a few
+//! words of register state — a bit position plus the previous timestamp,
+//! delta and value window — that yields one [`Sample`] per call, so a cursor
+//! that outlives any borrow of the chunk can still walk it sample by sample.
+//! The bulk form (`decode_into`, and the chunk iterator the range cursors
+//! and `points_in` drain sealed chunks through) runs the same step over one
+//! bit reader kept alive for the whole block.  That reader buffers up to 64
+//! bits in an accumulator refilled with a single unaligned big-endian load:
+//! the Δ² bucket is `leading_zeros` of the inverted word, and the value
+//! control bits and the 6+6-bit window header are peeled from one peek, so a
+//! steady counter sample costs a couple of shifts, not a loop over bits.  The
 //! number of encoded samples is not part of the byte stream — chunks store it
 //! in their footer — and the decoder must be stopped after that many samples.
 //! Malformed bytes can produce garbage samples but never panic or read out of
-//! bounds (reads past the end observe zero bits).
+//! bounds (a refill past the end loads zero bytes, so such reads observe
+//! zero bits).
 //!
 //! [`encode`] rejects (returns `None` for) timestamp sequences that go
 //! backwards: the storage engine never produces them (out-of-order appends
@@ -51,8 +60,7 @@ impl BitWriter {
             self.bytes.push(0);
             self.used = 8;
         }
-        if bit {
-            let last = self.bytes.last_mut().expect("pushed above");
+        if let (true, Some(last)) = (bit, self.bytes.last_mut()) {
             *last |= 1 << (self.used - 1);
         }
         self.used -= 1;
@@ -70,31 +78,74 @@ impl BitWriter {
     }
 }
 
-/// Reads the bit at absolute position `pos`; positions past the end read 0.
-fn read_bit(bytes: &[u8], pos: &mut u64) -> bool {
-    let byte = (*pos / 8) as usize;
-    let bit = 7 - (*pos % 8) as u32;
-    *pos += 1;
-    bytes.get(byte).map(|b| (b >> bit) & 1 == 1).unwrap_or(false)
+/// MSB-first bit reader over a byte block with a refillable 64-bit
+/// accumulator.  `pos` is the truth — the absolute position of the next
+/// unread bit — and `acc` caches the bits from there on, top-aligned, with
+/// everything below the `avail` valid bits zero.  A refill is one unaligned
+/// big-endian load at `pos / 8`, so it always leaves at least 57 bits; bytes
+/// past the end of the block load as zeros.
+#[derive(Debug)]
+struct BitReader<'a> {
+    bytes: &'a [u8],
+    pos: u64,
+    acc: u64,
+    avail: u32,
 }
 
-/// Reads `count` bits MSB-first; bits past the end read 0.  `count <= 64`.
-/// Consumes whole bytes per step rather than looping bit by bit — this is
-/// the query path's decode hot loop.
-fn read_bits(bytes: &[u8], pos: &mut u64, count: u32) -> u64 {
-    let mut out = 0u64;
-    let mut remaining = count;
-    while remaining > 0 {
-        let bit_off = (*pos % 8) as u32;
-        let avail = 8 - bit_off;
-        let take = avail.min(remaining);
-        let byte = bytes.get((*pos / 8) as usize).copied().unwrap_or(0);
-        let chunk = (u64::from(byte) >> (avail - take)) & ((1u64 << take) - 1);
-        out = (out << take) | chunk;
-        *pos += u64::from(take);
-        remaining -= take;
+/// The most bits one [`BitReader::refill`] is guaranteed to make available
+/// (64 minus the worst in-byte offset).
+const REFILL_BITS: u32 = 57;
+
+impl<'a> BitReader<'a> {
+    /// A reader whose next bit is at absolute position `pos`.
+    fn at(bytes: &'a [u8], pos: u64) -> Self {
+        Self { bytes, pos, acc: 0, avail: 0 }
     }
-    out
+
+    fn refill(&mut self) {
+        let byte = usize::try_from(self.pos / 8).unwrap_or(usize::MAX);
+        let rest = self.bytes.get(byte..).unwrap_or(&[]);
+        let word = match rest.first_chunk::<8>() {
+            Some(word) => u64::from_be_bytes(*word),
+            None => {
+                let mut padded = [0u8; 8];
+                for (dst, src) in padded.iter_mut().zip(rest) {
+                    *dst = *src;
+                }
+                u64::from_be_bytes(padded)
+            }
+        };
+        let offset = (self.pos % 8) as u32;
+        self.acc = word << offset;
+        self.avail = 64 - offset;
+    }
+
+    /// Makes at least `count <= REFILL_BITS` bits available and returns the
+    /// accumulator: the next bit is bit 63, the one after it bit 62, ….
+    fn peek(&mut self, count: u32) -> u64 {
+        if self.avail < count {
+            self.refill();
+        }
+        self.acc
+    }
+
+    /// Drops `count` bits a [`BitReader::peek`] made available (`count < 64`).
+    fn consume(&mut self, count: u32) {
+        self.acc <<= count;
+        self.avail -= count;
+        self.pos += u64::from(count);
+    }
+
+    /// Reads `count` bits MSB-first; `1 <= count <= 64`.
+    fn read(&mut self, count: u32) -> u64 {
+        if count > REFILL_BITS {
+            let high = self.read(count - 32);
+            return (high << 32) | self.read(32);
+        }
+        let value = self.peek(count) >> (64 - count);
+        self.consume(count);
+        value
+    }
 }
 
 /// Sentinel for "no value window established yet".
@@ -116,7 +167,7 @@ pub fn encode(samples: &[Sample]) -> Option<Vec<u8>> {
     let mut prev_bits = first.value.to_bits();
     let mut prev_leading: u32 = NO_WINDOW;
     let mut prev_trailing: u32 = 0;
-    for sample in &samples[1..] {
+    for sample in samples.iter().skip(1) {
         if sample.timestamp_ms < prev_ts {
             return None;
         }
@@ -174,7 +225,7 @@ pub fn encode(samples: &[Sample]) -> Option<Vec<u8>> {
     Some(w.into_bytes())
 }
 
-/// Streaming decoder state: a bit cursor plus the previous timestamp/delta/
+/// Streaming decoder state: a bit position plus the previous timestamp/delta/
 /// value-window registers.  A few words of plain data — cloning one is how
 /// two independent cursors walk the same compressed chunk.
 #[derive(Debug, Clone)]
@@ -220,59 +271,113 @@ impl GorillaState {
     /// feeding bytes that [`encode`] did not produce) yields garbage samples,
     /// never a panic.
     pub fn next(&mut self, bytes: &[u8]) -> Sample {
+        let mut reader = BitReader::at(bytes, self.bit_pos);
+        let sample = self.decode_next(&mut reader);
+        self.bit_pos = reader.pos;
+        sample
+    }
+
+    /// One sample off `reader` — the single decoder behind both the
+    /// one-at-a-time [`GorillaState::next`] and the bulk [`BlockSamples`].
+    #[inline]
+    fn decode_next(&mut self, reader: &mut BitReader<'_>) -> Sample {
         if self.emitted == 0 {
-            self.prev_ts = read_bits(bytes, &mut self.bit_pos, 64);
-            self.prev_bits = read_bits(bytes, &mut self.bit_pos, 64);
+            self.prev_ts = reader.read(64);
+            self.prev_bits = reader.read(64);
             self.emitted = 1;
             return Sample { timestamp_ms: self.prev_ts, value: f64::from_bits(self.prev_bits) };
         }
-        // Timestamp: Δ² bucket prefix.
-        let delta = if !read_bit(bytes, &mut self.bit_pos) {
-            self.prev_delta
-        } else if !read_bit(bytes, &mut self.bit_pos) {
-            self.bucket_delta(bytes, 7, 63)
-        } else if !read_bit(bytes, &mut self.bit_pos) {
-            self.bucket_delta(bytes, 9, 255)
-        } else if !read_bit(bytes, &mut self.bit_pos) {
-            self.bucket_delta(bytes, 12, 2047)
-        } else {
-            read_bits(bytes, &mut self.bit_pos, 64)
+        // One peek covers the common sample whole: the Δ² bucket prefix is
+        // the run of leading ones (at most four) and its payload at most 12
+        // bits, and the value's two control bits and 6+6-bit window header
+        // are the 14 bits after that.
+        let word = reader.peek(16 + 14);
+        let (delta, ts_bits) = match (!word).leading_zeros() {
+            0 => (self.prev_delta, 1),
+            1 => (self.bucket_delta(word, 2, 7, 63), 2 + 7),
+            2 => (self.bucket_delta(word, 3, 9, 255), 3 + 9),
+            3 => (self.bucket_delta(word, 4, 12, 2047), 4 + 12),
+            _ => {
+                // Escape: the raw 64-bit delta follows the marker.
+                reader.consume(4);
+                (reader.read(64), 0)
+            }
         };
         self.prev_ts = self.prev_ts.wrapping_add(delta);
         self.prev_delta = delta;
 
         // Value: XOR against the previous bit pattern.
-        if read_bit(bytes, &mut self.bit_pos) {
-            let (leading, trailing) = if read_bit(bytes, &mut self.bit_pos) {
-                let leading = read_bits(bytes, &mut self.bit_pos, 6) as u32;
-                let len = read_bits(bytes, &mut self.bit_pos, 6) as u32 + 1;
+        let word = if ts_bits == 0 { reader.peek(14) } else { word << ts_bits };
+        if word >> 63 == 0 {
+            reader.consume(ts_bits + 1);
+        } else {
+            let (leading, trailing) = if word >> 62 == 0b11 {
+                let leading = (word >> 56) as u32 & 0x3f;
+                let len = ((word >> 50) as u32 & 0x3f) + 1;
+                reader.consume(ts_bits + 14);
                 self.prev_leading = leading;
                 self.prev_trailing = 64u32.saturating_sub(leading + len);
                 (leading, self.prev_trailing)
             } else {
+                reader.consume(ts_bits + 2);
                 (self.prev_leading.min(63), self.prev_trailing)
             };
             let len = 64u32.saturating_sub(leading + trailing).max(1);
-            let xor = read_bits(bytes, &mut self.bit_pos, len) << trailing;
-            self.prev_bits ^= xor;
+            self.prev_bits ^= reader.read(len) << trailing;
         }
         self.emitted += 1;
         Sample { timestamp_ms: self.prev_ts, value: f64::from_bits(self.prev_bits) }
     }
 
-    fn bucket_delta(&mut self, bytes: &[u8], bits: u32, bias: i128) -> u64 {
-        let dod = read_bits(bytes, &mut self.bit_pos, bits) as i128 - bias;
+    /// The delta a `bits`-bit biased Δ² behind a `prefix`-bit bucket marker
+    /// encodes, both at the top of `word`.
+    fn bucket_delta(&self, word: u64, prefix: u32, bits: u32, bias: i128) -> u64 {
+        let dod = ((word << prefix) >> (64 - bits)) as i128 - bias;
         (self.prev_delta as i128).wrapping_add(dod) as u64
     }
 }
 
-/// Decodes `count` samples from a block produced by [`encode`].
-///
-/// The streaming [`GorillaState`] is what the query path uses; this
-/// materialising form exists for tests, tools and benches.
+/// The bulk form of [`GorillaState`]: iterates the first `count` samples of
+/// one block with the bit accumulator kept alive from sample to sample.
+#[derive(Debug)]
+pub(crate) struct BlockSamples<'a> {
+    state: GorillaState,
+    reader: BitReader<'a>,
+    remaining: usize,
+}
+
+impl<'a> BlockSamples<'a> {
+    pub(crate) fn new(bytes: &'a [u8], count: usize) -> Self {
+        Self { state: GorillaState::new(), reader: BitReader::at(bytes, 0), remaining: count }
+    }
+}
+
+impl Iterator for BlockSamples<'_> {
+    type Item = Sample;
+
+    #[inline]
+    fn next(&mut self) -> Option<Sample> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        Some(self.state.decode_next(&mut self.reader))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+/// Appends the `count` samples of a block produced by [`encode`] to `out`,
+/// reserving once.
+pub fn decode_into(bytes: &[u8], count: usize, out: &mut Vec<Sample>) {
+    out.extend(BlockSamples::new(bytes, count));
+}
+
+/// Decodes `count` samples from a block produced by [`encode`] into a new
+/// vector.
 pub fn decode(bytes: &[u8], count: usize) -> Vec<Sample> {
-    let mut state = GorillaState::new();
-    (0..count).map(|_| state.next(bytes)).collect()
+    let mut out = Vec::new();
+    decode_into(bytes, count, &mut out);
+    out
 }
 
 #[cfg(test)]

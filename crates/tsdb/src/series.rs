@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use teemon_metrics::Labels;
 
-use crate::chunk_codec::{self, GorillaState};
+use crate::chunk_codec::{self, BlockSamples, GorillaState};
 
 /// Identifier of a series inside one [`crate::TimeSeriesDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -200,10 +200,15 @@ impl Chunk {
         }
     }
 
-    /// Iterates the chunk's samples in order (streaming decode when
-    /// compressed).
+    /// Iterates the chunk's samples in order (bulk decode when compressed:
+    /// one bit reader stays alive for the whole block).
     pub(crate) fn iter_samples(&self) -> ChunkSamples<'_> {
-        ChunkSamples { chunk: self, state: ChunkIterState::start(self) }
+        match &self.data {
+            ChunkData::Raw(samples) => ChunkSamples::Raw(samples.iter()),
+            ChunkData::Compressed(bytes) => {
+                ChunkSamples::Compressed(BlockSamples::new(bytes, self.len()))
+            }
+        }
     }
 }
 
@@ -218,14 +223,6 @@ pub(crate) enum ChunkIterState {
 }
 
 impl ChunkIterState {
-    /// A cursor at the beginning of `chunk`.
-    pub(crate) fn start(chunk: &Chunk) -> Self {
-        match &chunk.data {
-            ChunkData::Raw(_) => ChunkIterState::Raw(0),
-            ChunkData::Compressed(_) => ChunkIterState::Compressed(GorillaState::new()),
-        }
-    }
-
     /// A cursor positioned at the first sample with `timestamp_ms >=
     /// start_ms` — O(log n) for raw chunks.  Compressed chunks start at the
     /// beginning (the caller's `< start_ms` skip loop pays the bounded
@@ -256,16 +253,27 @@ impl ChunkIterState {
 }
 
 /// Borrowed iterator over one chunk's samples.
-pub(crate) struct ChunkSamples<'a> {
-    chunk: &'a Chunk,
-    state: ChunkIterState,
+pub(crate) enum ChunkSamples<'a> {
+    Raw(std::slice::Iter<'a, Sample>),
+    Compressed(BlockSamples<'a>),
 }
 
 impl Iterator for ChunkSamples<'_> {
     type Item = Sample;
 
+    #[inline]
     fn next(&mut self) -> Option<Sample> {
-        self.state.next(self.chunk)
+        match self {
+            ChunkSamples::Raw(samples) => samples.next().copied(),
+            ChunkSamples::Compressed(samples) => samples.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            ChunkSamples::Raw(samples) => samples.size_hint(),
+            ChunkSamples::Compressed(samples) => samples.size_hint(),
+        }
     }
 }
 

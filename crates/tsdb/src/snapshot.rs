@@ -17,8 +17,10 @@
 //! the compressed payload at all.
 //!
 //! [`SampleCursor`] borrows the snapshot; [`OwnedSampleCursor`] shares the
-//! chunks by `Arc` instead, for long-lived consumers like the query engine's
-//! sliding-window state machines that cannot hold a borrow.
+//! chunks by `Arc` instead, for consumers like the query engine's plans that
+//! cannot hold a borrow.  The range evaluator does not step it: it drains one
+//! series' whole range with [`OwnedSampleCursor::read_into`] into a buffer it
+//! reuses for the next series.
 
 use std::sync::Arc;
 
@@ -147,9 +149,8 @@ impl SeriesSnapshot {
     }
 
     /// Like [`SeriesSnapshot::cursor`], but sharing the chunks by `Arc` so
-    /// the cursor is `'static` and can outlive the snapshot (the query
-    /// engine's per-series sliding-window machines hold one for the whole
-    /// range evaluation).
+    /// the cursor is `'static` and can outlive the snapshot (a query plan
+    /// holds one per series from planning until that series is evaluated).
     pub fn owned_cursor(&self, start_ms: u64, end_ms: u64) -> OwnedSampleCursor {
         OwnedSampleCursor {
             core: CursorCore::new(&self.chunks, start_ms, end_ms),
@@ -161,7 +162,8 @@ impl SeriesSnapshot {
 /// The value of `name` in an interned label slice (binary search; labels are
 /// sorted by key).  Shared by snapshots and the storage engine's series.
 pub(crate) fn label_value<'a>(labels: &'a [(Arc<str>, Arc<str>)], name: &str) -> Option<&'a str> {
-    labels.binary_search_by(|(k, _)| (**k).cmp(name)).ok().map(|idx| &*labels[idx].1)
+    let idx = labels.binary_search_by(|(k, _)| (**k).cmp(name)).ok()?;
+    labels.get(idx).map(|(_, v)| &**v)
 }
 
 /// Chunk-walking state shared by the borrowed and owning cursors: the index
@@ -193,8 +195,9 @@ impl CursorCore {
             return None;
         }
         loop {
-            if let Some(state) = &mut self.state {
-                match state.next(&chunks[self.next_chunk - 1]) {
+            let open = self.next_chunk.checked_sub(1).and_then(|idx| chunks.get(idx));
+            if let (Some(state), Some(chunk)) = (&mut self.state, open) {
+                match state.next(chunk) {
                     // Only the first opened chunk can straddle the range
                     // start; a compressed one is skipped sample by sample.
                     Some(s) if s.timestamp_ms < self.start_ms => continue,
@@ -221,6 +224,26 @@ impl CursorCore {
     }
 }
 
+impl CursorCore {
+    /// Appends every sample [`CursorCore::next`] would still yield to `out`
+    /// and exhausts the cursor.  From a chunk boundary (a fresh cursor above
+    /// all) the rest is drained chunk by chunk: the footers bound the span
+    /// and size one reservation, raw chunks are sliced, and sealed chunks go
+    /// through the bulk decoder.  A cursor stopped inside a chunk finishes
+    /// sample by sample — a Gorilla stream cannot be re-entered mid-way.
+    fn read_into(&mut self, chunks: &[Arc<Chunk>], out: &mut Vec<Sample>) {
+        if self.state.is_some() {
+            while let Some(sample) = self.next(chunks) {
+                out.push(sample);
+            }
+        } else if !self.done {
+            let rest = chunks.get(self.next_chunk..).unwrap_or(&[]);
+            extend_range(rest, self.start_ms, self.end_ms, out, |s| s);
+            self.done = true;
+        }
+    }
+}
+
 /// A forward cursor over one snapshot's samples, bounded by an end timestamp.
 #[derive(Debug, Clone)]
 pub struct SampleCursor<'a> {
@@ -242,6 +265,15 @@ impl Iterator for SampleCursor<'_> {
 pub struct OwnedSampleCursor {
     chunks: Arc<[Arc<Chunk>]>,
     core: CursorCore,
+}
+
+impl OwnedSampleCursor {
+    /// Appends every remaining sample to `out` and exhausts the cursor — what
+    /// collecting the iterator yields, but decoding sealed chunks in bulk
+    /// into a buffer the caller can reuse from series to series.
+    pub fn read_into(&mut self, out: &mut Vec<Sample>) {
+        self.core.read_into(&self.chunks, out);
+    }
 }
 
 impl Iterator for OwnedSampleCursor {

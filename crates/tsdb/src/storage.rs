@@ -1720,6 +1720,21 @@ mod tests {
                 a.samples().collect::<Vec<_>>(),
             );
             assert_eq!(a.last_sample(), b.last_sample());
+            // The bulk drain yields what stepping would, from a fresh cursor
+            // and from one stopped inside a sealed chunk or the raw head.
+            for (lo, hi) in [(0, u64::MAX), (17_000, 333_000), (42_000, 42_000), (600_000, 700_000)]
+            {
+                for snapshot in [a, b] {
+                    for consumed in [0usize, 1, 5, 37, 99, 200] {
+                        let mut stepped = snapshot.owned_cursor(lo, hi);
+                        let mut bulk = snapshot.owned_cursor(lo, hi);
+                        let mut drained: Vec<Sample> = bulk.by_ref().take(consumed).collect();
+                        bulk.read_into(&mut drained);
+                        assert_eq!(drained, stepped.by_ref().collect::<Vec<_>>());
+                        assert_eq!(bulk.next(), None, "read_into exhausts the cursor");
+                    }
+                }
+            }
         }
         // Identical logical contents, far fewer resident bytes.
         let (c, r) = (compressed.stats(), raw.stats());

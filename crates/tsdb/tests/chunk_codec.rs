@@ -1,11 +1,118 @@
 //! Property tests for the Gorilla chunk codec: `decode(encode(samples)) ==
 //! samples` bit-for-bit over adversarial inputs (NaN, ±inf, zero and huge
 //! timestamp deltas, duplicates), and rejection of inputs the storage engine
-//! can never produce (timestamps running backwards).
+//! can never produce (timestamps running backwards).  The bit-by-bit decoder
+//! the accumulator reader replaced lives on here as [`reference`], the oracle
+//! the production decoder must match sample for sample — on well-formed
+//! blocks, past their end, and on truncated and random bytes.
 
 use proptest::proptest;
-use teemon_tsdb::chunk_codec::{decode, encode, GorillaState};
+use teemon_tsdb::chunk_codec::{decode, decode_into, encode, GorillaState};
 use teemon_tsdb::Sample;
+
+/// The previous production decoder, verbatim: one `bytes.get` per bit or byte
+/// fragment, no accumulator.  Written against the byte format only.
+mod reference {
+    use teemon_tsdb::Sample;
+
+    fn read_bit(bytes: &[u8], pos: &mut u64) -> bool {
+        let byte = (*pos / 8) as usize;
+        let bit = 7 - (*pos % 8) as u32;
+        *pos += 1;
+        bytes.get(byte).map(|b| (b >> bit) & 1 == 1).unwrap_or(false)
+    }
+
+    fn read_bits(bytes: &[u8], pos: &mut u64, count: u32) -> u64 {
+        let mut out = 0u64;
+        let mut remaining = count;
+        while remaining > 0 {
+            let bit_off = (*pos % 8) as u32;
+            let avail = 8 - bit_off;
+            let take = avail.min(remaining);
+            let byte = bytes.get((*pos / 8) as usize).copied().unwrap_or(0);
+            let chunk = (u64::from(byte) >> (avail - take)) & ((1u64 << take) - 1);
+            out = (out << take) | chunk;
+            *pos += u64::from(take);
+            remaining -= take;
+        }
+        out
+    }
+
+    pub struct Decoder {
+        bit_pos: u64,
+        emitted: u32,
+        prev_ts: u64,
+        prev_delta: u64,
+        prev_bits: u64,
+        prev_leading: u32,
+        prev_trailing: u32,
+    }
+
+    impl Decoder {
+        pub fn new() -> Self {
+            Self {
+                bit_pos: 0,
+                emitted: 0,
+                prev_ts: 0,
+                prev_delta: 0,
+                prev_bits: 0,
+                prev_leading: u32::MAX,
+                prev_trailing: 0,
+            }
+        }
+
+        pub fn next(&mut self, bytes: &[u8]) -> Sample {
+            if self.emitted == 0 {
+                self.prev_ts = read_bits(bytes, &mut self.bit_pos, 64);
+                self.prev_bits = read_bits(bytes, &mut self.bit_pos, 64);
+                self.emitted = 1;
+                return Sample {
+                    timestamp_ms: self.prev_ts,
+                    value: f64::from_bits(self.prev_bits),
+                };
+            }
+            let delta = if !read_bit(bytes, &mut self.bit_pos) {
+                self.prev_delta
+            } else if !read_bit(bytes, &mut self.bit_pos) {
+                self.bucket_delta(bytes, 7, 63)
+            } else if !read_bit(bytes, &mut self.bit_pos) {
+                self.bucket_delta(bytes, 9, 255)
+            } else if !read_bit(bytes, &mut self.bit_pos) {
+                self.bucket_delta(bytes, 12, 2047)
+            } else {
+                read_bits(bytes, &mut self.bit_pos, 64)
+            };
+            self.prev_ts = self.prev_ts.wrapping_add(delta);
+            self.prev_delta = delta;
+            if read_bit(bytes, &mut self.bit_pos) {
+                let (leading, trailing) = if read_bit(bytes, &mut self.bit_pos) {
+                    let leading = read_bits(bytes, &mut self.bit_pos, 6) as u32;
+                    let len = read_bits(bytes, &mut self.bit_pos, 6) as u32 + 1;
+                    self.prev_leading = leading;
+                    self.prev_trailing = 64u32.saturating_sub(leading + len);
+                    (leading, self.prev_trailing)
+                } else {
+                    (self.prev_leading.min(63), self.prev_trailing)
+                };
+                let len = 64u32.saturating_sub(leading + trailing).max(1);
+                let xor = read_bits(bytes, &mut self.bit_pos, len) << trailing;
+                self.prev_bits ^= xor;
+            }
+            self.emitted += 1;
+            Sample { timestamp_ms: self.prev_ts, value: f64::from_bits(self.prev_bits) }
+        }
+
+        fn bucket_delta(&mut self, bytes: &[u8], bits: u32, bias: i128) -> u64 {
+            let dod = read_bits(bytes, &mut self.bit_pos, bits) as i128 - bias;
+            (self.prev_delta as i128).wrapping_add(dod) as u64
+        }
+    }
+
+    pub fn decode(bytes: &[u8], count: usize) -> Vec<Sample> {
+        let mut decoder = Decoder::new();
+        (0..count).map(|_| decoder.next(bytes)).collect()
+    }
+}
 
 /// Sample specs: a delta selector and a value selector, expanded into
 /// timestamp deltas / values that stress every encoder bucket.
@@ -42,6 +149,21 @@ fn build_samples(specs: &[(u8, u8, u16)]) -> Vec<Sample> {
         .collect()
 }
 
+/// Asserts the production decoder — bulk `decode`/`decode_into` and the
+/// one-at-a-time `GorillaState` — reads `count` samples off `bytes` exactly
+/// as the reference does.
+fn assert_matches_reference(bytes: &[u8], count: usize) {
+    let want = reference::decode(bytes, count);
+    assert!(samples_identical(&decode(bytes, count), &want), "bulk decode diverged");
+    let mut appended = vec![Sample { timestamp_ms: 7, value: 7.0 }];
+    decode_into(bytes, count, &mut appended);
+    assert!(samples_identical(&appended[1..], &want), "decode_into diverged");
+    let mut state = GorillaState::new();
+    let streamed: Vec<Sample> = (0..count).map(|_| state.next(bytes)).collect();
+    assert!(samples_identical(&streamed, &want), "GorillaState diverged");
+    assert_eq!(state.emitted() as usize, count);
+}
+
 /// Bit-exact equality (plain `==` treats NaN as unequal).
 fn samples_identical(a: &[Sample], b: &[Sample]) -> bool {
     a.len() == b.len()
@@ -64,6 +186,32 @@ proptest! {
         let streamed: Vec<Sample> = (0..samples.len()).map(|_| state.next(&bytes)).collect();
         assert!(samples_identical(&streamed, &samples));
         assert_eq!(state.emitted() as usize, samples.len());
+    }
+
+    /// The accumulator decoder equals the bit-by-bit reference on encoded
+    /// series (every Δ² bucket, the raw-delta escape, value-window reuse and
+    /// re-establishment, the IEEE specials), five samples past their end,
+    /// and on every kind of truncation.
+    #[test]
+    fn decoder_matches_the_bit_by_bit_reference(
+        specs in proptest::collection::vec((0u8..8, 0u8..10, 0u16..u16::MAX), 1..200),
+        cut in 0usize..4096,
+    ) {
+        let samples = build_samples(&specs);
+        let bytes = encode(&samples).expect("time-ordered input must encode");
+        assert_matches_reference(&bytes, samples.len() + 5);
+        let cut = cut % (bytes.len() + 1);
+        assert_matches_reference(&bytes[..cut], samples.len() + 5);
+    }
+
+    /// …and on bytes no encoder produced.
+    #[test]
+    fn decoder_matches_the_reference_on_random_bytes(
+        garbage in proptest::collection::vec(0u16..256, 0..300),
+        count in 0usize..400,
+    ) {
+        let garbage: Vec<u8> = garbage.iter().map(|&b| b as u8).collect();
+        assert_matches_reference(&garbage, count);
     }
 
     /// Any input with a backwards timestamp anywhere is rejected whole.
