@@ -82,8 +82,8 @@ impl Drop for ScratchDir {
 /// One churn round: `batch` brand-new unique-labelled series appear (cold
 /// path — intern, index, WAL series records), the previous round's batch is
 /// dropped (symbol release, cooling), and the round commits.  On the
-/// durable side small segments keep the meta log rotating, so the sweep and
-/// slot reuse run inside the measured loop.
+/// durable side small segments keep the symbol table checkpointing, so the
+/// sweep and slot reuse run inside the measured loop.
 fn churn_round(db: &TimeSeriesDb, round: u64, batch: usize) {
     let now = round * 5_000;
     let tag = format!("r{round}");
@@ -110,8 +110,8 @@ fn bench_churn(c: &mut Criterion) {
         let scratch = ScratchDir::new(&format!("churn-{mode_tag}"));
         let db = if durable {
             let options = DurabilityOptions {
-                // Small segments: the meta log rotates (sweeping cooled
-                // symbols) every few rounds, inside the measurement.
+                // Small segments: the symbol table is checkpointed (sweeping
+                // cooled symbols) every few rounds, inside the measurement.
                 segment_bytes: 32 << 10,
                 fsync: FsyncMode::OnRotation,
                 ..DurabilityOptions::default()

@@ -5,14 +5,14 @@
 //!   (every series one sample, then `wal_flush`) against an in-memory
 //!   database vs a durable one on tmpfs in the default fsync mode
 //!   (sync-on-rotation).  The delta is the durability tax: staging into the
-//!   shard buffers, one batched sample record + sequential write per dirty
-//!   shard, one commit record.
+//!   shard buffers, then one drain, one checksum and one sequential write
+//!   for the whole round.
 //! * `round_{1k,10k}/durable_fsync` — the same round under
 //!   `FsyncMode::EveryCommit` (power-loss-safe acks); the delta vs
-//!   `durable` is pure fsync cost, one per dirty log per round.
+//!   `durable` is pure fsync cost, one per round.
 //! * `round_1k/durable_rotating` — the same round with a tiny segment
-//!   budget, so shard logs keep rotating onto Gorilla snapshots; the delta
-//!   vs `durable` is the rotation cost.
+//!   budget, so segments keep sealing and shards keep checkpointing onto
+//!   Gorilla snapshots; the delta vs `durable` is the checkpoint cost.
 //! * `scrape_round_{1k,10k}/{volatile,durable}` — the deployment-realistic
 //!   comparison: one full steady scrape round (collect, ingest,
 //!   meta-metrics, WAL flush) through the fast lane, mirroring

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use teemon_tsdb::{AggregateOp, Selector, TimeSeriesDb};
 
-use crate::panel::{Panel, PanelData};
+use crate::panel::{Panel, PanelData, PanelKind};
 
 /// A named group of panels (one Grafana dashboard).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -238,6 +238,18 @@ pub fn standard() -> DashboardSet {
             Panel::teeql("WAL write rate", "rate(teemon_wal_bytes_written_total[30s])")
                 .with_unit("bytes/s"),
         )
+        // One group, one write per round.  TeeQL has no
+        // `histogram_quantile`, so the flush's p50/p99 are read off the
+        // cumulative `le` buckets; the write rate equals "Scrape rounds"
+        // above when every round costs exactly one write.
+        .with_panel(
+            Panel::teeql("WAL flush time", "sum by (le) (teemon_wal_flush_seconds_bucket)")
+                .with_kind(PanelKind::Table)
+                .with_unit("flushes"),
+        )
+        .with_panel(
+            Panel::teeql("WAL writes", "rate(teemon_wal_writes_total[30s])").with_unit("writes/s"),
+        )
         .with_panel(
             Panel::stat("WAL salvaged tails", Selector::metric("teemon_wal_salvage_total"))
                 .with_unit("truncations"),
@@ -322,6 +334,12 @@ mod tests {
                 db.append("teemon_tsdb_shard_series", &labels, t * 5_000, 12.0);
             }
             db.append("teemon_wal_bytes_written_total", &self_labels, t * 5_000, 900.0 * t as f64);
+            db.append("teemon_wal_writes_total", &self_labels, t * 5_000, t as f64);
+            for (le, share) in [("1e-5", 0.5), ("2e-5", 0.99), ("+Inf", 1.0)] {
+                let mut labels = self_labels.clone();
+                labels.insert("le", le.to_string());
+                db.append("teemon_wal_flush_seconds_bucket", &labels, t * 5_000, share * t as f64);
+            }
             db.append("teemon_wal_salvage_total", &self_labels, t * 5_000, 0.0);
             db.append("teemon_wal_failed_shards", &self_labels, t * 5_000, 0.0);
             db.append("teemon_http_shed_total", &self_labels, t * 5_000, (t * 2) as f64);
@@ -342,6 +360,8 @@ mod tests {
         assert!(rendered.contains("Overflow by job"));
         assert!(rendered.contains("Series per shard"));
         assert!(rendered.contains("WAL write rate"));
+        assert!(rendered.contains("WAL flush time"));
+        assert!(rendered.contains("WAL writes"));
         assert!(rendered.contains("WAL failed shards"));
         assert!(rendered.contains("HTTP shed requests"));
         assert!(rendered.contains("HTTP handler panics"));

@@ -205,7 +205,7 @@ impl Collector for ObsCollector {
             ),
             counter(
                 "teemon_tsdb_symbols_swept_total",
-                "symbols garbage-collected at meta-log rotation points",
+                "symbols garbage-collected at symbol-table checkpoints",
                 probes::SYMBOLS_SWEPT.get(),
             ),
             counter(
@@ -218,6 +218,16 @@ impl Collector for ObsCollector {
                 "teemon_wal_bytes_written_total",
                 "bytes appended to write-ahead logs",
                 probes::WAL_BYTES_WRITTEN.get(),
+            ),
+            counter(
+                "teemon_wal_writes_total",
+                "appends issued to the write-ahead log, one per committed round",
+                probes::WAL_WRITES.get(),
+            ),
+            histogram(
+                "teemon_wal_flush_seconds",
+                "measured wall time of WAL flushes",
+                &probes::WAL_FLUSH_NS,
             ),
             histogram(
                 "teemon_wal_fsync_seconds",
@@ -238,11 +248,6 @@ impl Collector for ObsCollector {
                 "teemon_wal_salvaged_bytes_total",
                 "bytes discarded by corrupt-tail truncation during recovery",
                 probes::WAL_SALVAGED_BYTES.get(),
-            ),
-            counter(
-                "teemon_wal_records_dropped_total",
-                "WAL records discarded during recovery (uncommitted tail rounds)",
-                probes::WAL_RECORDS_DROPPED.get(),
             ),
             gauge(
                 "teemon_wal_recovery_seconds",

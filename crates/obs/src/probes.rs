@@ -219,7 +219,7 @@ pub static STORAGE_SYMBOLS: Gauge = Gauge::new();
 pub static STORAGE_SYMBOL_BYTES: Gauge = Gauge::new();
 /// Estimated bytes held by the per-shard postings indexes.
 pub static STORAGE_INDEX_BYTES: Gauge = Gauge::new();
-/// Symbols garbage-collected at meta-log rotation points, cumulative.
+/// Symbols garbage-collected at symbol-table checkpoints, cumulative.
 pub static SYMBOLS_SWEPT: Counter = Counter::new();
 /// Series rejected by per-target/per-job cardinality budgets at the scrape
 /// edge, cumulative.
@@ -229,8 +229,12 @@ pub static SCRAPE_BUDGET_REJECTED: Counter = Counter::new();
 // Durability / WAL (recorded by `teemon_tsdb::wal` and crash recovery)
 // ---------------------------------------------------------------------------
 
-/// Bytes appended to write-ahead logs (meta log + shard segments).
+/// Bytes appended to the write-ahead log.
 pub static WAL_BYTES_WRITTEN: Counter = Counter::new();
+/// Appends issued to the write-ahead log — one per committed round.
+pub static WAL_WRITES: Counter = Counter::new();
+/// Measured wall time of WAL flushes: drain, checksum, write, checkpoints.
+pub static WAL_FLUSH_NS: LogLinearHist = LogLinearHist::new();
 /// Measured wall time of WAL fsyncs.
 pub static WAL_FSYNC_NS: LogLinearHist = LogLinearHist::new();
 /// WAL records applied during crash recovery.
@@ -239,8 +243,6 @@ pub static WAL_RECORDS_REPLAYED: Counter = Counter::new();
 pub static WAL_SALVAGE: Counter = Counter::new();
 /// Bytes discarded by corrupt-tail truncation during recovery.
 pub static WAL_SALVAGED_BYTES: Counter = Counter::new();
-/// WAL records discarded during recovery (uncommitted tail rounds).
-pub static WAL_RECORDS_DROPPED: Counter = Counter::new();
 /// Duration of the last crash recovery, in seconds.
 pub static WAL_RECOVERY_SECONDS: Gauge = Gauge::new();
 /// Shards whose WAL or snapshot was unreadable and came up empty.
@@ -431,7 +433,7 @@ pub const fn registry() -> &'static [ProbeDesc] {
             name: "teemon_tsdb_symbols_swept_total",
             kind: "counter",
             layer: "storage",
-            help: "symbols garbage-collected at meta-log rotation points",
+            help: "symbols garbage-collected at symbol-table checkpoints",
         },
         ProbeDesc {
             name: "teemon_scrape_budget_rejected_total",
@@ -443,7 +445,19 @@ pub const fn registry() -> &'static [ProbeDesc] {
             name: "teemon_wal_bytes_written_total",
             kind: "counter",
             layer: "storage",
-            help: "bytes appended to write-ahead logs (meta log + shard segments)",
+            help: "bytes appended to the write-ahead log",
+        },
+        ProbeDesc {
+            name: "teemon_wal_writes_total",
+            kind: "counter",
+            layer: "storage",
+            help: "appends issued to the write-ahead log, one per committed round",
+        },
+        ProbeDesc {
+            name: "teemon_wal_flush_seconds",
+            kind: "histogram",
+            layer: "storage",
+            help: "measured wall time of WAL flushes: drain, checksum, write, checkpoints",
         },
         ProbeDesc {
             name: "teemon_wal_fsync_seconds",
@@ -468,12 +482,6 @@ pub const fn registry() -> &'static [ProbeDesc] {
             kind: "counter",
             layer: "storage",
             help: "bytes discarded by corrupt-tail truncation during recovery",
-        },
-        ProbeDesc {
-            name: "teemon_wal_records_dropped_total",
-            kind: "counter",
-            layer: "storage",
-            help: "WAL records discarded during recovery (uncommitted tail rounds)",
         },
         ProbeDesc {
             name: "teemon_wal_recovery_seconds",

@@ -276,7 +276,7 @@ fn emit_all(e: &mut dyn Emit) {
     e.point(&mut Labels::new, probes::STORAGE_INDEX_BYTES.get());
     e.family(
         "teemon_tsdb_symbols_swept_total",
-        "symbols garbage-collected at meta-log rotation points",
+        "symbols garbage-collected at symbol-table checkpoints",
         MetricKind::Counter,
     );
     e.point(&mut Labels::new, probes::SYMBOLS_SWEPT.get() as f64);
@@ -294,6 +294,20 @@ fn emit_all(e: &mut dyn Emit) {
         MetricKind::Counter,
     );
     e.point(&mut Labels::new, probes::WAL_BYTES_WRITTEN.get() as f64);
+    e.family(
+        "teemon_wal_writes_total",
+        "appends issued to the write-ahead log, one per committed round",
+        MetricKind::Counter,
+    );
+    e.point(&mut Labels::new, probes::WAL_WRITES.get() as f64);
+    emit_hist(
+        e,
+        "teemon_wal_flush_seconds_bucket",
+        "teemon_wal_flush_seconds_sum",
+        "teemon_wal_flush_seconds_count",
+        "measured wall time of WAL flushes",
+        &probes::WAL_FLUSH_NS,
+    );
     emit_hist(
         e,
         "teemon_wal_fsync_seconds_bucket",
@@ -320,12 +334,6 @@ fn emit_all(e: &mut dyn Emit) {
         MetricKind::Counter,
     );
     e.point(&mut Labels::new, probes::WAL_SALVAGED_BYTES.get() as f64);
-    e.family(
-        "teemon_wal_records_dropped_total",
-        "WAL records discarded during recovery (uncommitted tail rounds)",
-        MetricKind::Counter,
-    );
-    e.point(&mut Labels::new, probes::WAL_RECORDS_DROPPED.get() as f64);
     e.family(
         "teemon_wal_recovery_seconds",
         "duration of the last crash recovery",

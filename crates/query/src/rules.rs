@@ -266,7 +266,7 @@ pub fn cardinality_alerts(interval_ms: u64) -> RuleGroup {
             Severity::Warning,
             "interned-symbol memory grew >50% within the window; label churn is \
              outrunning symbol GC — check teemon_tsdb_symbols_swept_total is \
-             advancing (GC runs at WAL meta-log rotation) and that retention \
+             advancing (GC runs at the symbol table's WAL checkpoint) and that retention \
              is actually dropping the churned series",
         ))
 }

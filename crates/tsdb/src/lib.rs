@@ -20,11 +20,11 @@
 //!   series,
 //! * [`Selector`] and the [`query`] module — instant/range queries, label
 //!   matching, `rate`, `sum`/`avg`/`min`/`max` aggregation and quantiles,
-//! * [`wal`] — the optional durability tier: a per-shard, CRC-checksummed
-//!   write-ahead log flushed once per scrape round, with crash recovery
-//!   ([`TimeSeriesDb::open`]), segment rotation onto Gorilla-block snapshots
-//!   and corruption salvage that truncates torn tails and isolates damaged
-//!   shards instead of panicking,
+//! * [`wal`] — the optional durability tier: a write-ahead log that commits
+//!   each scrape round as one checksummed group in one write, with crash
+//!   recovery ([`TimeSeriesDb::open`]), per-shard checkpoints onto
+//!   Gorilla-block snapshots and corruption salvage that truncates torn
+//!   tails and isolates damaged shards instead of panicking,
 //! * [`Scraper`] — the pull loop: scrapes typed [`MetricsEndpoint`]s on an
 //!   interval (per-target intervals supported), attaches `job`/`instance`
 //!   labels, records `up`/`scrape_duration_seconds`/`scrape_samples_scraped`

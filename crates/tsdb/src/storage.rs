@@ -100,7 +100,7 @@ pub struct StorageStats {
     pub resident_bytes: u64,
     /// Shards whose write-ahead log has failed (write/fsync errors, or
     /// unrecoverable corruption found at startup).  Always `0` for a
-    /// volatile database; `16` when the shared meta log itself is broken.
+    /// volatile database; `16` once the log itself is broken.
     /// Failed shards keep serving from memory but no longer persist.
     #[serde(default)]
     pub wal_failed_shards: u64,
@@ -470,6 +470,17 @@ impl ShardInner {
         }
     }
 
+    /// Appends a new series, registering it in the key index and the
+    /// postings; returns its shard-local index.
+    fn push_series(&mut self, key_hash: u64, series: MemSeries) -> u32 {
+        // teemon-verify: allow(no-unwrap): invariant — u32 handles cap a shard at 2^32 series, unreachable in memory
+        let local = u32::try_from(self.series.len()).expect("fewer than 2^32 series per shard");
+        self.postings.register(local, series.name_sym, &series.label_syms);
+        self.key_index.entry(key_hash).or_default().push(local);
+        self.series.push(series);
+        local
+    }
+
     /// Rebuilds the key index and postings from the stored series without
     /// touching the generation — WAL replay reconstructs a shard whose
     /// durable generation is restored explicitly.
@@ -647,8 +658,11 @@ impl Default for DbShared {
 }
 
 impl DbShared {
-    fn with_wal(wal: Wal) -> Self {
-        Self { wal: Some(wal), ..Self::default() }
+    /// The WAL staging handle for `shard`: `None` for a volatile database,
+    /// and once the shard's durability has failed.  Called with the shard's
+    /// lock held.
+    fn stage(&self, shard: usize) -> Option<wal::ShardWriter<'_>> {
+        self.wal.as_ref()?.shard_writer(shard)
     }
 
     /// The lock shard at `index`.  Masked with `SHARD_COUNT - 1`, so the
@@ -657,6 +671,228 @@ impl DbShared {
     fn shard(&self, index: usize) -> &RwLock<ShardInner> {
         // teemon-verify: allow(no-index): masked by SHARD_COUNT - 1, always in bounds
         &self.shards[index & (SHARD_COUNT - 1)]
+    }
+}
+
+/// One shard being rebuilt by recovery.
+#[derive(Default)]
+struct ShardRecovery {
+    /// The shard's snapshot, held back until the first op past it (or the
+    /// end of recovery): by then every symbol bound up to the round it was
+    /// taken at has been installed.
+    snapshot: Option<wal::ShardSnapshot>,
+    inner: ShardInner,
+    /// Validation failed: the shard comes up empty and flagged.
+    failed: bool,
+}
+
+/// Rebuilds in-memory state from what [`Wal::open`] recovers, item by item.
+/// Logged ops re-run through the *same* code paths live ingest uses
+/// (`MemSeries::append`, `record_append`, `remove_locals`,
+/// `retention_pass`), so acceptance decisions and aggregates reproduce
+/// exactly.  A shard whose records fail validation (symbol ids or local
+/// indices out of range — possible only through corruption that still
+/// passed the checksum) comes up empty and flagged, never panics.
+struct Recovery<'a> {
+    chunk_size: usize,
+    raw_chunks: bool,
+    symbols: &'a RwLock<SymbolTable>,
+    shards: [ShardRecovery; SHARD_COUNT],
+    /// Ids of series built from placeholder bindings; see
+    /// [`Recovery::series`].
+    doomed: HashSet<u64>,
+    max_id: Option<u64>,
+}
+
+impl<'a> Recovery<'a> {
+    fn new(config: &TsdbConfig, symbols: &'a RwLock<SymbolTable>) -> Self {
+        Self {
+            chunk_size: config.chunk_size.max(1),
+            raw_chunks: config.raw_chunks,
+            symbols,
+            shards: Default::default(),
+            doomed: HashSet::new(),
+            max_id: None,
+        }
+    }
+
+    fn apply(&mut self, item: wal::Replay<'_>) {
+        match item {
+            wal::Replay::Binding(raw, s) => self.symbols.write().install_binding(raw, s),
+            wal::Replay::Snapshot(index, snapshot) => {
+                if let Some(shard) = self.shards.get_mut(index) {
+                    shard.snapshot = Some(snapshot);
+                }
+            }
+            wal::Replay::Op(index, op) => {
+                self.restore(index);
+                if !self.apply_op(index, op) {
+                    if let Some(shard) = self.shards.get_mut(index) {
+                        *shard = ShardRecovery { failed: true, ..ShardRecovery::default() };
+                    }
+                }
+            }
+        }
+    }
+
+    /// Builds a series from a recovered key.  A symbol with no binding does
+    /// not fail the shard outright: the GC sweep legitimately removes a
+    /// symbol's binding once every series using it is dropped, and the
+    /// dropping record may be later in the log.  The unresolvable id gets a
+    /// unique placeholder binding and the series is marked *doomed*: only a
+    /// doomed series that survives to the end of recovery fails its shard.
+    fn series(
+        &mut self,
+        id: u64,
+        name_sym: SymbolId,
+        label_syms: Vec<(SymbolId, SymbolId)>,
+    ) -> MemSeries {
+        let mut symbols = self.symbols.write();
+        let mut holed = false;
+        let name = resolve_or_hole(&mut symbols, name_sym, &mut holed);
+        let mut labels = Vec::with_capacity(label_syms.len());
+        for &(k, v) in &label_syms {
+            labels.push((
+                resolve_or_hole(&mut symbols, k, &mut holed),
+                resolve_or_hole(&mut symbols, v, &mut holed),
+            ));
+        }
+        if holed {
+            self.doomed.insert(id);
+        }
+        self.max_id = Some(self.max_id.map_or(id, |m| m.max(id)));
+        MemSeries {
+            id: SeriesId(id),
+            name,
+            name_sym,
+            labels: labels.into(),
+            label_syms: label_syms.into_boxed_slice(),
+            sealed: Vec::new(),
+            head: Vec::with_capacity(self.chunk_size),
+            ever_appended: false,
+        }
+    }
+
+    /// Restores `index`'s held-back snapshot, if any (sealed Gorilla blocks
+    /// verbatim).
+    fn restore(&mut self, index: usize) {
+        let Some(snapshot) = self.shards.get_mut(index).and_then(|shard| shard.snapshot.take())
+        else {
+            return;
+        };
+        let mut inner = ShardInner {
+            generation: snapshot.generation,
+            rejected: snapshot.rejected,
+            ..ShardInner::default()
+        };
+        for series in snapshot.series {
+            let mut restored = self.series(series.id, series.name_sym, series.label_syms);
+            restored.head.extend_from_slice(&series.head);
+            restored.sealed = series.sealed.into_iter().map(Arc::new).collect();
+            restored.ever_appended = series.ever_appended;
+            inner.series.push(restored);
+        }
+        inner.reindex();
+        inner.samples = inner.series.iter().map(MemSeries::sample_count).sum();
+        inner.chunks = inner.series.iter().map(MemSeries::chunk_total).sum();
+        inner.bytes = inner.series.iter().map(MemSeries::resident_bytes).sum();
+        inner.refresh_time_bounds();
+        if let Some(shard) = self.shards.get_mut(index) {
+            shard.inner = inner;
+        }
+    }
+
+    /// The shard being rebuilt at `index`, unless it already failed.
+    fn live(&mut self, index: usize) -> Option<&mut ShardInner> {
+        self.shards.get_mut(index).filter(|shard| !shard.failed).map(|shard| &mut shard.inner)
+    }
+
+    /// Re-applies one logged op to shard `index`; `false` when it fails
+    /// validation.
+    fn apply_op(&mut self, index: usize, op: wal::ShardOp<'_>) -> bool {
+        let (chunk_size, raw_chunks, symbols) = (self.chunk_size, self.raw_chunks, self.symbols);
+        match op {
+            wal::ShardOp::Series { id, name_sym, label_syms } => {
+                let series = self.series(id, name_sym, label_syms);
+                let hash = series_key_hash_pairs(
+                    &series.name,
+                    series.labels.iter().map(|(k, v)| (&**k, &**v)),
+                );
+                if let Some(inner) = self.live(index) {
+                    inner.push_series(hash, series);
+                }
+            }
+            wal::ShardOp::Samples { timestamp_ms, entries } => {
+                let Some(inner) = self.live(index) else { return true };
+                for (local, value) in wal::ShardOp::samples(entries) {
+                    if (local as usize) >= inner.series.len() {
+                        return false;
+                    }
+                    let sample = Sample { timestamp_ms, value };
+                    let result = inner.series_at_mut(local).append(sample, chunk_size, raw_chunks);
+                    inner.record_append(result, timestamp_ms, chunk_size);
+                }
+            }
+            // Out-of-range victims cannot match any local index and fall
+            // through `remove_locals` harmlessly.
+            wal::ShardOp::Drop { victims } => {
+                if let Some(inner) = self.live(index) {
+                    inner.remove_locals(&victims, symbols);
+                }
+            }
+            wal::ShardOp::Retention { cutoff_ms } => {
+                if let Some(inner) = self.live(index) {
+                    inner.retention_pass(cutoff_ms, symbols);
+                }
+            }
+        }
+        true
+    }
+
+    /// Installs the rebuilt shards into `shared` and settles the symbol
+    /// table.  A doomed series still standing means a record referenced a
+    /// symbol binding that is durably gone while the series itself survived
+    /// — which the cooling discipline makes impossible without corruption
+    /// or a power-loss-torn drop record.  Its key cannot be reconstructed,
+    /// so the shard comes up empty and flagged rather than serving a
+    /// fabricated key.
+    fn finish(mut self, shared: &DbShared, wal: &Wal) {
+        for index in 0..SHARD_COUNT {
+            self.restore(index);
+        }
+        for (index, shard) in self.shards.into_iter().enumerate() {
+            if shard.failed || shard.inner.series.iter().any(|s| self.doomed.contains(&s.id.0)) {
+                probes::WAL_SALVAGE.inc();
+                wal.mark_shard_failed(index);
+                continue;
+            }
+            {
+                // Rebuild symbol refcounts wholesale: one reference per use
+                // by a surviving series.  (Releases during replayed
+                // drops/retention were no-ops against all-zero counts, so
+                // this is the single source of truth.)
+                let mut symbols = self.symbols.write();
+                for series in &shard.inner.series {
+                    symbols.acquire(series.name_sym);
+                    for &(k, v) in series.label_syms.iter() {
+                        symbols.acquire(k);
+                        symbols.acquire(v);
+                    }
+                }
+            }
+            let mut slot = shared.shard(index).write();
+            // Recovery is startup-only; dropping the placeholder shard is
+            // outside the hot path.
+            #[cfg(lock_audit)]
+            let _allow = parking_lot::audit::allow_alloc();
+            *slot = shard.inner;
+        }
+        if let Some(max) = self.max_id {
+            shared.next_id.store(max + 1, Ordering::Relaxed);
+        }
+        // Recovered bindings nothing references (their series were dropped
+        // before the crash) enter the cooling queue instead of leaking.
+        self.symbols.write().finish_recovery();
     }
 }
 
@@ -714,14 +950,16 @@ impl TimeSeriesDb {
     }
 
     /// Opens a durable database rooted at `dir`: creates the directory if
-    /// missing, recovers symbols, series and samples from the per-shard
-    /// write-ahead logs (salvaging corrupt tails, isolating unreadable
+    /// missing, recovers symbols, series and samples from the snapshots and
+    /// the write-ahead log (salvaging a corrupt tail, isolating unreadable
     /// shards — see the [`crate::wal`] module docs), and arms the WAL so
     /// every subsequent mutation is staged for the next
     /// [`TimeSeriesDb::wal_flush`].
     ///
-    /// Only I/O errors creating the directory surface as `Err`; *corruption*
-    /// never does.  A damaged shard log comes up empty and is counted in
+    /// I/O errors on the directory surface as `Err`, as does a directory in
+    /// the per-shard layout of earlier versions
+    /// ([`io::ErrorKind::InvalidData`]); *corruption* never does.  A shard
+    /// whose snapshot is damaged comes up empty and is counted in
     /// [`StorageStats::wal_failed_shards`], leaving the other shards intact.
     pub fn open_with(
         dir: &Path,
@@ -729,14 +967,14 @@ impl TimeSeriesDb {
         options: DurabilityOptions,
     ) -> io::Result<Self> {
         let watch = Stopwatch::start();
-        let (wal, recovery) = Wal::open(dir, &options)?;
-        let db = Self { config, shared: Arc::new(DbShared::with_wal(wal)) };
-        db.replay(recovery);
+        let mut shared = DbShared::default();
+        let mut recovery = Recovery::new(&config, &shared.symbols);
+        let wal = Wal::open(dir, &options, &mut |item| recovery.apply(item))?;
+        recovery.finish(&shared, &wal);
         probes::WAL_RECOVERY_SECONDS.set(watch.elapsed_ns() as f64 / 1e9);
-        if let Some(wal) = &db.shared.wal {
-            probes::WAL_FAILED_SHARDS.set(wal.failed_shard_count() as f64);
-        }
-        Ok(db)
+        probes::WAL_FAILED_SHARDS.set(wal.failed_shard_count() as f64);
+        shared.wal = Some(wal);
+        Ok(Self { config, shared: Arc::new(shared) })
     }
 
     /// `true` when this database writes a WAL (opened via
@@ -745,281 +983,57 @@ impl TimeSeriesDb {
         self.shared.wal.is_some()
     }
 
-    /// Flushes the staged WAL round: symbol delta, one sequential write +
-    /// fsync per dirty shard, then the commit marker.  Volatile databases
-    /// return `true` immediately.  Returns `false` once any log has hit a
-    /// write or fsync error (sticky; the failed shards are also surfaced in
+    /// Commits everything staged since the last flush: one group, one
+    /// checksum, one sequential write (plus one fsync under
+    /// [`wal::FsyncMode::EveryCommit`]).  Volatile databases return `true`
+    /// immediately.  Returns `false` once the log has hit a write or fsync
+    /// error or a shard came up unrecoverable (sticky; also surfaced in
     /// [`StorageStats::wal_failed_shards`]).
     ///
-    /// Called once per scrape round by the scrape driver; crash-exactness is
-    /// defined for that single-flusher discipline.  After a commit, shards
-    /// whose log outgrew the segment budget are rotated: sealed state is
-    /// snapshotted (Gorilla blocks re-used verbatim) and the log truncated.
+    /// Called once per scrape round by the scrape driver.  After a commit,
+    /// every shard that has logged more than the segment budget since its
+    /// last snapshot is checkpointed — its state snapshotted, Gorilla blocks
+    /// re-used verbatim — and log segments no stream needs are deleted.
     pub fn wal_flush(&self) -> bool {
         let Some(wal) = &self.shared.wal else {
             return true;
         };
-        let stats = wal.flush(&self.shared.symbols);
-        if let Some(committed) = stats.committed {
-            self.rotate_wal(wal, committed);
-            let swept = wal.maybe_rotate_meta(&self.shared.symbols, committed);
-            if swept > 0 {
-                probes::SYMBOLS_SWEPT.add(swept as u64);
-            }
-        }
+        let clean = wal.flush(&self.shared.symbols, &|shard, base_seq| {
+            self.snapshot_shard(wal, shard, base_seq)
+        });
         probes::WAL_FAILED_SHARDS.set(wal.failed_shard_count() as f64);
-        stats.clean
+        clean
     }
 
-    /// Rotates any shard log past its segment budget: snapshot the shard's
-    /// state as of round `committed`, install it atomically, truncate the
-    /// log.  Rotation errors are swallowed — the oversized log keeps working
-    /// and rotation is retried after the next commit.
-    fn rotate_wal(&self, wal: &Wal, committed: u64) {
-        for index in 0..SHARD_COUNT {
-            // Lock order: `tsdb.shard` (read) strictly before
-            // `tsdb.wal.shard` — the same order as the append paths.  Taking
-            // the shard lock *first* also closes the race where an append
-            // stages new records between the rotation check and the
-            // snapshot: `wants_rotation` only fires on an empty staging
-            // buffer, and with the shard lock held nothing can stage.
-            let inner = self.shared.shard(index).read();
-            if !wal.wants_rotation(index) {
-                continue;
-            }
-            // Rotation is a cold path: encoding the snapshot allocates.
-            #[cfg(lock_audit)]
-            let _allow = parking_lot::audit::allow_alloc();
-            let refs: Vec<wal::SnapSeriesRef<'_>> = inner
-                .series
-                .iter()
-                .map(|series| wal::SnapSeriesRef {
-                    id: series.id.0,
-                    name_sym: series.name_sym,
-                    label_syms: &series.label_syms,
-                    ever_appended: series.ever_appended,
-                    head: &series.head,
-                    sealed: &series.sealed,
-                })
-                .collect();
-            let snapshot =
-                wal::encode_shard_snapshot(committed, inner.generation, inner.rejected, &refs);
-            // An install error leaves the old log in place; retried later.
-            let _ = wal.install_shard_snapshot(index, &snapshot);
+    /// The storage half of a shard checkpoint: `shard`'s state encoded as a
+    /// snapshot of round `base_seq`, or `None` when records are staged that
+    /// the log does not hold yet (the checkpoint is retried next round).
+    fn snapshot_shard(&self, wal: &Wal, shard: usize, base_seq: u64) -> Option<Vec<u8>> {
+        // Lock order: `tsdb.shard` (read) strictly before `tsdb.wal.shard`
+        // — the same order as the append paths.  With the shard lock held
+        // nothing can stage, and the flusher calling this holds the log
+        // lock, so an idle stage means the state below is exactly the log
+        // through `base_seq`.
+        let inner = self.shared.shard(shard).read();
+        if !wal.stage_idle(shard) {
+            return None;
         }
-    }
-
-    /// Rebuilds in-memory state from what [`Wal::open`] recovered.  A shard
-    /// whose recovered records fail validation (symbol ids or local indices
-    /// out of range — possible only through corruption that still passed the
-    /// CRC) comes up empty and flagged, never panics.
-    fn replay(&self, recovery: wal::Recovery) {
-        {
-            // Bindings install in file order, last-wins per slot: the
-            // overlap left by an interrupted meta rotation and the rebind
-            // of a swept-and-reused slot both resolve to the state the
-            // live table ended in.
-            let mut symbols = self.shared.symbols.write();
-            for (raw, s) in &recovery.bindings {
-                symbols.install_binding(*raw, s);
-            }
-            symbols.set_epoch(recovery.epoch);
-        }
-        let mut max_id: Option<u64> = None;
-        for (index, shard) in recovery.shards.into_iter().enumerate() {
-            match shard {
-                wal::ShardRecovery::Empty => {}
-                wal::ShardRecovery::Failed => {}
-                wal::ShardRecovery::Loaded(load) => {
-                    if !self.replay_shard(index, load, recovery.committed, &mut max_id) {
-                        // Validation failed mid-replay: drop the partial
-                        // state, bring the shard up empty and flagged.
-                        probes::WAL_SALVAGE.inc();
-                        if let Some(wal) = &self.shared.wal {
-                            wal.mark_shard_failed(index);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(max) = max_id {
-            self.shared.next_id.store(max + 1, Ordering::Relaxed);
-        }
-        // Rebuild symbol refcounts wholesale: one reference per use by a
-        // surviving series.  (Releases during replayed drops/retention were
-        // no-ops against all-zero counts, so this is the single source of
-        // truth.)  Lock order per shard: `tsdb.shard` first, `tsdb.symbols`
-        // inside, same as the creation path.
-        for index in 0..SHARD_COUNT {
-            let inner = self.shared.shard(index).read();
-            let mut symbols = self.shared.symbols.write();
-            for series in &inner.series {
-                symbols.acquire(series.name_sym);
-                for &(k, v) in series.label_syms.iter() {
-                    symbols.acquire(k);
-                    symbols.acquire(v);
-                }
-            }
-        }
-        // Recovered bindings nothing references (their series were dropped
-        // before the crash, or they were written ahead of a round that
-        // never committed) enter the cooling queue instead of leaking.
-        self.shared.symbols.write().finish_recovery();
-    }
-
-    /// Replays one shard: restore the snapshot (sealed Gorilla blocks
-    /// verbatim), then re-apply the logged ops through the *same* code paths
-    /// live ingest uses (`MemSeries::append`, `record_append`,
-    /// `remove_locals`, `retention_pass`), so acceptance decisions and
-    /// aggregates reproduce exactly.  Returns `false` when validation fails;
-    /// the shard is then left empty.
-    ///
-    /// A record referencing a symbol with no recovered binding does not
-    /// fail the shard outright: the GC sweep legitimately removes a
-    /// symbol's binding once every series using it is dropped, and the
-    /// dropping record may be later in this very log.  The unresolvable id
-    /// gets a unique placeholder binding and the series is marked *doomed*;
-    /// only a doomed series that survives to the end of replay — which the
-    /// cooling discipline makes impossible without corruption or a
-    /// power-loss-torn drop record — fails the shard.
-    fn replay_shard(
-        &self,
-        index: usize,
-        load: wal::ShardLoad,
-        committed: u64,
-        max_id: &mut Option<u64>,
-    ) -> bool {
-        let chunk_size = self.config.chunk_size.max(1);
-        let raw_chunks = self.config.raw_chunks;
-        let mut inner = ShardInner::default();
-        let mut base_seq = 0u64;
-        let mut doomed: HashSet<u64> = HashSet::new();
-        if let Some(snapshot) = load.snapshot {
-            base_seq = snapshot.base_seq;
-            inner.generation = snapshot.generation;
-            inner.rejected = snapshot.rejected;
-            let mut symbols = self.shared.symbols.write();
-            for series in snapshot.series {
-                let mut holed = false;
-                let name = resolve_or_hole(&mut symbols, series.name_sym, &mut holed);
-                let mut labels = Vec::with_capacity(series.label_syms.len());
-                for &(k, v) in &series.label_syms {
-                    labels.push((
-                        resolve_or_hole(&mut symbols, k, &mut holed),
-                        resolve_or_hole(&mut symbols, v, &mut holed),
-                    ));
-                }
-                if holed {
-                    doomed.insert(series.id);
-                }
-                *max_id = Some(max_id.map_or(series.id, |m| m.max(series.id)));
-                let mut head = Vec::with_capacity(chunk_size.max(series.head.len()));
-                head.extend_from_slice(&series.head);
-                inner.series.push(MemSeries {
-                    id: SeriesId(series.id),
-                    name,
-                    name_sym: series.name_sym,
-                    labels: labels.into(),
-                    label_syms: series.label_syms.into_boxed_slice(),
-                    sealed: series.sealed.into_iter().map(Arc::new).collect(),
-                    head,
-                    ever_appended: series.ever_appended,
-                });
-            }
-            drop(symbols);
-            inner.reindex();
-            inner.samples = inner.series.iter().map(MemSeries::sample_count).sum();
-            inner.chunks = inner.series.iter().map(MemSeries::chunk_total).sum();
-            inner.bytes = inner.series.iter().map(MemSeries::resident_bytes).sum();
-            inner.refresh_time_bounds();
-        }
-        let mut round = 0u64;
-        for op in load.ops {
-            if let wal::ShardOp::Round(seq) = op {
-                round = seq;
-                continue;
-            }
-            if round <= base_seq {
-                // Already folded into the snapshot this log rotated from.
-                continue;
-            }
-            if round > committed {
-                // Tail of a round that never committed — it was never acked.
-                probes::WAL_RECORDS_DROPPED.inc();
-                continue;
-            }
-            probes::WAL_RECORDS_REPLAYED.inc();
-            match op {
-                wal::ShardOp::Round(_) => {}
-                wal::ShardOp::Series { id, name_sym, label_syms } => {
-                    let mut symbols = self.shared.symbols.write();
-                    let mut holed = false;
-                    let name = resolve_or_hole(&mut symbols, name_sym, &mut holed);
-                    let mut labels = Vec::with_capacity(label_syms.len());
-                    for &(k, v) in &label_syms {
-                        labels.push((
-                            resolve_or_hole(&mut symbols, k, &mut holed),
-                            resolve_or_hole(&mut symbols, v, &mut holed),
-                        ));
-                    }
-                    drop(symbols);
-                    if holed {
-                        doomed.insert(id);
-                    }
-                    *max_id = Some(max_id.map_or(id, |m| m.max(id)));
-                    let Ok(local) = u32::try_from(inner.series.len()) else {
-                        return false;
-                    };
-                    let hash =
-                        series_key_hash_pairs(&name, labels.iter().map(|(k, v)| (&**k, &**v)));
-                    inner.postings.register(local, name_sym, &label_syms);
-                    inner.key_index.entry(hash).or_default().push(local);
-                    inner.series.push(MemSeries {
-                        id: SeriesId(id),
-                        name,
-                        name_sym,
-                        labels: labels.into(),
-                        label_syms: label_syms.into_boxed_slice(),
-                        sealed: Vec::new(),
-                        head: Vec::with_capacity(chunk_size),
-                        ever_appended: false,
-                    });
-                }
-                wal::ShardOp::Sample { local, timestamp_ms, value } => {
-                    if (local as usize) >= inner.series.len() {
-                        return false;
-                    }
-                    let result = inner.series_at_mut(local).append(
-                        Sample { timestamp_ms, value },
-                        chunk_size,
-                        raw_chunks,
-                    );
-                    inner.record_append(result, timestamp_ms, chunk_size);
-                }
-                wal::ShardOp::Drop { victims } => {
-                    // Out-of-range victims cannot match any local index and
-                    // fall through `remove_locals` harmlessly.
-                    inner.remove_locals(&victims, &self.shared.symbols);
-                }
-                wal::ShardOp::Retention { cutoff_ms } => {
-                    inner.retention_pass(cutoff_ms, &self.shared.symbols);
-                }
-            }
-        }
-        // A doomed series still standing means a record referenced a symbol
-        // binding that is durably gone while the series itself survived —
-        // its key cannot be reconstructed, so the shard comes up empty and
-        // flagged rather than serving a fabricated key.
-        if !doomed.is_empty() && inner.series.iter().any(|series| doomed.contains(&series.id.0)) {
-            return false;
-        }
-        let mut slot = self.shared.shard(index).write();
-        // Replay is startup-only; swapping in the rebuilt shard allocates
-        // nothing but dropping the placeholder is outside the hot path.
+        // A checkpoint is a cold path: encoding the snapshot allocates.
         #[cfg(lock_audit)]
         let _allow = parking_lot::audit::allow_alloc();
-        *slot = inner;
-        true
+        let refs: Vec<wal::SnapSeriesRef<'_>> = inner
+            .series
+            .iter()
+            .map(|series| wal::SnapSeriesRef {
+                id: series.id.0,
+                name_sym: series.name_sym,
+                label_syms: &series.label_syms,
+                ever_appended: series.ever_appended,
+                head: &series.head,
+                sealed: &series.sealed,
+            })
+            .collect();
+        Some(wal::encode_shard_snapshot(base_seq, inner.generation, inner.rejected, &refs))
     }
 
     /// Appends one sample to the series identified by `name` + `labels`,
@@ -1039,10 +1053,8 @@ impl TimeSeriesDb {
             Some(local) => local,
             None => self.create_series(&mut inner, shard, key_hash, name, labels),
         };
-        if let Some(wal) = &self.shared.wal {
-            if let Some(mut writer) = wal.shard_writer(shard) {
-                writer.sample(local, timestamp_ms, value);
-            }
+        if let Some(mut writer) = self.shared.stage(shard) {
+            writer.sample(local, timestamp_ms, value);
         }
         let chunk_size = self.config.chunk_size.max(1);
         let raw_chunks = self.config.raw_chunks;
@@ -1119,10 +1131,8 @@ impl TimeSeriesDb {
         if handle.generation != inner.generation || (handle.local as usize) >= inner.series.len() {
             return HandleAppend::Stale;
         }
-        if let Some(wal) = &self.shared.wal {
-            if let Some(mut writer) = wal.shard_writer(handle.shard as usize) {
-                writer.sample(handle.local, timestamp_ms, value);
-            }
+        if let Some(mut writer) = self.shared.stage(handle.shard as usize) {
+            writer.sample(handle.local, timestamp_ms, value);
         }
         let result = inner.series_at_mut(handle.local).append(
             Sample { timestamp_ms, value },
@@ -1162,15 +1172,13 @@ impl TimeSeriesDb {
         // samples were all consumed earlier are skipped without locking.
         let mut remaining = batch.len();
         let mut appended_per_shard = [0u64; SHARD_COUNT];
-        let wal = self.shared.wal.as_ref();
         for shard in 0..SHARD_COUNT as u16 {
             if remaining == 0 {
                 break;
             }
             let mut inner: Option<RwLockWriteGuard<'_, ShardInner>> = None;
             // The WAL writer is taken lazily alongside the shard guard, so a
-            // shard with no live samples this round stages nothing and an
-            // idle round writes no bytes.
+            // shard with no samples this round locks nothing.
             let mut writer: Option<wal::ShardWriter<'_>> = None;
             let mut appended_here = 0u64;
             for (index, &(handle, timestamp_ms, value)) in batch.iter().enumerate() {
@@ -1178,7 +1186,14 @@ impl TimeSeriesDb {
                     continue;
                 }
                 remaining -= 1;
-                let inner = inner.get_or_insert_with(|| self.shared.shard(shard as usize).write());
+                let inner = match &mut inner {
+                    Some(inner) => inner,
+                    None => {
+                        let guard = inner.insert(self.shared.shard(shard as usize).write());
+                        writer = self.shared.stage(shard as usize);
+                        guard
+                    }
+                };
                 if handle.generation != inner.generation
                     || (handle.local as usize) >= inner.series.len()
                 {
@@ -1189,13 +1204,8 @@ impl TimeSeriesDb {
                     outcome.stale.push(index);
                     continue;
                 }
-                if let Some(wal) = wal {
-                    if writer.is_none() {
-                        writer = wal.shard_writer(shard as usize);
-                    }
-                    if let Some(writer) = writer.as_mut() {
-                        writer.sample(handle.local, timestamp_ms, value);
-                    }
+                if let Some(writer) = writer.as_mut() {
+                    writer.sample(handle.local, timestamp_ms, value);
                 }
                 let result = inner.series_at_mut(handle.local).append(
                     Sample { timestamp_ms, value },
@@ -1237,10 +1247,10 @@ impl TimeSeriesDb {
     ///
     /// Dropping series also releases their interned symbols (name, label
     /// keys/values).  A symbol whose refcount reaches zero is parked in a
-    /// cooling queue and reclaimed at the next meta-log rotation once two
-    /// durable commits have passed — so an all-time-unique label value gives
-    /// its string memory back instead of leaking it (see the lifecycle notes
-    /// on `crate::symbols::SymbolTable`).
+    /// cooling queue and reclaimed at the symbol table's next checkpoint
+    /// once two durable commits have passed — so an all-time-unique label
+    /// value gives its string memory back instead of leaking it (see the
+    /// lifecycle notes on `crate::symbols::SymbolTable`).
     pub fn drop_series(&self, selector: &Selector) -> usize {
         let plan = self.plan(selector);
         if matches!(plan, SelectorPlan::Nothing) {
@@ -1259,10 +1269,8 @@ impl TimeSeriesDb {
             }
             // Stage the removal before mutating, in the same order replay
             // will apply it (`matches` returns ascending local indices).
-            if let Some(wal) = &self.shared.wal {
-                if let Some(mut writer) = wal.shard_writer(index) {
-                    writer.drop_locals(&victims);
-                }
+            if let Some(mut writer) = self.shared.stage(index) {
+                writer.drop_locals(&victims);
             }
             dropped += inner.remove_locals(&victims, &self.shared.symbols);
         }
@@ -1299,16 +1307,10 @@ impl TimeSeriesDb {
         drop(symbols);
 
         let id = SeriesId(self.shared.next_id.fetch_add(1, Ordering::Relaxed));
-        if let Some(wal) = &self.shared.wal {
-            if let Some(mut writer) = wal.shard_writer(shard) {
-                writer.series(id.0, name_sym, &label_syms);
-            }
+        if let Some(mut writer) = self.shared.stage(shard) {
+            writer.series(id.0, name_sym, &label_syms);
         }
-        // teemon-verify: allow(no-unwrap): invariant — u32 handles cap a shard at 2^32 series, unreachable in memory
-        let local = u32::try_from(inner.series.len()).expect("fewer than 2^32 series per shard");
-        inner.postings.register(local, name_sym, &label_syms);
-        inner.key_index.entry(key_hash).or_default().push(local);
-        inner.series.push(MemSeries {
+        let series = MemSeries {
             id,
             name: name_arc,
             name_sym,
@@ -1317,8 +1319,8 @@ impl TimeSeriesDb {
             sealed: Vec::new(),
             head: Vec::with_capacity(self.config.chunk_size.max(1)),
             ever_appended: false,
-        });
-        local
+        };
+        inner.push_series(key_hash, series)
     }
 
     /// Number of live series, folded from the shards in O(shards).  (Evicted
@@ -1459,10 +1461,8 @@ impl TimeSeriesDb {
             #[cfg(lock_audit)]
             let _allow = parking_lot::audit::allow_alloc();
             // Stage the cutoff so replay re-runs the identical sweep.
-            if let Some(wal) = &self.shared.wal {
-                if let Some(mut writer) = wal.shard_writer(index) {
-                    writer.retention(cutoff);
-                }
+            if let Some(mut writer) = self.shared.stage(index) {
+                writer.retention(cutoff);
             }
             dropped_total += inner.retention_pass(cutoff, &self.shared.symbols) as usize;
         }

@@ -18,14 +18,14 @@
 //! A binding whose refcount reaches zero is not freed immediately — it joins
 //! a cooling queue and becomes reclaimable only after **two** durable WAL
 //! commits have passed ([`SymbolTable::commit_durable`]).  That cooling window
-//! guarantees the shard-log record that performed the release is itself
+//! guarantees the log record that performed the release is itself
 //! durable before the slot can be freed, so replay can never observe a reused
 //! id without also observing the drop that made the reuse legal.
 //!
-//! [`SymbolTable::sweep`] (called at meta-log rotation, so segment snapshots
-//! stay self-consistent) frees matured zero-ref slots: the string is dropped,
-//! the slot joins a free list, the slot's generation is bumped (mirroring the
-//! `SeriesHandle` generation discipline) and the table-wide epoch advances.
+//! [`SymbolTable::sweep`] (called at the symbol table's WAL checkpoint, so
+//! its snapshot is always self-consistent) frees matured zero-ref slots: the
+//! string is dropped, the slot joins a free list and the slot's generation is
+//! bumped (mirroring the `SeriesHandle` generation discipline).
 //! The generation check means a stale cooling-queue entry — or any other
 //! holder of a pre-free id — can never free or resolve a slot that has since
 //! been rebound to a different string.
@@ -112,9 +112,6 @@ pub(crate) struct SymbolTable {
     /// Durable WAL commits observed, advanced by
     /// [`SymbolTable::commit_durable`].
     commits: u64,
-    /// Bumped once per sweep that frees at least one slot; recorded in the
-    /// meta-log snapshot at rotation.
-    epoch: u64,
     /// Estimated heap bytes held by live bindings, maintained incrementally.
     bytes: u64,
     /// Number of bound (live) slots.
@@ -230,8 +227,8 @@ impl SymbolTable {
 
     /// Frees every cooled zero-ref binding, returning how many were freed.
     ///
-    /// Called at meta-log rotation (after a durable commit), so freed slots
-    /// never disappear out from under an unflushed segment snapshot.  A slot
+    /// Called at the symbol table's checkpoint (after a durable commit), so
+    /// freed slots never disappear out from under an unflushed snapshot.  A slot
     /// is freed only if its cooling entry matured ([`COOLING_COMMITS`] durable
     /// commits), its generation still matches (it was not already freed and
     /// rebound) and its refcount is still zero (it was not resurrected by a
@@ -257,16 +254,13 @@ impl SymbolTable {
             self.free.push(entry.slot);
             freed += 1;
         }
-        if freed > 0 {
-            self.epoch = self.epoch.saturating_add(1);
-        }
         freed
     }
 
     /// Drains the bindings recorded since the last capture, as
     /// `(raw id, string)` pairs for the WAL symbol delta.  The caller writes
-    /// them before the commit record of the round that references them; on a
-    /// failed meta write the loss is moot — meta failure is sticky.
+    /// them in the group of the round that references them; on a failed
+    /// write the loss is moot — log failure is sticky.
     pub(crate) fn take_dirty_bindings(&mut self) -> Vec<(u32, Arc<str>)> {
         let dirty = std::mem::take(&mut self.dirty);
         dirty
@@ -278,9 +272,9 @@ impl SymbolTable {
             .collect()
     }
 
-    /// Every live binding, for the sparse meta-log rotation snapshot.
-    /// Rotation clears the dirty list afterwards (the snapshot subsumes it)
-    /// via [`SymbolTable::clear_dirty`].
+    /// Every live binding, for the checkpoint's snapshot, which clears the
+    /// dirty list afterwards (the snapshot subsumes it) via
+    /// [`SymbolTable::clear_dirty`].
     pub(crate) fn live_bindings(&self) -> Vec<(u32, Arc<str>)> {
         self.slots
             .iter()
@@ -292,17 +286,15 @@ impl SymbolTable {
             .collect()
     }
 
-    /// Forgets pending deltas after a rotation snapshot captured every live
-    /// binding.
+    /// Forgets pending deltas after a snapshot captured every live binding.
     pub(crate) fn clear_dirty(&mut self) {
         self.dirty.clear();
     }
 
     /// Installs a recovered binding at an exact slot, growing the table as
-    /// needed.  Later installs for the same slot win (WAL file order), which
-    /// makes the snapshot/delta overlap of an interrupted rotation
-    /// idempotent.  Recovered bindings are durable by definition, so they are
-    /// *not* marked dirty.
+    /// needed.  Later installs for the same slot win (WAL order): a slot
+    /// swept and reused is legitimately rebound.  Recovered bindings are
+    /// durable by definition, so they are *not* marked dirty.
     pub(crate) fn install_binding(&mut self, raw: u32, s: &str) {
         let idx = raw as usize;
         if self.slots.len() <= idx {
@@ -324,24 +316,23 @@ impl SymbolTable {
         self.ids.insert(string, raw);
     }
 
-    /// Restores the sweep epoch recorded in a meta-log snapshot.
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = self.epoch.max(epoch);
-    }
-
     /// Finishes recovery: unoccupied slots join the free list and recovered
     /// bindings that ended replay unreferenced (their series were dropped
     /// before the crash) enter the cooling queue so a later sweep reclaims
-    /// them instead of leaking across restarts.
+    /// them instead of leaking across restarts.  They enter it already
+    /// cooled: everything recovery saw is on disk, so no release is still
+    /// waiting to become durable, and the first checkpoint after a restart
+    /// can reclaim them instead of spending a whole cycle re-cooling.
     ///
     /// Unreferenced bindings carrying the [`REPLAY_HOLE_MARKER`] are freed
     /// outright instead of cooled: they are placeholders replay installed so
     /// a series record referencing a legitimately swept symbol could be
     /// materialised and then dropped — no acked state ever held them, and
-    /// cooling one would let it leak into the next rotation snapshot.
+    /// cooling one would let it leak into the next snapshot.
     pub(crate) fn finish_recovery(&mut self) {
         self.free.clear();
         self.cooling.clear();
+        self.commits = COOLING_COMMITS;
         for idx in 0..self.slots.len() {
             let Some(slot) = self.slots.get_mut(idx) else { break };
             let idx = idx as u32;
@@ -361,7 +352,7 @@ impl SymbolTable {
                 self.free.push(idx);
             } else {
                 self.cooling.push_back(Cooling {
-                    since_commit: self.commits,
+                    since_commit: 0,
                     slot: idx,
                     generation: slot.generation,
                 });
@@ -377,11 +368,6 @@ impl SymbolTable {
     /// Estimated heap bytes held by live bindings.
     pub(crate) fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Sweep epoch: how many rotations have freed at least one symbol.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
     }
 }
 
@@ -427,7 +413,6 @@ mod tests {
         assert_eq!(table.sweep(), 1);
         assert_eq!(table.resolve(id), None);
         assert_eq!(table.len(), 0);
-        assert_eq!(table.epoch(), 1);
     }
 
     #[test]

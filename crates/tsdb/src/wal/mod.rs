@@ -1,0 +1,1676 @@
+//! Write-ahead log: durability for [`crate::TimeSeriesDb`].
+//!
+//! The ingest fast lane already batches appends per shard per scrape round,
+//! which is exactly the boundary a sequential log wants.  Every mutation of a
+//! shard (series creation, every sample append — including rejected ones,
+//! series drops, retention passes) is staged into that shard's reusable
+//! in-memory buffer while the shard lock is held, and once per round the
+//! scrape driver calls [`crate::TimeSeriesDb::wal_flush`], which drains the
+//! sixteen staging buffers into **one group**, seals it with **one
+//! checksum** and hands it to the log with **one sequential write** — plus
+//! one fsync under [`FsyncMode::EveryCommit`].  Staging buffers and group
+//! buffer are retained round over round, so the warm durable path is
+//! allocation-free.
+//!
+//! # On-disk layout
+//!
+//! | file                   | contents                                        |
+//! |------------------------|-------------------------------------------------|
+//! | `segment-NNNNNNNN.log` | the log: one group per committed round          |
+//! | `shard-NN.snap`        | shard `NN`'s state as of round `base_seq`       |
+//! | `symbols.snap`         | every live symbol binding as of round `base_seq`|
+//!
+//! Every record in every file uses the same frame, and a log group's payload
+//! is the round's sequence number followed by at most one section per
+//! *stream* — the sixteen shards and the symbol table:
+//!
+//! ```text
+//! frame   = len: u32, xxh64(payload): u64, payload        (little-endian)
+//! payload = seq: u64, section*
+//! section = stream: u8 (shard 0..15, 16 = symbol binds), len: u32, body
+//! shard body   = records, type byte first: SERIES, SAMPLES, DROP, RETENTION
+//! symbols body = (slot: u32, len: u32, utf-8 string)*
+//! ```
+//!
+//! Commit *is* the frame boundary: a group that verifies is a round that was
+//! written whole, and nothing else confirms it.  Recovery therefore has one
+//! rule — read the segments in order and apply a group's section to stream
+//! `k` iff `seq > base_seq_k`, the round stream `k`'s snapshot was taken at
+//! (`0` without a snapshot).
+//!
+//! # Checkpoints
+//!
+//! Each stream is checkpointed on its own: a shard is snapshotted when *its*
+//! logged bytes since its last snapshot pass `segment_bytes`, the symbol
+//! table is swept and snapshotted when the symbol stream's do.  The active
+//! segment is sealed once it passes `segment_bytes`, and a sealed segment is
+//! deleted as soon as no stream has an un-checkpointed section in it.  A
+//! stream that logs too slowly to ever reach its budget is checkpointed
+//! anyway once its oldest un-checkpointed section sits 32 segments (twice
+//! the shard count) behind the active one, so it cannot pin the log forever.
+//!
+//! # Salvage and isolation
+//!
+//! Recovery scans the segments until the first frame whose length, checksum
+//! or payload does not verify, cuts that segment back to the last valid
+//! group and deletes every later segment, counting what was dropped through
+//! `teemon_obs` probes (`teemon_wal_salvage_total`,
+//! `teemon_wal_salvaged_bytes_total`).  A shard whose *snapshot* is
+//! unreadable cannot be reconstructed at all: it comes up empty and flagged
+//! in [`crate::StorageStats::wal_failed_shards`], without affecting the other
+//! shards; an unreadable symbols snapshot fails the whole log (symbols are
+//! global).  A runtime write or fsync error also fails the log as a whole —
+//! there is only one — and the database keeps serving from memory.
+//!
+//! # Locking
+//!
+//! * `"tsdb.wal.shard"` (one instance per shard) guards a shard's staging
+//!   buffer.  Acquired *after* the corresponding `tsdb.shard` lock on the
+//!   staging path, and after `tsdb.wal.log` when a flush drains it.
+//! * `"tsdb.wal.log"` guards the segment file, the group buffer and the
+//!   checkpoint bookkeeping, and is held across a whole flush — commit *and*
+//!   checkpoints — so a snapshot taken at round `seq` can never contain the
+//!   effects of a later group.  `tsdb.symbols`, `tsdb.wal.shard` and — for a
+//!   shard checkpoint — `tsdb.shard` (read) are taken inside it.
+//!
+//! The resulting order — `tsdb.wal.log → tsdb.shard → {tsdb.symbols,
+//! tsdb.wal.shard}` — is acyclic: nothing that holds a shard lock ever takes
+//! the log lock.  The WAL classes are deliberately not marked `no_alloc`:
+//! cold-path buffer growth (and the in-memory [`FaultFs`] used by tests)
+//! allocates under them, and the allocation-freedom of the *warm* durable
+//! round is proven directly by the counting-allocator test instead.
+
+use std::fmt;
+use std::fs;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use parking_lot::{LockClass, Mutex, MutexGuard, RwLock};
+use teemon_obs::{probes, Stopwatch};
+
+use crate::chunk_codec;
+use crate::series::{Chunk, ChunkData, Sample};
+use crate::storage::SHARD_COUNT;
+use crate::symbols::{SymbolId, SymbolTable};
+
+mod fault;
+
+pub use fault::{CrashModel, FailpointWriter, FaultFs};
+
+// ---------------------------------------------------------------------------
+// XXH64 and record framing
+// ---------------------------------------------------------------------------
+
+const PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+#[inline(always)]
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(PRIME_2)).rotate_left(31).wrapping_mul(PRIME_1)
+}
+
+#[inline(always)]
+fn xxh_merge(hash: u64, acc: u64) -> u64 {
+    (hash ^ xxh_round(0, acc)).wrapping_mul(PRIME_1).wrapping_add(PRIME_4)
+}
+
+/// XXH64 (seed 0) of `bytes`: the one checksum of the durability tier, over
+/// log groups and snapshot frames alike.  Four independent 64-bit lanes
+/// retire 32 input bytes per step, so a 12 KB round group costs about a
+/// microsecond.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut hash = if bytes.len() >= 32 {
+        let mut v1 = PRIME_1.wrapping_add(PRIME_2);
+        let mut v2 = PRIME_2;
+        let mut v3 = 0u64;
+        let mut v4 = 0u64.wrapping_sub(PRIME_1);
+        for stripe in &mut stripes {
+            let Some((a, rest)) = stripe.split_first_chunk::<8>() else { break };
+            let Some((b, rest)) = rest.split_first_chunk::<8>() else { break };
+            let Some((c, rest)) = rest.split_first_chunk::<8>() else { break };
+            let Some((d, _)) = rest.split_first_chunk::<8>() else { break };
+            v1 = xxh_round(v1, u64::from_le_bytes(*a));
+            v2 = xxh_round(v2, u64::from_le_bytes(*b));
+            v3 = xxh_round(v3, u64::from_le_bytes(*c));
+            v4 = xxh_round(v4, u64::from_le_bytes(*d));
+        }
+        let hash = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        xxh_merge(xxh_merge(xxh_merge(xxh_merge(hash, v1), v2), v3), v4)
+    } else {
+        PRIME_5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+    let mut tail = stripes.remainder();
+    while let Some((word, rest)) = tail.split_first_chunk::<8>() {
+        hash = (hash ^ xxh_round(0, u64::from_le_bytes(*word)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME_1)
+            .wrapping_add(PRIME_4);
+        tail = rest;
+    }
+    if let Some((word, rest)) = tail.split_first_chunk::<4>() {
+        hash = (hash ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(PRIME_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME_2)
+            .wrapping_add(PRIME_3);
+        tail = rest;
+    }
+    for &byte in tail {
+        hash = (hash ^ u64::from(byte).wrapping_mul(PRIME_5)).rotate_left(11).wrapping_mul(PRIME_1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(PRIME_2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(PRIME_3);
+    hash ^ (hash >> 32)
+}
+
+/// Frame header size: `len: u32` + `xxh64: u64`.
+const FRAME_BYTES: usize = 12;
+/// Upper bound a frame length must pass before it is believed (256 MiB).
+const MAX_RECORD_LEN: usize = 1 << 28;
+/// Upper bound for element counts inside payloads (defends against garbage
+/// lengths in checksum-colliding corruption).
+const MAX_COUNT: u32 = 1 << 24;
+
+/// Streams a log group can carry a section for: one per shard, then the
+/// symbol table.  A stream is also the unit of checkpointing.
+const STREAMS: usize = SHARD_COUNT + 1;
+/// Stream index (and section tag) of the symbol binds.
+const SYMBOLS: usize = SHARD_COUNT;
+/// Bytes every group spends before its first section: frame header + `seq`.
+const GROUP_HEADER_BYTES: usize = FRAME_BYTES + 8;
+/// Bytes of a section header: stream tag + body length.
+const SECTION_HEADER_BYTES: usize = 5;
+/// A stream whose oldest un-checkpointed section sits this many segments
+/// behind the active one is checkpointed regardless of its byte budget.
+/// Twice the shard count: evenly loaded shards reach their budget about
+/// sixteen segments in, so this only ever fires for a stream that lags.
+const MAX_SEGMENT_LAG: u64 = 2 * SHARD_COUNT as u64;
+
+// Shard records, inside a shard section:
+const REC_SERIES: u8 = 17;
+const REC_SAMPLES: u8 = 18;
+const REC_DROP: u8 = 19;
+const REC_RETENTION: u8 = 20;
+
+/// Bytes of one entry inside a `REC_SAMPLES` batch: `local: u32`,
+/// `value: f64`.  The batch header carries the shared `timestamp_ms` once —
+/// every sample of a scrape target's round lands at the same timestamp, so
+/// hoisting it saves 40% of the staged (and written, and checksummed) bytes;
+/// a sample at a different timestamp seals the batch and opens a new one.
+const SAMPLE_ENTRY_BYTES: usize = 12;
+/// Bytes of a `REC_SAMPLES` batch header: type, entry count, timestamp.
+const SAMPLE_HEADER_BYTES: usize = 13;
+// Snapshot frames, type byte first:
+const REC_SNAP_SYMBOLS: u8 = 3;
+const REC_SNAP_HEADER: u8 = 32;
+const REC_SNAP_SERIES: u8 = 33;
+const REC_SNAP_FOOTER: u8 = 34;
+
+/// Opens a frame in `buf`: reserves the header, returns its offset.
+fn begin_frame(buf: &mut Vec<u8>) -> usize {
+    let at = buf.len();
+    buf.extend_from_slice(&[0u8; FRAME_BYTES]);
+    at
+}
+
+/// Closes the frame opened at `at`: patches payload length and checksum in
+/// place.
+fn end_frame(buf: &mut [u8], at: usize) {
+    let payload_len = buf.len().saturating_sub(at + FRAME_BYTES) as u32;
+    let sum = xxh64(buf.get(at + FRAME_BYTES..).unwrap_or(&[]));
+    if let Some(header) = buf.get_mut(at..at + FRAME_BYTES) {
+        let (len_bytes, sum_bytes) = header.split_at_mut(4);
+        len_bytes.copy_from_slice(&payload_len.to_le_bytes());
+        sum_bytes.copy_from_slice(&sum.to_le_bytes());
+    }
+}
+
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A counted list of `(key, value)` symbol pairs.
+fn put_label_syms(buf: &mut Vec<u8>, label_syms: &[(SymbolId, SymbolId)]) {
+    put_u32(buf, label_syms.len() as u32);
+    for (k, v) in label_syms {
+        put_u32(buf, k.as_u32());
+        put_u32(buf, v.as_u32());
+    }
+}
+
+fn put_bindings(buf: &mut Vec<u8>, bindings: &[(u32, Arc<str>)]) {
+    for (raw, s) in bindings {
+        put_u32(buf, *raw);
+        put_u32(buf, s.len() as u32);
+        buf.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// Bounds-checked little-endian cursor over one frame's payload.
+struct Cur<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cur<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let slice = self.bytes.get(self.pos..end)?;
+        self.pos = end;
+        Some(slice)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.take(1).and_then(|b| b.first().copied())
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.take(4).and_then(|b| <[u8; 4]>::try_from(b).ok()).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.take(8).and_then(|b| <[u8; 8]>::try_from(b).ok()).map(u64::from_le_bytes)
+    }
+
+    /// An element count, bounded before anything is allocated for it.
+    fn count(&mut self) -> Option<usize> {
+        self.u32().filter(|&count| count <= MAX_COUNT).map(|count| count as usize)
+    }
+
+    /// One symbol binding, as [`put_bindings`] wrote it.
+    fn binding(&mut self) -> Option<(u32, &'a str)> {
+        let raw = self.u32()?;
+        let len = self.u32()? as usize;
+        Some((raw, std::str::from_utf8(self.take(len)?).ok()?))
+    }
+
+    /// A counted list of `(key, value)` symbol pairs.
+    fn label_syms(&mut self) -> Option<Vec<(SymbolId, SymbolId)>> {
+        let count = self.count()?;
+        let mut label_syms = Vec::with_capacity(count);
+        for _ in 0..count {
+            let k = SymbolId::from_u32(self.u32()?);
+            let v = SymbolId::from_u32(self.u32()?);
+            label_syms.push((k, v));
+        }
+        Some(label_syms)
+    }
+
+    fn done(&self) -> bool {
+        self.pos == self.bytes.len()
+    }
+}
+
+/// Walks the frames of a file image, yielding the payload of each valid
+/// frame and stopping at the first that fails to verify.  `valid_len` after
+/// iteration is the salvage point.
+struct FrameScanner<'a> {
+    bytes: &'a [u8],
+    valid_len: usize,
+}
+
+impl<'a> FrameScanner<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, valid_len: 0 }
+    }
+
+    /// The body of the next frame if its type byte is `kind` — the shape of
+    /// snapshot frames.
+    fn typed(&mut self, kind: u8) -> Option<&'a [u8]> {
+        self.next()?.split_first().filter(|(first, _)| **first == kind).map(|(_, body)| body)
+    }
+}
+
+impl<'a> Iterator for FrameScanner<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let mut cur = Cur::new(self.bytes.get(self.valid_len..)?);
+        let len = cur.u32()? as usize;
+        let sum = cur.u64()?;
+        let payload = cur.take(len).filter(|_| len <= MAX_RECORD_LEN)?;
+        if xxh64(payload) != sum {
+            return None;
+        }
+        self.valid_len += cur.pos;
+        Some(payload)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Filesystem abstraction
+// ---------------------------------------------------------------------------
+
+/// One open log file: sequential appends plus durability flushes.
+///
+/// Implemented by [`RealFs`] over `std::fs::File`, by the deterministic
+/// in-memory [`FaultFs`] the fault-injection suite uses, and by
+/// [`FailpointWriter`], which wraps any other implementation with injected
+/// failures.
+pub trait WalFile: Send {
+    /// Appends `bytes` at the end of the file.
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
+    /// Durably flushes all previous appends (fsync).
+    fn sync(&mut self) -> io::Result<()>;
+}
+
+/// The filesystem facade the WAL writes through, so tests can substitute a
+/// deterministic, fault-injecting implementation for real files.
+pub trait WalFs: Send + Sync {
+    /// Opens `path` for appending (creating it if absent); also returns the
+    /// file's current length.
+    fn open_append(&self, path: &Path) -> io::Result<(Box<dyn WalFile>, u64)>;
+    /// Reads the whole file; `Ok(None)` when it does not exist.
+    fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>>;
+    /// Atomically replaces `path` with `bytes` (tmp file + rename).
+    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// Creates `path` and any missing parents.
+    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
+    /// The files directly inside `dir`, in no particular order.
+    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>>;
+    /// Deletes `path`, durably; deleting a file that is already gone is not
+    /// an error.
+    fn remove(&self, path: &Path) -> io::Result<()>;
+}
+
+/// Production [`WalFs`]: real files, `sync_data` for fsync, atomic replace
+/// via tmp file + rename + best-effort parent directory sync.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct RealFs;
+
+struct RealFile {
+    file: fs::File,
+}
+
+impl WalFile for RealFile {
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.file.write_all(bytes)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.file.sync_data()
+    }
+}
+
+/// Best-effort fsync of `path`'s parent directory, making a rename or an
+/// unlink inside it durable.
+fn sync_parent(path: &Path) {
+    if let Some(dir) = path.parent().and_then(|parent| fs::File::open(parent).ok()) {
+        let _ = dir.sync_data();
+    }
+}
+
+impl WalFs for RealFs {
+    fn open_append(&self, path: &Path) -> io::Result<(Box<dyn WalFile>, u64)> {
+        let file = fs::OpenOptions::new().create(true).append(true).open(path)?;
+        let len = file.metadata()?.len();
+        Ok((Box::new(RealFile { file }), len))
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>> {
+        match fs::read(path) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let tmp = path.with_extension("tmp");
+        {
+            let mut file = fs::File::create(&tmp)?;
+            file.write_all(bytes)?;
+            file.sync_data()?;
+        }
+        fs::rename(&tmp, path)?;
+        sync_parent(path);
+        Ok(())
+    }
+
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        fs::create_dir_all(path)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        let mut paths = Vec::new();
+        for entry in fs::read_dir(dir)? {
+            let entry = entry?;
+            if entry.file_type()?.is_file() {
+                paths.push(entry.path());
+            }
+        }
+        Ok(paths)
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        match fs::remove_file(path) {
+            Ok(()) => sync_parent(path),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Options
+// ---------------------------------------------------------------------------
+
+/// When the write-ahead log calls fsync.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FsyncMode {
+    /// Fsync every commit: one write **and one fsync** per round.  Every
+    /// acked round survives even power loss.  The crash-exactness property
+    /// tests run in this mode — it is the mode in which "acked" equals
+    /// "synced".
+    EveryCommit,
+    /// Fsync only at checkpoints: before a snapshot is installed and when a
+    /// segment is sealed (the snapshot's atomic replace is always synced).
+    /// Round groups still hit the kernel with one `write` each, so they
+    /// survive a process crash at full fidelity — the page cache persists —
+    /// but power loss may lose the tail written since the last checkpoint.
+    /// This is the default, the same trade Prometheus' WAL makes.
+    #[default]
+    OnRotation,
+}
+
+/// Durability configuration for [`crate::TimeSeriesDb::open_with`].
+#[derive(Clone)]
+pub struct DurabilityOptions {
+    /// The checkpoint budget: a shard is snapshotted once it has logged this
+    /// many bytes since its last snapshot (likewise the symbol table), and
+    /// the active log segment is sealed once it exceeds it.
+    pub segment_bytes: u64,
+    /// Fsync policy; see [`FsyncMode`].
+    pub fsync: FsyncMode,
+    /// Filesystem implementation; tests substitute [`FaultFs`].
+    pub fs: Arc<dyn WalFs>,
+}
+
+impl Default for DurabilityOptions {
+    fn default() -> Self {
+        Self { segment_bytes: 4 << 20, fsync: FsyncMode::default(), fs: Arc::new(RealFs) }
+    }
+}
+
+impl fmt::Debug for DurabilityOptions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DurabilityOptions")
+            .field("segment_bytes", &self.segment_bytes)
+            .field("fsync", &self.fsync)
+            .finish_non_exhaustive()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The log itself
+// ---------------------------------------------------------------------------
+
+/// Reserves `additional` bytes of staging capacity.  Growth is the cold path
+/// (buffers are retained round over round); the lock audit's no-alloc check
+/// is suspended for it because staging runs under the `tsdb.shard` lock.
+fn reserve_staged(buf: &mut Vec<u8>, additional: usize) {
+    if buf.capacity().wrapping_sub(buf.len()) < additional {
+        #[cfg(lock_audit)]
+        let _allow = parking_lot::audit::allow_alloc();
+        buf.reserve(additional.max(1024));
+    }
+}
+
+/// One shard's staging buffer: the records of the round in progress, in the
+/// order the shard applied them.
+struct Stage {
+    staged: Vec<u8>,
+    /// Offset and shared timestamp of the currently open `REC_SAMPLES`
+    /// record in `staged`, if the most recently staged record is a sample
+    /// batch still accepting entries.  Consecutive same-timestamp samples
+    /// of a round append to one batch; staging any other record type, a
+    /// sample at a different timestamp, or the flush seals it first.
+    open_samples: Option<(usize, u64)>,
+}
+
+impl Stage {
+    /// The slow half of [`ShardWriter::sample`]: makes room for an entry and
+    /// opens a batch for `timestamp_ms` unless one already is.
+    #[cold]
+    fn open_batch(&mut self, timestamp_ms: u64) {
+        reserve_staged(&mut self.staged, SAMPLE_HEADER_BYTES + SAMPLE_ENTRY_BYTES);
+        if self.open_samples.map(|(_, ts)| ts) != Some(timestamp_ms) {
+            self.close_samples();
+            self.open_samples = Some((self.staged.len(), timestamp_ms));
+            self.staged.push(REC_SAMPLES);
+            put_u32(&mut self.staged, 0); // entry count, patched on close
+            put_u64(&mut self.staged, timestamp_ms);
+        }
+    }
+
+    /// Seals the open sample batch, if any: patches the entry count in place.
+    fn close_samples(&mut self) {
+        if let Some((at, _)) = self.open_samples.take() {
+            let entries =
+                self.staged.len().saturating_sub(at + SAMPLE_HEADER_BYTES) / SAMPLE_ENTRY_BYTES;
+            if let Some(slot) = self.staged.get_mut(at + 1..at + 5) {
+                slot.copy_from_slice(&(entries as u32).to_le_bytes());
+            }
+        }
+    }
+}
+
+/// The segment file and everything a flush updates, under `tsdb.wal.log`.
+struct Log {
+    /// Handle on the active segment, opened lazily by the first commit into
+    /// it.
+    file: Option<Box<dyn WalFile>>,
+    /// Index of the active segment; sealed segments are `oldest..index`.
+    index: u64,
+    /// Index of the oldest segment still on disk.
+    oldest: u64,
+    /// Bytes in the active segment.
+    size: u64,
+    /// Sequence number the next group commits under.
+    next_seq: u64,
+    /// The group under construction; retained, so a warm flush allocates
+    /// nothing.
+    group: Vec<u8>,
+    streams: [Stream; STREAMS],
+}
+
+/// Checkpoint bookkeeping of one stream.
+#[derive(Clone, Copy, Default)]
+struct Stream {
+    /// Bytes logged since the stream's last checkpoint.
+    logged: u64,
+    /// The segment holding the stream's oldest section not yet covered by a
+    /// checkpoint, `None` when it has logged nothing since.  The minimum
+    /// over all streams is the oldest segment recovery still needs.
+    pin: Option<u64>,
+}
+
+impl Log {
+    fn stream(&mut self, stream: usize) -> &mut Stream {
+        // teemon-verify: allow(no-index): reduced modulo the array length, always in bounds
+        &mut self.streams[stream % STREAMS]
+    }
+
+    /// Accounts a section of `bytes` for `stream`, written into (or, during
+    /// recovery, found in) segment `index`.
+    fn note_section(&mut self, stream: usize, index: u64, bytes: u64) {
+        let stream = self.stream(stream);
+        stream.logged += bytes;
+        stream.pin.get_or_insert(index);
+    }
+
+    /// Accounts one group's fixed bytes.  They are charged to the symbol
+    /// stream's budget (without pinning anything): a workload that only
+    /// *releases* symbols binds nothing, and would otherwise never reach the
+    /// checkpoint whose sweep reclaims them.
+    fn note_group(&mut self) {
+        self.stream(SYMBOLS).logged += GROUP_HEADER_BYTES as u64;
+    }
+
+    /// Whether `stream` is due a checkpoint: past its byte budget, or pinning
+    /// a segment too far behind the active one.
+    fn due(&mut self, stream: usize, segment_bytes: u64) -> bool {
+        let index = self.index;
+        let stream = self.stream(stream);
+        stream.logged > segment_bytes
+            || stream.pin.is_some_and(|pin| index.saturating_sub(pin) >= MAX_SEGMENT_LAG)
+    }
+}
+
+/// Bit in [`Wal::failed`] marking the log itself broken (shard bits are
+/// `1 << shard`).
+const LOG_FAILED_BIT: u64 = 1 << 63;
+
+const SYMBOLS_SNAP: &str = "symbols.snap";
+
+fn segment_path(dir: &Path, index: u64) -> PathBuf {
+    dir.join(format!("segment-{index:08}.log"))
+}
+
+/// The index in a segment file name, `None` for any other file.
+fn segment_index(name: &str) -> Option<u64> {
+    name.strip_prefix("segment-")?.strip_suffix(".log")?.parse().ok()
+}
+
+fn shard_snap_path(dir: &Path, shard: usize) -> PathBuf {
+    dir.join(format!("shard-{shard:02}.snap"))
+}
+
+/// The write-ahead log of one durable [`crate::TimeSeriesDb`].
+pub(crate) struct Wal {
+    fs: Arc<dyn WalFs>,
+    fsync: FsyncMode,
+    segment_bytes: u64,
+    dir: PathBuf,
+    /// Failure bits: `1 << shard` for a shard whose snapshot or replay was
+    /// unusable, [`LOG_FAILED_BIT`] once a write, fsync or salvage failed.
+    /// Sticky — a failed log is never written again.
+    failed: AtomicU64,
+    log: Mutex<Log>,
+    stages: [Mutex<Stage>; SHARD_COUNT],
+}
+
+impl Wal {
+    /// Marks `shard` broken (sticky): nothing further is staged for it, and
+    /// it is counted in [`Wal::failed_shard_count`].  Used by the storage
+    /// layer when a shard's recovered state fails validation during replay.
+    pub(crate) fn mark_shard_failed(&self, shard: usize) {
+        if shard < SHARD_COUNT {
+            self.failed.fetch_or(1 << shard, Ordering::Relaxed);
+        }
+    }
+
+    fn mark_log_failed(&self) {
+        self.failed.fetch_or(LOG_FAILED_BIT, Ordering::Relaxed);
+    }
+
+    fn log_failed(&self) -> bool {
+        self.failed.load(Ordering::Relaxed) & LOG_FAILED_BIT != 0
+    }
+
+    fn shard_failed(&self, shard: usize) -> bool {
+        let mask = self.failed.load(Ordering::Relaxed);
+        mask & LOG_FAILED_BIT != 0 || shard < SHARD_COUNT && mask & (1 << shard) != 0
+    }
+
+    /// Number of shards currently flagged as failed (all of them once the
+    /// log is broken) — surfaced in [`crate::StorageStats`].
+    pub(crate) fn failed_shard_count(&self) -> u64 {
+        let mask = self.failed.load(Ordering::Relaxed);
+        if mask & LOG_FAILED_BIT != 0 {
+            SHARD_COUNT as u64
+        } else {
+            u64::from((mask & ((1 << SHARD_COUNT) - 1)).count_ones())
+        }
+    }
+
+    /// A staging handle for `shard`, or `None` once the shard (or the log)
+    /// has failed.  Locks the shard's `tsdb.wal.shard` mutex — the caller
+    /// already holds the matching `tsdb.shard` lock.
+    pub(crate) fn shard_writer(&self, shard: usize) -> Option<ShardWriter<'_>> {
+        if self.shard_failed(shard) {
+            return None;
+        }
+        Some(ShardWriter(self.stages.get(shard)?.lock()))
+    }
+
+    /// Whether nothing is staged for `shard`.  Called with the `tsdb.shard`
+    /// lock held — so nothing *can* be staged meanwhile — by the checkpoint's
+    /// snapshot: an idle stage then means the shard's in-memory state is
+    /// exactly what the log holds for it.
+    pub(crate) fn stage_idle(&self, shard: usize) -> bool {
+        self.stages.get(shard).is_some_and(|stage| stage.lock().staged.is_empty())
+    }
+
+    /// Commits everything staged since the last flush as one group — drain,
+    /// one checksum, one write — then runs whatever checkpoints have come
+    /// due.  `snapshot_shard(shard, seq)` is the storage layer's half of a
+    /// shard checkpoint: the encoded state of `shard` as of round `seq`, or
+    /// `None` to defer (its stage was not idle).
+    ///
+    /// Returns `false` once the log or any shard has failed, this round or
+    /// earlier.  The log lock is held throughout, which makes this the
+    /// single flusher crash-exactness is defined for; appends racing it from
+    /// other threads stay safe, because a record is either in the buffer a
+    /// group drained — and then inside that group's frame — or it waits for
+    /// the next one.
+    pub(crate) fn flush(
+        &self,
+        symbols: &RwLock<SymbolTable>,
+        snapshot_shard: &dyn Fn(usize, u64) -> Option<Vec<u8>>,
+    ) -> bool {
+        let watch = Stopwatch::start();
+        let mut log = self.log.lock();
+        if !self.log_failed() {
+            match self.commit(&mut log, symbols) {
+                Ok(Some(seq)) => self.checkpoint(&mut log, seq, symbols, snapshot_shard),
+                Ok(None) => {}
+                Err(_) => self.mark_log_failed(),
+            }
+        }
+        probes::WAL_FLUSH_NS.record_ns(watch.elapsed_ns());
+        self.failed.load(Ordering::Relaxed) == 0
+    }
+
+    /// Builds and writes the round's group; `Ok(None)` when nothing was
+    /// staged.  The symbol delta is captured *after* the stages are drained,
+    /// so every symbol a drained record references is bound in this group or
+    /// an earlier one.  Draining the dirty list before the write is safe: a
+    /// failed write fails the log (sticky), so the lost delta can never be
+    /// missed by a later flush.
+    fn commit(&self, log: &mut Log, symbols: &RwLock<SymbolTable>) -> io::Result<Option<u64>> {
+        let seq = log.next_seq;
+        let index = log.index;
+        log.group.clear();
+        let at = begin_frame(&mut log.group);
+        put_u64(&mut log.group, seq);
+        for (shard, slot) in self.stages.iter().enumerate() {
+            let mut stage = slot.lock();
+            if stage.staged.is_empty() {
+                continue;
+            }
+            stage.close_samples();
+            log.group.push(shard as u8);
+            put_u32(&mut log.group, stage.staged.len() as u32);
+            log.group.extend_from_slice(&stage.staged);
+            log.note_section(shard, index, (SECTION_HEADER_BYTES + stage.staged.len()) as u64);
+            stage.staged.clear();
+        }
+        let bound = symbols.write().take_dirty_bindings();
+        if !bound.is_empty() {
+            let body: usize = bound.iter().map(|(_, s)| 8 + s.len()).sum();
+            log.group.push(SYMBOLS as u8);
+            put_u32(&mut log.group, body as u32);
+            put_bindings(&mut log.group, &bound);
+            log.note_section(SYMBOLS, index, (SECTION_HEADER_BYTES + body) as u64);
+        }
+        if log.group.len() == GROUP_HEADER_BYTES {
+            return Ok(None);
+        }
+        end_frame(&mut log.group, at);
+        log.note_group();
+
+        let Log { file, group, size, .. } = &mut *log;
+        let file = match file {
+            Some(file) => file,
+            None => {
+                let (handle, len) = self.fs.open_append(&segment_path(&self.dir, index))?;
+                *size = len;
+                file.insert(handle)
+            }
+        };
+        file.append(group)?;
+        probes::WAL_WRITES.inc();
+        probes::WAL_BYTES_WRITTEN.add(group.len() as u64);
+        if self.fsync == FsyncMode::EveryCommit {
+            sync(file.as_mut())?;
+        }
+        *size += group.len() as u64;
+        log.next_seq = seq + 1;
+        // Age the symbol-GC cooling queue: zero-ref bindings become
+        // sweepable only after two of these boundaries, which guarantees
+        // the shard record that released them is durable first.
+        symbols.write().commit_durable();
+        Ok(Some(seq))
+    }
+
+    /// Runs the checkpoints that came due with round `seq`, seals the active
+    /// segment if it is full and deletes the segments nothing needs any
+    /// more.  Every crash point is safe: a snapshot replaces atomically and
+    /// only ever makes sections at or below its `base_seq` redundant, and a
+    /// segment is deleted only once every section in it is redundant.  A
+    /// failed snapshot write changes nothing and is retried next round.
+    fn checkpoint(
+        &self,
+        log: &mut Log,
+        seq: u64,
+        symbols: &RwLock<SymbolTable>,
+        snapshot_shard: &dyn Fn(usize, u64) -> Option<Vec<u8>>,
+    ) {
+        // Whether every byte of the log is already fsynced.  A snapshot must
+        // not become durable ahead of the groups it stands on: the symbols
+        // it references, or the drop records that made a sweep legal, may
+        // still sit in the page cache.
+        let mut synced = self.fsync == FsyncMode::EveryCommit;
+        for shard in 0..SHARD_COUNT {
+            if !log.due(shard, self.segment_bytes) {
+                continue;
+            }
+            let Some(snapshot) = snapshot_shard(shard, seq) else { continue };
+            if self.install(log, &mut synced, &shard_snap_path(&self.dir, shard), &snapshot) {
+                *log.stream(shard) = Stream::default();
+            }
+        }
+        if log.due(SYMBOLS, self.segment_bytes) {
+            // The checkpoint is the only GC point, so a snapshot is always a
+            // self-consistent table.  The symbol write lock is held across
+            // the install so no binding can be interned between the capture
+            // and the `clear_dirty` that declares every pending delta
+            // subsumed by it.  Sweeping before an install that then fails is
+            // safe: the stale snapshot merely carries extra unreferenced
+            // bindings, which the next recovery parks back in the cooling
+            // queue.
+            let mut table = symbols.write();
+            let swept = table.sweep();
+            probes::SYMBOLS_SWEPT.add(swept as u64);
+            let snapshot = encode_symbols_snapshot(&table, seq);
+            if self.install(log, &mut synced, &self.dir.join(SYMBOLS_SNAP), &snapshot) {
+                table.clear_dirty();
+                *log.stream(SYMBOLS) = Stream::default();
+            }
+        }
+        if log.size > self.segment_bytes {
+            // Sealed segments are never synced again, so this one must be
+            // durable before a later checkpoint relies on it.
+            if !self.sync_log(log, &mut synced) {
+                return;
+            }
+            log.file = None;
+            log.index += 1;
+            log.size = 0;
+        }
+        let pinned = log.streams.iter().filter_map(|stream| stream.pin).min();
+        let keep = pinned.map_or(log.index, |pin| pin.min(log.index));
+        while log.oldest < keep
+            && !self.log_failed()
+            && self.fs.remove(&segment_path(&self.dir, log.oldest)).is_ok()
+        {
+            log.oldest += 1;
+        }
+    }
+
+    /// Fsyncs the active segment unless `*synced` says nothing in it is
+    /// unsynced.  `false` once the log has failed — an fsync error fails it.
+    fn sync_log(&self, log: &mut Log, synced: &mut bool) -> bool {
+        if !*synced && log.file.as_mut().is_some_and(|file| sync(file.as_mut()).is_err()) {
+            self.mark_log_failed();
+        }
+        *synced = true;
+        !self.log_failed()
+    }
+
+    /// Installs one snapshot image, fsyncing the log first.  `false` when
+    /// nothing was installed.
+    fn install(&self, log: &mut Log, synced: &mut bool, path: &Path, image: &[u8]) -> bool {
+        self.sync_log(log, synced) && self.fs.write_atomic(path, image).is_ok()
+    }
+}
+
+/// One timed fsync.
+fn sync(file: &mut dyn WalFile) -> io::Result<()> {
+    let watch = Stopwatch::start();
+    file.sync()?;
+    probes::WAL_FSYNC_NS.record_ns(watch.elapsed_ns());
+    Ok(())
+}
+
+/// Staging handle for one shard's WAL buffer, held alongside the shard's
+/// data lock while a round's mutations are applied.
+pub(crate) struct ShardWriter<'a>(MutexGuard<'a, Stage>);
+
+impl ShardWriter<'_> {
+    /// Seals any open sample batch and reserves room for a record of `need`
+    /// bytes.
+    fn begin(&mut self, need: usize) -> &mut Vec<u8> {
+        self.0.close_samples();
+        reserve_staged(&mut self.0.staged, need);
+        &mut self.0.staged
+    }
+
+    /// Stages a series-creation record.
+    pub(crate) fn series(
+        &mut self,
+        id: u64,
+        name_sym: SymbolId,
+        label_syms: &[(SymbolId, SymbolId)],
+    ) {
+        let buf = self.begin(17 + label_syms.len() * 8);
+        buf.push(REC_SERIES);
+        put_u64(buf, id);
+        put_u32(buf, name_sym.as_u32());
+        put_label_syms(buf, label_syms);
+    }
+
+    /// Stages one attempted append (accepted *or* rejected — replay re-runs
+    /// the same ingest logic, so rejection is reproduced, not recorded).
+    /// Consecutive samples at the same timestamp share one `REC_SAMPLES`
+    /// batch, sealed when another record type (or a different timestamp) is
+    /// staged or the round flushes — the per-sample cost is a 12-byte copy,
+    /// with the timestamp paid once per batch.
+    #[inline]
+    pub(crate) fn sample(&mut self, local: u32, timestamp_ms: u64, value: f64) {
+        let stage = &mut *self.0;
+        let spare = stage.staged.capacity() - stage.staged.len();
+        if spare < SAMPLE_ENTRY_BYTES || stage.open_samples.map(|(_, ts)| ts) != Some(timestamp_ms)
+        {
+            stage.open_batch(timestamp_ms);
+        }
+        let mut entry = [0u8; SAMPLE_ENTRY_BYTES];
+        // teemon-verify: allow(no-index): fixed-size split of a stack array.
+        entry[..4].copy_from_slice(&local.to_le_bytes());
+        // teemon-verify: allow(no-index): fixed-size split of a stack array.
+        entry[4..].copy_from_slice(&value.to_bits().to_le_bytes());
+        stage.staged.extend_from_slice(&entry);
+    }
+
+    /// Stages a drop of the series at `victims` (pre-removal local indexes,
+    /// ascending — the same order the live path removes them in).
+    pub(crate) fn drop_locals(&mut self, victims: &[u32]) {
+        let buf = self.begin(5 + victims.len() * 4);
+        buf.push(REC_DROP);
+        put_u32(buf, victims.len() as u32);
+        for v in victims {
+            put_u32(buf, *v);
+        }
+    }
+
+    /// Stages a retention pass at `cutoff_ms`.
+    pub(crate) fn retention(&mut self, cutoff_ms: u64) {
+        let buf = self.begin(9);
+        buf.push(REC_RETENTION);
+        put_u64(buf, cutoff_ms);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshots
+// ---------------------------------------------------------------------------
+
+/// Borrowed view of one series, assembled by the storage layer for
+/// [`encode_shard_snapshot`].
+pub(crate) struct SnapSeriesRef<'a> {
+    pub(crate) id: u64,
+    pub(crate) name_sym: SymbolId,
+    pub(crate) label_syms: &'a [(SymbolId, SymbolId)],
+    pub(crate) ever_appended: bool,
+    pub(crate) head: &'a [Sample],
+    pub(crate) sealed: &'a [Arc<Chunk>],
+}
+
+/// Chunk payload kind tags inside snapshot records.
+const CHUNK_RAW: u8 = 0;
+const CHUNK_GORILLA: u8 = 1;
+
+fn put_samples(buf: &mut Vec<u8>, samples: &[Sample]) {
+    for s in samples {
+        put_u64(buf, s.timestamp_ms);
+        put_u64(buf, s.value.to_bits());
+    }
+}
+
+/// Encodes a shard's full state as a snapshot file image: header, one record
+/// per series (heads Gorilla-compressed where the codec accepts them, sealed
+/// chunk payloads carried byte-identically), and a footer whose series count
+/// proves the file complete.
+pub(crate) fn encode_shard_snapshot(
+    base_seq: u64,
+    generation: u64,
+    rejected: u64,
+    series: &[SnapSeriesRef<'_>],
+) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let at = begin_frame(&mut buf);
+    buf.push(REC_SNAP_HEADER);
+    put_u64(&mut buf, base_seq);
+    put_u64(&mut buf, generation);
+    put_u64(&mut buf, rejected);
+    put_u32(&mut buf, series.len() as u32);
+    end_frame(&mut buf, at);
+
+    for s in series {
+        let at = begin_frame(&mut buf);
+        buf.push(REC_SNAP_SERIES);
+        put_u64(&mut buf, s.id);
+        put_u32(&mut buf, s.name_sym.as_u32());
+        buf.push(u8::from(s.ever_appended));
+        put_label_syms(&mut buf, s.label_syms);
+        // Head: Gorilla when the codec accepts it, raw samples otherwise.
+        put_u32(&mut buf, s.head.len() as u32);
+        match chunk_codec::encode(s.head) {
+            Some(block) if !s.head.is_empty() => {
+                buf.push(CHUNK_GORILLA);
+                put_u32(&mut buf, block.len() as u32);
+                buf.extend_from_slice(&block);
+            }
+            _ => {
+                buf.push(CHUNK_RAW);
+                put_samples(&mut buf, s.head);
+            }
+        }
+        // Sealed chunks, payloads verbatim so reopen is byte-identical.
+        put_u32(&mut buf, s.sealed.len() as u32);
+        for chunk in s.sealed {
+            let (kind, len) = match &chunk.data {
+                ChunkData::Raw(samples) => (CHUNK_RAW, samples.len() * 16),
+                ChunkData::Compressed(bytes) => (CHUNK_GORILLA, bytes.len()),
+            };
+            buf.push(kind);
+            put_u32(&mut buf, chunk.count);
+            put_u64(&mut buf, chunk.start_ms);
+            put_u64(&mut buf, chunk.end_ms);
+            put_u32(&mut buf, len as u32);
+            match &chunk.data {
+                ChunkData::Raw(samples) => put_samples(&mut buf, samples),
+                ChunkData::Compressed(bytes) => buf.extend_from_slice(bytes),
+            }
+        }
+        end_frame(&mut buf, at);
+    }
+
+    let at = begin_frame(&mut buf);
+    buf.push(REC_SNAP_FOOTER);
+    put_u32(&mut buf, series.len() as u32);
+    end_frame(&mut buf, at);
+    buf
+}
+
+/// One series restored from a shard snapshot.
+pub(crate) struct SnapSeries {
+    pub(crate) id: u64,
+    pub(crate) name_sym: SymbolId,
+    pub(crate) label_syms: Vec<(SymbolId, SymbolId)>,
+    pub(crate) ever_appended: bool,
+    pub(crate) head: Vec<Sample>,
+    pub(crate) sealed: Vec<Chunk>,
+}
+
+/// A decoded shard snapshot: the state as of round `base_seq`.
+pub(crate) struct ShardSnapshot {
+    pub(crate) base_seq: u64,
+    pub(crate) generation: u64,
+    pub(crate) rejected: u64,
+    pub(crate) series: Vec<SnapSeries>,
+}
+
+fn take_samples(cur: &mut Cur<'_>, count: usize) -> Option<Vec<Sample>> {
+    let mut samples = Vec::with_capacity(count);
+    for _ in 0..count {
+        let timestamp_ms = cur.u64()?;
+        let value = f64::from_bits(cur.u64()?);
+        samples.push(Sample { timestamp_ms, value });
+    }
+    Some(samples)
+}
+
+fn decode_snap_series(payload: &[u8]) -> Option<SnapSeries> {
+    let mut cur = Cur::new(payload);
+    let id = cur.u64()?;
+    let name_sym = SymbolId::from_u32(cur.u32()?);
+    let ever_appended = cur.u8()? != 0;
+    let label_syms = cur.label_syms()?;
+    let head_count = cur.count()?;
+    let head = match cur.u8()? {
+        CHUNK_RAW => take_samples(&mut cur, head_count)?,
+        CHUNK_GORILLA => {
+            let len = cur.u32()? as usize;
+            let samples = chunk_codec::decode(cur.take(len)?, head_count);
+            if samples.len() != head_count {
+                return None;
+            }
+            samples
+        }
+        _ => return None,
+    };
+    let sealed_count = cur.count()?;
+    let mut sealed = Vec::with_capacity(sealed_count);
+    for _ in 0..sealed_count {
+        let kind = cur.u8()?;
+        let count = cur.count()?;
+        let start_ms = cur.u64()?;
+        let end_ms = cur.u64()?;
+        let len = cur.u32()? as usize;
+        let data = match kind {
+            CHUNK_RAW if len == count * 16 => ChunkData::Raw(take_samples(&mut cur, count)?),
+            CHUNK_GORILLA => ChunkData::Compressed(cur.take(len)?.to_vec()),
+            _ => return None,
+        };
+        sealed.push(Chunk { start_ms, end_ms, count: count as u32, data });
+    }
+    cur.done().then_some(SnapSeries { id, name_sym, label_syms, ever_appended, head, sealed })
+}
+
+fn decode_shard_snapshot(bytes: &[u8]) -> Option<ShardSnapshot> {
+    let mut scanner = FrameScanner::new(bytes);
+    let mut cur = Cur::new(scanner.typed(REC_SNAP_HEADER)?);
+    let base_seq = cur.u64()?;
+    let generation = cur.u64()?;
+    let rejected = cur.u64()?;
+    let series_count = cur.count()?;
+    if !cur.done() {
+        return None;
+    }
+    let mut series = Vec::with_capacity(series_count);
+    for _ in 0..series_count {
+        series.push(decode_snap_series(scanner.typed(REC_SNAP_SERIES)?)?);
+    }
+    let mut cur = Cur::new(scanner.typed(REC_SNAP_FOOTER)?);
+    if cur.count()? != series_count || !cur.done() || scanner.valid_len != bytes.len() {
+        return None;
+    }
+    Some(ShardSnapshot { base_seq, generation, rejected, series })
+}
+
+/// Encodes the symbol table as a snapshot file image: every live
+/// `(slot, string)` binding as of round `base_seq`.
+fn encode_symbols_snapshot(table: &SymbolTable, base_seq: u64) -> Vec<u8> {
+    let live = table.live_bindings();
+    let mut buf = Vec::new();
+    let at = begin_frame(&mut buf);
+    buf.push(REC_SNAP_SYMBOLS);
+    put_u64(&mut buf, base_seq);
+    put_u32(&mut buf, live.len() as u32);
+    put_bindings(&mut buf, &live);
+    end_frame(&mut buf, at);
+    buf
+}
+
+/// Decodes a symbols snapshot into its `base_seq` and bindings.
+fn decode_symbols_snapshot(bytes: &[u8]) -> Option<(u64, Vec<(u32, &str)>)> {
+    let mut scanner = FrameScanner::new(bytes);
+    let mut cur = Cur::new(scanner.typed(REC_SNAP_SYMBOLS)?);
+    let base_seq = cur.u64()?;
+    let count = cur.count()?;
+    let mut bindings = Vec::with_capacity(count);
+    for _ in 0..count {
+        bindings.push(cur.binding()?);
+    }
+    (cur.done() && scanner.valid_len == bytes.len()).then_some((base_seq, bindings))
+}
+
+// ---------------------------------------------------------------------------
+// Recovery
+// ---------------------------------------------------------------------------
+
+/// One replayable shard record.
+pub(crate) enum ShardOp<'a> {
+    /// Series creation.
+    Series { id: u64, name_sym: SymbolId, label_syms: Vec<(SymbolId, SymbolId)> },
+    /// A batch of attempted appends at one timestamp (replay re-runs
+    /// acceptance), still encoded: see [`ShardOp::samples`].
+    Samples { timestamp_ms: u64, entries: &'a [u8] },
+    /// `drop_series` removal of these pre-removal local indexes.
+    Drop { victims: Vec<u32> },
+    /// Retention pass at this cutoff.
+    Retention { cutoff_ms: u64 },
+}
+
+impl ShardOp<'_> {
+    /// The `(local, value)` pairs of a [`ShardOp::Samples`] batch.
+    pub(crate) fn samples(entries: &[u8]) -> impl Iterator<Item = (u32, f64)> + '_ {
+        entries.chunks_exact(SAMPLE_ENTRY_BYTES).filter_map(|entry| {
+            let (local, value) = entry.split_first_chunk::<4>()?;
+            let value = u64::from_le_bytes(value.try_into().ok()?);
+            Some((u32::from_le_bytes(*local), f64::from_bits(value)))
+        })
+    }
+}
+
+/// What [`Wal::open`] recovered, handed to the storage layer one item at a
+/// time, in this order: the symbols snapshot's bindings, every readable
+/// shard snapshot, then the log's groups in commit order — within a
+/// group the symbol binds first.  A slot may be bound more than once (a
+/// swept-and-reused slot is legitimately rebound); the **last** binding
+/// wins, exactly as the live table ended.
+pub(crate) enum Replay<'a> {
+    /// A symbol binding: `(slot, string)`.
+    Binding(u32, &'a str),
+    /// A shard's snapshot; it precedes every op of that shard.
+    Snapshot(usize, ShardSnapshot),
+    /// One logged op of a shard, from a round past its snapshot.
+    Op(usize, ShardOp<'a>),
+}
+
+/// One decoded log group.
+struct Group<'a> {
+    seq: u64,
+    bindings: Vec<(u32, &'a str)>,
+    ops: Vec<(usize, ShardOp<'a>)>,
+    /// Per stream: bytes of its section, header included; `0` without one.
+    section_bytes: [u64; STREAMS],
+}
+
+/// Decodes one checksum-valid group payload.  `None` when it fails
+/// structural validation — the group is then no more trustworthy than a
+/// torn one.
+fn decode_group(payload: &[u8]) -> Option<Group<'_>> {
+    let mut cur = Cur::new(payload);
+    let mut group = Group {
+        seq: cur.u64()?,
+        bindings: Vec::new(),
+        ops: Vec::new(),
+        section_bytes: [0; STREAMS],
+    };
+    while !cur.done() {
+        let stream = usize::from(cur.u8()?);
+        let len = cur.u32()? as usize;
+        let mut body = Cur::new(cur.take(len)?);
+        let slot = group.section_bytes.get_mut(stream).filter(|bytes| **bytes == 0)?;
+        *slot = (SECTION_HEADER_BYTES + len) as u64;
+        while !body.done() {
+            if stream == SYMBOLS {
+                group.bindings.push(body.binding()?);
+            } else {
+                group.ops.push((stream, decode_shard_op(&mut body)?));
+            }
+        }
+    }
+    Some(group)
+}
+
+/// Decodes the shard record at `cur`.
+fn decode_shard_op<'a>(cur: &mut Cur<'a>) -> Option<ShardOp<'a>> {
+    Some(match cur.u8()? {
+        REC_SERIES => {
+            let id = cur.u64()?;
+            let name_sym = SymbolId::from_u32(cur.u32()?);
+            ShardOp::Series { id, name_sym, label_syms: cur.label_syms()? }
+        }
+        REC_SAMPLES => {
+            let count = cur.count()?;
+            let timestamp_ms = cur.u64()?;
+            ShardOp::Samples { timestamp_ms, entries: cur.take(count * SAMPLE_ENTRY_BYTES)? }
+        }
+        REC_DROP => {
+            let count = cur.count()?;
+            let mut victims = Vec::with_capacity(count);
+            for _ in 0..count {
+                victims.push(cur.u32()?);
+            }
+            ShardOp::Drop { victims }
+        }
+        REC_RETENTION => ShardOp::Retention { cutoff_ms: cur.u64()? },
+        _ => return None,
+    })
+}
+
+/// Counts a salvage event: `dropped` bytes did not survive validation and
+/// are being cut off.
+fn note_salvage(dropped: u64) {
+    probes::WAL_SALVAGE.inc();
+    probes::WAL_SALVAGED_BYTES.add(dropped);
+}
+
+impl Wal {
+    /// Opens (or creates) the durability directory and feeds everything it
+    /// recovers to `replay`.  Never panics on corrupt input: a damaged log
+    /// tail is salvaged by truncation, an unreadable shard snapshot fails
+    /// only that shard, and an unreadable symbols snapshot fails the whole
+    /// log (symbols are global) — in every case the database still opens.
+    /// `Err` is reserved for I/O errors on the directory itself and for a
+    /// directory written in the per-shard layout of earlier versions
+    /// ([`io::ErrorKind::InvalidData`]): opening empty on top of it would
+    /// silently abandon its data.
+    pub(crate) fn open(
+        dir: &Path,
+        options: &DurabilityOptions,
+        replay: &mut dyn FnMut(Replay<'_>),
+    ) -> io::Result<Self> {
+        let fs = Arc::clone(&options.fs);
+        fs.create_dir_all(dir)?;
+        let mut segments: Vec<u64> = Vec::new();
+        for path in fs.list(dir)? {
+            let Some(name) = path.file_name().and_then(|name| name.to_str()) else { continue };
+            if name == "meta.wal" || name.starts_with("shard-") && name.ends_with(".wal") {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} holds a write-ahead log in the per-shard layout ({name}), \
+                         which this version cannot read",
+                        dir.display()
+                    ),
+                ));
+            }
+            if name.ends_with(".tmp") {
+                // Left behind by an atomic replace that died before its
+                // rename; the file it was to replace is still intact.
+                fs.remove(&path)?;
+            } else if let Some(index) = segment_index(name) {
+                segments.push(index);
+            }
+        }
+        segments.sort_unstable();
+
+        // Per stream: the round its snapshot covers; `u64::MAX` for a shard
+        // whose snapshot is unreadable, so none of its sections apply.
+        let mut base = [0u64; STREAMS];
+        let mut failed = 0u64;
+        let mut newest = 0u64;
+        if let Some(bytes) = fs.read(&dir.join(SYMBOLS_SNAP))? {
+            match decode_symbols_snapshot(&bytes) {
+                Some((base_seq, bindings)) => {
+                    newest = base_seq;
+                    if let Some(slot) = base.get_mut(SYMBOLS) {
+                        *slot = base_seq;
+                    }
+                    for (raw, s) in bindings {
+                        replay(Replay::Binding(raw, s));
+                    }
+                }
+                None => {
+                    // Without the symbol table nothing referencing it can
+                    // be trusted.
+                    note_salvage(bytes.len() as u64);
+                    failed = LOG_FAILED_BIT;
+                }
+            }
+        }
+        let first = segments.first().copied().unwrap_or(1);
+        let mut log = Log {
+            file: None,
+            index: first,
+            oldest: first,
+            size: 0,
+            next_seq: 0,
+            group: Vec::new(),
+            streams: [Stream::default(); STREAMS],
+        };
+        if failed == 0 {
+            for (shard, slot) in base.iter_mut().take(SHARD_COUNT).enumerate() {
+                let Some(bytes) = fs.read(&shard_snap_path(dir, shard))? else { continue };
+                match decode_shard_snapshot(&bytes) {
+                    Some(snapshot) => {
+                        *slot = snapshot.base_seq;
+                        newest = newest.max(snapshot.base_seq);
+                        replay(Replay::Snapshot(shard, snapshot));
+                    }
+                    None => {
+                        note_salvage(bytes.len() as u64);
+                        *slot = u64::MAX;
+                        failed |= 1 << shard;
+                    }
+                }
+            }
+            if !Self::replay_segments(&*fs, dir, &segments, &base, &mut log, &mut newest, replay)? {
+                failed |= LOG_FAILED_BIT;
+            }
+        }
+        // Past every group *and* every snapshot: under `OnRotation` a power
+        // loss can leave a snapshot ahead of the log's surviving tail, and a
+        // group reusing a sequence number at or below its base would be
+        // skipped on the next recovery.
+        log.next_seq = newest + 1;
+        Ok(Wal {
+            fs,
+            fsync: options.fsync,
+            segment_bytes: options.segment_bytes,
+            dir: dir.to_path_buf(),
+            failed: AtomicU64::new(failed),
+            log: Mutex::named(log, LockClass::new("tsdb.wal.log")),
+            stages: std::array::from_fn(|i| {
+                Mutex::named(
+                    Stage { staged: Vec::new(), open_samples: None },
+                    LockClass::new("tsdb.wal.shard").instance(i as u32),
+                )
+            }),
+        })
+    }
+
+    /// Scans `segments` in order, applying each group's sections to the
+    /// streams whose snapshot it is past and rebuilding the checkpoint
+    /// bookkeeping in `log`.  The first frame that fails its length, its
+    /// checksum, structural decoding or the strictly increasing sequence is
+    /// the salvage point: the segment is cut back to its valid prefix and
+    /// every later segment deleted — newest first, so an interrupted salvage
+    /// leaves a directory the next open salvages the same way.  `Ok(false)`
+    /// when the salvage itself failed, which fails the log.
+    fn replay_segments(
+        fs: &dyn WalFs,
+        dir: &Path,
+        segments: &[u64],
+        base: &[u64; STREAMS],
+        log: &mut Log,
+        newest: &mut u64,
+        replay: &mut dyn FnMut(Replay<'_>),
+    ) -> io::Result<bool> {
+        let mut last_seq = 0u64;
+        for (pos, &index) in segments.iter().enumerate() {
+            let path = segment_path(dir, index);
+            let bytes = fs.read(&path)?.unwrap_or_default();
+            let mut scanner = FrameScanner::new(&bytes);
+            let mut valid = 0;
+            while let Some(group) = scanner.next().and_then(decode_group) {
+                if group.seq <= last_seq {
+                    break;
+                }
+                valid = scanner.valid_len;
+                last_seq = group.seq;
+                let past = |stream: usize| base.get(stream).is_some_and(|&base| last_seq > base);
+                for (stream, &bytes) in group.section_bytes.iter().enumerate() {
+                    if bytes > 0 && past(stream) {
+                        log.note_section(stream, index, bytes);
+                    }
+                }
+                if past(SYMBOLS) {
+                    log.note_group();
+                    for &(raw, s) in &group.bindings {
+                        replay(Replay::Binding(raw, s));
+                    }
+                }
+                let mut replayed = 0;
+                for (shard, op) in group.ops {
+                    if past(shard) {
+                        replayed += match op {
+                            ShardOp::Samples { entries, .. } => entries.len() / SAMPLE_ENTRY_BYTES,
+                            _ => 1,
+                        };
+                        replay(Replay::Op(shard, op));
+                    }
+                }
+                probes::WAL_RECORDS_REPLAYED.add(replayed as u64);
+            }
+            log.index = index;
+            log.size = valid as u64;
+            if valid < bytes.len() {
+                for &later in segments.get(pos + 1..).unwrap_or(&[]).iter().rev() {
+                    let later = segment_path(dir, later);
+                    note_salvage(fs.read(&later)?.map_or(0, |bytes| bytes.len() as u64));
+                    if fs.remove(&later).is_err() {
+                        return Ok(false);
+                    }
+                }
+                note_salvage((bytes.len() - valid) as u64);
+                if fs.write_atomic(&path, bytes.get(..valid).unwrap_or(&[])).is_err() {
+                    return Ok(false);
+                }
+                break;
+            }
+        }
+        *newest = (*newest).max(last_seq);
+        Ok(true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn xxh64_matches_the_reference_vectors() {
+        // Seed-0 digests published with the reference implementation: the
+        // empty input, inputs that end in the 1-, 4- and 8-byte tail steps,
+        // and one long enough to run the four-lane stripe loop.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(xxh64(b"xxhash"), 0x32DD_3895_2C4B_C720);
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xFBCE_A83C_8A37_8BF1);
+    }
+
+    fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let at = begin_frame(&mut buf);
+        buf.push(kind);
+        buf.extend_from_slice(body);
+        end_frame(&mut buf, at);
+        buf
+    }
+
+    #[test]
+    fn frames_round_trip_through_the_scanner() {
+        let mut log = frame(REC_SNAP_HEADER, &7u64.to_le_bytes());
+        log.extend_from_slice(&frame(REC_SNAP_FOOTER, &42u64.to_le_bytes()));
+        let mut scanner = FrameScanner::new(&log);
+        assert_eq!(scanner.typed(REC_SNAP_HEADER), Some(&7u64.to_le_bytes()[..]));
+        assert_eq!(scanner.typed(REC_SNAP_FOOTER), Some(&42u64.to_le_bytes()[..]));
+        assert!(scanner.next().is_none());
+        assert_eq!(scanner.valid_len, log.len());
+    }
+
+    #[test]
+    fn scanner_salvages_at_torn_and_corrupt_frames() {
+        let first = frame(REC_SNAP_HEADER, &1u64.to_le_bytes());
+        let second = frame(REC_SNAP_HEADER, &2u64.to_le_bytes());
+        // Torn tail: any strict prefix of the second frame is rejected and
+        // the salvage point is the end of the first.
+        for cut in 0..second.len() {
+            let mut log = first.clone();
+            log.extend_from_slice(second.get(..cut).unwrap_or(&[]));
+            let mut scanner = FrameScanner::new(&log);
+            assert!(scanner.next().is_some());
+            assert!(scanner.next().is_none(), "cut at {cut} must not verify");
+            assert_eq!(scanner.valid_len, first.len());
+        }
+        // A flipped bit anywhere in the second frame fails its checksum (or
+        // its length bound) and salvages at the same point.
+        for bit in 0..second.len() * 8 {
+            let mut log = first.clone();
+            let mut broken = second.clone();
+            if let Some(byte) = broken.get_mut(bit / 8) {
+                *byte ^= 1 << (bit % 8);
+            }
+            log.extend_from_slice(&broken);
+            let mut scanner = FrameScanner::new(&log);
+            assert!(scanner.next().is_some());
+            assert!(scanner.next().is_none(), "bit flip at {bit} must not verify");
+            assert_eq!(scanner.valid_len, first.len());
+        }
+    }
+
+    #[test]
+    fn fault_fs_crash_models_honour_sync_points() {
+        let fs = FaultFs::new();
+        let path = Path::new("/x.wal");
+        let (mut file, len) = fs.open_append(path).expect("FaultFs open");
+        assert_eq!(len, 0);
+        file.append(b"aaaa").expect("append");
+        file.sync().expect("sync");
+        file.append(b"bbbb").expect("append");
+        // No sync after "bbbb".
+        assert_eq!(fs.total_write_bytes(), 8);
+
+        // Torn with a full budget keeps everything written...
+        let torn = fs.crashed(8, CrashModel::Torn);
+        assert_eq!(torn.file_len(path), Some(8));
+        // ...a smaller budget tears mid-write...
+        let torn = fs.crashed(6, CrashModel::Torn);
+        assert_eq!(torn.file_len(path), Some(6));
+        // ...and SyncedOnly drops everything after the last fsync.
+        let synced = fs.crashed(8, CrashModel::SyncedOnly);
+        assert_eq!(synced.file_len(path), Some(4));
+
+        // Atomic replaces are all-or-nothing and consume no byte budget —
+        // but they still honour journal order: a budget that tears an
+        // earlier write never reaches them.
+        fs.write_atomic(Path::new("/y.snap"), b"snapshot").expect("atomic");
+        let image = fs.crashed(8, CrashModel::SyncedOnly);
+        assert_eq!(image.file_len(Path::new("/y.snap")), Some(8));
+        assert_eq!(image.file_len(path), Some(4));
+        let image = fs.crashed(0, CrashModel::SyncedOnly);
+        assert_eq!(image.file_len(Path::new("/y.snap")), None, "torn before the atomic");
+    }
+
+    #[test]
+    fn op_boundary_crashes_split_non_append_operations() {
+        let fs = FaultFs::new();
+        let wal = Path::new("/m.wal");
+        let snap = Path::new("/m.snap");
+        let (mut file, _) = fs.open_append(wal).expect("FaultFs open");
+        file.append(b"tail").expect("append");
+        fs.write_atomic(snap, b"snapshot").expect("atomic");
+        fs.remove(wal).expect("remove");
+        // An atomic replace is two operations: the tmp file, then the rename.
+        assert_eq!(fs.op_count(), 4);
+        // The byte budget cannot separate the atomic replace from the
+        // removal that follows it: both ride on the last appended byte.
+        let image = fs.crashed(4, CrashModel::Torn);
+        assert_eq!(image.file_len(snap), Some(8));
+        assert_eq!(image.file_len(wal), None);
+        // Op boundaries can: a crash after the snapshot install but before
+        // the removal — the window an interrupted checkpoint leaves.
+        let image = fs.crashed_at_op(3, CrashModel::Torn);
+        assert_eq!(image.file_len(snap), Some(8));
+        assert_eq!(image.file_len(wal), Some(4), "log must not be removed yet");
+        // ...or between the tmp write and its rename, stranding the tmp file.
+        let image = fs.crashed_at_op(2, CrashModel::Torn);
+        assert_eq!(image.file_len(snap), None, "crash before the rename");
+        assert_eq!(image.list(Path::new("/")).expect("list"), [Path::new("/m.tmp"), wal]);
+        let image = fs.crashed_at_op(1, CrashModel::Torn);
+        assert_eq!(image.list(Path::new("/")).expect("list"), [wal]);
+    }
+
+    #[test]
+    fn failpoint_writer_injects_short_writes_and_fsync_errors() {
+        let fs = FaultFs::new();
+        let path = Path::new("/fp.wal");
+        let (inner, _) = fs.open_append(path).expect("FaultFs open");
+        let mut writer = FailpointWriter::new(inner, Some(1), Some(2));
+        writer.append(b"12345678").expect("first write passes");
+        let err = writer.append(b"12345678").expect_err("second write fails");
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        // The failing write left half the bytes behind — a torn tail.
+        assert_eq!(fs.file_len(path), Some(12));
+        writer.sync().expect("first fsync passes");
+        writer.sync().expect("second fsync passes");
+        assert!(writer.sync().is_err(), "third fsync must fail");
+    }
+
+    #[test]
+    fn shard_snapshots_round_trip_byte_identically() {
+        let head = vec![
+            Sample { timestamp_ms: 1_000, value: 1.5 },
+            Sample { timestamp_ms: 2_000, value: -2.25 },
+        ];
+        let sealed_samples: Vec<Sample> =
+            (0..8).map(|i| Sample { timestamp_ms: 10_000 + i * 500, value: i as f64 }).collect();
+        let gorilla = Arc::new(Chunk::sealed(sealed_samples.clone(), true));
+        let raw = Arc::new(Chunk::sealed(sealed_samples.clone(), false));
+        let series = [SnapSeriesRef {
+            id: 9,
+            name_sym: SymbolId::from_u32(3),
+            label_syms: &[(SymbolId::from_u32(1), SymbolId::from_u32(2))],
+            ever_appended: true,
+            head: &head,
+            sealed: &[Arc::clone(&gorilla), Arc::clone(&raw)],
+        }];
+        let bytes = encode_shard_snapshot(5, 2, 7, &series);
+        let snap = decode_shard_snapshot(&bytes).expect("decode");
+        assert_eq!(snap.base_seq, 5);
+        assert_eq!(snap.generation, 2);
+        assert_eq!(snap.rejected, 7);
+        assert_eq!(snap.series.len(), 1);
+        let s = &snap.series[0];
+        assert_eq!(s.id, 9);
+        assert_eq!(s.name_sym, SymbolId::from_u32(3));
+        assert_eq!(s.label_syms, vec![(SymbolId::from_u32(1), SymbolId::from_u32(2))]);
+        assert!(s.ever_appended);
+        assert_eq!(s.head, head);
+        assert_eq!(s.sealed.len(), 2);
+        // The Gorilla payload is carried verbatim: byte-identical restore.
+        match (&s.sealed[0].data, &gorilla.data) {
+            (ChunkData::Compressed(restored), ChunkData::Compressed(original)) => {
+                assert_eq!(restored, original);
+            }
+            _ => panic!("sealed chunk must stay compressed"),
+        }
+        match &s.sealed[1].data {
+            ChunkData::Raw(samples) => assert_eq!(samples, &sealed_samples),
+            ChunkData::Compressed(_) => panic!("raw chunk must stay raw"),
+        }
+        // Any truncation of the image is rejected outright — a snapshot is
+        // only trusted whole.
+        for cut in 0..bytes.len() {
+            assert!(decode_shard_snapshot(bytes.get(..cut).unwrap_or(&[])).is_none());
+        }
+    }
+}

@@ -2,9 +2,9 @@
 //! allocation-free: a counting global allocator wraps the system allocator,
 //! and a steady-state `append_batch` + `wal_flush` round against a durable
 //! database (real files on tmpfs) must perform zero heap allocations — the
-//! WAL stages into per-shard buffers whose capacity is retained round over
-//! round, and the flush is one sequential `write_all` + fsync per dirty
-//! shard.
+//! WAL stages into per-shard buffers and drains them into one group buffer,
+//! all of whose capacity is retained round over round, and the flush is one
+//! sequential `write_all` of that group.
 
 // Audit bookkeeping (held-lock stacks, the order graph) allocates by
 // design, so the zero-allocation proofs only hold without `lock_audit`;
@@ -94,8 +94,8 @@ fn warm_durable_ingest_round_is_allocation_free() {
         assert!(db.wal_flush(), "flush on a healthy filesystem must stay clean");
     };
 
-    // Warm-up: create series, open the log files lazily, grow the staging
-    // buffers to their steady-state capacity.
+    // Warm-up: create series, open the log segment lazily, grow the staging
+    // and group buffers to their steady-state capacity.
     for t in 1..=8u64 {
         round(t * 1_000);
     }

@@ -11,8 +11,8 @@
 //!
 //! * **Bounded memory.** Despite unbounded-unique label traffic, resident +
 //!   symbol + index bytes plateau: retention evicts drained series, series
-//!   eviction releases symbols, cooling matures, and the meta-log rotation
-//!   sweep frees the slots for reuse.  Without the symbol GC the table
+//!   eviction releases symbols, cooling matures, and the symbol-table
+//!   checkpoint's sweep frees the slots for reuse.  Without the symbol GC the table
 //!   would grow by every churn string ever interned.
 //! * **Exact resolution across restart.** The recovered database is
 //!   byte-identical to the pre-crash state — every surviving series
@@ -48,8 +48,8 @@ fn config() -> TsdbConfig {
 
 fn open(fs: &FaultFs) -> TimeSeriesDb {
     let options = DurabilityOptions {
-        // Small segments: shard and meta logs rotate (and the symbol sweep
-        // runs) many times over the soak.
+        // Small segments: shards and the symbol table are checkpointed (and
+        // the symbol sweep runs) many times over the soak.
         segment_bytes: 1024,
         fsync: FsyncMode::EveryCommit,
         fs: Arc::new(fs.clone()),

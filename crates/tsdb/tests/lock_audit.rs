@@ -11,13 +11,15 @@
 #![cfg(lock_audit)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::audit;
 use teemon_metrics::{Labels, Registry, RegistryCollector};
 use teemon_tsdb::{
-    CardinalityBudgets, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb, TsdbConfig,
+    CardinalityBudgets, DurabilityOptions, FaultFs, ScrapeTargetConfig, Scraper, Selector,
+    TimeSeriesDb, TsdbConfig,
 };
 
 /// Allocations observed while [`audit::alloc_armed`] reported `true` — i.e.
@@ -158,6 +160,40 @@ fn concurrent_scrape_and_query_establish_a_clean_lock_order() {
         "cache rebuilds run budget admission under the target cache lock:\n{report}"
     );
     println!("{report}");
+}
+
+/// The durability tier joins the order graph in one direction only.  A flush
+/// holds `tsdb.wal.log` from its commit through its checkpoints and takes
+/// everything else inside it — the stages it drains, the symbol table, and
+/// for a shard checkpoint the shard it snapshots — while the append paths
+/// stage under `tsdb.shard` without ever touching the log lock.  The reverse
+/// edge would let an appender and the flusher wait on each other.
+#[test]
+fn the_wal_log_lock_is_outermost() {
+    let options = DurabilityOptions {
+        segment_bytes: 64, // tiny: every few rounds checkpoint shards and symbols
+        fs: Arc::new(FaultFs::new()),
+        ..DurabilityOptions::default()
+    };
+    let db = TimeSeriesDb::open_with(Path::new("/wal"), TsdbConfig::default(), options)
+        .expect("FaultFs open cannot fail");
+    for round in 1..=8u64 {
+        for node in 0..4 {
+            let labels = Labels::from_pairs([("node", format!("n{node}"))]);
+            db.append("teemon_wal_metric", &labels, round * 1_000, round as f64);
+        }
+        assert!(db.wal_flush());
+    }
+    let report = audit::report();
+    for edge in [
+        "tsdb.shard -> tsdb.wal.shard",
+        "tsdb.wal.log -> tsdb.wal.shard",
+        "tsdb.wal.log -> tsdb.symbols",
+        "tsdb.wal.log -> tsdb.shard",
+    ] {
+        assert!(report.contains(edge), "missing {edge}:\n{report}");
+    }
+    assert!(!report.contains("tsdb.shard -> tsdb.wal.log"), "{report}");
 }
 
 /// The detector actually detects: a deliberately inverted acquisition order

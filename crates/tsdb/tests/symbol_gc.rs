@@ -3,8 +3,8 @@
 //! **durable** database (on the deterministic [`FaultFs`], with clean
 //! restarts interleaved) and, op-for-op, against a volatile twin.  The
 //! volatile twin never garbage-collects its symbol table — sweeps run only
-//! at meta-log rotation, which only a durable log performs — so it is the
-//! leak-free *upper bound*: the durable database must expose exactly the
+//! at symbol-table checkpoints, which only a durable log performs — so it is
+//! the leak-free *upper bound*: the durable database must expose exactly the
 //! same series with byte-identical name and label strings at every check
 //! point (no live `SymbolId` may ever resolve to the wrong string, however
 //! many sweeps, rebinds and restarts happened in between), while its symbol
@@ -100,8 +100,8 @@ proptest! {
         case in 0u64..1_000_000,
     ) {
         let mut rng = TestRng::deterministic(&format!("symbol-gc-{case}"));
-        // Tiny segments rotate (and sweep) nearly every round; the huge
-        // alternative exercises the no-rotation path, where cooling entries
+        // Tiny segments checkpoint (and sweep) nearly every round; the huge
+        // alternative exercises the no-checkpoint path, where cooling entries
         // simply accumulate until a sweep finally runs.
         let segment_bytes = if case % 2 == 0 { 96 } else { 1 << 20 };
         let fs = FaultFs::new();
@@ -171,10 +171,10 @@ proptest! {
         }
 
         // Churn coda: every round interns brand-new strings and drops the
-        // previous round's.  With tiny segments the meta log rotates each
-        // round, so the durable symbol count must plateau (stable strings +
-        // one live churn round + two cooling rounds) while the never-swept
-        // twin keeps absorbing every tag it ever saw.
+        // previous round's.  With tiny segments the symbol table is
+        // checkpointed (and swept) every few rounds, so the durable symbol
+        // count must plateau while the never-swept twin keeps absorbing
+        // every tag it ever saw.
         if segment_bytes == 96 {
             let base = rounds;
             for round in 0..12u64 {
