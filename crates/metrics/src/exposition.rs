@@ -11,8 +11,26 @@
 //! # TYPE teemon_syscalls_total counter
 //! teemon_syscalls_total{syscall="read"} 42 1607731200000
 //! ```
+//!
+//! # The inbound tokenizer
+//!
+//! Every `parse_*` entry point shares one pass, `tokenize`, and one fold,
+//! `fold_families` (which runs after the pass so that a `# TYPE` line
+//! below a family's samples still applies to them).  A sample line is read
+//! by `scan_sample` in one forward scan over its bytes: the name, the
+//! label block as `(name, value, escaped?)` spans of the document held in a
+//! scratch vector reused from line to line, the value, the optional
+//! timestamp — validating as it goes (name alphabets, reserved `__` names,
+//! duplicates, quoting, escapes, value and timestamp syntax, trailing
+//! garbage, the [`ParseLimits`]).  The spans are kept sorted by name as they
+//! are found, and only a line that passed every check allocates: its pairs
+//! are written once, in order, into a [`Labels`] sized for exactly them — one
+//! heap block per sample, none for a line without labels.  What the scan
+//! accepts, what it rejects, with which message and which of several defects
+//! first, is pinned against the parser it replaced by
+//! `tests/parse_differential.rs`.
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::collector::{CollectError, Collector};
@@ -135,8 +153,9 @@ fn escape_label_value(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
-fn unescape_label_value(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` with its escapes (`\n`, `\"`, `\\`) resolved; found
+/// by the same round-trip property tests as [`unescape_help`].
+fn unescape_label_value(s: &str, out: &mut String) {
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
         if c == '\\' {
@@ -154,7 +173,6 @@ fn unescape_label_value(s: &str) -> String {
             out.push(c);
         }
     }
-    out
 }
 
 /// A scrape result: parsed samples plus per-family metadata.
@@ -189,16 +207,13 @@ impl ParsedExposition {
     /// into histogram and summary points.  Families appear in document order;
     /// samples without a `# TYPE` declaration become untyped families.
     pub fn to_families(&self) -> Vec<FamilySnapshot> {
-        fold_families(
-            &self.types,
-            &self.help,
-            self.samples.iter().map(|s| RawSample {
-                name: &s.name,
-                labels: s.labels.clone(),
-                value: s.value,
-                timestamp_ms: s.timestamp_ms,
-            }),
-        )
+        let samples = self.samples.iter().map(|s| RawSample {
+            name: &s.name,
+            labels: s.labels.clone(),
+            value: s.value,
+            timestamp_ms: s.timestamp_ms,
+        });
+        fold_families(&self.types, &self.help, samples.collect())
     }
 }
 
@@ -224,10 +239,10 @@ struct Tokens<'a> {
 /// `# TYPE`/`# HELP` declarations (complete, so that a declaration after a
 /// family's first sample still applies to it).  Each sample's label set is
 /// moved into its point.
-fn fold_families<'a, K: Borrow<str> + Ord>(
+fn fold_families<K: Borrow<str> + Ord>(
     types: &BTreeMap<K, MetricKind>,
     help: &BTreeMap<K, String>,
-    samples: impl Iterator<Item = RawSample<'a>>,
+    samples: Vec<RawSample<'_>>,
 ) -> Vec<FamilySnapshot> {
     let mut families: Vec<FamilySnapshot> = Vec::new();
     // Distribution accumulators keyed by (family index, grouping labels).
@@ -236,14 +251,22 @@ fn fold_families<'a, K: Borrow<str> + Ord>(
     // family's samples together, so this is nearly always the answer.
     let mut last = 0;
 
-    for sample in samples {
+    let mut samples = samples.into_iter();
+    while let Some(sample) = samples.next() {
         let (family_name, part) = split_sample_name(types, sample.name);
         let index = match families.get(last) {
             Some(family) if family.name == family_name => last,
             _ => families.iter().position(|f| f.name == family_name).unwrap_or_else(|| {
                 let kind = types.get(family_name).copied().unwrap_or(MetricKind::Untyped);
                 let help = help.get(family_name).cloned().unwrap_or_default();
-                families.push(FamilySnapshot::new(family_name, help, kind));
+                let mut family = FamilySnapshot::new(family_name, help, kind);
+                if !matches!(kind, MetricKind::Histogram | MetricKind::Summary) {
+                    // One point per sample, and the run of samples that
+                    // starts here sizes the point list once.
+                    let run = samples.as_slice().iter().take_while(|s| s.name == sample.name);
+                    family.points.reserve(1 + run.count());
+                }
+                families.push(family);
                 families.len() - 1
             }),
         };
@@ -440,7 +463,7 @@ pub fn parse_families_bounded(
     limits: ParseLimits,
 ) -> Result<Vec<FamilySnapshot>, MetricError> {
     let tokens = tokenize(input, limits)?;
-    Ok(fold_families(&tokens.types, &tokens.help, tokens.samples.into_iter()))
+    Ok(fold_families(&tokens.types, &tokens.help, tokens.samples))
 }
 
 /// Parses a text exposition document.
@@ -484,7 +507,16 @@ pub fn parse_text_bounded(
 /// The one pass over the document's lines that every parse entry point
 /// shares.
 fn tokenize(input: &str, limits: ParseLimits) -> Result<Tokens<'_>, MetricError> {
-    let mut tokens = Tokens { samples: Vec::new(), types: BTreeMap::new(), help: BTreeMap::new() };
+    // Every sample is a line of its own, so counting the lines that could
+    // hold one sizes the token list once.  The sample limit trips before the
+    // vector could outgrow it, and a sample line is at least `a 1\n`, so
+    // the reservation also stays within a fixed multiple of the body.
+    let most = limits.max_samples.min(input.len() / MIN_SAMPLE_LINE_BYTES + 1);
+    let mut tokens = Tokens {
+        samples: Vec::with_capacity(count_sample_lines(input.as_bytes()).min(most)),
+        types: BTreeMap::new(),
+        help: BTreeMap::new(),
+    };
     let mut family_names: BTreeSet<&str> = BTreeSet::new();
     let mut note_family = |name| -> Result<(), MetricError> {
         if !family_names.contains(name) {
@@ -502,6 +534,7 @@ fn tokenize(input: &str, limits: ParseLimits) -> Result<Tokens<'_>, MetricError>
     // Name of the previous sample line: a run of one family's samples
     // consults the family set once.
     let mut noted = "";
+    let mut scratch = LineScratch::default();
     for (idx, raw_line) in input.lines().enumerate() {
         let line_no = idx + 1;
         if raw_line.len() > limits.max_line_bytes {
@@ -511,28 +544,25 @@ fn tokenize(input: &str, limits: ParseLimits) -> Result<Tokens<'_>, MetricError>
                 actual: raw_line.len(),
             });
         }
-        let line = raw_line.trim();
+        let line = trim_end(trim_start(raw_line));
         if line.is_empty() {
             continue;
         }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let (name, kind_token) = rest.split_once(' ').unwrap_or((rest, ""));
-            let kind_token = kind_token.trim();
-            let kind = MetricKind::from_str_token(kind_token).ok_or(MetricError::Parse {
-                line: line_no,
-                message: format!("unknown metric type {kind_token:?}"),
-            })?;
-            note_family(name)?;
-            tokens.types.insert(name, kind);
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
-            note_family(name)?;
-            tokens.help.insert(name, unescape_help(help));
-            continue;
-        }
         if line.starts_with('#') {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind_token) = rest.split_once(' ').unwrap_or((rest, ""));
+                let kind_token = kind_token.trim();
+                let kind = MetricKind::from_str_token(kind_token).ok_or(MetricError::Parse {
+                    line: line_no,
+                    message: format!("unknown metric type {kind_token:?}"),
+                })?;
+                note_family(name)?;
+                tokens.types.insert(name, kind);
+            } else if let Some(rest) = line.strip_prefix("# HELP ") {
+                let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
+                note_family(name)?;
+                tokens.help.insert(name, unescape_help(help));
+            }
             // Other comments are ignored.
             continue;
         }
@@ -543,7 +573,7 @@ fn tokenize(input: &str, limits: ParseLimits) -> Result<Tokens<'_>, MetricError>
                 actual: tokens.samples.len() + 1,
             });
         }
-        let sample = parse_sample_line(line, line_no)?;
+        let sample = scan_sample(line, line_no, &mut scratch)?;
         if sample.name != noted {
             note_family(sample.name)?;
             noted = sample.name;
@@ -553,43 +583,177 @@ fn tokenize(input: &str, limits: ParseLimits) -> Result<Tokens<'_>, MetricError>
     Ok(tokens)
 }
 
-fn parse_sample_line(line: &str, line_no: usize) -> Result<RawSample<'_>, MetricError> {
+/// The shortest sample line, `a 1` and its newline.
+const MIN_SAMPLE_LINE_BYTES: usize = 4;
+
+/// Counts the lines of a document that open with neither `#` nor a newline:
+/// every sample line is one, comments and blank lines are not.  Tallied per
+/// 64-byte chunk in a `u8`, which keeps the comparisons in byte lanes — a
+/// pass the compiler vectorises, where a plain `filter().count()`, or `&&`
+/// between the three comparisons, walks byte by byte.
+fn count_sample_lines(bytes: &[u8]) -> usize {
+    let opens_sample =
+        |before: u8, first: u8| (before == b'\n') & (first != b'\n') & (first != b'#');
+    // Each byte paired with the one before it; the document's first byte
+    // follows an imaginary newline.
+    let first = bytes.first().is_some_and(|&b| opens_sample(b'\n', b));
+    let firsts = bytes.get(1..).unwrap_or_default();
+    let befores = bytes.get(..firsts.len()).unwrap_or_default();
+    let tally = |befores: &[u8], firsts: &[u8]| {
+        befores.iter().zip(firsts).map(|(&b, &f)| u8::from(opens_sample(b, f))).sum::<u8>()
+    };
+    let (before_chunks, first_chunks) = (befores.chunks_exact(64), firsts.chunks_exact(64));
+    let tail = usize::from(tally(before_chunks.remainder(), first_chunks.remainder()));
+    let body = before_chunks.zip(first_chunks).map(|(b, f)| usize::from(tally(b, f)));
+    usize::from(first) + body.sum::<usize>() + tail
+}
+
+/// What [`scan_sample`] reuses from line to line, so that a line's only
+/// allocation is the one block of the [`Labels`] it yields.
+#[derive(Default)]
+struct LineScratch<'a> {
+    /// The label block of the current line as spans of the document, kept
+    /// sorted by name as they are found.
+    spans: Vec<LabelSpan<'a>>,
+    /// The current escaped value with its escapes resolved.
+    unescaped: String,
+}
+
+/// One `name="value"` of a label block, still borrowed from the document.
+struct LabelSpan<'a> {
+    name: &'a str,
+    /// The text between the quotes, escapes unresolved.
+    raw_value: &'a str,
+    has_escape: bool,
+}
+
+fn is_label_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// The blanks `char::is_whitespace` knows within ASCII (`u8::is_ascii_whitespace`
+/// leaves out the vertical tab).
+fn is_ascii_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// `str::trim_start`, skipping the scan when the first byte is plain ASCII.
+fn trim_start(s: &str) -> &str {
+    match s.as_bytes().first() {
+        Some(&b) if b.is_ascii() && !is_ascii_blank(b) => s,
+        _ => s.trim_start(),
+    }
+}
+
+/// `str::trim_end`, skipping the scan when the last byte is plain ASCII.
+fn trim_end(s: &str) -> &str {
+    match s.as_bytes().last() {
+        Some(&b) if b.is_ascii() && !is_ascii_blank(b) => s,
+        _ => s.trim_end(),
+    }
+}
+
+/// Splits off the first whitespace-delimited field of `s`, as
+/// `str::split_whitespace` would yield it, and returns it with what follows.
+fn next_field(s: &str) -> Option<(&str, &str)> {
+    let s = trim_start(s);
+    if s.is_empty() {
+        return None;
+    }
+    let stop = s.bytes().position(|b| is_ascii_blank(b) || !b.is_ascii());
+    let end = match stop {
+        Some(at) if s.as_bytes().get(at).is_some_and(u8::is_ascii) => at,
+        // A multi-byte character: only `char::is_whitespace` can tell
+        // whether it ends the field.
+        Some(_) => s.find(char::is_whitespace).unwrap_or(s.len()),
+        None => s.len(),
+    };
+    Some((s.get(..end)?, s.get(end..)?))
+}
+
+/// Tokenises one sample line — `name`, an optional `{…}` label block, the
+/// value, an optional timestamp — in one forward scan over its bytes,
+/// validating as it goes.  Multi-byte characters only ever matter as
+/// whitespace; wherever one could, the scan hands that decision to `str`.
+fn scan_sample<'a>(
+    line: &'a str,
+    line_no: usize,
+    scratch: &mut LineScratch<'a>,
+) -> Result<RawSample<'a>, MetricError> {
     let err = |message: String| MetricError::Parse { line: line_no, message };
+    let bytes = line.as_bytes();
+    let is_name_byte = |b: u8| is_label_name_byte(b) || b == b':';
+    // Every byte before `name_end` is a name byte, so a name that ends there
+    // is valid unless it is empty or opens with a digit.
+    let name_end = bytes.iter().position(|&b| !is_name_byte(b)).unwrap_or(bytes.len());
+    let scanned_name_is_valid = bytes.first().is_some_and(|b| !b.is_ascii_digit());
+    let after_name = bytes.get(name_end).copied();
 
     // The label block runs from the first '{' to the last '}' of the line.
-    let (name, labels, value_part) = match line.split_once('{') {
-        Some((name, rest)) => {
-            let Some((labels_str, value_part)) = rest.rsplit_once('}') else {
-                let message =
-                    if name.contains('}') { "'}' before '{'" } else { "missing closing '}'" };
-                return Err(err(message.into()));
+    let open = match after_name {
+        Some(b'{') => Some(name_end),
+        Some(_) => line.get(name_end..).and_then(|rest| rest.find('{')).map(|at| name_end + at),
+        None => None,
+    };
+    scratch.spans.clear();
+    let (name, name_is_valid, value_part) = match open {
+        Some(open) => {
+            let close = match bytes.iter().rposition(|&b| b == b'}') {
+                Some(close) if close > open => close,
+                Some(_) => return Err(err("'}' before '{'".into())),
+                None => return Err(err("missing closing '}'".into())),
             };
-            (name, parse_labels(labels_str, line_no)?, value_part)
+            let block = line.get(open + 1..close).unwrap_or_default();
+            scan_labels(block, line_no, &mut scratch.spans)?;
+            let name = line.get(..open).unwrap_or_default();
+            let value_part = line.get(close + 1..).unwrap_or_default();
+            (name, open == name_end && scanned_name_is_valid, value_part)
         }
+        None if after_name.is_none_or(is_ascii_blank) => {
+            let (name, rest) = line.split_at_checked(name_end).unwrap_or((line, ""));
+            (name, scanned_name_is_valid, rest)
+        }
+        // The name runs into a byte outside its alphabet: invalid, unless
+        // that byte opens a multi-byte blank.
         None => {
             let (name, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-            (name, Labels::new(), rest)
+            (name, MetricName::is_valid(name), rest)
         }
     };
-
     if name.is_empty() {
         return Err(err("empty metric name".into()));
     }
-    if !MetricName::is_valid(name) {
+    if !name_is_valid {
         return Err(err(format!("invalid metric name {name:?}")));
     }
 
-    let mut value_fields = value_part.split_whitespace();
-    let value_str = value_fields.next().ok_or_else(|| err("missing sample value".into()))?;
+    let (value_str, rest) =
+        next_field(value_part).ok_or_else(|| err("missing sample value".into()))?;
     let value = parse_value(value_str).ok_or_else(|| err(format!("bad value {value_str:?}")))?;
-    let timestamp_ms = match value_fields.next() {
-        Some(ts) => Some(ts.parse::<u64>().map_err(|_| err(format!("bad timestamp {ts:?}")))?),
-        None => None,
+    let (timestamp_ms, rest) = match next_field(rest) {
+        Some((ts, rest)) => {
+            (Some(parse_timestamp(ts).ok_or_else(|| err(format!("bad timestamp {ts:?}")))?), rest)
+        }
+        None => (None, rest),
     };
-    if value_fields.next().is_some() {
+    if next_field(rest).is_some() {
         return Err(err("trailing garbage after timestamp".into()));
     }
 
+    // Everything checked out: write each piece once, in name order, into a
+    // label set sized for exactly these pieces.
+    let spans = &scratch.spans;
+    let bytes = spans.iter().map(|s| s.name.len() + s.raw_value.len()).sum();
+    let mut labels = Labels::with_exact_capacity(spans.len(), bytes);
+    for span in spans {
+        if span.has_escape {
+            scratch.unescaped.clear();
+            unescape_label_value(span.raw_value, &mut scratch.unescaped);
+            labels.push_last(span.name, &scratch.unescaped);
+        } else {
+            labels.push_last(span.name, span.raw_value);
+        }
+    }
     Ok(RawSample { name, labels, value, timestamp_ms })
 }
 
@@ -602,62 +766,91 @@ fn parse_value(s: &str) -> Option<f64> {
     }
 }
 
-/// Parses the inside of a `{…}` label block into its final packed form.
+/// `str::parse::<u64>` as a checked digit loop: an optional `+`, at least
+/// one digit, nothing else, no overflow.
+fn parse_timestamp(s: &str) -> Option<u64> {
+    let digits = s.strip_prefix('+').unwrap_or(s);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.bytes().try_fold(0u64, |value, b| {
+        let digit = b.checked_sub(b'0').filter(|digit| *digit <= 9)?;
+        value.checked_mul(10)?.checked_add(u64::from(digit))
+    })
+}
+
+/// Scans the inside of a `{…}` label block into `spans`, sorted by name.
 /// Names must be valid, unreserved and distinct: the rest of the system
 /// cannot represent anything else (a `__name__` label would render as a
 /// second metric name, `a b` would be re-emitted verbatim by federation).
-fn parse_labels(s: &str, line_no: usize) -> Result<Labels, MetricError> {
+/// Each span is slotted into place as it is found — the lists are tiny and
+/// encoders emit them sorted — which is also where a duplicate shows, so a
+/// defect in an earlier label is reported before one in a later label.
+fn scan_labels<'a>(
+    block: &'a str,
+    line_no: usize,
+    spans: &mut Vec<LabelSpan<'a>>,
+) -> Result<(), MetricError> {
     let err = |message: String| MetricError::Parse { line: line_no, message };
-    // Every label carries two quotes and the block is longer than its
-    // names and unescaped values together: one reservation, no regrowth.
-    let quotes = s.bytes().filter(|&b| b == b'"').count();
-    let mut labels = Labels::with_capacity(quotes / 2, s.len());
-    let mut rest = s.trim();
+    let mut rest = trim_end(trim_start(block));
     while !rest.is_empty() {
-        let (key, after_eq) = rest
-            .split_once('=')
+        // A name written tight against its '=' is checked as it is scanned;
+        // any other spelling goes the long way round.
+        let name_end = rest.bytes().position(|b| !is_label_name_byte(b)).unwrap_or(rest.len());
+        let tight = rest.as_bytes().get(name_end) == Some(&b'=');
+        let eq = if tight { Some(name_end) } else { rest.find('=') };
+        let (key, after_eq) = eq
+            .and_then(|eq| Some((rest.get(..eq)?, rest.get(eq + 1..)?)))
             .ok_or_else(|| err(format!("missing '=' in labels near {rest:?}")))?;
-        let key = key.trim();
-        let Some(quoted) = after_eq.trim_start().strip_prefix('"') else {
-            return Err(err(format!("label value for {key:?} not quoted")));
+        let name = trim_end(key);
+        let name_is_valid = if tight {
+            !name.starts_with("__") && name.bytes().next().is_some_and(|b| !b.is_ascii_digit())
+        } else {
+            LabelName::is_valid(name)
         };
-        // Find the closing quote, skipping escaped quotes.
-        let mut escaped = false;
+        let Some(quoted) = trim_start(after_eq).strip_prefix('"') else {
+            return Err(err(format!("label value for {name:?} not quoted")));
+        };
+        // Find the closing quote; a backslash takes the next byte with it.
         let mut has_escape = false;
-        let mut end = None;
-        for (i, b) in quoted.bytes().enumerate() {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-                has_escape = true;
-            } else if b == b'"' {
-                end = Some(i);
-                break;
+        let mut at = 0;
+        let end = loop {
+            let special = quoted
+                .as_bytes()
+                .get(at..)
+                .and_then(|tail| tail.iter().position(|&b| b == b'"' || b == b'\\'))
+                .ok_or_else(|| err(format!("unterminated label value for {name:?}")))?;
+            at += special;
+            if quoted.as_bytes().get(at) == Some(&b'"') {
+                break at;
+            }
+            has_escape = true;
+            at += 2;
+        };
+        let (raw_value, after_value) =
+            (quoted.get(..end).unwrap_or_default(), quoted.get(end + 1..).unwrap_or_default());
+        if !name_is_valid {
+            return Err(err(format!("invalid label name {name:?}")));
+        }
+        let mut slot = spans.len();
+        while let Some(before) = slot.checked_sub(1).and_then(|at| spans.get(at)) {
+            match before.name.cmp(name) {
+                std::cmp::Ordering::Less => break,
+                std::cmp::Ordering::Equal => {
+                    return Err(err(format!("duplicate label name {name:?}")))
+                }
+                std::cmp::Ordering::Greater => slot -= 1,
             }
         }
-        let (raw_value, after_value) = end
-            .and_then(|end| Some((quoted.get(..end)?, quoted.get(end + 1..)?)))
-            .ok_or_else(|| err(format!("unterminated label value for {key:?}")))?;
-        if !LabelName::is_valid(key) {
-            return Err(err(format!("invalid label name {key:?}")));
-        }
-        let value = if has_escape {
-            Cow::Owned(unescape_label_value(raw_value))
-        } else {
-            Cow::Borrowed(raw_value)
-        };
-        if labels.insert_str(key, &value) {
-            return Err(err(format!("duplicate label name {key:?}")));
-        }
-        rest = after_value.trim_start();
+        spans.insert(slot, LabelSpan { name, raw_value, has_escape });
+        rest = trim_start(after_value);
         if let Some(stripped) = rest.strip_prefix(',') {
-            rest = stripped.trim_start();
+            rest = trim_start(stripped);
         } else if !rest.is_empty() {
             return Err(err(format!("expected ',' between labels near {rest:?}")));
         }
     }
-    Ok(labels)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -740,6 +933,20 @@ vacuum -Inf
     fn parse_ignores_blank_lines_and_comments() {
         let parsed = parse_text("\n# just a comment\n\nfoo 1\n").unwrap();
         assert_eq!(parsed.samples.len(), 1);
+    }
+
+    #[test]
+    fn the_token_list_is_sized_from_sample_lines_not_from_newlines() {
+        let naive =
+            |text: &str| text.split('\n').filter(|l| !l.is_empty() && !l.starts_with('#')).count();
+        let long = format!("{}\n#c\n\n{} 1\nb 2", "# HELP a b".repeat(20), "m".repeat(200));
+        for text in ["", "\n", "a 1", "a 1\n", "\n\n#x\n\na 1\n# y\nb 2", "#\n#\n#", long.as_str()]
+        {
+            assert_eq!(count_sample_lines(text.as_bytes()), naive(text), "{text:?}");
+        }
+        // A body of blank lines and comments reserves nothing.
+        let blank = "\n".repeat(100_000) + &"# c\n".repeat(50_000);
+        assert_eq!(tokenize(&blank, ParseLimits::network()).unwrap().samples.capacity(), 0);
     }
 
     #[test]

@@ -3,6 +3,12 @@
 //! Names follow the Prometheus/OpenMetrics data model: metric names match
 //! `[a-zA-Z_:][a-zA-Z0-9_:]*`, label names match `[a-zA-Z_][a-zA-Z0-9_]*` and
 //! must not start with `__` (reserved for internal use by the aggregator).
+//!
+//! [`Labels`] is the packed label set every sample, cache entry and stored
+//! key carries: one string of names and values plus an offset table, which
+//! for the sets exporters emit (at most six labels, offsets within `u16`)
+//! lives inline — a label set is then a single heap block to build, clone,
+//! compare and free.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -112,14 +118,131 @@ impl fmt::Display for LabelName {
 ///
 /// The representation is packed: every name and value lies back to back in
 /// one string (`name0 value0 name1 value1 …`, sorted by name, names unique)
-/// and `ends` holds the end offset of each piece, two per label.  The form is
-/// canonical — equal sets have equal fields — so `==` and `Hash` are slice
-/// operations, `clone` is two copies, building a set costs two allocations
-/// however many labels it has, and `get` is a short scan.
+/// and an offset table holds the end of each piece, two per label.  A set of
+/// up to six labels (`INLINE_LABELS`) whose offsets fit `u16` — every set an
+/// exporter emits — keeps that table inline, so it is **one heap block**;
+/// anything larger spills the table into a `Vec`.  The form is canonical —
+/// equal sets have the same bytes, the same offsets and the same table kind
+/// (inline exactly when it fits) — so `==` and `Hash` are slice operations,
+/// `clone` is one copy, and `get` is a short scan.
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct Labels {
     buf: String,
-    ends: Vec<usize>,
+    ends: Ends,
+}
+
+/// Most labels a set holds with its offset table inline.
+const INLINE_LABELS: usize = 6;
+const INLINE_ENDS: usize = 2 * INLINE_LABELS;
+
+/// The offset table: the end of every piece of `buf`, two per label.
+/// `Inline` whenever the table fits (at most [`INLINE_ENDS`] offsets, all
+/// within `u16`), `Heap` otherwise; unused inline slots stay zero.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Ends {
+    Inline { len: u8, table: [u16; INLINE_ENDS] },
+    Heap(Vec<usize>),
+}
+
+impl Default for Ends {
+    fn default() -> Self {
+        Ends::Inline { len: 0, table: [0; INLINE_ENDS] }
+    }
+}
+
+impl Ends {
+    fn len(&self) -> usize {
+        match self {
+            Ends::Inline { len, .. } => usize::from(*len),
+            Ends::Heap(ends) => ends.len(),
+        }
+    }
+
+    fn get(&self, at: usize) -> Option<usize> {
+        match self {
+            Ends::Inline { len, table } => {
+                table.get(..usize::from(*len))?.get(at).map(|&end| usize::from(end))
+            }
+            Ends::Heap(ends) => ends.get(at).copied(),
+        }
+    }
+
+    fn iter(&self) -> EndsIter<'_> {
+        match self {
+            Ends::Inline { len, table } => {
+                EndsIter::Inline(table.get(..usize::from(*len)).unwrap_or_default().iter())
+            }
+            Ends::Heap(ends) => EndsIter::Heap(ends.iter()),
+        }
+    }
+
+    /// Appends an offset, spilling to the heap only when the inline table
+    /// cannot hold it.
+    fn push(&mut self, end: usize) {
+        match self {
+            Ends::Inline { len, table } => {
+                match (table.get_mut(usize::from(*len)), u16::try_from(end)) {
+                    (Some(slot), Ok(short)) => {
+                        *slot = short;
+                        *len += 1;
+                    }
+                    _ => {
+                        let mut spilled = Vec::with_capacity(2 * INLINE_ENDS);
+                        spilled.extend(self.iter());
+                        spilled.push(end);
+                        *self = Ends::Heap(spilled);
+                    }
+                }
+            }
+            Ends::Heap(ends) => ends.push(end),
+        }
+    }
+
+    /// A copy with room for `more` further offsets.
+    fn clone_with_room(&self, more: usize) -> Self {
+        match self {
+            Ends::Inline { .. } => self.clone(),
+            Ends::Heap(ends) => {
+                let mut copy = Vec::with_capacity(ends.len() + more);
+                copy.extend_from_slice(ends);
+                Ends::Heap(copy)
+            }
+        }
+    }
+}
+
+enum EndsIter<'a> {
+    Inline(std::slice::Iter<'a, u16>),
+    Heap(std::slice::Iter<'a, usize>),
+}
+
+impl Iterator for EndsIter<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            EndsIter::Inline(ends) => ends.next().map(|&end| usize::from(end)),
+            EndsIter::Heap(ends) => ends.next().copied(),
+        }
+    }
+}
+
+/// [`Labels::iter`]: walks the offset table two entries at a time.
+struct Pairs<'a> {
+    buf: &'a str,
+    ends: EndsIter<'a>,
+    start: usize,
+}
+
+impl<'a> Iterator for Pairs<'a> {
+    type Item = (&'a str, &'a str);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (mid, end) = (self.ends.next()?, self.ends.next()?);
+        let pair = (self.buf.get(self.start..mid)?, self.buf.get(mid..end)?);
+        self.start = end;
+        Some(pair)
+    }
 }
 
 /// Bytes reserved per label when only the label count is known up front.
@@ -131,12 +254,21 @@ impl Labels {
         Self::default()
     }
 
-    /// An empty set with room for `labels` labels of `bytes` bytes in total.
-    pub(crate) fn with_capacity(labels: usize, bytes: usize) -> Self {
-        Self {
-            buf: String::with_capacity(bytes),
-            ends: Vec::with_capacity(labels.saturating_mul(2)),
+    /// An empty set with room for `bytes` bytes of names and values.
+    fn with_capacity(bytes: usize) -> Self {
+        Self { buf: String::with_capacity(bytes), ends: Ends::default() }
+    }
+
+    /// An empty set about to receive exactly `labels` labels of at most
+    /// `bytes` bytes through [`Labels::push_last`]: the buffer and, past
+    /// [`INLINE_LABELS`], the offset table are sized once, up front.  The
+    /// count has to be exact — it chooses the table's kind.
+    pub(crate) fn with_exact_capacity(labels: usize, bytes: usize) -> Self {
+        let mut out = Self::with_capacity(bytes);
+        if labels > INLINE_LABELS {
+            out.ends = Ends::Heap(Vec::with_capacity(2 * labels));
         }
+        out
     }
 
     /// Builds a label set from `(name, value)` pairs; a later pair replaces
@@ -153,8 +285,7 @@ impl Labels {
     {
         let pairs = pairs.into_iter();
         let expected = pairs.size_hint().0;
-        let mut labels =
-            Self::with_capacity(expected, expected.saturating_mul(TYPICAL_LABEL_BYTES));
+        let mut labels = Self::with_capacity(expected.saturating_mul(TYPICAL_LABEL_BYTES));
         for (k, v) in pairs {
             let k = k.into();
             debug_assert!(LabelName::is_valid(&k), "invalid label name {k:?}");
@@ -205,25 +336,25 @@ impl Labels {
     }
 
     /// [`Labels::insert`] for callers that hold string slices: the packed
-    /// form copies the bytes, so nothing needs to be owned first.  Returns
-    /// `true` when `name` was already present (and its value replaced).
-    pub(crate) fn insert_str(&mut self, name: &str, value: &str) -> bool {
+    /// form copies the bytes, so nothing needs to be owned first.
+    fn insert_str(&mut self, name: &str, value: &str) {
         match self.search(name) {
             // Names arriving in sorted order — what every encoder emits —
             // append without moving a byte.
-            Err(at) if at == self.len() => {
-                self.buf.push_str(name);
-                self.ends.push(self.buf.len());
-                self.buf.push_str(value);
-                self.ends.push(self.buf.len());
-            }
+            Err(at) if at == self.len() => self.push_last(name, value),
             Err(at) => self.splice(at, 0, Some((name, value))),
-            Ok(at) => {
-                self.splice(at, 1, Some((name, value)));
-                return true;
-            }
+            Ok(at) => self.splice(at, 1, Some((name, value))),
         }
-        false
+    }
+
+    /// Appends a label whose name sorts after every name held: each piece is
+    /// written once, nothing moves.
+    pub(crate) fn push_last(&mut self, name: &str, value: &str) {
+        debug_assert!(self.last_name().is_none_or(|last| last < name), "sorted and distinct");
+        self.buf.push_str(name);
+        self.ends.push(self.buf.len());
+        self.buf.push_str(value);
+        self.ends.push(self.buf.len());
     }
 
     /// Removes a label, returning its previous value if present.
@@ -241,7 +372,7 @@ impl Labels {
 
     /// Returns `true` when no labels are present.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.ends.len() == 0
     }
 
     /// Number of labels in the set.
@@ -251,13 +382,7 @@ impl Labels {
 
     /// Iterates over `(name, value)` pairs in sorted name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        let mut start = 0;
-        self.ends.chunks_exact(2).filter_map(move |ends| {
-            let &[mid, end] = ends else { return None };
-            let pair = (self.buf.get(start..mid)?, self.buf.get(mid..end)?);
-            start = end;
-            Some(pair)
-        })
+        Pairs { buf: &self.buf, ends: self.ends.iter(), start: 0 }
     }
 
     /// Returns `true` when every label in `other` is present in `self` with an
@@ -279,10 +404,9 @@ impl Labels {
     /// A copy of `self` with room for `labels` more labels of `bytes` bytes,
     /// so the inserts that follow do not reallocate.
     fn clone_with_room(&self, labels: usize, bytes: usize) -> Self {
-        let mut out = Self::with_capacity(self.len() + labels, self.buf.len() + bytes);
-        out.buf.push_str(&self.buf);
-        out.ends.extend_from_slice(&self.ends);
-        out
+        let mut buf = String::with_capacity(self.buf.len() + bytes);
+        buf.push_str(&self.buf);
+        Self { buf, ends: self.ends.clone_with_room(2 * labels) }
     }
 
     /// The index of label `name` (`Ok`), or the index it would be inserted
@@ -310,10 +434,12 @@ impl Labels {
     /// The byte offset at which piece `piece` (a name or a value) starts;
     /// `ends.len()` gives the end of the buffer.
     fn piece_start(&self, piece: usize) -> usize {
-        piece.checked_sub(1).and_then(|before| self.ends.get(before)).copied().unwrap_or(0)
+        piece.checked_sub(1).and_then(|before| self.ends.get(before)).unwrap_or(0)
     }
 
-    /// Replaces the `removed` (0 or 1) labels at index `at` with `add`.
+    /// Replaces the `removed` (0 or 1) labels at index `at` with `add`.  The
+    /// offset table is rebuilt from empty, which is what keeps it canonical:
+    /// a set that shrinks back under the inline bounds moves back inline.
     fn splice(&mut self, at: usize, removed: usize, add: Option<(&str, &str)>) {
         let tail = 2 * (at + removed);
         let (start, old_end) = (self.piece_start(2 * at), self.piece_start(tail));
@@ -322,10 +448,13 @@ impl Labels {
         self.buf.insert_str(start, name);
         let mid = start + name.len();
         let new_end = mid + value.len();
-        for end in self.ends.iter_mut().skip(tail) {
-            *end = *end - old_end + new_end;
+        let old = std::mem::take(&mut self.ends);
+        let kept = old.iter().take(2 * at);
+        let added = add.map(|_| [mid, new_end]).into_iter().flatten();
+        let moved = old.iter().skip(tail).map(|end| end - old_end + new_end);
+        for end in kept.chain(added).chain(moved) {
+            self.ends.push(end);
         }
-        self.ends.splice(2 * at..tail, add.map(|_| [mid, new_end]).into_iter().flatten());
     }
 }
 
@@ -371,7 +500,7 @@ impl Deserialize for Labels {
         let Value::Object(entries) = value else {
             return Err(serde::Error::custom(format!("expected object, got {value:?}")));
         };
-        let mut labels = Labels::with_capacity(entries.len(), 0);
+        let mut labels = Labels::new();
         for (name, value) in entries {
             labels.insert_str(name, &String::from_value(value)?);
         }

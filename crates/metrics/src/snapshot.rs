@@ -231,6 +231,20 @@ impl FamilySnapshot {
         }
     }
 
+    /// How many samples [`FamilySnapshot::for_each_sample`] visits — the
+    /// series this family is on the wire and in storage — in closed form,
+    /// without building a label: a histogram point with *n* bounds is
+    /// *n* + 3 samples (its buckets, `+Inf`, `_sum`, `_count`), a summary
+    /// point its quantiles + 2.
+    pub fn sample_count(&self) -> usize {
+        let per_point = |point: &MetricPoint| match &point.value {
+            PointValue::Counter(_) | PointValue::Gauge(_) | PointValue::Untyped(_) => 1,
+            PointValue::Histogram(h) => h.bounds.len() + 3,
+            PointValue::Summary(s) => s.quantiles.len() + 2,
+        };
+        self.points.iter().map(per_point).sum()
+    }
+
     /// Flattens the family into individual owned [`Sample`]s as they appear on
     /// the wire (histograms expand into `_bucket`, `_sum` and `_count`
     /// samples).  Prefer [`FamilySnapshot::for_each_sample`] on hot paths.
@@ -423,10 +437,17 @@ mod tests {
             });
         });
         assert_eq!(visited, fam.samples());
+        assert_eq!(fam.sample_count(), visited.len(), "2 bounds + 3");
+        let summary =
+            SummarySnapshot { quantiles: vec![(0.5, 1.0), (0.99, 2.0)], sum: 3.0, count: 2 };
+        let fam = FamilySnapshot::new("q", "", MetricKind::Summary)
+            .with_point(MetricPoint::new(Labels::new(), PointValue::Summary(summary)));
+        assert_eq!(fam.sample_count(), fam.samples().len(), "2 quantiles + 2");
 
         // A plain counter family passes the family name pointer straight through.
         let plain = FamilySnapshot::new("c_total", "", MetricKind::Counter)
             .with_point(MetricPoint::new(Labels::new(), PointValue::Counter(4.0)));
+        assert_eq!(plain.sample_count(), 1);
         plain.for_each_sample(|name, _, value, _| {
             assert!(std::ptr::eq(name.as_ptr(), plain.name.as_ptr()));
             assert_eq!(value, 4.0);

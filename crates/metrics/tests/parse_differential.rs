@@ -7,7 +7,11 @@
 //! The generator covers what the fold has to get right: scalar, histogram
 //! and summary families, families whose samples interleave, `# TYPE` lines
 //! after (or without) their samples, escaped label values and help text, and
-//! the whitespace variants the tokenizer tolerates.  The mangler applies the
+//! the whitespace variants the tokenizer tolerates.  It also covers what a
+//! forward byte scanner can get wrong: labels in any order and more of them
+//! than the inline offset table holds, structural characters inside values,
+//! multi-byte blanks, braces after the label block, every spelling of the
+//! special values and timestamps at the edge of `u64`.  The mangler applies the
 //! four operations of `crates/server/tests/resilience.rs` (truncate, flip
 //! bits, insert bytes, swap bytes) to whole documents, which is how invalid
 //! names, torn quotes and stray braces get in.
@@ -493,14 +497,38 @@ const LABEL_VALUES: &[&str] = &[
     "odd\\q",
     "{x=},y",
     "日本",
+    "}",
+    "{",
+    ",",
+    "=",
+    "k=\\\"v\\\",",
+    "ends\\\\",
+    "\\\"}",
+    " padded ",
+    "\u{a0}",
 ];
-const VALUES: &[&str] = &["0", "1", "42.5", "-3", "1e9", "NaN", "+Inf", "-Inf", "Inf"];
+const VALUES: &[&str] = &[
+    "0", "1", "42.5", "-3", "1e9", "NaN", "+Inf", "-Inf", "Inf", "inf", "-inf", "+inf", "nan",
+    "Infinity", "INF", "1e400", ".5", "5.", "+5",
+];
+/// What may stand between a name (or a closing brace) and the value: the
+/// last four are blanks only `char::is_whitespace` knows.
+const BLANKS: &[&str] =
+    &[" ", " ", " ", "  ", "\t", " \t ", "\u{b}", "\u{c}", "\u{a0}", "\u{2003}"];
+/// Timestamps at the edge of what `u64` parsing accepts (the ones past it
+/// are among the defects).
+const TIMESTAMPS: &[&str] = &["18446744073709551615", "00000000000000000000017", "+17", "0"];
 
 /// One sample line for `name` with the given labels, in a randomly chosen
 /// spelling of the separators the tokenizer accepts.
 fn sample_line(rng: &mut Rng, name: &str, labels: &[(String, String)]) -> String {
-    let mut line = name.to_string();
-    if !labels.is_empty() || rng.chance(6) {
+    let mut line = String::new();
+    if rng.chance(8) {
+        line.push_str(rng.pick(BLANKS));
+    }
+    line.push_str(name);
+    let braces = !labels.is_empty() || rng.chance(6);
+    if braces {
         line.push('{');
         if rng.chance(5) {
             line.push(' ');
@@ -520,24 +548,38 @@ fn sample_line(rng: &mut Rng, name: &str, labels: &[(String, String)]) -> String
         }
         line.push('}');
     }
-    line.push_str(rng.pick(&[" ", " ", "  ", "\t"]));
+    if !(braces && rng.chance(10)) {
+        // (The value may sit tight against a closing brace.)
+        line.push_str(rng.pick(BLANKS));
+    }
     line.push_str(rng.pick(VALUES));
     if rng.chance(3) {
-        line.push(' ');
-        line.push_str(&(1_700_000_000_000u64 + rng.below(100_000) as u64).to_string());
+        line.push_str(rng.pick(BLANKS));
+        if rng.chance(6) {
+            line.push_str(rng.pick(TIMESTAMPS));
+        } else {
+            line.push_str(&(1_700_000_000_000u64 + rng.below(100_000) as u64).to_string());
+        }
     }
     if rng.chance(8) {
-        line.push_str("  ");
+        line.push_str(rng.pick(BLANKS));
     }
     line
 }
 
 fn base_labels(rng: &mut Rng) -> Vec<(String, String)> {
-    // Sorted more often than not, as encoders emit them; sometimes not.
-    let mut names = vec!["idx", "job", "node", "zone"];
-    names.truncate(rng.below(5));
+    // Sorted more often than not, as encoders emit them; otherwise in any
+    // order.  Mostly a handful, sometimes more than the six whose offsets a
+    // label set keeps inline.
+    let mut names = vec!["app", "env", "idx", "job", "node", "pod", "rack", "tier", "zone"];
+    let keep = if rng.chance(4) { rng.below(names.len() + 1) } else { rng.below(5) };
+    while names.len() > keep {
+        names.remove(rng.below(names.len()));
+    }
     if rng.chance(3) {
-        names.reverse();
+        for i in (1..names.len()).rev() {
+            names.swap(i, rng.below(i + 1));
+        }
     }
     names.iter().map(|n| (n.to_string(), rng.pick(LABEL_VALUES).to_string())).collect()
 }
@@ -651,6 +693,37 @@ fn document(rng: &mut Rng) -> String {
             "m 1 -5",
             "{a=\"1\"} 1",
             "# TYPE m wat",
+            // Braces where the label block does not end.
+            "m{a=\"1\"} 1 }",
+            "m{a=\"1\"} 1 {",
+            "m{a=\"1\",} x=\"2\"} 1",
+            "m{a=\"1\"}} 1",
+            "m{{a=\"1\"} 1",
+            "m 1 {",
+            "m 1 }",
+            "m 1 1700000000000 {}",
+            // Spacing and punctuation the two-phase parser accepted or not.
+            "m {a=\"1\"} 1",
+            "m{a=\"1\"}1",
+            "m{} 1",
+            "m{ } 1",
+            "m{,} 1",
+            "m{a=\"1\",,b=\"2\"} 1",
+            "m{a=\"x\\",
+            "m{a=\"x\\\"} 1",
+            "m{a =\"1\"} 1",
+            "m{a\u{a0}=\u{2003}\"1\"\u{a0}}\u{2003}1",
+            "m\u{a0}1",
+            "m\u{2003}1\u{a0}17",
+            "m\u{e9} 1",
+            "m1",
+            "m{a=\"1\"} 1 18446744073709551616",
+            "m 1 99999999999999999999",
+            "m 1 +",
+            "m 1 -5",
+            "m 1 1.5",
+            "m 0x10",
+            "m 1_000",
         ]);
         lines.insert(rng.below(lines.len() + 1), defect.to_string());
     }
@@ -675,6 +748,34 @@ fn generated_documents_parse_as_the_two_phase_parser_did() {
             max_families: 1 + rng.below(8),
         };
         assert_same(&doc, tight);
+    }
+}
+
+/// A label set's offset table is inline up to six labels and offsets that fit
+/// `u16`: both edges, each with a value that needs unescaping, sorted and
+/// not.  Under the network limits the same lines are over the line limit.
+#[test]
+fn label_sets_past_the_inline_offset_table_parse_as_the_two_phase_parser_did() {
+    let long = "v".repeat(70_000);
+    for count in [5usize, 6, 7, 12] {
+        for reversed in [false, true] {
+            let mut labels: Vec<String> = (0..count)
+                .map(|i| match i {
+                    2 => format!("l{i:02}=\"{long}\""),
+                    3 => format!("l{i:02}=\"a\\\\b\\n\""),
+                    _ => format!("l{i:02}=\"{i}\""),
+                })
+                .collect();
+            if reversed {
+                labels.reverse();
+            }
+            let long_line = format!("big{{{}}} 1 17\n", labels.join(","));
+            let short_line = long_line.replace(&long, "short");
+            for doc in [long_line, short_line] {
+                assert_same(&doc, ParseLimits::unbounded());
+                assert_same(&doc, ParseLimits::network());
+            }
+        }
     }
 }
 

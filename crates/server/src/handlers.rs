@@ -127,10 +127,12 @@ fn write(req: &Request, ctx: &mut HandlerCtx<'_>) -> Response {
         Ok(families) => {
             // Cardinality defense, request-shaped: refuse a body whose series
             // count alone exceeds the per-request budget, before any of it
-            // touches the lane or storage.  (Per-job budgets on the lane
-            // itself clip finer-grained and report through `overflow`.)
+            // touches the lane or storage.  Series as storage will see them:
+            // a histogram or summary point is several.  (Per-job budgets on
+            // the lane itself clip finer-grained and report through
+            // `overflow`.)
             if let Some(budget) = ctx.write_series_budget {
-                let series: u64 = families.iter().map(|f| f.points.len() as u64).sum();
+                let series: u64 = families.iter().map(|f| f.sample_count() as u64).sum();
                 if series > budget {
                     probes::HTTP_CARDINALITY_REJECTED.inc();
                     return Response::json(
@@ -369,6 +371,23 @@ mod tests {
         assert!(body.contains("remote_write"), "error names the job: {body}");
         assert!(body.contains("budget of 2"), "error names the budget: {body}");
         assert_eq!(teemon_obs::probes::HTTP_CARDINALITY_REJECTED.get(), before + 1);
+        assert_eq!(db.series_count(), 0, "a refused request leaves no trace in storage");
+
+        // Two histogram points are not two series: each is one per bucket
+        // plus `+Inf`, `_sum` and `_count` on the wire and in storage.
+        let mut body = String::from("# TYPE lat histogram\n");
+        for pod in ["a", "b"] {
+            for bucket in 0..100 {
+                body.push_str(&format!("lat_bucket{{pod=\"{pod}\",le=\"{bucket}\"}} {bucket}\n"));
+            }
+            body.push_str(&format!("lat_bucket{{pod=\"{pod}\",le=\"+Inf\"}} 100\n"));
+            body.push_str(&format!("lat_sum{{pod=\"{pod}\"}} 1\nlat_count{{pod=\"{pod}\"}} 100\n"));
+        }
+        req.body = body.into_bytes();
+        let resp = route(&req, &mut ctx);
+        assert_eq!(resp.status, 429, "2 histogram points x 100 buckets are 206 series");
+        let body = String::from_utf8(resp.body).unwrap();
+        assert!(body.contains("carries 206 series"), "{body}");
         assert_eq!(db.series_count(), 0, "a refused request leaves no trace in storage");
 
         // A request inside the budget still lands.

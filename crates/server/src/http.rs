@@ -10,9 +10,19 @@
 //! client, 413 oversized.
 //!
 //! Deliberate simplifications, rejected rather than mis-parsed: chunked
-//! transfer encoding is refused (400).  Bytes past `Content-Length` (a
-//! pipelined next request, or the tail of a previous over-read) travel in
-//! the caller's `carry` buffer to the next [`read_request`] call.
+//! transfer encoding is refused (400), and so is a request whose
+//! `Content-Length` headers (or one header's comma-separated list) disagree
+//! — a request is framed by one length or not at all.  Bytes past
+//! `Content-Length` (a pipelined next request, or the tail of a previous
+//! over-read) travel in the caller's `carry` buffer to the next
+//! [`read_request`] call.
+//!
+//! The header block is read through a 4 KiB stack buffer.  Once
+//! `Content-Length` is known the body is reserved exactly and the transport
+//! reads straight into it, up to 64 KiB at a time (only a tail shorter than
+//! the stack buffer goes through it, since it may arrive glued to the next
+//! request); the read timeout is re-armed only when the whole milliseconds
+//! left before the phase's deadline have changed.
 
 use std::io;
 
@@ -115,6 +125,9 @@ pub fn read_request(
 ) -> Result<Option<Request>, ReadError> {
     let mut buf: Vec<u8> = std::mem::take(carry);
     let header_deadline = conn.now_ms().saturating_add(limits.header_timeout_ms);
+    // Whatever an earlier request left armed on the connection is unknown.
+    let mut armed_ms = None;
+    let mut tmp = [0u8; 4096];
 
     // Phase 1: accumulate bytes until the blank line ending the header
     // block, under the header deadline and size limit.
@@ -125,13 +138,14 @@ pub fn read_request(
         if buf.len() > limits.max_header_bytes {
             return Err(ReadError::Oversized { what: "header", limit: limits.max_header_bytes });
         }
-        let n = read_some(conn, header_deadline, "header", &mut buf)?;
+        let n = read_some(conn, &mut armed_ms, header_deadline, "header", &mut tmp)?;
         if n == 0 {
             if buf.is_empty() {
                 return Ok(None);
             }
             return Err(ReadError::Malformed("connection closed mid-header".to_string()));
         }
+        buf.extend_from_slice(tmp.get(..n).unwrap_or_default());
     };
     if header_end > limits.max_header_bytes {
         return Err(ReadError::Oversized { what: "header", limit: limits.max_header_bytes });
@@ -193,29 +207,43 @@ pub fn read_request(
         }
     }
 
-    let content_length = match header_value("content-length") {
-        Some(v) => v
-            .trim()
-            .parse::<usize>()
-            .map_err(|_| ReadError::Malformed(format!("invalid Content-Length {v:?}")))?,
-        None => 0,
-    };
+    let content_length = content_length(&headers)?;
     if content_length > limits.max_body_bytes {
         return Err(ReadError::Oversized { what: "body", limit: limits.max_body_bytes });
     }
 
-    // Phase 2: the body, under its own deadline.
-    let mut body: Vec<u8> = buf.get(body_start..).unwrap_or_default().to_vec();
+    // Phase 2: the body, under its own deadline.  What the header reads
+    // already brought in is split between this body and, past
+    // Content-Length, the next pipelined request (which travels in `carry`).
+    let have = buf.get(body_start..).unwrap_or_default();
+    let (mine, surplus) = have.split_at(have.len().min(content_length));
+    // Sized and zeroed once; the reads below fill it in place.
+    let mut body = vec![0u8; content_length];
+    let mut filled = copy_into(&mut body, 0, mine);
+    carry.extend_from_slice(surplus);
     let body_deadline = conn.now_ms().saturating_add(limits.body_timeout_ms);
-    while body.len() < content_length {
-        let n = read_some(conn, body_deadline, "body", &mut body)?;
+    while filled < content_length {
+        let missing = content_length - filled;
+        let n = if missing >= tmp.len() {
+            // The bulk goes straight into the body's own allocation, which
+            // only ever has room for this request.
+            let window =
+                body.get_mut(filled..filled + missing.min(BODY_READ_BYTES)).unwrap_or_default();
+            let n = read_some(conn, &mut armed_ms, body_deadline, "body", window)?;
+            filled += n;
+            n
+        } else {
+            // A short tail may arrive with the start of the next request.
+            let n = read_some(conn, &mut armed_ms, body_deadline, "body", &mut tmp)?;
+            let (mine, surplus) = tmp.get(..n).unwrap_or_default().split_at(n.min(missing));
+            filled = copy_into(&mut body, filled, mine);
+            carry.extend_from_slice(surplus);
+            n
+        };
         if n == 0 {
             return Err(ReadError::Malformed("connection closed mid-body".to_string()));
         }
     }
-    // Bytes past Content-Length belong to the next pipelined request: hand
-    // them to the next read_request call through `carry`.
-    *carry = body.split_off(content_length);
 
     let version_close = version == "HTTP/1.0";
     let connection_close =
@@ -231,26 +259,61 @@ pub fn read_request(
     }))
 }
 
-/// One deadline-bounded read appended to `into`.  Maps timeout errors to
+/// Most bytes one body read asks the transport for.
+const BODY_READ_BYTES: usize = 64 * 1024;
+
+/// Copies `bytes` into `body` at `at` and returns where they end.
+fn copy_into(body: &mut [u8], at: usize, bytes: &[u8]) -> usize {
+    let end = at + bytes.len();
+    if let Some(window) = body.get_mut(at..end) {
+        window.copy_from_slice(bytes);
+    }
+    end
+}
+
+/// The body length the headers declare (0 without a `Content-Length`).
+/// Repeated headers and comma-separated lists are accepted only when every
+/// value agrees: framing a request by one of two differing lengths would
+/// hand the rest of its body to the parser as a pipelined request.
+fn content_length(headers: &[(String, String)]) -> Result<usize, ReadError> {
+    let mut declared: Option<usize> = None;
+    for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
+        for item in value.split(',') {
+            let length = item
+                .trim()
+                .parse::<usize>()
+                .map_err(|_| ReadError::Malformed(format!("invalid Content-Length {value:?}")))?;
+            if declared.is_some_and(|earlier| earlier != length) {
+                return Err(ReadError::Malformed("conflicting Content-Length values".to_string()));
+            }
+            declared = Some(length);
+        }
+    }
+    Ok(declared.unwrap_or(0))
+}
+
+/// One deadline-bounded read into `into`.  `armed_ms` is the read timeout
+/// this request last armed on the connection: it is armed again only when
+/// the whole milliseconds left have changed.  Maps timeout errors to
 /// [`ReadError::Timeout`] and other transport errors to [`ReadError::Io`].
 fn read_some(
     conn: &mut dyn Conn,
+    armed_ms: &mut Option<u64>,
     deadline_ms: u64,
     phase: &'static str,
-    into: &mut Vec<u8>,
+    into: &mut [u8],
 ) -> Result<usize, ReadError> {
     let remaining = deadline_ms.saturating_sub(conn.now_ms());
     if remaining == 0 {
         return Err(ReadError::Timeout { phase });
     }
-    conn.set_read_timeout_ms(Some(remaining)).map_err(ReadError::Io)?;
-    let mut tmp = [0u8; 4096];
+    if *armed_ms != Some(remaining) {
+        conn.set_read_timeout_ms(Some(remaining)).map_err(ReadError::Io)?;
+        *armed_ms = Some(remaining);
+    }
     loop {
-        match conn.read_bytes(&mut tmp) {
-            Ok(n) => {
-                into.extend_from_slice(tmp.get(..n).unwrap_or_default());
-                return Ok(n);
-            }
+        match conn.read_bytes(into) {
+            Ok(n) => return Ok(n),
             Err(e)
                 if e.kind() == io::ErrorKind::TimedOut || e.kind() == io::ErrorKind::WouldBlock =>
             {
@@ -535,6 +598,108 @@ mod tests {
         }
         let mut conn = MockConn::new(steps);
         assert!(matches!(read(&mut conn), Err(ReadError::Oversized { what: "header", .. })));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_malformed_and_agreeing_ones_are_not() {
+        for head in [
+            "Content-Length: 5\r\nContent-Length: 50\r\n",
+            "Content-Length: 50\r\nContent-Length: 5\r\n",
+            "Content-Length: 5, 50\r\n",
+            "Content-Length: 5,\r\n",
+        ] {
+            let request = format!("POST / HTTP/1.1\r\n{head}\r\nhelloGET /x HTTP/1.1\r\n\r\n");
+            let mut conn = MockConn::with_bytes(request.into_bytes());
+            assert!(matches!(read(&mut conn), Err(ReadError::Malformed(_))), "{head:?}");
+        }
+        for head in ["Content-Length: 5\r\ncontent-length: 5\r\n", "Content-Length: 5, 5\r\n"] {
+            let request = format!("POST / HTTP/1.1\r\n{head}\r\nhello");
+            let mut conn = MockConn::with_bytes(request.into_bytes());
+            assert_eq!(read(&mut conn).unwrap().unwrap().body, b"hello", "{head:?}");
+        }
+    }
+
+    #[test]
+    fn a_large_body_is_read_in_few_reads_and_arms_the_timeout_once_per_millisecond() {
+        // 150 000 body bytes behind a small first chunk: the bulk arrives in
+        // 64 KiB reads straight into the body, and as the virtual clock does
+        // not move, the timeout is armed once per phase.
+        let body: Vec<u8> = (0..150_000u32).map(|i| (i % 251) as u8).collect();
+        let mut bytes =
+            format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len()).into_bytes();
+        bytes.extend_from_slice(&body);
+        bytes.extend_from_slice(b"GET /next HTTP/1.1\r\n\r\n");
+        let mut conn = CountingConn { inner: MockConn::with_bytes(bytes), reads: 0, arms: 0 };
+        let mut carry = Vec::new();
+        let limits = HttpLimits::default();
+        let req = read_request(&mut conn, &limits, &mut carry).unwrap().unwrap();
+        assert_eq!(req.body, body);
+        assert!(
+            conn.reads <= 5,
+            "{} reads for one 4 KiB header read and 146 KB of body",
+            conn.reads
+        );
+        assert_eq!(conn.arms, 2, "one arm for the header phase, one for the body phase");
+        let next = read_request(&mut conn, &limits, &mut carry).unwrap().unwrap();
+        assert_eq!(next.path, "/next", "the pipelined request survives the bulk reads");
+    }
+
+    #[test]
+    fn a_large_body_arriving_in_small_segments_is_assembled_in_place() {
+        // Every read brings less than the window it was offered: the body is
+        // filled where the last read stopped, the tail shares its segment
+        // with the next request, and a close mid-body is still malformed.
+        let body: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
+        let head = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len());
+        let mut wire = body.clone();
+        wire.extend_from_slice(b"GET /next HTTP/1.1\r\n\r\n");
+        let segments = |wire: &[u8]| {
+            let mut steps = vec![MockStep::Chunk(head.clone().into_bytes())];
+            steps.extend(wire.chunks(1_400).map(|segment| MockStep::Chunk(segment.to_vec())));
+            steps.push(MockStep::Eof);
+            steps
+        };
+        let mut conn = MockConn::new(segments(&wire));
+        let mut carry = Vec::new();
+        let limits = HttpLimits::default();
+        let req = read_request(&mut conn, &limits, &mut carry).unwrap().unwrap();
+        assert_eq!(req.body, body);
+        let next = read_request(&mut conn, &limits, &mut carry).unwrap().unwrap();
+        assert_eq!(next.path, "/next");
+
+        let mut conn = MockConn::new(segments(body.get(..15_000).unwrap()));
+        assert!(matches!(read(&mut conn), Err(ReadError::Malformed(_))));
+    }
+
+    /// Counts the transport calls [`read_request`] makes.
+    struct CountingConn {
+        inner: MockConn,
+        reads: usize,
+        arms: usize,
+    }
+
+    impl Conn for CountingConn {
+        fn read_bytes(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.inner.read_bytes(buf)
+        }
+
+        fn write_all_bytes(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.inner.write_all_bytes(buf)
+        }
+
+        fn set_read_timeout_ms(&mut self, timeout_ms: Option<u64>) -> io::Result<()> {
+            self.arms += 1;
+            self.inner.set_read_timeout_ms(timeout_ms)
+        }
+
+        fn peer(&self) -> &str {
+            self.inner.peer()
+        }
+
+        fn now_ms(&self) -> u64 {
+            self.inner.now_ms()
+        }
     }
 
     #[test]

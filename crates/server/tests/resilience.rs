@@ -187,6 +187,68 @@ fn unrepresentable_names_get_400_and_store_nothing() {
 }
 
 #[test]
+fn conflicting_content_lengths_get_400_and_nothing_after_them_is_served() {
+    // `Content-Length: 5` + `Content-Length: 50` used to be framed by the
+    // first value, and the rest of the body was then parsed as a pipelined
+    // request of the attacker's choosing.  Differing values are now a 400
+    // and the connection closes, so the smuggled request is never answered.
+    let core = core();
+    let before = probes::HTTP_MALFORMED.get();
+    for head in [
+        "Content-Length: 5\r\nContent-Length: 50\r\n",
+        "Content-Length: 50\r\nContent-Length: 5\r\n",
+        "Content-Length: 5, 50\r\n",
+    ] {
+        let request =
+            format!("POST /api/v1/write HTTP/1.1\r\n{head}\r\nup 1\nGET /healthz HTTP/1.1\r\n\r\n");
+        let text = serve(&core, MockConn::with_bytes(request.into_bytes()));
+        assert_eq!(status_of(&text), Some(400), "{head:?} → {text}");
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "one response, then closed: {text}");
+        assert!(text.contains("Connection: close"), "{text}");
+    }
+    assert!(probes::HTTP_MALFORMED.get() >= before + 3);
+    // Values that agree frame the request as one value would.
+    let request =
+        "POST /api/v1/write HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nup 1\n";
+    let text = serve(&core, MockConn::with_bytes(request.as_bytes().to_vec()));
+    assert_eq!(status_of(&text), Some(200), "{text}");
+    assert_still_serving(&core);
+}
+
+#[test]
+fn histogram_bodies_are_budgeted_by_the_series_they_become() {
+    // A histogram point with n bounds is n + 3 series on the wire and in
+    // storage; the per-request budget used to count it as one, so two points
+    // x 100 buckets slipped 206 series past a budget of 2.
+    let db = TimeSeriesDb::new();
+    let config = ServerConfig { write_series_budget: Some(2), ..ServerConfig::default() };
+    let core = ServerCore::new(config, db.clone());
+    let post = |body: &str| {
+        let request =
+            format!("POST /api/v1/write HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        serve(&core, MockConn::with_bytes(request.into_bytes()))
+    };
+    let mut body = String::from("# TYPE lat histogram\n");
+    for pod in ["a", "b"] {
+        for bucket in 0..100 {
+            body.push_str(&format!("lat_bucket{{pod=\"{pod}\",le=\"{bucket}\"}} {bucket}\n"));
+        }
+        body.push_str(&format!("lat_bucket{{pod=\"{pod}\",le=\"+Inf\"}} 100\n"));
+        body.push_str(&format!("lat_sum{{pod=\"{pod}\"}} 1\nlat_count{{pod=\"{pod}\"}} 100\n"));
+    }
+    let before = probes::HTTP_CARDINALITY_REJECTED.get();
+    let text = post(&body);
+    assert_eq!(status_of(&text), Some(429), "{text}");
+    assert!(text.contains("too_many_series"), "{text}");
+    assert!(probes::HTTP_CARDINALITY_REJECTED.get() > before);
+    assert_eq!(db.stats().series, 0, "a refused request must leave nothing behind");
+    // Two plain series fit the same budget.
+    assert_eq!(status_of(&post("m{i=\"a\"} 1\nm{i=\"b\"} 2\n")), Some(200));
+    assert_eq!(db.stats().series, 2);
+    assert_still_serving(&core);
+}
+
+#[test]
 fn unbounded_range_queries_get_400_not_unbounded_work() {
     // `step` only had to be positive: this request asked the evaluator for
     // 4·10¹² points per series and the monitor grew until it was killed.  A

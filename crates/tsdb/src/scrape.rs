@@ -33,11 +33,18 @@
 //! per round.  No allocation (for plain counter/gauge/untyped points —
 //! histogram and summary families allocate their `le`/`quantile` label
 //! expansions in the snapshot walk itself), no interning, no index
-//! traffic.  Churn (new,
-//! vanished or reordered series) flips the round into a repair pass that
-//! finds every surviving entry by its structural hash
-//! ([`teemon_metrics::series_hash`], confirmed by the same equality), reuses
-//! its handle and resolves only what actually changed; stale handles (series evicted by retention or dropped) are
+//! traffic.  Churn (new, vanished or reordered series) fails the positional
+//! check and the round runs one repair pass instead, whose cost follows what
+//! changed rather than what the cache holds: each sample is tried against
+//! the previous round's entry **at its own position first** (a rename in
+//! place re-matches every unrenamed neighbour for what the warm pass pays),
+//! then against an index of the entries nobody has claimed yet — keyed by
+//! structural hash ([`teemon_metrics::series_hash`], confirmed by the same
+//! equality), built lazily at the first positional miss in a map the cache
+//! keeps — and only a sample that matches nothing pays the label merge, the
+//! key capture and [`TimeSeriesDb::resolve`].  Admission and the batch fill
+//! happen in the same walk.  Stale handles (series evicted by retention or
+//! dropped) are
 //! re-resolved by key, so the fast lane can miss a beat but never writes to
 //! the wrong series.  [`IngestMode::PerSample`] keeps the pre-cache path —
 //! merge + [`TimeSeriesDb::append`] per sample — as the correctness oracle
@@ -372,7 +379,7 @@ pub struct ScrapeOutcome {
 /// same pool: register it on a [`Scraper`] with [`Scraper::with_budgets`]
 /// and on [`PushLane`]s with [`PushLane::with_budgets`].  A job with no
 /// configured limit is unlimited.  The internal lock (`scrape.budgets`) is a
-/// leaf: it is taken briefly at the start and end of a cache rebuild and is
+/// leaf: it is taken briefly at the start and end of a cache repair and is
 /// never held across storage calls.
 ///
 /// Admission is per *stored series*: when a target's cache repairs, its
@@ -444,10 +451,13 @@ impl CardinalityBudgets {
     }
 }
 
-/// The admission rules one cache rebuild runs under: the target's own cap,
-/// the job pool (when shared budgets are registered), and the job name the
-/// pool is keyed by.
-struct BudgetCtx<'a> {
+/// What one cache walk runs under: the database new series resolve in, the
+/// target labels every stored key carries, and the admission rules of a
+/// repair — the target's own cap, the job pool (when shared budgets are
+/// registered) and the job name the pool is keyed by.
+struct LaneCtx<'a> {
+    db: &'a TimeSeriesDb,
+    base_labels: &'a Labels,
     job: &'a str,
     target_limit: Option<u64>,
     shared: Option<&'a CardinalityBudgets>,
@@ -485,7 +495,7 @@ struct CacheEntry {
 /// [`TimeSeriesDb::append_batch`].  Steady state, the cache turns a scrape
 /// round into: one equality check per sample against the entry at its
 /// position, one batch append.  Any churn — a series appearing, vanishing or moving —
-/// fails the positional check and triggers [`TargetCache::rebuild`], which
+/// fails the positional check and triggers [`TargetCache::repair`], which
 /// reuses every surviving entry and resolves only what changed.
 #[derive(Default)]
 struct TargetCache {
@@ -502,6 +512,9 @@ struct TargetCache {
     /// across the cache's lifetime — the `teemon_overflow_series_total`
     /// roll-up value.
     overflow_total: u64,
+    /// The repair pass's index of unclaimed entries.  Kept here so that a
+    /// repair clears it instead of allocating a new one.
+    index: Unclaimed,
 }
 
 impl TargetCache {
@@ -550,84 +563,215 @@ impl TargetCache {
         matched && idx == self.entries.len()
     }
 
-    /// The repair pass after churn: rebuilds the entry list in snapshot
-    /// order, reusing the handle of every series that survived (validated
-    /// against a generation snapshot, re-resolved when its shard moved on)
-    /// and resolving only genuinely new series.  Entries whose series
-    /// vanished from the snapshot are dropped with the old list.
+    /// One round's identity walk, shared by the scraper's fast lane and
+    /// [`PushLane`]: the warm positional pass and, when the round's shape
+    /// deviates from the cache, the repair pass.  Either way `batch` ends up
+    /// holding the round's admitted samples, `scraped` the wire samples seen
+    /// and `overflow` the ones a budget clipped.
+    fn walk(
+        &mut self,
+        families: &[FamilySnapshot],
+        now_ms: u64,
+        ctx: &LaneCtx<'_>,
+        scraped: &mut u64,
+        overflow: &mut u64,
+    ) {
+        if self.fill(families, now_ms, scraped, overflow) {
+            probes::CACHE_HITS.inc();
+        } else {
+            probes::CACHE_REBUILDS.inc();
+            self.repair(families, now_ms, ctx, scraped, overflow);
+        }
+    }
+
+    /// The repair pass after churn: one walk that re-matches every sample,
+    /// re-admits in snapshot order and fills `batch`, at a cost proportional
+    /// to what changed.
+    ///
+    /// The entry list is repaired **in place**.  Below the cursor it holds
+    /// this round's entries, from the cursor on the previous round's entries
+    /// nobody has claimed yet.  Each sample is tried against the entry at
+    /// its own position first — a rename in place, the Kubernetes pattern,
+    /// re-matches every unrenamed neighbour with the warm pass's one equality
+    /// check and nothing hashed.  Only a positional miss consults `index`,
+    /// the structural-hash index of the unclaimed entries, built on the first
+    /// miss; a hit there is swapped into place (a reorder, or a shift after
+    /// an insert or delete).  Only a sample that matches nothing pays the
+    /// label merge, the key capture and [`TimeSeriesDb::resolve`].  Whatever
+    /// an entry displaces moves further back, still unclaimed; what is left
+    /// past the cursor at the end vanished from the target and is dropped.
+    /// Every entry is claimed at most once, so samples sharing one identity
+    /// each get an entry of their own.
     ///
     /// This is also the admission point of the cardinality defense: series
     /// are admitted in snapshot order until the target's own budget or the
     /// job's shared allowance runs out, and only admitted series ever touch
     /// [`TimeSeriesDb::resolve`] — an over-budget series is never created in
-    /// storage.  The shared-budget lock is taken once before the walk (to
-    /// read the allowance) and once after (to commit the new contribution),
-    /// never across storage calls.
-    fn rebuild(
+    /// storage.  Surviving handles are validated against one generation
+    /// snapshot and re-resolved when their shard moved on.  The
+    /// shared-budget lock is taken once before the walk (to read the
+    /// allowance) and once after (to commit the new contribution), never
+    /// across storage calls.
+    fn repair(
         &mut self,
         families: &[FamilySnapshot],
-        base_labels: &Labels,
-        db: &TimeSeriesDb,
-        budget: &BudgetCtx<'_>,
+        now_ms: u64,
+        ctx: &LaneCtx<'_>,
+        scraped: &mut u64,
+        overflow: &mut u64,
     ) {
+        let LaneCtx { db, base_labels, .. } = *ctx;
         let prior = self.admitted;
-        let allowance = match budget.shared {
-            Some(shared) => shared.begin(budget.job, prior),
+        let allowance = match ctx.shared {
+            Some(shared) => shared.begin(ctx.job, prior),
             None => u64::MAX,
         };
-        let cap = budget.target_limit.unwrap_or(u64::MAX).min(allowance);
-        let old = std::mem::take(&mut self.entries);
-        let mut reuse: HashMap<u64, Vec<CacheEntry>> = HashMap::with_capacity(old.len());
-        for entry in old {
-            reuse.entry(entry.key.hash()).or_default().push(entry);
-        }
+        let cap = ctx.target_limit.unwrap_or(u64::MAX).min(allowance);
         let generations = db.shard_generations();
+        let Self { entries, batch, batch_entry, index, .. } = self;
+        batch.clear();
+        batch_entry.clear();
+        index.clear();
+        let mut indexed = false;
+        let mut cursor = 0usize;
         let mut admitted = 0u64;
+        let mut clipped = 0u64;
         for family in families {
-            family.for_each_sample(|name, labels, _, _| {
-                let hash = identity::series_hash(name, labels);
-                let reused = reuse.get_mut(&hash).and_then(|candidates| {
-                    candidates
-                        .iter()
-                        .position(|e| e.key.matches(name, labels))
-                        .map(|at| candidates.swap_remove(at))
-                });
-                let admit = admitted < cap;
-                let entry = match reused {
-                    Some(mut entry) => {
-                        entry.admitted = admit;
-                        if admit {
-                            if !db.handle_live_under(entry.handle, &generations) {
-                                entry.handle = db.resolve(entry.key.name(), &entry.merged);
-                            }
-                        } else {
-                            entry.handle = SeriesHandle::unresolved();
+            family.for_each_sample(|name, labels, value, timestamp_ms| {
+                let position = cursor;
+                cursor += 1;
+                if !entries.get(position).is_some_and(|e| e.key.matches(name, labels)) {
+                    if !indexed {
+                        // Back to front, so that of several entries sharing
+                        // one identity the earliest is claimed first.
+                        for (at, entry) in entries.iter().enumerate().skip(position).rev() {
+                            index.insert(entry.key.hash(), at);
                         }
-                        entry
+                        indexed = true;
                     }
-                    None => {
-                        let merged = labels.merged(base_labels);
-                        let handle = if admit {
-                            db.resolve(name, &merged)
-                        } else {
-                            SeriesHandle::unresolved()
-                        };
-                        CacheEntry {
+                    let hash = identity::series_hash(name, labels);
+                    let found = index.claim(hash, position, |at| {
+                        entries.get(at).is_some_and(|e| e.key.matches(name, labels))
+                    });
+                    // The sample's entry is the one found further back, or a
+                    // fresh one appended there; swapped into place, whatever
+                    // it displaces takes its spot, still unclaimed, and is
+                    // indexed where it now stands.
+                    let from = found.unwrap_or_else(|| {
+                        entries.push(CacheEntry {
                             key: SeriesKey::capture(name, labels),
-                            merged,
-                            handle,
-                            admitted: admit,
-                        }
+                            merged: labels.merged(base_labels),
+                            handle: SeriesHandle::unresolved(),
+                            admitted: false,
+                        });
+                        entries.len() - 1
+                    });
+                    entries.swap(position, from);
+                    if let Some(displaced) = entries.get(from).filter(|_| from != position) {
+                        index.insert(displaced.key.hash(), from);
                     }
-                };
-                admitted += u64::from(admit);
-                self.entries.push(entry);
+                }
+                let Some(entry) = entries.get_mut(position) else { return };
+                entry.admitted = admitted < cap;
+                if entry.admitted {
+                    if !db.handle_live_under(entry.handle, &generations) {
+                        entry.handle = db.resolve(entry.key.name(), &entry.merged);
+                    }
+                    batch.push((entry.handle, timestamp_ms.unwrap_or(now_ms), value));
+                    batch_entry.push(position as u32);
+                    admitted += 1;
+                } else {
+                    entry.handle = SeriesHandle::unresolved();
+                    clipped += 1;
+                }
             });
         }
-        if let Some(shared) = budget.shared {
-            shared.commit(budget.job, prior, admitted);
+        entries.truncate(cursor);
+        if let Some(shared) = ctx.shared {
+            shared.commit(ctx.job, prior, admitted);
         }
         self.admitted = admitted;
+        *scraped = cursor as u64;
+        *overflow = clipped;
+    }
+}
+
+/// End of a chain in [`Unclaimed`].
+const NIL: u32 = u32::MAX;
+
+/// The repair pass's index of the previous round's entries nobody has claimed
+/// yet: per structural hash, a singly linked chain of entry positions.
+///
+/// The repair claims positions in ascending order, so a node whose position
+/// lies below the sample being matched is spent — its entry was claimed where
+/// it stood, or displaced and indexed again at its new position — and
+/// [`Unclaimed::claim`] unlinks every spent node it passes.  Each node is
+/// therefore visited at most once while spent and every other node of a chain
+/// is an unclaimed entry with that very hash, so a lookup costs one step
+/// however many entries share an identity (true hash collisions aside), and a
+/// whole repair walks no more nodes than it inserted plus one per lookup.
+#[derive(Default)]
+struct Unclaimed {
+    /// Structural hash → first position of its chain (`NIL` once emptied).
+    heads: HashMap<u64, u32>,
+    /// Entry position → the next position in the same chain.
+    next: Vec<u32>,
+    /// Chain nodes visited since the last `clear`: the work meter the
+    /// duplicate-identity tests bound.
+    walked: u64,
+}
+
+impl Unclaimed {
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.next.clear();
+        self.walked = 0;
+    }
+
+    /// Puts the unclaimed entry at position `at` at the head of `hash`'s
+    /// chain.
+    fn insert(&mut self, hash: u64, at: usize) {
+        if at >= self.next.len() {
+            self.next.resize(at + 1, NIL);
+        }
+        let after = self.heads.insert(hash, at as u32).unwrap_or(NIL);
+        if let Some(slot) = self.next.get_mut(at) {
+            *slot = after;
+        }
+    }
+
+    /// Unlinks and returns the first position of `hash`'s chain that is not
+    /// spent (`>= position`, the sample being matched) and that `is_match`
+    /// confirms.
+    fn claim(
+        &mut self,
+        hash: u64,
+        position: usize,
+        mut is_match: impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
+        let Self { heads, next, walked } = self;
+        let head = heads.get_mut(&hash)?;
+        let mut before = None;
+        let mut at = *head;
+        while at != NIL {
+            *walked += 1;
+            let after = next.get(at as usize).copied().unwrap_or(NIL);
+            let spent = (at as usize) < position;
+            let found = !spent && is_match(at as usize);
+            if spent || found {
+                match before.and_then(|before: u32| next.get_mut(before as usize)) {
+                    Some(link) => *link = after,
+                    None => *head = after,
+                }
+            } else {
+                before = Some(at);
+            }
+            if found {
+                return Some(at as usize);
+            }
+            at = after;
+        }
+        None
     }
 }
 
@@ -641,8 +785,11 @@ impl TargetCache {
 /// but never loses a sample.  Returns the number of samples storage
 /// accepted.  Shared by the scraper's fast lane and [`PushLane`].
 fn append_batch_repairing(db: &TimeSeriesDb, cache: &mut TargetCache) -> u64 {
-    let outcome = db.append_batch(&cache.batch);
+    let mut outcome = db.append_batch(&cache.batch);
     let mut ingested = outcome.appended;
+    // Stale indices come back grouped by shard; in batch order the dropped
+    // series are re-created in snapshot order, as a per-sample ingest would.
+    outcome.stale.sort_unstable();
     for &index in &outcome.stale {
         // Stale indices address the batch the appender just consumed;
         // `batch_entry` maps them back to entry indices (the two diverge
@@ -689,7 +836,7 @@ pub struct PushOutcome {
 /// positional verify + one-shard-lock-per-round [`TimeSeriesDb::append_batch`]
 /// apply unchanged.  Create **one lane per connection** (the cache assumes
 /// rounds from a single emitter; interleaving two writers through one lane
-/// would thrash the positional check into rebuilds — correct, but slow).
+/// would thrash the positional check into repairs — correct, but slow).
 /// The lane is deliberately not `Sync`: it is owned, mutable state.
 ///
 /// Durability: pushes ride the database's normal WAL round — they become
@@ -738,7 +885,9 @@ impl PushLane {
     /// [`PushOutcome::overflow`] instead of entering storage.
     pub fn push(&mut self, families: &[FamilySnapshot], now_ms: u64) -> PushOutcome {
         let cache = &mut self.cache;
-        let budget = BudgetCtx {
+        let ctx = LaneCtx {
+            db: &self.db,
+            base_labels: &self.base_labels,
             job: &self.job,
             target_limit: self.target_limit,
             shared: self.budgets.as_deref(),
@@ -746,14 +895,7 @@ impl PushLane {
         let mut scraped = 0u64;
         let mut overflow = 0u64;
         let walk_watch = Stopwatch::start();
-        if cache.fill(families, now_ms, &mut scraped, &mut overflow) {
-            probes::CACHE_HITS.inc();
-        } else {
-            probes::CACHE_REBUILDS.inc();
-            cache.rebuild(families, &self.base_labels, &self.db, &budget);
-            let repaired = cache.fill(families, now_ms, &mut scraped, &mut overflow);
-            debug_assert!(repaired, "a rebuilt cache must match the snapshots it was built from");
-        }
+        cache.walk(families, now_ms, &ctx, &mut scraped, &mut overflow);
         probes::SCRAPE_CACHE_WALK_NS.record_ns(walk_watch.elapsed_ns());
         let append_watch = Stopwatch::start();
         let ingested = append_batch_repairing(&self.db, cache);
@@ -1199,23 +1341,15 @@ impl Scraper {
             probes::SCRAPE_COLLECT_NS.record_ns(collect_watch.elapsed_ns());
             let mut cache = target.cache.lock();
             let cache = &mut *cache;
-            let budget = BudgetCtx {
+            let ctx = LaneCtx {
+                db: &self.db,
+                base_labels: &target.base_labels,
                 job: &target.config.job,
                 target_limit: target.config.series_budget,
                 shared: self.budgets.as_deref(),
             };
             let walk_watch = Stopwatch::start();
-            if cache.fill(families, now_ms, &mut scraped, &mut overflow) {
-                probes::CACHE_HITS.inc();
-            } else {
-                probes::CACHE_REBUILDS.inc();
-                cache.rebuild(families, &target.base_labels, &self.db, &budget);
-                let repaired = cache.fill(families, now_ms, &mut scraped, &mut overflow);
-                debug_assert!(
-                    repaired,
-                    "a rebuilt cache must match the snapshots it was built from"
-                );
-            }
+            cache.walk(families, now_ms, &ctx, &mut scraped, &mut overflow);
             probes::SCRAPE_CACHE_WALK_NS.record_ns(walk_watch.elapsed_ns());
             let append_watch = Stopwatch::start();
             ingested = append_batch_repairing(&self.db, cache);
@@ -1812,6 +1946,102 @@ mod tests {
         // Dropping the lane releases its admissions back to the pool.
         drop(lane);
         assert_eq!(budgets.job_used("push"), 0);
+    }
+
+    #[test]
+    fn repair_handles_moves_duplicates_and_growth_with_a_bounded_index() {
+        let db = TimeSeriesDb::new();
+        let mut lane = PushLane::new(db.clone(), &ScrapeTargetConfig::new("j", "w:1"));
+        let family = |ids: &[u32]| {
+            let mut family = FamilySnapshot::new("m", "", teemon_metrics::MetricKind::Gauge);
+            for id in ids {
+                family.points.push(teemon_metrics::MetricPoint::new(
+                    Labels::from_pairs([("i", id.to_string())]),
+                    teemon_metrics::PointValue::Gauge(f64::from(*id)),
+                ));
+            }
+            vec![family]
+        };
+        let mut now = 0;
+        let mut push = |lane: &mut PushLane, ids: &[u32]| {
+            now += 1_000;
+            let outcome = lane.push(&family(ids), now);
+            assert_eq!(outcome.scraped as usize, ids.len());
+            // Every wire sample's entry sits at its position, and the index
+            // covers at most the entries the round started with.
+            for (entry, id) in lane.cache.entries.iter().zip(ids) {
+                assert!(entry.key.matches("m", &Labels::from_pairs([("i", id.to_string())])));
+            }
+            assert_eq!(lane.cache.entries.len(), ids.len());
+            outcome
+        };
+        push(&mut lane, &[1, 2, 3, 4]);
+        let handles: Vec<_> = lane.cache.entries.iter().map(|e| e.handle).collect();
+        // A rotation: every sample misses its position and is found by hash.
+        push(&mut lane, &[2, 3, 4, 1]);
+        let rotated: Vec<_> = lane.cache.entries.iter().map(|e| e.handle).collect();
+        assert_eq!(rotated, [handles[1], handles[2], handles[3], handles[0]], "handles reused");
+        assert_eq!(db.series_count(), 4);
+        // One identity twice: each occurrence claims an entry of its own.
+        push(&mut lane, &[2, 2, 3]);
+        let entries = &lane.cache.entries;
+        assert_eq!(entries[0].handle, entries[1].handle, "both resolve to the one series");
+        push(&mut lane, &[2, 2, 3]);
+        // A small set growing large in one round: the few old entries are
+        // displaced again and again, and the index must not grow with it.
+        let many: Vec<u32> = (100..5_100).collect();
+        push(&mut lane, &many);
+        let index = &lane.cache.index;
+        assert!(index.heads.len() <= 2, "one chain per old identity, got {}", index.heads.len());
+        assert!(index.walked <= 5_000, "index walked {} nodes", index.walked);
+        assert_eq!(db.series_count(), 4 + 5_000);
+    }
+
+    #[test]
+    fn repair_stays_linear_when_one_identity_fills_the_snapshot() {
+        // A snapshot may repeat one identity as often as the parse limits
+        // allow.  Whatever the repair then has to do — index the run, shift
+        // it, swap it with another run, look past entries claimed in place —
+        // must cost a bounded number of index steps per sample.
+        const RUN: usize = 50_000;
+        let db = TimeSeriesDb::new();
+        let mut lane = PushLane::new(db.clone(), &ScrapeTargetConfig::new("j", "w:1"));
+        let snapshot = |runs: &[(u32, usize)]| {
+            let mut family = FamilySnapshot::new("m", "", teemon_metrics::MetricKind::Gauge);
+            for &(id, times) in runs {
+                let point = teemon_metrics::MetricPoint::new(
+                    Labels::from_pairs([("i", id.to_string())]),
+                    teemon_metrics::PointValue::Gauge(f64::from(id)),
+                );
+                family.points.extend(std::iter::repeat_n(point, times));
+            }
+            vec![family]
+        };
+        let rounds: [&[(u32, usize)]; 6] = [
+            &[(1, RUN)],
+            // Shifted by one in front, then the newcomer moves to the back.
+            &[(2, 1), (1, RUN)],
+            &[(1, RUN), (2, 1)],
+            // Two runs trade places.
+            &[(1, RUN), (2, RUN)],
+            &[(2, RUN), (1, RUN)],
+            // Every old entry is claimed where it stands and the lookups
+            // come after them.
+            &[(3, 1), (2, RUN - 1), (1, RUN), (2, RUN)],
+        ];
+        for (round, runs) in rounds.into_iter().enumerate() {
+            let samples: usize = runs.iter().map(|(_, times)| times).sum();
+            let before = lane.cache.entries.len();
+            let outcome = lane.push(&snapshot(runs), (round as u64 + 1) * 1_000);
+            assert_eq!(outcome.scraped as usize, samples);
+            assert_eq!(lane.cache.entries.len(), samples);
+            let walked = lane.cache.index.walked as usize;
+            assert!(
+                walked <= 2 * (before + samples),
+                "round {round}: {walked} index steps for {before} entries and {samples} samples"
+            );
+        }
+        assert_eq!(db.series_count(), 3);
     }
 
     #[test]
