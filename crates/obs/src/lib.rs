@@ -7,16 +7,19 @@
 //! can observe its own ingest, storage, query and locking behaviour in every
 //! build, not just instrumented ones:
 //!
-//! * [`probes`] — the static registry: counters, gauges, per-shard slots,
-//!   [`hist::LogLinearHist`] latency histograms and RAII [`Span`] timers,
-//!   recorded into directly by `teemon_tsdb` and `teemon_query`.  Lock
-//!   contention probes live in the `parking_lot` shim's `contention` table
-//!   and are exported alongside.
-//! * [`snapshot::SelfSnapshot`] — the probes pre-expanded into scalar metric
+//! * [`probes`] — the probe table, the **one place a metric is declared**:
+//!   each row of its `probes!` table gives a family's layer, name, help and
+//!   statics (counters, gauges, per-shard slots, [`hist::LogLinearHist`]
+//!   latency histograms) and expands to the `pub static`s that `teemon_tsdb`,
+//!   `teemon_query` and `teemon_server` record into — directly or through
+//!   RAII [`Span`] timers — plus the [`PROBES`] table the two views below
+//!   interpret.  Lock contention probes live in the `parking_lot` shim's
+//!   `contention` table and are exported alongside.
+//! * [`snapshot::SelfSnapshot`] — [`PROBES`] pre-expanded into scalar metric
 //!   families for the engine's own scrape loop: built once, refreshed in
 //!   place with zero allocations, so self-scraping costs the same as any
 //!   other warm fast-lane target.
-//! * [`collector::ObsCollector`] — the same probes behind the standard
+//! * [`collector::ObsCollector`] — [`PROBES`] behind the standard
 //!   `Collector` trait (canonical bucketed histograms) for exposition and
 //!   registry composition.
 //! * [`slow`] — a fixed-capacity slow-query ring fed by the query layer.
@@ -40,6 +43,8 @@ pub mod snapshot;
 pub use clock::{now_ns, Stopwatch};
 pub use collector::{ObsCollector, SELF_JOB};
 pub use hist::LogLinearHist;
-pub use probes::{registry, Counter, Gauge, ProbeDesc, ShardCounters, ShardGauges, Span, SHARDS};
+pub use probes::{
+    Counter, Gauge, Probe, ShardCounters, ShardGauges, Slot, Span, LOCK_FAMILIES, PROBES, SHARDS,
+};
 pub use slow::{set_threshold_seconds, slow_queries, SlowQuery};
 pub use snapshot::SelfSnapshot;

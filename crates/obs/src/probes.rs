@@ -1,16 +1,22 @@
-//! The static registry of engine probes.
+//! The probe table: every engine self-metric, declared once.
 //!
 //! Every probe is a fixed slot — a relaxed-atomic [`Counter`], a bit-cast
-//! [`Gauge`], a per-shard array of either, or a [`LogLinearHist`] — declared
-//! `static` here and recorded into directly by the engine crates.  There is
-//! no registration step, no locking and no allocation anywhere on the record
-//! path; [`crate::ObsCollector`] and [`crate::SelfSnapshot`] read the same
-//! slots when the engine scrapes itself.
+//! [`Gauge`], a per-shard array of either, or a [`LogLinearHist`] — recorded
+//! into directly by the engine crates.  There is no registration step, no
+//! locking and no allocation anywhere on the record path.
 //!
-//! The probe surface (what a `teemon self` dashboard can query) is listed in
-//! [`registry`]; names follow the metric names the collector exports.
+//! The `probes!` table at the bottom of this file is the **single
+//! declaration** of each metric family: its layer, exported name, help text,
+//! optional member label and the statics behind it.  It expands to the
+//! `pub static` slots the engine records into and to [`PROBES`], the table
+//! [`crate::SelfSnapshot`] and [`crate::ObsCollector`] interpret when the
+//! engine scrapes itself.  Adding a probe is one row there — nothing else in
+//! this crate names a metric, except the three [`LOCK_FAMILIES`] whose points
+//! come from the `parking_lot` shim's runtime contention table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use teemon_metrics::{Labels, MetricKind};
 
 use crate::clock::Stopwatch;
 use crate::hist::LogLinearHist;
@@ -172,469 +178,254 @@ impl Drop for Span {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Ingest layer (recorded by `teemon_tsdb::scrape` / `storage`)
-// ---------------------------------------------------------------------------
-
-/// Scrape rounds that touched at least one target.
-pub static SCRAPE_ROUNDS: Counter = Counter::new();
-/// Measured wall time of whole scrape rounds.
-pub static SCRAPE_ROUND_NS: LogLinearHist = LogLinearHist::new();
-/// Per-target collect stage (endpoint snapshot production).
-pub static SCRAPE_COLLECT_NS: LogLinearHist = LogLinearHist::new();
-/// Per-target cache-walk stage (identity verification / repair).
-pub static SCRAPE_CACHE_WALK_NS: LogLinearHist = LogLinearHist::new();
-/// Per-target batch-append stage (storage writes incl. stale repair).
-pub static SCRAPE_APPEND_NS: LogLinearHist = LogLinearHist::new();
-/// Fast-lane rounds whose scrape cache verified positionally.
-pub static CACHE_HITS: Counter = Counter::new();
-/// Fast-lane rounds that had to rebuild the scrape cache (churn).
-pub static CACHE_REBUILDS: Counter = Counter::new();
-/// Stale series handles encountered during batch appends.
-pub static STALE_HANDLES: Counter = Counter::new();
-/// Samples appended per storage shard (the shard heat map).
-pub static SHARD_APPENDS: ShardCounters = ShardCounters::new();
-
-// ---------------------------------------------------------------------------
-// Storage diagnostics (published once per scrape round from `StorageStats`)
-// ---------------------------------------------------------------------------
-
-/// Estimated bytes resident in sample storage.
-pub static STORAGE_RESIDENT_BYTES: Gauge = Gauge::new();
-/// Stored samples (a gauge: retention shrinks it).
-pub static STORAGE_SAMPLES: Gauge = Gauge::new();
-/// Average resident bytes per stored sample.
-pub static STORAGE_BYTES_PER_SAMPLE: Gauge = Gauge::new();
-/// Number of distinct series.
-pub static STORAGE_SERIES: Gauge = Gauge::new();
-/// Samples rejected as out of order, cumulative.
-pub static STORAGE_REJECTED_SAMPLES: Gauge = Gauge::new();
-/// Series resident per storage shard (the imbalance view).
-pub static SHARD_SERIES: ShardGauges = ShardGauges::new();
-/// Generation of each storage shard (bumps on eviction / drop).
-pub static SHARD_GENERATIONS: ShardGauges = ShardGauges::new();
-/// Live interned symbols (names, label keys and values).
-pub static STORAGE_SYMBOLS: Gauge = Gauge::new();
-/// Estimated bytes held by the symbol table (strings + slot overhead).
-pub static STORAGE_SYMBOL_BYTES: Gauge = Gauge::new();
-/// Estimated bytes held by the per-shard postings indexes.
-pub static STORAGE_INDEX_BYTES: Gauge = Gauge::new();
-/// Symbols garbage-collected at symbol-table checkpoints, cumulative.
-pub static SYMBOLS_SWEPT: Counter = Counter::new();
-/// Series rejected by per-target/per-job cardinality budgets at the scrape
-/// edge, cumulative.
-pub static SCRAPE_BUDGET_REJECTED: Counter = Counter::new();
-
-// ---------------------------------------------------------------------------
-// Durability / WAL (recorded by `teemon_tsdb::wal` and crash recovery)
-// ---------------------------------------------------------------------------
-
-/// Bytes appended to the write-ahead log.
-pub static WAL_BYTES_WRITTEN: Counter = Counter::new();
-/// Appends issued to the write-ahead log — one per committed round.
-pub static WAL_WRITES: Counter = Counter::new();
-/// Measured wall time of WAL flushes: drain, checksum, write, checkpoints.
-pub static WAL_FLUSH_NS: LogLinearHist = LogLinearHist::new();
-/// Measured wall time of WAL fsyncs.
-pub static WAL_FSYNC_NS: LogLinearHist = LogLinearHist::new();
-/// WAL records applied during crash recovery.
-pub static WAL_RECORDS_REPLAYED: Counter = Counter::new();
-/// Corrupt-tail truncation events during recovery (one per salvaged file).
-pub static WAL_SALVAGE: Counter = Counter::new();
-/// Bytes discarded by corrupt-tail truncation during recovery.
-pub static WAL_SALVAGED_BYTES: Counter = Counter::new();
-/// Duration of the last crash recovery, in seconds.
-pub static WAL_RECOVERY_SECONDS: Gauge = Gauge::new();
-/// Shards whose WAL or snapshot was unreadable and came up empty.
-pub static WAL_FAILED_SHARDS: Gauge = Gauge::new();
-/// Scrape rounds whose WAL flush reported a write/fsync failure — the round
-/// was served from memory but its durability was lost.
-pub static WAL_UNCLEAN_ROUNDS: Counter = Counter::new();
-
-// ---------------------------------------------------------------------------
-// Query layer (recorded by `teemon_query`)
-// ---------------------------------------------------------------------------
-
-/// Range queries answered by the streaming evaluator.
-pub static QUERY_STREAMED: Counter = Counter::new();
-/// Range queries that fell back to the per-step oracle.
-pub static QUERY_FALLBACK: Counter = Counter::new();
-/// Chunk samples decoded by streaming window machines.
-pub static QUERY_SAMPLES_DECODED: Counter = Counter::new();
-/// Window aggregate rebuilds (numeric-drift resets), cumulative.
-pub static QUERY_WINDOW_REBUILDS: Counter = Counter::new();
-/// Measured wall time of range queries.
-pub static QUERY_NS: LogLinearHist = LogLinearHist::new();
-/// Range queries slower than the slow-query threshold.
-pub static QUERY_SLOW: Counter = Counter::new();
-
-// ---------------------------------------------------------------------------
-// HTTP serving edge (recorded by `teemon_server`'s middleware stack)
-// ---------------------------------------------------------------------------
-
-/// Connections accepted by the HTTP listener.
-pub static HTTP_CONNECTIONS: Counter = Counter::new();
-/// Requests that entered the middleware stack (sheds happen before this).
-pub static HTTP_REQUESTS: Counter = Counter::new();
-/// Responses sent with a 2xx status.
-pub static HTTP_RESPONSES_2XX: Counter = Counter::new();
-/// Responses sent with a 4xx status.
-pub static HTTP_RESPONSES_4XX: Counter = Counter::new();
-/// Responses sent with a 5xx status.
-pub static HTTP_RESPONSES_5XX: Counter = Counter::new();
-/// Connections shed before parsing because the in-flight gate was full (503).
-pub static HTTP_SHED: Counter = Counter::new();
-/// Handler panics caught by the panic shield (500, connection closed).
-pub static HTTP_PANICS: Counter = Counter::new();
-/// Requests rejected by the per-client token bucket (429).
-pub static HTTP_RATE_LIMITED: Counter = Counter::new();
-/// Slow-loris clients timed out while sending headers or body (408).
-pub static HTTP_SLOW_CLIENTS: Counter = Counter::new();
-/// Malformed requests rejected by the parser (400).
-pub static HTTP_MALFORMED: Counter = Counter::new();
-/// Requests rejected for exceeding a size limit (413).
-pub static HTTP_OVERSIZED: Counter = Counter::new();
-/// Requests currently being served.
-pub static HTTP_INFLIGHT: Gauge = Gauge::new();
-/// Measured wall time of handled requests (parse through response write).
-pub static HTTP_REQUEST_NS: LogLinearHist = LogLinearHist::new();
-/// Samples ingested through the remote-write endpoint.
-pub static HTTP_INGESTED_SAMPLES: Counter = Counter::new();
-/// In-flight requests drained to completion during graceful shutdown.
-pub static HTTP_DRAINED: Counter = Counter::new();
-/// Remote-write requests rejected by the per-request series budget (429).
-pub static HTTP_CARDINALITY_REJECTED: Counter = Counter::new();
-
-/// One row of the probe registry: a probe's exported metric name, its shape
-/// and which engine layer records it.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbeDesc {
-    /// Metric name the collector exports (histograms expand into
-    /// `_bucket`/`_sum`/`_count` on the wire).
-    pub name: &'static str,
-    /// Probe shape: `counter`, `gauge`, `histogram` or a per-`shard`/`class`
-    /// labelled variant.
-    pub kind: &'static str,
-    /// The engine layer that records it.
-    pub layer: &'static str,
-    /// What the probe measures.
-    pub help: &'static str,
+/// Where a [`Probe`] member's value lives: a reference to its static slot.
+pub enum Slot {
+    /// A monotonically increasing counter.
+    Counter(&'static Counter),
+    /// A last-value gauge.
+    Gauge(&'static Gauge),
+    /// A counter per storage shard, exported under a `shard` label.
+    ShardCounters(&'static ShardCounters),
+    /// A gauge per storage shard, exported under a `shard` label.
+    ShardGauges(&'static ShardGauges),
+    /// A latency histogram, exported in seconds.
+    LogLinearHist(&'static LogLinearHist),
 }
 
-/// The static probe registry: every engine self-metric the
-/// [`crate::ObsCollector`] exports, with its shape and recording layer.
-/// (Lock contention metrics are listed here too; their slots live in the
-/// `parking_lot` shim's always-on `contention` table.)
-pub const fn registry() -> &'static [ProbeDesc] {
-    const REGISTRY: &[ProbeDesc] = &[
-        ProbeDesc {
-            name: "teemon_scrape_rounds_total",
-            kind: "counter",
-            layer: "ingest",
-            help: "scrape rounds that touched at least one target",
-        },
-        ProbeDesc {
-            name: "teemon_scrape_round_seconds",
-            kind: "histogram",
-            layer: "ingest",
-            help: "measured wall time of whole scrape rounds",
-        },
-        ProbeDesc {
-            name: "teemon_scrape_stage_seconds",
-            kind: "histogram{stage}",
-            layer: "ingest",
-            help: "per-target stage timings: collect, cache_walk, append",
-        },
-        ProbeDesc {
-            name: "teemon_scrape_cache_hits_total",
-            kind: "counter",
-            layer: "ingest",
-            help: "fast-lane rounds verified positionally against the scrape cache",
-        },
-        ProbeDesc {
-            name: "teemon_scrape_cache_rebuilds_total",
-            kind: "counter",
-            layer: "ingest",
-            help: "fast-lane cache repairs after series churn",
-        },
-        ProbeDesc {
-            name: "teemon_scrape_stale_handles_total",
-            kind: "counter",
-            layer: "ingest",
-            help: "stale series handles hit during batch appends",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_shard_appends_total",
-            kind: "counter{shard}",
-            layer: "ingest",
-            help: "samples appended per storage shard (heat map)",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_resident_bytes",
-            kind: "gauge",
-            layer: "storage",
-            help: "estimated bytes resident in sample storage",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_samples",
-            kind: "gauge",
-            layer: "storage",
-            help: "stored samples (retention shrinks it)",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_bytes_per_sample",
-            kind: "gauge",
-            layer: "storage",
-            help: "average resident bytes per stored sample",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_series",
-            kind: "gauge",
-            layer: "storage",
-            help: "distinct series resident",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_rejected_samples",
-            kind: "gauge",
-            layer: "storage",
-            help: "samples rejected as out of order, cumulative",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_shard_series",
-            kind: "gauge{shard}",
-            layer: "storage",
-            help: "series resident per storage shard (imbalance view)",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_shard_generation",
-            kind: "gauge{shard}",
-            layer: "storage",
-            help: "storage shard generation (bumps on eviction/drop)",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_symbols",
-            kind: "gauge",
-            layer: "storage",
-            help: "live interned symbols (names, label keys and values)",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_symbol_bytes",
-            kind: "gauge",
-            layer: "storage",
-            help: "estimated bytes held by the symbol table",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_index_bytes",
-            kind: "gauge",
-            layer: "storage",
-            help: "estimated bytes held by the per-shard postings indexes",
-        },
-        ProbeDesc {
-            name: "teemon_tsdb_symbols_swept_total",
-            kind: "counter",
-            layer: "storage",
-            help: "symbols garbage-collected at symbol-table checkpoints",
-        },
-        ProbeDesc {
-            name: "teemon_scrape_budget_rejected_total",
-            kind: "counter",
-            layer: "ingest",
-            help: "series rejected by per-target/per-job cardinality budgets at the scrape edge",
-        },
-        ProbeDesc {
-            name: "teemon_wal_bytes_written_total",
-            kind: "counter",
-            layer: "storage",
-            help: "bytes appended to the write-ahead log",
-        },
-        ProbeDesc {
-            name: "teemon_wal_writes_total",
-            kind: "counter",
-            layer: "storage",
-            help: "appends issued to the write-ahead log, one per committed round",
-        },
-        ProbeDesc {
-            name: "teemon_wal_flush_seconds",
-            kind: "histogram",
-            layer: "storage",
-            help: "measured wall time of WAL flushes: drain, checksum, write, checkpoints",
-        },
-        ProbeDesc {
-            name: "teemon_wal_fsync_seconds",
-            kind: "histogram",
-            layer: "storage",
-            help: "measured wall time of WAL fsyncs",
-        },
-        ProbeDesc {
-            name: "teemon_wal_records_replayed_total",
-            kind: "counter",
-            layer: "storage",
-            help: "WAL records applied during crash recovery",
-        },
-        ProbeDesc {
-            name: "teemon_wal_salvage_total",
-            kind: "counter",
-            layer: "storage",
-            help: "corrupt-tail truncation events during recovery (per salvaged file)",
-        },
-        ProbeDesc {
-            name: "teemon_wal_salvaged_bytes_total",
-            kind: "counter",
-            layer: "storage",
-            help: "bytes discarded by corrupt-tail truncation during recovery",
-        },
-        ProbeDesc {
-            name: "teemon_wal_recovery_seconds",
-            kind: "gauge",
-            layer: "storage",
-            help: "duration of the last crash recovery",
-        },
-        ProbeDesc {
-            name: "teemon_wal_failed_shards",
-            kind: "gauge",
-            layer: "storage",
-            help: "shards whose WAL or snapshot was unreadable and came up empty",
-        },
-        ProbeDesc {
-            name: "teemon_wal_unclean_rounds_total",
-            kind: "counter",
-            layer: "storage",
-            help: "scrape rounds whose WAL flush hit a write/fsync failure (durability lost)",
-        },
-        ProbeDesc {
-            name: "teemon_query_range_total",
-            kind: "counter{mode}",
-            layer: "query",
-            help: "range queries by evaluation mode: streamed or fallback",
-        },
-        ProbeDesc {
-            name: "teemon_query_samples_decoded_total",
-            kind: "counter",
-            layer: "query",
-            help: "chunk samples decoded by streaming window machines",
-        },
-        ProbeDesc {
-            name: "teemon_query_window_rebuilds_total",
-            kind: "counter",
-            layer: "query",
-            help: "window aggregate rebuilds (numeric-drift resets)",
-        },
-        ProbeDesc {
-            name: "teemon_query_seconds",
-            kind: "histogram",
-            layer: "query",
-            help: "measured wall time of range queries",
-        },
-        ProbeDesc {
-            name: "teemon_query_slow_total",
-            kind: "counter",
-            layer: "query",
-            help: "range queries over the slow-query threshold",
-        },
-        ProbeDesc {
-            name: "teemon_http_connections_total",
-            kind: "counter",
-            layer: "http",
-            help: "connections accepted by the HTTP listener",
-        },
-        ProbeDesc {
-            name: "teemon_http_requests_total",
-            kind: "counter",
-            layer: "http",
-            help: "requests that entered the middleware stack",
-        },
-        ProbeDesc {
-            name: "teemon_http_responses_total",
-            kind: "counter{class}",
-            layer: "http",
-            help: "responses sent, by status class: 2xx, 4xx, 5xx",
-        },
-        ProbeDesc {
-            name: "teemon_http_shed_total",
-            kind: "counter",
-            layer: "http",
-            help: "connections shed before parsing under overload (503)",
-        },
-        ProbeDesc {
-            name: "teemon_http_panics_total",
-            kind: "counter",
-            layer: "http",
-            help: "handler panics caught by the panic shield (500)",
-        },
-        ProbeDesc {
-            name: "teemon_http_rate_limited_total",
-            kind: "counter",
-            layer: "http",
-            help: "requests rejected by the per-client token bucket (429)",
-        },
-        ProbeDesc {
-            name: "teemon_http_slow_clients_total",
-            kind: "counter",
-            layer: "http",
-            help: "slow-loris clients timed out sending headers or body (408)",
-        },
-        ProbeDesc {
-            name: "teemon_http_malformed_total",
-            kind: "counter",
-            layer: "http",
-            help: "malformed requests rejected by the parser (400)",
-        },
-        ProbeDesc {
-            name: "teemon_http_oversized_total",
-            kind: "counter",
-            layer: "http",
-            help: "requests rejected for exceeding a size limit (413)",
-        },
-        ProbeDesc {
-            name: "teemon_http_inflight",
-            kind: "gauge",
-            layer: "http",
-            help: "requests currently being served",
-        },
-        ProbeDesc {
-            name: "teemon_http_request_seconds",
-            kind: "histogram",
-            layer: "http",
-            help: "measured wall time of handled requests",
-        },
-        ProbeDesc {
-            name: "teemon_http_ingested_samples_total",
-            kind: "counter",
-            layer: "http",
-            help: "samples ingested through the remote-write endpoint",
-        },
-        ProbeDesc {
-            name: "teemon_http_drained_total",
-            kind: "counter",
-            layer: "http",
-            help: "in-flight requests drained to completion during graceful shutdown",
-        },
-        ProbeDesc {
-            name: "teemon_http_cardinality_rejected_total",
-            kind: "counter",
-            layer: "http",
-            help: "remote-write requests rejected by the per-request series budget (429)",
-        },
-        ProbeDesc {
-            name: "teemon_lock_acquires_total",
-            kind: "counter{class}",
-            layer: "locks",
-            help: "lock acquisitions per lock class",
-        },
-        ProbeDesc {
-            name: "teemon_lock_contended_total",
-            kind: "counter{class}",
-            layer: "locks",
-            help: "acquisitions that found the lock held and waited",
-        },
-        ProbeDesc {
-            name: "teemon_lock_wait_seconds",
-            kind: "histogram{class}",
-            layer: "locks",
-            help: "wait time of contended acquisitions per lock class",
-        },
-    ];
-    REGISTRY
+impl Slot {
+    /// The metric kind a family of such slots exports as.
+    pub fn kind(&self) -> MetricKind {
+        match self {
+            Slot::Counter(_) | Slot::ShardCounters(_) => MetricKind::Counter,
+            Slot::Gauge(_) | Slot::ShardGauges(_) => MetricKind::Gauge,
+            Slot::LogLinearHist(_) => MetricKind::Histogram,
+        }
+    }
+
+    /// Visits the slot's current scalar values as `(shard, value)`: one
+    /// `(None, v)` for a counter or gauge, `(Some(i), v)` per shard for the
+    /// per-shard slots, nothing for a histogram (see [`Probe::hists`]).
+    pub fn for_each_value(&self, mut visit: impl FnMut(Option<usize>, f64)) {
+        match self {
+            Slot::Counter(c) => visit(None, c.get() as f64),
+            Slot::Gauge(g) => visit(None, g.get()),
+            Slot::ShardCounters(s) => (0..SHARDS).for_each(|i| visit(Some(i), s.get(i) as f64)),
+            Slot::ShardGauges(s) => (0..SHARDS).for_each(|i| visit(Some(i), s.get(i))),
+            Slot::LogLinearHist(_) => {}
+        }
+    }
+}
+
+/// One metric family of the self-telemetry surface: a row of [`PROBES`].
+pub struct Probe {
+    /// Exported family name (histograms expand into `_bucket`/`_sum`/`_count`
+    /// on the wire).
+    pub name: &'static str,
+    /// The engine layer that records it: `ingest`, `storage`, `query`, `http`.
+    pub layer: &'static str,
+    /// What the family measures — the exported `# HELP` text.
+    pub help: &'static str,
+    /// The label that tells the members of a grouped family apart (`stage`,
+    /// `mode`, `class`); empty for a family with a single member.
+    pub label: &'static str,
+    /// The slots behind the family, each with its value of [`Probe::label`].
+    pub members: &'static [(&'static str, Slot)],
+}
+
+impl Probe {
+    /// The family's metric kind, derived from its slots (a family's members
+    /// all share one slot type).
+    pub fn kind(&self) -> MetricKind {
+        self.members.first().map_or(MetricKind::Untyped, |(_, slot)| slot.kind())
+    }
+
+    /// The label set of one point: the member's value under
+    /// [`Probe::label`] (grouped families only), then the shard index for
+    /// per-shard slots.
+    pub fn labels(&self, member: &'static str, shard: Option<usize>) -> Labels {
+        let labels = if self.label.is_empty() {
+            Labels::new()
+        } else {
+            Labels::new().with(self.label, member)
+        };
+        match shard {
+            Some(shard) => labels.with("shard", shard.to_string()),
+            None => labels,
+        }
+    }
+
+    /// The family's histogram members as `(label value, histogram)`.
+    pub fn hists(&self) -> impl Iterator<Item = (&'static str, &'static LogLinearHist)> {
+        self.members.iter().filter_map(|(member, slot)| match slot {
+            Slot::LogLinearHist(hist) => Some((*member, *hist)),
+            _ => None,
+        })
+    }
+}
+
+/// The lock-contention families (layer `locks`) as `(name, help)`: acquires,
+/// contended acquisitions, wait-time histogram.  Their points are not static
+/// slots — there is one per lock class in the `parking_lot` shim's runtime
+/// `contention` table — so both views append them by hand after [`PROBES`].
+pub const LOCK_FAMILIES: [(&str, &str); 3] = [
+    ("teemon_lock_acquires_total", "lock acquisitions per lock class"),
+    ("teemon_lock_contended_total", "acquisitions that found the lock held and waited"),
+    ("teemon_lock_wait_seconds", "wait time of contended acquisitions per lock class"),
+];
+
+/// Declares the probe table.  Each row reads
+/// `layer "family_name" "help" [by "label"] { STATIC: SlotType [= "label value"], … }`
+/// and expands to one `pub static STATIC: SlotType` per member plus the
+/// family's [`Probe`] entry in [`PROBES`], in declaration order (which is the
+/// export order of both views).
+macro_rules! probes {
+    ($(
+        $layer:ident $name:literal $help:literal $(by $label:literal)? {
+            $($slot:ident: $ty:ident $(= $member:literal)?),+ $(,)?
+        }
+    )+) => {
+        $($(
+            #[doc = concat!("`", $name, "`", $(" (`", $member, "`)",)? ": ", $help, ".")]
+            pub static $slot: $ty = $ty::new();
+        )+)+
+
+        /// Every engine self-metric family except [`LOCK_FAMILIES`], in
+        /// export order: the table [`crate::SelfSnapshot`] and
+        /// [`crate::ObsCollector`] interpret.
+        pub static PROBES: &[Probe] = &[$(
+            Probe {
+                name: $name,
+                layer: stringify!($layer),
+                help: $help,
+                label: probes!(@or_empty $($label)?),
+                members: &[$((probes!(@or_empty $($member)?), Slot::$ty(&$slot))),+],
+            },
+        )+];
+    };
+    (@or_empty) => { "" };
+    (@or_empty $text:literal) => { $text };
+}
+
+probes! {
+    ingest "teemon_scrape_rounds_total" "scrape rounds that touched at least one target"
+        { SCRAPE_ROUNDS: Counter }
+    ingest "teemon_scrape_round_seconds" "measured wall time of whole scrape rounds"
+        { SCRAPE_ROUND_NS: LogLinearHist }
+    ingest "teemon_scrape_stage_seconds"
+        "per-target stage timings: collect, cache_walk, append" by "stage" {
+        SCRAPE_COLLECT_NS: LogLinearHist = "collect",
+        SCRAPE_CACHE_WALK_NS: LogLinearHist = "cache_walk",
+        SCRAPE_APPEND_NS: LogLinearHist = "append",
+    }
+    ingest "teemon_scrape_cache_hits_total"
+        "fast-lane rounds verified positionally against the scrape cache"
+        { CACHE_HITS: Counter }
+    ingest "teemon_scrape_cache_rebuilds_total" "fast-lane cache repairs after series churn"
+        { CACHE_REBUILDS: Counter }
+    ingest "teemon_scrape_stale_handles_total" "stale series handles hit during batch appends"
+        { STALE_HANDLES: Counter }
+    ingest "teemon_tsdb_shard_appends_total" "samples appended per storage shard (heat map)"
+        { SHARD_APPENDS: ShardCounters }
+    storage "teemon_tsdb_resident_bytes" "estimated bytes resident in sample storage"
+        { STORAGE_RESIDENT_BYTES: Gauge }
+    storage "teemon_tsdb_samples" "stored samples (retention shrinks it)"
+        { STORAGE_SAMPLES: Gauge }
+    storage "teemon_tsdb_bytes_per_sample" "average resident bytes per stored sample"
+        { STORAGE_BYTES_PER_SAMPLE: Gauge }
+    storage "teemon_tsdb_series" "distinct series resident"
+        { STORAGE_SERIES: Gauge }
+    storage "teemon_tsdb_rejected_samples" "samples rejected as out of order, cumulative"
+        { STORAGE_REJECTED_SAMPLES: Gauge }
+    storage "teemon_tsdb_shard_series" "series resident per storage shard (imbalance view)"
+        { SHARD_SERIES: ShardGauges }
+    storage "teemon_tsdb_shard_generation" "storage shard generation (bumps on eviction/drop)"
+        { SHARD_GENERATIONS: ShardGauges }
+    storage "teemon_tsdb_symbols" "live interned symbols (names, label keys and values)"
+        { STORAGE_SYMBOLS: Gauge }
+    storage "teemon_tsdb_symbol_bytes" "estimated bytes held by the symbol table"
+        { STORAGE_SYMBOL_BYTES: Gauge }
+    storage "teemon_tsdb_index_bytes" "estimated bytes held by the per-shard postings indexes"
+        { STORAGE_INDEX_BYTES: Gauge }
+    storage "teemon_tsdb_symbols_swept_total"
+        "symbols garbage-collected at symbol-table checkpoints"
+        { SYMBOLS_SWEPT: Counter }
+    ingest "teemon_scrape_budget_rejected_total"
+        "series rejected by per-target/per-job cardinality budgets at the scrape edge"
+        { SCRAPE_BUDGET_REJECTED: Counter }
+    storage "teemon_wal_bytes_written_total" "bytes appended to the write-ahead log"
+        { WAL_BYTES_WRITTEN: Counter }
+    storage "teemon_wal_writes_total"
+        "appends issued to the write-ahead log, one per committed round"
+        { WAL_WRITES: Counter }
+    storage "teemon_wal_flush_seconds"
+        "measured wall time of WAL flushes: drain, checksum, write, checkpoints"
+        { WAL_FLUSH_NS: LogLinearHist }
+    storage "teemon_wal_fsync_seconds" "measured wall time of WAL fsyncs"
+        { WAL_FSYNC_NS: LogLinearHist }
+    storage "teemon_wal_records_replayed_total" "WAL records applied during crash recovery"
+        { WAL_RECORDS_REPLAYED: Counter }
+    storage "teemon_wal_salvage_total"
+        "corrupt-tail truncation events during recovery (per salvaged file)"
+        { WAL_SALVAGE: Counter }
+    storage "teemon_wal_salvaged_bytes_total"
+        "bytes discarded by corrupt-tail truncation during recovery"
+        { WAL_SALVAGED_BYTES: Counter }
+    storage "teemon_wal_recovery_seconds" "duration of the last crash recovery"
+        { WAL_RECOVERY_SECONDS: Gauge }
+    storage "teemon_wal_failed_shards"
+        "shards whose WAL or snapshot was unreadable and came up empty"
+        { WAL_FAILED_SHARDS: Gauge }
+    storage "teemon_wal_unclean_rounds_total"
+        "scrape rounds whose WAL flush hit a write/fsync failure (durability lost)"
+        { WAL_UNCLEAN_ROUNDS: Counter }
+    query "teemon_query_range_total"
+        "range queries by evaluation mode: streamed or fallback" by "mode" {
+        QUERY_STREAMED: Counter = "streamed",
+        QUERY_FALLBACK: Counter = "fallback",
+    }
+    query "teemon_query_samples_decoded_total"
+        "chunk samples decoded by streaming window machines"
+        { QUERY_SAMPLES_DECODED: Counter }
+    query "teemon_query_window_rebuilds_total" "window aggregate rebuilds (numeric-drift resets)"
+        { QUERY_WINDOW_REBUILDS: Counter }
+    query "teemon_query_seconds" "measured wall time of range queries"
+        { QUERY_NS: LogLinearHist }
+    query "teemon_query_slow_total" "range queries over the slow-query threshold"
+        { QUERY_SLOW: Counter }
+    http "teemon_http_connections_total" "connections accepted by the HTTP listener"
+        { HTTP_CONNECTIONS: Counter }
+    http "teemon_http_requests_total" "requests that entered the middleware stack"
+        { HTTP_REQUESTS: Counter }
+    http "teemon_http_responses_total" "responses sent, by status class: 2xx, 4xx, 5xx" by "class" {
+        HTTP_RESPONSES_2XX: Counter = "2xx",
+        HTTP_RESPONSES_4XX: Counter = "4xx",
+        HTTP_RESPONSES_5XX: Counter = "5xx",
+    }
+    http "teemon_http_shed_total" "connections shed before parsing under overload (503)"
+        { HTTP_SHED: Counter }
+    http "teemon_http_panics_total" "handler panics caught by the panic shield (500)"
+        { HTTP_PANICS: Counter }
+    http "teemon_http_rate_limited_total" "requests rejected by the per-client token bucket (429)"
+        { HTTP_RATE_LIMITED: Counter }
+    http "teemon_http_slow_clients_total"
+        "slow-loris clients timed out sending headers or body (408)"
+        { HTTP_SLOW_CLIENTS: Counter }
+    http "teemon_http_malformed_total" "malformed requests rejected by the parser (400)"
+        { HTTP_MALFORMED: Counter }
+    http "teemon_http_oversized_total" "requests rejected for exceeding a size limit (413)"
+        { HTTP_OVERSIZED: Counter }
+    http "teemon_http_inflight" "requests currently being served"
+        { HTTP_INFLIGHT: Gauge }
+    http "teemon_http_request_seconds" "measured wall time of handled requests"
+        { HTTP_REQUEST_NS: LogLinearHist }
+    http "teemon_http_ingested_samples_total" "samples ingested through the remote-write endpoint"
+        { HTTP_INGESTED_SAMPLES: Counter }
+    http "teemon_http_drained_total"
+        "in-flight requests drained to completion during graceful shutdown"
+        { HTTP_DRAINED: Counter }
+    http "teemon_http_cardinality_rejected_total"
+        "remote-write requests rejected by the per-request series budget (429)"
+        { HTTP_CARDINALITY_REJECTED: Counter }
 }
 
 #[cfg(test)]
@@ -675,10 +466,34 @@ mod tests {
     }
 
     #[test]
-    fn registry_lists_every_layer() {
-        let layers: Vec<&str> = registry().iter().map(|p| p.layer).collect();
-        for layer in ["ingest", "storage", "query", "http", "locks"] {
-            assert!(layers.contains(&layer), "missing layer {layer}");
+    fn table_is_well_formed() {
+        let mut names: Vec<&str> = PROBES.iter().map(|p| p.name).collect();
+        names.extend(LOCK_FAMILIES.map(|(name, _)| name));
+        let distinct: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(distinct.len(), names.len(), "a family name is declared twice");
+        for probe in PROBES {
+            let name = probe.name;
+            assert_eq!(!probe.label.is_empty(), probe.members.len() > 1, "{name}: member label");
+            for (member, slot) in probe.members {
+                assert_eq!(member.is_empty(), probe.label.is_empty(), "{name}: label value");
+                assert_eq!(slot.kind(), probe.kind(), "{name}: mixed slot types");
+            }
+        }
+        for layer in ["ingest", "storage", "query", "http"] {
+            assert!(PROBES.iter().any(|p| p.layer == layer), "missing layer {layer}");
+        }
+    }
+
+    #[test]
+    fn readme_lists_every_family() {
+        let readme = include_str!("../../../README.md");
+        let section = readme
+            .split_once("## Self-observability")
+            .map(|(_, rest)| rest.split("\n## ").next().unwrap_or(rest))
+            .expect("README has a Self-observability section");
+        let lock_names = LOCK_FAMILIES.map(|(name, _)| name);
+        for name in PROBES.iter().map(|p| p.name).chain(lock_names) {
+            assert!(section.contains(&format!("`{name}")), "README does not list {name}");
         }
     }
 }

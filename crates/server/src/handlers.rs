@@ -101,17 +101,13 @@ fn metrics(ctx: &mut HandlerCtx<'_>) -> Response {
     Response::metrics(exposition::encode_text(&families))
 }
 
-/// `GET /self/metrics` — just the `teemon_http_*` probe families.  This is
-/// what the `teemon_http` self-target scrapes; the full probe registry is
+/// `GET /self/metrics` — just the `http` layer of the probe table.  This is
+/// what the `teemon_http` self-target scrapes; the full probe table is
 /// already exported by the monitor's `teemon_self` target, so exporting
 /// only the HTTP families here avoids double-ingesting the rest.
 fn self_metrics() -> Response {
-    match ObsCollector::new().collect() {
-        Ok(families) => {
-            let http: Vec<FamilySnapshot> =
-                families.into_iter().filter(|f| f.name.starts_with("teemon_http")).collect();
-            Response::metrics(exposition::encode_text(&http))
-        }
+    match ObsCollector::layer("http").collect() {
+        Ok(families) => Response::metrics(exposition::encode_text(&families)),
         Err(e) => Response::text(500, format!("self-collection failed: {e}\n")),
     }
 }
