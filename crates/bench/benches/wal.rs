@@ -10,6 +10,11 @@
 //! * `round_{1k,10k}/durable_fsync` — the same round under
 //!   `FsyncMode::EveryCommit` (power-loss-safe acks); the delta vs
 //!   `durable` is pure fsync cost, one per round.
+//! * `round_1k/durable_dense_values` — the durable round on the input
+//!   *without* the property the packed sample entry exploits: full-mantissa
+//!   values, handles walked against shard order, so every entry spells out
+//!   its series index and all eight value bytes (11 B where `durable` logs
+//!   ≈ 4).  The delta vs `durable` is what the property is worth.
 //! * `round_1k/durable_rotating` — the same round with a tiny segment
 //!   budget, so segments keep sealing and shards keep checkpointing onto
 //!   Gorilla snapshots; the delta vs `durable` is the checkpoint cost.
@@ -81,6 +86,17 @@ impl Drop for ScratchDir {
     }
 }
 
+/// Bytes of log in a scratch directory.
+fn log_bytes(scratch: &ScratchDir) -> u64 {
+    std::fs::read_dir(&scratch.0)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|entry| entry.path().extension().is_some_and(|ext| ext == "log"))
+        .filter_map(|entry| Some(entry.metadata().ok()?.len()))
+        .sum()
+}
+
 /// `count` series shaped like a monitored node: series spread over 64 node
 /// labels, resolved once so rounds run the handle fast lane.
 fn handles(db: &TimeSeriesDb, count: usize) -> Vec<SeriesHandle> {
@@ -97,15 +113,19 @@ fn handles(db: &TimeSeriesDb, count: usize) -> Vec<SeriesHandle> {
 
 /// One ingest round: every series appends one sample at `t`, then the WAL
 /// flush (a no-op on volatile databases, so both sides run the same code).
+/// Values are whole numbers, as counters and page counts are, or — `dense` —
+/// a full 52-bit mantissa each.
 fn round(
     db: &TimeSeriesDb,
     handles: &[SeriesHandle],
     batch: &mut Vec<(SeriesHandle, u64, f64)>,
     t: u64,
+    dense: bool,
 ) {
     batch.clear();
     for (i, &handle) in handles.iter().enumerate() {
-        batch.push((handle, t, i as f64));
+        let value = if dense { std::f64::consts::PI * (i as u64 + t) as f64 } else { i as f64 };
+        batch.push((handle, t, value));
     }
     let outcome = db.append_batch(batch);
     assert_eq!(outcome.appended as usize, handles.len());
@@ -118,15 +138,17 @@ fn bench_rounds(c: &mut Criterion) {
     group.sample_size(sample_count());
     for &count in series_counts() {
         let tag = if count >= 1_000 { format!("{}k", count / 1_000) } else { format!("{count}") };
-        let cases: [(&str, Option<(u64, FsyncMode)>); 4] = [
+        let cases: [(&str, Option<(u64, FsyncMode)>); 5] = [
             ("volatile", None),
             ("durable", Some((u64::MAX, FsyncMode::OnRotation))),
+            ("durable_dense_values", Some((u64::MAX, FsyncMode::OnRotation))),
             ("durable_fsync", Some((u64::MAX, FsyncMode::EveryCommit))),
             ("durable_rotating", Some((64 << 10, FsyncMode::OnRotation))),
         ];
         for (mode_tag, durability) in cases {
-            if mode_tag == "durable_rotating" && count >= 10_000 {
-                continue; // the rotation delta is measured once, at 1k
+            let dense = mode_tag == "durable_dense_values";
+            if (dense || mode_tag == "durable_rotating") && count >= 10_000 {
+                continue; // the rotation and dense-value deltas are measured once, at 1k
             }
             let scratch = ScratchDir::new(&format!("round-{tag}-{mode_tag}"));
             let db = match durability {
@@ -138,20 +160,36 @@ fn bench_rounds(c: &mut Criterion) {
                         .expect("open durable bench db")
                 }
             };
-            let handles = handles(&db, count);
+            let mut handles = handles(&db, count);
+            if dense {
+                // Backwards through every shard: no entry can name its
+                // series as a step forward from the one before.
+                handles.reverse();
+            }
             let mut batch = Vec::with_capacity(count);
             let clock = AtomicU64::new(0);
             // Warm up: grow the staging buffers, open the log files.
             for _ in 0..3 {
-                round(&db, &handles, &mut batch, clock.fetch_add(5_000, Ordering::Relaxed) + 5_000);
+                let now = clock.fetch_add(5_000, Ordering::Relaxed) + 5_000;
+                round(&db, &handles, &mut batch, now, dense);
             }
             group.bench_function(format!("round_{tag}/{mode_tag}"), |b| {
                 b.iter(|| {
                     let now = clock.fetch_add(5_000, Ordering::Relaxed) + 5_000;
-                    round(&db, &handles, &mut batch, now);
+                    round(&db, &handles, &mut batch, now, dense);
                     black_box(db.stats().samples)
                 })
             });
+            if durability.is_some_and(|(segment_bytes, _)| segment_bytes == u64::MAX) {
+                // One more round, weighed: the bytes its group put in the log.
+                let before = log_bytes(&scratch);
+                let now = clock.fetch_add(5_000, Ordering::Relaxed) + 5_000;
+                round(&db, &handles, &mut batch, now, dense);
+                println!(
+                    "micro/wal/round_{tag}/{mode_tag:<28} group: {} bytes per round",
+                    log_bytes(&scratch) - before
+                );
+            }
         }
     }
     group.finish();
@@ -247,7 +285,7 @@ fn bench_replay(c: &mut Criterion) {
             let handles = handles(&db, count);
             let mut batch = Vec::with_capacity(count);
             for r in 1..=rounds {
-                round(&db, &handles, &mut batch, r * 5_000);
+                round(&db, &handles, &mut batch, r * 5_000, false);
             }
             db.stats().samples
         };

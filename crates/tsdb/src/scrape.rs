@@ -841,7 +841,11 @@ pub struct PushOutcome {
 ///
 /// Durability: pushes ride the database's normal WAL round — they become
 /// durable at the next [`TimeSeriesDb::wal_flush`] (the scrape driver's
-/// per-round flush, or the serving edge's graceful-drain flush).
+/// per-round flush, or the serving edge's graceful-drain flush).  Where
+/// neither comes — a push-only server — staging is still bounded: the push
+/// that takes a shard's staged records past 256 KiB commits the round
+/// itself on its way out of [`TimeSeriesDb::append_batch`], so at most that
+/// much per shard waits for the drain.
 pub struct PushLane {
     db: TimeSeriesDb,
     job: String,

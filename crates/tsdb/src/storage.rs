@@ -665,6 +665,16 @@ impl DbShared {
         self.wal.as_ref()?.shard_writer(shard)
     }
 
+    /// Stages one attempted append to `shard`.  `true` when the shard's
+    /// staging has outgrown its budget: the caller then runs
+    /// [`TimeSeriesDb::wal_flush`] once it has released the shard lock.
+    fn stage_sample(&self, shard: usize, local: u32, timestamp_ms: u64, value: f64) -> bool {
+        self.stage(shard).is_some_and(|mut writer| {
+            writer.sample(local, timestamp_ms, value);
+            writer.over_budget()
+        })
+    }
+
     /// The lock shard at `index`.  Masked with `SHARD_COUNT - 1`, so the
     /// accessor itself can never panic; every caller derives `index` from a
     /// key hash or a [`SeriesHandle`], both already in range.
@@ -822,9 +832,9 @@ impl<'a> Recovery<'a> {
                     inner.push_series(hash, series);
                 }
             }
-            wal::ShardOp::Samples { timestamp_ms, entries } => {
+            wal::ShardOp::Samples { timestamp_ms, entries, .. } => {
                 let Some(inner) = self.live(index) else { return true };
-                for (local, value) in wal::ShardOp::samples(entries) {
+                for (local, value) in entries {
                     if (local as usize) >= inner.series.len() {
                         return false;
                     }
@@ -990,10 +1000,14 @@ impl TimeSeriesDb {
     /// error or a shard came up unrecoverable (sticky; also surfaced in
     /// [`StorageStats::wal_failed_shards`]).
     ///
-    /// Called once per scrape round by the scrape driver.  After a commit,
-    /// every shard that has logged more than the segment budget since its
-    /// last snapshot is checkpointed — its state snapshotted, Gorilla blocks
-    /// re-used verbatim — and log segments no stream needs are deleted.
+    /// Called once per scrape round by the scrape driver — and by any
+    /// appender ([`TimeSeriesDb::append`], [`TimeSeriesDb::append_handle`],
+    /// [`TimeSeriesDb::append_batch`]) that leaves a shard with more than
+    /// 256 KiB staged, so ingest without a driver cannot stage without
+    /// bound.  After a commit, every shard that has logged more than the
+    /// segment budget since its last snapshot is checkpointed — its state
+    /// snapshotted, Gorilla blocks re-used verbatim — and log segments no
+    /// stream needs are deleted.
     pub fn wal_flush(&self) -> bool {
         let Some(wal) = &self.shared.wal else {
             return true;
@@ -1053,9 +1067,7 @@ impl TimeSeriesDb {
             Some(local) => local,
             None => self.create_series(&mut inner, shard, key_hash, name, labels),
         };
-        if let Some(mut writer) = self.shared.stage(shard) {
-            writer.sample(local, timestamp_ms, value);
-        }
+        let flush_due = self.shared.stage_sample(shard, local, timestamp_ms, value);
         let chunk_size = self.config.chunk_size.max(1);
         let raw_chunks = self.config.raw_chunks;
         let result = inner.series_at_mut(local).append(
@@ -1063,7 +1075,12 @@ impl TimeSeriesDb {
             chunk_size,
             raw_chunks,
         );
-        inner.record_append(result, timestamp_ms, chunk_size)
+        let accepted = inner.record_append(result, timestamp_ms, chunk_size);
+        drop(inner);
+        if flush_due {
+            self.wal_flush();
+        }
+        accepted
     }
 
     /// Resolves `name` + `labels` to a [`SeriesHandle`], creating the series
@@ -1131,15 +1148,19 @@ impl TimeSeriesDb {
         if handle.generation != inner.generation || (handle.local as usize) >= inner.series.len() {
             return HandleAppend::Stale;
         }
-        if let Some(mut writer) = self.shared.stage(handle.shard as usize) {
-            writer.sample(handle.local, timestamp_ms, value);
-        }
+        let flush_due =
+            self.shared.stage_sample(handle.shard as usize, handle.local, timestamp_ms, value);
         let result = inner.series_at_mut(handle.local).append(
             Sample { timestamp_ms, value },
             chunk_size,
             raw_chunks,
         );
-        if inner.record_append(result, timestamp_ms, chunk_size) {
+        let accepted = inner.record_append(result, timestamp_ms, chunk_size);
+        drop(inner);
+        if flush_due {
+            self.wal_flush();
+        }
+        if accepted {
             HandleAppend::Appended
         } else {
             HandleAppend::Rejected
@@ -1172,6 +1193,7 @@ impl TimeSeriesDb {
         // samples were all consumed earlier are skipped without locking.
         let mut remaining = batch.len();
         let mut appended_per_shard = [0u64; SHARD_COUNT];
+        let mut flush_due = false;
         for shard in 0..SHARD_COUNT as u16 {
             if remaining == 0 {
                 break;
@@ -1221,6 +1243,11 @@ impl TimeSeriesDb {
             }
             // teemon-verify: allow(no-index): invariant — `shard` iterates 0..SHARD_COUNT, the array length
             appended_per_shard[shard as usize] = appended_here;
+            flush_due |= writer.is_some_and(|writer| writer.over_budget());
+        }
+        if flush_due {
+            // Every shard guard is released: the log lock stays outermost.
+            self.wal_flush();
         }
         // Probe the shard heat map after the batch loops finish: calling
         // into the probe statics inside the per-shard loop measurably

@@ -10,7 +10,10 @@
 //! checksum** and hands it to the log with **one sequential write** — plus
 //! one fsync under [`FsyncMode::EveryCommit`].  Staging buffers and group
 //! buffer are retained round over round, so the warm durable path is
-//! allocation-free.
+//! allocation-free.  Ingest nobody drives a round for — remote-write pushes
+//! into a server without scrape targets — is not left to stage forever: the
+//! appender that takes a shard's buffer past 256 KiB commits the round
+//! itself, once it has released its shard lock.
 //!
 //! # On-disk layout
 //!
@@ -30,7 +33,22 @@
 //! section = stream: u8 (shard 0..15, 16 = symbol binds), len: u32, body
 //! shard body   = records, type byte first: SERIES, SAMPLES, DROP, RETENTION
 //! symbols body = (slot: u32, len: u32, utf-8 string)*
+//! SAMPLES      = 21: u8, body_len: u32, timestamp_ms: u64, entry*
+//! entry        = ctl: u8, [local: u16 | u32], n <= 8 value bytes
 //! ```
+//!
+//! A sample is logged for what it is worth, not at a fixed width: the batch
+//! carries its timestamp once, an entry names its series as a distance from
+//! the previous entry's shard-local index (in the control byte's high nibble
+//! when the round walks the shard in order, which it does) and stores the
+//! value's `f64` bits without their trailing zero bytes — 1 byte for `0.0`,
+//! 4 for a whole number below 2^13, at most 11 while a shard holds 65 536
+//! series or fewer and 13 beyond (`pack_sample`).  The coding is
+//! bit-exact for every `f64` and closed over the batch: no entry refers to
+//! anything outside its own record, so the log stays replayable on its own.
+//! Tag 18, the fixed `local: u32, value: f64` batch earlier versions wrote,
+//! is still read — a directory they left must open whole — and never
+//! written.
 //!
 //! Commit *is* the frame boundary: a group that verifies is a round that was
 //! written whole, and nothing else confirms it.  Recovery therefore has one
@@ -75,7 +93,8 @@
 //!
 //! The resulting order — `tsdb.wal.log → tsdb.shard → {tsdb.symbols,
 //! tsdb.wal.shard}` — is acyclic: nothing that holds a shard lock ever takes
-//! the log lock.  The WAL classes are deliberately not marked `no_alloc`:
+//! the log lock (an appender over its staging budget flushes only after it
+//! let go of the shard).  The WAL classes are deliberately not marked `no_alloc`:
 //! cold-path buffer growth (and the in-memory [`FaultFs`] used by tests)
 //! allocates under them, and the allocation-freedom of the *warm* durable
 //! round is proven directly by the counting-allocator test instead.
@@ -121,8 +140,8 @@ fn xxh_merge(hash: u64, acc: u64) -> u64 {
 
 /// XXH64 (seed 0) of `bytes`: the one checksum of the durability tier, over
 /// log groups and snapshot frames alike.  Four independent 64-bit lanes
-/// retire 32 input bytes per step, so a 12 KB round group costs about a
-/// microsecond.
+/// retire 32 input bytes per step, so a 1 000-sample round group (≈ 5 KB)
+/// costs about half a microsecond.
 fn xxh64(bytes: &[u8]) -> u64 {
     let mut stripes = bytes.chunks_exact(32);
     let mut hash = if bytes.len() >= 32 {
@@ -200,18 +219,38 @@ const MAX_SEGMENT_LAG: u64 = 2 * SHARD_COUNT as u64;
 
 // Shard records, inside a shard section:
 const REC_SERIES: u8 = 17;
-const REC_SAMPLES: u8 = 18;
+/// The fixed-entry sample batch of earlier versions (`count: u32,
+/// timestamp_ms: u64`, then `local: u32, value: f64` per sample).  Read so a
+/// directory they wrote still opens; never written.
+const REC_SAMPLES_V1: u8 = 18;
 const REC_DROP: u8 = 19;
 const REC_RETENTION: u8 = 20;
+const REC_SAMPLES: u8 = 21;
 
-/// Bytes of one entry inside a `REC_SAMPLES` batch: `local: u32`,
-/// `value: f64`.  The batch header carries the shared `timestamp_ms` once —
-/// every sample of a scrape target's round lands at the same timestamp, so
-/// hoisting it saves 40% of the staged (and written, and checksummed) bytes;
-/// a sample at a different timestamp seals the batch and opens a new one.
-const SAMPLE_ENTRY_BYTES: usize = 12;
-/// Bytes of a `REC_SAMPLES` batch header: type, entry count, timestamp.
+/// Bytes of one entry of a [`REC_SAMPLES_V1`] batch.
+const SAMPLE_V1_ENTRY_BYTES: usize = 12;
+/// Bytes of a `REC_SAMPLES` batch header: type, body length, timestamp.  The
+/// header carries the shared `timestamp_ms` once — every sample of a scrape
+/// target's round lands at the same timestamp — and a sample at a different
+/// timestamp seals the batch and opens a new one.
 const SAMPLE_HEADER_BYTES: usize = 13;
+/// Bytes [`pack_sample`] hands back per entry — of which at most 13 are the
+/// entry: control byte, a `u32` local, all eight value bytes (11 while the
+/// shard holds at most 65 536 series) — and therefore the spare capacity
+/// [`ShardWriter::sample`] wants before staging one.
+const SAMPLE_SLOT_BYTES: usize = 16;
+/// High-nibble codes of an entry's control byte past the inline deltas
+/// `0..=13`: the local index follows as a `u16`, or as a `u32`.
+const LOCAL_U16: u8 = 14;
+const LOCAL_U32: u8 = 15;
+/// Staged bytes past which a shard's appender commits the round early
+/// instead of waiting for the driver's flush (see
+/// [`ShardWriter::over_budget`]).  A scrape round stays under it up to
+/// ≈ 24 000 samples per shard, so only ingest nobody flushes for — a
+/// push-only server — ever gets here; what it bounds is the memory staging
+/// can hold (16 × this) and the size of the group a flush writes, which
+/// recovery refuses past [`MAX_RECORD_LEN`].
+const STAGE_FLUSH_BYTES: usize = 256 << 10;
 // Snapshot frames, type byte first:
 const REC_SNAP_SYMBOLS: u8 = 3;
 const REC_SNAP_HEADER: u8 = 32;
@@ -259,6 +298,113 @@ fn put_bindings(buf: &mut Vec<u8>, bindings: &[(u32, Arc<str>)]) {
         put_u32(buf, *raw);
         put_u32(buf, s.len() as u32);
         buf.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// Packs one sample of a `REC_SAMPLES` batch; returns the entry, left-aligned
+/// in a fixed slot, and its length (at most 13):
+///
+/// ```text
+/// entry    = ctl: u8, [local: u16 | u32], n value bytes
+/// ctl >> 4 = 0..=13: local = the batch's previous local + 1 + this (the
+///            previous local starts at -1, wrapping); 14: the local follows
+///            as a u16; 15: it follows as a u32
+/// ctl & 15 = n <= 8: the n high-order bytes of value.to_bits() follow,
+///            the low 8 - n are zero
+/// ```
+///
+/// Bit-exact for every `f64`, and decodable from the batch alone — nothing is
+/// coded against the series' previous value, so a log record never depends on
+/// store state.  What it exploits is what monitoring data looks like: a round
+/// visits a shard's series in order, and counts, page numbers and zeroes end
+/// in zero bytes (0.0 costs none, a whole number below 2^13 three, below 2^21
+/// four).  A full mantissa in shuffled order still fits 11 bytes while the
+/// shard holds at most 65 536 series.
+#[inline(always)]
+fn pack_sample(prev: u32, local: u32, value: f64) -> ([u8; SAMPLE_SLOT_BYTES], usize) {
+    let bits = value.to_bits();
+    let cut = (bits.trailing_zeros() / 8).min(8);
+    let value_bytes = 8 - cut;
+    let high = u128::from(bits.checked_shr(cut * 8).unwrap_or(0));
+    let delta = local.wrapping_sub(prev).wrapping_sub(1);
+    let (code, local_bits, local_bytes) = if delta < u32::from(LOCAL_U16) {
+        (delta, 0, 0)
+    } else if local <= u32::from(u16::MAX) {
+        (u32::from(LOCAL_U16), u128::from(local), 2)
+    } else {
+        (u32::from(LOCAL_U32), u128::from(local), 4)
+    };
+    let entry =
+        u128::from(code << 4 | value_bytes) | local_bits << 8 | high << (8 + 8 * local_bytes);
+    (entry.to_le_bytes(), (1 + local_bytes + value_bytes) as usize)
+}
+
+/// The still-encoded entries of one sample batch, decoded as they are
+/// iterated: `(local, value)` pairs in staging order.  Iteration ends at the
+/// first entry that is malformed or cut short, leaving it unconsumed —
+/// [`SampleEntries::validated`] is how [`decode_shard_op`] refuses such a
+/// batch before anything of its group is applied.
+#[derive(Clone, Copy)]
+pub(crate) struct SampleEntries<'a> {
+    bytes: &'a [u8],
+    /// `false` for the fixed 12-byte entries of a [`REC_SAMPLES_V1`] batch.
+    packed: bool,
+    prev: u32,
+}
+
+impl<'a> SampleEntries<'a> {
+    /// The number of entries, iff `bytes` is a whole number of well-formed
+    /// entries.
+    fn validated(bytes: &'a [u8], packed: bool) -> Option<(Self, usize)> {
+        let entries = Self { bytes, packed, prev: u32::MAX };
+        let mut walk = entries;
+        let count = walk.by_ref().count();
+        walk.bytes.is_empty().then_some((entries, count))
+    }
+}
+
+impl Iterator for SampleEntries<'_> {
+    type Item = (u32, f64);
+
+    fn next(&mut self) -> Option<(u32, f64)> {
+        if !self.packed {
+            let (local, rest) = self.bytes.split_first_chunk::<4>()?;
+            let (bits, rest) = rest.split_first_chunk::<8>()?;
+            self.bytes = rest;
+            return Some((u32::from_le_bytes(*local), f64::from_bits(u64::from_le_bytes(*bits))));
+        }
+        let (&ctl, rest) = self.bytes.split_first()?;
+        let (local, rest) = match ctl >> 4 {
+            LOCAL_U16 => {
+                let (local, rest) = rest.split_first_chunk::<2>()?;
+                (u32::from(u16::from_le_bytes(*local)), rest)
+            }
+            LOCAL_U32 => {
+                let (local, rest) = rest.split_first_chunk::<4>()?;
+                (u32::from_le_bytes(*local), rest)
+            }
+            delta => (self.prev.wrapping_add(1).wrapping_add(u32::from(delta)), rest),
+        };
+        let value_bytes = usize::from(ctl & 15);
+        if value_bytes > 8 {
+            return None;
+        }
+        let value = rest.get(..value_bytes)?;
+        // The value bytes as the low end of a word: one eight-byte load
+        // wherever the batch runs on that far (what it picks up of later
+        // entries is shifted out below), a copy at the batch's tail.
+        let word = match rest.first_chunk::<8>() {
+            Some(word) => u64::from_le_bytes(*word),
+            None => {
+                let mut word = [0u8; 8];
+                word.get_mut(..value_bytes)?.copy_from_slice(value);
+                u64::from_le_bytes(word)
+            }
+        };
+        let bits = word.checked_shl(64 - 8 * value_bytes as u32).unwrap_or(0);
+        self.bytes = rest.get(value_bytes..)?;
+        self.prev = local;
+        Some((local, f64::from_bits(bits)))
     }
 }
 
@@ -547,6 +693,9 @@ struct Stage {
     /// of a round append to one batch; staging any other record type, a
     /// sample at a different timestamp, or the flush seals it first.
     open_samples: Option<(usize, u64)>,
+    /// The local index of the open batch's latest entry, which the next one
+    /// is coded against; `u32::MAX` (−1, wrapping) in a batch without one.
+    prev_local: u32,
 }
 
 impl Stage {
@@ -554,23 +703,24 @@ impl Stage {
     /// opens a batch for `timestamp_ms` unless one already is.
     #[cold]
     fn open_batch(&mut self, timestamp_ms: u64) {
-        reserve_staged(&mut self.staged, SAMPLE_HEADER_BYTES + SAMPLE_ENTRY_BYTES);
+        reserve_staged(&mut self.staged, SAMPLE_HEADER_BYTES + SAMPLE_SLOT_BYTES);
         if self.open_samples.map(|(_, ts)| ts) != Some(timestamp_ms) {
             self.close_samples();
             self.open_samples = Some((self.staged.len(), timestamp_ms));
+            self.prev_local = u32::MAX;
             self.staged.push(REC_SAMPLES);
-            put_u32(&mut self.staged, 0); // entry count, patched on close
+            put_u32(&mut self.staged, 0); // body length, patched on close
             put_u64(&mut self.staged, timestamp_ms);
         }
     }
 
-    /// Seals the open sample batch, if any: patches the entry count in place.
+    /// Seals the open sample batch, if any: patches the length of its
+    /// entries in place.
     fn close_samples(&mut self) {
         if let Some((at, _)) = self.open_samples.take() {
-            let entries =
-                self.staged.len().saturating_sub(at + SAMPLE_HEADER_BYTES) / SAMPLE_ENTRY_BYTES;
+            let body = self.staged.len().saturating_sub(at + SAMPLE_HEADER_BYTES);
             if let Some(slot) = self.staged.get_mut(at + 1..at + 5) {
-                slot.copy_from_slice(&(entries as u32).to_le_bytes());
+                slot.copy_from_slice(&(body as u32).to_le_bytes());
             }
         }
     }
@@ -936,22 +1086,30 @@ impl ShardWriter<'_> {
     /// the same ingest logic, so rejection is reproduced, not recorded).
     /// Consecutive samples at the same timestamp share one `REC_SAMPLES`
     /// batch, sealed when another record type (or a different timestamp) is
-    /// staged or the round flushes — the per-sample cost is a 12-byte copy,
-    /// with the timestamp paid once per batch.
+    /// staged or the round flushes — the per-sample cost is one packed entry
+    /// ([`pack_sample`]), with the timestamp paid once per batch.
     #[inline]
     pub(crate) fn sample(&mut self, local: u32, timestamp_ms: u64, value: f64) {
         let stage = &mut *self.0;
         let spare = stage.staged.capacity() - stage.staged.len();
-        if spare < SAMPLE_ENTRY_BYTES || stage.open_samples.map(|(_, ts)| ts) != Some(timestamp_ms)
-        {
+        if spare < SAMPLE_SLOT_BYTES || stage.open_samples.map(|(_, ts)| ts) != Some(timestamp_ms) {
             stage.open_batch(timestamp_ms);
         }
-        let mut entry = [0u8; SAMPLE_ENTRY_BYTES];
-        // teemon-verify: allow(no-index): fixed-size split of a stack array.
-        entry[..4].copy_from_slice(&local.to_le_bytes());
-        // teemon-verify: allow(no-index): fixed-size split of a stack array.
-        entry[4..].copy_from_slice(&value.to_bits().to_le_bytes());
-        stage.staged.extend_from_slice(&entry);
+        let (slot, len) = pack_sample(stage.prev_local, local, value);
+        stage.prev_local = local;
+        // Copy the whole slot — a fixed-size store where the entry's own
+        // length would be a `memcpy` call — and cut back to the entry.
+        let end = stage.staged.len() + len;
+        stage.staged.extend_from_slice(&slot);
+        stage.staged.truncate(end);
+    }
+
+    /// Whether this shard has staged more than [`STAGE_FLUSH_BYTES`]: the
+    /// caller then commits the round itself — [`crate::TimeSeriesDb::wal_flush`],
+    /// *after* it released the shard lock this handle is held under —
+    /// instead of leaving it to a driver that may never come.
+    pub(crate) fn over_budget(&self) -> bool {
+        self.0.staged.len() > STAGE_FLUSH_BYTES
     }
 
     /// Stages a drop of the series at `victims` (pre-removal local indexes,
@@ -1186,24 +1344,13 @@ fn decode_symbols_snapshot(bytes: &[u8]) -> Option<(u64, Vec<(u32, &str)>)> {
 pub(crate) enum ShardOp<'a> {
     /// Series creation.
     Series { id: u64, name_sym: SymbolId, label_syms: Vec<(SymbolId, SymbolId)> },
-    /// A batch of attempted appends at one timestamp (replay re-runs
-    /// acceptance), still encoded: see [`ShardOp::samples`].
-    Samples { timestamp_ms: u64, entries: &'a [u8] },
+    /// A batch of `count` attempted appends at one timestamp (replay re-runs
+    /// acceptance), decoded as `entries` is iterated.
+    Samples { timestamp_ms: u64, count: usize, entries: SampleEntries<'a> },
     /// `drop_series` removal of these pre-removal local indexes.
     Drop { victims: Vec<u32> },
     /// Retention pass at this cutoff.
     Retention { cutoff_ms: u64 },
-}
-
-impl ShardOp<'_> {
-    /// The `(local, value)` pairs of a [`ShardOp::Samples`] batch.
-    pub(crate) fn samples(entries: &[u8]) -> impl Iterator<Item = (u32, f64)> + '_ {
-        entries.chunks_exact(SAMPLE_ENTRY_BYTES).filter_map(|entry| {
-            let (local, value) = entry.split_first_chunk::<4>()?;
-            let value = u64::from_le_bytes(value.try_into().ok()?);
-            Some((u32::from_le_bytes(*local), f64::from_bits(value)))
-        })
-    }
 }
 
 /// What [`Wal::open`] recovered, handed to the storage layer one item at a
@@ -1266,10 +1413,15 @@ fn decode_shard_op<'a>(cur: &mut Cur<'a>) -> Option<ShardOp<'a>> {
             let name_sym = SymbolId::from_u32(cur.u32()?);
             ShardOp::Series { id, name_sym, label_syms: cur.label_syms()? }
         }
-        REC_SAMPLES => {
-            let count = cur.count()?;
+        // The batch is walked to exactly its length here, so a malformed
+        // entry refuses the whole group before any of it is applied.
+        kind @ (REC_SAMPLES | REC_SAMPLES_V1) => {
+            let packed = kind == REC_SAMPLES;
+            let len =
+                if packed { cur.u32()? as usize } else { cur.count()? * SAMPLE_V1_ENTRY_BYTES };
             let timestamp_ms = cur.u64()?;
-            ShardOp::Samples { timestamp_ms, entries: cur.take(count * SAMPLE_ENTRY_BYTES)? }
+            let (entries, count) = SampleEntries::validated(cur.take(len)?, packed)?;
+            ShardOp::Samples { timestamp_ms, count, entries }
         }
         REC_DROP => {
             let count = cur.count()?;
@@ -1399,7 +1551,7 @@ impl Wal {
             log: Mutex::named(log, LockClass::new("tsdb.wal.log")),
             stages: std::array::from_fn(|i| {
                 Mutex::named(
-                    Stage { staged: Vec::new(), open_samples: None },
+                    Stage { staged: Vec::new(), open_samples: None, prev_local: u32::MAX },
                     LockClass::new("tsdb.wal.shard").instance(i as u32),
                 )
             }),
@@ -1451,7 +1603,7 @@ impl Wal {
                 for (shard, op) in group.ops {
                     if past(shard) {
                         replayed += match op {
-                            ShardOp::Samples { entries, .. } => entries.len() / SAMPLE_ENTRY_BYTES,
+                            ShardOp::Samples { count, .. } => count,
                             _ => 1,
                         };
                         replay(Replay::Op(shard, op));
@@ -1672,5 +1824,271 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_shard_snapshot(bytes.get(..cut).unwrap_or(&[])).is_none());
         }
+    }
+
+    // -- packed sample entries ---------------------------------------------
+
+    /// A stage outside any [`Wal`], behind the lock [`ShardWriter`] wants.
+    fn stage() -> Mutex<Stage> {
+        Mutex::named(
+            Stage { staged: Vec::new(), open_samples: None, prev_local: u32::MAX },
+            LockClass::new("tsdb.wal.shard"),
+        )
+    }
+
+    /// Every record of a shard section body, or `None` where
+    /// [`decode_shard_op`] refuses one.
+    fn decode_body(body: &[u8]) -> Option<Vec<ShardOp<'_>>> {
+        let mut cur = Cur::new(body);
+        let mut ops = Vec::new();
+        while !cur.done() {
+            ops.push(decode_shard_op(&mut cur)?);
+        }
+        Some(ops)
+    }
+
+    /// The `(timestamp, local, value bits)` triples of every sample batch.
+    fn sample_triples(ops: &[ShardOp<'_>]) -> Vec<(u64, u32, u64)> {
+        let mut triples = Vec::new();
+        for op in ops {
+            if let ShardOp::Samples { timestamp_ms, count, entries } = op {
+                let before = triples.len();
+                triples
+                    .extend(entries.map(|(local, value)| (*timestamp_ms, local, value.to_bits())));
+                assert_eq!(triples.len() - before, *count, "count is the number of entries");
+            }
+        }
+        triples
+    }
+
+    /// Local indexes that stress every way an entry can name its series:
+    /// the inline deltas and the first gaps past them, repeats and steps
+    /// backwards, both sides of the `u16` boundary, the top of `u32`.
+    fn gen_local(rng: &mut proptest::TestRng, prev: u32) -> u32 {
+        match rng.below(10) {
+            0..=2 => prev.wrapping_add(1),
+            3 => prev,
+            4 => prev.wrapping_sub(1 + rng.below(40) as u32),
+            5 => prev.wrapping_add(13 + rng.below(4) as u32), // deltas 12..=15
+            6 => 65_533 + rng.below(6) as u32,
+            7 => u32::MAX - rng.below(3) as u32,
+            8 => rng.below(3) as u32,
+            _ => rng.next_u64() as u32,
+        }
+    }
+
+    /// Values at every byte length the entry can take, and the `f64`s a
+    /// careless codec loses: signed zero, subnormals, infinities, NaN
+    /// payloads.
+    fn gen_bits(rng: &mut proptest::TestRng) -> u64 {
+        const QUIET_NAN: u64 = 0x7FF8_0000_0000_0000;
+        const SIGNALLING_NAN: u64 = 0x7FF0_0000_0000_0000;
+        match rng.below(12) {
+            0 => 0.0f64.to_bits(),
+            1 => (-0.0f64).to_bits(),
+            2 => 1 + rng.below(1 << 20), // subnormal
+            3 => if rng.below(2) == 0 { f64::INFINITY } else { f64::NEG_INFINITY }.to_bits(),
+            4 => QUIET_NAN | rng.below(1 << 51),
+            5 => SIGNALLING_NAN | (1 + rng.below(1 << 51)) | rng.below(2) << 63,
+            // Whole numbers either side of where one more byte is needed.
+            6..=8 => {
+                let power = [5, 13, 21, 29, 37, 45, 53][rng.below(7) as usize];
+                (((1u64 << power) - 2 + rng.below(4)) as f64).to_bits()
+            }
+            9 => (rng.below(100_000) as f64 / 8.0).to_bits(),
+            10 => rng.next_u64() << (8 * rng.below(8)), // a chosen count of zero bytes
+            _ => rng.next_u64(),                        // a full mantissa
+        }
+    }
+
+    proptest::proptest! {
+        /// decode(encode) is the identity on `(timestamp, local, bits)` for
+        /// every sequence, and no entry exceeds its bound.
+        #[test]
+        fn packed_entries_round_trip_bit_exactly(len in 1usize..300, case in 0u64..u64::MAX) {
+            let mut rng = proptest::TestRng::deterministic(&format!("packed-entries-{case}"));
+            let stage = stage();
+            let mut expected = Vec::new();
+            let (mut local, mut timestamp_ms) = (u32::MAX, 1_000u64);
+            for _ in 0..len {
+                local = gen_local(&mut rng, local);
+                if rng.below(16) == 0 {
+                    timestamp_ms += rng.below(3) * 500; // sometimes a new batch
+                }
+                let bits = gen_bits(&mut rng);
+                let mut writer = ShardWriter(stage.lock());
+                let (before, batch) = (writer.0.staged.len(), writer.0.open_samples);
+                writer.sample(local, timestamp_ms, f64::from_bits(bits));
+                let mut entry = writer.0.staged.len() - before;
+                if writer.0.open_samples != batch {
+                    entry -= SAMPLE_HEADER_BYTES;
+                }
+                let bound = if local <= u32::from(u16::MAX) { 11 } else { 13 };
+                assert!(entry <= bound, "local {local}, bits {bits:#x}: {entry} bytes");
+                expected.push((timestamp_ms, local, bits));
+            }
+            let mut stage = stage.lock();
+            stage.close_samples();
+            let ops = decode_body(&stage.staged).expect("what the encoder wrote must decode");
+            assert_eq!(sample_triples(&ops), expected);
+        }
+
+        /// Whatever bytes stand where a batch's entries should, decoding
+        /// never panics, and it either accounts for every byte up to
+        /// `body_len` or refuses the group the record sits in — and with it
+        /// the well-formed `SERIES` record before it.
+        #[test]
+        fn malformed_batches_refuse_their_whole_group(len in 0usize..64, case in 0u64..u64::MAX) {
+            let mut rng = proptest::TestRng::deterministic(&format!("packed-fuzz-{case}"));
+            let stage = stage();
+            let mut writer = ShardWriter(stage.lock());
+            writer.series(7, SymbolId::from_u32(1), &[]);
+            let mut local = u32::MAX;
+            for _ in 0..len {
+                local = gen_local(&mut rng, local);
+                writer.sample(local, 5_000, f64::from_bits(gen_bits(&mut rng)));
+            }
+            writer.retention(1); // seals the batch; trailing record after it
+            let mut body = writer.0.staged.clone();
+            drop(writer);
+            // Half the cases mutate one byte of the valid body (header,
+            // entries or neighbours alike), the other half overwrite the
+            // entries with noise.
+            let entries_at = 17 + SAMPLE_HEADER_BYTES; // past the SERIES record and the header
+            if rng.below(2) == 0 {
+                let at = rng.below(body.len() as u64) as usize;
+                body[at] ^= 1 + rng.below(255) as u8;
+            } else if len > 0 {
+                for byte in &mut body[entries_at..] {
+                    *byte = rng.next_u64() as u8;
+                }
+            }
+            let mut payload = 1u64.to_le_bytes().to_vec();
+            payload.push(3); // shard 3's section
+            put_u32(&mut payload, body.len() as u32);
+            payload.extend_from_slice(&body);
+            if let Some(group) = decode_group(&payload) {
+                for (_, op) in &group.ops {
+                    if let ShardOp::Samples { count, entries, .. } = op {
+                        let mut walk = *entries;
+                        assert_eq!(walk.by_ref().count(), *count);
+                        assert!(walk.bytes.is_empty(), "a decoded batch is walked to its end");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_batches_stay_inside_their_bounds() {
+        // The input without the property the format exploits: a thousand
+        // full-mantissa values.  In shard order each costs control byte +
+        // eight value bytes.
+        let stage = stage();
+        let mut writer = ShardWriter(stage.lock());
+        for local in 0..1_000u32 {
+            writer.sample(
+                local,
+                5_000,
+                f64::from_bits(0x4009_21FB_5444_2D19 + 2 * u64::from(local)),
+            );
+        }
+        writer.0.close_samples();
+        assert_eq!(writer.0.staged.len(), SAMPLE_HEADER_BYTES + 1_000 * 9);
+        assert!(writer.0.staged.len() <= 9_016);
+        // ...and the input with it: zeroes in order are a byte each.
+        writer.0.staged.clear();
+        for local in 0..1_000u32 {
+            writer.sample(local, 10_000, 0.0);
+        }
+        writer.0.close_samples();
+        assert_eq!(writer.0.staged.len(), SAMPLE_HEADER_BYTES + 1_000);
+    }
+
+    #[test]
+    fn every_control_byte_decodes_exactly_or_not_at_all() {
+        let batch = |entries: &[u8]| {
+            let mut body = vec![REC_SAMPLES];
+            put_u32(&mut body, entries.len() as u32);
+            put_u64(&mut body, 5_000);
+            body.extend_from_slice(entries);
+            body
+        };
+        for ctl in 0..=u8::MAX {
+            let local_bytes = match ctl >> 4 {
+                LOCAL_U16 => 2,
+                LOCAL_U32 => 4,
+                _ => 0,
+            };
+            let value_bytes = usize::from(ctl & 15);
+            // The entry exactly as long as its control byte says.
+            let mut entry = vec![ctl];
+            entry.resize(1 + local_bytes + value_bytes, 0x5A);
+            let whole = batch(&entry);
+            match decode_body(&whole).as_deref() {
+                Some([ShardOp::Samples { count: 1, .. }]) => assert!(value_bytes <= 8),
+                Some(_) => panic!("ctl {ctl:#04x} decoded to something else"),
+                None => assert!(value_bytes > 8, "ctl {ctl:#04x} must decode"),
+            }
+            // One byte short, and one byte over (a trailing byte reads as an
+            // entry of its own, cut short): refused either way.
+            if entry.len() > 1 {
+                assert!(decode_body(&batch(&entry[..entry.len() - 1])).is_none(), "{ctl:#04x}");
+            }
+            entry.push(0x01);
+            assert!(decode_body(&batch(&entry)).is_none(), "ctl {ctl:#04x} with a trailing byte");
+        }
+    }
+
+    /// A record that fails structural validation is a salvage point for the
+    /// **whole frame**: the checksum-valid group holding it is cut, and the
+    /// well-formed records ahead of it in the same group are not applied.
+    #[test]
+    fn a_malformed_record_is_never_half_applied() {
+        let group = |seq: u64, body: &[u8]| {
+            let mut buf = Vec::new();
+            let at = begin_frame(&mut buf);
+            put_u64(&mut buf, seq);
+            buf.push(0); // shard 0's section
+            put_u32(&mut buf, body.len() as u32);
+            buf.extend_from_slice(body);
+            end_frame(&mut buf, at);
+            buf
+        };
+        let stage = stage();
+        let mut writer = ShardWriter(stage.lock());
+        writer.series(1, SymbolId::from_u32(0), &[]);
+        writer.sample(0, 1_000, 1.0);
+        writer.0.close_samples();
+        let good = group(1, &writer.0.staged);
+        writer.0.staged.clear();
+        writer.series(2, SymbolId::from_u32(0), &[]);
+        writer.sample(1, 2_000, 2.0);
+        writer.0.close_samples();
+        let mut body = writer.0.staged.clone();
+        // The entry is `[ctl, 0x40]`: make its control byte ask for nine
+        // value bytes.
+        let ctl = body.len() - 2;
+        body[ctl] = 0x19;
+        let bad = group(2, &body);
+
+        let fs = FaultFs::new();
+        let path = segment_path(Path::new("/wal"), 1);
+        let (mut file, _) = fs.open_append(&path).expect("FaultFs open");
+        file.append(&good).expect("append");
+        file.append(&bad).expect("append");
+        let options =
+            DurabilityOptions { fs: Arc::new(fs.clone()), ..DurabilityOptions::default() };
+        let mut series_ids = Vec::new();
+        let mut samples = 0;
+        Wal::open(Path::new("/wal"), &options, &mut |item| match item {
+            Replay::Op(_, ShardOp::Series { id, .. }) => series_ids.push(id),
+            Replay::Op(_, ShardOp::Samples { count, .. }) => samples += count,
+            _ => {}
+        })
+        .expect("open");
+        assert_eq!(series_ids, [1], "series 2 rode in the refused group");
+        assert_eq!(samples, 1);
+        assert_eq!(fs.file_len(&path), Some(good.len() as u64), "the segment is cut at the frame");
     }
 }

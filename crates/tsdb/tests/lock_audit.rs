@@ -170,9 +170,10 @@ fn concurrent_scrape_and_query_establish_a_clean_lock_order() {
 /// edge would let an appender and the flusher wait on each other.
 #[test]
 fn the_wal_log_lock_is_outermost() {
+    let fs = FaultFs::new();
     let options = DurabilityOptions {
         segment_bytes: 64, // tiny: every few rounds checkpoint shards and symbols
-        fs: Arc::new(FaultFs::new()),
+        fs: Arc::new(fs.clone()),
         ..DurabilityOptions::default()
     };
     let db = TimeSeriesDb::open_with(Path::new("/wal"), TsdbConfig::default(), options)
@@ -184,6 +185,14 @@ fn the_wal_log_lock_is_outermost() {
         }
         assert!(db.wal_flush());
     }
+    // An appender that outgrows its shard's staging budget flushes by itself
+    // — through the same door, after it let go of the shard.
+    let written = fs.total_write_bytes();
+    let labels = Labels::from_pairs([("node", "n0")]);
+    for t in 0..16_000u64 {
+        db.append("teemon_wal_metric", &labels, 10_000 + t, std::f64::consts::PI * t as f64);
+    }
+    assert!(fs.total_write_bytes() > written, "the appender must have committed on its own");
     let report = audit::report();
     for edge in [
         "tsdb.shard -> tsdb.wal.shard",

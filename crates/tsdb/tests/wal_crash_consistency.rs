@@ -95,6 +95,20 @@ fn build_families(
     families
 }
 
+/// Whether the log behind `fs` has been through the whole checkpoint cycle:
+/// the first segment sealed, covered and deleted, and both kinds of snapshot
+/// installed.
+fn went_full_cycle(fs: &FaultFs) -> bool {
+    let names: Vec<String> = fs
+        .file_paths()
+        .iter()
+        .filter_map(|path| Some(path.file_name()?.to_str()?.to_string()))
+        .collect();
+    !names.contains(&"segment-00000001.log".to_string())
+        && names.contains(&"symbols.snap".to_string())
+        && names.iter().any(|name| name.starts_with("shard-"))
+}
+
 /// One series as compared across databases: id, name, rendered labels, data.
 type SeriesDump = (u64, String, String, Vec<(u64, f64)>);
 
@@ -128,8 +142,10 @@ proptest! {
             retention_ms: 20_000,   // four rounds: retention bites and evicts
             raw_chunks: false,
         };
-        // Tiny segments on some cases, so rotation interleaves the workload.
-        let segment_bytes = if case % 2 == 0 { 512 } else { u64::MAX };
+        // Tiny segments on half the cases, so rotation interleaves the
+        // workload.
+        let rotating = case % 2 == 0;
+        let segment_bytes = if rotating { 128 } else { u64::MAX };
         let fs = FaultFs::new();
         let options = DurabilityOptions {
             segment_bytes,
@@ -149,7 +165,13 @@ proptest! {
         // (bytes on disk at the ack, fingerprint of the acked state).
         let mut acked = vec![(0u64, fingerprint(&db))];
         let mut pool: Vec<GenSeries> = (0..initial_series).map(|_| gen_series(&mut rng)).collect();
-        for round in 1..=rounds {
+        // Sized by events, not bytes: the drawn number of rounds, and for a
+        // rotating case on until segments were sealed and deleted and both
+        // kinds of snapshot installed — the sweep below must cross them.
+        let mut round = 0;
+        while round < rounds || rotating && !went_full_cycle(&fs) {
+            round += 1;
+            assert!(round <= 100, "case {case}: no full checkpoint cycle in 100 rounds");
             let now = round * 5_000;
             // Maintenance first: its WAL records ride along with this
             // round's appends and are covered by the same commit.

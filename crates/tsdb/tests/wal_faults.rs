@@ -88,6 +88,35 @@ fn series_points(db: &TimeSeriesDb) -> BTreeMap<(String, String), Vec<(u64, f64)
         .collect()
 }
 
+/// The names of the files in `fs`.
+fn file_names(fs: &FaultFs) -> Vec<String> {
+    fs.file_paths()
+        .iter()
+        .filter_map(|path| Some(path.file_name()?.to_str()?.to_string()))
+        .collect()
+}
+
+/// Whether the workload behind `fs` has been through the whole checkpoint
+/// cycle: the first segment sealed, covered and deleted, and both kinds of
+/// snapshot installed.
+fn went_full_cycle(fs: &FaultFs) -> bool {
+    let names = file_names(fs);
+    !names.contains(&"segment-00000001.log".to_string())
+        && names.contains(&"symbols.snap".to_string())
+        && names.iter().any(|name| name.starts_with("shard-"))
+}
+
+/// A sweep that claims to cross seal, checkpoint and deletion asserts it
+/// before it starts: records shrink as the format improves, and a workload
+/// sized in bytes would quietly stop reaching them.
+fn assert_full_cycle(fs: &FaultFs) {
+    assert!(
+        went_full_cycle(fs),
+        "the workload must seal, checkpoint and delete: {:?}",
+        file_names(fs)
+    );
+}
+
 /// Crashing after `k` appended bytes — for **every** `k`, under both crash
 /// models — must recover exactly the last round whose commit fit in `k`
 /// bytes.  Run once with checkpoints disabled and once with a segment budget
@@ -104,6 +133,9 @@ fn torn_tail_recovers_every_acked_round_at_every_offset() {
         for round in 1..=rounds {
             assert!(run_round(&db, round, 3), "fault-free flush must stay clean");
             acked.push((fs.total_write_bytes(), fingerprint(&db)));
+        }
+        if segment_bytes != u64::MAX {
+            assert_full_cycle(&fs);
         }
         let total = fs.total_write_bytes();
         for k in 0..=total {
@@ -265,7 +297,13 @@ fn on_rotation_mode_survives_process_crash_and_degrades_cleanly_on_power_loss() 
     };
     let db = TimeSeriesDb::open_with(dir(), config(), options.clone())
         .expect("FaultFs open cannot fail");
-    for round in 1..=6 {
+    // Sized by what must happen, not by bytes: rounds until segments were
+    // sealed and deleted and both kinds of snapshot installed, each behind
+    // the fsync this mode owes it.
+    let mut round = 0;
+    while !went_full_cycle(&fs) {
+        round += 1;
+        assert!(round <= 64, "no full checkpoint cycle in 64 rounds: {:?}", file_names(&fs));
         assert!(run_round(&db, round, 3));
     }
     let acked = series_points(&db);
@@ -317,6 +355,7 @@ fn rotation_crash_points_land_on_acked_states() {
         assert!(run_round(&db, round, 2));
         acked.push(fingerprint(&db));
     }
+    assert_full_cycle(&fs);
     let total = fs.total_write_bytes();
     for k in 0..=total {
         let image = fs.crashed(k, CrashModel::Torn);
@@ -355,7 +394,12 @@ fn symbol_gc_rotation_crash_windows_preserve_exact_resolution() {
     let fs = FaultFs::new();
     let db = open(&fs, 64); // tiny segments: the symbol table is checkpointed (and GC runs) often
     let mut acked = vec![fingerprint(&db)];
-    for round in 1..=6u64 {
+    // Sized by events: at least six rounds, and on until the log has been
+    // through seal, both kinds of checkpoint and segment deletion.
+    let mut round = 0u64;
+    while round < 6 || !went_full_cycle(&fs) {
+        round += 1;
+        assert!(round <= 48, "no full checkpoint cycle in 48 rounds: {:?}", file_names(&fs));
         let labels = Labels::from_pairs([("round", format!("r{round}").as_str())]);
         db.append("churn_metric", &labels, round * 1_000, round as f64);
         let stable = Labels::from_pairs([("node", "n0")]);
@@ -419,16 +463,7 @@ fn op_boundary_crashes_cover_rotation_windows() {
         assert!(run_round(&db, round, 2));
         acked.push(fingerprint(&db));
     }
-    // The workload went through the whole cycle: the first segment is gone,
-    // and both kinds of snapshot are installed.
-    let names: Vec<String> = fs
-        .file_paths()
-        .iter()
-        .filter_map(|path| Some(path.file_name()?.to_str()?.to_string()))
-        .collect();
-    assert!(!names.contains(&"segment-00000001.log".to_string()), "{names:?}");
-    assert!(names.contains(&"symbols.snap".to_string()), "{names:?}");
-    assert!(names.iter().any(|name| name.starts_with("shard-")), "{names:?}");
+    assert_full_cycle(&fs);
 
     let total = fs.op_count();
     for k in 0..=total {
@@ -478,6 +513,79 @@ fn a_warm_round_is_one_append() {
             assert!(run_round(&db, round, 256));
             assert_eq!(fs.op_count() - before, ops_per_round, "{fsync:?}, round {round}");
         }
+    }
+}
+
+/// Ingest nobody flushes for — remote-write pushes into a server with no
+/// scrape targets — must not stage without bound: the appender that takes a
+/// shard's staging past its budget (256 KiB, `wal::STAGE_FLUSH_BYTES`)
+/// commits the round itself.  Well over ten budgets' worth is pushed through
+/// both append paths with no explicit flush: no stage grows past the budget
+/// by more than the batch that crossed it, and a crash image holds
+/// everything up to the last such commit.
+#[test]
+fn unflushed_ingest_commits_itself_in_bounded_groups() {
+    const STAGE_FLUSH_BYTES: u64 = 256 << 10;
+    const LANES: usize = 64;
+    let fs = FaultFs::new();
+    let db = open(&fs, u64::MAX);
+    let lanes: Vec<Labels> =
+        (0..LANES).map(|lane| Labels::from_pairs([("lane", format!("{lane}").as_str())])).collect();
+    let handles: Vec<_> = lanes.iter().map(|labels| db.resolve("push_metric", labels)).collect();
+    assert!(db.wal_flush(), "series creation goes durable up front");
+
+    let mut written = fs.total_write_bytes();
+    // The size of the group the latest append committed, if it did.
+    let mut committed = || {
+        let now = fs.total_write_bytes();
+        let group = now - std::mem::replace(&mut written, now);
+        (group > 0).then_some(group)
+    };
+    // A full-mantissa value at a fresh timestamp is the widest a sample
+    // stages: a 13-byte batch header and up to 11 bytes of entry.
+    let value = |t: u64| std::f64::consts::PI * t as f64;
+    let mut t = 0u64;
+
+    // One shard, one sample per call, through `append`: each group is one
+    // stage, committed by the very sample that took it past the budget.
+    let (mut single, mut groups) = (0u64, 0);
+    while groups < 3 {
+        t += 1_000;
+        assert!(db.append("push_metric", &lanes[0], t, value(t)));
+        single += 1;
+        assert!(single < 100_000, "staging never committed itself");
+        if let Some(group) = committed() {
+            assert!(group > STAGE_FLUSH_BYTES && group <= STAGE_FLUSH_BYTES + 64, "{group} B");
+            groups += 1;
+        }
+    }
+    // Every shard, one batch per call, through `append_batch`: a group now
+    // drains sixteen stages, none further past the budget than one batch.
+    let ceiling = SHARD_COUNT as u64 * (STAGE_FLUSH_BYTES + (LANES * (13 + 11)) as u64);
+    let (mut batches, mut acked_batches) = (0u64, 0u64);
+    while groups < 5 || batches < acked_batches + 3 {
+        t += 1_000;
+        let batch: Vec<_> = handles.iter().map(|&handle| (handle, t, value(t))).collect();
+        assert_eq!(db.append_batch(&batch).appended, LANES as u64);
+        batches += 1;
+        assert!(batches < 20_000, "staging never committed itself");
+        if let Some(group) = committed() {
+            assert!(group > STAGE_FLUSH_BYTES && group <= ceiling, "{group} B");
+            groups += 1;
+            acked_batches = batches;
+        }
+    }
+
+    // A crash now loses the three batches staged since the last self-commit
+    // and nothing else.
+    let recovered = open(&fs.crashed(u64::MAX, CrashModel::Torn), u64::MAX);
+    assert_eq!(recovered.stats().wal_failed_shards, 0);
+    let points = series_points(&recovered);
+    for (lane, labels) in lanes.iter().enumerate() {
+        let got = &points[&("push_metric".to_string(), labels.to_string())];
+        let singles = if lane == 0 { single } else { 0 };
+        assert_eq!(got.len() as u64, singles + acked_batches, "lane {lane}");
+        assert!(got.iter().all(|&(t, v)| v.to_bits() == value(t).to_bits()), "lane {lane}");
     }
 }
 
