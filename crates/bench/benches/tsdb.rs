@@ -3,7 +3,9 @@
 //! each measured against the pre-overhaul engine (one global lock, an owned
 //! `(String, Labels)` key map, and O(total-series) matcher scans with
 //! deep-cloned results), which is retained here as `LinearScanDb` so the
-//! speedup stays visible as both engines evolve.
+//! speedup stays visible as both engines evolve — and `seal_1k/*`, the
+//! Gorilla encoder over one lock-step seal round (1 000 full heads) for three
+//! value shapes.
 //!
 //! Set `TEEMON_BENCH_SMOKE=1` (as CI does) to shrink the data set and sample
 //! counts for a fast correctness pass.
@@ -15,7 +17,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::RwLock;
 use std::hint::black_box;
 use teemon_metrics::Labels;
-use teemon_tsdb::{Sample, Selector, Series, TimeSeriesDb};
+use teemon_tsdb::{chunk_codec, Sample, Selector, Series, TimeSeriesDb};
 
 fn smoke() -> bool {
     std::env::var_os("TEEMON_BENCH_SMOKE").is_some()
@@ -250,9 +252,52 @@ fn bench_append_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// What the round in which every series created together fills its head
+/// costs the encoder: 1 000 heads of 120 samples at a 5 s cadence, each
+/// encoded into one reused scratch the way a shard seals.  One iteration is
+/// 120 000 samples, so µs per iteration / 120 is ns per sample.  The shapes
+/// are the end-to-end benchmark's gauge (`pull_rounds_1k`: +1 per round) and
+/// counter (`dashboard_read`: a per-series slope), and a noisy float no
+/// window survives.
+fn bench_seal(c: &mut Criterion) {
+    let series = if smoke() { 16 } else { 1_000 };
+    type Shape = fn(usize, u64) -> f64;
+    let shapes: [(&str, Shape); 3] = [
+        ("gauge", |_, tick| 500.0 + tick as f64),
+        ("counter", |i, tick| (1000 * i) as f64 + (25 + i % 100) as f64 * tick as f64),
+        ("noisy", |i, tick| (i as f64 + tick as f64 * 0.37).sin() * 1e3),
+    ];
+    let mut group = c.benchmark_group("micro/tsdb");
+    group.sample_size(if smoke() { 2 } else { 30 });
+    for (name, value) in shapes {
+        let heads: Vec<Vec<Sample>> = (0..series)
+            .map(|i| {
+                (0..120u64)
+                    .map(|tick| Sample {
+                        timestamp_ms: 1_700_000_000_000 + tick * 5_000,
+                        value: value(i, tick),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut scratch = Vec::new();
+        group.bench_function(format!("seal_1k/{name}"), |b| {
+            b.iter(|| {
+                let mut bytes = 0;
+                for head in &heads {
+                    assert!(chunk_codec::encode_into(head, &mut scratch));
+                    bytes += scratch.len();
+                }
+                black_box(bytes)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_append, bench_select, bench_append_scaling
+    targets = bench_append, bench_select, bench_append_scaling, bench_seal
 }
 criterion_main!(benches);

@@ -8,6 +8,7 @@
 //! cost — route every scrape through the text edge instead of the default
 //! typed path.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -21,6 +22,13 @@ use teemon_kernel_sim::Kernel;
 use teemon_orchestrator::{Cluster, HelmChart, ServiceDiscovery};
 use teemon_query::{RuleEngine, RuleGroup};
 use teemon_tsdb::{ScrapeTargetConfig, Scraper, TextEndpoint, TimeSeriesDb, TsdbConfig};
+
+/// The monitoring loop runs a retention pass each time scraped time has
+/// advanced this fraction of [`TsdbConfig::retention_ms`] since the last one:
+/// aged chunks are dropped, fully aged series leave the index, and series
+/// that stopped receiving samples give their head buffers back — without it
+/// a deployed monitor grows without bound.
+const RETENTION_PASSES_PER_WINDOW: u64 = 16;
 
 /// Which parts of TEEMon are active — the three configurations of §6.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -251,6 +259,7 @@ impl MonitorBuilder {
             container_exporter: None,
             ebpf_exporter: None,
             server: None,
+            last_retention_ms: AtomicU64::new(0),
         };
         if let Some(addr) = &self.server_addr {
             // teemon-verify: allow(no-unwrap): documented panic — a monitor
@@ -361,6 +370,9 @@ pub struct HostMonitor {
     container_exporter: Option<ContainerExporter>,
     ebpf_exporter: Option<EbpfExporter>,
     server: Option<teemon_server::Server>,
+    /// Scraped time of the last retention pass (see
+    /// [`RETENTION_PASSES_PER_WINDOW`]).
+    last_retention_ms: AtomicU64,
 }
 
 impl HostMonitor {
@@ -453,12 +465,27 @@ impl HostMonitor {
     ///
     /// Runs through the scraper's ingest fast lane and the allocation-free
     /// [`teemon_tsdb::RoundSummary`] path — a steady-state tick touches each
-    /// storage shard lock once and allocates nothing.
+    /// storage shard lock once and allocates nothing.  Like
+    /// [`HostMonitor::run_scrape_loop`] it then evaluates due rule groups
+    /// and, each sixteenth of the retention window, applies the database's
+    /// retention policy.
     pub fn scrape_tick(&self) -> usize {
         let now = self.kernel.clock().now_millis();
         let healthy = self.scraper.scrape_round(now).healthy;
-        self.rules.evaluate_due(now);
+        self.after_round(now);
         healthy
+    }
+
+    /// What follows every scrape round of the monitoring loop: due rule
+    /// groups are evaluated, and the database's retention policy is applied
+    /// when [`RETENTION_PASSES_PER_WINDOW`] says a pass is due.
+    fn after_round(&self, now: u64) {
+        self.rules.evaluate_due(now);
+        let every = (self.db.config().retention_ms / RETENTION_PASSES_PER_WINDOW).max(1);
+        if now.saturating_sub(self.last_retention_ms.load(Ordering::Relaxed)) >= every {
+            self.last_retention_ms.store(now, Ordering::Relaxed);
+            self.db.apply_retention();
+        }
     }
 
     /// Runs `ticks` scrape rounds spaced by the scraper's global interval,
@@ -473,7 +500,7 @@ impl HostMonitor {
                 .advance(teemon_sim_core::SimDuration::from_millis(self.scraper.interval_ms()));
             let now = self.kernel.clock().now_millis();
             self.scraper.scrape_round_due(now);
-            self.rules.evaluate_due(now);
+            self.after_round(now);
         }
     }
 
@@ -660,6 +687,53 @@ mod tests {
         // The analyzer can run over the scraped data without findings blowing up.
         let findings = host.analyzer().diagnose_all(300.0, 0, u64::MAX);
         let _ = findings;
+    }
+
+    #[test]
+    fn the_monitoring_loop_enforces_retention() {
+        // Ten minutes of retention at a 5 s interval: 120 rounds per window,
+        // a pass every 8th round.
+        let db = TimeSeriesDb::with_config(TsdbConfig {
+            chunk_size: 8,
+            retention_ms: 10 * 60 * 1_000,
+            raw_chunks: false,
+        });
+        let app_registry = teemon_metrics::Registry::new();
+        app_registry.gauge_family("app_up", "liveness").default_instance().set(1.0);
+        let host = MonitorBuilder::new("worker-1")
+            .mode(MonitoringMode::Full)
+            .db(db.clone())
+            .collector(
+                ScrapeTargetConfig::new("short_lived", "worker-1:9121"),
+                Arc::new(RegistryCollector::new("short_lived", app_registry)),
+            )
+            .build();
+        let short_lived = Selector::all().with_label("job", "short_lived");
+
+        host.run_scrape_loop(60);
+        assert!(!db.select(&short_lived).is_empty());
+        // The target goes away; its series stay queryable for one window…
+        assert_eq!(host.scraper().remove_instance("worker-1:9121"), 1);
+        host.run_scrape_loop(100);
+        assert!(!db.select(&short_lived).is_empty(), "still inside the retention window");
+
+        // …and then leave the index, while the standing targets' samples
+        // plateau at one window of rounds (plus the chunk and the pass
+        // granularity, 8 rounds each) however long the loop runs.
+        host.run_scrape_loop(240);
+        assert!(db.select(&short_lived).is_empty(), "evicted series must leave the index");
+        let settled = db.stats();
+        host.run_scrape_loop(600);
+        let later = db.stats();
+        assert_eq!(later.series, settled.series);
+        let window = settled.series * (120 + 8 + 8);
+        assert!(
+            settled.samples <= window && later.samples <= window,
+            "{} then {} samples held for a window of {window}",
+            settled.samples,
+            later.samples
+        );
+        assert!(later.samples * 10 >= settled.samples * 9, "a plateau, not a sawtooth to zero");
     }
 
     #[test]

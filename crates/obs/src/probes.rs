@@ -349,6 +349,9 @@ probes! {
     storage "teemon_tsdb_symbols_swept_total"
         "symbols garbage-collected at symbol-table checkpoints"
         { SYMBOLS_SWEPT: Counter }
+    storage "teemon_tsdb_stale_heads_sealed_total"
+        "idle series' head buffers sealed into chunks and released by retention passes"
+        { STALE_HEADS_SEALED: Counter }
     ingest "teemon_scrape_budget_rejected_total"
         "series rejected by per-target/per-job cardinality budgets at the scrape edge"
         { SCRAPE_BUDGET_REJECTED: Counter }

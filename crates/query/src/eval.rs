@@ -249,8 +249,10 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// Default staleness window for instant selectors: samples older than
-    /// this (relative to the query time) are not returned.
-    pub const DEFAULT_LOOKBACK_MS: u64 = 5 * 60 * 1000;
+    /// this (relative to the query time) are not returned.  The storage
+    /// engine's stale-head rule is the same window: a series no instant
+    /// selector sees any more stops holding an uncompressed head.
+    pub const DEFAULT_LOOKBACK_MS: u64 = teemon_tsdb::STALE_HEAD_MS;
 
     /// The most steps one range query may evaluate (Prometheus' fixed
     /// 11 000 points per series).  Work and result size grow with

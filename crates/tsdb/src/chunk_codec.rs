@@ -38,6 +38,13 @@
 //! bounds (a refill past the end loads zero bytes, so such reads observe
 //! zero bits).
 //!
+//! The encoder is the same idea run backwards: fields gather in a 64-bit
+//! accumulator that leaves as one big-endian word each time it fills, and a
+//! Δ² bucket marker with its payload, or the value's control bits with the
+//! 6+6-bit window header, go in as a single field.  [`encode_into`] writes
+//! into a buffer the caller reuses — the storage engine copies the finished
+//! block out at its exact size — and [`encode`] is that plus a fresh `Vec`.
+//!
 //! [`encode`] rejects (returns `None` for) timestamp sequences that go
 //! backwards: the storage engine never produces them (out-of-order appends
 //! are rejected at ingest), and refusing them here keeps "decode inverts
@@ -46,35 +53,52 @@
 
 use crate::series::Sample;
 
-/// Appends bits to a byte buffer, most-significant bit of each value first.
-#[derive(Debug, Default)]
-struct BitWriter {
-    bytes: Vec<u8>,
-    /// Bits already used in the last byte (0 = the last byte is full/absent).
+/// Appends bits to a byte buffer, most-significant bit of each field first —
+/// the mirror of [`BitReader`].  Bits gather bottom-aligned in a 64-bit
+/// accumulator — its low `used < 64` bits are pending, whatever sits above
+/// them is stale and shifted out with the next word — and leave as one
+/// big-endian word each time it fills, so a field costs a shift and an or,
+/// not a loop over its bits.
+#[derive(Debug)]
+struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
+    acc: u64,
     used: u32,
 }
 
-impl BitWriter {
-    fn write_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.bytes.push(0);
-            self.used = 8;
-        }
-        if let (true, Some(last)) = (bit, self.bytes.last_mut()) {
-            *last |= 1 << (self.used - 1);
-        }
-        self.used -= 1;
+impl<'a> BitWriter<'a> {
+    fn new(out: &'a mut Vec<u8>) -> Self {
+        Self { out, acc: 0, used: 0 }
     }
 
-    /// Writes the low `count` bits of `value`, MSB first.  `count <= 64`.
-    fn write_bits(&mut self, value: u64, count: u32) {
-        for i in (0..count).rev() {
-            self.write_bit((value >> i) & 1 == 1);
+    /// Writes the low `count` bits of `value`, MSB first.  `1 <= count <= 64`
+    /// and `value` has no bit set above them.
+    #[inline]
+    fn put(&mut self, value: u64, count: u32) {
+        debug_assert!((1..=64).contains(&count) && (count == 64 || value >> count == 0));
+        let free = 64 - self.used;
+        if count < free {
+            self.acc = (self.acc << count) | value;
+            self.used += count;
+            return;
         }
+        // The field fills the word: its top `free` bits complete it and the
+        // low `carry < 64` bits start the next one.  `free` is 64 only for an
+        // empty accumulator, where the shifted-out `acc` is zero anyway.
+        let carry = count - free;
+        let word = self.acc.checked_shl(free).unwrap_or(0) | (value >> carry);
+        self.out.extend_from_slice(&word.to_be_bytes());
+        self.acc = value;
+        self.used = carry;
     }
 
-    fn into_bytes(self) -> Vec<u8> {
-        self.bytes
+    /// Flushes the pending bits, zero-padded to a whole byte.
+    fn finish(self) {
+        if self.used > 0 {
+            let word = (self.acc << (64 - self.used)).to_be_bytes();
+            let bytes = self.used.div_ceil(8) as usize;
+            self.out.extend_from_slice(word.get(..bytes).unwrap_or(&word));
+        }
     }
 }
 
@@ -158,10 +182,22 @@ const NO_WINDOW: u32 = u32::MAX;
 /// *not* encoded; keep it alongside the bytes (the chunk footer does) and
 /// pass it to [`decode`] / stop [`GorillaState`] after that many samples.
 pub fn encode(samples: &[Sample]) -> Option<Vec<u8>> {
-    let first = samples.first()?;
-    let mut w = BitWriter::default();
-    w.write_bits(first.timestamp_ms, 64);
-    w.write_bits(first.value.to_bits(), 64);
+    let mut out = Vec::new();
+    encode_into(samples, &mut out).then_some(out)
+}
+
+/// [`encode`] into a caller-owned buffer: `out` is cleared, then holds the
+/// block.  The storage engine seals every chunk of a shard through one such
+/// scratch and copies the exact-sized payload out, so the encoder's growth
+/// never reaches a stored chunk.  Returns `false` where [`encode`] returns
+/// `None`; `out` then holds a partial block and stays reusable.
+#[must_use]
+pub fn encode_into(samples: &[Sample], out: &mut Vec<u8>) -> bool {
+    out.clear();
+    let Some(first) = samples.first() else { return false };
+    let mut w = BitWriter::new(out);
+    w.put(first.timestamp_ms, 64);
+    w.put(first.value.to_bits(), 64);
     let mut prev_ts = first.timestamp_ms;
     let mut prev_delta: u64 = 0;
     let mut prev_bits = first.value.to_bits();
@@ -169,29 +205,21 @@ pub fn encode(samples: &[Sample]) -> Option<Vec<u8>> {
     let mut prev_trailing: u32 = 0;
     for sample in samples.iter().skip(1) {
         if sample.timestamp_ms < prev_ts {
-            return None;
+            return false;
         }
         let delta = sample.timestamp_ms - prev_ts;
         // i128 so the delta-of-delta of arbitrary u64 deltas cannot overflow.
         let dod = delta as i128 - prev_delta as i128;
+        // Bucket marker and biased Δ² leave as one field.
         match dod {
-            0 => w.write_bit(false),
-            -63..=64 => {
-                w.write_bits(0b10, 2);
-                w.write_bits((dod + 63) as u64, 7);
-            }
-            -255..=256 => {
-                w.write_bits(0b110, 3);
-                w.write_bits((dod + 255) as u64, 9);
-            }
-            -2047..=2048 => {
-                w.write_bits(0b1110, 4);
-                w.write_bits((dod + 2047) as u64, 12);
-            }
+            0 => w.put(0, 1),
+            -63..=64 => w.put((0b10 << 7) | (dod + 63) as u64, 2 + 7),
+            -255..=256 => w.put((0b110 << 9) | (dod + 255) as u64, 3 + 9),
+            -2047..=2048 => w.put((0b1110 << 12) | (dod + 2047) as u64, 4 + 12),
             _ => {
                 // Escape: the raw delta (not the Δ²), so huge jumps stay exact.
-                w.write_bits(0b1111, 4);
-                w.write_bits(delta, 64);
+                w.put(0b1111, 4);
+                w.put(delta, 64);
             }
         }
         prev_ts = sample.timestamp_ms;
@@ -200,29 +228,27 @@ pub fn encode(samples: &[Sample]) -> Option<Vec<u8>> {
         let bits = sample.value.to_bits();
         let xor = bits ^ prev_bits;
         if xor == 0 {
-            w.write_bit(false);
+            w.put(0, 1);
         } else {
-            w.write_bit(true);
             let leading = xor.leading_zeros();
             let trailing = xor.trailing_zeros();
             if prev_leading != NO_WINDOW && leading >= prev_leading && trailing >= prev_trailing {
                 // The meaningful bits fit the previous window: reuse it.
-                let len = 64 - prev_leading - prev_trailing;
-                w.write_bit(false);
-                w.write_bits(xor >> prev_trailing, len);
+                w.put(0b10, 2);
+                w.put(xor >> prev_trailing, 64 - prev_leading - prev_trailing);
             } else {
+                // Both control bits and the 6+6-bit window header, one field.
                 let len = 64 - leading - trailing;
-                w.write_bit(true);
-                w.write_bits(u64::from(leading), 6);
-                w.write_bits(u64::from(len - 1), 6);
-                w.write_bits(xor >> trailing, len);
+                w.put((0b11 << 12) | (u64::from(leading) << 6) | u64::from(len - 1), 2 + 6 + 6);
+                w.put(xor >> trailing, len);
                 prev_leading = leading;
                 prev_trailing = trailing;
             }
         }
         prev_bits = bits;
     }
-    Some(w.into_bytes())
+    w.finish();
+    true
 }
 
 /// Streaming decoder state: a bit position plus the previous timestamp/delta/

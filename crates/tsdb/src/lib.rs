@@ -59,6 +59,7 @@ pub use series::{Sample, Series, SeriesId};
 pub use snapshot::{OwnedSampleCursor, SampleCursor, SeriesSnapshot};
 pub use storage::{
     BatchOutcome, HandleAppend, SeriesHandle, StorageStats, TimeSeriesDb, TsdbConfig, SHARD_COUNT,
+    STALE_HEAD_MS,
 };
 pub use wal::{
     CrashModel, DurabilityOptions, FailpointWriter, FaultFs, FsyncMode, RealFs, WalFile, WalFs,

@@ -35,8 +35,10 @@ pub(crate) enum ChunkData {
     /// Plain samples: the open head chunk, and sealed chunks when compression
     /// is disabled (or the codec declined the input).
     Raw(Vec<Sample>),
-    /// A sealed, Gorilla-compressed block (see [`crate::chunk_codec`]).
-    Compressed(Vec<u8>),
+    /// A sealed, Gorilla-compressed block (see [`crate::chunk_codec`]): one
+    /// allocation of exactly the block's length, so [`Chunk::data_bytes`] is
+    /// what the allocator holds.
+    Compressed(Box<[u8]>),
 }
 
 /// Samples are grouped into chunks for retrieval and retention, the way
@@ -74,21 +76,25 @@ impl Chunk {
         }
     }
 
-    /// Seals `samples` into an immutable chunk, Gorilla-compressing the
-    /// payload when `compress` is set (falling back to raw storage if the
-    /// codec rejects the input, which ordered appends never produce).
-    pub(crate) fn sealed(samples: Vec<Sample>, compress: bool) -> Self {
-        if compress {
-            if let Some(bytes) = chunk_codec::encode(&samples) {
-                return Self {
-                    start_ms: samples.first().map(|s| s.timestamp_ms).unwrap_or(0),
-                    end_ms: samples.last().map(|s| s.timestamp_ms).unwrap_or(0),
-                    count: samples.len() as u32,
-                    data: ChunkData::Compressed(bytes),
-                };
-            }
+    /// Seals `samples` into an immutable chunk whose payload is one
+    /// exact-sized allocation: the Gorilla block when `compress` is set —
+    /// encoded into `scratch`, which the caller reuses from seal to seal, and
+    /// copied out — or the raw samples when it is not, when the codec
+    /// rejects the input (which ordered appends never produce) or when the
+    /// block would be larger than they are.
+    pub(crate) fn sealed(samples: &[Sample], compress: bool, scratch: &mut Vec<u8>) -> Self {
+        if compress
+            && chunk_codec::encode_into(samples, scratch)
+            && scratch.len() <= samples.len() * SAMPLE_BYTES
+        {
+            return Self {
+                start_ms: samples.first().map(|s| s.timestamp_ms).unwrap_or(0),
+                end_ms: samples.last().map(|s| s.timestamp_ms).unwrap_or(0),
+                count: samples.len() as u32,
+                data: ChunkData::Compressed(scratch.as_slice().into()),
+            };
         }
-        Self::from_samples(samples)
+        Self::from_samples(samples.to_vec())
     }
 
     /// Appends to an open (raw) chunk, maintaining the footer.
@@ -491,11 +497,33 @@ mod tests {
     }
 
     #[test]
+    fn a_block_larger_than_its_samples_is_stored_raw() {
+        // Every delta takes the 68-bit raw escape and every value a new,
+        // near-full window: ≈ 140 bits a sample against 128 raw.
+        let samples: Vec<Sample> = (0..8u64)
+            .map(|i| Sample {
+                timestamp_ms: (i * i) << 40,
+                value: f64::from_bits((i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            })
+            .collect();
+        let mut scratch = Vec::new();
+        let chunk = Chunk::sealed(&samples, true, &mut scratch);
+        assert!(scratch.len() > samples.len() * SAMPLE_BYTES, "the codec did encode it");
+        assert_eq!(chunk.data, ChunkData::Raw(samples.clone()));
+        assert_eq!(chunk.data_bytes(), samples.len() * SAMPLE_BYTES);
+        assert_eq!((chunk.start(), chunk.end(), chunk.len()), (Some(0), Some(49 << 40), 8));
+        // A lone sample is 16 bytes either way and stays a block.
+        let one = Chunk::sealed(&samples[..1], true, &mut scratch);
+        assert!(matches!(one.data, ChunkData::Compressed(ref block) if block.len() == 16));
+    }
+
+    #[test]
     fn sealed_chunks_answer_like_raw_ones() {
         let samples: Vec<Sample> =
             (0..40u64).map(|t| Sample { timestamp_ms: t * 500, value: (t as f64).cos() }).collect();
-        let raw = Chunk::sealed(samples.clone(), false);
-        let compressed = Chunk::sealed(samples.clone(), true);
+        let mut scratch = Vec::new();
+        let raw = Chunk::sealed(&samples, false, &mut scratch);
+        let compressed = Chunk::sealed(&samples, true, &mut scratch);
         assert!(matches!(compressed.data, ChunkData::Compressed(_)));
         assert!(compressed.data_bytes() < raw.data_bytes());
         assert_eq!(raw.start(), compressed.start());

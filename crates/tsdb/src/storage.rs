@@ -21,6 +21,13 @@
 //!   XOR-float block that snapshots decode *streamingly* at read time.  The
 //!   per-shard `bytes` aggregate tracks the resident footprint, surfaced as
 //!   [`StorageStats::resident_bytes`] / [`StorageStats::bytes_per_sample`],
+//! * the heap holds what that ledger counts: a head has no capacity until
+//!   its first sample and doubles 4 → 8 → … → `chunk_size` with what it
+//!   holds; a seal encodes into a per-shard scratch and stores the block as
+//!   one exact-sized allocation, keeping the head's buffer for the next
+//!   chunk; and a retention pass seals the head of any series that has gone
+//!   [`STALE_HEAD_MS`] without a sample and releases its buffer, so a
+//!   churned series stops costing an uncompressed, mostly empty head,
 //! * the **ingest fast lane**: [`TimeSeriesDb::resolve`] turns a series key
 //!   into a cheap [`SeriesHandle`] once, and
 //!   [`TimeSeriesDb::append_batch`] appends a whole scrape round of
@@ -60,6 +67,16 @@ pub const SHARD_COUNT: usize = 16;
 const _: () =
     assert!(probes::SHARDS == SHARD_COUNT, "teemon_obs::SHARDS must equal the storage shard count");
 
+/// Samples a series' first head buffer holds; it doubles from here up to
+/// `chunk_size` (see `MemSeries::append`).
+const HEAD_INITIAL_SAMPLES: usize = 4;
+
+/// How far a series' newest sample may trail its shard's before a retention
+/// pass seals its head and releases the buffer: the instant-selector
+/// lookback (`teemon_query::QueryEngine::DEFAULT_LOOKBACK_MS` is this
+/// constant), i.e. a series the query engine already treats as gone.
+pub const STALE_HEAD_MS: u64 = 5 * 60 * 1000;
+
 /// Static configuration of the database.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TsdbConfig {
@@ -93,10 +110,12 @@ pub struct StorageStats {
     pub chunks: u64,
     /// Samples rejected because they were out of order.
     pub rejected_samples: u64,
-    /// Estimated bytes resident in sample storage: the compressed size of
-    /// sealed chunks plus 16 bytes per unsealed head sample.  Maintained
-    /// incrementally per shard (appends, seals, retention), so reading it
-    /// never scans storage.
+    /// Bytes resident in sample storage: the payload of sealed chunks (each
+    /// one allocation of exactly that size) plus 16 bytes per unsealed head
+    /// sample (a head's buffer is at most twice what it holds inside a
+    /// series' first chunk, `chunk_size` samples after it, and nothing once
+    /// the series has gone stale).  Maintained incrementally per shard
+    /// (appends, seals, retention), so reading it never scans storage.
     pub resident_bytes: u64,
     /// Shards whose write-ahead log has failed (write/fsync errors, or
     /// unrecoverable corruption found at startup).  Always `0` for a
@@ -218,10 +237,27 @@ enum Appended {
     Accepted {
         /// The head chunk went from empty to non-empty (a new chunk exists).
         opened_chunk: bool,
-        /// When the append filled the head, the sealed chunk's payload size
-        /// in bytes (compressed unless `raw_chunks` is set).
-        sealed_bytes: Option<usize>,
+        /// Set when the append filled the head and sealed it.
+        sealed: Option<Sealed>,
     },
+}
+
+/// What sealing a head did to the resident footprint.
+struct Sealed {
+    /// Head samples the chunk took over (16 raw bytes each).
+    samples: usize,
+    /// The sealed chunk's payload size (compressed unless `raw_chunks`).
+    bytes: usize,
+}
+
+impl Sealed {
+    /// `shard_bytes` with the head's raw samples replaced by the (usually
+    /// smaller) block.
+    fn fold_into(self, shard_bytes: u64) -> u64 {
+        shard_bytes
+            .saturating_sub((self.samples * SAMPLE_BYTES) as u64)
+            .saturating_add(self.bytes as u64)
+    }
 }
 
 impl MemSeries {
@@ -239,30 +275,81 @@ impl MemSeries {
             .or_else(|| self.head.first().map(|s| s.timestamp_ms))
     }
 
-    /// Appends in the hot path: no allocation unless the head chunk seals
-    /// (the head keeps `chunk_size` capacity reserved).  Sealing compresses
-    /// the full head into a Gorilla block unless `raw_chunks` is set.
-    fn append(&mut self, sample: Sample, chunk_size: usize, raw_chunks: bool) -> Appended {
+    /// Appends in the hot path.  The head holds what it was given: it opens
+    /// at [`HEAD_INITIAL_SAMPLES`] — or, behind a sealed chunk, at that
+    /// chunk's sample count, so a steady series goes straight back to
+    /// `chunk_size` and a revived slow one starts small again — and doubles
+    /// up to `chunk_size`.  A full head is sealed (Gorilla-compressed unless
+    /// `raw_chunks` is set) and cleared, its buffer kept for the next chunk:
+    /// past its first chunk a steady series allocates only at a seal.
+    fn append(
+        &mut self,
+        sample: Sample,
+        chunk_size: usize,
+        raw_chunks: bool,
+        scratch: &mut Vec<u8>,
+    ) -> Appended {
         if let Some(last) = self.last_timestamp() {
             if sample.timestamp_ms < last {
                 return Appended::Rejected;
             }
         }
         let opened_chunk = self.head.is_empty();
+        if self.head.len() == self.head.capacity() {
+            self.grow_head(chunk_size);
+        }
         self.head.push(sample);
         self.ever_appended = true;
-        let mut sealed_bytes = None;
-        if self.head.len() >= chunk_size {
-            // Sealing is the one allocating step in a chunk's lifetime; the
-            // lock audit's no-alloc check is suspended for it explicitly.
-            #[cfg(lock_audit)]
-            let _allow = parking_lot::audit::allow_alloc();
-            let samples = std::mem::replace(&mut self.head, Vec::with_capacity(chunk_size));
-            let chunk = Chunk::sealed(samples, !raw_chunks);
-            sealed_bytes = Some(chunk.data_bytes());
-            self.sealed.push(Arc::new(chunk));
+        let sealed = (self.head.len() >= chunk_size).then(|| self.seal_head(raw_chunks, scratch));
+        Appended::Accepted { opened_chunk, sealed }
+    }
+
+    /// Makes room in a full (or unallocated) head — see [`MemSeries::append`]
+    /// for the policy.
+    #[cold]
+    fn grow_head(&mut self, chunk_size: usize) {
+        // Growth is logarithmic in a series' first chunk and absent after
+        // it; the lock audit's no-alloc check is suspended for it explicitly.
+        #[cfg(lock_audit)]
+        let _allow = parking_lot::audit::allow_alloc();
+        let held = self.head.len();
+        let target = match self.head.capacity() {
+            0 => self.sealed.last().map_or(HEAD_INITIAL_SAMPLES, |chunk| chunk.len()),
+            capacity => capacity * 2,
+        };
+        self.head.reserve_exact(target.min(chunk_size).max(held + 1) - held);
+    }
+
+    /// Seals the non-empty head into an immutable chunk — two allocations,
+    /// the `Arc<Chunk>` and its exact-sized payload — and clears it, keeping
+    /// the buffer.
+    fn seal_head(&mut self, raw_chunks: bool, scratch: &mut Vec<u8>) -> Sealed {
+        // Sealing is the one allocating step in a chunk's lifetime; the
+        // lock audit's no-alloc check is suspended for it explicitly.
+        #[cfg(lock_audit)]
+        let _allow = parking_lot::audit::allow_alloc();
+        let chunk = Chunk::sealed(&self.head, !raw_chunks, scratch);
+        let sealed = Sealed { samples: self.head.len(), bytes: chunk.data_bytes() };
+        self.sealed.push(Arc::new(chunk));
+        self.head.clear();
+        sealed
+    }
+
+    /// The stale-head rule of [`ShardInner::retention_pass`]: a series whose
+    /// newest sample is older than `stale_before` gives its head buffer
+    /// back, sealing what the head holds first.
+    fn seal_if_stale(
+        &mut self,
+        stale_before: u64,
+        raw_chunks: bool,
+        scratch: &mut Vec<u8>,
+    ) -> Option<Sealed> {
+        if self.head.capacity() == 0 || self.last_timestamp()? >= stale_before {
+            return None;
         }
-        Appended::Accepted { opened_chunk, sealed_bytes }
+        let sealed = (!self.head.is_empty()).then(|| self.seal_head(raw_chunks, scratch));
+        self.head = Vec::new();
+        sealed
     }
 
     fn at(&self, at_ms: u64) -> Option<Sample> {
@@ -413,6 +500,9 @@ struct ShardInner {
     bytes: u64,
     min_ts: Option<u64>,
     max_ts: Option<u64>,
+    /// Where this shard's seals encode: every sealed payload is copied out
+    /// of it at its exact size, so the encoder's growth stays here.
+    seal_scratch: Vec<u8>,
 }
 
 impl ShardInner {
@@ -425,12 +515,6 @@ impl ShardInner {
         &self.series[local as usize]
     }
 
-    /// Mutable sibling of [`ShardInner::series_at`], same invariant.
-    fn series_at_mut(&mut self, local: u32) -> &mut MemSeries {
-        // teemon-verify: allow(no-index): shard-local indices come from the key index/postings under this lock
-        &mut self.series[local as usize]
-    }
-
     /// Borrowed-key lookup: no allocation, no string clone.
     fn find(&self, key_hash: u64, name: &str, labels: &Labels) -> Option<u32> {
         self.key_index
@@ -440,31 +524,31 @@ impl ShardInner {
             .find(|&local| self.series_at(local).key_matches(name, labels))
     }
 
-    /// Folds the result of one [`MemSeries::append`] into the shard
-    /// aggregates.  Returns `true` when the sample was stored.  Shared by the
-    /// per-sample and the batched append paths so the accounting cannot
-    /// diverge.
-    fn record_append(&mut self, result: Appended, timestamp_ms: u64, chunk_size: usize) -> bool {
-        match result {
+    /// Appends `sample` to the series at `local` (same invariant as
+    /// [`ShardInner::series_at`]) and folds the result into the shard
+    /// aggregates.  Returns `true` when the sample was stored.  The one
+    /// append every path — per-sample, by handle, batched, WAL replay —
+    /// goes through, so acceptance and accounting cannot diverge.
+    fn append(&mut self, local: u32, sample: Sample, chunk_size: usize, raw_chunks: bool) -> bool {
+        // teemon-verify: allow(no-index): shard-local indices come from the key index/postings under this lock
+        let series = &mut self.series[local as usize];
+        match series.append(sample, chunk_size, raw_chunks, &mut self.seal_scratch) {
             Appended::Rejected => {
                 self.rejected += 1;
                 false
             }
-            Appended::Accepted { opened_chunk, sealed_bytes } => {
+            Appended::Accepted { opened_chunk, sealed } => {
                 self.samples += 1;
                 self.bytes += SAMPLE_BYTES as u64;
-                if let Some(sealed) = sealed_bytes {
-                    // The head's raw samples became a (usually smaller) block.
-                    self.bytes = self
-                        .bytes
-                        .saturating_sub((chunk_size * SAMPLE_BYTES) as u64)
-                        .saturating_add(sealed as u64);
+                if let Some(sealed) = sealed {
+                    self.bytes = sealed.fold_into(self.bytes);
                 }
                 if opened_chunk {
                     self.chunks += 1;
                 }
-                self.max_ts = Some(self.max_ts.map_or(timestamp_ms, |m| m.max(timestamp_ms)));
-                self.min_ts = Some(self.min_ts.map_or(timestamp_ms, |m| m.min(timestamp_ms)));
+                let ts = sample.timestamp_ms;
+                self.max_ts = Some(self.max_ts.map_or(ts, |m| m.max(ts)));
+                self.min_ts = Some(self.min_ts.map_or(ts, |m| m.min(ts)));
                 true
             }
         }
@@ -557,25 +641,50 @@ impl ShardInner {
     }
 
     /// One shard's retention sweep at `cutoff`: drops aged chunks, evicts
-    /// fully drained series and maintains the aggregates.  Shared by
-    /// [`TimeSeriesDb::apply_retention`] and WAL replay.  Returns how many
-    /// samples were dropped.
-    fn retention_pass(&mut self, cutoff: u64, symbols: &RwLock<SymbolTable>) -> u64 {
+    /// fully drained series, seals stale heads and maintains the aggregates.
+    /// Shared by [`TimeSeriesDb::apply_retention`] and WAL replay.  Returns
+    /// how many samples were dropped.
+    ///
+    /// A head is *stale* once its series' newest sample is more than
+    /// [`STALE_HEAD_MS`] behind the shard's newest: instant selectors have
+    /// stopped seeing the series, so it is unlikely to be appended to again.
+    /// Its samples are sealed into a chunk like a full head's and the buffer
+    /// is released (an empty stale head just releases its buffer), so a
+    /// churned series costs its compressed samples, not a `chunk_size` raw
+    /// buffer, until retention evicts it.  The rule reads only what replay
+    /// reproduces — `max_ts` and the head — so it needs no WAL record.
+    fn retention_pass(
+        &mut self,
+        cutoff: u64,
+        raw_chunks: bool,
+        symbols: &RwLock<SymbolTable>,
+    ) -> u64 {
         let mut dropped_samples = 0u64;
         let mut dropped_chunks = 0u64;
         let mut dropped_bytes = 0u64;
         let mut drained = false;
         let mut min_ts = None;
+        let stale_before = self.max_ts.map_or(0, |newest| newest.saturating_sub(STALE_HEAD_MS));
+        let mut stale_sealed = 0u64;
         for series in &mut self.series {
             let (samples, chunks, bytes) = series.drop_before(cutoff);
             dropped_samples += samples as u64;
             dropped_chunks += chunks as u64;
             dropped_bytes += bytes;
             drained |= series.is_drained();
+            if let Some(sealed) =
+                series.seal_if_stale(stale_before, raw_chunks, &mut self.seal_scratch)
+            {
+                self.bytes = sealed.fold_into(self.bytes);
+                stale_sealed += 1;
+            }
             min_ts = match (min_ts, series.first_timestamp()) {
                 (Some(a), Some(b)) => Some(std::cmp::min::<u64>(a, b)),
                 (a, b) => a.or(b),
             };
+        }
+        if stale_sealed > 0 {
+            probes::STALE_HEADS_SEALED.add(stale_sealed);
         }
         self.samples -= dropped_samples;
         self.chunks -= dropped_chunks;
@@ -698,11 +807,11 @@ struct ShardRecovery {
 
 /// Rebuilds in-memory state from what [`Wal::open`] recovers, item by item.
 /// Logged ops re-run through the *same* code paths live ingest uses
-/// (`MemSeries::append`, `record_append`, `remove_locals`,
-/// `retention_pass`), so acceptance decisions and aggregates reproduce
-/// exactly.  A shard whose records fail validation (symbol ids or local
-/// indices out of range — possible only through corruption that still
-/// passed the checksum) comes up empty and flagged, never panics.
+/// (`ShardInner::append`, `remove_locals`, `retention_pass`), so acceptance
+/// decisions and aggregates reproduce exactly.  A shard whose records fail
+/// validation (symbol ids or local indices out of range — possible only
+/// through corruption that still passed the checksum) comes up empty and
+/// flagged, never panics.
 struct Recovery<'a> {
     chunk_size: usize,
     raw_chunks: bool,
@@ -778,7 +887,7 @@ impl<'a> Recovery<'a> {
             labels: labels.into(),
             label_syms: label_syms.into_boxed_slice(),
             sealed: Vec::new(),
-            head: Vec::with_capacity(self.chunk_size),
+            head: Vec::new(),
             ever_appended: false,
         }
     }
@@ -797,7 +906,7 @@ impl<'a> Recovery<'a> {
         };
         for series in snapshot.series {
             let mut restored = self.series(series.id, series.name_sym, series.label_syms);
-            restored.head.extend_from_slice(&series.head);
+            restored.head = series.head;
             restored.sealed = series.sealed.into_iter().map(Arc::new).collect();
             restored.ever_appended = series.ever_appended;
             inner.series.push(restored);
@@ -838,9 +947,7 @@ impl<'a> Recovery<'a> {
                     if (local as usize) >= inner.series.len() {
                         return false;
                     }
-                    let sample = Sample { timestamp_ms, value };
-                    let result = inner.series_at_mut(local).append(sample, chunk_size, raw_chunks);
-                    inner.record_append(result, timestamp_ms, chunk_size);
+                    inner.append(local, Sample { timestamp_ms, value }, chunk_size, raw_chunks);
                 }
             }
             // Out-of-range victims cannot match any local index and fall
@@ -852,7 +959,7 @@ impl<'a> Recovery<'a> {
             }
             wal::ShardOp::Retention { cutoff_ms } => {
                 if let Some(inner) = self.live(index) {
-                    inner.retention_pass(cutoff_ms, symbols);
+                    inner.retention_pass(cutoff_ms, raw_chunks, symbols);
                 }
             }
         }
@@ -1056,9 +1163,9 @@ impl TimeSeriesDb {
     ///
     /// Appending to an existing series is allocation-free: the borrowed key
     /// is hashed directly (picking the lock shard and the key-index slot) and
-    /// verified against the interned key strings, and the head chunk has its
-    /// capacity pre-reserved.  Only series creation and chunk sealing
-    /// allocate.
+    /// verified against the interned key strings, and past a series' first
+    /// chunk the head's buffer is already there.  Only series creation, the
+    /// head's doublings inside that first chunk and chunk sealing allocate.
     pub fn append(&self, name: &str, labels: &Labels, timestamp_ms: u64, value: f64) -> bool {
         let key_hash = series_key_hash(name, labels);
         let shard = shard_of(key_hash);
@@ -1070,12 +1177,7 @@ impl TimeSeriesDb {
         let flush_due = self.shared.stage_sample(shard, local, timestamp_ms, value);
         let chunk_size = self.config.chunk_size.max(1);
         let raw_chunks = self.config.raw_chunks;
-        let result = inner.series_at_mut(local).append(
-            Sample { timestamp_ms, value },
-            chunk_size,
-            raw_chunks,
-        );
-        let accepted = inner.record_append(result, timestamp_ms, chunk_size);
+        let accepted = inner.append(local, Sample { timestamp_ms, value }, chunk_size, raw_chunks);
         drop(inner);
         if flush_due {
             self.wal_flush();
@@ -1150,12 +1252,8 @@ impl TimeSeriesDb {
         }
         let flush_due =
             self.shared.stage_sample(handle.shard as usize, handle.local, timestamp_ms, value);
-        let result = inner.series_at_mut(handle.local).append(
-            Sample { timestamp_ms, value },
-            chunk_size,
-            raw_chunks,
-        );
-        let accepted = inner.record_append(result, timestamp_ms, chunk_size);
+        let accepted =
+            inner.append(handle.local, Sample { timestamp_ms, value }, chunk_size, raw_chunks);
         drop(inner);
         if flush_due {
             self.wal_flush();
@@ -1229,12 +1327,8 @@ impl TimeSeriesDb {
                 if let Some(writer) = writer.as_mut() {
                     writer.sample(handle.local, timestamp_ms, value);
                 }
-                let result = inner.series_at_mut(handle.local).append(
-                    Sample { timestamp_ms, value },
-                    chunk_size,
-                    raw_chunks,
-                );
-                if inner.record_append(result, timestamp_ms, chunk_size) {
+                let sample = Sample { timestamp_ms, value };
+                if inner.append(handle.local, sample, chunk_size, raw_chunks) {
                     outcome.appended += 1;
                     appended_here += 1;
                 } else {
@@ -1344,7 +1438,7 @@ impl TimeSeriesDb {
             labels: label_arcs.into(),
             label_syms: label_syms.into_boxed_slice(),
             sealed: Vec::new(),
-            head: Vec::with_capacity(self.config.chunk_size.max(1)),
+            head: Vec::new(),
             ever_appended: false,
         };
         inner.push_series(key_hash, series)
@@ -1476,7 +1570,9 @@ impl TimeSeriesDb {
     /// [`SeriesHandle`]s into that shard become stale (see [`SeriesHandle`]).
     /// A target that stops exporting a metric therefore stops costing index
     /// space one retention window later, instead of leaking a dead series
-    /// forever.
+    /// forever — and stops costing a head buffer as soon as a pass finds it
+    /// [`STALE_HEAD_MS`] behind its shard: the head is sealed into a chunk
+    /// and the buffer released (no sample is dropped or moved in time).
     pub fn apply_retention(&self) -> usize {
         let Some(newest) = self.newest_timestamp() else { return 0 };
         let cutoff = newest.saturating_sub(self.config.retention_ms);
@@ -1491,7 +1587,8 @@ impl TimeSeriesDb {
             if let Some(mut writer) = self.shared.stage(index) {
                 writer.retention(cutoff);
             }
-            dropped_total += inner.retention_pass(cutoff, &self.shared.symbols) as usize;
+            dropped_total +=
+                inner.retention_pass(cutoff, self.config.raw_chunks, &self.shared.symbols) as usize;
         }
         dropped_total
     }
@@ -1968,6 +2065,145 @@ mod tests {
         let reborn = db.resolve("m", &dead);
         assert_eq!(db.append_handle(reborn, 60_000, 3.0), HandleAppend::Appended);
         assert_eq!(db.series_count(), 2);
+    }
+
+    /// Labels that put series `name` into lock shard `shard`.
+    fn labels_in_shard(name: &str, shard: usize) -> Labels {
+        (0..)
+            .map(|i| labels(&[("probe", &format!("{i}"))]))
+            .find(|l| shard_of(series_key_hash(name, l)) == shard)
+            .expect("some label value hashes into every shard")
+    }
+
+    /// `(len, capacity)` of the head behind `handle`.
+    fn head_of(db: &TimeSeriesDb, handle: SeriesHandle) -> (usize, usize) {
+        let inner = db.shared.shard(handle.shard as usize).read();
+        let head = &inner.series_at(handle.local).head;
+        (head.len(), head.capacity())
+    }
+
+    #[test]
+    fn heads_grow_with_their_samples_and_keep_the_buffer_after_a_seal() {
+        let db = TimeSeriesDb::new(); // chunk_size 120
+        let h = db.resolve("m", &Labels::new());
+        assert_eq!(head_of(&db, h), (0, 0), "a resolved series holds no buffer yet");
+        let mut capacities = Vec::new();
+        for t in 0..119u64 {
+            db.append_handle(h, t, 1.0);
+            let (len, capacity) = head_of(&db, h);
+            assert!(capacity <= (2 * len).max(4), "{capacity} slots for {len} samples");
+            if capacities.last() != Some(&capacity) {
+                capacities.push(capacity);
+            }
+        }
+        assert_eq!(capacities, [4, 8, 16, 32, 64, 120]);
+        db.append_handle(h, 119, 1.0);
+        assert_eq!(head_of(&db, h), (0, 120), "a full seal clears the head and keeps the buffer");
+        let small =
+            TimeSeriesDb::with_config(TsdbConfig { chunk_size: 3, ..TsdbConfig::default() });
+        let h = small.resolve("m", &Labels::new());
+        small.append_handle(h, 0, 1.0);
+        assert_eq!(head_of(&small, h), (1, 3), "never past chunk_size");
+    }
+
+    #[test]
+    fn stale_heads_are_sealed_released_and_revive_small() {
+        const MINUTE: u64 = 60_000;
+        let db = TimeSeriesDb::with_config(TsdbConfig {
+            chunk_size: 120,
+            retention_ms: 20 * MINUTE,
+            raw_chunks: false,
+        });
+        let idle = db.resolve("idle", &Labels::new());
+        let live = db.resolve("live", &labels_in_shard("live", idle.shard as usize));
+        assert_eq!(live.shard, idle.shard, "staleness is judged against the shard's own newest");
+        for t in 0..17u64 {
+            db.append_handle(idle, t * 1_000, t as f64);
+            db.append_handle(live, t * 1_000, 1.0);
+        }
+        let idle_end = 16_000;
+
+        // Exactly the lookback behind is not yet *more than* it: nothing moves.
+        db.append_handle(live, idle_end + STALE_HEAD_MS, 1.0);
+        let before = db.stats();
+        let sealed_before = probes::STALE_HEADS_SEALED.get();
+        assert_eq!(db.apply_retention(), 0);
+        assert_eq!(db.stats(), before);
+        assert_eq!(head_of(&db, idle), (17, 32));
+
+        // One millisecond later the idle head is sealed and its buffer
+        // released; the live one is untouched.  No sample, chunk or series
+        // count moves, and the ledger swaps 16 B/sample for the block.
+        db.append_handle(live, idle_end + STALE_HEAD_MS + 1, 1.0);
+        let before = db.stats();
+        assert_eq!(db.apply_retention(), 0);
+        assert!(probes::STALE_HEADS_SEALED.get() > sealed_before);
+        assert_eq!(head_of(&db, idle), (0, 0));
+        assert_eq!(head_of(&db, live), (19, 32));
+        let after = db.stats();
+        let snapshot = &db.select(&Selector::metric("idle"))[0];
+        assert_eq!((snapshot.len(), snapshot.chunk_count()), (17, 1));
+        assert_eq!(
+            after.resident_bytes,
+            before.resident_bytes - 17 * SAMPLE_BYTES as u64 + snapshot.resident_bytes() as u64
+        );
+        assert!(snapshot.resident_bytes() < 17 * SAMPLE_BYTES);
+        assert_eq!(
+            StorageStats { resident_bytes: 0, ..after },
+            StorageStats { resident_bytes: 0, ..before }
+        );
+        assert_eq!(db.apply_retention(), 0, "a second pass finds nothing left to seal");
+        assert_eq!(db.stats(), after);
+        assert!(db.handle_live(idle), "sealing a head moves no series");
+
+        // A revival is checked against the sealed chunk's end and opens a
+        // head the size of that short chunk, as a new chunk.
+        assert_eq!(db.append_handle(idle, idle_end - 1, 0.0), HandleAppend::Rejected);
+        assert_eq!(db.append_handle(idle, idle_end, 17.0), HandleAppend::Appended);
+        assert_eq!(head_of(&db, idle), (1, 17));
+        let revived = db.stats();
+        assert_eq!(revived.chunks, after.chunks + 1);
+        assert_eq!(revived.resident_bytes, after.resident_bytes + SAMPLE_BYTES as u64);
+        let points = db.query_range(&Selector::metric("idle"), 0, u64::MAX);
+        assert_eq!(points[0].points.len(), 18);
+        assert_eq!(points[0].points.last(), Some(&(idle_end, 17.0)));
+
+        // Eviction is what it was: one retention window after the last sample.
+        db.append_handle(live, idle_end + 20 * MINUTE, 1.0);
+        db.apply_retention();
+        assert!(db.handle_live(idle), "the newest idle sample is exactly at the cutoff");
+        db.append_handle(live, idle_end + 20 * MINUTE + 1, 1.0);
+        assert_eq!(db.apply_retention(), 18, "the sealed 17 and the revived one");
+        assert!(!db.handle_live(idle));
+        assert!(db.select(&Selector::metric("idle")).is_empty());
+    }
+
+    #[test]
+    fn an_empty_stale_head_just_releases_its_buffer() {
+        let db = TimeSeriesDb::with_config(TsdbConfig {
+            chunk_size: 8,
+            retention_ms: u64::MAX,
+            raw_chunks: true,
+        });
+        let full = db.resolve("full", &Labels::new());
+        let short = db.resolve("short", &labels_in_shard("short", full.shard as usize));
+        let live = db.resolve("live", &labels_in_shard("live", full.shard as usize));
+        for t in 0..8u64 {
+            db.append_handle(full, t, 1.0);
+        }
+        db.append_handle(short, 7, 1.0);
+        assert_eq!(head_of(&db, full), (0, 8));
+        db.append_handle(live, 8 + STALE_HEAD_MS, 1.0);
+        let before = db.stats();
+        db.apply_retention();
+        assert_eq!(head_of(&db, full), (0, 0));
+        assert_eq!(head_of(&db, short), (0, 0));
+        // `raw_chunks` seals the stale head raw: the ledger does not move.
+        assert_eq!(db.stats(), before);
+        assert_eq!(db.select(&Selector::metric("short"))[0].points_in(0, u64::MAX), [(7, 1.0)]);
+        // The next head of a steady series opens at full size again.
+        db.append_handle(full, 8 + STALE_HEAD_MS, 1.0);
+        assert_eq!(head_of(&db, full), (1, 8));
     }
 
     #[test]

@@ -1176,6 +1176,7 @@ pub(crate) fn encode_shard_snapshot(
     put_u32(&mut buf, series.len() as u32);
     end_frame(&mut buf, at);
 
+    let mut block = Vec::new();
     for s in series {
         let at = begin_frame(&mut buf);
         buf.push(REC_SNAP_SERIES);
@@ -1185,16 +1186,13 @@ pub(crate) fn encode_shard_snapshot(
         put_label_syms(&mut buf, s.label_syms);
         // Head: Gorilla when the codec accepts it, raw samples otherwise.
         put_u32(&mut buf, s.head.len() as u32);
-        match chunk_codec::encode(s.head) {
-            Some(block) if !s.head.is_empty() => {
-                buf.push(CHUNK_GORILLA);
-                put_u32(&mut buf, block.len() as u32);
-                buf.extend_from_slice(&block);
-            }
-            _ => {
-                buf.push(CHUNK_RAW);
-                put_samples(&mut buf, s.head);
-            }
+        if chunk_codec::encode_into(s.head, &mut block) {
+            buf.push(CHUNK_GORILLA);
+            put_u32(&mut buf, block.len() as u32);
+            buf.extend_from_slice(&block);
+        } else {
+            buf.push(CHUNK_RAW);
+            put_samples(&mut buf, s.head);
         }
         // Sealed chunks, payloads verbatim so reopen is byte-identical.
         put_u32(&mut buf, s.sealed.len() as u32);
@@ -1280,7 +1278,7 @@ fn decode_snap_series(payload: &[u8]) -> Option<SnapSeries> {
         let len = cur.u32()? as usize;
         let data = match kind {
             CHUNK_RAW if len == count * 16 => ChunkData::Raw(take_samples(&mut cur, count)?),
-            CHUNK_GORILLA => ChunkData::Compressed(cur.take(len)?.to_vec()),
+            CHUNK_GORILLA => ChunkData::Compressed(cur.take(len)?.into()),
             _ => return None,
         };
         sealed.push(Chunk { start_ms, end_ms, count: count as u32, data });
@@ -1785,8 +1783,9 @@ mod tests {
         ];
         let sealed_samples: Vec<Sample> =
             (0..8).map(|i| Sample { timestamp_ms: 10_000 + i * 500, value: i as f64 }).collect();
-        let gorilla = Arc::new(Chunk::sealed(sealed_samples.clone(), true));
-        let raw = Arc::new(Chunk::sealed(sealed_samples.clone(), false));
+        let mut scratch = Vec::new();
+        let gorilla = Arc::new(Chunk::sealed(&sealed_samples, true, &mut scratch));
+        let raw = Arc::new(Chunk::sealed(&sealed_samples, false, &mut scratch));
         let series = [SnapSeriesRef {
             id: 9,
             name_sym: SymbolId::from_u32(3),

@@ -1,7 +1,7 @@
 //! Code-level proof of the zero-allocation append hot path: a counting
 //! global allocator wraps the system allocator, and appending to an existing
-//! series (borrowed-key hash lookup + head push within reserved capacity)
-//! must perform zero heap allocations.
+//! series (borrowed-key hash lookup + head push within the capacity its first
+//! chunk grew) must perform zero heap allocations.
 
 // Audit bookkeeping (held-lock stacks, the order graph) allocates by
 // design, so the zero-allocation proofs only hold without `lock_audit`;
@@ -46,14 +46,16 @@ fn allocations() -> u64 {
 
 #[test]
 fn append_to_existing_series_is_allocation_free() {
-    let db = TimeSeriesDb::new(); // chunk_size 120: the head never seals below
+    let db = TimeSeriesDb::new(); // chunk_size 120
     let labels = Labels::from_pairs([("node", "n1"), ("job", "sgx_exporter")]);
-    // Create the series (interns symbols, reserves head capacity) and warm up.
-    for t in 0..8u64 {
+    // Create the series (interns symbols) and warm it through its first
+    // chunk: the head grows with its samples there (`heap_ledger.rs` counts
+    // the doublings), the seal keeps the full-sized buffer.
+    for t in 0..120u64 {
         assert!(db.append("teemon_syscalls_total", &labels, t * 1_000, t as f64));
     }
     let before = allocations();
-    for t in 8..80u64 {
+    for t in 120..192u64 {
         assert!(db.append("teemon_syscalls_total", &labels, t * 1_000, t as f64));
     }
     let after = allocations();
@@ -63,7 +65,7 @@ fn append_to_existing_series_is_allocation_free() {
         "append to an existing series must not allocate (key lookup is borrowed-key hashing, \
          the head chunk has reserved capacity)"
     );
-    assert_eq!(db.stats().samples, 80);
+    assert_eq!(db.stats().samples, 192);
 }
 
 #[test]
@@ -81,16 +83,22 @@ fn rejected_appends_are_allocation_free_too() {
 fn chunk_seal_allocates_only_at_the_boundary() {
     let db = TimeSeriesDb::new(); // chunk_size 120
     let labels = Labels::new();
-    for t in 0..119u64 {
+    // The first chunk grows its head; from the second on the buffer is there.
+    for t in 0..120u64 {
         db.append("m", &labels, t, 0.0);
     }
-    // Sample 120 seals the chunk: the only allocations in a chunk's lifetime.
     let before = allocations();
-    db.append("m", &labels, 200, 0.0);
-    assert!(allocations() > before, "sealing must move the head into a fresh Arc chunk");
+    for t in 120..239u64 {
+        db.append("m", &labels, t, 0.0);
+    }
+    assert_eq!(allocations() - before, 0, "filling a warm head must not allocate");
+    // Sample 240 seals the chunk: the only allocations in a chunk's lifetime.
+    let before = allocations();
+    db.append("m", &labels, 300, 0.0);
+    assert!(allocations() > before, "sealing must copy the head into a fresh Arc chunk");
     // And the path is allocation-free again afterwards.
     let before = allocations();
-    db.append("m", &labels, 201, 0.0);
+    db.append("m", &labels, 301, 0.0);
     assert_eq!(allocations() - before, 0);
-    assert_eq!(db.select(&Selector::metric("m"))[0].chunk_count(), 2);
+    assert_eq!(db.select(&Selector::metric("m"))[0].chunk_count(), 3);
 }

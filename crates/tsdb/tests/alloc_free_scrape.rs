@@ -99,9 +99,15 @@ impl MetricsEndpoint for InPlaceEndpoint {
     }
 }
 
+/// Rounds that take a series created in round 1 through its first chunk at
+/// the default `chunk_size`.  A head grows with its samples there (4 → 8 →
+/// … → 120; `heap_ledger.rs` counts the doublings); the seal that ends it
+/// keeps the full-sized buffer, so the rounds after it show the steady state.
+const FIRST_CHUNK_ROUNDS: u64 = 120;
+
 #[test]
 fn steady_state_scrape_round_is_allocation_free() {
-    let db = TimeSeriesDb::new(); // chunk_size 120: no chunk seals below
+    let db = TimeSeriesDb::new(); // chunk_size 120
     let scraper = Scraper::new(db.clone());
     scraper.add_target(
         ScrapeTargetConfig::new("sgx_exporter", "node-1:9090").with_label("node", "node-1"),
@@ -110,14 +116,18 @@ fn steady_state_scrape_round_is_allocation_free() {
 
     // Warm-up: round 1 builds the scrape cache (captures identities,
     // resolves handles, sizes the batch buffer) and creates every series
-    // including the meta-metrics; round 2 proves the cache holds.
+    // including the meta-metrics; round 2 proves the cache holds; the rest
+    // take every head through its first chunk, where it grows with its
+    // samples (the seal in round 120 keeps the full-sized buffer).
     let summary = scraper.scrape_round(5_000);
     assert_eq!((summary.targets, summary.healthy), (1, 1));
     assert_eq!(summary.samples_scraped, 48);
-    scraper.scrape_round(10_000);
+    for round in 2..=FIRST_CHUNK_ROUNDS {
+        scraper.scrape_round(round * 5_000);
+    }
 
     let before = allocations();
-    for round in 3..40u64 {
+    for round in FIRST_CHUNK_ROUNDS + 1..FIRST_CHUNK_ROUNDS + 38 {
         let summary = scraper.scrape_round(round * 5_000);
         assert_eq!(summary.samples_added, 48);
     }
@@ -129,10 +139,10 @@ fn steady_state_scrape_round_is_allocation_free() {
          meta metrics) must not allocate"
     );
 
-    // The rounds really happened: 37 measured + 2 warm-up rounds of samples.
+    // The rounds really happened: 37 measured + 120 warm-up rounds of samples.
     // (Storage self-gauges no longer arrive as ad-hoc appends — they flow
     // through the `ObsEndpoint` self-target, exercised separately below.)
-    assert_eq!(db.stats().samples, 39 * 48 + 39 * 4, "samples + per-target meta metrics");
+    assert_eq!(db.stats().samples, 157 * 48 + 157 * 4, "samples + per-target meta metrics");
 }
 
 #[test]
@@ -146,14 +156,15 @@ fn warm_self_scrape_round_is_allocation_free() {
     scraper.add_self_target("self:0");
 
     // Warm up: build the self snapshot, register every lock class on this
-    // path, create the series and size the scrape cache.
-    for round in 1..=3u64 {
+    // path, create the series, size the scrape cache, and take the heads —
+    // the last of them created in round 3 — through their first chunk.
+    for round in 1..=FIRST_CHUNK_ROUNDS + 3 {
         let summary = scraper.scrape_round(round * 5_000);
         assert_eq!((summary.targets, summary.healthy), (1, 1));
     }
 
     let before = allocations();
-    for round in 4..20u64 {
+    for round in FIRST_CHUNK_ROUNDS + 4..FIRST_CHUNK_ROUNDS + 20 {
         let summary = scraper.scrape_round(round * 5_000);
         assert!(summary.samples_added > 0);
     }
@@ -183,14 +194,17 @@ fn budget_clipped_steady_state_round_is_allocation_free() {
     );
 
     // Warm-up: round 1 repairs under the budget (admits 30, clips 18) and
-    // creates the roll-up series; round 2 proves the clipped cache holds.
+    // creates the roll-up series; round 2 proves the clipped cache holds;
+    // the rest take the admitted heads through their first chunk.
     let summary = scraper.scrape_round(5_000);
     assert_eq!(summary.samples_scraped, 48);
     assert_eq!(summary.samples_added, 30, "18 of 48 samples budget-clipped");
-    scraper.scrape_round(10_000);
+    for round in 2..=FIRST_CHUNK_ROUNDS {
+        scraper.scrape_round(round * 5_000);
+    }
 
     let before = allocations();
-    for round in 3..40u64 {
+    for round in FIRST_CHUNK_ROUNDS + 1..FIRST_CHUNK_ROUNDS + 38 {
         let summary = scraper.scrape_round(round * 5_000);
         assert_eq!(summary.samples_scraped, 48);
         assert_eq!(summary.samples_added, 30);
@@ -209,8 +223,16 @@ fn churn_repairs_then_returns_to_allocation_free() {
     let scraper = Scraper::new(db.clone());
     let endpoint = Arc::new(InPlaceEndpoint::new(8));
     scraper.add_target(ScrapeTargetConfig::new("job", "n1:1"), endpoint.clone());
-    scraper.scrape_round(5_000);
-    scraper.scrape_round(10_000);
+    let mut round = 0u64;
+    let mut rounds = |count: u64| {
+        let before = allocations();
+        for _ in 0..count {
+            round += 1;
+            scraper.scrape_round(round * 5_000);
+        }
+        allocations() - before
+    };
+    rounds(FIRST_CHUNK_ROUNDS);
 
     // A series appears: this round must repair (and may allocate)…
     endpoint
@@ -220,15 +242,15 @@ fn churn_repairs_then_returns_to_allocation_free() {
         .unwrap()
         .points
         .push(MetricPoint::new(Labels::from_pairs([("idx", "extra")]), PointValue::Gauge(1.0)));
-    scraper.scrape_round(15_000);
-    scraper.scrape_round(20_000);
+    rounds(2);
 
-    // …after which the enlarged round is allocation-free again.
-    let before = allocations();
-    for round in 5..12u64 {
-        scraper.scrape_round(round * 5_000);
-    }
-    assert_eq!(allocations() - before, 0, "post-churn rounds must be allocation-free again");
+    // …after which the enlarged round allocates for nothing but the new
+    // series' head, which doubles 4 → 8 → 16 across its samples 3 to 9 —
+    assert_eq!(rounds(7), 2, "post-churn rounds may only grow the new series' head");
+    // — and once that series is through its first chunk too (the older
+    // ones seal their second alongside it), for nothing at all.
+    rounds(FIRST_CHUNK_ROUNDS - 9);
+    assert_eq!(rounds(7), 0, "post-churn rounds must be allocation-free again");
 }
 
 /// `samples` gauges over 8 families, labelled like a remote writer's batch;
@@ -275,7 +297,14 @@ fn churned_push_allocates_for_what_changed_not_for_what_it_holds() {
         assert_eq!((outcome.scraped, outcome.ingested), (SERIES as u64, SERIES as u64));
         spent
     };
-    push(&mut lane, &pods);
+    // The standing series go through their first chunk before anything is
+    // measured: their heads grow with their samples there, in lock-step,
+    // which would land 500 doublings on one of the "warm" pushes below.  (A
+    // renamed series' first doublings do fall inside the window — 25 on the
+    // last churned push — and fit the budget's `+ 2` per new series.)
+    for _ in 0..120 {
+        push(&mut lane, &pods);
+    }
     // One churned round to size the repair's own scratch, then the measure.
     let mut churned = 0;
     for round in 0..3 {

@@ -72,7 +72,7 @@ impl Drop for ScratchDir {
 #[test]
 fn warm_durable_ingest_round_is_allocation_free() {
     let scratch = ScratchDir::new("round");
-    // chunk_size 120: the head never seals inside this short workload.
+    // chunk_size 120: the heads seal once, in the warm-up.
     let config = TsdbConfig { chunk_size: 120, retention_ms: 86_400_000, raw_chunks: false };
     let db = TimeSeriesDb::open(&scratch.0, config).expect("open durable db on tmpfs");
     assert!(db.durable());
@@ -95,12 +95,13 @@ fn warm_durable_ingest_round_is_allocation_free() {
     };
 
     // Warm-up: create series, open the log segment lazily, grow the staging
-    // and group buffers to their steady-state capacity.
-    for t in 1..=8u64 {
+    // and group buffers to their steady-state capacity, and take every head
+    // through its first chunk (it grows with its samples there).
+    for t in 1..=120u64 {
         round(t * 1_000);
     }
     let before = allocations();
-    for t in 9..=28u64 {
+    for t in 121..=140u64 {
         round(t * 1_000);
     }
     assert_eq!(
@@ -108,7 +109,7 @@ fn warm_durable_ingest_round_is_allocation_free() {
         0,
         "a warm durable ingest round (batch append + WAL flush) must not allocate"
     );
-    assert_eq!(db.stats().samples, 28 * 64);
+    assert_eq!(db.stats().samples, 140 * 64);
     assert_eq!(db.stats().wal_failed_shards, 0);
 }
 

@@ -2,18 +2,124 @@
 //! samples` bit-for-bit over adversarial inputs (NaN, ±inf, zero and huge
 //! timestamp deltas, duplicates), and rejection of inputs the storage engine
 //! can never produce (timestamps running backwards).  The bit-by-bit decoder
-//! the accumulator reader replaced lives on here as [`reference`], the oracle
-//! the production decoder must match sample for sample — on well-formed
-//! blocks, past their end, and on truncated and random bytes.
+//! and encoder the accumulator reader and writer replaced live on here as
+//! [`reference`], the oracles production must match — the decoder sample for
+//! sample on well-formed blocks, past their end, and on truncated and random
+//! bytes; the encoder byte for byte on every input it accepts.
 
 use proptest::proptest;
-use teemon_tsdb::chunk_codec::{decode, decode_into, encode, GorillaState};
+use teemon_tsdb::chunk_codec::{decode, decode_into, encode, encode_into, GorillaState};
 use teemon_tsdb::Sample;
 
-/// The previous production decoder, verbatim: one `bytes.get` per bit or byte
-/// fragment, no accumulator.  Written against the byte format only.
+/// The previous production decoder and encoder, verbatim: one `bytes.get`
+/// per bit or byte fragment and one `write_bit` per bit, no accumulator.
+/// Written against the byte format only.
 mod reference {
     use teemon_tsdb::Sample;
+
+    /// Appends bits to a byte buffer, most-significant bit of each value first.
+    #[derive(Debug, Default)]
+    struct BitWriter {
+        bytes: Vec<u8>,
+        /// Bits already used in the last byte (0 = the last byte is full/absent).
+        used: u32,
+    }
+
+    impl BitWriter {
+        fn write_bit(&mut self, bit: bool) {
+            if self.used == 0 {
+                self.bytes.push(0);
+                self.used = 8;
+            }
+            if let (true, Some(last)) = (bit, self.bytes.last_mut()) {
+                *last |= 1 << (self.used - 1);
+            }
+            self.used -= 1;
+        }
+
+        /// Writes the low `count` bits of `value`, MSB first.  `count <= 64`.
+        fn write_bits(&mut self, value: u64, count: u32) {
+            for i in (0..count).rev() {
+                self.write_bit((value >> i) & 1 == 1);
+            }
+        }
+
+        fn into_bytes(self) -> Vec<u8> {
+            self.bytes
+        }
+    }
+
+    /// Sentinel for "no value window established yet".
+    const NO_WINDOW: u32 = u32::MAX;
+
+    pub fn encode(samples: &[Sample]) -> Option<Vec<u8>> {
+        let first = samples.first()?;
+        let mut w = BitWriter::default();
+        w.write_bits(first.timestamp_ms, 64);
+        w.write_bits(first.value.to_bits(), 64);
+        let mut prev_ts = first.timestamp_ms;
+        let mut prev_delta: u64 = 0;
+        let mut prev_bits = first.value.to_bits();
+        let mut prev_leading: u32 = NO_WINDOW;
+        let mut prev_trailing: u32 = 0;
+        for sample in samples.iter().skip(1) {
+            if sample.timestamp_ms < prev_ts {
+                return None;
+            }
+            let delta = sample.timestamp_ms - prev_ts;
+            // i128 so the delta-of-delta of arbitrary u64 deltas cannot overflow.
+            let dod = delta as i128 - prev_delta as i128;
+            match dod {
+                0 => w.write_bit(false),
+                -63..=64 => {
+                    w.write_bits(0b10, 2);
+                    w.write_bits((dod + 63) as u64, 7);
+                }
+                -255..=256 => {
+                    w.write_bits(0b110, 3);
+                    w.write_bits((dod + 255) as u64, 9);
+                }
+                -2047..=2048 => {
+                    w.write_bits(0b1110, 4);
+                    w.write_bits((dod + 2047) as u64, 12);
+                }
+                _ => {
+                    // Escape: the raw delta (not the Δ²), so huge jumps stay exact.
+                    w.write_bits(0b1111, 4);
+                    w.write_bits(delta, 64);
+                }
+            }
+            prev_ts = sample.timestamp_ms;
+            prev_delta = delta;
+
+            let bits = sample.value.to_bits();
+            let xor = bits ^ prev_bits;
+            if xor == 0 {
+                w.write_bit(false);
+            } else {
+                w.write_bit(true);
+                let leading = xor.leading_zeros();
+                let trailing = xor.trailing_zeros();
+                if prev_leading != NO_WINDOW && leading >= prev_leading && trailing >= prev_trailing
+                {
+                    // The meaningful bits fit the previous window: reuse it.
+                    let len = 64 - prev_leading - prev_trailing;
+                    w.write_bit(false);
+                    w.write_bits(xor >> prev_trailing, len);
+                } else {
+                    let len = 64 - leading - trailing;
+                    w.write_bit(true);
+                    w.write_bits(u64::from(leading), 6);
+                    w.write_bits(u64::from(len - 1), 6);
+                    w.write_bits(xor >> trailing, len);
+                    prev_leading = leading;
+                    prev_trailing = trailing;
+                }
+            }
+            prev_bits = bits;
+        }
+        Some(w.into_bytes())
+    }
 
     fn read_bit(bytes: &[u8], pos: &mut u64) -> bool {
         let byte = (*pos / 8) as usize;
@@ -118,6 +224,7 @@ mod reference {
 /// timestamp deltas / values that stress every encoder bucket.
 fn build_samples(specs: &[(u8, u8, u16)]) -> Vec<Sample> {
     let mut ts = 0u64;
+    let mut prev_bits = 0u64;
     specs
         .iter()
         .map(|&(delta_kind, value_kind, raw)| {
@@ -132,7 +239,10 @@ fn build_samples(specs: &[(u8, u8, u16)]) -> Vec<Sample> {
                 _ => 86_400_000,                   // one day
             };
             ts = ts.saturating_add(delta);
-            let value = match value_kind % 10 {
+            // Kinds 10 and up are bit patterns aimed at the value encoder's
+            // window logic; the round-trip and decoder properties draw from
+            // the first ten only.
+            let value = match value_kind % 14 {
                 0 => 0.0,
                 1 => -0.0,
                 2 => f64::NAN,
@@ -142,8 +252,17 @@ fn build_samples(specs: &[(u8, u8, u16)]) -> Vec<Sample> {
                 6 => -f64::from(raw),         // negative
                 7 => f64::from(raw) * 1e-300, // subnormal territory
                 8 => f64::from(raw) * 1e300,  // huge magnitude
-                _ => f64::from(raw) + f64::from(raw % 7) * 0.1,
+                9 => f64::from(raw) + f64::from(raw % 7) * 0.1,
+                // Every bit flipped: a 64-bit meaningful window.
+                10 => f64::from_bits(!prev_bits),
+                // NaN payloads of either sign.
+                11 => f64::from_bits((0x7ff8 << 48) | (u64::from(raw) << 63) | u64::from(raw)),
+                // Full-entropy patterns: a new, wide window almost every time.
+                12 => f64::from_bits(u64::from(raw).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                // A few bits mid-word: fits (and reuses) the previous window.
+                _ => f64::from_bits(prev_bits ^ (u64::from(raw % 64) << 24)),
             };
+            prev_bits = value.to_bits();
             Sample { timestamp_ms: ts, value }
         })
         .collect()
@@ -235,6 +354,70 @@ proptest! {
         samples[flip].timestamp_ms = prev - 1;
         assert_eq!(encode(&samples), None, "decrease at index {flip} must reject");
     }
+}
+
+proptest! {
+    /// The word-at-a-time encoder writes what the bit-by-bit one wrote, byte
+    /// for byte: every Δ² bucket and the raw-delta escape, window reuse and
+    /// new windows up to the full 64 bits, NaN payloads, ±∞, −0.0 — and
+    /// every prefix of each input, which covers 1- and 2-sample blocks and
+    /// streams ending at every bit offset of a byte and of a word.  The
+    /// scratch is reused dirty from prefix to prefix.
+    #[test]
+    fn encoder_matches_the_bit_by_bit_reference(
+        specs in proptest::collection::vec((0u8..8, 0u8..14, 0u16..u16::MAX), 1..200),
+    ) {
+        let samples = build_samples(&specs);
+        let mut scratch = vec![0xa5; 7];
+        for end in 1..=samples.len() {
+            let want = reference::encode(&samples[..end]).expect("time-ordered input must encode");
+            assert!(encode_into(&samples[..end], &mut scratch));
+            assert_eq!(scratch, want, "encode_into diverged on the first {end} samples");
+        }
+        assert_eq!(encode(&samples), reference::encode(&samples));
+    }
+
+    /// A decrease anywhere makes `encode_into` report failure and leaves the
+    /// scratch fit for the next block.
+    #[test]
+    fn a_rejected_block_leaves_the_scratch_reusable(
+        specs in proptest::collection::vec((1u8..8, 0u8..14, 1u16..u16::MAX), 2..50),
+        flip in 1usize..49,
+    ) {
+        let good = build_samples(&specs);
+        let flip = 1 + flip % (good.len() - 1);
+        let mut bad = good.clone();
+        // Deltas are drawn non-zero (`1u8..8` with a non-zero `raw`), so the
+        // predecessor's timestamp is at least 1.
+        bad[flip].timestamp_ms = bad[flip - 1].timestamp_ms - 1;
+        let mut scratch = Vec::new();
+        assert!(!encode_into(&bad, &mut scratch), "decrease at index {flip} must reject");
+        assert!(encode_into(&good, &mut scratch));
+        assert_eq!(Some(scratch), reference::encode(&good));
+    }
+}
+
+#[test]
+fn blocks_ending_on_byte_and_word_boundaries_match_the_reference() {
+    // A first sample is 128 bits — two whole words — and each exact repeat
+    // adds two, so 1 + 4k samples end on a byte and 1 + 32k on a word.  A
+    // scrape cadence puts a 69-bit raw-delta escape in front of the repeats
+    // and walks the same boundaries at another phase.
+    let flat: Vec<Sample> = (0..98).map(|_| Sample { timestamp_ms: 7, value: 42.0 }).collect();
+    let cadence: Vec<Sample> =
+        (0..98u64).map(|t| Sample { timestamp_ms: t * 15_000, value: 42.0 }).collect();
+    let mut scratch = Vec::new();
+    for input in [&flat, &cadence] {
+        for end in 1..=input.len() {
+            assert!(encode_into(&input[..end], &mut scratch));
+            assert_eq!(Some(&scratch), reference::encode(&input[..end]).as_ref(), "{end} samples");
+        }
+    }
+    assert!(encode_into(&flat[..1], &mut scratch));
+    assert_eq!(scratch.len(), 16);
+    assert!(encode_into(&flat[..33], &mut scratch));
+    assert_eq!(scratch.len(), 24, "32 repeats fill exactly one more word");
+    assert!(!encode_into(&[], &mut scratch), "an empty block is rejected, as by `encode`");
 }
 
 #[test]

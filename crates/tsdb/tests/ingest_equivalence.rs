@@ -5,7 +5,10 @@
 //! ([`IngestMode::FastLane`]) and through the pre-cache per-sample path
 //! ([`IngestMode::PerSample`]) must produce **identical** databases: same
 //! series in the same creation order with the same ids, same samples, same
-//! aggregate stats (including rejection counts and resident bytes).
+//! aggregate stats (including rejection counts and resident bytes).  The
+//! scrape clock jumps past the stale-head window every few rounds, so the
+//! retention passes also seal idle heads — on both sides alike, or the
+//! resident bytes and chunk counts part ways.
 
 use std::sync::Arc;
 
@@ -14,7 +17,7 @@ use proptest::{proptest, TestRng};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_tsdb::{
     IngestMode, MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb,
-    TsdbConfig,
+    TsdbConfig, STALE_HEAD_MS,
 };
 
 /// An endpoint whose snapshot set the test rewrites every round.  Shared by
@@ -116,6 +119,88 @@ fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
     (format!("{:?}", db.stats()), series)
 }
 
+/// Samples per chunk: low, so rounds seal chunks mid-stream.
+const CHUNK_SIZE: usize = 4;
+
+/// Whether some series of `db` carries a head that a retention pass sealed
+/// as stale: a chunk cut short of [`CHUNK_SIZE`] that full ones or a new
+/// head follow, or a lone short chunk that is stored compressed.
+fn shows_a_stale_seal(db: &TimeSeriesDb) -> bool {
+    db.select(&Selector::all()).iter().any(|s| {
+        s.chunk_count() > s.len().div_ceil(CHUNK_SIZE)
+            || s.chunk_count() == 1 && s.len() < CHUNK_SIZE && s.resident_bytes() < s.len() * 16
+    })
+}
+
+/// Runs one generated workload through both lanes; returns whether a stale
+/// head was sealed along the way.
+fn run_case(initial_series: usize, rounds: u64, case: u64) -> bool {
+    let mut rng = TestRng::deterministic(&format!("ingest-equivalence-{case}"));
+    let config = TsdbConfig {
+        chunk_size: CHUNK_SIZE,
+        // Four rounds — retention bites and evicts before anything goes
+        // stale — or long enough for idle heads to be sealed, revived
+        // and evicted a few clock jumps later.
+        retention_ms: if case.is_multiple_of(3) { 20_000 } else { 3 * STALE_HEAD_MS },
+        raw_chunks: false,
+    };
+    let fast_db = TimeSeriesDb::with_config(config.clone());
+    let slow_db = TimeSeriesDb::with_config(config);
+    let endpoint = Arc::new(ScriptedEndpoint::default());
+    let target =
+        || ScrapeTargetConfig::new("gen_exporter", "node-1:9999").with_label("node", "node-1");
+    // Modelled durations: outcome equality includes `duration_seconds`,
+    // which measured wall time would never reproduce across two runs.
+    let fast = Scraper::new(fast_db.clone()).with_modelled_durations(); // FastLane default
+    fast.add_target(target(), endpoint.clone());
+    let slow = Scraper::new(slow_db.clone())
+        .with_ingest_mode(IngestMode::PerSample)
+        .with_modelled_durations();
+    slow.add_target(target(), endpoint.clone());
+
+    let mut pool: Vec<GenSeries> = (0..initial_series).map(|_| gen_series(&mut rng)).collect();
+    let mut now = 0;
+    let mut stale_sealed = false;
+    for round in 1..=rounds {
+        // One round in four the clock jumps past the stale-head window
+        // and half the series sit the round out.
+        let jumped = rng.below(4) == 0;
+        now += if jumped { STALE_HEAD_MS + 5_000 } else { 5_000 };
+        // Churn: occasionally a new series joins the pool…
+        if rng.below(3) == 0 {
+            pool.push(gen_series(&mut rng));
+        }
+        // …and every series skips some rounds (vanish + reappear).
+        let turnout = if jumped { 5 } else { 8 };
+        let active: Vec<bool> = pool.iter().map(|_| rng.below(10) < turnout).collect();
+        endpoint.set(build_families(&pool, &active, &mut rng, now));
+
+        fast.scrape_once(now);
+        slow.scrape_once(now);
+
+        // Mid-stream maintenance, applied to both sides identically —
+        // always after a jump: whatever sat it out is stale by now.
+        if jumped || rng.below(4) == 0 {
+            assert_eq!(fast_db.apply_retention(), slow_db.apply_retention());
+        }
+        if rng.below(5) == 0 {
+            let metric = METRICS[rng.below(METRICS.len() as u64) as usize];
+            let selector = Selector::metric(metric);
+            assert_eq!(fast_db.drop_series(&selector), slow_db.drop_series(&selector));
+        }
+
+        assert_eq!(
+            fingerprint(&fast_db),
+            fingerprint(&slow_db),
+            "databases diverged at round {round} (case {case})"
+        );
+        stale_sealed |= shows_a_stale_seal(&fast_db);
+    }
+    // The property is only interesting if the workload exercised the db.
+    assert!(fast_db.stats().samples > 0 || rounds == 0);
+    stale_sealed
+}
+
 proptest! {
     #[test]
     fn fast_lane_and_per_sample_build_identical_databases(
@@ -123,58 +208,13 @@ proptest! {
         rounds in 5u64..12,
         case in 0u64..1_000_000,
     ) {
-        let mut rng = TestRng::deterministic(&format!("ingest-equivalence-{case}"));
-        let config = TsdbConfig {
-            chunk_size: 4,          // low, so rounds seal chunks mid-stream
-            retention_ms: 20_000,   // four rounds: retention bites and evicts
-            raw_chunks: false,
-        };
-        let fast_db = TimeSeriesDb::with_config(config.clone());
-        let slow_db = TimeSeriesDb::with_config(config);
-        let endpoint = Arc::new(ScriptedEndpoint::default());
-        let target = || {
-            ScrapeTargetConfig::new("gen_exporter", "node-1:9999").with_label("node", "node-1")
-        };
-        // Modelled durations: outcome equality includes `duration_seconds`,
-        // which measured wall time would never reproduce across two runs.
-        let fast = Scraper::new(fast_db.clone()).with_modelled_durations(); // FastLane default
-        fast.add_target(target(), endpoint.clone());
-        let slow = Scraper::new(slow_db.clone())
-            .with_ingest_mode(IngestMode::PerSample)
-            .with_modelled_durations();
-        slow.add_target(target(), endpoint.clone());
-
-        let mut pool: Vec<GenSeries> = (0..initial_series).map(|_| gen_series(&mut rng)).collect();
-        for round in 1..=rounds {
-            let now = round * 5_000;
-            // Churn: occasionally a new series joins the pool…
-            if rng.below(3) == 0 {
-                pool.push(gen_series(&mut rng));
-            }
-            // …and every series skips some rounds (vanish + reappear).
-            let active: Vec<bool> = pool.iter().map(|_| rng.below(10) < 8).collect();
-            endpoint.set(build_families(&pool, &active, &mut rng, now));
-
-            fast.scrape_once(now);
-            slow.scrape_once(now);
-
-            // Mid-stream maintenance, applied to both sides identically.
-            if rng.below(4) == 0 {
-                assert_eq!(fast_db.apply_retention(), slow_db.apply_retention());
-            }
-            if rng.below(5) == 0 {
-                let metric = METRICS[rng.below(METRICS.len() as u64) as usize];
-                let selector = Selector::metric(metric);
-                assert_eq!(fast_db.drop_series(&selector), slow_db.drop_series(&selector));
-            }
-
-            assert_eq!(
-                fingerprint(&fast_db),
-                fingerprint(&slow_db),
-                "databases diverged at round {round} (case {case})"
-            );
-        }
-        // The property is only interesting if the workload exercised the db.
-        assert!(fast_db.stats().samples > 0 || rounds == 0);
+        run_case(initial_series, rounds, case);
     }
+}
+
+#[test]
+fn the_stale_head_rule_fires_inside_the_sweep() {
+    // The property above only covers the rule if the generator reaches it.
+    let fired = (0..16).filter(|&case| run_case(12, 11, case)).count();
+    assert!(fired >= 4, "only {fired} of 16 cases sealed a stale head");
 }

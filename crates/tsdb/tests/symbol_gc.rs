@@ -8,7 +8,10 @@
 //! same series with byte-identical name and label strings at every check
 //! point (no live `SymbolId` may ever resolve to the wrong string, however
 //! many sweeps, rebinds and restarts happened in between), while its symbol
-//! accounting never exceeds the twin's.
+//! accounting never exceeds the twin's.  The clock jumps past the stale-head
+//! window every few rounds, so retention passes also seal idle heads — in
+//! the restarted store and the twin alike, or their chunk and byte counts
+//! part ways.
 //!
 //! A deterministic churn coda then proves the reclaim side: rounds of
 //! all-new label strings whose series are dropped the next round must leave
@@ -20,21 +23,39 @@ use std::sync::Arc;
 
 use proptest::{proptest, TestRng};
 use teemon_metrics::Labels;
-use teemon_tsdb::{DurabilityOptions, FaultFs, FsyncMode, Selector, TimeSeriesDb, TsdbConfig};
+use teemon_tsdb::{
+    DurabilityOptions, FaultFs, FsyncMode, Selector, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
+};
 
 const METRICS: [&str; 3] = ["sgx_epc_pages", "teemon_syscalls_total", "proc_cpu_seconds"];
+const CHUNK_SIZE: usize = 4;
 
-fn config() -> TsdbConfig {
-    TsdbConfig { chunk_size: 4, retention_ms: 30_000, raw_chunks: false }
+/// Six rounds of retention — series age out before anything goes stale — or
+/// long enough for idle heads to be sealed, revived and evicted a few clock
+/// jumps later.
+fn config(case: u64) -> TsdbConfig {
+    let retention_ms = if case.is_multiple_of(3) { 30_000 } else { 3 * STALE_HEAD_MS };
+    TsdbConfig { chunk_size: CHUNK_SIZE, retention_ms, raw_chunks: false }
 }
 
-fn open(fs: &FaultFs, segment_bytes: u64) -> TimeSeriesDb {
+fn open(fs: &FaultFs, segment_bytes: u64, case: u64) -> TimeSeriesDb {
     let options = DurabilityOptions {
         segment_bytes,
         fsync: FsyncMode::EveryCommit,
         fs: Arc::new(fs.clone()),
     };
-    TimeSeriesDb::open_with(Path::new("/wal"), config(), options).expect("FaultFs open cannot fail")
+    TimeSeriesDb::open_with(Path::new("/wal"), config(case), options)
+        .expect("FaultFs open cannot fail")
+}
+
+/// Whether some series of `db` carries a head that a retention pass sealed
+/// as stale: a chunk cut short of [`CHUNK_SIZE`] that full ones or a new
+/// head follow, or a lone short chunk that is stored compressed.
+fn shows_a_stale_seal(db: &TimeSeriesDb) -> bool {
+    db.select(&Selector::all()).iter().any(|s| {
+        s.chunk_count() > s.len().div_ceil(CHUNK_SIZE)
+            || s.chunk_count() == 1 && s.len() < CHUNK_SIZE && s.resident_bytes() < s.len() * 16
+    })
 }
 
 /// One series as compared across databases: name, rendered labels, data.
@@ -92,6 +113,125 @@ fn apply(db: &TimeSeriesDb, op: &Op, now: u64) {
     }
 }
 
+/// Runs one generated workload against the durable store and its twin;
+/// returns whether a stale head was sealed along the way.
+fn run_case(rounds: u64, churn_per_round: usize, case: u64) -> bool {
+    let mut rng = TestRng::deterministic(&format!("symbol-gc-{case}"));
+    // Tiny segments checkpoint (and sweep) nearly every round; the huge
+    // alternative exercises the no-checkpoint path, where cooling entries
+    // simply accumulate until a sweep finally runs.
+    let segment_bytes = if case.is_multiple_of(2) { 96 } else { 1 << 20 };
+    let fs = FaultFs::new();
+    let mut durable = open(&fs, segment_bytes, case);
+    let volatile = TimeSeriesDb::with_config(config(case));
+
+    let mut live_tags: Vec<String> = Vec::new();
+    let mut now = 0;
+    let mut stale_sealed = false;
+    for round in 1..=rounds {
+        // One round in four the clock jumps past the stale-head window;
+        // the retention pass that ends such a round finds whatever was
+        // not appended to in it stale.
+        let jumped = rng.below(4) == 0;
+        now += if jumped { STALE_HEAD_MS + 5_000 } else { 5_000 };
+        let mut ops: Vec<Op> = Vec::new();
+        for i in 0..churn_per_round {
+            let tag = format!("r{round}-{i}");
+            ops.push(Op::Churn {
+                metric: rng.below(METRICS.len() as u64) as usize,
+                tag: tag.clone(),
+            });
+            live_tags.push(tag);
+        }
+        for _ in 0..rng.below(3) {
+            ops.push(Op::Stable {
+                metric: rng.below(METRICS.len() as u64) as usize,
+                node: rng.below(3) as usize,
+            });
+        }
+        // Drop a random live churn tag (usually an old one), sometimes a
+        // stable node, sometimes run retention.
+        if !live_tags.is_empty() && rng.below(3) > 0 {
+            let at = rng.below(live_tags.len() as u64) as usize;
+            ops.push(Op::Drop { tag: live_tags.swap_remove(at) });
+        }
+        if rng.below(6) == 0 {
+            ops.push(Op::DropStable { node: rng.below(3) as usize });
+        }
+        if jumped || rng.below(4) == 0 {
+            ops.push(Op::Retention);
+        }
+        for op in &ops {
+            apply(&durable, op, now);
+            apply(&volatile, op, now);
+        }
+        assert!(durable.wal_flush(), "fault-free flush must stay clean");
+
+        // A clean restart mid-workload: sweeps, frees and rebinds done
+        // so far must round-trip the log.
+        if rng.below(3) == 0 {
+            drop(durable);
+            durable = open(&fs, segment_bytes, case);
+        }
+
+        // The oracle: byte-identical series strings and samples.  The
+        // twin never sweeps, so its interned set only grows; the
+        // durable table must never exceed it while resolving the same.
+        assert_eq!(
+            dump(&durable),
+            dump(&volatile),
+            "case {case} round {round}: durable series diverged from the volatile twin"
+        );
+        let (d, v) = (durable.stats(), volatile.stats());
+        assert_eq!(
+            (d.series, d.samples, d.chunks, d.rejected_samples, d.resident_bytes),
+            (v.series, v.samples, v.chunks, v.rejected_samples, v.resident_bytes),
+            "case {case} round {round}: aggregate stats diverged"
+        );
+        assert!(
+            d.symbols <= v.symbols && d.symbol_bytes <= v.symbol_bytes,
+            "case {case} round {round}: the GC'd table ({} syms, {} bytes) must never \
+                 exceed the never-swept twin ({} syms, {} bytes)",
+            d.symbols,
+            d.symbol_bytes,
+            v.symbols,
+            v.symbol_bytes
+        );
+        stale_sealed |= shows_a_stale_seal(&durable);
+    }
+
+    // Churn coda: every round interns brand-new strings and drops the
+    // previous round's.  With tiny segments the symbol table is
+    // checkpointed (and swept) every few rounds, so the durable symbol
+    // count must plateau while the never-swept twin keeps absorbing
+    // every tag it ever saw.
+    if segment_bytes == 96 {
+        for round in 0..12u64 {
+            now += 5_000;
+            let tag = format!("coda-{round}");
+            let op = Op::Churn { metric: 0, tag: tag.clone() };
+            apply(&durable, &op, now);
+            apply(&volatile, &op, now);
+            if round > 0 {
+                let gone = Op::Drop { tag: format!("coda-{}", round - 1) };
+                apply(&durable, &gone, now);
+                apply(&volatile, &gone, now);
+            }
+            assert!(durable.wal_flush(), "coda flush must stay clean");
+        }
+        let (d, v) = (durable.stats(), volatile.stats());
+        assert_eq!(dump(&durable), dump(&volatile), "case {case}: coda dumps diverged");
+        assert!(
+            d.symbols + 8 <= v.symbols,
+            "case {case}: 12 churn rounds must leave the swept table ({}) well below \
+                 the leak baseline ({})",
+            d.symbols,
+            v.symbols
+        );
+    }
+    stale_sealed
+}
+
 proptest! {
     #[test]
     fn live_symbols_resolve_exactly_across_sweeps_and_restarts(
@@ -99,105 +239,13 @@ proptest! {
         churn_per_round in 1usize..4,
         case in 0u64..1_000_000,
     ) {
-        let mut rng = TestRng::deterministic(&format!("symbol-gc-{case}"));
-        // Tiny segments checkpoint (and sweep) nearly every round; the huge
-        // alternative exercises the no-checkpoint path, where cooling entries
-        // simply accumulate until a sweep finally runs.
-        let segment_bytes = if case % 2 == 0 { 96 } else { 1 << 20 };
-        let fs = FaultFs::new();
-        let mut durable = open(&fs, segment_bytes);
-        let volatile = TimeSeriesDb::with_config(config());
-
-        let mut live_tags: Vec<String> = Vec::new();
-        for round in 1..=rounds {
-            let now = round * 5_000;
-            let mut ops: Vec<Op> = Vec::new();
-            for i in 0..churn_per_round {
-                let tag = format!("r{round}-{i}");
-                ops.push(Op::Churn { metric: rng.below(METRICS.len() as u64) as usize, tag: tag.clone() });
-                live_tags.push(tag);
-            }
-            for _ in 0..rng.below(3) {
-                ops.push(Op::Stable {
-                    metric: rng.below(METRICS.len() as u64) as usize,
-                    node: rng.below(3) as usize,
-                });
-            }
-            // Drop a random live churn tag (usually an old one), sometimes a
-            // stable node, sometimes run retention.
-            if !live_tags.is_empty() && rng.below(3) > 0 {
-                let at = rng.below(live_tags.len() as u64) as usize;
-                ops.push(Op::Drop { tag: live_tags.swap_remove(at) });
-            }
-            if rng.below(6) == 0 {
-                ops.push(Op::DropStable { node: rng.below(3) as usize });
-            }
-            if rng.below(4) == 0 {
-                ops.push(Op::Retention);
-            }
-            for op in &ops {
-                apply(&durable, op, now);
-                apply(&volatile, op, now);
-            }
-            assert!(durable.wal_flush(), "fault-free flush must stay clean");
-
-            // A clean restart mid-workload: sweeps, frees and rebinds done
-            // so far must round-trip the log.
-            if rng.below(3) == 0 {
-                drop(durable);
-                durable = open(&fs, segment_bytes);
-            }
-
-            // The oracle: byte-identical series strings and samples.  The
-            // twin never sweeps, so its interned set only grows; the
-            // durable table must never exceed it while resolving the same.
-            assert_eq!(
-                dump(&durable),
-                dump(&volatile),
-                "case {case} round {round}: durable series diverged from the volatile twin"
-            );
-            let (d, v) = (durable.stats(), volatile.stats());
-            assert_eq!(
-                (d.series, d.samples, d.chunks, d.rejected_samples, d.resident_bytes),
-                (v.series, v.samples, v.chunks, v.rejected_samples, v.resident_bytes),
-                "case {case} round {round}: aggregate stats diverged"
-            );
-            assert!(
-                d.symbols <= v.symbols && d.symbol_bytes <= v.symbol_bytes,
-                "case {case} round {round}: the GC'd table ({} syms, {} bytes) must never \
-                 exceed the never-swept twin ({} syms, {} bytes)",
-                d.symbols, d.symbol_bytes, v.symbols, v.symbol_bytes
-            );
-        }
-
-        // Churn coda: every round interns brand-new strings and drops the
-        // previous round's.  With tiny segments the symbol table is
-        // checkpointed (and swept) every few rounds, so the durable symbol
-        // count must plateau while the never-swept twin keeps absorbing
-        // every tag it ever saw.
-        if segment_bytes == 96 {
-            let base = rounds;
-            for round in 0..12u64 {
-                let now = (base + round + 1) * 5_000;
-                let tag = format!("coda-{round}");
-                let op = Op::Churn { metric: 0, tag: tag.clone() };
-                apply(&durable, &op, now);
-                apply(&volatile, &op, now);
-                if round > 0 {
-                    let gone = Op::Drop { tag: format!("coda-{}", round - 1) };
-                    apply(&durable, &gone, now);
-                    apply(&volatile, &gone, now);
-                }
-                assert!(durable.wal_flush(), "coda flush must stay clean");
-            }
-            let (d, v) = (durable.stats(), volatile.stats());
-            assert_eq!(dump(&durable), dump(&volatile), "case {case}: coda dumps diverged");
-            assert!(
-                d.symbols + 8 <= v.symbols,
-                "case {case}: 12 churn rounds must leave the swept table ({}) well below \
-                 the leak baseline ({})",
-                d.symbols, v.symbols
-            );
-        }
+        run_case(rounds, churn_per_round, case);
     }
+}
+
+#[test]
+fn the_stale_head_rule_fires_inside_the_sweep() {
+    // The property above only covers the rule if the generator reaches it.
+    let fired = (0..16).filter(|&case| run_case(13, 3, case)).count();
+    assert!(fired >= 4, "only {fired} of 16 cases sealed a stale head");
 }

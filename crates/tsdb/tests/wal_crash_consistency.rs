@@ -7,6 +7,11 @@
 //! offsets (plus the exact ack boundaries) and reopened.  The recovered
 //! database must equal the acked prefix exactly: same series with the same
 //! ids in the same creation order, same samples, same aggregate stats.
+//!
+//! The scrape clock jumps past the stale-head window every few rounds and
+//! most cases retain longer than it, so retention passes seal idle heads
+//! mid-stream — a rule with no WAL record of its own, which replay must
+//! reproduce from the retention record and the state it rebuilt.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -16,7 +21,7 @@ use proptest::{proptest, TestRng};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_tsdb::{
     CrashModel, DurabilityOptions, FaultFs, FsyncMode, MetricsEndpoint, ScrapeError,
-    ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb, TsdbConfig,
+    ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
 };
 
 /// An endpoint whose snapshot set the test rewrites every round.
@@ -129,6 +134,130 @@ fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
     (format!("{:?}", db.stats()), series)
 }
 
+/// Samples per chunk: low, so rounds seal chunks mid-stream.
+const CHUNK_SIZE: usize = 4;
+
+/// Whether some series of `db` carries a head that a retention pass sealed
+/// as stale: a chunk cut short of [`CHUNK_SIZE`] that full ones or a new
+/// head follow, or a lone short chunk that is stored compressed.
+fn shows_a_stale_seal(db: &TimeSeriesDb) -> bool {
+    db.select(&Selector::all()).iter().any(|s| {
+        s.chunk_count() > s.len().div_ceil(CHUNK_SIZE)
+            || s.chunk_count() == 1 && s.len() < CHUNK_SIZE && s.resident_bytes() < s.len() * 16
+    })
+}
+
+/// Runs one generated workload and its crash sweep; returns whether a stale
+/// head was sealed along the way.
+fn run_case(initial_series: usize, rounds: u64, case: u64) -> bool {
+    let mut rng = TestRng::deterministic(&format!("wal-crash-consistency-{case}"));
+    let config = TsdbConfig {
+        chunk_size: CHUNK_SIZE,
+        // Four rounds — retention bites and evicts before anything goes
+        // stale — or long enough for idle heads to be sealed, revived
+        // and evicted a few clock jumps later.
+        retention_ms: if case.is_multiple_of(3) { 20_000 } else { 3 * STALE_HEAD_MS },
+        raw_chunks: false,
+    };
+    // Tiny segments on half the cases, so rotation interleaves the
+    // workload.
+    let rotating = case.is_multiple_of(2);
+    let segment_bytes = if rotating { 128 } else { u64::MAX };
+    let fs = FaultFs::new();
+    let options = DurabilityOptions {
+        segment_bytes,
+        fsync: FsyncMode::EveryCommit,
+        fs: Arc::new(fs.clone()),
+    };
+    let db = TimeSeriesDb::open_with(Path::new("/wal"), config.clone(), options)
+        .expect("FaultFs open cannot fail");
+    assert!(db.durable());
+    let endpoint = Arc::new(ScriptedEndpoint::default());
+    let scraper = Scraper::new(db.clone()).with_modelled_durations();
+    scraper.add_target(
+        ScrapeTargetConfig::new("gen_exporter", "node-1:9999").with_label("node", "node-1"),
+        endpoint.clone(),
+    );
+
+    // (bytes on disk at the ack, fingerprint of the acked state).
+    let mut acked = vec![(0u64, fingerprint(&db))];
+    let mut pool: Vec<GenSeries> = (0..initial_series).map(|_| gen_series(&mut rng)).collect();
+    // Sized by events, not bytes: the drawn number of rounds, and for a
+    // rotating case on until segments were sealed and deleted and both
+    // kinds of snapshot installed — the sweep below must cross them.
+    let mut round = 0;
+    let mut now = 0;
+    let mut stale_sealed = false;
+    let mut jumped = false;
+    while round < rounds || rotating && !went_full_cycle(&fs) {
+        round += 1;
+        assert!(round <= 100, "case {case}: no full checkpoint cycle in 100 rounds");
+        // Maintenance first: its WAL records ride along with this
+        // round's appends and are covered by the same commit.  The
+        // round after a clock jump always starts with a retention pass:
+        // whatever sat the jump out is stale by then.
+        if jumped || rng.below(4) == 0 {
+            db.apply_retention();
+        }
+        // One round in four the clock jumps past the stale-head window
+        // and half the series sit the round out.
+        jumped = rng.below(4) == 0;
+        now += if jumped { STALE_HEAD_MS + 5_000 } else { 5_000 };
+        if rng.below(5) == 0 {
+            let metric = METRICS[rng.below(METRICS.len() as u64) as usize];
+            db.drop_series(&Selector::metric(metric));
+        }
+        // Churn: occasionally a new series joins the pool, and every
+        // series skips some rounds (vanish + reappear).
+        if rng.below(3) == 0 {
+            pool.push(gen_series(&mut rng));
+        }
+        let turnout = if jumped { 5 } else { 8 };
+        let active: Vec<bool> = pool.iter().map(|_| rng.below(10) < turnout).collect();
+        endpoint.set(build_families(&pool, &active, &mut rng, now));
+
+        // The scrape round ends with the WAL flush — the ack point.
+        scraper.scrape_once(now);
+        acked.push((fs.total_write_bytes(), fingerprint(&db)));
+        stale_sealed |= shows_a_stale_seal(&db);
+    }
+    assert!(db.stats().samples > 0, "workload must exercise the db");
+    assert_eq!(db.stats().wal_failed_shards, 0, "fault-free run must stay clean");
+
+    // Kill the log at random offsets plus every exact ack boundary.
+    let total = fs.total_write_bytes();
+    let mut offsets: Vec<u64> = acked.iter().map(|(bytes, _)| *bytes).collect();
+    for _ in 0..24 {
+        offsets.push(rng.below(total + 1));
+    }
+    for k in offsets {
+        for model in [CrashModel::Torn, CrashModel::SyncedOnly] {
+            let image = fs.crashed(k, model);
+            let recovered = TimeSeriesDb::open_with(
+                Path::new("/wal"),
+                config.clone(),
+                DurabilityOptions {
+                    segment_bytes,
+                    fsync: FsyncMode::EveryCommit,
+                    fs: Arc::new(image),
+                },
+            )
+            .expect("FaultFs open cannot fail");
+            let expected = acked
+                .iter()
+                .rev()
+                .find(|(bytes, _)| *bytes <= k)
+                .expect("acked[0] covers budget 0");
+            assert_eq!(
+                fingerprint(&recovered),
+                expected.1,
+                "crash at byte {k}/{total} ({model:?}, case {case}) diverged from the acked prefix"
+            );
+        }
+    }
+    stale_sealed
+}
+
 proptest! {
     #[test]
     fn recovery_equals_the_acked_prefix(
@@ -136,97 +265,14 @@ proptest! {
         rounds in 5u64..12,
         case in 0u64..1_000_000,
     ) {
-        let mut rng = TestRng::deterministic(&format!("wal-crash-consistency-{case}"));
-        let config = TsdbConfig {
-            chunk_size: 4,          // low, so rounds seal chunks mid-stream
-            retention_ms: 20_000,   // four rounds: retention bites and evicts
-            raw_chunks: false,
-        };
-        // Tiny segments on half the cases, so rotation interleaves the
-        // workload.
-        let rotating = case % 2 == 0;
-        let segment_bytes = if rotating { 128 } else { u64::MAX };
-        let fs = FaultFs::new();
-        let options = DurabilityOptions {
-            segment_bytes,
-            fsync: FsyncMode::EveryCommit,
-            fs: Arc::new(fs.clone()),
-        };
-        let db = TimeSeriesDb::open_with(Path::new("/wal"), config.clone(), options)
-            .expect("FaultFs open cannot fail");
-        assert!(db.durable());
-        let endpoint = Arc::new(ScriptedEndpoint::default());
-        let scraper = Scraper::new(db.clone()).with_modelled_durations();
-        scraper.add_target(
-            ScrapeTargetConfig::new("gen_exporter", "node-1:9999").with_label("node", "node-1"),
-            endpoint.clone(),
-        );
-
-        // (bytes on disk at the ack, fingerprint of the acked state).
-        let mut acked = vec![(0u64, fingerprint(&db))];
-        let mut pool: Vec<GenSeries> = (0..initial_series).map(|_| gen_series(&mut rng)).collect();
-        // Sized by events, not bytes: the drawn number of rounds, and for a
-        // rotating case on until segments were sealed and deleted and both
-        // kinds of snapshot installed — the sweep below must cross them.
-        let mut round = 0;
-        while round < rounds || rotating && !went_full_cycle(&fs) {
-            round += 1;
-            assert!(round <= 100, "case {case}: no full checkpoint cycle in 100 rounds");
-            let now = round * 5_000;
-            // Maintenance first: its WAL records ride along with this
-            // round's appends and are covered by the same commit.
-            if rng.below(4) == 0 {
-                db.apply_retention();
-            }
-            if rng.below(5) == 0 {
-                let metric = METRICS[rng.below(METRICS.len() as u64) as usize];
-                db.drop_series(&Selector::metric(metric));
-            }
-            // Churn: occasionally a new series joins the pool, and every
-            // series skips some rounds (vanish + reappear).
-            if rng.below(3) == 0 {
-                pool.push(gen_series(&mut rng));
-            }
-            let active: Vec<bool> = pool.iter().map(|_| rng.below(10) < 8).collect();
-            endpoint.set(build_families(&pool, &active, &mut rng, now));
-
-            // The scrape round ends with the WAL flush — the ack point.
-            scraper.scrape_once(now);
-            acked.push((fs.total_write_bytes(), fingerprint(&db)));
-        }
-        assert!(db.stats().samples > 0, "workload must exercise the db");
-        assert_eq!(db.stats().wal_failed_shards, 0, "fault-free run must stay clean");
-
-        // Kill the log at random offsets plus every exact ack boundary.
-        let total = fs.total_write_bytes();
-        let mut offsets: Vec<u64> = acked.iter().map(|(bytes, _)| *bytes).collect();
-        for _ in 0..24 {
-            offsets.push(rng.below(total + 1));
-        }
-        for k in offsets {
-            for model in [CrashModel::Torn, CrashModel::SyncedOnly] {
-                let image = fs.crashed(k, model);
-                let recovered = TimeSeriesDb::open_with(
-                    Path::new("/wal"),
-                    config.clone(),
-                    DurabilityOptions {
-                        segment_bytes,
-                        fsync: FsyncMode::EveryCommit,
-                        fs: Arc::new(image),
-                    },
-                )
-                .expect("FaultFs open cannot fail");
-                let expected = acked
-                    .iter()
-                    .rev()
-                    .find(|(bytes, _)| *bytes <= k)
-                    .expect("acked[0] covers budget 0");
-                assert_eq!(
-                    fingerprint(&recovered),
-                    expected.1,
-                    "crash at byte {k}/{total} ({model:?}, case {case}) diverged from the acked prefix"
-                );
-            }
-        }
+        run_case(initial_series, rounds, case);
     }
+}
+
+#[test]
+fn the_stale_head_rule_fires_inside_the_sweep() {
+    // The property above only covers the rule if the generator reaches it:
+    // a fixed set of cases must seal stale heads before their crash sweeps.
+    let fired = (0..16).filter(|&case| run_case(12, 11, case)).count();
+    assert!(fired >= 4, "only {fired} of 16 cases sealed a stale head");
 }
