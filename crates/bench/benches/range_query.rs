@@ -7,10 +7,10 @@
 //! tree as `QueryEngine::range_per_step` — both the fallback and the
 //! equivalence oracle — so the speedup stays visible as both paths evolve.
 //!
-//! A second group compares scanning sealed chunks in their Gorilla-compressed
-//! form against the raw-chunk storage mode (`TsdbConfig::raw_chunks`), and
-//! the run prints the storage engine's bytes/sample so compression is
-//! recorded alongside the timings (see `BENCH_query_range.json`).
+//! A second group times a full scan of the stored chunks — Gorilla blocks,
+//! sealed and open alike — and the run prints the storage engine's
+//! bytes/sample so compression is recorded alongside the timing (see
+//! `BENCH_query_range.json`).
 //!
 //! Set `TEEMON_BENCH_SMOKE=1` (as CI does) to shrink the data set for a fast
 //! correctness pass.
@@ -38,12 +38,8 @@ const SCRAPE_INTERVAL_MS: u64 = 15_000;
 const STEP_MS: u64 = 15_000;
 
 /// `SERIES` monotone counters over `span_ms` at the scrape cadence.
-fn populate(span_ms: u64, raw_chunks: bool) -> TimeSeriesDb {
-    let db = TimeSeriesDb::with_config(TsdbConfig {
-        chunk_size: 120,
-        retention_ms: u64::MAX,
-        raw_chunks,
-    });
+fn populate(span_ms: u64) -> TimeSeriesDb {
+    let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 120, retention_ms: u64::MAX });
     let series = if smoke() { 8 } else { SERIES };
     let keys: Vec<Labels> = (0..series)
         .map(|i| {
@@ -74,7 +70,7 @@ fn bench_range(c: &mut Criterion) {
         &[("1h", 60 * 60 * 1000), ("24h", 24 * 60 * 60 * 1000)]
     };
     for &(label, span_ms) in windows {
-        let db = populate(span_ms, false);
+        let db = populate(span_ms);
         let engine = QueryEngine::new(db.clone());
         let rate = parse("rate(bench_requests_total[5m])").unwrap();
         let grouped = parse("sum by (node) (rate(bench_requests_total[5m]))").unwrap();
@@ -105,34 +101,31 @@ fn bench_range(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full-range scans over sealed chunks: Gorilla-compressed vs raw storage.
+/// Full-range scans over the stored chunks.
 fn bench_chunk_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/range_query");
     group.sample_size(sample_count());
     let span_ms = if smoke() { 10 * 60 * 1000 } else { 60 * 60 * 1000 };
     let selector = Selector::metric("bench_requests_total");
 
-    for (label, raw_chunks) in [("compressed", false), ("raw", true)] {
-        let db = populate(span_ms, raw_chunks);
-        let snapshots = db.select(&selector);
-        group.bench_function(format!("chunk_scan/{label}"), |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for snapshot in &snapshots {
-                    total += black_box(snapshot.points_in(0, u64::MAX)).len();
-                }
-                total
-            })
-        });
-        let stats = db.stats();
-        println!(
-            "micro/range_query setup: {label} storage holds {} samples in {} bytes \
-             ({:.2} bytes/sample)",
-            stats.samples,
-            stats.resident_bytes,
-            stats.bytes_per_sample()
-        );
-    }
+    let db = populate(span_ms);
+    let snapshots = db.select(&selector);
+    group.bench_function("chunk_scan/compressed", |b| {
+        b.iter(|| {
+            let mut total = 0usize;
+            for snapshot in &snapshots {
+                total += black_box(snapshot.points_in(0, u64::MAX)).len();
+            }
+            total
+        })
+    });
+    let stats = db.stats();
+    println!(
+        "micro/range_query setup: storage holds {} samples in {} bytes ({:.2} bytes/sample)",
+        stats.samples,
+        stats.resident_bytes,
+        stats.bytes_per_sample()
+    );
     group.finish();
 }
 

@@ -3,9 +3,11 @@
 //! each measured against the pre-overhaul engine (one global lock, an owned
 //! `(String, Labels)` key map, and O(total-series) matcher scans with
 //! deep-cloned results), which is retained here as `LinearScanDb` so the
-//! speedup stays visible as both engines evolve — and `seal_1k/*`, the
-//! Gorilla encoder over one lock-step seal round (1 000 full heads) for three
-//! value shapes.
+//! speedup stays visible as both engines evolve — and the two rounds a
+//! lock-step set of 1 000 open heads pays the Gorilla encoder in, for three
+//! value shapes: `append_burst_1k/*`, the one round in eight that encodes
+//! every head's full tail, and `seal_1k/*`, the one in 120 that encodes the
+//! last tail and copies each block out.
 //!
 //! Set `TEEMON_BENCH_SMOKE=1` (as CI does) to shrink the data set and sample
 //! counts for a fast correctness pass.
@@ -17,7 +19,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::RwLock;
 use std::hint::black_box;
 use teemon_metrics::Labels;
-use teemon_tsdb::{chunk_codec, Sample, Selector, Series, TimeSeriesDb};
+use teemon_tsdb::chunk_codec::{self, BlockEncoder};
+use teemon_tsdb::{Sample, Selector, Series, TimeSeriesDb};
 
 fn smoke() -> bool {
     std::env::var_os("TEEMON_BENCH_SMOKE").is_some()
@@ -252,14 +255,21 @@ fn bench_append_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// What the round in which every series created together fills its head
-/// costs the encoder: 1 000 heads of 120 samples at a 5 s cadence, each
-/// encoded into one reused scratch the way a shard seals.  One iteration is
-/// 120 000 samples, so µs per iteration / 120 is ns per sample.  The shapes
-/// are the end-to-end benchmark's gauge (`pull_rounds_1k`: +1 per round) and
-/// counter (`dashboard_read`: a per-series slope), and a noisy float no
-/// window survives.
+/// What the two encoder rounds of 1 000 series created together cost: heads
+/// of 120 samples at a 5 s cadence, built the way the storage engine builds
+/// them — bursts of eight through a resumable [`BlockEncoder`] into the
+/// head's own buffer.  `append_burst_1k` is a mid-chunk round whose appends
+/// fill every tail (the eighth burst, onto 56 encoded samples);  `seal_1k`
+/// is the round that fills every head: the last burst and the exact-sized
+/// copy of the finished block (the `Arc<Chunk>` around it is the engine's).
+/// One iteration encodes 8 000 samples, so µs per iteration / 8 is ns per
+/// sample.  A push first cuts its buffer back to where its encoder stands,
+/// so every iteration re-runs the same burst from a saved encoder.  The
+/// shapes are the end-to-end benchmark's gauge (`pull_rounds_1k`: +1 per
+/// round) and counter (`dashboard_read`: a per-series slope), and a noisy
+/// float no window survives.
 fn bench_seal(c: &mut Criterion) {
+    const BURST: usize = 8;
     let series = if smoke() { 16 } else { 1_000 };
     type Shape = fn(usize, u64) -> f64;
     let shapes: [(&str, Shape); 3] = [
@@ -270,7 +280,7 @@ fn bench_seal(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/tsdb");
     group.sample_size(if smoke() { 2 } else { 30 });
     for (name, value) in shapes {
-        let heads: Vec<Vec<Sample>> = (0..series)
+        let samples: Vec<Vec<Sample>> = (0..series)
             .map(|i| {
                 (0..120u64)
                     .map(|tick| Sample {
@@ -280,17 +290,47 @@ fn bench_seal(c: &mut Criterion) {
                     .collect()
             })
             .collect();
-        let mut scratch = Vec::new();
-        group.bench_function(format!("seal_1k/{name}"), |b| {
-            b.iter(|| {
-                let mut bytes = 0;
-                for head in &heads {
-                    assert!(chunk_codec::encode_into(head, &mut scratch));
-                    bytes += scratch.len();
-                }
-                black_box(bytes)
-            })
-        });
+        // Each head as it stands before its burst number `bursts_before + 1`.
+        let heads_before = |bursts_before: usize| -> Vec<(BlockEncoder, Vec<u8>)> {
+            samples
+                .iter()
+                .map(|samples| {
+                    let mut encoder = BlockEncoder::new();
+                    let mut block = Vec::with_capacity(2_048);
+                    for burst in samples.chunks(BURST).take(bursts_before) {
+                        assert!(encoder.push(burst, &mut block));
+                        encoder.finish(&mut block);
+                    }
+                    (encoder, block)
+                })
+                .collect()
+        };
+        for (row, bursts_before, copy_out) in
+            [("append_burst_1k", 7, false), ("seal_1k", 120 / BURST - 1, true)]
+        {
+            let mut heads = heads_before(bursts_before);
+            group.bench_function(format!("{row}/{name}"), |b| {
+                b.iter(|| {
+                    let mut bytes = 0;
+                    for ((saved, block), samples) in heads.iter_mut().zip(&samples) {
+                        let mut encoder = *saved;
+                        let at = bursts_before * BURST;
+                        assert!(encoder.push(&samples[at..at + BURST], block));
+                        encoder.finish(block);
+                        if copy_out {
+                            let payload: Box<[u8]> = block.as_slice().into();
+                            bytes += black_box(payload).len();
+                        } else {
+                            bytes += block.len();
+                        }
+                    }
+                    black_box(bytes)
+                })
+            });
+        }
+        let whole = chunk_codec::encode(&samples[0]).expect("ordered samples");
+        let mut heads = heads_before(120 / BURST);
+        assert_eq!(heads.remove(0).1, whole, "bursts build the block `encode` does");
     }
     group.finish();
 }

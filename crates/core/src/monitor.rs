@@ -693,11 +693,8 @@ mod tests {
     fn the_monitoring_loop_enforces_retention() {
         // Ten minutes of retention at a 5 s interval: 120 rounds per window,
         // a pass every 8th round.
-        let db = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 8,
-            retention_ms: 10 * 60 * 1_000,
-            raw_chunks: false,
-        });
+        let db =
+            TimeSeriesDb::with_config(TsdbConfig { chunk_size: 8, retention_ms: 10 * 60 * 1_000 });
         let app_registry = teemon_metrics::Registry::new();
         app_registry.gauge_family("app_up", "liveness").default_instance().set(1.0);
         let host = MonitorBuilder::new("worker-1")

@@ -424,11 +424,8 @@ mod tests {
         // A tiny chunk size forces nearly all samples into sealed
         // (Gorilla-compressed) chunks: both panel paths must read through
         // the streaming decoders and agree with the default configuration.
-        let small_chunks = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 8,
-            retention_ms: u64::MAX,
-            raw_chunks: false,
-        });
+        let small_chunks =
+            TimeSeriesDb::with_config(TsdbConfig { chunk_size: 8, retention_ms: u64::MAX });
         let reference = db();
         for t in 0..10u64 {
             small_chunks.append(

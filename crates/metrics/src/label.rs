@@ -294,6 +294,40 @@ impl Labels {
         labels
     }
 
+    /// [`Labels::from_pairs`] for callers that hold string slices — the
+    /// packed form copies the bytes, so nothing needs to be owned first.  The
+    /// pairs are walked twice: once to size the set, so input already sorted
+    /// by distinct names (a stored series' key, say) costs one allocation up
+    /// to six labels and two past that, and once to fill it.  A later pair
+    /// replaces an earlier one with the same name; names are only checked by
+    /// a `debug_assert!`.
+    pub fn from_str_pairs<'a, I>(pairs: I) -> Self
+    where
+        I: IntoIterator<Item = (&'a str, &'a str)>,
+        I::IntoIter: Clone,
+    {
+        let pairs = pairs.into_iter();
+        let (mut count, mut bytes, mut sorted, mut last) = (0usize, 0usize, true, None);
+        for (k, v) in pairs.clone() {
+            debug_assert!(LabelName::is_valid(k), "invalid label name {k:?}");
+            sorted &= last.is_none_or(|last| last < k);
+            last = Some(k);
+            count += 1;
+            bytes += k.len() + v.len();
+        }
+        // Only for sorted, distinct names is the count exact, which
+        // `with_exact_capacity` needs; `insert_str` appends those in place.
+        let mut labels = if sorted {
+            Self::with_exact_capacity(count, bytes)
+        } else {
+            Self::with_capacity(bytes)
+        };
+        for (k, v) in pairs {
+            labels.insert_str(k, v);
+        }
+        labels
+    }
+
     /// Builds a label set from pairs, validating every label name.
     ///
     /// # Errors

@@ -58,6 +58,18 @@ fn assert_canonical(labels: &Labels, model: &Model) {
     assert_eq!(labels, &rebuilt, "equal content, equal representation");
     assert_eq!(hash_of(labels), hash_of(&rebuilt));
     assert!(labels.matches(&rebuilt) && rebuilt.matches(labels));
+    // The borrowed constructor lands on the same representation from sorted
+    // pairs (its one-allocation path), from reversed ones, and from pairs
+    // that repeat a name with a value that loses.  (Like `from_pairs`, it is
+    // for names the program wrote: it debug-asserts them valid.)
+    if !model.keys().all(|name| LabelName::is_valid(name)) {
+        return;
+    }
+    let pairs: Vec<(&str, &str)> = model.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+    assert_eq!(labels, &Labels::from_str_pairs(pairs.iter().copied()));
+    assert_eq!(labels, &Labels::from_str_pairs(pairs.iter().rev().copied()));
+    let stale = pairs.iter().map(|&(k, _)| (k, "stale")).chain(pairs.iter().copied());
+    assert_eq!(labels, &Labels::from_str_pairs(stale));
 }
 
 fn assert_agrees(labels: &Labels, model: &Model) {

@@ -328,6 +328,9 @@ probes! {
         { SHARD_APPENDS: ShardCounters }
     storage "teemon_tsdb_resident_bytes" "estimated bytes resident in sample storage"
         { STORAGE_RESIDENT_BYTES: Gauge }
+    storage "teemon_tsdb_head_bytes"
+        "the open heads' share of the resident bytes: blocks being built and their raw tails"
+        { STORAGE_HEAD_BYTES: Gauge }
     storage "teemon_tsdb_samples" "stored samples (retention shrinks it)"
         { STORAGE_SAMPLES: Gauge }
     storage "teemon_tsdb_bytes_per_sample" "average resident bytes per stored sample"

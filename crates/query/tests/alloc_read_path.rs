@@ -5,7 +5,9 @@
 //!   body, not a tree node per point;
 //! * running a streaming plan allocates `O(series + groups)` — the reused
 //!   decode buffer and columns, the group accumulators and the result — and
-//!   the count does not move when every series holds twice the samples.
+//!   the count does not move when every series holds twice the samples;
+//! * planning materialises each selected series' label set in one allocation,
+//!   however many labels it carries.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,7 +15,7 @@ use std::cell::Cell;
 use teemon_metrics::Labels;
 use teemon_query::stream::plan;
 use teemon_query::{json, parse, QueryEngine, RangeSeries};
-use teemon_tsdb::TimeSeriesDb;
+use teemon_tsdb::{Selector, TimeSeriesDb};
 
 struct CountingAllocator;
 
@@ -120,4 +122,42 @@ fn a_streaming_run_allocates_per_series_and_group_not_per_sample() {
     // One result series per group plus the shared buffers — far below one
     // per input series, let alone one per sample.
     assert!(allocations <= (NODES + 16) as u64, "{allocations} allocations");
+}
+
+/// `series` one-sample counters carrying `extra` labels besides `idx`.
+fn labelled_store(series: usize, extra: usize) -> TimeSeriesDb {
+    const NAMES: [&str; 5] = ["cluster", "job", "node", "pod", "zone"];
+    let db = TimeSeriesDb::new();
+    for i in 0..series {
+        let mut labels = Labels::from_pairs([("idx", format!("{i}"))]);
+        for name in NAMES.iter().take(extra) {
+            labels.insert(*name, format!("{name}-{}", i % 7));
+        }
+        db.append("m", &labels, 1_000, i as f64);
+    }
+    db
+}
+
+#[test]
+fn a_plan_materialises_each_label_set_in_one_allocation() {
+    const SERIES: usize = 300;
+    let expr = parse("rate(m[5m])").unwrap();
+    let planned = |extra: usize| {
+        let db = labelled_store(SERIES, extra);
+        let snapshots = db.select(&Selector::metric("m"));
+        let (labels, per_set) =
+            allocations_in(|| snapshots.iter().map(|s| s.to_labels()).collect::<Vec<_>>());
+        assert!(labels.iter().all(|l| l.len() == 1 + extra));
+        // One per label set, and the `Vec` holding them.
+        assert!(per_set <= SERIES as u64 + 1, "{per_set} allocations for {SERIES} label sets");
+        let (plan, allocations) =
+            allocations_in(|| plan(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, 0, 60_000));
+        assert!(plan.is_some());
+        allocations
+    };
+    // Borrowed pairs go straight into the packed set: five more labels a
+    // series are more bytes in the same allocations, not ten more `String`s
+    // each (a handful of buffers sized by the label count aside).
+    let (bare, labelled) = (planned(0), planned(5));
+    assert!(labelled <= bare + 8, "{bare} allocations bare, {labelled} with five labels more");
 }

@@ -19,11 +19,7 @@ const TICKS: u64 = 60;
 /// slope plus a small wobble so rates and quantiles are not round numbers;
 /// every other `m3` series resets half-way.
 fn store() -> TimeSeriesDb {
-    let db = TimeSeriesDb::with_config(TsdbConfig {
-        chunk_size: 16,
-        retention_ms: u64::MAX,
-        raw_chunks: false,
-    });
+    let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 16, retention_ms: u64::MAX });
     let mut i = 0u32;
     for name in 0..4 {
         for node in ["node-3", "node-7", "node-12"] {

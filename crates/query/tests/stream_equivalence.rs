@@ -15,11 +15,7 @@ type SeriesSpec = (u8, u8, Vec<(u8, u16)>);
 /// Builds a database from generated per-series shapes.  `chunk_size` is kept
 /// tiny so sealed (compressed) chunks are exercised, not just the head.
 fn build_db(series_specs: &[SeriesSpec]) -> TimeSeriesDb {
-    let db = TimeSeriesDb::with_config(TsdbConfig {
-        chunk_size: 7,
-        retention_ms: u64::MAX,
-        raw_chunks: false,
-    });
+    let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 7, retention_ms: u64::MAX });
     for (i, (metric_kind, node, samples)) in series_specs.iter().enumerate() {
         let metric = ["requests_total", "queue_depth", "free_pages"][*metric_kind as usize % 3];
         let labels =
@@ -110,11 +106,7 @@ proptest! {
 /// resets, duplicate timestamps, gaps longer than every window, and the IEEE
 /// specials in the data.
 fn build_wild_db(series_specs: &[(u8, Vec<(u8, u16)>)]) -> TimeSeriesDb {
-    let db = TimeSeriesDb::with_config(TsdbConfig {
-        chunk_size: 5,
-        retention_ms: u64::MAX,
-        raw_chunks: false,
-    });
+    let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 5, retention_ms: u64::MAX });
     for (i, (node, samples)) in series_specs.iter().enumerate() {
         let labels =
             Labels::from_pairs([("node", format!("n{}", node % 3)), ("idx", format!("{i}"))]);

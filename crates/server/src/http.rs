@@ -130,11 +130,15 @@ pub fn read_request(
     let mut tmp = [0u8; 4096];
 
     // Phase 1: accumulate bytes until the blank line ending the header
-    // block, under the header deadline and size limit.
+    // block, under the header deadline and size limit.  Each search resumes
+    // where the last one gave up, so a peer that drips the header a byte at
+    // a time buys a linear scan, not a quadratic one.
+    let mut searched = 0;
     let (header_end, body_start) = loop {
-        if let Some(found) = find_header_end(&buf) {
+        if let Some(found) = find_header_end(&buf, searched) {
             break found;
         }
+        searched = buf.len();
         if buf.len() > limits.max_header_bytes {
             return Err(ReadError::Oversized { what: "header", limit: limits.max_header_bytes });
         }
@@ -326,21 +330,33 @@ fn read_some(
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Bytes [`find_header_end`] has looked at on this thread: the work meter
+    /// the slow-drip test bounds.
+    static HEADER_BYTES_EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Finds the end of the header block: `(bytes before the blank line, offset
-/// of the first body byte)`.  Accepts both CRLF and bare-LF line endings.
-fn find_header_end(buf: &[u8]) -> Option<(usize, usize)> {
-    let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| (i, i + 4));
-    let lf = buf.windows(2).position(|w| w == b"\n\n").map(|i| (i, i + 2));
-    match (crlf, lf) {
-        (Some((c, cb)), Some((l, lb))) => {
-            if c <= l {
-                Some((c, cb))
-            } else {
-                Some((l, lb))
-            }
+/// of the first body byte)` of the first blank line, CRLF or bare LF.
+/// `searched` is the length of the prefix an earlier call found none in; a
+/// terminator may straddle its end, so the scan resumes three bytes before.
+fn find_header_end(buf: &[u8], searched: usize) -> Option<(usize, usize)> {
+    let from = searched.saturating_sub(3);
+    let rest = buf.get(from..).unwrap_or_default();
+    for (offset, &byte) in rest.iter().enumerate() {
+        #[cfg(test)]
+        HEADER_BYTES_EXAMINED.with(|examined| examined.set(examined.get() + 1));
+        let at = from + offset;
+        let after = rest.get(offset + 1..).unwrap_or_default();
+        if byte == b'\r' && after.starts_with(b"\n\r\n") {
+            return Some((at, at + 4));
         }
-        (found, None) | (None, found) => found,
+        if byte == b'\n' && after.first() == Some(&b'\n') {
+            return Some((at, at + 2));
+        }
     }
+    None
 }
 
 /// Decodes `%XX` escapes and `+`-as-space.  Invalid escapes pass through
@@ -598,6 +614,59 @@ mod tests {
         }
         let mut conn = MockConn::new(steps);
         assert!(matches!(read(&mut conn), Err(ReadError::Oversized { what: "header", .. })));
+    }
+
+    #[test]
+    fn a_header_dripped_a_byte_at_a_time_is_scanned_once() {
+        // The worst a peer can do inside the header limit: 8 KiB of header,
+        // one byte per read.  Every read re-enters the terminator search.
+        let mut head = b"GET /drip HTTP/1.1\r\n".to_vec();
+        while head.len() < 8_000 {
+            head.extend_from_slice(b"X-Drip: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
+        }
+        head.extend_from_slice(b"\r\n");
+        let steps = head.iter().map(|&byte| MockStep::Chunk(vec![byte])).collect();
+        let mut conn = MockConn::new(steps);
+        HEADER_BYTES_EXAMINED.with(|examined| examined.set(0));
+        let request = read(&mut conn).unwrap().unwrap();
+        assert_eq!(request.path, "/drip");
+        let examined = HEADER_BYTES_EXAMINED.with(std::cell::Cell::get);
+        assert!(
+            examined <= 4 * head.len() as u64,
+            "{examined} bytes examined for a {}-byte header",
+            head.len()
+        );
+    }
+
+    #[test]
+    fn the_first_blank_line_ends_the_header_whatever_its_line_endings() {
+        type Case = (&'static [u8], Option<(usize, usize)>);
+        let cases: [Case; 8] = [
+            (b"a\r\n\r\nb", Some((1, 5))),
+            (b"a\n\nb", Some((1, 3))),
+            // Mixed endings: whichever blank line comes first wins.
+            (b"a\n\nb\r\n\r\n", Some((1, 3))),
+            (b"a\r\n\r\nb\n\n", Some((1, 5))),
+            (b"a\r\n\n", Some((2, 4))),
+            // `\n\r\n` is a line holding a lone CR, not a blank line.
+            (b"a\n\r\nb", None),
+            (b"a\r\n\r", None),
+            (b"", None),
+        ];
+        for (bytes, expected) in cases {
+            assert_eq!(find_header_end(bytes, 0), expected, "{bytes:?}");
+            // A search resumed after any shorter prefix came up empty finds
+            // the same terminator.
+            for searched in 0..=bytes.len() {
+                if find_header_end(bytes.get(..searched).unwrap_or_default(), 0).is_none() {
+                    assert_eq!(
+                        find_header_end(bytes, searched),
+                        expected,
+                        "{bytes:?} @ {searched}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,9 +41,17 @@
 //! The encoder is the same idea run backwards: fields gather in a 64-bit
 //! accumulator that leaves as one big-endian word each time it fills, and a
 //! Δ² bucket marker with its payload, or the value's control bits with the
-//! 6+6-bit window header, go in as a single field.  [`encode_into`] writes
-//! into a buffer the caller reuses — the storage engine copies the finished
-//! block out at its exact size — and [`encode`] is that plus a fresh `Vec`.
+//! 6+6-bit window header, go in as a single field.  It is *resumable*: what
+//! one block's encoding carries from sample to sample — previous timestamp,
+//! delta and value bits, the value window, the pending word and the bit
+//! count — is [`BlockEncoder`], a few words of plain data beside the buffer
+//! the block grows in, with [`BlockEncoder::push`] taking any number of
+//! samples and [`BlockEncoder::finish`] completing the last byte.  A block
+//! built in bursts is byte-identical to one built at once, which is how the
+//! storage engine's open head *is* the block it will seal (eight samples a
+//! burst; see `crate::head::Head`).  [`encode_into`] is one `push` and a
+//! `finish` into a buffer the caller reuses, and [`encode`] is that plus a
+//! fresh `Vec`.
 //!
 //! [`encode`] rejects (returns `None` for) timestamp sequences that go
 //! backwards: the storage engine never produces them (out-of-order appends
@@ -66,11 +74,7 @@ struct BitWriter<'a> {
     used: u32,
 }
 
-impl<'a> BitWriter<'a> {
-    fn new(out: &'a mut Vec<u8>) -> Self {
-        Self { out, acc: 0, used: 0 }
-    }
-
+impl BitWriter<'_> {
     /// Writes the low `count` bits of `value`, MSB first.  `1 <= count <= 64`
     /// and `value` has no bit set above them.
     #[inline]
@@ -90,15 +94,6 @@ impl<'a> BitWriter<'a> {
         self.out.extend_from_slice(&word.to_be_bytes());
         self.acc = value;
         self.used = carry;
-    }
-
-    /// Flushes the pending bits, zero-padded to a whole byte.
-    fn finish(self) {
-        if self.used > 0 {
-            let word = (self.acc << (64 - self.used)).to_be_bytes();
-            let bytes = self.used.div_ceil(8) as usize;
-            self.out.extend_from_slice(word.get(..bytes).unwrap_or(&word));
-        }
     }
 }
 
@@ -187,68 +182,202 @@ pub fn encode(samples: &[Sample]) -> Option<Vec<u8>> {
 }
 
 /// [`encode`] into a caller-owned buffer: `out` is cleared, then holds the
-/// block.  The storage engine seals every chunk of a shard through one such
-/// scratch and copies the exact-sized payload out, so the encoder's growth
-/// never reaches a stored chunk.  Returns `false` where [`encode`] returns
-/// `None`; `out` then holds a partial block and stays reusable.
+/// block — one [`BlockEncoder::push`] and a [`BlockEncoder::finish`].
+/// Returns `false` where [`encode`] returns `None`; `out` then holds a
+/// partial block and stays reusable.
 #[must_use]
 pub fn encode_into(samples: &[Sample], out: &mut Vec<u8>) -> bool {
     out.clear();
-    let Some(first) = samples.first() else { return false };
-    let mut w = BitWriter::new(out);
-    w.put(first.timestamp_ms, 64);
-    w.put(first.value.to_bits(), 64);
-    let mut prev_ts = first.timestamp_ms;
-    let mut prev_delta: u64 = 0;
-    let mut prev_bits = first.value.to_bits();
-    let mut prev_leading: u32 = NO_WINDOW;
-    let mut prev_trailing: u32 = 0;
-    for sample in samples.iter().skip(1) {
-        if sample.timestamp_ms < prev_ts {
-            return false;
-        }
-        let delta = sample.timestamp_ms - prev_ts;
-        // i128 so the delta-of-delta of arbitrary u64 deltas cannot overflow.
-        let dod = delta as i128 - prev_delta as i128;
-        // Bucket marker and biased Δ² leave as one field.
-        match dod {
-            0 => w.put(0, 1),
-            -63..=64 => w.put((0b10 << 7) | (dod + 63) as u64, 2 + 7),
-            -255..=256 => w.put((0b110 << 9) | (dod + 255) as u64, 3 + 9),
-            -2047..=2048 => w.put((0b1110 << 12) | (dod + 2047) as u64, 4 + 12),
-            _ => {
-                // Escape: the raw delta (not the Δ²), so huge jumps stay exact.
-                w.put(0b1111, 4);
-                w.put(delta, 64);
-            }
-        }
-        prev_ts = sample.timestamp_ms;
-        prev_delta = delta;
-
-        let bits = sample.value.to_bits();
-        let xor = bits ^ prev_bits;
-        if xor == 0 {
-            w.put(0, 1);
-        } else {
-            let leading = xor.leading_zeros();
-            let trailing = xor.trailing_zeros();
-            if prev_leading != NO_WINDOW && leading >= prev_leading && trailing >= prev_trailing {
-                // The meaningful bits fit the previous window: reuse it.
-                w.put(0b10, 2);
-                w.put(xor >> prev_trailing, 64 - prev_leading - prev_trailing);
-            } else {
-                // Both control bits and the 6+6-bit window header, one field.
-                let len = 64 - leading - trailing;
-                w.put((0b11 << 12) | (u64::from(leading) << 6) | u64::from(len - 1), 2 + 6 + 6);
-                w.put(xor >> trailing, len);
-                prev_leading = leading;
-                prev_trailing = trailing;
-            }
-        }
-        prev_bits = bits;
+    let mut encoder = BlockEncoder::new();
+    if samples.is_empty() || !encoder.push(samples, out) {
+        return false;
     }
-    w.finish();
+    encoder.finish(out);
     true
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Samples handed to each [`BlockEncoder::push`] on this thread: the work
+    /// meter behind the storage engine's "no append encodes more than a
+    /// tail" tests.
+    pub(crate) static PUSHED: std::cell::RefCell<Vec<usize>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The encoder, resumable: the registers one block's encoding carries from
+/// sample to sample — previous timestamp, delta and value bits, the value
+/// window, the pending word and how many bits the block holds — as a few
+/// words of plain data beside the buffer the block grows in.  A block built
+/// by any split of its samples into [`BlockEncoder::push`] bursts is
+/// byte-identical to [`encode`] of the whole, which is how the storage
+/// engine's open head is the block it will seal.
+///
+/// Between calls the buffer may hold the block either way: whole words only
+/// (what `push` leaves) or zero-padded to a byte (what `finish` leaves, and
+/// what the decoder reads).  Both calls first cut it back to its whole
+/// words, so a finished block can be pushed to again and finishing twice
+/// changes nothing.  The buffer must be the one this encoder's earlier calls
+/// wrote, untouched in between.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockEncoder {
+    prev_ts: u64,
+    prev_delta: u64,
+    prev_bits: u64,
+    /// The pending word: its low `bits % 64` bits have not reached the
+    /// buffer as part of a whole word yet.
+    acc: u64,
+    /// Bits encoded so far.
+    bits: u64,
+    count: u32,
+    prev_leading: u8,
+    prev_trailing: u8,
+}
+
+/// [`NO_WINDOW`] in the byte [`BlockEncoder`] keeps its window in (a real
+/// leading-zero count is at most 63).
+const ENCODER_NO_WINDOW: u8 = u8::MAX;
+
+impl Default for BlockEncoder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl BlockEncoder {
+    /// An encoder at the start of an empty block.
+    pub fn new() -> Self {
+        Self {
+            prev_ts: 0,
+            prev_delta: 0,
+            prev_bits: 0,
+            acc: 0,
+            bits: 0,
+            count: 0,
+            prev_leading: ENCODER_NO_WINDOW,
+            prev_trailing: 0,
+        }
+    }
+
+    /// Samples encoded so far — the count a decoder of the block needs.
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// Timestamp of the newest encoded sample, `None` for an empty block.
+    pub fn last_timestamp(&self) -> Option<u64> {
+        (self.count > 0).then_some(self.prev_ts)
+    }
+
+    /// Length of the finished block in bytes.
+    pub fn byte_len(&self) -> usize {
+        usize::try_from(self.bits.div_ceil(8)).unwrap_or(usize::MAX)
+    }
+
+    /// Length of the block's whole 64-bit words in bytes.
+    fn whole_bytes(&self) -> usize {
+        usize::try_from(self.bits / 64 * 8).unwrap_or(usize::MAX)
+    }
+
+    /// Appends `samples` to the block in `out`.  Returns `false` at the first
+    /// sample older than its predecessor (the block's newest included); the
+    /// samples before it are encoded, it and the rest are not.
+    #[must_use]
+    pub fn push(&mut self, samples: &[Sample], out: &mut Vec<u8>) -> bool {
+        #[cfg(test)]
+        PUSHED.with(|pushed| pushed.borrow_mut().push(samples.len()));
+        out.truncate(self.whole_bytes());
+        // Registers live in locals across the loop and go back once.
+        let mut w = BitWriter { out, acc: self.acc, used: (self.bits % 64) as u32 };
+        let mut prev_ts = self.prev_ts;
+        let mut prev_delta = self.prev_delta;
+        let mut prev_bits = self.prev_bits;
+        let mut prev_leading = u32::from(self.prev_leading);
+        let mut prev_trailing = u32::from(self.prev_trailing);
+        let mut rest = samples;
+        if self.count == 0 {
+            let Some((first, tail)) = samples.split_first() else { return true };
+            w.put(first.timestamp_ms, 64);
+            w.put(first.value.to_bits(), 64);
+            prev_ts = first.timestamp_ms;
+            prev_bits = first.value.to_bits();
+            rest = tail;
+        }
+        let mut encoded = samples.len() - rest.len();
+        let mut ordered = true;
+        for sample in rest {
+            if sample.timestamp_ms < prev_ts {
+                ordered = false;
+                break;
+            }
+            let delta = sample.timestamp_ms - prev_ts;
+            // i128 so the delta-of-delta of arbitrary u64 deltas cannot overflow.
+            let dod = delta as i128 - prev_delta as i128;
+            // Bucket marker and biased Δ² leave as one field.
+            match dod {
+                0 => w.put(0, 1),
+                -63..=64 => w.put((0b10 << 7) | (dod + 63) as u64, 2 + 7),
+                -255..=256 => w.put((0b110 << 9) | (dod + 255) as u64, 3 + 9),
+                -2047..=2048 => w.put((0b1110 << 12) | (dod + 2047) as u64, 4 + 12),
+                _ => {
+                    // Escape: the raw delta (not the Δ²), so huge jumps stay exact.
+                    w.put(0b1111, 4);
+                    w.put(delta, 64);
+                }
+            }
+            prev_ts = sample.timestamp_ms;
+            prev_delta = delta;
+
+            let bits = sample.value.to_bits();
+            let xor = bits ^ prev_bits;
+            if xor == 0 {
+                w.put(0, 1);
+            } else {
+                let leading = xor.leading_zeros();
+                let trailing = xor.trailing_zeros();
+                if prev_leading != u32::from(ENCODER_NO_WINDOW)
+                    && leading >= prev_leading
+                    && trailing >= prev_trailing
+                {
+                    // The meaningful bits fit the previous window: reuse it.
+                    w.put(0b10, 2);
+                    w.put(xor >> prev_trailing, 64 - prev_leading - prev_trailing);
+                } else {
+                    // Both control bits and the 6+6-bit window header, one field.
+                    let len = 64 - leading - trailing;
+                    w.put((0b11 << 12) | (u64::from(leading) << 6) | u64::from(len - 1), 2 + 6 + 6);
+                    w.put(xor >> trailing, len);
+                    prev_leading = leading;
+                    prev_trailing = trailing;
+                }
+            }
+            prev_bits = bits;
+            encoded += 1;
+        }
+        self.acc = w.acc;
+        self.bits = w.out.len() as u64 * 8 + u64::from(w.used);
+        self.prev_ts = prev_ts;
+        self.prev_delta = prev_delta;
+        self.prev_bits = prev_bits;
+        // A nonzero XOR has fewer than 64 leading and trailing zeros.
+        self.prev_leading = prev_leading as u8;
+        self.prev_trailing = prev_trailing as u8;
+        self.count = self.count.saturating_add(encoded as u32);
+        ordered
+    }
+
+    /// Completes the block in `out`: the pending bits, zero-padded to a whole
+    /// byte.  The encoder is unchanged and can be pushed to again.
+    pub fn finish(&self, out: &mut Vec<u8>) {
+        out.truncate(self.whole_bytes());
+        let used = (self.bits % 64) as u32;
+        if used > 0 {
+            // The whole word goes out (a fixed-size copy) and the padding
+            // past the last used byte comes back off.
+            out.extend_from_slice(&(self.acc << (64 - used)).to_be_bytes());
+            out.truncate(self.byte_len());
+        }
+    }
 }
 
 /// Streaming decoder state: a bit position plus the previous timestamp/delta/

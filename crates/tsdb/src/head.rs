@@ -1,0 +1,281 @@
+//! The open chunk of a stored series: a block like the sealed ones, still
+//! being built.
+//!
+//! [`Head`] is a Gorilla block (see [`crate::chunk_codec`]) built in bursts
+//! of [`TAIL_SAMPLES`] by a resumable encoder, with its newest samples raw in
+//! an inline tail in front of it.  So an open chunk costs about what a sealed
+//! one does, an append is a sixteen-byte store into the series record, and
+//! sealing is a copy.
+
+use crate::chunk_codec::{BlockEncoder, BlockSamples};
+use crate::series::{Chunk, ChunkData, Sample, SAMPLE_BYTES};
+
+/// Samples an open [`Head`] keeps raw, inline, in front of its block: the
+/// burst the encoder runs in.  A constant, not configuration: at eight the
+/// append path reads within a few percent of a plain sample buffer's (an
+/// encode per append reads further off), and an open chunk still costs
+/// about what a sealed one does.
+pub(crate) const TAIL_SAMPLES: usize = 8;
+
+/// A head's first block buffer; it doubles from here with what it holds.
+const BLOCK_INITIAL_BYTES: usize = 32;
+
+/// The most one sample adds to a block: the 68-bit raw-delta escape and a
+/// 64-bit value behind a new 14-bit window header, rounded up.
+const MAX_ENCODED_SAMPLE_BYTES: usize = 19;
+
+/// The open chunk of a stored series: a Gorilla block built in bursts — a
+/// resumable [`BlockEncoder`] beside the buffer it writes — behind an inline
+/// tail of the newest, not yet encoded samples.  An append is a 16-byte store
+/// into the tail; the append that fills it encodes the burst; a seal encodes
+/// what the tail still holds and copies the block out at its exact size.
+/// Between bursts the buffer holds the *finished* block, so readers decode it
+/// where it lies and the ledger counts its length.
+#[derive(Debug)]
+pub(crate) struct Head {
+    tail: [Sample; TAIL_SAMPLES],
+    tail_len: u8,
+    encoder: BlockEncoder,
+    block: Vec<u8>,
+}
+
+impl Default for Head {
+    fn default() -> Self {
+        Self {
+            tail: [Sample { timestamp_ms: 0, value: 0.0 }; TAIL_SAMPLES],
+            tail_len: 0,
+            encoder: BlockEncoder::new(),
+            block: Vec::new(),
+        }
+    }
+}
+
+impl Head {
+    /// The samples not yet encoded, oldest first.
+    pub(crate) fn tail(&self) -> &[Sample] {
+        self.tail.get(..usize::from(self.tail_len)).unwrap_or(&[])
+    }
+
+    /// Samples held, block and tail.
+    pub(crate) fn len(&self) -> usize {
+        self.encoder.count() as usize + usize::from(self.tail_len)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Timestamp of the oldest sample: a block opens with it, raw.
+    pub(crate) fn first_timestamp(&self) -> Option<u64> {
+        match self.block.first_chunk::<8>() {
+            Some(first) if self.encoder.count() > 0 => Some(u64::from_be_bytes(*first)),
+            _ => self.tail().first().map(|s| s.timestamp_ms),
+        }
+    }
+
+    /// Timestamp of the newest sample: the tail's, or the encoder's register.
+    pub(crate) fn last_timestamp(&self) -> Option<u64> {
+        self.tail().last().map(|s| s.timestamp_ms).or_else(|| self.encoder.last_timestamp())
+    }
+
+    /// Every sample held, oldest first — the one view readers of an open
+    /// head go through.
+    pub(crate) fn samples(&self) -> impl Iterator<Item = Sample> + '_ {
+        self.block_samples().chain(self.tail().iter().copied())
+    }
+
+    fn block_samples(&self) -> BlockSamples<'_> {
+        BlockSamples::new(&self.block, self.encoder.count() as usize)
+    }
+
+    /// What the ledger counts for this head: 16 bytes per tail sample and
+    /// the block's bytes in use.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.tail().len() * SAMPLE_BYTES + self.block.len()
+    }
+
+    /// `true` while the head holds a block buffer, used or not.
+    pub(crate) fn has_buffer(&self) -> bool {
+        self.block.capacity() > 0
+    }
+
+    /// `(bytes in use, capacity)` of the block buffer.
+    #[cfg(test)]
+    pub(crate) fn block_buffer(&self) -> (usize, usize) {
+        (self.block.len(), self.block.capacity())
+    }
+
+    /// Appends `sample` to the tail if the tail has room for another after
+    /// it — [`SAMPLE_BYTES`] more resident, nothing else moves — and returns
+    /// whether it did.  The hot half of [`Head::push`].
+    #[inline]
+    pub(crate) fn store(&mut self, sample: Sample) -> bool {
+        let at = usize::from(self.tail_len);
+        match self.tail.get_mut(at) {
+            Some(slot) if at + 1 < TAIL_SAMPLES => {
+                *slot = sample;
+                self.tail_len += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Appends `sample` (not older than the newest held — the caller
+    /// checked); the append that fills the tail encodes it.  Returns what
+    /// that did to [`Head::resident_bytes`]: [`SAMPLE_BYTES`] more, or the
+    /// block's growth less the tail it took in.
+    pub(crate) fn push(&mut self, sample: Sample) -> i64 {
+        if self.store(sample) {
+            return SAMPLE_BYTES as i64;
+        }
+        let before = self.resident_bytes();
+        if let Some(slot) = self.tail.get_mut(usize::from(self.tail_len)) {
+            *slot = sample;
+            self.tail_len += 1;
+        }
+        self.flush();
+        self.resident_bytes() as i64 - before as i64
+    }
+
+    /// Encodes the tail into the block and leaves the block finished.
+    fn flush(&mut self) {
+        if self.tail_len == 0 {
+            return;
+        }
+        // The block's buffer grows by doubling — a handful of times in a
+        // series' first chunk, then it is kept; the lock audit's no-alloc
+        // check is suspended for that explicitly.
+        #[cfg(lock_audit)]
+        let _allow = parking_lot::audit::allow_alloc();
+        if self.block.capacity() == 0 {
+            self.block.reserve_exact(BLOCK_INITIAL_BYTES);
+        }
+        let Self { tail, tail_len, encoder, block } = self;
+        let ordered = encoder.push(tail.get(..usize::from(*tail_len)).unwrap_or(&[]), block);
+        debug_assert!(ordered, "appends are checked against the newest sample");
+        encoder.finish(block);
+        *tail_len = 0;
+    }
+
+    /// Seals the non-empty head into an immutable chunk whose payload is one
+    /// exact-sized allocation — the block, after encoding what the tail
+    /// holds; or the samples decoded back out of it, in the rare case the
+    /// block outgrew them — and empties the head, keeping its buffer.
+    pub(crate) fn seal(&mut self) -> Chunk {
+        self.flush();
+        let count = self.encoder.count();
+        let chunk = if self.block.len() <= count as usize * SAMPLE_BYTES {
+            Chunk {
+                start_ms: self.first_timestamp().unwrap_or(0),
+                end_ms: self.last_timestamp().unwrap_or(0),
+                count,
+                data: ChunkData::Compressed(self.block.as_slice().into()),
+            }
+        } else {
+            Chunk::from_samples(self.block_samples().collect())
+        };
+        self.clear();
+        chunk
+    }
+
+    /// Drops every sample, keeping the block's buffer.
+    pub(crate) fn clear(&mut self) {
+        self.tail_len = 0;
+        self.encoder = BlockEncoder::new();
+        self.block.clear();
+    }
+
+    /// Gives an empty head's buffer back.
+    pub(crate) fn release(&mut self) {
+        debug_assert!(self.is_empty());
+        self.block = Vec::new();
+    }
+
+    /// The head as one chunk of a snapshot, so no reader of a snapshot knows
+    /// an open head from a sealed chunk: a copy of the block completed with
+    /// the tail — or, before the first burst, the tail as it is (a young
+    /// series costs a reader no decoding).  `None` for an empty head.
+    pub(crate) fn snapshot(&self) -> Option<Chunk> {
+        if self.is_empty() {
+            return None;
+        }
+        if self.encoder.count() == 0 {
+            return Some(Chunk::from_samples(self.tail().to_vec()));
+        }
+        let mut block =
+            Vec::with_capacity(self.block.len() + self.tail().len() * MAX_ENCODED_SAMPLE_BYTES + 8);
+        self.encode_into(&mut block);
+        Some(Chunk {
+            start_ms: self.first_timestamp().unwrap_or(0),
+            end_ms: self.last_timestamp().unwrap_or(0),
+            count: self.len() as u32,
+            data: ChunkData::Compressed(block.into_boxed_slice()),
+        })
+    }
+
+    /// The whole head, tail included, as one finished block in `out`
+    /// (cleared first) — byte for byte what [`crate::chunk_codec::encode`]
+    /// of [`Head::samples`] returns, without decoding anything.  `false`,
+    /// and an empty `out`, for an empty head.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> bool {
+        out.clear();
+        out.extend_from_slice(&self.block);
+        let mut encoder = self.encoder;
+        let ordered = encoder.push(self.tail(), out);
+        debug_assert!(ordered, "appends are checked against the newest sample");
+        encoder.finish(out);
+        !self.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_open_head_is_the_block_it_will_seal() {
+        let samples: Vec<Sample> = (0..29u64)
+            .map(|t| Sample { timestamp_ms: t * 5_000 + t % 3, value: (t as f64 * 0.7).sin() })
+            .collect();
+        let mut head = Head::default();
+        let mut whole = Vec::new();
+        for (i, &sample) in samples.iter().enumerate() {
+            head.push(sample);
+            let held = &samples[..=i];
+            assert_eq!(head.len(), held.len());
+            assert_eq!(head.tail().len(), held.len() % TAIL_SAMPLES, "bursts of a full tail");
+            assert_eq!(head.samples().collect::<Vec<_>>(), held);
+            assert_eq!(head.first_timestamp(), Some(samples[0].timestamp_ms));
+            assert_eq!(head.last_timestamp(), Some(sample.timestamp_ms));
+            // The block in place decodes without its tail; completed with it
+            // the head is byte for byte the one-shot encoding.
+            assert!(head.encode_into(&mut whole));
+            assert_eq!(Some(&whole), crate::chunk_codec::encode(held).as_ref());
+            let block = crate::chunk_codec::encode(&held[..held.len() - head.tail().len()]);
+            assert_eq!(
+                head.resident_bytes(),
+                head.tail().len() * SAMPLE_BYTES + block.map_or(0, |b| b.len())
+            );
+            let snapshot = head.snapshot().expect("a non-empty head");
+            assert_eq!(snapshot.iter_samples().collect::<Vec<_>>(), held);
+            if held.len() < TAIL_SAMPLES {
+                assert_eq!(snapshot.data, ChunkData::Raw(held.to_vec()), "no block yet");
+            } else {
+                assert_eq!(snapshot.data, ChunkData::Compressed(whole.as_slice().into()));
+            }
+            assert_eq!(
+                (snapshot.start(), snapshot.end(), snapshot.len()),
+                (held.first().map(|s| s.timestamp_ms), Some(sample.timestamp_ms), held.len())
+            );
+        }
+        let chunk = head.seal();
+        assert_eq!(chunk.data, ChunkData::Compressed(whole.into()));
+        assert_eq!((chunk.start(), chunk.end(), chunk.len()), (Some(0), Some(140_001), 29));
+        assert!(!head.encode_into(&mut Vec::new()), "an empty head has no block");
+        assert_eq!(head.snapshot(), None);
+        head.release();
+        assert!(!head.has_buffer());
+        assert_eq!(head.resident_bytes(), 0);
+    }
+}

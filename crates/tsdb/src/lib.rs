@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod chunk_codec;
+mod head;
 mod index;
 pub mod query;
 pub mod scrape;

@@ -1258,6 +1258,7 @@ impl Scraper {
     fn publish_storage_stats(&self) {
         let stats = self.db.stats();
         probes::STORAGE_RESIDENT_BYTES.set(stats.resident_bytes as f64);
+        probes::STORAGE_HEAD_BYTES.set(self.db.head_bytes() as f64);
         probes::STORAGE_SAMPLES.set(stats.samples as f64);
         probes::STORAGE_BYTES_PER_SAMPLE.set(stats.bytes_per_sample());
         probes::STORAGE_SERIES.set(stats.series as f64);

@@ -1,9 +1,16 @@
 //! A single time series: one metric name + label set and its samples.
+//!
+//! Samples live in chunks.  A sealed `Chunk` is a Gorilla block (see
+//! [`crate::chunk_codec`]) behind a `(start, end, count)` footer; the open
+//! one is the same block still being built, with its newest samples raw in an
+//! inline tail in front of it (`crate::head`).  The standalone [`Series`]
+//! keeps plain sample vectors instead: the model the engine is measured
+//! against.
 
 use serde::{Deserialize, Serialize};
 use teemon_metrics::Labels;
 
-use crate::chunk_codec::{self, BlockSamples, GorillaState};
+use crate::chunk_codec::{BlockSamples, GorillaState};
 
 /// Identifier of a series inside one [`crate::TimeSeriesDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -32,10 +39,11 @@ pub(crate) const SAMPLE_BYTES: usize = std::mem::size_of::<Sample>();
 /// How a chunk stores its samples.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) enum ChunkData {
-    /// Plain samples: the open head chunk, and sealed chunks when compression
-    /// is disabled (or the codec declined the input).
+    /// Plain samples: the standalone [`Series`]' chunks, chunks restored from
+    /// snapshots that hold them, and a sealed chunk whose block would have
+    /// been larger than its samples.
     Raw(Vec<Sample>),
-    /// A sealed, Gorilla-compressed block (see [`crate::chunk_codec`]): one
+    /// A Gorilla-compressed block (see [`crate::chunk_codec`]): one
     /// allocation of exactly the block's length, so [`Chunk::data_bytes`] is
     /// what the allocator holds.
     Compressed(Box<[u8]>),
@@ -74,27 +82,6 @@ impl Chunk {
             count: samples.len() as u32,
             data: ChunkData::Raw(samples),
         }
-    }
-
-    /// Seals `samples` into an immutable chunk whose payload is one
-    /// exact-sized allocation: the Gorilla block when `compress` is set —
-    /// encoded into `scratch`, which the caller reuses from seal to seal, and
-    /// copied out — or the raw samples when it is not, when the codec
-    /// rejects the input (which ordered appends never produce) or when the
-    /// block would be larger than they are.
-    pub(crate) fn sealed(samples: &[Sample], compress: bool, scratch: &mut Vec<u8>) -> Self {
-        if compress
-            && chunk_codec::encode_into(samples, scratch)
-            && scratch.len() <= samples.len() * SAMPLE_BYTES
-        {
-            return Self {
-                start_ms: samples.first().map(|s| s.timestamp_ms).unwrap_or(0),
-                end_ms: samples.last().map(|s| s.timestamp_ms).unwrap_or(0),
-                count: samples.len() as u32,
-                data: ChunkData::Compressed(scratch.as_slice().into()),
-            };
-        }
-        Self::from_samples(samples.to_vec())
     }
 
     /// Appends to an open (raw) chunk, maintaining the footer.
@@ -343,9 +330,9 @@ pub(crate) fn extend_range<C: std::borrow::Borrow<Chunk>, T>(
 
 /// A labelled time series with chunked, append-only sample storage.
 ///
-/// This standalone type keeps every chunk raw; the compressing sealed-chunk
-/// path lives in the storage engine ([`crate::TimeSeriesDb`]), which also
-/// retains this representation as the uncompressed baseline for benches.
+/// This standalone type keeps every chunk raw; the compressing path lives in
+/// the storage engine ([`crate::TimeSeriesDb`]), whose benches and tests keep
+/// this representation as the uncompressed baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Series {
     /// Metric name.
@@ -445,6 +432,7 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::head::Head;
 
     fn series() -> Series {
         Series::new("m".into(), Labels::new(), 4)
@@ -496,6 +484,14 @@ mod tests {
         assert!(s.range(0, u64::MAX).is_empty());
     }
 
+    fn head_of(samples: &[Sample]) -> Head {
+        let mut head = Head::default();
+        for &sample in samples {
+            head.push(sample);
+        }
+        head
+    }
+
     #[test]
     fn a_block_larger_than_its_samples_is_stored_raw() {
         // Every delta takes the 68-bit raw escape and every value a new,
@@ -506,14 +502,15 @@ mod tests {
                 value: f64::from_bits((i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
             })
             .collect();
-        let mut scratch = Vec::new();
-        let chunk = Chunk::sealed(&samples, true, &mut scratch);
-        assert!(scratch.len() > samples.len() * SAMPLE_BYTES, "the codec did encode it");
+        let mut head = head_of(&samples);
+        assert!(head.resident_bytes() > samples.len() * SAMPLE_BYTES, "the codec did encode it");
+        let chunk = head.seal();
         assert_eq!(chunk.data, ChunkData::Raw(samples.clone()));
         assert_eq!(chunk.data_bytes(), samples.len() * SAMPLE_BYTES);
         assert_eq!((chunk.start(), chunk.end(), chunk.len()), (Some(0), Some(49 << 40), 8));
+        assert!(head.is_empty() && head.has_buffer(), "the seal keeps the buffer");
         // A lone sample is 16 bytes either way and stays a block.
-        let one = Chunk::sealed(&samples[..1], true, &mut scratch);
+        let one = head_of(&samples[..1]).seal();
         assert!(matches!(one.data, ChunkData::Compressed(ref block) if block.len() == 16));
     }
 
@@ -521,9 +518,8 @@ mod tests {
     fn sealed_chunks_answer_like_raw_ones() {
         let samples: Vec<Sample> =
             (0..40u64).map(|t| Sample { timestamp_ms: t * 500, value: (t as f64).cos() }).collect();
-        let mut scratch = Vec::new();
-        let raw = Chunk::sealed(&samples, false, &mut scratch);
-        let compressed = Chunk::sealed(&samples, true, &mut scratch);
+        let raw = Chunk::from_samples(samples.clone());
+        let compressed = head_of(&samples).seal();
         assert!(matches!(compressed.data, ChunkData::Compressed(_)));
         assert!(compressed.data_bytes() < raw.data_bytes());
         assert_eq!(raw.start(), compressed.start());

@@ -2,7 +2,9 @@
 //!
 //! A [`SeriesSnapshot`] is what [`crate::TimeSeriesDb::select`] returns: the
 //! series' sealed chunks shared by `Arc` (no sample is copied or decoded),
-//! the open head chunk copied once (bounded by `chunk_size` samples), and the
+//! the open head copied once — the block it is building, completed with the
+//! few samples still in its tail (or, before its first burst, those samples
+//! as they are), so it reads like any sealed chunk — and the
 //! metric name/label strings shared with the database's symbol table.  Taking
 //! a snapshot is O(chunks) regardless of how many samples the series holds,
 //! and the snapshot stays consistent while the database keeps ingesting.
@@ -72,7 +74,7 @@ impl SeriesSnapshot {
     /// Materialises the labels as an owned [`Labels`] set (the boundary back
     /// into the string-keyed world; allocates).
     pub fn to_labels(&self) -> Labels {
-        Labels::from_pairs(self.labels())
+        Labels::from_str_pairs(self.labels.iter().map(|(k, v)| (&**k, &**v)))
     }
 
     /// `name{labels}` in the same format the owned query results use, or the
@@ -100,8 +102,8 @@ impl SeriesSnapshot {
         self.chunks.len()
     }
 
-    /// Bytes resident in the backing chunks (compressed size for sealed
-    /// chunks, raw size for the head copy).
+    /// Bytes resident in the backing chunks: their compressed sizes, the
+    /// head's as one finished block (raw before its first burst).
     pub fn resident_bytes(&self) -> usize {
         self.chunks.iter().map(|c| c.data_bytes()).sum()
     }
@@ -228,8 +230,8 @@ impl CursorCore {
     /// Appends every sample [`CursorCore::next`] would still yield to `out`
     /// and exhausts the cursor.  From a chunk boundary (a fresh cursor above
     /// all) the rest is drained chunk by chunk: the footers bound the span
-    /// and size one reservation, raw chunks are sliced, and sealed chunks go
-    /// through the bulk decoder.  A cursor stopped inside a chunk finishes
+    /// and size one reservation, raw chunks are sliced, and blocks go through
+    /// the bulk decoder.  A cursor stopped inside a chunk finishes
     /// sample by sample — a Gorilla stream cannot be re-entered mid-way.
     fn read_into(&mut self, chunks: &[Arc<Chunk>], out: &mut Vec<Sample>) {
         if self.state.is_some() {

@@ -14,20 +14,25 @@
 //!   `(&str, &Labels)` key directly — no `String` or `Labels` clone, no
 //!   allocation at all,
 //! * reads hand out [`SeriesSnapshot`]s: sealed chunks are `Arc`-shared, only
-//!   the open head chunk (at most `chunk_size` samples) is copied,
-//! * sealed chunks are Gorilla-compressed ([`crate::chunk_codec`]): the open
-//!   head stays a plain `Vec<Sample>` so the append hot path is untouched,
-//!   and when the head fills it is encoded once into a delta-of-delta /
-//!   XOR-float block that snapshots decode *streamingly* at read time.  The
-//!   per-shard `bytes` aggregate tracks the resident footprint, surfaced as
+//!   the open head chunk is copied — as the block it is, completed with its
+//!   tail,
+//! * chunks are Gorilla-compressed ([`crate::chunk_codec`]), the open head
+//!   included: a head is the delta-of-delta / XOR-float block it will seal,
+//!   built in bursts by a resumable encoder, behind an inline tail of its
+//!   newest eight samples (see `crate::head::Head`).  An append is an
+//!   ordering check and a sixteen-byte store into that tail; the append
+//!   that fills it encodes the burst; a seal encodes what the tail still
+//!   holds and copies the block out.  The per-shard `bytes` aggregate
+//!   tracks the resident footprint, surfaced as
 //!   [`StorageStats::resident_bytes`] / [`StorageStats::bytes_per_sample`],
-//! * the heap holds what that ledger counts: a head has no capacity until
-//!   its first sample and doubles 4 → 8 → … → `chunk_size` with what it
-//!   holds; a seal encodes into a per-shard scratch and stores the block as
-//!   one exact-sized allocation, keeping the head's buffer for the next
-//!   chunk; and a retention pass seals the head of any series that has gone
-//!   [`STALE_HEAD_MS`] without a sample and releases its buffer, so a
-//!   churned series stops costing an uncompressed, mostly empty head,
+//!   and `head_bytes` the open heads' share of it
+//!   ([`TimeSeriesDb::head_bytes`]),
+//! * the heap holds what that ledger counts: a head has no buffer until its
+//!   first burst, and the buffer doubles 32 → 64 → … bytes with the block in
+//!   it; a seal stores the block as one exact-sized allocation and keeps the
+//!   buffer for the next chunk; and a retention pass seals the head of any
+//!   series that has gone [`STALE_HEAD_MS`] without a sample and releases
+//!   its buffer, so a churned series costs an exact block and nothing more,
 //! * the **ingest fast lane**: [`TimeSeriesDb::resolve`] turns a series key
 //!   into a cheap [`SeriesHandle`] once, and
 //!   [`TimeSeriesDb::append_batch`] appends a whole scrape round of
@@ -50,6 +55,7 @@ use serde::{Deserialize, Serialize};
 use teemon_metrics::Labels;
 use teemon_obs::{probes, Stopwatch};
 
+use crate::head::Head;
 use crate::index::{Candidates, Postings, SelectorPlan};
 use crate::query::{QueryResult, Selector};
 use crate::series::{at_in_chunks, sample_at, Chunk, Sample, SeriesId, SAMPLE_BYTES};
@@ -67,10 +73,6 @@ pub const SHARD_COUNT: usize = 16;
 const _: () =
     assert!(probes::SHARDS == SHARD_COUNT, "teemon_obs::SHARDS must equal the storage shard count");
 
-/// Samples a series' first head buffer holds; it doubles from here up to
-/// `chunk_size` (see `MemSeries::append`).
-const HEAD_INITIAL_SAMPLES: usize = 4;
-
 /// How far a series' newest sample may trail its shard's before a retention
 /// pass seals its head and releases the buffer: the instant-selector
 /// lookback (`teemon_query::QueryEngine::DEFAULT_LOOKBACK_MS` is this
@@ -85,16 +87,11 @@ pub struct TsdbConfig {
     /// Retention window in milliseconds; samples older than
     /// `newest - retention_ms` may be dropped by [`TimeSeriesDb::apply_retention`].
     pub retention_ms: u64,
-    /// Keep sealed chunks as raw samples instead of Gorilla-compressing them
-    /// (see [`crate::chunk_codec`]).  Off by default; the raw mode exists as
-    /// an escape hatch and as the like-for-like baseline in the benches.
-    #[serde(default)]
-    pub raw_chunks: bool,
 }
 
 impl Default for TsdbConfig {
     fn default() -> Self {
-        Self { chunk_size: 120, retention_ms: 24 * 60 * 60 * 1000, raw_chunks: false }
+        Self { chunk_size: 120, retention_ms: 24 * 60 * 60 * 1000 }
     }
 }
 
@@ -111,11 +108,12 @@ pub struct StorageStats {
     /// Samples rejected because they were out of order.
     pub rejected_samples: u64,
     /// Bytes resident in sample storage: the payload of sealed chunks (each
-    /// one allocation of exactly that size) plus 16 bytes per unsealed head
-    /// sample (a head's buffer is at most twice what it holds inside a
-    /// series' first chunk, `chunk_size` samples after it, and nothing once
-    /// the series has gone stale).  Maintained incrementally per shard
-    /// (appends, seals, retention), so reading it never scans storage.
+    /// one allocation of exactly that size) plus, per open head, the bytes
+    /// in use of the block it is building and 16 bytes per sample of its
+    /// inline tail (a head's buffer is at most twice what it holds, 32 bytes
+    /// at least, and nothing once the series has gone stale).  Maintained
+    /// incrementally per shard (appends, seals, retention), so reading it
+    /// never scans storage.
     pub resident_bytes: u64,
     /// Shards whose write-ahead log has failed (write/fsync errors, or
     /// unrecoverable corruption found at startup).  Always `0` for a
@@ -215,7 +213,7 @@ pub struct BatchOutcome {
 
 /// One stored series: interned key, resolved key strings (shared with the
 /// symbol table) and chunked samples — sealed immutable chunks behind `Arc`
-/// plus the open head.
+/// plus the open head, a block like theirs still being built.
 struct MemSeries {
     id: SeriesId,
     name: Arc<str>,
@@ -223,7 +221,7 @@ struct MemSeries {
     labels: Arc<[(Arc<str>, Arc<str>)]>,
     label_syms: Box<[(SymbolId, SymbolId)]>,
     sealed: Vec<Arc<Chunk>>,
-    head: Vec<Sample>,
+    head: Head,
     /// `true` once any sample was stored.  Guards retention eviction: a
     /// freshly resolved series that has not seen its first append yet is
     /// *new*, not *fully aged* — evicting it would pointlessly invalidate
@@ -231,130 +229,53 @@ struct MemSeries {
     ever_appended: bool,
 }
 
-/// What one append did, so the shard can maintain its aggregates.
-enum Appended {
-    Rejected,
-    Accepted {
-        /// The head chunk went from empty to non-empty (a new chunk exists).
-        opened_chunk: bool,
-        /// Set when the append filled the head and sealed it.
-        sealed: Option<Sealed>,
-    },
-}
-
-/// What sealing a head did to the resident footprint.
-struct Sealed {
-    /// Head samples the chunk took over (16 raw bytes each).
-    samples: usize,
-    /// The sealed chunk's payload size (compressed unless `raw_chunks`).
-    bytes: usize,
-}
-
-impl Sealed {
-    /// `shard_bytes` with the head's raw samples replaced by the (usually
-    /// smaller) block.
-    fn fold_into(self, shard_bytes: u64) -> u64 {
-        shard_bytes
-            .saturating_sub((self.samples * SAMPLE_BYTES) as u64)
-            .saturating_add(self.bytes as u64)
-    }
-}
-
 impl MemSeries {
     fn last_timestamp(&self) -> Option<u64> {
-        self.head
-            .last()
-            .map(|s| s.timestamp_ms)
-            .or_else(|| self.sealed.last().and_then(|c| c.end()))
+        self.head.last_timestamp().or_else(|| self.sealed.last().and_then(|c| c.end()))
     }
 
     fn first_timestamp(&self) -> Option<u64> {
-        self.sealed
-            .first()
-            .and_then(|c| c.start())
-            .or_else(|| self.head.first().map(|s| s.timestamp_ms))
-    }
-
-    /// Appends in the hot path.  The head holds what it was given: it opens
-    /// at [`HEAD_INITIAL_SAMPLES`] — or, behind a sealed chunk, at that
-    /// chunk's sample count, so a steady series goes straight back to
-    /// `chunk_size` and a revived slow one starts small again — and doubles
-    /// up to `chunk_size`.  A full head is sealed (Gorilla-compressed unless
-    /// `raw_chunks` is set) and cleared, its buffer kept for the next chunk:
-    /// past its first chunk a steady series allocates only at a seal.
-    fn append(
-        &mut self,
-        sample: Sample,
-        chunk_size: usize,
-        raw_chunks: bool,
-        scratch: &mut Vec<u8>,
-    ) -> Appended {
-        if let Some(last) = self.last_timestamp() {
-            if sample.timestamp_ms < last {
-                return Appended::Rejected;
-            }
-        }
-        let opened_chunk = self.head.is_empty();
-        if self.head.len() == self.head.capacity() {
-            self.grow_head(chunk_size);
-        }
-        self.head.push(sample);
-        self.ever_appended = true;
-        let sealed = (self.head.len() >= chunk_size).then(|| self.seal_head(raw_chunks, scratch));
-        Appended::Accepted { opened_chunk, sealed }
-    }
-
-    /// Makes room in a full (or unallocated) head — see [`MemSeries::append`]
-    /// for the policy.
-    #[cold]
-    fn grow_head(&mut self, chunk_size: usize) {
-        // Growth is logarithmic in a series' first chunk and absent after
-        // it; the lock audit's no-alloc check is suspended for it explicitly.
-        #[cfg(lock_audit)]
-        let _allow = parking_lot::audit::allow_alloc();
-        let held = self.head.len();
-        let target = match self.head.capacity() {
-            0 => self.sealed.last().map_or(HEAD_INITIAL_SAMPLES, |chunk| chunk.len()),
-            capacity => capacity * 2,
-        };
-        self.head.reserve_exact(target.min(chunk_size).max(held + 1) - held);
+        self.sealed.first().and_then(|c| c.start()).or_else(|| self.head.first_timestamp())
     }
 
     /// Seals the non-empty head into an immutable chunk — two allocations,
-    /// the `Arc<Chunk>` and its exact-sized payload — and clears it, keeping
-    /// the buffer.
-    fn seal_head(&mut self, raw_chunks: bool, scratch: &mut Vec<u8>) -> Sealed {
+    /// the `Arc<Chunk>` and its exact-sized payload, and at most a tail of
+    /// encoding — and returns the payload's size.
+    fn seal_head(&mut self) -> usize {
         // Sealing is the one allocating step in a chunk's lifetime; the
         // lock audit's no-alloc check is suspended for it explicitly.
         #[cfg(lock_audit)]
         let _allow = parking_lot::audit::allow_alloc();
-        let chunk = Chunk::sealed(&self.head, !raw_chunks, scratch);
-        let sealed = Sealed { samples: self.head.len(), bytes: chunk.data_bytes() };
+        let chunk = self.head.seal();
+        let bytes = chunk.data_bytes();
         self.sealed.push(Arc::new(chunk));
-        self.head.clear();
-        sealed
+        bytes
     }
 
     /// The stale-head rule of [`ShardInner::retention_pass`]: a series whose
     /// newest sample is older than `stale_before` gives its head buffer
-    /// back, sealing what the head holds first.
-    fn seal_if_stale(
-        &mut self,
-        stale_before: u64,
-        raw_chunks: bool,
-        scratch: &mut Vec<u8>,
-    ) -> Option<Sealed> {
-        if self.head.capacity() == 0 || self.last_timestamp()? >= stale_before {
+    /// back, sealing what the head holds first.  Returns the payload size
+    /// of the chunk that made.
+    fn seal_if_stale(&mut self, stale_before: u64) -> Option<usize> {
+        if self.head.is_empty() && !self.head.has_buffer() {
             return None;
         }
-        let sealed = (!self.head.is_empty()).then(|| self.seal_head(raw_chunks, scratch));
-        self.head = Vec::new();
-        sealed
+        if self.last_timestamp()? >= stale_before {
+            return None;
+        }
+        let sealed_bytes = (!self.head.is_empty()).then(|| self.seal_head());
+        self.head.release();
+        sealed_bytes
     }
 
     fn at(&self, at_ms: u64) -> Option<Sample> {
-        // Head samples are the newest; fall back to the sealed chunks.
-        sample_at(&self.head, at_ms).or_else(|| at_in_chunks(&self.sealed, at_ms))
+        // Head samples are the newest — the tail first, then the block
+        // behind it; fall back to the sealed chunks.
+        if self.head.first_timestamp().is_some_and(|first| first <= at_ms) {
+            return sample_at(self.head.tail(), at_ms)
+                .or_else(|| self.head.samples().take_while(|s| s.timestamp_ms <= at_ms).last());
+        }
+        at_in_chunks(&self.sealed, at_ms)
     }
 
     fn points_in(&self, start_ms: u64, end_ms: u64) -> Vec<(u64, f64)> {
@@ -362,19 +283,24 @@ impl MemSeries {
         crate::series::extend_range(&self.sealed, start_ms, end_ms, &mut out, |s| {
             (s.timestamp_ms, s.value)
         });
-        let a = self.head.partition_point(|s| s.timestamp_ms < start_ms);
-        let b = self.head.partition_point(|s| s.timestamp_ms <= end_ms);
-        out.reserve(b.saturating_sub(a));
-        // teemon-verify: allow(no-index): partition_point bounds satisfy a <= b <= len
-        out.extend(self.head[a..b].iter().map(|s| (s.timestamp_ms, s.value)));
+        let overlaps = self.head.first_timestamp().is_some_and(|first| first <= end_ms)
+            && self.head.last_timestamp().is_some_and(|last| last >= start_ms);
+        if overlaps {
+            out.extend(
+                self.head
+                    .samples()
+                    .skip_while(|s| s.timestamp_ms < start_ms)
+                    .take_while(|s| s.timestamp_ms <= end_ms)
+                    .map(|s| (s.timestamp_ms, s.value)),
+            );
+        }
         out
     }
 
     fn snapshot(&self) -> SeriesSnapshot {
-        let mut chunks = self.sealed.clone();
-        if !self.head.is_empty() {
-            chunks.push(Arc::new(Chunk::from_samples(self.head.clone())));
-        }
+        let mut chunks = Vec::with_capacity(self.sealed.len() + 1);
+        chunks.extend_from_slice(&self.sealed);
+        chunks.extend(self.head.snapshot().map(Arc::new));
         SeriesSnapshot::new(self.id, Arc::clone(&self.name), Arc::clone(&self.labels), chunks)
     }
 
@@ -394,15 +320,11 @@ impl MemSeries {
             chunks += 1;
             bytes += chunk.data_bytes() as u64;
         }
-        if self.sealed.is_empty() {
-            if let Some(last) = self.head.last() {
-                if last.timestamp_ms < cutoff_ms {
-                    samples += self.head.len();
-                    chunks += 1;
-                    bytes += (self.head.len() * SAMPLE_BYTES) as u64;
-                    self.head.clear();
-                }
-            }
+        if self.sealed.is_empty() && self.head.last_timestamp().is_some_and(|t| t < cutoff_ms) {
+            samples += self.head.len();
+            chunks += 1;
+            bytes += self.head.resident_bytes() as u64;
+            self.head.clear();
         }
         (samples, chunks, bytes)
     }
@@ -425,10 +347,11 @@ impl MemSeries {
     }
 
     /// Resident payload bytes, matching the shard's incremental `bytes`
-    /// accounting (sealed chunk payloads + 16 per head sample).
+    /// accounting (sealed chunk payloads + the head's, see
+    /// [`Head::resident_bytes`]).
     fn resident_bytes(&self) -> u64 {
         self.sealed.iter().map(|c| c.data_bytes() as u64).sum::<u64>()
-            + (self.head.len() * SAMPLE_BYTES) as u64
+            + self.head.resident_bytes() as u64
     }
 
     /// The value symbol of label `key`, if the series carries that label.
@@ -496,13 +419,13 @@ struct ShardInner {
     samples: u64,
     chunks: u64,
     rejected: u64,
-    /// Resident payload bytes (sealed chunk data + 16 per head sample).
+    /// Resident payload bytes (sealed chunk data + every head's, see
+    /// [`Head::resident_bytes`]).
     bytes: u64,
+    /// The open heads' share of `bytes`.
+    head_bytes: u64,
     min_ts: Option<u64>,
     max_ts: Option<u64>,
-    /// Where this shard's seals encode: every sealed payload is copied out
-    /// of it at its exact size, so the encoder's growth stays here.
-    seal_scratch: Vec<u8>,
 }
 
 impl ShardInner {
@@ -529,29 +452,67 @@ impl ShardInner {
     /// aggregates.  Returns `true` when the sample was stored.  The one
     /// append every path — per-sample, by handle, batched, WAL replay —
     /// goes through, so acceptance and accounting cannot diverge.
-    fn append(&mut self, local: u32, sample: Sample, chunk_size: usize, raw_chunks: bool) -> bool {
+    ///
+    /// The hot path is the ordering check against the newest sample — in
+    /// the head's inline tail or its encoder's register, no buffer to chase
+    /// — and a sixteen-byte store into that tail; it calls nothing.  The
+    /// append that fills the tail or the head leaves through
+    /// [`ShardInner::append_encoding`].
+    fn append(&mut self, local: u32, sample: Sample, chunk_size: usize) -> bool {
         // teemon-verify: allow(no-index): shard-local indices come from the key index/postings under this lock
         let series = &mut self.series[local as usize];
-        match series.append(sample, chunk_size, raw_chunks, &mut self.seal_scratch) {
-            Appended::Rejected => {
-                self.rejected += 1;
-                false
-            }
-            Appended::Accepted { opened_chunk, sealed } => {
-                self.samples += 1;
-                self.bytes += SAMPLE_BYTES as u64;
-                if let Some(sealed) = sealed {
-                    self.bytes = sealed.fold_into(self.bytes);
-                }
-                if opened_chunk {
-                    self.chunks += 1;
-                }
-                let ts = sample.timestamp_ms;
-                self.max_ts = Some(self.max_ts.map_or(ts, |m| m.max(ts)));
-                self.min_ts = Some(self.min_ts.map_or(ts, |m| m.min(ts)));
-                true
-            }
+        if series.last_timestamp().is_some_and(|last| sample.timestamp_ms < last) {
+            self.rejected += 1;
+            return false;
         }
+        let opened_chunk = series.head.is_empty();
+        if opened_chunk {
+            series.ever_appended = true;
+        }
+        if series.head.len() + 1 < chunk_size && series.head.store(sample) {
+            self.account(sample.timestamp_ms, opened_chunk, SAMPLE_BYTES as i64, 0);
+            return true;
+        }
+        self.append_encoding(local, sample, chunk_size, opened_chunk)
+    }
+
+    /// The rest of [`ShardInner::append`] for an accepted sample that fills
+    /// its head's tail — a burst is encoded — or the head, which is sealed
+    /// and emptied, its block buffer kept for the next chunk: past its first
+    /// chunk a steady series allocates only at a seal.
+    #[cold]
+    #[inline(never)]
+    fn append_encoding(
+        &mut self,
+        local: u32,
+        sample: Sample,
+        chunk_size: usize,
+        opened_chunk: bool,
+    ) -> bool {
+        let Some(series) = self.series.get_mut(local as usize) else { return false };
+        let mut head_delta = series.head.push(sample);
+        let mut sealed_bytes = 0;
+        if series.head.len() >= chunk_size {
+            head_delta -= series.head.resident_bytes() as i64;
+            sealed_bytes = series.seal_head();
+        }
+        self.account(sample.timestamp_ms, opened_chunk, head_delta, sealed_bytes);
+        true
+    }
+
+    /// Folds one stored sample into the aggregates: `head_delta` is what it
+    /// did to its head's resident bytes, `sealed_bytes` the payload of the
+    /// chunk it sealed, if any.
+    #[inline(always)]
+    fn account(&mut self, ts: u64, opened_chunk: bool, head_delta: i64, sealed_bytes: usize) {
+        self.samples += 1;
+        self.head_bytes = self.head_bytes.saturating_add_signed(head_delta);
+        self.bytes = self.bytes.saturating_add_signed(head_delta + sealed_bytes as i64);
+        if opened_chunk {
+            self.chunks += 1;
+        }
+        self.max_ts = Some(self.max_ts.map_or(ts, |m| m.max(ts)));
+        self.min_ts = Some(self.min_ts.map_or(ts, |m| m.min(ts)));
     }
 
     /// Appends a new series, registering it in the key index and the
@@ -620,6 +581,7 @@ impl ShardInner {
         let mut removed_samples = 0u64;
         let mut removed_chunks = 0u64;
         let mut removed_bytes = 0u64;
+        let mut removed_head_bytes = 0u64;
         self.series.retain(|series| {
             let doomed = victims.get(next_victim) == Some(&local);
             if doomed {
@@ -628,6 +590,7 @@ impl ShardInner {
                 removed_samples += series.sample_count();
                 removed_chunks += series.chunk_total();
                 removed_bytes += series.resident_bytes();
+                removed_head_bytes += series.head.resident_bytes() as u64;
             }
             local += 1;
             !doomed
@@ -635,6 +598,7 @@ impl ShardInner {
         self.samples = self.samples.saturating_sub(removed_samples);
         self.chunks = self.chunks.saturating_sub(removed_chunks);
         self.bytes = self.bytes.saturating_sub(removed_bytes);
+        self.head_bytes = self.head_bytes.saturating_sub(removed_head_bytes);
         self.rebuild_after_removal();
         self.refresh_time_bounds();
         removed
@@ -650,15 +614,11 @@ impl ShardInner {
     /// stopped seeing the series, so it is unlikely to be appended to again.
     /// Its samples are sealed into a chunk like a full head's and the buffer
     /// is released (an empty stale head just releases its buffer), so a
-    /// churned series costs its compressed samples, not a `chunk_size` raw
-    /// buffer, until retention evicts it.  The rule reads only what replay
-    /// reproduces — `max_ts` and the head — so it needs no WAL record.
-    fn retention_pass(
-        &mut self,
-        cutoff: u64,
-        raw_chunks: bool,
-        symbols: &RwLock<SymbolTable>,
-    ) -> u64 {
+    /// churned series costs an exact-sized block, not a tail and a
+    /// half-used buffer, until retention evicts it.  The rule reads only
+    /// what replay reproduces — `max_ts` and the head — so it needs no WAL
+    /// record.
+    fn retention_pass(&mut self, cutoff: u64, symbols: &RwLock<SymbolTable>) -> u64 {
         let mut dropped_samples = 0u64;
         let mut dropped_chunks = 0u64;
         let mut dropped_bytes = 0u64;
@@ -666,18 +626,19 @@ impl ShardInner {
         let mut min_ts = None;
         let stale_before = self.max_ts.map_or(0, |newest| newest.saturating_sub(STALE_HEAD_MS));
         let mut stale_sealed = 0u64;
+        let mut head_bytes = 0u64;
         for series in &mut self.series {
             let (samples, chunks, bytes) = series.drop_before(cutoff);
             dropped_samples += samples as u64;
             dropped_chunks += chunks as u64;
             dropped_bytes += bytes;
             drained |= series.is_drained();
-            if let Some(sealed) =
-                series.seal_if_stale(stale_before, raw_chunks, &mut self.seal_scratch)
-            {
-                self.bytes = sealed.fold_into(self.bytes);
+            let head_before = series.head.resident_bytes() as u64;
+            if let Some(sealed_bytes) = series.seal_if_stale(stale_before) {
+                self.bytes = (self.bytes + sealed_bytes as u64).saturating_sub(head_before);
                 stale_sealed += 1;
             }
+            head_bytes += series.head.resident_bytes() as u64;
             min_ts = match (min_ts, series.first_timestamp()) {
                 (Some(a), Some(b)) => Some(std::cmp::min::<u64>(a, b)),
                 (a, b) => a.or(b),
@@ -689,6 +650,7 @@ impl ShardInner {
         self.samples -= dropped_samples;
         self.chunks -= dropped_chunks;
         self.bytes = self.bytes.saturating_sub(dropped_bytes);
+        self.head_bytes = head_bytes;
         if drained {
             // Evicting renumbers the shard; the second walk to refresh
             // both time bounds only runs on this rare path.
@@ -814,7 +776,6 @@ struct ShardRecovery {
 /// flagged, never panics.
 struct Recovery<'a> {
     chunk_size: usize,
-    raw_chunks: bool,
     symbols: &'a RwLock<SymbolTable>,
     shards: [ShardRecovery; SHARD_COUNT],
     /// Ids of series built from placeholder bindings; see
@@ -827,7 +788,6 @@ impl<'a> Recovery<'a> {
     fn new(config: &TsdbConfig, symbols: &'a RwLock<SymbolTable>) -> Self {
         Self {
             chunk_size: config.chunk_size.max(1),
-            raw_chunks: config.raw_chunks,
             symbols,
             shards: Default::default(),
             doomed: HashSet::new(),
@@ -887,13 +847,14 @@ impl<'a> Recovery<'a> {
             labels: labels.into(),
             label_syms: label_syms.into_boxed_slice(),
             sealed: Vec::new(),
-            head: Vec::new(),
+            head: Head::default(),
             ever_appended: false,
         }
     }
 
     /// Restores `index`'s held-back snapshot, if any (sealed Gorilla blocks
-    /// verbatim).
+    /// verbatim, heads sample by sample through the append's own
+    /// [`Head::push`], so a restored head stands where the live one stood).
     fn restore(&mut self, index: usize) {
         let Some(snapshot) = self.shards.get_mut(index).and_then(|shard| shard.snapshot.take())
         else {
@@ -906,7 +867,9 @@ impl<'a> Recovery<'a> {
         };
         for series in snapshot.series {
             let mut restored = self.series(series.id, series.name_sym, series.label_syms);
-            restored.head = series.head;
+            for sample in series.head {
+                restored.head.push(sample);
+            }
             restored.sealed = series.sealed.into_iter().map(Arc::new).collect();
             restored.ever_appended = series.ever_appended;
             inner.series.push(restored);
@@ -915,6 +878,7 @@ impl<'a> Recovery<'a> {
         inner.samples = inner.series.iter().map(MemSeries::sample_count).sum();
         inner.chunks = inner.series.iter().map(MemSeries::chunk_total).sum();
         inner.bytes = inner.series.iter().map(MemSeries::resident_bytes).sum();
+        inner.head_bytes = inner.series.iter().map(|s| s.head.resident_bytes() as u64).sum();
         inner.refresh_time_bounds();
         if let Some(shard) = self.shards.get_mut(index) {
             shard.inner = inner;
@@ -929,7 +893,7 @@ impl<'a> Recovery<'a> {
     /// Re-applies one logged op to shard `index`; `false` when it fails
     /// validation.
     fn apply_op(&mut self, index: usize, op: wal::ShardOp<'_>) -> bool {
-        let (chunk_size, raw_chunks, symbols) = (self.chunk_size, self.raw_chunks, self.symbols);
+        let (chunk_size, symbols) = (self.chunk_size, self.symbols);
         match op {
             wal::ShardOp::Series { id, name_sym, label_syms } => {
                 let series = self.series(id, name_sym, label_syms);
@@ -947,7 +911,7 @@ impl<'a> Recovery<'a> {
                     if (local as usize) >= inner.series.len() {
                         return false;
                     }
-                    inner.append(local, Sample { timestamp_ms, value }, chunk_size, raw_chunks);
+                    inner.append(local, Sample { timestamp_ms, value }, chunk_size);
                 }
             }
             // Out-of-range victims cannot match any local index and fall
@@ -959,7 +923,7 @@ impl<'a> Recovery<'a> {
             }
             wal::ShardOp::Retention { cutoff_ms } => {
                 if let Some(inner) = self.live(index) {
-                    inner.retention_pass(cutoff_ms, raw_chunks, symbols);
+                    inner.retention_pass(cutoff_ms, symbols);
                 }
             }
         }
@@ -1163,9 +1127,11 @@ impl TimeSeriesDb {
     ///
     /// Appending to an existing series is allocation-free: the borrowed key
     /// is hashed directly (picking the lock shard and the key-index slot) and
-    /// verified against the interned key strings, and past a series' first
-    /// chunk the head's buffer is already there.  Only series creation, the
-    /// head's doublings inside that first chunk and chunk sealing allocate.
+    /// verified against the interned key strings, the sample lands in the
+    /// head's inline tail, and past a series' first chunk the buffer its
+    /// bursts encode into is already there.  Only series creation, that
+    /// buffer's few doublings inside the first chunk and chunk sealing
+    /// allocate.
     pub fn append(&self, name: &str, labels: &Labels, timestamp_ms: u64, value: f64) -> bool {
         let key_hash = series_key_hash(name, labels);
         let shard = shard_of(key_hash);
@@ -1176,8 +1142,7 @@ impl TimeSeriesDb {
         };
         let flush_due = self.shared.stage_sample(shard, local, timestamp_ms, value);
         let chunk_size = self.config.chunk_size.max(1);
-        let raw_chunks = self.config.raw_chunks;
-        let accepted = inner.append(local, Sample { timestamp_ms, value }, chunk_size, raw_chunks);
+        let accepted = inner.append(local, Sample { timestamp_ms, value }, chunk_size);
         drop(inner);
         if flush_due {
             self.wal_flush();
@@ -1245,15 +1210,13 @@ impl TimeSeriesDb {
         value: f64,
     ) -> HandleAppend {
         let chunk_size = self.config.chunk_size.max(1);
-        let raw_chunks = self.config.raw_chunks;
         let mut inner = self.shared.shard(handle.shard as usize).write();
         if handle.generation != inner.generation || (handle.local as usize) >= inner.series.len() {
             return HandleAppend::Stale;
         }
         let flush_due =
             self.shared.stage_sample(handle.shard as usize, handle.local, timestamp_ms, value);
-        let accepted =
-            inner.append(handle.local, Sample { timestamp_ms, value }, chunk_size, raw_chunks);
+        let accepted = inner.append(handle.local, Sample { timestamp_ms, value }, chunk_size);
         drop(inner);
         if flush_due {
             self.wal_flush();
@@ -1278,7 +1241,6 @@ impl TimeSeriesDb {
     /// On a steady-state round the call performs zero heap allocations.
     pub fn append_batch(&self, batch: &[(SeriesHandle, u64, f64)]) -> BatchOutcome {
         let chunk_size = self.config.chunk_size.max(1);
-        let raw_chunks = self.config.raw_chunks;
         let mut outcome = BatchOutcome::default();
         // This loop is the one approved multi-shard path: shards are visited
         // in ascending index order, so under the lock audit it runs as an
@@ -1328,7 +1290,7 @@ impl TimeSeriesDb {
                     writer.sample(handle.local, timestamp_ms, value);
                 }
                 let sample = Sample { timestamp_ms, value };
-                if inner.append(handle.local, sample, chunk_size, raw_chunks) {
+                if inner.append(handle.local, sample, chunk_size) {
                     outcome.appended += 1;
                     appended_here += 1;
                 } else {
@@ -1438,7 +1400,7 @@ impl TimeSeriesDb {
             labels: label_arcs.into(),
             label_syms: label_syms.into_boxed_slice(),
             sealed: Vec::new(),
-            head: Vec::new(),
+            head: Head::default(),
             ever_appended: false,
         };
         inner.push_series(key_hash, series)
@@ -1483,6 +1445,13 @@ impl TimeSeriesDb {
         stats.symbols = symbols.len() as u64;
         stats.symbol_bytes = symbols.bytes();
         stats
+    }
+
+    /// The open heads' share of [`StorageStats::resident_bytes`]: per head,
+    /// the bytes in use of the block it is building plus 16 per sample of
+    /// its tail.  Folded from the per-shard aggregates in O(shards).
+    pub fn head_bytes(&self) -> u64 {
+        self.shared.shards.iter().map(|s| s.read().head_bytes).sum()
     }
 
     /// Compiles `selector` once against the symbol table.  The symbol lock is
@@ -1587,8 +1556,7 @@ impl TimeSeriesDb {
             if let Some(mut writer) = self.shared.stage(index) {
                 writer.retention(cutoff);
             }
-            dropped_total +=
-                inner.retention_pass(cutoff, self.config.raw_chunks, &self.shared.symbols) as usize;
+            dropped_total += inner.retention_pass(cutoff, &self.shared.symbols) as usize;
         }
         dropped_total
     }
@@ -1613,7 +1581,7 @@ impl MemSeries {
 }
 
 fn materialise_labels(labels: &[(Arc<str>, Arc<str>)]) -> Labels {
-    Labels::from_pairs(labels.iter().map(|(k, v)| (&**k, &**v)))
+    Labels::from_str_pairs(labels.iter().map(|(k, v)| (&**k, &**v)))
 }
 
 /// Replay-side symbol resolution.  A missing binding installs a unique
@@ -1763,11 +1731,7 @@ mod tests {
 
     #[test]
     fn snapshots_share_sealed_chunks() {
-        let db = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 4,
-            retention_ms: u64::MAX,
-            raw_chunks: false,
-        });
+        let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 4, retention_ms: u64::MAX });
         for t in 0..10u64 {
             db.append("m", &Labels::new(), t * 1000, t as f64);
         }
@@ -1787,11 +1751,7 @@ mod tests {
 
     #[test]
     fn retention_respects_window() {
-        let db = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 10,
-            retention_ms: 5_000,
-            raw_chunks: false,
-        });
+        let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 10, retention_ms: 5_000 });
         for t in 0..100u64 {
             db.append("m", &Labels::new(), t * 1000, t as f64);
         }
@@ -1811,65 +1771,69 @@ mod tests {
 
     #[test]
     fn compressed_and_raw_storage_answer_identically() {
-        let compressed = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 16,
-            retention_ms: u64::MAX,
-            raw_chunks: false,
-        });
-        let raw = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 16,
-            retention_ms: u64::MAX,
-            raw_chunks: true,
-        });
-        for t in 0..100u64 {
-            for db in [&compressed, &raw] {
-                db.append("counter_total", &labels(&[("node", "n1")]), t * 5_000, (t * 40) as f64);
-                db.append("gauge", &labels(&[("node", "n1")]), t * 5_000, (t as f64 * 0.37).sin());
-            }
+        // The engine against the standalone all-raw `Series`: 107 samples at
+        // 16 a chunk leave six sealed blocks and an open head of eleven — a
+        // burst in its block, three in its tail.
+        let compressed =
+            TimeSeriesDb::with_config(TsdbConfig { chunk_size: 16, retention_ms: u64::MAX });
+        let node = labels(&[("node", "n1")]);
+        let mut raw_counter = crate::series::Series::new("counter_total".into(), node.clone(), 16);
+        let mut raw_gauge = crate::series::Series::new("gauge".into(), node.clone(), 16);
+        for t in 0..107u64 {
+            let counter = Sample { timestamp_ms: t * 5_000, value: (t * 40) as f64 };
+            let gauge = Sample { timestamp_ms: t * 5_000, value: (t as f64 * 0.37).sin() };
+            compressed.append("counter_total", &node, counter.timestamp_ms, counter.value);
+            compressed.append("gauge", &node, gauge.timestamp_ms, gauge.value);
+            assert!(raw_counter.append(counter) && raw_gauge.append(gauge));
         }
-        for selector in [Selector::metric("counter_total"), Selector::metric("gauge")] {
+        for b in [&raw_counter, &raw_gauge] {
+            let selector = Selector::metric(&b.name);
             let a = &compressed.select(&selector)[0];
-            let b = &raw.select(&selector)[0];
-            assert_eq!(a.points_in(0, u64::MAX), b.points_in(0, u64::MAX));
-            assert_eq!(a.points_in(17_000, 333_000), b.points_in(17_000, 333_000));
-            for at in [0, 4_999, 5_000, 123_456, u64::MAX] {
-                assert_eq!(a.at(at), b.at(at), "at {at}");
+            assert_eq!(a.chunk_count(), 6 + 1, "the head joins as one more block");
+            let points = |lo, hi| -> Vec<(u64, f64)> {
+                b.range(lo, hi).iter().map(|s| (s.timestamp_ms, s.value)).collect()
+            };
+            for (lo, hi) in [(0, u64::MAX), (17_000, 333_000), (490_000, 520_000)] {
+                assert_eq!(a.points_in(lo, hi), points(lo, hi));
+                assert_eq!(compressed.query_range(&selector, lo, hi)[0].points, points(lo, hi));
             }
-            assert_eq!(
-                a.cursor(40_000, 200_000).collect::<Vec<_>>(),
-                b.cursor(40_000, 200_000).collect::<Vec<_>>(),
-            );
+            for at in [0, 4_999, 5_000, 123_456, 481_000, 515_000, 529_999, u64::MAX] {
+                assert_eq!(a.at(at), b.at(at), "at {at}");
+                let instant = compressed.query_instant(&selector, at);
+                assert_eq!(
+                    instant.first().and_then(|r| r.points.first().copied()),
+                    b.at(at).map(|s| (s.timestamp_ms, s.value)),
+                    "at {at}"
+                );
+            }
+            assert_eq!(a.cursor(40_000, 200_000).collect::<Vec<_>>(), b.range(40_000, 200_000));
             assert_eq!(
                 a.owned_cursor(0, u64::MAX).collect::<Vec<_>>(),
                 a.samples().collect::<Vec<_>>(),
             );
             assert_eq!(a.last_sample(), b.last_sample());
             // The bulk drain yields what stepping would, from a fresh cursor
-            // and from one stopped inside a sealed chunk or the raw head.
+            // and from one stopped inside a sealed chunk or the head's block.
             for (lo, hi) in [(0, u64::MAX), (17_000, 333_000), (42_000, 42_000), (600_000, 700_000)]
             {
-                for snapshot in [a, b] {
-                    for consumed in [0usize, 1, 5, 37, 99, 200] {
-                        let mut stepped = snapshot.owned_cursor(lo, hi);
-                        let mut bulk = snapshot.owned_cursor(lo, hi);
-                        let mut drained: Vec<Sample> = bulk.by_ref().take(consumed).collect();
-                        bulk.read_into(&mut drained);
-                        assert_eq!(drained, stepped.by_ref().collect::<Vec<_>>());
-                        assert_eq!(bulk.next(), None, "read_into exhausts the cursor");
-                    }
+                for consumed in [0usize, 1, 5, 37, 99, 105, 200] {
+                    let mut bulk = a.owned_cursor(lo, hi);
+                    let mut drained: Vec<Sample> = bulk.by_ref().take(consumed).collect();
+                    bulk.read_into(&mut drained);
+                    assert_eq!(drained, b.range(lo, hi));
+                    assert_eq!(bulk.next(), None, "read_into exhausts the cursor");
                 }
             }
         }
         // Identical logical contents, far fewer resident bytes.
-        let (c, r) = (compressed.stats(), raw.stats());
-        assert_eq!(c.samples, r.samples);
-        assert_eq!((c.series, c.chunks), (r.series, r.chunks));
-        assert_eq!(r.resident_bytes, r.samples * SAMPLE_BYTES as u64);
+        let c = compressed.stats();
+        assert_eq!(c.samples, (raw_counter.len() + raw_gauge.len()) as u64);
+        assert_eq!(c.chunks, (raw_counter.chunk_count() + raw_gauge.chunk_count()) as u64);
+        let raw_bytes = c.samples * SAMPLE_BYTES as u64;
         assert!(
-            c.resident_bytes * 2 < r.resident_bytes,
-            "compression saved too little: {} vs {}",
+            c.resident_bytes * 2 < raw_bytes,
+            "compression saved too little: {} vs {raw_bytes}",
             c.resident_bytes,
-            r.resident_bytes
         );
         assert!(c.bytes_per_sample() < 8.0, "{}", c.bytes_per_sample());
         assert_eq!(StorageStats::default().bytes_per_sample(), 0.0);
@@ -1877,11 +1841,7 @@ mod tests {
 
     #[test]
     fn resident_bytes_track_retention() {
-        let db = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 10,
-            retention_ms: 20_000,
-            raw_chunks: false,
-        });
+        let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 10, retention_ms: 20_000 });
         for t in 0..200u64 {
             db.append("m", &Labels::new(), t * 1_000, t as f64);
         }
@@ -2036,11 +1996,7 @@ mod tests {
 
     #[test]
     fn retention_evicts_fully_aged_series() {
-        let db = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 4,
-            retention_ms: 10_000,
-            raw_chunks: false,
-        });
+        let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 4, retention_ms: 10_000 });
         let dead = labels(&[("node", "old")]);
         let live = labels(&[("node", "new")]);
         let dead_handle = db.resolve("m", &dead);
@@ -2075,45 +2031,72 @@ mod tests {
             .expect("some label value hashes into every shard")
     }
 
-    /// `(len, capacity)` of the head behind `handle`.
-    fn head_of(db: &TimeSeriesDb, handle: SeriesHandle) -> (usize, usize) {
+    /// `(samples held, samples in the tail, block capacity)` of the head
+    /// behind `handle`.
+    fn head_of(db: &TimeSeriesDb, handle: SeriesHandle) -> (usize, usize, usize) {
         let inner = db.shared.shard(handle.shard as usize).read();
         let head = &inner.series_at(handle.local).head;
-        (head.len(), head.capacity())
+        (head.len(), head.tail().len(), head.block_buffer().1)
+    }
+
+    /// The largest burst any [`crate::chunk_codec::BlockEncoder::push`] on
+    /// this thread took since the last call.
+    fn largest_burst() -> usize {
+        crate::chunk_codec::PUSHED.with(|pushed| pushed.borrow_mut().drain(..).max().unwrap_or(0))
     }
 
     #[test]
     fn heads_grow_with_their_samples_and_keep_the_buffer_after_a_seal() {
         let db = TimeSeriesDb::new(); // chunk_size 120
         let h = db.resolve("m", &Labels::new());
-        assert_eq!(head_of(&db, h), (0, 0), "a resolved series holds no buffer yet");
+        assert_eq!(head_of(&db, h), (0, 0, 0), "a resolved series holds no buffer yet");
+        largest_burst();
         let mut capacities = Vec::new();
         for t in 0..119u64 {
-            db.append_handle(h, t, 1.0);
-            let (len, capacity) = head_of(&db, h);
-            assert!(capacity <= (2 * len).max(4), "{capacity} slots for {len} samples");
+            db.append_handle(h, t * 5_000, (t * 17) as f64);
+            let (len, tail, capacity) = head_of(&db, h);
+            assert_eq!((len, tail), (t as usize + 1, (t as usize + 1) % 8), "bursts of eight");
+            let inner = db.shared.shard(h.shard as usize).read();
+            let (in_use, _) = inner.series_at(h.local).head.block_buffer();
+            assert!(capacity <= (2 * in_use).max(32), "{capacity} B held for {in_use} B in use");
+            assert_eq!(inner.head_bytes, (in_use + tail * SAMPLE_BYTES) as u64);
+            assert_eq!(inner.head_bytes, inner.bytes, "nothing is sealed yet");
             if capacities.last() != Some(&capacity) {
                 capacities.push(capacity);
             }
         }
-        assert_eq!(capacities, [4, 8, 16, 32, 64, 120]);
-        db.append_handle(h, 119, 1.0);
-        assert_eq!(head_of(&db, h), (0, 120), "a full seal clears the head and keeps the buffer");
+        // No buffer before the first burst, whose eight counter samples
+        // already outgrow the initial 32 bytes.
+        assert_eq!(capacities, [0, 64, 128, 256]);
+        assert_eq!(largest_burst(), 8, "no append encodes more than a tail");
+        // The seal encodes the seven samples the tail held and the 120th,
+        // copies the block out and keeps the buffer.
+        db.append_handle(h, 119 * 5_000, (119 * 17) as f64);
+        assert_eq!(largest_burst(), 8);
+        assert_eq!(head_of(&db, h), (0, 0, 256), "a full seal empties the head, not its buffer");
+        let snapshot = &db.select(&Selector::metric("m"))[0];
+        assert_eq!((snapshot.chunk_count(), snapshot.len()), (1, 120));
+        let stats = db.stats();
+        assert_eq!(stats.resident_bytes, snapshot.resident_bytes() as u64);
+        assert_eq!(db.shared.shard(h.shard as usize).read().head_bytes, 0);
+
+        // A chunk shorter than the tail seals without a burst before it.
         let small =
             TimeSeriesDb::with_config(TsdbConfig { chunk_size: 3, ..TsdbConfig::default() });
         let h = small.resolve("m", &Labels::new());
         small.append_handle(h, 0, 1.0);
-        assert_eq!(head_of(&small, h), (1, 3), "never past chunk_size");
+        small.append_handle(h, 1, 1.0);
+        assert_eq!(head_of(&small, h), (2, 2, 0), "two samples are two stores");
+        small.append_handle(h, 2, 1.0);
+        assert_eq!(head_of(&small, h), (0, 0, 32));
+        assert_eq!(largest_burst(), 3);
     }
 
     #[test]
     fn stale_heads_are_sealed_released_and_revive_small() {
         const MINUTE: u64 = 60_000;
-        let db = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 120,
-            retention_ms: 20 * MINUTE,
-            raw_chunks: false,
-        });
+        let db =
+            TimeSeriesDb::with_config(TsdbConfig { chunk_size: 120, retention_ms: 20 * MINUTE });
         let idle = db.resolve("idle", &Labels::new());
         let live = db.resolve("live", &labels_in_shard("live", idle.shard as usize));
         assert_eq!(live.shard, idle.shard, "staleness is judged against the shard's own newest");
@@ -2122,6 +2105,12 @@ mod tests {
             db.append_handle(live, t * 1_000, 1.0);
         }
         let idle_end = 16_000;
+        let head_bytes = |db: &TimeSeriesDb| db.shared.shard(idle.shard as usize).read().head_bytes;
+        let idle_head = {
+            let inner = db.shared.shard(idle.shard as usize).read();
+            inner.series_at(idle.local).head.resident_bytes()
+        };
+        assert!(idle_head < 17 * SAMPLE_BYTES, "two bursts are already a block");
 
         // Exactly the lookback behind is not yet *more than* it: nothing moves.
         db.append_handle(live, idle_end + STALE_HEAD_MS, 1.0);
@@ -2129,25 +2118,28 @@ mod tests {
         let sealed_before = probes::STALE_HEADS_SEALED.get();
         assert_eq!(db.apply_retention(), 0);
         assert_eq!(db.stats(), before);
-        assert_eq!(head_of(&db, idle), (17, 32));
+        assert_eq!(head_of(&db, idle), (17, 1, 64));
 
         // One millisecond later the idle head is sealed and its buffer
         // released; the live one is untouched.  No sample, chunk or series
-        // count moves, and the ledger swaps 16 B/sample for the block.
+        // count moves, and the ledger swaps the head's tail and block for
+        // the exact-sized block of all seventeen.
         db.append_handle(live, idle_end + STALE_HEAD_MS + 1, 1.0);
         let before = db.stats();
+        let heads_before = head_bytes(&db);
         assert_eq!(db.apply_retention(), 0);
         assert!(probes::STALE_HEADS_SEALED.get() > sealed_before);
-        assert_eq!(head_of(&db, idle), (0, 0));
-        assert_eq!(head_of(&db, live), (19, 32));
+        assert_eq!(head_of(&db, idle), (0, 0, 0));
+        assert_eq!(head_of(&db, live), (19, 3, 32));
+        assert_eq!(head_bytes(&db), heads_before - idle_head as u64);
         let after = db.stats();
         let snapshot = &db.select(&Selector::metric("idle"))[0];
         assert_eq!((snapshot.len(), snapshot.chunk_count()), (17, 1));
         assert_eq!(
             after.resident_bytes,
-            before.resident_bytes - 17 * SAMPLE_BYTES as u64 + snapshot.resident_bytes() as u64
+            before.resident_bytes - idle_head as u64 + snapshot.resident_bytes() as u64
         );
-        assert!(snapshot.resident_bytes() < 17 * SAMPLE_BYTES);
+        assert!(snapshot.resident_bytes() < idle_head);
         assert_eq!(
             StorageStats { resident_bytes: 0, ..after },
             StorageStats { resident_bytes: 0, ..before }
@@ -2156,11 +2148,11 @@ mod tests {
         assert_eq!(db.stats(), after);
         assert!(db.handle_live(idle), "sealing a head moves no series");
 
-        // A revival is checked against the sealed chunk's end and opens a
-        // head the size of that short chunk, as a new chunk.
+        // A revival is checked against the sealed chunk's end and is a store
+        // into the tail of a new chunk: no buffer until a burst needs one.
         assert_eq!(db.append_handle(idle, idle_end - 1, 0.0), HandleAppend::Rejected);
         assert_eq!(db.append_handle(idle, idle_end, 17.0), HandleAppend::Appended);
-        assert_eq!(head_of(&db, idle), (1, 17));
+        assert_eq!(head_of(&db, idle), (1, 1, 0));
         let revived = db.stats();
         assert_eq!(revived.chunks, after.chunks + 1);
         assert_eq!(revived.resident_bytes, after.resident_bytes + SAMPLE_BYTES as u64);
@@ -2180,11 +2172,7 @@ mod tests {
 
     #[test]
     fn an_empty_stale_head_just_releases_its_buffer() {
-        let db = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 8,
-            retention_ms: u64::MAX,
-            raw_chunks: true,
-        });
+        let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 8, retention_ms: u64::MAX });
         let full = db.resolve("full", &Labels::new());
         let short = db.resolve("short", &labels_in_shard("short", full.shard as usize));
         let live = db.resolve("live", &labels_in_shard("live", full.shard as usize));
@@ -2192,27 +2180,27 @@ mod tests {
             db.append_handle(full, t, 1.0);
         }
         db.append_handle(short, 7, 1.0);
-        assert_eq!(head_of(&db, full), (0, 8));
+        assert_eq!(head_of(&db, full), (0, 0, 32));
+        assert_eq!(head_of(&db, short), (1, 1, 0));
         db.append_handle(live, 8 + STALE_HEAD_MS, 1.0);
         let before = db.stats();
+        let sealed_before = probes::STALE_HEADS_SEALED.get();
         db.apply_retention();
-        assert_eq!(head_of(&db, full), (0, 0));
-        assert_eq!(head_of(&db, short), (0, 0));
-        // `raw_chunks` seals the stale head raw: the ledger does not move.
+        assert_eq!(head_of(&db, full), (0, 0, 0));
+        assert_eq!(head_of(&db, short), (0, 0, 0));
+        // A lone sample is 16 bytes as a block too, and an empty head's
+        // buffer was never in the ledger: it does not move.
         assert_eq!(db.stats(), before);
         assert_eq!(db.select(&Selector::metric("short"))[0].points_in(0, u64::MAX), [(7, 1.0)]);
-        // The next head of a steady series opens at full size again.
+        assert!(probes::STALE_HEADS_SEALED.get() > sealed_before, "`short` was sealed");
+        // The next head starts like a new series': a store, then a buffer.
         db.append_handle(full, 8 + STALE_HEAD_MS, 1.0);
-        assert_eq!(head_of(&db, full), (1, 8));
+        assert_eq!(head_of(&db, full), (1, 1, 0));
     }
 
     #[test]
     fn retention_spares_resolved_but_never_appended_series() {
-        let db = TimeSeriesDb::with_config(TsdbConfig {
-            chunk_size: 4,
-            retention_ms: 5_000,
-            raw_chunks: false,
-        });
+        let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 4, retention_ms: 5_000 });
         db.append("old", &Labels::new(), 1_000, 1.0);
         db.append("old", &Labels::new(), 100_000, 1.0);
         // Resolved (e.g. by a scrape cache mid-build) but not yet written.

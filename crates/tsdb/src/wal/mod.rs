@@ -110,6 +110,7 @@ use parking_lot::{LockClass, Mutex, MutexGuard, RwLock};
 use teemon_obs::{probes, Stopwatch};
 
 use crate::chunk_codec;
+use crate::head::Head;
 use crate::series::{Chunk, ChunkData, Sample};
 use crate::storage::SHARD_COUNT;
 use crate::symbols::{SymbolId, SymbolTable};
@@ -1142,7 +1143,7 @@ pub(crate) struct SnapSeriesRef<'a> {
     pub(crate) name_sym: SymbolId,
     pub(crate) label_syms: &'a [(SymbolId, SymbolId)],
     pub(crate) ever_appended: bool,
-    pub(crate) head: &'a [Sample],
+    pub(crate) head: &'a Head,
     pub(crate) sealed: &'a [Arc<Chunk>],
 }
 
@@ -1184,15 +1185,15 @@ pub(crate) fn encode_shard_snapshot(
         put_u32(&mut buf, s.name_sym.as_u32());
         buf.push(u8::from(s.ever_appended));
         put_label_syms(&mut buf, s.label_syms);
-        // Head: Gorilla when the codec accepts it, raw samples otherwise.
+        // Head: its samples as one Gorilla block (the block it is building,
+        // completed with its tail), an empty raw run when it holds none.
         put_u32(&mut buf, s.head.len() as u32);
-        if chunk_codec::encode_into(s.head, &mut block) {
+        if s.head.encode_into(&mut block) {
             buf.push(CHUNK_GORILLA);
             put_u32(&mut buf, block.len() as u32);
             buf.extend_from_slice(&block);
         } else {
             buf.push(CHUNK_RAW);
-            put_samples(&mut buf, s.head);
         }
         // Sealed chunks, payloads verbatim so reopen is byte-identical.
         put_u32(&mut buf, s.sealed.len() as u32);
@@ -1777,15 +1778,21 @@ mod tests {
 
     #[test]
     fn shard_snapshots_round_trip_byte_identically() {
-        let head = vec![
-            Sample { timestamp_ms: 1_000, value: 1.5 },
-            Sample { timestamp_ms: 2_000, value: -2.25 },
-        ];
+        // Eleven head samples: a burst in the block and three in the tail.
+        let head_samples: Vec<Sample> =
+            (0..11).map(|i| Sample { timestamp_ms: 1_000 * i, value: 1.5 - i as f64 }).collect();
+        let mut head = Head::default();
+        for &sample in &head_samples {
+            head.push(sample);
+        }
         let sealed_samples: Vec<Sample> =
             (0..8).map(|i| Sample { timestamp_ms: 10_000 + i * 500, value: i as f64 }).collect();
-        let mut scratch = Vec::new();
-        let gorilla = Arc::new(Chunk::sealed(&sealed_samples, true, &mut scratch));
-        let raw = Arc::new(Chunk::sealed(&sealed_samples, false, &mut scratch));
+        let mut open = Head::default();
+        for &sample in &sealed_samples {
+            open.push(sample);
+        }
+        let gorilla = Arc::new(open.seal());
+        let raw = Arc::new(Chunk::from_samples(sealed_samples.clone()));
         let series = [SnapSeriesRef {
             id: 9,
             name_sym: SymbolId::from_u32(3),
@@ -1805,7 +1812,7 @@ mod tests {
         assert_eq!(s.name_sym, SymbolId::from_u32(3));
         assert_eq!(s.label_syms, vec![(SymbolId::from_u32(1), SymbolId::from_u32(2))]);
         assert!(s.ever_appended);
-        assert_eq!(s.head, head);
+        assert_eq!(s.head, head_samples);
         assert_eq!(s.sealed.len(), 2);
         // The Gorilla payload is carried verbatim: byte-identical restore.
         match (&s.sealed[0].data, &gorilla.data) {

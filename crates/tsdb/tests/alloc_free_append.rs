@@ -1,7 +1,8 @@
 //! Code-level proof of the zero-allocation append hot path: a counting
 //! global allocator wraps the system allocator, and appending to an existing
-//! series (borrowed-key hash lookup + head push within the capacity its first
-//! chunk grew) must perform zero heap allocations.
+//! series (borrowed-key hash lookup + a store into the head's inline tail,
+//! bursts encoded into the buffer its first chunk grew) must perform zero
+//! heap allocations.
 
 // Audit bookkeeping (held-lock stacks, the order graph) allocates by
 // design, so the zero-allocation proofs only hold without `lock_audit`;
@@ -49,8 +50,8 @@ fn append_to_existing_series_is_allocation_free() {
     let db = TimeSeriesDb::new(); // chunk_size 120
     let labels = Labels::from_pairs([("node", "n1"), ("job", "sgx_exporter")]);
     // Create the series (interns symbols) and warm it through its first
-    // chunk: the head grows with its samples there (`heap_ledger.rs` counts
-    // the doublings), the seal keeps the full-sized buffer.
+    // chunk: its block's buffer grows there (`heap_ledger.rs` counts the
+    // doublings), the seal keeps it.
     for t in 0..120u64 {
         assert!(db.append("teemon_syscalls_total", &labels, t * 1_000, t as f64));
     }
@@ -63,7 +64,7 @@ fn append_to_existing_series_is_allocation_free() {
         after - before,
         0,
         "append to an existing series must not allocate (key lookup is borrowed-key hashing, \
-         the head chunk has reserved capacity)"
+         the head's tail is inline and its block buffer is kept)"
     );
     assert_eq!(db.stats().samples, 192);
 }
@@ -83,7 +84,7 @@ fn rejected_appends_are_allocation_free_too() {
 fn chunk_seal_allocates_only_at_the_boundary() {
     let db = TimeSeriesDb::new(); // chunk_size 120
     let labels = Labels::new();
-    // The first chunk grows its head; from the second on the buffer is there.
+    // The first chunk grows its block's buffer; from the second on it is there.
     for t in 0..120u64 {
         db.append("m", &labels, t, 0.0);
     }
@@ -95,7 +96,7 @@ fn chunk_seal_allocates_only_at_the_boundary() {
     // Sample 240 seals the chunk: the only allocations in a chunk's lifetime.
     let before = allocations();
     db.append("m", &labels, 300, 0.0);
-    assert!(allocations() > before, "sealing must copy the head into a fresh Arc chunk");
+    assert!(allocations() > before, "sealing must copy the block into a fresh Arc chunk");
     // And the path is allocation-free again afterwards.
     let before = allocations();
     db.append("m", &labels, 301, 0.0);

@@ -100,9 +100,10 @@ impl MetricsEndpoint for InPlaceEndpoint {
 }
 
 /// Rounds that take a series created in round 1 through its first chunk at
-/// the default `chunk_size`.  A head grows with its samples there (4 → 8 →
-/// … → 120; `heap_ledger.rs` counts the doublings); the seal that ends it
-/// keeps the full-sized buffer, so the rounds after it show the steady state.
+/// the default `chunk_size`.  The buffer a head's bursts encode into grows
+/// with its block there (32 → 64 → … bytes; `heap_ledger.rs` counts the
+/// doublings); the seal that ends it keeps the buffer, so the rounds after
+/// it show the steady state.
 const FIRST_CHUNK_ROUNDS: u64 = 120;
 
 #[test]
@@ -117,8 +118,8 @@ fn steady_state_scrape_round_is_allocation_free() {
     // Warm-up: round 1 builds the scrape cache (captures identities,
     // resolves handles, sizes the batch buffer) and creates every series
     // including the meta-metrics; round 2 proves the cache holds; the rest
-    // take every head through its first chunk, where it grows with its
-    // samples (the seal in round 120 keeps the full-sized buffer).
+    // take every head through its first chunk, where its block's buffer
+    // grows (the seal in round 120 keeps it).
     let summary = scraper.scrape_round(5_000);
     assert_eq!((summary.targets, summary.healthy), (1, 1));
     assert_eq!(summary.samples_scraped, 48);
@@ -245,7 +246,8 @@ fn churn_repairs_then_returns_to_allocation_free() {
     rounds(2);
 
     // …after which the enlarged round allocates for nothing but the new
-    // series' head, which doubles 4 → 8 → 16 across its samples 3 to 9 —
+    // series' head, whose first burst — its eighth sample — opens a block
+    // buffer at 32 bytes and doubles it at once for these values —
     assert_eq!(rounds(7), 2, "post-churn rounds may only grow the new series' head");
     // — and once that series is through its first chunk too (the older
     // ones seal their second alongside it), for nothing at all.
@@ -298,10 +300,10 @@ fn churned_push_allocates_for_what_changed_not_for_what_it_holds() {
         spent
     };
     // The standing series go through their first chunk before anything is
-    // measured: their heads grow with their samples there, in lock-step,
-    // which would land 500 doublings on one of the "warm" pushes below.  (A
-    // renamed series' first doublings do fall inside the window — 25 on the
-    // last churned push — and fit the budget's `+ 2` per new series.)
+    // measured: their blocks' buffers grow there, in lock-step, which would
+    // land 500 doublings on one of the "warm" pushes below.  (A renamed
+    // series never reaches its first burst here: the whole set is replaced
+    // at most six pushes after it appears.)
     for _ in 0..120 {
         push(&mut lane, &pods);
     }

@@ -73,7 +73,7 @@ impl Drop for ScratchDir {
 fn warm_durable_ingest_round_is_allocation_free() {
     let scratch = ScratchDir::new("round");
     // chunk_size 120: the heads seal once, in the warm-up.
-    let config = TsdbConfig { chunk_size: 120, retention_ms: 86_400_000, raw_chunks: false };
+    let config = TsdbConfig { chunk_size: 120, retention_ms: 86_400_000 };
     let db = TimeSeriesDb::open(&scratch.0, config).expect("open durable db on tmpfs");
     assert!(db.durable());
 
@@ -96,7 +96,7 @@ fn warm_durable_ingest_round_is_allocation_free() {
 
     // Warm-up: create series, open the log segment lazily, grow the staging
     // and group buffers to their steady-state capacity, and take every head
-    // through its first chunk (it grows with its samples there).
+    // through its first chunk (its block's buffer grows there).
     for t in 1..=120u64 {
         round(t * 1_000);
     }
@@ -116,7 +116,7 @@ fn warm_durable_ingest_round_is_allocation_free() {
 #[test]
 fn recovery_restores_the_durable_state_from_real_files() {
     let scratch = ScratchDir::new("reopen");
-    let config = TsdbConfig { chunk_size: 4, retention_ms: 86_400_000, raw_chunks: false };
+    let config = TsdbConfig { chunk_size: 4, retention_ms: 86_400_000 };
     let samples: Vec<(u64, f64)> = (1..=10u64).map(|t| (t * 1_000, t as f64)).collect();
     {
         let db = TimeSeriesDb::open(&scratch.0, config.clone()).expect("open");

@@ -43,7 +43,7 @@ const SCRAPE_CHURN: usize = 4;
 const PUSH_CHURN: usize = 3;
 
 fn config() -> TsdbConfig {
-    TsdbConfig { chunk_size: 4, retention_ms: WINDOW_ROUNDS * STEP_MS, raw_chunks: false }
+    TsdbConfig { chunk_size: 4, retention_ms: WINDOW_ROUNDS * STEP_MS }
 }
 
 fn open(fs: &FaultFs) -> TimeSeriesDb {

@@ -5,10 +5,13 @@
 //! and encoder the accumulator reader and writer replaced live on here as
 //! [`reference`], the oracles production must match — the decoder sample for
 //! sample on well-formed blocks, past their end, and on truncated and random
-//! bytes; the encoder byte for byte on every input it accepts.
+//! bytes; the encoder byte for byte on every input it accepts — whole, and
+//! through the resumable [`BlockEncoder`] in any split into bursts.
 
 use proptest::proptest;
-use teemon_tsdb::chunk_codec::{decode, decode_into, encode, encode_into, GorillaState};
+use teemon_tsdb::chunk_codec::{
+    decode, decode_into, encode, encode_into, BlockEncoder, GorillaState,
+};
 use teemon_tsdb::Sample;
 
 /// The previous production decoder and encoder, verbatim: one `bytes.get`
@@ -375,6 +378,66 @@ proptest! {
             assert_eq!(scratch, want, "encode_into diverged on the first {end} samples");
         }
         assert_eq!(encode(&samples), reference::encode(&samples));
+    }
+
+    /// A block built by any split of its samples into bursts — finished
+    /// after a burst or not, empty bursts in between — is byte for byte the
+    /// block `encode` builds, and at every burst boundary the finished
+    /// buffer is the block of the samples pushed so far.
+    #[test]
+    fn any_split_into_bursts_builds_the_same_block(
+        specs in proptest::collection::vec((0u8..8, 0u8..14, 0u16..u16::MAX), 1..200),
+        cuts in proptest::collection::vec((0usize..12, 0u8..2), 1..60),
+    ) {
+        let samples = build_samples(&specs);
+        let mut encoder = BlockEncoder::new();
+        let mut block = vec![0xa5; 3];
+        assert_eq!((encoder.count(), encoder.last_timestamp(), encoder.byte_len()), (0, None, 0));
+        let mut pushed = 0;
+        for &(burst, finish) in cuts.iter().cycle() {
+            let end = (pushed + burst).min(samples.len());
+            assert!(encoder.push(&samples[pushed..end], &mut block));
+            pushed = end;
+            assert_eq!(encoder.count() as usize, pushed);
+            assert_eq!(encoder.last_timestamp(), samples[..pushed].last().map(|s| s.timestamp_ms));
+            if finish == 1 || pushed == samples.len() {
+                encoder.finish(&mut block);
+                let want = reference::encode(&samples[..pushed]).unwrap_or_default();
+                assert_eq!(block, want, "the first {pushed} samples, finished");
+                assert_eq!(encoder.byte_len(), want.len());
+                // Finishing is idempotent.
+                encoder.finish(&mut block);
+                assert_eq!(block, want);
+            }
+            if pushed == samples.len() {
+                break;
+            }
+        }
+        assert_eq!(Some(block), encode(&samples));
+    }
+
+    /// A sample older than its predecessor stops a push there: what came
+    /// before it is in the block, it and the rest are not, and the encoder
+    /// carries on from the last sample it took.
+    #[test]
+    fn a_push_stops_at_the_first_backwards_timestamp(
+        specs in proptest::collection::vec((1u8..8, 0u8..14, 1u16..u16::MAX), 2..50),
+        flip in 1usize..49,
+        split in 0usize..49,
+    ) {
+        let good = build_samples(&specs);
+        let flip = 1 + flip % (good.len() - 1);
+        let mut bad = good.clone();
+        bad[flip].timestamp_ms = bad[flip - 1].timestamp_ms - 1;
+        let split = split % (flip + 1);
+        let mut encoder = BlockEncoder::new();
+        let mut block = Vec::new();
+        assert!(encoder.push(&bad[..split], &mut block));
+        assert!(!encoder.push(&bad[split..], &mut block), "decrease at index {flip}");
+        assert_eq!(encoder.count() as usize, flip);
+        assert!(encoder.push(&good[flip..], &mut block));
+        encoder.finish(&mut block);
+        assert_eq!(Some(block), reference::encode(&good));
     }
 
     /// A decrease anywhere makes `encode_into` report failure and leaves the

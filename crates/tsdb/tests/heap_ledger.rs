@@ -2,10 +2,12 @@
 //! tracks the *live bytes* behind sample storage in three stores shaped like
 //! the end-to-end benchmark's, and they must stay within
 //! [`StorageStats::resident_bytes`] plus a stated constant per chunk and per
-//! series — heads grow with their samples, sealed payloads are exact-sized
-//! allocations, and a retention pass releases the heads of series that went
-//! stale.  The same allocator counts the events behind that: how often a
-//! head reallocates inside its first chunk, and what a seal allocates.
+//! series — an open head is the block it will seal, in a buffer at most
+//! twice what it holds (its newest samples sit inline in the series record,
+//! no heap at all), sealed payloads are exact-sized allocations, and a
+//! retention pass releases the heads of series that went stale.  The same
+//! allocator counts the events behind that: how often a head's block
+//! reallocates inside its first chunk, and what a seal allocates.
 //!
 //! Companion to `alloc_free_append.rs` / `alloc_free_scrape.rs`, which prove
 //! the warm paths allocate nothing at all.
@@ -18,9 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use teemon_metrics::Labels;
-use teemon_tsdb::{
-    Selector, SeriesHandle, StorageStats, TimeSeriesDb, TsdbConfig, SHARD_COUNT, STALE_HEAD_MS,
-};
+use teemon_tsdb::{Selector, SeriesHandle, StorageStats, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS};
 
 struct LiveBytesAllocator;
 
@@ -67,7 +67,6 @@ fn events() -> (u64, u64) {
 }
 
 const CHUNK_SIZE: usize = 120;
-const SAMPLE_BYTES: u64 = 16;
 const TICK_MS: u64 = 5_000;
 
 /// What a sealed chunk costs beyond its payload: the `Arc<Chunk>` block (two
@@ -76,19 +75,19 @@ const TICK_MS: u64 = 5_000;
 /// (at most one spare slot per held one).
 const PER_CHUNK: u64 = 72 + 8 + 8;
 
-/// What a series may hold beyond that: a first head buffer of four slots
+/// What a series may hold beyond that: a first block buffer of 32 bytes
 /// however few it fills, and a chunk list that starts at four slots.
 const PER_SERIES: u64 = 64;
 
-/// The per-shard seal scratch: each shard's seals encode into one buffer,
-/// grown by doubling to the largest block it has seen.
-const SCRATCH: u64 = SHARD_COUNT as u64 * 1024;
+/// The buffer a head's block grows into over a full chunk of the value
+/// shapes [`round`] writes (≈ 2 bytes a sample): 32 bytes, doubled three
+/// times.  A seal keeps it for the next chunk.
+const KEPT_BUFFER: u64 = 256;
 
 fn db() -> TimeSeriesDb {
     TimeSeriesDb::with_config(TsdbConfig {
         chunk_size: CHUNK_SIZE,
         retention_ms: 24 * 60 * 60 * 1000,
-        raw_chunks: false,
     })
 }
 
@@ -115,13 +114,11 @@ fn round(
 }
 
 /// The ledger's allowance for `stats`: what it counts, the stated constants
-/// for what it knowingly does not, and `head_slack` bytes of free head slots.
+/// for what it knowingly does not, and `head_slack` bytes of block buffer
+/// not in use.
 fn allowance(stats: &StorageStats, head_slack: u64) -> i64 {
-    (stats.resident_bytes
-        + stats.chunks * PER_CHUNK
-        + stats.series * PER_SERIES
-        + SCRATCH
-        + head_slack) as i64
+    (stats.resident_bytes + stats.chunks * PER_CHUNK + stats.series * PER_SERIES + head_slack)
+        as i64
 }
 
 /// Moves every shard's newest timestamp to `at_ms` through `tickers` (enough
@@ -148,11 +145,13 @@ fn steady_series_hold_their_blocks_and_one_head_buffer() {
     let held = live() - before;
     let stats = db.stats();
     assert_eq!((stats.samples, stats.chunks), (SERIES as u64 * ROUNDS, SERIES as u64 * 4));
-    // Past its first seal a steady series keeps one `chunk_size` buffer; the
-    // ledger counts the 40 samples in it, the free slots are stated here.
-    let free_slots = CHUNK_SIZE as u64 - ROUNDS % CHUNK_SIZE as u64;
-    let bound = allowance(&stats, SERIES as u64 * free_slots * SAMPLE_BYTES);
+    // Past its first seal a steady series keeps one block buffer; the ledger
+    // counts the five bursts in it, the rest of it is stated here.
+    let in_use = db.head_bytes();
+    assert!(in_use < SERIES as u64 * KEPT_BUFFER / 2, "{in_use} B of open heads");
+    let bound = allowance(&stats, SERIES as u64 * KEPT_BUFFER - in_use);
     assert!(held <= bound, "{held} B live for a ledger allowing {bound} B ({stats:?})");
+    // (Round 400 ends a burst: no sample sits in an inline tail.)
     assert!(held >= stats.resident_bytes as i64, "the ledger counts nothing that is not there");
 }
 
@@ -174,7 +173,8 @@ fn preloaded_series_hold_exact_blocks_and_release_empty_heads_once_stale() {
     assert_eq!(stats.chunks, SERIES as u64 * 12);
     // Every head is empty and still has its buffer: the one thing here the
     // ledger does not count.
-    let kept_heads = SERIES as u64 * CHUNK_SIZE as u64 * SAMPLE_BYTES;
+    assert_eq!(db.head_bytes(), 0);
+    let kept_heads = SERIES as u64 * KEPT_BUFFER;
     let bound = allowance(&stats, kept_heads);
     assert!(held <= bound, "{held} B live for a ledger allowing {bound} B ({stats:?})");
 
@@ -202,9 +202,11 @@ fn churned_series_cost_their_samples_not_a_head_buffer() {
             db.append_handle(handle, t * TICK_MS, (t * 3) as f64);
         }
     }
-    // A head holds at most twice what it was given (four slots at least)…
+    // A head's buffer is at most twice the block in it (32 bytes at least,
+    // in `PER_SERIES`), and the tail the ledger counts is not heap at all…
     let stats = db.stats();
-    let (held, bound) = (live() - before, allowance(&stats, stats.resident_bytes));
+    assert_eq!(db.head_bytes(), stats.resident_bytes, "nothing is sealed yet");
+    let (held, bound) = (live() - before, allowance(&stats, db.head_bytes()));
     assert!(held <= bound, "{held} B live for a ledger allowing {bound} B ({stats:?})");
 
     // …and nothing once the series has been idle for five minutes: the
@@ -212,6 +214,7 @@ fn churned_series_cost_their_samples_not_a_head_buffer() {
     tick(&db, &tickers, 40 * TICK_MS + STALE_HEAD_MS + 1);
     assert_eq!(db.apply_retention(), 0);
     let sealed = db.stats();
+    assert_eq!(db.head_bytes(), 256 * 16, "the tickers' one sample each");
     assert_eq!(
         (sealed.samples, sealed.chunks, sealed.series),
         (stats.samples + 256, stats.chunks + 256, stats.series),
@@ -236,29 +239,31 @@ fn a_head_doubles_through_its_first_chunk_and_then_only_seals_allocate() {
         (after.0 - before.0, after.1 - before.1)
     };
 
-    // First chunk: one allocation for the first four slots, then a realloc
-    // per doubling — 8, 16, 32, 64, 120.
+    // First chunk: one allocation for the block's first 32 bytes at the
+    // first burst, then a realloc per doubling — 64, 128, 256.
     let (mut allocs, mut reallocs) = (0, 0);
     for t in 0..CHUNK_SIZE as u64 - 1 {
         let (a, r) = append(t);
+        assert!(a + r == 0 || (t + 1) % 8 == 0, "append {t} allocated outside a burst");
         allocs += a;
         reallocs += r;
     }
     assert_eq!(allocs, 1);
-    assert_eq!(reallocs, u64::from((CHUNK_SIZE as f64 / 4.0).log2().ceil() as u32));
-    // Its seal: the chunk, the payload, the chunk list's first slots — and,
-    // being this shard's first, the seal scratch growing to one block.
-    assert_eq!(append(CHUNK_SIZE as u64 - 1).0, 4);
+    assert!((1..=4).contains(&reallocs), "{reallocs} reallocations in a first chunk");
+    // Its seal: the chunk, the payload and the chunk list's first slots.
+    assert_eq!(append(CHUNK_SIZE as u64 - 1), (3, 0));
 
     // Second chunk: nothing until the seal, which is the `Arc<Chunk>` and a
     // payload allocation of exactly the block's size.
     for t in CHUNK_SIZE as u64..2 * CHUNK_SIZE as u64 - 1 {
         assert_eq!(append(t), (0, 0), "append {t} of a warm head");
     }
-    let before = db.stats().resident_bytes;
+    let (before, head) = (db.stats().resident_bytes, db.head_bytes());
     assert_eq!(append(2 * CHUNK_SIZE as u64 - 1), (2, 0));
-    // The ledger swapped 119 raw samples (the 120th came and went) for the block.
-    let block = db.stats().resident_bytes + 119 * SAMPLE_BYTES - before;
+    // The ledger swapped the open head (fourteen bursts as a block, seven
+    // samples in the tail) for the finished block.
+    assert_eq!(db.head_bytes(), 0);
+    let block = db.stats().resident_bytes - (before - head);
     assert!(
         LAST_SIZES.with(Cell::get).contains(&(block as usize)),
         "no {block}-byte allocation among the seal's {:?}",

@@ -66,11 +66,7 @@ fn armed_allocations() -> u64 {
 #[test]
 fn engine_exercise_allocates_only_in_approved_scopes() {
     let before = armed_allocations();
-    let db = TimeSeriesDb::with_config(TsdbConfig {
-        chunk_size: 8,
-        retention_ms: 40_000,
-        raw_chunks: false,
-    });
+    let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 8, retention_ms: 40_000 });
     let labels: Vec<Labels> = (0..64)
         .map(|i| Labels::from_pairs([("node", format!("n{}", i % 4)), ("idx", format!("{i}"))]))
         .collect();

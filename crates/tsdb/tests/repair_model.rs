@@ -287,7 +287,6 @@ proptest! {
         let config = TsdbConfig {
             chunk_size: 4,          // low, so rounds seal chunks mid-stream
             retention_ms: 20_000,   // four rounds: retention bites and evicts
-            raw_chunks: false,
         };
         let dbs: Vec<TimeSeriesDb> =
             (0..4).map(|_| TimeSeriesDb::with_config(config.clone())).collect();

@@ -23,19 +23,30 @@ use std::sync::Arc;
 
 use proptest::{proptest, TestRng};
 use teemon_metrics::Labels;
+use teemon_obs::probes;
 use teemon_tsdb::{
     DurabilityOptions, FaultFs, FsyncMode, Selector, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
 };
 
 const METRICS: [&str; 3] = ["sgx_epc_pages", "teemon_syscalls_total", "proc_cpu_seconds"];
-const CHUNK_SIZE: usize = 4;
+/// Samples per chunk: low, so rounds seal chunks mid-stream — four, under
+/// the eight-sample tail an open head encodes in bursts of, or on one case
+/// in four nine: a burst at the eighth sample, the seal one later, partial
+/// blocks in between.
+fn chunk_size(case: u64) -> usize {
+    if case % 4 == 1 {
+        9
+    } else {
+        4
+    }
+}
 
 /// Six rounds of retention — series age out before anything goes stale — or
 /// long enough for idle heads to be sealed, revived and evicted a few clock
 /// jumps later.
 fn config(case: u64) -> TsdbConfig {
     let retention_ms = if case.is_multiple_of(3) { 30_000 } else { 3 * STALE_HEAD_MS };
-    TsdbConfig { chunk_size: CHUNK_SIZE, retention_ms, raw_chunks: false }
+    TsdbConfig { chunk_size: chunk_size(case), retention_ms }
 }
 
 fn open(fs: &FaultFs, segment_bytes: u64, case: u64) -> TimeSeriesDb {
@@ -48,15 +59,10 @@ fn open(fs: &FaultFs, segment_bytes: u64, case: u64) -> TimeSeriesDb {
         .expect("FaultFs open cannot fail")
 }
 
-/// Whether some series of `db` carries a head that a retention pass sealed
-/// as stale: a chunk cut short of [`CHUNK_SIZE`] that full ones or a new
-/// head follow, or a lone short chunk that is stored compressed.
-fn shows_a_stale_seal(db: &TimeSeriesDb) -> bool {
-    db.select(&Selector::all()).iter().any(|s| {
-        s.chunk_count() > s.len().div_ceil(CHUNK_SIZE)
-            || s.chunk_count() == 1 && s.len() < CHUNK_SIZE && s.resident_bytes() < s.len() * 16
-    })
-}
+/// [`run_case`] reports whether a retention pass sealed a stale head by the
+/// process-wide `teemon_tsdb_stale_heads_sealed_total`; its callers take
+/// turns.
+static ONE_CASE_AT_A_TIME: std::sync::OnceLock<parking_lot::Mutex<()>> = std::sync::OnceLock::new();
 
 /// One series as compared across databases: name, rendered labels, data.
 /// Ids are deliberately left out: a restart rewinds the id counter to the
@@ -116,6 +122,8 @@ fn apply(db: &TimeSeriesDb, op: &Op, now: u64) {
 /// Runs one generated workload against the durable store and its twin;
 /// returns whether a stale head was sealed along the way.
 fn run_case(rounds: u64, churn_per_round: usize, case: u64) -> bool {
+    let _turn = ONE_CASE_AT_A_TIME.get_or_init(Default::default).lock();
+    let sealed_before = probes::STALE_HEADS_SEALED.get();
     let mut rng = TestRng::deterministic(&format!("symbol-gc-{case}"));
     // Tiny segments checkpoint (and sweep) nearly every round; the huge
     // alternative exercises the no-checkpoint path, where cooling entries
@@ -127,7 +135,6 @@ fn run_case(rounds: u64, churn_per_round: usize, case: u64) -> bool {
 
     let mut live_tags: Vec<String> = Vec::new();
     let mut now = 0;
-    let mut stale_sealed = false;
     for round in 1..=rounds {
         // One round in four the clock jumps past the stale-head window;
         // the retention pass that ends such a round finds whatever was
@@ -197,7 +204,6 @@ fn run_case(rounds: u64, churn_per_round: usize, case: u64) -> bool {
             v.symbols,
             v.symbol_bytes
         );
-        stale_sealed |= shows_a_stale_seal(&durable);
     }
 
     // Churn coda: every round interns brand-new strings and drops the
@@ -229,7 +235,7 @@ fn run_case(rounds: u64, churn_per_round: usize, case: u64) -> bool {
             v.symbols
         );
     }
-    stale_sealed
+    probes::STALE_HEADS_SEALED.get() > sealed_before
 }
 
 proptest! {

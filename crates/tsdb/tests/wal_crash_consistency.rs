@@ -19,6 +19,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use proptest::{proptest, TestRng};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
+use teemon_obs::probes;
 use teemon_tsdb::{
     CrashModel, DurabilityOptions, FaultFs, FsyncMode, MetricsEndpoint, ScrapeError,
     ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
@@ -134,30 +135,35 @@ fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
     (format!("{:?}", db.stats()), series)
 }
 
-/// Samples per chunk: low, so rounds seal chunks mid-stream.
-const CHUNK_SIZE: usize = 4;
-
-/// Whether some series of `db` carries a head that a retention pass sealed
-/// as stale: a chunk cut short of [`CHUNK_SIZE`] that full ones or a new
-/// head follow, or a lone short chunk that is stored compressed.
-fn shows_a_stale_seal(db: &TimeSeriesDb) -> bool {
-    db.select(&Selector::all()).iter().any(|s| {
-        s.chunk_count() > s.len().div_ceil(CHUNK_SIZE)
-            || s.chunk_count() == 1 && s.len() < CHUNK_SIZE && s.resident_bytes() < s.len() * 16
-    })
+/// Samples per chunk: low, so rounds seal chunks mid-stream — four, under
+/// the eight-sample tail an open head encodes in bursts of, or on one case
+/// in four nine: a burst at the eighth sample, the seal one later, partial
+/// blocks in between.
+fn chunk_size(case: u64) -> usize {
+    if case % 4 == 1 {
+        9
+    } else {
+        4
+    }
 }
+
+/// [`run_case`] reports whether a retention pass sealed a stale head by the
+/// process-wide `teemon_tsdb_stale_heads_sealed_total`; its callers take
+/// turns.
+static ONE_CASE_AT_A_TIME: std::sync::OnceLock<parking_lot::Mutex<()>> = std::sync::OnceLock::new();
 
 /// Runs one generated workload and its crash sweep; returns whether a stale
 /// head was sealed along the way.
 fn run_case(initial_series: usize, rounds: u64, case: u64) -> bool {
+    let _turn = ONE_CASE_AT_A_TIME.get_or_init(Default::default).lock();
+    let sealed_before = probes::STALE_HEADS_SEALED.get();
     let mut rng = TestRng::deterministic(&format!("wal-crash-consistency-{case}"));
     let config = TsdbConfig {
-        chunk_size: CHUNK_SIZE,
+        chunk_size: chunk_size(case),
         // Four rounds — retention bites and evicts before anything goes
         // stale — or long enough for idle heads to be sealed, revived
         // and evicted a few clock jumps later.
         retention_ms: if case.is_multiple_of(3) { 20_000 } else { 3 * STALE_HEAD_MS },
-        raw_chunks: false,
     };
     // Tiny segments on half the cases, so rotation interleaves the
     // workload.
@@ -187,7 +193,6 @@ fn run_case(initial_series: usize, rounds: u64, case: u64) -> bool {
     // kinds of snapshot installed — the sweep below must cross them.
     let mut round = 0;
     let mut now = 0;
-    let mut stale_sealed = false;
     let mut jumped = false;
     while round < rounds || rotating && !went_full_cycle(&fs) {
         round += 1;
@@ -219,7 +224,6 @@ fn run_case(initial_series: usize, rounds: u64, case: u64) -> bool {
         // The scrape round ends with the WAL flush — the ack point.
         scraper.scrape_once(now);
         acked.push((fs.total_write_bytes(), fingerprint(&db)));
-        stale_sealed |= shows_a_stale_seal(&db);
     }
     assert!(db.stats().samples > 0, "workload must exercise the db");
     assert_eq!(db.stats().wal_failed_shards, 0, "fault-free run must stay clean");
@@ -255,7 +259,7 @@ fn run_case(initial_series: usize, rounds: u64, case: u64) -> bool {
             );
         }
     }
-    stale_sealed
+    probes::STALE_HEADS_SEALED.get() > sealed_before
 }
 
 proptest! {

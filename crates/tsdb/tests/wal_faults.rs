@@ -31,7 +31,7 @@ use teemon_tsdb::{
 fn config() -> TsdbConfig {
     // Low chunk size so the workload seals Gorilla chunks mid-stream and
     // snapshots carry both sealed blocks and raw heads.
-    TsdbConfig { chunk_size: 4, retention_ms: 600_000, raw_chunks: false }
+    TsdbConfig { chunk_size: 4, retention_ms: 600_000 }
 }
 
 fn dir() -> &'static Path {

@@ -8,6 +8,14 @@
 //! the log there and deleting every later segment — and keep working: one
 //! more round is appended in today's format, and a log holding both replays
 //! exactly.  `golden/wal-v1.generate.rs` is how it was made.
+//!
+//! `tests/golden/wal-v2/` pins the bytes themselves: it is what commit
+//! f6b5cd5 — the last one whose open heads were plain sample buffers, encoded
+//! whole at a seal or a checkpoint — wrote for [`workload`] below, run as an
+//! example against that commit.  A store whose heads are blocks built in
+//! bursts must write the same directory, file for file and byte for byte
+//! (shard snapshots taken with heads mid-burst included), and must carry a
+//! directory that commit wrote forward exactly as it carries its own.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -16,9 +24,61 @@ use teemon_metrics::Labels;
 use teemon_obs::probes;
 use teemon_tsdb::{DurabilityOptions, Selector, TimeSeriesDb, TsdbConfig};
 
+/// What `wal-v2/` holds: sixty rounds of twelve series at four paces, so
+/// that whenever a shard is checkpointed (every 512 logged bytes) its heads
+/// stand at different places — empty, inside a first burst, a block and a
+/// tail — in chunks of eleven; NaN payloads, a signed zero and full-entropy
+/// values among them, a selector drop and retention passes on the way.
+fn workload(db: &TimeSeriesDb, rounds: std::ops::Range<u64>) {
+    for round in rounds {
+        let now = 10_000 + round * 5_000;
+        for k in 0..12u64 {
+            if round % (k % 4 + 1) != 0 {
+                continue;
+            }
+            let labels = Labels::from_pairs([("node", format!("n{k}").as_str())]);
+            let value = match k % 6 {
+                0 => round as f64,
+                1 => 24_000.0 - round as f64 * 0.5,
+                2 => f64::from_bits(0x7ff8_0000_0000_0000 | round),
+                3 => (round as f64 * 0.37).sin(),
+                4 => -0.0,
+                _ => f64::from_bits(round.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            };
+            assert!(db.append("golden_metric", &labels, now + k, value));
+        }
+        if round == 17 {
+            db.drop_series(&Selector::metric("golden_metric").with_label("node", "n4"));
+        }
+        if round % 13 == 12 {
+            db.apply_retention();
+        }
+        assert!(db.wal_flush());
+    }
+}
+
+/// Opens `dir` the way `wal-v2/` was written.
+fn open_v2(dir: &Path) -> TimeSeriesDb {
+    let config = TsdbConfig { chunk_size: 11, retention_ms: 120_000 };
+    let options = DurabilityOptions { segment_bytes: 512, ..DurabilityOptions::default() };
+    TimeSeriesDb::open_with(dir, config, options).expect("open a v2 directory")
+}
+
+/// Every file of `dir`, by name.
+fn files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("list the directory")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("read"))
+        })
+        .collect()
+}
+
 /// The configuration the directory was written under.
 fn open(dir: &Path) -> TimeSeriesDb {
-    let config = TsdbConfig { chunk_size: 4, retention_ms: 60_000, raw_chunks: false };
+    let config = TsdbConfig { chunk_size: 4, retention_ms: 60_000 };
     let options = DurabilityOptions { segment_bytes: 256, ..DurabilityOptions::default() };
     TimeSeriesDb::open_with(dir, config, options).expect("open the golden directory")
 }
@@ -42,13 +102,21 @@ struct ScratchCopy(PathBuf);
 
 impl ScratchCopy {
     fn of(golden: &Path) -> Self {
-        let dir = std::env::temp_dir().join(format!("teemon-wal-golden-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let tag = golden.file_name().expect("a named directory").to_string_lossy();
+        let scratch = Self::empty(&format!("copy-of-{tag}"));
         for entry in std::fs::read_dir(golden).expect("list the golden directory") {
             let path = entry.expect("directory entry").path();
-            std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
+            std::fs::copy(&path, scratch.0.join(path.file_name().expect("file name")))
+                .expect("copy");
         }
+        scratch
+    }
+
+    fn empty(tag: &str) -> Self {
+        let name = format!("teemon-wal-golden-{tag}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
         Self(dir)
     }
 }
@@ -94,4 +162,44 @@ fn a_directory_written_with_fixed_sample_entries_opens_and_keeps_working() {
     );
     assert_eq!(reopened.stats().wal_failed_shards, 0);
     assert_eq!(probes::WAL_SALVAGE.get(), salvages, "nothing may be cut from a healthy directory");
+}
+
+#[test]
+fn todays_store_writes_the_directory_the_raw_head_store_wrote() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wal-v2");
+    let pinned = files(&golden);
+    assert!(pinned.keys().any(|name| name.starts_with("shard-")), "snapshots are part of it");
+
+    // The same appends, from nothing: no log, snapshot or symbol byte moved.
+    let written = ScratchCopy::empty("written");
+    drop({
+        let db = open_v2(&written.0);
+        workload(&db, 0..60);
+        db
+    });
+    let ours = files(&written.0);
+    assert_eq!(ours.keys().collect::<Vec<_>>(), pinned.keys().collect::<Vec<_>>());
+    for (name, bytes) in &pinned {
+        assert!(ours.get(name) == Some(bytes), "{name} differs from the pinned directory");
+    }
+
+    // And the pinned directory carries on as ours does: recovered — heads
+    // restored from snapshots mid-burst, the log tail replayed onto them —
+    // and run thirty rounds further, it re-snapshots and logs exactly what a
+    // store that wrote all ninety rounds itself does.
+    let resumed = ScratchCopy::of(&golden);
+    let straight = ScratchCopy::empty("straight");
+    let (resumed_db, straight_db) = (open_v2(&resumed.0), open_v2(&straight.0));
+    workload(&straight_db, 0..60);
+    assert_eq!(fingerprint(&resumed_db), fingerprint(&straight_db));
+    assert_eq!(resumed_db.head_bytes(), straight_db.head_bytes());
+    workload(&resumed_db, 60..90);
+    workload(&straight_db, 60..90);
+    assert_eq!(fingerprint(&resumed_db), fingerprint(&straight_db));
+    drop((resumed_db, straight_db));
+    let (resumed, straight) = (files(&resumed.0), files(&straight.0));
+    assert_eq!(resumed.keys().collect::<Vec<_>>(), straight.keys().collect::<Vec<_>>());
+    for (name, bytes) in &straight {
+        assert!(resumed.get(name) == Some(bytes), "{name}: the resumed directory diverged");
+    }
 }
