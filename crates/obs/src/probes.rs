@@ -355,6 +355,9 @@ probes! {
     storage "teemon_tsdb_stale_heads_sealed_total"
         "idle series' head buffers sealed into chunks and released by retention passes"
         { STALE_HEADS_SEALED: Counter }
+    storage "teemon_tsdb_block_reencodes_total"
+        "open integer blocks re-encoded as XOR blocks by their first value that is not a whole number"
+        { BLOCK_REENCODES: Counter }
     ingest "teemon_scrape_budget_rejected_total"
         "series rejected by per-target/per-job cardinality budgets at the scrape edge"
         { SCRAPE_BUDGET_REJECTED: Counter }

@@ -1,63 +1,94 @@
-//! Gorilla-style chunk compression: delta-of-delta timestamps and
-//! XOR-encoded `f64` values.
+//! Gorilla-style chunk compression: delta-of-delta timestamps, and values
+//! either XOR-encoded as `f64` bit patterns or — when every one of them is a
+//! whole number — delta-of-delta encoded as integers.
 //!
 //! Sealed chunks hold their samples in the bit format Facebook's Gorilla
 //! paper introduced (and Prometheus adopted): monitoring timestamps arrive at
 //! a near-constant cadence, so the *change of the change* between consecutive
 //! timestamps is almost always zero and costs one bit; values drift slowly,
 //! so the XOR of consecutive IEEE 754 bit patterns has long runs of zeros and
-//! only a short "meaningful" window needs storing.  On the monotone counters
-//! the bench suite models this lands well under 4 bytes per 16-byte
-//! [`Sample`] — roughly an order of magnitude less resident memory at high
-//! cardinality.
+//! only a short "meaningful" window needs storing.  That holds for values
+//! that repeat or wander in their low mantissa bits.  It does not hold for
+//! what a monitor mostly collects — page counts, syscall and fault counters,
+//! byte totals: whole numbers moving at a steady rate — because `v → v + 1`
+//! flips a different run of mantissa bits every step (12 to 18 bits a sample
+//! where the rate is *constant*).  So a block whose values are all whole
+//! numbers takes the road its timestamps take: each value is stored as the
+//! delta-of-delta of its `i64`, which a steady counter or gauge makes zero —
+//! two bits a sample, timestamp and value (M3DB's M3TSZ does the same for
+//! the same reason).
 //!
-//! The format, per chunk:
+//! The format, per block:
 //!
 //! * sample 0: raw 64-bit timestamp, raw 64-bit value bits;
 //! * timestamps thereafter: `Δ²` buckets `0` / `10`+7 bits / `110`+9 bits /
 //!   `1110`+12 bits, with `1111` + a raw 64-bit *delta* as the escape (so
 //!   arbitrary `u64` timestamps round-trip without overflow);
-//! * values thereafter: `0` for an identical bit pattern, otherwise `1` and
-//!   either `0` + the meaningful bits inside the previous leading/trailing
-//!   window, or `1` + 6-bit leading-zero count + 6-bit length + the bits.
+//! * values thereafter, in an [`BlockKind::Xor`] block: `0` for an identical
+//!   bit pattern, otherwise `1` and either `0` + the meaningful bits inside
+//!   the previous leading/trailing window, or `1` + 6-bit leading-zero count
+//!   + 6-bit length + the bits;
+//! * values thereafter, in an [`BlockKind::Integer`] block: the `Δ²` of the
+//!   value as an `i64` (the first delta is taken against zero) through the
+//!   same kind of ladder, `0` for "same rate as before", then `10`+5 bits /
+//!   `110`+9 / `1110`+14 / `11110`+20 / `111110`+26 / `1111110`+34 /
+//!   `11111110`+48, each payload biased like the timestamps' (an `n`-bit rung
+//!   holds `-(2ⁿ⁻¹ - 1) ..= 2ⁿ⁻¹`), and `11111111` + the raw 64-bit `Δ²` as
+//!   the escape.
+//!
+//! **Which kind a block is, is a function of its samples alone**, never of a
+//! setting: [`BlockKind::Integer`] iff every value *qualifies* — survives
+//! `f64 → i64 → f64` bit for bit and has `|v| ≤ 2⁵³`, the range in which
+//! every integer is an `f64` and the `Δ²` of any two fits an `i64` with room
+//! to spare.  `-0.0`, NaN, ±∞ and anything with a fraction do not qualify,
+//! and a block holding even one such value is an XOR block, byte for byte
+//! what it was before the integer kind existed.  Like the sample count, the
+//! kind is not part of the byte stream: whoever keeps the bytes keeps it
+//! beside them and tells the decoder.
 //!
 //! There is one decoder with two front ends.  [`GorillaState`] is a few
 //! words of register state — a bit position plus the previous timestamp,
-//! delta and value window — that yields one [`Sample`] per call, so a cursor
-//! that outlives any borrow of the chunk can still walk it sample by sample.
-//! The bulk form (`decode_into`, and the chunk iterator the range cursors
-//! and `points_in` drain sealed chunks through) runs the same step over one
-//! bit reader kept alive for the whole block.  That reader buffers up to 64
-//! bits in an accumulator refilled with a single unaligned big-endian load:
-//! the Δ² bucket is `leading_zeros` of the inverted word, and the value
-//! control bits and the 6+6-bit window header are peeled from one peek, so a
-//! steady counter sample costs a couple of shifts, not a loop over bits.  The
-//! number of encoded samples is not part of the byte stream — chunks store it
-//! in their footer — and the decoder must be stopped after that many samples.
-//! Malformed bytes can produce garbage samples but never panic or read out of
-//! bounds (a refill past the end loads zero bytes, so such reads observe
-//! zero bits).
+//! delta and value registers — that yields one [`Sample`] per call, so a
+//! cursor that outlives any borrow of the chunk can still walk it sample by
+//! sample.  The bulk form (`decode_into`, and the chunk iterator the range
+//! cursors and `points_in` drain sealed chunks through) runs the same step
+//! over one bit reader kept alive for the whole block.  That reader buffers
+//! up to 64 bits in an accumulator refilled with a single unaligned
+//! big-endian load: a ladder rung is `leading_zeros` of the inverted word,
+//! and the XOR control bits and the 6+6-bit window header are peeled from
+//! the same peek, so a steady sample costs a couple of shifts, not a loop
+//! over bits.  The number of encoded samples is not part of the byte stream —
+//! chunks store it in their footer — and the decoder must be stopped after
+//! that many samples.  Malformed bytes (or the wrong kind) can produce
+//! garbage samples but never panic or read out of bounds (a refill past the
+//! end loads zero bytes, so such reads observe zero bits).
 //!
 //! The encoder is the same idea run backwards: fields gather in a 64-bit
 //! accumulator that leaves as one big-endian word each time it fills, and a
-//! Δ² bucket marker with its payload, or the value's control bits with the
-//! 6+6-bit window header, go in as a single field.  It is *resumable*: what
-//! one block's encoding carries from sample to sample — previous timestamp,
-//! delta and value bits, the value window, the pending word and the bit
-//! count — is [`BlockEncoder`], a few words of plain data beside the buffer
-//! the block grows in, with [`BlockEncoder::push`] taking any number of
-//! samples and [`BlockEncoder::finish`] completing the last byte.  A block
-//! built in bursts is byte-identical to one built at once, which is how the
-//! storage engine's open head *is* the block it will seal (eight samples a
-//! burst; see `crate::head::Head`).  [`encode_into`] is one `push` and a
-//! `finish` into a buffer the caller reuses, and [`encode`] is that plus a
-//! fresh `Vec`.
+//! ladder marker with its payload, or the XOR control bits with the 6+6-bit
+//! window header, go in as a single field.  It is *resumable*: what one
+//! block's encoding carries from sample to sample — previous timestamp,
+//! delta and value, the value window or the value delta, the pending word and
+//! the bit count — is [`BlockEncoder`], a few words of plain data beside the
+//! buffer the block grows in, with [`BlockEncoder::push`] taking any number
+//! of samples and [`BlockEncoder::finish`] completing the last byte.  A block
+//! starts in the integer kind when its first value qualifies; the first
+//! value that does not **re-encodes what the block holds as XOR, in place**
+//! — cold, at most once per block, and the only step here that allocates
+//! beyond the block's own growth — and the block carries on as an XOR block.
+//! So a block built in bursts is byte-identical to one built at once, kind
+//! included, which is how the storage engine's open head *is* the block it
+//! will seal (eight samples a burst; see `crate::head::Head`).
+//! [`encode_into`] is one `push` and a `finish` into a buffer the caller
+//! reuses, and [`encode`] is that plus a fresh `Vec`.
 //!
 //! [`encode`] rejects (returns `None` for) timestamp sequences that go
 //! backwards: the storage engine never produces them (out-of-order appends
 //! are rejected at ingest), and refusing them here keeps "decode inverts
 //! encode" a total statement.  Equal consecutive timestamps are legal and
 //! round-trip.
+
+use serde::{Deserialize, Serialize};
 
 use crate::series::Sample;
 
@@ -170,30 +201,73 @@ impl<'a> BitReader<'a> {
 /// Sentinel for "no value window established yet".
 const NO_WINDOW: u32 = u32::MAX;
 
-/// Encodes time-ordered samples into a Gorilla-compressed byte block.
+/// How a block stores its values after the first: the one thing besides the
+/// sample count a decoder has to be told.  Decided by the encoder from the
+/// values it is given (see the module docs), never configured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum BlockKind {
+    /// XOR of consecutive `f64` bit patterns: the only road a value that is
+    /// not a whole number can take.
+    Xor,
+    /// Delta-of-delta of the values as `i64`: every value of the block is a
+    /// whole number of magnitude at most 2⁵³.
+    Integer,
+}
+
+/// Payload widths of the integer value ladder's rungs.  Rung `k` is `k + 1`
+/// one bits, a zero, and `VALUE_LADDER[k]` bits holding `Δ² + bias`; eight
+/// one bits are the escape, a raw 64-bit `Δ²`, behind the last rung.
+const VALUE_LADDER: [u32; 7] = [5, 9, 14, 20, 26, 34, 48];
+
+/// Marker bits of the integer ladder's escape.
+const VALUE_ESCAPE_ONES: u32 = VALUE_LADDER.len() as u32 + 1;
+
+/// What a `width`-bit rung adds to a `Δ²` so that `-(2^(width-1) - 1) ..=
+/// 2^(width-1)` lands on `0 .. 2^width`.
+const fn ladder_bias(width: u32) -> i64 {
+    (1 << (width - 1)) - 1
+}
+
+/// The largest magnitude an integer block's value may have: up to here every
+/// integer is an `f64`, and a `Δ²` of three such values stays below 2⁵⁶.
+const MAX_WHOLE: u64 = 1 << 53;
+
+/// `value` as the `i64` an integer block stores it as, `None` unless it
+/// *qualifies*: a whole number (`-0.0` is not one: it would come back as
+/// `0.0`) of magnitude at most 2⁵³.  The cast saturates and maps NaN to
+/// zero, so everything else fails the way back.
+#[inline]
+pub(crate) fn whole(value: f64) -> Option<i64> {
+    let int = value as i64;
+    ((int as f64).to_bits() == value.to_bits() && int.unsigned_abs() <= MAX_WHOLE).then_some(int)
+}
+
+/// Encodes time-ordered samples into a compressed byte block and says which
+/// kind it is.
 ///
 /// Returns `None` for an empty slice and for input whose timestamps decrease
-/// anywhere (equal consecutive timestamps are fine).  The sample count is
-/// *not* encoded; keep it alongside the bytes (the chunk footer does) and
-/// pass it to [`decode`] / stop [`GorillaState`] after that many samples.
-pub fn encode(samples: &[Sample]) -> Option<Vec<u8>> {
+/// anywhere (equal consecutive timestamps are fine).  Neither the sample
+/// count nor the kind is encoded; keep them alongside the bytes (the chunk
+/// footer does) and pass them to [`decode`] / [`GorillaState::new`], stopping
+/// the latter after that many samples.
+pub fn encode(samples: &[Sample]) -> Option<(BlockKind, Vec<u8>)> {
     let mut out = Vec::new();
-    encode_into(samples, &mut out).then_some(out)
+    encode_into(samples, &mut out).map(|kind| (kind, out))
 }
 
 /// [`encode`] into a caller-owned buffer: `out` is cleared, then holds the
 /// block — one [`BlockEncoder::push`] and a [`BlockEncoder::finish`].
-/// Returns `false` where [`encode`] returns `None`; `out` then holds a
-/// partial block and stays reusable.
+/// Returns `None` where [`encode`] does; `out` then holds a partial block
+/// and stays reusable.
 #[must_use]
-pub fn encode_into(samples: &[Sample], out: &mut Vec<u8>) -> bool {
+pub fn encode_into(samples: &[Sample], out: &mut Vec<u8>) -> Option<BlockKind> {
     out.clear();
     let mut encoder = BlockEncoder::new();
     if samples.is_empty() || !encoder.push(samples, out) {
-        return false;
+        return None;
     }
     encoder.finish(out);
-    true
+    Some(encoder.kind())
 }
 
 #[cfg(test)]
@@ -206,12 +280,12 @@ thread_local! {
 }
 
 /// The encoder, resumable: the registers one block's encoding carries from
-/// sample to sample — previous timestamp, delta and value bits, the value
-/// window, the pending word and how many bits the block holds — as a few
-/// words of plain data beside the buffer the block grows in.  A block built
-/// by any split of its samples into [`BlockEncoder::push`] bursts is
-/// byte-identical to [`encode`] of the whole, which is how the storage
-/// engine's open head is the block it will seal.
+/// sample to sample — previous timestamp, delta and value, the value window
+/// or the value delta, the pending word and how many bits the block holds —
+/// as a few words of plain data beside the buffer the block grows in.  A
+/// block built by any split of its samples into [`BlockEncoder::push`] bursts
+/// is byte-identical to [`encode`] of the whole and of the same kind, which
+/// is how the storage engine's open head is the block it will seal.
 ///
 /// Between calls the buffer may hold the block either way: whole words only
 /// (what `push` leaves) or zero-padded to a byte (what `finish` leaves, and
@@ -223,13 +297,19 @@ thread_local! {
 pub struct BlockEncoder {
     prev_ts: u64,
     prev_delta: u64,
-    prev_bits: u64,
+    /// The newest value: its `f64` bits in an XOR block, its `i64` in an
+    /// integer one.
+    prev_value: u64,
+    /// Integer blocks: the newest value less the one before it.
+    value_delta: i64,
     /// The pending word: its low `bits % 64` bits have not reached the
     /// buffer as part of a whole word yet.
     acc: u64,
     /// Bits encoded so far.
     bits: u64,
     count: u32,
+    kind: BlockKind,
+    /// XOR blocks: the value window.
     prev_leading: u8,
     prev_trailing: u8,
 }
@@ -250,10 +330,12 @@ impl BlockEncoder {
         Self {
             prev_ts: 0,
             prev_delta: 0,
-            prev_bits: 0,
+            prev_value: 0,
+            value_delta: 0,
             acc: 0,
             bits: 0,
             count: 0,
+            kind: BlockKind::Integer,
             prev_leading: ENCODER_NO_WINDOW,
             prev_trailing: 0,
         }
@@ -262,6 +344,13 @@ impl BlockEncoder {
     /// Samples encoded so far — the count a decoder of the block needs.
     pub fn count(&self) -> u32 {
         self.count
+    }
+
+    /// The kind of the block as it stands — the other thing a decoder of it
+    /// needs: integer until a value that does not qualify has been pushed
+    /// (an empty block included), XOR from then on.
+    pub fn kind(&self) -> BlockKind {
+        self.kind
     }
 
     /// Timestamp of the newest encoded sample, `None` for an empty block.
@@ -282,25 +371,69 @@ impl BlockEncoder {
     /// Appends `samples` to the block in `out`.  Returns `false` at the first
     /// sample older than its predecessor (the block's newest included); the
     /// samples before it are encoded, it and the rest are not.
+    ///
+    /// The first value of an integer block that is not a whole number turns
+    /// the block into an XOR one: what it holds is decoded and encoded again
+    /// (the one step that allocates besides `out` growing).
     #[must_use]
     pub fn push(&mut self, samples: &[Sample], out: &mut Vec<u8>) -> bool {
         #[cfg(test)]
         PUSHED.with(|pushed| pushed.borrow_mut().push(samples.len()));
+        let mut rest = samples;
+        if self.kind == BlockKind::Integer {
+            let (taken, ordered) = self.push_values::<true>(rest, out);
+            rest = rest.get(taken..).unwrap_or(&[]);
+            if rest.is_empty() || !ordered {
+                return ordered;
+            }
+            self.convert_to_xor(out);
+        }
+        self.push_values::<false>(rest, out).1
+    }
+
+    /// Re-encodes the integer block in `out` as the XOR block of the same
+    /// samples.
+    #[cold]
+    #[inline(never)]
+    fn convert_to_xor(&mut self, out: &mut Vec<u8>) {
+        self.finish(out);
+        let held = decode(out, BlockKind::Integer, self.count as usize);
+        *self = Self { kind: BlockKind::Xor, ..Self::new() };
+        let (_, ordered) = self.push_values::<false>(&held, out);
+        debug_assert!(ordered, "samples a block held are in order");
+    }
+
+    /// [`BlockEncoder::push`] for a block of one kind.  Returns how many
+    /// samples it took and whether it stopped at a backwards timestamp; an
+    /// integer block also stops, in order, at the first value that does not
+    /// qualify — before anything of that sample is written.
+    #[inline]
+    fn push_values<const INTEGER: bool>(
+        &mut self,
+        samples: &[Sample],
+        out: &mut Vec<u8>,
+    ) -> (usize, bool) {
         out.truncate(self.whole_bytes());
         // Registers live in locals across the loop and go back once.
         let mut w = BitWriter { out, acc: self.acc, used: (self.bits % 64) as u32 };
         let mut prev_ts = self.prev_ts;
         let mut prev_delta = self.prev_delta;
-        let mut prev_bits = self.prev_bits;
+        let mut prev_value = self.prev_value;
+        let mut value_delta = self.value_delta;
         let mut prev_leading = u32::from(self.prev_leading);
         let mut prev_trailing = u32::from(self.prev_trailing);
         let mut rest = samples;
         if self.count == 0 {
-            let Some((first, tail)) = samples.split_first() else { return true };
+            let Some((first, tail)) = samples.split_first() else { return (0, true) };
+            prev_value = if INTEGER {
+                let Some(int) = whole(first.value) else { return (0, true) };
+                int as u64
+            } else {
+                first.value.to_bits()
+            };
             w.put(first.timestamp_ms, 64);
             w.put(first.value.to_bits(), 64);
             prev_ts = first.timestamp_ms;
-            prev_bits = first.value.to_bits();
             rest = tail;
         }
         let mut encoded = samples.len() - rest.len();
@@ -310,7 +443,20 @@ impl BlockEncoder {
                 ordered = false;
                 break;
             }
+            let int = if INTEGER {
+                let Some(int) = whole(sample.value) else { break };
+                int
+            } else {
+                0
+            };
             let delta = sample.timestamp_ms - prev_ts;
+            if INTEGER && delta == prev_delta && int - prev_value as i64 == value_delta {
+                w.put(0, 2);
+                prev_ts = sample.timestamp_ms;
+                prev_value = int as u64;
+                encoded += 1;
+                continue;
+            }
             // i128 so the delta-of-delta of arbitrary u64 deltas cannot overflow.
             let dod = delta as i128 - prev_delta as i128;
             // Bucket marker and biased Δ² leave as one field.
@@ -328,8 +474,22 @@ impl BlockEncoder {
             prev_ts = sample.timestamp_ms;
             prev_delta = delta;
 
+            if INTEGER {
+                // Both values are within ±2⁵³: neither difference overflows.
+                let delta = int - prev_value as i64;
+                let dod = delta - value_delta;
+                if dod == 0 {
+                    w.put(0, 1);
+                } else {
+                    put_value_dod(&mut w, dod);
+                }
+                value_delta = delta;
+                prev_value = int as u64;
+                encoded += 1;
+                continue;
+            }
             let bits = sample.value.to_bits();
-            let xor = bits ^ prev_bits;
+            let xor = bits ^ prev_value;
             if xor == 0 {
                 w.put(0, 1);
             } else {
@@ -351,19 +511,20 @@ impl BlockEncoder {
                     prev_trailing = trailing;
                 }
             }
-            prev_bits = bits;
+            prev_value = bits;
             encoded += 1;
         }
         self.acc = w.acc;
         self.bits = w.out.len() as u64 * 8 + u64::from(w.used);
         self.prev_ts = prev_ts;
         self.prev_delta = prev_delta;
-        self.prev_bits = prev_bits;
+        self.prev_value = prev_value;
+        self.value_delta = value_delta;
         // A nonzero XOR has fewer than 64 leading and trailing zeros.
         self.prev_leading = prev_leading as u8;
         self.prev_trailing = prev_trailing as u8;
         self.count = self.count.saturating_add(encoded as u32);
-        ordered
+        (encoded, ordered)
     }
 
     /// Completes the block in `out`: the pending bits, zero-padded to a whole
@@ -380,35 +541,59 @@ impl BlockEncoder {
     }
 }
 
+/// Writes a nonzero value `Δ²` of an integer block: the narrowest rung of
+/// [`VALUE_LADDER`] that holds it, marker and biased payload as one field,
+/// or the escape.
+#[inline]
+fn put_value_dod(w: &mut BitWriter<'_>, dod: i64) {
+    // An `n`-bit rung holds `-(2ⁿ⁻¹ - 1) ..= 2ⁿ⁻¹`: exactly the `Δ²` whose
+    // magnitude — one less on the positive side — has fewer than `n` bits.
+    let magnitude = (dod - i64::from(dod > 0)).unsigned_abs();
+    let bits = u64::BITS - magnitude.leading_zeros();
+    match VALUE_LADDER.iter().zip(1..).find(|(&width, _)| bits < width) {
+        Some((&width, ones)) => {
+            // `ones` one bits and a zero, then the payload.
+            let biased = (dod + ladder_bias(width)) as u64;
+            w.put((((1 << (ones + 1)) - 2) << width) | biased, ones + 1 + width);
+        }
+        None => {
+            w.put((1 << VALUE_ESCAPE_ONES) - 1, VALUE_ESCAPE_ONES);
+            w.put(dod as u64, 64);
+        }
+    }
+}
+
 /// Streaming decoder state: a bit position plus the previous timestamp/delta/
-/// value-window registers.  A few words of plain data — cloning one is how
-/// two independent cursors walk the same compressed chunk.
+/// value registers.  A few words of plain data — cloning one is how two
+/// independent cursors walk the same compressed chunk.
 #[derive(Debug, Clone)]
 pub struct GorillaState {
     bit_pos: u64,
     emitted: u32,
+    kind: BlockKind,
     prev_ts: u64,
     prev_delta: u64,
-    prev_bits: u64,
+    /// The previous value: its `f64` bits in an XOR block, its `i64` in an
+    /// integer one.
+    prev_value: u64,
+    /// Integer blocks: the previous value less the one before it.
+    value_delta: i64,
+    /// XOR blocks: the value window.
     prev_leading: u32,
     prev_trailing: u32,
 }
 
-impl Default for GorillaState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl GorillaState {
-    /// A decoder positioned at the start of a chunk.
-    pub fn new() -> Self {
+    /// A decoder positioned at the start of a block of `kind`.
+    pub fn new(kind: BlockKind) -> Self {
         Self {
             bit_pos: 0,
             emitted: 0,
+            kind,
             prev_ts: 0,
             prev_delta: 0,
-            prev_bits: 0,
+            prev_value: 0,
+            value_delta: 0,
             prev_leading: NO_WINDOW,
             prev_trailing: 0,
         }
@@ -423,13 +608,23 @@ impl GorillaState {
     ///
     /// The stream does not carry its own length: the caller must stop after
     /// the chunk footer's sample count.  Reading past the encoded data (or
-    /// feeding bytes that [`encode`] did not produce) yields garbage samples,
-    /// never a panic.
+    /// feeding bytes that [`encode`] did not produce, or did for the other
+    /// kind) yields garbage samples, never a panic.
     pub fn next(&mut self, bytes: &[u8]) -> Sample {
         let mut reader = BitReader::at(bytes, self.bit_pos);
         let sample = self.decode_next(&mut reader);
         self.bit_pos = reader.pos;
         sample
+    }
+
+    /// The sample the registers stand at.
+    #[inline]
+    fn current(&self) -> Sample {
+        let value = match self.kind {
+            BlockKind::Xor => f64::from_bits(self.prev_value),
+            BlockKind::Integer => self.prev_value as i64 as f64,
+        };
+        Sample { timestamp_ms: self.prev_ts, value }
     }
 
     /// One sample off `reader` — the single decoder behind both the
@@ -438,15 +633,30 @@ impl GorillaState {
     fn decode_next(&mut self, reader: &mut BitReader<'_>) -> Sample {
         if self.emitted == 0 {
             self.prev_ts = reader.read(64);
-            self.prev_bits = reader.read(64);
+            let bits = reader.read(64);
+            self.prev_value = match self.kind {
+                BlockKind::Xor => bits,
+                BlockKind::Integer => f64::from_bits(bits) as i64 as u64,
+            };
             self.emitted = 1;
-            return Sample { timestamp_ms: self.prev_ts, value: f64::from_bits(self.prev_bits) };
+            return self.current();
         }
         // One peek covers the common sample whole: the Δ² bucket prefix is
         // the run of leading ones (at most four) and its payload at most 12
-        // bits, and the value's two control bits and 6+6-bit window header
-        // are the 14 bits after that.
+        // bits, and the 14 bits after that are an XOR value's two control
+        // bits and 6+6-bit window header, or an integer value's marker and
+        // payload up to the ladder's second rung.
         let word = reader.peek(16 + 14);
+        if word >> 62 == 0 {
+            // Two zero bits, the steady sample of either kind: the cadence
+            // held, and the value (XOR) or its rate (integer, whose delta
+            // register an XOR block leaves at zero) did too.
+            reader.consume(2);
+            self.prev_ts = self.prev_ts.wrapping_add(self.prev_delta);
+            self.prev_value = self.prev_value.wrapping_add(self.value_delta as u64);
+            self.emitted += 1;
+            return self.current();
+        }
         let (delta, ts_bits) = match (!word).leading_zeros() {
             0 => (self.prev_delta, 1),
             1 => (self.bucket_delta(word, 2, 7, 63), 2 + 7),
@@ -461,27 +671,61 @@ impl GorillaState {
         self.prev_ts = self.prev_ts.wrapping_add(delta);
         self.prev_delta = delta;
 
-        // Value: XOR against the previous bit pattern.
         let word = if ts_bits == 0 { reader.peek(14) } else { word << ts_bits };
-        if word >> 63 == 0 {
-            reader.consume(ts_bits + 1);
-        } else {
-            let (leading, trailing) = if word >> 62 == 0b11 {
-                let leading = (word >> 56) as u32 & 0x3f;
-                let len = ((word >> 50) as u32 & 0x3f) + 1;
-                reader.consume(ts_bits + 14);
-                self.prev_leading = leading;
-                self.prev_trailing = 64u32.saturating_sub(leading + len);
-                (leading, self.prev_trailing)
-            } else {
-                reader.consume(ts_bits + 2);
-                (self.prev_leading.min(63), self.prev_trailing)
-            };
-            let len = 64u32.saturating_sub(leading + trailing).max(1);
-            self.prev_bits ^= reader.read(len) << trailing;
+        match self.kind {
+            BlockKind::Xor => self.decode_xor(reader, word, ts_bits),
+            BlockKind::Integer => self.decode_integer(reader, word, ts_bits),
         }
         self.emitted += 1;
-        Sample { timestamp_ms: self.prev_ts, value: f64::from_bits(self.prev_bits) }
+        self.current()
+    }
+
+    /// The value step of an XOR block: `word` holds the next 14 bits at its
+    /// top, behind `pending` timestamp bits still to be consumed.
+    #[inline]
+    fn decode_xor(&mut self, reader: &mut BitReader<'_>, word: u64, pending: u32) {
+        if word >> 63 == 0 {
+            reader.consume(pending + 1);
+            return;
+        }
+        let (leading, trailing) = if word >> 62 == 0b11 {
+            let leading = (word >> 56) as u32 & 0x3f;
+            let len = ((word >> 50) as u32 & 0x3f) + 1;
+            reader.consume(pending + 14);
+            self.prev_leading = leading;
+            self.prev_trailing = 64u32.saturating_sub(leading + len);
+            (leading, self.prev_trailing)
+        } else {
+            reader.consume(pending + 2);
+            (self.prev_leading.min(63), self.prev_trailing)
+        };
+        let len = 64u32.saturating_sub(leading + trailing).max(1);
+        self.prev_value ^= reader.read(len) << trailing;
+    }
+
+    /// The value step of an integer block, `word` and `pending` as for
+    /// [`GorillaState::decode_xor`]: the marker is the run of leading ones.
+    /// Wrapping arithmetic throughout — well-formed blocks never need it,
+    /// malformed ones must not panic.
+    #[inline]
+    fn decode_integer(&mut self, reader: &mut BitReader<'_>, word: u64, pending: u32) {
+        let ones = (!word).leading_zeros();
+        if ones > 0 {
+            let dod = match VALUE_LADDER.get(ones as usize - 1) {
+                Some(&width) => {
+                    reader.consume(pending + ones + 1);
+                    (reader.read(width) as i64).wrapping_sub(ladder_bias(width))
+                }
+                None => {
+                    reader.consume(pending + VALUE_ESCAPE_ONES);
+                    reader.read(64) as i64
+                }
+            };
+            self.value_delta = self.value_delta.wrapping_add(dod);
+        } else {
+            reader.consume(pending + 1);
+        }
+        self.prev_value = self.prev_value.wrapping_add(self.value_delta as u64);
     }
 
     /// The delta a `bits`-bit biased Δ² behind a `prefix`-bit bucket marker
@@ -502,8 +746,8 @@ pub(crate) struct BlockSamples<'a> {
 }
 
 impl<'a> BlockSamples<'a> {
-    pub(crate) fn new(bytes: &'a [u8], count: usize) -> Self {
-        Self { state: GorillaState::new(), reader: BitReader::at(bytes, 0), remaining: count }
+    pub(crate) fn new(bytes: &'a [u8], kind: BlockKind, count: usize) -> Self {
+        Self { state: GorillaState::new(kind), reader: BitReader::at(bytes, 0), remaining: count }
     }
 }
 
@@ -521,17 +765,17 @@ impl Iterator for BlockSamples<'_> {
     }
 }
 
-/// Appends the `count` samples of a block produced by [`encode`] to `out`,
-/// reserving once.
-pub fn decode_into(bytes: &[u8], count: usize, out: &mut Vec<Sample>) {
-    out.extend(BlockSamples::new(bytes, count));
+/// Appends the `count` samples of a block of `kind` produced by [`encode`]
+/// to `out`, reserving once.
+pub fn decode_into(bytes: &[u8], kind: BlockKind, count: usize, out: &mut Vec<Sample>) {
+    out.extend(BlockSamples::new(bytes, kind, count));
 }
 
-/// Decodes `count` samples from a block produced by [`encode`] into a new
-/// vector.
-pub fn decode(bytes: &[u8], count: usize) -> Vec<Sample> {
+/// Decodes `count` samples from a block of `kind` produced by [`encode`]
+/// into a new vector.
+pub fn decode(bytes: &[u8], kind: BlockKind, count: usize) -> Vec<Sample> {
     let mut out = Vec::new();
-    decode_into(bytes, count, &mut out);
+    decode_into(bytes, kind, count, &mut out);
     out
 }
 
@@ -539,14 +783,39 @@ pub fn decode(bytes: &[u8], count: usize) -> Vec<Sample> {
 mod tests {
     use super::*;
 
-    fn roundtrip(samples: &[Sample]) {
-        let bytes = encode(samples).expect("ordered input must encode");
-        let back = decode(&bytes, samples.len());
+    /// Round-trips `samples` through every decoder front end and returns the
+    /// block's kind.
+    fn roundtrip(samples: &[Sample]) -> BlockKind {
+        let (kind, bytes) = encode(samples).expect("ordered input must encode");
+        let back = decode(&bytes, kind, samples.len());
+        let mut state = GorillaState::new(kind);
+        let streamed: Vec<Sample> = samples.iter().map(|_| state.next(&bytes)).collect();
         assert_eq!(back.len(), samples.len());
-        for (a, b) in samples.iter().zip(&back) {
-            assert_eq!(a.timestamp_ms, b.timestamp_ms);
+        for ((a, b), c) in samples.iter().zip(&back).zip(&streamed) {
+            assert_eq!((a.timestamp_ms, a.timestamp_ms), (b.timestamp_ms, c.timestamp_ms));
             assert_eq!(a.value.to_bits(), b.value.to_bits(), "{} vs {}", a.value, b.value);
+            assert_eq!(a.value.to_bits(), c.value.to_bits(), "{} vs {}", a.value, c.value);
         }
+        assert_eq!(kind == BlockKind::Integer, samples.iter().all(|s| whole(s.value).is_some()));
+        kind
+    }
+
+    /// The XOR block of `samples`, whole numbers or not: what an encoder that
+    /// never knew the integer kind builds.
+    fn encode_as_xor(samples: &[Sample]) -> Vec<u8> {
+        let mut xor = BlockEncoder { kind: BlockKind::Xor, ..BlockEncoder::new() };
+        let mut block = Vec::new();
+        assert!(xor.push(samples, &mut block));
+        xor.finish(&mut block);
+        block
+    }
+
+    fn at_5s(values: impl IntoIterator<Item = f64>) -> Vec<Sample> {
+        values
+            .into_iter()
+            .enumerate()
+            .map(|(i, value)| Sample { timestamp_ms: i as u64 * 5_000, value })
+            .collect()
     }
 
     #[test]
@@ -565,7 +834,8 @@ mod tests {
 
     #[test]
     fn single_sample_round_trips() {
-        roundtrip(&[Sample { timestamp_ms: u64::MAX, value: -0.0 }]);
+        assert_eq!(roundtrip(&[Sample { timestamp_ms: u64::MAX, value: -0.0 }]), BlockKind::Xor);
+        assert_eq!(roundtrip(&[Sample { timestamp_ms: 0, value: -7.0 }]), BlockKind::Integer);
     }
 
     #[test]
@@ -573,8 +843,9 @@ mod tests {
         let mut samples: Vec<Sample> = (0..240u64)
             .map(|t| Sample { timestamp_ms: t * 15_000, value: (t * 37) as f64 })
             .collect();
+        assert_eq!(roundtrip(&samples), BlockKind::Integer);
         samples.push(Sample { timestamp_ms: samples.last().unwrap().timestamp_ms, value: 1.5 });
-        roundtrip(&samples);
+        assert_eq!(roundtrip(&samples), BlockKind::Xor);
     }
 
     #[test]
@@ -582,45 +853,139 @@ mod tests {
         // Deltas shrink (5s, 1s, 0s) and grow hugely: every Δ² bucket and the
         // raw-delta escape are exercised.
         let ts = [0u64, 5_000, 6_000, 6_000, 6_001, 4_000_000_000_000, u64::MAX];
-        let samples: Vec<Sample> = ts
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| Sample { timestamp_ms: t, value: i as f64 })
-            .collect();
-        roundtrip(&samples);
+        for scale in [1.0, 0.5] {
+            let samples: Vec<Sample> = ts
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| Sample { timestamp_ms: t, value: i as f64 * scale })
+                .collect();
+            roundtrip(&samples);
+        }
     }
 
     #[test]
     fn non_finite_values_round_trip() {
         let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN, 0.0, -0.0, 1e-308];
-        let samples: Vec<Sample> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| Sample { timestamp_ms: i as u64 * 1000, value: v })
-            .collect();
-        roundtrip(&samples);
+        assert_eq!(roundtrip(&at_5s(values)), BlockKind::Xor);
+    }
+
+    #[test]
+    fn only_whole_numbers_within_two_to_the_53_qualify() {
+        let limit = (1u64 << 53) as f64;
+        for value in [0.0, 1.0, -1.0, 4_503_599_627_370_497.0, limit, -limit] {
+            assert_eq!(whole(value), Some(value as i64), "{value}");
+        }
+        let beyond = [limit + 2.0, -limit - 2.0, i64::MIN as f64, i64::MAX as f64, f64::MAX];
+        let fractions = [0.5, -0.5, 1e-308, 4_503_599_627_370_495.5];
+        let specials = [-0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for value in beyond.into_iter().chain(fractions).chain(specials) {
+            assert_eq!(whole(value), None, "{value}");
+        }
+    }
+
+    #[test]
+    fn a_value_that_does_not_qualify_turns_the_block_into_the_xor_block() {
+        // Whatever position the first fraction arrives at, and however the
+        // samples are split into pushes, the block is the one an encoder that
+        // never knew the integer kind builds.
+        let whole_numbers = at_5s((0..40).map(|t| (t * 3) as f64));
+        for at in 0..whole_numbers.len() {
+            let mut samples = whole_numbers.clone();
+            samples[at].value += 0.25;
+            let want = encode_as_xor(&samples);
+            assert_eq!(encode(&samples), Some((BlockKind::Xor, want.clone())), "fraction at {at}");
+            for split in 0..samples.len() {
+                let mut encoder = BlockEncoder::new();
+                let mut block = Vec::new();
+                assert!(encoder.push(&samples[..split], &mut block));
+                let before = if split > at { BlockKind::Xor } else { BlockKind::Integer };
+                assert_eq!(encoder.kind(), before);
+                assert!(encoder.push(&samples[split..], &mut block));
+                encoder.finish(&mut block);
+                assert_eq!((encoder.kind(), &block), (BlockKind::Xor, &want), "{at} / {split}");
+            }
+            roundtrip(&samples);
+        }
+    }
+
+    /// The value shapes the bench table sizes (`codec_bytes` in
+    /// `benches/tsdb.rs`): 120 samples at 5 s.
+    fn shape(name: &str) -> Vec<Sample> {
+        // A fixed xorshift stream, so the noisy shapes are the same everywhere.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as i64
+        };
+        let mut value = 1_000i64;
+        at_5s((0..120).map(|t| {
+            match name {
+                "constant" => value = 1_000,
+                "gauge_plus_1" => value = 500 + t,
+                "counter_plus_77" => value = 77 * t,
+                "counter_noise_8" => value += 1_000 + below(9),
+                "counter_noise_300" => value += 1_000 + below(301),
+                "counter_noise_20k" => value += 1_000 + below(20_001),
+                "counter_noise_5m" => value += 1_000 + below(5_000_001),
+                "walk_8" => value += below(17) - 8,
+                "walk_300" => value += below(601) - 300,
+                "walk_20k" => value += below(40_001) - 20_000,
+                _ => unreachable!("unknown shape {name}"),
+            }
+            value as f64
+        }))
     }
 
     #[test]
     fn counters_compress_below_four_bytes_per_sample() {
-        let samples: Vec<Sample> = (0..120u64)
-            .map(|t| Sample { timestamp_ms: t * 5_000, value: (t * 100) as f64 })
-            .collect();
-        let bytes = encode(&samples).unwrap();
-        let per_sample = bytes.len() as f64 / samples.len() as f64;
-        assert!(per_sample <= 4.0, "{per_sample} bytes/sample");
-        roundtrip(&samples);
+        // Steady shapes: at most half a byte a sample.  Every shape: never
+        // more than 5 % above what XOR makes of the same samples.
+        let steady = ["constant", "gauge_plus_1", "counter_plus_77"];
+        let noisy = [
+            "counter_noise_8",
+            "counter_noise_300",
+            "counter_noise_20k",
+            "counter_noise_5m",
+            "walk_8",
+            "walk_300",
+            "walk_20k",
+        ];
+        for name in steady.into_iter().chain(noisy) {
+            let samples = shape(name);
+            assert_eq!(roundtrip(&samples), BlockKind::Integer, "{name}");
+            let (_, block) = encode(&samples).expect("ordered");
+            let as_xor = encode_as_xor(&samples);
+            let per_sample = block.len() as f64 / samples.len() as f64;
+            if steady.contains(&name) {
+                assert!(per_sample <= 0.5, "{name}: {per_sample} bytes/sample");
+            }
+            assert!(
+                block.len() as f64 <= as_xor.len() as f64 * 1.05,
+                "{name}: {} B as integers, {} B as XOR",
+                block.len(),
+                as_xor.len()
+            );
+        }
     }
 
     #[test]
     fn malformed_bytes_never_panic() {
         let garbage: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(113)).collect();
-        let decoded = decode(&garbage, 100);
-        assert_eq!(decoded.len(), 100);
-        // Truncated real data decodes without panicking too.
-        let samples: Vec<Sample> =
-            (0..50u64).map(|t| Sample { timestamp_ms: t * 250, value: (t as f64).sin() }).collect();
-        let bytes = encode(&samples).unwrap();
-        let _ = decode(&bytes[..bytes.len() / 2], 50);
+        for kind in [BlockKind::Xor, BlockKind::Integer] {
+            assert_eq!(decode(&garbage, kind, 100).len(), 100);
+            assert_eq!(decode(&[0xff; 40], kind, 100).len(), 100);
+        }
+        // Truncated real data, and real data read as the other kind, decode
+        // without panicking too.
+        for scale in [1.0, 0.37] {
+            let samples = at_5s((0..50).map(|t| (t * t) as f64 * scale));
+            let (_, bytes) = encode(&samples).unwrap();
+            for kind in [BlockKind::Xor, BlockKind::Integer] {
+                let _ = decode(&bytes[..bytes.len() / 2], kind, 50);
+                let _ = decode(&bytes, kind, 60);
+            }
+        }
     }
 }

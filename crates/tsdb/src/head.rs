@@ -6,8 +6,17 @@
 //! an inline tail in front of it.  So an open chunk costs about what a sealed
 //! one does, an append is a sixteen-byte store into the series record, and
 //! sealing is a copy.
+//!
+//! The block's kind is the encoder's to decide and the head's to carry: an
+//! integer block while every value it was given is a whole number, re-encoded
+//! as an XOR block, in place, by the burst that brings the first value that
+//! is not (`teemon_tsdb_block_reencodes_total` counts those bursts — a series
+//! set flapping between the kinds pays one per chunk).  Readers, the seal and
+//! the snapshot ask the encoder which it is.
 
-use crate::chunk_codec::{BlockEncoder, BlockSamples};
+use teemon_obs::probes;
+
+use crate::chunk_codec::{whole, BlockEncoder, BlockKind, BlockSamples};
 use crate::series::{Chunk, ChunkData, Sample, SAMPLE_BYTES};
 
 /// Samples an open [`Head`] keeps raw, inline, in front of its block: the
@@ -21,7 +30,8 @@ pub(crate) const TAIL_SAMPLES: usize = 8;
 const BLOCK_INITIAL_BYTES: usize = 32;
 
 /// The most one sample adds to a block: the 68-bit raw-delta escape and a
-/// 64-bit value behind a new 14-bit window header, rounded up.
+/// 64-bit value behind a new 14-bit window header (an integer block's 72-bit
+/// escape is less), rounded up.
 const MAX_ENCODED_SAMPLE_BYTES: usize = 19;
 
 /// The open chunk of a stored series: a Gorilla block built in bursts — a
@@ -85,7 +95,7 @@ impl Head {
     }
 
     fn block_samples(&self) -> BlockSamples<'_> {
-        BlockSamples::new(&self.block, self.encoder.count() as usize)
+        BlockSamples::new(&self.block, self.encoder.kind(), self.encoder.count() as usize)
     }
 
     /// What the ledger counts for this head: 16 bytes per tail sample and
@@ -144,17 +154,26 @@ impl Head {
             return;
         }
         // The block's buffer grows by doubling — a handful of times in a
-        // series' first chunk, then it is kept; the lock audit's no-alloc
-        // check is suspended for that explicitly.
+        // series' first chunk, then it is kept — and the burst that brings
+        // an integer block its first fraction decodes and re-encodes what the
+        // block holds; the lock audit's no-alloc check is suspended for both
+        // explicitly.
         #[cfg(lock_audit)]
         let _allow = parking_lot::audit::allow_alloc();
         if self.block.capacity() == 0 {
             self.block.reserve_exact(BLOCK_INITIAL_BYTES);
         }
         let Self { tail, tail_len, encoder, block } = self;
-        let ordered = encoder.push(tail.get(..usize::from(*tail_len)).unwrap_or(&[]), block);
+        let tail = tail.get(..usize::from(*tail_len)).unwrap_or(&[]);
+        // An integer block with a sample in it: held already, or about to be.
+        let was_integer = encoder.kind() == BlockKind::Integer
+            && (encoder.count() > 0 || tail.first().is_some_and(|s| whole(s.value).is_some()));
+        let ordered = encoder.push(tail, block);
         debug_assert!(ordered, "appends are checked against the newest sample");
         encoder.finish(block);
+        if was_integer && encoder.kind() == BlockKind::Xor {
+            probes::BLOCK_REENCODES.inc();
+        }
         *tail_len = 0;
     }
 
@@ -170,7 +189,7 @@ impl Head {
                 start_ms: self.first_timestamp().unwrap_or(0),
                 end_ms: self.last_timestamp().unwrap_or(0),
                 count,
-                data: ChunkData::Compressed(self.block.as_slice().into()),
+                data: ChunkData::Compressed(self.encoder.kind(), self.block.as_slice().into()),
             }
         } else {
             Chunk::from_samples(self.block_samples().collect())
@@ -205,27 +224,28 @@ impl Head {
         }
         let mut block =
             Vec::with_capacity(self.block.len() + self.tail().len() * MAX_ENCODED_SAMPLE_BYTES + 8);
-        self.encode_into(&mut block);
+        let kind = self.encode_into(&mut block)?;
         Some(Chunk {
             start_ms: self.first_timestamp().unwrap_or(0),
             end_ms: self.last_timestamp().unwrap_or(0),
             count: self.len() as u32,
-            data: ChunkData::Compressed(block.into_boxed_slice()),
+            data: ChunkData::Compressed(kind, block.into_boxed_slice()),
         })
     }
 
     /// The whole head, tail included, as one finished block in `out`
-    /// (cleared first) — byte for byte what [`crate::chunk_codec::encode`]
-    /// of [`Head::samples`] returns, without decoding anything.  `false`,
-    /// and an empty `out`, for an empty head.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> bool {
+    /// (cleared first) and its kind — what [`crate::chunk_codec::encode`] of
+    /// [`Head::samples`] returns, without decoding anything (unless the tail
+    /// holds an integer block's first fraction).  `None`, and an empty `out`,
+    /// for an empty head.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> Option<BlockKind> {
         out.clear();
         out.extend_from_slice(&self.block);
         let mut encoder = self.encoder;
         let ordered = encoder.push(self.tail(), out);
         debug_assert!(ordered, "appends are checked against the newest sample");
         encoder.finish(out);
-        !self.is_empty()
+        (!self.is_empty()).then_some(encoder.kind())
     }
 }
 
@@ -233,13 +253,12 @@ impl Head {
 mod tests {
     use super::*;
 
-    #[test]
-    fn an_open_head_is_the_block_it_will_seal() {
-        let samples: Vec<Sample> = (0..29u64)
-            .map(|t| Sample { timestamp_ms: t * 5_000 + t % 3, value: (t as f64 * 0.7).sin() })
-            .collect();
+    /// Pushes `samples` one by one, checking the head against them after
+    /// every push, and seals it.  Returns the sealed chunk's kind.
+    fn build_and_seal(samples: &[Sample]) -> BlockKind {
         let mut head = Head::default();
-        let mut whole = Vec::new();
+        let mut whole_block = Vec::new();
+        let mut kind = BlockKind::Integer;
         for (i, &sample) in samples.iter().enumerate() {
             head.push(sample);
             let held = &samples[..=i];
@@ -249,20 +268,24 @@ mod tests {
             assert_eq!(head.first_timestamp(), Some(samples[0].timestamp_ms));
             assert_eq!(head.last_timestamp(), Some(sample.timestamp_ms));
             // The block in place decodes without its tail; completed with it
-            // the head is byte for byte the one-shot encoding.
-            assert!(head.encode_into(&mut whole));
-            assert_eq!(Some(&whole), crate::chunk_codec::encode(held).as_ref());
+            // the head is byte for byte the one-shot encoding, kind included.
+            kind = head.encode_into(&mut whole_block).expect("a non-empty head");
+            let encoded = crate::chunk_codec::encode(held);
+            assert_eq!(encoded, Some((kind, whole_block.clone())));
             let block = crate::chunk_codec::encode(&held[..held.len() - head.tail().len()]);
             assert_eq!(
                 head.resident_bytes(),
-                head.tail().len() * SAMPLE_BYTES + block.map_or(0, |b| b.len())
+                head.tail().len() * SAMPLE_BYTES + block.map_or(0, |(_, b)| b.len())
             );
             let snapshot = head.snapshot().expect("a non-empty head");
             assert_eq!(snapshot.iter_samples().collect::<Vec<_>>(), held);
             if held.len() < TAIL_SAMPLES {
                 assert_eq!(snapshot.data, ChunkData::Raw(held.to_vec()), "no block yet");
             } else {
-                assert_eq!(snapshot.data, ChunkData::Compressed(whole.as_slice().into()));
+                assert_eq!(
+                    snapshot.data,
+                    ChunkData::Compressed(kind, whole_block.as_slice().into())
+                );
             }
             assert_eq!(
                 (snapshot.start(), snapshot.end(), snapshot.len()),
@@ -270,12 +293,43 @@ mod tests {
             );
         }
         let chunk = head.seal();
-        assert_eq!(chunk.data, ChunkData::Compressed(whole.into()));
-        assert_eq!((chunk.start(), chunk.end(), chunk.len()), (Some(0), Some(140_001), 29));
-        assert!(!head.encode_into(&mut Vec::new()), "an empty head has no block");
+        assert_eq!(chunk.data, ChunkData::Compressed(kind, whole_block.into()));
+        let (first, last) = (samples[0].timestamp_ms, samples[samples.len() - 1].timestamp_ms);
+        assert_eq!(
+            (chunk.start(), chunk.end(), chunk.len()),
+            (Some(first), Some(last), samples.len())
+        );
+        assert_eq!(head.encode_into(&mut Vec::new()), None, "an empty head has no block");
         assert_eq!(head.snapshot(), None);
         head.release();
         assert!(!head.has_buffer());
         assert_eq!(head.resident_bytes(), 0);
+        kind
+    }
+
+    #[test]
+    fn an_open_head_is_the_block_it_will_seal() {
+        let fractions: Vec<Sample> = (0..29u64)
+            .map(|t| Sample { timestamp_ms: t * 5_000 + t % 3, value: (t as f64 * 0.7).sin() })
+            .collect();
+        assert_eq!(fractions[28].timestamp_ms, 140_001);
+        assert_eq!(build_and_seal(&fractions), BlockKind::Xor);
+        let counter: Vec<Sample> =
+            fractions.iter().map(|s| Sample { value: (s.timestamp_ms / 7) as f64, ..*s }).collect();
+        assert_eq!(build_and_seal(&counter), BlockKind::Integer);
+
+        // The first fraction arrives first of all, inside the first burst,
+        // as the sample that fills a tail, as the one that opens the next,
+        // mid-tail, and last: the head is the XOR block of its samples from
+        // the push that took it, and says so once, at the burst that held it
+        // — unless the block was empty until then.
+        for at in [0, 3, 7, 8, 15, 16, 20, 28] {
+            let mut samples = counter.clone();
+            samples[at].value += 0.5;
+            let before = probes::BLOCK_REENCODES.get();
+            assert_eq!(build_and_seal(&samples), BlockKind::Xor, "fraction at {at}");
+            // (Other tests of this process convert heads too.)
+            assert!(probes::BLOCK_REENCODES.get() - before >= u64::from(at > 0), "at {at}");
+        }
     }
 }

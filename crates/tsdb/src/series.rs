@@ -1,16 +1,18 @@
 //! A single time series: one metric name + label set and its samples.
 //!
 //! Samples live in chunks.  A sealed `Chunk` is a Gorilla block (see
-//! [`crate::chunk_codec`]) behind a `(start, end, count)` footer; the open
-//! one is the same block still being built, with its newest samples raw in an
-//! inline tail in front of it (`crate::head`).  The standalone [`Series`]
+//! [`crate::chunk_codec`]) behind a `(start, end, count)` footer and the
+//! block's kind — whether its values are XOR-coded floats or delta-of-delta
+//! integers, which the codec decided from the values and every decoder of
+//! the block is told; the open one is the same block still being built, with
+//! its newest samples raw in an inline tail in front of it (`crate::head`).  The standalone [`Series`]
 //! keeps plain sample vectors instead: the model the engine is measured
 //! against.
 
 use serde::{Deserialize, Serialize};
 use teemon_metrics::Labels;
 
-use crate::chunk_codec::{BlockSamples, GorillaState};
+use crate::chunk_codec::{BlockKind, BlockSamples, GorillaState};
 
 /// Identifier of a series inside one [`crate::TimeSeriesDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -43,10 +45,10 @@ pub(crate) enum ChunkData {
     /// snapshots that hold them, and a sealed chunk whose block would have
     /// been larger than its samples.
     Raw(Vec<Sample>),
-    /// A Gorilla-compressed block (see [`crate::chunk_codec`]): one
-    /// allocation of exactly the block's length, so [`Chunk::data_bytes`] is
-    /// what the allocator holds.
-    Compressed(Box<[u8]>),
+    /// A Gorilla-compressed block of the given kind (see
+    /// [`crate::chunk_codec`]): one allocation of exactly the block's length,
+    /// so [`Chunk::data_bytes`] is what the allocator holds.
+    Compressed(BlockKind, Box<[u8]>),
 }
 
 /// Samples are grouped into chunks for retrieval and retention, the way
@@ -121,7 +123,7 @@ impl Chunk {
     pub(crate) fn data_bytes(&self) -> usize {
         match &self.data {
             ChunkData::Raw(samples) => samples.len() * SAMPLE_BYTES,
-            ChunkData::Compressed(bytes) => bytes.len(),
+            ChunkData::Compressed(_, bytes) => bytes.len(),
         }
     }
 
@@ -132,7 +134,7 @@ impl Chunk {
         }
         match &self.data {
             ChunkData::Raw(samples) => samples.last().copied(),
-            ChunkData::Compressed(_) => self.iter_samples().last(),
+            ChunkData::Compressed(..) => self.iter_samples().last(),
         }
     }
 
@@ -141,7 +143,7 @@ impl Chunk {
     pub(crate) fn sample_at(&self, at_ms: u64) -> Option<Sample> {
         match &self.data {
             ChunkData::Raw(samples) => sample_at(samples, at_ms),
-            ChunkData::Compressed(_) => {
+            ChunkData::Compressed(..) => {
                 if self.is_empty() || self.start_ms > at_ms {
                     return None;
                 }
@@ -173,7 +175,7 @@ impl Chunk {
                 let b = samples.partition_point(|s| s.timestamp_ms <= end_ms);
                 out.extend(samples[a..b].iter().map(|s| map(*s)));
             }
-            ChunkData::Compressed(_) => {
+            ChunkData::Compressed(..) => {
                 if self.is_empty() || self.start_ms > end_ms || self.end_ms < start_ms {
                     return;
                 }
@@ -198,8 +200,8 @@ impl Chunk {
     pub(crate) fn iter_samples(&self) -> ChunkSamples<'_> {
         match &self.data {
             ChunkData::Raw(samples) => ChunkSamples::Raw(samples.iter()),
-            ChunkData::Compressed(bytes) => {
-                ChunkSamples::Compressed(BlockSamples::new(bytes, self.len()))
+            ChunkData::Compressed(kind, bytes) => {
+                ChunkSamples::Compressed(BlockSamples::new(bytes, *kind, self.len()))
             }
         }
     }
@@ -225,7 +227,7 @@ impl ChunkIterState {
             ChunkData::Raw(samples) => {
                 ChunkIterState::Raw(samples.partition_point(|s| s.timestamp_ms < start_ms))
             }
-            ChunkData::Compressed(_) => ChunkIterState::Compressed(GorillaState::new()),
+            ChunkData::Compressed(kind, _) => ChunkIterState::Compressed(GorillaState::new(*kind)),
         }
     }
 
@@ -237,7 +239,7 @@ impl ChunkIterState {
                 *idx += 1;
                 Some(sample)
             }
-            (ChunkIterState::Compressed(state), ChunkData::Compressed(bytes)) => {
+            (ChunkIterState::Compressed(state), ChunkData::Compressed(_, bytes)) => {
                 (state.emitted() < chunk.count).then(|| state.next(bytes))
             }
             _ => unreachable!("cursor state built from this chunk"),
@@ -511,16 +513,26 @@ mod tests {
         assert!(head.is_empty() && head.has_buffer(), "the seal keeps the buffer");
         // A lone sample is 16 bytes either way and stays a block.
         let one = head_of(&samples[..1]).seal();
-        assert!(matches!(one.data, ChunkData::Compressed(ref block) if block.len() == 16));
+        assert!(matches!(one.data, ChunkData::Compressed(_, ref block) if block.len() == 16));
     }
 
     #[test]
     fn sealed_chunks_answer_like_raw_ones() {
-        let samples: Vec<Sample> =
+        let floats: Vec<Sample> =
             (0..40u64).map(|t| Sample { timestamp_ms: t * 500, value: (t as f64).cos() }).collect();
-        let raw = Chunk::from_samples(samples.clone());
-        let compressed = head_of(&samples).seal();
-        assert!(matches!(compressed.data, ChunkData::Compressed(_)));
+        let whole: Vec<Sample> =
+            floats.iter().map(|s| Sample { value: (s.value * 1e4).round(), ..*s }).collect();
+        for (samples, kind) in [(floats, BlockKind::Xor), (whole, BlockKind::Integer)] {
+            sealed_chunk_answers_like_its_samples(&samples, kind);
+        }
+    }
+
+    fn sealed_chunk_answers_like_its_samples(samples: &[Sample], kind: BlockKind) {
+        let raw = Chunk::from_samples(samples.to_vec());
+        let compressed = head_of(samples).seal();
+        assert!(
+            matches!(compressed.data, ChunkData::Compressed(sealed_as, _) if sealed_as == kind)
+        );
         assert!(compressed.data_bytes() < raw.data_bytes());
         assert_eq!(raw.start(), compressed.start());
         assert_eq!(raw.end(), compressed.end());
@@ -538,5 +550,9 @@ mod tests {
             assert_eq!(collect(&raw, lo, hi), collect(&compressed, lo, hi), "[{lo}, {hi}]");
         }
         assert_eq!(compressed.iter_samples().collect::<Vec<_>>(), samples);
+        // The owning cursors' per-chunk state walks it the same way.
+        let mut state = ChunkIterState::positioned(&compressed, 0);
+        let streamed: Vec<Sample> = std::iter::from_fn(|| state.next(&compressed)).collect();
+        assert_eq!(streamed, samples);
     }
 }

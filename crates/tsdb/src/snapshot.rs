@@ -12,11 +12,14 @@
 //! Reads go through [`SeriesSnapshot::at`] (footer binary search, then a
 //! bounded in-chunk search), [`SeriesSnapshot::points_in`] (pre-sized range
 //! materialisation) or the streaming cursors.  Sealed chunks are
-//! Gorilla-compressed (see [`crate::chunk_codec`]); the cursors decode them
-//! incrementally — a few words of decoder state per chunk — so a range scan
-//! never materialises a decompressed chunk, and chunks outside the queried
-//! window are skipped by their `(start, end, count)` footers without touching
-//! the compressed payload at all.
+//! Gorilla-compressed (see [`crate::chunk_codec`]) in one of the codec's two
+//! kinds — whole-number values as integer deltas, anything else XOR-coded —
+//! which each chunk carries beside its bytes and every cursor hands to the
+//! decoder it opens on them, so nothing here cares which it is; the cursors
+//! decode incrementally — a few words of decoder state per chunk — so a
+//! range scan never materialises a decompressed chunk, and chunks outside
+//! the queried window are skipped by their `(start, end, count)` footers
+//! without touching the compressed payload at all.
 //!
 //! [`SampleCursor`] borrows the snapshot; [`OwnedSampleCursor`] shares the
 //! chunks by `Arc` instead, for consumers like the query engine's plans that

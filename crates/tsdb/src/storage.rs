@@ -2047,38 +2047,12 @@ mod tests {
 
     #[test]
     fn heads_grow_with_their_samples_and_keep_the_buffer_after_a_seal() {
-        let db = TimeSeriesDb::new(); // chunk_size 120
-        let h = db.resolve("m", &Labels::new());
-        assert_eq!(head_of(&db, h), (0, 0, 0), "a resolved series holds no buffer yet");
-        largest_burst();
-        let mut capacities = Vec::new();
-        for t in 0..119u64 {
-            db.append_handle(h, t * 5_000, (t * 17) as f64);
-            let (len, tail, capacity) = head_of(&db, h);
-            assert_eq!((len, tail), (t as usize + 1, (t as usize + 1) % 8), "bursts of eight");
-            let inner = db.shared.shard(h.shard as usize).read();
-            let (in_use, _) = inner.series_at(h.local).head.block_buffer();
-            assert!(capacity <= (2 * in_use).max(32), "{capacity} B held for {in_use} B in use");
-            assert_eq!(inner.head_bytes, (in_use + tail * SAMPLE_BYTES) as u64);
-            assert_eq!(inner.head_bytes, inner.bytes, "nothing is sealed yet");
-            if capacities.last() != Some(&capacity) {
-                capacities.push(capacity);
-            }
-        }
-        // No buffer before the first burst, whose eight counter samples
-        // already outgrow the initial 32 bytes.
-        assert_eq!(capacities, [0, 64, 128, 256]);
-        assert_eq!(largest_burst(), 8, "no append encodes more than a tail");
-        // The seal encodes the seven samples the tail held and the 120th,
-        // copies the block out and keeps the buffer.
-        db.append_handle(h, 119 * 5_000, (119 * 17) as f64);
-        assert_eq!(largest_burst(), 8);
-        assert_eq!(head_of(&db, h), (0, 0, 256), "a full seal empties the head, not its buffer");
-        let snapshot = &db.select(&Selector::metric("m"))[0];
-        assert_eq!((snapshot.chunk_count(), snapshot.len()), (1, 120));
-        let stats = db.stats();
-        assert_eq!(stats.resident_bytes, snapshot.resident_bytes() as u64);
-        assert_eq!(db.shared.shard(h.shard as usize).read().head_bytes, 0);
+        // A counter's block is an integer one, 2 bits a sample at a steady
+        // rate: its first burst fits the initial 32 bytes and the chunk 64.
+        // A gauge moving in halves is an XOR block: its first eight samples
+        // already outgrow the 32 bytes.
+        head_grows_and_keeps_its_buffer(|t| (t * 17) as f64, &[0, 32, 64]);
+        head_grows_and_keeps_its_buffer(|t| t as f64 * 0.5, &[0, 64, 128, 256]);
 
         // A chunk shorter than the tail seals without a burst before it.
         let small =
@@ -2090,6 +2064,41 @@ mod tests {
         small.append_handle(h, 2, 1.0);
         assert_eq!(head_of(&small, h), (0, 0, 32));
         assert_eq!(largest_burst(), 3);
+    }
+
+    fn head_grows_and_keeps_its_buffer(value: fn(u64) -> f64, expected_capacities: &[usize]) {
+        let db = TimeSeriesDb::new(); // chunk_size 120
+        let h = db.resolve("m", &Labels::new());
+        assert_eq!(head_of(&db, h), (0, 0, 0), "a resolved series holds no buffer yet");
+        largest_burst();
+        let mut capacities = Vec::new();
+        for t in 0..119u64 {
+            db.append_handle(h, t * 5_000, value(t));
+            let (len, tail, capacity) = head_of(&db, h);
+            assert_eq!((len, tail), (t as usize + 1, (t as usize + 1) % 8), "bursts of eight");
+            let inner = db.shared.shard(h.shard as usize).read();
+            let (in_use, _) = inner.series_at(h.local).head.block_buffer();
+            assert!(capacity <= (2 * in_use).max(32), "{capacity} B held for {in_use} B in use");
+            assert_eq!(inner.head_bytes, (in_use + tail * SAMPLE_BYTES) as u64);
+            assert_eq!(inner.head_bytes, inner.bytes, "nothing is sealed yet");
+            if capacities.last() != Some(&capacity) {
+                capacities.push(capacity);
+            }
+        }
+        // No buffer before the first burst.
+        assert_eq!(capacities, expected_capacities);
+        assert_eq!(largest_burst(), 8, "no append encodes more than a tail");
+        // The seal encodes the seven samples the tail held and the 120th,
+        // copies the block out and keeps the buffer.
+        db.append_handle(h, 119 * 5_000, value(119));
+        assert_eq!(largest_burst(), 8);
+        let kept = *expected_capacities.last().expect("a buffer");
+        assert_eq!(head_of(&db, h), (0, 0, kept), "a full seal empties the head, not its buffer");
+        let snapshot = &db.select(&Selector::metric("m"))[0];
+        assert_eq!((snapshot.chunk_count(), snapshot.len()), (1, 120));
+        let stats = db.stats();
+        assert_eq!(stats.resident_bytes, snapshot.resident_bytes() as u64);
+        assert_eq!(db.shared.shard(h.shard as usize).read().head_bytes, 0);
     }
 
     #[test]
@@ -2118,7 +2127,7 @@ mod tests {
         let sealed_before = probes::STALE_HEADS_SEALED.get();
         assert_eq!(db.apply_retention(), 0);
         assert_eq!(db.stats(), before);
-        assert_eq!(head_of(&db, idle), (17, 1, 64));
+        assert_eq!(head_of(&db, idle), (17, 1, 32));
 
         // One millisecond later the idle head is sealed and its buffer
         // released; the live one is untouched.  No sample, chunk or series

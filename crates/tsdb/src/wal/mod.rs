@@ -50,6 +50,19 @@
 //! is still read — a directory they left must open whole — and never
 //! written.
 //!
+//! A shard snapshot is a header frame, one frame per series and a footer
+//! frame.  A series frame holds the series' identity, its open head and its
+//! sealed chunks, each chunk payload behind a one-byte kind tag: `0` plain
+//! `(timestamp, value)` pairs, `1` a Gorilla block with XOR-coded values, `2`
+//! a Gorilla block whose values — whole numbers all — are integer deltas
+//! (see [`crate::chunk_codec`]; tag `2` is the newest, directories written
+//! before it hold `0` and `1` only and read as they always did).  The tag and
+//! the sample count beside it are all a block's decoder needs to be told, and
+//! recovery believes a count only if the bytes next to it could hold that
+//! many samples (a raw run `count × 16` bytes, a block 128 bits and two more
+//! per further sample): anything else fails the snapshot, never an
+//! allocation.
+//!
 //! Commit *is* the frame boundary: a group that verifies is a round that was
 //! written whole, and nothing else confirms it.  Recovery therefore has one
 //! rule — read the segments in order and apply a group's section to stream
@@ -109,7 +122,7 @@ use std::sync::Arc;
 use parking_lot::{LockClass, Mutex, MutexGuard, RwLock};
 use teemon_obs::{probes, Stopwatch};
 
-use crate::chunk_codec;
+use crate::chunk_codec::{self, BlockKind};
 use crate::head::Head;
 use crate::series::{Chunk, ChunkData, Sample};
 use crate::storage::SHARD_COUNT;
@@ -1147,9 +1160,40 @@ pub(crate) struct SnapSeriesRef<'a> {
     pub(crate) sealed: &'a [Arc<Chunk>],
 }
 
-/// Chunk payload kind tags inside snapshot records.
+/// Chunk payload kind tags inside snapshot records: plain samples, or a
+/// block of one of the codec's two kinds.  `CHUNK_GORILLA` is the XOR block,
+/// the only kind there was before `CHUNK_INTEGER`; directories from then hold
+/// tags 0 and 1 only and read as they always did.
 const CHUNK_RAW: u8 = 0;
 const CHUNK_GORILLA: u8 = 1;
+const CHUNK_INTEGER: u8 = 2;
+
+fn block_tag(kind: BlockKind) -> u8 {
+    match kind {
+        BlockKind::Xor => CHUNK_GORILLA,
+        BlockKind::Integer => CHUNK_INTEGER,
+    }
+}
+
+/// The kind of block `tag` marks, `None` for a raw run or an unknown tag.
+fn block_kind(tag: u8) -> Option<BlockKind> {
+    match tag {
+        CHUNK_GORILLA => Some(BlockKind::Xor),
+        CHUNK_INTEGER => Some(BlockKind::Integer),
+        _ => None,
+    }
+}
+
+/// Whether a block of `len` bytes can hold `count` samples: the first is 128
+/// bits and every later one at least two (a one-bit timestamp `Δ²`, a
+/// one-bit value, in either kind).  A count is believed — allocated for,
+/// decoded up to — only once it has passed this.
+fn block_can_hold(len: usize, count: usize) -> bool {
+    match len.saturating_mul(8).checked_sub(128) {
+        Some(later_bits) => count <= 1 + later_bits / 2,
+        None => count == 0,
+    }
+}
 
 fn put_samples(buf: &mut Vec<u8>, samples: &[Sample]) {
     for s in samples {
@@ -1188,8 +1232,8 @@ pub(crate) fn encode_shard_snapshot(
         // Head: its samples as one Gorilla block (the block it is building,
         // completed with its tail), an empty raw run when it holds none.
         put_u32(&mut buf, s.head.len() as u32);
-        if s.head.encode_into(&mut block) {
-            buf.push(CHUNK_GORILLA);
+        if let Some(kind) = s.head.encode_into(&mut block) {
+            buf.push(block_tag(kind));
             put_u32(&mut buf, block.len() as u32);
             buf.extend_from_slice(&block);
         } else {
@@ -1200,7 +1244,7 @@ pub(crate) fn encode_shard_snapshot(
         for chunk in s.sealed {
             let (kind, len) = match &chunk.data {
                 ChunkData::Raw(samples) => (CHUNK_RAW, samples.len() * 16),
-                ChunkData::Compressed(bytes) => (CHUNK_GORILLA, bytes.len()),
+                ChunkData::Compressed(kind, bytes) => (block_tag(*kind), bytes.len()),
             };
             buf.push(kind);
             put_u32(&mut buf, chunk.count);
@@ -1209,7 +1253,7 @@ pub(crate) fn encode_shard_snapshot(
             put_u32(&mut buf, len as u32);
             match &chunk.data {
                 ChunkData::Raw(samples) => put_samples(&mut buf, samples),
-                ChunkData::Compressed(bytes) => buf.extend_from_slice(bytes),
+                ChunkData::Compressed(_, bytes) => buf.extend_from_slice(bytes),
             }
         }
         end_frame(&mut buf, at);
@@ -1240,11 +1284,14 @@ pub(crate) struct ShardSnapshot {
     pub(crate) series: Vec<SnapSeries>,
 }
 
+/// `count` raw samples — taken as bytes first, so nothing is allocated for
+/// a count the payload does not hold.
 fn take_samples(cur: &mut Cur<'_>, count: usize) -> Option<Vec<Sample>> {
+    let mut run = Cur::new(cur.take(count.checked_mul(16)?)?);
     let mut samples = Vec::with_capacity(count);
     for _ in 0..count {
-        let timestamp_ms = cur.u64()?;
-        let value = f64::from_bits(cur.u64()?);
+        let timestamp_ms = run.u64()?;
+        let value = f64::from_bits(run.u64()?);
         samples.push(Sample { timestamp_ms, value });
     }
     Some(samples)
@@ -1259,15 +1306,15 @@ fn decode_snap_series(payload: &[u8]) -> Option<SnapSeries> {
     let head_count = cur.count()?;
     let head = match cur.u8()? {
         CHUNK_RAW => take_samples(&mut cur, head_count)?,
-        CHUNK_GORILLA => {
+        tag => {
+            let kind = block_kind(tag)?;
             let len = cur.u32()? as usize;
-            let samples = chunk_codec::decode(cur.take(len)?, head_count);
-            if samples.len() != head_count {
+            let block = cur.take(len)?;
+            if !block_can_hold(block.len(), head_count) {
                 return None;
             }
-            samples
+            chunk_codec::decode(block, kind, head_count)
         }
-        _ => return None,
     };
     let sealed_count = cur.count()?;
     let mut sealed = Vec::with_capacity(sealed_count);
@@ -1277,9 +1324,13 @@ fn decode_snap_series(payload: &[u8]) -> Option<SnapSeries> {
         let start_ms = cur.u64()?;
         let end_ms = cur.u64()?;
         let len = cur.u32()? as usize;
-        let data = match kind {
-            CHUNK_RAW if len == count * 16 => ChunkData::Raw(take_samples(&mut cur, count)?),
-            CHUNK_GORILLA => ChunkData::Compressed(cur.take(len)?.into()),
+        let data = match block_kind(kind) {
+            None if kind == CHUNK_RAW && len == count * 16 => {
+                ChunkData::Raw(take_samples(&mut cur, count)?)
+            }
+            Some(block) if block_can_hold(len, count) => {
+                ChunkData::Compressed(block, cur.take(len)?.into())
+            }
             _ => return None,
         };
         sealed.push(Chunk { start_ms, end_ms, count: count as u32, data });
@@ -1776,22 +1827,128 @@ mod tests {
         assert!(writer.sync().is_err(), "third fsync must fail");
     }
 
+    fn head_of(samples: &[Sample]) -> Head {
+        let mut head = Head::default();
+        for &sample in samples {
+            head.push(sample);
+        }
+        head
+    }
+
+    /// A one-series shard snapshot of `head` and `sealed`, its series record
+    /// passed through `patch` (the body behind the record's type byte) and
+    /// framed again, checksum and all — what a colliding corruption or a
+    /// hand-made file looks like to recovery.
+    fn reframed_snapshot(
+        head: &Head,
+        sealed: &[Arc<Chunk>],
+        patch: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        let series = [SnapSeriesRef {
+            id: 1,
+            name_sym: SymbolId::from_u32(0),
+            label_syms: &[],
+            ever_appended: true,
+            head,
+            sealed,
+        }];
+        let image = encode_shard_snapshot(1, 0, 0, &series);
+        let mut scanner = FrameScanner::new(&image);
+        let header = scanner.typed(REC_SNAP_HEADER).expect("header").to_vec();
+        let mut body = scanner.typed(REC_SNAP_SERIES).expect("series").to_vec();
+        let footer = scanner.typed(REC_SNAP_FOOTER).expect("footer").to_vec();
+        patch(&mut body);
+        [(REC_SNAP_HEADER, header), (REC_SNAP_SERIES, body), (REC_SNAP_FOOTER, footer)]
+            .iter()
+            .flat_map(|(kind, body)| frame(*kind, body))
+            .collect()
+    }
+
+    /// Offsets into an unlabelled series record: `id`, `name_sym`,
+    /// `ever_appended` and the label count come first.
+    const HEAD_COUNT_AT: usize = 8 + 4 + 1 + 4;
+    /// …and behind an empty head (`count: 0`, `CHUNK_RAW`, no length) the
+    /// sealed list's count, then the first chunk's tag and count.
+    const SEALED_COUNT_AT: usize = HEAD_COUNT_AT + 4 + 1;
+
+    fn set_u32(body: &mut [u8], at: usize, value: u32) {
+        body[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    }
+
+    #[test]
+    fn a_count_its_block_cannot_hold_is_refused_and_the_fullest_honest_block_loads() {
+        // Recovery allocates for a count only once the bytes beside it could
+        // hold that many samples: 128 bits, then two a sample at the least.
+        assert!(block_can_hold(0, 0) && !block_can_hold(15, 1) && block_can_hold(16, 1));
+        assert!(!block_can_hold(16, 2) && block_can_hold(17, 5) && !block_can_hold(17, 6));
+
+        // The fullest honest block: one timestamp, one value, 2 bits a sample
+        // past the first — whole numbers or not.
+        for value in [7.0, 0.5] {
+            let flat: Vec<Sample> = (0..77).map(|_| Sample { timestamp_ms: 9, value }).collect();
+            let (kind, block) = chunk_codec::encode(&flat).expect("ordered");
+            assert_eq!(block.len(), 16 + 76 / 4);
+            assert!(block_can_hold(block.len(), 77) && !block_can_hold(block.len(), 78));
+
+            // As a head: loads whole, reserving for its samples and no more…
+            let head = head_of(&flat);
+            let image = reframed_snapshot(&head, &[], |_| {});
+            let snap = decode_shard_snapshot(&image).expect("an honest snapshot");
+            assert_eq!(snap.series[0].head, flat);
+            assert!(snap.series[0].head.capacity() <= 4 * block.len());
+            // …and one sample more than it can hold, or sixteen million, is
+            // refused next to the same bytes.
+            for count in [78, MAX_COUNT] {
+                let image =
+                    reframed_snapshot(&head, &[], |body| set_u32(body, HEAD_COUNT_AT, count));
+                assert!(decode_shard_snapshot(&image).is_none(), "head of {count} in {kind:?}");
+            }
+
+            // As a sealed chunk: the same, for the count in its footer.
+            let sealed = [Arc::new(head_of(&flat).seal())];
+            assert_eq!(sealed[0].data, ChunkData::Compressed(kind, block.into()));
+            let image = reframed_snapshot(&Head::default(), &sealed, |_| {});
+            let snap = decode_shard_snapshot(&image).expect("an honest snapshot");
+            assert_eq!(snap.series[0].sealed, [(*sealed[0]).clone()]);
+            for count in [78, MAX_COUNT] {
+                let image = reframed_snapshot(&Head::default(), &sealed, |body| {
+                    set_u32(body, SEALED_COUNT_AT + 4 + 1, count);
+                });
+                assert!(decode_shard_snapshot(&image).is_none(), "chunk of {count} in {kind:?}");
+            }
+        }
+
+        // A raw run is its count times sixteen bytes, present in the record:
+        // an inflated count is refused before a vector is sized for it.
+        let raw = [Arc::new(Chunk::from_samples(vec![Sample { timestamp_ms: 1, value: 0.5 }]))];
+        let honest = reframed_snapshot(&Head::default(), &raw, |_| {});
+        assert_eq!(
+            decode_shard_snapshot(&honest).expect("honest").series[0].sealed,
+            [(*raw[0]).clone()]
+        );
+        let image = reframed_snapshot(&Head::default(), &raw, |body| {
+            set_u32(body, SEALED_COUNT_AT + 4 + 1, MAX_COUNT);
+            set_u32(body, SEALED_COUNT_AT + 4 + 1 + 4 + 16, MAX_COUNT * 16);
+        });
+        assert!(decode_shard_snapshot(&image).is_none());
+        // …and so is a raw head's.
+        let image = reframed_snapshot(&Head::default(), &[], |body| {
+            set_u32(body, HEAD_COUNT_AT, MAX_COUNT);
+        });
+        assert!(decode_shard_snapshot(&image).is_none());
+    }
+
     #[test]
     fn shard_snapshots_round_trip_byte_identically() {
         // Eleven head samples: a burst in the block and three in the tail.
         let head_samples: Vec<Sample> =
             (0..11).map(|i| Sample { timestamp_ms: 1_000 * i, value: 1.5 - i as f64 }).collect();
-        let mut head = Head::default();
-        for &sample in &head_samples {
-            head.push(sample);
-        }
+        let head = head_of(&head_samples);
         let sealed_samples: Vec<Sample> =
             (0..8).map(|i| Sample { timestamp_ms: 10_000 + i * 500, value: i as f64 }).collect();
-        let mut open = Head::default();
-        for &sample in &sealed_samples {
-            open.push(sample);
-        }
-        let gorilla = Arc::new(open.seal());
+        // One sealed chunk of each kind of block, and a raw one.
+        let integer = Arc::new(head_of(&sealed_samples).seal());
+        let xor = Arc::new(head_of(&head_samples).seal());
         let raw = Arc::new(Chunk::from_samples(sealed_samples.clone()));
         let series = [SnapSeriesRef {
             id: 9,
@@ -1799,7 +1956,7 @@ mod tests {
             label_syms: &[(SymbolId::from_u32(1), SymbolId::from_u32(2))],
             ever_appended: true,
             head: &head,
-            sealed: &[Arc::clone(&gorilla), Arc::clone(&raw)],
+            sealed: &[Arc::clone(&integer), Arc::clone(&xor), Arc::clone(&raw)],
         }];
         let bytes = encode_shard_snapshot(5, 2, 7, &series);
         let snap = decode_shard_snapshot(&bytes).expect("decode");
@@ -1813,18 +1970,11 @@ mod tests {
         assert_eq!(s.label_syms, vec![(SymbolId::from_u32(1), SymbolId::from_u32(2))]);
         assert!(s.ever_appended);
         assert_eq!(s.head, head_samples);
-        assert_eq!(s.sealed.len(), 2);
-        // The Gorilla payload is carried verbatim: byte-identical restore.
-        match (&s.sealed[0].data, &gorilla.data) {
-            (ChunkData::Compressed(restored), ChunkData::Compressed(original)) => {
-                assert_eq!(restored, original);
-            }
-            _ => panic!("sealed chunk must stay compressed"),
-        }
-        match &s.sealed[1].data {
-            ChunkData::Raw(samples) => assert_eq!(samples, &sealed_samples),
-            ChunkData::Compressed(_) => panic!("raw chunk must stay raw"),
-        }
+        // Payloads are carried verbatim and keep their kind: byte-identical
+        // restore.
+        assert!(matches!(integer.data, ChunkData::Compressed(BlockKind::Integer, _)));
+        assert!(matches!(xor.data, ChunkData::Compressed(BlockKind::Xor, _)));
+        assert_eq!(s.sealed, [(*integer).clone(), (*xor).clone(), (*raw).clone()]);
         // Any truncation of the image is rejected outright — a snapshot is
         // only trusted whole.
         for cut in 0..bytes.len() {

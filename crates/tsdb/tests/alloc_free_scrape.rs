@@ -247,8 +247,8 @@ fn churn_repairs_then_returns_to_allocation_free() {
 
     // …after which the enlarged round allocates for nothing but the new
     // series' head, whose first burst — its eighth sample — opens a block
-    // buffer at 32 bytes and doubles it at once for these values —
-    assert_eq!(rounds(7), 2, "post-churn rounds may only grow the new series' head");
+    // buffer at 32 bytes, which eight whole numbers fit —
+    assert_eq!(rounds(7), 1, "post-churn rounds may only grow the new series' head");
     // — and once that series is through its first chunk too (the older
     // ones seal their second alongside it), for nothing at all.
     rounds(FIRST_CHUNK_ROUNDS - 9);

@@ -1,23 +1,40 @@
 //! Property tests for the Gorilla chunk codec: `decode(encode(samples)) ==
 //! samples` bit-for-bit over adversarial inputs (NaN, ±inf, zero and huge
-//! timestamp deltas, duplicates), and rejection of inputs the storage engine
-//! can never produce (timestamps running backwards).  The bit-by-bit decoder
-//! and encoder the accumulator reader and writer replaced live on here as
-//! [`reference`], the oracles production must match — the decoder sample for
-//! sample on well-formed blocks, past their end, and on truncated and random
-//! bytes; the encoder byte for byte on every input it accepts — whole, and
-//! through the resumable [`BlockEncoder`] in any split into bursts.
+//! timestamp deltas, duplicates, whole numbers up to ±2⁵³ and one step past),
+//! and rejection of inputs the storage engine can never produce (timestamps
+//! running backwards).  The bit-by-bit decoder and encoder the accumulator
+//! reader and writer replaced live on here as [`reference`], the oracles
+//! production must match — the decoder sample for sample on well-formed
+//! blocks of both kinds, past their end, read as the other kind, and on
+//! truncated, mangled and random bytes; the encoder byte for byte and kind
+//! for kind on every input it accepts — whole, and through the resumable
+//! [`BlockEncoder`] in any split into bursts, wherever in the stream the
+//! first value that is not a whole number arrives.
+//!
+//! [`reference::encode_xor`] is the encoder as it stood before blocks had
+//! kinds, kept verbatim: a block holding any value that does not qualify for
+//! the integer kind must still be, byte for byte, what it builds.
 
 use proptest::proptest;
 use teemon_tsdb::chunk_codec::{
-    decode, decode_into, encode, encode_into, BlockEncoder, GorillaState,
+    decode, decode_into, encode, encode_into, BlockEncoder, BlockKind, GorillaState,
 };
 use teemon_tsdb::Sample;
 
-/// The previous production decoder and encoder, verbatim: one `bytes.get`
-/// per bit or byte fragment and one `write_bit` per bit, no accumulator.
-/// Written against the byte format only.
+const KINDS: [BlockKind; 2] = [BlockKind::Xor, BlockKind::Integer];
+
+/// 2⁵³: the largest magnitude an integer block's value may have.
+const MAX_WHOLE: i64 = 1 << 53;
+
+/// Payload widths of the integer value ladder, as the format documents them.
+const VALUE_LADDER: [u32; 7] = [5, 9, 14, 20, 26, 34, 48];
+
+/// The previous production decoder and encoder, verbatim — one `bytes.get`
+/// per bit or byte fragment and one `write_bit` per bit, no accumulator —
+/// and the integer kind written the same way.  Written against the byte
+/// format only.
 mod reference {
+    use super::{BlockKind, MAX_WHOLE, VALUE_LADDER};
     use teemon_tsdb::Sample;
 
     /// Appends bits to a byte buffer, most-significant bit of each value first.
@@ -55,7 +72,26 @@ mod reference {
     /// Sentinel for "no value window established yet".
     const NO_WINDOW: u32 = u32::MAX;
 
-    pub fn encode(samples: &[Sample]) -> Option<Vec<u8>> {
+    /// The qualification rule, from its definition: a whole number, not the
+    /// negative zero, of magnitude at most 2⁵³.
+    pub fn qualifies(value: f64) -> bool {
+        value.is_finite()
+            && value.trunc() == value
+            && value.abs() <= MAX_WHOLE as f64
+            && value.to_bits() != (-0.0f64).to_bits()
+    }
+
+    /// The block of `samples` and its kind: the integer block iff every
+    /// value qualifies, the XOR block as it always was otherwise.
+    pub fn encode(samples: &[Sample]) -> Option<(BlockKind, Vec<u8>)> {
+        if samples.iter().all(|s| qualifies(s.value)) {
+            encode_integer(samples).map(|block| (BlockKind::Integer, block))
+        } else {
+            encode_xor(samples).map(|block| (BlockKind::Xor, block))
+        }
+    }
+
+    pub fn encode_xor(samples: &[Sample]) -> Option<Vec<u8>> {
         let first = samples.first()?;
         let mut w = BitWriter::default();
         w.write_bits(first.timestamp_ms, 64);
@@ -124,6 +160,79 @@ mod reference {
         Some(w.into_bytes())
     }
 
+    /// The integer block of `samples`, every value of which qualifies:
+    /// timestamps as in [`encode_xor`], each value after the first as the
+    /// `Δ²` of the values as integers.
+    pub fn encode_integer(samples: &[Sample]) -> Option<Vec<u8>> {
+        let first = samples.first()?;
+        let mut w = BitWriter::default();
+        w.write_bits(first.timestamp_ms, 64);
+        w.write_bits(first.value.to_bits(), 64);
+        let mut prev_ts = first.timestamp_ms;
+        let mut prev_delta: u64 = 0;
+        let mut prev_value = first.value as i128;
+        let mut prev_value_delta: i128 = 0;
+        for sample in samples.iter().skip(1) {
+            if sample.timestamp_ms < prev_ts {
+                return None;
+            }
+            let delta = sample.timestamp_ms - prev_ts;
+            let dod = delta as i128 - prev_delta as i128;
+            match dod {
+                0 => w.write_bit(false),
+                -63..=64 => {
+                    w.write_bits(0b10, 2);
+                    w.write_bits((dod + 63) as u64, 7);
+                }
+                -255..=256 => {
+                    w.write_bits(0b110, 3);
+                    w.write_bits((dod + 255) as u64, 9);
+                }
+                -2047..=2048 => {
+                    w.write_bits(0b1110, 4);
+                    w.write_bits((dod + 2047) as u64, 12);
+                }
+                _ => {
+                    w.write_bits(0b1111, 4);
+                    w.write_bits(delta, 64);
+                }
+            }
+            prev_ts = sample.timestamp_ms;
+            prev_delta = delta;
+
+            let value = sample.value as i128;
+            let value_delta = value - prev_value;
+            let dod = value_delta - prev_value_delta;
+            if dod == 0 {
+                w.write_bit(false);
+            } else {
+                // The narrowest rung holding the Δ²: one more one bit per
+                // rung, a zero, the biased payload.
+                let rung = VALUE_LADDER.iter().position(|&width| {
+                    let half = 1i128 << (width - 1);
+                    (-(half - 1)..=half).contains(&dod)
+                });
+                match rung {
+                    Some(rung) => {
+                        let width = VALUE_LADDER[rung];
+                        for _ in 0..=rung {
+                            w.write_bit(true);
+                        }
+                        w.write_bit(false);
+                        w.write_bits((dod + (1i128 << (width - 1)) - 1) as u64, width);
+                    }
+                    None => {
+                        w.write_bits(0xff, 8);
+                        w.write_bits(dod as i64 as u64, 64);
+                    }
+                }
+            }
+            prev_value = value;
+            prev_value_delta = value_delta;
+        }
+        Some(w.into_bytes())
+    }
+
     fn read_bit(bytes: &[u8], pos: &mut u64) -> bool {
         let byte = (*pos / 8) as usize;
         let bit = 7 - (*pos % 8) as u32;
@@ -148,6 +257,7 @@ mod reference {
     }
 
     pub struct Decoder {
+        kind: BlockKind,
         bit_pos: u64,
         emitted: u32,
         prev_ts: u64,
@@ -155,11 +265,15 @@ mod reference {
         prev_bits: u64,
         prev_leading: u32,
         prev_trailing: u32,
+        /// Integer blocks: the previous value and the step that led to it.
+        prev_int: i64,
+        prev_int_delta: i64,
     }
 
     impl Decoder {
-        pub fn new() -> Self {
+        pub fn new(kind: BlockKind) -> Self {
             Self {
+                kind,
                 bit_pos: 0,
                 emitted: 0,
                 prev_ts: 0,
@@ -167,6 +281,8 @@ mod reference {
                 prev_bits: 0,
                 prev_leading: u32::MAX,
                 prev_trailing: 0,
+                prev_int: 0,
+                prev_int_delta: 0,
             }
         }
 
@@ -175,9 +291,15 @@ mod reference {
                 self.prev_ts = read_bits(bytes, &mut self.bit_pos, 64);
                 self.prev_bits = read_bits(bytes, &mut self.bit_pos, 64);
                 self.emitted = 1;
-                return Sample {
-                    timestamp_ms: self.prev_ts,
-                    value: f64::from_bits(self.prev_bits),
+                let value = f64::from_bits(self.prev_bits);
+                // An integer block keeps its values as integers from here on
+                // (garbage first values saturate; they never panic).
+                self.prev_int = value as i64;
+                return match self.kind {
+                    BlockKind::Xor => Sample { timestamp_ms: self.prev_ts, value },
+                    BlockKind::Integer => {
+                        Sample { timestamp_ms: self.prev_ts, value: self.prev_int as f64 }
+                    }
                 };
             }
             let delta = if !read_bit(bytes, &mut self.bit_pos) {
@@ -193,6 +315,9 @@ mod reference {
             };
             self.prev_ts = self.prev_ts.wrapping_add(delta);
             self.prev_delta = delta;
+            if self.kind == BlockKind::Integer {
+                return self.next_integer(bytes);
+            }
             if read_bit(bytes, &mut self.bit_pos) {
                 let (leading, trailing) = if read_bit(bytes, &mut self.bit_pos) {
                     let leading = read_bits(bytes, &mut self.bit_pos, 6) as u32;
@@ -211,26 +336,64 @@ mod reference {
             Sample { timestamp_ms: self.prev_ts, value: f64::from_bits(self.prev_bits) }
         }
 
+        /// The value of an integer block's sample: count the marker's one
+        /// bits (eight are the escape), read that rung's payload.
+        fn next_integer(&mut self, bytes: &[u8]) -> Sample {
+            let mut ones = 0;
+            while ones < 8 && read_bit(bytes, &mut self.bit_pos) {
+                ones += 1;
+            }
+            let dod = match ones {
+                0 => 0,
+                8 => read_bits(bytes, &mut self.bit_pos, 64) as i64,
+                rung => {
+                    let width = VALUE_LADDER[rung - 1];
+                    let bias = (1i64 << (width - 1)) - 1;
+                    (read_bits(bytes, &mut self.bit_pos, width) as i64).wrapping_sub(bias)
+                }
+            };
+            self.prev_int_delta = self.prev_int_delta.wrapping_add(dod);
+            self.prev_int = self.prev_int.wrapping_add(self.prev_int_delta);
+            self.emitted += 1;
+            Sample { timestamp_ms: self.prev_ts, value: self.prev_int as f64 }
+        }
+
         fn bucket_delta(&mut self, bytes: &[u8], bits: u32, bias: i128) -> u64 {
             let dod = read_bits(bytes, &mut self.bit_pos, bits) as i128 - bias;
             (self.prev_delta as i128).wrapping_add(dod) as u64
         }
     }
 
-    pub fn decode(bytes: &[u8], count: usize) -> Vec<Sample> {
-        let mut decoder = Decoder::new();
+    pub fn decode(bytes: &[u8], kind: BlockKind, count: usize) -> Vec<Sample> {
+        let mut decoder = Decoder::new(kind);
         (0..count).map(|_| decoder.next(bytes)).collect()
     }
 }
 
+/// Where in a generated stream the values stop being whole numbers only:
+/// nowhere (kind 0: the whole stream draws from every value kind), past the
+/// end (1: an integer block), or at a drawn position.
+fn switch_at((kind, position): (u8, usize), len: usize) -> usize {
+    match kind % 3 {
+        0 => 0,
+        1 => len,
+        _ => position % len.max(1),
+    }
+}
+
 /// Sample specs: a delta selector and a value selector, expanded into
-/// timestamp deltas / values that stress every encoder bucket.
-fn build_samples(specs: &[(u8, u8, u16)]) -> Vec<Sample> {
+/// timestamp deltas / values that stress every encoder bucket.  Values
+/// before `whole_until` are whole numbers of magnitude at most 2⁵³ — the
+/// integer ladder's rungs, their edges and the extremes among them; from
+/// there on anything goes.
+fn build_samples(specs: &[(u8, u8, u16)], whole_until: usize) -> Vec<Sample> {
     let mut ts = 0u64;
     let mut prev_bits = 0u64;
+    let mut prev_int = 0i64;
     specs
         .iter()
-        .map(|&(delta_kind, value_kind, raw)| {
+        .enumerate()
+        .map(|(i, &(delta_kind, value_kind, raw))| {
             let delta = match delta_kind % 8 {
                 0 => 0,                            // duplicate timestamp
                 1 => 1,                            // minimal step
@@ -242,45 +405,72 @@ fn build_samples(specs: &[(u8, u8, u16)]) -> Vec<Sample> {
                 _ => 86_400_000,                   // one day
             };
             ts = ts.saturating_add(delta);
-            // Kinds 10 and up are bit patterns aimed at the value encoder's
-            // window logic; the round-trip and decoder properties draw from
-            // the first ten only.
-            let value = match value_kind % 14 {
-                0 => 0.0,
-                1 => -0.0,
-                2 => f64::NAN,
-                3 => f64::INFINITY,
-                4 => f64::NEG_INFINITY,
-                5 => f64::from(raw),          // small integers
-                6 => -f64::from(raw),         // negative
-                7 => f64::from(raw) * 1e-300, // subnormal territory
-                8 => f64::from(raw) * 1e300,  // huge magnitude
-                9 => f64::from(raw) + f64::from(raw % 7) * 0.1,
-                // Every bit flipped: a 64-bit meaningful window.
-                10 => f64::from_bits(!prev_bits),
-                // NaN payloads of either sign.
-                11 => f64::from_bits((0x7ff8 << 48) | (u64::from(raw) << 63) | u64::from(raw)),
-                // Full-entropy patterns: a new, wide window almost every time.
-                12 => f64::from_bits(u64::from(raw).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                // A few bits mid-word: fits (and reuses) the previous window.
-                _ => f64::from_bits(prev_bits ^ (u64::from(raw % 64) << 24)),
+            let value = if i < whole_until {
+                let step = i64::from(raw);
+                let int = match value_kind % 10 {
+                    0 => 0,
+                    1 => prev_int,                    // a gauge at rest
+                    2 | 3 => prev_int + 1 + step % 3, // a counter, nearly steady
+                    4 => prev_int - step,             // falling
+                    5 => step << (raw % 38),          // anywhere up to 2⁵³
+                    6 => {
+                        if raw % 2 == 0 {
+                            MAX_WHOLE
+                        } else {
+                            -MAX_WHOLE
+                        }
+                    }
+                    // A Δ² on, and one off, either end of a ladder rung.
+                    7 => {
+                        let half = 1i64 << (VALUE_LADDER[usize::from(raw % 7)] - 1);
+                        prev_int + [half, half + 1, 1 - half, -half][usize::from(raw / 7 % 4)]
+                    }
+                    8 => -prev_int,
+                    _ => step,
+                };
+                int.clamp(-MAX_WHOLE, MAX_WHOLE) as f64
+            } else {
+                // Kinds 10 and up are bit patterns aimed at the XOR encoder's
+                // window logic; the round-trip and decoder properties draw
+                // from the first ten only.
+                match value_kind % 14 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    5 => f64::from(raw),          // small integers
+                    6 => -f64::from(raw),         // negative
+                    7 => f64::from(raw) * 1e-300, // subnormal territory
+                    8 => f64::from(raw) * 1e300,  // huge magnitude
+                    9 => f64::from(raw) + f64::from(raw % 7) * 0.1,
+                    // Every bit flipped: a 64-bit meaningful window.
+                    10 => f64::from_bits(!prev_bits),
+                    // NaN payloads of either sign.
+                    11 => f64::from_bits((0x7ff8 << 48) | (u64::from(raw) << 63) | u64::from(raw)),
+                    // Full-entropy patterns: a new, wide window almost every time.
+                    12 => f64::from_bits(u64::from(raw).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                    // A few bits mid-word: fits (and reuses) the previous window.
+                    _ => f64::from_bits(prev_bits ^ (u64::from(raw % 64) << 24)),
+                }
             };
             prev_bits = value.to_bits();
+            prev_int = if reference::qualifies(value) { value as i64 } else { 0 };
             Sample { timestamp_ms: ts, value }
         })
         .collect()
 }
 
 /// Asserts the production decoder — bulk `decode`/`decode_into` and the
-/// one-at-a-time `GorillaState` — reads `count` samples off `bytes` exactly
-/// as the reference does.
-fn assert_matches_reference(bytes: &[u8], count: usize) {
-    let want = reference::decode(bytes, count);
-    assert!(samples_identical(&decode(bytes, count), &want), "bulk decode diverged");
+/// one-at-a-time `GorillaState` — reads `count` samples off `bytes` as a
+/// block of `kind` exactly as the reference does.
+fn assert_matches_reference(bytes: &[u8], kind: BlockKind, count: usize) {
+    let want = reference::decode(bytes, kind, count);
+    assert!(samples_identical(&decode(bytes, kind, count), &want), "bulk decode diverged");
     let mut appended = vec![Sample { timestamp_ms: 7, value: 7.0 }];
-    decode_into(bytes, count, &mut appended);
+    decode_into(bytes, kind, count, &mut appended);
     assert!(samples_identical(&appended[1..], &want), "decode_into diverged");
-    let mut state = GorillaState::new();
+    let mut state = GorillaState::new(kind);
     let streamed: Vec<Sample> = (0..count).map(|_| state.next(bytes)).collect();
     assert!(samples_identical(&streamed, &want), "GorillaState diverged");
     assert_eq!(state.emitted() as usize, count);
@@ -294,36 +484,59 @@ fn samples_identical(a: &[Sample], b: &[Sample]) -> bool {
         })
 }
 
+/// The kind the samples call for.
+fn kind_of(samples: &[Sample]) -> BlockKind {
+    if samples.iter().all(|s| reference::qualifies(s.value)) {
+        BlockKind::Integer
+    } else {
+        BlockKind::Xor
+    }
+}
+
 proptest! {
     /// Round trip: every time-ordered input decodes back bit-for-bit, both
-    /// through the materialising `decode` and the streaming `GorillaState`.
+    /// through the materialising `decode` and the streaming `GorillaState`,
+    /// and its kind is the one its values call for.
     #[test]
     fn encode_decode_round_trips(
         specs in proptest::collection::vec((0u8..8, 0u8..10, 0u16..u16::MAX), 1..200),
+        switch in (0u8..3, 0usize..200),
     ) {
-        let samples = build_samples(&specs);
-        let bytes = encode(&samples).expect("time-ordered input must encode");
-        assert!(samples_identical(&decode(&bytes, samples.len()), &samples));
-        let mut state = GorillaState::new();
+        let samples = build_samples(&specs, switch_at(switch, specs.len()));
+        let (kind, bytes) = encode(&samples).expect("time-ordered input must encode");
+        assert_eq!(kind, kind_of(&samples));
+        assert!(samples_identical(&decode(&bytes, kind, samples.len()), &samples));
+        let mut state = GorillaState::new(kind);
         let streamed: Vec<Sample> = (0..samples.len()).map(|_| state.next(&bytes)).collect();
         assert!(samples_identical(&streamed, &samples));
         assert_eq!(state.emitted() as usize, samples.len());
     }
 
     /// The accumulator decoder equals the bit-by-bit reference on encoded
-    /// series (every Δ² bucket, the raw-delta escape, value-window reuse and
-    /// re-establishment, the IEEE specials), five samples past their end,
-    /// and on every kind of truncation.
+    /// series of both kinds (every Δ² bucket, the raw-delta escape,
+    /// value-window reuse and re-establishment, the IEEE specials, every rung
+    /// of the integer ladder and its escape), five samples past their end,
+    /// read as the kind they are not, on every kind of truncation and with a
+    /// byte mangled anywhere.
     #[test]
     fn decoder_matches_the_bit_by_bit_reference(
         specs in proptest::collection::vec((0u8..8, 0u8..10, 0u16..u16::MAX), 1..200),
+        switch in (0u8..3, 0usize..200),
         cut in 0usize..4096,
+        mangle in (0usize..4096, 1u16..256),
     ) {
-        let samples = build_samples(&specs);
-        let bytes = encode(&samples).expect("time-ordered input must encode");
-        assert_matches_reference(&bytes, samples.len() + 5);
-        let cut = cut % (bytes.len() + 1);
-        assert_matches_reference(&bytes[..cut], samples.len() + 5);
+        let samples = build_samples(&specs, switch_at(switch, specs.len()));
+        let (_, mut bytes) = encode(&samples).expect("time-ordered input must encode");
+        for kind in KINDS {
+            assert_matches_reference(&bytes, kind, samples.len() + 5);
+            let cut = cut % (bytes.len() + 1);
+            assert_matches_reference(&bytes[..cut], kind, samples.len() + 5);
+        }
+        let at = mangle.0 % bytes.len();
+        bytes[at] ^= mangle.1 as u8;
+        for kind in KINDS {
+            assert_matches_reference(&bytes, kind, samples.len() + 5);
+        }
     }
 
     /// …and on bytes no encoder produced.
@@ -333,16 +546,19 @@ proptest! {
         count in 0usize..400,
     ) {
         let garbage: Vec<u8> = garbage.iter().map(|&b| b as u8).collect();
-        assert_matches_reference(&garbage, count);
+        for kind in KINDS {
+            assert_matches_reference(&garbage, kind, count);
+        }
     }
 
     /// Any input with a backwards timestamp anywhere is rejected whole.
     #[test]
     fn unordered_input_is_rejected(
         specs in proptest::collection::vec((0u8..8, 0u8..10, 0u16..u16::MAX), 2..50),
+        switch in (0u8..3, 0usize..50),
         flip in 1usize..49,
     ) {
-        let mut samples = build_samples(&specs);
+        let mut samples = build_samples(&specs, switch_at(switch, specs.len()));
         let flip = flip % samples.len();
         if flip == 0 {
             return; // the mutation below needs a predecessor
@@ -361,35 +577,44 @@ proptest! {
 
 proptest! {
     /// The word-at-a-time encoder writes what the bit-by-bit one wrote, byte
-    /// for byte: every Δ² bucket and the raw-delta escape, window reuse and
-    /// new windows up to the full 64 bits, NaN payloads, ±∞, −0.0 — and
-    /// every prefix of each input, which covers 1- and 2-sample blocks and
-    /// streams ending at every bit offset of a byte and of a word.  The
-    /// scratch is reused dirty from prefix to prefix.
+    /// for byte and kind for kind: every Δ² bucket and the raw-delta escape,
+    /// window reuse and new windows up to the full 64 bits, NaN payloads, ±∞,
+    /// −0.0, every rung of the integer ladder — and every prefix of each
+    /// input, which covers 1- and 2-sample blocks, streams ending at every
+    /// bit offset of a byte and of a word, and (the values turning from whole
+    /// numbers to anything at a drawn position) the prefix that first holds a
+    /// value that does not qualify, where the block turns from the integer
+    /// reference's into the XOR encoder's as it always was.  The scratch is
+    /// reused dirty from prefix to prefix.
     #[test]
     fn encoder_matches_the_bit_by_bit_reference(
         specs in proptest::collection::vec((0u8..8, 0u8..14, 0u16..u16::MAX), 1..200),
+        switch in (0u8..3, 0usize..200),
     ) {
-        let samples = build_samples(&specs);
+        let samples = build_samples(&specs, switch_at(switch, specs.len()));
         let mut scratch = vec![0xa5; 7];
         for end in 1..=samples.len() {
             let want = reference::encode(&samples[..end]).expect("time-ordered input must encode");
-            assert!(encode_into(&samples[..end], &mut scratch));
-            assert_eq!(scratch, want, "encode_into diverged on the first {end} samples");
+            let kind = encode_into(&samples[..end], &mut scratch);
+            assert_eq!(kind, Some(want.0), "the first {end} samples");
+            assert_eq!(scratch, want.1, "encode_into diverged on the first {end} samples");
         }
         assert_eq!(encode(&samples), reference::encode(&samples));
     }
 
     /// A block built by any split of its samples into bursts — finished
     /// after a burst or not, empty bursts in between — is byte for byte the
-    /// block `encode` builds, and at every burst boundary the finished
-    /// buffer is the block of the samples pushed so far.
+    /// block `encode` builds and of its kind, and at every burst boundary
+    /// the finished buffer is the block of the samples pushed so far: the
+    /// integer block until a burst brings a value that does not qualify, the
+    /// XOR block of everything from that burst on.
     #[test]
     fn any_split_into_bursts_builds_the_same_block(
         specs in proptest::collection::vec((0u8..8, 0u8..14, 0u16..u16::MAX), 1..200),
+        switch in (0u8..3, 0usize..200),
         cuts in proptest::collection::vec((0usize..12, 0u8..2), 1..60),
     ) {
-        let samples = build_samples(&specs);
+        let samples = build_samples(&specs, switch_at(switch, specs.len()));
         let mut encoder = BlockEncoder::new();
         let mut block = vec![0xa5; 3];
         assert_eq!((encoder.count(), encoder.last_timestamp(), encoder.byte_len()), (0, None, 0));
@@ -399,10 +624,11 @@ proptest! {
             assert!(encoder.push(&samples[pushed..end], &mut block));
             pushed = end;
             assert_eq!(encoder.count() as usize, pushed);
+            assert_eq!(encoder.kind(), kind_of(&samples[..pushed]));
             assert_eq!(encoder.last_timestamp(), samples[..pushed].last().map(|s| s.timestamp_ms));
             if finish == 1 || pushed == samples.len() {
                 encoder.finish(&mut block);
-                let want = reference::encode(&samples[..pushed]).unwrap_or_default();
+                let want = reference::encode(&samples[..pushed]).map(|(_, b)| b).unwrap_or_default();
                 assert_eq!(block, want, "the first {pushed} samples, finished");
                 assert_eq!(encoder.byte_len(), want.len());
                 // Finishing is idempotent.
@@ -413,19 +639,21 @@ proptest! {
                 break;
             }
         }
-        assert_eq!(Some(block), encode(&samples));
+        assert_eq!(Some((encoder.kind(), block)), encode(&samples));
     }
 
     /// A sample older than its predecessor stops a push there: what came
-    /// before it is in the block, it and the rest are not, and the encoder
+    /// before it is in the block, it and the rest are not — a rejected value
+    /// that does not qualify does not turn the block — and the encoder
     /// carries on from the last sample it took.
     #[test]
     fn a_push_stops_at_the_first_backwards_timestamp(
         specs in proptest::collection::vec((1u8..8, 0u8..14, 1u16..u16::MAX), 2..50),
+        switch in (0u8..3, 0usize..50),
         flip in 1usize..49,
         split in 0usize..49,
     ) {
-        let good = build_samples(&specs);
+        let good = build_samples(&specs, switch_at(switch, specs.len()));
         let flip = 1 + flip % (good.len() - 1);
         let mut bad = good.clone();
         bad[flip].timestamp_ms = bad[flip - 1].timestamp_ms - 1;
@@ -435,9 +663,10 @@ proptest! {
         assert!(encoder.push(&bad[..split], &mut block));
         assert!(!encoder.push(&bad[split..], &mut block), "decrease at index {flip}");
         assert_eq!(encoder.count() as usize, flip);
+        assert_eq!(encoder.kind(), kind_of(&good[..flip]));
         assert!(encoder.push(&good[flip..], &mut block));
         encoder.finish(&mut block);
-        assert_eq!(Some(block), reference::encode(&good));
+        assert_eq!(Some((encoder.kind(), block)), reference::encode(&good));
     }
 
     /// A decrease anywhere makes `encode_into` report failure and leaves the
@@ -445,18 +674,19 @@ proptest! {
     #[test]
     fn a_rejected_block_leaves_the_scratch_reusable(
         specs in proptest::collection::vec((1u8..8, 0u8..14, 1u16..u16::MAX), 2..50),
+        switch in (0u8..3, 0usize..50),
         flip in 1usize..49,
     ) {
-        let good = build_samples(&specs);
+        let good = build_samples(&specs, switch_at(switch, specs.len()));
         let flip = 1 + flip % (good.len() - 1);
         let mut bad = good.clone();
         // Deltas are drawn non-zero (`1u8..8` with a non-zero `raw`), so the
         // predecessor's timestamp is at least 1.
         bad[flip].timestamp_ms = bad[flip - 1].timestamp_ms - 1;
         let mut scratch = Vec::new();
-        assert!(!encode_into(&bad, &mut scratch), "decrease at index {flip} must reject");
-        assert!(encode_into(&good, &mut scratch));
-        assert_eq!(Some(scratch), reference::encode(&good));
+        assert_eq!(encode_into(&bad, &mut scratch), None, "decrease at index {flip} must reject");
+        let kind = encode_into(&good, &mut scratch).expect("ordered");
+        assert_eq!(Some((kind, scratch)), reference::encode(&good));
     }
 }
 
@@ -465,31 +695,182 @@ fn blocks_ending_on_byte_and_word_boundaries_match_the_reference() {
     // A first sample is 128 bits — two whole words — and each exact repeat
     // adds two, so 1 + 4k samples end on a byte and 1 + 32k on a word.  A
     // scrape cadence puts a 69-bit raw-delta escape in front of the repeats
-    // and walks the same boundaries at another phase.
-    let flat: Vec<Sample> = (0..98).map(|_| Sample { timestamp_ms: 7, value: 42.0 }).collect();
-    let cadence: Vec<Sample> =
-        (0..98u64).map(|t| Sample { timestamp_ms: t * 15_000, value: 42.0 }).collect();
+    // and walks the same boundaries at another phase.  In both kinds: a
+    // repeated value costs a bit either way.
     let mut scratch = Vec::new();
-    for input in [&flat, &cadence] {
-        for end in 1..=input.len() {
-            assert!(encode_into(&input[..end], &mut scratch));
-            assert_eq!(Some(&scratch), reference::encode(&input[..end]).as_ref(), "{end} samples");
+    for value in [42.0, 42.5] {
+        let flat: Vec<Sample> = (0..98).map(|_| Sample { timestamp_ms: 7, value }).collect();
+        let cadence: Vec<Sample> =
+            (0..98u64).map(|t| Sample { timestamp_ms: t * 15_000, value }).collect();
+        for input in [&flat, &cadence] {
+            for end in 1..=input.len() {
+                let kind = encode_into(&input[..end], &mut scratch).expect("ordered");
+                assert_eq!(Some((kind, scratch.clone())), reference::encode(&input[..end]));
+                assert_eq!(Some(&scratch), reference::encode_xor(&input[..end]).as_ref(), "{end}");
+            }
+        }
+        assert!(encode_into(&flat[..1], &mut scratch).is_some());
+        assert_eq!(scratch.len(), 16);
+        assert!(encode_into(&flat[..33], &mut scratch).is_some());
+        assert_eq!(scratch.len(), 24, "32 repeats fill exactly one more word");
+    }
+    assert_eq!(encode_into(&[], &mut scratch), None, "an empty block is rejected, as by `encode`");
+}
+
+fn at_5s(values: impl IntoIterator<Item = f64>) -> Vec<Sample> {
+    values
+        .into_iter()
+        .enumerate()
+        .map(|(i, value)| Sample { timestamp_ms: 1_000 + i as u64 * 5_000, value })
+        .collect()
+}
+
+#[test]
+fn the_first_fraction_turns_the_block_wherever_it_arrives() {
+    // A chunk of 120 built the way an open head builds it, in bursts of
+    // eight: a counter whose sample `at` — every position, the first and the
+    // last of a burst, the chunk's first and last among them — is half a unit
+    // off.  From the burst that brings it the block is the XOR block of
+    // everything so far, byte for byte what the encoder built before blocks
+    // had kinds; and the chunk after it, whole numbers again, is an integer
+    // block again.
+    let counter = at_5s((0..120).map(|t| (500 + 77 * t) as f64));
+    let integer = reference::encode_integer(&counter).expect("ordered");
+    assert_eq!(encode(&counter), Some((BlockKind::Integer, integer)));
+    for at in 0..counter.len() {
+        let mut samples = counter.clone();
+        samples[at].value += 0.5;
+        let want = reference::encode_xor(&samples).expect("ordered");
+        assert_eq!(encode(&samples), Some((BlockKind::Xor, want.clone())), "fraction at {at}");
+        let mut encoder = BlockEncoder::new();
+        let mut block = Vec::new();
+        for (burst, chunk) in samples.chunks(8).enumerate() {
+            assert!(encoder.push(chunk, &mut block));
+            encoder.finish(&mut block);
+            let held = &samples[..(burst * 8 + chunk.len())];
+            let turned = held.len() > at;
+            assert_eq!(encoder.kind() == BlockKind::Xor, turned, "{at}: burst {burst}");
+            let reference =
+                if turned { reference::encode_xor(held) } else { reference::encode_integer(held) };
+            assert_eq!(Some(&block), reference.as_ref(), "{at}: burst {burst}");
+        }
+        assert_eq!(block, want);
+        let mut next = BlockEncoder::new();
+        assert!(next.push(&counter, &mut block));
+        assert_eq!(next.kind(), BlockKind::Integer, "the next block starts over");
+    }
+}
+
+#[test]
+fn edge_values_take_the_kind_they_must() {
+    let limit = MAX_WHOLE as f64;
+    let nan = |sign: u64, payload: u64| f64::from_bits((sign << 63) | (0x7ff8 << 48) | payload);
+    let cases = [
+        (limit, BlockKind::Integer),
+        (-limit, BlockKind::Integer),
+        (limit - 1.0, BlockKind::Integer),
+        (0.0, BlockKind::Integer),
+        // One step past 2⁵³ is still a whole number and still an `f64`, but
+        // no longer one an integer block takes.
+        (limit + 2.0, BlockKind::Xor),
+        (-limit - 2.0, BlockKind::Xor),
+        (i64::MIN as f64, BlockKind::Xor),
+        (i64::MAX as f64, BlockKind::Xor),
+        (f64::MAX, BlockKind::Xor),
+        // Must come back as −0.0, which no integer is.
+        (-0.0, BlockKind::Xor),
+        (nan(0, 0), BlockKind::Xor),
+        (nan(1, 0), BlockKind::Xor),
+        (nan(0, 0xbeef), BlockKind::Xor),
+        (nan(1, 0xbeef), BlockKind::Xor),
+        (f64::INFINITY, BlockKind::Xor),
+        (f64::NEG_INFINITY, BlockKind::Xor),
+        (0.5, BlockKind::Xor),
+        (f64::MIN_POSITIVE, BlockKind::Xor),
+        (limit / 2.0 - 0.5, BlockKind::Xor),
+    ];
+    for (value, kind) in cases {
+        // First, in the middle and last: the block is of the kind the value
+        // calls for, the reference's bytes, and gives the value back bit for
+        // bit.
+        for at in 0..3 {
+            let mut values = [3.0, 4.0, 5.0];
+            values[at] = value;
+            let samples = at_5s(values);
+            let (got, block) = encode(&samples).expect("ordered");
+            assert_eq!(got, kind, "{value} at {at}");
+            assert_eq!(Some((got, block.clone())), reference::encode(&samples), "{value} at {at}");
+            assert!(samples_identical(&decode(&block, got, 3), &samples), "{value} at {at}");
         }
     }
-    assert!(encode_into(&flat[..1], &mut scratch));
-    assert_eq!(scratch.len(), 16);
-    assert!(encode_into(&flat[..33], &mut scratch));
-    assert_eq!(scratch.len(), 24, "32 repeats fill exactly one more word");
-    assert!(!encode_into(&[], &mut scratch), "an empty block is rejected, as by `encode`");
+}
+
+/// Bits an integer block spends on a value whose `Δ²` is `dod`, from the
+/// format's table: one for zero; rung `k` is `k + 2` marker bits and its
+/// payload, holding `-(2^(w-1) - 1) ..= 2^(w-1)`; the escape is 8 + 64.
+fn value_bits(dod: i64) -> u64 {
+    if dod == 0 {
+        return 1;
+    }
+    VALUE_LADDER
+        .iter()
+        .position(|&w| (1 - (1i64 << (w - 1))..=1i64 << (w - 1)).contains(&dod))
+        .map_or(8 + 64, |k| k as u64 + 2 + u64::from(VALUE_LADDER[k]))
+}
+
+#[test]
+fn every_rung_of_the_value_ladder_holds_what_it_says_and_no_more() {
+    // A Δ² on each end of every rung and one past it (the next rung's, the
+    // escape's past the last), each taken from rest — the value holds still
+    // for two samples in between, which mirrors it — then the extremes: from
+    // −2⁵³ at rest to 2⁵³ and straight back, Δ² = 2⁵⁴ and −2⁵⁵.
+    let mut values = vec![0i64, 0];
+    for (k, &width) in VALUE_LADDER.iter().enumerate() {
+        let (low, high) = (1 - (1i64 << (width - 1)), 1i64 << (width - 1));
+        assert_eq!(
+            (value_bits(high), value_bits(low)),
+            (value_bits(high - 1), value_bits(low + 1))
+        );
+        assert!(value_bits(high + 1) > value_bits(high) && value_bits(low - 1) > value_bits(low));
+        assert_eq!(value_bits(high), k as u64 + 2 + u64::from(width));
+        for dod in [high, low, high + 1, low - 1] {
+            let last = *values.last().expect("starts non-empty");
+            values.extend([last + dod, last + dod, last + dod]);
+        }
+    }
+    values.extend([-MAX_WHOLE, -MAX_WHOLE, -MAX_WHOLE, MAX_WHOLE, -MAX_WHOLE, -MAX_WHOLE]);
+    let samples = at_5s(values.iter().map(|&v| v as f64));
+    let (kind, block) = encode(&samples).expect("ordered");
+    assert_eq!(kind, BlockKind::Integer);
+    assert_eq!(Some((kind, block.clone())), reference::encode(&samples));
+    assert!(samples_identical(&decode(&block, kind, samples.len()), &samples));
+
+    let deltas: Vec<i64> =
+        std::iter::once(0).chain(values.windows(2).map(|w| w[1] - w[0])).collect();
+    let dods: Vec<i64> = deltas.windows(2).map(|w| w[1] - w[0]).collect();
+    assert!(dods.contains(&(1 << 54)) && dods.contains(&-(1 << 55)), "the extremes are in it");
+    // 128 bits, a 68-bit first timestamp delta, one bit per timestamp after.
+    let timestamp_bits = 68 + (samples.len() as u64 - 2);
+    let bits = 128 + timestamp_bits + dods.iter().map(|&dod| value_bits(dod)).sum::<u64>();
+    assert_eq!(block.len() as u64, bits.div_ceil(8));
 }
 
 #[test]
 fn compression_ratio_on_steady_counters() {
     // The workload the acceptance bar names: a monotone counter scraped on a
-    // fixed cadence must land at or below 4 bytes/sample.
+    // fixed cadence — two bits a sample behind the first two.
     let samples: Vec<Sample> =
         (0..120u64).map(|t| Sample { timestamp_ms: t * 15_000, value: (t * 250) as f64 }).collect();
-    let bytes = encode(&samples).unwrap();
+    let (kind, bytes) = encode(&samples).unwrap();
+    assert_eq!(kind, BlockKind::Integer);
     let per_sample = bytes.len() as f64 / samples.len() as f64;
-    assert!(per_sample <= 4.0, "steady counter encodes at {per_sample} bytes/sample");
+    assert!(per_sample <= 0.5, "steady counter encodes at {per_sample} bytes/sample");
+    // The same counter a half off is an XOR block, as it always was.
+    let halves: Vec<Sample> =
+        samples.iter().map(|s| Sample { value: s.value + 0.5, ..*s }).collect();
+    let (kind, bytes) = encode(&halves).unwrap();
+    assert_eq!(kind, BlockKind::Xor);
+    assert_eq!(Some(&bytes), reference::encode_xor(&halves).as_ref());
+    let per_sample = bytes.len() as f64 / samples.len() as f64;
+    assert!(per_sample <= 4.0, "steady float counter encodes at {per_sample} bytes/sample");
 }

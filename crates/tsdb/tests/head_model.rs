@@ -15,19 +15,26 @@
 //! The streams mix equal timestamps, rejected out-of-order samples, NaN
 //! payloads / ±∞ / −0.0, every Δ² bucket and the raw-delta escape, clock
 //! jumps past [`STALE_HEAD_MS`] with a retention pass, and retention cutting
-//! mid-series.  A second series (`clock`) shares the first one's lock shard,
-//! because staleness is judged against the shard's newest sample.
+//! mid-series — and runs of whole numbers of every length between the rest,
+//! so that blocks are sealed in both kinds and open integer blocks are turned
+//! into XOR ones by a value arriving first of a chunk, mid-tail, on a burst
+//! boundary and at the seal.  The model counts those re-encodes, burst by
+//! burst, and `teemon_tsdb_block_reencodes_total` must count the same.  A
+//! second series (`clock`) shares the first one's lock shard, because
+//! staleness is judged against the shard's newest sample.
 //!
 //! The last test crashes a durable store mid-chunk — checkpointed, a partial
-//! block in flight — reopens it and keeps appending: it must end where a
-//! store that never stopped does.
+//! block in flight, before and after its first fraction turned it — reopens
+//! it and keeps appending: it must end where a store that never stopped does.
 
 use std::path::Path;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use proptest::proptest;
 use teemon_metrics::Labels;
-use teemon_tsdb::chunk_codec;
+use teemon_obs::probes;
+use teemon_tsdb::chunk_codec::{self, BlockKind};
 use teemon_tsdb::{
     CrashModel, DurabilityOptions, FaultFs, FsyncMode, Sample, Selector, SeriesSnapshot,
     StorageStats, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
@@ -38,11 +45,43 @@ const SAMPLE_BYTES: usize = 16;
 /// Samples an open head keeps raw before encoding them as one burst.
 const TAIL_SAMPLES: usize = 8;
 
+/// `probes::BLOCK_REENCODES` is process-wide and every test here turns
+/// blocks: they take turns, so the one that counts can count exactly.
+static REENCODES: std::sync::OnceLock<Mutex<()>> = std::sync::OnceLock::new();
+
+fn turn() -> parking_lot::MutexGuard<'static, ()> {
+    REENCODES.get_or_init(Default::default).lock()
+}
+
+/// The integer kind's qualification rule: a whole number, not the negative
+/// zero, of magnitude at most 2⁵³.
+fn is_whole(value: f64) -> bool {
+    value.is_finite()
+        && value.trunc() == value
+        && value.abs() <= (1u64 << 53) as f64
+        && value.to_bits() != (-0.0f64).to_bits()
+}
+
+/// The kind of the block holding `samples`.
+fn kind_of(samples: &[Sample]) -> BlockKind {
+    if samples.iter().all(|s| is_whole(s.value)) {
+        BlockKind::Integer
+    } else {
+        BlockKind::Xor
+    }
+}
+
 /// One series as a list of plain chunks.
 #[derive(Default)]
 struct ModelSeries {
     sealed: Vec<Vec<Sample>>,
     head: Vec<Sample>,
+    /// How many of the head's samples its bursts have encoded.
+    encoded: usize,
+    /// Bursts that found an integer block and left an XOR one.
+    reencodes: u64,
+    /// Chunks sealed so far as an integer block, an XOR block, raw.
+    sealed_as: [u64; 3],
 }
 
 impl ModelSeries {
@@ -62,9 +101,25 @@ impl ModelSeries {
         self.sealed.len() + usize::from(!self.head.is_empty())
     }
 
+    /// A burst: everything not yet encoded goes into the block.  A block
+    /// that held whole numbers only — or nothing, the burst opening with one
+    /// — and now holds a value that is not, was re-encoded.
+    fn burst(&mut self) {
+        let Some(first) = self.head.first() else { return };
+        let was_integer =
+            is_whole(first.value) && kind_of(&self.head[..self.encoded]) == BlockKind::Integer;
+        self.reencodes += u64::from(was_integer && kind_of(&self.head) == BlockKind::Xor);
+        self.encoded = self.head.len();
+    }
+
     fn seal(&mut self) {
         if !self.head.is_empty() {
+            self.burst();
+            let (kind, block) = chunk_codec::encode(&self.head).expect("ordered, non-empty");
+            let raw = block.len() > self.head.len() * SAMPLE_BYTES;
+            self.sealed_as[if raw { 2 } else { usize::from(kind == BlockKind::Xor) }] += 1;
             self.sealed.push(std::mem::take(&mut self.head));
+            self.encoded = 0;
         }
     }
 
@@ -76,6 +131,8 @@ impl ModelSeries {
         self.head.push(sample);
         if self.head.len() >= chunk_size {
             self.seal();
+        } else if self.head.len().is_multiple_of(TAIL_SAMPLES) {
+            self.burst();
         }
         true
     }
@@ -89,6 +146,7 @@ impl ModelSeries {
         self.sealed.drain(..keep_from.unwrap_or(self.sealed.len()));
         if self.sealed.is_empty() && older(&self.head) {
             self.head.clear();
+            self.encoded = 0;
         }
         if self.newest().is_some_and(|newest| newest < stale_before) {
             self.seal();
@@ -98,16 +156,18 @@ impl ModelSeries {
     /// What a sealed chunk's payload weighs: its block, or its raw samples
     /// where the block would be larger.
     fn sealed_bytes(chunk: &[Sample]) -> usize {
-        let block = chunk_codec::encode(chunk).expect("ordered, non-empty");
+        let (kind, block) = chunk_codec::encode(chunk).expect("ordered, non-empty");
+        assert_eq!(kind, kind_of(chunk));
         block.len().min(chunk.len() * SAMPLE_BYTES)
     }
 
     /// The ledger's share of the open head: the block its whole bursts
     /// built and sixteen bytes for each sample still in the tail.
     fn head_ledger_bytes(&self) -> usize {
-        let tail = self.head.len() % TAIL_SAMPLES;
-        let block = chunk_codec::encode(&self.head[..self.head.len() - tail]);
-        tail * SAMPLE_BYTES + block.map_or(0, |block| block.len())
+        let tail = self.head.len() - self.encoded;
+        assert_eq!(tail, self.head.len() % TAIL_SAMPLES);
+        let block = chunk_codec::encode(&self.head[..self.encoded]);
+        tail * SAMPLE_BYTES + block.map_or(0, |(_, block)| block.len())
     }
 
     fn ledger_bytes(&self) -> usize {
@@ -219,7 +279,7 @@ impl Pair {
         // In a snapshot the open head is one chunk: its samples as they are
         // before the first burst, after it one block of bursts and tail.
         let head_block = match chunk_codec::encode(&model.head) {
-            Some(block) if model.head.len() >= TAIL_SAMPLES => block.len(),
+            Some((_, block)) if model.head.len() >= TAIL_SAMPLES => block.len(),
             _ => model.head.len() * SAMPLE_BYTES,
         };
         let sealed: usize = model.sealed.iter().map(|c| ModelSeries::sealed_bytes(c)).sum();
@@ -287,29 +347,73 @@ impl Pair {
     }
 }
 
+/// What the value generator carries from operation to operation.
+#[derive(Default)]
+struct Values {
+    /// Bits of the newest value `m` holds.
+    prev_bits: u64,
+    /// The newest whole number drawn.
+    prev_int: i64,
+    /// Values still to come of a run of whole numbers.
+    whole_run: u32,
+}
+
+/// Value kinds [`Values::next`] tells apart.
+const VALUE_KINDS: u8 = 13;
+
+impl Values {
+    /// The next value: inside a run of whole numbers one of those — a gauge
+    /// at rest, a counter, steps on and off the integer ladder's rungs, ±2⁵³
+    /// — otherwise anything, and now and then the start of such a run.
+    fn next(&mut self, value_kind: u8, raw: u16) -> f64 {
+        const MAX_WHOLE: i64 = 1 << 53;
+        if value_kind % VALUE_KINDS == 12 && self.whole_run == 0 {
+            self.whole_run = 2 + u32::from(raw % 150);
+        }
+        if self.whole_run > 0 {
+            self.whole_run -= 1;
+            let step = i64::from(raw);
+            let int = match value_kind % VALUE_KINDS {
+                0 => 0,
+                1 | 2 => self.prev_int,
+                3..=6 => self.prev_int + 1 + step % 2,
+                7 => self.prev_int - step,
+                8 => step << (raw % 38),
+                9 => [MAX_WHOLE, -MAX_WHOLE][usize::from(raw % 2)],
+                // A Δ² about the edge of a ladder rung.
+                10 => self.prev_int + (1i64 << (raw % 48)) + step % 3 - 1,
+                _ => step,
+            };
+            self.prev_int = int.clamp(-MAX_WHOLE, MAX_WHOLE);
+            return self.prev_int as f64;
+        }
+        match value_kind % VALUE_KINDS {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            5 => f64::from(raw),
+            6 => f64::from(raw) + f64::from(raw % 7) * 0.1,
+            7 => f64::from(raw) * 1e300,
+            // NaN payloads of either sign.
+            8 => f64::from_bits((0x7ff8 << 48) | (u64::from(raw) << 63) | u64::from(raw)),
+            // Full entropy: a new, wide window almost every time — and now
+            // and then a block larger than its samples, which seals raw.
+            9 => f64::from_bits(u64::from(raw).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            // A few bits mid-word: fits (and reuses) the previous window.
+            10 => f64::from_bits(self.prev_bits ^ (u64::from(raw % 64) << 24)),
+            _ => f64::from_bits(!self.prev_bits),
+        }
+    }
+}
+
 /// Expands one generated `(kind, value_kind, raw)` triple into an operation
 /// on `pair`: mostly appends to `m` whose deltas and values stress every
 /// encoder bucket, now and then a rejected sample, a retention pass, or the
 /// clock running ahead.
-fn apply(pair: &mut Pair, (kind, value_kind, raw): (u8, u8, u16), prev_bits: &mut u64) {
-    let value = match value_kind % 12 {
-        0 => 0.0,
-        1 => -0.0,
-        2 => f64::NAN,
-        3 => f64::INFINITY,
-        4 => f64::NEG_INFINITY,
-        5 => f64::from(raw),
-        6 => f64::from(raw) + f64::from(raw % 7) * 0.1,
-        7 => f64::from(raw) * 1e300,
-        // NaN payloads of either sign.
-        8 => f64::from_bits((0x7ff8 << 48) | (u64::from(raw) << 63) | u64::from(raw)),
-        // Full entropy: a new, wide window almost every time — and now and
-        // then a block larger than its samples, which seals raw.
-        9 => f64::from_bits(u64::from(raw).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        // A few bits mid-word: fits (and reuses) the previous window.
-        10 => f64::from_bits(*prev_bits ^ (u64::from(raw % 64) << 24)),
-        _ => f64::from_bits(!*prev_bits),
-    };
+fn apply(pair: &mut Pair, (kind, value_kind, raw): (u8, u8, u16), values: &mut Values) {
+    let value = values.next(value_kind, raw);
     let base = pair.series[M].2.newest().or(pair.newest()).unwrap_or(0);
     let append_m = |pair: &mut Pair, delta: u64| {
         pair.append(M, Sample { timestamp_ms: base.saturating_add(delta), value });
@@ -346,23 +450,24 @@ fn apply(pair: &mut Pair, (kind, value_kind, raw): (u8, u8, u16), prev_bits: &mu
         }
     }
     if let Some(last) = pair.series[M].2.samples().last() {
-        *prev_bits = last.value.to_bits();
+        values.prev_bits = last.value.to_bits();
     }
 }
 
 proptest! {
     #[test]
     fn every_read_path_agrees_with_the_model_after_every_operation(
-        ops in proptest::collection::vec((0u8..16, 0u8..12, 0u16..u16::MAX), 1..150),
+        ops in proptest::collection::vec((0u8..16, 0u8..VALUE_KINDS, 0u16..u16::MAX), 1..150),
         retention_kind in 0u8..3,
     ) {
+        let _turn = turn();
         let retention_ms = [60_000, 3 * STALE_HEAD_MS, u64::MAX][usize::from(retention_kind)];
         for chunk_size in CHUNK_SIZES {
             let mut pair = Pair::new(chunk_size, retention_ms);
-            let mut prev_bits = 0;
+            let mut values = Values::default();
             pair.check(0);
             for &op in &ops {
-                apply(&mut pair, op, &mut prev_bits);
+                apply(&mut pair, op, &mut values);
                 pair.check(u64::from(op.2));
             }
         }
@@ -372,18 +477,38 @@ proptest! {
 #[test]
 fn the_generator_reaches_what_it_is_for() {
     // The property above only covers stale seals, evictions, raw-sealed
-    // blocks and heads with both a block and a tail if its streams get
-    // there: a fixed stream per chunk size must.
+    // blocks, heads with both a block and a tail, seals of both kinds of
+    // block and blocks turned from one into the other — first thing, inside
+    // a tail, by the sample that fills it — if its streams get there: a
+    // fixed stream per chunk size must.  And every one of those turns is
+    // counted by the store's own probe, once.
+    let _turn = turn();
+    let reencodes_before = probes::BLOCK_REENCODES.get();
     let mut rng = proptest::TestRng::deterministic("head-model-coverage");
-    let (mut stale_seals, mut evictions, mut raw_chunks, mut split_heads) = (0, 0, 0, 0);
+    let (mut stale_seals, mut evictions, mut split_heads, mut reencodes) = (0, 0, 0, 0);
+    let mut sealed_as = [0; 3];
+    // Where in its chunk the value that turned a block stood: first of a
+    // burst, inside one, or filling it.
+    let mut turned_at = [0; 3];
     for chunk_size in CHUNK_SIZES {
         let mut pair = Pair::new(chunk_size, 3 * STALE_HEAD_MS);
-        let mut prev_bits = 0;
-        for _ in 0..600 {
-            let op = (rng.below(16) as u8, rng.below(12) as u8, rng.below(65_535) as u16);
+        let mut values = Values::default();
+        // Only chunks longer than a tail see a second burst: they run longer.
+        for _ in 0..if chunk_size > TAIL_SAMPLES { 3_000 } else { 600 } {
+            // Three operations in four are plain appends, so that heads grow
+            // past a burst or two between the clock's jumps.
+            let kind = rng.below(64) as u8;
+            let kind = if kind < 16 { kind } else { kind % 10 };
+            let value_kind = rng.below(u64::from(VALUE_KINDS)) as u8;
+            let op = (kind, value_kind, rng.below(65_535) as u16);
             let before = (pair.series[M].2.sealed.len(), pair.series[M].2.head.len());
-            apply(&mut pair, op, &mut prev_bits);
+            let head_was = kind_of(&pair.series[M].2.head);
+            apply(&mut pair, op, &mut values);
             let model = &pair.series[M].2;
+            if model.head.len() == before.1 + 1 && head_was != kind_of(&model.head) && before.1 > 0
+            {
+                turned_at[[0, 1, 1, 1, 1, 1, 1, 2][before.1 % TAIL_SAMPLES]] += 1;
+            }
             let retained = matches!(op.0 % 16, 11 | 14 | 15);
             stale_seals += usize::from(retained && before.1 > 0 && model.sealed.len() > before.0);
             evictions += usize::from(retained && before != (0, 0) && model.is_empty());
@@ -391,32 +516,39 @@ fn the_generator_reaches_what_it_is_for() {
                 model.head.len() > TAIL_SAMPLES && !model.head.len().is_multiple_of(TAIL_SAMPLES),
             );
         }
-        raw_chunks += pair.series[M]
-            .2
-            .sealed
-            .iter()
-            .filter(|chunk| {
-                chunk_codec::encode(chunk).is_some_and(|b| b.len() > chunk.len() * SAMPLE_BYTES)
-            })
-            .count();
+        for (_, _, model) in &pair.series {
+            reencodes += model.reencodes;
+            for (total, sealed) in sealed_as.iter_mut().zip(model.sealed_as) {
+                *total += sealed;
+            }
+        }
         pair.check(7);
     }
+    let [integer_seals, xor_seals, raw_chunks] = sealed_as;
     assert!(stale_seals >= 6, "{stale_seals} stale seals");
     assert!(evictions >= 2, "{evictions} evictions");
     assert!(raw_chunks >= 1, "{raw_chunks} chunks sealed raw");
     assert!(split_heads >= 100, "{split_heads} heads with a block and a tail");
+    assert!(integer_seals >= 100 && xor_seals >= 100, "{integer_seals} integer, {xor_seals} XOR");
+    let [first_of_burst, inside, filling] = turned_at;
+    assert!(first_of_burst >= 1 && inside >= 20 && filling >= 3, "blocks turned at {turned_at:?}");
+    assert!(reencodes >= 50, "{reencodes} blocks re-encoded");
+    assert_eq!(probes::BLOCK_REENCODES.get() - reencodes_before, reencodes);
 }
 
-/// A counter and a gauge a scrape apart — the benchmark's value shapes.
+/// A counter a scrape apart — the benchmark's value shape — that reads half
+/// a unit off every twenty-third round: most chunks are integer blocks, and
+/// the ones that are not were turned somewhere in their middle.
 fn steady(i: u64) -> Sample {
     Sample {
         timestamp_ms: 1_000 + i * 5_000,
-        value: if i.is_multiple_of(2) { i as f64 } else { 0.5 },
+        value: if i % 23 == 22 { i as f64 + 0.5 } else { i as f64 },
     }
 }
 
 #[test]
 fn a_store_crashed_mid_chunk_resumes_its_blocks_where_they_stood() {
+    let _turn = turn();
     const SERIES: usize = 5;
     let labels: Vec<Labels> =
         (0..SERIES).map(|i| Labels::from_pairs([("idx", format!("{i}"))])).collect();
@@ -457,10 +589,14 @@ fn a_store_crashed_mid_chunk_resumes_its_blocks_where_they_stood() {
             TimeSeriesDb::open_with(Path::new("/wal"), config.clone(), options(fs.clone()))
                 .expect("FaultFs open cannot fail");
         let mut acked = Vec::new();
+        let reencodes_before = probes::BLOCK_REENCODES.get();
         for i in 0..rounds {
             round(&steady_db, i);
             acked.push((fs.total_write_bytes(), fingerprint(&steady_db)));
         }
+        // (A chunk of one sample has nothing to turn.)
+        let turned = probes::BLOCK_REENCODES.get() - reencodes_before;
+        assert!(turned > 0 || chunk_size == 1, "chunk size {chunk_size}: no block was turned");
         let snapshotted = fs.file_paths().iter().any(|path| {
             path.file_name().and_then(|name| name.to_str()).is_some_and(|n| n.starts_with("shard-"))
         });

@@ -80,9 +80,10 @@ const PER_CHUNK: u64 = 72 + 8 + 8;
 const PER_SERIES: u64 = 64;
 
 /// The buffer a head's block grows into over a full chunk of the value
-/// shapes [`round`] writes (≈ 2 bytes a sample): 32 bytes, doubled three
-/// times.  A seal keeps it for the next chunk.
-const KEPT_BUFFER: u64 = 256;
+/// shapes [`round`] writes (whole numbers at a steady rate: an integer block
+/// of under half a byte a sample): 32 bytes, doubled once.  A seal keeps it
+/// for the next chunk.
+const KEPT_BUFFER: u64 = 64;
 
 fn db() -> TimeSeriesDb {
     TimeSeriesDb::with_config(TsdbConfig {
@@ -148,7 +149,7 @@ fn steady_series_hold_their_blocks_and_one_head_buffer() {
     // Past its first seal a steady series keeps one block buffer; the ledger
     // counts the five bursts in it, the rest of it is stated here.
     let in_use = db.head_bytes();
-    assert!(in_use < SERIES as u64 * KEPT_BUFFER / 2, "{in_use} B of open heads");
+    assert!(in_use < SERIES as u64 * KEPT_BUFFER, "{in_use} B of open heads");
     let bound = allowance(&stats, SERIES as u64 * KEPT_BUFFER - in_use);
     assert!(held <= bound, "{held} B live for a ledger allowing {bound} B ({stats:?})");
     // (Round 400 ends a burst: no sample sits in an inline tail.)
@@ -240,7 +241,7 @@ fn a_head_doubles_through_its_first_chunk_and_then_only_seals_allocate() {
     };
 
     // First chunk: one allocation for the block's first 32 bytes at the
-    // first burst, then a realloc per doubling — 64, 128, 256.
+    // first burst, then a realloc per doubling — one, to 64, for a counter.
     let (mut allocs, mut reallocs) = (0, 0);
     for t in 0..CHUNK_SIZE as u64 - 1 {
         let (a, r) = append(t);
@@ -287,4 +288,26 @@ fn sealing_a_thousand_chunks_takes_two_allocations_each() {
     let after = events();
     assert_eq!(db.stats().chunks, 2 * SERIES as u64, "every head sealed, none reopened");
     assert_eq!((after.0 - before.0, after.1 - before.1), (2 * SERIES as u64, 0));
+}
+
+#[test]
+fn a_float_valued_store_weighs_what_it_did_before_blocks_had_kinds() {
+    // Values with a fraction take the XOR road, the only one there was at
+    // commit fd16bc7: a store of them must cost, byte for byte of its ledger,
+    // what that commit's did (both numbers measured there, with this test).
+    const SERIES: usize = 200;
+    const ROUNDS: u64 = 400;
+    let db = db();
+    let handles = resolve(&db, "noisy", SERIES);
+    let mut batch = Vec::with_capacity(SERIES);
+    for r in 1..=ROUNDS {
+        batch.clear();
+        for (i, &handle) in handles.iter().enumerate() {
+            // Odd sixteenths, exact in binary: never a whole number.
+            let value = ((i as u64 * 31 + r * 17) % 1_009) as f64 * 0.125 + 0.0625;
+            batch.push((handle, r * TICK_MS, value));
+        }
+        assert_eq!(db.append_batch(&batch).appended, SERIES as u64);
+    }
+    assert_eq!((db.stats().resident_bytes, db.head_bytes()), (228_429, 22_052));
 }

@@ -9,13 +9,21 @@
 //! more round is appended in today's format, and a log holding both replays
 //! exactly.  `golden/wal-v1.generate.rs` is how it was made.
 //!
-//! `tests/golden/wal-v2/` pins the bytes themselves: it is what commit
-//! f6b5cd5 — the last one whose open heads were plain sample buffers, encoded
-//! whole at a seal or a checkpoint — wrote for [`workload`] below, run as an
-//! example against that commit.  A store whose heads are blocks built in
-//! bursts must write the same directory, file for file and byte for byte
-//! (shard snapshots taken with heads mid-burst included), and must carry a
-//! directory that commit wrote forward exactly as it carries its own.
+//! `tests/golden/wal-v2/` is what commit f6b5cd5 — the last one whose open
+//! heads were plain sample buffers, encoded whole at a seal or a checkpoint —
+//! wrote for [`workload`] below, run as an example against that commit, and
+//! what every commit up to fd16bc7, the last one whose blocks were all XOR
+//! blocks, wrote too.  Its snapshots hold chunk tags 0 and 1 only; it must
+//! keep opening, answering sample for sample what fd16bc7 answered from it
+//! (`golden/wal-v2.expected.txt`, written by that commit), and keep working.
+//!
+//! `tests/golden/wal-v3/` pins today's bytes for the same workload: the
+//! first directory whose whole-number series are integer blocks (chunk tag 2
+//! in `shard-*.snap`).  The log's records did not change, so its segments and
+//! `symbols.snap` are byte for byte `wal-v2/`'s — only shard snapshots
+//! differ, and the test says so.  Today's store must write that directory,
+//! file for file (shard snapshots taken with heads mid-burst included), and
+//! carry it forward exactly as it carries its own.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -24,7 +32,7 @@ use teemon_metrics::Labels;
 use teemon_obs::probes;
 use teemon_tsdb::{DurabilityOptions, Selector, TimeSeriesDb, TsdbConfig};
 
-/// What `wal-v2/` holds: sixty rounds of twelve series at four paces, so
+/// What `wal-v2/` and `wal-v3/` hold: sixty rounds of twelve series at four paces, so
 /// that whenever a shard is checkpointed (every 512 logged bytes) its heads
 /// stand at different places — empty, inside a first burst, a block and a
 /// tail — in chunks of eleven; NaN payloads, a signed zero and full-entropy
@@ -83,6 +91,16 @@ fn open(dir: &Path) -> TimeSeriesDb {
     TimeSeriesDb::open_with(dir, config, options).expect("open the golden directory")
 }
 
+/// A [`fingerprint`] less its `resident_bytes`: what a directory *answers*.
+/// The bytes its samples take in memory are the codec's business — a
+/// whole-number series replayed from an old log is sealed into integer
+/// blocks today — and pinned elsewhere (`wal-v3/`, the head model).
+fn answers(fingerprint: &str) -> String {
+    let (before, rest) = fingerprint.split_once("resident_bytes: ").expect("a stats line");
+    let (_, after) = rest.split_once(", ").expect("more stats behind it");
+    format!("{before}{after}")
+}
+
 /// Everything observable about a database, as text (values as their bits:
 /// the directory holds NaN payloads, a signed zero and subnormals).
 fn fingerprint(db: &TimeSeriesDb) -> String {
@@ -138,7 +156,10 @@ fn a_directory_written_with_fixed_sample_entries_opens_and_keeps_working() {
     // many replayed records.
     let db = open(&scratch.0);
     let legacy_replayed = probes::WAL_RECORDS_REPLAYED.get() - replayed;
-    assert_eq!(format!("replayed {legacy_replayed}\n{}", fingerprint(&db)), expected);
+    assert_eq!(
+        answers(&format!("replayed {legacy_replayed}\n{}", fingerprint(&db))),
+        answers(&expected)
+    );
     assert_eq!(db.stats().wal_failed_shards, 0);
 
     // One more round, logged in today's format behind the old records.
@@ -166,9 +187,20 @@ fn a_directory_written_with_fixed_sample_entries_opens_and_keeps_working() {
 
 #[test]
 fn todays_store_writes_the_directory_the_raw_head_store_wrote() {
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wal-v2");
-    let pinned = files(&golden);
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let (v2, pinned) = (files(&golden.join("wal-v2")), files(&golden.join("wal-v3")));
     assert!(pinned.keys().any(|name| name.starts_with("shard-")), "snapshots are part of it");
+    // What changed on disk since `wal-v2/` is how a snapshot stores a
+    // whole-number chunk, nothing else: the same files, the segments and the
+    // symbols byte for byte, and shard snapshots that differ (not all: a
+    // shard may hold no whole-number series).
+    assert_eq!(pinned.keys().collect::<Vec<_>>(), v2.keys().collect::<Vec<_>>());
+    let moved: Vec<_> =
+        pinned.iter().filter(|(name, bytes)| v2.get(*name) != Some(bytes)).collect();
+    assert!(!moved.is_empty(), "wal-v3 is wal-v2");
+    for (name, _) in moved {
+        assert!(name.starts_with("shard-"), "{name} differs from wal-v2's");
+    }
 
     // The same appends, from nothing: no log, snapshot or symbol byte moved.
     let written = ScratchCopy::empty("written");
@@ -187,19 +219,46 @@ fn todays_store_writes_the_directory_the_raw_head_store_wrote() {
     // restored from snapshots mid-burst, the log tail replayed onto them —
     // and run thirty rounds further, it re-snapshots and logs exactly what a
     // store that wrote all ninety rounds itself does.
-    let resumed = ScratchCopy::of(&golden);
+    let resumed = ScratchCopy::of(&golden.join("wal-v3"));
     let straight = ScratchCopy::empty("straight");
     let (resumed_db, straight_db) = (open_v2(&resumed.0), open_v2(&straight.0));
     workload(&straight_db, 0..60);
     assert_eq!(fingerprint(&resumed_db), fingerprint(&straight_db));
     assert_eq!(resumed_db.head_bytes(), straight_db.head_bytes());
+
+    // The directory of XOR blocks only opens too, unmodified: sample for
+    // sample what the last commit that wrote such directories read from it,
+    // from as many replayed records, nothing salvaged — its sealed chunks
+    // the XOR blocks they are, its heads rebuilt as what today builds.
+    let expected = std::fs::read_to_string(golden.join("wal-v2.expected.txt")).expect("expected");
+    let legacy = ScratchCopy::of(&golden.join("wal-v2"));
+    let (salvages, replayed) = (probes::WAL_SALVAGE.get(), probes::WAL_RECORDS_REPLAYED.get());
+    let legacy_db = open_v2(&legacy.0);
+    let replayed = probes::WAL_RECORDS_REPLAYED.get() - replayed;
+    assert_eq!(
+        answers(&format!("replayed {replayed}\n{}", fingerprint(&legacy_db))),
+        answers(&expected)
+    );
+    assert_eq!(answers(&fingerprint(&legacy_db)), answers(&fingerprint(&straight_db)));
+    assert_eq!(legacy_db.head_bytes(), straight_db.head_bytes());
+    assert_eq!(probes::WAL_SALVAGE.get(), salvages, "nothing may be cut from a healthy directory");
+
     workload(&resumed_db, 60..90);
     workload(&straight_db, 60..90);
+    workload(&legacy_db, 60..90);
     assert_eq!(fingerprint(&resumed_db), fingerprint(&straight_db));
-    drop((resumed_db, straight_db));
+    assert_eq!(answers(&fingerprint(&legacy_db)), answers(&fingerprint(&straight_db)));
+    drop((resumed_db, straight_db, legacy_db));
     let (resumed, straight) = (files(&resumed.0), files(&straight.0));
     assert_eq!(resumed.keys().collect::<Vec<_>>(), straight.keys().collect::<Vec<_>>());
     for (name, bytes) in &straight {
         assert!(resumed.get(name) == Some(bytes), "{name}: the resumed directory diverged");
+    }
+    // The legacy directory's log went the same way — the records are the
+    // same records — whatever kind its old sealed chunks are snapshotted as.
+    let legacy = files(&legacy.0);
+    assert_eq!(legacy.keys().collect::<Vec<_>>(), straight.keys().collect::<Vec<_>>());
+    for (name, bytes) in straight.iter().filter(|(name, _)| !name.starts_with("shard-")) {
+        assert!(legacy.get(name) == Some(bytes), "{name}: the legacy directory diverged");
     }
 }
