@@ -1,10 +1,9 @@
 //! Ingest fast-lane microbenchmarks (`micro/ingest`): one full scrape round
-//! — collect, ingest, meta-metrics — through the cached shard-batched path
-//! ([`IngestMode::FastLane`], the default) versus the retained per-sample
-//! path ([`IngestMode::PerSample`]: merge target labels + key-hashed
-//! `append` per sample, what every round paid before the cache existed), at
-//! 1 k and 10 k series per round, plus a churn scenario where 5 % of the
-//! series change identity every round and the cache must repair itself.
+//! — collect, ingest, meta-metrics — through the scraper's cached
+//! shard-batched path at 1 k and 10 k series per round, plus a churn
+//! scenario where 5 % of the series change identity every round and the
+//! cache must repair itself.  (`BENCH_obs.json`'s overhead budget is read
+//! off these rows.)
 //!
 //! Set `TEEMON_BENCH_SMOKE=1` (as CI does) to shrink the series counts and
 //! sample counts for a fast correctness pass.
@@ -16,9 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::Mutex;
 use std::hint::black_box;
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
-use teemon_tsdb::{
-    IngestMode, MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, TimeSeriesDb,
-};
+use teemon_tsdb::{MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, TimeSeriesDb};
 
 fn smoke() -> bool {
     std::env::var_os("TEEMON_BENCH_SMOKE").is_some()
@@ -109,14 +106,14 @@ impl MetricsEndpoint for ChurnEndpoint {
     }
 }
 
-fn scraper_with(endpoint: Arc<dyn MetricsEndpoint>, mode: IngestMode) -> (Scraper, AtomicU64) {
-    let scraper = Scraper::new(TimeSeriesDb::new()).with_ingest_mode(mode);
+fn scraper_with(endpoint: Arc<dyn MetricsEndpoint>) -> (Scraper, AtomicU64) {
+    let scraper = Scraper::new(TimeSeriesDb::new());
     scraper.add_target(
         ScrapeTargetConfig::new("bench_exporter", "node-1:9999").with_label("node", "node-1"),
         endpoint,
     );
     // Warm up: build the scrape cache / create every series, then one
-    // steady round so both modes start from identical conditions.
+    // steady round.
     let clock = AtomicU64::new(0);
     for _ in 0..2 {
         scraper.scrape_round(clock.fetch_add(5_000, Ordering::Relaxed) + 5_000);
@@ -130,45 +127,37 @@ fn bench_steady(c: &mut Criterion) {
     group.sample_size(sample_count());
     for &count in series_counts() {
         let tag = if count >= 1_000 { format!("{}k", count / 1_000) } else { format!("{count}") };
-        for (mode, mode_tag) in
-            [(IngestMode::FastLane, "fast_lane"), (IngestMode::PerSample, "per_sample")]
-        {
-            let endpoint = Arc::new(SteadyEndpoint(Mutex::new(families(count))));
-            let (scraper, clock) = scraper_with(endpoint, mode);
-            group.bench_function(format!("steady_{tag}/{mode_tag}"), |b| {
-                b.iter(|| {
-                    let now = clock.fetch_add(5_000, Ordering::Relaxed) + 5_000;
-                    black_box(scraper.scrape_round(now))
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-/// A round with 5 % series churn: the fast lane pays a cache repair every
-/// round and must still beat re-keying all samples.
-fn bench_churn(c: &mut Criterion) {
-    let mut group = c.benchmark_group("micro/ingest");
-    group.sample_size(sample_count());
-    let count = if smoke() { 256 } else { 1_000 };
-    let churn = (count / 20).max(1);
-    for (mode, mode_tag) in
-        [(IngestMode::FastLane, "fast_lane"), (IngestMode::PerSample, "per_sample")]
-    {
-        let endpoint = Arc::new(ChurnEndpoint {
-            families: Mutex::new(families(count)),
-            round: AtomicU64::new(0),
-            churn,
-        });
-        let (scraper, clock) = scraper_with(endpoint, mode);
-        group.bench_function(format!("churn_5pct_1k/{mode_tag}"), |b| {
+        let endpoint = Arc::new(SteadyEndpoint(Mutex::new(families(count))));
+        let (scraper, clock) = scraper_with(endpoint);
+        group.bench_function(format!("steady_{tag}/fast_lane"), |b| {
             b.iter(|| {
                 let now = clock.fetch_add(5_000, Ordering::Relaxed) + 5_000;
                 black_box(scraper.scrape_round(now))
             })
         });
     }
+    group.finish();
+}
+
+/// A round with 5 % series churn: the fast lane pays a cache repair every
+/// round.
+fn bench_churn(c: &mut Criterion) {
+    let mut group = c.benchmark_group("micro/ingest");
+    group.sample_size(sample_count());
+    let count = if smoke() { 256 } else { 1_000 };
+    let churn = (count / 20).max(1);
+    let endpoint = Arc::new(ChurnEndpoint {
+        families: Mutex::new(families(count)),
+        round: AtomicU64::new(0),
+        churn,
+    });
+    let (scraper, clock) = scraper_with(endpoint);
+    group.bench_function("churn_5pct_1k/fast_lane", |b| {
+        b.iter(|| {
+            let now = clock.fetch_add(5_000, Ordering::Relaxed) + 5_000;
+            black_box(scraper.scrape_round(now))
+        })
+    });
     group.finish();
 }
 

@@ -179,33 +179,8 @@ fn bench_query_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The replaced implementation of `aggregate_over_time`: for every union
-/// timestamp, reverse-scan every series for its latest value — quadratic in
-/// points per series.  Kept here as the bench baseline.
-fn naive_aggregate_over_time(
-    results: &[teemon_tsdb::QueryResult],
-    op: AggregateOp,
-) -> Vec<(u64, f64)> {
-    let mut timestamps: Vec<u64> =
-        results.iter().flat_map(|r| r.points.iter().map(|(t, _)| *t)).collect();
-    timestamps.sort_unstable();
-    timestamps.dedup();
-    timestamps
-        .into_iter()
-        .filter_map(|ts| {
-            let values: Vec<f64> = results
-                .iter()
-                .filter_map(|r| r.points.iter().rev().find(|(t, _)| *t <= ts).map(|(_, v)| *v))
-                .collect();
-            op.apply(&values).map(|v| (ts, v))
-        })
-        .collect()
-}
-
 /// The cross-series aggregation walk over staggered series whose timestamps
-/// never coincide — the worst case for the union walk, and the shape that
-/// exposed the former quadratic per-timestamp reverse scan (benchmarked here
-/// as `naive` against the per-series forward-cursor rewrite).
+/// never coincide — the worst case for the union walk.
 fn bench_aggregate_over_time(c: &mut Criterion) {
     let staggered = |series_count: u64, points: u64| {
         let db = TimeSeriesDb::new();
@@ -219,22 +194,19 @@ fn bench_aggregate_over_time(c: &mut Criterion) {
                 );
             }
         }
-        db.query_range(&Selector::metric("m"), 0, u64::MAX)
+        let results = db.query_range(&Selector::metric("m"), 0, u64::MAX);
+        results.into_iter().map(|r| r.points).collect::<Vec<_>>()
     };
     let mut group = c.benchmark_group("micro/aggregate_over_time");
     group.sample_size(10);
-    // Head-to-head on a shape small enough for the quadratic baseline.
     let results = staggered(16, 256);
     group.bench_function("cursors_16x256", |b| {
-        b.iter(|| black_box(query::aggregate_over_time(&results, AggregateOp::Sum)))
-    });
-    group.bench_function("naive_16x256", |b| {
-        b.iter(|| black_box(naive_aggregate_over_time(&results, AggregateOp::Sum)))
+        b.iter(|| black_box(query::aggregate_series_over_time(&results, AggregateOp::Sum)))
     });
     // The cursor walk at dashboard scale.
     let results = staggered(64, 512);
     group.bench_function("cursors_64x512", |b| {
-        b.iter(|| black_box(query::aggregate_over_time(&results, AggregateOp::Sum)))
+        b.iter(|| black_box(query::aggregate_series_over_time(&results, AggregateOp::Sum)))
     });
     group.finish();
 }

@@ -1,11 +1,8 @@
 //! Range-query microbenchmarks (`micro/range_query`).
 //!
 //! The dashboard-driving workload: `rate()` range queries over 1 h and 24 h
-//! windows at a 15 s step across 100 series.  The streaming evaluator
-//! (sliding-window state machines, `O(samples touched)`) is measured against
-//! the retained per-step evaluator (`O(steps × window)`), which stays in the
-//! tree as `QueryEngine::range_per_step` — both the fallback and the
-//! equivalence oracle — so the speedup stays visible as both paths evolve.
+//! windows at a 15 s step across 100 series, through the streaming evaluator
+//! (sliding-window state machines, `O(samples touched)`).
 //!
 //! A second group times a full scan of the stored chunks — Gorilla blocks,
 //! sealed and open alike — and the run prints the storage engine's
@@ -18,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use teemon_metrics::Labels;
-use teemon_query::{parse, QueryEngine};
+use teemon_query::{parse, stream, QueryEngine};
 use teemon_tsdb::{Selector, TimeSeriesDb, TsdbConfig};
 
 fn smoke() -> bool {
@@ -74,28 +71,17 @@ fn bench_range(c: &mut Criterion) {
         let engine = QueryEngine::new(db.clone());
         let rate = parse("rate(bench_requests_total[5m])").unwrap();
         let grouped = parse("sum by (node) (rate(bench_requests_total[5m]))").unwrap();
-        assert!(engine.streams_range(&rate, 0, span_ms), "rate must take the streaming path");
-        // Both paths must agree before we time them.
-        assert_eq!(
-            engine.range(&grouped, 0, span_ms, STEP_MS).unwrap().len(),
-            engine.range_per_step(&grouped, 0, span_ms, STEP_MS).unwrap().len(),
-        );
+        for expr in [&rate, &grouped] {
+            let lookback_ms = QueryEngine::DEFAULT_LOOKBACK_MS;
+            let planned = stream::plan_or_reason(&db, lookback_ms, expr, 0, span_ms);
+            assert!(planned.is_ok(), "`{expr}` must take the streaming path");
+        }
 
         group.bench_function(format!("rate_{label}/streaming"), |b| {
             b.iter(|| black_box(engine.range(black_box(&rate), 0, span_ms, STEP_MS).unwrap()))
         });
-        group.bench_function(format!("rate_{label}/per_step_baseline"), |b| {
-            b.iter(|| {
-                black_box(engine.range_per_step(black_box(&rate), 0, span_ms, STEP_MS).unwrap())
-            })
-        });
         group.bench_function(format!("sum_by_rate_{label}/streaming"), |b| {
             b.iter(|| black_box(engine.range(black_box(&grouped), 0, span_ms, STEP_MS).unwrap()))
-        });
-        group.bench_function(format!("sum_by_rate_{label}/per_step_baseline"), |b| {
-            b.iter(|| {
-                black_box(engine.range_per_step(black_box(&grouped), 0, span_ms, STEP_MS).unwrap())
-            })
         });
     }
     group.finish();

@@ -1,11 +1,7 @@
 //! Storage-engine microbenchmarks (`micro/tsdb`): append throughput,
-//! selector queries at 10 k series, and multi-threaded append scaling —
-//! each measured against the pre-overhaul engine (one global lock, an owned
-//! `(String, Labels)` key map, and O(total-series) matcher scans with
-//! deep-cloned results), which is retained here as `LinearScanDb` so the
-//! speedup stays visible as both engines evolve — and the two rounds a
-//! lock-step set of 1 000 open heads pays the Gorilla encoder in, for three
-//! value shapes: `append_burst_1k/*`, the one round in eight that encodes
+//! selector queries at 10 k series, multi-threaded append scaling, and the
+//! two rounds a lock-step set of 1 000 open heads pays the Gorilla encoder
+//! in, for three value shapes: `append_burst_1k/*`, the one round in eight that encodes
 //! every head's full tail, and `seal_1k/*`, the one in 120 that encodes the
 //! last tail and copies each block out — and `codec_bytes/*`, what a chunk of
 //! 120 samples weighs and costs to encode and decode for eleven value
@@ -15,15 +11,13 @@
 //! Set `TEEMON_BENCH_SMOKE=1` (as CI does) to shrink the data set and sample
 //! counts for a fast correctness pass.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use parking_lot::RwLock;
 use std::hint::black_box;
 use teemon_metrics::Labels;
 use teemon_tsdb::chunk_codec::{self, BlockEncoder};
-use teemon_tsdb::{Sample, Selector, Series, TimeSeriesDb};
+use teemon_tsdb::{Sample, Selector, TimeSeriesDb};
 
 fn smoke() -> bool {
     std::env::var_os("TEEMON_BENCH_SMOKE").is_some()
@@ -43,59 +37,6 @@ fn series_total() -> usize {
         512
     } else {
         10_000
-    }
-}
-
-/// The storage engine this PR replaced: every series behind one `RwLock`,
-/// an owned-key index that allocates `name.to_string() + labels.clone()` on
-/// every lookup, and selectors answered by scanning and deep-cloning every
-/// series.  Kept as the bench baseline.
-#[derive(Default)]
-struct LinearScanDb {
-    inner: RwLock<LinearInner>,
-}
-
-#[derive(Default)]
-struct LinearInner {
-    series: Vec<Series>,
-    index: HashMap<(String, Labels), usize>,
-}
-
-impl LinearScanDb {
-    fn append(&self, name: &str, labels: &Labels, timestamp_ms: u64, value: f64) -> bool {
-        let mut inner = self.inner.write();
-        let idx = match inner.index.get(&(name.to_string(), labels.clone())) {
-            Some(idx) => *idx,
-            None => {
-                let idx = inner.series.len();
-                inner.series.push(Series::new(name.to_string(), labels.clone(), 120));
-                inner.index.insert((name.to_string(), labels.clone()), idx);
-                idx
-            }
-        };
-        inner.series[idx].append(Sample { timestamp_ms, value })
-    }
-
-    fn select(&self, selector: &Selector) -> Vec<Series> {
-        self.inner
-            .read()
-            .series
-            .iter()
-            .filter(|s| selector.matches(&s.name, &s.labels))
-            .cloned()
-            .collect()
-    }
-
-    fn query_instant(&self, selector: &Selector, at_ms: u64) -> Vec<(String, Labels, f64)> {
-        self.inner
-            .read()
-            .series
-            .iter()
-            .filter(|s| selector.matches(&s.name, &s.labels))
-            .filter_map(|s| {
-                s.at(at_ms).map(|sample| (s.name.clone(), s.labels.clone(), sample.value))
-            })
-            .collect()
     }
 }
 
@@ -145,30 +86,17 @@ fn bench_append(c: &mut Criterion) {
             black_box(db.append(name, labels, t, 1.0))
         })
     });
-
-    let baseline = LinearScanDb::default();
-    let keys = populate(count, 4, |n, l, t, v| baseline.append(n, l, t, v));
-    let tick = AtomicU64::new(1_000_000);
-    let mut next = 0usize;
-    group.bench_function("append_existing/linear_baseline", |b| {
-        b.iter(|| {
-            let (name, labels) = &keys[next % keys.len()];
-            next += 1;
-            let t = tick.fetch_add(1, Ordering::Relaxed);
-            black_box(baseline.append(name, labels, t, 1.0))
-        })
-    });
     group.finish();
 }
 
 /// Selector queries at 10 k series: the index answers from postings lists
-/// sized by the match, the baseline scans and deep-clones everything.
+/// sized by the match.
 fn bench_select(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/tsdb");
     group.sample_size(sample_count());
     let count = series_total();
-    // Two sealed chunks per series (chunk_size 120): selection on the new
-    // engine shares them by `Arc`, the baseline deep-clones every sample.
+    // Two sealed chunks per series (chunk_size 120), which selection shares
+    // by `Arc`.
     let samples: u64 = if smoke() { 8 } else { 240 };
 
     // One node's share is count/64 series.  `node-8` aligns with
@@ -188,24 +116,12 @@ fn bench_select(c: &mut Criterion) {
     group.bench_function("query_instant_at_10k/indexed", |b| {
         b.iter(|| black_box(db.query_instant(black_box(&narrow), 40_000)))
     });
-
-    let baseline = LinearScanDb::default();
-    populate(count, samples, |n, l, t, v| baseline.append(n, l, t, v));
-    group.bench_function("select_at_10k/linear_baseline", |b| {
-        b.iter(|| black_box(baseline.select(black_box(&narrow))))
-    });
-    group.bench_function("select_node_at_10k/linear_baseline", |b| {
-        b.iter(|| black_box(baseline.select(black_box(&node_wide))))
-    });
-    group.bench_function("query_instant_at_10k/linear_baseline", |b| {
-        b.iter(|| black_box(baseline.query_instant(black_box(&narrow), 40_000)))
-    });
     group.finish();
 }
 
 /// Multi-threaded append scaling: the same total sample volume pushed by one
 /// thread vs spread over four threads.  Sharded locks let the four-thread
-/// run overlap; the baseline's single lock would serialise it.
+/// run overlap.
 fn bench_append_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/tsdb");
     group.sample_size(sample_count());

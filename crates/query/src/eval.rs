@@ -473,18 +473,10 @@ impl QueryEngine {
         Ok((result, run))
     }
 
-    /// `true` when `expr` would take the streaming path for this range (a
-    /// diagnostic for tests and benches; planning resolves the expression's
-    /// selectors, so this is not free).
-    pub fn streams_range(&self, expr: &Expr, start_ms: u64, end_ms: u64) -> bool {
-        stream::plan(&self.db, self.lookback_ms, expr, start_ms, end_ms).is_some()
-    }
-
     /// The per-step range evaluator: runs the full instant pipeline at every
     /// step and stitches the results into range series.  Retained as the
-    /// fallback for expressions the streamer cannot handle, as the
-    /// equivalence oracle for the streaming path, and as the baseline in the
-    /// `micro/range_query` bench.
+    /// fallback for expressions the streamer cannot handle and as the
+    /// equivalence oracle for the streaming path.
     ///
     /// Points are accumulated in slots keyed by a per-query series id: each
     /// distinct output identity resolves through the hash map once, and the

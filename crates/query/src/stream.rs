@@ -53,10 +53,10 @@
 //! result being built — never `series × steps` intermediate cells, and never
 //! more than one series decoded at a time.
 //!
-//! [`plan`] returns `None` for expressions outside this shape (vector-vector
+//! [`plan_or_reason`] refuses expressions outside this shape (vector-vector
 //! binary operations, aggregations over scalars, type errors, output-key
-//! collisions after name-dropping); the caller falls back to the per-step
-//! path, which also remains the equivalence oracle — see
+//! collisions after name-dropping) with the reason; the caller falls back
+//! to the per-step path, which also remains the equivalence oracle — see
 //! [`ranges_equivalent`] and the `TEEMON_VERIFY_STREAM` cross-check in
 //! [`crate::QueryEngine::range`].  Streamed results match the oracle exactly
 //! except for floating-point association in the running sums, which can
@@ -92,8 +92,8 @@ type SeriesKey = (Option<String>, Labels);
 
 /// A compiled streaming evaluation: the node tree plus the output universe.
 ///
-/// Built by [`plan`]; consumed by [`StreamPlan::run`].  Selectors were
-/// already resolved against the storage index during planning, so running
+/// Built by [`plan_or_reason`]; consumed by [`StreamPlan::run`].  Selectors
+/// were already resolved against the storage index during planning, so running
 /// the plan touches no locks and no index — only the immutable `Arc`-shared
 /// chunk snapshots each leaf's cursors drain.
 pub struct StreamPlan {
@@ -185,22 +185,11 @@ impl Grid {
     }
 }
 
-/// Compiles `expr` into a streaming plan, or `None` when the expression
-/// needs the per-step fallback.  `lookback_ms` is the engine's instant-
+/// Compiles `expr` into a streaming plan, or reports *why* the expression
+/// stays on the per-step fallback.  `lookback_ms` is the engine's instant-
 /// selector staleness window; `start_ms`/`end_ms` bound the sample range the
-/// leaves will ever decode.
-pub fn plan(
-    db: &TimeSeriesDb,
-    lookback_ms: u64,
-    expr: &Expr,
-    start_ms: u64,
-    end_ms: u64,
-) -> Option<StreamPlan> {
-    plan_or_reason(db, lookback_ms, expr, start_ms, end_ms).ok()
-}
-
-/// [`plan`], reporting *why* an expression stays on the per-step fallback.
-/// The reason strings surface in `QueryEngine::explain` plans and make the
+/// leaves will ever decode.  The reason strings surface in
+/// `QueryEngine::explain` plans and make the
 /// `teemon_query_range_total{mode="fallback"}` counter actionable.
 pub fn plan_or_reason(
     db: &TimeSeriesDb,
@@ -769,8 +758,8 @@ mod tests {
     fn assert_streams_and_matches(query: &str, start: u64, end: u64, step: u64) {
         let engine = QueryEngine::new(db());
         let expr = parse(query).unwrap();
-        let plan = plan(engine.db(), QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
-            .unwrap_or_else(|| panic!("`{query}` must stream"));
+        let plan = plan_or_reason(engine.db(), QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
+            .unwrap_or_else(|why| panic!("`{query}` must stream: {why}"));
         let streamed = plan.run(start, end, step);
         let oracle = engine.range_per_step(&expr, start, end, step).unwrap();
         assert!(
@@ -818,7 +807,8 @@ mod tests {
     #[test]
     fn unsupported_shapes_fall_back() {
         let database = db();
-        let streams = |q: &str| plan(&database, 300_000, &parse(q).unwrap(), 0, 100_000).is_some();
+        let streams =
+            |q: &str| plan_or_reason(&database, 300_000, &parse(q).unwrap(), 0, 100_000).is_ok();
         // Vector-vector matching, type errors and invalid parameters are the
         // per-step path's business.
         assert!(!streams("requests_total + queue_depth"));
@@ -834,11 +824,16 @@ mod tests {
             dup.append("metric_a", &labels, t * 1000, t as f64);
             dup.append("metric_b", &labels, t * 1000, t as f64 * 2.0);
         }
-        assert!(
-            plan(&dup, 300_000, &parse("rate({node=\"n1\"}[10s])").unwrap(), 0, 9_000).is_none()
-        );
+        assert!(plan_or_reason(
+            &dup,
+            300_000,
+            &parse("rate({node=\"n1\"}[10s])").unwrap(),
+            0,
+            9_000
+        )
+        .is_err());
         // But the same selector with names kept streams fine.
-        assert!(plan(&dup, 300_000, &parse("{node=\"n1\"}").unwrap(), 0, 9_000).is_some());
+        assert!(plan_or_reason(&dup, 300_000, &parse("{node=\"n1\"}").unwrap(), 0, 9_000).is_ok());
     }
 
     #[test]
@@ -855,7 +850,8 @@ mod tests {
             ["sum_over_time(m[2s])", "avg_over_time(m[2s])", "increase(m[2s])", "rate(m[2s])"]
         {
             let expr = parse(query).unwrap();
-            let streamed = plan(&db, 300_000, &expr, 0, 4_000).unwrap().run(0, 4_000, 1_000);
+            let streamed =
+                plan_or_reason(&db, 300_000, &expr, 0, 4_000).unwrap().run(0, 4_000, 1_000);
             let oracle = engine.range_per_step(&expr, 0, 4_000, 1_000).unwrap();
             assert!(
                 ranges_equivalent(&streamed, &oracle),
@@ -864,7 +860,7 @@ mod tests {
         }
         // Spot-check the headline case: sum over [2s,3s] and [3s,4s] windows.
         let expr = parse("sum_over_time(m[1s])").unwrap();
-        let streamed = plan(&db, 300_000, &expr, 0, 4_000).unwrap().run(0, 4_000, 1_000);
+        let streamed = plan_or_reason(&db, 300_000, &expr, 0, 4_000).unwrap().run(0, 4_000, 1_000);
         assert_eq!(streamed[0].points[3], (3_000, 5.0));
         assert_eq!(streamed[0].points[4], (4_000, 7.0));
 
@@ -879,7 +875,8 @@ mod tests {
         let engine = QueryEngine::new(overflow.clone());
         for query in ["sum_over_time(m[1s])", "avg_over_time(m[2s])", "increase(m[1s])"] {
             let expr = parse(query).unwrap();
-            let streamed = plan(&overflow, 300_000, &expr, 0, 3_000).unwrap().run(0, 3_000, 1_000);
+            let streamed =
+                plan_or_reason(&overflow, 300_000, &expr, 0, 3_000).unwrap().run(0, 3_000, 1_000);
             let oracle = engine.range_per_step(&expr, 0, 3_000, 1_000).unwrap();
             assert!(
                 ranges_equivalent(&streamed, &oracle),
@@ -906,7 +903,7 @@ mod tests {
             "increase(weird[2s])",
         ] {
             let expr = parse(query).unwrap();
-            let plan = plan(&db, 300_000, &expr, 0, 8_000).unwrap();
+            let plan = plan_or_reason(&db, 300_000, &expr, 0, 8_000).unwrap();
             let streamed = plan.run(0, 8_000, 1_000);
             let oracle = engine.range_per_step(&expr, 0, 8_000, 1_000).unwrap();
             assert!(

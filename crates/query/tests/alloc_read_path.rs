@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use teemon_metrics::Labels;
-use teemon_query::stream::plan;
+use teemon_query::stream::plan_or_reason;
 use teemon_query::{json, parse, QueryEngine, RangeSeries};
 use teemon_tsdb::{Selector, TimeSeriesDb};
 
@@ -100,7 +100,8 @@ fn run_allocations(ticks: u64) -> (u64, u64) {
     let mut counted = (0, 0);
     // The first run is the warm-up; the second is counted.
     for _ in 0..2 {
-        let plan = plan(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end).unwrap();
+        let plan =
+            plan_or_reason(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end).unwrap();
         let ((series, stats), allocations) =
             allocations_in(|| plan.run_with_stats(start, end, step));
         assert_eq!(series.len(), NODES);
@@ -150,9 +151,10 @@ fn a_plan_materialises_each_label_set_in_one_allocation() {
         assert!(labels.iter().all(|l| l.len() == 1 + extra));
         // One per label set, and the `Vec` holding them.
         assert!(per_set <= SERIES as u64 + 1, "{per_set} allocations for {SERIES} label sets");
-        let (plan, allocations) =
-            allocations_in(|| plan(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, 0, 60_000));
-        assert!(plan.is_some());
+        let (plan, allocations) = allocations_in(|| {
+            plan_or_reason(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, 0, 60_000)
+        });
+        assert!(plan.is_ok());
         allocations
     };
     // Borrowed pairs go straight into the packed set: five more labels a

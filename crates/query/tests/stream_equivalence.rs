@@ -5,7 +5,7 @@
 
 use proptest::proptest;
 use teemon_metrics::Labels;
-use teemon_query::stream::{plan, ranges_equivalent};
+use teemon_query::stream::{plan_or_reason, ranges_equivalent};
 use teemon_query::{parse, QueryEngine, RangeSeries};
 use teemon_tsdb::{TimeSeriesDb, TsdbConfig};
 
@@ -87,8 +87,8 @@ proptest! {
         let step = step.max(span / 10_000 + 1); // inside `MAX_RANGE_STEPS`
 
         // Every template must actually exercise the streaming path.
-        let streamed = plan(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
-            .unwrap_or_else(|| panic!("`{query}` must stream"))
+        let streamed = plan_or_reason(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
+            .unwrap_or_else(|why| panic!("`{query}` must stream: {why}"))
             .run(start, end, step);
         assert_eq!(engine.range(&expr, start, end, step).as_deref(), Ok(&streamed[..]));
 
@@ -192,8 +192,8 @@ proptest! {
         let (start, end) = (range.0, range.0 + range.1);
         let step = range.2.max(range.1 / 10_000 + 1); // inside `MAX_RANGE_STEPS`
 
-        let streamed = plan(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
-            .unwrap_or_else(|| panic!("`{query}` must stream"))
+        let streamed = plan_or_reason(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
+            .unwrap_or_else(|why| panic!("`{query}` must stream: {why}"))
             .run(start, end, step);
         // Planning and running twice is bit-for-bit repeatable (`==` would
         // reject the NaNs this data produces).

@@ -1,12 +1,26 @@
 //! The inverted index: postings lists from metric name and `(label, value)`
 //! pairs to series, plus the compiled form of a [`Selector`].
 //!
-//! Each lock shard maintains one [`Postings`] over its own series.  Series
-//! are registered in creation order, so every postings list is sorted and
-//! selection is a sorted-list intersection over the lists named by the
-//! selector — cost proportional to the smallest postings list touched, not to
-//! the total number of series (the way Prometheus' head index answers
-//! matchers).
+//! Each lock shard maintains one [`Postings`] over its own series: **two
+//! maps**, metric name → series and `(label key, label value)` → series, so
+//! a series costs one entry for its name and one per label.  Series are
+//! registered in creation order, so every postings list is sorted and
+//! selection is a sorted-list intersection over the lists the selector's
+//! name and `=` matchers name — cost proportional to the smallest postings
+//! list touched, not to the total number of series (the way Prometheus' head
+//! index answers matchers).
+//!
+//! `Exists` and `!=` matchers have no list of their own.  They are checked
+//! per candidate against the series' own label symbols, after the
+//! intersection, and a selector that carries neither a name nor an equality
+//! starts from every series of the shard ([`Candidates::All`]).  That is a
+//! deliberate trade: a label-key → series map would hold one more entry per
+//! label per series — close to half of all postings entries, resident for as
+//! long as the series lives — to serve matchers no dashboard panel, alert or
+//! recording rule, analyzer, example or benchmark workload issues.  With a
+//! name or an equality in the selector (every shape the parser's users
+//! write) the post-filter walks a list that is already short; without one,
+//! `{k!=""}` is a shard scan, as `{}` already is.
 //!
 //! [`Selector`]: crate::query::Selector
 
@@ -23,20 +37,19 @@ pub(crate) struct Postings {
     names: HashMap<SymbolId, Vec<u32>>,
     /// `(label key, label value)` → series.
     pairs: HashMap<(SymbolId, SymbolId), Vec<u32>>,
-    /// Label key (any value) → series; serves `Exists` and post-filtered
-    /// `NotEquals` matchers.
-    keys: HashMap<SymbolId, Vec<u32>>,
     /// Approximate resident bytes, maintained incrementally on register.
     /// Rebuilds (retention, drop_series reindex) start from `default()`, so
     /// the figure tracks the live index, not its high-water mark.
     bytes: usize,
 }
 
-/// Modelled cost of one postings entry: the `u32` plus amortised map/list
+/// Modelled cost of one postings entry — a series under its name, or under
+/// one of its `(label, value)` pairs: the `u32` plus amortised map/list
 /// overhead.  Coarse on purpose — the gauge exists to expose *growth*, and
 /// entry count is what grows with cardinality.
 const POSTING_ENTRY_BYTES: usize = 16;
-/// Modelled cost of a new postings list (map key + `Vec` header).
+/// Modelled cost of a new postings list in either map (map key + `Vec`
+/// header).
 const POSTING_LIST_BYTES: usize = 48;
 
 impl Postings {
@@ -47,11 +60,11 @@ impl Postings {
         self.bytes += Self::list_cost(self.names.entry(name).or_default(), local);
         for &(key, value) in labels {
             self.bytes += Self::list_cost(self.pairs.entry((key, value)).or_default(), local);
-            self.bytes += Self::list_cost(self.keys.entry(key).or_default(), local);
         }
     }
 
-    /// Approximate resident bytes of this shard's postings lists.
+    /// Approximate resident bytes of this shard's postings lists: one entry
+    /// per series in `names`, one per label of every series in `pairs`.
     pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
@@ -68,10 +81,6 @@ impl Postings {
 
     fn pair_list(&self, key: SymbolId, value: SymbolId) -> Option<&[u32]> {
         self.pairs.get(&(key, value)).map(Vec::as_slice)
-    }
-
-    fn key_list(&self, key: SymbolId) -> Option<&[u32]> {
-        self.keys.get(&key).map(Vec::as_slice)
     }
 }
 
@@ -91,10 +100,10 @@ pub(crate) enum SelectorPlan {
         name: Option<SymbolId>,
         /// `label == value` matchers (pure postings intersection).
         eq: Vec<(SymbolId, SymbolId)>,
-        /// `label` must exist (postings on the label key).
+        /// `label` must exist: checked per candidate.
         exists: Vec<SymbolId>,
-        /// `label != value` matchers: candidates come from the label-key
-        /// postings, the value inequality is checked per candidate.
+        /// `label != value` matchers — the label must exist with another
+        /// value: checked per candidate.
         neq: Vec<(SymbolId, SymbolId)>,
     },
 }
@@ -137,11 +146,12 @@ impl SelectorPlan {
         SelectorPlan::Filtered { name, eq, exists, neq }
     }
 
-    /// Shard-local candidate series for this plan: the intersection of every
-    /// postings list the plan names.  `NotEquals` value checks are NOT
-    /// applied here; the caller post-filters with [`SelectorPlan::neq_pairs`].
+    /// Shard-local candidate series for this plan: the intersection of the
+    /// name's and every `=` matcher's postings list.  `Exists` and
+    /// `NotEquals` matchers are NOT applied here; the caller post-filters
+    /// with [`SelectorPlan::post_filters`].
     pub(crate) fn candidates(&self, postings: &Postings) -> Candidates {
-        let SelectorPlan::Filtered { name, eq, exists, neq } = self else {
+        let SelectorPlan::Filtered { name, eq, .. } = self else {
             return Candidates::Listed(Vec::new());
         };
         // A matcher whose postings list is absent in this shard matches
@@ -153,12 +163,6 @@ impl SelectorPlan {
         for &(k, v) in eq {
             required.push(postings.pair_list(k, v));
         }
-        for &k in exists {
-            required.push(postings.key_list(k));
-        }
-        for &(k, _) in neq {
-            required.push(postings.key_list(k));
-        }
         if required.iter().any(Option::is_none) {
             Candidates::Listed(Vec::new())
         } else if required.is_empty() {
@@ -169,12 +173,13 @@ impl SelectorPlan {
         }
     }
 
-    /// The `(key, value)` pairs candidates must NOT carry (value inequality
-    /// checked per candidate series by the caller).
-    pub(crate) fn neq_pairs(&self) -> &[(SymbolId, SymbolId)] {
+    /// What the caller checks per candidate series: the keys it must carry,
+    /// and the `(key, value)` pairs whose key it must carry with a
+    /// *different* value.
+    pub(crate) fn post_filters(&self) -> (&[SymbolId], &[(SymbolId, SymbolId)]) {
         match self {
-            SelectorPlan::Filtered { neq, .. } => neq,
-            SelectorPlan::Nothing => &[],
+            SelectorPlan::Filtered { exists, neq, .. } => (exists, neq),
+            SelectorPlan::Nothing => (&[], &[]),
         }
     }
 }
@@ -182,7 +187,8 @@ impl SelectorPlan {
 /// The series of one shard a compiled selector may match.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Candidates {
-    /// Every series in the shard (the plan carries no postings constraint).
+    /// Every series in the shard (the plan carries neither a name nor an
+    /// equality, so no postings list constrains it).
     All,
     /// Exactly these shard-local indices, ascending.
     Listed(Vec<u32>),
@@ -268,9 +274,64 @@ mod tests {
         assert_eq!(plan.candidates(&postings), Candidates::Listed(vec![1]));
         let all = SelectorPlan::compile(&Selector::all(), &table);
         assert_eq!(all.candidates(&postings), Candidates::All);
-        // A matcher absent from this shard's postings matches nothing here.
-        let other_shard =
-            SelectorPlan::compile(&Selector::metric("up").with_label_present("node"), &table);
+        // A name or pair absent from this shard's postings matches nothing
+        // here.
+        let other_shard = SelectorPlan::compile(&Selector::metric("up"), &table);
         assert_eq!(other_shard.candidates(&Postings::default()), Candidates::Listed(Vec::new()));
+    }
+
+    #[test]
+    fn exists_and_not_equals_constrain_no_postings_list() {
+        let mut table = SymbolTable::default();
+        let up = table.intern("up");
+        let node = table.intern("node");
+        let n1 = table.intern("n1");
+        let pod = table.intern("pod");
+        let p1 = table.intern("p1");
+        let mut postings = Postings::default();
+        postings.register(0, up, &[(node, n1)]);
+        postings.register(1, up, &[(node, n1), (pod, p1)]);
+        // One entry per name and one per label: no third map.
+        assert_eq!(postings.bytes(), 5 * POSTING_ENTRY_BYTES + 3 * POSTING_LIST_BYTES);
+
+        // Only `exists` / `!=`: every series of the shard is a candidate and
+        // the matchers are handed to the caller.
+        let only_filters = SelectorPlan::compile(
+            &Selector::all().with_label_present("pod").without_label_value("node", "n1"),
+            &table,
+        );
+        assert_eq!(only_filters.candidates(&postings), Candidates::All);
+        assert_eq!(only_filters.post_filters(), (&[pod][..], &[(node, n1)][..]));
+
+        // A name plus `exists`: the name's list, untouched by the matcher.
+        let named =
+            SelectorPlan::compile(&Selector::metric("up").with_label_present("pod"), &table);
+        assert_eq!(named.candidates(&postings), Candidates::Listed(vec![0, 1]));
+        assert_eq!(named.post_filters(), (&[pod][..], &[][..]));
+    }
+
+    #[test]
+    fn exists_on_a_key_this_shard_never_saw_matches_nothing_there() {
+        // Two series in two shards, one of them carrying `pod`: the key is
+        // interned database-wide, so the plan stays satisfiable, and the
+        // shard without it answers from the post-filter alone.
+        let db = crate::TimeSeriesDb::new();
+        db.resolve("carrier", &teemon_metrics::Labels::from_pairs([("pod", "p1")]));
+        let home = db.shard_series_counts().iter().position(|&n| n == 1).expect("one series");
+        let bare = teemon_metrics::Labels::new();
+        let other = (0..64)
+            .map(|i| format!("bare_{i}"))
+            .find(|name| {
+                let before = db.shard_series_counts()[home];
+                db.resolve(name, &bare);
+                db.shard_series_counts()[home] == before
+            })
+            .expect("some name hashes to another shard");
+        let matched = db.select(&Selector::all().with_label_present("pod"));
+        assert_eq!(matched.iter().map(|s| s.name()).collect::<Vec<_>>(), ["carrier"]);
+        let negated = db.select(&Selector::all().without_label_value("pod", "p2"));
+        assert_eq!(negated.len(), 1, "`!=` needs the key present too");
+        assert!(!db.select(&Selector::metric(&other)).is_empty());
+        assert!(db.select(&Selector::metric(&other).with_label_present("pod")).is_empty());
     }
 }

@@ -7,7 +7,8 @@
 //! Rust equivalent:
 //!
 //! * [`TimeSeriesDb`] — the storage engine: interned series keys, an
-//!   inverted label index answering selectors as postings intersections,
+//!   inverted label index answering selectors as postings intersections
+//!   over name and `=` matchers (`exists` / `!=` are checked per candidate),
 //!   series spread over lock shards so scrapers append concurrently, and
 //!   chunked append-only storage with retention,
 //! * [`chunk_codec`] — Gorilla-style sealed-chunk compression (delta-of-delta
@@ -26,10 +27,12 @@
 //!   Gorilla-block snapshots and corruption salvage that truncates torn
 //!   tails and isolates damaged shards instead of panicking,
 //! * [`Scraper`] — the pull loop: scrapes typed [`MetricsEndpoint`]s on an
-//!   interval (per-target intervals supported), attaches `job`/`instance`
-//!   labels, records `up`/`scrape_duration_seconds`/`scrape_samples_scraped`
-//!   meta-metrics, and tolerates target failures (the health-checking role
-//!   the paper assigns to the monitoring service).
+//!   interval (per-target intervals supported) through one ingest path — a
+//!   per-target scrape cache and one batched append a round — attaches
+//!   `job`/`instance` labels, records
+//!   `up`/`scrape_duration_seconds`/`scrape_samples_scraped` meta-metrics,
+//!   and tolerates target failures (the health-checking role the paper
+//!   assigns to the monitoring service).
 //!
 //! The scrape path is typed end to end: exporters hand over
 //! [`teemon_metrics::FamilySnapshot`]s and no OpenMetrics text is produced or
@@ -50,13 +53,13 @@ pub mod storage;
 mod symbols;
 pub mod wal;
 
-pub use query::{AggregateOp, LabelMatch, QueryResult, RangePoint, Selector};
+pub use query::{AggregateOp, LabelMatch, QueryResult, Selector};
 pub use scrape::{
-    CardinalityBudgets, CollectorEndpoint, DurationMode, IngestMode, MetricsEndpoint, ObsEndpoint,
-    PushLane, PushOutcome, RoundSummary, ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Scraper,
-    TextEndpoint, TextSource,
+    CardinalityBudgets, CollectorEndpoint, MetricsEndpoint, ObsEndpoint, PushLane, PushOutcome,
+    RoundSummary, ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Scraper, TextEndpoint,
+    TextSource,
 };
-pub use series::{Sample, Series, SeriesId};
+pub use series::{Sample, SeriesId};
 pub use snapshot::{OwnedSampleCursor, SampleCursor, SeriesSnapshot};
 pub use storage::{
     BatchOutcome, HandleAppend, SeriesHandle, StorageStats, TimeSeriesDb, TsdbConfig, SHARD_COUNT,

@@ -144,9 +144,6 @@ pub struct QueryResult {
     pub points: Vec<(u64, f64)>,
 }
 
-/// A point of an aggregated range: timestamp plus aggregated value.
-pub type RangePoint = (u64, f64);
-
 /// Aggregation operators applied across series or across time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AggregateOp {
@@ -179,14 +176,6 @@ impl AggregateOp {
     }
 }
 
-/// Aggregates the *latest* value of every result with `op` (e.g. total free
-/// EPC pages across all nodes).
-pub fn aggregate_latest(results: &[QueryResult], op: AggregateOp) -> Option<f64> {
-    let values: Vec<f64> =
-        results.iter().filter_map(|r| r.points.last().map(|(_, v)| *v)).collect();
-    op.apply(&values)
-}
-
 /// Aggregates across series per timestamp.  Timestamps are the union of all
 /// series' timestamps; series contribute their most recent value at or before
 /// each timestamp.
@@ -194,20 +183,13 @@ pub fn aggregate_latest(results: &[QueryResult], op: AggregateOp) -> Option<f64>
 /// Each series' points must be in chronological order (which
 /// [`crate::TimeSeriesDb`] guarantees).  The walk keeps one forward cursor
 /// per series over the merged timestamp union, so the cost is
-/// `O(total_points + timestamps × series)` instead of the quadratic
-/// per-timestamp reverse scan it replaces.
-pub fn aggregate_over_time(results: &[QueryResult], op: AggregateOp) -> Vec<RangePoint> {
-    let series: Vec<&[(u64, f64)]> = results.iter().map(|r| r.points.as_slice()).collect();
-    aggregate_series_over_time(&series, op)
-}
-
-/// [`aggregate_over_time`] over bare point series, for callers that read
-/// through the zero-copy snapshot API and never materialise
+/// `O(total_points + timestamps × series)`.  Takes bare point series, so
+/// callers that read through the zero-copy snapshot API never materialise
 /// [`QueryResult`]s.
 pub fn aggregate_series_over_time<P: AsRef<[(u64, f64)]>>(
     series: &[P],
     op: AggregateOp,
-) -> Vec<RangePoint> {
+) -> Vec<(u64, f64)> {
     let mut timestamps: Vec<u64> =
         series.iter().flat_map(|p| p.as_ref().iter().map(|(t, _)| *t)).collect();
     timestamps.sort_unstable();
@@ -350,7 +332,7 @@ mod tests {
 
     #[test]
     fn aggregate_latest_across_series() {
-        let results = vec![
+        let results = [
             QueryResult {
                 name: "free".into(),
                 labels: labels(&[("node", "n1")]),
@@ -362,11 +344,16 @@ mod tests {
                 points: vec![(1500, 5.0)],
             },
         ];
-        assert_eq!(aggregate_latest(&results, AggregateOp::Sum), Some(25.0));
-        assert_eq!(aggregate_latest(&[], AggregateOp::Sum), None);
+        let latest: Vec<f64> =
+            results.iter().filter_map(|r| r.points.last().map(|(_, v)| *v)).collect();
+        assert_eq!(AggregateOp::Sum.apply(&latest), Some(25.0));
 
-        let over_time = aggregate_over_time(&results, AggregateOp::Sum);
+        let series: Vec<&[(u64, f64)]> = results.iter().map(|r| r.points.as_slice()).collect();
+        let over_time = aggregate_series_over_time(&series, AggregateOp::Sum);
         assert_eq!(over_time, vec![(1000, 10.0), (1500, 15.0), (2000, 25.0)]);
+        // The last aggregated point is the aggregate of the latest values.
+        assert_eq!(over_time.last().map(|(_, v)| *v), AggregateOp::Sum.apply(&latest));
+        assert!(aggregate_series_over_time::<&[(u64, f64)]>(&[], AggregateOp::Sum).is_empty());
     }
 
     #[test]
@@ -392,14 +379,10 @@ mod tests {
     fn aggregate_over_time_with_staggered_series() {
         // Three series whose timestamps interleave without ever coinciding:
         // the per-series cursors must carry the last-seen value forward.
-        let results: Vec<QueryResult> = (0..3u64)
-            .map(|i| QueryResult {
-                name: "m".into(),
-                labels: labels(&[("node", &format!("n{i}"))]),
-                points: (0..4u64).map(|j| (j * 300 + i * 100, (i * 10 + j) as f64)).collect(),
-            })
+        let results: Vec<Vec<(u64, f64)>> = (0..3u64)
+            .map(|i| (0..4u64).map(|j| (j * 300 + i * 100, (i * 10 + j) as f64)).collect())
             .collect();
-        let summed = aggregate_over_time(&results, AggregateOp::Sum);
+        let summed = aggregate_series_over_time(&results, AggregateOp::Sum);
         assert_eq!(summed.len(), 12, "union of 3x4 distinct timestamps");
         // At t=0 only series 0 has reported; at t=200 all three have.
         assert_eq!(summed[0], (0, 0.0));
@@ -407,7 +390,7 @@ mod tests {
         // The last point sums every series' final value.
         assert_eq!(summed.last(), Some(&(1100, 3.0 + 13.0 + 23.0)));
         // Count reflects how many series have reported so far.
-        let counted = aggregate_over_time(&results, AggregateOp::Count);
+        let counted = aggregate_series_over_time(&results, AggregateOp::Count);
         assert_eq!(counted[0].1, 1.0);
         assert_eq!(counted[1].1, 2.0);
         assert_eq!(counted[11].1, 3.0);

@@ -22,10 +22,10 @@
 //! A scrape target emits the *same* series set round after round, so paying
 //! key hashing, label merging, symbol interning and an index lookup per
 //! sample per round is almost pure waste.  The scraper therefore keeps a
-//! **per-target scrape cache** (the default, [`IngestMode::FastLane`]): one
-//! entry per wire sample, holding the sample's structural identity
-//! ([`teemon_metrics::SeriesKey`]), the target-label-merged key and a
-//! resolved [`crate::SeriesHandle`].  A steady-state round walks the
+//! **per-target scrape cache**: one entry per wire sample, holding the
+//! sample's structural identity ([`teemon_metrics::SeriesKey`]), the
+//! target-label-merged key and a resolved [`crate::SeriesHandle`].  A
+//! steady-state round walks the
 //! borrowed snapshots positionally, verifies each sample against the entry
 //! at its position by real equality (a name compare and two slice compares
 //! over the packed [`Labels`] — nothing is hashed), and hands the whole
@@ -46,9 +46,13 @@
 //! happen in the same walk.  Stale handles (series evicted by retention or
 //! dropped) are
 //! re-resolved by key, so the fast lane can miss a beat but never writes to
-//! the wrong series.  [`IngestMode::PerSample`] keeps the pre-cache path —
-//! merge + [`TimeSeriesDb::append`] per sample — as the correctness oracle
-//! and bench baseline.
+//! the wrong series.
+//!
+//! The fast lane is the only lane.  What it must equal — merge the target
+//! labels and [`TimeSeriesDb::append`] every sample by key, every round —
+//! is written once against the public API in `tests/support/mod.rs`, the
+//! reference `tests/ingest_equivalence.rs` and `tests/repair_model.rs` hold
+//! every generated round to.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -291,7 +295,7 @@ pub struct ScrapeTargetConfig {
     pub extra_labels: BTreeMap<String, String>,
     /// Per-target scrape interval in milliseconds; `None` follows the
     /// scraper's global interval.  Targets with a longer interval are skipped
-    /// by [`Scraper::scrape_due`] until they are due again.
+    /// by [`Scraper::scrape_round_due`] until they are due again.
     #[serde(default)]
     pub interval_ms: Option<u64>,
     /// Cardinality budget: the most distinct series this target may hold in
@@ -365,8 +369,7 @@ pub struct ScrapeOutcome {
     /// Scrape duration in seconds (also recorded as the
     /// `scrape_duration_seconds` meta-metric).  Measured from the monotonic
     /// clock by default; deterministic simulations opt into the sample-count
-    /// model with [`Scraper::with_modelled_durations`] (see
-    /// [`DurationMode`]).
+    /// model with [`Scraper::with_modelled_durations`].
     pub duration_seconds: f64,
     /// Collect, parse or transport error, when failed.
     pub error: Option<String>,
@@ -943,35 +946,6 @@ impl Drop for PushLane {
     }
 }
 
-/// How the scraper moves samples into storage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IngestMode {
-    /// The default: per-target scrape cache + [`TimeSeriesDb::append_batch`]
-    /// (one shard lock per round, zero allocation steady state).
-    #[default]
-    FastLane,
-    /// The pre-cache path — merge target labels and call
-    /// [`TimeSeriesDb::append`] for every sample, every round.  Retained as
-    /// the correctness oracle (see `tests/ingest_equivalence.rs`) and the
-    /// bench baseline (`micro/ingest`).
-    PerSample,
-}
-
-/// How `scrape_duration_seconds` (and [`ScrapeOutcome::duration_seconds`])
-/// is charged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DurationMode {
-    /// The default: real wall time of the scrape, read from the monotonic
-    /// clock.  This is what operators want on a live monitor — the span
-    /// timers feeding `teemon_scrape_round_seconds` use the same clock.
-    #[default]
-    Measured,
-    /// The deterministic model (base cost plus a per-sample cost) the
-    /// simulator tests rely on: two identical runs must produce identical
-    /// database contents, which host wall-clock readings would break.
-    Modelled,
-}
-
 /// What one scrape round did, in aggregate — the allocation-free counterpart
 /// of a `Vec<ScrapeOutcome>`, returned by [`Scraper::scrape_round`] /
 /// [`Scraper::scrape_round_due`] for callers (like the monitor loops) that
@@ -1014,8 +988,9 @@ pub struct Scraper {
     db: TimeSeriesDb,
     targets: Arc<RwLock<Vec<Target>>>,
     scrape_interval_ms: u64,
-    ingest: IngestMode,
-    durations: DurationMode,
+    /// Charge `scrape_duration_seconds` from the sample-count model instead
+    /// of the monotonic clock (see [`Scraper::with_modelled_durations`]).
+    modelled_durations: bool,
     budgets: Option<Arc<CardinalityBudgets>>,
 }
 
@@ -1023,7 +998,7 @@ impl Scraper {
     /// Default scrape interval: the paper queries exporters every 5 seconds.
     pub const DEFAULT_INTERVAL_MS: u64 = 5_000;
 
-    /// Creates a scraper feeding `db` (fast-lane ingest by default).
+    /// Creates a scraper feeding `db`.
     pub fn new(db: TimeSeriesDb) -> Self {
         Self {
             db,
@@ -1031,8 +1006,7 @@ impl Scraper {
             // storage shard; registered with the audit under those names.
             targets: Arc::new(RwLock::named(Vec::new(), LockClass::new("scrape.targets"))),
             scrape_interval_ms: Self::DEFAULT_INTERVAL_MS,
-            ingest: IngestMode::default(),
-            durations: DurationMode::default(),
+            modelled_durations: false,
             budgets: None,
         }
     }
@@ -1053,29 +1027,16 @@ impl Scraper {
         self
     }
 
-    /// Selects how samples move into storage (see [`IngestMode`]).
-    #[must_use]
-    pub fn with_ingest_mode(mut self, ingest: IngestMode) -> Self {
-        self.ingest = ingest;
-        self
-    }
-
-    /// The ingest mode in effect.
-    pub fn ingest_mode(&self) -> IngestMode {
-        self.ingest
-    }
-
     /// Charges `scrape_duration_seconds` from the deterministic sample-count
-    /// model instead of measuring wall time (see [`DurationMode`]).
+    /// model (a base cost plus a per-sample cost) instead of the monotonic
+    /// clock's wall time.  Simulations run on virtual time and two identical
+    /// runs must produce identical database contents, which host wall-clock
+    /// readings would break; a live monitor keeps the measured default, the
+    /// clock the span timers feeding `teemon_scrape_round_seconds` use.
     #[must_use]
     pub fn with_modelled_durations(mut self) -> Self {
-        self.durations = DurationMode::Modelled;
+        self.modelled_durations = true;
         self
-    }
-
-    /// The duration mode in effect.
-    pub fn duration_mode(&self) -> DurationMode {
-        self.durations
     }
 
     /// The configured scrape interval in milliseconds.
@@ -1157,15 +1118,6 @@ impl Scraper {
         outcomes
     }
 
-    /// Scrapes every target that is due at `now_ms`: never-scraped targets
-    /// are always due, others when their per-target interval (falling back to
-    /// the scraper's global interval) has elapsed.
-    pub fn scrape_due(&self, now_ms: u64) -> Vec<ScrapeOutcome> {
-        let mut outcomes = Vec::new();
-        self.drive(now_ms, true, |target, round| outcomes.push(Self::outcome(target, round)));
-        outcomes
-    }
-
     /// Like [`Scraper::scrape_once`], but folds the round into a
     /// [`RoundSummary`] instead of materialising per-target outcomes.  This
     /// is the monitoring loop's path: a steady-state round of plain
@@ -1177,8 +1129,11 @@ impl Scraper {
         self.round(now_ms, false)
     }
 
-    /// Like [`Scraper::scrape_due`], but returning a [`RoundSummary`] — the
-    /// allocation-free counterpart for interval-gated loops.
+    /// Scrapes every target that is due at `now_ms` — never-scraped targets
+    /// are always due, others when their per-target interval (falling back to
+    /// the scraper's global interval) has elapsed — and folds the round into
+    /// a [`RoundSummary`] like [`Scraper::scrape_round`].  The interval-gated
+    /// monitor loops run on this.
     pub fn scrape_round_due(&self, now_ms: u64) -> RoundSummary {
         self.round(now_ms, true)
     }
@@ -1200,8 +1155,8 @@ impl Scraper {
         summary
     }
 
-    /// The one scrape-round driver behind `scrape_once`/`scrape_due`/the
-    /// round summaries: iterates targets (optionally due-gated), scrapes
+    /// The one scrape-round driver behind `scrape_once` and the round
+    /// summaries: iterates targets (optionally due-gated), scrapes
     /// each, hands the result to `sink`, and records the storage
     /// self-monitoring gauges when at least one target was touched.
     fn drive(&self, now_ms: u64, due_only: bool, mut sink: impl FnMut(&Target, TargetRound)) {
@@ -1275,20 +1230,14 @@ impl Scraper {
     }
 
     /// Modelled base duration of one scrape in seconds (connection setup and
-    /// metadata handling) plus a per-sample cost — the [`DurationMode::Modelled`]
-    /// charge.  Simulations run on virtual time, so their
-    /// `scrape_duration_seconds` meta-metric is charged from this
-    /// deterministic model rather than host wall-clock time — two identical
-    /// runs must produce identical database contents.
+    /// metadata handling) plus a per-sample cost: what
+    /// [`Scraper::with_modelled_durations`] charges.
     const SCRAPE_BASE_SECONDS: f64 = 500e-6;
     const SCRAPE_PER_SAMPLE_SECONDS: f64 = 2e-6;
 
     fn scrape_target(&self, target: &Target, now_ms: u64) -> TargetRound {
         let watch = Stopwatch::start();
-        let result = match self.ingest {
-            IngestMode::FastLane => self.ingest_fast(target, now_ms),
-            IngestMode::PerSample => self.ingest_per_sample(target, now_ms),
-        };
+        let result = self.ingest(target, now_ms);
         target.last_scrape_ms.store(now_ms, Ordering::Relaxed);
         let (up, stats, error) = match result {
             Ok(stats) => (true, stats, None),
@@ -1298,11 +1247,10 @@ impl Scraper {
         if overflow > 0 {
             probes::SCRAPE_BUDGET_REJECTED.add(overflow);
         }
-        let duration_seconds = match self.durations {
-            DurationMode::Measured => watch.elapsed_seconds(),
-            DurationMode::Modelled => {
-                Self::SCRAPE_BASE_SECONDS + scraped as f64 * Self::SCRAPE_PER_SAMPLE_SECONDS
-            }
+        let duration_seconds = if self.modelled_durations {
+            Self::SCRAPE_BASE_SECONDS + scraped as f64 * Self::SCRAPE_PER_SAMPLE_SECONDS
+        } else {
+            watch.elapsed_seconds()
         };
         let base_labels = &target.base_labels;
         self.db.append("up", base_labels, now_ms, if up { 1.0 } else { 0.0 });
@@ -1328,9 +1276,10 @@ impl Scraper {
         TargetRound { up, scraped, ingested, duration_seconds, error }
     }
 
-    /// The fast lane: cache-verify the borrowed snapshots, batch-append by
-    /// handle, repair the cache on churn and re-resolve stale handles.
-    fn ingest_fast(&self, target: &Target, now_ms: u64) -> Result<IngestStats, ScrapeError> {
+    /// One target's ingest pass: cache-verify the borrowed snapshots,
+    /// batch-append by handle, repair the cache on churn and re-resolve stale
+    /// handles.
+    fn ingest(&self, target: &Target, now_ms: u64) -> Result<IngestStats, ScrapeError> {
         let mut scraped = 0u64;
         let mut ingested = 0u64;
         let mut overflow = 0u64;
@@ -1363,28 +1312,6 @@ impl Scraper {
             overflow_total = cache.overflow_total;
         })?;
         Ok(IngestStats { scraped, ingested, overflow, overflow_total })
-    }
-
-    /// The per-sample oracle path ([`IngestMode::PerSample`]): merge target
-    /// labels and append each sample by key, exactly as every round did
-    /// before the cache existed.  Budgets do not apply here — the oracle
-    /// models the pre-defense engine.
-    fn ingest_per_sample(&self, target: &Target, now_ms: u64) -> Result<IngestStats, ScrapeError> {
-        let mut scraped = 0u64;
-        let mut ingested = 0u64;
-        target.endpoint.scrape_visit(&mut |families| {
-            for family in families {
-                family.for_each_sample(|name, labels, value, timestamp_ms| {
-                    scraped += 1;
-                    let labels = labels.merged(&target.base_labels);
-                    let ts = timestamp_ms.unwrap_or(now_ms);
-                    if self.db.append(name, &labels, ts, value) {
-                        ingested += 1;
-                    }
-                });
-            }
-        })?;
-        Ok(IngestStats { scraped, ingested, ..IngestStats::default() })
     }
 
     /// Instances whose most recent `up` sample is 0 at `now_ms` — the health
@@ -1510,7 +1437,6 @@ mod tests {
         registry.gauge_family("g", "gauge").default_instance().set(1.0);
         let db = TimeSeriesDb::new();
         let measured = Scraper::new(db.clone());
-        assert_eq!(measured.duration_mode(), DurationMode::Measured);
         measured.add_collector(
             ScrapeTargetConfig::new("job", "n1:1"),
             registry_collector("job", registry.clone()),
@@ -1589,7 +1515,7 @@ mod tests {
     #[test]
     fn per_target_intervals_gate_scrape_due() {
         let db = TimeSeriesDb::new();
-        let scraper = Scraper::new(db).with_interval_ms(5_000);
+        let scraper = Scraper::new(db.clone()).with_interval_ms(5_000);
         let fast = Registry::new();
         fast.gauge_family("fast_gauge", "").default_instance().set(1.0);
         let slow = Registry::new();
@@ -1603,46 +1529,65 @@ mod tests {
             registry_collector("slow", slow),
         );
 
+        let rounds_of = |job: &str| {
+            let up = db.query_range(&Selector::metric("up").with_label("job", job), 0, u64::MAX);
+            up.first().map_or(0, |r| r.points.len())
+        };
         // First pass: both never scraped, both due.
-        assert_eq!(scraper.scrape_due(0).len(), 2);
+        assert_eq!(scraper.scrape_round_due(0).targets, 2);
         // 5 s later only the fast target is due.
-        let due: Vec<String> = scraper.scrape_due(5_000).into_iter().map(|o| o.job).collect();
-        assert_eq!(due, vec!["fast".to_string()]);
-        assert_eq!(scraper.scrape_due(10_000).len(), 1);
+        assert_eq!(scraper.scrape_round_due(5_000).targets, 1);
+        assert_eq!((rounds_of("fast"), rounds_of("slow")), (2, 1));
+        assert_eq!(scraper.scrape_round_due(10_000).targets, 1);
         // At 15 s the slow target is due again too.
-        assert_eq!(scraper.scrape_due(15_000).len(), 2);
+        assert_eq!(scraper.scrape_round_due(15_000).targets, 2);
+        assert_eq!((rounds_of("fast"), rounds_of("slow")), (4, 2));
         // scrape_once ignores the gating entirely.
         assert_eq!(scraper.scrape_once(15_500).len(), 2);
     }
 
     #[test]
     fn fast_lane_round_equals_per_sample_round() {
-        // Same registry scraped through both ingest modes: identical
-        // contents, and the fast lane keeps working across rounds.
+        // The same registry through the scraper and through one `db.append`
+        // per sample: identical contents, and the cache keeps working across
+        // rounds.
         let registry = Registry::new();
         let family = registry.counter_family("teemon_syscalls_total", "syscalls");
         for syscall in ["read", "write", "futex"] {
             family.with(&Labels::from_pairs([("syscall", syscall)])).inc_by(5.0);
         }
-        let make = |mode: IngestMode| {
-            let db = TimeSeriesDb::new();
-            // Modelled durations: outcome equality below includes
-            // `duration_seconds`, which wall time would never reproduce.
-            let scraper = Scraper::new(db.clone()).with_ingest_mode(mode).with_modelled_durations();
-            scraper.add_collector(
-                ScrapeTargetConfig::new("sgx_exporter", "n1:9090").with_label("node", "n1"),
-                registry_collector("sgx_exporter", registry.clone()),
-            );
-            (db, scraper)
-        };
-        let (fast_db, fast) = make(IngestMode::FastLane);
-        let (slow_db, slow) = make(IngestMode::PerSample);
-        assert_eq!(fast.ingest_mode(), IngestMode::FastLane);
+        let collector = registry_collector("sgx_exporter", registry.clone());
+        let config = ScrapeTargetConfig::new("sgx_exporter", "n1:9090").with_label("node", "n1");
+        let base = config.target_labels();
+        let fast_db = TimeSeriesDb::new();
+        // Modelled durations: the per-sample side below charges the same
+        // model, which wall time would never reproduce.
+        let fast = Scraper::new(fast_db.clone()).with_modelled_durations();
+        fast.add_collector(config, collector.clone());
+        let slow_db = TimeSeriesDb::new();
         for round in 1..=5u64 {
             family.with(&Labels::from_pairs([("syscall", "read")])).inc_by(1.0);
-            let a = fast.scrape_once(round * 5_000);
-            let b = slow.scrape_once(round * 5_000);
-            assert_eq!(a, b);
+            let now_ms = round * 5_000;
+            let outcome = &fast.scrape_once(now_ms)[0];
+            let (mut scraped, mut added) = (0u64, 0u64);
+            for snapshot in collector.collect().unwrap() {
+                snapshot.for_each_sample(|name, labels, value, timestamp_ms| {
+                    scraped += 1;
+                    let ts = timestamp_ms.unwrap_or(now_ms);
+                    added += u64::from(slow_db.append(name, &labels.merged(&base), ts, value));
+                });
+            }
+            let duration =
+                Scraper::SCRAPE_BASE_SECONDS + scraped as f64 * Scraper::SCRAPE_PER_SAMPLE_SECONDS;
+            slow_db.append("up", &base, now_ms, 1.0);
+            slow_db.append("scrape_duration_seconds", &base, now_ms, duration);
+            slow_db.append("scrape_samples_scraped", &base, now_ms, scraped as f64);
+            slow_db.append("scrape_samples_added", &base, now_ms, added as f64);
+            assert_eq!(
+                (outcome.up, outcome.samples, outcome.duration_seconds),
+                (true, 3, duration)
+            );
+            assert_eq!((scraped, added), (3, 3));
         }
         assert_eq!(fast_db.stats(), slow_db.stats());
         let series = |db: &TimeSeriesDb| {
@@ -1821,7 +1766,7 @@ mod tests {
         // 5 s later only the fast and the failing target are due.
         let due = scraper.scrape_round_due(5_000);
         assert_eq!((due.targets, due.healthy, due.samples_added), (2, 1, 1));
-        // The due-gated summary saw the same world as scrape_due would.
+        // The due-gated summary sees the same world.
         assert_eq!(scraper.scrape_round_due(5_000).targets, 0, "nothing due right after");
     }
 

@@ -1,16 +1,18 @@
-//! A single time series: one metric name + label set and its samples.
+//! What a time series is made of: samples, the chunks that hold them and the
+//! searches over a run of chunks.
 //!
 //! Samples live in chunks.  A sealed `Chunk` is a Gorilla block (see
 //! [`crate::chunk_codec`]) behind a `(start, end, count)` footer and the
 //! block's kind — whether its values are XOR-coded floats or delta-of-delta
 //! integers, which the codec decided from the values and every decoder of
 //! the block is told; the open one is the same block still being built, with
-//! its newest samples raw in an inline tail in front of it (`crate::head`).  The standalone [`Series`]
-//! keeps plain sample vectors instead: the model the engine is measured
-//! against.
+//! its newest samples raw in an inline tail in front of it (`crate::head`).
+//!
+//! The series itself — name, labels, its sealed chunks and its head — is the
+//! storage engine's (`MemSeries` in [`crate::storage`]); this module holds
+//! what a series is made of and the footer-seeking searches over it.
 
 use serde::{Deserialize, Serialize};
-use teemon_metrics::Labels;
 
 use crate::chunk_codec::{BlockKind, BlockSamples, GorillaState};
 
@@ -41,9 +43,8 @@ pub(crate) const SAMPLE_BYTES: usize = std::mem::size_of::<Sample>();
 /// How a chunk stores its samples.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) enum ChunkData {
-    /// Plain samples: the standalone [`Series`]' chunks, chunks restored from
-    /// snapshots that hold them, and a sealed chunk whose block would have
-    /// been larger than its samples.
+    /// Plain samples: chunks restored from snapshots that hold them, and a
+    /// sealed chunk whose block would have been larger than its samples.
     Raw(Vec<Sample>),
     /// A Gorilla-compressed block of the given kind (see
     /// [`crate::chunk_codec`]): one allocation of exactly the block's length,
@@ -64,18 +65,7 @@ pub(crate) struct Chunk {
     pub(crate) data: ChunkData,
 }
 
-impl Default for Chunk {
-    fn default() -> Self {
-        Self::new_open()
-    }
-}
-
 impl Chunk {
-    /// An empty, appendable raw chunk.
-    pub(crate) fn new_open() -> Self {
-        Self { start_ms: 0, end_ms: 0, count: 0, data: ChunkData::Raw(Vec::new()) }
-    }
-
     /// A raw chunk over `samples` (assumed time-ordered).
     pub(crate) fn from_samples(samples: Vec<Sample>) -> Self {
         Self {
@@ -84,19 +74,6 @@ impl Chunk {
             count: samples.len() as u32,
             data: ChunkData::Raw(samples),
         }
-    }
-
-    /// Appends to an open (raw) chunk, maintaining the footer.
-    pub(crate) fn push(&mut self, sample: Sample) {
-        let ChunkData::Raw(samples) = &mut self.data else {
-            unreachable!("appends only target the open raw chunk");
-        };
-        if samples.is_empty() {
-            self.start_ms = sample.timestamp_ms;
-        }
-        self.end_ms = sample.timestamp_ms;
-        self.count += 1;
-        samples.push(sample);
     }
 
     /// Timestamp of the first sample, `None` when empty.
@@ -330,160 +307,76 @@ pub(crate) fn extend_range<C: std::borrow::Borrow<Chunk>, T>(
     }
 }
 
-/// A labelled time series with chunked, append-only sample storage.
-///
-/// This standalone type keeps every chunk raw; the compressing path lives in
-/// the storage engine ([`crate::TimeSeriesDb`]), whose benches and tests keep
-/// this representation as the uncompressed baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Series {
-    /// Metric name.
-    pub name: String,
-    /// Label set identifying the series.
-    pub labels: Labels,
-    pub(crate) chunks: Vec<Chunk>,
-    pub(crate) chunk_size: usize,
-}
-
-impl Series {
-    /// Creates an empty series.  `chunk_size` is clamped to at least one
-    /// sample per chunk.
-    pub fn new(name: String, labels: Labels, chunk_size: usize) -> Self {
-        Self { name, labels, chunks: vec![Chunk::new_open()], chunk_size: chunk_size.max(1) }
-    }
-
-    /// Appends a sample; samples older than the newest stored timestamp are
-    /// rejected (the pull model only ever moves forward in time).
-    pub fn append(&mut self, sample: Sample) -> bool {
-        if let Some(last) = self.last_timestamp() {
-            if sample.timestamp_ms < last {
-                return false;
-            }
-        }
-        if self.chunks.last().map(|c| c.len() >= self.chunk_size).unwrap_or(true) {
-            self.chunks.push(Chunk::new_open());
-        }
-        self.chunks.last_mut().expect("chunk pushed above").push(sample);
-        true
-    }
-
-    /// Timestamp of the newest sample.
-    pub fn last_timestamp(&self) -> Option<u64> {
-        self.chunks.iter().rev().find_map(|c| c.end())
-    }
-
-    /// Timestamp of the oldest retained sample.
-    pub fn first_timestamp(&self) -> Option<u64> {
-        self.chunks.iter().find_map(|c| c.start())
-    }
-
-    /// The newest sample.
-    pub fn last_sample(&self) -> Option<Sample> {
-        self.chunks.iter().rev().find_map(|c| c.last_sample())
-    }
-
-    /// Number of stored samples.
-    pub fn len(&self) -> usize {
-        self.chunks.iter().map(|c| c.len()).sum()
-    }
-
-    /// `true` when the series holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of chunks currently held.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.iter().filter(|c| !c.is_empty()).count()
-    }
-
-    /// Samples within `[start_ms, end_ms]` in chronological order.  Binary
-    /// searches to the first overlapping chunk and pre-sizes the output, so
-    /// the cost scales with the samples returned, not the samples stored.
-    pub fn range(&self, start_ms: u64, end_ms: u64) -> Vec<Sample> {
-        let mut out = Vec::new();
-        extend_range(&self.chunks, start_ms, end_ms, &mut out, |s| s);
-        out
-    }
-
-    /// The newest sample at or before `at_ms` (instant-query semantics).
-    /// Chunks are time-ordered, so this binary searches to the covering chunk
-    /// and then within it instead of flat-scanning every sample.
-    pub fn at(&self, at_ms: u64) -> Option<Sample> {
-        at_in_chunks(&self.chunks, at_ms)
-    }
-
-    /// Drops every chunk whose newest sample is older than `cutoff_ms`.
-    /// Returns the number of samples dropped.
-    pub fn drop_before(&mut self, cutoff_ms: u64) -> usize {
-        let mut dropped = 0;
-        self.chunks.retain(|chunk| match chunk.end() {
-            Some(end) if end < cutoff_ms => {
-                dropped += chunk.len();
-                false
-            }
-            _ => true,
-        });
-        if self.chunks.is_empty() {
-            self.chunks.push(Chunk::new_open());
-        }
-        dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::head::Head;
+    use crate::{Selector, SeriesSnapshot, TimeSeriesDb, TsdbConfig};
+    use teemon_metrics::Labels;
 
-    fn series() -> Series {
-        Series::new("m".into(), Labels::new(), 4)
+    /// One series of an engine that seals every four samples.
+    fn db(retention_ms: u64) -> TimeSeriesDb {
+        TimeSeriesDb::with_config(TsdbConfig { chunk_size: 4, retention_ms })
+    }
+
+    fn append(db: &TimeSeriesDb, timestamp_ms: u64, value: f64) -> bool {
+        db.append("m", &Labels::new(), timestamp_ms, value)
+    }
+
+    fn series(db: &TimeSeriesDb) -> SeriesSnapshot {
+        db.select(&Selector::metric("m")).pop().expect("the series exists")
     }
 
     #[test]
     fn append_and_query_in_order() {
-        let mut s = series();
+        let db = db(u64::MAX);
         for i in 0..10u64 {
-            assert!(s.append(Sample { timestamp_ms: i * 1000, value: i as f64 }));
+            assert!(append(&db, i * 1000, i as f64));
         }
+        let s = series(&db);
         assert_eq!(s.len(), 10);
         assert!(s.chunk_count() >= 3, "chunk size 4 should split 10 samples");
         assert_eq!(s.last_timestamp(), Some(9_000));
-        assert_eq!(s.range(2_000, 5_000).len(), 4);
+        assert_eq!(s.points_in(2_000, 5_000).len(), 4);
         assert_eq!(s.at(3_500).unwrap().value, 3.0);
         assert_eq!(s.at(0).unwrap().value, 0.0);
-        assert!(s.range(20_000, 30_000).is_empty());
+        assert!(s.points_in(20_000, 30_000).is_empty());
     }
 
     #[test]
     fn out_of_order_samples_rejected() {
-        let mut s = series();
-        assert!(s.append(Sample { timestamp_ms: 5_000, value: 1.0 }));
-        assert!(!s.append(Sample { timestamp_ms: 4_000, value: 2.0 }));
-        assert!(s.append(Sample { timestamp_ms: 5_000, value: 3.0 }), "equal timestamps allowed");
-        assert_eq!(s.len(), 2);
+        let db = db(u64::MAX);
+        assert!(append(&db, 5_000, 1.0));
+        assert!(!append(&db, 4_000, 2.0));
+        assert!(append(&db, 5_000, 3.0), "equal timestamps allowed");
+        assert_eq!(series(&db).len(), 2);
+        assert_eq!(db.stats().rejected_samples, 1);
     }
 
     #[test]
     fn retention_drops_old_chunks() {
-        let mut s = series();
+        // Newest sample 19 s, nine seconds kept: the cutoff is 10 s.
+        let db = db(9_000);
         for i in 0..20u64 {
-            s.append(Sample { timestamp_ms: i * 1000, value: i as f64 });
+            append(&db, i * 1000, i as f64);
         }
-        let dropped = s.drop_before(10_000);
+        let dropped = db.apply_retention();
         assert!(dropped >= 8, "dropped {dropped}");
+        let s = series(&db);
         assert!(s.len() <= 12);
-        assert!(s.range(0, 7_000).is_empty() || s.range(0, 7_000).len() <= 4);
+        assert!(s.points_in(0, 7_000).is_empty());
         assert_eq!(s.last_timestamp(), Some(19_000));
     }
 
     #[test]
     fn empty_series_queries() {
-        let s = series();
+        let db = db(u64::MAX);
+        db.resolve("m", &Labels::new());
+        let s = series(&db);
         assert!(s.is_empty());
         assert_eq!(s.last_sample(), None);
         assert_eq!(s.at(1_000), None);
-        assert!(s.range(0, u64::MAX).is_empty());
+        assert!(s.points_in(0, u64::MAX).is_empty());
     }
 
     fn head_of(samples: &[Sample]) -> Head {

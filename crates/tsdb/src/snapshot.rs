@@ -69,9 +69,11 @@ impl SeriesSnapshot {
         self.labels.iter().map(|(k, v)| (&**k, &**v))
     }
 
-    /// The value of one label, if present.
+    /// The value of one label, if present (binary search; labels are sorted
+    /// by key).
     pub fn label_value(&self, name: &str) -> Option<&str> {
-        label_value(&self.labels, name)
+        let idx = self.labels.binary_search_by(|(k, _)| (**k).cmp(name)).ok()?;
+        self.labels.get(idx).map(|(_, v)| &**v)
     }
 
     /// Materialises the labels as an owned [`Labels`] set (the boundary back
@@ -162,13 +164,6 @@ impl SeriesSnapshot {
             chunks: Arc::clone(&self.chunks),
         }
     }
-}
-
-/// The value of `name` in an interned label slice (binary search; labels are
-/// sorted by key).  Shared by snapshots and the storage engine's series.
-pub(crate) fn label_value<'a>(labels: &'a [(Arc<str>, Arc<str>)], name: &str) -> Option<&'a str> {
-    let idx = labels.binary_search_by(|(k, _)| (**k).cmp(name)).ok()?;
-    labels.get(idx).map(|(_, v)| &**v)
 }
 
 /// Chunk-walking state shared by the borrowed and owning cursors: the index

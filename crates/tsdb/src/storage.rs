@@ -128,8 +128,10 @@ pub struct StorageStats {
     /// like `resident_bytes` (string lengths plus per-slot overhead).
     #[serde(default)]
     pub symbol_bytes: u64,
-    /// Estimated bytes held by the per-shard postings indexes, maintained
-    /// incrementally on register/rebuild.
+    /// Estimated bytes held by the per-shard postings indexes — two maps a
+    /// shard, metric name → series and `(label, value)` → series, at a
+    /// modelled 16 bytes an entry and 48 a list — maintained incrementally
+    /// on register/rebuild.
     #[serde(default)]
     pub index_bytes: u64,
 }
@@ -678,20 +680,23 @@ impl ShardInner {
         self.max_ts = self.series.iter().filter_map(MemSeries::last_timestamp).max();
     }
 
-    /// Shard-local matches for a compiled selector, postings-first with the
-    /// `!=` value checks applied per candidate.
+    /// Shard-local matches for a compiled selector: candidates from the name
+    /// and equality postings, then the `exists` and `!=` matchers checked per
+    /// candidate against the series' own label symbols (the index holds no
+    /// list for them, see `index.rs`).
     fn matches(&self, plan: &SelectorPlan) -> Vec<u32> {
         let mut candidates = match plan.candidates(&self.postings) {
             Candidates::All => (0..self.series.len() as u32).collect::<Vec<u32>>(),
             Candidates::Listed(list) => list,
         };
-        let neq = plan.neq_pairs();
-        if !neq.is_empty() {
+        let (exists, neq) = plan.post_filters();
+        if !(exists.is_empty() && neq.is_empty()) {
             candidates.retain(|&local| {
                 let series = self.series_at(local);
-                neq.iter().all(|&(key, value)| {
-                    series.label_value_sym(key).map(|actual| actual != value).unwrap_or(false)
-                })
+                exists.iter().all(|&key| series.label_value_sym(key).is_some())
+                    && neq.iter().all(|&(key, value)| {
+                        series.label_value_sym(key).is_some_and(|actual| actual != value)
+                    })
             });
         }
         candidates
@@ -1174,13 +1179,6 @@ impl TimeSeriesDb {
         SeriesHandle { shard: shard as u16, local, generation: inner.generation }
     }
 
-    /// `true` when `handle` still addresses a live series (its shard has not
-    /// evicted or dropped series since the handle was resolved).
-    pub fn handle_live(&self, handle: SeriesHandle) -> bool {
-        let inner = self.shared.shard(handle.shard as usize).read();
-        handle.generation == inner.generation && (handle.local as usize) < inner.series.len()
-    }
-
     /// The current generation of every lock shard, in shard order.  A scrape
     /// cache snapshots these once per repair pass to validate a batch of
     /// handles without locking per handle.
@@ -1188,8 +1186,10 @@ impl TimeSeriesDb {
         std::array::from_fn(|i| self.shared.shard(i).read().generation)
     }
 
-    /// Whether `handle` is still live under the given generation snapshot
-    /// (from [`TimeSeriesDb::shard_generations`]).  Lock-free.
+    /// Whether `handle` still addresses a live series — its shard has not
+    /// evicted or dropped series since the handle was resolved — under the
+    /// given generation snapshot (from [`TimeSeriesDb::shard_generations`]).
+    /// Lock-free.
     pub fn handle_live_under(
         &self,
         handle: SeriesHandle,
@@ -1413,12 +1413,6 @@ impl TimeSeriesDb {
         self.shared.shards.iter().map(|s| s.read().series.len()).sum()
     }
 
-    /// Number of distinct interned strings (metric names, label keys, label
-    /// values).
-    pub fn symbol_count(&self) -> usize {
-        self.shared.symbols.read().len()
-    }
-
     /// Number of series per lock shard — a diagnostic for how evenly the
     /// series-key hash spreads ingest load.
     pub fn shard_series_counts(&self) -> [usize; SHARD_COUNT] {
@@ -1560,24 +1554,6 @@ impl TimeSeriesDb {
         }
         dropped_total
     }
-
-    /// All distinct values of label `label` among series matching `selector`
-    /// (used by dashboards to build filter drop-downs, e.g. the process filter
-    /// of Figure 3).
-    pub fn label_values(&self, selector: &Selector, label: &str) -> Vec<String> {
-        let mut values =
-            self.for_matching(selector, |series| series.label_value(label).map(str::to_string));
-        values.sort();
-        values.dedup();
-        values
-    }
-}
-
-impl MemSeries {
-    /// The value of one label by key string.
-    fn label_value(&self, name: &str) -> Option<&str> {
-        crate::snapshot::label_value(&self.labels, name)
-    }
 }
 
 fn materialise_labels(labels: &[(Arc<str>, Arc<str>)]) -> Labels {
@@ -1616,6 +1592,11 @@ mod tests {
         Labels::from_pairs(pairs.iter().copied())
     }
 
+    /// Whether `handle` still addresses its series right now.
+    fn is_live(db: &TimeSeriesDb, handle: SeriesHandle) -> bool {
+        db.handle_live_under(handle, &db.shard_generations())
+    }
+
     #[test]
     fn append_creates_series_lazily() {
         let db = TimeSeriesDb::new();
@@ -1647,7 +1628,7 @@ mod tests {
             }
         }
         // 1 metric name + 2 label keys + 3 node values + 2 syscall values.
-        assert_eq!(db.symbol_count(), 8);
+        assert_eq!(db.stats().symbols, 8);
         assert_eq!(db.series_count(), 6);
     }
 
@@ -1771,47 +1752,52 @@ mod tests {
 
     #[test]
     fn compressed_and_raw_storage_answer_identically() {
-        // The engine against the standalone all-raw `Series`: 107 samples at
-        // 16 a chunk leave six sealed blocks and an open head of eleven — a
-        // burst in its block, three in its tail.
+        // The engine against plain vectors of what it was given: 107 samples
+        // at 16 a chunk leave six sealed blocks and an open head of eleven —
+        // a burst in its block, three in its tail.
         let compressed =
             TimeSeriesDb::with_config(TsdbConfig { chunk_size: 16, retention_ms: u64::MAX });
         let node = labels(&[("node", "n1")]);
-        let mut raw_counter = crate::series::Series::new("counter_total".into(), node.clone(), 16);
-        let mut raw_gauge = crate::series::Series::new("gauge".into(), node.clone(), 16);
+        let mut raw_counter: Vec<Sample> = Vec::new();
+        let mut raw_gauge: Vec<Sample> = Vec::new();
         for t in 0..107u64 {
             let counter = Sample { timestamp_ms: t * 5_000, value: (t * 40) as f64 };
             let gauge = Sample { timestamp_ms: t * 5_000, value: (t as f64 * 0.37).sin() };
-            compressed.append("counter_total", &node, counter.timestamp_ms, counter.value);
-            compressed.append("gauge", &node, gauge.timestamp_ms, gauge.value);
-            assert!(raw_counter.append(counter) && raw_gauge.append(gauge));
+            assert!(compressed.append("counter_total", &node, counter.timestamp_ms, counter.value));
+            assert!(compressed.append("gauge", &node, gauge.timestamp_ms, gauge.value));
+            raw_counter.push(counter);
+            raw_gauge.push(gauge);
         }
-        for b in [&raw_counter, &raw_gauge] {
-            let selector = Selector::metric(&b.name);
+        for (name, b) in [("counter_total", &raw_counter), ("gauge", &raw_gauge)] {
+            let range = |lo: u64, hi: u64| -> Vec<Sample> {
+                b.iter().copied().filter(|s| (lo..=hi).contains(&s.timestamp_ms)).collect()
+            };
+            let at = |at: u64| b.iter().copied().rfind(|s| s.timestamp_ms <= at);
+            let selector = Selector::metric(name);
             let a = &compressed.select(&selector)[0];
             assert_eq!(a.chunk_count(), 6 + 1, "the head joins as one more block");
             let points = |lo, hi| -> Vec<(u64, f64)> {
-                b.range(lo, hi).iter().map(|s| (s.timestamp_ms, s.value)).collect()
+                range(lo, hi).iter().map(|s| (s.timestamp_ms, s.value)).collect()
             };
             for (lo, hi) in [(0, u64::MAX), (17_000, 333_000), (490_000, 520_000)] {
                 assert_eq!(a.points_in(lo, hi), points(lo, hi));
                 assert_eq!(compressed.query_range(&selector, lo, hi)[0].points, points(lo, hi));
             }
-            for at in [0, 4_999, 5_000, 123_456, 481_000, 515_000, 529_999, u64::MAX] {
-                assert_eq!(a.at(at), b.at(at), "at {at}");
-                let instant = compressed.query_instant(&selector, at);
+            for t in [0, 4_999, 5_000, 123_456, 481_000, 515_000, 529_999, u64::MAX] {
+                assert_eq!(a.at(t), at(t), "at {t}");
+                let instant = compressed.query_instant(&selector, t);
                 assert_eq!(
                     instant.first().and_then(|r| r.points.first().copied()),
-                    b.at(at).map(|s| (s.timestamp_ms, s.value)),
-                    "at {at}"
+                    at(t).map(|s| (s.timestamp_ms, s.value)),
+                    "at {t}"
                 );
             }
-            assert_eq!(a.cursor(40_000, 200_000).collect::<Vec<_>>(), b.range(40_000, 200_000));
+            assert_eq!(a.cursor(40_000, 200_000).collect::<Vec<_>>(), range(40_000, 200_000));
             assert_eq!(
                 a.owned_cursor(0, u64::MAX).collect::<Vec<_>>(),
                 a.samples().collect::<Vec<_>>(),
             );
-            assert_eq!(a.last_sample(), b.last_sample());
+            assert_eq!(a.last_sample(), b.last().copied());
             // The bulk drain yields what stepping would, from a fresh cursor
             // and from one stopped inside a sealed chunk or the head's block.
             for (lo, hi) in [(0, u64::MAX), (17_000, 333_000), (42_000, 42_000), (600_000, 700_000)]
@@ -1820,7 +1806,7 @@ mod tests {
                     let mut bulk = a.owned_cursor(lo, hi);
                     let mut drained: Vec<Sample> = bulk.by_ref().take(consumed).collect();
                     bulk.read_into(&mut drained);
-                    assert_eq!(drained, b.range(lo, hi));
+                    assert_eq!(drained, range(lo, hi));
                     assert_eq!(bulk.next(), None, "read_into exhausts the cursor");
                 }
             }
@@ -1828,7 +1814,7 @@ mod tests {
         // Identical logical contents, far fewer resident bytes.
         let c = compressed.stats();
         assert_eq!(c.samples, (raw_counter.len() + raw_gauge.len()) as u64);
-        assert_eq!(c.chunks, (raw_counter.chunk_count() + raw_gauge.chunk_count()) as u64);
+        assert_eq!(c.chunks, 2 * 107u64.div_ceil(16));
         let raw_bytes = c.samples * SAMPLE_BYTES as u64;
         assert!(
             c.resident_bytes * 2 < raw_bytes,
@@ -1865,9 +1851,18 @@ mod tests {
             let ts = db.newest_timestamp().unwrap_or(0) + 1000;
             db.append("proc_cpu", &labels(&[("process", proc_name)]), ts, value);
         }
-        let values = db.label_values(&Selector::metric("proc_cpu"), "process");
-        assert_eq!(values, vec!["nginx", "redis-server"]);
-        assert!(db.label_values(&Selector::metric("proc_cpu"), "missing").is_empty());
+        // What a filter drop-down (the process filter of Figure 3) reads: the
+        // label of every selected series, off the snapshots.
+        let values_of = |label: &str| {
+            let selected = db.select(&Selector::metric("proc_cpu"));
+            let mut values: Vec<&str> =
+                selected.iter().filter_map(|series| series.label_value(label)).collect();
+            values.sort_unstable();
+            values.dedup();
+            values.into_iter().map(str::to_string).collect::<Vec<_>>()
+        };
+        assert_eq!(values_of("process"), vec!["nginx", "redis-server"]);
+        assert!(values_of("missing").is_empty());
     }
 
     #[test]
@@ -1889,7 +1884,7 @@ mod tests {
         // Re-resolving returns the same handle.
         for ((n, l), h) in keys.iter().zip(&handles) {
             assert_eq!(db.resolve(n, l), *h);
-            assert!(db.handle_live(*h));
+            assert!(is_live(&db, *h));
         }
 
         let batch: Vec<(SeriesHandle, u64, f64)> =
@@ -1955,7 +1950,7 @@ mod tests {
             if db.handle_live_under(h, &generations) {
                 assert_eq!(db.append_handle(h, 2_000, 9.0), HandleAppend::Appended);
             } else {
-                assert!(!db.handle_live(h));
+                assert!(!is_live(&db, h));
                 assert_eq!(db.append_handle(h, 2_000, 9.0), HandleAppend::Stale);
                 // Re-resolving repairs the fast lane.
                 let fresh = db.resolve("m", key);
@@ -2155,7 +2150,7 @@ mod tests {
         );
         assert_eq!(db.apply_retention(), 0, "a second pass finds nothing left to seal");
         assert_eq!(db.stats(), after);
-        assert!(db.handle_live(idle), "sealing a head moves no series");
+        assert!(is_live(&db, idle), "sealing a head moves no series");
 
         // A revival is checked against the sealed chunk's end and is a store
         // into the tail of a new chunk: no buffer until a burst needs one.
@@ -2172,10 +2167,10 @@ mod tests {
         // Eviction is what it was: one retention window after the last sample.
         db.append_handle(live, idle_end + 20 * MINUTE, 1.0);
         db.apply_retention();
-        assert!(db.handle_live(idle), "the newest idle sample is exactly at the cutoff");
+        assert!(is_live(&db, idle), "the newest idle sample is exactly at the cutoff");
         db.append_handle(live, idle_end + 20 * MINUTE + 1, 1.0);
         assert_eq!(db.apply_retention(), 18, "the sealed 17 and the revived one");
-        assert!(!db.handle_live(idle));
+        assert!(!is_live(&db, idle));
         assert!(db.select(&Selector::metric("idle")).is_empty());
     }
 
@@ -2218,7 +2213,7 @@ mod tests {
         // The empty-but-new series survives and its handle stays live — a
         // maintenance pass between resolve and first append must not
         // invalidate every handle in the shard.
-        assert!(db.handle_live(pending));
+        assert!(is_live(&db, pending));
         assert_eq!(db.append_handle(pending, 100_000, 2.0), HandleAppend::Appended);
         assert_eq!(db.series_count(), 2);
     }

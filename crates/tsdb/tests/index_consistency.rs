@@ -1,12 +1,17 @@
-//! The inverted index must be indistinguishable from the naive all-series
-//! matcher scan it replaced, and the sharded engine must not lose samples
+//! The inverted index — two postings maps and a per-candidate check of the
+//! `exists` / `!=` matchers no list serves — must be indistinguishable from
+//! the naive all-series matcher scan, on a store however it came by its
+//! index (registered series by series, rebuilt after a drop or an eviction,
+//! recovered from a snapshot), and the sharded engine must not lose samples
 //! under concurrent appenders.
 
 use std::collections::BTreeSet;
+use std::path::Path;
+use std::sync::Arc;
 
 use proptest::proptest;
 use teemon_metrics::Labels;
-use teemon_tsdb::{Selector, TimeSeriesDb, SHARD_COUNT};
+use teemon_tsdb::{DurabilityOptions, FaultFs, Selector, TimeSeriesDb, TsdbConfig, SHARD_COUNT};
 
 const METRICS: &[&str] = &["up", "teemon_syscalls_total", "sgx_nr_free_pages"];
 const KEYS: &[&str] = &["node", "syscall", "job", "pod"];
@@ -15,6 +20,10 @@ const VALUES: &[&str] = &["n1", "n2", "read", "write", "sgx_exporter", ""];
 /// One generated series: metric index plus up to three label pairs (key and
 /// value indices; a key index past the pool end means "no label").
 type SeriesSpec = (u8, Vec<(u8, u8)>);
+
+/// One generated selector: metric index (past the pool end means name-less)
+/// plus up to two `(kind, key, value)` matchers.
+type SelectorSpec = (u8, Vec<(u8, u8, u8)>);
 
 fn build_series(spec: &SeriesSpec) -> (String, Labels) {
     let (metric, pairs) = spec;
@@ -27,7 +36,7 @@ fn build_series(spec: &SeriesSpec) -> (String, Labels) {
     (name, labels)
 }
 
-fn build_selector(spec: &(u8, Vec<(u8, u8, u8)>)) -> Selector {
+fn build_selector(spec: &SelectorSpec) -> Selector {
     let (metric, matchers) = spec;
     // Metric index past the pool means a name-less selector.
     let mut selector = match METRICS.get(*metric as usize) {
@@ -46,45 +55,126 @@ fn build_selector(spec: &(u8, Vec<(u8, u8, u8)>)) -> Selector {
     selector
 }
 
+/// The same spec read as a selector no postings list constrains: no name,
+/// and every matcher an `Exists` or a `NotEquals`, each on a key of its own
+/// (one matcher, or two on different keys).  `None` without matchers — that
+/// is `{}`, which [`build_selector`] already draws.
+fn build_unindexed_selector(spec: &SelectorSpec) -> Option<Selector> {
+    let mut selector = Selector::all();
+    let mut keys = BTreeSet::new();
+    for (kind, k, v) in &spec.1 {
+        let key = KEYS[*k as usize % KEYS.len()];
+        if !keys.insert(key) {
+            continue;
+        }
+        selector = match kind % 2 {
+            0 => selector.with_label_present(key),
+            _ => selector.without_label_value(key, VALUES[*v as usize % VALUES.len()]),
+        };
+    }
+    (!keys.is_empty()).then_some(selector)
+}
+
+/// Index-driven selection must agree exactly (members AND order) with a
+/// naive scan over every live series in creation order.
+fn assert_agrees(db: &TimeSeriesDb, live: &[(String, Labels)], selectors: &[Selector], at: &str) {
+    for selector in selectors {
+        let expected: Vec<(String, Labels)> =
+            live.iter().filter(|(name, labels)| selector.matches(name, labels)).cloned().collect();
+        let got: Vec<(String, Labels)> = db
+            .select(selector)
+            .iter()
+            .map(|snap| (snap.name().to_string(), snap.to_labels()))
+            .collect();
+        assert_eq!(got, expected, "selector {selector} diverged from the naive scan {at}");
+    }
+}
+
+/// A durable store on the in-memory filesystem `fs`, checkpointing every
+/// shard that logged anything at every flush, so a reopen reads shard
+/// snapshots and not only the log.
+fn open_durable(fs: &FaultFs, config: &TsdbConfig) -> TimeSeriesDb {
+    let options = DurabilityOptions {
+        segment_bytes: 1,
+        fs: Arc::new(fs.clone()),
+        ..DurabilityOptions::default()
+    };
+    TimeSeriesDb::open_with(Path::new("/wal"), config.clone(), options).expect("FaultFs opens")
+}
+
 proptest! {
-    /// Index-driven selection must agree exactly (members AND order) with a
-    /// naive scan over every series in creation order.
     #[test]
     fn selection_agrees_with_naive_scan(
         series in proptest::collection::vec(
             (0u8..8, proptest::collection::vec((0u8..8, 0u8..8), 0..4)),
             1..24,
         ),
-        selectors in proptest::collection::vec(
+        specs in proptest::collection::vec(
             (0u8..6, proptest::collection::vec((0u8..6, 0u8..8, 0u8..8), 0..3)),
             1..8,
         ),
     ) {
-        let db = TimeSeriesDb::new();
-        // Creation order with duplicates collapsed, as the naive reference.
-        let mut created: Vec<(String, Labels)> = Vec::new();
+        let selectors: Vec<Selector> = specs
+            .iter()
+            .map(build_selector)
+            .chain(specs.iter().filter_map(build_unindexed_selector))
+            .collect();
+        // A volatile store and a durable one take every step together.
+        let config = TsdbConfig { retention_ms: 500_000, ..TsdbConfig::default() };
+        let fs = FaultFs::new();
+        let stores = [TimeSeriesDb::with_config(config.clone()), open_durable(&fs, &config)];
+        let check = |live: &[(String, Labels)], at: &str| {
+            for db in &stores {
+                assert!(db.wal_flush());
+                assert_agrees(db, live, &selectors, at);
+            }
+        };
+
+        // Fresh: creation order with duplicates collapsed is the reference.
+        let mut live: Vec<(String, Labels)> = Vec::new();
         let mut seen = BTreeSet::new();
         for (i, spec) in series.iter().enumerate() {
             let (name, labels) = build_series(spec);
-            assert!(db.append(&name, &labels, 1_000 + i as u64, i as f64));
+            for db in &stores {
+                assert!(db.append(&name, &labels, 1_000 + i as u64, i as f64));
+            }
             if seen.insert((name.clone(), labels.clone())) {
-                created.push((name, labels));
+                live.push((name, labels));
             }
         }
-        for spec in &selectors {
-            let selector = build_selector(spec);
-            let expected: Vec<(String, Labels)> = created
-                .iter()
-                .filter(|(name, labels)| selector.matches(name, labels))
-                .cloned()
-                .collect();
-            let got: Vec<(String, Labels)> = db
-                .select(&selector)
-                .iter()
-                .map(|snap| (snap.name().to_string(), snap.to_labels()))
-                .collect();
-            assert_eq!(got, expected, "selector {selector} diverged from the naive scan");
+        check(&live, "on a fresh store");
+
+        // A drop rebuilds the postings of every shard it touched.
+        let dropped = &selectors[0];
+        let before = live.len();
+        live.retain(|(name, labels)| !dropped.matches(name, labels));
+        for db in &stores {
+            assert_eq!(db.drop_series(dropped), before - live.len(), "dropping {dropped}");
         }
+        check(&live, "after a drop");
+
+        // So does a retention pass that evicts series: every other survivor
+        // reports again far past the window, the rest age out whole.
+        let mut kept = Vec::new();
+        for (i, (name, labels)) in live.drain(..).enumerate() {
+            if i % 2 == 0 {
+                for db in &stores {
+                    assert!(db.append(&name, &labels, 1_000_000 + i as u64, 0.0));
+                }
+                kept.push((name, labels));
+            }
+        }
+        for db in &stores {
+            db.apply_retention();
+            assert_eq!(db.series_count(), kept.len());
+        }
+        check(&kept, "after an eviction");
+
+        // And a store recovered from its snapshots and log tail.
+        let [_, durable] = stores;
+        drop(durable);
+        assert!(fs.file_paths().iter().any(|p| p.to_string_lossy().contains("shard-")));
+        assert_agrees(&open_durable(&fs, &config), &kept, &selectors, "after a reopen");
     }
 }
 

@@ -1,42 +1,28 @@
 //! The fast lane's correctness oracle: generated scrape workloads — series
 //! churn, label-insertion reorderings, explicit/out-of-order timestamps,
 //! retention (including whole-series eviction) and explicit series drops
-//! kicking in mid-stream — ingested through the cached batch path
-//! ([`IngestMode::FastLane`]) and through the pre-cache per-sample path
-//! ([`IngestMode::PerSample`]) must produce **identical** databases: same
-//! series in the same creation order with the same ids, same samples, same
-//! aggregate stats (including rejection counts and resident bytes).  The
-//! scrape clock jumps past the stale-head window every few rounds, so the
-//! retention passes also seal idle heads — on both sides alike, or the
-//! resident bytes and chunk counts part ways.
+//! kicking in mid-stream — ingested through the [`Scraper`]'s cached batch
+//! path and through the per-sample reference of `support/mod.rs` (merge the
+//! target labels, append every sample by key) must produce **identical**
+//! databases: same series in the same creation order with the same ids,
+//! same samples, same aggregate stats (including rejection counts and
+//! resident bytes).  The scrape clock jumps past the stale-head window every
+//! few rounds, so the retention passes also seal idle heads — on both sides
+//! alike, or the resident bytes and chunk counts part ways.
+
+mod support;
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::{proptest, TestRng};
-use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
+use support::{fingerprint, PerSampleScraper, ScriptedEndpoint};
+use teemon_metrics::{
+    FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue,
+};
 use teemon_obs::probes;
 use teemon_tsdb::{
-    IngestMode, MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb,
-    TsdbConfig, STALE_HEAD_MS,
+    ScrapeError, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
 };
-
-/// An endpoint whose snapshot set the test rewrites every round.  Shared by
-/// both scrapers so they observe byte-identical rounds.
-#[derive(Default)]
-struct ScriptedEndpoint(Mutex<Vec<FamilySnapshot>>);
-
-impl ScriptedEndpoint {
-    fn set(&self, families: Vec<FamilySnapshot>) {
-        *self.0.lock() = families;
-    }
-}
-
-impl MetricsEndpoint for ScriptedEndpoint {
-    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
-        Ok(self.0.lock().clone())
-    }
-}
 
 /// One logical series of the generated workload.
 #[derive(Clone)]
@@ -100,26 +86,6 @@ fn build_families(
     families
 }
 
-/// One series as compared across databases: id, name, rendered labels, data.
-type SeriesDump = (u64, String, String, Vec<(u64, f64)>);
-
-/// Everything observable about a database, in creation order.
-fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
-    let series = db
-        .select(&Selector::all())
-        .iter()
-        .map(|s| {
-            (
-                s.series_id().as_u64(),
-                s.name().to_string(),
-                s.to_labels().to_string(),
-                s.points_in(0, u64::MAX),
-            )
-        })
-        .collect();
-    (format!("{:?}", db.stats()), series)
-}
-
 /// Samples per chunk: low, so rounds seal chunks mid-stream — four, under
 /// the eight-sample tail an open head encodes in bursts of, or on one case
 /// in four nine: a burst at the eighth sample, the seal one later, partial
@@ -137,7 +103,7 @@ fn chunk_size(case: u64) -> usize {
 /// turns.
 static ONE_CASE_AT_A_TIME: std::sync::OnceLock<parking_lot::Mutex<()>> = std::sync::OnceLock::new();
 
-/// Runs one generated workload through both lanes; returns whether a stale
+/// Runs one generated workload through both sides; returns whether a stale
 /// head was sealed along the way.
 fn run_case(initial_series: usize, rounds: u64, case: u64) -> bool {
     let _turn = ONE_CASE_AT_A_TIME.get_or_init(Default::default).lock();
@@ -157,11 +123,9 @@ fn run_case(initial_series: usize, rounds: u64, case: u64) -> bool {
         || ScrapeTargetConfig::new("gen_exporter", "node-1:9999").with_label("node", "node-1");
     // Modelled durations: outcome equality includes `duration_seconds`,
     // which measured wall time would never reproduce across two runs.
-    let fast = Scraper::new(fast_db.clone()).with_modelled_durations(); // FastLane default
+    let fast = Scraper::new(fast_db.clone()).with_modelled_durations();
     fast.add_target(target(), endpoint.clone());
-    let slow = Scraper::new(slow_db.clone())
-        .with_ingest_mode(IngestMode::PerSample)
-        .with_modelled_durations();
+    let mut slow = PerSampleScraper::new(slow_db.clone());
     slow.add_target(target(), endpoint.clone());
 
     let mut pool: Vec<GenSeries> = (0..initial_series).map(|_| gen_series(&mut rng)).collect();
@@ -221,4 +185,86 @@ fn the_stale_head_rule_fires_inside_the_sweep() {
     // The property above only covers the rule if the generator reaches it.
     let fired = (0..16).filter(|&case| run_case(12, 11, case)).count();
     assert!(fired >= 4, "only {fired} of 16 cases sealed a stale head");
+}
+
+/// The last value of `metric` for `instance`, if the series exists.
+fn last_value(db: &TimeSeriesDb, metric: &str, instance: &str) -> Option<f64> {
+    let selector = Selector::metric(metric).with_label("instance", instance);
+    let result = db.query_instant(&selector, u64::MAX);
+    result.first().and_then(|r| r.points.last()).map(|(_, value)| *value)
+}
+
+/// Holds the scraper and the reference to each other on the three rounds a
+/// generated gauge workload reaches rarely or never: a target that is down,
+/// samples stamped behind what is stored, and a histogram family.  The
+/// expectations are stated, not only compared, so neither side can change
+/// alone — nor both together.
+#[test]
+fn down_targets_stale_stamps_and_histograms_match_the_reference() {
+    let fast_db = TimeSeriesDb::new();
+    let slow_db = TimeSeriesDb::new();
+    let fast = Scraper::new(fast_db.clone()).with_modelled_durations();
+    let mut slow = PerSampleScraper::new(slow_db.clone());
+    let stamped = Arc::new(ScriptedEndpoint::default());
+    let histogram = Arc::new(ScriptedEndpoint::default());
+    let down = || Err::<Vec<FamilySnapshot>, _>(ScrapeError::Unreachable("refused".to_string()));
+    let target = |instance: &str| ScrapeTargetConfig::new("gen", instance).with_label("zone", "z1");
+    fast.add_target(target("down:1"), Arc::new(down));
+    slow.add_target(target("down:1"), Arc::new(down));
+    fast.add_target(target("stamped:1"), stamped.clone());
+    slow.add_target(target("stamped:1"), stamped.clone());
+    fast.add_target(target("histogram:1"), histogram.clone());
+    slow.add_target(target("histogram:1"), histogram.clone());
+
+    for round in 1..=4u64 {
+        let now = round * 5_000;
+        // Three gauges: unstamped, stamped ahead of the clock on odd rounds
+        // and behind what that stored on even ones, and stamped a millisecond
+        // *earlier* every round (an equal stamp would be taken).
+        let mut family = FamilySnapshot::new("queue_depth", "generated", MetricKind::Gauge);
+        let point = |queue: &str| {
+            MetricPoint::new(Labels::from_pairs([("queue", queue)]), PointValue::Gauge(now as f64))
+        };
+        let swinging = if round % 2 == 1 { now + 1_000 } else { now - 6_000 };
+        family.points =
+            vec![point("plain"), point("swinging").at(swinging), point("receding").at(100 - round)];
+        stamped.set(vec![family]);
+
+        let mut family = FamilySnapshot::new("rpc_seconds", "generated", MetricKind::Histogram);
+        let snapshot = HistogramSnapshot {
+            bounds: vec![0.1, 1.0],
+            cumulative_counts: vec![round, 2 * round, 3 * round],
+            sum: round as f64,
+            count: 3 * round,
+        };
+        family.points.push(MetricPoint::new(Labels::new(), PointValue::Histogram(snapshot)));
+        histogram.set(vec![family]);
+
+        assert_eq!(fast.scrape_once(now), slow.scrape_once(now), "outcomes at round {round}");
+        assert_eq!(fingerprint(&fast_db), fingerprint(&slow_db), "stores at round {round}");
+    }
+
+    // Down: `up` is 0 and the sample counters never appear.
+    assert_eq!(last_value(&fast_db, "up", "down:1"), Some(0.0));
+    assert_eq!(last_value(&fast_db, "scrape_duration_seconds", "down:1"), Some(500e-6));
+    assert_eq!(last_value(&fast_db, "scrape_samples_scraped", "down:1"), None);
+    assert_eq!(last_value(&fast_db, "scrape_samples_added", "down:1"), None);
+    // Stale stamps: the last round exposed three samples and storage took
+    // one; `swinging` lost rounds 2 and 4, `receding` rounds 2, 3 and 4.
+    assert_eq!(last_value(&fast_db, "up", "stamped:1"), Some(1.0));
+    assert_eq!(last_value(&fast_db, "scrape_samples_scraped", "stamped:1"), Some(3.0));
+    assert_eq!(last_value(&fast_db, "scrape_samples_added", "stamped:1"), Some(1.0));
+    assert_eq!(fast_db.stats().rejected_samples, 5);
+    let swinging = Selector::metric("queue_depth").with_label("queue", "swinging");
+    assert_eq!(
+        fast_db.query_range(&swinging, 0, u64::MAX)[0].points,
+        [(6_000, 5_000.0), (16_000, 15_000.0)]
+    );
+    // Histogram: three buckets, `_sum` and `_count`, every round.
+    assert_eq!(last_value(&fast_db, "scrape_samples_added", "histogram:1"), Some(5.0));
+    let buckets = fast_db.select(&Selector::metric("rpc_seconds_bucket"));
+    let mut bounds: Vec<&str> = buckets.iter().filter_map(|s| s.label_value("le")).collect();
+    bounds.sort_unstable();
+    assert_eq!(bounds, ["+Inf", "0.1", "1"]);
+    assert!(buckets.iter().all(|s| s.len() == 4 && s.label_value("zone") == Some("z1")));
 }

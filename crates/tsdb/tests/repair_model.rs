@@ -16,22 +16,24 @@
 //!   a round that repeats the previous one keeps its admissions.  Stores
 //!   must be identical (ids, creation order, samples, stats), and so must
 //!   every [`PushOutcome`] and the pool's `job_used`.
-//! * The scraper target is checked against the same snapshots ingested with
-//!   [`IngestMode::PerSample`].
+//! * The scraper target is checked against the same snapshots ingested by
+//!   the per-sample reference of `support/mod.rs`.
 //!
 //! Whatever the repair reuses, swaps into place or re-resolves, the stored
 //! result has to be what matching nothing and resolving everything gives.
 
+mod support;
+
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::{proptest, TestRng};
+use support::{fingerprint, PerSampleScraper, ScriptedEndpoint};
 use teemon_metrics::{
     FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
 use teemon_tsdb::{
-    CardinalityBudgets, IngestMode, MetricsEndpoint, PushLane, PushOutcome, ScrapeError,
-    ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb, TsdbConfig,
+    CardinalityBudgets, PushLane, PushOutcome, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb,
+    TsdbConfig,
 };
 
 const JOB: &str = "remote_write";
@@ -230,37 +232,6 @@ impl ModelLane {
     }
 }
 
-/// An endpoint whose snapshot set the test rewrites every round, shared by
-/// both scrapers so they observe identical rounds.
-#[derive(Default)]
-struct ScriptedEndpoint(Mutex<Vec<FamilySnapshot>>);
-
-impl MetricsEndpoint for ScriptedEndpoint {
-    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
-        Ok(self.0.lock().clone())
-    }
-}
-
-/// One series as compared across databases: id, name, rendered labels, data.
-type SeriesDump = (u64, String, String, Vec<(u64, f64)>);
-
-/// Everything observable about a database, in creation order.
-fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
-    let series = db
-        .select(&Selector::all())
-        .iter()
-        .map(|s| {
-            (
-                s.series_id().as_u64(),
-                s.name().to_string(),
-                s.to_labels().to_string(),
-                s.points_in(0, u64::MAX),
-            )
-        })
-        .collect();
-    (format!("{:?}", db.stats()), series)
-}
-
 fn lane_config(instance: &str, limit: Option<u64>) -> ScrapeTargetConfig {
     let config = ScrapeTargetConfig::new(JOB, instance);
     match limit {
@@ -312,9 +283,7 @@ proptest! {
         let target = || ScrapeTargetConfig::new("gen_exporter", "node-1:9999").with_label("zone", "z1");
         let fast = Scraper::new(fast_db.clone()).with_modelled_durations();
         fast.add_target(target(), endpoint.clone());
-        let slow = Scraper::new(slow_db.clone())
-            .with_ingest_mode(IngestMode::PerSample)
-            .with_modelled_durations();
+        let mut slow = PerSampleScraper::new(slow_db.clone());
         slow.add_target(target(), endpoint.clone());
 
         let mut load = Workload { series: Vec::new(), next_pod: 0, histogram: false };
@@ -362,7 +331,7 @@ proptest! {
                 "lane and model stores diverged at round {round} (case {case})"
             );
 
-            *endpoint.0.lock() = families;
+            endpoint.set(families);
             assert_eq!(fast.scrape_once(now), slow.scrape_once(now));
             assert_eq!(
                 fingerprint(fast_db),

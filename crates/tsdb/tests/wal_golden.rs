@@ -91,14 +91,30 @@ fn open(dir: &Path) -> TimeSeriesDb {
     TimeSeriesDb::open_with(dir, config, options).expect("open the golden directory")
 }
 
-/// A [`fingerprint`] less its `resident_bytes`: what a directory *answers*.
-/// The bytes its samples take in memory are the codec's business — a
-/// whole-number series replayed from an old log is sealed into integer
-/// blocks today — and pinned elsewhere (`wal-v3/`, the head model).
+/// A [`fingerprint`] less its `resident_bytes` and `index_bytes`: what a
+/// directory *answers*.  The bytes its samples take in memory are the
+/// codec's business — a whole-number series replayed from an old log is
+/// sealed into integer blocks today — and pinned elsewhere (`wal-v3/`, the
+/// head model); the index is not persisted at all, so what it weighs is
+/// today's postings' business ([`index_bytes_built_afresh`] holds a
+/// recovered store to it).
 fn answers(fingerprint: &str) -> String {
     let (before, rest) = fingerprint.split_once("resident_bytes: ").expect("a stats line");
     let (_, after) = rest.split_once(", ").expect("more stats behind it");
-    format!("{before}{after}")
+    let (kept, rest) = after.split_once(", index_bytes: ").expect("the last of the stats");
+    let (_, after) = rest.split_once(" }").expect("the end of the stats");
+    format!("{before}{kept} }}{after}")
+}
+
+/// What the index of a store holding exactly `db`'s series weighs when it is
+/// registered series by series — which is what a recovered store's must
+/// weigh too, however many drops and evictions its log replayed.
+fn index_bytes_built_afresh(db: &TimeSeriesDb) -> u64 {
+    let fresh = TimeSeriesDb::new();
+    for series in db.select(&Selector::all()).iter() {
+        fresh.resolve(series.name(), &series.to_labels());
+    }
+    fresh.stats().index_bytes
 }
 
 /// Everything observable about a database, as text (values as their bits:
@@ -161,6 +177,7 @@ fn a_directory_written_with_fixed_sample_entries_opens_and_keeps_working() {
         answers(&expected)
     );
     assert_eq!(db.stats().wal_failed_shards, 0);
+    assert_eq!(db.stats().index_bytes, index_bytes_built_afresh(&db));
 
     // One more round, logged in today's format behind the old records.
     for k in 0..8u64 {
@@ -241,6 +258,7 @@ fn todays_store_writes_the_directory_the_raw_head_store_wrote() {
     );
     assert_eq!(answers(&fingerprint(&legacy_db)), answers(&fingerprint(&straight_db)));
     assert_eq!(legacy_db.head_bytes(), straight_db.head_bytes());
+    assert_eq!(legacy_db.stats().index_bytes, index_bytes_built_afresh(&legacy_db));
     assert_eq!(probes::WAL_SALVAGE.get(), salvages, "nothing may be cut from a healthy directory");
 
     workload(&resumed_db, 60..90);

@@ -64,8 +64,8 @@ fn full_pipeline_from_workload_to_dashboard() {
     }
 
     // The per-second rate over the monitored window is positive.
-    let totals: Vec<(u64, f64)> =
-        query::aggregate_over_time(&syscall_series, query::AggregateOp::Sum);
+    let points: Vec<&[(u64, f64)]> = syscall_series.iter().map(|r| r.points.as_slice()).collect();
+    let totals = query::aggregate_series_over_time(&points, query::AggregateOp::Sum);
     assert!(query::rate(&totals).unwrap_or(0.0) > 0.0);
 
     // The 105 MB database exceeds the EPC: the SGX exporter must have seen
