@@ -132,6 +132,16 @@ fn bench_churn(c: &mut Criterion) {
                 black_box(db.stats().symbols)
             })
         });
+        // What the churn leaves standing, per series: the records' own bytes
+        // (arrays and key indexes at capacity), which `total_bytes()` leaves
+        // out — a store that kept a high-water mark would read high here.
+        let stats = db.stats();
+        println!(
+            "micro/cardinality/churn_round_{batch}/{mode_tag}: series_bytes / series = {} B \
+             ({} series after the churn rounds)",
+            stats.series_bytes / stats.series.max(1),
+            stats.series
+        );
     }
     group.finish();
 }

@@ -349,6 +349,9 @@ probes! {
         { STORAGE_SYMBOL_BYTES: Gauge }
     storage "teemon_tsdb_index_bytes" "estimated bytes held by the per-shard postings indexes"
         { STORAGE_INDEX_BYTES: Gauge }
+    storage "teemon_tsdb_series_bytes"
+        "bytes held by the series records: arrays and key indexes at capacity, heads, chunk lists"
+        { STORAGE_SERIES_BYTES: Gauge }
     storage "teemon_tsdb_symbols_swept_total"
         "symbols garbage-collected at symbol-table checkpoints"
         { SYMBOLS_SWEPT: Counter }

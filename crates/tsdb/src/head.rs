@@ -3,9 +3,18 @@
 //!
 //! [`Head`] is a Gorilla block (see [`crate::chunk_codec`]) built in bursts
 //! of [`TAIL_SAMPLES`] by a resumable encoder, with its newest samples raw in
-//! an inline tail in front of it.  So an open chunk costs about what a sealed
-//! one does, an append is a sixteen-byte store into the series record, and
-//! sealing is a copy.
+//! a tail in front of it.  So an open chunk costs about what a sealed one
+//! does, an append is a sixteen-byte store, and sealing is a copy.
+//!
+//! A head is its own heap block, 216 bytes — the tail, the encoder's
+//! registers, the block buffer's header — behind one pointer in the series
+//! record, and exists only while its series is being written: the storage
+//! engine allocates it with the series, **drops** it (not merely empties it)
+//! when a retention pass finds the series stale or drops the samples it
+//! holds, and allocates another when a sample revives the series.  A seal of
+//! a full chunk keeps it, and its buffer, for the next.  The record keeps the
+//! tail's length and the newest timestamp beside the pointer, so the common
+//! append goes through [`Head::store_at`] and reads nothing here.
 //!
 //! The block's kind is the encoder's to decide and the head's to carry: an
 //! integer block while every value it was given is a whole number, re-encoded
@@ -35,10 +44,11 @@ const BLOCK_INITIAL_BYTES: usize = 32;
 const MAX_ENCODED_SAMPLE_BYTES: usize = 19;
 
 /// The open chunk of a stored series: a Gorilla block built in bursts — a
-/// resumable [`BlockEncoder`] beside the buffer it writes — behind an inline
-/// tail of the newest, not yet encoded samples.  An append is a 16-byte store
-/// into the tail; the append that fills it encodes the burst; a seal encodes
-/// what the tail still holds and copies the block out at its exact size.
+/// resumable [`BlockEncoder`] beside the buffer it writes — behind a tail of
+/// the newest, not yet encoded samples, inline in this record.  An append is
+/// a 16-byte store into the tail; the append that fills it encodes the burst;
+/// a seal encodes what the tail still holds and copies the block out at its
+/// exact size.
 /// Between bursts the buffer holds the *finished* block, so readers decode it
 /// where it lies and the ledger counts its length.
 #[derive(Debug)]
@@ -104,11 +114,6 @@ impl Head {
         self.tail().len() * SAMPLE_BYTES + self.block.len()
     }
 
-    /// `true` while the head holds a block buffer, used or not.
-    pub(crate) fn has_buffer(&self) -> bool {
-        self.block.capacity() > 0
-    }
-
     /// `(bytes in use, capacity)` of the block buffer.
     #[cfg(test)]
     pub(crate) fn block_buffer(&self) -> (usize, usize) {
@@ -119,7 +124,7 @@ impl Head {
     /// it — [`SAMPLE_BYTES`] more resident, nothing else moves — and returns
     /// whether it did.  The hot half of [`Head::push`].
     #[inline]
-    pub(crate) fn store(&mut self, sample: Sample) -> bool {
+    fn store(&mut self, sample: Sample) -> bool {
         let at = usize::from(self.tail_len);
         match self.tail.get_mut(at) {
             Some(slot) if at + 1 < TAIL_SAMPLES => {
@@ -128,6 +133,19 @@ impl Head {
                 true
             }
             _ => false,
+        }
+    }
+
+    /// [`Head::store`] for a caller that keeps the tail's length itself —
+    /// `at`, less than [`TAIL_SAMPLES`]` - 1` — so the head is written and
+    /// not read (the storage engine's append: a store that misses the cache
+    /// does not stall it, a load would).
+    #[inline]
+    pub(crate) fn store_at(&mut self, at: u8, sample: Sample) {
+        debug_assert_eq!(at, self.tail_len);
+        if let Some(slot) = self.tail.get_mut(usize::from(at)) {
+            *slot = sample;
+            self.tail_len = at + 1;
         }
     }
 
@@ -199,16 +217,10 @@ impl Head {
     }
 
     /// Drops every sample, keeping the block's buffer.
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.tail_len = 0;
         self.encoder = BlockEncoder::new();
         self.block.clear();
-    }
-
-    /// Gives an empty head's buffer back.
-    pub(crate) fn release(&mut self) {
-        debug_assert!(self.is_empty());
-        self.block = Vec::new();
     }
 
     /// The head as one chunk of a snapshot, so no reader of a snapshot knows
@@ -301,8 +313,6 @@ mod tests {
         );
         assert_eq!(head.encode_into(&mut Vec::new()), None, "an empty head has no block");
         assert_eq!(head.snapshot(), None);
-        head.release();
-        assert!(!head.has_buffer());
         assert_eq!(head.resident_bytes(), 0);
         kind
     }

@@ -10,6 +10,18 @@
 //! list touched, not to the total number of series (the way Prometheus' head
 //! index answers matchers).
 //!
+//! A list of one series lives in its map slot and owns no heap block: that
+//! is every `pod`, request-id or other per-instance label value, two lists a
+//! series on the churn workloads.  A second series under the same key
+//! promotes the list to a `Vec`.
+//!
+//! [`crate::StorageStats::index_bytes`] is a **model** — 16 bytes an entry,
+//! 48 a list — kept as it was because the end-to-end benchmark's
+//! `mem_bytes_per_sample` is defined on it.  What the heap holds
+//! (`tests/heap_ledger.rs` measures it): 4 bytes an entry of a list of
+//! several, at up to twice that in `Vec` slack, and 33 bytes a list — key,
+//! list, control byte — at the map's load of 7/16 to 7/8, so 38 to 75.
+//!
 //! `Exists` and `!=` matchers have no list of their own.  They are checked
 //! per candidate against the series' own label symbols, after the
 //! intersection, and a selector that carries neither a name nor an equality
@@ -24,32 +36,64 @@
 //!
 //! [`Selector`]: crate::query::Selector
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hash;
 
 use crate::query::{LabelMatch, Selector};
 use crate::symbols::{SymbolId, SymbolTable};
+
+/// One postings list: shard-local series indices, ascending.  A list of one
+/// series — what every per-pod / per-request-id label value produces, two a
+/// series on the churn workloads — lives in its map slot; only a second
+/// series under the same key buys the list a heap block.
+#[derive(Debug)]
+enum PostingsList {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl PostingsList {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            PostingsList::One(local) => std::slice::from_ref(local),
+            PostingsList::Many(locals) => locals,
+        }
+    }
+
+    /// Appends `local`, greater than every index the list holds.
+    fn push(&mut self, local: u32) {
+        match self {
+            PostingsList::One(first) => *self = PostingsList::Many(vec![*first, local]),
+            PostingsList::Many(locals) => locals.push(local),
+        }
+    }
+}
 
 /// Per-shard postings lists.  All lists hold shard-local series indices in
 /// ascending order.
 #[derive(Debug, Default)]
 pub(crate) struct Postings {
     /// Metric name → series.
-    names: HashMap<SymbolId, Vec<u32>>,
+    names: HashMap<SymbolId, PostingsList>,
     /// `(label key, label value)` → series.
-    pairs: HashMap<(SymbolId, SymbolId), Vec<u32>>,
-    /// Approximate resident bytes, maintained incrementally on register.
+    pairs: HashMap<(SymbolId, SymbolId), PostingsList>,
+    /// Modelled resident bytes, maintained incrementally on register.
     /// Rebuilds (retention, drop_series reindex) start from `default()`, so
-    /// the figure tracks the live index, not its high-water mark.
+    /// the figure — and the maps' capacity — tracks the live index, not its
+    /// high-water mark.
     bytes: usize,
 }
 
 /// Modelled cost of one postings entry — a series under its name, or under
 /// one of its `(label, value)` pairs: the `u32` plus amortised map/list
 /// overhead.  Coarse on purpose — the gauge exists to expose *growth*, and
-/// entry count is what grows with cardinality.
+/// entry count is what grows with cardinality.  (What the heap holds,
+/// measured by `tests/heap_ledger.rs`: 4 bytes an entry at up to twice that
+/// in `Vec` slack for a list of several, nothing for a list of one.)
 const POSTING_ENTRY_BYTES: usize = 16;
-/// Modelled cost of a new postings list in either map (map key + `Vec`
-/// header).
+/// Modelled cost of a new postings list in either map (map key + list
+/// header).  (Measured: a 33-byte slot — key, [`PostingsList`], control byte
+/// — at the map's load factor of 7/16 to 7/8, so 38 to 75 bytes.)
 const POSTING_LIST_BYTES: usize = 48;
 
 impl Postings {
@@ -57,30 +101,37 @@ impl Postings {
     /// must be greater than every previously registered index so the lists
     /// stay sorted.
     pub(crate) fn register(&mut self, local: u32, name: SymbolId, labels: &[(SymbolId, SymbolId)]) {
-        self.bytes += Self::list_cost(self.names.entry(name).or_default(), local);
+        self.bytes += Self::list_cost(&mut self.names, name, local);
         for &(key, value) in labels {
-            self.bytes += Self::list_cost(self.pairs.entry((key, value)).or_default(), local);
+            self.bytes += Self::list_cost(&mut self.pairs, (key, value), local);
         }
     }
 
-    /// Approximate resident bytes of this shard's postings lists: one entry
+    /// Modelled resident bytes of this shard's postings lists: one entry
     /// per series in `names`, one per label of every series in `pairs`.
     pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
-    fn list_cost(list: &mut Vec<u32>, local: u32) -> usize {
-        let new_list = list.is_empty();
-        list.push(local);
-        POSTING_ENTRY_BYTES + if new_list { POSTING_LIST_BYTES } else { 0 }
+    fn list_cost<K: Eq + Hash>(map: &mut HashMap<K, PostingsList>, key: K, local: u32) -> usize {
+        match map.entry(key) {
+            Entry::Occupied(mut list) => {
+                list.get_mut().push(local);
+                POSTING_ENTRY_BYTES
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(PostingsList::One(local));
+                POSTING_ENTRY_BYTES + POSTING_LIST_BYTES
+            }
+        }
     }
 
     fn name_list(&self, name: SymbolId) -> Option<&[u32]> {
-        self.names.get(&name).map(Vec::as_slice)
+        self.names.get(&name).map(PostingsList::as_slice)
     }
 
     fn pair_list(&self, key: SymbolId, value: SymbolId) -> Option<&[u32]> {
-        self.pairs.get(&(key, value)).map(Vec::as_slice)
+        self.pairs.get(&(key, value)).map(PostingsList::as_slice)
     }
 }
 
@@ -278,6 +329,32 @@ mod tests {
         // here.
         let other_shard = SelectorPlan::compile(&Selector::metric("up"), &table);
         assert_eq!(other_shard.candidates(&Postings::default()), Candidates::Listed(Vec::new()));
+    }
+
+    #[test]
+    fn a_list_of_one_lives_in_its_map_slot() {
+        let mut table = SymbolTable::default();
+        let up = table.intern("up");
+        let pod = table.intern("pod");
+        let pods: Vec<SymbolId> = (0..3).map(|i| table.intern(&format!("p{i}"))).collect();
+        let mut postings = Postings::default();
+        for (local, &value) in pods.iter().enumerate() {
+            postings.register(local as u32, up, &[(pod, value)]);
+        }
+        // One series a pod: no list of theirs owns a heap block, and a slot
+        // is no wider for it than a `Vec`'s header.
+        assert!(postings.pairs.values().all(|list| matches!(list, PostingsList::One(_))));
+        assert!(size_of::<PostingsList>() <= size_of::<Vec<u32>>());
+        assert_eq!(postings.pair_list(pod, pods[1]), Some(&[1][..]));
+        // The name's list grew past one in registration order.
+        assert_eq!(postings.name_list(up), Some(&[0, 1, 2][..]));
+        // A pod's second series promotes its list, ascending still.
+        postings.register(3, up, &[(pod, pods[1])]);
+        assert_eq!(postings.pair_list(pod, pods[1]), Some(&[1, 3][..]));
+        let plan = SelectorPlan::compile(&Selector::metric("up").with_label("pod", "p1"), &table);
+        assert_eq!(plan.candidates(&postings), Candidates::Listed(vec![1, 3]));
+        // The model counts entries and lists as it always did.
+        assert_eq!(postings.bytes(), 8 * POSTING_ENTRY_BYTES + 4 * POSTING_LIST_BYTES);
     }
 
     #[test]

@@ -1221,6 +1221,7 @@ impl Scraper {
         probes::STORAGE_SYMBOLS.set(stats.symbols as f64);
         probes::STORAGE_SYMBOL_BYTES.set(stats.symbol_bytes as f64);
         probes::STORAGE_INDEX_BYTES.set(stats.index_bytes as f64);
+        probes::STORAGE_SERIES_BYTES.set(stats.series_bytes as f64);
         for (shard, count) in self.db.shard_series_counts().iter().enumerate() {
             probes::SHARD_SERIES.set(shard, *count as f64);
         }

@@ -5,8 +5,13 @@
 //! the open head copied once — the block it is building, completed with the
 //! few samples still in its tail (or, before its first burst, those samples
 //! as they are), so it reads like any sealed chunk — and the
-//! metric name/label strings shared with the database's symbol table.  Taking
-//! a snapshot is O(chunks) regardless of how many samples the series holds,
+//! metric name/label strings, materialised at selection: the stored series
+//! keeps its key as symbols only, and the snapshot gets its own packed copy
+//! of the label strings (one allocation; the shared strings are read, never
+//! written, so concurrent readers do not contend on their reference counts)
+//! and a reference on the name, so it keeps reading them after its series is
+//! evicted, its symbols swept and their slots reused.  Taking a snapshot is
+//! O(chunks + label bytes) regardless of how many samples the series holds,
 //! and the snapshot stays consistent while the database keeps ingesting.
 //!
 //! Reads go through [`SeriesSnapshot::at`] (footer binary search, then a
@@ -38,7 +43,7 @@ use crate::series::{at_in_chunks, extend_range, Chunk, ChunkIterState, Sample, S
 pub struct SeriesSnapshot {
     pub(crate) id: SeriesId,
     name: Arc<str>,
-    labels: Arc<[(Arc<str>, Arc<str>)]>,
+    labels: Labels,
     /// Time-ordered, non-empty chunks: the sealed chunks plus (when the
     /// series has unsealed samples) one chunk holding a copy of the head.
     chunks: Arc<[Arc<Chunk>]>,
@@ -48,7 +53,7 @@ impl SeriesSnapshot {
     pub(crate) fn new(
         id: SeriesId,
         name: Arc<str>,
-        labels: Arc<[(Arc<str>, Arc<str>)]>,
+        labels: Labels,
         chunks: Vec<Arc<Chunk>>,
     ) -> Self {
         Self { id, name, labels, chunks: chunks.into() }
@@ -66,20 +71,18 @@ impl SeriesSnapshot {
 
     /// The labels as `(name, value)` pairs in sorted name order.
     pub fn labels(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.labels.iter().map(|(k, v)| (&**k, &**v))
+        self.labels.iter()
     }
 
-    /// The value of one label, if present (binary search; labels are sorted
-    /// by key).
+    /// The value of one label, if present.
     pub fn label_value(&self, name: &str) -> Option<&str> {
-        let idx = self.labels.binary_search_by(|(k, _)| (**k).cmp(name)).ok()?;
-        self.labels.get(idx).map(|(_, v)| &**v)
+        self.labels.get(name)
     }
 
-    /// Materialises the labels as an owned [`Labels`] set (the boundary back
-    /// into the string-keyed world; allocates).
+    /// The labels as an owned [`Labels`] set (the boundary back into the
+    /// string-keyed world; a copy, so it allocates).
     pub fn to_labels(&self) -> Labels {
-        Labels::from_str_pairs(self.labels.iter().map(|(k, v)| (&**k, &**v)))
+        self.labels.clone()
     }
 
     /// `name{labels}` in the same format the owned query results use, or the
@@ -88,7 +91,7 @@ impl SeriesSnapshot {
         if self.labels.is_empty() {
             self.name.to_string()
         } else {
-            format!("{}{}", self.name, self.to_labels())
+            format!("{}{}", self.name, self.labels)
         }
     }
 

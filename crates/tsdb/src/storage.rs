@@ -4,25 +4,38 @@
 //! Layout:
 //!
 //! * one shared symbol table interns every metric name, label key and label
-//!   value once,
+//!   value once, and is the only place a stored key's strings live,
 //! * series are spread over [`SHARD_COUNT`] lock shards by series-key hash,
 //!   so concurrent scrapers append without serialising on one lock,
-//! * each shard keeps a postings index (name and `(label, value)` →
-//!   series) and cheap aggregates (sample/chunk/rejection counts, min/max
-//!   timestamp), so selection and [`TimeSeriesDb::stats`] never scan series,
+//! * a shard is an array of series records, a key index from key hash to
+//!   array slot (one slot a key; keys whose hashes collide overflow into a
+//!   list that is empty in practice), a postings index (name and
+//!   `(label, value)` → series) and cheap aggregates (sample/chunk/rejection
+//!   counts, min/max timestamp), so selection and [`TimeSeriesDb::stats`]
+//!   never scan series,
+//! * a series record holds each thing once and only while it is needed (80
+//!   bytes; see `MemSeries`): the key as symbols and the hash it is filed
+//!   under, the sealed chunks, and one pointer to the open head, which
+//!   exists only while the series is being written.  What the record and its
+//!   blocks weigh is [`StorageStats::series_bytes`], counted at the arrays'
+//!   capacities — and a removal that leaves an array under a quarter full
+//!   shrinks it and its key index, so a cardinality spike is given back,
 //! * the append hot path resolves an existing series by hashing the borrowed
-//!   `(&str, &Labels)` key directly — no `String` or `Labels` clone, no
-//!   allocation at all,
-//! * reads hand out [`SeriesSnapshot`]s: sealed chunks are `Arc`-shared, only
-//!   the open head chunk is copied — as the block it is, completed with its
-//!   tail,
+//!   `(&str, &Labels)` key directly and comparing it with the interned
+//!   strings under the symbol table's read lock — no `String` or `Labels`
+//!   clone, no allocation at all,
+//! * reads hand out [`SeriesSnapshot`]s: the key's strings are materialised
+//!   from the symbol table once per *selected* series (a packed copy of
+//!   the label strings and a reference on the name; the snapshot owns them
+//!   from then on), sealed chunks are `Arc`-shared, only the open head chunk
+//!   is copied — as the block it is, completed with its tail,
 //! * chunks are Gorilla-compressed ([`crate::chunk_codec`]), the open head
 //!   included: a head is the delta-of-delta / XOR-float block it will seal,
-//!   built in bursts by a resumable encoder, behind an inline tail of its
-//!   newest eight samples (see `crate::head::Head`).  An append is an
-//!   ordering check and a sixteen-byte store into that tail; the append
-//!   that fills it encodes the burst; a seal encodes what the tail still
-//!   holds and copies the block out.  The per-shard `bytes` aggregate
+//!   built in bursts by a resumable encoder, behind a tail of its newest
+//!   eight samples (see `crate::head::Head`).  An append is an ordering
+//!   check against the record and a sixteen-byte store into that tail; the
+//!   append that fills it encodes the burst; a seal encodes what the tail
+//!   still holds and copies the block out.  The per-shard `bytes` aggregate
 //!   tracks the resident footprint, surfaced as
 //!   [`StorageStats::resident_bytes`] / [`StorageStats::bytes_per_sample`],
 //!   and `head_bytes` the open heads' share of it
@@ -31,8 +44,9 @@
 //!   first burst, and the buffer doubles 32 → 64 → … bytes with the block in
 //!   it; a seal stores the block as one exact-sized allocation and keeps the
 //!   buffer for the next chunk; and a retention pass seals the head of any
-//!   series that has gone [`STALE_HEAD_MS`] without a sample and releases
-//!   its buffer, so a churned series costs an exact block and nothing more,
+//!   series that has gone [`STALE_HEAD_MS`] without a sample and drops it,
+//!   record and buffer, so a churned series costs an exact block behind a
+//!   one-slot chunk list and nothing more,
 //! * the **ingest fast lane**: [`TimeSeriesDb::resolve`] turns a series key
 //!   into a cheap [`SeriesHandle`] once, and
 //!   [`TimeSeriesDb::append_batch`] appends a whole scrape round of
@@ -43,6 +57,7 @@
 //!   so a stale handle is reported back for re-resolution instead of ever
 //!   writing to the wrong series.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::io;
@@ -55,7 +70,7 @@ use serde::{Deserialize, Serialize};
 use teemon_metrics::Labels;
 use teemon_obs::{probes, Stopwatch};
 
-use crate::head::Head;
+use crate::head::{Head, TAIL_SAMPLES};
 use crate::index::{Candidates, Postings, SelectorPlan};
 use crate::query::{QueryResult, Selector};
 use crate::series::{at_in_chunks, sample_at, Chunk, Sample, SeriesId, SAMPLE_BYTES};
@@ -134,6 +149,18 @@ pub struct StorageStats {
     /// on register/rebuild.
     #[serde(default)]
     pub index_bytes: u64,
+    /// Bytes held by the series records, which none of the figures above
+    /// count: the per-shard series arrays and key indexes at their
+    /// *capacity*, and per series its label symbols, its head record while
+    /// it has one, its chunk list at its capacity and one 72-byte
+    /// `Arc<Chunk>` block a sealed chunk.  (A head's inline tail is in both
+    /// this and `resident_bytes`, 16 bytes a sample it holds; its block
+    /// buffer is in neither beyond the bytes in use.)  Capacities are
+    /// history, not state: two stores holding the same series may differ
+    /// here, a store and its recovered self included.  Maintained
+    /// incrementally; not part of [`StorageStats::total_bytes`] yet.
+    #[serde(default)]
+    pub series_bytes: u64,
 }
 
 impl StorageStats {
@@ -147,10 +174,16 @@ impl StorageStats {
         }
     }
 
-    /// Total estimated footprint: sample storage + symbol table + postings
-    /// indexes.  `resident_bytes` alone under-reports real memory under
-    /// high cardinality, where keys and postings dominate — this is the
-    /// number the cardinality soak asserts a plateau on.
+    /// Sample storage + symbol table + postings indexes, the last two as
+    /// models (string lengths plus 64 bytes a symbol; 16 bytes a postings
+    /// entry, 48 a list).  **Not the heap**: it leaves out every series
+    /// record ([`StorageStats::series_bytes`]) and what the models miss, and
+    /// a live-bytes allocator reads about three times this figure on
+    /// high-cardinality stores (`tests/heap_ledger.rs`: 1 150 B a series
+    /// against 307–363 before the records shrank).  It is what the
+    /// end-to-end benchmark's `mem_bytes_per_sample` is defined on, so it is
+    /// computed as it always was; the cardinality soak asserts its plateau
+    /// on this plus `series_bytes`.
     pub fn total_bytes(&self) -> u64 {
         self.resident_bytes + self.symbol_bytes + self.index_bytes
     }
@@ -213,17 +246,45 @@ pub struct BatchOutcome {
     pub stale: Vec<usize>,
 }
 
-/// One stored series: interned key, resolved key strings (shared with the
-/// symbol table) and chunked samples — sealed immutable chunks behind `Arc`
-/// plus the open head, a block like theirs still being built.
+/// One stored series — one element of a shard's series array, so every
+/// field is there because something reads it without a key:
+///
+/// * `id`: creation order, what results are sorted by;
+/// * `key_hash`: the hash the series is filed under in the key index, kept
+///   so a rebuild after a removal rehashes nothing and a colliding key is
+///   told apart without a string compare;
+/// * `name_sym` / `label_syms`: the key, once, as symbols — what the
+///   postings register, what the WAL logs, what `exists` / `!=` matchers
+///   check.  The strings live in the symbol table only; a borrowed key is
+///   compared against them there ([`MemSeries::key_matches`]) and a reader
+///   gets its own copy at selection ([`MemSeries::snapshot`]);
+/// * `sealed`: immutable chunks behind `Arc`, shared with snapshots;
+/// * `head`: the open chunk, behind one pointer and only while the series is
+///   being written — allocated with the series, dropped with its buffer by
+///   the stale-head rule and by retention, allocated again by the append
+///   that revives the series (see `crate::head`);
+/// * `last_ts`, `tail_len`, `room`: the three facts an append decides on,
+///   kept beside the pointer so the common append *writes* through it and
+///   reads nothing behind it (a load that misses stalls the append loop, a
+///   store does not: with the head behind a pointer and no such summary,
+///   appending to 20 000 series read 75 ns a sample against 50).  Every cold
+///   path that changes the head ends in [`MemSeries::sync_head`].
 struct MemSeries {
     id: SeriesId,
-    name: Arc<str>,
-    name_sym: SymbolId,
-    labels: Arc<[(Arc<str>, Arc<str>)]>,
+    key_hash: u64,
     label_syms: Box<[(SymbolId, SymbolId)]>,
     sealed: Vec<Arc<Chunk>>,
-    head: Head,
+    head: Option<Box<Head>>,
+    /// [`MemSeries::last_timestamp`], `0` for none (nothing is older than
+    /// that).
+    last_ts: u64,
+    name_sym: SymbolId,
+    /// Samples in the head's tail.
+    tail_len: u8,
+    /// How many more appends may be a bare store into the tail: none into
+    /// an empty or absent head (opening a chunk is the cold path's), else
+    /// what leaves the tail short of full and the head short of a chunk.
+    room: u8,
     /// `true` once any sample was stored.  Guards retention eviction: a
     /// freshly resolved series that has not seen its first append yet is
     /// *new*, not *fully aged* — evicting it would pointlessly invalidate
@@ -231,51 +292,131 @@ struct MemSeries {
     ever_appended: bool,
 }
 
+/// What one sealed chunk costs beside its payload: the `Arc<Chunk>` block —
+/// two counts, the `(start, end, count)` footer, the payload's kind, pointer
+/// and length.
+const ARC_CHUNK_BYTES: usize = 2 * size_of::<usize>() + size_of::<Chunk>();
+
 impl MemSeries {
+    /// A series with no samples.  Its head is allocated here, not by its
+    /// first append: a series is created to be written.
+    fn new(
+        id: SeriesId,
+        key_hash: u64,
+        name_sym: SymbolId,
+        label_syms: Vec<(SymbolId, SymbolId)>,
+    ) -> Self {
+        Self {
+            id,
+            key_hash,
+            label_syms: label_syms.into_boxed_slice(),
+            sealed: Vec::new(),
+            head: Some(Box::default()),
+            last_ts: 0,
+            name_sym,
+            tail_len: 0,
+            room: 0,
+            ever_appended: false,
+        }
+    }
+
+    /// Brings `last_ts`, `tail_len` and `room` up to date with the head and
+    /// the sealed chunks.
+    fn sync_head(&mut self, chunk_size: usize) {
+        self.last_ts = self.last_timestamp().unwrap_or(0);
+        (self.tail_len, self.room) = match self.open_head() {
+            Some(head) => {
+                let tail_len = head.tail().len();
+                let room = (TAIL_SAMPLES - 1)
+                    .saturating_sub(tail_len)
+                    .min(chunk_size.saturating_sub(head.len() + 1));
+                (tail_len as u8, room as u8)
+            }
+            None => (0, 0),
+        };
+    }
+
+    /// Gives the head back, record and block buffer.
+    fn drop_head(&mut self) {
+        self.head = None;
+        (self.tail_len, self.room) = (0, 0);
+    }
+
+    /// The open head, if the series has one and it holds samples.
+    fn open_head(&self) -> Option<&Head> {
+        self.head.as_deref().filter(|head| !head.is_empty())
+    }
+
     fn last_timestamp(&self) -> Option<u64> {
-        self.head.last_timestamp().or_else(|| self.sealed.last().and_then(|c| c.end()))
+        self.head
+            .as_deref()
+            .and_then(Head::last_timestamp)
+            .or_else(|| self.sealed.last().and_then(|c| c.end()))
     }
 
     fn first_timestamp(&self) -> Option<u64> {
-        self.sealed.first().and_then(|c| c.start()).or_else(|| self.head.first_timestamp())
+        self.sealed
+            .first()
+            .and_then(|c| c.start())
+            .or_else(|| self.head.as_deref().and_then(Head::first_timestamp))
+    }
+
+    /// What the ledger counts for the head ([`Head::resident_bytes`]), zero
+    /// without one.
+    fn head_resident_bytes(&self) -> u64 {
+        self.head.as_deref().map_or(0, |head| head.resident_bytes() as u64)
+    }
+
+    /// The heap blocks this record owns beside its chunks' payloads and its
+    /// head's block buffer (both in the resident ledger): the label symbols,
+    /// the head, the chunk list at its capacity and one `Arc<Chunk>` block a
+    /// sealed chunk — this series' share of [`StorageStats::series_bytes`].
+    fn boxes_bytes(&self) -> u64 {
+        (size_of_val(&*self.label_syms)
+            + self.head.as_ref().map_or(0, |_| size_of::<Head>())
+            + self.sealed.capacity() * size_of::<Arc<Chunk>>()
+            + self.sealed.len() * ARC_CHUNK_BYTES) as u64
     }
 
     /// Seals the non-empty head into an immutable chunk — two allocations,
     /// the `Arc<Chunk>` and its exact-sized payload, and at most a tail of
-    /// encoding — and returns the payload's size.
+    /// encoding — and returns the payload's size (`0` without a head).
     fn seal_head(&mut self) -> usize {
+        let Some(head) = self.head.as_deref_mut() else { return 0 };
         // Sealing is the one allocating step in a chunk's lifetime; the
         // lock audit's no-alloc check is suspended for it explicitly.
         #[cfg(lock_audit)]
         let _allow = parking_lot::audit::allow_alloc();
-        let chunk = self.head.seal();
+        let chunk = head.seal();
         let bytes = chunk.data_bytes();
         self.sealed.push(Arc::new(chunk));
         bytes
     }
 
     /// The stale-head rule of [`ShardInner::retention_pass`]: a series whose
-    /// newest sample is older than `stale_before` gives its head buffer
-    /// back, sealing what the head holds first.  Returns the payload size
-    /// of the chunk that made.
+    /// newest sample is older than `stale_before` gives its head back — the
+    /// record and its block buffer — sealing what the head holds first.
+    /// Returns the payload size of the chunk that made.
     fn seal_if_stale(&mut self, stale_before: u64) -> Option<usize> {
-        if self.head.is_empty() && !self.head.has_buffer() {
-            return None;
-        }
+        let holds_samples = !self.head.as_deref()?.is_empty();
         if self.last_timestamp()? >= stale_before {
             return None;
         }
-        let sealed_bytes = (!self.head.is_empty()).then(|| self.seal_head());
-        self.head.release();
+        let sealed_bytes = holds_samples.then(|| self.seal_head());
+        self.drop_head();
+        // A series that stopped reporting keeps no spare chunk slots either.
+        self.sealed.shrink_to_fit();
         sealed_bytes
     }
 
     fn at(&self, at_ms: u64) -> Option<Sample> {
         // Head samples are the newest — the tail first, then the block
         // behind it; fall back to the sealed chunks.
-        if self.head.first_timestamp().is_some_and(|first| first <= at_ms) {
-            return sample_at(self.head.tail(), at_ms)
-                .or_else(|| self.head.samples().take_while(|s| s.timestamp_ms <= at_ms).last());
+        if let Some(head) = self.open_head() {
+            if head.first_timestamp().is_some_and(|first| first <= at_ms) {
+                return sample_at(head.tail(), at_ms)
+                    .or_else(|| head.samples().take_while(|s| s.timestamp_ms <= at_ms).last());
+            }
         }
         at_in_chunks(&self.sealed, at_ms)
     }
@@ -285,12 +426,13 @@ impl MemSeries {
         crate::series::extend_range(&self.sealed, start_ms, end_ms, &mut out, |s| {
             (s.timestamp_ms, s.value)
         });
-        let overlaps = self.head.first_timestamp().is_some_and(|first| first <= end_ms)
-            && self.head.last_timestamp().is_some_and(|last| last >= start_ms);
-        if overlaps {
+        let overlapping = self.open_head().filter(|head| {
+            head.first_timestamp().is_some_and(|first| first <= end_ms)
+                && head.last_timestamp().is_some_and(|last| last >= start_ms)
+        });
+        if let Some(head) = overlapping {
             out.extend(
-                self.head
-                    .samples()
+                head.samples()
                     .skip_while(|s| s.timestamp_ms < start_ms)
                     .take_while(|s| s.timestamp_ms <= end_ms)
                     .map(|s| (s.timestamp_ms, s.value)),
@@ -299,16 +441,37 @@ impl MemSeries {
         out
     }
 
-    fn snapshot(&self) -> SeriesSnapshot {
-        let mut chunks = Vec::with_capacity(self.sealed.len() + 1);
-        chunks.extend_from_slice(&self.sealed);
-        chunks.extend(self.head.snapshot().map(Arc::new));
-        SeriesSnapshot::new(self.id, Arc::clone(&self.name), Arc::clone(&self.labels), chunks)
+    /// The labels, materialised from `symbols` as a packed copy of their
+    /// strings.  (A live series holds a reference on each of its symbols, so
+    /// they resolve; an unbound one would read as the empty string.)
+    fn labels(&self, symbols: &SymbolTable) -> Labels {
+        let str_of = |sym| symbols.resolve(sym).map_or("", |s| &**s);
+        Labels::from_str_pairs(self.label_syms.iter().map(|&(k, v)| (str_of(k), str_of(v))))
     }
 
-    /// Drops whole chunks (and the head) whose newest sample is older than
-    /// `cutoff_ms`.  Returns `(samples_dropped, chunks_dropped,
-    /// bytes_dropped)` so the shard can maintain its aggregates.
+    /// The key as an owned `(name, labels)` pair, for the string-keyed
+    /// query results.
+    fn owned_key(&self, symbols: &SymbolTable) -> (String, Labels) {
+        let name = symbols.resolve(self.name_sym).map_or_else(String::new, |s| s.to_string());
+        (name, self.labels(symbols))
+    }
+
+    /// A reader's view of the series: the chunks shared, the head copied and
+    /// the key's strings materialised from `symbols` — a reference on the
+    /// name, a copy of the labels — so it keeps them whatever happens to the
+    /// series and its symbols afterwards.
+    fn snapshot(&self, symbols: &SymbolTable) -> SeriesSnapshot {
+        let mut chunks = Vec::with_capacity(self.sealed.len() + 1);
+        chunks.extend_from_slice(&self.sealed);
+        chunks.extend(self.head.as_deref().and_then(Head::snapshot).map(Arc::new));
+        let name = symbols.resolve(self.name_sym).map_or_else(|| Arc::from(""), Arc::clone);
+        SeriesSnapshot::new(self.id, name, self.labels(symbols), chunks)
+    }
+
+    /// Drops whole chunks (and the head, record and buffer) whose newest
+    /// sample is older than `cutoff_ms`.  Returns `(samples_dropped,
+    /// chunks_dropped, bytes_dropped)` so the shard can maintain its
+    /// aggregates.
     fn drop_before(&mut self, cutoff_ms: u64) -> (usize, usize, u64) {
         let mut samples = 0;
         let mut chunks = 0;
@@ -322,11 +485,15 @@ impl MemSeries {
             chunks += 1;
             bytes += chunk.data_bytes() as u64;
         }
-        if self.sealed.is_empty() && self.head.last_timestamp().is_some_and(|t| t < cutoff_ms) {
-            samples += self.head.len();
-            chunks += 1;
-            bytes += self.head.resident_bytes() as u64;
-            self.head.clear();
+        if self.sealed.is_empty() {
+            if let Some(head) =
+                self.open_head().filter(|head| head.last_timestamp().is_some_and(|t| t < cutoff_ms))
+            {
+                samples += head.len();
+                chunks += 1;
+                bytes += head.resident_bytes() as u64;
+                self.drop_head();
+            }
         }
         (samples, chunks, bytes)
     }
@@ -335,25 +502,25 @@ impl MemSeries {
     /// every chunk — the eviction criterion.  A freshly resolved series that
     /// is still waiting for its first append is empty but NOT drained.
     fn is_drained(&self) -> bool {
-        self.ever_appended && self.sealed.is_empty() && self.head.is_empty()
+        self.ever_appended && self.sealed.is_empty() && self.open_head().is_none()
     }
 
     /// Stored samples (sealed + head), for aggregate maintenance on drops.
     fn sample_count(&self) -> u64 {
-        self.sealed.iter().map(|c| c.len() as u64).sum::<u64>() + self.head.len() as u64
+        self.sealed.iter().map(|c| c.len() as u64).sum::<u64>()
+            + self.open_head().map_or(0, |head| head.len() as u64)
     }
 
     /// Held chunks (sealed + the head when non-empty).
     fn chunk_total(&self) -> u64 {
-        self.sealed.len() as u64 + u64::from(!self.head.is_empty())
+        self.sealed.len() as u64 + u64::from(self.open_head().is_some())
     }
 
     /// Resident payload bytes, matching the shard's incremental `bytes`
     /// accounting (sealed chunk payloads + the head's, see
     /// [`Head::resident_bytes`]).
     fn resident_bytes(&self) -> u64 {
-        self.sealed.iter().map(|c| c.data_bytes() as u64).sum::<u64>()
-            + self.head.resident_bytes() as u64
+        self.sealed.iter().map(|c| c.data_bytes() as u64).sum::<u64>() + self.head_resident_bytes()
     }
 
     /// The value symbol of label `key`, if the series carries that label.
@@ -373,15 +540,17 @@ impl MemSeries {
         }
     }
 
-    /// `true` when the borrowed key equals this series' interned key.
-    fn key_matches(&self, name: &str, labels: &Labels) -> bool {
-        &*self.name == name
-            && self.labels.len() == labels.len()
+    /// `true` when the borrowed key equals this series' interned key, read
+    /// through `symbols`.
+    fn key_matches(&self, name: &str, labels: &Labels, symbols: &SymbolTable) -> bool {
+        let is = |sym, s: &str| symbols.resolve(sym).is_some_and(|interned| &**interned == s);
+        is(self.name_sym, name)
+            && self.label_syms.len() == labels.len()
             && self
-                .labels
+                .label_syms
                 .iter()
                 .zip(labels.iter())
-                .all(|((sk, sv), (k, v))| &**sk == k && &**sv == v)
+                .all(|(&(sk, sv), (k, v))| is(sk, k) && is(sv, v))
     }
 }
 
@@ -408,11 +577,26 @@ impl Hasher for PreHashed {
     }
 }
 
+/// Heap bytes of a `std` hash table that reports `capacity`, at `slot` bytes
+/// an entry: a power-of-two bucket array filled to 7/8 at most, one control
+/// byte a bucket and a trailing group of them.
+fn hash_table_bytes(capacity: usize, slot: usize) -> usize {
+    match capacity {
+        0 => 0,
+        1..=7 => (capacity + 1) * (slot + 1) + 16,
+        _ => capacity / 7 * 8 * (slot + 1) + 16,
+    }
+}
+
 #[derive(Default)]
 struct ShardInner {
     series: Vec<MemSeries>,
-    /// Series-key hash → shard-local indices with that hash (collision list).
-    key_index: HashMap<u64, Vec<u32>, std::hash::BuildHasherDefault<PreHashed>>,
+    /// Series-key hash → the first (lowest) shard-local index filed under it.
+    key_index: HashMap<u64, u32, std::hash::BuildHasherDefault<PreHashed>>,
+    /// Every further series whose key hashed to a value `key_index` already
+    /// held, ascending — consulted only when the first one's key compare
+    /// fails.  A 64-bit collision inside one shard: kept correct, not fast.
+    collided: Vec<u32>,
     postings: Postings,
     /// Bumped whenever shard-local series indices are invalidated (series
     /// evicted by retention or dropped); stale [`SeriesHandle`]s are detected
@@ -426,6 +610,8 @@ struct ShardInner {
     bytes: u64,
     /// The open heads' share of `bytes`.
     head_bytes: u64,
+    /// Sum of [`MemSeries::boxes_bytes`] over `series`.
+    boxes_bytes: u64,
     min_ts: Option<u64>,
     max_ts: Option<u64>,
 }
@@ -440,13 +626,35 @@ impl ShardInner {
         &self.series[local as usize]
     }
 
-    /// Borrowed-key lookup: no allocation, no string clone.
-    fn find(&self, key_hash: u64, name: &str, labels: &Labels) -> Option<u32> {
-        self.key_index
-            .get(&key_hash)?
-            .iter()
-            .copied()
-            .find(|&local| self.series_at(local).key_matches(name, labels))
+    /// Borrowed-key lookup: no allocation, no string clone.  A hash the
+    /// index holds is verified against the interned strings under the
+    /// symbol table's read lock (lock order: this shard's, held by the
+    /// caller, then `tsdb.symbols`); a hash it does not hold takes no lock.
+    fn find(
+        &self,
+        key_hash: u64,
+        name: &str,
+        labels: &Labels,
+        symbols: &RwLock<SymbolTable>,
+    ) -> Option<u32> {
+        let first = *self.key_index.get(&key_hash)?;
+        let symbols = symbols.read();
+        if self.series_at(first).key_matches(name, labels, &symbols) {
+            return Some(first);
+        }
+        self.collided.iter().copied().find(|&local| {
+            let series = self.series_at(local);
+            series.key_hash == key_hash && series.key_matches(name, labels, &symbols)
+        })
+    }
+
+    /// What this shard's series records hold on the heap: the array and the
+    /// key index at their capacities, and every record's own blocks.
+    fn series_bytes(&self) -> u64 {
+        (self.series.capacity() * size_of::<MemSeries>()
+            + hash_table_bytes(self.key_index.capacity(), size_of::<(u64, u32)>())
+            + self.collided.capacity() * size_of::<u32>()) as u64
+            + self.boxes_bytes
     }
 
     /// Appends `sample` to the series at `local` (same invariant as
@@ -455,49 +663,57 @@ impl ShardInner {
     /// append every path — per-sample, by handle, batched, WAL replay —
     /// goes through, so acceptance and accounting cannot diverge.
     ///
-    /// The hot path is the ordering check against the newest sample — in
-    /// the head's inline tail or its encoder's register, no buffer to chase
-    /// — and a sixteen-byte store into that tail; it calls nothing.  The
-    /// append that fills the tail or the head leaves through
+    /// The hot path is the ordering check against the newest timestamp and
+    /// the room check, both against the series record, and a sixteen-byte
+    /// store into the head's tail through the record's pointer; it calls
+    /// nothing and loads nothing from the head.  The append that opens a
+    /// chunk, fills the tail or fills the head leaves through
     /// [`ShardInner::append_encoding`].
     fn append(&mut self, local: u32, sample: Sample, chunk_size: usize) -> bool {
         // teemon-verify: allow(no-index): shard-local indices come from the key index/postings under this lock
         let series = &mut self.series[local as usize];
-        if series.last_timestamp().is_some_and(|last| sample.timestamp_ms < last) {
+        if sample.timestamp_ms < series.last_ts {
             self.rejected += 1;
             return false;
         }
-        let opened_chunk = series.head.is_empty();
-        if opened_chunk {
-            series.ever_appended = true;
+        if series.room > 0 {
+            if let Some(head) = series.head.as_deref_mut() {
+                head.store_at(series.tail_len, sample);
+                series.tail_len += 1;
+                series.room -= 1;
+                series.last_ts = sample.timestamp_ms;
+                self.account(sample.timestamp_ms, false, SAMPLE_BYTES as i64, 0);
+                return true;
+            }
         }
-        if series.head.len() + 1 < chunk_size && series.head.store(sample) {
-            self.account(sample.timestamp_ms, opened_chunk, SAMPLE_BYTES as i64, 0);
-            return true;
-        }
-        self.append_encoding(local, sample, chunk_size, opened_chunk)
+        self.append_encoding(local, sample, chunk_size)
     }
 
-    /// The rest of [`ShardInner::append`] for an accepted sample that fills
-    /// its head's tail — a burst is encoded — or the head, which is sealed
-    /// and emptied, its block buffer kept for the next chunk: past its first
-    /// chunk a steady series allocates only at a seal.
+    /// The rest of [`ShardInner::append`] for an accepted sample that finds
+    /// no head — one is allocated —, opens a chunk, fills its head's tail —
+    /// a burst is encoded — or the head, which is sealed and emptied, its
+    /// block buffer kept for the next chunk: past its first chunk a steady
+    /// series allocates only at a seal.
     #[cold]
     #[inline(never)]
-    fn append_encoding(
-        &mut self,
-        local: u32,
-        sample: Sample,
-        chunk_size: usize,
-        opened_chunk: bool,
-    ) -> bool {
+    fn append_encoding(&mut self, local: u32, sample: Sample, chunk_size: usize) -> bool {
         let Some(series) = self.series.get_mut(local as usize) else { return false };
-        let mut head_delta = series.head.push(sample);
+        let boxes_before = series.boxes_bytes();
+        let head = series.head.get_or_insert_with(|| {
+            #[cfg(lock_audit)]
+            let _allow = parking_lot::audit::allow_alloc();
+            Box::default()
+        });
+        let opened_chunk = head.is_empty();
+        let mut head_delta = head.push(sample);
         let mut sealed_bytes = 0;
-        if series.head.len() >= chunk_size {
-            head_delta -= series.head.resident_bytes() as i64;
+        if head.len() >= chunk_size {
+            head_delta -= head.resident_bytes() as i64;
             sealed_bytes = series.seal_head();
         }
+        series.ever_appended = true;
+        series.sync_head(chunk_size);
+        self.boxes_bytes = (self.boxes_bytes + series.boxes_bytes()).saturating_sub(boxes_before);
         self.account(sample.timestamp_ms, opened_chunk, head_delta, sealed_bytes);
         true
     }
@@ -519,13 +735,26 @@ impl ShardInner {
 
     /// Appends a new series, registering it in the key index and the
     /// postings; returns its shard-local index.
-    fn push_series(&mut self, key_hash: u64, series: MemSeries) -> u32 {
+    fn push_series(&mut self, series: MemSeries) -> u32 {
         // teemon-verify: allow(no-unwrap): invariant — u32 handles cap a shard at 2^32 series, unreachable in memory
         let local = u32::try_from(self.series.len()).expect("fewer than 2^32 series per shard");
-        self.postings.register(local, series.name_sym, &series.label_syms);
-        self.key_index.entry(key_hash).or_default().push(local);
+        self.index(local, &series);
+        self.boxes_bytes += series.boxes_bytes();
         self.series.push(series);
         local
+    }
+
+    /// Files `series`, about to be or already stored at `local` — greater
+    /// than every index filed so far —, under its key hash and in the
+    /// postings.
+    fn index(&mut self, local: u32, series: &MemSeries) {
+        match self.key_index.entry(series.key_hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(local);
+            }
+            Entry::Occupied(_) => self.collided.push(local),
+        }
+        self.postings.register(local, series.name_sym, &series.label_syms);
     }
 
     /// Rebuilds the key index and postings from the stored series without
@@ -533,24 +762,34 @@ impl ShardInner {
     /// durable generation is restored explicitly.
     fn reindex(&mut self) {
         self.key_index.clear();
+        self.collided = Vec::new();
         self.postings = Postings::default();
-        for (local, series) in self.series.iter().enumerate() {
+        let series = std::mem::take(&mut self.series);
+        for (local, series) in series.iter().enumerate() {
             // teemon-verify: allow(no-unwrap): invariant — u32 handles cap a shard at 2^32 series, unreachable in memory
             let local = u32::try_from(local).expect("fewer than 2^32 series per shard");
-            let hash = series_key_hash_pairs(
-                &series.name,
-                series.labels.iter().map(|(k, v)| (&**k, &**v)),
-            );
-            self.key_index.entry(hash).or_default().push(local);
-            self.postings.register(local, series.name_sym, &series.label_syms);
+            self.index(local, series);
         }
+        self.series = series;
     }
 
     /// Rebuilds the key index and postings from the surviving series and
     /// bumps the shard generation.  Must be called after any operation that
     /// removes series (and thereby renumbers shard-local indices); every
     /// previously issued handle into this shard becomes stale.
+    ///
+    /// A removal that leaves the array under a quarter full also gives the
+    /// spike back: the array and the key index shrink to twice what they
+    /// hold (the postings maps are rebuilt from nothing every time), so a
+    /// burst of cardinality costs memory for its retention window, not for
+    /// the life of the process.
     fn rebuild_after_removal(&mut self) {
+        let held = self.series.len();
+        if held < self.series.capacity() / 4 {
+            self.series.shrink_to(2 * held);
+            self.key_index.clear();
+            self.key_index.shrink_to(2 * held);
+        }
         self.reindex();
         self.generation += 1;
     }
@@ -584,6 +823,7 @@ impl ShardInner {
         let mut removed_chunks = 0u64;
         let mut removed_bytes = 0u64;
         let mut removed_head_bytes = 0u64;
+        let mut removed_boxes_bytes = 0u64;
         self.series.retain(|series| {
             let doomed = victims.get(next_victim) == Some(&local);
             if doomed {
@@ -592,7 +832,8 @@ impl ShardInner {
                 removed_samples += series.sample_count();
                 removed_chunks += series.chunk_total();
                 removed_bytes += series.resident_bytes();
-                removed_head_bytes += series.head.resident_bytes() as u64;
+                removed_head_bytes += series.head_resident_bytes();
+                removed_boxes_bytes += series.boxes_bytes();
             }
             local += 1;
             !doomed
@@ -601,6 +842,7 @@ impl ShardInner {
         self.chunks = self.chunks.saturating_sub(removed_chunks);
         self.bytes = self.bytes.saturating_sub(removed_bytes);
         self.head_bytes = self.head_bytes.saturating_sub(removed_head_bytes);
+        self.boxes_bytes = self.boxes_bytes.saturating_sub(removed_boxes_bytes);
         self.rebuild_after_removal();
         self.refresh_time_bounds();
         removed
@@ -614,12 +856,12 @@ impl ShardInner {
     /// A head is *stale* once its series' newest sample is more than
     /// [`STALE_HEAD_MS`] behind the shard's newest: instant selectors have
     /// stopped seeing the series, so it is unlikely to be appended to again.
-    /// Its samples are sealed into a chunk like a full head's and the buffer
-    /// is released (an empty stale head just releases its buffer), so a
-    /// churned series costs an exact-sized block, not a tail and a
-    /// half-used buffer, until retention evicts it.  The rule reads only
-    /// what replay reproduces — `max_ts` and the head — so it needs no WAL
-    /// record.
+    /// Its samples are sealed into a chunk like a full head's and the head
+    /// is dropped, record and buffer (an empty stale head is just dropped),
+    /// so a churned series costs an exact-sized block, not a tail, an
+    /// encoder and a half-used buffer, until retention evicts it.  The rule
+    /// reads only what replay reproduces — `max_ts` and the head — so it
+    /// needs no WAL record.
     fn retention_pass(&mut self, cutoff: u64, symbols: &RwLock<SymbolTable>) -> u64 {
         let mut dropped_samples = 0u64;
         let mut dropped_chunks = 0u64;
@@ -629,18 +871,23 @@ impl ShardInner {
         let stale_before = self.max_ts.map_or(0, |newest| newest.saturating_sub(STALE_HEAD_MS));
         let mut stale_sealed = 0u64;
         let mut head_bytes = 0u64;
+        let mut boxes_bytes = 0u64;
         for series in &mut self.series {
             let (samples, chunks, bytes) = series.drop_before(cutoff);
             dropped_samples += samples as u64;
             dropped_chunks += chunks as u64;
             dropped_bytes += bytes;
-            drained |= series.is_drained();
-            let head_before = series.head.resident_bytes() as u64;
+            let is_drained = series.is_drained();
+            drained |= is_drained;
+            let head_before = series.head_resident_bytes();
             if let Some(sealed_bytes) = series.seal_if_stale(stale_before) {
                 self.bytes = (self.bytes + sealed_bytes as u64).saturating_sub(head_before);
                 stale_sealed += 1;
             }
-            head_bytes += series.head.resident_bytes() as u64;
+            head_bytes += series.head_resident_bytes();
+            if !is_drained {
+                boxes_bytes += series.boxes_bytes();
+            }
             min_ts = match (min_ts, series.first_timestamp()) {
                 (Some(a), Some(b)) => Some(std::cmp::min::<u64>(a, b)),
                 (a, b) => a.or(b),
@@ -653,6 +900,7 @@ impl ShardInner {
         self.chunks -= dropped_chunks;
         self.bytes = self.bytes.saturating_sub(dropped_bytes);
         self.head_bytes = head_bytes;
+        self.boxes_bytes = boxes_bytes;
         if drained {
             // Evicting renumbers the shard; the second walk to refresh
             // both time bounds only runs on this rare path.
@@ -833,28 +1081,20 @@ impl<'a> Recovery<'a> {
     ) -> MemSeries {
         let mut symbols = self.symbols.write();
         let mut holed = false;
-        let name = resolve_or_hole(&mut symbols, name_sym, &mut holed);
-        let mut labels = Vec::with_capacity(label_syms.len());
-        for &(k, v) in &label_syms {
-            labels.push((
-                resolve_or_hole(&mut symbols, k, &mut holed),
-                resolve_or_hole(&mut symbols, v, &mut holed),
-            ));
+        let all = std::iter::once(name_sym).chain(label_syms.iter().flat_map(|&(k, v)| [k, v]));
+        for sym in all {
+            holed |= bind_hole(&mut symbols, sym);
         }
         if holed {
             self.doomed.insert(id);
         }
         self.max_id = Some(self.max_id.map_or(id, |m| m.max(id)));
-        MemSeries {
-            id: SeriesId(id),
-            name,
-            name_sym,
-            labels: labels.into(),
-            label_syms: label_syms.into_boxed_slice(),
-            sealed: Vec::new(),
-            head: Head::default(),
-            ever_appended: false,
-        }
+        let str_of = |sym| symbols.resolve(sym).map_or("", |s| &**s);
+        let key_hash = series_key_hash_pairs(
+            str_of(name_sym),
+            label_syms.iter().map(|&(k, v)| (str_of(k), str_of(v))),
+        );
+        MemSeries::new(SeriesId(id), key_hash, name_sym, label_syms)
     }
 
     /// Restores `index`'s held-back snapshot, if any (sealed Gorilla blocks
@@ -872,18 +1112,26 @@ impl<'a> Recovery<'a> {
         };
         for series in snapshot.series {
             let mut restored = self.series(series.id, series.name_sym, series.label_syms);
-            for sample in series.head {
-                restored.head.push(sample);
+            // A head only where the live store had samples in one: a series
+            // snapshotted without gets it back from its next append.
+            if series.head.is_empty() {
+                restored.drop_head();
+            } else if let Some(head) = restored.head.as_deref_mut() {
+                for sample in series.head {
+                    head.push(sample);
+                }
             }
             restored.sealed = series.sealed.into_iter().map(Arc::new).collect();
             restored.ever_appended = series.ever_appended;
+            restored.sync_head(self.chunk_size);
             inner.series.push(restored);
         }
         inner.reindex();
         inner.samples = inner.series.iter().map(MemSeries::sample_count).sum();
         inner.chunks = inner.series.iter().map(MemSeries::chunk_total).sum();
         inner.bytes = inner.series.iter().map(MemSeries::resident_bytes).sum();
-        inner.head_bytes = inner.series.iter().map(|s| s.head.resident_bytes() as u64).sum();
+        inner.head_bytes = inner.series.iter().map(MemSeries::head_resident_bytes).sum();
+        inner.boxes_bytes = inner.series.iter().map(MemSeries::boxes_bytes).sum();
         inner.refresh_time_bounds();
         if let Some(shard) = self.shards.get_mut(index) {
             shard.inner = inner;
@@ -902,12 +1150,8 @@ impl<'a> Recovery<'a> {
         match op {
             wal::ShardOp::Series { id, name_sym, label_syms } => {
                 let series = self.series(id, name_sym, label_syms);
-                let hash = series_key_hash_pairs(
-                    &series.name,
-                    series.labels.iter().map(|(k, v)| (&**k, &**v)),
-                );
                 if let Some(inner) = self.live(index) {
-                    inner.push_series(hash, series);
+                    inner.push_series(series);
                 }
             }
             wal::ShardOp::Samples { timestamp_ms, entries, .. } => {
@@ -1119,7 +1363,7 @@ impl TimeSeriesDb {
                 name_sym: series.name_sym,
                 label_syms: &series.label_syms,
                 ever_appended: series.ever_appended,
-                head: &series.head,
+                head: series.head.as_deref(),
                 sealed: &series.sealed,
             })
             .collect();
@@ -1141,7 +1385,7 @@ impl TimeSeriesDb {
         let key_hash = series_key_hash(name, labels);
         let shard = shard_of(key_hash);
         let mut inner = self.shared.shard(shard).write();
-        let local = match inner.find(key_hash, name, labels) {
+        let local = match inner.find(key_hash, name, labels, &self.shared.symbols) {
             Some(local) => local,
             None => self.create_series(&mut inner, shard, key_hash, name, labels),
         };
@@ -1167,12 +1411,12 @@ impl TimeSeriesDb {
         {
             // Optimistic read: steady-state re-resolves share the lock.
             let inner = self.shared.shard(shard).read();
-            if let Some(local) = inner.find(key_hash, name, labels) {
+            if let Some(local) = inner.find(key_hash, name, labels, &self.shared.symbols) {
                 return SeriesHandle { shard: shard as u16, local, generation: inner.generation };
             }
         }
         let mut inner = self.shared.shard(shard).write();
-        let local = match inner.find(key_hash, name, labels) {
+        let local = match inner.find(key_hash, name, labels, &self.shared.symbols) {
             Some(local) => local,
             None => self.create_series(&mut inner, shard, key_hash, name, labels),
         };
@@ -1378,32 +1622,18 @@ impl TimeSeriesDb {
         #[cfg(lock_audit)]
         let _allow = parking_lot::audit::allow_alloc();
         let mut symbols = self.shared.symbols.write();
-        let (name_sym, name_arc) = symbols.intern_acquire(name);
-        let mut label_syms = Vec::with_capacity(labels.len());
-        let mut label_arcs = Vec::with_capacity(labels.len());
-        for (k, v) in labels.iter() {
-            let (key_sym, key_arc) = symbols.intern_acquire(k);
-            let (value_sym, value_arc) = symbols.intern_acquire(v);
-            label_syms.push((key_sym, value_sym));
-            label_arcs.push((key_arc, value_arc));
-        }
+        let name_sym = symbols.intern_acquire(name);
+        let label_syms: Vec<(SymbolId, SymbolId)> = labels
+            .iter()
+            .map(|(k, v)| (symbols.intern_acquire(k), symbols.intern_acquire(v)))
+            .collect();
         drop(symbols);
 
         let id = SeriesId(self.shared.next_id.fetch_add(1, Ordering::Relaxed));
         if let Some(mut writer) = self.shared.stage(shard) {
             writer.series(id.0, name_sym, &label_syms);
         }
-        let series = MemSeries {
-            id,
-            name: name_arc,
-            name_sym,
-            labels: label_arcs.into(),
-            label_syms: label_syms.into_boxed_slice(),
-            sealed: Vec::new(),
-            head: Head::default(),
-            ever_appended: false,
-        };
-        inner.push_series(key_hash, series)
+        inner.push_series(MemSeries::new(id, key_hash, name_sym, label_syms))
     }
 
     /// Number of live series, folded from the shards in O(shards).  (Evicted
@@ -1430,6 +1660,7 @@ impl TimeSeriesDb {
             stats.rejected_samples += inner.rejected;
             stats.resident_bytes += inner.bytes;
             stats.index_bytes += inner.postings.bytes() as u64;
+            stats.series_bytes += inner.series_bytes();
         }
         stats.wal_failed_shards =
             self.shared.wal.as_ref().map(|wal| wal.failed_shard_count()).unwrap_or(0);
@@ -1458,7 +1689,16 @@ impl TimeSeriesDb {
 
     /// Runs `f` over every series matching `selector`, shard by shard, and
     /// returns the collected results in series-creation order.
-    fn for_matching<T>(&self, selector: &Selector, f: impl Fn(&MemSeries) -> Option<T>) -> Vec<T> {
+    ///
+    /// `f` is handed the symbol table to materialise the key of a series it
+    /// answers for: the table's read lock is taken inside each shard's (lock
+    /// order: `tsdb.shard`, then `tsdb.symbols`) and only where the shard has
+    /// a match.
+    fn for_matching<T>(
+        &self,
+        selector: &Selector,
+        f: impl Fn(&MemSeries, &SymbolTable) -> Option<T>,
+    ) -> Vec<T> {
         let plan = self.plan(selector);
         if matches!(plan, SelectorPlan::Nothing) {
             return Vec::new();
@@ -1466,9 +1706,14 @@ impl TimeSeriesDb {
         let mut out: Vec<(SeriesId, T)> = Vec::new();
         for shard in &self.shared.shards {
             let inner = shard.read();
-            for local in inner.matches(&plan) {
+            let matched = inner.matches(&plan);
+            if matched.is_empty() {
+                continue;
+            }
+            let symbols = self.shared.symbols.read();
+            for local in matched {
                 let series = inner.series_at(local);
-                if let Some(value) = f(series) {
+                if let Some(value) = f(series, &symbols) {
                     out.push((series.id, value));
                 }
             }
@@ -1481,17 +1726,16 @@ impl TimeSeriesDb {
     /// `selector`, in creation order.  Sealed chunks are shared, not cloned;
     /// only the open head chunk of each series is copied.
     pub fn select(&self, selector: &Selector) -> Vec<SeriesSnapshot> {
-        self.for_matching(selector, |series| Some(series.snapshot()))
+        self.for_matching(selector, |series, symbols| Some(series.snapshot(symbols)))
     }
 
     /// Instant query: the newest sample at or before `at_ms` for every
     /// matching series.
     pub fn query_instant(&self, selector: &Selector, at_ms: u64) -> Vec<QueryResult> {
-        self.for_matching(selector, |series| {
-            series.at(at_ms).map(|sample| QueryResult {
-                name: series.name.to_string(),
-                labels: materialise_labels(&series.labels),
-                points: vec![(sample.timestamp_ms, sample.value)],
+        self.for_matching(selector, |series, symbols| {
+            series.at(at_ms).map(|sample| {
+                let (name, labels) = series.owned_key(symbols);
+                QueryResult { name, labels, points: vec![(sample.timestamp_ms, sample.value)] }
             })
         })
     }
@@ -1499,16 +1743,13 @@ impl TimeSeriesDb {
     /// Range query: all samples in `[start_ms, end_ms]` for every matching
     /// series.
     pub fn query_range(&self, selector: &Selector, start_ms: u64, end_ms: u64) -> Vec<QueryResult> {
-        self.for_matching(selector, |series| {
+        self.for_matching(selector, |series, symbols| {
             let points = series.points_in(start_ms, end_ms);
             if points.is_empty() {
                 return None;
             }
-            Some(QueryResult {
-                name: series.name.to_string(),
-                labels: materialise_labels(&series.labels),
-                points,
-            })
+            let (name, labels) = series.owned_key(symbols);
+            Some(QueryResult { name, labels, points })
         })
     }
 
@@ -1556,26 +1797,18 @@ impl TimeSeriesDb {
     }
 }
 
-fn materialise_labels(labels: &[(Arc<str>, Arc<str>)]) -> Labels {
-    Labels::from_str_pairs(labels.iter().map(|(k, v)| (&**k, &**v)))
-}
-
-/// Replay-side symbol resolution.  A missing binding installs a unique
+/// Replay-side symbol check.  A symbol with no binding gets a unique
 /// placeholder (`\u{1}` prefix keeps it out of any legal metric/label
-/// namespace) and flags the caller via `holed`; series built from
-/// placeholders are *doomed* — tolerated only if a later replayed drop
-/// removes them (see [`TimeSeriesDb::replay_shard`]).
-fn resolve_or_hole(table: &mut SymbolTable, sym: SymbolId, holed: &mut bool) -> Arc<str> {
-    if let Some(s) = table.resolve(sym) {
-        return Arc::clone(s);
+/// namespace) and `true` is returned; series built from placeholders are
+/// *doomed* — tolerated only if a later replayed drop removes them (see
+/// [`Recovery::finish`]).
+fn bind_hole(table: &mut SymbolTable, sym: SymbolId) -> bool {
+    if table.resolve(sym).is_some() {
+        return false;
     }
-    *holed = true;
     let placeholder = format!("{REPLAY_HOLE_MARKER}wal-hole-{}", sym.as_u32());
     table.install_binding(sym.as_u32(), &placeholder);
-    match table.resolve(sym) {
-        Some(s) => Arc::clone(s),
-        None => Arc::from(placeholder.as_str()),
-    }
+    true
 }
 
 impl std::fmt::Debug for TimeSeriesDb {
@@ -2027,11 +2260,11 @@ mod tests {
     }
 
     /// `(samples held, samples in the tail, block capacity)` of the head
-    /// behind `handle`.
-    fn head_of(db: &TimeSeriesDb, handle: SeriesHandle) -> (usize, usize, usize) {
+    /// behind `handle`, `None` when the series has none.
+    fn head_of(db: &TimeSeriesDb, handle: SeriesHandle) -> Option<(usize, usize, usize)> {
         let inner = db.shared.shard(handle.shard as usize).read();
-        let head = &inner.series_at(handle.local).head;
-        (head.len(), head.tail().len(), head.block_buffer().1)
+        let head = inner.series_at(handle.local).head.as_deref()?;
+        Some((head.len(), head.tail().len(), head.block_buffer().1))
     }
 
     /// The largest burst any [`crate::chunk_codec::BlockEncoder::push`] on
@@ -2055,24 +2288,25 @@ mod tests {
         let h = small.resolve("m", &Labels::new());
         small.append_handle(h, 0, 1.0);
         small.append_handle(h, 1, 1.0);
-        assert_eq!(head_of(&small, h), (2, 2, 0), "two samples are two stores");
+        assert_eq!(head_of(&small, h), Some((2, 2, 0)), "two samples are two stores");
         small.append_handle(h, 2, 1.0);
-        assert_eq!(head_of(&small, h), (0, 0, 32));
+        assert_eq!(head_of(&small, h), Some((0, 0, 32)));
         assert_eq!(largest_burst(), 3);
     }
 
     fn head_grows_and_keeps_its_buffer(value: fn(u64) -> f64, expected_capacities: &[usize]) {
         let db = TimeSeriesDb::new(); // chunk_size 120
         let h = db.resolve("m", &Labels::new());
-        assert_eq!(head_of(&db, h), (0, 0, 0), "a resolved series holds no buffer yet");
+        assert_eq!(head_of(&db, h), Some((0, 0, 0)), "a resolved series holds no buffer yet");
         largest_burst();
         let mut capacities = Vec::new();
         for t in 0..119u64 {
             db.append_handle(h, t * 5_000, value(t));
-            let (len, tail, capacity) = head_of(&db, h);
+            let (len, tail, capacity) = head_of(&db, h).expect("an open head");
             assert_eq!((len, tail), (t as usize + 1, (t as usize + 1) % 8), "bursts of eight");
             let inner = db.shared.shard(h.shard as usize).read();
-            let (in_use, _) = inner.series_at(h.local).head.block_buffer();
+            let (in_use, _) =
+                inner.series_at(h.local).head.as_deref().expect("an open head").block_buffer();
             assert!(capacity <= (2 * in_use).max(32), "{capacity} B held for {in_use} B in use");
             assert_eq!(inner.head_bytes, (in_use + tail * SAMPLE_BYTES) as u64);
             assert_eq!(inner.head_bytes, inner.bytes, "nothing is sealed yet");
@@ -2088,7 +2322,11 @@ mod tests {
         db.append_handle(h, 119 * 5_000, value(119));
         assert_eq!(largest_burst(), 8);
         let kept = *expected_capacities.last().expect("a buffer");
-        assert_eq!(head_of(&db, h), (0, 0, kept), "a full seal empties the head, not its buffer");
+        assert_eq!(
+            head_of(&db, h),
+            Some((0, 0, kept)),
+            "a full seal empties the head, not its buffer"
+        );
         let snapshot = &db.select(&Selector::metric("m"))[0];
         assert_eq!((snapshot.chunk_count(), snapshot.len()), (1, 120));
         let stats = db.stats();
@@ -2112,7 +2350,7 @@ mod tests {
         let head_bytes = |db: &TimeSeriesDb| db.shared.shard(idle.shard as usize).read().head_bytes;
         let idle_head = {
             let inner = db.shared.shard(idle.shard as usize).read();
-            inner.series_at(idle.local).head.resident_bytes()
+            inner.series_at(idle.local).head_resident_bytes() as usize
         };
         assert!(idle_head < 17 * SAMPLE_BYTES, "two bursts are already a block");
 
@@ -2122,7 +2360,7 @@ mod tests {
         let sealed_before = probes::STALE_HEADS_SEALED.get();
         assert_eq!(db.apply_retention(), 0);
         assert_eq!(db.stats(), before);
-        assert_eq!(head_of(&db, idle), (17, 1, 32));
+        assert_eq!(head_of(&db, idle), Some((17, 1, 32)));
 
         // One millisecond later the idle head is sealed and its buffer
         // released; the live one is untouched.  No sample, chunk or series
@@ -2133,8 +2371,8 @@ mod tests {
         let heads_before = head_bytes(&db);
         assert_eq!(db.apply_retention(), 0);
         assert!(probes::STALE_HEADS_SEALED.get() > sealed_before);
-        assert_eq!(head_of(&db, idle), (0, 0, 0));
-        assert_eq!(head_of(&db, live), (19, 3, 32));
+        assert_eq!(head_of(&db, idle), None, "the head is gone, record and buffer");
+        assert_eq!(head_of(&db, live), Some((19, 3, 32)));
         assert_eq!(head_bytes(&db), heads_before - idle_head as u64);
         let after = db.stats();
         let snapshot = &db.select(&Selector::metric("idle"))[0];
@@ -2144,9 +2382,16 @@ mod tests {
             before.resident_bytes - idle_head as u64 + snapshot.resident_bytes() as u64
         );
         assert!(snapshot.resident_bytes() < idle_head);
+        // The records swap a head for a chunk's footer block and a chunk
+        // list of exactly one slot.
+        let chunk_and_list = (ARC_CHUNK_BYTES + size_of::<Arc<Chunk>>()) as u64;
         assert_eq!(
-            StorageStats { resident_bytes: 0, ..after },
-            StorageStats { resident_bytes: 0, ..before }
+            after.series_bytes,
+            before.series_bytes - size_of::<Head>() as u64 + chunk_and_list
+        );
+        assert_eq!(
+            StorageStats { resident_bytes: 0, series_bytes: 0, ..after },
+            StorageStats { resident_bytes: 0, series_bytes: 0, ..before }
         );
         assert_eq!(db.apply_retention(), 0, "a second pass finds nothing left to seal");
         assert_eq!(db.stats(), after);
@@ -2156,7 +2401,7 @@ mod tests {
         // into the tail of a new chunk: no buffer until a burst needs one.
         assert_eq!(db.append_handle(idle, idle_end - 1, 0.0), HandleAppend::Rejected);
         assert_eq!(db.append_handle(idle, idle_end, 17.0), HandleAppend::Appended);
-        assert_eq!(head_of(&db, idle), (1, 1, 0));
+        assert_eq!(head_of(&db, idle), Some((1, 1, 0)));
         let revived = db.stats();
         assert_eq!(revived.chunks, after.chunks + 1);
         assert_eq!(revived.resident_bytes, after.resident_bytes + SAMPLE_BYTES as u64);
@@ -2184,22 +2429,30 @@ mod tests {
             db.append_handle(full, t, 1.0);
         }
         db.append_handle(short, 7, 1.0);
-        assert_eq!(head_of(&db, full), (0, 0, 32));
-        assert_eq!(head_of(&db, short), (1, 1, 0));
+        assert_eq!(head_of(&db, full), Some((0, 0, 32)));
+        assert_eq!(head_of(&db, short), Some((1, 1, 0)));
         db.append_handle(live, 8 + STALE_HEAD_MS, 1.0);
         let before = db.stats();
         let sealed_before = probes::STALE_HEADS_SEALED.get();
         db.apply_retention();
-        assert_eq!(head_of(&db, full), (0, 0, 0));
-        assert_eq!(head_of(&db, short), (0, 0, 0));
+        assert_eq!(head_of(&db, full), None);
+        assert_eq!(head_of(&db, short), None);
         // A lone sample is 16 bytes as a block too, and an empty head's
-        // buffer was never in the ledger: it does not move.
-        assert_eq!(db.stats(), before);
+        // buffer was never in the ledger: it does not move.  The records
+        // lose two heads and the three spare slots of `full`'s chunk list,
+        // and gain `short`'s chunk block and one-slot list.
+        let after = db.stats();
+        assert_eq!(StorageStats { series_bytes: before.series_bytes, ..after }, before);
+        let slot = size_of::<Arc<Chunk>>() as u64;
+        assert_eq!(
+            after.series_bytes + 2 * size_of::<Head>() as u64 + 3 * slot,
+            before.series_bytes + ARC_CHUNK_BYTES as u64 + slot
+        );
         assert_eq!(db.select(&Selector::metric("short"))[0].points_in(0, u64::MAX), [(7, 1.0)]);
         assert!(probes::STALE_HEADS_SEALED.get() > sealed_before, "`short` was sealed");
         // The next head starts like a new series': a store, then a buffer.
         db.append_handle(full, 8 + STALE_HEAD_MS, 1.0);
-        assert_eq!(head_of(&db, full), (1, 1, 0));
+        assert_eq!(head_of(&db, full), Some((1, 1, 0)));
     }
 
     #[test]
@@ -2216,5 +2469,97 @@ mod tests {
         assert!(is_live(&db, pending));
         assert_eq!(db.append_handle(pending, 100_000, 2.0), HandleAppend::Appended);
         assert_eq!(db.series_count(), 2);
+    }
+
+    #[test]
+    fn a_series_record_stays_small() {
+        // The array element, which a shard's doubling slack multiplies: the
+        // key as symbols and its hash, the chunk list, one pointer to the
+        // head and the append's three facts about it.  A string form of the
+        // key, an inline head or a second index slot would show here.
+        assert!(size_of::<MemSeries>() <= 80, "{} B a series record", size_of::<MemSeries>());
+        assert_eq!(size_of::<Head>(), 216, "what a series being written holds behind it");
+        assert_eq!(ARC_CHUNK_BYTES, 72);
+    }
+
+    /// Creates `name{labels}` in shard 0 filed under `key_hash`, whatever its
+    /// key really hashes to — what a 64-bit collision looks like to the shard.
+    fn push_with_hash(db: &TimeSeriesDb, key_hash: u64, name: &str, labels: &Labels) -> u32 {
+        let mut symbols = db.shared.symbols.write();
+        let name_sym = symbols.intern_acquire(name);
+        let label_syms: Vec<_> = labels
+            .iter()
+            .map(|(k, v)| (symbols.intern_acquire(k), symbols.intern_acquire(v)))
+            .collect();
+        drop(symbols);
+        let id = SeriesId(db.shared.next_id.fetch_add(1, Ordering::Relaxed));
+        db.shared.shard(0).write().push_series(MemSeries::new(id, key_hash, name_sym, label_syms))
+    }
+
+    #[test]
+    fn keys_that_collide_on_their_hash_stay_two_series() {
+        const HASH: u64 = 0xC0_111D_E000;
+        let keys = [("a_total", labels(&[("pod", "p-1")])), ("a_total", labels(&[("pod", "p-2")]))];
+        let stranger = labels(&[("pod", "p-3")]);
+        let find = |db: &TimeSeriesDb, (name, labels): &(&str, Labels)| {
+            db.shared.shard(0).read().find(HASH, name, labels, &db.shared.symbols)
+        };
+        let points = |db: &TimeSeriesDb, pod: &str| -> Vec<(u64, f64)> {
+            let selected = db.select(&Selector::metric("a_total").with_label("pod", pod));
+            assert!(selected.len() <= 1, "{pod} selected {} series", selected.len());
+            selected.first().map_or_else(Vec::new, |s| {
+                assert_eq!(s.label_value("pod"), Some(pod));
+                s.points_in(0, u64::MAX)
+            })
+        };
+        // Either may be the one the index holds and the other the overflow.
+        for order in [[0, 1], [1, 0]] {
+            let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 4, retention_ms: 10_000 });
+            let [first, second] = order.map(|i| &keys[i]);
+            let locals = [first, second].map(|(name, l)| push_with_hash(&db, HASH, name, l));
+            assert_eq!(locals, [0, 1]);
+            let check_both = |db: &TimeSeriesDb| {
+                assert_eq!(find(db, first), Some(0));
+                assert_eq!(find(db, second), Some(1));
+                assert_eq!(find(db, &("a_total", stranger.clone())), None, "same hash, no series");
+                assert_eq!(db.shared.shard(0).read().collided, [1]);
+            };
+            check_both(&db);
+
+            // Appends land in the series they name.
+            {
+                let mut inner = db.shared.shard(0).write();
+                assert!(inner.append(0, Sample { timestamp_ms: 1_000, value: 1.0 }, 4));
+                assert!(inner.append(1, Sample { timestamp_ms: 50_000, value: 2.0 }, 4));
+                inner.reindex();
+            }
+            check_both(&db);
+            let [first_pod, second_pod] = order.map(|i| ["p-1", "p-2"][i]);
+            assert_eq!(points(&db, first_pod), [(1_000, 1.0)]);
+            assert_eq!(points(&db, second_pod), [(50_000, 2.0)]);
+
+            // Retention evicts the aged one; the other is now the first — and
+            // only — series under the hash.
+            assert_eq!(db.apply_retention(), 1);
+            assert_eq!(find(&db, first), None);
+            assert_eq!(find(&db, second), Some(0));
+            assert!(db.shared.shard(0).read().collided.is_empty());
+            assert_eq!(points(&db, first_pod), []);
+            assert_eq!(points(&db, second_pod), [(50_000, 2.0)]);
+
+            // A drop of the one the index held leaves the overflow series
+            // standing, and the other way round.
+            for victim in [0u32, 1] {
+                let db = TimeSeriesDb::new();
+                for (name, l) in [first, second] {
+                    push_with_hash(&db, HASH, name, l);
+                }
+                db.shared.shard(0).write().remove_locals(&[victim], &db.shared.symbols);
+                let [gone, kept] = if victim == 0 { [first, second] } else { [second, first] };
+                assert_eq!(find(&db, gone), None);
+                assert_eq!(find(&db, kept), Some(0));
+                assert_eq!(db.series_count(), 1);
+            }
+        }
     }
 }

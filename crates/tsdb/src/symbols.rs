@@ -42,7 +42,7 @@ const SLOT_OVERHEAD_BYTES: u64 = 64;
 
 /// First character of the placeholder strings WAL replay binds to symbol
 /// ids whose real binding was legitimately swept before the crash (see
-/// `resolve_or_hole` in the storage layer).  A control character keeps the
+/// `bind_hole` in the storage layer).  A control character keeps the
 /// namespace disjoint from every legal metric and label string, which is
 /// what lets [`SymbolTable::finish_recovery`] purge leftovers by prefix.
 pub(crate) const REPLAY_HOLE_MARKER: char = '\u{1}';
@@ -167,17 +167,12 @@ impl SymbolTable {
         SymbolId(idx)
     }
 
-    /// Interns `s`, takes one reference, and returns the shared string —
-    /// the one-stop call for series creation.
-    pub(crate) fn intern_acquire(&mut self, s: &str) -> (SymbolId, Arc<str>) {
+    /// Interns `s` and takes one reference — the one-stop call for series
+    /// creation.
+    pub(crate) fn intern_acquire(&mut self, s: &str) -> SymbolId {
         let id = self.intern(s);
         self.acquire(id);
-        let string = self
-            .slot(id)
-            .and_then(|slot| slot.string.as_ref())
-            .map(Arc::clone)
-            .unwrap_or_else(|| Arc::from(s));
-        (id, string)
+        id
     }
 
     /// Takes one reference on `id`.  Ignores unbound ids (callers only
@@ -395,8 +390,10 @@ mod tests {
     #[test]
     fn resolved_strings_are_shared() {
         let mut table = SymbolTable::default();
-        let (id, first) = table.intern_acquire("teemon_syscalls_total");
-        let (again, second) = table.intern_acquire("teemon_syscalls_total");
+        let id = table.intern_acquire("teemon_syscalls_total");
+        let first = table.resolve(id).map(Arc::clone).expect("a live binding");
+        let again = table.intern_acquire("teemon_syscalls_total");
+        let second = table.resolve(again).map(Arc::clone).expect("a live binding");
         assert_eq!(id, again);
         assert!(Arc::ptr_eq(&first, &second));
     }
@@ -404,7 +401,7 @@ mod tests {
     #[test]
     fn release_needs_two_commits_before_sweep() {
         let mut table = SymbolTable::default();
-        let (id, _s) = table.intern_acquire("ephemeral");
+        let id = table.intern_acquire("ephemeral");
         table.release(id);
         assert_eq!(table.sweep(), 0, "uncooled binding must not be swept");
         table.commit_durable();
@@ -418,11 +415,11 @@ mod tests {
     #[test]
     fn reuse_bumps_generation_and_stale_entries_are_inert() {
         let mut table = SymbolTable::default();
-        let (old, _s) = table.intern_acquire("short-lived");
+        let old = table.intern_acquire("short-lived");
         table.release(old); // entry A, matures after two commits
         table.commit_durable();
         // Resurrect and release again: entry B matures one commit after A.
-        let (again, _t) = table.intern_acquire("short-lived");
+        let again = table.intern_acquire("short-lived");
         assert_eq!(again, old);
         table.release(again);
         table.commit_durable();
@@ -430,7 +427,7 @@ mod tests {
         assert_eq!(table.sweep(), 1);
 
         // Reuse the freed slot for a different string (generation bump).
-        let (new_id, _u) = table.intern_acquire("replacement");
+        let new_id = table.intern_acquire("replacement");
         assert_eq!(new_id.as_u32(), old.as_u32(), "slot reused off the free list");
         assert_eq!(resolve_str(&table, new_id), "replacement");
 
@@ -444,11 +441,11 @@ mod tests {
     #[test]
     fn resurrection_by_reintern_cancels_sweep() {
         let mut table = SymbolTable::default();
-        let (id, _s) = table.intern_acquire("phoenix");
+        let id = table.intern_acquire("phoenix");
         table.release(id);
         table.commit_durable();
         // Re-interning the same string before the sweep resurrects the slot.
-        let (again, _t) = table.intern_acquire("phoenix");
+        let again = table.intern_acquire("phoenix");
         assert_eq!(id, again);
         table.commit_durable();
         assert_eq!(table.sweep(), 0, "live refcount blocks the matured entry");
@@ -459,8 +456,8 @@ mod tests {
     fn bytes_accounting_returns_to_baseline() {
         let mut table = SymbolTable::default();
         assert_eq!(table.bytes(), 0);
-        let (a, _sa) = table.intern_acquire("alpha");
-        let (b, _sb) = table.intern_acquire("beta");
+        let a = table.intern_acquire("alpha");
+        let b = table.intern_acquire("beta");
         let peak = table.bytes();
         assert!(peak > 0);
         table.release(a);
@@ -475,8 +472,8 @@ mod tests {
     #[test]
     fn dirty_capture_and_snapshot_round_trip() {
         let mut table = SymbolTable::default();
-        let (a, _sa) = table.intern_acquire("one");
-        let (_b, _sb) = table.intern_acquire("two");
+        let a = table.intern_acquire("one");
+        let _b = table.intern_acquire("two");
         let delta = table.take_dirty_bindings();
         assert_eq!(delta.len(), 2);
         assert!(table.take_dirty_bindings().is_empty());

@@ -1156,7 +1156,8 @@ pub(crate) struct SnapSeriesRef<'a> {
     pub(crate) name_sym: SymbolId,
     pub(crate) label_syms: &'a [(SymbolId, SymbolId)],
     pub(crate) ever_appended: bool,
-    pub(crate) head: &'a Head,
+    /// The open head, `None` for a series that has none.
+    pub(crate) head: Option<&'a Head>,
     pub(crate) sealed: &'a [Arc<Chunk>],
 }
 
@@ -1231,8 +1232,8 @@ pub(crate) fn encode_shard_snapshot(
         put_label_syms(&mut buf, s.label_syms);
         // Head: its samples as one Gorilla block (the block it is building,
         // completed with its tail), an empty raw run when it holds none.
-        put_u32(&mut buf, s.head.len() as u32);
-        if let Some(kind) = s.head.encode_into(&mut block) {
+        put_u32(&mut buf, s.head.map_or(0, Head::len) as u32);
+        if let Some(kind) = s.head.and_then(|head| head.encode_into(&mut block)) {
             buf.push(block_tag(kind));
             put_u32(&mut buf, block.len() as u32);
             buf.extend_from_slice(&block);
@@ -1849,7 +1850,7 @@ mod tests {
             name_sym: SymbolId::from_u32(0),
             label_syms: &[],
             ever_appended: true,
-            head,
+            head: Some(head),
             sealed,
         }];
         let image = encode_shard_snapshot(1, 0, 0, &series);
@@ -1955,7 +1956,7 @@ mod tests {
             name_sym: SymbolId::from_u32(3),
             label_syms: &[(SymbolId::from_u32(1), SymbolId::from_u32(2))],
             ever_appended: true,
-            head: &head,
+            head: Some(&head),
             sealed: &[Arc::clone(&integer), Arc::clone(&xor), Arc::clone(&raw)],
         }];
         let bytes = encode_shard_snapshot(5, 2, 7, &series);

@@ -10,10 +10,14 @@
 //! The claims under test:
 //!
 //! * **Bounded memory.** Despite unbounded-unique label traffic, resident +
-//!   symbol + index bytes plateau: retention evicts drained series, series
-//!   eviction releases symbols, cooling matures, and the symbol-table
-//!   checkpoint's sweep frees the slots for reuse.  Without the symbol GC the table
-//!   would grow by every churn string ever interned.
+//!   symbol + index + series-record bytes plateau: retention evicts drained
+//!   series, series eviction releases symbols, cooling matures, and the
+//!   symbol-table checkpoint's sweep frees the slots for reuse.  Without the
+//!   symbol GC the table would grow by every churn string ever interned.
+//! * **A spike is given back.** One round mints two thousand series on top;
+//!   once they have aged out the footprint is back where it was — the series
+//!   arrays and key indexes are counted at their capacity, so a store that
+//!   kept its high-water mark would show it.
 //! * **Exact resolution across restart.** The recovered database is
 //!   byte-identical to the pre-crash state — every surviving series
 //!   resolves to exactly its original name and label strings.
@@ -30,7 +34,8 @@ use parking_lot::Mutex;
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_tsdb::{
     CardinalityBudgets, CrashModel, DurabilityOptions, FaultFs, FsyncMode, MetricsEndpoint,
-    PushLane, ScrapeError, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb, TsdbConfig,
+    PushLane, ScrapeError, ScrapeTargetConfig, Scraper, Selector, StorageStats, TimeSeriesDb,
+    TsdbConfig,
 };
 
 /// Scrape interval the soak advances by each round.
@@ -41,6 +46,19 @@ const WINDOW_ROUNDS: u64 = 8;
 const SCRAPE_CHURN: usize = 4;
 /// Unique-labelled series minted per round on the push edge.
 const PUSH_CHURN: usize = 3;
+/// Series the spike round mints on top, straight into the store.
+const SPIKE_SERIES: usize = 2_000;
+/// Rounds after the spike until nothing of it is left: its retention window,
+/// then the cooling of its symbols and the next symbol checkpoint to sweep
+/// them (the churn logs a segment's worth of bindings every eight rounds or
+/// so).
+const SPIKE_QUIET_ROUNDS: u64 = WINDOW_ROUNDS + 12;
+
+/// What the soak holds to a plateau: the modelled total and the series
+/// records the model leaves out.
+fn footprint(stats: &StorageStats) -> u64 {
+    stats.total_bytes() + stats.series_bytes
+}
 
 fn config() -> TsdbConfig {
     TsdbConfig { chunk_size: 4, retention_ms: WINDOW_ROUNDS * STEP_MS }
@@ -115,7 +133,10 @@ fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
             )
         })
         .collect();
-    (format!("{:?}", db.stats()), series)
+    // `series_bytes` counts capacities — history, not state: a recovered
+    // store's is its own.
+    let stats = StorageStats { series_bytes: 0, ..db.stats() };
+    (format!("{stats:?}"), series)
 }
 
 /// Builds the soak's moving parts around `db`: budget pool, scrape target,
@@ -144,17 +165,20 @@ fn churn_soak_survives_a_crash_with_bounded_memory() {
     let rounds: u64 = std::env::var("TEEMON_SOAK_ROUNDS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .filter(|&r| r >= 24)
+        .filter(|&r| r >= 40)
         .unwrap_or(48);
     let warmup = 2 * WINDOW_ROUNDS; // first window fills + cooling matures
     let crash_at = rounds / 2;
+    let spike_at = warmup + 1;
+    let quiet_again = spike_at + SPIKE_QUIET_ROUNDS;
+    let mut before_spike = 0;
 
     let fs = FaultFs::new();
     let endpoint = Arc::new(ScriptedEndpoint::default());
     let mut db = open(&fs);
     let (mut scraper, mut lane) = rig(&db, &endpoint);
 
-    let mut totals: Vec<(u64, u64)> = Vec::new(); // (round, total_bytes)
+    let mut totals: Vec<(u64, u64)> = Vec::new(); // (round, footprint)
     let mut peak_symbols = 0u64;
     for round in 1..=rounds {
         let now = round * STEP_MS;
@@ -162,6 +186,17 @@ fn churn_soak_survives_a_crash_with_bounded_memory() {
 
         // Retention first: its WAL records ride this round's commit.
         db.apply_retention();
+        if round == spike_at {
+            before_spike = footprint(&db.stats());
+            for i in 0..SPIKE_SERIES {
+                let labels = Labels::from_pairs([("burst", format!("b{i}").as_str())]);
+                assert!(db.append("teemon_spike", &labels, now, i as f64));
+            }
+            assert!(
+                footprint(&db.stats()) > 4 * before_spike,
+                "the spike must tower over the soak"
+            );
+        }
         let pushed = lane.push(&push_families(round), now);
         assert_eq!(pushed.overflow, 0, "round {round}: the push edge must not clip");
         assert_eq!(
@@ -175,9 +210,19 @@ fn churn_soak_survives_a_crash_with_bounded_memory() {
 
         let stats = db.stats();
         assert_eq!(stats.wal_failed_shards, 0, "round {round}: the log must stay clean");
-        if round > warmup {
-            totals.push((round, stats.total_bytes()));
+        if round > warmup && !(spike_at..quiet_again).contains(&round) {
+            totals.push((round, footprint(&stats)));
             peak_symbols = peak_symbols.max(stats.symbols);
+        }
+        if round == quiet_again {
+            // (A quarter of slack: chunks seal and maps double on their own
+            // cadence; a kept high-water mark would read several times over.)
+            let after = footprint(&stats);
+            assert!(
+                after * 4 <= before_spike * 5,
+                "the spike was not given back: {before_spike}B before it, {after}B \
+                 {SPIKE_QUIET_ROUNDS} rounds after ({stats:?})"
+            );
         }
 
         if round == crash_at {

@@ -9,6 +9,14 @@
 //! allocator counts the events behind that: how often a head's block
 //! reallocates inside its first chunk, and what a seal allocates.
 //!
+//! The second half counts from *before* the series are resolved, so the
+//! records, the symbols and the postings are in the count: what a series
+//! costs on each benchmark shape, held to a ceiling; that the gauges —
+//! `resident_bytes`, [`StorageStats::series_bytes`], the symbol and postings
+//! models with stated constants for what those leave out — account for all of
+//! it; that `series_bytes` is what the allocator attributes to the records;
+//! and that a cardinality spike is given back once it has aged out.
+//!
 //! Companion to `alloc_free_append.rs` / `alloc_free_scrape.rs`, which prove
 //! the warm paths allocate nothing at all.
 
@@ -310,4 +318,296 @@ fn a_float_valued_store_weighs_what_it_did_before_blocks_had_kinds() {
         assert_eq!(db.append_batch(&batch).appended, SERIES as u64);
     }
     assert_eq!((db.stats().resident_bytes, db.head_bytes()), (228_429, 22_052));
+}
+
+// ---------------------------------------------------------------------------
+// Counting from before `resolve`: what a series costs, all of it
+// ---------------------------------------------------------------------------
+
+/// One series key of a benchmark-shaped set.
+type Key = (String, Labels);
+
+fn key(name: String, pairs: &[(&str, String)]) -> Key {
+    (name, Labels::from_pairs(pairs.iter().map(|(k, v)| (*k, v.as_str()))))
+}
+
+/// `mixed_churn`'s series: six labels — the lane's `job` and an `instance`
+/// that changes with every reconnect, `node`, `client`, an `idx` a handful of
+/// renamed series share and a `pod` no two do.
+fn churn_keys(count: usize) -> Vec<Key> {
+    (0..count)
+        .map(|i| {
+            key(
+                format!("churn_m{}", i % 8),
+                &[
+                    ("job", "remote_write".into()),
+                    ("instance", format!("127.0.0.1:{}", 40_000 + i / 250)),
+                    ("node", format!("node-{}", i % 64)),
+                    ("client", format!("{}", i % 2)),
+                    ("idx", format!("{}", 500_000 + i % 1_000)),
+                    ("pod", format!("p-{:08x}", (i as u32).wrapping_mul(0x9e37_79b1))),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// `push_steady`'s series: five labels, two writers' worth of one set each.
+fn push_keys(count: usize) -> Vec<Key> {
+    (0..count)
+        .map(|i| {
+            key(
+                format!("push_m{}", i % 8),
+                &[
+                    ("job", "remote_write".into()),
+                    ("instance", format!("127.0.0.1:{}", 40_000 + i / 1_000)),
+                    ("node", format!("node-{}", i % 64)),
+                    ("client", format!("{}", i / 1_000)),
+                    ("idx", format!("{}", 300_000 + i % 1_000)),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// `pull_rounds_1k`'s series: four targets of 250 and their four meta-series.
+fn pull_keys() -> Vec<Key> {
+    let target = |t: usize| format!("node-{t}:9100");
+    let scraped = (0..1_000).map(|i| {
+        key(
+            format!("pull_m{}", i % 8),
+            &[
+                ("job", "sgx_exporter".into()),
+                ("instance", target(i / 250)),
+                ("node", format!("node-{}", i % 64)),
+                ("idx", format!("{}", i % 250)),
+            ],
+        )
+    });
+    let meta = ["up", "scrape_duration_seconds", "scrape_samples_scraped", "scrape_samples_added"];
+    let meta = (0..16).map(|i| {
+        key(meta[i % 4].into(), &[("job", "sgx_exporter".into()), ("instance", target(i / 4))])
+    });
+    scraped.chain(meta).collect()
+}
+
+/// What the symbol table's model leaves out, a symbol: `symbol_bytes` counts
+/// the string and 64 bytes; the heap holds the string in a 16-byte `Arc`
+/// block rounded up to eight, a 24-byte slot and a 4-byte dirty mark in
+/// vectors with up to as much again spare, and a 25-byte map entry at a load
+/// between 7/16 and 7/8.
+const PER_SYMBOL_EXTRA: u64 = 80;
+/// What a postings entry holds: a `u32`, in a list of several with up to as
+/// much again spare (a list of one holds nothing outside its map slot).
+const PER_POSTINGS_ENTRY: u64 = 8;
+/// What a postings list holds: a 33-byte map slot — key, list, control byte —
+/// at a load between 7/16 and 7/8.
+const PER_POSTINGS_LIST: u64 = 80;
+/// The store itself — sixteen empty shards, the symbol table — and the maps'
+/// 16-byte trailing control groups.
+const PER_STORE: u64 = 8 * 1024;
+
+/// What the gauges, with the constants above, allow the heap to hold for
+/// `keys`: samples, series records, symbols and postings, plus `head_slack`
+/// bytes of block buffer not in use.
+fn accounted(stats: &StorageStats, keys: &[Key], head_slack: u64) -> i64 {
+    let entries: u64 = keys.iter().map(|(_, labels)| 1 + labels.len() as u64).sum();
+    // The model is 16 bytes an entry and 48 a list: that is how many lists.
+    let lists = (stats.index_bytes - 16 * entries) / 48;
+    (stats.resident_bytes
+        + stats.series_bytes
+        + stats.symbol_bytes
+        + stats.symbols * PER_SYMBOL_EXTRA
+        + entries * PER_POSTINGS_ENTRY
+        + lists * PER_POSTINGS_LIST
+        + PER_STORE
+        + head_slack) as i64
+}
+
+fn resolve_keys(db: &TimeSeriesDb, keys: &[Key]) -> Vec<SeriesHandle> {
+    keys.iter().map(|(name, labels)| db.resolve(name, labels)).collect()
+}
+
+/// Live bytes a series, rounded down, after asserting `held` within what the
+/// gauges account for.
+fn per_series(tag: &str, held: i64, bound: i64, stats: &StorageStats, keys: &[Key]) -> i64 {
+    assert!(held <= bound, "{tag}: {held} B live, {bound} B accounted for ({stats:?})");
+    assert!(
+        held >= (stats.resident_bytes + stats.series_bytes) as i64,
+        "{tag}: {held} B live is less than the gauges hold ({stats:?})"
+    );
+    held / keys.len() as i64
+}
+
+#[test]
+fn a_churned_series_costs_what_it_is_worth_from_before_it_is_resolved() {
+    // `mixed_churn`'s shape: 10 000 series that die young, 1 to 40 samples
+    // in.  At commit 108212d, with this test: 1 147 B a series with heads
+    // live, 1 220 once stale (a seal added a chunk and gave nothing back);
+    // here 720 and 572.
+    const SERIES: usize = 10_000;
+    let keys = churn_keys(SERIES);
+    let before = live();
+    let db = db();
+    let handles = resolve_keys(&db, &keys);
+    for (i, &handle) in handles.iter().enumerate() {
+        for t in 0..1 + (i as u64 * 7) % 40 {
+            db.append_handle(handle, t * TICK_MS, (t * 3) as f64);
+        }
+    }
+    drop(handles);
+    let stats = db.stats();
+    // A head's buffer is at most twice the block in it, 32 bytes at least.
+    let head_slack = db.head_bytes() + 32 * SERIES as u64;
+    let held = per_series(
+        "heads live",
+        live() - before,
+        accounted(&stats, &keys, head_slack),
+        &stats,
+        &keys,
+    );
+    assert!(held <= 750, "{held} B a churned series, heads live");
+
+    // Five idle minutes later a retention pass seals the heads and drops
+    // them: a series that stopped reporting costs its symbols, its postings,
+    // a record, and one exact block behind a one-slot list.
+    let tickers = resolve(&db, "ticker", 256);
+    tick(&db, &tickers, 40 * TICK_MS + STALE_HEAD_MS + 1);
+    assert_eq!(db.apply_retention(), 0);
+    drop(tickers);
+    let (stats, held) = (db.stats(), live() - before);
+    assert_eq!(db.head_bytes(), 256 * 16, "the tickers' one sample each");
+    let all: Vec<Key> = keys.iter().cloned().chain(ticker_keys(256)).collect();
+    let held = per_series("stale", held, accounted(&stats, &all, 256 * 32), &stats, &all);
+    assert!(held <= 600, "{held} B a churned series, stale");
+}
+
+fn ticker_keys(count: usize) -> Vec<Key> {
+    (0..count).map(|i| key("ticker".into(), &[("idx", format!("{i}"))])).collect()
+}
+
+#[test]
+fn steady_shapes_are_accounted_for_from_before_they_are_resolved() {
+    // `push_steady`'s shape, 2 000 series of 200 samples — 1 137 B a series
+    // at commit 108212d, 795 here — and `pull_rounds_1k`'s, 1 016 of 2 000,
+    // seventeen chunks each — 3 096 B, 2 777 here.
+    for (tag, keys, rounds, ceiling) in
+        [("push", push_keys(2_000), 200u64, 920), ("pull", pull_keys(), 2_000, 2_900)]
+    {
+        let before = live();
+        let db = db();
+        let handles = resolve_keys(&db, &keys);
+        let mut batch = Vec::with_capacity(handles.len());
+        for r in 1..=rounds {
+            round(&db, &handles, &mut batch, r);
+        }
+        drop((handles, batch));
+        let stats = db.stats();
+        // Past its first seal a head keeps a buffer of 64 bytes.
+        let bound = accounted(&stats, &keys, keys.len() as u64 * KEPT_BUFFER);
+        let held = per_series(tag, live() - before, bound, &stats, &keys);
+        assert!(held <= ceiling, "{tag}: {held} B a series");
+    }
+}
+
+/// Heap bytes of a `std` hash table that `entries` were inserted into one by
+/// one, at `slot` bytes an entry: the smallest power-of-two bucket array
+/// (four at least) that holds them at a load of 7/8, a control byte a bucket
+/// and a trailing group of sixteen.
+fn table_bytes(entries: usize, slot: usize) -> i64 {
+    if entries == 0 {
+        return 0;
+    }
+    let mut buckets = 4usize;
+    while (if buckets < 8 { buckets - 1 } else { buckets / 8 * 7 }) < entries {
+        buckets *= 2;
+    }
+    (buckets * (slot + 1) + 16) as i64
+}
+
+/// Builds `keys`, drops every series and builds them again: what the second
+/// build allocates is the series records and the postings and nothing else —
+/// the symbols are interned still, and a drop of everything leaves the shards
+/// holding nothing.  Returns that and the store.
+fn records_and_postings(keys: &[Key]) -> (i64, TimeSeriesDb) {
+    let db = db();
+    resolve_keys(&db, keys);
+    assert_eq!(db.drop_series(&Selector::all()), keys.len());
+    assert_eq!(db.stats().series_bytes, 0, "an emptied store holds no series record");
+    let before = live();
+    resolve_keys(&db, keys);
+    (live() - before, db)
+}
+
+#[test]
+fn series_bytes_is_what_the_allocator_attributes_to_the_records() {
+    // Without labels a series has no postings but its name's: one list of one
+    // in each shard's `names` map, whose size the shard's series count gives.
+    let bare: Vec<Key> = (0..10_000).map(|i| key(format!("bare_{i}"), &[])).collect();
+    let (held, db) = records_and_postings(&bare);
+    let names: i64 = db.shard_series_counts().iter().map(|&n| table_bytes(n, 4 + 4 + 24)).sum();
+    let (records, gauge) = (held - names, db.stats().series_bytes as i64);
+    assert!((records - gauge).abs() * 10 <= records, "{gauge} B gauged, {records} B held");
+
+    // With labels the rest is postings: within the stated constants.
+    for keys in [churn_keys(10_000), push_keys(2_000), pull_keys()] {
+        let (held, db) = records_and_postings(&keys);
+        let stats = db.stats();
+        let postings = held - stats.series_bytes as i64;
+        let entries: u64 = keys.iter().map(|(_, labels)| 1 + labels.len() as u64).sum();
+        let lists = (stats.index_bytes - 16 * entries) / 48;
+        let allowed = (entries * PER_POSTINGS_ENTRY + lists * PER_POSTINGS_LIST) as i64;
+        assert!(
+            (0..=allowed).contains(&postings),
+            "{postings} B of postings for {entries} entries in {lists} lists ({stats:?})"
+        );
+    }
+}
+
+#[test]
+fn a_cardinality_spike_is_given_back() {
+    // 500 series report for 25 minutes under a ten-minute retention; in one
+    // store 50 000 more come and go in the second minute.  Once retention has
+    // evicted them, that store may hold half as much again as the other: the
+    // spike's strings stay interned (a volatile store never sweeps), its
+    // arrays, key indexes and postings do not.
+    const STEADY: usize = 500;
+    const SPIKE: usize = 50_000;
+    const ROUNDS: u64 = 300;
+    let run = |spike: bool| {
+        let before = live();
+        let db = TimeSeriesDb::with_config(TsdbConfig {
+            chunk_size: CHUNK_SIZE,
+            retention_ms: 10 * 60 * 1000,
+        });
+        let keys = push_keys(STEADY);
+        let mut handles = resolve_keys(&db, &keys);
+        let mut batch = Vec::with_capacity(STEADY);
+        for r in 1..=ROUNDS {
+            round(&db, &handles, &mut batch, r);
+            if spike && r == 12 {
+                for i in 0..SPIKE {
+                    let labels = [("a", format!("{}", i % 224)), ("b", format!("{}", i / 224))];
+                    let (name, labels) = key("spike".into(), &labels);
+                    assert!(db.append(&name, &labels, r * TICK_MS, i as f64));
+                }
+                assert_eq!(db.stats().series, (STEADY + SPIKE) as u64);
+            }
+            if r % 20 == 0 {
+                db.apply_retention();
+                // An eviction made every handle into its shard stale.
+                handles = resolve_keys(&db, &keys);
+            }
+        }
+        drop((keys, handles, batch));
+        assert_eq!(db.stats().series, STEADY as u64, "the spike aged out");
+        (live() - before, db)
+    };
+    let (quiet, _quiet_db) = run(false);
+    let (spiked, spiked_db) = run(true);
+    assert!(
+        spiked * 2 <= quiet * 3,
+        "{spiked} B live after a spike, {quiet} B without one ({:?})",
+        spiked_db.stats()
+    );
 }

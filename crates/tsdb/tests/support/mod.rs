@@ -14,7 +14,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use teemon_metrics::{FamilySnapshot, Labels};
 use teemon_tsdb::{
-    MetricsEndpoint, ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Selector, TimeSeriesDb,
+    MetricsEndpoint, ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Selector, StorageStats,
+    TimeSeriesDb,
 };
 
 /// The duration model of `Scraper::with_modelled_durations`, stated a second
@@ -122,5 +123,8 @@ pub fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
             )
         })
         .collect();
-    (format!("{:?}", db.stats()), series)
+    // `series_bytes` counts capacities — history, not state: a recovered
+    // store's is its own.
+    let stats = StorageStats { series_bytes: 0, ..db.stats() };
+    (format!("{stats:?}"), series)
 }

@@ -120,7 +120,10 @@ fn index_bytes_built_afresh(db: &TimeSeriesDb) -> u64 {
 /// Everything observable about a database, as text (values as their bits:
 /// the directory holds NaN payloads, a signed zero and subnormals).
 fn fingerprint(db: &TimeSeriesDb) -> String {
-    let mut out = format!("stats {:?}\n", db.stats());
+    // `series_bytes` counts capacities — history, not state: a recovered
+    // store's is its own.
+    let stats = teemon_tsdb::StorageStats { series_bytes: 0, ..db.stats() };
+    let mut out = format!("stats {stats:?}\n");
     for s in db.select(&Selector::all()).iter() {
         writeln!(out, "series {} {} {}", s.series_id().as_u64(), s.name(), s.to_labels())
             .expect("write to a String");
