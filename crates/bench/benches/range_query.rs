@@ -2,7 +2,10 @@
 //!
 //! The dashboard-driving workload: `rate()` range queries over 1 h and 24 h
 //! windows at a 15 s step across 100 series, through the streaming evaluator
-//! (sliding-window state machines, `O(samples touched)`).
+//! (sliding-window state machines, `O(samples touched)`).  A counter that
+//! never resets has its windows read off their end points; the
+//! `rate_1h_resets` row restarts every series once mid-span, which puts them
+//! all on the evaluator's other road — the running pair sum.
 //!
 //! A second group times a full scan of the stored chunks — Gorilla blocks,
 //! sealed and open alike — and the run prints the storage engine's
@@ -34,8 +37,9 @@ const SERIES: usize = 100;
 const SCRAPE_INTERVAL_MS: u64 = 15_000;
 const STEP_MS: u64 = 15_000;
 
-/// `SERIES` monotone counters over `span_ms` at the scrape cadence.
-fn populate(span_ms: u64) -> TimeSeriesDb {
+/// `SERIES` monotone counters over `span_ms` at the scrape cadence, each
+/// starting over from zero half-way if `resets`.
+fn populate(span_ms: u64, resets: bool) -> TimeSeriesDb {
     let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 120, retention_ms: u64::MAX });
     let series = if smoke() { 8 } else { SERIES };
     let keys: Vec<Labels> = (0..series)
@@ -45,12 +49,13 @@ fn populate(span_ms: u64) -> TimeSeriesDb {
         .collect();
     let ticks = span_ms / SCRAPE_INTERVAL_MS;
     for t in 0..=ticks {
+        let since = if resets && t > ticks / 2 { t - ticks / 2 } else { t };
         for (i, labels) in keys.iter().enumerate() {
             db.append(
                 "bench_requests_total",
                 labels,
                 t * SCRAPE_INTERVAL_MS,
-                (t * (25 + i as u64)) as f64,
+                (since * (25 + i as u64)) as f64,
             );
         }
     }
@@ -67,7 +72,7 @@ fn bench_range(c: &mut Criterion) {
         &[("1h", 60 * 60 * 1000), ("24h", 24 * 60 * 60 * 1000)]
     };
     for &(label, span_ms) in windows {
-        let db = populate(span_ms);
+        let db = populate(span_ms, false);
         let engine = QueryEngine::new(db.clone());
         let rate = parse("rate(bench_requests_total[5m])").unwrap();
         let grouped = parse("sum by (node) (rate(bench_requests_total[5m]))").unwrap();
@@ -84,6 +89,12 @@ fn bench_range(c: &mut Criterion) {
             b.iter(|| black_box(engine.range(black_box(&grouped), 0, span_ms, STEP_MS).unwrap()))
         });
     }
+    let (label, span_ms) = windows[0];
+    let engine = QueryEngine::new(populate(span_ms, true));
+    let rate = parse("rate(bench_requests_total[5m])").unwrap();
+    group.bench_function(format!("rate_{label}_resets/streaming"), |b| {
+        b.iter(|| black_box(engine.range(black_box(&rate), 0, span_ms, STEP_MS).unwrap()))
+    });
     group.finish();
 }
 
@@ -94,7 +105,7 @@ fn bench_chunk_scan(c: &mut Criterion) {
     let span_ms = if smoke() { 10 * 60 * 1000 } else { 60 * 60 * 1000 };
     let selector = Selector::metric("bench_requests_total");
 
-    let db = populate(span_ms);
+    let db = populate(span_ms, false);
     let snapshots = db.select(&selector);
     group.bench_function("chunk_scan/compressed", |b| {
         b.iter(|| {

@@ -400,6 +400,9 @@ probes! {
         { QUERY_SAMPLES_DECODED: Counter }
     query "teemon_query_window_rebuilds_total" "window aggregate rebuilds (numeric-drift resets)"
         { QUERY_WINDOW_REBUILDS: Counter }
+    query "teemon_query_irregular_series_total"
+        "series under rate/increase that held a reset or a non-finite value and kept a running pair sum"
+        { QUERY_IRREGULAR_SERIES: Counter }
     query "teemon_query_seconds" "measured wall time of range queries"
         { QUERY_NS: LogLinearHist }
     query "teemon_query_slow_total" "range queries over the slow-query threshold"

@@ -37,6 +37,9 @@ pub struct SlowQuery {
     /// Samples decoded while answering (0 for fallback evaluations, which
     /// do not stream-decode).
     pub samples_decoded: u64,
+    /// Series under `rate`/`increase` that held a reset or a non-finite
+    /// value, and so paid for a running pair sum.
+    pub irregular_series: u64,
     /// Whether the streaming evaluator answered it.
     pub streamed: bool,
 }
@@ -48,11 +51,18 @@ struct Entry {
     len: u8,
     wall_ns: u64,
     samples_decoded: u64,
+    irregular_series: u64,
     streamed: bool,
 }
 
-const EMPTY: Entry =
-    Entry { text: [0; TEXT_CAPACITY], len: 0, wall_ns: 0, samples_decoded: 0, streamed: false };
+const EMPTY: Entry = Entry {
+    text: [0; TEXT_CAPACITY],
+    len: 0,
+    wall_ns: 0,
+    samples_decoded: 0,
+    irregular_series: 0,
+    streamed: false,
+};
 
 struct Ring {
     entries: [Entry; CAPACITY],
@@ -87,7 +97,13 @@ pub fn set_threshold_seconds(seconds: f64) {
 
 /// Records `query` if `wall_ns` crosses the threshold; returns whether it
 /// did.  Copies at most [`TEXT_CAPACITY`] bytes of the text — no allocation.
-pub fn maybe_record(query: &str, wall_ns: u64, samples_decoded: u64, streamed: bool) -> bool {
+pub fn maybe_record(
+    query: &str,
+    wall_ns: u64,
+    samples_decoded: u64,
+    irregular_series: u64,
+    streamed: bool,
+) -> bool {
     if wall_ns < threshold_ns() {
         return false;
     }
@@ -108,6 +124,7 @@ pub fn maybe_record(query: &str, wall_ns: u64, samples_decoded: u64, streamed: b
         entry.len = take as u8;
         entry.wall_ns = wall_ns;
         entry.samples_decoded = samples_decoded;
+        entry.irregular_series = irregular_series;
         entry.streamed = streamed;
     }
     true
@@ -127,6 +144,7 @@ pub fn slow_queries() -> Vec<SlowQuery> {
             query: String::from_utf8_lossy(text).into_owned(),
             wall_seconds: entry.wall_ns as f64 / 1e9,
             samples_decoded: entry.samples_decoded,
+            irregular_series: entry.irregular_series,
             streamed: entry.streamed,
         });
     }
@@ -148,13 +166,13 @@ mod tests {
     fn threshold_gates_recording() {
         let _guard = test_guard();
         let before = probes::QUERY_SLOW.get();
-        assert!(!maybe_record("fast", 1, 0, true));
+        assert!(!maybe_record("fast", 1, 0, 0, true));
         assert_eq!(probes::QUERY_SLOW.get(), before);
-        assert!(maybe_record("sum(rate(x[5m]))", u64::MAX / 2, 42, true));
+        assert!(maybe_record("sum(rate(x[5m]))", u64::MAX / 2, 42, 3, true));
         assert_eq!(probes::QUERY_SLOW.get(), before + 1);
         let newest = slow_queries().into_iter().next().expect("just recorded");
         assert_eq!(newest.query, "sum(rate(x[5m]))");
-        assert_eq!(newest.samples_decoded, 42);
+        assert_eq!((newest.samples_decoded, newest.irregular_series), (42, 3));
         assert!(newest.streamed);
     }
 
@@ -162,7 +180,7 @@ mod tests {
     fn ring_keeps_the_most_recent_entries() {
         let _guard = test_guard();
         for i in 0..(CAPACITY + 3) {
-            assert!(maybe_record(&format!("q{i}"), u64::MAX / 2, i as u64, false));
+            assert!(maybe_record(&format!("q{i}"), u64::MAX / 2, i as u64, 0, false));
         }
         let entries = slow_queries();
         assert_eq!(entries.len(), CAPACITY);
@@ -176,7 +194,7 @@ mod tests {
     fn long_queries_truncate_on_char_boundaries() {
         let _guard = test_guard();
         let long = "é".repeat(TEXT_CAPACITY); // 2 bytes per char
-        assert!(maybe_record(&long, u64::MAX / 2, 0, true));
+        assert!(maybe_record(&long, u64::MAX / 2, 0, 0, true));
         let newest = slow_queries().into_iter().next().expect("recorded");
         assert!(newest.query.len() <= TEXT_CAPACITY);
         assert!(newest.query.chars().all(|c| c == 'é'));

@@ -103,11 +103,9 @@ pub(crate) struct RangeRun {
     pub streamed: bool,
     /// Measured wall time in seconds.
     pub wall_seconds: f64,
-    /// Chunk samples decoded by the window machines (0 on the fallback
-    /// path, which does not stream-decode).
-    pub samples_decoded: u64,
-    /// Drift-guard window rebuilds.
-    pub window_rebuilds: u64,
+    /// The streamer's work counters (all zero on the fallback path, which
+    /// does not stream-decode).
+    pub stats: stream::RunStats,
 }
 
 /// The result of evaluating an expression at one instant.
@@ -449,13 +447,8 @@ impl QueryEngine {
                     probes::QUERY_STREAMED.inc();
                     probes::QUERY_SAMPLES_DECODED.add(stats.samples_decoded);
                     probes::QUERY_WINDOW_REBUILDS.add(stats.window_rebuilds);
-                    let run = RangeRun {
-                        streamed: true,
-                        samples_decoded: stats.samples_decoded,
-                        window_rebuilds: stats.window_rebuilds,
-                        wall_seconds: 0.0,
-                    };
-                    (streamed, run)
+                    probes::QUERY_IRREGULAR_SERIES.add(stats.irregular_series);
+                    (streamed, RangeRun { streamed: true, wall_seconds: 0.0, stats })
                 }
                 Err(_reason) => {
                     probes::QUERY_FALLBACK.inc();
@@ -468,7 +461,13 @@ impl QueryEngine {
         probes::QUERY_NS.record_ns(wall_ns);
         // Only offenders pay for rendering the expression back to text.
         if wall_ns >= slow::threshold_ns() {
-            slow::maybe_record(&expr.to_string(), wall_ns, run.samples_decoded, run.streamed);
+            slow::maybe_record(
+                &expr.to_string(),
+                wall_ns,
+                run.stats.samples_decoded,
+                run.stats.irregular_series,
+                run.streamed,
+            );
         }
         Ok((result, run))
     }

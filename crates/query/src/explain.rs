@@ -103,6 +103,11 @@ pub struct Analyze {
     pub samples_decoded: u64,
     /// Drift-guard window-aggregate rebuilds.
     pub window_rebuilds: u64,
+    /// Series under `rate`/`increase` that held a reset or a non-finite value
+    /// in the decoded range and so kept a running pair sum, where a regular
+    /// counter's windows are read off their end points: a counter that
+    /// restarts every few minutes, or a gauge wrapped in `rate()`.
+    pub irregular_series: u64,
     /// The evaluated range series.
     pub result: Vec<RangeSeries>,
 }
@@ -124,10 +129,12 @@ impl fmt::Display for Analyze {
         write!(f, "{}", self.explain)?;
         writeln!(
             f,
-            "wall: {:.6}s, decoded: {} samples, rebuilds: {}, result: {} series / {} points",
+            "wall: {:.6}s, decoded: {} samples, rebuilds: {}, irregular: {} series, \
+             result: {} series / {} points",
             self.wall_seconds,
             self.samples_decoded,
             self.window_rebuilds,
+            self.irregular_series,
             self.series_returned(),
             self.points_returned(),
         )
@@ -181,8 +188,9 @@ impl QueryEngine {
         Ok(Analyze {
             explain,
             wall_seconds: run.wall_seconds,
-            samples_decoded: run.samples_decoded,
-            window_rebuilds: run.window_rebuilds,
+            samples_decoded: run.stats.samples_decoded,
+            window_rebuilds: run.stats.window_rebuilds,
+            irregular_series: run.stats.irregular_series,
             result,
         })
     }

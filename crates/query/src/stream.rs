@@ -13,13 +13,28 @@
 //! the steps advance: the *entry* index admits samples with `ts <= t`, the
 //! *exit* index evicts samples with `ts < t − window`, and the window at a
 //! step is simply the contiguous slice between them.  Every sample is
-//! admitted once and evicted once, and the window aggregates update
-//! incrementally — `O(samples touched)` overall:
+//! admitted once and evicted once, and what the function needs of the
+//! window is either read off the slice or updated incrementally —
+//! `O(samples touched)` overall:
 //!
-//! * `sum`/`avg` (and the reset-adjusted pair sum behind `rate`/`increase`)
-//!   are running deltas: a sample's contribution is added when it enters and
-//!   subtracted when it leaves.  Non-finite values are counted, not summed,
-//!   so a `NaN`/`±inf` passing through the window cannot poison it forever.
+//! * `rate`/`increase` are the sum of the window's reset-adjusted pair
+//!   deltas, and for a counter that did not reset that sum telescopes to
+//!   `last − first`: the window is its end points, and no arithmetic is done
+//!   per sample.  What stands in the way is an *irregular pair* — consecutive
+//!   samples `(prev, next)` without `next >= prev` (a reset, a NaN) or whose
+//!   difference is not finite (an infinity, an overflowing step).  One pass
+//!   over the decoded series looks for one; a series that has any, anywhere
+//!   in its range, keeps the running pair sum described next for all of its
+//!   windows.  The fork is per series,
+//!   not per window, because the alternative for a window that holds an
+//!   irregular pair is to sum it afresh, and a sawtooth gauge under `rate()`
+//!   or a NaN flood would make that `O(steps × window)`; it is made from the
+//!   samples alone, and [`RunStats::irregular_series`] counts the series on
+//!   the slower side of it.
+//! * `sum`/`avg` (and that pair sum) are running deltas: a sample's
+//!   contribution is added when it enters and subtracted when it leaves.
+//!   Non-finite values are counted, not summed, so a `NaN`/`±inf` passing
+//!   through the window cannot poison it forever.
 //! * `min`/`max` use a monotonic deque keyed by buffer index (amortised O(1)
 //!   per sample).
 //! * `count`/`last_over_time` (and instant selectors, which are
@@ -47,6 +62,11 @@
 //! Inside a leaf, a series' window operations (admit up to `t`, evict below
 //! `t − window`, check the drift guard, evaluate) run in the same order step
 //! after step whether or not other series are interleaved between them.
+//! (Identical from one streamed run to the next, that is.  Against a
+//! step-major evaluator the running sums re-associate, and an end-point
+//! `rate`/`increase` makes one rounding where a sum of `n` non-negative
+//! deltas makes `n` — both within `n·ε` of the true value; see the last
+//! paragraph.)
 //!
 //! **The memory bound.**  Live at any moment: one series' decoded samples,
 //! one column per pipeline stage, the `groups × steps` accumulators, and the
@@ -59,8 +79,9 @@
 //! to the per-step path, which also remains the equivalence oracle — see
 //! [`ranges_equivalent`] and the `TEEMON_VERIFY_STREAM` cross-check in
 //! [`crate::QueryEngine::range`].  Streamed results match the oracle exactly
-//! except for floating-point association in the running sums, which can
-//! differ in the last bits; the sums monitor their own accumulated error
+//! except for floating-point association in the running sums — and the
+//! single subtraction that stands for a regular counter's pair sum — which
+//! can differ in the last bits; the sums monitor their own accumulated error
 //! bound and rebuild exactly from the live window when cancellation (e.g. a
 //! huge sample leaving the window) would make the drift visible.
 
@@ -85,6 +106,10 @@ pub struct RunStats {
     pub samples_decoded: u64,
     /// Exact window-aggregate rebuilds triggered by numeric-drift guards.
     pub window_rebuilds: u64,
+    /// Series under `rate`/`increase` whose decoded range held an irregular
+    /// pair — a reset, a NaN, an infinity — and so paid for the incremental
+    /// pair sum instead of reading their windows off the end points.
+    pub irregular_series: u64,
 }
 
 /// Output identity of one streamed series, resolved once at plan time.
@@ -439,7 +464,7 @@ enum WindowFunc {
 /// the current value (or simply after a few thousand operations), and the
 /// window responds by rebuilding the sum exactly from its live contents —
 /// O(window), amortised away by the rebuild period.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct RunningSum {
     finite: f64,
     nan: u32,
@@ -537,14 +562,23 @@ struct Window {
     samples: Vec<Sample>,
     /// Running Σvalue (for `sum`/`avg`).
     sum: RunningSum,
-    /// Running Σ reset-adjusted pair deltas (for `rate`/`increase`).
+    /// Running Σ reset-adjusted pair deltas (for `rate`/`increase` over a
+    /// series with an irregular pair).
     pairs: RunningSum,
+    /// Whether the series being evaluated keeps per-sample state — see
+    /// [`Window::evaluate_series`], which decides it.
+    incremental: bool,
     /// Monotonic deque of (sample index, value) whose front is the window's
     /// min (or max, per `func`).  NaN samples are skipped — `f64::min`/`max`
     /// ignore them.
     extremes: VecDeque<(usize, f64)>,
     /// Reused sort buffer for `quantile_over_time`.
     scratch: Vec<f64>,
+    /// Work meter: buffer positions read — every edge crossing of either
+    /// index, every sample a rebuild or a quantile re-reads — plus steps
+    /// evaluated, over the series seen so far.  The tests hold it to a
+    /// multiple of `samples + steps` on the inputs that tempt a rescan.
+    touched: u64,
 }
 
 impl Window {
@@ -555,8 +589,10 @@ impl Window {
             samples: Vec::new(),
             sum: RunningSum::default(),
             pairs: RunningSum::default(),
+            incremental: true,
             extremes: VecDeque::new(),
             scratch: Vec::new(),
+            touched: 0,
         }
     }
 
@@ -575,31 +611,57 @@ impl Window {
         self.sum = RunningSum::default();
         self.pairs = RunningSum::default();
         self.extremes.clear();
+        // The one fork of the leaf, made per series from its decoded samples
+        // alone.  `sum`/`avg`/`min`/`max` keep per-sample state; `count`,
+        // `last` and the quantile read the slice.  The pair sum behind
+        // `rate`/`increase` telescopes to `last − first` unless some pair is
+        // irregular, and only then is it worth maintaining: recomputing the
+        // windows that hold such a pair from scratch would be `O(steps ×
+        // window)` for a sawtooth gauge or a NaN flood.
+        self.incremental = match self.func {
+            WindowFunc::Rate | WindowFunc::Increase => {
+                let irregular = has_irregular_pair(&self.samples);
+                stats.irregular_series += u64::from(irregular);
+                irregular
+            }
+            WindowFunc::Sum | WindowFunc::Avg | WindowFunc::Min | WindowFunc::Max => true,
+            WindowFunc::Count | WindowFunc::Last | WindowFunc::Quantile(_) => false,
+        };
         let (mut exit, mut entry) = (0usize, 0usize);
         for (t, slot) in grid.times().zip(column.iter_mut()) {
-            // Entry edge: admit samples up to t.
-            while let Some(sample) = self.samples.get(entry).filter(|s| s.timestamp_ms <= t) {
-                let value = sample.value;
-                let newest = if entry > exit { self.samples.get(entry - 1) } else { None };
-                self.admit(entry, value, newest.map(|s| s.value));
-                entry += 1;
-            }
-            // Exit edge: evict samples the trailing boundary passed.
             let window_start = t.saturating_sub(self.window_ms);
-            while exit < entry {
-                let Some(sample) = self.samples.get(exit).filter(|s| s.timestamp_ms < window_start)
-                else {
-                    break;
-                };
-                let value = sample.value;
-                let oldest = if exit + 1 < entry { self.samples.get(exit + 1) } else { None };
-                self.evict(exit, value, oldest.map(|s| s.value));
-                exit += 1;
+            if self.incremental {
+                // Entry edge: admit samples up to t.
+                while let Some(sample) = self.samples.get(entry).filter(|s| s.timestamp_ms <= t) {
+                    let value = sample.value;
+                    let newest = if entry > exit { self.samples.get(entry - 1) } else { None };
+                    self.admit(entry, value, newest.map(|s| s.value));
+                    entry += 1;
+                }
+                // Exit edge: evict samples the trailing boundary passed.
+                while exit < entry {
+                    let Some(sample) =
+                        self.samples.get(exit).filter(|s| s.timestamp_ms < window_start)
+                    else {
+                        break;
+                    };
+                    let value = sample.value;
+                    let oldest = if exit + 1 < entry { self.samples.get(exit + 1) } else { None };
+                    self.evict(exit, value, oldest.map(|s| s.value));
+                    exit += 1;
+                }
+            } else {
+                // The same two edges, on timestamps alone.
+                let ahead = self.samples.get(entry..).unwrap_or(&[]);
+                entry += ahead.iter().take_while(|s| s.timestamp_ms <= t).count();
+                let held = self.samples.get(exit..entry).unwrap_or(&[]);
+                exit += held.iter().take_while(|s| s.timestamp_ms < window_start).count();
             }
             *slot = self.evaluate(exit, entry, stats);
         }
         // See `RunStats::samples_decoded`: admitted, plus one look-ahead.
         stats.samples_decoded += self.samples.len().min(entry + 1) as u64;
+        self.touched += (entry + exit + grid.steps) as u64;
     }
 
     /// A sample joins the window's newest end; `newest` is the value it
@@ -660,23 +722,33 @@ impl Window {
                 if window.len() < 2 {
                     return None;
                 }
-                if self.pairs.drifted() {
-                    self.pairs = RunningSum::exact(
-                        window
-                            .iter()
-                            .zip(window.iter().skip(1))
-                            .map(|(prev, next)| reset_adjusted_delta(prev.value, next.value)),
-                    );
-                    stats.window_rebuilds += 1;
-                }
+                let increase =
+                    if self.incremental {
+                        if self.pairs.drifted() {
+                            self.touched += window.len() as u64;
+                            self.pairs =
+                                RunningSum::exact(window.iter().zip(window.iter().skip(1)).map(
+                                    |(prev, next)| reset_adjusted_delta(prev.value, next.value),
+                                ));
+                            stats.window_rebuilds += 1;
+                        }
+                        self.pairs.value()
+                    } else {
+                        // No irregular pair anywhere in the series: every pair
+                        // delta is `next − prev >= 0` and their sum telescopes —
+                        // one correctly rounded subtraction where the per-step
+                        // sum makes a rounding a pair.
+                        last.value - first.value
+                    };
                 if matches!(self.func, WindowFunc::Increase) {
-                    return Some(self.pairs.value());
+                    return Some(increase);
                 }
                 let (t0, t1) = (first.timestamp_ms, last.timestamp_ms);
-                (t1 > t0).then(|| self.pairs.value() / ((t1 - t0) as f64 / 1000.0))
+                (t1 > t0).then(|| increase / ((t1 - t0) as f64 / 1000.0))
             }
             WindowFunc::Sum | WindowFunc::Avg => {
                 if self.sum.drifted() {
+                    self.touched += window.len() as u64;
                     self.sum = RunningSum::exact(window.iter().map(|s| s.value));
                     stats.window_rebuilds += 1;
                 }
@@ -690,6 +762,7 @@ impl Window {
             WindowFunc::Count => Some(window.len() as f64),
             WindowFunc::Last => Some(last.value),
             WindowFunc::Quantile(q) => {
+                self.touched += window.len() as u64;
                 self.scratch.clear();
                 self.scratch.extend(window.iter().map(|s| s.value));
                 self.scratch.sort_by(|a, b| a.total_cmp(b));
@@ -697,6 +770,22 @@ impl Window {
             }
         }
     }
+}
+
+/// `true` when some consecutive pair of `samples` is *irregular*: not
+/// `next >= prev` (a counter reset, or a NaN on either side) or with a
+/// difference that is not finite (an infinity, or two finite values too far
+/// apart for an `f64`).  Without one, every reset-adjusted pair delta is the
+/// plain non-negative difference, and any window's sum of them is its last
+/// value less its first.
+fn has_irregular_pair(samples: &[Sample]) -> bool {
+    // No early exit: the common answer is "none", which has to see every
+    // pair anyway, and a loop without a branch in it vectorises.
+    samples.iter().zip(samples.iter().skip(1)).fold(false, |irregular, (prev, next)| {
+        // `next >= prev` exactly when the difference is not negative, and
+        // a NaN, `inf − inf` or an overflow falls outside the range too.
+        irregular | !(0.0..=f64::MAX).contains(&(next.value - prev.value))
+    })
 }
 
 /// `true` when two range results agree: identical series keys and step
@@ -885,6 +974,121 @@ mod tests {
         }
         let summed = engine.range_query("sum_over_time(m[1s])", 0, 3_000, 1_000).unwrap();
         assert_eq!(summed[0].points[3], (3_000, 11.0), "must recover from inf");
+    }
+
+    /// Slides `func` over one series — `values` a second apart from zero, in
+    /// chunks of 16 — with a `window_ms` window at every `step_ms` of its
+    /// whole range.
+    fn slide(
+        func: WindowFunc,
+        values: impl IntoIterator<Item = f64>,
+        window_ms: u64,
+        step_ms: u64,
+    ) -> (Window, Grid, RunStats) {
+        let config = teemon_tsdb::TsdbConfig { chunk_size: 16, retention_ms: u64::MAX };
+        let db = TimeSeriesDb::with_config(config);
+        let mut end = 0;
+        for (t, value) in values.into_iter().enumerate() {
+            end = t as u64 * 1_000;
+            assert!(db.append("m", &Labels::new(), end, value));
+        }
+        let series = db.select(&teemon_tsdb::Selector::metric("m")).pop().expect("one series");
+        let grid = Grid::new(0, end, step_ms);
+        let mut window = Window::new(window_ms, func);
+        let mut stats = RunStats::default();
+        let mut column = vec![None; grid.steps];
+        window.evaluate_series(series.owned_cursor(0, end), &grid, &mut column, &mut stats);
+        (window, grid, stats)
+    }
+
+    #[test]
+    fn a_series_without_an_irregular_pair_is_read_off_its_end_points() {
+        // Three times the rebuild period of fractional, rising samples: the
+        // running sum would have been rebuilt again and again.
+        let rising = |t: u32| f64::from(t) * 1.7 + f64::from(t % 5) * 0.3;
+        let samples = 3 * REBUILD_PERIOD;
+        for func in [WindowFunc::Rate, WindowFunc::Increase] {
+            let (window, _, stats) = slide(func, (0..samples).map(rising), 60_000, 1_000);
+            assert!(!window.incremental);
+            assert_eq!(window.pairs, RunningSum::default(), "the pair sum is never touched");
+            assert_eq!((stats.irregular_series, stats.window_rebuilds), (0, 0));
+            assert_eq!(stats.samples_decoded, u64::from(samples));
+        }
+        // Equal neighbours are regular; so is a series too short for a pair.
+        for values in [vec![4.0; 40], vec![1.5]] {
+            let (window, _, stats) = slide(WindowFunc::Rate, values, 5_000, 1_000);
+            assert!(!window.incremental && stats.irregular_series == 0);
+        }
+    }
+
+    #[test]
+    fn one_irregular_pair_anywhere_sends_the_series_down_the_incremental_road() {
+        let len = 50;
+        // What sample `at` reads, given the value before it.
+        type Bend = fn(f64) -> f64;
+        let irregular: [(&str, Bend); 5] = [
+            ("reset", |before| before - 1.0),
+            ("nan", |_| f64::NAN),
+            ("inf", |_| f64::INFINITY),
+            ("-inf", |_| f64::NEG_INFINITY),
+            // −MAX up to `at`, MAX from it: finite on both sides and rising,
+            // but by more than an `f64` holds.
+            ("overflow", |_| f64::MAX),
+        ];
+        for (what, bend) in irregular {
+            // The first pair, a middle one and the last.
+            for at in [1, len / 2, len - 1] {
+                let values = (0..len).map(|t| {
+                    let rising = f64::from(t) * 2.5;
+                    match what {
+                        "overflow" if t < at => -f64::MAX,
+                        "overflow" => f64::MAX,
+                        _ if t == at => bend(rising - 2.5),
+                        _ => rising,
+                    }
+                });
+                let (window, _, stats) = slide(WindowFunc::Increase, values, 10_000, 1_000);
+                assert!(window.incremental, "{what} at {at}");
+                assert_eq!(stats.irregular_series, 1, "{what} at {at}");
+                assert_ne!(window.pairs, RunningSum::default(), "{what} at {at}");
+            }
+        }
+        // The other functions do not ask: the count is of `rate`/`increase`
+        // series only.
+        let sawtooth = |t: u32| f64::from(t % 7);
+        for func in [WindowFunc::Sum, WindowFunc::Max, WindowFunc::Last, WindowFunc::Quantile(0.5)]
+        {
+            let (_, _, stats) = slide(func, (0..len).map(sawtooth), 10_000, 1_000);
+            assert_eq!(stats.irregular_series, 0);
+        }
+    }
+
+    #[test]
+    fn irregular_series_cost_their_samples_and_steps_not_their_windows() {
+        // A sawtooth gauge and an all-NaN series under `rate()`, a 300-sample
+        // window slid one sample at a time: summing each window afresh would
+        // read `steps × window` = 6 M positions.  Both indices cross every
+        // sample once, and a rebuild re-reads one window per rebuild period.
+        let samples = 20_000u32;
+        type Shape = fn(u32) -> f64;
+        let shapes: [(&str, Shape); 3] = [
+            ("sawtooth", |t| f64::from(t % 7) * 1e3 + 0.25),
+            ("all NaN", |_| f64::NAN),
+            ("counter", |t| f64::from(t) * 0.75),
+        ];
+        for (what, shape) in shapes {
+            for func in [WindowFunc::Rate, WindowFunc::Increase] {
+                let (window, grid, stats) = slide(func, (0..samples).map(shape), 300_000, 1_000);
+                assert_eq!(stats.irregular_series, u64::from(what != "counter"), "{what}");
+                let linear = u64::from(samples) + grid.steps as u64;
+                assert!(
+                    window.touched <= 3 * linear,
+                    "{what}: touched {} positions for {samples} samples and {} steps",
+                    window.touched,
+                    grid.steps
+                );
+            }
+        }
     }
 
     #[test]

@@ -121,8 +121,10 @@ fn a_streaming_run_allocates_per_series_and_group_not_per_sample() {
         "decoding {decoded} vs {decoded_doubled} samples must allocate alike"
     );
     // One result series per group plus the shared buffers — far below one
-    // per input series, let alone one per sample.
-    assert!(allocations <= (NODES + 16) as u64, "{allocations} allocations");
+    // per input series, let alone one per sample.  (Ten of those buffers:
+    // deciding whether a series' `rate` windows can be read off their end
+    // points is a pass over the decode buffer, not a list of its own.)
+    assert!(allocations <= (NODES + 10) as u64, "{allocations} allocations");
 }
 
 /// `series` one-sample counters carrying `extra` labels besides `idx`.

@@ -47,6 +47,15 @@ fn analyze_decode_counter_matches_storage_ground_truth() {
         "each stored sample in [start - window, end] decodes exactly once"
     );
     assert!(analyze.window_rebuilds <= analyze.samples_decoded);
+    // Counters that only rise are read off their windows' end points; one
+    // that restarts keeps a running pair sum, and is counted.
+    assert_eq!(analyze.irregular_series, 0);
+    db.append("requests_total", &Labels::from_pairs([("node", "n2")]), 105_000, 1.0);
+    let restarted = engine
+        .analyze("sum by (node) (rate(requests_total[30s]))", start, 105_000, step)
+        .expect("query runs");
+    assert_eq!((restarted.irregular_series, restarted.window_rebuilds), (1, 0));
+    assert!(restarted.to_string().contains("irregular: 1 series"), "{restarted}");
 }
 
 #[test]

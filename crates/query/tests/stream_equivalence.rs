@@ -1,13 +1,16 @@
 //! Property test: the streaming range evaluator must be indistinguishable
 //! (up to floating-point re-association in the running sums) from the
 //! per-step oracle it replaced, over generated series contents, expressions,
-//! ranges and step sizes.
+//! ranges and step sizes — and, for `rate` / `increase`, over series built to
+//! sit on either side of the evaluator's one per-series decision (a window is
+//! its end points unless the series holds an irregular pair), with the
+//! decision itself checked against the definition.
 
 use proptest::proptest;
 use teemon_metrics::Labels;
 use teemon_query::stream::{plan_or_reason, ranges_equivalent};
 use teemon_query::{parse, QueryEngine, RangeSeries};
-use teemon_tsdb::{TimeSeriesDb, TsdbConfig};
+use teemon_tsdb::{Selector, TimeSeriesDb, TsdbConfig};
 
 /// One generated series: metric selector, node selector and sample shapes.
 type SeriesSpec = (u8, u8, Vec<(u8, u16)>);
@@ -218,4 +221,150 @@ fn bit_identical(a: &[RangeSeries], b: &[RangeSeries]) -> bool {
                     .zip(&y.points)
                     .all(|(p, q)| p.0 == q.0 && p.1.to_bits() == q.1.to_bits())
         })
+}
+
+/// One series of [`build_edge_db`]: `(node, what bends it, where)` and its
+/// `(gap, raw)` samples.
+type EdgeSpec = ((u8, u8, u8), Vec<(u8, u16)>);
+
+/// Series that rise by fractional amounts on a one-second cadence — so a
+/// sample can sit exactly on a window edge of an on-cadence grid — each bent
+/// at most once: not at all, by a reset, by a NaN / +∞ / −∞ singleton, by a
+/// finite step too large for an `f64` (−MAX up to there, MAX from there), or
+/// never bent but mostly flat (equal consecutive values).  The bend falls on
+/// the first pair, a middle one, the last, or anywhere; a gap of zero repeats
+/// a timestamp.
+fn build_edge_db(specs: &[EdgeSpec]) -> TimeSeriesDb {
+    let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 6, retention_ms: u64::MAX });
+    for (i, ((node, kind, place), samples)) in specs.iter().enumerate() {
+        let labels =
+            Labels::from_pairs([("node", format!("n{}", node % 3)), ("idx", format!("{i}"))]);
+        let len = samples.len();
+        let at = match place % 4 {
+            0 => 1,
+            1 => len / 2,
+            2 => len.saturating_sub(1),
+            _ => usize::from(*place) % len.max(1),
+        };
+        let mut ts = u64::from(node % 3) * 1_000;
+        let mut value = 0.0f64;
+        for (j, (gap, raw)) in samples.iter().enumerate() {
+            ts += [0, 1_000, 1_000, 2_000][usize::from(gap % 4)];
+            let flat = kind % 7 == 6 && raw % 3 != 0;
+            value += if flat { 0.0 } else { f64::from(raw % 50) * 0.37 };
+            let stored = match kind % 7 {
+                1 if j == at => {
+                    value = f64::from(raw % 3) * 0.5;
+                    value
+                }
+                2 if j == at => f64::NAN,
+                3 if j == at => f64::INFINITY,
+                4 if j == at => f64::NEG_INFINITY,
+                5 if j < at => -f64::MAX,
+                5 => f64::MAX,
+                _ => value,
+            };
+            db.append("edge", &labels, ts, stored);
+        }
+    }
+    db
+}
+
+/// The windows hold none, one, two or many samples of a one-second cadence.
+const EDGE_WINDOWS_MS: [u64; 6] = [500, 1_000, 2_000, 3_000, 7_000, 60_000];
+
+fn edge_query(func: u8, wrap: u8, window_ms: u64) -> String {
+    let leaf = format!("{}(edge[{window_ms}ms])", ["rate", "increase"][usize::from(func % 2)]);
+    match wrap % 3 {
+        0 => leaf,
+        1 => format!("sum by (node) ({leaf})"),
+        _ => format!("max by (node) ({leaf})"),
+    }
+}
+
+/// The definition the streamer's per-series fork is held to: consecutive
+/// samples without `next >= prev`, or whose difference is not finite.
+fn has_irregular_pair(points: &[(u64, f64)]) -> bool {
+    points.windows(2).any(|pair| {
+        let (prev, next) = (pair[0].1, pair[1].1);
+        next.is_nan() || prev.is_nan() || next < prev || !(next - prev).is_finite()
+    })
+}
+
+/// Streams `query` and holds it to the per-step oracle, and the number of
+/// series that took the incremental road to the definition applied to what
+/// each series holds in the decoded range.
+fn assert_both_roads_match(db: &TimeSeriesDb, query: &str, window_ms: u64, grid: (u64, u64, u64)) {
+    let (start, end, step) = grid;
+    let engine = QueryEngine::new(db.clone());
+    let expr = parse(query).unwrap_or_else(|e| panic!("`{query}`: {e}"));
+    let (streamed, stats) = plan_or_reason(db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
+        .unwrap_or_else(|why| panic!("`{query}` must stream: {why}"))
+        .run_with_stats(start, end, step);
+    let oracle = engine.range_per_step(&expr, start, end, step).unwrap();
+    assert!(
+        ranges_equivalent(&streamed, &oracle),
+        "`{query}` over [{start}, {end}] step {step} diverged\n\
+         streamed: {streamed:?}\noracle: {oracle:?}"
+    );
+    let irregular = db
+        .select(&Selector::metric("edge"))
+        .iter()
+        .filter(|series| {
+            has_irregular_pair(&series.points_in(start.saturating_sub(window_ms), end))
+        })
+        .count();
+    assert_eq!(stats.irregular_series, irregular as u64, "`{query}` over [{start}, {end}]");
+    assert!(bit_identical(&engine.range(&expr, start, end, step).unwrap(), &streamed));
+}
+
+proptest! {
+    /// `rate` / `increase`, bare and under `sum by` / `max by`, over series
+    /// on both sides of the end-point decision, on grids that share the
+    /// samples' cadence (window edges land on samples, resets included) and
+    /// on grids that do not.
+    #[test]
+    fn end_point_and_incremental_windows_match_per_step_oracle(
+        specs in proptest::collection::vec(
+            ((0u8..6, 0u8..14, 0u8..40), proptest::collection::vec((0u8..8, 0u16..u16::MAX), 1..40)),
+            1..6,
+        ),
+        shape in (0u8..2, 0u8..3, 0usize..6),
+        on_cadence in 0u8..2,
+        range in (0u64..40_000, 1u64..90_000, 1u64..9_000),
+    ) {
+        let db = build_edge_db(&specs);
+        let window_ms = EDGE_WINDOWS_MS[shape.2];
+        let query = edge_query(shape.0, shape.1, window_ms);
+        let (start, step) = if on_cadence == 1 {
+            (range.0 / 1_000 * 1_000, (1 + range.2 % 5) * 1_000)
+        } else {
+            (range.0, range.2.max(range.1 / 10_000 + 1))
+        };
+        assert_both_roads_match(&db, &query, window_ms, (start, start + range.1, step));
+    }
+}
+
+#[test]
+fn bends_on_every_window_edge_match_per_step_oracle() {
+    // Whatever the property test happens to draw: every kind of bend at the
+    // first, a middle and the last pair of a 24-sample series, every window
+    // length, one-second steps from zero — so each sample, the bent one
+    // included, is in turn the newest of a window, the oldest of one, and
+    // one millisecond outside it — and a grid off the cadence.
+    let samples: Vec<(u8, u16)> =
+        (0..24u16).map(|j| (if j % 7 == 3 { 0 } else { 1 }, 7 + j * 11)).collect();
+    for kind in 0..7 {
+        for place in 0..3 {
+            let db =
+                build_edge_db(&[((0, kind, place), samples.clone()), ((1, 0, 0), samples.clone())]);
+            for window_ms in EDGE_WINDOWS_MS {
+                for (func, wrap) in [(0, 0), (1, 0), (0, 1), (1, 2)] {
+                    let query = edge_query(func, wrap, window_ms);
+                    assert_both_roads_match(&db, &query, window_ms, (0, 30_000, 1_000));
+                    assert_both_roads_match(&db, &query, window_ms, (1_234, 29_000, 1_700));
+                }
+            }
+        }
+    }
 }

@@ -50,18 +50,27 @@
 //! words of register state — a bit position plus the previous timestamp,
 //! delta and value registers — that yields one [`Sample`] per call, so a
 //! cursor that outlives any borrow of the chunk can still walk it sample by
-//! sample.  The bulk form (`decode_into`, and the chunk iterator the range
-//! cursors and `points_in` drain sealed chunks through) runs the same step
-//! over one bit reader kept alive for the whole block.  That reader buffers
-//! up to 64 bits in an accumulator refilled with a single unaligned
-//! big-endian load: a ladder rung is `leading_zeros` of the inverted word,
-//! and the XOR control bits and the 6+6-bit window header are peeled from
-//! the same peek, so a steady sample costs a couple of shifts, not a loop
-//! over bits.  The number of encoded samples is not part of the byte stream —
-//! chunks store it in their footer — and the decoder must be stopped after
-//! that many samples.  Malformed bytes (or the wrong kind) can produce
-//! garbage samples but never panic or read out of bounds (a refill past the
-//! end loads zero bytes, so such reads observe zero bits).
+//! sample.  The bulk form ([`decode_into`], which every whole-chunk read —
+//! the range cursors, `points_in`, a chunk a range only partly covers —
+//! drains sealed chunks through) runs the same step over one bit reader kept
+//! alive for the whole block.  That reader buffers up to 64 bits in an
+//! accumulator refilled with a single unaligned big-endian load: a ladder
+//! rung is `leading_zeros` of the inverted word, and the XOR control bits
+//! and the 6+6-bit window header are peeled from the same peek, so a sample
+//! costs a couple of shifts, not a loop over bits.  And where the bits say
+//! "same again" — two zero bits, the steady sample of either kind, which is
+//! what monitoring data mostly says — the bulk form does not come back for
+//! them one at a time: from inside that branch it counts the zero pairs that
+//! follow in the accumulator, drops them in one step and emits that many
+//! samples as an arithmetic progression off the registers (a *run*; the
+//! one-at-a-time form asks for none, and the lazy `BlockSamples` iterator
+//! behind seeks and open heads is that form over a kept reader).  The number
+//! of encoded samples is not part of the byte stream — chunks store it in
+//! their footer — and the decoder must be stopped after that many samples: a
+//! run is cut to what the footer still owes.  Malformed bytes (or the wrong
+//! kind) can produce garbage samples but never panic or read out of bounds
+//! (a refill past the end loads zero bytes, so such reads observe zero
+//! bits), and every front end makes the same garbage of them.
 //!
 //! The encoder is the same idea run backwards: fields gather in a 64-bit
 //! accumulator that leaves as one big-endian word each time it fills, and a
@@ -90,7 +99,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::series::Sample;
+use crate::series::{Point, Sample};
 
 /// Appends bits to a byte buffer, most-significant bit of each field first —
 /// the mirror of [`BitReader`].  Bits gather bottom-aligned in a 64-bit
@@ -627,10 +636,26 @@ impl GorillaState {
         Sample { timestamp_ms: self.prev_ts, value }
     }
 
-    /// One sample off `reader` — the single decoder behind both the
-    /// one-at-a-time [`GorillaState::next`] and the bulk [`BlockSamples`].
+    /// One sample off `reader`: the one-at-a-time [`GorillaState::next`] and
+    /// the lazy [`BlockSamples`].
     #[inline]
     fn decode_next(&mut self, reader: &mut BitReader<'_>) -> Sample {
+        let mut sample = Sample { timestamp_ms: 0, value: 0.0 };
+        self.step(reader, 0, &mut |s| sample = s);
+        sample
+    }
+
+    /// Decodes the next sample off `reader` into `emit` — the single decoder
+    /// behind every front end.  Where that sample is a steady one, the steady
+    /// samples that follow it in the reader's accumulator, at most `more` of
+    /// them, leave with it.  Returns how many samples were emitted.
+    #[inline]
+    fn step(
+        &mut self,
+        reader: &mut BitReader<'_>,
+        more: usize,
+        emit: &mut impl FnMut(Sample),
+    ) -> usize {
         if self.emitted == 0 {
             self.prev_ts = reader.read(64);
             let bits = reader.read(64);
@@ -639,7 +664,8 @@ impl GorillaState {
                 BlockKind::Integer => f64::from_bits(bits) as i64 as u64,
             };
             self.emitted = 1;
-            return self.current();
+            emit(self.current());
+            return 1;
         }
         // One peek covers the common sample whole: the Δ² bucket prefix is
         // the run of leading ones (at most four) and its payload at most 12
@@ -650,12 +676,23 @@ impl GorillaState {
         if word >> 62 == 0 {
             // Two zero bits, the steady sample of either kind: the cadence
             // held, and the value (XOR) or its rate (integer, whose delta
-            // register an XOR block leaves at zero) did too.
-            reader.consume(2);
-            self.prev_ts = self.prev_ts.wrapping_add(self.prev_delta);
-            self.prev_value = self.prev_value.wrapping_add(self.value_delta as u64);
-            self.emitted += 1;
-            return self.current();
+            // register an XOR block leaves at zero) did too.  Every further
+            // pair of zero bits is one more of them: count the pairs at the
+            // top of the accumulator — which is zero below its `avail` valid
+            // bits, and those zeros are not data — and take this sample and
+            // what the caller still wants in one `consume` (fewer than 64
+            // bits).  Wrapping steps, so garbage in gives the same garbage
+            // out whichever front end reads it.
+            let pairs = (word.leading_zeros().min(reader.avail) / 2).min(31);
+            let run = (pairs as usize).clamp(1, more + 1);
+            reader.consume(2 * run as u32);
+            for _ in 0..run {
+                self.prev_ts = self.prev_ts.wrapping_add(self.prev_delta);
+                self.prev_value = self.prev_value.wrapping_add(self.value_delta as u64);
+                emit(self.current());
+            }
+            self.emitted += run as u32;
+            return run;
         }
         let (delta, ts_bits) = match (!word).leading_zeros() {
             0 => (self.prev_delta, 1),
@@ -677,7 +714,8 @@ impl GorillaState {
             BlockKind::Integer => self.decode_integer(reader, word, ts_bits),
         }
         self.emitted += 1;
-        self.current()
+        emit(self.current());
+        1
     }
 
     /// The value step of an XOR block: `word` holds the next 14 bits at its
@@ -736,8 +774,10 @@ impl GorillaState {
     }
 }
 
-/// The bulk form of [`GorillaState`]: iterates the first `count` samples of
-/// one block with the bit accumulator kept alive from sample to sample.
+/// The lazy form of [`GorillaState`]: iterates the first `count` samples of
+/// one block with the bit accumulator kept alive from sample to sample, for
+/// the readers that stop early or chain what follows (a seek inside a chunk,
+/// an open head in front of its tail).
 #[derive(Debug)]
 pub(crate) struct BlockSamples<'a> {
     state: GorillaState,
@@ -765,10 +805,29 @@ impl Iterator for BlockSamples<'_> {
     }
 }
 
+/// The bulk form: appends the `count` samples of a block of `kind` to `out`
+/// as `T`s, reserving once — the one loop every whole-block read drains
+/// through.  A run of steady samples leaves the bit reader in one step and
+/// arrives as an arithmetic progression off the registers.
+pub(crate) fn decode_points<T: Point>(
+    bytes: &[u8],
+    kind: BlockKind,
+    count: usize,
+    out: &mut Vec<T>,
+) {
+    let mut state = GorillaState::new(kind);
+    let mut reader = BitReader::at(bytes, 0);
+    out.reserve(count);
+    let mut owed = count;
+    while owed > 0 {
+        owed -= state.step(&mut reader, owed - 1, &mut |sample| out.push(T::of(sample)));
+    }
+}
+
 /// Appends the `count` samples of a block of `kind` produced by [`encode`]
 /// to `out`, reserving once.
 pub fn decode_into(bytes: &[u8], kind: BlockKind, count: usize, out: &mut Vec<Sample>) {
-    out.extend(BlockSamples::new(bytes, kind, count));
+    decode_points(bytes, kind, count, out);
 }
 
 /// Decodes `count` samples from a block of `kind` produced by [`encode`]

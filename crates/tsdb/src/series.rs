@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::chunk_codec::{BlockKind, BlockSamples, GorillaState};
+use crate::chunk_codec::{decode_points, BlockKind, BlockSamples, GorillaState};
 
 /// Identifier of a series inside one [`crate::TimeSeriesDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -34,6 +34,37 @@ pub struct Sample {
     pub timestamp_ms: u64,
     /// Sample value.
     pub value: f64,
+}
+
+/// What a range read fills its buffer with: [`Sample`]s for the cursors,
+/// `(timestamp_ms, value)` pairs for `points_in`.
+pub(crate) trait Point {
+    fn of(sample: Sample) -> Self;
+    fn timestamp_ms(&self) -> u64;
+}
+
+impl Point for Sample {
+    #[inline]
+    fn of(sample: Sample) -> Self {
+        sample
+    }
+
+    #[inline]
+    fn timestamp_ms(&self) -> u64 {
+        self.timestamp_ms
+    }
+}
+
+impl Point for (u64, f64) {
+    #[inline]
+    fn of(sample: Sample) -> Self {
+        (sample.timestamp_ms, sample.value)
+    }
+
+    #[inline]
+    fn timestamp_ms(&self) -> u64 {
+        self.0
+    }
 }
 
 /// In-memory size of one raw sample, used for the resident-bytes estimate in
@@ -136,44 +167,39 @@ impl Chunk {
         }
     }
 
-    /// Appends every sample in `[start_ms, end_ms]` to `out` through `map`.
-    /// Raw chunks slice by binary search; compressed chunks stream-decode,
-    /// skipping the filter when the footer proves full containment.
-    pub(crate) fn extend_into<T>(
-        &self,
-        start_ms: u64,
-        end_ms: u64,
-        out: &mut Vec<T>,
-        map: &impl Fn(Sample) -> T,
-    ) {
+    /// Appends every sample in `[start_ms, end_ms]` to `out`.  Raw chunks
+    /// slice by binary search; a block is decoded whole through the bulk
+    /// decoder — a Gorilla stream cannot be entered mid-way, and a filter in
+    /// the loop would cost every sample of every chunk two compares — and a
+    /// chunk the range only partly covers (the first of a windowed read, as a
+    /// rule) is trimmed where it landed.
+    pub(crate) fn extend_into<T: Point>(&self, start_ms: u64, end_ms: u64, out: &mut Vec<T>) {
         match &self.data {
             ChunkData::Raw(samples) => {
                 let a = samples.partition_point(|s| s.timestamp_ms < start_ms);
                 let b = samples.partition_point(|s| s.timestamp_ms <= end_ms);
-                out.extend(samples[a..b].iter().map(|s| map(*s)));
+                out.extend(samples[a..b].iter().map(|s| T::of(*s)));
             }
-            ChunkData::Compressed(..) => {
+            ChunkData::Compressed(kind, bytes) => {
                 if self.is_empty() || self.start_ms > end_ms || self.end_ms < start_ms {
                     return;
                 }
+                let from = out.len();
+                decode_points(bytes, *kind, self.len(), out);
                 if start_ms <= self.start_ms && self.end_ms <= end_ms {
-                    out.extend(self.iter_samples().map(map));
-                } else {
-                    for sample in self.iter_samples() {
-                        if sample.timestamp_ms > end_ms {
-                            break;
-                        }
-                        if sample.timestamp_ms >= start_ms {
-                            out.push(map(sample));
-                        }
-                    }
+                    return;
                 }
+                let decoded = out.get(from..).unwrap_or(&[]);
+                let keep = decoded.partition_point(|p| p.timestamp_ms() <= end_ms);
+                let skip = decoded.partition_point(|p| p.timestamp_ms() < start_ms);
+                out.truncate(from + keep);
+                out.drain(from..from + skip.min(keep));
             }
         }
     }
 
-    /// Iterates the chunk's samples in order (bulk decode when compressed:
-    /// one bit reader stays alive for the whole block).
+    /// Iterates the chunk's samples in order (one bit reader stays alive for
+    /// the whole of a block).
     pub(crate) fn iter_samples(&self) -> ChunkSamples<'_> {
         match &self.data {
             ChunkData::Raw(samples) => ChunkSamples::Raw(samples.iter()),
@@ -279,15 +305,14 @@ pub(crate) fn at_in_chunks<C: std::borrow::Borrow<Chunk>>(
     }
 }
 
-/// Appends every sample in `[start_ms, end_ms]` to `out` (mapped through
-/// `map`), binary-searching the chunk footers to the overlapping span and
-/// pre-reserving its exact sample count instead of testing every chunk.
-pub(crate) fn extend_range<C: std::borrow::Borrow<Chunk>, T>(
+/// Appends every sample in `[start_ms, end_ms]` to `out`, binary-searching
+/// the chunk footers to the overlapping span and pre-reserving its exact
+/// sample count instead of testing every chunk.
+pub(crate) fn extend_range<C: std::borrow::Borrow<Chunk>, T: Point>(
     chunks: &[C],
     start_ms: u64,
     end_ms: u64,
     out: &mut Vec<T>,
-    map: impl Fn(Sample) -> T,
 ) {
     let lo = chunks.partition_point(|c| match c.borrow().end() {
         Some(end) => end < start_ms,
@@ -303,7 +328,7 @@ pub(crate) fn extend_range<C: std::borrow::Borrow<Chunk>, T>(
     let overlapping = &chunks[lo..hi];
     out.reserve(overlapping.iter().map(|c| c.borrow().len()).sum());
     for chunk in overlapping {
-        chunk.borrow().extend_into(start_ms, end_ms, out, &map);
+        chunk.borrow().extend_into(start_ms, end_ms, out);
     }
 }
 
@@ -436,7 +461,7 @@ mod tests {
         }
         let collect = |c: &Chunk, lo, hi| {
             let mut out = Vec::new();
-            c.extend_into(lo, hi, &mut out, &|s| s);
+            c.extend_into::<Sample>(lo, hi, &mut out);
             out
         };
         for (lo, hi) in [(0, u64::MAX), (250, 1_750), (500, 19_500), (20_000, 30_000)] {

@@ -142,7 +142,7 @@ impl SeriesSnapshot {
     /// and in chronological order.
     pub fn points_in(&self, start_ms: u64, end_ms: u64) -> Vec<(u64, f64)> {
         let mut out = Vec::new();
-        extend_range(&self.chunks, start_ms, end_ms, &mut out, |s| (s.timestamp_ms, s.value));
+        extend_range(&self.chunks, start_ms, end_ms, &mut out);
         out
     }
 
@@ -241,7 +241,7 @@ impl CursorCore {
             }
         } else if !self.done {
             let rest = chunks.get(self.next_chunk..).unwrap_or(&[]);
-            extend_range(rest, self.start_ms, self.end_ms, out, |s| s);
+            extend_range(rest, self.start_ms, self.end_ms, out);
             self.done = true;
         }
     }

@@ -423,9 +423,7 @@ impl MemSeries {
 
     fn points_in(&self, start_ms: u64, end_ms: u64) -> Vec<(u64, f64)> {
         let mut out = Vec::new();
-        crate::series::extend_range(&self.sealed, start_ms, end_ms, &mut out, |s| {
-            (s.timestamp_ms, s.value)
-        });
+        crate::series::extend_range(&self.sealed, start_ms, end_ms, &mut out);
         let overlapping = self.open_head().filter(|head| {
             head.first_timestamp().is_some_and(|first| first <= end_ms)
                 && head.last_timestamp().is_some_and(|last| last >= start_ms)

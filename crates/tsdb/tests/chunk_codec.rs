@@ -6,7 +6,9 @@
 //! reader and writer replaced live on here as [`reference`], the oracles
 //! production must match — the decoder sample for sample on well-formed
 //! blocks of both kinds, past their end, read as the other kind, and on
-//! truncated, mangled and random bytes; the encoder byte for byte and kind
+//! truncated, mangled, all-zero and random bytes, and the bulk front end,
+//! which takes runs of steady samples in one step, at every count it can be
+//! asked for; the encoder byte for byte and kind
 //! for kind on every input it accepts — whole, and through the resumable
 //! [`BlockEncoder`] in any split into bursts, wherever in the stream the
 //! first value that is not a whole number arrives.
@@ -386,90 +388,121 @@ fn switch_at((kind, position): (u8, usize), len: usize) -> usize {
 /// before `whole_until` are whole numbers of magnitude at most 2⁵³ — the
 /// integer ladder's rungs, their edges and the extremes among them; from
 /// there on anything goes.
+///
+/// A delta selector of 8 or 9 is not one sample but a steady stretch: `1 +
+/// raw % 200` samples at the cadence of the two before it, the value standing
+/// still (8) or, whole numbers permitting, holding its rate (9) — two zero
+/// bits a sample in a block of the kind that suits, which is what the bulk
+/// decoder takes in runs.  Up to 200, so a run crosses the reader's 57-bit
+/// refills several times over; the sample specs around a stretch are the
+/// single escapes that interrupt it.  The properties that draw selectors
+/// below 8 see no stretches.
 fn build_samples(specs: &[(u8, u8, u16)], whole_until: usize) -> Vec<Sample> {
     let mut ts = 0u64;
     let mut prev_bits = 0u64;
     let mut prev_int = 0i64;
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, &(delta_kind, value_kind, raw))| {
-            let delta = match delta_kind % 8 {
-                0 => 0,                            // duplicate timestamp
-                1 => 1,                            // minimal step
-                2 => 5_000,                        // steady scrape cadence
-                3 => 5_000 + u64::from(raw % 100), // jittered cadence
-                4 => u64::from(raw),               // small arbitrary
-                5 => u64::from(raw) * 1_000,       // Δ² beyond the 12-bit bucket
-                6 => u64::from(raw) << 32,         // huge: raw-delta escape
-                _ => 86_400_000,                   // one day
+    let mut out: Vec<Sample> = Vec::new();
+    for (i, &(delta_kind, value_kind, raw)) in specs.iter().enumerate() {
+        if delta_kind >= 8 {
+            let (cadence, rate) = match out[..] {
+                [.., a, b] => (b.timestamp_ms - a.timestamp_ms, b.value - a.value),
+                _ => (5_000, 0.0),
             };
-            ts = ts.saturating_add(delta);
-            let value = if i < whole_until {
-                let step = i64::from(raw);
-                let int = match value_kind % 10 {
-                    0 => 0,
-                    1 => prev_int,                    // a gauge at rest
-                    2 | 3 => prev_int + 1 + step % 3, // a counter, nearly steady
-                    4 => prev_int - step,             // falling
-                    5 => step << (raw % 38),          // anywhere up to 2⁵³
-                    6 => {
-                        if raw % 2 == 0 {
-                            MAX_WHOLE
-                        } else {
-                            -MAX_WHOLE
-                        }
-                    }
-                    // A Δ² on, and one off, either end of a ladder rung.
-                    7 => {
-                        let half = 1i64 << (VALUE_LADDER[usize::from(raw % 7)] - 1);
-                        prev_int + [half, half + 1, 1 - half, -half][usize::from(raw / 7 % 4)]
-                    }
-                    8 => -prev_int,
-                    _ => step,
-                };
-                int.clamp(-MAX_WHOLE, MAX_WHOLE) as f64
-            } else {
-                // Kinds 10 and up are bit patterns aimed at the XOR encoder's
-                // window logic; the round-trip and decoder properties draw
-                // from the first ten only.
-                match value_kind % 14 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    2 => f64::NAN,
-                    3 => f64::INFINITY,
-                    4 => f64::NEG_INFINITY,
-                    5 => f64::from(raw),          // small integers
-                    6 => -f64::from(raw),         // negative
-                    7 => f64::from(raw) * 1e-300, // subnormal territory
-                    8 => f64::from(raw) * 1e300,  // huge magnitude
-                    9 => f64::from(raw) + f64::from(raw % 7) * 0.1,
-                    // Every bit flipped: a 64-bit meaningful window.
-                    10 => f64::from_bits(!prev_bits),
-                    // NaN payloads of either sign.
-                    11 => f64::from_bits((0x7ff8 << 48) | (u64::from(raw) << 63) | u64::from(raw)),
-                    // Full-entropy patterns: a new, wide window almost every time.
-                    12 => f64::from_bits(u64::from(raw).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                    // A few bits mid-word: fits (and reuses) the previous window.
-                    _ => f64::from_bits(prev_bits ^ (u64::from(raw % 64) << 24)),
+            let mut value = out.last().map_or(0.0, |s| s.value);
+            let holds_rate = delta_kind == 9 && reference::qualifies(value);
+            for _ in 0..=raw % 200 {
+                ts = ts.saturating_add(cadence);
+                if holds_rate && reference::qualifies(value + rate) {
+                    value += rate;
                 }
-            };
+                out.push(Sample { timestamp_ms: ts, value });
+            }
             prev_bits = value.to_bits();
             prev_int = if reference::qualifies(value) { value as i64 } else { 0 };
-            Sample { timestamp_ms: ts, value }
-        })
-        .collect()
+            continue;
+        }
+        let delta = match delta_kind {
+            0 => 0,                            // duplicate timestamp
+            1 => 1,                            // minimal step
+            2 => 5_000,                        // steady scrape cadence
+            3 => 5_000 + u64::from(raw % 100), // jittered cadence
+            4 => u64::from(raw),               // small arbitrary
+            5 => u64::from(raw) * 1_000,       // Δ² beyond the 12-bit bucket
+            6 => u64::from(raw) << 32,         // huge: raw-delta escape
+            _ => 86_400_000,                   // one day
+        };
+        ts = ts.saturating_add(delta);
+        let value = if i < whole_until {
+            let step = i64::from(raw);
+            let int = match value_kind % 10 {
+                0 => 0,
+                1 => prev_int,                    // a gauge at rest
+                2 | 3 => prev_int + 1 + step % 3, // a counter, nearly steady
+                4 => prev_int - step,             // falling
+                5 => step << (raw % 38),          // anywhere up to 2⁵³
+                6 => {
+                    if raw % 2 == 0 {
+                        MAX_WHOLE
+                    } else {
+                        -MAX_WHOLE
+                    }
+                }
+                // A Δ² on, and one off, either end of a ladder rung.
+                7 => {
+                    let half = 1i64 << (VALUE_LADDER[usize::from(raw % 7)] - 1);
+                    prev_int + [half, half + 1, 1 - half, -half][usize::from(raw / 7 % 4)]
+                }
+                8 => -prev_int,
+                _ => step,
+            };
+            int.clamp(-MAX_WHOLE, MAX_WHOLE) as f64
+        } else {
+            // Kinds 10 and up are bit patterns aimed at the XOR encoder's
+            // window logic; the round-trip and decoder properties draw
+            // from the first ten only.
+            match value_kind % 14 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::NAN,
+                3 => f64::INFINITY,
+                4 => f64::NEG_INFINITY,
+                5 => f64::from(raw),          // small integers
+                6 => -f64::from(raw),         // negative
+                7 => f64::from(raw) * 1e-300, // subnormal territory
+                8 => f64::from(raw) * 1e300,  // huge magnitude
+                9 => f64::from(raw) + f64::from(raw % 7) * 0.1,
+                // Every bit flipped: a 64-bit meaningful window.
+                10 => f64::from_bits(!prev_bits),
+                // NaN payloads of either sign.
+                11 => f64::from_bits((0x7ff8 << 48) | (u64::from(raw) << 63) | u64::from(raw)),
+                // Full-entropy patterns: a new, wide window almost every time.
+                12 => f64::from_bits(u64::from(raw).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                // A few bits mid-word: fits (and reuses) the previous window.
+                _ => f64::from_bits(prev_bits ^ (u64::from(raw % 64) << 24)),
+            }
+        };
+        prev_bits = value.to_bits();
+        prev_int = if reference::qualifies(value) { value as i64 } else { 0 };
+        out.push(Sample { timestamp_ms: ts, value });
+    }
+    out
 }
 
 /// Asserts the production decoder — bulk `decode`/`decode_into` and the
 /// one-at-a-time `GorillaState` — reads `count` samples off `bytes` as a
-/// block of `kind` exactly as the reference does.
+/// block of `kind` exactly as the reference does.  The bulk decoder takes a
+/// run of steady samples in one step, cut to the count it was given, so for
+/// it every count up to `count` is a case of its own: a run that ends on the
+/// count, one short of it, or that the count cuts anywhere.
 fn assert_matches_reference(bytes: &[u8], kind: BlockKind, count: usize) {
     let want = reference::decode(bytes, kind, count);
     assert!(samples_identical(&decode(bytes, kind, count), &want), "bulk decode diverged");
     let mut appended = vec![Sample { timestamp_ms: 7, value: 7.0 }];
-    decode_into(bytes, kind, count, &mut appended);
-    assert!(samples_identical(&appended[1..], &want), "decode_into diverged");
+    for upto in 0..=count {
+        appended.truncate(1);
+        decode_into(bytes, kind, upto, &mut appended);
+        assert!(samples_identical(&appended[1..], &want[..upto]), "decode_into diverged at {upto}");
+    }
     let mut state = GorillaState::new(kind);
     let streamed: Vec<Sample> = (0..count).map(|_| state.next(bytes)).collect();
     assert!(samples_identical(&streamed, &want), "GorillaState diverged");
@@ -548,6 +581,24 @@ proptest! {
         let garbage: Vec<u8> = garbage.iter().map(|&b| b as u8).collect();
         for kind in KINDS {
             assert_matches_reference(&garbage, kind, count);
+        }
+    }
+
+    /// Three decoders, one answer, where the bits say "same again": long
+    /// steady stretches of either kind between single escapes, every count
+    /// from nothing to five samples past the end, and the block read as the
+    /// kind it is not.
+    #[test]
+    fn decoders_agree_on_steady_stretches_at_every_count(
+        specs in proptest::collection::vec((0u8..10, 0u8..10, 0u16..u16::MAX), 1..12),
+        switch in (0u8..3, 0usize..12),
+    ) {
+        let samples = build_samples(&specs, switch_at(switch, specs.len()));
+        let (kind, bytes) = encode(&samples).expect("time-ordered input must encode");
+        assert_eq!(kind, kind_of(&samples));
+        assert!(samples_identical(&decode(&bytes, kind, samples.len()), &samples));
+        for kind in KINDS {
+            assert_matches_reference(&bytes, kind, samples.len() + 5);
         }
     }
 
@@ -687,6 +738,26 @@ proptest! {
         assert_eq!(encode_into(&bad, &mut scratch), None, "decrease at index {flip} must reject");
         let kind = encode_into(&good, &mut scratch).expect("ordered");
         assert_eq!(Some((kind, scratch)), reference::encode(&good));
+    }
+}
+
+#[test]
+fn zero_bytes_are_one_long_run_that_the_count_cuts() {
+    // 960 zero bits: a first sample of zeros and 416 steady ones behind it,
+    // then the zeros a refill past the end reads.  Nothing in the bytes ends
+    // the run — the footer's count does, wherever it falls.
+    for kind in KINDS {
+        assert_matches_reference(&[0; 120], kind, 500);
+        assert_matches_reference(&[], kind, 40);
+    }
+    // A steady block cut at every byte: the zeros past the cut extend the
+    // run the cut interrupted.
+    let steady: Vec<Sample> = (0..200u64)
+        .map(|t| Sample { timestamp_ms: 1_000 + t * 5_000, value: (77 * t) as f64 })
+        .collect();
+    let (kind, bytes) = encode(&steady).expect("ordered");
+    for cut in 0..=bytes.len() {
+        assert_matches_reference(&bytes[..cut], kind, steady.len() + 3);
     }
 }
 

@@ -93,10 +93,11 @@ fn main() {
     println!("slow queries (threshold lowered to 50 µs for the demo):");
     for slow in teemon_obs::slow_queries().into_iter().take(5) {
         println!(
-            "  {:>9.3} ms  {} decoded={} {}",
+            "  {:>9.3} ms  {} decoded={} irregular={} {}",
             slow.wall_seconds * 1e3,
             if slow.streamed { "streamed" } else { "fallback" },
             slow.samples_decoded,
+            slow.irregular_series,
             slow.query,
         );
     }
