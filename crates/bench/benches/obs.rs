@@ -54,7 +54,7 @@ fn bench_primitives(c: &mut Criterion) {
     group.bench_function("slow_check_below_threshold", |b| {
         // The common case: the query finished fast, so the ring is never
         // touched and no query text is rendered.
-        b.iter(|| black_box(slow::maybe_record("sum(rate(x[5m]))", 10, 100, 0, true)))
+        b.iter(|| black_box(slow::maybe_record("sum(rate(x[5m]))", 10, 100, 0)))
     });
     group.finish();
 }

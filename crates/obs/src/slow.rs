@@ -3,8 +3,8 @@
 //! Range queries whose measured wall time exceeds the (runtime-adjustable)
 //! threshold are recorded here by `teemon_query`: the query text is copied
 //! into a fixed byte slot (truncated, never allocated), together with the
-//! wall time, the samples-decoded count and whether the streaming evaluator
-//! or the per-step fallback answered it.  The ring keeps the most recent
+//! wall time, the samples-decoded count and the irregular-series count.
+//! The ring keeps the most recent
 //! [`CAPACITY`] entries; the aggregate count is exported as the
 //! `teemon_query_slow_total` probe, while [`slow_queries`] hands operators
 //! the actual offenders (allocating — a cold diagnostic path, not a scrape
@@ -34,14 +34,11 @@ pub struct SlowQuery {
     pub query: String,
     /// Measured wall time in seconds.
     pub wall_seconds: f64,
-    /// Samples decoded while answering (0 for fallback evaluations, which
-    /// do not stream-decode).
+    /// Samples decoded while answering.
     pub samples_decoded: u64,
     /// Series under `rate`/`increase` that held a reset or a non-finite
     /// value, and so paid for a running pair sum.
     pub irregular_series: u64,
-    /// Whether the streaming evaluator answered it.
-    pub streamed: bool,
 }
 
 /// Fixed-size ring slot; copying into it never allocates.
@@ -52,17 +49,10 @@ struct Entry {
     wall_ns: u64,
     samples_decoded: u64,
     irregular_series: u64,
-    streamed: bool,
 }
 
-const EMPTY: Entry = Entry {
-    text: [0; TEXT_CAPACITY],
-    len: 0,
-    wall_ns: 0,
-    samples_decoded: 0,
-    irregular_series: 0,
-    streamed: false,
-};
+const EMPTY: Entry =
+    Entry { text: [0; TEXT_CAPACITY], len: 0, wall_ns: 0, samples_decoded: 0, irregular_series: 0 };
 
 struct Ring {
     entries: [Entry; CAPACITY],
@@ -102,7 +92,6 @@ pub fn maybe_record(
     wall_ns: u64,
     samples_decoded: u64,
     irregular_series: u64,
-    streamed: bool,
 ) -> bool {
     if wall_ns < threshold_ns() {
         return false;
@@ -125,7 +114,6 @@ pub fn maybe_record(
         entry.wall_ns = wall_ns;
         entry.samples_decoded = samples_decoded;
         entry.irregular_series = irregular_series;
-        entry.streamed = streamed;
     }
     true
 }
@@ -145,7 +133,6 @@ pub fn slow_queries() -> Vec<SlowQuery> {
             wall_seconds: entry.wall_ns as f64 / 1e9,
             samples_decoded: entry.samples_decoded,
             irregular_series: entry.irregular_series,
-            streamed: entry.streamed,
         });
     }
     out
@@ -166,21 +153,20 @@ mod tests {
     fn threshold_gates_recording() {
         let _guard = test_guard();
         let before = probes::QUERY_SLOW.get();
-        assert!(!maybe_record("fast", 1, 0, 0, true));
+        assert!(!maybe_record("fast", 1, 0, 0));
         assert_eq!(probes::QUERY_SLOW.get(), before);
-        assert!(maybe_record("sum(rate(x[5m]))", u64::MAX / 2, 42, 3, true));
+        assert!(maybe_record("sum(rate(x[5m]))", u64::MAX / 2, 42, 3));
         assert_eq!(probes::QUERY_SLOW.get(), before + 1);
         let newest = slow_queries().into_iter().next().expect("just recorded");
         assert_eq!(newest.query, "sum(rate(x[5m]))");
         assert_eq!((newest.samples_decoded, newest.irregular_series), (42, 3));
-        assert!(newest.streamed);
     }
 
     #[test]
     fn ring_keeps_the_most_recent_entries() {
         let _guard = test_guard();
         for i in 0..(CAPACITY + 3) {
-            assert!(maybe_record(&format!("q{i}"), u64::MAX / 2, i as u64, 0, false));
+            assert!(maybe_record(&format!("q{i}"), u64::MAX / 2, i as u64, 0));
         }
         let entries = slow_queries();
         assert_eq!(entries.len(), CAPACITY);
@@ -194,7 +180,7 @@ mod tests {
     fn long_queries_truncate_on_char_boundaries() {
         let _guard = test_guard();
         let long = "é".repeat(TEXT_CAPACITY); // 2 bytes per char
-        assert!(maybe_record(&long, u64::MAX / 2, 0, 0, true));
+        assert!(maybe_record(&long, u64::MAX / 2, 0, 0));
         let newest = slow_queries().into_iter().next().expect("recorded");
         assert!(newest.query.len() <= TEXT_CAPACITY);
         assert!(newest.query.chars().all(|c| c == 'é'));

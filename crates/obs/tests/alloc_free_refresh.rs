@@ -62,7 +62,7 @@ fn telemetry_round(snap: &mut SelfSnapshot, lock: &parking_lot::Mutex<u64>) {
         // A named-lock acquisition records contention-table telemetry.
         *lock.lock() += 1;
         // Below-threshold queries must not touch the slow-query ring.
-        slow::maybe_record("sum(rate(x[5m]))", 10, 1000, 0, true);
+        slow::maybe_record("sum(rate(x[5m]))", 10, 1000, 0);
     }
     snap.refresh();
 }

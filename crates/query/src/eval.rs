@@ -1,64 +1,15 @@
 //! The TeeQL evaluator: instant and range queries over a [`TimeSeriesDb`].
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::rc::Rc;
-use std::sync::OnceLock;
 
 use teemon_metrics::Labels;
 use teemon_obs::{probes, slow, Stopwatch};
-use teemon_tsdb::{query, AggregateOp, Selector, SeriesSnapshot, TimeSeriesDb};
+use teemon_tsdb::TimeSeriesDb;
 
-use crate::ast::{BinOp, Expr, Grouping, RangeFunc};
+use crate::ast::{Expr, RangeFunc};
 use crate::lexer::ParseError;
 use crate::parser::parse;
-use crate::stream;
-
-/// One selected series with its key strings materialised once per query.
-struct SelectedSeries {
-    snapshot: SeriesSnapshot,
-    name: String,
-    labels: Labels,
-}
-
-/// Per-query cache of selector evaluations, keyed by the selector's address
-/// inside the expression tree.  The `'e` lifetime ties the cache to the
-/// expression being evaluated, so a cached address can never outlive (or be
-/// reused after) the selector it identifies.
-///
-/// This is what makes reads zero-copy end to end: each selector hits the
-/// database's inverted index once per query — not once per range step — and
-/// every step after that walks the same `Arc`-shared chunks through the
-/// snapshot cursor API.  Each selector's snapshots are immutable once taken,
-/// so all steps of a range query see identical data for that selector
-/// (distinct selectors in one expression may still snapshot at slightly
-/// different instants under live ingestion).
-#[derive(Default)]
-struct SelectionCache<'e> {
-    by_selector: HashMap<usize, Rc<Vec<SelectedSeries>>>,
-    _expr: std::marker::PhantomData<&'e Selector>,
-}
-
-impl<'e> SelectionCache<'e> {
-    fn selection(&mut self, db: &TimeSeriesDb, selector: &'e Selector) -> Rc<Vec<SelectedSeries>> {
-        let key = selector as *const Selector as usize;
-        if let Some(cached) = self.by_selector.get(&key) {
-            return Rc::clone(cached);
-        }
-        let selected = Rc::new(
-            db.select(selector)
-                .into_iter()
-                .map(|snapshot| SelectedSeries {
-                    name: snapshot.name().to_string(),
-                    labels: snapshot.to_labels(),
-                    snapshot,
-                })
-                .collect::<Vec<_>>(),
-        );
-        self.by_selector.insert(key, Rc::clone(&selected));
-        selected
-    }
-}
+use crate::stream::{self, PlanKind};
 
 /// One sample of an instant vector.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,12 +50,9 @@ impl RangeSeries {
 /// `teemon_query_*` probes; `analyze` folds it into its report).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct RangeRun {
-    /// Whether the streaming evaluator answered (vs the per-step fallback).
-    pub streamed: bool,
     /// Measured wall time in seconds.
     pub wall_seconds: f64,
-    /// The streamer's work counters (all zero on the fallback path, which
-    /// does not stream-decode).
+    /// The streamer's work counters.
     pub stats: stream::RunStats,
 }
 
@@ -155,9 +103,13 @@ pub enum EvalError {
     /// A range query asked for this many steps, more than
     /// [`QueryEngine::MAX_RANGE_STEPS`].
     TooManySteps(u64),
-    /// A vector-vector binary operation found several right-hand samples
+    /// A vector-vector binary operation found several right-hand series
     /// with the same label set, so matching would be ambiguous.
     ManyToOneMatch(Labels),
+    /// Several output series share this label set once the metric name is
+    /// dropped (`rate({node="n1"}[5m])` over two metrics), so they cannot be
+    /// told apart.
+    DuplicateSeries(Labels),
 }
 
 impl fmt::Display for EvalError {
@@ -185,6 +137,11 @@ impl fmt::Display for EvalError {
             EvalError::ManyToOneMatch(labels) => {
                 write!(f, "many-to-one matching: multiple right-hand series share {labels}")
             }
+            EvalError::DuplicateSeries(labels) => write!(
+                f,
+                "several result series share {labels} once the metric name is dropped; \
+                 aggregate them or select one metric"
+            ),
         }
     }
 }
@@ -304,96 +261,57 @@ impl QueryEngine {
         Ok(self.range(&parse(query)?, start_ms, end_ms, step_ms)?)
     }
 
-    /// Evaluates a parsed expression at one instant.
+    /// Evaluates a parsed expression at one instant: the plan
+    /// [`QueryEngine::range`] would run, over a grid of the one step
+    /// `at_ms` — the same windows, the same rounding.  A bare range selector
+    /// (`m[5m]`), which has no value at a step, yields the raw samples of
+    /// its window as [`Value::Matrix`].
     ///
     /// # Errors
     ///
     /// Returns an [`EvalError`] when the expression is not well-typed (e.g. a
-    /// range function over an instant vector).
+    /// range function over an instant vector) or its result series cannot be
+    /// told apart — see [`stream::plan_or_reason`].
     pub fn instant(&self, expr: &Expr, at_ms: u64) -> Result<Value, EvalError> {
-        self.eval_instant(expr, at_ms, &mut SelectionCache::default())
-    }
-
-    fn eval_instant<'e>(
-        &self,
-        expr: &'e Expr,
-        at_ms: u64,
-        cache: &mut SelectionCache<'e>,
-    ) -> Result<Value, EvalError> {
-        match expr {
-            Expr::Number(n) => Ok(Value::Scalar(*n)),
-            Expr::Selector(selector) => {
-                let oldest_live = at_ms.saturating_sub(self.lookback_ms);
-                let selection = cache.selection(&self.db, selector);
-                let mut samples = Vec::with_capacity(selection.len());
-                for series in selection.iter() {
-                    let Some(sample) = series.snapshot.at(at_ms) else { continue };
-                    if sample.timestamp_ms < oldest_live {
-                        continue;
-                    }
-                    samples.push(VectorSample {
-                        name: Some(series.name.clone()),
-                        labels: series.labels.clone(),
-                        value: sample.value,
-                    });
-                }
-                Ok(Value::Vector(samples))
-            }
-            Expr::Range { selector, window_ms } => {
-                let start = at_ms.saturating_sub(*window_ms);
-                let selection = cache.selection(&self.db, selector);
-                let mut out = Vec::with_capacity(selection.len());
-                for series in selection.iter() {
-                    let points = series.snapshot.points_in(start, at_ms);
-                    if points.is_empty() {
-                        continue;
-                    }
-                    out.push(RangeSeries {
-                        name: Some(series.name.clone()),
-                        labels: series.labels.clone(),
-                        points,
-                    });
-                }
-                Ok(Value::Matrix(out))
-            }
-            Expr::Call { func, param, arg } => self.call(*func, *param, arg, at_ms, cache),
-            Expr::Aggregate { op, grouping, expr } => {
-                let Value::Vector(samples) = self.eval_instant(expr, at_ms, cache)? else {
-                    return Err(EvalError::VectorRequired("aggregation"));
-                };
-                Ok(Value::Vector(aggregate_vector(&samples, *op, grouping)))
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let lhs = self.eval_instant(lhs, at_ms, cache)?;
-                let rhs = self.eval_instant(rhs, at_ms, cache)?;
-                binary(*op, lhs, rhs)
-            }
+        if let Expr::Range { selector, window_ms } = expr {
+            let start = at_ms.saturating_sub(*window_ms);
+            let series = self.db.select(selector).into_iter().filter_map(|snapshot| {
+                let points = snapshot.points_in(start, at_ms);
+                let name = Some(snapshot.name().to_string());
+                (!points.is_empty()).then(|| RangeSeries {
+                    name,
+                    labels: snapshot.to_labels(),
+                    points,
+                })
+            });
+            return Ok(Value::Matrix(series.collect()));
         }
+        let plan = stream::plan_or_reason(&self.db, self.lookback_ms, expr, at_ms, at_ms)?;
+        if let PlanKind::Scalar(value) = plan.kind {
+            return Ok(Value::Scalar(value));
+        }
+        let samples = plan.run(at_ms, at_ms, 1).into_iter().filter_map(|series| {
+            let &(_, value) = series.points.first()?;
+            Some(VectorSample { name: series.name, labels: series.labels, value })
+        });
+        Ok(Value::Vector(samples.collect()))
     }
 
-    /// Evaluates a parsed expression at every step of `[start_ms, end_ms]`.
-    ///
-    /// Expressions made of selectors, range functions, grouped aggregations
-    /// and constant arithmetic/comparisons take the **streaming** path
-    /// ([`crate::stream`]): each series is decoded once and two monotone
-    /// indices slide its window across all the steps, updating the window
-    /// aggregates incrementally, so the whole range costs `O(samples
-    /// touched)` instead of `O(steps × window)`.  Everything else (vector-vector matching,
-    /// type errors) falls back to [`QueryEngine::range_per_step`].
-    ///
-    /// With debug assertions enabled and `TEEMON_VERIFY_STREAM=1` in the
-    /// environment, every streamed evaluation is cross-checked against the
-    /// per-step oracle and panics on divergence (CI runs the test suite this
-    /// way).
+    /// Evaluates a parsed expression at every step of `[start_ms, end_ms]`
+    /// through the streaming planner ([`crate::stream`]): each series is
+    /// decoded once and two monotone indices slide its window across all the
+    /// steps, updating the window aggregates incrementally, so the whole
+    /// range costs `O(samples touched)` instead of `O(steps × window)`.
+    /// Series come back in key order.
     ///
     /// # Errors
     ///
     /// Returns [`EvalError::ZeroStep`] for a zero step,
     /// [`EvalError::TooManySteps`] when the grid has more than
     /// [`QueryEngine::MAX_RANGE_STEPS`] steps (refused before any planning),
-    /// and propagates the expression's evaluation errors.  A whole-query
-    /// range selector (`m[5m]`) is not rangeable and yields
-    /// [`EvalError::UnexpectedRange`].
+    /// and the planner's error for an expression it refuses
+    /// ([`stream::plan_or_reason`]) — a whole-query range selector (`m[5m]`)
+    /// among them, with [`EvalError::UnexpectedRange`].
     ///
     /// Selectors are resolved against the storage index once for the whole
     /// query; every step then reads the same immutable `Arc`-shared chunk
@@ -411,7 +329,7 @@ impl QueryEngine {
 
     /// The instrumented range funnel shared by [`QueryEngine::range`] and
     /// `analyze`: evaluates, feeds the `teemon_query_*` probes (mode
-    /// counters, decode/rebuild counters, wall-time histogram, slow-query
+    /// counter, decode/rebuild counters, wall-time histogram, slow-query
     /// ring) and reports what the run did.
     pub(crate) fn range_with_run(
         &self,
@@ -431,246 +349,24 @@ impl QueryEngine {
             return Err(EvalError::TooManySteps(steps));
         }
         let watch = Stopwatch::start();
-        let (result, mut run) =
-            match stream::plan_or_reason(&self.db, self.lookback_ms, expr, start_ms, end_ms) {
-                Ok(plan) => {
-                    let (streamed, stats) = plan.run_with_stats(start_ms, end_ms, step_ms);
-                    if cfg!(debug_assertions) && verify_stream_enabled() {
-                        let oracle = self.range_per_step(expr, start_ms, end_ms, step_ms)?;
-                        assert!(
-                            stream::ranges_equivalent(&streamed, &oracle),
-                            "streaming evaluation diverged from the per-step oracle for `{expr}` \
-                             over [{start_ms}, {end_ms}] step {step_ms}\nstreamed: \
-                             {streamed:?}\noracle: {oracle:?}"
-                        );
-                    }
-                    probes::QUERY_STREAMED.inc();
-                    probes::QUERY_SAMPLES_DECODED.add(stats.samples_decoded);
-                    probes::QUERY_WINDOW_REBUILDS.add(stats.window_rebuilds);
-                    probes::QUERY_IRREGULAR_SERIES.add(stats.irregular_series);
-                    (streamed, RangeRun { streamed: true, wall_seconds: 0.0, stats })
-                }
-                Err(_reason) => {
-                    probes::QUERY_FALLBACK.inc();
-                    let result = self.range_per_step(expr, start_ms, end_ms, step_ms)?;
-                    (result, RangeRun::default())
-                }
-            };
+        let plan = stream::plan_or_reason(&self.db, self.lookback_ms, expr, start_ms, end_ms)?;
+        let (result, stats) = plan.run_with_stats(start_ms, end_ms, step_ms);
+        probes::QUERY_STREAMED.inc();
+        probes::QUERY_SAMPLES_DECODED.add(stats.samples_decoded);
+        probes::QUERY_WINDOW_REBUILDS.add(stats.window_rebuilds);
+        probes::QUERY_IRREGULAR_SERIES.add(stats.irregular_series);
         let wall_ns = watch.elapsed_ns();
-        run.wall_seconds = wall_ns as f64 / 1e9;
         probes::QUERY_NS.record_ns(wall_ns);
         // Only offenders pay for rendering the expression back to text.
         if wall_ns >= slow::threshold_ns() {
             slow::maybe_record(
                 &expr.to_string(),
                 wall_ns,
-                run.stats.samples_decoded,
-                run.stats.irregular_series,
-                run.streamed,
+                stats.samples_decoded,
+                stats.irregular_series,
             );
         }
-        Ok((result, run))
-    }
-
-    /// The per-step range evaluator: runs the full instant pipeline at every
-    /// step and stitches the results into range series.  Retained as the
-    /// fallback for expressions the streamer cannot handle and as the
-    /// equivalence oracle for the streaming path.
-    ///
-    /// Points are accumulated in slots keyed by a per-query series id: each
-    /// distinct output identity resolves through the hash map once, and the
-    /// per-step work is an id lookup plus a point push — not a `BTreeMap`
-    /// walk comparing (and retaining clones of) name/label strings per step
-    /// per series.  Name/labels are attached to the final [`RangeSeries`]
-    /// only once, at the end.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`QueryEngine::range`].
-    pub fn range_per_step(
-        &self,
-        expr: &Expr,
-        start_ms: u64,
-        end_ms: u64,
-        step_ms: u64,
-    ) -> Result<Vec<RangeSeries>, EvalError> {
-        if step_ms == 0 {
-            return Err(EvalError::ZeroStep);
-        }
-        if start_ms > end_ms {
-            return Ok(Vec::new());
-        }
-        let mut cache = SelectionCache::default();
-        let mut slot_of: HashMap<(Option<String>, Labels), usize> = HashMap::new();
-        let mut points: Vec<Vec<(u64, f64)>> = Vec::new();
-        let mut push = |key: (Option<String>, Labels), t: u64, value: f64| {
-            let slot = match slot_of.get(&key) {
-                Some(&slot) => slot,
-                None => {
-                    points.push(Vec::new());
-                    slot_of.insert(key, points.len() - 1);
-                    points.len() - 1
-                }
-            };
-            points[slot].push((t, value));
-        };
-        let mut t = start_ms;
-        loop {
-            match self.eval_instant(expr, t, &mut cache)? {
-                Value::Scalar(v) => push((None, Labels::new()), t, v),
-                Value::Vector(samples) => {
-                    for sample in samples {
-                        push((sample.name, sample.labels), t, sample.value);
-                    }
-                }
-                Value::Matrix(_) => return Err(EvalError::UnexpectedRange),
-            }
-            let Some(next) = t.checked_add(step_ms) else { break };
-            if next > end_ms {
-                break;
-            }
-            t = next;
-        }
-        let mut keyed: Vec<((Option<String>, Labels), usize)> = slot_of.into_iter().collect();
-        keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
-        Ok(keyed
-            .into_iter()
-            .map(|((name, labels), slot)| RangeSeries {
-                name,
-                labels,
-                points: std::mem::take(&mut points[slot]),
-            })
-            .collect())
-    }
-
-    fn call<'e>(
-        &self,
-        func: RangeFunc,
-        param: Option<f64>,
-        arg: &'e Expr,
-        at_ms: u64,
-        cache: &mut SelectionCache<'e>,
-    ) -> Result<Value, EvalError> {
-        let Value::Matrix(series) = self.eval_instant(arg, at_ms, cache)? else {
-            return Err(EvalError::RangeRequired(func));
-        };
-        if let Some(q) = param {
-            if !(0.0..=1.0).contains(&q) {
-                return Err(EvalError::InvalidQuantile(q));
-            }
-        }
-        let samples = series
-            .into_iter()
-            .filter_map(|s| {
-                apply_range_func(func, param, &s.points).map(|value| VectorSample {
-                    name: None,
-                    labels: s.labels,
-                    value,
-                })
-            })
-            .collect();
-        Ok(Value::Vector(samples))
-    }
-}
-
-/// `TEEMON_VERIFY_STREAM=1` turns on the streaming-vs-oracle cross-check in
-/// [`QueryEngine::range`] (debug builds only); checked once per process.
-fn verify_stream_enabled() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var_os("TEEMON_VERIFY_STREAM").map(|v| v != "0" && !v.is_empty()).unwrap_or(false)
-    })
-}
-
-fn apply_range_func(func: RangeFunc, param: Option<f64>, points: &[(u64, f64)]) -> Option<f64> {
-    let values = || points.iter().map(|(_, v)| *v).collect::<Vec<f64>>();
-    match func {
-        RangeFunc::Rate => query::rate(points),
-        RangeFunc::Increase => query::increase(points),
-        RangeFunc::AvgOverTime => AggregateOp::Avg.apply(&values()),
-        RangeFunc::MinOverTime => AggregateOp::Min.apply(&values()),
-        RangeFunc::MaxOverTime => AggregateOp::Max.apply(&values()),
-        RangeFunc::SumOverTime => AggregateOp::Sum.apply(&values()),
-        RangeFunc::CountOverTime => AggregateOp::Count.apply(&values()),
-        RangeFunc::QuantileOverTime => query::quantile_over_time(points, param.unwrap_or(0.5)),
-        RangeFunc::LastOverTime => points.last().map(|(_, v)| *v),
-    }
-}
-
-fn aggregate_vector(
-    samples: &[VectorSample],
-    op: AggregateOp,
-    grouping: &Grouping,
-) -> Vec<VectorSample> {
-    let mut groups: BTreeMap<Labels, Vec<f64>> = BTreeMap::new();
-    for sample in samples {
-        groups.entry(grouping.key_for(&sample.labels)).or_default().push(sample.value);
-    }
-    groups
-        .into_iter()
-        .filter_map(|(labels, values)| {
-            op.apply(&values).map(|value| VectorSample { name: None, labels, value })
-        })
-        .collect()
-}
-
-fn binary(op: BinOp, lhs: Value, rhs: Value) -> Result<Value, EvalError> {
-    match (lhs, rhs) {
-        (Value::Matrix(_), _) | (_, Value::Matrix(_)) => Err(EvalError::UnexpectedRange),
-        (Value::Scalar(a), Value::Scalar(b)) => Ok(Value::Scalar(op.apply(a, b))),
-        (Value::Vector(v), Value::Scalar(s)) => Ok(Value::Vector(if op.is_comparison() {
-            v.into_iter().filter(|sample| op.compare(sample.value, s)).collect()
-        } else {
-            v.into_iter()
-                .map(|sample| VectorSample {
-                    name: None,
-                    labels: sample.labels,
-                    value: op.apply(sample.value, s),
-                })
-                .collect()
-        })),
-        (Value::Scalar(s), Value::Vector(v)) => Ok(Value::Vector(if op.is_comparison() {
-            v.into_iter().filter(|sample| op.compare(s, sample.value)).collect()
-        } else {
-            v.into_iter()
-                .map(|sample| VectorSample {
-                    name: None,
-                    labels: sample.labels,
-                    value: op.apply(s, sample.value),
-                })
-                .collect()
-        })),
-        (Value::Vector(lhs), Value::Vector(rhs)) => {
-            // One-to-one matching on identical label sets (names ignored).
-            // Several right-hand samples with the same labels would make the
-            // match ambiguous, so that is an error rather than a silent pick.
-            let mut by_labels: BTreeMap<&Labels, f64> = BTreeMap::new();
-            for sample in &rhs {
-                if by_labels.insert(&sample.labels, sample.value).is_some() {
-                    return Err(EvalError::ManyToOneMatch(sample.labels.clone()));
-                }
-            }
-            Ok(Value::Vector(if op.is_comparison() {
-                lhs.into_iter()
-                    .filter(|sample| {
-                        by_labels
-                            .get(&sample.labels)
-                            .map(|other| op.compare(sample.value, *other))
-                            .unwrap_or(false)
-                    })
-                    .collect()
-            } else {
-                lhs.into_iter()
-                    .filter_map(|sample| {
-                        by_labels.get(&sample.labels).map(|other| VectorSample {
-                            name: None,
-                            labels: sample.labels.clone(),
-                            value: op.apply(sample.value, *other),
-                        })
-                    })
-                    .collect()
-            }))
-        }
+        Ok((result, RangeRun { wall_seconds: wall_ns as f64 / 1e9, stats }))
     }
 }
 
@@ -854,10 +550,35 @@ mod tests {
     }
 
     #[test]
+    fn series_that_collide_once_the_name_is_dropped_are_refused() {
+        // Two metrics with one label set: `rate` drops the names that told
+        // them apart, so the answer would be one series holding two values
+        // a step (range) or two samples with one identity (instant) — which
+        // a recording rule would then append at one timestamp.
+        let db = TimeSeriesDb::new();
+        let labels = Labels::from_pairs([("node", "n1")]);
+        for t in 0..10u64 {
+            db.append("metric_a", &labels, t * 1_000, t as f64);
+            db.append("metric_b", &labels, t * 1_000, t as f64 * 2.0);
+        }
+        let engine = QueryEngine::new(db);
+        let refused = Some(QueryError::Eval(EvalError::DuplicateSeries(labels.clone())));
+        for query in [r#"rate({node="n1"}[10s])"#, r#"{node="n1"} * 2"#] {
+            assert_eq!(engine.range_query(query, 0, 9_000, 1_000).err(), refused, "`{query}`");
+            assert_eq!(engine.instant_query(query, 9_000).err(), refused, "`{query}`");
+        }
+        let msg = refused.map(|e| e.to_string()).unwrap_or_default();
+        assert!(msg.contains(r#"{node="n1"}"#) && msg.contains("metric name"), "{msg}");
+        // Names kept, or the two folded into one, tell them apart.
+        assert_eq!(engine.range_query(r#"{node="n1"}"#, 0, 9_000, 1_000).unwrap().len(), 2);
+        assert_eq!(vector(&engine, r#"sum(rate({node="n1"}[10s]))"#, 9_000).len(), 1);
+    }
+
+    #[test]
     fn range_queries_are_bounded_in_steps() {
         let engine = QueryEngine::new(db());
-        // Exactly the limit is served — on the streaming path and on the
-        // per-step fallback alike — and one step more is refused unplanned.
+        // Exactly the limit is served — vector-vector matching included — and
+        // one step more is refused unplanned.
         for query in ["1", "sgx_nr_free_pages", "sgx_nr_free_pages + sgx_nr_free_pages"] {
             let at_limit = engine.range_query(query, 5_000, 5_000 + 10_999, 1).unwrap();
             assert_eq!(at_limit[0].points.len(), 11_000, "`{query}`");

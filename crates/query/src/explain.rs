@@ -1,13 +1,11 @@
 //! `EXPLAIN` / `ANALYZE` for TeeQL range queries.
 //!
-//! [`QueryEngine::explain`] compiles a query the same way
-//! [`QueryEngine::range`] would and reports the resulting plan without
-//! running it: a tree mirroring the expression, each node annotated with the
-//! number of series it matches (resolved against the storage index at
-//! explain time), plus the top-level evaluator choice — **streamed** or
-//! **per-step fallback with the planner's reason**.  The streaming planner
-//! is all-or-nothing, so the choice is a property of the whole expression,
-//! not of individual nodes.
+//! [`QueryEngine::explain`] plans a query exactly as [`QueryEngine::range`]
+//! would and reports the plan without running it: a tree mirroring the
+//! expression, each node annotated with the number of series the planned
+//! operator produces (read off the plan, whose selectors were resolved
+//! against the storage index at explain time).  A query the planner refuses
+//! is explained by its error.
 //!
 //! [`QueryEngine::analyze`] additionally runs the query through the
 //! instrumented range funnel and attaches what actually happened: wall time,
@@ -17,38 +15,10 @@
 
 use std::fmt;
 
-use teemon_metrics::Labels;
-use teemon_tsdb::TimeSeriesDb;
-
-use crate::ast::{aggregate_op_name, format_duration_ms, Expr};
-use crate::eval::{QueryEngine, QueryError, RangeSeries};
+use crate::ast::{aggregate_op_name, format_duration_ms, Expr, Grouping};
+use crate::eval::{EvalError, QueryEngine, QueryError, RangeSeries};
 use crate::parser::parse;
-use crate::stream;
-
-/// Which evaluator answers the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanChoice {
-    /// The whole expression compiles into a series-major sliding-window
-    /// plan: cost `O(samples touched)`.
-    Streamed,
-    /// The expression needs the per-step fallback (`O(steps × window)`),
-    /// for the stated planner reason.
-    FallbackPerStep {
-        /// Why the streaming planner rejected the expression.
-        reason: &'static str,
-    },
-}
-
-impl fmt::Display for PlanChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanChoice::Streamed => f.write_str("streamed"),
-            PlanChoice::FallbackPerStep { reason } => {
-                write!(f, "per-step fallback ({reason})")
-            }
-        }
-    }
-}
+use crate::stream::{self, Node, PlanKind};
 
 /// One node of an explained plan, mirroring the expression tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,20 +43,18 @@ impl PlanNode {
     }
 }
 
-/// The compiled-but-not-run view of a query ([`QueryEngine::explain`]).
+/// The planned-but-not-run view of a query ([`QueryEngine::explain`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Explain {
     /// The query, rendered back from the parsed expression.
     pub query: String,
-    /// Streamed or fallback (with reason).
-    pub choice: PlanChoice,
     /// The annotated plan tree (root = whole expression).
     pub root: PlanNode,
 }
 
 impl fmt::Display for Explain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{} [{}]", self.query, self.choice)?;
+        writeln!(f, "{}", self.query)?;
         self.root.render(f, 0)
     }
 }
@@ -98,8 +66,7 @@ pub struct Analyze {
     pub explain: Explain,
     /// Measured wall time of the evaluation in seconds.
     pub wall_seconds: f64,
-    /// Chunk samples decoded by the window machines (0 on the fallback
-    /// path, which does not stream-decode).
+    /// Chunk samples decoded by the window machines.
     pub samples_decoded: u64,
     /// Drift-guard window-aggregate rebuilds.
     pub window_rebuilds: u64,
@@ -143,28 +110,36 @@ impl fmt::Display for Analyze {
 
 impl QueryEngine {
     /// Explains how `query` would be evaluated over `[start_ms, end_ms]`
-    /// without running it: the plan tree with per-node series counts and the
-    /// streamed-vs-fallback choice (planning resolves selectors against the
-    /// index, so this is cheap but not free).
+    /// without running it: the plan tree with per-node series counts
+    /// (planning resolves selectors against the index, so this is cheap but
+    /// not free).
     ///
     /// # Errors
     ///
-    /// Returns the parse error; explaining never evaluates, so evaluation
-    /// errors surface as a fallback reason instead.
+    /// Returns the parse error, or the planner's error for a query it
+    /// refuses ([`stream::plan_or_reason`]).
     pub fn explain(&self, query: &str, start_ms: u64, end_ms: u64) -> Result<Explain, QueryError> {
         let expr = parse(query)?;
-        Ok(self.explain_expr(&expr, start_ms, end_ms))
+        Ok(self.explain_expr(&expr, start_ms, end_ms)?)
     }
 
     /// [`QueryEngine::explain`] over an already-parsed expression.
-    pub fn explain_expr(&self, expr: &Expr, start_ms: u64, end_ms: u64) -> Explain {
-        let choice =
-            match stream::plan_or_reason(self.db(), self.lookback_ms(), expr, start_ms, end_ms) {
-                Ok(_) => PlanChoice::Streamed,
-                Err(reason) => PlanChoice::FallbackPerStep { reason },
-            };
-        let (root, _) = annotate(self.db(), expr);
-        Explain { query: expr.to_string(), choice, root }
+    ///
+    /// # Errors
+    ///
+    /// Returns the planner's error for an expression it refuses.
+    pub fn explain_expr(
+        &self,
+        expr: &Expr,
+        start_ms: u64,
+        end_ms: u64,
+    ) -> Result<Explain, EvalError> {
+        let plan = stream::plan_or_reason(self.db(), self.lookback_ms(), expr, start_ms, end_ms)?;
+        let root = match &plan.kind {
+            PlanKind::Scalar(value) => constant(*value),
+            PlanKind::Vector { root, .. } => annotate(expr, root),
+        };
+        Ok(Explain { query: expr.to_string(), root })
     }
 
     /// Runs `query` over `[start_ms, end_ms]` at `step_ms` like
@@ -183,7 +158,7 @@ impl QueryEngine {
         step_ms: u64,
     ) -> Result<Analyze, QueryError> {
         let expr = parse(query)?;
-        let explain = self.explain_expr(&expr, start_ms, end_ms);
+        let explain = self.explain_expr(&expr, start_ms, end_ms)?;
         let (result, run) = self.range_with_run(&expr, start_ms, end_ms, step_ms)?;
         Ok(Analyze {
             explain,
@@ -196,99 +171,53 @@ impl QueryEngine {
     }
 }
 
-/// Output identity of one series at explain time.
-type Key = (Option<String>, Labels);
-
-/// Annotates `expr` bottom-up: each node's label, the series keys it
-/// produces (mirroring the evaluator's output identities), and its children.
-fn annotate(db: &TimeSeriesDb, expr: &Expr) -> (PlanNode, Vec<Key>) {
-    match expr {
-        Expr::Number(n) => {
-            (node(format!("scalar {n}"), 1, Vec::new()), vec![(None, Labels::new())])
-        }
-        Expr::Selector(selector) => {
-            let keys: Vec<Key> = db
-                .select(selector)
-                .iter()
-                .map(|s| (Some(s.name().to_string()), s.to_labels()))
-                .collect();
-            (node(format!("selector {selector}"), keys.len(), Vec::new()), keys)
-        }
-        Expr::Range { selector, window_ms } => {
-            let keys: Vec<Key> = db
-                .select(selector)
-                .iter()
-                .map(|s| (Some(s.name().to_string()), s.to_labels()))
-                .collect();
-            let label = format!("range {selector} over {} windows", format_duration_ms(*window_ms));
-            (node(label, keys.len(), Vec::new()), keys)
-        }
-        Expr::Call { func, param, arg } => {
-            let (child, child_keys) = annotate(db, arg);
-            // Functions drop the metric name (PromQL semantics).
-            let keys: Vec<Key> = child_keys.into_iter().map(|(_, labels)| (None, labels)).collect();
+/// Labels `expr`'s nodes top-down with the series counts of the plan node
+/// that evaluates each: the planner compiled `plan` from `expr`, so the two
+/// trees have one shape, except that a range function and its range selector
+/// are one leaf, and that a constant operand is folded into its operator.
+fn annotate(expr: &Expr, plan: &Node) -> PlanNode {
+    let series = plan.series();
+    match (expr, plan) {
+        (Expr::Selector(selector), _) => node(format!("selector {selector}"), series, Vec::new()),
+        (Expr::Call { func, param, arg }, _) => {
+            let range = match &**arg {
+                Expr::Range { selector, window_ms } => {
+                    format!("range {selector} over {} windows", format_duration_ms(*window_ms))
+                }
+                other => other.to_string(),
+            };
             let label = match param {
                 Some(p) => format!("{func}({p}, ·)"),
                 None => format!("{func}(·)"),
             };
-            (node(label, keys.len(), vec![child]), keys)
+            node(label, series, vec![node(range, series, Vec::new())])
         }
-        Expr::Aggregate { op, grouping, expr } => {
-            let (child, child_keys) = annotate(db, expr);
-            let mut groups: Vec<Labels> =
-                child_keys.iter().map(|(_, labels)| grouping.key_for(labels)).collect();
-            groups.sort();
-            groups.dedup();
-            let keys: Vec<Key> = groups.into_iter().map(|labels| (None, labels)).collect();
+        (Expr::Aggregate { op, grouping, expr }, Node::Group { input, .. }) => {
             let label = match grouping {
-                crate::ast::Grouping::None => format!("{}(·)", aggregate_op_name(*op)),
+                Grouping::None => format!("{}(·)", aggregate_op_name(*op)),
                 _ => format!("{} {grouping} (·)", aggregate_op_name(*op)),
             };
-            (node(label, keys.len(), vec![child]), keys)
+            node(label, series, vec![annotate(expr, input)])
         }
-        Expr::Binary { op, lhs, rhs } => {
-            let (left, left_keys) = annotate(db, lhs);
-            let (right, right_keys) = annotate(db, rhs);
-            let left_scalar = matches!(&**lhs, Expr::Number(_)) || is_const(lhs);
-            let right_scalar = matches!(&**rhs, Expr::Number(_)) || is_const(rhs);
-            // Mirror the evaluator's matching: scalar sides broadcast,
-            // vector-vector matches one-to-one on identical label sets.
-            let keys: Vec<Key> = if left_scalar && right_scalar {
-                vec![(None, Labels::new())]
-            } else if left_scalar || right_scalar {
-                let vector = if left_scalar { right_keys } else { left_keys };
-                if op.is_comparison() {
-                    vector // comparisons filter, keeping identities
-                } else {
-                    vector.into_iter().map(|(_, labels)| (None, labels)).collect()
-                }
+        (Expr::Binary { op, lhs, rhs }, Node::Map { input, scalar, scalar_left, .. }) => {
+            let children = if *scalar_left {
+                vec![constant(*scalar), annotate(rhs, input)]
             } else {
-                left_keys
-                    .into_iter()
-                    .filter(|(_, labels)| right_keys.iter().any(|(_, r)| r == labels))
-                    .map(
-                        |(name, labels)| {
-                            if op.is_comparison() {
-                                (name, labels)
-                            } else {
-                                (None, labels)
-                            }
-                        },
-                    )
-                    .collect()
+                vec![annotate(lhs, input), constant(*scalar)]
             };
-            (node(format!("binary {op}"), keys.len(), vec![left, right]), keys)
+            node(format!("binary {op}"), series, children)
         }
+        (Expr::Binary { op, lhs, rhs }, Node::Join { lhs: left, rhs: right, .. }) => {
+            let children = vec![annotate(lhs, left), annotate(rhs, right)];
+            node(format!("binary {op}"), series, children)
+        }
+        // The planner pairs no other shapes.
+        (other, _) => node(other.to_string(), series, Vec::new()),
     }
 }
 
-/// `true` when the subtree folds to a constant (pure numbers and arithmetic).
-fn is_const(expr: &Expr) -> bool {
-    match expr {
-        Expr::Number(_) => true,
-        Expr::Binary { lhs, rhs, .. } => is_const(lhs) && is_const(rhs),
-        _ => false,
-    }
+fn constant(value: f64) -> PlanNode {
+    node(format!("scalar {value}"), 1, Vec::new())
 }
 
 fn node(label: String, series: usize, children: Vec<PlanNode>) -> PlanNode {
@@ -298,6 +227,8 @@ fn node(label: String, series: usize, children: Vec<PlanNode>) -> PlanNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teemon_metrics::Labels;
+    use teemon_tsdb::TimeSeriesDb;
 
     fn db() -> TimeSeriesDb {
         let db = TimeSeriesDb::new();
@@ -319,28 +250,37 @@ mod tests {
         let engine = QueryEngine::new(db());
         let explain =
             engine.explain("sum by (node) (rate(requests_total[30s]))", 0, 95_000).unwrap();
-        assert_eq!(explain.choice, PlanChoice::Streamed);
         assert_eq!(explain.root.series, 3, "three nodes, grouped by node");
         assert_eq!(explain.root.children.len(), 1);
         let rate = &explain.root.children[0];
         assert_eq!(rate.series, 3);
         assert_eq!(rate.children[0].series, 3, "selector matches 3 series");
         let rendered = explain.to_string();
-        assert!(rendered.contains("[streamed]"), "{rendered}");
+        assert!(rendered.starts_with("sum by (node) (rate(requests_total[30s]))\n"), "{rendered}");
         assert!(rendered.contains("rate(·)"), "{rendered}");
     }
 
     #[test]
-    fn explain_reports_fallback_reasons() {
+    fn explain_reports_the_planners_error() {
         let engine = QueryEngine::new(db());
-        let explain = engine.explain("requests_total + requests_total", 0, 95_000).unwrap();
-        let PlanChoice::FallbackPerStep { reason } = explain.choice else {
-            panic!("vector-vector must fall back");
-        };
-        assert!(reason.contains("vector-vector"), "{reason}");
         // Vector-vector matching on identical label sets: 3 ∩ 3 = 3.
+        let explain = engine.explain("requests_total + requests_total", 0, 95_000).unwrap();
         assert_eq!(explain.root.series, 3);
-        assert!(explain.to_string().contains("per-step fallback"), "{}", explain.to_string());
+        assert_eq!(explain.root.children.iter().map(|c| c.series).collect::<Vec<_>>(), [3, 3]);
+        // A constant operand is one scalar.
+        let explain = engine.explain("100 - sum(requests_total) * (1 + 1)", 0, 95_000).unwrap();
+        let rendered = explain.to_string();
+        assert!(rendered.contains("- scalar 2 → 1 series"), "{rendered}");
+        assert!(rendered.contains("- scalar 100 → 1 series"), "{rendered}");
+        // An ill-typed query is explained by the error that refuses it.
+        assert_eq!(
+            engine.explain("rate(requests_total)", 0, 95_000),
+            Err(QueryError::Eval(EvalError::RangeRequired(crate::RangeFunc::Rate)))
+        );
+        assert_eq!(
+            engine.explain("requests_total[5m]", 0, 95_000),
+            Err(QueryError::Eval(EvalError::UnexpectedRange))
+        );
     }
 
     #[test]
@@ -349,7 +289,6 @@ mod tests {
         let analyze = engine
             .analyze("sum by (node) (rate(requests_total[30s]))", 30_000, 90_000, 15_000)
             .unwrap();
-        assert_eq!(analyze.explain.choice, PlanChoice::Streamed);
         assert_eq!(analyze.series_returned(), 3);
         assert_eq!(analyze.points_returned(), 3 * 5, "steps at 30..=90 s");
         assert!(analyze.wall_seconds > 0.0);

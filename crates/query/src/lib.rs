@@ -10,11 +10,11 @@
 //!   [`Expr`] whose `Display` rendering is valid TeeQL that reparses to an
 //!   equal tree,
 //! * [`QueryEngine`] — instant and range evaluation over a
-//!   [`teemon_tsdb::TimeSeriesDb`].  Range queries stream: the [`stream`]
-//!   module evaluates supported expressions series by series, sliding each
+//!   [`teemon_tsdb::TimeSeriesDb`], both through one evaluator: the
+//!   [`stream`] module plans an expression (refusing an ill-typed one with a
+//!   typed [`EvalError`]) and evaluates it series by series, sliding each
 //!   series' window over the whole step grid at `O(samples touched)` rather
-//!   than `O(steps × window)`, with the per-step evaluator retained as
-//!   fallback and equivalence oracle,
+//!   than `O(steps × window)`; an instant query is a grid of one step,
 //! * [`RuleEngine`] — [`RecordingRule`]s that write derived series back into
 //!   the database and [`AlertRule`]s (expression + `for` hold + severity)
 //!   that supersede the ad-hoc [`teemon_analysis::ThresholdKind`] path
@@ -58,6 +58,14 @@
 
 #![warn(missing_docs)]
 
+// The unit tests share the per-step oracle of the integration tests, which
+// names this crate as they see it.
+#[cfg(test)]
+extern crate self as teemon_query;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 pub mod ast;
 pub mod eval;
 pub mod explain;
@@ -71,7 +79,7 @@ pub use ast::{
     aggregate_op_from_name, aggregate_op_name, format_duration_ms, BinOp, Expr, Grouping, RangeFunc,
 };
 pub use eval::{EvalError, QueryEngine, QueryError, RangeSeries, Value, VectorSample};
-pub use explain::{Analyze, Explain, PlanChoice, PlanNode};
+pub use explain::{Analyze, Explain, PlanNode};
 pub use lexer::ParseError;
 pub use parser::parse;
 pub use rules::{

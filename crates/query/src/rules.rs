@@ -124,9 +124,10 @@ pub fn sgx_default_alerts(window_ms: u64) -> Vec<AlertRule> {
 /// `job="teemon_self"` slice a self-scraping monitor maintains), evaluated
 /// by the standard rule engine like any user group:
 ///
-/// * `teemon_query_fallback` — range queries are taking the
-///   `O(steps × window)` per-step path; `QueryEngine::explain` names the
-///   reason per query.
+/// * `teemon_query_fallback` — range queries are taking a fallback path.
+///   Every query streams (an unplannable one is refused, not evaluated), so
+///   the counter it watches stays at zero; the rule stands while the
+///   counter is still exported.
 /// * `teemon_shard_imbalance` — the hottest storage shard holds more than
 ///   4× the mean series count, so one shard lock absorbs a disproportionate
 ///   share of the ingest contention.

@@ -1,11 +1,12 @@
-//! Streaming range-query evaluation, series by series.
+//! Streaming query evaluation, series by series.
 //!
-//! The per-step evaluator ([`crate::QueryEngine::range_per_step`]) re-runs
-//! the whole instant pipeline at every step: a 1 h / 15 s-step
-//! `rate(m[5m])` query extracts and re-aggregates ~240 overlapping 5 m
-//! windows per series, so its cost is `O(steps × window)`.  This module
-//! evaluates **series-major** instead: one series at a time is taken across
-//! the *whole* step grid before the next one is touched.
+//! A step-major evaluator re-runs the whole instant pipeline at every step:
+//! a 1 h / 15 s-step `rate(m[5m])` query extracts and re-aggregates ~240
+//! overlapping 5 m windows per series, so its cost is `O(steps × window)`.
+//! This module evaluates **series-major** instead: one series at a time is
+//! taken across the *whole* step grid before the next one is touched.  It
+//! answers every query — a range query over its grid, an instant query as a
+//! grid of one step.
 //!
 //! **The leaf.**  A series' samples for `[start − window, end]` are decoded
 //! once — sealed chunks in bulk — into a flat `(timestamp, value)` buffer
@@ -50,8 +51,11 @@
 //! comparison against a constant) rewrites a column in place and passes it
 //! on.  `Group` folds each child column into its row of a `groups × steps`
 //! accumulator through a slot→group table computed at plan time, and emits
-//! the rows as columns once its child is done.  The root turns each column
-//! into a [`RangeSeries`].
+//! the rows as columns once its child is done.  `Join` (vector-vector
+//! matching on identical label sets) buffers the right-hand columns some
+//! left-hand slot matches — the lhs→rhs table is fixed at plan time — then
+//! combines each left-hand column with its partner step by step as it
+//! streams past.  The root turns each column into a [`RangeSeries`].
 //!
 //! **Why the floats are bit-identical.**  A step-major evaluator would fill
 //! every slot for step 0, fold them, then move to step 1.  For one cell
@@ -69,30 +73,34 @@
 //! paragraph.)
 //!
 //! **The memory bound.**  Live at any moment: one series' decoded samples,
-//! one column per pipeline stage, the `groups × steps` accumulators, and the
-//! result being built — never `series × steps` intermediate cells, and never
-//! more than one series decoded at a time.
+//! one column per pipeline stage, the `groups × steps` accumulators, a
+//! join's matched right-hand columns, and the result being built — never
+//! `series × steps` intermediate cells of a leaf, and never more than one
+//! series decoded at a time.
 //!
-//! [`plan_or_reason`] refuses expressions outside this shape (vector-vector
-//! binary operations, aggregations over scalars, type errors, output-key
-//! collisions after name-dropping) with the reason; the caller falls back
-//! to the per-step path, which also remains the equivalence oracle — see
-//! [`ranges_equivalent`] and the `TEEMON_VERIFY_STREAM` cross-check in
-//! [`crate::QueryEngine::range`].  Streamed results match the oracle exactly
-//! except for floating-point association in the running sums — and the
-//! single subtraction that stands for a regular counter's pair sum — which
-//! can differ in the last bits; the sums monitor their own accumulated error
-//! bound and rebuild exactly from the live window when cancellation (e.g. a
-//! huge sample leaving the window) would make the drift visible.
+//! [`plan_or_reason`] plans every well-typed expression and refuses the rest
+//! with a typed [`EvalError`] before anything is decoded: a range function
+//! over something that is not a range selector, an aggregation over a
+//! scalar, a range vector outside a range function, a quantile outside
+//! `[0, 1]`, two right-hand series of a vector-vector operation with one
+//! label set, and output series that collide once the metric name is
+//! dropped.  A step-major evaluator lives on as test support
+//! (`crates/query/tests/support`), the oracle the equivalence suites hold
+//! this one to: results match it exactly except for floating-point
+//! association in the running sums — and the single subtraction that stands
+//! for a regular counter's pair sum — which can differ in the last bits; the
+//! sums monitor their own accumulated error bound and rebuild exactly from
+//! the live window when cancellation (e.g. a huge sample leaving the window)
+//! would make the drift visible.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use teemon_metrics::Labels;
-use teemon_tsdb::query::{quantile_of_sorted, reset_adjusted_delta};
-use teemon_tsdb::{AggregateOp, OwnedSampleCursor, Sample, TimeSeriesDb};
+use teemon_tsdb::query::reset_adjusted_delta;
+use teemon_tsdb::{AggregateOp, OwnedSampleCursor, Sample, Selector, TimeSeriesDb};
 
 use crate::ast::{BinOp, Expr, RangeFunc};
-use crate::eval::RangeSeries;
+use crate::eval::{EvalError, RangeSeries};
 
 /// Work counters of one plan execution, totalled across every series when
 /// [`StreamPlan::run_with_stats`] finishes.  These feed the
@@ -122,12 +130,12 @@ type SeriesKey = (Option<String>, Labels);
 /// the plan touches no locks and no index — only the immutable `Arc`-shared
 /// chunk snapshots each leaf's cursors drain.
 pub struct StreamPlan {
-    kind: PlanKind,
+    pub(crate) kind: PlanKind,
 }
 
-enum PlanKind {
+pub(crate) enum PlanKind {
     /// A constant scalar expression: one label-less series, present at every
-    /// step (what the per-step path produces for scalar queries).
+    /// step.
     Scalar(f64),
     Vector {
         root: Node,
@@ -210,74 +218,89 @@ impl Grid {
     }
 }
 
-/// Compiles `expr` into a streaming plan, or reports *why* the expression
-/// stays on the per-step fallback.  `lookback_ms` is the engine's instant-
-/// selector staleness window; `start_ms`/`end_ms` bound the sample range the
-/// leaves will ever decode.  The reason strings surface in
-/// `QueryEngine::explain` plans and make the
-/// `teemon_query_range_total{mode="fallback"}` counter actionable.
+/// Compiles `expr` into a streaming plan over `[start_ms, end_ms]`, or
+/// reports why the expression cannot be evaluated.  `lookback_ms` is the
+/// engine's instant-selector staleness window; `start_ms`/`end_ms` bound the
+/// sample range the leaves will ever decode.  Every refusal is made here,
+/// before anything is decoded, and where an expression has several faults
+/// the one reported is the one a left-to-right evaluation meets first.
+///
+/// # Errors
+///
+/// [`EvalError::RangeRequired`], [`EvalError::VectorRequired`],
+/// [`EvalError::UnexpectedRange`] (a bare `m[5m]` included — only an instant
+/// query has a value for it) and [`EvalError::InvalidQuantile`] for an
+/// ill-typed expression; [`EvalError::ManyToOneMatch`] when two right-hand
+/// series of a vector-vector operation share a label set; and
+/// [`EvalError::DuplicateSeries`] when two output series share a key once
+/// the metric name is dropped.
 pub fn plan_or_reason(
     db: &TimeSeriesDb,
     lookback_ms: u64,
     expr: &Expr,
     start_ms: u64,
     end_ms: u64,
-) -> Result<StreamPlan, &'static str> {
-    if let Some(value) = fold_const(expr) {
-        return Ok(StreamPlan { kind: PlanKind::Scalar(value) });
-    }
-    let (root, keys) = plan_vector(db, lookback_ms, expr, start_ms, end_ms)?;
-    // Two output series with the same key would be merged (interleaved) by
-    // the per-step accumulator; that shape stays on the fallback path.
+) -> Result<StreamPlan, EvalError> {
+    let (root, keys) = match plan(db, lookback_ms, expr, start_ms, end_ms)? {
+        Planned::Scalar(value) => return Ok(StreamPlan { kind: PlanKind::Scalar(value) }),
+        Planned::Vector(root, keys) => (root, keys),
+        Planned::Range => return Err(EvalError::UnexpectedRange),
+    };
+    // Two output series with one key would be one series with two values at
+    // a step.
     let mut sorted: Vec<&SeriesKey> = keys.iter().collect();
     sorted.sort();
-    if sorted.iter().zip(sorted.iter().skip(1)).any(|(a, b)| a == b) {
-        return Err("output series keys collide after name-dropping");
+    let collision = sorted.windows(2).find_map(|pair| match pair {
+        [a, b] if a == b => Some(a.1.clone()),
+        _ => None,
+    });
+    if let Some(labels) = collision {
+        return Err(EvalError::DuplicateSeries(labels));
     }
     Ok(StreamPlan { kind: PlanKind::Vector { root, keys } })
 }
 
-/// Evaluates pure-number subtrees to their constant value.
-fn fold_const(expr: &Expr) -> Option<f64> {
-    match expr {
-        Expr::Number(n) => Some(*n),
-        Expr::Binary { op, lhs, rhs } => Some(op.apply(fold_const(lhs)?, fold_const(rhs)?)),
-        _ => None,
-    }
+/// What a subexpression plans to: the types of the instant evaluation.
+enum Planned {
+    Scalar(f64),
+    Vector(Node, Vec<SeriesKey>),
+    /// A range selector, which only a range function may consume.
+    Range,
 }
 
-fn plan_vector(
+fn plan(
     db: &TimeSeriesDb,
     lookback_ms: u64,
     expr: &Expr,
     start_ms: u64,
     end_ms: u64,
-) -> Result<(Node, Vec<SeriesKey>), &'static str> {
-    match expr {
+) -> Result<Planned, EvalError> {
+    // One cursor per selected series over the window's reach.
+    let leaf = |selector: &Selector, window_ms: u64, func, keep_name: bool| {
+        let mut keys = Vec::new();
+        let mut cursors = Vec::new();
+        for snapshot in db.select(selector) {
+            keys.push((keep_name.then(|| snapshot.name().to_string()), snapshot.to_labels()));
+            cursors.push(snapshot.owned_cursor(start_ms.saturating_sub(window_ms), end_ms));
+        }
+        Planned::Vector(Node::Windows { cursors, window_ms, func }, keys)
+    };
+    Ok(match expr {
+        Expr::Number(n) => Planned::Scalar(*n),
         // An instant selector is `last_over_time` over the lookback window,
         // with the metric name kept.
-        Expr::Selector(selector) => {
-            let window_ms = lookback_ms;
-            let mut keys = Vec::new();
-            let mut cursors = Vec::new();
-            for snapshot in db.select(selector) {
-                keys.push((Some(snapshot.name().to_string()), snapshot.to_labels()));
-                cursors.push(snapshot.owned_cursor(start_ms.saturating_sub(window_ms), end_ms));
-            }
-            Ok((Node::Windows { cursors, window_ms, func: WindowFunc::Last }, keys))
-        }
-        // A range function over a range selector: one cursor per series,
-        // one window slid over each in turn; the name is dropped (function
-        // semantics).
+        Expr::Selector(selector) => leaf(selector, lookback_ms, WindowFunc::Last, true),
+        Expr::Range { .. } => Planned::Range,
+        // A range function over a range selector: one window slid over each
+        // series in turn; the name is dropped (function semantics).
         Expr::Call { func, param, arg } => {
             let Expr::Range { selector, window_ms } = &**arg else {
-                return Err("range function over a non-range argument (type error)");
+                // The argument's own faults come first.
+                plan(db, lookback_ms, arg, start_ms, end_ms)?;
+                return Err(EvalError::RangeRequired(*func));
             };
-            if let Some(q) = param {
-                if !(0.0..=1.0).contains(q) {
-                    // The fallback reports InvalidQuantile.
-                    return Err("quantile parameter outside [0, 1] (type error)");
-                }
+            if let Some(q) = param.filter(|q| !(0.0..=1.0).contains(q)) {
+                return Err(EvalError::InvalidQuantile(q));
             }
             let func = match func {
                 RangeFunc::Rate => WindowFunc::Rate,
@@ -290,18 +313,15 @@ fn plan_vector(
                 RangeFunc::QuantileOverTime => WindowFunc::Quantile(param.unwrap_or(0.5)),
                 RangeFunc::LastOverTime => WindowFunc::Last,
             };
-            let mut keys = Vec::new();
-            let mut cursors = Vec::new();
-            for snapshot in db.select(selector) {
-                keys.push((None, snapshot.to_labels()));
-                cursors.push(snapshot.owned_cursor(start_ms.saturating_sub(*window_ms), end_ms));
-            }
-            Ok((Node::Windows { cursors, window_ms: *window_ms, func }, keys))
+            leaf(selector, *window_ms, func, false)
         }
         // Grouped aggregation: the slot→group table and the group label sets
         // are fixed by the child's (plan-time) universe.
         Expr::Aggregate { op, grouping, expr } => {
-            let (child, child_keys) = plan_vector(db, lookback_ms, expr, start_ms, end_ms)?;
+            let Planned::Vector(child, child_keys) = plan(db, lookback_ms, expr, start_ms, end_ms)?
+            else {
+                return Err(EvalError::VectorRequired("aggregation"));
+            };
             let group_labels: Vec<Labels> =
                 child_keys.iter().map(|(_, labels)| grouping.key_for(labels)).collect();
             let mut unique = group_labels.clone();
@@ -314,36 +334,86 @@ fn plan_vector(
                 .collect();
             let keys: Vec<SeriesKey> = unique.into_iter().map(|labels| (None, labels)).collect();
             let groups = keys.len();
-            Ok((Node::Group { input: Box::new(child), op: *op, slot_group, groups }, keys))
+            Planned::Vector(
+                Node::Group { input: Box::new(child), op: *op, slot_group, groups },
+                keys,
+            )
         }
-        // Arithmetic / comparison against a constant side (either order).
         // Arithmetic drops the metric name; comparisons filter and keep it.
         Expr::Binary { op, lhs, rhs } => {
-            let (scalar, vector, scalar_left) = if let Some(s) = fold_const(lhs) {
-                (s, rhs, true)
-            } else if let Some(s) = fold_const(rhs) {
-                (s, lhs, false)
-            } else {
-                return Err("vector-vector matching stays on the per-step path");
+            let op = *op;
+            let map = |input, keys: Vec<SeriesKey>, scalar, scalar_left| {
+                let keys = keys.into_iter().map(|key| rename(op, key)).collect();
+                Planned::Vector(Node::Map { input: Box::new(input), op, scalar, scalar_left }, keys)
             };
-            let (child, child_keys) = plan_vector(db, lookback_ms, vector, start_ms, end_ms)?;
-            let keys = if op.is_comparison() {
-                child_keys
-            } else {
-                child_keys.into_iter().map(|(_, labels)| (None, labels)).collect()
-            };
-            Ok((Node::Map { input: Box::new(child), op: *op, scalar, scalar_left }, keys))
+            match (
+                plan(db, lookback_ms, lhs, start_ms, end_ms)?,
+                plan(db, lookback_ms, rhs, start_ms, end_ms)?,
+            ) {
+                (Planned::Range, _) | (_, Planned::Range) => {
+                    return Err(EvalError::UnexpectedRange)
+                }
+                (Planned::Scalar(a), Planned::Scalar(b)) => Planned::Scalar(op.apply(a, b)),
+                (Planned::Vector(input, keys), Planned::Scalar(scalar)) => {
+                    map(input, keys, scalar, false)
+                }
+                (Planned::Scalar(scalar), Planned::Vector(input, keys)) => {
+                    map(input, keys, scalar, true)
+                }
+                (Planned::Vector(lhs, lhs_keys), Planned::Vector(rhs, rhs_keys)) => {
+                    join(op, (lhs, lhs_keys), (rhs, rhs_keys))?
+                }
+            }
         }
-        // `Number` is handled by `fold_const`; a bare `Range` is a type
-        // error for range queries — the fallback reports it.
-        Expr::Range { .. } => Err("bare range selector is not rangeable (type error)"),
-        _ => Err("expression shape outside the streaming planner"),
+    })
+}
+
+/// The key a binary operation gives its vector side's series: arithmetic
+/// drops the metric name, a comparison keeps it.
+fn rename(op: BinOp, (name, labels): SeriesKey) -> SeriesKey {
+    (name.filter(|_| op.is_comparison()), labels)
+}
+
+/// Vector-vector matching on identical label sets, names ignored: a
+/// left-hand series survives when some right-hand series has its labels.
+fn join(
+    op: BinOp,
+    (lhs, lhs_keys): (Node, Vec<SeriesKey>),
+    (rhs, rhs_keys): (Node, Vec<SeriesKey>),
+) -> Result<Planned, EvalError> {
+    // Several right-hand series with one label set would make the match
+    // ambiguous.
+    let mut partner: BTreeMap<&Labels, usize> = BTreeMap::new();
+    for (slot, (_, labels)) in rhs_keys.iter().enumerate() {
+        if partner.insert(labels, slot).is_some() {
+            return Err(EvalError::ManyToOneMatch(labels.clone()));
+        }
     }
+    // Only the right-hand slots some left-hand slot matches get a buffer row,
+    // numbered in the order they are first matched.
+    let mut rhs_rows: Vec<Option<usize>> = vec![None; rhs_keys.len()];
+    let mut rows = 0;
+    let mut lhs_rows = Vec::with_capacity(lhs_keys.len());
+    let mut keys = Vec::new();
+    for (name, labels) in lhs_keys {
+        let row = partner.get(&labels).and_then(|&slot| rhs_rows.get_mut(slot)).map(|row| {
+            *row.get_or_insert_with(|| {
+                rows += 1;
+                rows - 1
+            })
+        });
+        if row.is_some() {
+            keys.push(rename(op, (name, labels)));
+        }
+        lhs_rows.push(row);
+    }
+    let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+    Ok(Planned::Vector(Node::Join { lhs, rhs, op, lhs_rows, rhs_rows, rows }, keys))
 }
 
 /// One operator of the streaming pipeline.  [`Node::emit`] hands the node's
 /// output columns to `sink` one series at a time, in slot order.
-enum Node {
+pub(crate) enum Node {
     /// The leaves: one storage cursor per series, all sliding the same window
     /// function over the same window length.
     Windows { cursors: Vec<OwnedSampleCursor>, window_ms: u64, func: WindowFunc },
@@ -351,6 +421,18 @@ enum Node {
     Map { input: Box<Node>, op: BinOp, scalar: f64, scalar_left: bool },
     /// Grouped cross-series aggregation via a plan-time slot→group table.
     Group { input: Box<Node>, op: AggregateOp, slot_group: Vec<usize>, groups: usize },
+    /// Vector-vector arithmetic or filtering comparison.  `rhs_rows` gives
+    /// each right-hand slot its row in the buffer of `rows` matched columns
+    /// (`None`: no left-hand slot wants it), `lhs_rows` each left-hand slot
+    /// the row of its partner (`None`: unmatched, so no output series).
+    Join {
+        lhs: Box<Node>,
+        rhs: Box<Node>,
+        op: BinOp,
+        lhs_rows: Vec<Option<usize>>,
+        rhs_rows: Vec<Option<usize>>,
+        rows: usize,
+    },
 }
 
 /// Receives one output column — a series' value at every step of the grid,
@@ -359,6 +441,16 @@ enum Node {
 type ColumnSink<'a> = &'a mut dyn FnMut(&mut [Option<f64>]);
 
 impl Node {
+    /// Series this node emits, resolved at plan time.
+    pub(crate) fn series(&self) -> usize {
+        match self {
+            Node::Windows { cursors, .. } => cursors.len(),
+            Node::Map { input, .. } => input.series(),
+            Node::Group { groups, .. } => *groups,
+            Node::Join { lhs_rows, .. } => lhs_rows.iter().flatten().count(),
+        }
+    }
+
     fn emit(self, grid: &Grid, stats: &mut RunStats, sink: ColumnSink<'_>) {
         match self {
             Node::Windows { cursors, window_ms, func } => {
@@ -433,13 +525,40 @@ impl Node {
                     sink(&mut column);
                 }
             }
+            Node::Join { lhs, rhs, op, lhs_rows, rhs_rows, rows } => {
+                let steps = grid.steps;
+                let mut buffer = vec![None; rows * steps];
+                let mut rhs_rows = rhs_rows.iter();
+                rhs.emit(grid, stats, &mut |column| {
+                    let Some(&Some(row)) = rhs_rows.next() else { return };
+                    if let Some(cells) = buffer.get_mut(row * steps..(row + 1) * steps) {
+                        cells.copy_from_slice(column);
+                    }
+                });
+                let mut lhs_rows = lhs_rows.iter();
+                lhs.emit(grid, stats, &mut |column| {
+                    let Some(&Some(row)) = lhs_rows.next() else { return };
+                    let Some(partner) = buffer.get(row * steps..(row + 1) * steps) else { return };
+                    for (slot, other) in column.iter_mut().zip(partner) {
+                        // A step where either side is absent is absent.
+                        *slot = match (*slot, *other) {
+                            (Some(l), Some(r)) if op.is_comparison() => {
+                                op.compare(l, r).then_some(l)
+                            }
+                            (Some(l), Some(r)) => Some(op.apply(l, r)),
+                            _ => None,
+                        };
+                    }
+                    sink(column);
+                });
+            }
         }
     }
 }
 
 /// The aggregate a [`Window`] maintains.
 #[derive(Clone, Copy)]
-enum WindowFunc {
+pub(crate) enum WindowFunc {
     Rate,
     Increase,
     Sum,
@@ -788,39 +907,28 @@ fn has_irregular_pair(samples: &[Sample]) -> bool {
     })
 }
 
-/// `true` when two range results agree: identical series keys and step
-/// grids, and per-point values equal up to floating-point re-association
-/// (relative 1e-9, treating equal-sign infinities and NaN pairs as equal).
-/// Used by the `TEEMON_VERIFY_STREAM` oracle cross-check and the
-/// equivalence property tests.
-pub fn ranges_equivalent(a: &[RangeSeries], b: &[RangeSeries]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.name == y.name
-                && x.labels == y.labels
-                && x.points.len() == y.points.len()
-                && x.points
-                    .iter()
-                    .zip(&y.points)
-                    .all(|(&(ta, va), &(tb, vb))| ta == tb && values_close(va, vb))
-        })
-}
-
-fn values_close(a: f64, b: f64) -> bool {
-    if a == b {
-        return true; // covers equal finites and equal-sign infinities
-    }
-    if a.is_nan() && b.is_nan() {
-        return true;
-    }
-    let scale = a.abs().max(b.abs());
-    (a - b).abs() <= scale * 1e-9 + 1e-12
+/// Exact interpolated quantile (`0 ≤ q ≤ 1`) of values already sorted by
+/// [`f64::total_cmp`] — so `NaN`s sit after every finite value, upper
+/// quantiles of a window holding one are `NaN` and lower ones stay
+/// meaningful; `None` for an empty slice.
+fn quantile_of_sorted(values: &[f64], q: f64) -> Option<f64> {
+    let last = values.len().checked_sub(1)?;
+    let pos = q.clamp(0.0, 1.0) * last as f64;
+    let (lower, upper) = (pos.floor() as usize, pos.ceil() as usize);
+    let (low, high) = (*values.get(lower)?, *values.get(upper)?);
+    Some(if lower == upper {
+        low
+    } else {
+        let w = pos - lower as f64;
+        low * (1.0 - w) + high * w
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use crate::support::{self, ranges_equivalent};
     use crate::QueryEngine;
 
     fn db() -> TimeSeriesDb {
@@ -850,7 +958,7 @@ mod tests {
         let plan = plan_or_reason(engine.db(), QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
             .unwrap_or_else(|why| panic!("`{query}` must stream: {why}"));
         let streamed = plan.run(start, end, step);
-        let oracle = engine.range_per_step(&expr, start, end, step).unwrap();
+        let oracle = support::range(&engine, &expr, start, end, step).unwrap();
         assert!(
             ranges_equivalent(&streamed, &oracle),
             "`{query}` diverged\nstreamed: {streamed:?}\noracle: {oracle:?}"
@@ -894,35 +1002,73 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_shapes_fall_back() {
+    fn ill_typed_shapes_are_refused_at_plan_time() {
         let database = db();
-        let streams =
-            |q: &str| plan_or_reason(&database, 300_000, &parse(q).unwrap(), 0, 100_000).is_ok();
-        // Vector-vector matching, type errors and invalid parameters are the
-        // per-step path's business.
-        assert!(!streams("requests_total + queue_depth"));
-        assert!(!streams("rate(requests_total)"));
-        assert!(!streams("sum(2)"));
-        assert!(!streams("quantile_over_time(1.5, queue_depth[30s])"));
-        assert!(!streams("requests_total[30s]"));
+        let plan = |q: &str| plan_or_reason(&database, 300_000, &parse(q).unwrap(), 0, 100_000);
+        let refused = |q: &str| plan(q).err();
+        assert_eq!(
+            refused("rate(requests_total)"),
+            Some(EvalError::RangeRequired(RangeFunc::Rate))
+        );
+        assert_eq!(refused("sum(2)"), Some(EvalError::VectorRequired("aggregation")));
+        assert_eq!(
+            refused("sum(queue_depth[30s])"),
+            Some(EvalError::VectorRequired("aggregation"))
+        );
+        assert_eq!(
+            refused("quantile_over_time(1.5, queue_depth[30s])"),
+            Some(EvalError::InvalidQuantile(1.5))
+        );
+        assert_eq!(refused("requests_total[30s]"), Some(EvalError::UnexpectedRange));
+        assert_eq!(refused("1 + queue_depth[30s]"), Some(EvalError::UnexpectedRange));
+        // The fault a left-to-right evaluation meets first is the one reported.
+        assert_eq!(refused("rate(queue_depth[30s] * 2)"), Some(EvalError::UnexpectedRange));
+        assert_eq!(refused("rate(sum(2))"), Some(EvalError::VectorRequired("aggregation")));
+        // Vector-vector matching streams.
+        assert!(plan("requests_total + queue_depth").is_ok());
         // A name-dropping function over two metrics with identical label sets
-        // would collide on the output key: fallback.
+        // would collide on the output key; a right-hand side with two such
+        // series would match ambiguously.
         let dup = TimeSeriesDb::new();
         let labels = Labels::from_pairs([("node", "n1")]);
         for t in 0..10u64 {
             dup.append("metric_a", &labels, t * 1000, t as f64);
             dup.append("metric_b", &labels, t * 1000, t as f64 * 2.0);
         }
-        assert!(plan_or_reason(
-            &dup,
-            300_000,
-            &parse("rate({node=\"n1\"}[10s])").unwrap(),
-            0,
-            9_000
-        )
-        .is_err());
-        // But the same selector with names kept streams fine.
-        assert!(plan_or_reason(&dup, 300_000, &parse("{node=\"n1\"}").unwrap(), 0, 9_000).is_ok());
+        let plan = |q: &str| plan_or_reason(&dup, 300_000, &parse(q).unwrap(), 0, 9_000);
+        let collision = Some(EvalError::DuplicateSeries(labels.clone()));
+        assert_eq!(plan("rate({node=\"n1\"}[10s])").err(), collision);
+        assert_eq!(plan("metric_a + {node=\"n1\"}").err(), Some(EvalError::ManyToOneMatch(labels)));
+        // But the same selector with names kept streams fine, and so does
+        // a left-hand side with two series matching one partner.
+        assert!(plan("{node=\"n1\"}").is_ok());
+        assert!(plan("{node=\"n1\"} > metric_a").is_ok());
+    }
+
+    #[test]
+    fn a_join_buffers_only_the_right_hand_columns_it_matches() {
+        // `queue_depth` has n1 and n2, the right-hand side n2 and n3: one
+        // buffered column, one output series.
+        let database = db();
+        for t in 0..50u64 {
+            let labels = Labels::from_pairs([("node", "n3")]);
+            database.append("requests_total", &labels, t * 5_000, t as f64);
+        }
+        let expr = parse("queue_depth - requests_total{node!=\"n1\"}").unwrap();
+        let plan = plan_or_reason(&database, 300_000, &expr, 0, 245_000).unwrap();
+        let PlanKind::Vector { root: Node::Join { lhs_rows, rhs_rows, rows, .. }, keys } =
+            &plan.kind
+        else {
+            panic!("a join at the root");
+        };
+        let matched = |rows: &[Option<usize>]| rows.iter().flatten().copied().collect::<Vec<_>>();
+        assert_eq!((matched(lhs_rows), matched(rhs_rows), *rows), (vec![0], vec![0], 1));
+        assert_eq!((lhs_rows.len(), rhs_rows.len()), (2, 2));
+        assert_eq!(keys, &[(None, Labels::from_pairs([("node", "n2")]))]);
+        let streamed = plan.run(0, 245_000, 5_000);
+        let oracle = support::range(&QueryEngine::new(database), &expr, 0, 245_000, 5_000).unwrap();
+        assert!(ranges_equivalent(&streamed, &oracle), "{streamed:?}\n{oracle:?}");
+        assert_eq!(streamed[0].points.len(), 50);
     }
 
     #[test]
@@ -941,7 +1087,7 @@ mod tests {
             let expr = parse(query).unwrap();
             let streamed =
                 plan_or_reason(&db, 300_000, &expr, 0, 4_000).unwrap().run(0, 4_000, 1_000);
-            let oracle = engine.range_per_step(&expr, 0, 4_000, 1_000).unwrap();
+            let oracle = support::range(&engine, &expr, 0, 4_000, 1_000).unwrap();
             assert!(
                 ranges_equivalent(&streamed, &oracle),
                 "`{query}`\nstreamed: {streamed:?}\noracle: {oracle:?}"
@@ -966,7 +1112,7 @@ mod tests {
             let expr = parse(query).unwrap();
             let streamed =
                 plan_or_reason(&overflow, 300_000, &expr, 0, 3_000).unwrap().run(0, 3_000, 1_000);
-            let oracle = engine.range_per_step(&expr, 0, 3_000, 1_000).unwrap();
+            let oracle = support::range(&engine, &expr, 0, 3_000, 1_000).unwrap();
             assert!(
                 ranges_equivalent(&streamed, &oracle),
                 "`{query}`\nstreamed: {streamed:?}\noracle: {oracle:?}"
@@ -1109,11 +1255,44 @@ mod tests {
             let expr = parse(query).unwrap();
             let plan = plan_or_reason(&db, 300_000, &expr, 0, 8_000).unwrap();
             let streamed = plan.run(0, 8_000, 1_000);
-            let oracle = engine.range_per_step(&expr, 0, 8_000, 1_000).unwrap();
+            let oracle = support::range(&engine, &expr, 0, 8_000, 1_000).unwrap();
             assert!(
                 ranges_equivalent(&streamed, &oracle),
                 "`{query}`\nstreamed: {streamed:?}\noracle: {oracle:?}"
             );
         }
+    }
+
+    /// The quantile of `values` in any order.
+    fn quantile(values: &[f64], q: f64) -> Option<f64> {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        quantile_of_sorted(&sorted, q)
+    }
+
+    #[test]
+    fn quantiles_over_time() {
+        let values: Vec<f64> = (0..100).map(f64::from).collect();
+        assert_eq!(quantile(&values, 0.0), Some(0.0));
+        assert_eq!(quantile(&values, 1.0), Some(99.0));
+        let median = quantile(&values, 0.5).unwrap();
+        assert!((median - 49.5).abs() < 1e-9);
+        assert_eq!(quantile(&[], 0.5), None);
+    }
+
+    #[test]
+    fn quantiles_are_nan_safe() {
+        // NaNs sort after every finite value under the IEEE total order, so
+        // the result is deterministic no matter where the NaN sits.
+        let with_nan = [3.0, f64::NAN, 1.0, 2.0];
+        assert_eq!(quantile(&with_nan, 0.0), Some(1.0));
+        // The median interpolates the two middle finite values: [1, 2, 3, NaN].
+        let median = quantile(&with_nan, 0.5).unwrap();
+        assert!((median - 2.5).abs() < 1e-9);
+        assert!(quantile(&with_nan, 1.0).unwrap().is_nan());
+        // A NaN in any position yields the same answers.
+        let nan_first = [f64::NAN, 3.0, 1.0, 2.0];
+        assert_eq!(quantile(&nan_first, 0.0), Some(1.0));
+        assert!(quantile(&nan_first, 1.0).unwrap().is_nan());
     }
 }

@@ -2,8 +2,10 @@
 //! must match ground truth computed independently — the per-step oracle for
 //! the result shape, and direct storage inspection for the decode counter.
 
+mod support;
+
 use teemon_metrics::Labels;
-use teemon_query::{parse, PlanChoice, QueryEngine};
+use teemon_query::{parse, QueryEngine};
 use teemon_tsdb::{Selector, TimeSeriesDb};
 
 const NODES: [&str; 3] = ["n1", "n2", "n3"];
@@ -40,7 +42,6 @@ fn analyze_decode_counter_matches_storage_ground_truth() {
     let analyze = engine
         .analyze("sum by (node) (rate(requests_total[30s]))", start, end, step)
         .expect("query runs");
-    assert_eq!(analyze.explain.choice, PlanChoice::Streamed);
     let expected = samples_in(&db, &Selector::metric("requests_total"), start - window, end);
     assert_eq!(
         analyze.samples_decoded, expected,
@@ -66,36 +67,23 @@ fn analyze_result_counters_match_the_per_step_oracle() {
         "sum by (node) (rate(requests_total[30s]))",
         "requests_total",
         "avg(requests_total) * 2",
-        "requests_total + requests_total", // vector-vector: fallback path
+        "requests_total + requests_total",
     ] {
         let analyze = engine.analyze(query, start, end, step).expect("query runs");
         let expr = parse(query).expect("query parses");
-        let oracle = engine.range_per_step(&expr, start, end, step).expect("oracle runs");
+        let oracle = support::range(&engine, &expr, start, end, step).expect("oracle runs");
         assert_eq!(analyze.series_returned(), oracle.len(), "`{query}` series count vs oracle");
         assert_eq!(
             analyze.points_returned(),
             oracle.iter().map(|s| s.points.len() as u64).sum::<u64>(),
             "`{query}` point count vs oracle"
         );
-        assert!(
-            teemon_query::stream::ranges_equivalent(&analyze.result, &oracle),
-            "`{query}` result vs oracle"
-        );
+        assert!(support::ranges_equivalent(&analyze.result, &oracle), "`{query}` result vs oracle");
+        // Every series is present somewhere in the range, so the plan's
+        // count is the result's.
+        assert_eq!(analyze.explain.root.series, oracle.len(), "`{query}` explained count");
         assert!(analyze.wall_seconds > 0.0);
     }
-}
-
-#[test]
-fn fallback_analyze_reports_zero_decodes_and_the_reason() {
-    let engine = QueryEngine::new(db());
-    let analyze =
-        engine.analyze("requests_total + requests_total", 30_000, 90_000, 15_000).unwrap();
-    let PlanChoice::FallbackPerStep { reason } = analyze.explain.choice else {
-        panic!("vector-vector matching must fall back");
-    };
-    assert!(reason.contains("vector-vector"), "{reason}");
-    assert_eq!(analyze.samples_decoded, 0, "the per-step path does not stream-decode");
-    assert_eq!(analyze.series_returned(), NODES.len());
 }
 
 #[test]

@@ -1,14 +1,18 @@
 //! Property test: the streaming range evaluator must be indistinguishable
 //! (up to floating-point re-association in the running sums) from the
-//! per-step oracle it replaced, over generated series contents, expressions,
-//! ranges and step sizes — and, for `rate` / `increase`, over series built to
-//! sit on either side of the evaluator's one per-series decision (a window is
-//! its end points unless the series holds an irregular pair), with the
-//! decision itself checked against the definition.
+//! per-step oracle in `support`, over generated series contents,
+//! expressions (vector-vector matching on partly overlapping label sets
+//! included), ranges and step sizes — and, for `rate` / `increase`, over
+//! series built to sit on either side of the evaluator's one per-series
+//! decision (a window is its end points unless the series holds an
+//! irregular pair), with the decision itself checked against the definition.
+
+mod support;
 
 use proptest::proptest;
+use support::ranges_equivalent;
 use teemon_metrics::Labels;
-use teemon_query::stream::{plan_or_reason, ranges_equivalent};
+use teemon_query::stream::plan_or_reason;
 use teemon_query::{parse, QueryEngine, RangeSeries};
 use teemon_tsdb::{Selector, TimeSeriesDb, TsdbConfig};
 
@@ -46,11 +50,14 @@ fn build_db(series_specs: &[SeriesSpec]) -> TimeSeriesDb {
     db
 }
 
-/// The streamable expression pool; `pick` selects, `w`/`q` parameterise.
+/// The expression pool; `pick` selects, `w`/`q` parameterise.  The
+/// vector-vector shapes match `by (node)` groups of different metrics, whose
+/// node sets overlap in part (every series' node is drawn), and windows that
+/// go empty between samples make either side absent at some steps.
 fn build_query(pick: u8, w: u8, q: u8) -> String {
     let window = ["7s", "20s", "45s", "2m"][w as usize % 4];
     let quantile = f64::from(q % 11) / 10.0;
-    match pick % 14 {
+    match pick % 20 {
         0 => "requests_total".to_string(),
         1 => format!("rate(requests_total[{window}])"),
         2 => format!("increase(requests_total[{window}])"),
@@ -64,7 +71,20 @@ fn build_query(pick: u8, w: u8, q: u8) -> String {
         10 => format!("sum by (node) (rate(requests_total[{window}]))"),
         11 => "max without (idx) (queue_depth) * 3 - 1".to_string(),
         12 => format!("avg(sum_over_time(free_pages[{window}])) > 100"),
-        _ => format!("count by (node) (increase(requests_total[{window}])) + 0.5"),
+        13 => format!("count by (node) (increase(requests_total[{window}])) + 0.5"),
+        14 => {
+            format!("sum by (node) (rate(requests_total[{window}])) / max by (node) (queue_depth)")
+        }
+        15 => format!(
+            "max by (node) (queue_depth) > min by (node) (last_over_time(free_pages[{window}]))"
+        ),
+        16 => format!("rate(requests_total[{window}]) - increase(requests_total[{window}])"),
+        17 => format!("count_over_time(queue_depth[{window}]) <= count_over_time(queue_depth[7s])"),
+        18 => format!(
+            "sum by (node) ((avg without (idx) (avg_over_time(free_pages[{window}])) \
+             - sum by (node) (queue_depth)) * 2)"
+        ),
+        _ => format!("queue_depth != last_over_time(queue_depth[{window}])"),
     }
 }
 
@@ -75,7 +95,7 @@ proptest! {
             (0u8..6, 0u8..6, proptest::collection::vec((0u8..8, 0u16..u16::MAX), 1..40)),
             1..6,
         ),
-        pick in 0u8..56,
+        pick in 0u8..60,
         w in 0u8..8,
         q in 0u8..22,
         start in 0u64..120_000,
@@ -95,7 +115,7 @@ proptest! {
             .run(start, end, step);
         assert_eq!(engine.range(&expr, start, end, step).as_deref(), Ok(&streamed[..]));
 
-        let oracle = engine.range_per_step(&expr, start, end, step).unwrap();
+        let oracle = support::range(&engine, &expr, start, end, step).unwrap();
         assert!(
             ranges_equivalent(&streamed, &oracle),
             "`{query}` over [{start}, {end}] step {step} diverged\n\
@@ -142,7 +162,7 @@ fn build_wild_db(series_specs: &[(u8, Vec<(u8, u16)>)]) -> TimeSeriesDb {
 }
 
 /// Every range function × {no grouping, `by`, `without`} × a wrapper that
-/// nests `Map` and `Group` nodes above it.
+/// nests `Map`, `Group` and `Join` nodes above it.
 fn compose(func: u8, grouping: u8, wrap: u8, w: u8, q: u8) -> String {
     let window = ["4s", "11s", "40s", "3m"][w as usize % 4];
     let quantile = f64::from(q % 11) / 10.0;
@@ -164,13 +184,16 @@ fn compose(func: u8, grouping: u8, wrap: u8, w: u8, q: u8) -> String {
         1 => format!("{agg} by (node) ({leaf})"),
         _ => format!("{agg} without (idx) ({leaf})"),
     };
-    match wrap % 6 {
+    match wrap % 9 {
         0 => grouped,
         1 => format!("({grouped}) * 2 - 1"),
         2 => format!("max(({grouped}) + 1)"),
         3 => format!("({grouped}) > 0"),
         4 => format!("sum by (node) (({grouped}) >= -1000) / 3"),
-        _ => format!("100 - count(3 < ({grouped}))"),
+        5 => format!("100 - count(3 < ({grouped}))"),
+        6 => format!("({grouped}) - ({grouped}) * 0.5"),
+        7 => format!("({grouped}) < max by (node) (wild)"),
+        _ => format!("sum by (node) (({grouped}) / ({grouped} > 1))"),
     }
 }
 
@@ -184,7 +207,7 @@ proptest! {
             (0u8..6, proptest::collection::vec((0u8..16, 0u16..u16::MAX), 1..30)),
             1..7,
         ),
-        shape in (0u8..50, 0u8..15, 0u8..12),
+        shape in (0u8..50, 0u8..15, 0u8..18),
         params in (0u8..8, 0u8..22),
         range in (0u64..90_000, 1u64..250_000, 1u64..30_000),
     ) {
@@ -202,7 +225,7 @@ proptest! {
         // reject the NaNs this data produces).
         let again = engine.range(&expr, start, end, step).unwrap();
         assert!(bit_identical(&again, &streamed), "`{query}`: {again:?} vs {streamed:?}");
-        let oracle = engine.range_per_step(&expr, start, end, step).unwrap();
+        let oracle = support::range(&engine, &expr, start, end, step).unwrap();
         assert!(
             ranges_equivalent(&streamed, &oracle),
             "`{query}` over [{start}, {end}] step {step} diverged\n\
@@ -301,7 +324,7 @@ fn assert_both_roads_match(db: &TimeSeriesDb, query: &str, window_ms: u64, grid:
     let (streamed, stats) = plan_or_reason(db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
         .unwrap_or_else(|why| panic!("`{query}` must stream: {why}"))
         .run_with_stats(start, end, step);
-    let oracle = engine.range_per_step(&expr, start, end, step).unwrap();
+    let oracle = support::range(&engine, &expr, start, end, step).unwrap();
     assert!(
         ranges_equivalent(&streamed, &oracle),
         "`{query}` over [{start}, {end}] step {step} diverged\n\

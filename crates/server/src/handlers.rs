@@ -347,6 +347,33 @@ mod tests {
     }
 
     #[test]
+    fn series_that_collide_once_the_name_is_dropped_are_bad_data() {
+        let (db, mut lane) = ctx_parts();
+        let labels = Labels::from_pairs([("node", "n1")]);
+        for t in 0..10u64 {
+            db.append("metric_a", &labels, t * 1_000, t as f64);
+            db.append("metric_b", &labels, t * 1_000, t as f64 * 2.0);
+        }
+        let mut ctx = HandlerCtx {
+            db: &db,
+            lane: &mut lane,
+            now_ms: 9_000,
+            panic_route: false,
+            write_series_budget: None,
+        };
+        for path in [
+            r#"/api/v1/query?query=rate({node="n1"}[10s])&time=9"#,
+            r#"/api/v1/query_range?query=rate({node="n1"}[10s])&start=0&end=9&step=1"#,
+        ] {
+            let resp = route(&get(path), &mut ctx);
+            let body = String::from_utf8(resp.body).unwrap();
+            assert_eq!(resp.status, 400, "{path}: {body}");
+            assert!(body.contains(r#""errorType":"bad_data""#), "{body}");
+            assert!(body.contains("metric name is dropped"), "{body}");
+        }
+    }
+
+    #[test]
     fn over_budget_write_is_429_with_a_typed_body_and_nothing_stored() {
         let (db, mut lane) = ctx_parts();
         let mut ctx = HandlerCtx {

@@ -155,6 +155,13 @@ impl Drop for InflightPermit {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that drive gates: `teemon_http_inflight` is
+    /// process-wide, and every gate sets it to its own count.
+    fn gates() -> parking_lot::MutexGuard<'static, ()> {
+        static GATES: std::sync::OnceLock<Mutex<()>> = std::sync::OnceLock::new();
+        GATES.get_or_init(|| Mutex::new(())).lock()
+    }
+
     #[test]
     fn burst_then_limit_then_refill() {
         let limiter = RateLimiter::new(10.0, 3.0);
@@ -197,6 +204,7 @@ mod tests {
 
     #[test]
     fn gate_admits_up_to_capacity_and_releases_on_drop() {
+        let _serial = gates();
         let gate = InflightGate::new(2);
         let a = gate.try_acquire().expect("slot 1");
         let _b = gate.try_acquire().expect("slot 2");
@@ -209,6 +217,7 @@ mod tests {
 
     #[test]
     fn gate_updates_the_inflight_gauge() {
+        let _serial = gates();
         let gate = InflightGate::new(4);
         let permit = gate.try_acquire().expect("slot");
         assert!(probes::HTTP_INFLIGHT.get() >= 1.0);

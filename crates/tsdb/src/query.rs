@@ -264,39 +264,6 @@ pub fn increase(points: &[(u64, f64)]) -> Option<f64> {
     Some(total)
 }
 
-/// Exact quantile (`0 ≤ q ≤ 1`) of the values in `points`.
-///
-/// `NaN` inputs are ordered after every finite value (IEEE 754 total order),
-/// so upper quantiles of a window containing `NaN`s are `NaN` while lower
-/// quantiles stay meaningful — and the sort is deterministic regardless of
-/// where the `NaN`s appear in the input.
-pub fn quantile_over_time(points: &[(u64, f64)], q: f64) -> Option<f64> {
-    let mut values: Vec<f64> = points.iter().map(|(_, v)| *v).collect();
-    values.sort_by(|a, b| a.total_cmp(b));
-    quantile_of_sorted(&values, q)
-}
-
-/// Exact interpolated quantile of values already sorted by
-/// [`f64::total_cmp`]; `None` for an empty slice.  The interpolation core of
-/// [`quantile_over_time`], exposed separately so callers that keep a reusable
-/// scratch buffer (the query engine's per-series window streamer) avoid
-/// allocating a fresh value vector per evaluation step.
-pub fn quantile_of_sorted(values: &[f64], q: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (values.len() - 1) as f64;
-    let lower = pos.floor() as usize;
-    let upper = pos.ceil() as usize;
-    Some(if lower == upper {
-        values[lower]
-    } else {
-        let w = pos - lower as f64;
-        values[lower] * (1.0 - w) + values[upper] * w
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,32 +361,6 @@ mod tests {
         assert_eq!(counted[0].1, 1.0);
         assert_eq!(counted[1].1, 2.0);
         assert_eq!(counted[11].1, 3.0);
-    }
-
-    #[test]
-    fn quantiles_over_time() {
-        let points: Vec<(u64, f64)> = (0..100).map(|i| (i as u64, i as f64)).collect();
-        assert_eq!(quantile_over_time(&points, 0.0), Some(0.0));
-        assert_eq!(quantile_over_time(&points, 1.0), Some(99.0));
-        let median = quantile_over_time(&points, 0.5).unwrap();
-        assert!((median - 49.5).abs() < 1e-9);
-        assert_eq!(quantile_over_time(&[], 0.5), None);
-    }
-
-    #[test]
-    fn quantiles_are_nan_safe() {
-        // NaNs sort after every finite value under the IEEE total order, so
-        // the result is deterministic no matter where the NaN sits.
-        let with_nan = vec![(0, 3.0), (1, f64::NAN), (2, 1.0), (3, 2.0)];
-        assert_eq!(quantile_over_time(&with_nan, 0.0), Some(1.0));
-        // The median interpolates the two middle finite values: [1, 2, 3, NaN].
-        let median = quantile_over_time(&with_nan, 0.5).unwrap();
-        assert!((median - 2.5).abs() < 1e-9);
-        assert!(quantile_over_time(&with_nan, 1.0).unwrap().is_nan());
-        // A NaN in any position yields the same answers.
-        let nan_first = vec![(0, f64::NAN), (1, 3.0), (2, 1.0), (3, 2.0)];
-        assert_eq!(quantile_over_time(&nan_first, 0.0), Some(1.0));
-        assert!(quantile_over_time(&nan_first, 1.0).unwrap().is_nan());
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn main() {
         host.run_scrape_loop(1);
         let now = host.kernel().clock().now_millis();
         let start = now.saturating_sub(30_000);
-        // A streamed query and a vector-vector one that falls back.
+        // A grouped rate and a vector-vector match.
         let _ = engine.range_query(
             "sum by (node) (rate(teemon_syscalls_total[30s]))",
             start,
@@ -69,14 +69,14 @@ fn main() {
             engine.range_query("teemon_syscalls_total + teemon_syscalls_total", start, now, 5_000);
     }
 
-    // 4. EXPLAIN: the plan tree and streamed-vs-fallback choice, unexecuted.
+    // 4. EXPLAIN: the plan tree with its series counts, unexecuted.
     let now = host.kernel().clock().now_millis();
     let start = now.saturating_sub(30_000);
     for query in [
         "sum by (node) (rate(teemon_syscalls_total[30s]))",
         "teemon_syscalls_total + teemon_syscalls_total",
     ] {
-        let explain = engine.explain(query, start, now).expect("query parses");
+        let explain = engine.explain(query, start, now).expect("query plans");
         println!("EXPLAIN {explain}\n");
     }
 
@@ -93,9 +93,8 @@ fn main() {
     println!("slow queries (threshold lowered to 50 µs for the demo):");
     for slow in teemon_obs::slow_queries().into_iter().take(5) {
         println!(
-            "  {:>9.3} ms  {} decoded={} irregular={} {}",
+            "  {:>9.3} ms  decoded={} irregular={} {}",
             slow.wall_seconds * 1e3,
-            if slow.streamed { "streamed" } else { "fallback" },
             slow.samples_decoded,
             slow.irregular_series,
             slow.query,
@@ -114,8 +113,7 @@ fn main() {
         );
     });
 
-    // 9. Self-observe alerts (the fallback queries above make the
-    //    fallback-rate alert fire once its window fills).
+    // 9. Self-observe alerts.
     let firing = host.rules().firing_alerts();
     if firing.is_empty() {
         println!("\nself-observe alerts: none firing");
