@@ -1,6 +1,7 @@
 //! Threshold rules and anomaly reports.
 
 use serde::{Deserialize, Serialize};
+use teemon_query::Severity;
 use teemon_tsdb::Selector;
 
 use crate::stats::WindowStats;
@@ -9,9 +10,9 @@ use crate::stats::WindowStats;
 ///
 /// This fixed comparison set predates TeeQL and is kept for the sliding
 /// window analytics of [`crate::Analyzer`]; for alerting, prefer TeeQL alert
-/// rules (`teemon_query::AlertRule`), which express these comparisons — and
+/// rules ([`teemon_query::AlertRule`]), which express these comparisons — and
 /// arbitrarily richer ones — as query expressions.
-/// `teemon_query::compile_threshold` converts any [`Threshold`] into the
+/// [`crate::compile_threshold`] converts any [`Threshold`] into the
 /// equivalent TeeQL expression (e.g. `MeanAbove(v)` becomes
 /// `avg_over_time(sel[w]) > v`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -24,17 +25,6 @@ pub enum ThresholdKind {
     MaxAbove(f64),
     /// Fire when the window median exceeds the value.
     MedianAbove(f64),
-}
-
-/// Severity attached to an anomaly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Severity {
-    /// Informational — worth plotting, not worth waking anyone.
-    Info,
-    /// Warning — a dashboard highlight.
-    Warning,
-    /// Critical — alert/logging channels fire.
-    Critical,
 }
 
 /// A user-defined threshold rule.

@@ -10,9 +10,19 @@
 //! * §6.5: a high EPC eviction rate indicates the working set exceeds the EPC,
 //!   and an excessive host context-switch rate indicates framework threading
 //!   problems (Graphene-SGX).
+//!
+//! Each diagnosis is a TeeQL instant query through [`QueryEngine`] — the
+//! engine that serves dashboards and alerts — at the end of the requested
+//! range clamped to the data, over a window spanning that whole range.  The
+//! engine's windows are closed (`[t − w, t]`), so the window holds exactly
+//! the samples of the clamped range.
+
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use teemon_tsdb::{query, Selector, TimeSeriesDb};
+use teemon_metrics::Labels;
+use teemon_query::{format_duration_ms, QueryEngine, Value, VectorSample};
+use teemon_tsdb::{Selector, TimeSeriesDb};
 
 use crate::anomaly::{Anomaly, AnomalyDetector};
 use crate::stats::SlidingWindow;
@@ -70,7 +80,7 @@ impl Default for AnalyzerConfig {
 /// The periodic analysis loop over the aggregated data.
 #[derive(Debug, Clone)]
 pub struct Analyzer {
-    db: TimeSeriesDb,
+    engine: QueryEngine,
     detector: AnomalyDetector,
     config: AnalyzerConfig,
 }
@@ -79,7 +89,7 @@ impl Analyzer {
     /// Creates an analyzer over `db` with the default SGX thresholds.
     pub fn new(db: TimeSeriesDb) -> Self {
         Self {
-            db,
+            engine: QueryEngine::new(db),
             detector: AnomalyDetector::with_sgx_defaults(),
             config: AnalyzerConfig::default(),
         }
@@ -101,7 +111,33 @@ impl Analyzer {
 
     /// The underlying database.
     pub fn db(&self) -> &TimeSeriesDb {
-        &self.db
+        self.engine.db()
+    }
+
+    /// The instant and the window that cover `[start_ms, end_ms]` clamped to
+    /// the data: evaluating `f(m[window])` at the instant reads exactly the
+    /// clamped range.  `None` when no data falls in the range.
+    fn window(&self, start_ms: u64, end_ms: u64) -> Option<(u64, String)> {
+        let start = start_ms.max(self.db().oldest_timestamp()?);
+        let end = end_ms.min(self.db().newest_timestamp()?);
+        (start <= end).then(|| (end, format_duration_ms((end - start).max(1))))
+    }
+
+    /// The vector `query` evaluates to at `at_ms`; empty when the engine
+    /// refuses the query.
+    fn instant(&self, query: &str, at_ms: u64) -> Vec<VectorSample> {
+        match self.engine.instant_query(query, at_ms) {
+            Ok(Value::Vector(samples)) => samples,
+            _ => Vec::new(),
+        }
+    }
+
+    /// `sum(increase(selector[…]))` over `[start_ms, end_ms]`; `0` when no
+    /// series has two samples there.
+    fn total_increase(&self, selector: &Selector, start_ms: u64, end_ms: u64) -> f64 {
+        let Some((at, window)) = self.window(start_ms, end_ms) else { return 0.0 };
+        let total = self.instant(&format!("sum(increase({selector}[{window}]))"), at);
+        total.first().map_or(0.0, |sample| sample.value)
     }
 
     /// Runs threshold-based anomaly detection over every series matching
@@ -113,7 +149,7 @@ impl Analyzer {
         end_ms: u64,
     ) -> Vec<Anomaly> {
         let mut anomalies = Vec::new();
-        for result in self.db.query_range(selector, start_ms, end_ms) {
+        for result in self.db().query_range(selector, start_ms, end_ms) {
             let windows = self.config.window.evaluate(&result.points);
             anomalies.extend(self.detector.evaluate(&result.name, &result.labels, &windows));
         }
@@ -122,23 +158,27 @@ impl Analyzer {
 
     /// Diagnoses syscall dominance from the per-syscall counter series
     /// (`metric{syscall=...}` counters) over a time range.
+    ///
+    /// A series counts its `increase` over the range, or — with a single
+    /// sample there, as when a run is scraped once — its value.
     pub fn diagnose_syscall_mix(
         &self,
         metric: &str,
         start_ms: u64,
         end_ms: u64,
     ) -> Option<BottleneckFinding> {
-        let results = self.db.query_range(&Selector::metric(metric), start_ms, end_ms);
-        if results.is_empty() {
-            return None;
-        }
-        let mut per_syscall: Vec<(String, f64)> = results
-            .iter()
-            .filter_map(|r| {
-                let syscall = r.labels.get("syscall")?.to_string();
-                let total =
-                    query::increase(&r.points).or_else(|| r.points.last().map(|(_, v)| *v))?;
-                Some((syscall, total))
+        let (at, window) = self.window(start_ms, end_ms)?;
+        let increases: HashMap<Labels, f64> = self
+            .instant(&format!("increase({metric}[{window}])"), at)
+            .into_iter()
+            .map(|sample| (sample.labels, sample.value))
+            .collect();
+        let mut per_syscall: Vec<(String, f64)> = self
+            .instant(&format!("last_over_time({metric}[{window}])"), at)
+            .into_iter()
+            .filter_map(|last| {
+                let total = increases.get(&last.labels).copied().unwrap_or(last.value);
+                Some((last.labels.get("syscall")?.to_string(), total))
             })
             .collect();
         if per_syscall.is_empty() {
@@ -189,8 +229,7 @@ impl Analyzer {
         start_ms: u64,
         end_ms: u64,
     ) -> Option<BottleneckFinding> {
-        let results = self.db.query_range(&Selector::metric(evicted_metric), start_ms, end_ms);
-        let evicted: f64 = results.iter().filter_map(|r| query::increase(&r.points)).sum();
+        let evicted = self.total_increase(&Selector::metric(evicted_metric), start_ms, end_ms);
         if evicted <= 0.0 {
             return None;
         }
@@ -218,8 +257,7 @@ impl Analyzer {
         end_ms: u64,
     ) -> Option<BottleneckFinding> {
         let selector = Selector::metric(switch_metric).with_label("scope", "host_total");
-        let results = self.db.query_range(&selector, start_ms, end_ms);
-        let switches: f64 = results.iter().filter_map(|r| query::increase(&r.points)).sum();
+        let switches = self.total_increase(&selector, start_ms, end_ms);
         if switches <= 0.0 || requests <= 0.0 {
             return None;
         }
@@ -382,6 +420,68 @@ mod tests {
         assert!(summary.contains("SyscallDominance"));
         assert!(summary.contains("EpcThrashing"));
         assert_eq!(summarize(&[]), "no bottlenecks detected");
+    }
+
+    #[test]
+    fn a_single_scrape_counts_each_series_value() {
+        // The code-evolution shape: one scrape per run, so no series has an
+        // increase and each counts its value; clock_gettime is reported by
+        // two nodes and merges into one row.
+        let db = TimeSeriesDb::new();
+        for (syscall, node, count) in [
+            ("clock_gettime", "n1", 8_000.0),
+            ("clock_gettime", "n2", 800.0),
+            ("read", "n1", 500.0),
+            ("write", "n1", 545.0),
+        ] {
+            let labels = Labels::from_pairs([("syscall", syscall), ("node", node)]);
+            db.append("teemon_syscalls_total", &labels, 5_000, count);
+        }
+        let finding = Analyzer::new(db)
+            .diagnose_syscall_mix("teemon_syscalls_total", 0, u64::MAX)
+            .expect("dominance should be detected");
+        assert_eq!(finding.kind, BottleneckKind::SyscallDominance);
+        let expected = [("clock_gettime", 8_800.0), ("write", 545.0), ("read", 500.0)];
+        let expected: Vec<(String, f64)> =
+            expected.iter().map(|(name, count)| (name.to_string(), *count)).collect();
+        assert_eq!(finding.evidence, expected);
+        assert!(
+            finding.explanation.starts_with(
+                "clock_gettime accounts for 89% of system calls (8800 calls vs 1045 I/O calls)"
+            ),
+            "{}",
+            finding.explanation
+        );
+    }
+
+    #[test]
+    fn epc_evidence_is_the_engines_sum_of_increases() {
+        let db = TimeSeriesDb::new();
+        for (node, samples) in [
+            ("n1", [(10_000u64, 0.5), (20_000, 1_000.25), (30_000, 4_000.75)]),
+            // A reset between the second and the third scrape.
+            ("n2", [(15_000, 300.1), (25_000, 2_000.3), (35_000, 700.7)]),
+        ] {
+            for (t, v) in samples {
+                db.append("sgx_pages_evicted_total", &Labels::from_pairs([("node", node)]), t, v);
+            }
+        }
+        let analyzer = Analyzer::new(db.clone());
+        let finding = analyzer.diagnose_epc("sgx_pages_evicted_total", 1_000.0, 0, u64::MAX);
+        let evicted = finding.expect("evictions above the threshold").evidence[0].1;
+        // [0, ∞) clamps to [10 s, 35 s]: a 25 s window ending at 35 s.
+        let engine = QueryEngine::new(db);
+        let expected =
+            engine.instant_query("sum(increase(sgx_pages_evicted_total[25s]))", 35_000).unwrap();
+        assert_eq!(evicted.to_bits(), expected.as_vector().unwrap()[0].value.to_bits());
+        // A range that starts inside the data clamps only its end.
+        let partial = analyzer.diagnose_epc("sgx_pages_evicted_total", 1_000.0, 20_000, u64::MAX);
+        let expected =
+            engine.instant_query("sum(increase(sgx_pages_evicted_total[15s]))", 35_000).unwrap();
+        assert_eq!(
+            partial.unwrap().evidence[0].1.to_bits(),
+            expected.as_vector().unwrap()[0].value.to_bits()
+        );
     }
 
     #[test]

@@ -18,14 +18,20 @@
 //!   evaluated per window, producing [`Anomaly`] reports,
 //! * [`Analyzer`] — the periodic analysis loop over a
 //!   [`teemon_tsdb::TimeSeriesDb`], including the bottleneck heuristics used
-//!   in §6.4/§6.5 (e.g. "`clock_gettime` dominates read/write").
+//!   in §6.4/§6.5 (e.g. "`clock_gettime` dominates read/write"), each one a
+//!   TeeQL evaluation through [`teemon_query::QueryEngine`],
+//! * [`compile_threshold`] / [`sgx_default_alerts`] — the threshold rules as
+//!   TeeQL alert rules for [`teemon_query::RuleEngine`].
 
 #![warn(missing_docs)]
 
 pub mod anomaly;
 pub mod bottleneck;
+pub mod rules;
 pub mod stats;
 
-pub use anomaly::{Anomaly, AnomalyDetector, Severity, Threshold, ThresholdKind};
+pub use anomaly::{Anomaly, AnomalyDetector, Threshold, ThresholdKind};
 pub use bottleneck::{Analyzer, AnalyzerConfig, BottleneckFinding, BottleneckKind};
+pub use rules::{compile_threshold, sgx_default_alerts};
 pub use stats::{BoxPlot, SlidingWindow, WindowStats};
+pub use teemon_query::Severity;

@@ -1,7 +1,7 @@
 //! Microbenchmarks of TEEMon's own machinery (ablation of the overhead
 //! figures): hook dispatch with and without attached programs, exposition
-//! encoding/parsing, the typed vs text scrape pipeline, the TeeQL query
-//! engine, and the cross-series aggregation walk.
+//! encoding/parsing, the typed vs text scrape pipeline and the TeeQL query
+//! engine.
 
 use std::sync::Arc;
 
@@ -12,9 +12,7 @@ use teemon_kernel_sim::process::ProcessKind;
 use teemon_kernel_sim::{Kernel, Syscall};
 use teemon_metrics::{exposition, Labels, Registry, RegistryCollector};
 use teemon_query::{parse, QueryEngine};
-use teemon_tsdb::{
-    query, AggregateOp, ScrapeTargetConfig, Scraper, Selector, TextEndpoint, TimeSeriesDb,
-};
+use teemon_tsdb::{ScrapeTargetConfig, Scraper, TextEndpoint, TimeSeriesDb};
 
 fn bench_hooks(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/syscall_dispatch");
@@ -179,42 +177,9 @@ fn bench_query_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cross-series aggregation walk over staggered series whose timestamps
-/// never coincide — the worst case for the union walk.
-fn bench_aggregate_over_time(c: &mut Criterion) {
-    let staggered = |series_count: u64, points: u64| {
-        let db = TimeSeriesDb::new();
-        for series in 0..series_count {
-            for t in 0..points {
-                db.append(
-                    "m",
-                    &Labels::from_pairs([("s", format!("{series}"))]),
-                    t * 1_000 + series,
-                    t as f64,
-                );
-            }
-        }
-        let results = db.query_range(&Selector::metric("m"), 0, u64::MAX);
-        results.into_iter().map(|r| r.points).collect::<Vec<_>>()
-    };
-    let mut group = c.benchmark_group("micro/aggregate_over_time");
-    group.sample_size(10);
-    let results = staggered(16, 256);
-    group.bench_function("cursors_16x256", |b| {
-        b.iter(|| black_box(query::aggregate_series_over_time(&results, AggregateOp::Sum)))
-    });
-    // The cursor walk at dashboard scale.
-    let results = staggered(64, 512);
-    group.bench_function("cursors_64x512", |b| {
-        b.iter(|| black_box(query::aggregate_series_over_time(&results, AggregateOp::Sum)))
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_hooks, bench_exposition, bench_scrape_paths, bench_query_engine,
-        bench_aggregate_over_time
+    targets = bench_hooks, bench_exposition, bench_scrape_paths, bench_query_engine
 }
 criterion_main!(benches);

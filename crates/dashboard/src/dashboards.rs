@@ -1,7 +1,8 @@
 //! Dashboards and the three standard TEEMon dashboards.
 
 use serde::{Deserialize, Serialize};
-use teemon_tsdb::{AggregateOp, Selector, TimeSeriesDb};
+use teemon_query::{parse, Expr};
+use teemon_tsdb::{LabelMatch, Selector, TimeSeriesDb};
 
 use crate::panel::{Panel, PanelData, PanelKind};
 
@@ -32,12 +33,17 @@ impl Dashboard {
         self.panels.iter().map(|p| p.evaluate(db, start_ms, end_ms)).collect()
     }
 
-    /// Applies a process filter (the drop-down of Figure 3): every panel's
-    /// selector gains a `process=<name>` matcher.
+    /// Applies a process filter (the drop-down of Figure 3): every selector
+    /// in every panel's expression gains a `process=<name>` matcher.  An
+    /// expression that does not parse is left as it is (it renders empty
+    /// either way).
     #[must_use]
     pub fn filtered_by_process(mut self, process: &str) -> Self {
         for panel in &mut self.panels {
-            panel.selector = panel.selector.clone().with_label("process", process);
+            if let Ok(mut expr) = parse(&panel.expr) {
+                add_matcher(&mut expr, &LabelMatch::Equals("process".into(), process.into()));
+                panel.expr = expr.to_string();
+            }
         }
         self
     }
@@ -65,6 +71,22 @@ impl Dashboard {
     /// Returns the serde error message on malformed input.
     pub fn from_json(json: &str) -> Result<Self, String> {
         serde_json::from_str(json).map_err(|e| e.to_string())
+    }
+}
+
+/// Adds `matcher` to every selector in `expr`.
+fn add_matcher(expr: &mut Expr, matcher: &LabelMatch) {
+    match expr {
+        Expr::Number(_) => {}
+        Expr::Selector(selector) | Expr::Range { selector, .. } => {
+            selector.matchers.push(matcher.clone());
+        }
+        Expr::Call { arg, .. } => add_matcher(arg, matcher),
+        Expr::Aggregate { expr, .. } => add_matcher(expr, matcher),
+        Expr::Binary { lhs, rhs, .. } => {
+            add_matcher(lhs, matcher);
+            add_matcher(rhs, matcher);
+        }
     }
 }
 
@@ -144,7 +166,6 @@ pub fn standard() -> DashboardSet {
     let infrastructure = Dashboard::new("Infrastructure")
         .with_panel(
             Panel::graph("Context switches", Selector::metric("teemon_context_switches_total"))
-                .with_aggregate(AggregateOp::Sum)
                 .with_unit("switches"),
         )
         .with_panel(
@@ -159,12 +180,8 @@ pub fn standard() -> DashboardSet {
             )
             .with_unit("bytes"),
         )
-        .with_panel(
-            Panel::stat("Nodes up", Selector::metric("up")).with_aggregate(AggregateOp::Sum),
-        )
-        .with_panel(
-            Panel::table("Scrape health", Selector::metric("up")).with_aggregate(AggregateOp::Min),
-        );
+        .with_panel(Panel::stat("Nodes up", Selector::metric("up")))
+        .with_panel(Panel::table("Scrape health", Selector::metric("up")));
 
     // The engine watching itself: every panel reads series the self-scrape
     // target ingests from `teemon_obs` probes (no external exporter involved).
@@ -411,5 +428,52 @@ mod tests {
             .filtered_by_process("redis-server");
         let data = dashboard.evaluate(&db, 0, u64::MAX);
         assert_eq!(data[0].current, Some(5.0));
+    }
+
+    #[test]
+    fn process_filter_narrows_teeql_panels() {
+        // redis-server issues 10 syscalls/s, nginx 30/s.
+        let db = TimeSeriesDb::new();
+        for t in 0..10u64 {
+            for (process, per_tick) in [("redis-server", 50), ("nginx", 150)] {
+                db.append(
+                    "teemon_syscalls_total",
+                    &Labels::from_pairs([("process", process), ("syscall", "read")]),
+                    t * 5_000,
+                    (t * per_tick) as f64,
+                );
+            }
+        }
+        let dashboard = Dashboard::new("test")
+            .with_panel(Panel::teeql("rate", "sum(rate(teemon_syscalls_total[20s]))"))
+            .filtered_by_process("redis-server");
+        assert_eq!(
+            dashboard.panels[0].expr,
+            r#"sum(rate(teemon_syscalls_total{process="redis-server"}[20s]))"#
+        );
+        let data = dashboard.evaluate(&db, 0, u64::MAX);
+        assert!((data[0].current.unwrap() - 10.0).abs() < 1e-9, "{:?}", data[0].current);
+    }
+
+    #[test]
+    fn a_departed_node_stops_counting_after_the_lookback() {
+        // Two nodes report `up`; n2 goes silent ten minutes before the newest
+        // sample, twice the engine's five-minute lookback.
+        let db = TimeSeriesDb::new();
+        for t in (0..=1_200_000u64).step_by(15_000) {
+            db.append("up", &Labels::from_pairs([("instance", "n1:9090")]), t, 1.0);
+            if t <= 600_000 {
+                db.append("up", &Labels::from_pairs([("instance", "n2:9090")]), t, 1.0);
+            }
+        }
+        let infrastructure = standard().dashboards.remove(2);
+        let panel = |title: &str| infrastructure.panels.iter().find(|p| p.title == title).unwrap();
+        let nodes_up = panel("Nodes up");
+        assert_eq!(nodes_up.evaluate(&db, 0, u64::MAX).current, Some(1.0));
+        // While n2 reported, both counted.
+        assert_eq!(nodes_up.evaluate(&db, 0, 600_000).current, Some(2.0));
+        // The table keeps only the node that is still reporting.
+        let table = panel("Scrape health").evaluate(&db, 0, u64::MAX).render(60);
+        assert!(table.contains("n1:9090") && !table.contains("n2:9090"), "{table}");
     }
 }

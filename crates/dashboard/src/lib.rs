@@ -8,7 +8,7 @@
 //! process filter and a selectable time range (Figure 3).
 //!
 //! This crate reproduces that layer with text rendering: [`Panel`]s bind a
-//! [`teemon_tsdb::Selector`] to a visualisation type, [`Dashboard`]s group
+//! TeeQL expression to a visualisation type, [`Dashboard`]s group
 //! panels, [`standard`] builds the three dashboards of the paper, and
 //! rendering produces both human-readable ASCII and machine-readable JSON.
 

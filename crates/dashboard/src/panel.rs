@@ -1,21 +1,24 @@
 //! Panels: a query bound to a visualisation.
 //!
-//! A panel selects its data one of two ways: the structured path (a
-//! [`Selector`] plus an [`AggregateOp`], the original hard-wired pipeline) or
-//! a TeeQL expression evaluated by [`teemon_query::QueryEngine`], which puts
-//! the whole query language — `rate()`, `by`/`without` grouping, arithmetic —
-//! behind a single string (the way Grafana panels embed PromQL).
+//! A panel is one TeeQL expression evaluated by [`teemon_query::QueryEngine`]
+//! over a step grid, the way a Grafana panel embeds PromQL: `rate()`,
+//! `by`/`without` grouping and arithmetic all sit behind the one string.  The
+//! selector constructors ([`Panel::graph`] and friends) store their selector
+//! as that string, so a plain `sgx_nr_free_pages` panel is the instant
+//! selector read at every step, with the engine's staleness lookback.
 //!
 //! Dashboards are the read path's heaviest customer: every refresh is a
-//! range query per panel.  Expression panels ride the engine's streaming
-//! range evaluator (`O(samples touched)` per refresh rather than
-//! `O(steps × window)`; see [`teemon_query::stream`]), and both paths read
-//! sealed chunks in their Gorilla-compressed form through streaming-decode
-//! cursors — a dashboard refresh never materialises a decompressed chunk.
+//! range query per panel, which the engine's streaming range evaluator
+//! answers in `O(samples touched)` rather than `O(steps × window)` (see
+//! [`teemon_query::stream`]), reading sealed chunks in their
+//! Gorilla-compressed form through streaming-decode cursors — a dashboard
+//! refresh never materialises a decompressed chunk.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use teemon_query::QueryEngine;
-use teemon_tsdb::{query, AggregateOp, QueryResult, Selector, TimeSeriesDb};
+use teemon_query::{QueryEngine, RangeSeries};
+use teemon_tsdb::{Selector, TimeSeriesDb};
 
 use crate::render;
 
@@ -42,96 +45,50 @@ pub struct Panel {
     pub title: String,
     /// Visualisation type.
     pub kind: PanelKind,
-    /// The query selecting the series to display.
-    pub selector: Selector,
-    /// Aggregation applied across matching series.
-    pub aggregate: AggregateOp,
-    /// For counters: display the per-second rate instead of the raw value.
-    pub as_rate: bool,
+    /// The TeeQL expression the panel plots.  One that fails to parse or
+    /// evaluate renders as an empty panel.
+    pub expr: String,
     /// Unit suffix shown after values (e.g. `"pages"`, `"ops/s"`).
     pub unit: String,
     /// Gauge maximum (used by [`PanelKind::Gauge`]).
     pub max: Option<f64>,
-    /// TeeQL expression; when set it replaces the `selector`/`aggregate`
-    /// path (`as_rate` still applies to the aggregated result).  Expressions
-    /// that fail to parse or evaluate render as empty panels.
-    #[serde(default)]
-    pub expr: Option<String>,
-    /// Step between evaluation instants in expression mode; `None` derives
-    /// ~60 steps from the queried range.
+    /// Step between evaluation instants; `None` derives 60 steps from the
+    /// queried range.
     #[serde(default)]
     pub step_ms: Option<u64>,
 }
 
 impl Panel {
+    fn new(title: impl Into<String>, kind: PanelKind, expr: String, max: Option<f64>) -> Self {
+        Self { title: title.into(), kind, expr, unit: String::new(), max, step_ms: None }
+    }
+
     /// Creates a graph panel.
     pub fn graph(title: impl Into<String>, selector: Selector) -> Self {
-        Self {
-            title: title.into(),
-            kind: PanelKind::Graph,
-            selector,
-            aggregate: AggregateOp::Sum,
-            as_rate: false,
-            unit: String::new(),
-            max: None,
-            expr: None,
-            step_ms: None,
-        }
+        Self::new(title, PanelKind::Graph, selector.to_string(), None)
     }
 
     /// Creates a gauge panel with a maximum.
     pub fn gauge(title: impl Into<String>, selector: Selector, max: f64) -> Self {
-        Self {
-            title: title.into(),
-            kind: PanelKind::Gauge,
-            selector,
-            aggregate: AggregateOp::Sum,
-            as_rate: false,
-            unit: String::new(),
-            max: Some(max),
-            expr: None,
-            step_ms: None,
-        }
+        Self::new(title, PanelKind::Gauge, selector.to_string(), Some(max))
     }
 
     /// Creates a single-stat panel.
     pub fn stat(title: impl Into<String>, selector: Selector) -> Self {
-        Self {
-            title: title.into(),
-            kind: PanelKind::SingleStat,
-            selector,
-            aggregate: AggregateOp::Sum,
-            as_rate: false,
-            unit: String::new(),
-            max: None,
-            expr: None,
-            step_ms: None,
-        }
+        Self::new(title, PanelKind::SingleStat, selector.to_string(), None)
     }
 
     /// Creates a table panel.
     pub fn table(title: impl Into<String>, selector: Selector) -> Self {
-        Self {
-            title: title.into(),
-            kind: PanelKind::Table,
-            selector,
-            aggregate: AggregateOp::Sum,
-            as_rate: false,
-            unit: String::new(),
-            max: None,
-            expr: None,
-            step_ms: None,
-        }
+        Self::new(title, PanelKind::Table, selector.to_string(), None)
     }
 
-    /// Creates a graph panel driven by a TeeQL expression instead of a
-    /// selector (`Panel::teeql("EPC eviction rate", "sum by (node) \
+    /// Creates a graph panel over any TeeQL expression
+    /// (`Panel::teeql("EPC eviction rate", "sum by (node) \
     /// (rate(sgx_pages_evicted_total[30s]))")`).  Use [`Panel::with_kind`]
     /// to switch the visualisation.
     pub fn teeql(title: impl Into<String>, expr: impl Into<String>) -> Self {
-        let mut panel = Self::graph(title, Selector::all());
-        panel.expr = Some(expr.into());
-        panel
+        Self::new(title, PanelKind::Graph, expr.into(), None)
     }
 
     /// Changes the visualisation type.
@@ -141,17 +98,10 @@ impl Panel {
         self
     }
 
-    /// Sets the evaluation step used in expression mode.
+    /// Sets the evaluation step.
     #[must_use]
     pub fn with_step_ms(mut self, step_ms: u64) -> Self {
         self.step_ms = Some(step_ms.max(1));
-        self
-    }
-
-    /// Displays the per-second rate of a counter instead of its raw value.
-    #[must_use]
-    pub fn as_rate(mut self) -> Self {
-        self.as_rate = true;
         self
     }
 
@@ -162,72 +112,38 @@ impl Panel {
         self
     }
 
-    /// Sets the aggregation operator.
-    #[must_use]
-    pub fn with_aggregate(mut self, op: AggregateOp) -> Self {
-        self.aggregate = op;
-        self
-    }
-
     /// Evaluates the panel against `db` over `[start_ms, end_ms]`.
     ///
-    /// In expression mode the open-ended range (`0..u64::MAX`) is clamped to
-    /// the data the database actually holds, and the expression is evaluated
-    /// at `step_ms` intervals across it — streamed by sliding-window state
-    /// machines when the expression supports it, per-step otherwise.  In
-    /// selector mode the panel reads through the zero-copy snapshot API: one
-    /// inverted-index lookup, then a pre-sized range walk over `Arc`-shared
-    /// (compressed) chunks per series.
+    /// The range is clamped to the data the database holds (so the
+    /// open-ended `0..u64::MAX` works), and the expression is evaluated at
+    /// `step_ms` intervals across it, on a grid whose last step is the
+    /// clamped end.  Every series shares that grid, so the aggregate is their
+    /// per-step sum and the headline value its last point.
     pub fn evaluate(&self, db: &TimeSeriesDb, start_ms: u64, end_ms: u64) -> PanelData {
-        let series: Vec<(String, Vec<(u64, f64)>)> = match &self.expr {
-            Some(expr) => self
-                .evaluate_expr(db, expr, start_ms, end_ms)
-                .into_iter()
-                .map(|r| {
-                    let label = if r.labels.is_empty() {
-                        r.name
-                    } else {
-                        format!("{}{}", r.name, r.labels)
-                    };
-                    (label, r.points)
-                })
-                .collect(),
-            None => db
-                .select(&self.selector)
-                .iter()
-                .map(|snap| (snap.display_name(), snap.points_in(start_ms, end_ms)))
-                .filter(|(_, points)| !points.is_empty())
-                .collect(),
-        };
-        let point_sets: Vec<&[(u64, f64)]> = series.iter().map(|(_, p)| p.as_slice()).collect();
-        let aggregated = query::aggregate_series_over_time(&point_sets, self.aggregate);
-        let current = if self.as_rate {
-            query::rate(&aggregated)
-        } else {
-            aggregated.last().map(|(_, v)| *v)
-        };
+        let series: Vec<(String, Vec<(u64, f64)>)> = self
+            .range(db, start_ms, end_ms)
+            .into_iter()
+            .map(|series| (series.display_name(), series.points))
+            .collect();
+        let mut per_step = BTreeMap::new();
+        for &(t, v) in series.iter().flat_map(|(_, points)| points) {
+            *per_step.entry(t).or_insert(0.0) += v;
+        }
+        let aggregated: Vec<(u64, f64)> = per_step.into_iter().collect();
         PanelData {
             title: self.title.clone(),
             kind: self.kind,
             unit: self.unit.clone(),
+            current: aggregated.last().map(|(_, v)| *v),
             series,
             aggregated,
-            current,
             max: self.max,
         }
     }
 
-    /// Expression-mode evaluation: range-evaluates the TeeQL expression and
-    /// adapts the result to the selector path's [`QueryResult`] shape.
-    /// Malformed or ill-typed expressions yield no results (panels must not
-    /// panic while rendering).
-    fn evaluate_expr(
-        &self,
-        db: &TimeSeriesDb,
-        expr: &str,
-        start_ms: u64,
-        end_ms: u64,
-    ) -> Vec<QueryResult> {
+    /// The range query behind [`Panel::evaluate`].  Malformed or ill-typed
+    /// expressions yield no series (panels must not panic while rendering).
+    fn range(&self, db: &TimeSeriesDb, start_ms: u64, end_ms: u64) -> Vec<RangeSeries> {
         let (Some(oldest), Some(newest)) = (db.oldest_timestamp(), db.newest_timestamp()) else {
             return Vec::new();
         };
@@ -236,21 +152,11 @@ impl Panel {
         if start > end {
             return Vec::new();
         }
-        let step = self.step_ms.unwrap_or_else(|| ((end - start) / 60).max(1_000));
-        let engine = QueryEngine::new(db.clone());
-        engine
-            .range_query(expr, start, end, step)
-            .map(|series| {
-                series
-                    .into_iter()
-                    .map(|s| QueryResult {
-                        name: s.name.unwrap_or_default(),
-                        labels: s.labels,
-                        points: s.points,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+        let step = self.step_ms.unwrap_or((end - start) / 60).max(1);
+        // The grid ends on `end`, so the last step — the headline value —
+        // reads the newest data in range.
+        let start = end - (end - start) / step * step;
+        QueryEngine::new(db.clone()).range_query(&self.expr, start, end, step).unwrap_or_default()
     }
 }
 
@@ -267,7 +173,7 @@ pub struct PanelData {
     pub series: Vec<(String, Vec<(u64, f64)>)>,
     /// Points aggregated across series.
     pub aggregated: Vec<(u64, f64)>,
-    /// The headline value (latest aggregate, or rate when `as_rate`).
+    /// The headline value: the last aggregated point.
     pub current: Option<f64>,
     /// Gauge maximum.
     pub max: Option<f64>,
@@ -295,11 +201,15 @@ impl PanelData {
                 ));
             }
             PanelKind::Table => {
+                // One row per series with a value at the newest step: a
+                // series gone stale before it is not a current row.
+                let newest = self.aggregated.last().map(|(t, _)| *t);
                 let rows: Vec<(String, f64)> = self
                     .series
                     .iter()
-                    .map(|(label, points)| {
-                        (label.clone(), points.last().map(|(_, v)| *v).unwrap_or(f64::NAN))
+                    .filter_map(|(label, points)| {
+                        let &(t, v) = points.last()?;
+                        (Some(t) == newest).then(|| (label.clone(), v))
                     })
                     .collect();
                 out.push_str(&render::render_table(&rows, &self.unit));
@@ -341,7 +251,8 @@ mod tests {
     #[test]
     fn graph_panel_aggregates_and_renders() {
         let panel = Panel::graph("Free EPC pages", Selector::metric("sgx_nr_free_pages"))
-            .with_unit("pages");
+            .with_unit("pages")
+            .with_step_ms(5_000);
         let data = panel.evaluate(&db(), 0, u64::MAX);
         assert!(!data.is_empty());
         assert_eq!(data.aggregated.len(), 10);
@@ -353,8 +264,8 @@ mod tests {
 
     #[test]
     fn rate_panel_computes_per_second_rate() {
-        let panel =
-            Panel::stat("Syscall rate", Selector::metric("teemon_syscalls_total")).as_rate();
+        let panel = Panel::teeql("Syscall rate", "sum(rate(teemon_syscalls_total[20s]))")
+            .with_kind(PanelKind::SingleStat);
         let data = panel.evaluate(&db(), 0, u64::MAX);
         // 100 syscalls every 5 s → 20/s.
         assert!((data.current.unwrap() - 20.0).abs() < 1e-9);
@@ -453,7 +364,36 @@ mod tests {
         let json = serde_json::to_string(&panel).unwrap();
         let parsed: Panel = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, panel);
-        assert_eq!(parsed.expr.as_deref(), Some("rate(x_total[1m])"));
+        assert_eq!(parsed.expr, "rate(x_total[1m])");
+    }
+
+    #[test]
+    fn selector_panels_store_their_selector_as_teeql() {
+        let selector = Selector::metric("m").with_label("node", "n\"1").with_label_present("job");
+        let panel = Panel::table("t", selector.clone());
+        assert_eq!(panel.expr, selector.to_string());
+        assert_eq!(
+            teemon_query::parse(&panel.expr).unwrap(),
+            teemon_query::Expr::Selector(selector)
+        );
+    }
+
+    #[test]
+    fn the_grid_ends_on_the_newest_sample() {
+        // A range far shorter than a minute still gets 60 steps, and the
+        // last one reads the newest sample.
+        let db = TimeSeriesDb::new();
+        for (t, v) in [(24u64, 1.0), (42, 2.0), (59, 3.0), (145, 4.0)] {
+            db.append("g", &Labels::new(), t, v);
+        }
+        let data = Panel::graph("g", Selector::metric("g")).evaluate(&db, 0, u64::MAX);
+        assert_eq!(data.aggregated.len(), 61);
+        assert_eq!(data.aggregated.last(), Some(&(145, 4.0)));
+        assert_eq!(data.current, Some(4.0));
+        // So does an explicit step that does not divide the range.
+        let stepped = Panel::stat("g", Selector::metric("g")).with_step_ms(50);
+        let data = stepped.evaluate(&db, 0, u64::MAX);
+        assert_eq!(data.aggregated, vec![(45, 2.0), (95, 3.0), (145, 4.0)]);
     }
 
     #[test]

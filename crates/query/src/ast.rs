@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use teemon_tsdb::{AggregateOp, Selector};
+use teemon_tsdb::Selector;
 
 /// A binary operator: arithmetic or (filtering) comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,6 +164,48 @@ impl fmt::Display for RangeFunc {
     }
 }
 
+/// A cross-series aggregation operator (`sum by (node) (...)` and friends).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggregateOp {
+    /// Sum of values.
+    Sum,
+    /// Arithmetic mean.
+    Avg,
+    /// Minimum.
+    Min,
+    /// Maximum.
+    Max,
+    /// Number of values.
+    Count,
+}
+
+impl AggregateOp {
+    /// Looks an operator up by its TeeQL name.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "sum" => Some(AggregateOp::Sum),
+            "avg" => Some(AggregateOp::Avg),
+            "min" => Some(AggregateOp::Min),
+            "max" => Some(AggregateOp::Max),
+            "count" => Some(AggregateOp::Count),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for AggregateOp {
+    /// The operator's TeeQL name.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            AggregateOp::Sum => "sum",
+            AggregateOp::Avg => "avg",
+            AggregateOp::Min => "min",
+            AggregateOp::Max => "max",
+            AggregateOp::Count => "count",
+        })
+    }
+}
+
 /// Label grouping of a cross-series aggregation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Grouping {
@@ -258,29 +300,6 @@ pub enum Expr {
     },
 }
 
-/// TeeQL spelling of an [`AggregateOp`].
-pub fn aggregate_op_name(op: AggregateOp) -> &'static str {
-    match op {
-        AggregateOp::Sum => "sum",
-        AggregateOp::Avg => "avg",
-        AggregateOp::Min => "min",
-        AggregateOp::Max => "max",
-        AggregateOp::Count => "count",
-    }
-}
-
-/// Looks an [`AggregateOp`] up by its TeeQL name.
-pub fn aggregate_op_from_name(name: &str) -> Option<AggregateOp> {
-    match name {
-        "sum" => Some(AggregateOp::Sum),
-        "avg" => Some(AggregateOp::Avg),
-        "min" => Some(AggregateOp::Min),
-        "max" => Some(AggregateOp::Max),
-        "count" => Some(AggregateOp::Count),
-        _ => None,
-    }
-}
-
 /// Renders a millisecond duration in the largest unit that divides it evenly
 /// (`300000` → `"5m"`, `90000` → `"90s"`, `1500` → `"1500ms"`).
 pub fn format_duration_ms(ms: u64) -> String {
@@ -320,8 +339,8 @@ impl fmt::Display for Expr {
                 None => write!(f, "{func}({arg})"),
             },
             Expr::Aggregate { op, grouping, expr } => match grouping {
-                Grouping::None => write!(f, "{}({expr})", aggregate_op_name(*op)),
-                _ => write!(f, "{} {grouping} ({expr})", aggregate_op_name(*op)),
+                Grouping::None => write!(f, "{op}({expr})"),
+                _ => write!(f, "{op} {grouping} ({expr})"),
             },
             Expr::Binary { op, lhs, rhs } => {
                 // Left-associative grammar: the left child may print bare at

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use crate::ast::{aggregate_op_name, format_duration_ms, Expr, Grouping};
+use crate::ast::{format_duration_ms, Expr, Grouping};
 use crate::eval::{EvalError, QueryEngine, QueryError, RangeSeries};
 use crate::parser::parse;
 use crate::stream::{self, Node, PlanKind};
@@ -194,8 +194,8 @@ fn annotate(expr: &Expr, plan: &Node) -> PlanNode {
         }
         (Expr::Aggregate { op, grouping, expr }, Node::Group { input, .. }) => {
             let label = match grouping {
-                Grouping::None => format!("{}(·)", aggregate_op_name(*op)),
-                _ => format!("{} {grouping} (·)", aggregate_op_name(*op)),
+                Grouping::None => format!("{op}(·)"),
+                _ => format!("{op} {grouping} (·)"),
             };
             node(label, series, vec![annotate(expr, input)])
         }

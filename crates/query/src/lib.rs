@@ -16,9 +16,12 @@
 //!   series' window over the whole step grid at `O(samples touched)` rather
 //!   than `O(steps × window)`; an instant query is a grid of one step,
 //! * [`RuleEngine`] — [`RecordingRule`]s that write derived series back into
-//!   the database and [`AlertRule`]s (expression + `for` hold + severity)
-//!   that supersede the ad-hoc [`teemon_analysis::ThresholdKind`] path
-//!   ([`compile_threshold`] converts the legacy rules).
+//!   the database and [`AlertRule`]s (expression + `for` hold +
+//!   [`Severity`]).
+//!
+//! `teemon_dashboard`'s panels and `teemon_analysis`' bottleneck diagnoses
+//! evaluate through the same engine, and `teemon_analysis` compiles PMAN's
+//! legacy threshold rules into [`AlertRule`]s.
 //!
 //! # The language
 //!
@@ -75,14 +78,12 @@ pub mod parser;
 pub mod rules;
 pub mod stream;
 
-pub use ast::{
-    aggregate_op_from_name, aggregate_op_name, format_duration_ms, BinOp, Expr, Grouping, RangeFunc,
-};
+pub use ast::{format_duration_ms, AggregateOp, BinOp, Expr, Grouping, RangeFunc};
 pub use eval::{EvalError, QueryEngine, QueryError, RangeSeries, Value, VectorSample};
 pub use explain::{Analyze, Explain, PlanNode};
 pub use lexer::ParseError;
 pub use parser::parse;
 pub use rules::{
-    cardinality_alerts, compile_threshold, self_observe_alerts, sgx_default_alerts, Alert,
-    AlertRule, AlertState, RecordingRule, Rule, RuleEngine, RuleEvalSummary, RuleGroup,
+    cardinality_alerts, self_observe_alerts, Alert, AlertRule, AlertState, RecordingRule, Rule,
+    RuleEngine, RuleEvalSummary, RuleGroup, Severity,
 };

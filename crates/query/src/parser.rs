@@ -2,7 +2,7 @@
 
 use teemon_tsdb::{LabelMatch, Selector};
 
-use crate::ast::{aggregate_op_from_name, BinOp, Expr, Grouping, RangeFunc};
+use crate::ast::{AggregateOp, BinOp, Expr, Grouping, RangeFunc};
 use crate::lexer::{lex, ParseError, Spanned, Token};
 
 /// Parses a TeeQL expression.
@@ -153,7 +153,7 @@ impl Parser {
             Token::Ident(name) => {
                 self.index += 1;
                 // Aggregation keyword followed by `(`/`by`/`without`?
-                if let Some(op) = aggregate_op_from_name(&name) {
+                if let Some(op) = AggregateOp::from_name(&name) {
                     if self.at_aggregation_start() {
                         return self.aggregation(op);
                     }
@@ -184,7 +184,7 @@ impl Parser {
     /// `aggregation := op ('by'|'without' '(' label-list ')')? '(' expr ')'`,
     /// with the grouping clause also accepted after the body (Prometheus
     /// allows both positions; `Display` prints it before).
-    fn aggregation(&mut self, op: teemon_tsdb::AggregateOp) -> Result<Expr, ParseError> {
+    fn aggregation(&mut self, op: AggregateOp) -> Result<Expr, ParseError> {
         let mut grouping = self.grouping_clause()?;
         self.expect(&Token::LParen, "`(` opening the aggregation body")?;
         let expr = self.expression()?;
@@ -368,7 +368,6 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teemon_tsdb::AggregateOp;
 
     fn roundtrip(input: &str) -> Expr {
         let expr = parse(input).unwrap();

@@ -1,21 +1,19 @@
 //! Recording and alert rules evaluated on a cadence over the database.
 //!
-//! This is the programmable replacement for the ad-hoc
-//! [`teemon_analysis::ThresholdKind`] path: a recording rule evaluates a
-//! TeeQL expression and writes the result back into the database as a new
-//! series (queryable like any scraped metric), and an alert rule fires when
-//! an expression returns a non-empty vector continuously for its `for`
-//! duration.  [`compile_threshold`] converts the legacy threshold rules into
-//! equivalent TeeQL alert expressions.
+//! A recording rule evaluates a TeeQL expression and writes the result back
+//! into the database as a new series (queryable like any scraped metric),
+//! and an alert rule fires when an expression returns a non-empty vector
+//! continuously for its `for` duration.  PMAN's legacy threshold rules
+//! compile into alert rules in `teemon_analysis` (`compile_threshold`).
 
 use std::collections::HashMap;
 
 use parking_lot::{LockClass, Mutex};
-use teemon_analysis::{Severity, Threshold, ThresholdKind};
+use serde::{Deserialize, Serialize};
 use teemon_metrics::Labels;
 use teemon_tsdb::TimeSeriesDb;
 
-use crate::ast::{format_duration_ms, BinOp, Expr, RangeFunc};
+use crate::ast::{format_duration_ms, Expr};
 use crate::eval::{QueryEngine, Value};
 use crate::parser::parse;
 
@@ -43,6 +41,17 @@ impl RecordingRule {
         self.labels.insert(name, value);
         self
     }
+}
+
+/// How urgent a raised alert (or a PMAN anomaly) is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum Severity {
+    /// Informational — worth plotting, not worth waking anyone.
+    Info,
+    /// Warning — a dashboard highlight.
+    Warning,
+    /// Critical — alert/logging channels fire.
+    Critical,
 }
 
 /// A rule raising an alert while an expression keeps returning samples.
@@ -81,43 +90,6 @@ impl AlertRule {
         self.hint = hint.into();
         self
     }
-
-    /// Compiles a legacy [`Threshold`] rule into an equivalent TeeQL alert
-    /// rule evaluating over `window_ms` windows.
-    pub fn from_threshold(threshold: &Threshold, window_ms: u64) -> Self {
-        Self {
-            name: threshold.name.clone(),
-            expr: compile_threshold(threshold, window_ms),
-            for_ms: 0,
-            severity: threshold.severity,
-            hint: threshold.hint.clone(),
-        }
-    }
-}
-
-/// Compiles a [`Threshold`] into the TeeQL expression it denotes:
-/// `MeanAbove(v)` becomes `avg_over_time(sel[w]) > v`, `MaxAbove` uses
-/// `max_over_time`, `MedianAbove` uses `quantile_over_time(0.5, ...)`, and
-/// `MeanBelow` flips the comparison.
-pub fn compile_threshold(threshold: &Threshold, window_ms: u64) -> Expr {
-    let range = Expr::Range { selector: threshold.selector.clone(), window_ms: window_ms.max(1) };
-    let (func, param, op, value) = match threshold.kind {
-        ThresholdKind::MeanAbove(v) => (RangeFunc::AvgOverTime, None, BinOp::Gt, v),
-        ThresholdKind::MeanBelow(v) => (RangeFunc::AvgOverTime, None, BinOp::Lt, v),
-        ThresholdKind::MaxAbove(v) => (RangeFunc::MaxOverTime, None, BinOp::Gt, v),
-        ThresholdKind::MedianAbove(v) => (RangeFunc::QuantileOverTime, Some(0.5), BinOp::Gt, v),
-    };
-    Expr::Binary {
-        op,
-        lhs: Box::new(Expr::Call { func, param, arg: Box::new(range) }),
-        rhs: Box::new(Expr::Number(value)),
-    }
-}
-
-/// The default SGX alert rules: [`Threshold::sgx_defaults`] compiled to TeeQL
-/// over `window_ms` windows.
-pub fn sgx_default_alerts(window_ms: u64) -> Vec<AlertRule> {
-    Threshold::sgx_defaults().iter().map(|t| AlertRule::from_threshold(t, window_ms)).collect()
 }
 
 /// The built-in alert rules over the engine's own telemetry (the
@@ -661,60 +633,6 @@ mod tests {
         db.append("free_pages", &labels, 20_000, 20_000.0);
         engine.evaluate_due(20_000);
         assert!(engine.active_alerts().is_empty());
-    }
-
-    #[test]
-    fn thresholds_compile_to_teeql() {
-        let thresholds = Threshold::sgx_defaults();
-        for t in &thresholds {
-            let expr = compile_threshold(t, 300_000);
-            // The compiled expression round-trips through the parser.
-            assert_eq!(parse(&expr.to_string()).unwrap(), expr);
-        }
-        let mean_below = thresholds.iter().find(|t| t.name == "epc_free_pages_low").unwrap();
-        assert_eq!(
-            compile_threshold(mean_below, 300_000).to_string(),
-            "avg_over_time(sgx_nr_free_pages[5m]) < 512"
-        );
-        let median = Threshold::new(
-            "m",
-            Selector::metric("latency_ms"),
-            ThresholdKind::MedianAbove(10.0),
-            Severity::Info,
-            "",
-        );
-        assert_eq!(
-            compile_threshold(&median, 60_000).to_string(),
-            "quantile_over_time(0.5, latency_ms[1m]) > 10"
-        );
-        let alerts = sgx_default_alerts(300_000);
-        assert_eq!(alerts.len(), thresholds.len());
-        assert_eq!(alerts[0].name, thresholds[0].name);
-        assert_eq!(alerts[0].severity, thresholds[0].severity);
-    }
-
-    #[test]
-    fn compiled_threshold_fires_like_the_legacy_detector() {
-        // The legacy path: MeanBelow(512) over sgx_nr_free_pages windows.
-        let db = TimeSeriesDb::new();
-        let labels = Labels::from_pairs([("node", "n1")]);
-        for minute in 0..10u64 {
-            let free = if minute < 5 { 20_000.0 } else { 100.0 };
-            db.append("sgx_nr_free_pages", &labels, minute * 60_000, free);
-        }
-        let engine = RuleEngine::new(db);
-        let mut group = RuleGroup::new("sgx", 60_000);
-        for alert in sgx_default_alerts(300_000) {
-            group = group.with_rule(alert);
-        }
-        engine.add_group(group);
-        // At t=10 min the 5-minute window covers only the collapsed values.
-        let summary = engine.evaluate_due(10 * 60_000);
-        assert!(summary.errors.is_empty(), "{:?}", summary.errors);
-        let firing = engine.firing_alerts();
-        assert_eq!(firing.len(), 1);
-        assert_eq!(firing[0].rule, "epc_free_pages_low");
-        assert!(firing[0].hint.contains("EPC"));
     }
 
     #[test]

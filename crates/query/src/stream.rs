@@ -96,10 +96,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use teemon_metrics::Labels;
-use teemon_tsdb::query::reset_adjusted_delta;
-use teemon_tsdb::{AggregateOp, OwnedSampleCursor, Sample, Selector, TimeSeriesDb};
+use teemon_tsdb::{OwnedSampleCursor, Sample, Selector, TimeSeriesDb};
 
-use crate::ast::{BinOp, Expr, RangeFunc};
+use crate::ast::{AggregateOp, BinOp, Expr, RangeFunc};
 use crate::eval::{EvalError, RangeSeries};
 
 /// Work counters of one plan execution, totalled across every series when
@@ -888,6 +887,17 @@ impl Window {
                 quantile_of_sorted(&self.scratch, q)
             }
         }
+    }
+}
+
+/// The contribution of one adjacent counter-sample pair to `increase()` /
+/// `rate()`, handling counter resets the way Prometheus does: a decrease
+/// means the counter restarted, so the post-reset value *is* the increase.
+fn reset_adjusted_delta(prev: f64, next: f64) -> f64 {
+    if next >= prev {
+        next - prev
+    } else {
+        next
     }
 }
 

@@ -8,8 +8,8 @@
 //! `NotEquals(_, "")` matchers (which canonicalise to `Exists`).
 
 use proptest::TestRng;
-use teemon_query::{parse, BinOp, Expr, Grouping, RangeFunc};
-use teemon_tsdb::{AggregateOp, LabelMatch, Selector};
+use teemon_query::{parse, AggregateOp, BinOp, Expr, Grouping, RangeFunc};
+use teemon_tsdb::{LabelMatch, Selector};
 
 const METRIC_NAMES: [&str; 6] =
     ["sgx_nr_free_pages", "teemon_syscalls_total", "up", "node:syscalls:rate5m", "_hidden", "m0"];

@@ -24,9 +24,10 @@ use std::rc::Rc;
 
 use teemon_metrics::Labels;
 use teemon_query::{
-    BinOp, EvalError, Expr, Grouping, QueryEngine, RangeFunc, RangeSeries, Value, VectorSample,
+    AggregateOp, BinOp, EvalError, Expr, Grouping, QueryEngine, RangeFunc, RangeSeries, Value,
+    VectorSample,
 };
-use teemon_tsdb::{query, AggregateOp, Selector, SeriesSnapshot};
+use teemon_tsdb::{Selector, SeriesSnapshot};
 
 /// A result series' identity: metric name (when kept) and labels.
 type Key = (Option<String>, Labels);
@@ -167,16 +168,54 @@ fn eval(
 fn apply_range_func(func: RangeFunc, param: Option<f64>, points: &[(u64, f64)]) -> Option<f64> {
     let values = || points.iter().map(|(_, v)| *v).collect::<Vec<f64>>();
     match func {
-        RangeFunc::Rate => query::rate(points),
-        RangeFunc::Increase => query::increase(points),
-        RangeFunc::AvgOverTime => AggregateOp::Avg.apply(&values()),
-        RangeFunc::MinOverTime => AggregateOp::Min.apply(&values()),
-        RangeFunc::MaxOverTime => AggregateOp::Max.apply(&values()),
-        RangeFunc::SumOverTime => AggregateOp::Sum.apply(&values()),
-        RangeFunc::CountOverTime => AggregateOp::Count.apply(&values()),
+        RangeFunc::Rate => rate(points),
+        RangeFunc::Increase => increase(points),
+        RangeFunc::AvgOverTime => apply(AggregateOp::Avg, &values()),
+        RangeFunc::MinOverTime => apply(AggregateOp::Min, &values()),
+        RangeFunc::MaxOverTime => apply(AggregateOp::Max, &values()),
+        RangeFunc::SumOverTime => apply(AggregateOp::Sum, &values()),
+        RangeFunc::CountOverTime => apply(AggregateOp::Count, &values()),
         RangeFunc::QuantileOverTime => quantile(values(), param.unwrap_or(0.5)),
         RangeFunc::LastOverTime => points.last().map(|(_, v)| *v),
     }
+}
+
+/// The window's increase: the sum of every adjacent pair's delta, where a
+/// decrease is a counter reset and the post-reset value is the increase.
+fn increase(points: &[(u64, f64)]) -> Option<f64> {
+    if points.len() < 2 {
+        return None;
+    }
+    let mut total = 0.0;
+    for pair in points.windows(2) {
+        let (prev, next) = (pair[0].1, pair[1].1);
+        total += if next >= prev { next - prev } else { next };
+    }
+    Some(total)
+}
+
+/// [`increase`] per second of the span between the window's first and last
+/// samples.
+fn rate(points: &[(u64, f64)]) -> Option<f64> {
+    let (&(t0, _), &(t1, _)) = (points.first()?, points.last()?);
+    if t1 <= t0 {
+        return None;
+    }
+    Some(increase(points)? / ((t1 - t0) as f64 / 1000.0))
+}
+
+/// `op` over a whole set of values; `None` for an empty set.
+fn apply(op: AggregateOp, values: &[f64]) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    Some(match op {
+        AggregateOp::Sum => values.iter().sum(),
+        AggregateOp::Avg => values.iter().sum::<f64>() / values.len() as f64,
+        AggregateOp::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
+        AggregateOp::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        AggregateOp::Count => values.len() as f64,
+    })
 }
 
 /// The exact `q`-quantile, interpolated between the two nearest ranks of
@@ -195,7 +234,7 @@ fn aggregate(samples: &[VectorSample], op: AggregateOp, grouping: &Grouping) -> 
         groups.entry(grouping.key_for(&sample.labels)).or_default().push(sample.value);
     }
     let samples = groups.into_iter().filter_map(|(labels, values)| {
-        op.apply(&values).map(|value| VectorSample { name: None, labels, value })
+        apply(op, &values).map(|value| VectorSample { name: None, labels, value })
     });
     samples.collect()
 }

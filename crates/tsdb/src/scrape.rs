@@ -1394,7 +1394,9 @@ mod tests {
         let results = db.query_range(&Selector::metric("events_total"), 0, u64::MAX);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].points.len(), 5);
-        let r = crate::query::rate(&results[0].points).unwrap();
+        let (&(t0, v0), &(t1, v1)) =
+            (results[0].points.first().unwrap(), results[0].points.last().unwrap());
+        let r = (v1 - v0) / ((t1 - t0) as f64 / 1000.0);
         assert!((r - 2.0).abs() < 1e-9, "10 events per 5s = 2/s, got {r}");
     }
 

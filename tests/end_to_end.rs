@@ -6,7 +6,8 @@ use teemon::{HostMonitor, MonitorBuilder, MonitoringMode};
 use teemon_analysis::BottleneckKind;
 use teemon_apps::{Application, RedisApp};
 use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams, SconeVersion};
-use teemon_tsdb::{query, Selector};
+use teemon_query::{QueryEngine, Value};
+use teemon_tsdb::Selector;
 
 fn run_workload(host: &HostMonitor, value_bytes: u64, requests: u64) -> Deployment {
     let app = RedisApp::paper_config(value_bytes);
@@ -64,9 +65,13 @@ fn full_pipeline_from_workload_to_dashboard() {
     }
 
     // The per-second rate over the monitored window is positive.
-    let points: Vec<&[(u64, f64)]> = syscall_series.iter().map(|r| r.points.as_slice()).collect();
-    let totals = query::aggregate_series_over_time(&points, query::AggregateOp::Sum);
-    assert!(query::rate(&totals).unwrap_or(0.0) > 0.0);
+    let (oldest, newest) = (db.oldest_timestamp().unwrap(), db.newest_timestamp().unwrap());
+    let query = format!("sum(rate(teemon_syscalls_total[{}ms]))", newest - oldest);
+    let Value::Vector(rate) = QueryEngine::new(db.clone()).instant_query(&query, newest).unwrap()
+    else {
+        panic!("sum(rate()) is an instant vector")
+    };
+    assert!(rate[0].value > 0.0, "{rate:?}");
 
     // The 105 MB database exceeds the EPC: the SGX exporter must have seen
     // evictions, and they must match what the driver reports.

@@ -7,8 +7,9 @@ use std::sync::Arc;
 use teemon::ClusterMonitor;
 use teemon_metrics::{FamilySnapshot, Labels, Registry};
 use teemon_orchestrator::{Cluster, Node};
+use teemon_query::{QueryEngine, Value};
 use teemon_tsdb::{
-    query, MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb,
+    MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb,
 };
 
 /// A typed endpoint that can be switched into a failing state at runtime.
@@ -76,9 +77,19 @@ fn counter_resets_are_handled_by_rate() {
     for (ts, value) in samples {
         db.append("teemon_syscalls_total", &labels, ts, value);
     }
-    let series = db.query_range(&Selector::metric("teemon_syscalls_total"), 0, u64::MAX);
-    let increase = query::increase(&series[0].points).unwrap();
-    assert_eq!(increase, 1_000.0 + 1_000.0 + 50.0 + 400.0);
+    let engine = QueryEngine::new(db);
+    let Value::Vector(increase) =
+        engine.instant_query("increase(teemon_syscalls_total[20s])", 20_000).unwrap()
+    else {
+        panic!("increase() is an instant vector")
+    };
+    assert_eq!(increase[0].value, 1_000.0 + 1_000.0 + 50.0 + 400.0);
+    let Value::Vector(rate) =
+        engine.instant_query("rate(teemon_syscalls_total[20s])", 20_000).unwrap()
+    else {
+        panic!("rate() is an instant vector")
+    };
+    assert_eq!(rate[0].value, increase[0].value / 20.0);
 }
 
 #[test]

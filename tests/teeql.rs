@@ -2,9 +2,9 @@
 //! rule and an alert rule all exercised through `MonitorBuilder` against a
 //! live monitored workload.
 
-use teemon_repro::analysis::Severity;
+use teemon_repro::analysis::{sgx_default_alerts, Severity};
 use teemon_repro::dashboard::Panel;
-use teemon_repro::query::{parse, sgx_default_alerts, QueryEngine, RecordingRule, RuleGroup};
+use teemon_repro::query::{parse, QueryEngine, RecordingRule, RuleGroup};
 use teemon_repro::teemon::{MonitorBuilder, MonitoringMode};
 use teemon_repro::tsdb::Selector;
 
