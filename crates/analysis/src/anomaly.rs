@@ -8,13 +8,12 @@ use crate::stats::WindowStats;
 
 /// How a window statistic is compared against the threshold value.
 ///
-/// This fixed comparison set predates TeeQL and is kept for the sliding
-/// window analytics of [`crate::Analyzer`]; for alerting, prefer TeeQL alert
-/// rules ([`teemon_query::AlertRule`]), which express these comparisons — and
-/// arbitrarily richer ones — as query expressions.
-/// [`crate::compile_threshold`] converts any [`Threshold`] into the
-/// equivalent TeeQL expression (e.g. `MeanAbove(v)` becomes
-/// `avg_over_time(sel[w]) > v`).
+/// [`crate::Analyzer::detect_anomalies`] compares the statistic of the
+/// engine's [`crate::BoxPlot`] of each window; [`crate::compile_threshold`]
+/// states the same comparison as a TeeQL alert expression (e.g.
+/// `MeanAbove(v)` becomes `avg_over_time(sel[w]) > v`), so an anomaly and
+/// its alert fire at the same steps.  TeeQL alert rules
+/// ([`teemon_query::AlertRule`]) express arbitrarily richer comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ThresholdKind {
     /// Fire when the window mean exceeds the value.
@@ -121,7 +120,7 @@ pub struct Anomaly {
     pub hint: String,
 }
 
-/// Evaluates a set of threshold rules against windowed series data.
+/// The threshold rules [`crate::Analyzer::detect_anomalies`] runs.
 #[derive(Debug, Clone, Default)]
 pub struct AnomalyDetector {
     rules: Vec<Threshold>,
@@ -147,43 +146,15 @@ impl AnomalyDetector {
     pub fn rules(&self) -> &[Threshold] {
         &self.rules
     }
-
-    /// Evaluates every rule against a series' windows.  `metric` and `series`
-    /// describe the series the windows came from; only rules whose selector
-    /// matches are evaluated.
-    pub fn evaluate(
-        &self,
-        metric: &str,
-        labels: &teemon_metrics::Labels,
-        windows: &[WindowStats],
-    ) -> Vec<Anomaly> {
-        let mut anomalies = Vec::new();
-        for rule in &self.rules {
-            if !rule.selector.matches(metric, labels) {
-                continue;
-            }
-            for window in windows {
-                if rule.fires_on(window) {
-                    anomalies.push(Anomaly {
-                        rule: rule.name.clone(),
-                        severity: rule.severity,
-                        metric: metric.to_string(),
-                        series: labels.to_string(),
-                        window: *window,
-                        hint: rule.hint.clone(),
-                    });
-                }
-            }
-        }
-        anomalies
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats::BoxPlot;
+    use crate::Analyzer;
     use teemon_metrics::Labels;
+    use teemon_tsdb::TimeSeriesDb;
 
     fn window(mean: f64, max: f64) -> WindowStats {
         WindowStats {
@@ -243,25 +214,34 @@ mod tests {
 
     #[test]
     fn detector_matches_rules_by_selector() {
-        let detector = AnomalyDetector::with_sgx_defaults();
+        let db = TimeSeriesDb::new();
         let labels = Labels::from_pairs([("node", "n1")]);
-        // High eviction rate fires the EPC rule.
-        let anomalies =
-            detector.evaluate("sgx_pages_evicted_per_second", &labels, &[window(5_000.0, 9_000.0)]);
-        assert_eq!(anomalies.len(), 1);
-        assert_eq!(anomalies[0].rule, "epc_evictions_high");
-        assert_eq!(anomalies[0].severity, Severity::Warning);
-        assert!(anomalies[0].hint.contains("EPC"));
+        for minute in 0..6u64 {
+            let t = minute * 60_000;
+            db.append("sgx_pages_evicted_per_second", &labels, t, 5_000.0);
+            db.append("unrelated_metric", &labels, t, 5_000.0);
+            db.append("sgx_nr_free_pages", &labels, t, 100.0);
+        }
+        let analyzer = Analyzer::new(db);
+        let detect = |selector: Selector| analyzer.detect_anomalies(&selector, 0, u64::MAX);
+        // High eviction rate fires the EPC rule, at each of the six steps.
+        let evictions = detect(Selector::metric("sgx_pages_evicted_per_second"));
+        assert_eq!(evictions.len(), 6);
+        assert!(evictions.iter().all(|a| a.rule == "epc_evictions_high"));
+        assert_eq!(evictions[0].severity, Severity::Warning);
+        assert!(evictions[0].hint.contains("EPC"));
+        assert_eq!(evictions[0].series, labels.to_string());
 
-        // The same windows on an unrelated metric fire nothing.
-        assert!(detector
-            .evaluate("unrelated_metric", &labels, &[window(5_000.0, 9_000.0)])
-            .is_empty());
+        // The same values on an unrelated metric fire nothing.
+        assert!(detect(Selector::metric("unrelated_metric")).is_empty());
 
         // Low free pages fires the MeanBelow rule.
-        let low = detector.evaluate("sgx_nr_free_pages", &labels, &[window(100.0, 200.0)]);
-        assert_eq!(low.len(), 1);
-        assert_eq!(low[0].rule, "epc_free_pages_low");
+        let low = detect(Selector::metric("sgx_nr_free_pages"));
+        assert_eq!(low.len(), 6);
+        assert!(low.iter().all(|a| a.rule == "epc_free_pages_low"));
+
+        // A name-less selector lets every rule find its own metric.
+        assert_eq!(detect(Selector::all()).len(), evictions.len() + low.len());
     }
 
     #[test]
@@ -275,10 +255,20 @@ mod tests {
             Severity::Critical,
             "latency above SLO",
         ));
-        let redis = Labels::from_pairs([("app", "redis")]);
-        let nginx = Labels::from_pairs([("app", "nginx")]);
-        assert_eq!(detector.evaluate("latency_ms", &redis, &[window(20.0, 40.0)]).len(), 1);
-        assert!(detector.evaluate("latency_ms", &nginx, &[window(20.0, 40.0)]).is_empty());
+        let db = TimeSeriesDb::new();
+        for app in ["redis", "nginx"] {
+            db.append("latency_ms", &Labels::from_pairs([("app", app)]), 0, 20.0);
+        }
+        let analyzer = Analyzer::new(db).with_detector(detector);
+        let detect = |selector: Selector| analyzer.detect_anomalies(&selector, 0, u64::MAX);
+        let anomalies = detect(Selector::all());
+        assert_eq!(anomalies.len(), 1);
+        assert_eq!(anomalies[0].series, Labels::from_pairs([("app", "redis")]).to_string());
+        // The caller's selector narrows the rule's; one that contradicts it
+        // leaves nothing to evaluate.
+        assert_eq!(detect(Selector::metric("latency_ms")).len(), 1);
+        assert!(detect(Selector::all().with_label("app", "nginx")).is_empty());
+        assert!(detect(Selector::metric("other_ms")).is_empty());
     }
 
     #[test]

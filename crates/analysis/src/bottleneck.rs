@@ -15,16 +15,18 @@
 //! engine that serves dashboards and alerts — at the end of the requested
 //! range clamped to the data, over a window spanning that whole range.  The
 //! engine's windows are closed (`[t − w, t]`), so the window holds exactly
-//! the samples of the clamped range.
+//! the samples of the clamped range.  Anomaly detection is a range query of
+//! the same engine: the sliding window's box plots on a step grid over the
+//! clamped range.
 
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use teemon_metrics::Labels;
-use teemon_query::{format_duration_ms, QueryEngine, Value, VectorSample};
+use teemon_query::{format_duration_ms, EvalError, QueryEngine, Value, VectorSample};
 use teemon_tsdb::{Selector, TimeSeriesDb};
 
-use crate::anomaly::{Anomaly, AnomalyDetector};
+use crate::anomaly::{Anomaly, AnomalyDetector, Threshold};
 use crate::stats::SlidingWindow;
 
 /// The kinds of bottleneck the analyzer can diagnose.
@@ -114,13 +116,20 @@ impl Analyzer {
         self.engine.db()
     }
 
+    /// `[start_ms, end_ms]` clamped to the data; `None` when no data falls
+    /// in the range.
+    fn clamp(&self, start_ms: u64, end_ms: u64) -> Option<(u64, u64)> {
+        let start = start_ms.max(self.db().oldest_timestamp()?);
+        let end = end_ms.min(self.db().newest_timestamp()?);
+        (start <= end).then_some((start, end))
+    }
+
     /// The instant and the window that cover `[start_ms, end_ms]` clamped to
     /// the data: evaluating `f(m[window])` at the instant reads exactly the
     /// clamped range.  `None` when no data falls in the range.
     fn window(&self, start_ms: u64, end_ms: u64) -> Option<(u64, String)> {
-        let start = start_ms.max(self.db().oldest_timestamp()?);
-        let end = end_ms.min(self.db().newest_timestamp()?);
-        (start <= end).then(|| (end, format_duration_ms((end - start).max(1))))
+        let (start, end) = self.clamp(start_ms, end_ms)?;
+        Some((end, format_duration_ms((end - start).max(1))))
     }
 
     /// The vector `query` evaluates to at `at_ms`; empty when the engine
@@ -142,18 +151,65 @@ impl Analyzer {
 
     /// Runs threshold-based anomaly detection over every series matching
     /// `selector` within `[start_ms, end_ms]`.
+    ///
+    /// The range is clamped to the data and the configured window slides
+    /// over it, one closed window `[t − window_ms, t]` per step `t` of the
+    /// grid from the clamped start.  Each window's [`crate::BoxPlot`] is the
+    /// engine's, so a rule's anomalies come at exactly the steps where its
+    /// [`crate::Threshold::alert_rule`] fires.  A rule whose query the
+    /// engine refuses yields none.
     pub fn detect_anomalies(
         &self,
         selector: &Selector,
         start_ms: u64,
         end_ms: u64,
     ) -> Vec<Anomaly> {
+        let Some((start, end)) = self.clamp(start_ms, end_ms) else { return Vec::new() };
+        let rules = self.detector.rules().iter();
+        rules
+            .flat_map(|rule| self.anomalies(rule, selector, start, end).unwrap_or_default())
+            .collect()
+    }
+
+    /// One rule's anomalies over the series both its selector and `selector`
+    /// pick, evaluated one metric at a time: the window functions drop the
+    /// name, so two metrics with one label set would collide.
+    fn anomalies(
+        &self,
+        rule: &Threshold,
+        selector: &Selector,
+        start_ms: u64,
+        end_ms: u64,
+    ) -> Result<Vec<Anomaly>, EvalError> {
+        let name = match (&rule.selector.name, &selector.name) {
+            (Some(ours), Some(theirs)) if ours != theirs => return Ok(Vec::new()),
+            (ours, theirs) => ours.clone().or_else(|| theirs.clone()),
+        };
+        let matchers = rule.selector.matchers.iter().chain(&selector.matchers).cloned().collect();
+        let merged = Selector { name, matchers };
+        let mut names: Vec<String> =
+            self.db().select(&merged).iter().map(|series| series.name().to_string()).collect();
+        names.sort_unstable();
+        names.dedup();
         let mut anomalies = Vec::new();
-        for result in self.db().query_range(selector, start_ms, end_ms) {
-            let windows = self.config.window.evaluate(&result.points);
-            anomalies.extend(self.detector.evaluate(&result.name, &result.labels, &windows));
+        for name in names {
+            let one_metric = Selector { name: Some(name.clone()), ..merged.clone() };
+            let plots =
+                self.config.window.box_plots(&self.engine, &one_metric, start_ms, end_ms)?;
+            for (labels, windows) in plots {
+                let series = labels.to_string();
+                let fired = windows.into_iter().filter(|window| rule.fires_on(window));
+                anomalies.extend(fired.map(|window| Anomaly {
+                    rule: rule.name.clone(),
+                    severity: rule.severity,
+                    metric: name.clone(),
+                    series: series.clone(),
+                    window,
+                    hint: rule.hint.clone(),
+                }));
+            }
         }
-        anomalies
+        Ok(anomalies)
     }
 
     /// Diagnoses syscall dominance from the per-syscall counter series
@@ -320,7 +376,9 @@ pub fn summarize(findings: &[BottleneckFinding]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::anomaly::ThresholdKind;
     use teemon_metrics::Labels;
+    use teemon_query::Severity;
 
     fn db_with_syscall_mix(clock: f64, read: f64, write: f64) -> TimeSeriesDb {
         let db = TimeSeriesDb::new();
@@ -488,15 +546,93 @@ mod tests {
     fn anomaly_detection_over_db_ranges() {
         let db = TimeSeriesDb::new();
         let labels = Labels::from_pairs([("node", "n1")]);
-        // Free pages collapse over 10 minutes.
-        for minute in 0..10u64 {
+        // Free pages collapse at minute 5 of 12.
+        for minute in 0..12u64 {
             let free = if minute < 5 { 20_000.0 } else { 100.0 };
             db.append("sgx_nr_free_pages", &labels, minute * 60_000, free);
         }
         let analyzer = Analyzer::new(db);
         let anomalies =
             analyzer.detect_anomalies(&Selector::metric("sgx_nr_free_pages"), 0, 700_000);
-        assert!(!anomalies.is_empty());
-        assert!(anomalies.iter().any(|a| a.rule == "epc_free_pages_low"));
+        // [0, 700 s] clamps to [0, 660 s]; the 5-minute mean falls below 512
+        // once the closed window has left minute 4 behind: from minute 10 on.
+        let ends: Vec<u64> = anomalies.iter().map(|a| a.window.end_ms).collect();
+        assert_eq!(ends, [600_000, 660_000]);
+        let anomaly = &anomalies[0];
+        assert_eq!(anomaly.rule, "epc_free_pages_low");
+        assert_eq!(anomaly.metric, "sgx_nr_free_pages");
+        assert_eq!(anomaly.series, labels.to_string());
+        assert_eq!(anomaly.window.start_ms, 300_000);
+        assert_eq!(anomaly.window.summary.count, 6, "a closed window: both ends are in it");
+        assert_eq!((anomaly.window.summary.min, anomaly.window.summary.max), (100.0, 100.0));
+        // A range outside the data has no windows.
+        assert!(analyzer.detect_anomalies(&Selector::all(), 800_000, 900_000).is_empty());
+    }
+
+    #[test]
+    fn an_anomaly_fires_exactly_where_its_alert_fires() {
+        // Twelve one-minute samples of `m`, one spike of 1000 at minute 5.
+        let db = TimeSeriesDb::new();
+        for minute in 0..12u64 {
+            let value = if minute == 5 { 1_000.0 } else { 1.0 };
+            db.append("m", &Labels::new(), minute * 60_000, value);
+        }
+        let rule = Threshold::new(
+            "spike",
+            Selector::metric("m"),
+            ThresholdKind::MaxAbove(500.0),
+            Severity::Warning,
+            "",
+        );
+        let mut detector = AnomalyDetector::new();
+        detector.add_rule(rule.clone());
+        let analyzer = Analyzer::new(db.clone()).with_detector(detector);
+        let anomalies = analyzer.detect_anomalies(&Selector::metric("m"), 0, u64::MAX);
+        let pman: Vec<u64> = anomalies.iter().map(|a| a.window.end_ms).collect();
+
+        // The alert's expression on the same grid: [0, 660 s] every minute.
+        let engine = QueryEngine::new(db);
+        let alert = rule.alert_rule(300_000).expr;
+        let firing = engine.range(&alert, 0, 660_000, 60_000).unwrap();
+        let alerted: Vec<u64> = firing[0].points.iter().map(|&(t, _)| t).collect();
+        assert_eq!(pman, alerted);
+        assert_eq!(pman, (5..=10).map(|m| m * 60_000).collect::<Vec<_>>());
+
+        // Each window's maximum is the engine's, bit for bit.
+        let max = engine.range_query("max_over_time(m[5m])", 0, 660_000, 60_000).unwrap();
+        for anomaly in &anomalies {
+            let at = anomaly.window.end_ms;
+            let &(_, want) = max[0].points.iter().find(|&&(t, _)| t == at).unwrap();
+            assert_eq!(anomaly.window.summary.max.to_bits(), want.to_bits(), "at {at}");
+        }
+    }
+
+    #[test]
+    fn a_nameless_rule_runs_once_per_metric() {
+        // Two metrics share one label set; the window functions drop the
+        // name, so evaluating them together would collide.
+        let db = TimeSeriesDb::new();
+        let labels = Labels::from_pairs([("app", "redis")]);
+        for minute in 0..3u64 {
+            db.append("latency_ms", &labels, minute * 60_000, 20.0);
+            db.append("errors_total", &labels, minute * 60_000, 30.0);
+        }
+        let mut detector = AnomalyDetector::new();
+        detector.add_rule(Threshold::new(
+            "anything_high",
+            Selector::all().with_label("app", "redis"),
+            ThresholdKind::MeanAbove(10.0),
+            Severity::Info,
+            "",
+        ));
+        let analyzer = Analyzer::new(db).with_detector(detector);
+        let anomalies = analyzer.detect_anomalies(&Selector::all(), 0, u64::MAX);
+        let mut metrics: Vec<&str> = anomalies.iter().map(|a| a.metric.as_str()).collect();
+        metrics.dedup();
+        assert_eq!(metrics, ["errors_total", "latency_ms"]);
+        assert_eq!(anomalies.len(), 6, "three steps for each metric");
+        // The caller's name picks one of them.
+        let latency = analyzer.detect_anomalies(&Selector::metric("latency_ms"), 0, u64::MAX);
+        assert!(latency.len() == 3 && latency.iter().all(|a| a.metric == "latency_ms"));
     }
 }

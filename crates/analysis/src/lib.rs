@@ -12,14 +12,18 @@
 //!
 //! This crate provides exactly those pieces:
 //!
-//! * [`SlidingWindow`] — windowed views over a series,
-//! * [`BoxPlot`] — five-number summaries of SGX metrics,
+//! * [`SlidingWindow`] — the window length and the step it advances by,
+//! * [`BoxPlot`] — five-number summaries of SGX metrics, one per window,
+//!   read from the engine's `min_over_time`, `quantile_over_time`,
+//!   `max_over_time`, `avg_over_time` and `count_over_time`,
 //! * [`Threshold`] / [`AnomalyDetector`] — user-defined threshold rules
-//!   evaluated per window, producing [`Anomaly`] reports,
+//!   compared with each window's box plot, producing [`Anomaly`] reports at
+//!   exactly the steps where the rule's alert fires,
 //! * [`Analyzer`] — the periodic analysis loop over a
-//!   [`teemon_tsdb::TimeSeriesDb`], including the bottleneck heuristics used
-//!   in §6.4/§6.5 (e.g. "`clock_gettime` dominates read/write"), each one a
-//!   TeeQL evaluation through [`teemon_query::QueryEngine`],
+//!   [`teemon_tsdb::TimeSeriesDb`]: anomaly detection, and the bottleneck
+//!   heuristics used in §6.4/§6.5 (e.g. "`clock_gettime` dominates
+//!   read/write"), every one a TeeQL evaluation through
+//!   [`teemon_query::QueryEngine`],
 //! * [`compile_threshold`] / [`sgx_default_alerts`] — the threshold rules as
 //!   TeeQL alert rules for [`teemon_query::RuleEngine`].
 

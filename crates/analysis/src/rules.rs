@@ -3,7 +3,8 @@
 //! A [`Threshold`] compares a window statistic of a selector with a value;
 //! [`compile_threshold`] states the same comparison as a TeeQL expression,
 //! so the rule can run in [`teemon_query::RuleEngine`] beside every other
-//! alert instead of through the sliding-window detector.
+//! alert.  PMAN's detector reads the same statistic from the same engine, so
+//! the two fire at the same steps.
 
 use teemon_query::{AlertRule, BinOp, Expr, RangeFunc};
 

@@ -1,6 +1,9 @@
 //! Sliding windows, window statistics and box plots.
 
 use serde::{Deserialize, Serialize};
+use teemon_metrics::Labels;
+use teemon_query::{EvalError, Expr, QueryEngine, RangeFunc};
+use teemon_tsdb::Selector;
 
 /// A five-number summary (plus mean) of a metric over a window — the "box plot
 /// for SGX metrics" PMAN provides.
@@ -23,38 +26,6 @@ pub struct BoxPlot {
 }
 
 impl BoxPlot {
-    /// Computes a box plot from raw values; returns `None` for empty input.
-    pub fn from_values(values: &[f64]) -> Option<Self> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-        if sorted.is_empty() {
-            return None;
-        }
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let q = |p: f64| -> f64 {
-            let pos = p * (sorted.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            if lo == hi {
-                sorted[lo]
-            } else {
-                let w = pos - lo as f64;
-                sorted[lo] * (1.0 - w) + sorted[hi] * w
-            }
-        };
-        Some(Self {
-            min: sorted[0],
-            q1: q(0.25),
-            median: q(0.5),
-            q3: q(0.75),
-            max: *sorted.last().expect("non-empty"),
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            count: sorted.len(),
-        })
-    }
-
     /// Interquartile range.
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
@@ -79,9 +50,13 @@ pub struct WindowStats {
     pub summary: BoxPlot,
 }
 
-/// A sliding window over `(timestamp_ms, value)` points.
+/// The statistic of a [`BoxPlot`] one engine function fills in.
+type Field = fn(&mut BoxPlot) -> &mut f64;
+
+/// A sliding window: its length and the step it advances by.
 ///
-/// PMAN's default is a 5-minute window advanced every minute.
+/// PMAN's default is a 5-minute window advanced every minute ("it processes
+/// every minute for the last five minutes", §4).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlidingWindow {
     /// Window length in milliseconds.
@@ -102,52 +77,102 @@ impl SlidingWindow {
         Self { window_ms: window_ms.max(1), step_ms: step_ms.max(1) }
     }
 
-    /// Evaluates the window over `points`, returning one [`WindowStats`] per
-    /// step that contains at least one sample.
-    pub fn evaluate(&self, points: &[(u64, f64)]) -> Vec<WindowStats> {
-        if points.is_empty() {
-            return Vec::new();
-        }
-        let first = points.first().expect("non-empty").0;
-        let last = points.last().expect("non-empty").0;
-        let mut out = Vec::new();
-        let mut end = first + self.window_ms;
-        while end <= last + self.window_ms {
-            let start = end.saturating_sub(self.window_ms);
-            let values: Vec<f64> =
-                points.iter().filter(|(t, _)| *t >= start && *t < end).map(|(_, v)| *v).collect();
-            if let Some(summary) = BoxPlot::from_values(&values) {
-                out.push(WindowStats { start_ms: start, end_ms: end, summary });
+    /// The box plot of every window `[t − window_ms, t]` that holds a
+    /// sample, for `t` on the grid `[start_ms, end_ms]` advanced by
+    /// `step_ms`, per series `selector` picks (in key order).  Each statistic
+    /// is the engine's: `count_over_time`, `min_over_time`,
+    /// `quantile_over_time(0.25 | 0.5 | 0.75)`, `max_over_time` and
+    /// `avg_over_time` — the functions [`crate::compile_threshold`] gives an
+    /// alert.  The functions drop the metric name, so `selector` should pick
+    /// one metric.
+    pub(crate) fn box_plots(
+        &self,
+        engine: &QueryEngine,
+        selector: &Selector,
+        start_ms: u64,
+        end_ms: u64,
+    ) -> Result<Vec<(Labels, Vec<WindowStats>)>, EvalError> {
+        let range = Expr::Range { selector: selector.clone(), window_ms: self.window_ms };
+        let column = |func, param| {
+            let expr = Expr::Call { func, param, arg: Box::new(range.clone()) };
+            engine.range(&expr, start_ms, end_ms, self.step_ms)
+        };
+        let window = |(end_ms, count): (u64, f64)| WindowStats {
+            start_ms: end_ms.saturating_sub(self.window_ms),
+            end_ms,
+            summary: BoxPlot {
+                min: f64::NAN,
+                q1: f64::NAN,
+                median: f64::NAN,
+                q3: f64::NAN,
+                max: f64::NAN,
+                mean: f64::NAN,
+                count: count as usize,
+            },
+        };
+        // A window holds a sample exactly where every function has a value,
+        // so the other columns line up with the counts point for point.
+        let mut plots: Vec<(Labels, Vec<WindowStats>)> = column(RangeFunc::CountOverTime, None)?
+            .into_iter()
+            .map(|series| (series.labels, series.points.into_iter().map(window).collect()))
+            .collect();
+        let fields: [(RangeFunc, Option<f64>, Field); 6] = [
+            (RangeFunc::MinOverTime, None, |plot| &mut plot.min),
+            (RangeFunc::QuantileOverTime, Some(0.25), |plot| &mut plot.q1),
+            (RangeFunc::QuantileOverTime, Some(0.5), |plot| &mut plot.median),
+            (RangeFunc::QuantileOverTime, Some(0.75), |plot| &mut plot.q3),
+            (RangeFunc::MaxOverTime, None, |plot| &mut plot.max),
+            (RangeFunc::AvgOverTime, None, |plot| &mut plot.mean),
+        ];
+        for (func, param, field) in fields {
+            for ((_, windows), series) in plots.iter_mut().zip(column(func, param)?) {
+                for (window, (_, value)) in windows.iter_mut().zip(series.points) {
+                    *field(&mut window.summary) = value;
+                }
             }
-            if end > last {
-                break;
-            }
-            end += self.step_ms;
         }
-        out
-    }
-
-    /// Evaluates only the most recent window ending at `now_ms`.
-    pub fn latest(&self, points: &[(u64, f64)], now_ms: u64) -> Option<WindowStats> {
-        let start = now_ms.saturating_sub(self.window_ms);
-        let values: Vec<f64> =
-            points.iter().filter(|(t, _)| *t >= start && *t <= now_ms).map(|(_, v)| *v).collect();
-        BoxPlot::from_values(&values).map(|summary| WindowStats {
-            start_ms: start,
-            end_ms: now_ms,
-            summary,
-        })
+        Ok(plots)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teemon_tsdb::TimeSeriesDb;
+
+    /// `values` one a second from `t = 0`, as the series `m`.
+    fn engine(values: impl IntoIterator<Item = f64>) -> QueryEngine {
+        let db = TimeSeriesDb::new();
+        for (i, value) in values.into_iter().enumerate() {
+            db.append("m", &Labels::new(), i as u64 * 1000, value);
+        }
+        QueryEngine::new(db)
+    }
+
+    /// The windows of the one series `m`, on the grid `[start_ms, end_ms]`.
+    fn windows(
+        engine: &QueryEngine,
+        window: &SlidingWindow,
+        start_ms: u64,
+        end_ms: u64,
+    ) -> Vec<WindowStats> {
+        let plots = window.box_plots(engine, &Selector::metric("m"), start_ms, end_ms).unwrap();
+        plots.into_iter().flat_map(|(_, windows)| windows).collect()
+    }
+
+    /// The box plot of 1, 2, …, 100 in one window.
+    fn one_to_a_hundred() -> BoxPlot {
+        let engine = engine((1..=100).map(f64::from));
+        let [only] = windows(&engine, &SlidingWindow::new(100_000, 1_000), 99_000, 99_000)[..]
+        else {
+            panic!("one window expected")
+        };
+        only.summary
+    }
 
     #[test]
     fn box_plot_five_number_summary() {
-        let values: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let bp = BoxPlot::from_values(&values).unwrap();
+        let bp = one_to_a_hundred();
         assert_eq!(bp.min, 1.0);
         assert_eq!(bp.max, 100.0);
         assert!((bp.median - 50.5).abs() < 1e-9);
@@ -159,18 +184,23 @@ mod tests {
     }
 
     #[test]
-    fn box_plot_rejects_empty_and_nan_only() {
-        assert!(BoxPlot::from_values(&[]).is_none());
-        assert!(BoxPlot::from_values(&[f64::NAN, f64::NAN]).is_none());
-        let single = BoxPlot::from_values(&[7.0]).unwrap();
-        assert_eq!(single.min, 7.0);
-        assert_eq!(single.max, 7.0);
+    fn empty_windows_have_no_box_plot_and_nan_is_the_engines() {
+        // Samples at 0 s and 1 s: the closed 10 s windows ending at 0 … 11 s
+        // hold one, the later ones none.
+        let nan = engine([f64::NAN, f64::NAN]);
+        let found = windows(&nan, &SlidingWindow::new(10_000, 1_000), 0, 30_000);
+        let ends: Vec<u64> = found.iter().map(|w| w.end_ms).collect();
+        assert_eq!(ends, (0..=11).map(|s| s * 1_000).collect::<Vec<_>>());
+        // No sample is dropped for being NaN; the statistics are NaN.
+        assert_eq!(found[5].summary.count, 2);
+        assert!(found[5].summary.mean.is_nan() && found[5].summary.median.is_nan());
+        let single = windows(&engine([7.0]), &SlidingWindow::new(10_000, 1_000), 0, 0);
+        assert_eq!((single[0].summary.min, single[0].summary.max), (7.0, 7.0));
     }
 
     #[test]
     fn outlier_detection_uses_tukey_fences() {
-        let values: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let bp = BoxPlot::from_values(&values).unwrap();
+        let bp = one_to_a_hundred();
         assert!(!bp.is_outlier(50.0));
         assert!(!bp.is_outlier(100.0));
         assert!(bp.is_outlier(500.0));
@@ -180,31 +210,35 @@ mod tests {
     #[test]
     fn sliding_window_evaluates_per_step() {
         // One sample per second for 10 minutes; 5-minute window, 1-minute step.
-        let points: Vec<(u64, f64)> =
-            (0..600).map(|i| (i as u64 * 1000, (i % 60) as f64)).collect();
-        let windows = SlidingWindow::default().evaluate(&points);
-        assert!(windows.len() >= 5, "got {} windows", windows.len());
-        for w in &windows {
+        let engine = engine((0..600).map(|i| f64::from(i % 60)));
+        let found = windows(&engine, &SlidingWindow::default(), 0, 599_000);
+        assert_eq!(found.len(), 10, "one window per grid step");
+        for w in &found {
             assert!(w.end_ms - w.start_ms <= 5 * 60 * 1000);
             assert!(w.summary.count > 0);
         }
-        // Windows advance monotonically.
-        assert!(windows.windows(2).all(|p| p[0].end_ms < p[1].end_ms));
+        // Windows advance monotonically and are closed: `[t − 5m, t]`.
+        assert!(found.windows(2).all(|p| p[0].end_ms < p[1].end_ms));
+        assert_eq!(found[5].summary.count, 301);
     }
 
     #[test]
     fn latest_window_covers_recent_samples_only() {
-        let points: Vec<(u64, f64)> = (0..100).map(|i| (i as u64 * 1000, i as f64)).collect();
+        let engine = engine((0..100).map(f64::from));
         let window = SlidingWindow::new(10_000, 1_000);
-        let latest = window.latest(&points, 99_000).unwrap();
+        let [latest] = windows(&engine, &window, 99_000, 99_000)[..] else { panic!() };
         assert_eq!(latest.start_ms, 89_000);
-        assert!(latest.summary.min >= 89.0);
-        assert!(window.latest(&points, 1_000_000).is_none(), "stale data must not fill the window");
-        assert!(window.latest(&[], 99_000).is_none());
+        assert_eq!(latest.summary.min, 89.0, "the window's start is inside it");
+        assert!(
+            windows(&engine, &window, 1_000_000, 1_000_000).is_empty(),
+            "stale data must not fill the window"
+        );
     }
 
     #[test]
     fn empty_input_evaluates_to_no_windows() {
-        assert!(SlidingWindow::default().evaluate(&[]).is_empty());
+        let plots =
+            SlidingWindow::default().box_plots(&engine([]), &Selector::metric("m"), 0, 600_000);
+        assert!(plots.unwrap().is_empty());
     }
 }

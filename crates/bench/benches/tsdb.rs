@@ -113,9 +113,6 @@ fn bench_select(c: &mut Criterion) {
     group.bench_function("select_node_at_10k/indexed", |b| {
         b.iter(|| black_box(db.select(black_box(&node_wide))))
     });
-    group.bench_function("query_instant_at_10k/indexed", |b| {
-        b.iter(|| black_box(db.query_instant(black_box(&narrow), 40_000)))
-    });
     group.finish();
 }
 

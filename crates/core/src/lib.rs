@@ -34,12 +34,12 @@
 //!     deployment.execute(&request, 320);
 //! }
 //!
-//! // Scrape, then inspect what TEEMon observed.
+//! // Scrape, then ask TEEMon what it observed.
 //! host.scrape_tick();
-//! let syscalls = host
-//!     .db()
-//!     .query_instant(&teemon_tsdb::Selector::metric("teemon_syscalls_total"), u64::MAX);
-//! assert!(!syscalls.is_empty());
+//! let engine = teemon_query::QueryEngine::new(host.db().clone());
+//! let newest = host.db().newest_timestamp().unwrap();
+//! let total = engine.instant_query("sum(teemon_syscalls_total)", newest).unwrap();
+//! assert!(total.as_vector().unwrap()[0].value > 0.0);
 //! ```
 
 #![warn(missing_docs)]

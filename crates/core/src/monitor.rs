@@ -186,8 +186,9 @@ impl MonitorBuilder {
     }
 
     /// Adds the built-in self-watching alert groups: `teemon_self`
-    /// ([`teemon_query::self_observe_alerts`]) for query fallback rate,
-    /// storage shard imbalance, slow-query rate and WAL corruption salvage,
+    /// ([`teemon_query::self_observe_alerts`]) for storage shard imbalance,
+    /// slow-query rate, WAL corruption salvage and unclean flushes, and the
+    /// serving edge's shed, panic and slow-client rates,
     /// and `teemon_cardinality` ([`teemon_query::cardinality_alerts`]) for
     /// budget rejections at the ingest edges and interned-symbol memory
     /// growth.  Both evaluate on the scrape interval's cadence over the
@@ -654,7 +655,7 @@ mod tests {
             "teemon_scrape_rounds_total",
         ] {
             assert!(
-                !host.db().query_instant(&Selector::metric(metric), u64::MAX).is_empty(),
+                !host.db().select(&Selector::metric(metric)).is_empty(),
                 "metric {metric} missing after scrape"
             );
         }
@@ -681,9 +682,7 @@ mod tests {
             deployment.execute(&request, 320);
         }
         host.run_scrape_loop(3);
-        let results =
-            host.db().query_range(&Selector::metric("teemon_syscalls_total"), 0, u64::MAX);
-        assert!(!results.is_empty());
+        assert!(!host.db().select(&Selector::metric("teemon_syscalls_total")).is_empty());
         // The analyzer can run over the scraped data without findings blowing up.
         let findings = host.analyzer().diagnose_all(300.0, 0, u64::MAX);
         let _ = findings;
@@ -760,9 +759,9 @@ mod tests {
         kernel.clock().advance(teemon_sim_core::SimDuration::from_secs(5));
         assert_eq!(host.scrape_tick(), 6);
         // The plugged-in collector's samples land in the shared db.
-        let results = db.query_instant(&Selector::metric("app_requests_total"), u64::MAX);
+        let results = db.select(&Selector::metric("app_requests_total"));
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].labels.get("job"), Some("redis_exporter"));
+        assert_eq!(results[0].label_value("job"), Some("redis_exporter"));
     }
 
     #[test]
@@ -775,12 +774,9 @@ mod tests {
         // Four rounds at t = 5, 10, 15, 20 s: cadvisor (20 s interval) is
         // only due on the first round; the other three scrape every round.
         host.run_scrape_loop(4);
-        let up = host.db().query_range(&Selector::metric("up"), 0, u64::MAX);
+        let up = host.db().select(&Selector::metric("up"));
         let points_of = |job: &str| {
-            up.iter()
-                .find(|r| r.labels.get("job") == Some(job))
-                .map(|r| r.points.len())
-                .unwrap_or(0)
+            up.iter().find(|r| r.label_value("job") == Some(job)).map_or(0, |r| r.len())
         };
         assert_eq!(points_of("node_exporter"), 4);
         assert_eq!(points_of("sgx_exporter"), 4);
@@ -830,19 +826,18 @@ mod tests {
             host.scrape_tick();
         }
         // The recording rule derived a queryable series.
-        let derived =
-            host.db().query_range(&Selector::metric("node:syscalls:rate30s"), 0, u64::MAX);
+        let derived = host.db().select(&Selector::metric("node:syscalls:rate30s"));
         assert_eq!(derived.len(), 1);
-        assert_eq!(derived[0].labels.get("node"), Some("worker-3"));
-        assert!(derived[0].points.len() >= 5, "one point per evaluation after warm-up");
-        assert!(derived[0].points.last().unwrap().1 > 0.0, "observed a positive syscall rate");
+        assert_eq!(derived[0].label_value("node"), Some("worker-3"));
+        assert!(derived[0].len() >= 5, "one point per evaluation after warm-up");
+        assert!(derived[0].last_sample().unwrap().value > 0.0, "observed a positive syscall rate");
         // The alert held for its `for` duration and fired, with the ALERTS
         // series exported for dashboards.
         let firing = host.rules().firing_alerts();
         assert_eq!(firing.len(), 1);
         assert_eq!(firing[0].rule, "always_low_pages");
         assert!(
-            !host.db().query_instant(&Selector::metric("ALERTS"), u64::MAX).is_empty(),
+            !host.db().select(&Selector::metric("ALERTS")).is_empty(),
             "firing alerts are exported as the ALERTS metric"
         );
         // run_scrape_loop drives rules too.
@@ -860,19 +855,16 @@ mod tests {
         assert_eq!(host.rules().group_count(), 2, "teemon_self + teemon_cardinality");
         assert_eq!(
             host.rules().rule_count(),
-            12,
-            "fallback, imbalance, slow-query, WAL-salvage, WAL-unclean, \
-             HTTP-shed, HTTP-panic and HTTP-slow-client alerts, plus the four \
+            11,
+            "imbalance, slow-query, WAL-salvage, WAL-unclean, HTTP-shed, \
+             HTTP-panic and HTTP-slow-client alerts, plus the four \
              cardinality-defense alerts"
         );
         // The group evaluates inside the monitoring loop over the series the
         // self target ingests — it must run cleanly against live self data
         // (whether an alert fires depends on process-global probe history).
         host.run_scrape_loop(4);
-        assert!(!host
-            .db()
-            .query_instant(&Selector::metric("teemon_tsdb_shard_series"), u64::MAX)
-            .is_empty());
+        assert!(!host.db().select(&Selector::metric("teemon_tsdb_shard_series")).is_empty());
     }
 
     #[test]
@@ -895,15 +887,11 @@ mod tests {
         assert_eq!(host.scrape_tick(), 6, "4 exporters + teemon_self + teemon_http");
         // (The `teemon_self` registry target exports the http families too;
         // select the serving edge's own job explicitly.)
-        let results = host.db().query_instant(
+        let results = host.db().select(
             &Selector::metric("teemon_http_requests_total").with_label("job", "teemon_http"),
-            u64::MAX,
         );
         assert_eq!(results.len(), 1);
-        assert!(!host
-            .db()
-            .query_instant(&Selector::metric("pushed_demo_total"), u64::MAX)
-            .is_empty());
+        assert!(!host.db().select(&Selector::metric("pushed_demo_total")).is_empty());
 
         // Queries answer over HTTP from the same database the scraper fills.
         let resp = teemon_server::http_get(
@@ -945,10 +933,7 @@ mod tests {
             .build();
         assert!(reopened.db().durable());
         assert!(reopened.db().stats().samples > 0, "recovery must restore the scraped rounds");
-        assert!(!reopened
-            .db()
-            .query_instant(&Selector::metric("sgx_nr_free_pages"), u64::MAX)
-            .is_empty());
+        assert!(!reopened.db().select(&Selector::metric("sgx_nr_free_pages")).is_empty());
         assert_eq!(reopened.db().stats().wal_failed_shards, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -968,9 +953,9 @@ mod tests {
         let series_of = |h: &HostMonitor| {
             let mut names: Vec<String> = h
                 .db()
-                .query_instant(&Selector::metric("sgx_nr_free_pages"), u64::MAX)
+                .select(&Selector::metric("sgx_nr_free_pages"))
                 .iter()
-                .map(|r| r.labels.to_string())
+                .map(|r| r.to_labels().to_string())
                 .collect();
             names.sort();
             names

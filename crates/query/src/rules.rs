@@ -96,10 +96,6 @@ impl AlertRule {
 /// `job="teemon_self"` slice a self-scraping monitor maintains), evaluated
 /// by the standard rule engine like any user group:
 ///
-/// * `teemon_query_fallback` — range queries are taking a fallback path.
-///   Every query streams (an unplannable one is refused, not evaluated), so
-///   the counter it watches stays at zero; the rule stands while the
-///   counter is still exported.
 /// * `teemon_shard_imbalance` — the hottest storage shard holds more than
 ///   4× the mean series count, so one shard lock absorbs a disproportionate
 ///   share of the ingest contention.
@@ -129,13 +125,6 @@ pub fn self_observe_alerts(interval_ms: u64) -> RuleGroup {
         AlertRule::new(name, parse(&query).expect("built-in rule parses"), severity).with_hint(hint)
     };
     RuleGroup::new("teemon_self", interval_ms)
-        .with_rule(rule(
-            "teemon_query_fallback",
-            format!(r#"rate(teemon_query_range_total{{mode="fallback"}}[{window}]) > 0"#),
-            Severity::Warning,
-            "range queries are falling back to per-step evaluation; run \
-             QueryEngine::explain on the offending queries for the reason",
-        ))
         .with_rule(rule(
             "teemon_shard_imbalance",
             "max(teemon_tsdb_shard_series) > avg(teemon_tsdb_shard_series) * 4".to_string(),
@@ -559,9 +548,9 @@ mod tests {
         assert_eq!(summary.groups_evaluated, 1);
         assert_eq!(summary.samples_recorded, 2);
         assert!(summary.errors.is_empty());
-        let results = db.query_instant(&Selector::metric("node:requests:rate30s"), u64::MAX);
+        let results = db.select(&Selector::metric("node:requests:rate30s"));
         assert_eq!(results.len(), 2);
-        assert!(results.iter().all(|r| r.labels.get("source") == Some("teeql")));
+        assert!(results.iter().all(|r| r.label_value("source") == Some("teeql")));
         // The derived series is itself queryable through TeeQL.
         let q = QueryEngine::new(db);
         let value = q.instant_query(r#"node:requests:rate30s{node="n2"}"#, 120_000).unwrap();
@@ -623,12 +612,10 @@ mod tests {
         assert_eq!(firing[0].rule, "free_pages_low");
         assert_eq!(firing[0].value, 80.0);
         assert_eq!(firing[0].hint, "EPC nearly exhausted");
-        let exported = db.query_instant(
-            &Selector::metric("ALERTS").with_label("alertname", "free_pages_low"),
-            u64::MAX,
-        );
+        let exported =
+            db.select(&Selector::metric("ALERTS").with_label("alertname", "free_pages_low"));
         assert_eq!(exported.len(), 1);
-        assert_eq!(exported[0].labels.get("severity"), Some("critical"));
+        assert_eq!(exported[0].label_value("severity"), Some("critical"));
         // Condition clears: the alert resolves.
         db.append("free_pages", &labels, 20_000, 20_000.0);
         engine.evaluate_due(20_000);
@@ -639,7 +626,7 @@ mod tests {
     fn self_observe_alerts_parse_and_fire_on_self_metrics() {
         let group = self_observe_alerts(15_000);
         assert_eq!(group.name, "teemon_self");
-        assert_eq!(group.rules.len(), 8);
+        assert_eq!(group.rules.len(), 7);
         // Every built-in expression round-trips through the parser (the
         // group builder unwraps on this invariant).
         for rule in &group.rules {
@@ -649,10 +636,7 @@ mod tests {
         // Feed a database the shapes the self-scrape target would write and
         // check the rules actually trip.
         let db = TimeSeriesDb::new();
-        let fallback = Labels::from_pairs([("mode", "fallback")]);
         for t in 0..10u64 {
-            // Fallback counter climbing => non-zero rate.
-            db.append("teemon_query_range_total", &fallback, t * 5_000, t as f64);
             // Shard 0 hoards series while the others sit near empty (8
             // shards: with n shards max/avg can approach n, so 4 shards
             // could never trip the 4x rule).
@@ -675,7 +659,6 @@ mod tests {
         let summary = engine.evaluate_due(45_000);
         assert!(summary.errors.is_empty(), "{:?}", summary.errors);
         let firing: Vec<String> = engine.firing_alerts().into_iter().map(|a| a.rule).collect();
-        assert!(firing.contains(&"teemon_query_fallback".to_string()), "{firing:?}");
         assert!(firing.contains(&"teemon_shard_imbalance".to_string()), "{firing:?}");
         assert!(firing.contains(&"teemon_wal_salvage".to_string()), "{firing:?}");
         // No slow queries recorded => that rule stays quiet.

@@ -31,7 +31,7 @@ fn db() -> TimeSeriesDb {
 /// machine, and when `end` lands on the step grid no read-ahead extends
 /// past it.
 fn samples_in(db: &TimeSeriesDb, selector: &Selector, start: u64, end: u64) -> u64 {
-    db.query_range(selector, start, end).iter().map(|r| r.points.len() as u64).sum()
+    db.select(selector).iter().map(|series| series.points_in(start, end).len() as u64).sum()
 }
 
 #[test]

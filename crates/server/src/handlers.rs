@@ -5,7 +5,7 @@
 //! | Endpoint              | Method | Role                                        |
 //! |-----------------------|--------|---------------------------------------------|
 //! | `/healthz`            | GET    | liveness probe                              |
-//! | `/metrics`            | GET    | text exposition of the local TSDB           |
+//! | `/metrics`            | GET    | newest sample of every live local series    |
 //! | `/self/metrics`       | GET    | the serving edge's own `teemon_http_*` probes |
 //! | `/api/v1/write`       | POST   | remote-write ingest (exposition text body)  |
 //! | `/api/v1/query`       | GET    | TeeQL instant query (JSON)                  |
@@ -22,7 +22,7 @@ use teemon_metrics::{Collector, FamilySnapshot, MetricError, MetricKind, MetricP
 use teemon_obs::{probes, ObsCollector};
 use teemon_query::{json, QueryEngine};
 use teemon_tsdb::scrape::PushLane;
-use teemon_tsdb::{Selector, TimeSeriesDb};
+use teemon_tsdb::{Selector, TimeSeriesDb, STALE_HEAD_MS};
 
 use crate::http::{Request, Response};
 
@@ -77,24 +77,28 @@ pub fn route(req: &Request, ctx: &mut HandlerCtx<'_>) -> Response {
 /// `GET /metrics` — the newest value of every stored series, grouped into
 /// untyped families and rendered as exposition text.  This is the outbound
 /// wire edge: a downstream Prometheus can federate the whole node from it.
+/// A series whose newest sample is more than [`STALE_HEAD_MS`] behind the
+/// store's newest (the query engine's lookback) has departed and is left
+/// out.  Samples keep their own timestamps, which is why this reads
+/// snapshots rather than asking the engine.
 fn metrics(ctx: &mut HandlerCtx<'_>) -> Response {
-    let at_ms = ctx.db.newest_timestamp().unwrap_or(0);
-    let results = ctx.db.query_instant(&Selector::all(), at_ms);
+    let newest = ctx.db.newest_timestamp().unwrap_or(0);
     let mut families: BTreeMap<String, FamilySnapshot> = BTreeMap::new();
-    for result in results {
-        let Some(&(timestamp_ms, value)) = result.points.last() else {
+    for series in ctx.db.select(&Selector::all()) {
+        let Some(sample) = series.at(newest) else { continue };
+        if newest - sample.timestamp_ms > STALE_HEAD_MS {
             continue;
-        };
+        }
         families
-            .entry(result.name.clone())
+            .entry(series.name().to_string())
             .or_insert_with(|| {
-                FamilySnapshot::new(result.name.clone(), "federated series", MetricKind::Untyped)
+                FamilySnapshot::new(series.name(), "federated series", MetricKind::Untyped)
             })
             .points
             .push(MetricPoint {
-                labels: result.labels,
-                value: PointValue::Untyped(value),
-                timestamp_ms: Some(timestamp_ms),
+                labels: series.to_labels(),
+                value: PointValue::Untyped(sample.value),
+                timestamp_ms: Some(sample.timestamp_ms),
             });
     }
     let families: Vec<FamilySnapshot> = families.into_values().collect();
@@ -435,6 +439,26 @@ mod tests {
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.contains("demo_total"), "{text}");
         assert!(text.contains("node=\"n1\""), "{text}");
+    }
+
+    #[test]
+    fn metrics_exposition_leaves_out_departed_series() {
+        let (db, mut lane) = ctx_parts();
+        db.append("departed", &Labels::from_pairs([("node", "gone")]), 0, 1.0);
+        db.append("alive", &Labels::from_pairs([("node", "here")]), 600_000, 2.0);
+        let mut ctx = HandlerCtx {
+            db: &db,
+            lane: &mut lane,
+            now_ms: 600_000,
+            panic_route: false,
+            write_series_budget: None,
+        };
+        let resp = route(&get("/metrics"), &mut ctx);
+        assert_eq!(resp.status, 200);
+        let text = String::from_utf8(resp.body).unwrap();
+        // Ten minutes behind the newest sample is past the lookback.
+        assert!(text.contains("alive{node=\"here\"} 2 600000"), "{text}");
+        assert!(!text.contains("departed"), "{text}");
     }
 
     #[test]

@@ -98,12 +98,6 @@ impl Head {
         self.tail().last().map(|s| s.timestamp_ms).or_else(|| self.encoder.last_timestamp())
     }
 
-    /// Every sample held, oldest first — the one view readers of an open
-    /// head go through.
-    pub(crate) fn samples(&self) -> impl Iterator<Item = Sample> + '_ {
-        self.block_samples().chain(self.tail().iter().copied())
-    }
-
     fn block_samples(&self) -> BlockSamples<'_> {
         BlockSamples::new(&self.block, self.encoder.kind(), self.encoder.count() as usize)
     }
@@ -247,7 +241,7 @@ impl Head {
 
     /// The whole head, tail included, as one finished block in `out`
     /// (cleared first) and its kind — what [`crate::chunk_codec::encode`] of
-    /// [`Head::samples`] returns, without decoding anything (unless the tail
+    /// the samples held returns, without decoding anything (unless the tail
     /// holds an integer block's first fraction).  `None`, and an empty `out`,
     /// for an empty head.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> Option<BlockKind> {
@@ -276,7 +270,6 @@ mod tests {
             let held = &samples[..=i];
             assert_eq!(head.len(), held.len());
             assert_eq!(head.tail().len(), held.len() % TAIL_SAMPLES, "bursts of a full tail");
-            assert_eq!(head.samples().collect::<Vec<_>>(), held);
             assert_eq!(head.first_timestamp(), Some(samples[0].timestamp_ms));
             assert_eq!(head.last_timestamp(), Some(sample.timestamp_ms));
             // The block in place decodes without its tail; completed with it

@@ -19,9 +19,9 @@
 //! * [`SeriesSnapshot`] — zero-copy reads: selection returns `Arc`-shared
 //!   sealed chunks with a footer-seeking cursor API instead of deep-cloned
 //!   series,
-//! * [`Selector`] and the [`query`] module — label matching and the
-//!   [`QueryResult`] of an instant or range read (functions, aggregation
-//!   and arithmetic over them are `teemon_query`'s TeeQL),
+//! * [`Selector`] and the [`query`] module — label matching; selection is
+//!   the store's only read (functions, aggregation and arithmetic over the
+//!   selected snapshots are `teemon_query`'s TeeQL),
 //! * [`wal`] — the optional durability tier: a write-ahead log that commits
 //!   each scrape round as one checksummed group in one write, with crash
 //!   recovery ([`TimeSeriesDb::open`]), per-shard checkpoints onto
@@ -54,7 +54,7 @@ pub mod storage;
 mod symbols;
 pub mod wal;
 
-pub use query::{LabelMatch, QueryResult, Selector};
+pub use query::{LabelMatch, Selector};
 pub use scrape::{
     CardinalityBudgets, CollectorEndpoint, MetricsEndpoint, ObsEndpoint, PushLane, PushOutcome,
     RoundSummary, ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Scraper, TextEndpoint,

@@ -1,11 +1,13 @@
-//! Label selectors and query results.
+//! Label selectors.
 //!
 //! PMAG "supports data queries over specified time ranges and labeled
 //! dimensions.  It provides detailed quantitative analysis by selecting and
 //! applying aggregation functions to query results" (§4).  This module is
-//! the storage half of that: [`Selector`]s pick series and a read returns
-//! them as [`QueryResult`]s.  The functions and aggregations are TeeQL's
-//! (`teemon_query`), which evaluates them over the same selectors.
+//! the storage half of that: [`Selector`]s pick series, and
+//! [`crate::TimeSeriesDb::select`] returns them as
+//! [`crate::SeriesSnapshot`]s — the one way stored samples are read.  The
+//! functions and aggregations are TeeQL's (`teemon_query`), which evaluates
+//! them over the same selectors and snapshots.
 
 use std::fmt;
 
@@ -132,17 +134,6 @@ impl fmt::Display for Selector {
         }
         write!(f, "}}")
     }
-}
-
-/// One series' contribution to a query answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QueryResult {
-    /// Metric name.
-    pub name: String,
-    /// Series labels.
-    pub labels: Labels,
-    /// `(timestamp_ms, value)` points in chronological order.
-    pub points: Vec<(u64, f64)>,
 }
 
 #[cfg(test)]

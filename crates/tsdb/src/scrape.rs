@@ -65,7 +65,7 @@ use teemon_metrics::{
 };
 use teemon_obs::{probes, SelfSnapshot, Stopwatch};
 
-use crate::storage::{HandleAppend, SeriesHandle, TimeSeriesDb};
+use crate::storage::{HandleAppend, SeriesHandle, TimeSeriesDb, STALE_HEAD_MS};
 
 /// Why scraping one target failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -1316,14 +1316,19 @@ impl Scraper {
     }
 
     /// Instances whose most recent `up` sample is 0 at `now_ms` — the health
-    /// checker view.
+    /// checker view.  A sample more than [`STALE_HEAD_MS`] old (the query
+    /// engine's lookback) no longer counts, so a removed target is forgotten.
     pub fn unhealthy_instances(&self, now_ms: u64) -> Vec<String> {
         use crate::query::Selector;
         self.db
-            .query_instant(&Selector::metric("up"), now_ms)
+            .select(&Selector::metric("up"))
             .into_iter()
-            .filter(|r| r.points.last().map(|(_, v)| *v == 0.0).unwrap_or(false))
-            .filter_map(|r| r.labels.get("instance").map(str::to_string))
+            .filter(|series| {
+                series
+                    .at(now_ms)
+                    .is_some_and(|s| s.value == 0.0 && now_ms - s.timestamp_ms <= STALE_HEAD_MS)
+            })
+            .filter_map(|series| series.label_value("instance").map(str::to_string))
             .collect()
     }
 }
@@ -1364,16 +1369,16 @@ mod tests {
         assert_eq!(outcomes[0].samples, 1);
         assert!(outcomes[0].duration_seconds > 0.0);
 
-        let results = db.query_instant(&Selector::metric("sgx_nr_free_pages"), 10_000);
+        let results = db.select(&Selector::metric("sgx_nr_free_pages"));
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].labels.get("job"), Some("sgx_exporter"));
-        assert_eq!(results[0].labels.get("node"), Some("node-1"));
-        assert_eq!(results[0].points[0].1, 24_000.0);
+        assert_eq!(results[0].label_value("job"), Some("sgx_exporter"));
+        assert_eq!(results[0].label_value("node"), Some("node-1"));
+        assert_eq!(results[0].at(10_000).unwrap().value, 24_000.0);
 
         // The meta-metrics are recorded too.
-        let up = db.query_instant(&Selector::metric("up"), 10_000);
-        assert_eq!(up[0].points[0].1, 1.0);
-        assert_eq!(db.query_instant(&Selector::metric("scrape_duration_seconds"), 10_000).len(), 1);
+        let up = db.select(&Selector::metric("up"));
+        assert_eq!(up[0].at(10_000).unwrap().value, 1.0);
+        assert_eq!(db.select(&Selector::metric("scrape_duration_seconds")).len(), 1);
         assert!(scraper.unhealthy_instances(10_000).is_empty());
     }
 
@@ -1391,11 +1396,11 @@ mod tests {
             counter.default_instance().inc_by(10.0);
             scraper.scrape_once(round * scraper.interval_ms());
         }
-        let results = db.query_range(&Selector::metric("events_total"), 0, u64::MAX);
+        let results = db.select(&Selector::metric("events_total"));
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].points.len(), 5);
-        let (&(t0, v0), &(t1, v1)) =
-            (results[0].points.first().unwrap(), results[0].points.last().unwrap());
+        let points = results[0].points_in(0, u64::MAX);
+        assert_eq!(points.len(), 5);
+        let (&(t0, v0), &(t1, v1)) = (points.first().unwrap(), points.last().unwrap());
         let r = (v1 - v0) / ((t1 - t0) as f64 / 1000.0);
         assert!((r - 2.0).abs() < 1e-9, "10 events per 5s = 2/s, got {r}");
     }
@@ -1416,17 +1421,16 @@ mod tests {
         // with a one-round lag.  Scrape twice.
         scraper.scrape_once(5_000);
         scraper.scrape_once(10_000);
-        let resident = db.query_instant(&Selector::metric("teemon_tsdb_resident_bytes"), 10_000);
+        let resident = db.select(&Selector::metric("teemon_tsdb_resident_bytes"));
         assert_eq!(resident.len(), 1);
-        assert!(resident[0].points[0].1 > 0.0);
-        let per_sample =
-            db.query_instant(&Selector::metric("teemon_tsdb_bytes_per_sample"), 10_000);
-        assert!(per_sample[0].points[0].1 > 0.0);
+        assert!(resident[0].at(10_000).unwrap().value > 0.0);
+        let per_sample = db.select(&Selector::metric("teemon_tsdb_bytes_per_sample"));
+        assert!(per_sample[0].at(10_000).unwrap().value > 0.0);
         // The self slice carries the standard target labels like any job.
-        assert_eq!(resident[0].labels.get("job"), Some(teemon_obs::SELF_JOB));
-        assert_eq!(resident[0].labels.get("instance"), Some("self:0"));
+        assert_eq!(resident[0].label_value("job"), Some(teemon_obs::SELF_JOB));
+        assert_eq!(resident[0].label_value("instance"), Some("self:0"));
         // Shard diagnostics flow through the same path.
-        let shard_series = db.query_instant(&Selector::metric("teemon_tsdb_shard_series"), 10_000);
+        let shard_series = db.select(&Selector::metric("teemon_tsdb_shard_series"));
         assert_eq!(shard_series.len(), probes::SHARDS);
         // No targets, no self metrics: an idle scraper must not grow the db.
         let idle = TimeSeriesDb::new();
@@ -1474,6 +1478,31 @@ mod tests {
     }
 
     #[test]
+    fn a_removed_target_leaves_the_unhealthy_list_after_the_lookback() {
+        let db = TimeSeriesDb::new();
+        let scraper = Scraper::new(db.clone());
+        let registry = Registry::new();
+        registry.gauge_family("g", "gauge").default_instance().set(1.0);
+        scraper.add_collector(
+            ScrapeTargetConfig::new("live", "up:1"),
+            registry_collector("live", registry),
+        );
+        scraper.add_target(
+            ScrapeTargetConfig::new("dead", "down:1"),
+            Arc::new(|| Err(ScrapeError::Unreachable("connection refused".to_string()))),
+        );
+        scraper.scrape_once(0);
+        assert_eq!(scraper.remove_instance("down:1"), 1);
+        assert_eq!(scraper.unhealthy_instances(0), vec!["down:1".to_string()]);
+        for minute in 1..=20u64 {
+            scraper.scrape_once(minute * 60_000);
+        }
+        // Its last `up = 0` is 20 minutes old: past the lookback, it is gone.
+        assert!(scraper.unhealthy_instances(20 * 60_000).is_empty());
+        assert_eq!(db.select(&Selector::metric("up")).len(), 2, "its history is kept");
+    }
+
+    #[test]
     fn malformed_text_source_counts_as_failure() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
@@ -1512,7 +1541,7 @@ mod tests {
         scraper.add_target(ScrapeTargetConfig::new("text_job", "node-1:9090"), Arc::new(endpoint));
         let outcomes = scraper.scrape_once(1_000);
         assert!(outcomes[0].up);
-        assert_eq!(db.query_instant(&Selector::metric("lat_seconds_bucket"), 2_000).len(), 3);
+        assert_eq!(db.select(&Selector::metric("lat_seconds_bucket")).len(), 3);
     }
 
     #[test]
@@ -1533,8 +1562,8 @@ mod tests {
         );
 
         let rounds_of = |job: &str| {
-            let up = db.query_range(&Selector::metric("up").with_label("job", job), 0, u64::MAX);
-            up.first().map_or(0, |r| r.points.len())
+            let up = db.select(&Selector::metric("up").with_label("job", job));
+            up.first().map_or(0, |series| series.len())
         };
         // First pass: both never scraped, both due.
         assert_eq!(scraper.scrape_round_due(0).targets, 2);
@@ -1618,14 +1647,10 @@ mod tests {
         family.with(&Labels::from_pairs([("process", "nginx")])).set(2.0);
         scraper.scrape_once(10_000);
         scraper.scrape_once(15_000);
-        let results = db.query_range(&Selector::metric("proc_cpu"), 0, u64::MAX);
+        let results = db.select(&Selector::metric("proc_cpu"));
         assert_eq!(results.len(), 2);
         let points_of = |process: &str| {
-            results
-                .iter()
-                .find(|r| r.labels.get("process") == Some(process))
-                .map(|r| r.points.len())
-                .unwrap()
+            results.iter().find(|r| r.label_value("process") == Some(process)).unwrap().len()
         };
         assert_eq!(points_of("redis"), 3, "cached series kept appending through the churn");
         assert_eq!(points_of("nginx"), 2, "new series picked up from its first round");
@@ -1649,16 +1674,17 @@ mod tests {
         assert_eq!(db.drop_series(&Selector::metric("g").with_label("case", "dropped")), 1);
         let outcomes = scraper.scrape_once(10_000);
         assert!(outcomes[0].up);
-        let results = db.query_range(&Selector::metric("g"), 0, u64::MAX);
+        let results = db.select(&Selector::metric("g"));
         assert_eq!(results.len(), 2, "the dropped series was transparently re-created");
         for r in &results {
-            match r.labels.get("case") {
+            let points = r.points_in(0, u64::MAX);
+            match r.label_value("case") {
                 Some("kept") => {
-                    assert_eq!(r.points.iter().map(|p| p.0).collect::<Vec<_>>(), [5_000, 10_000]);
-                    assert!(r.points.iter().all(|p| p.1 == 1.0), "no misrouted values");
+                    assert_eq!(points.iter().map(|p| p.0).collect::<Vec<_>>(), [5_000, 10_000]);
+                    assert!(points.iter().all(|p| p.1 == 1.0), "no misrouted values");
                 }
                 Some("dropped") => {
-                    assert_eq!(r.points, vec![(10_000, 2.0)], "fresh series, fresh history");
+                    assert_eq!(points, vec![(10_000, 2.0)], "fresh series, fresh history");
                 }
                 other => panic!("unexpected series {other:?}"),
             }
@@ -1707,9 +1733,9 @@ mod tests {
         };
         assert_eq!(series(&pushed_db), series(&scraped_db));
         // The pushed samples carry the lane's target labels.
-        let results = pushed_db.query_instant(&Selector::metric("pushed_total"), 20_000);
-        assert!(results.iter().all(|r| r.labels.get("job") == Some("remote")));
-        assert!(results.iter().all(|r| r.labels.get("instance") == Some("w1:443")));
+        let results = pushed_db.select(&Selector::metric("pushed_total"));
+        assert!(results.iter().all(|r| r.label_value("job") == Some("remote")));
+        assert!(results.iter().all(|r| r.label_value("instance") == Some("w1:443")));
     }
 
     #[test]
@@ -1724,7 +1750,7 @@ mod tests {
         assert_eq!(db.drop_series(&Selector::metric("g").with_label("case", "dropped")), 1);
         let outcome = lane.push(&registry.gather(), 10_000);
         assert_eq!(outcome.ingested, 2, "dropped series transparently re-created");
-        assert_eq!(db.query_range(&Selector::metric("g"), 0, u64::MAX).len(), 2);
+        assert_eq!(db.select(&Selector::metric("g")).len(), 2);
     }
 
     #[test]
@@ -1813,18 +1839,18 @@ mod tests {
         let outcomes = scraper.scrape_once(1_000);
         assert!(outcomes[0].up);
         // All 8 wire samples were seen, only 3 series were admitted.
-        assert_eq!(db.query_instant(&Selector::metric("m"), 2_000).len(), 3);
-        let scraped = db.query_instant(&Selector::metric("scrape_samples_scraped"), 2_000);
-        assert_eq!(scraped[0].points[0].1, 8.0);
+        assert_eq!(db.select(&Selector::metric("m")).len(), 3);
+        let scraped = db.select(&Selector::metric("scrape_samples_scraped"));
+        assert_eq!(scraped[0].at(2_000).unwrap().value, 8.0);
         // The clipped tail is observable as the cumulative roll-up series.
-        let rolled = db.query_instant(&Selector::metric("teemon_overflow_series_total"), 2_000);
+        let rolled = db.select(&Selector::metric("teemon_overflow_series_total"));
         assert_eq!(rolled.len(), 1);
-        assert_eq!(rolled[0].points[0].1, 5.0);
-        assert_eq!(rolled[0].labels.get("job"), Some("wide"));
+        assert_eq!(rolled[0].at(2_000).unwrap().value, 5.0);
+        assert_eq!(rolled[0].label_value("job"), Some("wide"));
         // Steady state: the next round clips the same 5, cumulatively 10.
         scraper.scrape_once(2_000);
-        let rolled = db.query_instant(&Selector::metric("teemon_overflow_series_total"), 3_000);
-        assert_eq!(rolled[0].points[0].1, 10.0);
+        let rolled = db.select(&Selector::metric("teemon_overflow_series_total"));
+        assert_eq!(rolled[0].at(3_000).unwrap().value, 10.0);
     }
 
     #[test]
@@ -1844,7 +1870,7 @@ mod tests {
         scraper.scrape_once(1_000);
         // First target took 4 of the pool, the second got the remaining 1.
         assert_eq!(budgets.job_used("pool"), 5);
-        assert_eq!(db.query_instant(&Selector::metric("m"), 2_000).len(), 5);
+        assert_eq!(db.select(&Selector::metric("m")).len(), 5);
         // Removing the first target gives its 4 back …
         assert_eq!(scraper.remove_instance("a:1"), 1);
         assert_eq!(budgets.job_used("pool"), 1);
@@ -1859,8 +1885,9 @@ mod tests {
         );
         scraper.scrape_once(2_000);
         assert_eq!(budgets.job_used("pool"), 5);
-        let m = db.query_range(&Selector::metric("m"), 1_500, 3_000);
-        assert_eq!(m.len(), 4, "survivor's own series all admitted after release");
+        let m = db.select(&Selector::metric("m"));
+        let recent = m.iter().filter(|series| !series.points_in(1_500, 3_000).is_empty());
+        assert_eq!(recent.count(), 4, "survivor's own series all admitted after release");
     }
 
     #[test]
@@ -1874,10 +1901,8 @@ mod tests {
             registry_collector("free", wide_registry(6)),
         );
         scraper.scrape_once(1_000);
-        assert_eq!(db.query_instant(&Selector::metric("m"), 2_000).len(), 6);
-        assert!(db
-            .query_instant(&Selector::metric("teemon_overflow_series_total"), 2_000)
-            .is_empty());
+        assert_eq!(db.select(&Selector::metric("m")).len(), 6);
+        assert!(db.select(&Selector::metric("teemon_overflow_series_total")).is_empty());
     }
 
     #[test]
@@ -1893,9 +1918,9 @@ mod tests {
         assert_eq!(outcome.ingested, 2);
         assert_eq!(outcome.overflow, 3);
         assert_eq!(budgets.job_used("push"), 2);
-        assert_eq!(db.query_instant(&Selector::metric("m"), 2_000).len(), 2);
-        let rolled = db.query_instant(&Selector::metric("teemon_overflow_series_total"), 2_000);
-        assert_eq!(rolled[0].points[0].1, 3.0);
+        assert_eq!(db.select(&Selector::metric("m")).len(), 2);
+        let rolled = db.select(&Selector::metric("teemon_overflow_series_total"));
+        assert_eq!(rolled[0].at(2_000).unwrap().value, 3.0);
         // Dropping the lane releases its admissions back to the pool.
         drop(lane);
         assert_eq!(budgets.job_used("push"), 0);
@@ -2015,6 +2040,6 @@ mod tests {
         registry.gauge_family("extra", "new").default_instance().set(1.0);
         let repaired = lane.push(&registry.gather(), 3_000);
         assert_eq!(repaired.overflow, 0);
-        assert_eq!(db.query_instant(&Selector::metric("m"), 4_000).len(), 3);
+        assert_eq!(db.select(&Selector::metric("m")).len(), 3);
     }
 }

@@ -72,8 +72,8 @@ use teemon_obs::{probes, Stopwatch};
 
 use crate::head::{Head, TAIL_SAMPLES};
 use crate::index::{Candidates, Postings, SelectorPlan};
-use crate::query::{QueryResult, Selector};
-use crate::series::{at_in_chunks, sample_at, Chunk, Sample, SeriesId, SAMPLE_BYTES};
+use crate::query::Selector;
+use crate::series::{Chunk, Sample, SeriesId, SAMPLE_BYTES};
 use crate::snapshot::SeriesSnapshot;
 use crate::symbols::{SymbolId, SymbolTable, REPLAY_HOLE_MARKER};
 use crate::wal::{self, DurabilityOptions, Wal};
@@ -409,49 +409,12 @@ impl MemSeries {
         sealed_bytes
     }
 
-    fn at(&self, at_ms: u64) -> Option<Sample> {
-        // Head samples are the newest — the tail first, then the block
-        // behind it; fall back to the sealed chunks.
-        if let Some(head) = self.open_head() {
-            if head.first_timestamp().is_some_and(|first| first <= at_ms) {
-                return sample_at(head.tail(), at_ms)
-                    .or_else(|| head.samples().take_while(|s| s.timestamp_ms <= at_ms).last());
-            }
-        }
-        at_in_chunks(&self.sealed, at_ms)
-    }
-
-    fn points_in(&self, start_ms: u64, end_ms: u64) -> Vec<(u64, f64)> {
-        let mut out = Vec::new();
-        crate::series::extend_range(&self.sealed, start_ms, end_ms, &mut out);
-        let overlapping = self.open_head().filter(|head| {
-            head.first_timestamp().is_some_and(|first| first <= end_ms)
-                && head.last_timestamp().is_some_and(|last| last >= start_ms)
-        });
-        if let Some(head) = overlapping {
-            out.extend(
-                head.samples()
-                    .skip_while(|s| s.timestamp_ms < start_ms)
-                    .take_while(|s| s.timestamp_ms <= end_ms)
-                    .map(|s| (s.timestamp_ms, s.value)),
-            );
-        }
-        out
-    }
-
     /// The labels, materialised from `symbols` as a packed copy of their
     /// strings.  (A live series holds a reference on each of its symbols, so
     /// they resolve; an unbound one would read as the empty string.)
     fn labels(&self, symbols: &SymbolTable) -> Labels {
         let str_of = |sym| symbols.resolve(sym).map_or("", |s| &**s);
         Labels::from_str_pairs(self.label_syms.iter().map(|&(k, v)| (str_of(k), str_of(v))))
-    }
-
-    /// The key as an owned `(name, labels)` pair, for the string-keyed
-    /// query results.
-    fn owned_key(&self, symbols: &SymbolTable) -> (String, Labels) {
-        let name = symbols.resolve(self.name_sym).map_or_else(String::new, |s| s.to_string());
-        (name, self.labels(symbols))
     }
 
     /// A reader's view of the series: the chunks shared, the head copied and
@@ -1727,30 +1690,6 @@ impl TimeSeriesDb {
         self.for_matching(selector, |series, symbols| Some(series.snapshot(symbols)))
     }
 
-    /// Instant query: the newest sample at or before `at_ms` for every
-    /// matching series.
-    pub fn query_instant(&self, selector: &Selector, at_ms: u64) -> Vec<QueryResult> {
-        self.for_matching(selector, |series, symbols| {
-            series.at(at_ms).map(|sample| {
-                let (name, labels) = series.owned_key(symbols);
-                QueryResult { name, labels, points: vec![(sample.timestamp_ms, sample.value)] }
-            })
-        })
-    }
-
-    /// Range query: all samples in `[start_ms, end_ms]` for every matching
-    /// series.
-    pub fn query_range(&self, selector: &Selector, start_ms: u64, end_ms: u64) -> Vec<QueryResult> {
-        self.for_matching(selector, |series, symbols| {
-            let points = series.points_in(start_ms, end_ms);
-            if points.is_empty() {
-                return None;
-            }
-            let (name, labels) = series.owned_key(symbols);
-            Some(QueryResult { name, labels, points })
-        })
-    }
-
     /// The newest timestamp across every series, folded from the per-shard
     /// maxima in O(shards).
     pub fn newest_timestamp(&self) -> Option<u64> {
@@ -1884,15 +1823,15 @@ mod tests {
             );
         }
         let selector = Selector::metric("syscalls_total");
-        let instant = db.query_instant(&selector, 4_500);
+        let instant = db.select(&selector);
         assert_eq!(instant.len(), 2);
-        assert!(instant.iter().all(|r| r.points[0].0 == 4_000));
+        assert!(instant.iter().all(|r| r.at(4_500).unwrap().timestamp_ms == 4_000));
 
         let only_read = Selector::metric("syscalls_total").with_label("syscall", "read");
-        let range = db.query_range(&only_read, 2_000, 5_000);
+        let range = db.select(&only_read);
         assert_eq!(range.len(), 1);
-        assert_eq!(range[0].points.len(), 4);
-        assert!(db.query_range(&Selector::metric("missing"), 0, u64::MAX).is_empty());
+        assert_eq!(range[0].points_in(2_000, 5_000).len(), 4);
+        assert!(db.select(&Selector::metric("missing")).is_empty());
     }
 
     #[test]
@@ -1902,10 +1841,9 @@ mod tests {
         for (i, node) in names.iter().enumerate() {
             db.append("up", &labels(&[("node", node)]), 1_000 + i as u64, 1.0);
         }
-        let results = db.query_instant(&Selector::metric("up"), u64::MAX);
-        let got: Vec<&str> = results.iter().map(|r| r.labels.get("node").unwrap()).collect();
-        assert_eq!(got, names.iter().map(String::as_str).collect::<Vec<_>>());
         let snaps = db.select(&Selector::metric("up"));
+        let got: Vec<&str> = snaps.iter().map(|r| r.label_value("node").unwrap()).collect();
+        assert_eq!(got, names.iter().map(String::as_str).collect::<Vec<_>>());
         assert!(snaps.windows(2).all(|w| w[0].series_id() < w[1].series_id()));
     }
 
@@ -1970,15 +1908,12 @@ mod tests {
         let dropped = db.apply_retention();
         assert!(dropped > 50, "dropped {dropped}");
         // Recent data must survive.
-        let recent = db.query_range(&Selector::metric("m"), 95_000, 99_000);
-        assert_eq!(recent[0].points.len(), 5);
+        let m = &db.select(&Selector::metric("m"))[0];
+        assert_eq!(m.points_in(95_000, 99_000).len(), 5);
         // The per-shard aggregates track the drop.
         let stats = db.stats();
         assert_eq!(stats.samples, 100 - dropped as u64);
-        assert_eq!(
-            db.oldest_timestamp(),
-            db.query_range(&Selector::metric("m"), 0, u64::MAX)[0].points.first().map(|(t, _)| *t)
-        );
+        assert_eq!(db.oldest_timestamp(), m.first_timestamp());
     }
 
     #[test]
@@ -2012,16 +1947,9 @@ mod tests {
             };
             for (lo, hi) in [(0, u64::MAX), (17_000, 333_000), (490_000, 520_000)] {
                 assert_eq!(a.points_in(lo, hi), points(lo, hi));
-                assert_eq!(compressed.query_range(&selector, lo, hi)[0].points, points(lo, hi));
             }
             for t in [0, 4_999, 5_000, 123_456, 481_000, 515_000, 529_999, u64::MAX] {
                 assert_eq!(a.at(t), at(t), "at {t}");
-                let instant = compressed.query_instant(&selector, t);
-                assert_eq!(
-                    instant.first().and_then(|r| r.points.first().copied()),
-                    at(t).map(|s| (s.timestamp_ms, s.value)),
-                    "at {t}"
-                );
             }
             assert_eq!(a.cursor(40_000, 200_000).collect::<Vec<_>>(), range(40_000, 200_000));
             assert_eq!(
@@ -2152,8 +2080,8 @@ mod tests {
         assert_eq!(outcome.appended, 3);
         assert_eq!(outcome.rejected, 1);
         assert_eq!(db.stats().rejected_samples, 1);
-        let points = db.query_range(&Selector::metric("m"), 0, u64::MAX);
-        assert_eq!(points[0].points, vec![(1_000, 1.0), (1_000, 2.0), (2_000, 4.0)]);
+        let m = &db.select(&Selector::metric("m"))[0];
+        assert_eq!(m.points_in(0, u64::MAX), vec![(1_000, 1.0), (1_000, 2.0), (2_000, 4.0)]);
         assert_eq!(db.append_handle(h, 2_500, 5.0), HandleAppend::Appended);
         assert_eq!(db.append_handle(h, 100, 0.0), HandleAppend::Rejected);
     }
@@ -2189,8 +2117,8 @@ mod tests {
             }
         }
         // Nothing about n2's old data leaked into n1.
-        let n1 = db.query_range(&Selector::metric("m").with_label("node", "n1"), 0, u64::MAX);
-        assert_eq!(n1[0].points.first(), Some(&(1_000, 1.0)));
+        let n1 = &db.select(&Selector::metric("m").with_label("node", "n1"))[0];
+        assert_eq!(n1.points_in(0, u64::MAX).first(), Some(&(1_000, 1.0)));
         assert_eq!(db.drop_series(&Selector::metric("missing")), 0);
     }
 
@@ -2214,10 +2142,14 @@ mod tests {
             let fresh = db.resolve(key, &labels(&[("node", "n1")]));
             assert_eq!(db.append_handle(fresh, ts, v), HandleAppend::Appended);
         }
-        let m = db.query_range(&Selector::metric("m"), 0, u64::MAX);
-        assert_eq!(m[0].points, vec![(1_000, 1.0), (2_000, 2.0)], "no lost samples for m");
-        let gone = db.query_range(&Selector::metric("gone"), 0, u64::MAX);
-        assert_eq!(gone[0].points, vec![(2_000, 2.0)], "re-resolved series got the new sample");
+        let m = &db.select(&Selector::metric("m"))[0];
+        assert_eq!(m.points_in(0, u64::MAX), [(1_000, 1.0), (2_000, 2.0)], "no lost samples for m");
+        let gone = &db.select(&Selector::metric("gone"))[0];
+        assert_eq!(
+            gone.points_in(0, u64::MAX),
+            [(2_000, 2.0)],
+            "re-resolved series got the new sample"
+        );
     }
 
     #[test]
@@ -2240,9 +2172,9 @@ mod tests {
         assert_eq!(db.stats().series, 1);
         assert_eq!(db.append_handle(dead_handle, 50_000, 1.0), HandleAppend::Stale);
         // The survivor still answers, and its creation-order id is retained.
-        let results = db.query_range(&Selector::metric("m"), 0, u64::MAX);
+        let results = db.select(&Selector::metric("m"));
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].labels.get("node"), Some("new"));
+        assert_eq!(results[0].label_value("node"), Some("new"));
         // A re-resolved key gets a fresh series (new id, empty history).
         let reborn = db.resolve("m", &dead);
         assert_eq!(db.append_handle(reborn, 60_000, 3.0), HandleAppend::Appended);
@@ -2403,9 +2335,9 @@ mod tests {
         let revived = db.stats();
         assert_eq!(revived.chunks, after.chunks + 1);
         assert_eq!(revived.resident_bytes, after.resident_bytes + SAMPLE_BYTES as u64);
-        let points = db.query_range(&Selector::metric("idle"), 0, u64::MAX);
-        assert_eq!(points[0].points.len(), 18);
-        assert_eq!(points[0].points.last(), Some(&(idle_end, 17.0)));
+        let idle_series = &db.select(&Selector::metric("idle"))[0];
+        assert_eq!(idle_series.len(), 18);
+        assert_eq!(idle_series.last_sample(), Some(Sample { timestamp_ms: idle_end, value: 17.0 }));
 
         // Eviction is what it was: one retention window after the last sample.
         db.append_handle(live, idle_end + 20 * MINUTE, 1.0);

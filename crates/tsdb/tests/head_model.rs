@@ -6,8 +6,7 @@
 //! seal at `chunk_size`, the retention pass with its stale-head rule and
 //! eviction, all a few lines each — and after **every** operation of a
 //! generated stream the engine must agree with it: `at`, `points_in`, the
-//! borrowed and owned cursors, `read_into`, `query_instant`, `query_range`,
-//! the chunk count, and the ledger ([`StorageStats::resident_bytes`],
+//! borrowed and owned cursors, `read_into`, the chunk count, and the ledger ([`StorageStats::resident_bytes`],
 //! [`TimeSeriesDb::head_bytes`]) recounted from the model with
 //! [`chunk_codec::encode`].  Chunk sizes sit on both sides of the eight-sample
 //! tail (1, 4, 7, 8, 9) and at the default 120.
@@ -266,7 +265,6 @@ impl Pair {
         if expected.is_empty() {
             // Never appended to, or drained and evicted by a retention pass.
             assert!(snapshots.iter().all(SeriesSnapshot::is_empty), "{name} should hold nothing");
-            assert!(self.db.query_instant(&selector, u64::MAX).is_empty());
             return;
         }
         let [snapshot] = snapshots.as_slice() else { panic!("{name}: one series expected") };
@@ -294,13 +292,6 @@ impl Pair {
         for &at in &instants {
             let want = expected.iter().rev().find(|s| s.timestamp_ms <= at).copied();
             assert_eq!(bits(snapshot.at(at)), bits(want), "{name}: at({at})");
-            let instant = self.db.query_instant(&selector, at);
-            let got = instant.first().and_then(|result| result.points.first().copied());
-            assert_eq!(
-                got.map(|(t, v)| (t, v.to_bits())),
-                want.map(|s| (s.timestamp_ms, s.value.to_bits())),
-                "{name}: query_instant({at})"
-            );
         }
 
         // Ranges: everything, nothing, and windows between the instants.
@@ -312,9 +303,6 @@ impl Pair {
             assert_eq!(point_bits(&snapshot.points_in(lo, hi)), want, "{name}: [{lo}, {hi}]");
             assert_eq!(bits(snapshot.cursor(lo, hi)), want, "{name}: cursor [{lo}, {hi}]");
             assert_eq!(bits(snapshot.owned_cursor(lo, hi)), want, "{name}: owned [{lo}, {hi}]");
-            let ranged = self.db.query_range(&selector, lo, hi);
-            let points = ranged.first().map_or(&[][..], |result| result.points.as_slice());
-            assert_eq!(point_bits(points), want, "{name}: query_range [{lo}, {hi}]");
             // The bulk drain, fresh and from a cursor stopped anywhere.
             for consumed in [0, 1, probe as usize % (want.len() + 1), want.len()] {
                 let mut cursor = snapshot.owned_cursor(lo, hi);

@@ -92,8 +92,8 @@ fn assert_holds(db: &TimeSeriesDb, keys: &[Key], at: &str) {
         assert_eq!(picked.len(), 1, "{at}: {own}");
         assert_reads(&picked[0], key, at);
     }
-    let instant = db.query_instant(&Selector::all(), u64::MAX);
-    let got: Vec<Key> = instant.into_iter().map(|r| (r.name, r.labels)).collect();
+    let selected = db.select(&Selector::all()).into_iter().filter(|s| !s.is_empty());
+    let got: Vec<Key> = selected.map(|s| (s.name().to_string(), s.to_labels())).collect();
     assert_eq!(got, keys, "{at}");
 }
 

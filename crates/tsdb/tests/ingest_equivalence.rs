@@ -190,8 +190,7 @@ fn the_stale_head_rule_fires_inside_the_sweep() {
 /// The last value of `metric` for `instance`, if the series exists.
 fn last_value(db: &TimeSeriesDb, metric: &str, instance: &str) -> Option<f64> {
     let selector = Selector::metric(metric).with_label("instance", instance);
-    let result = db.query_instant(&selector, u64::MAX);
-    result.first().and_then(|r| r.points.last()).map(|(_, value)| *value)
+    db.select(&selector).iter().find_map(|series| series.last_sample()).map(|s| s.value)
 }
 
 /// Holds the scraper and the reference to each other on the three rounds a
@@ -257,7 +256,7 @@ fn down_targets_stale_stamps_and_histograms_match_the_reference() {
     assert_eq!(fast_db.stats().rejected_samples, 5);
     let swinging = Selector::metric("queue_depth").with_label("queue", "swinging");
     assert_eq!(
-        fast_db.query_range(&swinging, 0, u64::MAX)[0].points,
+        fast_db.select(&swinging)[0].points_in(0, u64::MAX),
         [(6_000, 5_000.0), (16_000, 15_000.0)]
     );
     // Histogram: three buckets, `_sum` and `_count`, every round.

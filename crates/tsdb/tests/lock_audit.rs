@@ -129,8 +129,12 @@ fn concurrent_scrape_and_query_establish_a_clean_lock_order() {
                     if worker % 2 == 0 {
                         scraper.scrape_once(round * 5_000);
                     } else {
-                        db.query_range(&Selector::metric("events_total"), 0, u64::MAX);
-                        db.query_instant(&Selector::all(), round * 5_000);
+                        for series in db.select(&Selector::metric("events_total")) {
+                            series.points_in(0, u64::MAX);
+                        }
+                        for series in db.select(&Selector::all()) {
+                            series.at(round * 5_000);
+                        }
                         db.stats();
                     }
                 }

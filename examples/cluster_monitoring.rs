@@ -10,7 +10,7 @@
 use teemon::ClusterMonitor;
 use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams};
 use teemon_orchestrator::{Cluster, HelmChart, Node};
-use teemon_tsdb::Selector;
+use teemon_query::QueryEngine;
 
 fn main() {
     // A cluster with 4 SGX nodes and 2 ordinary nodes.
@@ -49,18 +49,9 @@ fn main() {
     let healthy = monitor.scrape_all();
     println!("healthy scrape targets: {healthy}");
     for host in monitor.hosts() {
-        let evicted: f64 = host
-            .db()
-            .query_instant(&Selector::metric("sgx_pages_evicted_total"), u64::MAX)
-            .iter()
-            .map(|r| r.points.last().map(|(_, v)| *v).unwrap_or(0.0))
-            .sum();
-        let syscalls: f64 = host
-            .db()
-            .query_instant(&Selector::metric("teemon_syscalls_total"), u64::MAX)
-            .iter()
-            .map(|r| r.points.last().map(|(_, v)| *v).unwrap_or(0.0))
-            .sum();
+        let engine = QueryEngine::new(host.db().clone());
+        let evicted = latest_total(&engine, "sgx_pages_evicted_total");
+        let syscalls = latest_total(&engine, "teemon_syscalls_total");
         println!(
             "  node {:<8} syscalls observed: {:>8.0}  EPC pages evicted: {:>6.0}",
             host.node(),
@@ -75,4 +66,12 @@ fn main() {
     let (added, removed) = monitor.reconcile();
     println!("\ntopology change reconciled: {added} monitor(s) added, {removed} removed");
     println!("service discovery now resolves {} endpoints", monitor.endpoints().len());
+}
+
+/// `sum(metric)` at the newest stored sample: the latest value of every
+/// series of `metric`, added up.
+fn latest_total(engine: &QueryEngine, metric: &str) -> f64 {
+    let now = engine.db().newest_timestamp().unwrap_or(0);
+    let total = engine.instant_query(&format!("sum({metric})"), now).expect("sum parses");
+    total.as_vector().and_then(|samples| samples.first()).map_or(0.0, |sample| sample.value)
 }

@@ -12,7 +12,7 @@ use teemon::{MonitorBuilder, MonitoringMode};
 use teemon_analysis::Analyzer;
 use teemon_apps::{run_benchmark, MemtierConfig, NetworkModel, RedisApp};
 use teemon_frameworks::{FrameworkParams, SconeVersion};
-use teemon_tsdb::Selector;
+use teemon_query::QueryEngine;
 
 fn main() {
     let app = RedisApp::paper_config(32);
@@ -33,14 +33,15 @@ fn main() {
         println!("  syscalls   : {:>12.1} per 100 requests", result.rates.syscalls);
 
         // The syscall mix TEEMon recorded (Figure 6).
-        let db = host.db();
-        let mut mix: Vec<(String, f64)> = db
-            .query_instant(&Selector::metric("teemon_syscalls_total"), u64::MAX)
-            .into_iter()
-            .filter_map(|r| {
-                let syscall = r.labels.get("syscall")?.to_string();
-                Some((syscall, r.points.last().map(|(_, v)| *v).unwrap_or(0.0)))
-            })
+        let engine = QueryEngine::new(host.db().clone());
+        let now = host.db().newest_timestamp().unwrap_or(0);
+        let per_syscall =
+            engine.instant_query("sum by (syscall) (teemon_syscalls_total)", now).expect("parses");
+        let mut mix: Vec<(String, f64)> = per_syscall
+            .as_vector()
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|s| Some((s.labels.get("syscall")?.to_string(), s.value)))
             .collect();
         mix.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
         println!("  top syscalls observed:");

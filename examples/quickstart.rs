@@ -10,7 +10,7 @@
 use teemon::{MonitorBuilder, MonitoringMode};
 use teemon_apps::{Application, RedisApp};
 use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams};
-use teemon_tsdb::Selector;
+use teemon_query::QueryEngine;
 
 fn main() {
     // 1. A simulated SGX host with the full TEEMon stack (SGX exporter, eBPF
@@ -56,17 +56,14 @@ fn main() {
     // 4. What did TEEMon see?
     let db = host.db();
     println!("\nTime-series stored: {:?}", db.stats());
+    let engine = QueryEngine::new(db.clone());
     for metric in [
         "sgx_nr_free_pages",
         "sgx_pages_evicted_total",
         "teemon_syscalls_total",
         "teemon_page_faults_total",
     ] {
-        let total: f64 = db
-            .query_instant(&Selector::metric(metric), u64::MAX)
-            .iter()
-            .map(|r| r.points.last().map(|(_, v)| *v).unwrap_or(0.0))
-            .sum();
+        let total = latest_total(&engine, metric);
         println!("  {metric:<32} latest total = {total:.0}");
     }
 
@@ -83,4 +80,12 @@ fn main() {
             println!("PMAN finding [{:?}]: {}", finding.kind, finding.explanation);
         }
     }
+}
+
+/// `sum(metric)` at the newest stored sample: the latest value of every
+/// series of `metric`, added up.
+fn latest_total(engine: &QueryEngine, metric: &str) -> f64 {
+    let now = engine.db().newest_timestamp().unwrap_or(0);
+    let total = engine.instant_query(&format!("sum({metric})"), now).expect("sum parses");
+    total.as_vector().and_then(|samples| samples.first()).map_or(0.0, |sample| sample.value)
 }

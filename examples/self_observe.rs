@@ -125,11 +125,10 @@ fn main() {
     }
 
     // The self job's series live in the same database as the workload's.
-    let self_series =
-        host.db().query_instant(&Selector::metric("teemon_scrape_rounds_total"), u64::MAX);
+    let self_series = host.db().select(&Selector::metric("teemon_scrape_rounds_total"));
     println!(
         "\nself job ingested {} series for teemon_scrape_rounds_total (job={})",
         self_series.len(),
-        self_series.first().and_then(|r| r.labels.get("job")).unwrap_or("?"),
+        self_series.first().and_then(|series| series.label_value("job")).unwrap_or("?"),
     );
 }

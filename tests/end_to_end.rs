@@ -49,18 +49,17 @@ fn full_pipeline_from_workload_to_dashboard() {
         "up",
     ] {
         assert!(
-            !db.query_instant(&Selector::metric(metric), u64::MAX).is_empty(),
+            !db.select(&Selector::metric(metric)).is_empty(),
             "metric {metric} missing from the TSDB"
         );
     }
 
     // Counter series are monotonically non-decreasing (scrapes of counters).
-    let syscall_series = db.query_range(&Selector::metric("teemon_syscalls_total"), 0, u64::MAX);
-    for series in &syscall_series {
+    for series in db.select(&Selector::metric("teemon_syscalls_total")) {
         assert!(
-            series.points.windows(2).all(|w| w[1].1 >= w[0].1),
+            series.points_in(0, u64::MAX).windows(2).all(|w| w[1].1 >= w[0].1),
             "counter series {} went backwards",
-            series.labels
+            series.display_name()
         );
     }
 
@@ -76,9 +75,10 @@ fn full_pipeline_from_workload_to_dashboard() {
     // The 105 MB database exceeds the EPC: the SGX exporter must have seen
     // evictions, and they must match what the driver reports.
     let evicted_metric: f64 = db
-        .query_instant(&Selector::metric("sgx_pages_evicted_total"), u64::MAX)
+        .select(&Selector::metric("sgx_pages_evicted_total"))
         .iter()
-        .map(|r| r.points.last().map(|(_, v)| *v).unwrap_or(0.0))
+        .filter_map(|series| series.last_sample())
+        .map(|sample| sample.value)
         .sum();
     let evicted_driver = host.kernel().sgx_driver().stats().epc_pages_evicted as f64;
     assert!(evicted_metric > 0.0);
@@ -139,15 +139,14 @@ fn framework_transparency_same_monitoring_for_all_frameworks() {
             deployment.execute(&request, 320);
         }
         host.scrape_tick();
-        let observed =
-            host.db().query_instant(&Selector::metric("teemon_syscalls_total"), u64::MAX).len();
+        let observed = host.db().select(&Selector::metric("teemon_syscalls_total")).len();
         assert!(observed > 0, "{kind}: no syscalls observed");
         // Enclave frameworks also show up in the SGX exporter.
         let enclaves: f64 = host
             .db()
-            .query_instant(&Selector::metric("sgx_nr_enclaves"), u64::MAX)
+            .select(&Selector::metric("sgx_nr_enclaves"))
             .iter()
-            .map(|r| r.points.last().unwrap().1)
+            .map(|series| series.last_sample().unwrap().value)
             .sum();
         assert_eq!(enclaves > 0.0, kind.uses_enclave(), "{kind}: enclave count mismatch");
     }

@@ -60,9 +60,9 @@ fn scraper_survives_target_failures_and_recovers() {
     counter.default_instance().inc_by(5.0);
     scraper.scrape_once(30_000);
     assert!(scraper.unhealthy_instances(30_000).is_empty());
-    let series = db.query_range(&Selector::metric("events_total"), 0, u64::MAX);
+    let series = db.select(&Selector::metric("events_total"));
     assert_eq!(series.len(), 1);
-    assert!(series[0].points.len() >= 4);
+    assert!(series[0].len() >= 4);
 }
 
 #[test]
@@ -114,8 +114,8 @@ fn malformed_exporter_output_does_not_poison_the_db() {
     assert_eq!(outcomes.iter().filter(|o| !o.up).count(), 1);
     // The good target's data made it in; the broken one contributed nothing
     // but its `up == 0` marker.
-    assert_eq!(db.query_instant(&Selector::metric("good_metric"), u64::MAX).len(), 1);
-    assert!(db.query_instant(&Selector::metric("garbage"), u64::MAX).is_empty());
+    assert_eq!(db.select(&Selector::metric("good_metric")).len(), 1);
+    assert!(db.select(&Selector::metric("garbage")).is_empty());
 }
 
 #[test]

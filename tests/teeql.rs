@@ -52,9 +52,9 @@ fn teeql_panel_recording_and_alert_rules_through_the_builder() {
     }
 
     // Recording rule: the derived series exists and is itself queryable.
-    let derived = host.db().query_range(&Selector::metric("node:syscalls:rate30s"), 0, u64::MAX);
+    let derived = host.db().select(&Selector::metric("node:syscalls:rate30s"));
     assert_eq!(derived.len(), 1);
-    assert_eq!(derived[0].labels.get("node"), Some("it-node"));
+    assert_eq!(derived[0].label_value("node"), Some("it-node"));
     let engine = QueryEngine::new(host.db().clone());
     let now = host.kernel().clock().now_millis();
     let requeried = engine.instant_query("max_over_time(node:syscalls:rate30s[30s])", now).unwrap();
