@@ -10,32 +10,29 @@
 //! user-defined thresholds to detect anomalies but also provides a box plot
 //! for SGX metrics."
 //!
-//! This crate provides exactly those pieces:
+//! This crate provides those pieces over the engine the rest of TEEMon runs:
 //!
-//! * [`SlidingWindow`] — the window length and the step it advances by,
-//! * [`BoxPlot`] — five-number summaries of SGX metrics, one per window,
-//!   read from the engine's `min_over_time`, `quantile_over_time`,
-//!   `max_over_time`, `avg_over_time` and `count_over_time`,
-//! * [`Threshold`] / [`AnomalyDetector`] — user-defined threshold rules
-//!   compared with each window's box plot, producing [`Anomaly`] reports at
-//!   exactly the steps where the rule's alert fires,
-//! * [`Analyzer`] — the periodic analysis loop over a
-//!   [`teemon_tsdb::TimeSeriesDb`]: anomaly detection, and the bottleneck
-//!   heuristics used in §6.4/§6.5 (e.g. "`clock_gettime` dominates
-//!   read/write"), every one a TeeQL evaluation through
-//!   [`teemon_query::QueryEngine`],
-//! * [`compile_threshold`] / [`sgx_default_alerts`] — the threshold rules as
-//!   TeeQL alert rules for [`teemon_query::RuleEngine`].
+//! * [`pman_alerts`] — the user-defined thresholds as the `teemon_pman` rule
+//!   group: TeeQL alert rules over 5-minute windows, evaluated every minute
+//!   by [`teemon_query::RuleEngine`] inside the monitoring loop (a full
+//!   monitoring host installs it),
+//! * [`Analyzer`] — reads the [`Anomaly`] reports back: every firing
+//!   evaluation the rule engine stored as an `ALERTS{alertstate="firing"}`
+//!   sample, and diagnoses the bottlenecks of §6.4/§6.5 (e.g.
+//!   "`clock_gettime` dominates read/write"), every one a TeeQL evaluation
+//!   through [`teemon_query::QueryEngine`].
+//!
+//! The box plot is drawn where the paper draws it, on the "PMAN" dashboard
+//! of `teemon_dashboard`: `min_over_time`, `quantile_over_time(0.25 | 0.5 |
+//! 0.75)` and `max_over_time` of the EPC's free pages over 5-minute windows.
 
 #![warn(missing_docs)]
 
 pub mod anomaly;
 pub mod bottleneck;
 pub mod rules;
-pub mod stats;
 
-pub use anomaly::{Anomaly, AnomalyDetector, Threshold, ThresholdKind};
-pub use bottleneck::{Analyzer, AnalyzerConfig, BottleneckFinding, BottleneckKind};
-pub use rules::{compile_threshold, sgx_default_alerts};
-pub use stats::{BoxPlot, SlidingWindow, WindowStats};
+pub use anomaly::Anomaly;
+pub use bottleneck::{Analyzer, BottleneckFinding, BottleneckKind};
+pub use rules::pman_alerts;
 pub use teemon_query::Severity;

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use teemon_analysis::Analyzer;
+use teemon_analysis::{pman_alerts, Analyzer};
 use teemon_dashboard::{standard, DashboardSet};
 use teemon_exporters::{
     Collector, ContainerExporter, ContainerSpec, EbpfExporter, NodeExporter, SgxExporter,
@@ -38,6 +38,8 @@ pub enum MonitoringMode {
     /// "Monitoring OFF + eBPF ON": only the in-kernel programs run.
     EbpfOnly,
     /// "Monitoring ON": exporters, aggregation, analysis and dashboards.
+    /// Analysis includes PMAN's thresholds: `build` installs the
+    /// [`pman_alerts`] group, so they run in the monitoring loop.
     Full,
 }
 
@@ -243,6 +245,9 @@ impl MonitorBuilder {
         let rules = RuleEngine::new(db.clone());
         for group in &self.rule_groups {
             rules.add_group(group.clone());
+        }
+        if self.mode == MonitoringMode::Full {
+            rules.add_group(pman_alerts());
         }
         if self.self_observe_alerts {
             rules.add_group(teemon_query::self_observe_alerts(self.scrape_interval_ms));
@@ -810,8 +815,8 @@ mod tests {
                     ),
             )
             .build();
-        assert_eq!(host.rules().group_count(), 1);
-        assert_eq!(host.rules().rule_count(), 2);
+        assert_eq!(host.rules().group_count(), 2, "teeql + teemon_pman");
+        assert_eq!(host.rules().rule_count(), 2 + 4);
 
         let pid = host.kernel().spawn_process(
             "redis-server",
@@ -834,10 +839,12 @@ mod tests {
         // The alert held for its `for` duration and fired, with the ALERTS
         // series exported for dashboards.
         let firing = host.rules().firing_alerts();
-        assert_eq!(firing.len(), 1);
-        assert_eq!(firing[0].rule, "always_low_pages");
+        assert!(firing.iter().any(|a| a.rule == "always_low_pages"), "{firing:?}");
         assert!(
-            !host.db().select(&Selector::metric("ALERTS")).is_empty(),
+            !host
+                .db()
+                .select(&Selector::metric("ALERTS").with_label("alertname", "always_low_pages"))
+                .is_empty(),
             "firing alerts are exported as the ALERTS metric"
         );
         // run_scrape_loop drives rules too.
@@ -852,19 +859,58 @@ mod tests {
             .scrape_interval_ms(5_000)
             .with_self_observe_alerts()
             .build();
-        assert_eq!(host.rules().group_count(), 2, "teemon_self + teemon_cardinality");
+        assert_eq!(host.rules().group_count(), 3, "teemon_pman + teemon_self + teemon_cardinality");
         assert_eq!(
             host.rules().rule_count(),
-            11,
-            "imbalance, slow-query, WAL-salvage, WAL-unclean, HTTP-shed, \
-             HTTP-panic and HTTP-slow-client alerts, plus the four \
-             cardinality-defense alerts"
+            4 + 11,
+            "PMAN's four thresholds; imbalance, slow-query, WAL-salvage, \
+             WAL-unclean, HTTP-shed, HTTP-panic and HTTP-slow-client alerts, \
+             plus the four cardinality-defense alerts"
         );
         // The group evaluates inside the monitoring loop over the series the
         // self target ingests — it must run cleanly against live self data
         // (whether an alert fires depends on process-global probe history).
         host.run_scrape_loop(4);
         assert!(!host.db().select(&Selector::metric("teemon_tsdb_shard_series")).is_empty());
+    }
+
+    /// Every selector in `expr`.
+    fn selectors(expr: &teemon_query::Expr, out: &mut Vec<Selector>) {
+        use teemon_query::Expr;
+        match expr {
+            Expr::Number(_) => {}
+            Expr::Selector(selector) | Expr::Range { selector, .. } => out.push(selector.clone()),
+            Expr::Call { arg, .. } => selectors(arg, out),
+            Expr::Aggregate { expr, .. } => selectors(expr, out),
+            Expr::Binary { lhs, rhs, .. } => {
+                selectors(lhs, out);
+                selectors(rhs, out);
+            }
+        }
+    }
+
+    #[test]
+    fn full_mode_runs_pman_over_series_the_stack_exports() {
+        let host = HostMonitor::new("worker-4", MonitoringMode::Full);
+        assert_eq!(host.rules().group_count(), 1, "teemon_pman, with no builder call");
+        let pid = host.kernel().spawn_process(
+            "redis-server",
+            teemon_kernel_sim::process::ProcessKind::Enclave,
+            4,
+        );
+        // What any running enclave does: a system call, a context switch.
+        host.kernel().syscall(pid, Syscall::Read, true);
+        host.kernel().context_switch(pid, teemon_kernel_sim::SwitchKind::Voluntary);
+        host.run_scrape_loop(2);
+        let mut watched = Vec::new();
+        for rule in &pman_alerts().rules {
+            let teemon_query::Rule::Alert(alert) = rule else { panic!("alerts only") };
+            selectors(&alert.expr, &mut watched);
+        }
+        assert_eq!(watched.len(), 4);
+        for selector in watched {
+            assert!(!host.db().select(&selector).is_empty(), "PMAN watches {selector}: no series");
+        }
     }
 
     #[test]

@@ -110,8 +110,9 @@ impl DashboardSet {
 }
 
 /// Builds the standard TEEMon dashboards: the three of §5.3 (SGX, containers
-/// and infrastructure) plus the dogfooded "Teemon Self" dashboard over the
-/// engine's own telemetry (`job="teemon_self"`).
+/// and infrastructure), PMAN's box plot and firing alerts (§4), and the
+/// dogfooded "Teemon Self" dashboard over the engine's own telemetry
+/// (`job="teemon_self"`).
 pub fn standard() -> DashboardSet {
     let sgx = Dashboard::new("SGX")
         .with_panel(
@@ -182,6 +183,31 @@ pub fn standard() -> DashboardSet {
         )
         .with_panel(Panel::stat("Nodes up", Selector::metric("up")))
         .with_panel(Panel::table("Scrape health", Selector::metric("up")));
+
+    // PMAN (§4): "in each time window … provides a box plot for SGX
+    // metrics", every minute over the last five minutes, beside the
+    // threshold alerts that fired.
+    let box_plot =
+        |title: &str, expr: &str| Panel::teeql(title, expr).with_unit("pages").with_step_ms(60_000);
+    let pman = Dashboard::new("PMAN")
+        .with_panel(box_plot("EPC free pages: min (5m)", "min_over_time(sgx_nr_free_pages[5m])"))
+        .with_panel(box_plot(
+            "EPC free pages: q1 (5m)",
+            "quantile_over_time(0.25, sgx_nr_free_pages[5m])",
+        ))
+        .with_panel(box_plot(
+            "EPC free pages: median (5m)",
+            "quantile_over_time(0.5, sgx_nr_free_pages[5m])",
+        ))
+        .with_panel(box_plot(
+            "EPC free pages: q3 (5m)",
+            "quantile_over_time(0.75, sgx_nr_free_pages[5m])",
+        ))
+        .with_panel(box_plot("EPC free pages: max (5m)", "max_over_time(sgx_nr_free_pages[5m])"))
+        .with_panel(Panel::table(
+            "Firing alerts",
+            Selector::metric("ALERTS").with_label("alertstate", "firing"),
+        ));
 
     // The engine watching itself: every panel reads series the self-scrape
     // target ingests from `teemon_obs` probes (no external exporter involved).
@@ -292,7 +318,7 @@ pub fn standard() -> DashboardSet {
                 .with_unit("clients"),
         );
 
-    DashboardSet { dashboards: vec![sgx, docker, infrastructure, teemon_self] }
+    DashboardSet { dashboards: vec![sgx, docker, infrastructure, pman, teemon_self] }
 }
 
 #[cfg(test)]
@@ -319,10 +345,13 @@ mod tests {
     }
 
     #[test]
-    fn standard_set_has_four_dashboards() {
+    fn standard_set_has_five_dashboards() {
         let set = standard();
-        assert_eq!(set.dashboards.len(), 4);
-        assert_eq!(set.titles(), vec!["SGX", "Containers", "Infrastructure", "Teemon Self"]);
+        assert_eq!(set.dashboards.len(), 5);
+        assert_eq!(
+            set.titles(),
+            vec!["SGX", "Containers", "Infrastructure", "PMAN", "Teemon Self"]
+        );
         assert!(set.get("SGX").is_some());
         assert!(set.get("Nope").is_none());
         // The SGX dashboard shows EPC metrics and eBPF metrics (Figure 3).
@@ -335,6 +364,28 @@ mod tests {
         assert!(own.panels.iter().any(|p| p.title.starts_with("WAL")));
         // One stat panel per HTTP self-alert (shed, panics, slow clients).
         assert!(own.panels.iter().filter(|p| p.title.starts_with("HTTP")).count() >= 3);
+    }
+
+    #[test]
+    fn pman_dashboard_draws_the_box_plot_and_the_firing_alerts() {
+        // 1, 2, …, 100 free pages, one a second: one 5-minute window.
+        let db = TimeSeriesDb::new();
+        for i in 0..100u64 {
+            db.append("sgx_nr_free_pages", &Labels::new(), i * 1_000, (i + 1) as f64);
+        }
+        let alert = |state: &str| {
+            Labels::from_pairs([("alertname", "epc_free_pages_low"), ("alertstate", state)])
+        };
+        db.append("ALERTS", &alert("pending"), 60_000, 1.0);
+        db.append("ALERTS", &alert("firing"), 99_000, 1.0);
+        let set = standard();
+        let pman = set.get("PMAN").unwrap();
+        let current: Vec<f64> =
+            pman.evaluate(&db, 0, u64::MAX).iter().map(|p| p.current.unwrap()).collect();
+        assert_eq!(current, [1.0, 25.75, 50.5, 75.25, 100.0, 1.0], "min, q1, median, q3, max");
+        let table = pman.panels[5].evaluate(&db, 0, u64::MAX).render(80);
+        assert!(table.contains("alertstate=\"firing\""), "{table}");
+        assert!(!table.contains("pending"), "{table}");
     }
 
     #[test]
@@ -466,7 +517,7 @@ mod tests {
                 db.append("up", &Labels::from_pairs([("instance", "n2:9090")]), t, 1.0);
             }
         }
-        let infrastructure = standard().dashboards.remove(2);
+        let infrastructure = standard().get("Infrastructure").unwrap().clone();
         let panel = |title: &str| infrastructure.panels.iter().find(|p| p.title == title).unwrap();
         let nodes_up = panel("Nodes up");
         assert_eq!(nodes_up.evaluate(&db, 0, u64::MAX).current, Some(1.0));

@@ -20,8 +20,8 @@
 //!   [`Severity`]).
 //!
 //! `teemon_dashboard`'s panels and `teemon_analysis`' bottleneck diagnoses
-//! evaluate through the same engine, and `teemon_analysis` compiles PMAN's
-//! legacy threshold rules into [`AlertRule`]s.
+//! evaluate through the same engine, and PMAN's thresholds are a
+//! [`RuleGroup`] of [`AlertRule`]s (`teemon_analysis::pman_alerts`).
 //!
 //! # The language
 //!

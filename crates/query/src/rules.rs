@@ -3,10 +3,11 @@
 //! A recording rule evaluates a TeeQL expression and writes the result back
 //! into the database as a new series (queryable like any scraped metric),
 //! and an alert rule fires when an expression returns a non-empty vector
-//! continuously for its `for` duration.  PMAN's legacy threshold rules
-//! compile into alert rules in `teemon_analysis` (`compile_threshold`).
+//! continuously for its `for` duration.  PMAN's thresholds are one such
+//! group, `teemon_pman` (`teemon_analysis::pman_alerts`), and its anomalies
+//! are the `ALERTS{alertstate="firing"}` samples the engine appends.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use parking_lot::{LockClass, Mutex};
 use serde::{Deserialize, Serialize};
@@ -52,6 +53,18 @@ pub enum Severity {
     Warning,
     /// Critical — alert/logging channels fire.
     Critical,
+}
+
+impl Severity {
+    /// The `severity` label value of the `ALERTS` series (`"info"`,
+    /// `"warning"`, `"critical"`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Severity::Info => "info",
+            Severity::Warning => "warning",
+            Severity::Critical => "critical",
+        }
+    }
 }
 
 /// A rule raising an alert while an expression keeps returning samples.
@@ -290,6 +303,16 @@ pub enum AlertState {
     Firing,
 }
 
+impl AlertState {
+    /// The `alertstate` label value of the `ALERTS` series.
+    pub fn label(self) -> &'static str {
+        match self {
+            AlertState::Pending => "pending",
+            AlertState::Firing => "firing",
+        }
+    }
+}
+
 /// One active alert instance (one label set of one alert rule).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Alert {
@@ -332,9 +355,11 @@ struct GroupState {
 /// Evaluates rule groups against a database on their cadences.
 ///
 /// The engine shares the database with the monitoring stack: recording rules
-/// append derived series, and firing (not pending) alerts are additionally
-/// exported as the `ALERTS{alertname=..., severity=...}` metric so dashboards
-/// can plot them.
+/// append derived series, and every evaluation of an active alert instance
+/// appends `ALERTS{<instance labels>, alertname, alertstate, severity} = 1`,
+/// as Prometheus does — `alertstate="pending"` while the `for` hold runs,
+/// `"firing"` after it — so dashboards can plot alerts and PMAN reads its
+/// anomalies back from the store.
 pub struct RuleEngine {
     engine: QueryEngine,
     db: TimeSeriesDb,
@@ -456,7 +481,7 @@ impl RuleEngine {
             Value::Matrix(_) => Vec::new(),
         };
         // Instances no longer returned by the expression resolve.
-        let present: Vec<Labels> = samples.iter().map(|(l, _)| l.clone()).collect();
+        let present: HashSet<&Labels> = samples.iter().map(|(l, _)| l).collect();
         active.retain(|(index, labels), _| *index != rule_index || present.contains(labels));
         for (labels, sample_value) in samples {
             let key = (rule_index, labels.clone());
@@ -466,12 +491,11 @@ impl RuleEngine {
             } else {
                 AlertState::Pending
             };
-            if alert_state == AlertState::Firing {
-                let export = labels
-                    .with("alertname", rule.name.clone())
-                    .with("severity", format!("{:?}", rule.severity).to_lowercase());
-                self.db.append("ALERTS", &export, now_ms, 1.0);
-            }
+            let export = labels
+                .with("alertname", rule.name.clone())
+                .with("alertstate", alert_state.label())
+                .with("severity", rule.severity.label());
+            self.db.append("ALERTS", &export, now_ms, 1.0);
             active.insert(
                 key,
                 Alert {
@@ -612,14 +636,53 @@ mod tests {
         assert_eq!(firing[0].rule, "free_pages_low");
         assert_eq!(firing[0].value, 80.0);
         assert_eq!(firing[0].hint, "EPC nearly exhausted");
-        let exported =
-            db.select(&Selector::metric("ALERTS").with_label("alertname", "free_pages_low"));
+        let exported = db.select(
+            &Selector::metric("ALERTS")
+                .with_label("alertname", "free_pages_low")
+                .with_label("alertstate", "firing"),
+        );
         assert_eq!(exported.len(), 1);
         assert_eq!(exported[0].label_value("severity"), Some("critical"));
         // Condition clears: the alert resolves.
         db.append("free_pages", &labels, 20_000, 20_000.0);
         engine.evaluate_due(20_000);
         assert!(engine.active_alerts().is_empty());
+    }
+
+    #[test]
+    fn an_alert_under_for_exports_pending_then_firing() {
+        let db = TimeSeriesDb::new();
+        let engine = RuleEngine::new(db.clone());
+        engine.add_group(
+            RuleGroup::new("alerts", 5_000).with_rule(
+                AlertRule::new("low", parse("free_pages < 1000").unwrap(), Severity::Warning)
+                    .with_for_ms(10_000),
+            ),
+        );
+        let labels = Labels::from_pairs([("node", "n1")]);
+        for t in (0..=25_000).step_by(5_000) {
+            db.append("free_pages", &labels, t, 100.0);
+            engine.evaluate_due(t);
+        }
+        let state_at = |state: &str| {
+            let series = db.select(&Selector::metric("ALERTS").with_label("alertstate", state));
+            assert_eq!(series.len(), 1, "one {state} instance");
+            let instance = series[0].to_labels();
+            assert_eq!(instance.get("node"), Some("n1"));
+            assert_eq!(instance.get("alertname"), Some("low"));
+            assert_eq!(instance.get("severity"), Some("warning"));
+            series[0].points_in(0, u64::MAX).into_iter().map(|(t, _)| t).collect::<Vec<_>>()
+        };
+        // Pending while the 10 s hold runs, firing from then on: each
+        // evaluation is one sample of exactly one of the two series.
+        assert_eq!(state_at("pending"), [0, 5_000]);
+        assert_eq!(state_at("firing"), [10_000, 15_000, 20_000, 25_000]);
+    }
+
+    #[test]
+    fn severity_orders() {
+        assert!(Severity::Critical > Severity::Warning);
+        assert!(Severity::Warning > Severity::Info);
     }
 
     #[test]

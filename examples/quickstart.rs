@@ -43,14 +43,15 @@ fn main() {
         deployment.startup_latency()
     );
 
-    // 3. Drive load against it while TEEMon scrapes every 5 (virtual) seconds.
+    // 3. Drive load against it while TEEMon scrapes every 5 (virtual)
+    //    seconds.  Thirteen rounds span a minute, so PMAN's rule group
+    //    (every minute, over the last five) evaluates twice.
     let request = app.request(8, 320);
-    for round in 0..10 {
+    for _ in 0..13 {
         for _ in 0..500 {
             deployment.execute(&request, 320);
         }
-        host.scrape_tick();
-        let _ = round;
+        host.run_scrape_loop(1);
     }
 
     // 4. What did TEEMon see?
@@ -67,10 +68,22 @@ fn main() {
         println!("  {metric:<32} latest total = {total:.0}");
     }
 
-    // 5. Render the SGX dashboard (Figure 3 of the paper) as text.
+    // 5. Render the SGX dashboard (Figure 3 of the paper) and PMAN's box
+    //    plot as text.
     println!("\n{}", host.render_dashboard("SGX", 64).expect("SGX dashboard"));
+    println!("{}", host.render_dashboard("PMAN", 64).expect("PMAN dashboard"));
 
-    // 6. Ask PMAN whether it sees a bottleneck.
+    // 6. PMAN's thresholds ran in the monitoring loop: what fired?
+    for alert in host.rules().firing_alerts() {
+        println!(
+            "PMAN alert [{:?}] {}{}: {}",
+            alert.severity, alert.rule, alert.labels, alert.hint
+        );
+    }
+    let anomalies = host.analyzer().detect_anomalies(0, u64::MAX);
+    println!("PMAN anomalies recorded: {}", anomalies.len());
+
+    // 7. Ask PMAN whether it sees a bottleneck.
     let requests = deployment.totals().requests as f64;
     let findings = host.analyzer().diagnose_all(requests, 0, u64::MAX);
     if findings.is_empty() {

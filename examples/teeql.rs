@@ -99,14 +99,15 @@ fn main() {
         }
     }
 
-    // 4. The alert also lands in the database as the ALERTS series, so
-    //    dashboards can plot it like any other metric.
+    // 4. The alert also lands in the database as the ALERTS series (one per
+    //    instance and `alertstate`), so dashboards can plot it like any
+    //    other metric.
     let alerts_series = engine
-        .instant_query("ALERTS", now)
+        .instant_query(r#"ALERTS{alertstate="firing"}"#, now)
         .ok()
         .and_then(|v| v.as_vector().map(<[teemon_query::VectorSample]>::len))
         .unwrap_or(0);
-    println!("\nALERTS series currently exported: {alerts_series}");
+    println!("\nFiring ALERTS series currently exported: {alerts_series}");
     for alert in host.rules().firing_alerts() {
         println!("FIRING [{:?}] {}: {}", alert.severity, alert.rule, alert.hint);
     }

@@ -2,7 +2,7 @@
 //! rule and an alert rule all exercised through `MonitorBuilder` against a
 //! live monitored workload.
 
-use teemon_repro::analysis::{sgx_default_alerts, Severity};
+use teemon_repro::analysis::Severity;
 use teemon_repro::dashboard::Panel;
 use teemon_repro::query::{parse, QueryEngine, RecordingRule, RuleGroup};
 use teemon_repro::teemon::{MonitorBuilder, MonitoringMode};
@@ -10,33 +10,29 @@ use teemon_repro::tsdb::Selector;
 
 #[test]
 fn teeql_panel_recording_and_alert_rules_through_the_builder() {
-    let mut rules = RuleGroup::new("teeql", 5_000).with_rule(RecordingRule::new(
-        "node:syscalls:rate30s",
-        parse("sum by (node) (rate(teemon_syscalls_total[30s]))").unwrap(),
-    ));
-    // The legacy SGX thresholds, compiled to TeeQL alert rules.  The
-    // syscall-flood and eviction rules watch derived `*_per_second` metrics
-    // the simulation does not emit, so only `epc_free_pages_low` can match
-    // series here — and the host has far more than 512 free pages, so
-    // nothing should fire.  A synthetic always-true alert proves firing.
-    for alert in sgx_default_alerts(30_000) {
-        rules = rules.with_rule(alert);
-    }
-    rules = rules.with_rule(
-        teemon_repro::teemon::AlertRule::new(
-            "pages_exist",
-            parse("avg_over_time(sgx_nr_free_pages[30s]) > 0").unwrap(),
-            Severity::Info,
-        )
-        .with_for_ms(10_000)
-        .with_hint("synthetic: free pages observed"),
-    );
+    // A synthetic always-true alert proves firing; PMAN's thresholds come
+    // with the full monitoring mode, not from this group.
+    let rules = RuleGroup::new("teeql", 5_000)
+        .with_rule(RecordingRule::new(
+            "node:syscalls:rate30s",
+            parse("sum by (node) (rate(teemon_syscalls_total[30s]))").unwrap(),
+        ))
+        .with_rule(
+            teemon_repro::teemon::AlertRule::new(
+                "pages_exist",
+                parse("avg_over_time(sgx_nr_free_pages[30s]) > 0").unwrap(),
+                Severity::Info,
+            )
+            .with_for_ms(10_000)
+            .with_hint("synthetic: free pages observed"),
+        );
 
     let host = MonitorBuilder::new("it-node")
         .mode(MonitoringMode::Full)
         .scrape_interval_ms(5_000)
         .with_rules(rules)
         .build();
+    assert_eq!(host.rules().group_count(), 2, "teeql + teemon_pman");
 
     // Drive syscall activity through the monitored kernel.
     let pid = host.kernel().spawn_process(
@@ -62,8 +58,8 @@ fn teeql_panel_recording_and_alert_rules_through_the_builder() {
     assert_eq!(samples.len(), 1);
     assert!(samples[0].value > 0.0, "derived rate is positive: {}", samples[0].value);
 
-    // Alert rules: the synthetic rule held its `for` duration and fires; the
-    // compiled SGX defaults stay quiet on a healthy host.
+    // Alert rules: the synthetic rule held its `for` duration and fires;
+    // PMAN's thresholds stay quiet on a healthy host.
     let firing = host.rules().firing_alerts();
     assert_eq!(firing.len(), 1, "{firing:?}");
     assert_eq!(firing[0].rule, "pages_exist");
