@@ -293,7 +293,7 @@ pub fn summarize(findings: &[BottleneckFinding]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teemon_query::RuleEngine;
+    use teemon_query::{parse, AlertRule, RuleEngine, RuleGroup};
 
     fn db_with_syscall_mix(clock: f64, read: f64, write: f64) -> TimeSeriesDb {
         let db = TimeSeriesDb::new();
@@ -458,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn an_anomaly_fires_exactly_where_its_alert_fires() {
+    fn anomaly_detection_over_db_ranges() {
         // Twelve one-minute samples; free pages collapse at minute 5.
         let db = TimeSeriesDb::new();
         let labels = Labels::from_pairs([("node", "n1")]);
@@ -482,7 +482,7 @@ mod tests {
         assert_eq!(ticks, [600_000, 660_000]);
 
         let analyzer = Analyzer::new(db);
-        let anomalies = analyzer.detect_anomalies(0, u64::MAX);
+        let anomalies = analyzer.detect_anomalies(0, 700_000);
         let at: Vec<u64> = anomalies.iter().map(|a| a.at_ms).collect();
         assert_eq!(at, ticks);
         for anomaly in &anomalies {
@@ -494,6 +494,37 @@ mod tests {
         let first: Vec<u64> =
             analyzer.detect_anomalies(0, 630_000).iter().map(|a| a.at_ms).collect();
         assert_eq!(first, [600_000]);
+        // A range outside the data has no anomalies.
         assert!(analyzer.detect_anomalies(800_000, 900_000).is_empty());
+    }
+
+    #[test]
+    fn an_anomaly_fires_exactly_where_its_alert_fires() {
+        // Twelve one-minute samples of `m`, one spike of 1000 at minute 5,
+        // watched by a user rule evaluated every minute as they arrive.
+        let db = TimeSeriesDb::new();
+        let expr = parse("max_over_time(m[5m]) > 500").unwrap();
+        let rules = RuleEngine::new(db.clone());
+        rules.add_group(RuleGroup::new("spikes", 60_000).with_rule(AlertRule::new(
+            "spike",
+            expr.clone(),
+            Severity::Warning,
+        )));
+        for minute in 0..12u64 {
+            let value = if minute == 5 { 1_000.0 } else { 1.0 };
+            db.append("m", &Labels::new(), minute * 60_000, value);
+            let summary = rules.evaluate_due(minute * 60_000);
+            assert!(summary.errors.is_empty(), "{:?}", summary.errors);
+        }
+        let anomalies = Analyzer::new(db.clone()).detect_anomalies(0, u64::MAX);
+        let pman: Vec<u64> = anomalies.iter().map(|a| a.at_ms).collect();
+
+        // The alert's expression on the same grid: [0, 660 s] every minute.
+        let engine = QueryEngine::new(db);
+        let firing = engine.range(&expr, 0, 660_000, 60_000).unwrap();
+        let alerted: Vec<u64> = firing[0].points.iter().map(|&(t, _)| t).collect();
+        assert_eq!(pman, alerted);
+        assert_eq!(pman, (5..=10).map(|m| m * 60_000).collect::<Vec<_>>());
+        assert!(anomalies.iter().all(|a| a.rule == "spike" && a.severity == Severity::Warning));
     }
 }

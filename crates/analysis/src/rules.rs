@@ -54,7 +54,9 @@ pub fn pman_alerts() -> RuleGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teemon_query::Rule;
+    use teemon_metrics::Labels;
+    use teemon_query::{Rule, RuleEngine};
+    use teemon_tsdb::TimeSeriesDb;
 
     #[test]
     fn thresholds_compile_to_teeql() {
@@ -78,5 +80,27 @@ mod tests {
                 ("context_switch_storm", Severity::Critical),
             ]
         );
+    }
+
+    #[test]
+    fn compiled_threshold_fires_like_the_legacy_detector() {
+        // PMAN's check: the mean of the last five minutes of free EPC pages
+        // below 512, now `avg_over_time(sgx_nr_free_pages[5m]) < 512`.
+        let db = TimeSeriesDb::new();
+        let labels = Labels::from_pairs([("node", "n1")]);
+        for minute in 0..10u64 {
+            let free = if minute < 5 { 20_000.0 } else { 100.0 };
+            db.append("sgx_nr_free_pages", &labels, minute * 60_000, free);
+        }
+        let engine = RuleEngine::new(db);
+        engine.add_group(pman_alerts());
+        // At t=10 min the 5-minute window covers only the collapsed values.
+        let summary = engine.evaluate_due(10 * 60_000);
+        assert!(summary.errors.is_empty(), "{:?}", summary.errors);
+        let firing = engine.firing_alerts();
+        assert_eq!(firing.len(), 1);
+        assert_eq!(firing[0].rule, "epc_free_pages_low");
+        assert_eq!(firing[0].labels, labels);
+        assert!(firing[0].hint.contains("EPC"));
     }
 }
