@@ -883,6 +883,59 @@ mod tests {
     }
 
     #[test]
+    fn encode_text_output_is_pinned_byte_for_byte() {
+        let histogram = HistogramSnapshot {
+            bounds: vec![0.1, 1.0],
+            cumulative_counts: vec![2, 5, 7],
+            sum: 4.25,
+            count: 7,
+        };
+        let summary =
+            SummarySnapshot { quantiles: vec![(0.5, 0.125), (0.99, 3.0)], sum: 9.5, count: 4 };
+        let families = [
+            FamilySnapshot::new("req_total", "Requests served", MetricKind::Counter).with_point(
+                MetricPoint::new(Labels::from_pairs([("code", "200")]), PointValue::Counter(17.0))
+                    .at(1_607_731_200_000),
+            ),
+            FamilySnapshot::new("temp", "Line one\nback\\slash", MetricKind::Gauge).with_point(
+                MetricPoint::new(
+                    Labels::from_pairs([("path", "C:\\dir\"q\"\nx"), ("zone", "a")]),
+                    PointValue::Gauge(-1.5),
+                ),
+            ),
+            FamilySnapshot::new("lat_seconds", "Latency", MetricKind::Histogram).with_point(
+                MetricPoint::new(
+                    Labels::from_pairs([("op", "get")]),
+                    PointValue::Histogram(histogram),
+                ),
+            ),
+            FamilySnapshot::new("rpc_seconds", "", MetricKind::Summary)
+                .with_point(MetricPoint::new(Labels::new(), PointValue::Summary(summary))),
+        ];
+        let expected = "\
+# HELP req_total Requests served
+# TYPE req_total counter
+req_total{code=\"200\"} 17 1607731200000
+# HELP temp Line one\\nback\\\\slash
+# TYPE temp gauge
+temp{path=\"C:\\\\dir\\\"q\\\"\\nx\",zone=\"a\"} -1.5
+# HELP lat_seconds Latency
+# TYPE lat_seconds histogram
+lat_seconds_bucket{le=\"0.1\",op=\"get\"} 2
+lat_seconds_bucket{le=\"1\",op=\"get\"} 5
+lat_seconds_bucket{le=\"+Inf\",op=\"get\"} 7
+lat_seconds_sum{op=\"get\"} 4.25
+lat_seconds_count{op=\"get\"} 7
+# TYPE rpc_seconds summary
+rpc_seconds{quantile=\"0.5\"} 0.125
+rpc_seconds{quantile=\"0.99\"} 3
+rpc_seconds_sum 9.5
+rpc_seconds_count 4
+";
+        assert_eq!(encode_text(&families), expected);
+    }
+
+    #[test]
     fn encode_parse_round_trip_preserves_samples() {
         let families = sample_registry().gather();
         let text = encode_text(&families);
