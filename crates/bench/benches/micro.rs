@@ -10,9 +10,9 @@ use std::hint::black_box;
 use teemon_exporters::{Collector, ContainerExporter, EbpfExporter, NodeExporter, SgxExporter};
 use teemon_kernel_sim::process::ProcessKind;
 use teemon_kernel_sim::{Kernel, Syscall};
-use teemon_metrics::{exposition, Labels, Registry, RegistryCollector};
+use teemon_metrics::{exposition, FamilySnapshot, Labels, Registry, RegistryCollector};
 use teemon_query::{parse, QueryEngine};
-use teemon_tsdb::{ScrapeTargetConfig, Scraper, TextEndpoint, TimeSeriesDb};
+use teemon_tsdb::{ScrapeError, ScrapeTargetConfig, Scraper, TimeSeriesDb};
 
 fn bench_hooks(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/syscall_dispatch");
@@ -47,7 +47,11 @@ fn bench_exposition(c: &mut Criterion) {
     group.bench_function("encode", |b| {
         b.iter(|| black_box(exposition::encode_text(&registry.gather())))
     });
-    group.bench_function("parse", |b| b.iter(|| black_box(exposition::parse_text(&text).unwrap())));
+    // What the remote-write and text-source edges run on an inbound document.
+    let limits = exposition::ParseLimits::network();
+    group.bench_function("parse", |b| {
+        b.iter(|| black_box(exposition::parse_families_bounded(&text, limits).unwrap()))
+    });
     group.finish();
 }
 
@@ -115,7 +119,13 @@ fn bench_scrape_paths(c: &mut Criterion) {
     let (_kernel, targets) = full_exporter_set();
     let text = Scraper::new(TimeSeriesDb::new());
     for (config, collector) in &targets {
-        text.add_target(config.clone(), Arc::new(TextEndpoint::new(Arc::clone(collector))));
+        let collector = Arc::clone(collector);
+        let round_trip = move || -> Result<Vec<FamilySnapshot>, ScrapeError> {
+            collector.refresh();
+            let document = exposition::encode_text(&collector.collect()?);
+            Ok(exposition::parse_families(&document)?)
+        };
+        text.add_target(config.clone(), Arc::new(round_trip));
     }
     let mut now = 0u64;
     group.bench_function("text_round_trip", |b| {

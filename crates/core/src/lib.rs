@@ -48,6 +48,6 @@ pub mod experiments;
 pub mod monitor;
 pub mod overhead;
 
-pub use monitor::{ClusterMonitor, HostMonitor, MonitorBuilder, MonitoringMode, ScrapeTransport};
+pub use monitor::{ClusterMonitor, HostMonitor, MonitorBuilder, MonitoringMode};
 pub use overhead::{ComponentFootprint, OverheadModel};
 pub use teemon_query::{Alert, AlertRule, AlertState, RecordingRule, Rule, RuleEngine, RuleGroup};

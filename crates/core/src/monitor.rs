@@ -3,10 +3,8 @@
 //!
 //! Monitoring is composed, not hard-wired: the builder picks which exporters
 //! to deploy (the [`MonitoringMode`] presets reproduce the three
-//! configurations of §6.3), lets callers plug additional [`Collector`]s in,
-//! set per-target scrape intervals, and — for measurements of the wire-format
-//! cost — route every scrape through the text edge instead of the default
-//! typed path.
+//! configurations of §6.3), lets callers plug additional [`Collector`]s in
+//! and set per-target scrape intervals.  Every exporter is scraped typed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,7 +19,7 @@ use teemon_exporters::{
 use teemon_kernel_sim::Kernel;
 use teemon_orchestrator::{Cluster, HelmChart, ServiceDiscovery};
 use teemon_query::{RuleEngine, RuleGroup};
-use teemon_tsdb::{ScrapeTargetConfig, Scraper, TextEndpoint, TimeSeriesDb, TsdbConfig};
+use teemon_tsdb::{ScrapeTargetConfig, Scraper, TimeSeriesDb, TsdbConfig};
 
 /// The monitoring loop runs a retention pass each time scraped time has
 /// advanced this fraction of [`TsdbConfig::retention_ms`] since the last one:
@@ -41,17 +39,6 @@ pub enum MonitoringMode {
     /// Analysis includes PMAN's thresholds: `build` installs the
     /// [`pman_alerts`] group, so they run in the monitoring loop.
     Full,
-}
-
-/// How scraped data travels from exporters to the aggregation database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ScrapeTransport {
-    /// Typed snapshots, no serialisation (the default in-process path).
-    #[default]
-    Typed,
-    /// Full OpenMetrics encode/parse round-trip per scrape — what the paper's
-    /// multi-process deployment pays.  Kept for comparison benchmarks.
-    Text,
 }
 
 /// Composable constructor for [`HostMonitor`]s.
@@ -78,7 +65,6 @@ pub struct MonitorBuilder {
     scrape_interval_ms: u64,
     exporter_intervals: Vec<(String, u64)>,
     extra_collectors: Vec<(ScrapeTargetConfig, Arc<dyn Collector>)>,
-    transport: ScrapeTransport,
     rule_groups: Vec<RuleGroup>,
     self_observe_alerts: bool,
     durability_dir: Option<std::path::PathBuf>,
@@ -96,7 +82,6 @@ impl MonitorBuilder {
             scrape_interval_ms: Scraper::DEFAULT_INTERVAL_MS,
             exporter_intervals: Vec::new(),
             extra_collectors: Vec::new(),
-            transport: ScrapeTransport::default(),
             rule_groups: Vec::new(),
             self_observe_alerts: false,
             durability_dir: None,
@@ -166,13 +151,6 @@ impl MonitorBuilder {
     #[must_use]
     pub fn collector(mut self, config: ScrapeTargetConfig, collector: Arc<dyn Collector>) -> Self {
         self.extra_collectors.push((config, collector));
-        self
-    }
-
-    /// Selects how samples travel from exporters to storage.
-    #[must_use]
-    pub fn transport(mut self, transport: ScrapeTransport) -> Self {
-        self.transport = transport;
         self
     }
 
@@ -298,21 +276,6 @@ impl MonitorBuilder {
         host
     }
 
-    /// Registers `collector` with `host`'s scraper honouring the transport.
-    fn add_target(
-        &self,
-        host: &HostMonitor,
-        config: ScrapeTargetConfig,
-        collector: Arc<dyn Collector>,
-    ) {
-        match self.transport {
-            ScrapeTransport::Typed => host.scraper.add_collector(config, collector),
-            ScrapeTransport::Text => {
-                host.scraper.add_target(config, Arc::new(TextEndpoint::new(collector)))
-            }
-        }
-    }
-
     fn deploy(self, host: &mut HostMonitor) {
         match self.mode {
             MonitoringMode::Off => {}
@@ -325,22 +288,18 @@ impl MonitorBuilder {
                 let node_exp = NodeExporter::new(&host.kernel, &self.node);
                 let containers = ContainerExporter::new(&self.node);
 
-                self.add_target(host, self.target_config("sgx_exporter", 9090), Arc::new(sgx));
-                self.add_target(
-                    host,
-                    self.target_config("node_exporter", 9100),
-                    Arc::new(node_exp),
-                );
-                self.add_target(
-                    host,
+                let scraper = &host.scraper;
+                scraper.add_collector(self.target_config("sgx_exporter", 9090), Arc::new(sgx));
+                scraper
+                    .add_collector(self.target_config("node_exporter", 9100), Arc::new(node_exp));
+                scraper.add_collector(
                     self.target_config("cadvisor", 8080),
                     Arc::new(containers.clone()),
                 );
                 // The eBPF exporter is both scraped (through a registry
                 // collector sharing its state) and kept accessible for
                 // detaching.
-                self.add_target(
-                    host,
+                scraper.add_collector(
                     self.target_config("ebpf_exporter", 9435),
                     Arc::new(teemon_metrics::RegistryCollector::new(
                         "ebpf_exporter",
@@ -356,7 +315,7 @@ impl MonitorBuilder {
             }
         }
         for (config, collector) in &self.extra_collectors {
-            self.add_target(host, config.clone(), Arc::clone(collector));
+            host.scraper.add_collector(config.clone(), Arc::clone(collector));
         }
     }
 }
@@ -985,29 +944,44 @@ mod tests {
     }
 
     #[test]
-    fn builder_text_transport_round_trips_the_wire_format() {
-        let typed = MonitorBuilder::new("wire-a").mode(MonitoringMode::Full).build();
-        let text = MonitorBuilder::new("wire-a")
-            .mode(MonitoringMode::Full)
-            .transport(ScrapeTransport::Text)
-            .build();
-        for host in [&typed, &text] {
-            host.kernel().clock().advance(teemon_sim_core::SimDuration::from_secs(5));
-            assert_eq!(host.scrape_tick(), 5);
+    fn every_full_mode_exporter_text_exposition_parses_back_to_its_collection(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        use teemon_metrics::exposition::{encode_text, parse_families};
+
+        let kernel = Kernel::new();
+        let ebpf = EbpfExporter::attach(&kernel, "wire-a");
+        let sgx = SgxExporter::new(kernel.sgx_driver().clone(), "wire-a");
+        let node = NodeExporter::new(&kernel, "wire-a");
+        let containers = ContainerExporter::new("wire-a");
+        // A database larger than the EPC, so that requests fault and every
+        // exporter family has points (a family without any has no samples
+        // on the wire, and a parse cannot bring it back).
+        let mut deployment = Deployment::deploy(
+            &kernel,
+            FrameworkParams::for_kind(FrameworkKind::Scone),
+            "redis-server",
+            128 << 20,
+            8,
+            11,
+        )?;
+        containers.register_container(ContainerSpec {
+            name: "redis-0".into(),
+            image: "sconecuratedimages/redis:5".into(),
+            pid: deployment.pid().as_u32(),
+            memory_limit_bytes: 1 << 30,
+        });
+        let request = teemon_frameworks::RequestProfile::keyvalue_get(64, 30_000);
+        deployment.execute_many(&request, 320, 3_000);
+
+        let ebpf_collector = RegistryCollector::new("ebpf_exporter", ebpf.registry().clone());
+        let collectors: [&dyn Collector; 4] = [&sgx, &ebpf_collector, &node, &containers];
+        for collector in collectors {
+            let typed = collector.collect()?;
+            assert!(!typed.is_empty(), "{} collected nothing", collector.job_name());
+            let parsed = parse_families(&encode_text(&typed))?;
+            assert_eq!(parsed, collector.collect()?, "{}", collector.job_name());
         }
-        // Both transports ingest the same series set.
-        let series_of = |h: &HostMonitor| {
-            let mut names: Vec<String> = h
-                .db()
-                .select(&Selector::metric("sgx_nr_free_pages"))
-                .iter()
-                .map(|r| r.to_labels().to_string())
-                .collect();
-            names.sort();
-            names
-        };
-        assert_eq!(series_of(&typed), series_of(&text));
-        assert_eq!(typed.db().series_count(), text.db().series_count());
+        Ok(())
     }
 
     #[test]

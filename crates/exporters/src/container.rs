@@ -178,10 +178,10 @@ impl Collector for ContainerExporter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teemon_metrics::exposition::parse_text;
+    use teemon_metrics::exposition::{encode_text, parse_families};
 
-    fn render(exporter: &impl Collector) -> String {
-        teemon_metrics::exposition::render_collector(exporter).unwrap()
+    fn value(families: &[FamilySnapshot], name: &str, labels: &Labels) -> Option<f64> {
+        families.iter().find(|f| f.name == name)?.point(labels).map(|p| p.value.scalar())
     }
 
     fn redis_spec() -> ContainerSpec {
@@ -206,19 +206,19 @@ mod tests {
                 network_tx_bytes: 2_000,
             },
         );
-        let parsed = parse_text(&render(&exporter)).unwrap();
+        let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
         let labels = Labels::from_pairs([
             ("node", "worker-1"),
             ("container", "redis-0"),
             ("image", "scone/redis:5"),
         ]);
-        assert_eq!(parsed.value("container_cpu_usage_seconds_total", &labels), Some(12.5));
+        assert_eq!(value(&parsed, "container_cpu_usage_seconds_total", &labels), Some(12.5));
         assert_eq!(
-            parsed.value("container_memory_working_set_bytes", &labels),
+            value(&parsed, "container_memory_working_set_bytes", &labels),
             Some((200u64 << 20) as f64)
         );
         assert_eq!(
-            parsed.value("container_spec_memory_limit_bytes", &labels),
+            value(&parsed, "container_spec_memory_limit_bytes", &labels),
             Some((1u64 << 30) as f64)
         );
         assert_eq!(exporter.job_name(), "cadvisor");
@@ -234,8 +234,9 @@ mod tests {
         assert!(exporter
             .record_usage("redis-0", ContainerUsage { cpu_seconds: 2.0, ..Default::default() }));
         assert!(!exporter.record_usage("nope", ContainerUsage::default()));
-        let parsed = parse_text(&render(&exporter)).unwrap();
-        assert_eq!(parsed.total("container_cpu_usage_seconds_total"), 3.0);
+        let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        let cpu = parsed.iter().find(|f| f.name == "container_cpu_usage_seconds_total").unwrap();
+        assert_eq!(cpu.total(), 3.0);
     }
 
     #[test]

@@ -154,10 +154,10 @@ mod tests {
     use super::*;
     use teemon_kernel_sim::process::ProcessKind;
     use teemon_kernel_sim::{FaultKind, SwitchKind, Syscall};
-    use teemon_metrics::exposition::parse_text;
+    use teemon_metrics::exposition::{encode_text, parse_families};
 
-    fn render(exporter: &impl Collector) -> String {
-        teemon_metrics::exposition::render_collector(exporter).unwrap()
+    fn value(families: &[FamilySnapshot], name: &str, labels: &Labels) -> Option<f64> {
+        families.iter().find(|f| f.name == name)?.point(labels).map(|p| p.value.scalar())
     }
 
     #[test]
@@ -170,9 +170,9 @@ mod tests {
         }
         kernel.syscall(pid, Syscall::Read, true);
 
-        let parsed = parse_text(&render(&exporter)).unwrap();
+        let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
         let labels = Labels::from_pairs([("node", "worker-1"), ("syscall", "clock_gettime")]);
-        assert_eq!(parsed.value("teemon_syscalls_total", &labels), Some(5.0));
+        assert_eq!(value(&parsed, "teemon_syscalls_total", &labels), Some(5.0));
         assert_eq!(exporter.program_count(), 4);
         assert_eq!(exporter.job_name(), "ebpf_exporter");
     }
@@ -186,24 +186,27 @@ mod tests {
         kernel.page_fault(pid, FaultKind::User, false);
         kernel.cache_access(pid, 1_000, 50, false);
 
-        let text = render(&exporter);
-        let parsed = parse_text(&text).unwrap();
+        let text = encode_text(&exporter.collect().unwrap());
+        let parsed = parse_families(&text).unwrap();
         assert_eq!(
-            parsed.value(
+            value(
+                &parsed,
                 "teemon_context_switches_total",
                 &Labels::from_pairs([("node", "n1"), ("scope", "host_total")])
             ),
             Some(1.0)
         );
         assert_eq!(
-            parsed.value(
+            value(
+                &parsed,
                 "teemon_page_faults_total",
                 &Labels::from_pairs([("node", "n1"), ("scope", "user")])
             ),
             Some(1.0)
         );
         assert_eq!(
-            parsed.value(
+            value(
+                &parsed,
                 "teemon_cache_events_total",
                 &Labels::from_pairs([("node", "n1"), ("event", "misses")])
             ),
@@ -220,24 +223,25 @@ mod tests {
         kernel.context_switch(redis, SwitchKind::Voluntary);
         kernel.context_switch(other, SwitchKind::Voluntary);
 
-        let parsed = parse_text(&render(&exporter)).unwrap();
+        let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
         let redis_scope = format!("pid_{redis}");
         let other_scope = format!("pid_{other}");
-        assert!(parsed
-            .value(
-                "teemon_context_switches_total",
-                &Labels::from_pairs([("node", "n1".to_string()), ("scope", redis_scope)])
-            )
-            .is_some());
-        assert!(parsed
-            .value(
-                "teemon_context_switches_total",
-                &Labels::from_pairs([("node", "n1".to_string()), ("scope", other_scope)])
-            )
-            .is_none());
+        assert!(value(
+            &parsed,
+            "teemon_context_switches_total",
+            &Labels::from_pairs([("node", "n1".to_string()), ("scope", redis_scope)])
+        )
+        .is_some());
+        assert!(value(
+            &parsed,
+            "teemon_context_switches_total",
+            &Labels::from_pairs([("node", "n1".to_string()), ("scope", other_scope)])
+        )
+        .is_none());
         // Host total still counts both.
         assert_eq!(
-            parsed.value(
+            value(
+                &parsed,
                 "teemon_context_switches_total",
                 &Labels::from_pairs([("node", "n1"), ("scope", "host_total")])
             ),

@@ -17,9 +17,7 @@
 //! Every exporter owns a [`teemon_metrics::Registry`] and implements the
 //! typed [`Collector`] contract: the aggregation component scrapes structured
 //! [`teemon_metrics::FamilySnapshot`]s directly, and the OpenMetrics text
-//! document only exists at the edges (see
-//! [`teemon_metrics::exposition::render_collector`] and
-//! `teemon_tsdb::TextEndpoint`).
+//! document only exists at the edges (see [`teemon_metrics::exposition`]).
 
 #![warn(missing_docs)]
 

@@ -162,17 +162,17 @@ mod tests {
     use super::*;
     use teemon_kernel_sim::process::ProcessKind;
     use teemon_kernel_sim::Syscall;
-    use teemon_metrics::exposition::parse_text;
+    use teemon_metrics::exposition::{encode_text, parse_families};
 
-    fn render(exporter: &impl Collector) -> String {
-        teemon_metrics::exposition::render_collector(exporter).unwrap()
+    fn value(families: &[FamilySnapshot], name: &str, labels: &Labels) -> Option<f64> {
+        families.iter().find(|f| f.name == name)?.point(labels).map(|p| p.value.scalar())
     }
 
     #[test]
     fn exports_cpu_memory_fs_and_network_classes() {
         let kernel = Kernel::new();
         let exporter = NodeExporter::new(&kernel, "worker-1");
-        let text = render(&exporter);
+        let text = encode_text(&exporter.collect().unwrap());
         for metric in [
             "node_cpu_cores",
             "node_memory_MemTotal_bytes",
@@ -198,13 +198,13 @@ mod tests {
         });
         exporter.record_usage(NodeUsage { network_rx_bytes: 500, ..NodeUsage::default() });
 
-        let parsed = parse_text(&render(&exporter)).unwrap();
+        let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
         let labels = Labels::from_pairs([("node", "worker-1")]);
-        assert_eq!(parsed.value("node_syscalls_total", &labels), Some(1.0));
-        assert_eq!(parsed.value("node_network_receive_bytes_total", &labels), Some(1_500.0));
-        assert_eq!(parsed.value("node_network_transmit_bytes_total", &labels), Some(5_000.0));
-        let available = parsed.value("node_memory_MemAvailable_bytes", &labels).unwrap();
-        let total = parsed.value("node_memory_MemTotal_bytes", &labels).unwrap();
+        assert_eq!(value(&parsed, "node_syscalls_total", &labels), Some(1.0));
+        assert_eq!(value(&parsed, "node_network_receive_bytes_total", &labels), Some(1_500.0));
+        assert_eq!(value(&parsed, "node_network_transmit_bytes_total", &labels), Some(5_000.0));
+        let available = value(&parsed, "node_memory_MemAvailable_bytes", &labels).unwrap();
+        let total = value(&parsed, "node_memory_MemTotal_bytes", &labels).unwrap();
         assert_eq!(total - available, (1u64 << 30) as f64);
     }
 }

@@ -118,11 +118,11 @@ impl Collector for SgxExporter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teemon_metrics::exposition::parse_text;
+    use teemon_metrics::exposition::{encode_text, parse_families};
     use teemon_sim_core::SimClock;
 
-    fn render(exporter: &impl Collector) -> String {
-        teemon_metrics::exposition::render_collector(exporter).unwrap()
+    fn value(families: &[FamilySnapshot], name: &str, labels: &Labels) -> Option<f64> {
+        families.iter().find(|f| f.name == name)?.point(labels).map(|p| p.value.scalar())
     }
 
     #[test]
@@ -131,13 +131,14 @@ mod tests {
         driver.create_enclave(100, 8 * 1024 * 1024, 4).unwrap();
         let exporter = SgxExporter::new(driver.clone(), "worker-1");
 
-        let text = render(&exporter);
-        let parsed = parse_text(&text).unwrap();
+        let text = encode_text(&exporter.collect().unwrap());
+        let parsed = parse_families(&text).unwrap();
         let labels = Labels::from_pairs([("node", "worker-1")]);
-        assert_eq!(parsed.value("sgx_nr_enclaves", &labels), Some(1.0));
-        let added = parsed.value("sgx_pages_added_total", &labels).unwrap();
+        assert_eq!(value(&parsed, "sgx_nr_enclaves", &labels), Some(1.0));
+        let added = value(&parsed, "sgx_pages_added_total", &labels).unwrap();
         assert_eq!(added, SgxDriver::pages_for(8 * 1024 * 1024) as f64);
-        assert_eq!(parsed.types.get("sgx_nr_free_pages"), Some(&teemon_metrics::MetricKind::Gauge));
+        let free = parsed.iter().find(|f| f.name == "sgx_nr_free_pages").unwrap();
+        assert_eq!(free.kind, teemon_metrics::MetricKind::Gauge);
         assert_eq!(exporter.job_name(), "sgx_exporter");
     }
 
@@ -147,23 +148,23 @@ mod tests {
         let exporter = SgxExporter::new(driver.clone(), "worker-1");
         let labels = Labels::from_pairs([("node", "worker-1")]);
 
-        let before = parse_text(&render(&exporter)).unwrap();
-        assert_eq!(before.value("sgx_nr_enclaves", &labels), Some(0.0));
+        let before = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        assert_eq!(value(&before, "sgx_nr_enclaves", &labels), Some(0.0));
 
         let (id, _) = driver.create_enclave(1, 1024 * 1024, 1).unwrap();
-        let during = parse_text(&render(&exporter)).unwrap();
-        assert_eq!(during.value("sgx_nr_enclaves", &labels), Some(1.0));
+        let during = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        assert_eq!(value(&during, "sgx_nr_enclaves", &labels), Some(1.0));
 
         driver.destroy_enclave(id).unwrap();
-        let after = parse_text(&render(&exporter)).unwrap();
-        assert_eq!(after.value("sgx_nr_enclaves", &labels), Some(0.0));
-        assert_eq!(after.value("sgx_enclaves_removed_total", &labels), Some(1.0));
+        let after = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        assert_eq!(value(&after, "sgx_nr_enclaves", &labels), Some(0.0));
+        assert_eq!(value(&after, "sgx_enclaves_removed_total", &labels), Some(1.0));
     }
 
     #[test]
     fn exposes_all_paper_metric_classes() {
         let driver = SgxDriver::new(SimClock::new());
-        let text = render(&SgxExporter::new(driver, "n"));
+        let text = encode_text(&SgxExporter::new(driver, "n").collect().unwrap());
         for metric in [
             "sgx_enclaves_created_total",
             "sgx_nr_enclaves",

@@ -5,10 +5,12 @@
 //! processes, so every scrape serialises the exporter's state to OpenMetrics
 //! text and parses it back.  In this reproduction both sides live in one
 //! process, so the scrape contract is typed instead: a [`Collector`] hands
-//! the scraper owned [`FamilySnapshot`]s directly and the text format becomes
-//! an explicit edge adapter (see [`crate::exposition`] and
-//! `teemon_tsdb::TextEndpoint`), applied only where an external party speaks
-//! the wire format.
+//! the scraper owned [`FamilySnapshot`]s directly.  The text format is an
+//! edge codec ([`crate::exposition`]), applied only where an external party
+//! speaks the wire format: `/metrics` and `/self/metrics` serve
+//! [`encode_text`](crate::exposition::encode_text), and remote-write pushes
+//! and `teemon_tsdb::Scraper::add_text_source` targets are read with
+//! [`parse_families_bounded`](crate::exposition::parse_families_bounded).
 
 use std::fmt;
 use std::sync::Arc;

@@ -1,8 +1,11 @@
-//! OpenMetrics-style text exposition: encoding and parsing.
+//! OpenMetrics-style text exposition: the codec of the wire format's edges.
 //!
-//! The encoder turns gathered [`FamilySnapshot`]s into the text format that
-//! the paper's exporters publish on their `/metrics` endpoints; the parser is
-//! used by the aggregation component (PMAG) when it scrapes those endpoints.
+//! [`encode_text`] turns [`FamilySnapshot`]s into the text format the paper's
+//! exporters publish (`/metrics`, `/self/metrics`); [`parse_families`] and
+//! [`parse_families_bounded`] turn a document back into the same snapshots,
+//! for remote-write pushes and text sources scraped by the aggregation
+//! component (PMAG).  In-process scrapes hand snapshots over typed and never
+//! pass through here.
 //!
 //! The format is line oriented:
 //!
@@ -14,7 +17,7 @@
 //!
 //! # The inbound tokenizer
 //!
-//! Every `parse_*` entry point shares one pass, `tokenize`, and one fold,
+//! Both parse entry points share one pass, `tokenize`, and one fold,
 //! `fold_families` (which runs after the pass so that a `# TYPE` line
 //! below a family's samples still applies to them).  A sample line is read
 //! by `scan_sample` in one forward scan over its bytes: the name, the
@@ -30,27 +33,12 @@
 //! first, is pinned against the parser it replaced by
 //! `tests/parse_differential.rs`.
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::collector::{CollectError, Collector};
 use crate::error::MetricError;
 use crate::label::{LabelName, Labels, MetricName};
-use crate::snapshot::{FamilySnapshot, MetricKind, MetricPoint, PointValue, Sample};
+use crate::snapshot::{FamilySnapshot, MetricKind, MetricPoint, PointValue};
 use crate::value::{HistogramSnapshot, SummarySnapshot};
-
-/// Renders a [`Collector`]'s current state as exposition text: refreshes,
-/// collects typed snapshots and encodes them.  This is the outbound half of
-/// the text edge (what an HTTP `/metrics` handler would serve to an external
-/// Prometheus).
-///
-/// # Errors
-///
-/// Propagates the collector's [`CollectError`].
-pub fn render_collector(collector: &dyn Collector) -> Result<String, CollectError> {
-    collector.refresh();
-    Ok(encode_text(&collector.collect()?))
-}
 
 /// Encodes family snapshots into the text exposition format.
 pub fn encode_text(families: &[FamilySnapshot]) -> String {
@@ -68,18 +56,24 @@ pub fn encode_text(families: &[FamilySnapshot]) -> String {
         out.push(' ');
         out.push_str(family.kind.as_str());
         out.push('\n');
-        for sample in family.samples() {
-            encode_sample(&mut out, &sample);
-        }
+        family.for_each_sample(|name, labels, value, timestamp_ms| {
+            encode_sample(&mut out, name, labels, value, timestamp_ms);
+        });
     }
     out
 }
 
-fn encode_sample(out: &mut String, sample: &Sample) {
-    out.push_str(&sample.name);
-    if !sample.labels.is_empty() {
+fn encode_sample(
+    out: &mut String,
+    name: &str,
+    labels: &Labels,
+    value: f64,
+    timestamp_ms: Option<u64>,
+) {
+    out.push_str(name);
+    if !labels.is_empty() {
         out.push('{');
-        for (i, (k, v)) in sample.labels.iter().enumerate() {
+        for (i, (k, v)) in labels.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -91,24 +85,17 @@ fn encode_sample(out: &mut String, sample: &Sample) {
         out.push('}');
     }
     out.push(' ');
-    write_value(out, sample.value);
-    if let Some(ts) = sample.timestamp_ms {
+    write_value(out, value);
+    if let Some(ts) = timestamp_ms {
         out.push(' ');
         out.push_str(&ts.to_string());
     }
     out.push('\n');
 }
 
-/// Formats a sample value: integral values print without a decimal point,
-/// specials print as `NaN`, `+Inf`, `-Inf`.
-pub fn format_value(v: f64) -> String {
-    let mut out = String::new();
-    write_value(&mut out, v);
-    out
-}
-
-/// Appends [`format_value`]'s text for `v` to `out` without a temporary
-/// (`fmt::Write` into a `String` cannot fail).
+/// Appends a sample value's text to `out` without a temporary: integral
+/// values print without a decimal point, specials print as `NaN`, `+Inf`,
+/// `-Inf` (`fmt::Write` into a `String` cannot fail).
 pub fn write_value(out: &mut String, v: f64) {
     use std::fmt::Write as _;
     let _ = if v.is_nan() {
@@ -175,48 +162,6 @@ fn unescape_label_value(s: &str, out: &mut String) {
     }
 }
 
-/// A scrape result: parsed samples plus per-family metadata.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParsedExposition {
-    /// All samples in document order.
-    pub samples: Vec<Sample>,
-    /// `# TYPE` declarations by family name.
-    pub types: BTreeMap<String, MetricKind>,
-    /// `# HELP` declarations by family name.
-    pub help: BTreeMap<String, String>,
-}
-
-impl ParsedExposition {
-    /// Returns all samples whose name equals `name`.
-    pub fn samples_named(&self, name: &str) -> Vec<&Sample> {
-        self.samples.iter().filter(|s| s.name == name).collect()
-    }
-
-    /// Returns the single value of `name` with exactly `labels`, if present.
-    pub fn value(&self, name: &str, labels: &Labels) -> Option<f64> {
-        self.samples.iter().find(|s| s.name == name && &s.labels == labels).map(|s| s.value)
-    }
-
-    /// Sum of all samples named `name` (across label sets).
-    pub fn total(&self, name: &str) -> f64 {
-        self.samples.iter().filter(|s| s.name == name).map(|s| s.value).sum()
-    }
-
-    /// Reassembles typed [`FamilySnapshot`]s from the flat samples, using the
-    /// `# TYPE` declarations to fold `_bucket`/`_sum`/`_count` samples back
-    /// into histogram and summary points.  Families appear in document order;
-    /// samples without a `# TYPE` declaration become untyped families.
-    pub fn to_families(&self) -> Vec<FamilySnapshot> {
-        let samples = self.samples.iter().map(|s| RawSample {
-            name: &s.name,
-            labels: s.labels.clone(),
-            value: s.value,
-            timestamp_ms: s.timestamp_ms,
-        });
-        fold_families(&self.types, &self.help, samples.collect())
-    }
-}
-
 /// One tokenised sample line: the name still borrowed from the document, the
 /// label set already in the owned form its [`MetricPoint`] will hold.
 struct RawSample<'a> {
@@ -227,8 +172,7 @@ struct RawSample<'a> {
 }
 
 /// A tokenised document, keyed by names borrowed from it: what
-/// [`parse_text_bounded`] copies into a [`ParsedExposition`] and
-/// [`parse_families_bounded`] folds directly.
+/// [`parse_families_bounded`] folds into typed families.
 struct Tokens<'a> {
     samples: Vec<RawSample<'a>>,
     types: BTreeMap<&'a str, MetricKind>,
@@ -239,9 +183,9 @@ struct Tokens<'a> {
 /// `# TYPE`/`# HELP` declarations (complete, so that a declaration after a
 /// family's first sample still applies to it).  Each sample's label set is
 /// moved into its point.
-fn fold_families<K: Borrow<str> + Ord>(
-    types: &BTreeMap<K, MetricKind>,
-    help: &BTreeMap<K, String>,
+fn fold_families(
+    types: &BTreeMap<&str, MetricKind>,
+    help: &BTreeMap<&str, String>,
     samples: Vec<RawSample<'_>>,
 ) -> Vec<FamilySnapshot> {
     let mut families: Vec<FamilySnapshot> = Vec::new();
@@ -362,8 +306,8 @@ fn fold_families<K: Borrow<str> + Ord>(
 /// Splits a wire sample name into its family name and role, honouring the
 /// `# TYPE` declarations (`lat_bucket` only folds into `lat` when `lat`
 /// is a declared histogram).
-fn split_sample_name<'a, K: Borrow<str> + Ord>(
-    types: &BTreeMap<K, MetricKind>,
+fn split_sample_name<'a>(
+    types: &BTreeMap<&str, MetricKind>,
     name: &'a str,
 ) -> (&'a str, SamplePart) {
     for (suffix, part) in
@@ -438,10 +382,11 @@ impl Default for ParseLimits {
     }
 }
 
-/// Parses a text exposition document straight into typed family snapshots:
-/// the inbound half of the text edge, used when scraping targets that only
-/// speak the wire format.  Equivalent to
-/// [`parse_text`]`(input)?.`[`to_families`](ParsedExposition::to_families)`()`.
+/// Parses a text exposition document into typed family snapshots, folding
+/// `_bucket`/`_sum`/`_count` samples back into histogram and summary points
+/// under the document's `# TYPE` declarations: the inbound half of the text
+/// edge.  Families appear in document order; samples without a `# TYPE`
+/// declaration become untyped families.
 ///
 /// # Errors
 ///
@@ -466,46 +411,7 @@ pub fn parse_families_bounded(
     Ok(fold_families(&tokens.types, &tokens.help, tokens.samples))
 }
 
-/// Parses a text exposition document.
-///
-/// # Errors
-///
-/// Returns [`MetricError::Parse`] describing the first malformed line.
-pub fn parse_text(input: &str) -> Result<ParsedExposition, MetricError> {
-    parse_text_bounded(input, ParseLimits::unbounded())
-}
-
-/// [`parse_text`] with [`ParseLimits`] enforced while the document streams
-/// through the parser (a limit trips before the oversized structure is
-/// materialised, not after).
-///
-/// # Errors
-///
-/// Returns [`MetricError::Parse`] for the first malformed line or
-/// [`MetricError::LimitExceeded`] when the document overruns a limit.
-pub fn parse_text_bounded(
-    input: &str,
-    limits: ParseLimits,
-) -> Result<ParsedExposition, MetricError> {
-    let tokens = tokenize(input, limits)?;
-    Ok(ParsedExposition {
-        samples: tokens
-            .samples
-            .into_iter()
-            .map(|s| Sample {
-                name: s.name.to_string(),
-                labels: s.labels,
-                value: s.value,
-                timestamp_ms: s.timestamp_ms,
-            })
-            .collect(),
-        types: tokens.types.into_iter().map(|(name, kind)| (name.to_string(), kind)).collect(),
-        help: tokens.help.into_iter().map(|(name, help)| (name.to_string(), help)).collect(),
-    })
-}
-
-/// The one pass over the document's lines that every parse entry point
-/// shares.
+/// The one pass over the document's lines.
 fn tokenize(input: &str, limits: ParseLimits) -> Result<Tokens<'_>, MetricError> {
     // Every sample is a line of its own, so counting the lines that could
     // hold one sizes the token list once.  The sample limit trips before the
@@ -938,21 +844,17 @@ rpc_seconds_count 4
     #[test]
     fn encode_parse_round_trip_preserves_samples() {
         let families = sample_registry().gather();
-        let text = encode_text(&families);
-        let parsed = parse_text(&text).unwrap();
+        let parsed = parse_families(&encode_text(&families)).unwrap();
+        assert_eq!(parsed, families);
+        let syscalls = parsed.iter().find(|f| f.name == "teemon_syscalls_total").unwrap();
         assert_eq!(
-            parsed.value(
-                "teemon_syscalls_total",
-                &Labels::from_pairs([("syscall", "clock_gettime")])
-            ),
-            Some(370_000.0)
+            syscalls.point(&Labels::from_pairs([("syscall", "clock_gettime")])).unwrap().value,
+            PointValue::Counter(370_000.0)
         );
-        assert_eq!(parsed.types.get("sgx_nr_free_pages"), Some(&MetricKind::Gauge));
-        assert_eq!(
-            parsed.help.get("teemon_syscalls_total").map(String::as_str),
-            Some("System calls observed")
-        );
-        assert_eq!(parsed.total("teemon_syscalls_total"), 370_042.0);
+        assert_eq!(syscalls.help, "System calls observed");
+        assert_eq!(syscalls.total(), 370_042.0);
+        let free = parsed.iter().find(|f| f.name == "sgx_nr_free_pages").unwrap();
+        assert_eq!(free.kind, MetricKind::Gauge);
     }
 
     #[test]
@@ -964,28 +866,30 @@ temp NaN
 pressure +Inf
 vacuum -Inf
 ";
-        let parsed = parse_text(doc).unwrap();
-        let up = &parsed.samples[0];
-        assert_eq!(up.timestamp_ms, Some(1_607_731_200_000));
-        assert!(parsed.samples[1].value.is_nan());
-        assert_eq!(parsed.samples[2].value, f64::INFINITY);
-        assert_eq!(parsed.samples[3].value, f64::NEG_INFINITY);
+        let parsed = parse_families(doc).unwrap();
+        let point = |i: usize| &parsed[i].points[0];
+        assert_eq!(point(0).timestamp_ms, Some(1_607_731_200_000));
+        assert_eq!(point(0).value, PointValue::Gauge(1.0));
+        assert!(point(1).value.scalar().is_nan());
+        assert_eq!(point(2).value, PointValue::Untyped(f64::INFINITY));
+        assert_eq!(point(3).value, PointValue::Untyped(f64::NEG_INFINITY));
     }
 
     #[test]
     fn parse_rejects_malformed_lines() {
-        assert!(parse_text("metric_without_value").is_err());
-        assert!(parse_text("name{unclosed=\"x} 1").is_err());
-        assert!(parse_text("name{a=\"1\"} not_a_number").is_err());
-        assert!(parse_text("name 1 2 3").is_err());
-        assert!(parse_text("# TYPE foo wat").is_err());
-        assert!(parse_text("name{a=1} 5").is_err());
+        assert!(parse_families("metric_without_value").is_err());
+        assert!(parse_families("name{unclosed=\"x} 1").is_err());
+        assert!(parse_families("name{a=\"1\"} not_a_number").is_err());
+        assert!(parse_families("name 1 2 3").is_err());
+        assert!(parse_families("# TYPE foo wat").is_err());
+        assert!(parse_families("name{a=1} 5").is_err());
     }
 
     #[test]
     fn parse_ignores_blank_lines_and_comments() {
-        let parsed = parse_text("\n# just a comment\n\nfoo 1\n").unwrap();
-        assert_eq!(parsed.samples.len(), 1);
+        let parsed = parse_families("\n# just a comment\n\nfoo 1\n").unwrap();
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].points.len(), 1);
     }
 
     #[test]
@@ -1008,9 +912,8 @@ vacuum -Inf
         labels.insert("path", "C:\\weird\"dir\nname");
         let fam = FamilySnapshot::new("files_total", "", MetricKind::Counter)
             .with_point(MetricPoint::new(labels.clone(), PointValue::Counter(1.0)));
-        let text = encode_text(&[fam]);
-        let parsed = parse_text(&text).unwrap();
-        assert_eq!(parsed.samples[0].labels, labels);
+        let parsed = parse_families(&encode_text(&[fam])).unwrap();
+        assert_eq!(parsed[0].points[0].labels, labels);
     }
 
     #[test]
@@ -1019,40 +922,39 @@ vacuum -Inf
         // A line over the byte limit.
         let long_line = format!("m{{v=\"{}\"}} 1\n", "x".repeat(128));
         assert_eq!(
-            parse_text_bounded(&long_line, limits),
+            parse_families_bounded(&long_line, limits),
             Err(MetricError::LimitExceeded { what: "line bytes", limit: 64, actual: 137 })
         );
         // One sample over the sample limit: the parse fails, nothing is kept.
         let many = "a 1\na 2\na 3\na 4\na 5\n";
         assert_eq!(
-            parse_text_bounded(many, limits),
+            parse_families_bounded(many, limits),
             Err(MetricError::LimitExceeded { what: "samples", limit: 4, actual: 5 })
         );
         // Distinct family names over the family limit (TYPE lines count too).
         let families = "# TYPE a counter\n# TYPE b counter\n# TYPE c counter\nd 1\n";
         assert_eq!(
-            parse_text_bounded(families, limits),
+            parse_families_bounded(families, limits),
             Err(MetricError::LimitExceeded { what: "families", limit: 3, actual: 4 })
         );
         // Within limits the bounded parse equals the unbounded one.
         let ok = "# TYPE a counter\na 1\na 2\nb 3\n";
-        assert_eq!(parse_text_bounded(ok, limits), Ok(parse_text(ok).unwrap()));
         assert_eq!(parse_families_bounded(ok, limits), Ok(parse_families(ok).unwrap()));
     }
 
     #[test]
     fn network_limits_pass_healthy_exporter_documents() {
         let text = encode_text(&sample_registry().gather());
-        let bounded = parse_text_bounded(&text, ParseLimits::network()).unwrap();
-        assert_eq!(bounded, parse_text(&text).unwrap());
+        let bounded = parse_families_bounded(&text, ParseLimits::network()).unwrap();
+        assert_eq!(bounded, parse_families(&text).unwrap());
     }
 
     #[test]
     fn empty_labels_parse_as_bare_name() {
-        let parsed = parse_text("plain_metric 3.25\n").unwrap();
-        assert_eq!(parsed.samples[0].name, "plain_metric");
-        assert!(parsed.samples[0].labels.is_empty());
-        assert_eq!(parsed.samples[0].value, 3.25);
+        let parsed = parse_families("plain_metric 3.25\n").unwrap();
+        assert_eq!(parsed[0].name, "plain_metric");
+        assert!(parsed[0].points[0].labels.is_empty());
+        assert_eq!(parsed[0].points[0].value, PointValue::Untyped(3.25));
     }
 
     proptest::proptest! {
@@ -1061,11 +963,12 @@ vacuum -Inf
             let r = Registry::new();
             let c = r.counter_family("prop_total", "prop");
             c.with(&Labels::from_pairs([("syscall", syscall.clone())])).inc_by(value);
-            let text = encode_text(&r.gather());
-            let parsed = parse_text(&text).unwrap();
-            let got = parsed
-                .value("prop_total", &Labels::from_pairs([("syscall", syscall)]))
-                .unwrap();
+            let parsed = parse_families(&encode_text(&r.gather())).unwrap();
+            let got = parsed[0]
+                .point(&Labels::from_pairs([("syscall", syscall)]))
+                .unwrap()
+                .value
+                .scalar();
             let round_trip_error = (got - value).abs();
             proptest::prop_assert!(round_trip_error <= value.abs() * 1e-12 + 1e-12);
         }
@@ -1076,8 +979,8 @@ vacuum -Inf
             labels.insert("v", value.clone());
             let fam = FamilySnapshot::new("m", "", MetricKind::Gauge)
                 .with_point(MetricPoint::new(labels.clone(), PointValue::Gauge(1.0)));
-            let parsed = parse_text(&encode_text(&[fam])).unwrap();
-            proptest::prop_assert_eq!(parsed.samples[0].labels.get("v"), Some(value.as_str()));
+            let parsed = parse_families(&encode_text(&[fam])).unwrap();
+            proptest::prop_assert_eq!(parsed[0].points[0].labels.get("v"), Some(value.as_str()));
         }
     }
 }

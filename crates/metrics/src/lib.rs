@@ -63,7 +63,5 @@ pub use family::{CounterFamily, GaugeFamily, HistogramFamily, MetricFamily, Summ
 pub use identity::{series_hash, SeriesKey};
 pub use label::{LabelName, Labels, MetricName};
 pub use registry::{Registry, SnapshotSource};
-pub use snapshot::{
-    format_bound, merge_families, FamilySnapshot, MetricKind, MetricPoint, PointValue, Sample,
-};
+pub use snapshot::{format_bound, FamilySnapshot, MetricKind, MetricPoint, PointValue};
 pub use value::{Counter, Gauge, Histogram, HistogramSnapshot, Summary, SummarySnapshot};

@@ -1,13 +1,12 @@
 //! Point-in-time snapshots of metric families.
 //!
-//! Exporters gather their live metric values into [`FamilySnapshot`]s which are
-//! then encoded to the exposition format, transferred to the aggregation
-//! component and decoded back into the same types.  The types are therefore
+//! Exporters gather their live metric values into [`FamilySnapshot`]s which
+//! the aggregation component takes as they are; the text exposition format
+//! encodes and decodes the same types at the edges.  The types are therefore
 //! the wire-level data model of TEEMon.
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::MetricError;
 use crate::label::Labels;
 use crate::value::{HistogramSnapshot, SummarySnapshot};
 
@@ -151,40 +150,10 @@ impl FamilySnapshot {
         self.points.iter().map(|p| p.value.scalar()).sum()
     }
 
-    /// Merges `constant` into the labels of every point (`constant` wins on
-    /// conflict, matching [`crate::Registry`] constant-label semantics and the
-    /// per-sample merge the scraper performs for `job`/`instance` labels).
-    /// Use this to relabel whole snapshots when composing collectors.
-    pub fn add_labels(&mut self, constant: &Labels) {
-        if constant.is_empty() {
-            return;
-        }
-        for point in &mut self.points {
-            point.labels = point.labels.merged(constant);
-        }
-    }
-
-    /// Absorbs the points of `other` into this family.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::AlreadyRegistered`] when `other` has the same
-    /// name but a different kind — merging those would corrupt the family.
-    pub fn merge(&mut self, other: FamilySnapshot) -> Result<(), MetricError> {
-        if other.name != self.name || other.kind != self.kind {
-            return Err(MetricError::AlreadyRegistered(other.name));
-        }
-        if self.help.is_empty() {
-            self.help = other.help;
-        }
-        self.points.extend(other.points);
-        Ok(())
-    }
-
-    /// Visits every wire-level sample of the family without materialising a
-    /// `Vec<Sample>`: plain counter/gauge/untyped points are passed with
+    /// Visits every wire-level sample of the family as `(name, labels, value,
+    /// timestamp_ms)`: plain counter/gauge/untyped points are passed with
     /// **borrowed** name and labels (zero clones — this is the scraper's hot
-    /// path), while histogram and summary expansions pass locally built
+    /// path, and the text encoder's only input), while histogram and summary expansions pass locally built
     /// `_bucket`/`_sum`/`_count` names and `le`/`quantile` label sets.
     pub fn for_each_sample(&self, mut visit: impl FnMut(&str, &Labels, f64, Option<u64>)) {
         let mut scratch = String::new();
@@ -244,52 +213,6 @@ impl FamilySnapshot {
         };
         self.points.iter().map(per_point).sum()
     }
-
-    /// Flattens the family into individual owned [`Sample`]s as they appear on
-    /// the wire (histograms expand into `_bucket`, `_sum` and `_count`
-    /// samples).  Prefer [`FamilySnapshot::for_each_sample`] on hot paths.
-    pub fn samples(&self) -> Vec<Sample> {
-        let mut out = Vec::new();
-        self.for_each_sample(|name, labels, value, timestamp_ms| {
-            out.push(Sample {
-                name: name.to_string(),
-                labels: labels.clone(),
-                value,
-                timestamp_ms,
-            });
-        });
-        out
-    }
-}
-
-/// Collapses families that share a name into one family each (points are
-/// concatenated in input order, families sorted by name).  Families whose
-/// kinds conflict are kept separate rather than silently corrupted.
-pub fn merge_families(families: Vec<FamilySnapshot>) -> Vec<FamilySnapshot> {
-    let mut merged: Vec<FamilySnapshot> = Vec::with_capacity(families.len());
-    for family in families {
-        match merged.iter_mut().find(|f| f.name == family.name && f.kind == family.kind) {
-            Some(existing) => {
-                existing.merge(family).expect("name and kind checked above");
-            }
-            None => merged.push(family),
-        }
-    }
-    merged.sort_by(|a, b| a.name.cmp(&b.name));
-    merged
-}
-
-/// A single flattened sample as it appears on the exposition wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// Sample name (family name, possibly with a `_bucket`/`_sum`/`_count` suffix).
-    pub name: String,
-    /// Label set.
-    pub labels: Labels,
-    /// Sample value.
-    pub value: f64,
-    /// Optional timestamp in milliseconds.
-    pub timestamp_ms: Option<u64>,
 }
 
 /// Formats a bucket bound or quantile the way the exposition format expects
@@ -356,6 +279,15 @@ mod tests {
         assert!(fam.point(&Labels::from_pairs([("a", "3")])).is_none());
     }
 
+    /// Every sample [`FamilySnapshot::for_each_sample`] visits, owned.
+    fn visited(fam: &FamilySnapshot) -> Vec<(String, Labels, f64, Option<u64>)> {
+        let mut out = Vec::new();
+        fam.for_each_sample(|name, labels, value, ts| {
+            out.push((name.to_string(), labels.clone(), value, ts));
+        });
+        out
+    }
+
     #[test]
     fn histogram_samples_expand_buckets() {
         let h = Histogram::new(vec![1.0, 2.0]).unwrap();
@@ -364,61 +296,20 @@ mod tests {
         h.observe(9.0);
         let fam = FamilySnapshot::new("lat", "latency", MetricKind::Histogram)
             .with_point(MetricPoint::new(Labels::new(), PointValue::Histogram(h.snapshot())));
-        let samples = fam.samples();
-        let names: Vec<_> = samples.iter().map(|s| s.name.as_str()).collect();
+        let samples = visited(&fam);
+        let names: Vec<_> = samples.iter().map(|s| s.0.as_str()).collect();
         assert_eq!(names, vec!["lat_bucket", "lat_bucket", "lat_bucket", "lat_sum", "lat_count"]);
-        let inf = samples.iter().find(|s| s.labels.get("le") == Some("+Inf")).unwrap();
-        assert_eq!(inf.value, 3.0);
-        let count = samples.iter().find(|s| s.name == "lat_count").unwrap();
-        assert_eq!(count.value, 3.0);
+        let inf = samples.iter().find(|s| s.1.get("le") == Some("+Inf")).unwrap();
+        assert_eq!(inf.2, 3.0);
+        let count = samples.iter().find(|s| s.0 == "lat_count").unwrap();
+        assert_eq!(count.2, 3.0);
     }
 
     #[test]
     fn timestamps_are_propagated() {
         let fam = FamilySnapshot::new("g", "gauge", MetricKind::Gauge)
             .with_point(MetricPoint::new(Labels::new(), PointValue::Gauge(1.0)).at(12345));
-        assert_eq!(fam.samples()[0].timestamp_ms, Some(12345));
-    }
-
-    #[test]
-    fn add_labels_merges_point_labels_win() {
-        let mut fam = FamilySnapshot::new("x_total", "", MetricKind::Counter).with_point(
-            MetricPoint::new(Labels::from_pairs([("job", "mine")]), PointValue::Counter(1.0)),
-        );
-        fam.add_labels(&Labels::from_pairs([("job", "scraped"), ("instance", "n1:9090")]));
-        let labels = &fam.points[0].labels;
-        assert_eq!(labels.get("job"), Some("scraped"), "target labels win on conflict");
-        assert_eq!(labels.get("instance"), Some("n1:9090"));
-    }
-
-    #[test]
-    fn merge_concatenates_and_rejects_kind_conflicts() {
-        let mut a = FamilySnapshot::new("m", "help", MetricKind::Gauge)
-            .with_point(MetricPoint::new(Labels::new(), PointValue::Gauge(1.0)));
-        let b = FamilySnapshot::new("m", "", MetricKind::Gauge)
-            .with_point(MetricPoint::new(Labels::from_pairs([("a", "1")]), PointValue::Gauge(2.0)));
-        a.merge(b).unwrap();
-        assert_eq!(a.points.len(), 2);
-        let conflicting = FamilySnapshot::new("m", "", MetricKind::Counter);
-        assert!(a.merge(conflicting).is_err());
-    }
-
-    #[test]
-    fn merge_families_collapses_duplicates_sorted() {
-        let families = vec![
-            FamilySnapshot::new("z", "", MetricKind::Counter)
-                .with_point(MetricPoint::new(Labels::new(), PointValue::Counter(1.0))),
-            FamilySnapshot::new("a", "", MetricKind::Gauge),
-            FamilySnapshot::new("z", "late help", MetricKind::Counter).with_point(
-                MetricPoint::new(Labels::from_pairs([("i", "2")]), PointValue::Counter(2.0)),
-            ),
-        ];
-        let merged = merge_families(families);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].name, "a");
-        assert_eq!(merged[1].name, "z");
-        assert_eq!(merged[1].points.len(), 2);
-        assert_eq!(merged[1].help, "late help");
+        assert_eq!(visited(&fam)[0].3, Some(12345));
     }
 
     #[test]
@@ -427,22 +318,21 @@ mod tests {
         h.observe(0.5);
         let fam = FamilySnapshot::new("lat", "latency", MetricKind::Histogram)
             .with_point(MetricPoint::new(Labels::new(), PointValue::Histogram(h.snapshot())));
-        let mut visited = Vec::new();
-        fam.for_each_sample(|name, labels, value, ts| {
-            visited.push(Sample {
-                name: name.to_string(),
-                labels: labels.clone(),
-                value,
-                timestamp_ms: ts,
-            });
-        });
-        assert_eq!(visited, fam.samples());
-        assert_eq!(fam.sample_count(), visited.len(), "2 bounds + 3");
+        let le = |bound: &str| Labels::from_pairs([("le", bound)]);
+        let expected = vec![
+            ("lat_bucket".to_string(), le("1"), 1.0, None),
+            ("lat_bucket".to_string(), le("2"), 1.0, None),
+            ("lat_bucket".to_string(), le("+Inf"), 1.0, None),
+            ("lat_sum".to_string(), Labels::new(), 0.5, None),
+            ("lat_count".to_string(), Labels::new(), 1.0, None),
+        ];
+        assert_eq!(visited(&fam), expected);
+        assert_eq!(fam.sample_count(), expected.len(), "2 bounds + 3");
         let summary =
             SummarySnapshot { quantiles: vec![(0.5, 1.0), (0.99, 2.0)], sum: 3.0, count: 2 };
         let fam = FamilySnapshot::new("q", "", MetricKind::Summary)
             .with_point(MetricPoint::new(Labels::new(), PointValue::Summary(summary)));
-        assert_eq!(fam.sample_count(), fam.samples().len(), "2 quantiles + 2");
+        assert_eq!(fam.sample_count(), visited(&fam).len(), "2 quantiles + 2");
 
         // A plain counter family passes the family name pointer straight through.
         let plain = FamilySnapshot::new("c_total", "", MetricKind::Counter)

@@ -1,7 +1,7 @@
 //! Differential test of the one-pass text edge: for generated documents and
-//! for a byte-mangled corpus, `parse_families_bounded` / `parse_text_bounded`
-//! must return exactly what the pre-change two-phase parser returned — same
-//! families, same points in the same order, and on a bad document the same
+//! for a byte-mangled corpus, `parse_families_bounded` must return exactly
+//! what the pre-change two-phase parser returned — same families, same
+//! points in the same order, and on a bad document the same
 //! `Err` (text, line number and which of several defects is reported first).
 //!
 //! The generator covers what the fold has to get right: scalar, histogram
@@ -16,7 +16,7 @@
 //! bits, insert bytes, swap bytes) to whole documents, which is how invalid
 //! names, torn quotes and stray braces get in.
 
-use teemon_metrics::exposition::{parse_families_bounded, parse_text_bounded, ParseLimits};
+use teemon_metrics::exposition::{parse_families_bounded, ParseLimits};
 
 /// The parser as it stood before the one-pass rewrite, kept verbatim as the
 /// reference: phase one materialises every line as an owned [`Sample`] plus
@@ -30,8 +30,17 @@ mod oracle {
     use teemon_metrics::exposition::ParseLimits;
     use teemon_metrics::{
         FamilySnapshot, HistogramSnapshot, LabelName, Labels, MetricError, MetricKind, MetricName,
-        MetricPoint, PointValue, Sample, SummarySnapshot,
+        MetricPoint, PointValue, SummarySnapshot,
     };
+
+    /// A single flattened sample as it appears on the exposition wire.
+    #[derive(Debug)]
+    pub struct Sample {
+        pub name: String,
+        pub labels: Labels,
+        pub value: f64,
+        pub timestamp_ms: Option<u64>,
+    }
 
     fn unescape_help(s: &str) -> String {
         let mut out = String::with_capacity(s.len());
@@ -248,10 +257,10 @@ mod oracle {
         input: &str,
         limits: ParseLimits,
     ) -> Result<Vec<FamilySnapshot>, MetricError> {
-        Ok(parse_text_bounded(input, limits)?.to_families())
+        Ok(parse_exposition(input, limits)?.to_families())
     }
 
-    pub fn parse_text_bounded(
+    pub fn parse_exposition(
         input: &str,
         limits: ParseLimits,
     ) -> Result<ParsedExposition, MetricError> {
@@ -462,29 +471,19 @@ impl Rng {
 /// Compares through `Debug`: results hold `f64`s and `NaN != NaN` would fail
 /// a structural comparison of two identical parses.
 fn assert_same(doc: &str, limits: ParseLimits) {
-    let expected = oracle::parse_text_bounded(doc, limits);
-    let actual = parse_text_bounded(doc, limits);
+    let expected = oracle::parse_families_bounded(doc, limits);
+    let actual = parse_families_bounded(doc, limits);
     match (&expected, &actual) {
-        (Ok(expected), Ok(actual)) => {
-            assert_eq!(
-                format!("{:?}", (&actual.samples, &actual.types, &actual.help)),
-                format!("{:?}", (&expected.samples, &expected.types, &expected.help)),
-                "parse_text over {doc:?}"
-            );
-            assert_eq!(
-                format!("{:?}", actual.to_families()),
-                format!("{:?}", expected.to_families()),
-                "to_families over {doc:?}"
-            );
+        (Ok(expected), Ok(actual)) => assert_eq!(
+            format!("{actual:?}"),
+            format!("{expected:?}"),
+            "parse_families over {doc:?}"
+        ),
+        (Err(expected), Err(actual)) => {
+            assert_eq!(actual, expected, "parse_families over {doc:?}")
         }
-        (Err(expected), Err(actual)) => assert_eq!(actual, expected, "parse_text over {doc:?}"),
-        _ => panic!("parse_text over {doc:?}: expected {expected:?}, got {actual:?}"),
+        _ => panic!("parse_families over {doc:?}: expected {expected:?}, got {actual:?}"),
     }
-    assert_eq!(
-        format!("{:?}", parse_families_bounded(doc, limits)),
-        format!("{:?}", oracle::parse_families_bounded(doc, limits)),
-        "parse_families over {doc:?}"
-    );
 }
 
 const LABEL_VALUES: &[&str] = &[
@@ -846,9 +845,5 @@ fn unrepresentable_names_are_parse_errors() {
         let doc = format!("ok 1\n{doc}");
         let expected = Err(MetricError::Parse { line: 2, message: message.to_string() });
         assert_eq!(parse_families_bounded(&doc, ParseLimits::network()), expected, "{doc:?}");
-        assert_eq!(
-            parse_text_bounded(&doc, ParseLimits::network()).map(|_| ()),
-            expected.map(|_| ())
-        );
     }
 }

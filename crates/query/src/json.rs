@@ -177,7 +177,7 @@ pub fn error_response(error_type: &str, message: &str) -> String {
 #[cfg(test)]
 mod tree {
     use serde::Value as Json;
-    use teemon_metrics::exposition::format_value;
+    use teemon_metrics::exposition::write_value;
     use teemon_metrics::Labels;
 
     use crate::eval::{RangeSeries, Value};
@@ -194,10 +194,9 @@ mod tree {
     }
 
     fn sample_pair(timestamp_ms: u64, value: f64) -> Json {
-        Json::Array(vec![
-            Json::Number(timestamp_ms as f64 / 1e3),
-            Json::String(format_value(value)),
-        ])
+        let mut text = String::new();
+        write_value(&mut text, value);
+        Json::Array(vec![Json::Number(timestamp_ms as f64 / 1e3), Json::String(text)])
     }
 
     fn success(result_type: &str, result: Json) -> String {

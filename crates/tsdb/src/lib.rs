@@ -37,9 +37,9 @@
 //!
 //! The scrape path is typed end to end: exporters hand over
 //! [`teemon_metrics::FamilySnapshot`]s and no OpenMetrics text is produced or
-//! parsed in process.  The wire format lives at the edges only —
-//! [`TextEndpoint`] for external consumers, [`scrape::TextSource`] for
-//! external producers.
+//! parsed in process.  The wire format lives at the edges only:
+//! [`teemon_metrics::exposition::encode_text`] for external consumers,
+//! [`scrape::TextSource`] for external producers.
 
 #![warn(missing_docs)]
 
@@ -57,8 +57,7 @@ pub mod wal;
 pub use query::{LabelMatch, Selector};
 pub use scrape::{
     CardinalityBudgets, CollectorEndpoint, MetricsEndpoint, ObsEndpoint, PushLane, PushOutcome,
-    RoundSummary, ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Scraper, TextEndpoint,
-    TextSource,
+    RoundSummary, ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Scraper, TextSource,
 };
 pub use series::{Sample, SeriesId};
 pub use snapshot::{OwnedSampleCursor, SampleCursor, SeriesSnapshot};

@@ -11,11 +11,10 @@
 //! separate processes and every scrape round-trips through OpenMetrics text —
 //! the default path here is **typed**: a [`MetricsEndpoint`] returns owned
 //! [`FamilySnapshot`]s and the scraper appends their samples straight into
-//! the [`TimeSeriesDb`].  The text wire format remains available at the
-//! edges: [`TextEndpoint`] renders any [`Collector`] as exposition text for
-//! external consumers (and can itself be scraped, paying the encode/parse
-//! round-trip deliberately), while [`Scraper::add_text_source`] ingests raw
-//! exposition documents from targets that only speak text.
+//! the [`TimeSeriesDb`].  The text wire format only appears at the edges:
+//! [`Scraper::add_text_source`] ingests raw exposition documents from
+//! targets that only speak text, and what the HTTP edge serves is
+//! [`exposition::encode_text`] of a collection.
 //!
 //! # The ingest fast lane
 //!
@@ -167,40 +166,6 @@ impl MetricsEndpoint for CollectorEndpoint {
     fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
         self.0.refresh();
         Ok(self.0.collect()?)
-    }
-}
-
-/// The outbound text edge: renders a [`Collector`] as an OpenMetrics text
-/// document, the way an HTTP `/metrics` handler would serve it to an external
-/// Prometheus.
-///
-/// `TextEndpoint` also implements [`MetricsEndpoint`] by encoding to text and
-/// parsing the document back into snapshots — the full wire round-trip the
-/// paper's deployment pays on every scrape.  The in-process pipeline never
-/// needs this; it exists for interoperability tests and for measuring what
-/// the typed path saves (see `teemon-bench`'s `micro` bench).
-pub struct TextEndpoint(Arc<dyn Collector>);
-
-impl TextEndpoint {
-    /// Wraps a collector.
-    pub fn new(collector: Arc<dyn Collector>) -> Self {
-        Self(collector)
-    }
-
-    /// Renders the collector's current state as exposition text.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the collector's [`CollectError`].
-    pub fn render(&self) -> Result<String, CollectError> {
-        exposition::render_collector(self.0.as_ref())
-    }
-}
-
-impl MetricsEndpoint for TextEndpoint {
-    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
-        let text = self.render()?;
-        Ok(exposition::parse_families(&text)?)
     }
 }
 
@@ -1530,15 +1495,17 @@ mod tests {
             .observe(0.05);
         let collector = registry_collector("text_job", registry);
 
-        // What the typed path would ingest…
-        let typed = collector.collect().unwrap();
-        // …must equal what survives the text round-trip.
-        let endpoint = TextEndpoint::new(collector);
-        let text = endpoint.render().unwrap();
+        // The document an external process would serve on `/metrics`…
+        let render = move || -> Result<String, String> {
+            let families = collector.collect().map_err(|err| err.to_string())?;
+            Ok(exposition::encode_text(&families))
+        };
+        let text = render().unwrap();
         assert!(text.contains("teemon_syscalls_total{syscall=\"read\"} 7"));
-        assert_eq!(endpoint.scrape().unwrap(), typed);
 
-        scraper.add_target(ScrapeTargetConfig::new("text_job", "node-1:9090"), Arc::new(endpoint));
+        // …scraped through the inbound text edge.
+        scraper
+            .add_text_source(ScrapeTargetConfig::new("text_job", "node-1:9090"), Arc::new(render));
         let outcomes = scraper.scrape_once(1_000);
         assert!(outcomes[0].up);
         assert_eq!(db.select(&Selector::metric("lat_seconds_bucket")).len(), 3);
