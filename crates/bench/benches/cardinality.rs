@@ -1,5 +1,4 @@
-//! Cardinality defense microbenchmarks (`micro/cardinality`), recorded in
-//! `BENCH_cardinality.json`.
+//! Cardinality defense microbenchmarks (`micro/cardinality`).
 //!
 //! * `churn_round/{volatile,durable_gc}` — one full churn round (a batch of
 //!   brand-new unique-labelled series interned and appended, the previous
@@ -23,61 +22,17 @@
 //! correctness pass.
 
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::Mutex;
+use teemon_bench::{samples, smoke, ScratchDir};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_tsdb::{
     CardinalityBudgets, DurabilityOptions, FsyncMode, MetricsEndpoint, ScrapeError,
     ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb, TsdbConfig,
 };
-
-fn smoke() -> bool {
-    std::env::var_os("TEEMON_BENCH_SMOKE").is_some()
-}
-
-fn sample_count() -> usize {
-    if smoke() {
-        2
-    } else {
-        20
-    }
-}
-
-/// Series minted (and dropped) per churn round.
-fn churn_batch() -> usize {
-    if smoke() {
-        32
-    } else {
-        256
-    }
-}
-
-/// A scratch directory on tmpfs (falls back to the temp dir when the
-/// machine has no /dev/shm), removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> Self {
-        let base = if PathBuf::from("/dev/shm").is_dir() {
-            PathBuf::from("/dev/shm")
-        } else {
-            std::env::temp_dir()
-        };
-        let dir = base.join(format!("teemon-bench-card-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Self(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// One churn round: `batch` brand-new unique-labelled series appear (cold
 /// path — intern, index, WAL series records), the previous round's batch is
@@ -103,11 +58,11 @@ fn churn_round(db: &TimeSeriesDb, round: u64, batch: usize) {
 /// Churn lifecycle cost: leak baseline vs full GC.
 fn bench_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/cardinality");
-    group.sample_size(sample_count());
-    let batch = churn_batch();
+    group.sample_size(samples(20));
+    let batch = if smoke() { 32 } else { 256 };
     for durable in [false, true] {
         let mode_tag = if durable { "durable_gc" } else { "volatile" };
-        let scratch = ScratchDir::new(&format!("churn-{mode_tag}"));
+        let scratch = ScratchDir::new(&format!("card-churn-{mode_tag}"));
         let db = if durable {
             let options = DurabilityOptions {
                 // Small segments: the symbol table is checkpointed (sweeping
@@ -187,7 +142,7 @@ impl MetricsEndpoint for SteadyEndpoint {
 /// on-and-clipping.
 fn bench_budget_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/cardinality");
-    group.sample_size(sample_count());
+    group.sample_size(samples(20));
     let count = if smoke() { 256 } else { 1_000 };
     let tag = if count >= 1_000 { format!("{}k", count / 1_000) } else { format!("{count}") };
     // (case tag, target series budget) — None detaches budgets entirely.
@@ -223,9 +178,5 @@ fn bench_budget_rounds(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench_churn, bench_budget_rounds
-}
+criterion_group!(benches, bench_churn, bench_budget_rounds);
 criterion_main!(benches);

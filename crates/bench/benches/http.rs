@@ -1,147 +1,32 @@
-//! HTTP serving-edge benchmarks (`micro/http`): concurrent remote-write
-//! ingest and range-query throughput through a real loopback
-//! [`teemon_server::Server`], plus the cost of the overload contract —
-//! the latency of a shed 503 while the in-flight gate is saturated at 4×
-//! capacity (the O(1) answer the edge owes clients it cannot serve).
+//! HTTP serving-edge microbenchmark (`micro/http`): the cost of the overload
+//! contract — the latency of a shed 503 while the in-flight gate is
+//! saturated at 4× capacity (the O(1) answer the edge owes clients it cannot
+//! serve).  Throughput through the edge is the end-to-end benchmark's
+//! (`push_steady`, `dashboard_read`); no workload there overloads the gate.
 //!
-//! Set `TEEMON_BENCH_SMOKE=1` (as CI does) to shrink request counts for a
-//! fast correctness pass.
+//! Set `TEEMON_BENCH_SMOKE=1` (as CI does) for a fast correctness pass.
 
+use std::hint::black_box;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-use teemon_server::{http_get, http_post, percent_encode, HttpLimits, Server, ServerConfig};
+use teemon_bench::samples;
+use teemon_server::{http_get, HttpLimits, Server, ServerConfig};
 use teemon_tsdb::TimeSeriesDb;
-
-fn smoke() -> bool {
-    std::env::var_os("TEEMON_BENCH_SMOKE").is_some()
-}
-
-fn sample_count() -> usize {
-    if smoke() {
-        2
-    } else {
-        20
-    }
-}
-
-/// Loopback clients all share one IP, so the per-client limiter must be
-/// effectively off for throughput runs to measure the edge, not the bucket.
-fn open_config() -> ServerConfig {
-    ServerConfig { rate_per_sec: 1e12, burst: 1e12, ..ServerConfig::default() }
-}
-
-/// A remote-write batch: `series` samples across 8 families, text format.
-fn batch_doc(series: usize, timestamp_ms: u64) -> String {
-    let mut doc = String::with_capacity(series * 64);
-    for i in 0..series {
-        doc.push_str(&format!(
-            "bench_http_metric_{}{{node=\"node-{}\",idx=\"{i}\"}} {} {timestamp_ms}\n",
-            i % 8,
-            i % 64,
-            i as f64,
-        ));
-    }
-    doc
-}
-
-/// `threads` clients each push `requests` batches of `series` samples.
-fn concurrent_ingest(
-    addr: std::net::SocketAddr,
-    threads: usize,
-    requests: usize,
-    series: usize,
-    clock: &AtomicU64,
-) {
-    let workers: Vec<_> = (0..threads)
-        .map(|_| {
-            let now = clock.fetch_add(5_000, Ordering::Relaxed);
-            std::thread::spawn(move || {
-                for r in 0..requests {
-                    let doc = batch_doc(series, now + r as u64);
-                    let resp = http_post(addr, "/api/v1/write", "text/plain", doc.as_bytes())
-                        .expect("push batch");
-                    assert_eq!(resp.status, 200, "{}", resp.body_text());
-                }
-            })
-        })
-        .collect();
-    for worker in workers {
-        worker.join().expect("ingest worker");
-    }
-}
-
-/// Concurrent remote-write ingest: 4 clients pushing 100-sample batches.
-fn bench_ingest(c: &mut Criterion) {
-    let mut group = c.benchmark_group("micro/http");
-    group.sample_size(sample_count());
-    let server =
-        Server::start("127.0.0.1:0", open_config(), TimeSeriesDb::new()).expect("bind loopback");
-    let addr = server.addr();
-    let clock = AtomicU64::new(0);
-    let (threads, requests, series) = if smoke() { (2, 2, 16) } else { (4, 8, 100) };
-    group.bench_function(format!("ingest_{threads}x{requests}x{series}"), |b| {
-        b.iter(|| concurrent_ingest(addr, threads, requests, series, &clock))
-    });
-    group.finish();
-    server.shutdown();
-}
-
-/// Concurrent range queries over pre-ingested series.
-fn bench_query(c: &mut Criterion) {
-    let mut group = c.benchmark_group("micro/http");
-    group.sample_size(sample_count());
-    let server =
-        Server::start("127.0.0.1:0", open_config(), TimeSeriesDb::new()).expect("bind loopback");
-    let addr = server.addr();
-    // 12 rounds of history for the queries to chew on.
-    let series = if smoke() { 16 } else { 200 };
-    for t in 0..12u64 {
-        let doc = batch_doc(series, t * 5_000);
-        http_post(addr, "/api/v1/write", "text/plain", doc.as_bytes()).expect("seed push");
-    }
-    let query = percent_encode("sum by (node) (rate(bench_http_metric_0[30s]))");
-    let path = format!("/api/v1/query_range?query={query}&start=0&end=55&step=5");
-    let threads = if smoke() { 2 } else { 4 };
-    let requests = if smoke() { 2 } else { 8 };
-    group.bench_function(format!("query_range_{threads}x{requests}"), |b| {
-        b.iter(|| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    let path = path.clone();
-                    std::thread::spawn(move || {
-                        for _ in 0..requests {
-                            let resp = http_get(addr, &path).expect("range query");
-                            assert_eq!(resp.status, 200, "{}", resp.body_text());
-                            black_box(resp.body.len());
-                        }
-                    })
-                })
-                .collect();
-            for worker in workers {
-                worker.join().expect("query worker");
-            }
-        })
-    });
-    group.finish();
-    server.shutdown();
-}
 
 /// Shed latency at 4× overload: every in-flight slot is held by a stalled
 /// client, three more waves of hogs are already shed, and the measured
 /// request must still get its 503 + Retry-After in O(1).
 fn bench_shed(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/http");
-    group.sample_size(sample_count());
+    group.sample_size(samples(20));
     let capacity = 4;
     let config = ServerConfig {
         max_inflight: capacity,
         // The hogs must out-stall the measurement window.
         limits: HttpLimits { header_timeout_ms: 120_000, ..HttpLimits::default() },
-        ..open_config()
+        ..ServerConfig::default()
     };
     let server = Server::start("127.0.0.1:0", config, TimeSeriesDb::new()).expect("bind loopback");
     let addr = server.addr();
@@ -170,9 +55,5 @@ fn bench_shed(c: &mut Criterion) {
     server.shutdown();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench_ingest, bench_query, bench_shed
-}
+criterion_group!(benches, bench_shed);
 criterion_main!(benches);

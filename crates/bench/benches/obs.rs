@@ -4,11 +4,10 @@
 //! RAII span timers, the below-threshold slow-query check — plus the in-place
 //! [`SelfSnapshot`] refresh and a full dogfooded self-scrape round.
 //!
-//! The instrumentation is always on, so its overhead is proven differentially:
-//! `BENCH_obs.json` records `micro/ingest` and `micro/range_query` before and
-//! after the probes were wired in (≤ 5 % drift).  This bench pins the
-//! per-primitive costs so a regression shows up as an absolute number, not
-//! only as noise in the macro benches.
+//! The instrumentation is always on, so there is no uninstrumented build to
+//! compare against end to end; this bench pins the per-primitive costs so a
+//! regression shows up as an absolute number, not only as noise in the
+//! end-to-end benchmark's rounds.
 //!
 //! Set `TEEMON_BENCH_SMOKE=1` (as CI does) for a fast correctness pass.
 
@@ -16,26 +15,15 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use teemon_bench::samples;
 use teemon_obs::{probes, slow, SelfSnapshot, Span};
 use teemon_tsdb::{Scraper, TimeSeriesDb};
-
-fn smoke() -> bool {
-    std::env::var_os("TEEMON_BENCH_SMOKE").is_some()
-}
-
-fn sample_count() -> usize {
-    if smoke() {
-        10
-    } else {
-        60
-    }
-}
 
 /// The probe primitives, measured bare: these run inside ingest/query inner
 /// loops, so each must stay in the few-nanosecond range.
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/obs");
-    group.sample_size(sample_count());
+    group.sample_size(samples(60));
     group.bench_function("counter_inc", |b| b.iter(|| probes::SCRAPE_ROUNDS.inc()));
     group.bench_function("shard_counter_add", |b| {
         b.iter(|| probes::SHARD_APPENDS.add(black_box(3), black_box(48)))
@@ -64,7 +52,7 @@ fn bench_primitives(c: &mut Criterion) {
 /// through the ingest fast lane.
 fn bench_self_scrape(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/obs");
-    group.sample_size(sample_count());
+    group.sample_size(samples(60));
 
     let mut snapshot = SelfSnapshot::new();
     snapshot.refresh();
@@ -91,9 +79,5 @@ fn bench_self_scrape(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(60);
-    targets = bench_primitives, bench_self_scrape
-}
+criterion_group!(benches, bench_primitives, bench_self_scrape);
 criterion_main!(benches);

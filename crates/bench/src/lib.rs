@@ -1,22 +1,59 @@
-//! Benchmark harness shared by the Criterion benches and the `figures`
-//! binary.
+//! Shared code of the `figures` binary and the Criterion benches.
 //!
-//! Every table and figure of the paper's evaluation has a corresponding bench
-//! target (`cargo bench -p teemon-bench --bench figureN`) and can also be
-//! printed as a table with `cargo run -p teemon-bench --bin figures -- figN`.
-//! The benches print the regenerated rows once and then time a representative
-//! slice of the experiment so `cargo bench` both regenerates the data and
-//! reports stable timings.
+//! The `figures` binary prints every table and figure of the paper's
+//! evaluation (`cargo run -p teemon-bench --bin figures -- figN`); the
+//! formatters below render them.  The benches (`cargo bench -p teemon-bench
+//! --bench <target>`) time what the end-to-end benchmark under `benchmark/`
+//! cannot see, and the vendored criterion shim writes each target's rows to
+//! `BENCH_<target>.json` at the workspace root.  [`smoke`], [`samples`] and
+//! [`ScratchDir`] are the benches' shared setup.
 
 #![warn(missing_docs)]
+
+use std::path::PathBuf;
 
 use teemon::experiments::{self, Fig11Row, Fig5Row, Fig6Row, Fig7Row, FrameworkSweepRow};
 use teemon::overhead::ComponentFootprint;
 
-/// Number of sampled requests per configuration used when the benches print
-/// their tables (kept moderate so `cargo bench` finishes quickly; the figures
-/// binary accepts a `--samples` override for tighter estimates).
+/// Sampled requests per configuration the `figures` binary runs unless given
+/// `--samples` (moderate, so a full report takes about a minute).
 pub const BENCH_SAMPLES: u64 = 1_200;
+
+/// Whether the benches run as a smoke pass: `TEEMON_BENCH_SMOKE` is set (as
+/// CI does), inputs shrink, and the criterion shim writes no result file.
+pub fn smoke() -> bool {
+    std::env::var_os("TEEMON_BENCH_SMOKE").is_some()
+}
+
+/// Samples a bench row collects: `full`, or 2 on a smoke pass.
+pub fn samples(full: usize) -> usize {
+    if smoke() {
+        2
+    } else {
+        full
+    }
+}
+
+/// A scratch directory on tmpfs (the temp dir when the machine has no
+/// `/dev/shm`), emptied on creation and removed on drop.
+pub struct ScratchDir(pub PathBuf);
+
+impl ScratchDir {
+    /// A directory named after `tag` and this process.
+    pub fn new(tag: &str) -> Self {
+        let shm = PathBuf::from("/dev/shm");
+        let base = if shm.is_dir() { shm } else { std::env::temp_dir() };
+        let dir = base.join(format!("teemon-bench-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Self(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// Formats Figure 4 as an aligned table.
 pub fn format_figure4(rows: &[ComponentFootprint]) -> String {

@@ -183,10 +183,12 @@ impl MonitorBuilder {
     /// `"127.0.0.1:0"` for an ephemeral port) and starts a
     /// [`teemon_server::Server`] over the host's database — remote-write
     /// ingest, TeeQL queries and `/metrics` exposition behind the full
-    /// resilience middleware stack.  The serving edge watches itself: a
-    /// `teemon_http` text-source target scraping the server's
-    /// `/self/metrics` joins the scrape set, so the edge's shed/panic/slow
-    /// client counters land in the same database as every other job.
+    /// resilience middleware stack.  The serving edge is watched like the
+    /// engine: its probes are process-wide, so the `teemon_self` target
+    /// (which a `Full` host has anyway) stores its shed/panic/slow-client
+    /// counters in the same database as every other job.  A host in any
+    /// other mode gets that target too, and with it the engine's whole self
+    /// surface, not only the edge's slice.
     ///
     /// # Panics
     ///
@@ -254,22 +256,6 @@ impl MonitorBuilder {
                 host.db.clone(),
             )
             .expect("bind the HTTP serving edge");
-            // The serving edge watches itself: scrape its /self/metrics as
-            // the `teemon_http` job through the real HTTP client, so the
-            // middleware counters flow into the same database.
-            let endpoint = server.addr();
-            host.scraper.add_text_source(
-                ScrapeTargetConfig::new("teemon_http", endpoint.to_string())
-                    .with_label("node", self.node.clone()),
-                Arc::new(move || {
-                    let resp = teemon_server::http_get(endpoint, "/self/metrics")
-                        .map_err(|e| format!("self-scrape transport: {e}"))?;
-                    if resp.status != 200 {
-                        return Err(format!("self-scrape status {}", resp.status));
-                    }
-                    Ok(resp.body_text())
-                }),
-            );
             host.server = Some(server);
         }
         self.deploy(&mut host);
@@ -308,11 +294,14 @@ impl MonitorBuilder {
                 );
                 host.container_exporter = Some(containers);
                 host.ebpf_exporter = Some(ebpf);
-                // The engine watches itself: the self-scrape target snapshots
-                // the `teemon_obs` probes (scrape timings, shard heat, query
-                // modes, lock contention) into the same database every round.
-                host.scraper.add_self_target(format!("{}:self", self.node));
             }
+        }
+        if self.server_addr.is_some() || self.mode == MonitoringMode::Full {
+            // The engine watches itself: the self-scrape target snapshots
+            // the `teemon_obs` probes (scrape timings, shard heat, query
+            // modes, lock contention, the serving edge's middleware) into
+            // the same database every round.
+            host.scraper.add_self_target(format!("{}:self", self.node));
         }
         for (config, collector) in &self.extra_collectors {
             host.scraper.add_collector(config.clone(), Arc::clone(collector));
@@ -886,16 +875,25 @@ mod tests {
                 .expect("push");
         assert_eq!(resp.status, 200, "{}", resp.body_text());
 
-        // ...and a scrape round ingests both the exporters and the serving
-        // edge's own probes through the `teemon_http` text-source target.
+        // ...and a scrape round ingests the exporters and, through the
+        // `teemon_self` target, the serving edge's own probes — once: every
+        // `teemon_http_*` family is one series per label set, under one job.
         host.kernel().clock().advance(teemon_sim_core::SimDuration::from_secs(5));
-        assert_eq!(host.scrape_tick(), 6, "4 exporters + teemon_self + teemon_http");
-        // (The `teemon_self` registry target exports the http families too;
-        // select the serving edge's own job explicitly.)
-        let results = host.db().select(
-            &Selector::metric("teemon_http_requests_total").with_label("job", "teemon_http"),
-        );
-        assert_eq!(results.len(), 1);
+        assert_eq!(host.scrape_tick(), 5, "4 exporters + teemon_self");
+        // Series keyed by name and labels, job and instance aside.
+        let mut edge_series = std::collections::BTreeMap::<String, usize>::new();
+        for series in host.db().select(&Selector::all()) {
+            if series.name().starts_with("teemon_http_") {
+                let labels: Vec<_> =
+                    series.labels().filter(|(k, _)| !matches!(*k, "job" | "instance")).collect();
+                *edge_series.entry(format!("{}{labels:?}", series.name())).or_default() += 1;
+            }
+        }
+        for family in ["requests_total", "shed_total", "connections_total"] {
+            let family = format!("teemon_http_{family}[");
+            assert!(edge_series.keys().any(|k| k.starts_with(&family)), "{family} stored");
+        }
+        assert!(edge_series.values().all(|&n| n == 1), "one series per label set: {edge_series:?}");
         assert!(!host.db().select(&Selector::metric("pushed_demo_total")).is_empty());
 
         // Queries answer over HTTP from the same database the scraper fills.
@@ -909,10 +907,9 @@ mod tests {
 
         assert!(host.shutdown_server(), "graceful drain");
         assert!(host.server().is_none());
-        // The edge is gone; the monitor itself keeps scraping (the
-        // teemon_http target reports down rather than erroring the round).
+        // The edge is gone; the monitor itself keeps scraping every target.
         host.kernel().clock().advance(teemon_sim_core::SimDuration::from_secs(5));
-        assert_eq!(host.scrape_tick(), 5, "http target is down, everything else scrapes");
+        assert_eq!(host.scrape_tick(), 5, "4 exporters + teemon_self");
     }
 
     #[test]

@@ -105,10 +105,7 @@ fn metrics(ctx: &mut HandlerCtx<'_>) -> Response {
     Response::metrics(exposition::encode_text(&families))
 }
 
-/// `GET /self/metrics` — just the `http` layer of the probe table.  This is
-/// what the `teemon_http` self-target scrapes; the full probe table is
-/// already exported by the monitor's `teemon_self` target, so exporting
-/// only the HTTP families here avoids double-ingesting the rest.
+/// `GET /self/metrics` — just the `http` layer of the probe table.
 fn self_metrics() -> Response {
     match ObsCollector::layer("http").collect() {
         Ok(families) => Response::metrics(exposition::encode_text(&families)),

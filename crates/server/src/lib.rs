@@ -19,8 +19,9 @@
 //! parsing, size limits, typed rejection of malformed bytes, and graceful
 //! drain with a final WAL flush.  Every layer records into
 //! [`teemon_obs::probes`] (`teemon_http_*`), so the edge is observable
-//! through itself — scraped as the `teemon_http` self-target and alertable
-//! via `teemon_query::self_observe_alerts`.
+//! through itself — exported on `/self/metrics`, stored by a monitor's
+//! `teemon_self` target and alertable via
+//! `teemon_query::self_observe_alerts`.
 
 #![warn(missing_docs)]
 

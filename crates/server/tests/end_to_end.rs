@@ -1,5 +1,6 @@
-//! End-to-end over real sockets: ingest → query → exposition, load
-//! shedding at the accept gate under overload, and graceful drain.
+//! End-to-end over real sockets: ingest → query → exposition, concurrent
+//! clients, load shedding at the accept gate under overload, and graceful
+//! drain.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -52,6 +53,62 @@ fn write_query_and_metrics_roundtrip_over_tcp() {
     assert_eq!(resp.status, 200);
     assert!(resp.body_text().contains("sgx_pages_evicted_total"), "{}", resp.body_text());
 
+    assert!(server.shutdown(), "drain must complete");
+}
+
+#[test]
+fn concurrent_writers_then_concurrent_range_readers_are_all_served() {
+    // Loopback clients share one IP: open the per-client limiter wide so the
+    // test is about the edge serving clients at once, not about the bucket.
+    let config = ServerConfig { rate_per_sec: 1e12, burst: 1e12, ..ServerConfig::default() };
+    let server = Server::start("127.0.0.1:0", config, TimeSeriesDb::new()).expect("bind loopback");
+    let addr = server.addr();
+    let (clients, requests, series) = (4u64, 8u64, 25u64);
+
+    let writers: Vec<_> = (0..clients)
+        .map(|writer| {
+            std::thread::spawn(move || {
+                for round in 0..requests {
+                    let doc: String = (0..series)
+                        .map(|i| {
+                            format!(
+                                "concurrent_total{{writer=\"{writer}\",idx=\"{i}\"}} {round} {}\n",
+                                round * 5_000
+                            )
+                        })
+                        .collect();
+                    let resp = http_post(addr, "/api/v1/write", "text/plain", doc.as_bytes())
+                        .expect("push batch");
+                    assert_eq!(resp.status, 200, "{}", resp.body_text());
+                }
+            })
+        })
+        .collect();
+    for writer in writers {
+        writer.join().expect("writer thread");
+    }
+
+    // Every series of every writer is there at every step.  (Each POST is
+    // its own connection, and a connection's samples carry its peer address
+    // as `instance`, so count the writers' own identities.)
+    let q = percent_encode("count(count by (writer, idx) (concurrent_total))");
+    let path = format!("/api/v1/query_range?query={q}&start=0&end=35&step=5");
+    let expected = format!(r#"[35,"{}"]"#, clients * series);
+    let readers: Vec<_> = (0..clients)
+        .map(|_| {
+            let (path, expected) = (path.clone(), expected.clone());
+            std::thread::spawn(move || {
+                for _ in 0..requests {
+                    let resp = http_get(addr, &path).expect("range query");
+                    assert_eq!(resp.status, 200, "{}", resp.body_text());
+                    assert!(resp.body_text().contains(&expected), "{}", resp.body_text());
+                }
+            })
+        })
+        .collect();
+    for reader in readers {
+        reader.join().expect("reader thread");
+    }
     assert!(server.shutdown(), "drain must complete");
 }
 

@@ -338,7 +338,7 @@ fn byte_mangler_fuzz_never_panics_the_server() {
 #[test]
 fn every_layer_feeds_the_http_probe_families() {
     // The self-observability contract: the middleware counters above are
-    // exported through /self/metrics for the teemon_http self-target.
+    // exported through /self/metrics.
     let core = core();
     serve(&core, MockConn::with_bytes(b"GET /healthz HTTP/1.1\r\n\r\n".to_vec()));
     let text = serve(&core, MockConn::with_bytes(b"GET /self/metrics HTTP/1.1\r\n\r\n".to_vec()));

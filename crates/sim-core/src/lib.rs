@@ -9,22 +9,17 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`SimClock`] — a shareable, monotonically advancing virtual clock,
 //! * [`DetRng`] — a seedable deterministic random number generator with the
-//!   distribution helpers used by workload generators and cost models,
-//! * [`EventQueue`] and [`Simulation`] — a discrete-event engine used to run
-//!   monitored workloads, scrape loops and analysis windows against virtual
-//!   time so that a "24 hour" experiment (Figure 4) completes in milliseconds.
+//!   distribution helpers used by workload generators and cost models.
 //!
 //! Everything is deterministic: two runs with the same seed produce the same
-//! metric streams, which is what makes the figure-reproduction benches stable.
+//! metric streams, which is what makes the reproduced figures stable.
 
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod event;
 pub mod rng;
 pub mod time;
 
 pub use clock::SimClock;
-pub use event::{EventQueue, ScheduledEvent, Simulation};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
