@@ -266,10 +266,10 @@ impl MonitorBuilder {
         match self.mode {
             MonitoringMode::Off => {}
             MonitoringMode::EbpfOnly => {
-                host.ebpf_exporter = Some(EbpfExporter::attach(&host.kernel, &self.node));
+                host.ebpf_exporter = Some(Arc::new(EbpfExporter::attach(&host.kernel, &self.node)));
             }
             MonitoringMode::Full => {
-                let ebpf = EbpfExporter::attach(&host.kernel, &self.node);
+                let ebpf = Arc::new(EbpfExporter::attach(&host.kernel, &self.node));
                 let sgx = SgxExporter::new(host.kernel.sgx_driver().clone(), &self.node);
                 let node_exp = NodeExporter::new(&host.kernel, &self.node);
                 let containers = ContainerExporter::new(&self.node);
@@ -282,15 +282,10 @@ impl MonitorBuilder {
                     self.target_config("cadvisor", 8080),
                     Arc::new(containers.clone()),
                 );
-                // The eBPF exporter is both scraped (through a registry
-                // collector sharing its state) and kept accessible for
-                // detaching.
+                // Scraped through the same `Arc` the host keeps.
                 scraper.add_collector(
                     self.target_config("ebpf_exporter", 9435),
-                    Arc::new(teemon_metrics::RegistryCollector::new(
-                        "ebpf_exporter",
-                        ebpf.registry().clone(),
-                    )),
+                    Arc::clone(&ebpf) as Arc<dyn Collector>,
                 );
                 host.container_exporter = Some(containers);
                 host.ebpf_exporter = Some(ebpf);
@@ -322,7 +317,7 @@ pub struct HostMonitor {
     dashboards: DashboardSet,
     rules: RuleEngine,
     container_exporter: Option<ContainerExporter>,
-    ebpf_exporter: Option<EbpfExporter>,
+    ebpf_exporter: Option<Arc<EbpfExporter>>,
     server: Option<teemon_server::Server>,
     /// Scraped time of the last retention pass (see
     /// [`RETENTION_PASSES_PER_WINDOW`]).
@@ -558,9 +553,41 @@ mod tests {
     use super::*;
     use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams};
     use teemon_kernel_sim::Syscall;
-    use teemon_metrics::RegistryCollector;
+    use teemon_metrics::{
+        CollectError, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
+    };
     use teemon_orchestrator::Node;
     use teemon_tsdb::Selector;
+
+    /// An application's own exporter, plugged into a host: one unlabelled
+    /// family with a fixed value.
+    struct AppExporter(FamilySnapshot);
+
+    impl AppExporter {
+        fn gauge(name: &str, value: f64) -> Self {
+            Self(
+                FamilySnapshot::new(name, "", MetricKind::Gauge)
+                    .with_point(MetricPoint::new(Labels::new(), PointValue::Gauge(value))),
+            )
+        }
+
+        fn counter(name: &str, value: f64) -> Self {
+            Self(
+                FamilySnapshot::new(name, "", MetricKind::Counter)
+                    .with_point(MetricPoint::new(Labels::new(), PointValue::Counter(value))),
+            )
+        }
+    }
+
+    impl Collector for AppExporter {
+        fn job_name(&self) -> &str {
+            "app"
+        }
+
+        fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+            Ok(vec![self.0.clone()])
+        }
+    }
 
     #[test]
     fn off_mode_attaches_nothing() {
@@ -647,14 +674,12 @@ mod tests {
         // a pass every 8th round.
         let db =
             TimeSeriesDb::with_config(TsdbConfig { chunk_size: 8, retention_ms: 10 * 60 * 1_000 });
-        let app_registry = teemon_metrics::Registry::new();
-        app_registry.gauge_family("app_up", "liveness").default_instance().set(1.0);
         let host = MonitorBuilder::new("worker-1")
             .mode(MonitoringMode::Full)
             .db(db.clone())
             .collector(
                 ScrapeTargetConfig::new("short_lived", "worker-1:9121"),
-                Arc::new(RegistryCollector::new("short_lived", app_registry)),
+                Arc::new(AppExporter::gauge("app_up", 1.0)),
             )
             .build();
         let short_lived = Selector::all().with_label("job", "short_lived");
@@ -689,11 +714,6 @@ mod tests {
     fn builder_reuses_kernel_and_db_and_plugs_collectors() {
         let kernel = Kernel::new();
         let db = TimeSeriesDb::new();
-        let app_registry = teemon_metrics::Registry::new();
-        app_registry
-            .counter_family("app_requests_total", "requests")
-            .default_instance()
-            .inc_by(9.0);
 
         let host = MonitorBuilder::new("worker-9")
             .mode(MonitoringMode::Full)
@@ -701,7 +721,7 @@ mod tests {
             .db(db.clone())
             .collector(
                 ScrapeTargetConfig::new("redis_exporter", "worker-9:9121"),
-                Arc::new(RegistryCollector::new("redis_exporter", app_registry)),
+                Arc::new(AppExporter::counter("app_requests_total", 9.0)),
             )
             .build();
         assert_eq!(
@@ -970,8 +990,7 @@ mod tests {
         let request = teemon_frameworks::RequestProfile::keyvalue_get(64, 30_000);
         deployment.execute_many(&request, 320, 3_000);
 
-        let ebpf_collector = RegistryCollector::new("ebpf_exporter", ebpf.registry().clone());
-        let collectors: [&dyn Collector; 4] = [&sgx, &ebpf_collector, &node, &containers];
+        let collectors: [&dyn Collector; 4] = [&sgx, &ebpf, &node, &containers];
         for collector in collectors {
             let typed = collector.collect()?;
             assert!(!typed.is_empty(), "{} collected nothing", collector.job_name());

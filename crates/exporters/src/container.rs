@@ -13,7 +13,7 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use teemon_kernel_sim::Pid;
 use teemon_metrics::{
-    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue, Registry,
+    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
 
 /// Static description of a running container.
@@ -48,21 +48,16 @@ struct State {
 }
 
 /// The per-node container metrics exporter.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct ContainerExporter {
-    registry: Registry,
     state: Arc<RwLock<State>>,
+    node: Labels,
 }
 
 impl ContainerExporter {
     /// Creates a container exporter labelled with the node name.
     pub fn new(node: &str) -> Self {
-        let registry =
-            Registry::with_constant_labels(Labels::from_pairs([("node", node.to_string())]));
-        let state: Arc<RwLock<State>> = Arc::new(RwLock::new(State::default()));
-        let collector_state = Arc::clone(&state);
-        registry.register_source(Arc::new(move || Self::gather(&collector_state.read())));
-        Self { registry, state }
+        Self { state: Arc::new(RwLock::new(State::default())), node: crate::node_labels(node) }
     }
 
     /// Registers (or replaces) a container.
@@ -158,20 +153,13 @@ impl ContainerExporter {
     }
 }
 
-impl ContainerExporter {
-    /// The exporter's metric registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-}
-
 impl Collector for ContainerExporter {
     fn job_name(&self) -> &str {
         "cadvisor"
     }
 
     fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
-        Ok(self.registry.gather())
+        Ok(crate::on_node(&self.node, Self::gather(&self.state.read())))
     }
 }
 

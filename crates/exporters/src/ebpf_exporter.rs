@@ -9,20 +9,18 @@
 //! * `teemon_page_faults_total{scope=…}`
 //! * `teemon_cache_events_total{event=…}`
 
-use std::sync::Arc;
-
 use teemon_kernel_sim::ebpf::{BpfMap, EbpfVm, PidFilter};
 use teemon_kernel_sim::{Kernel, Pid};
 use teemon_metrics::{
-    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue, Registry,
+    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
 
 /// The eBPF-based system metrics exporter (one per node).
 pub struct EbpfExporter {
-    registry: Registry,
     vm: EbpfVm,
     maps: Vec<BpfMap>,
     filter: PidFilter,
+    node: Labels,
 }
 
 impl EbpfExporter {
@@ -38,14 +36,9 @@ impl EbpfExporter {
     }
 
     fn attach_filtered(kernel: &Kernel, node: &str, filter: PidFilter) -> Self {
-        let registry =
-            Registry::with_constant_labels(Labels::from_pairs([("node", node.to_string())]));
         let mut vm = EbpfVm::new(kernel.hooks().clone());
         let maps = vm.load_standard_programs(filter);
-
-        let collector_maps = maps.clone();
-        registry.register_source(Arc::new(move || Self::gather(&collector_maps)));
-        Self { registry, vm, maps, filter }
+        Self { vm, maps, filter, node: crate::node_labels(node) }
     }
 
     /// The PID filter in effect.
@@ -126,20 +119,13 @@ impl EbpfExporter {
     }
 }
 
-impl EbpfExporter {
-    /// The exporter's metric registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-}
-
 impl Collector for EbpfExporter {
     fn job_name(&self) -> &str {
         "ebpf_exporter"
     }
 
     fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
-        Ok(self.registry.gather())
+        Ok(crate::on_node(&self.node, Self::gather(&self.maps)))
     }
 }
 

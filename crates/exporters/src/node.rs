@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use teemon_kernel_sim::Kernel;
 use teemon_metrics::{
-    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue, Registry,
+    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
 
 /// Mutable node-level statistics updated by the host model (disk and network
@@ -36,24 +36,19 @@ pub struct NodeUsage {
 /// The per-node machine-metrics exporter.
 #[derive(Clone)]
 pub struct NodeExporter {
-    registry: Registry,
     usage: Arc<RwLock<NodeUsage>>,
     kernel: Kernel,
+    node: Labels,
 }
 
 impl NodeExporter {
     /// Creates a node exporter for `kernel`, labelled with the node name.
     pub fn new(kernel: &Kernel, node: &str) -> Self {
-        let registry =
-            Registry::with_constant_labels(Labels::from_pairs([("node", node.to_string())]));
-        let usage = Arc::new(RwLock::new(NodeUsage::default()));
-
-        let collector_kernel = kernel.clone();
-        let collector_usage = Arc::clone(&usage);
-        registry.register_source(Arc::new(move || {
-            Self::gather(&collector_kernel, &collector_usage.read())
-        }));
-        Self { registry, usage, kernel: kernel.clone() }
+        Self {
+            usage: Arc::new(RwLock::new(NodeUsage::default())),
+            kernel: kernel.clone(),
+            node: crate::node_labels(node),
+        }
     }
 
     /// Accounts additional I/O and memory usage (called by the host model).
@@ -140,20 +135,13 @@ impl NodeExporter {
     }
 }
 
-impl NodeExporter {
-    /// The exporter's metric registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-}
-
 impl Collector for NodeExporter {
     fn job_name(&self) -> &str {
         "node_exporter"
     }
 
     fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
-        Ok(self.registry.gather())
+        Ok(crate::on_node(&self.node, Self::gather(&self.kernel, &self.usage.read())))
     }
 }
 

@@ -7,28 +7,23 @@
 //! its metrics endpoint."  [`SgxExporter`] is that interface component; the
 //! "files" are the simulated driver's [`teemon_sgx_sim::DriverStats`].
 
-use std::sync::Arc;
-
 use teemon_metrics::{
-    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue, Registry,
+    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
 use teemon_sgx_sim::SgxDriver;
 
 /// The per-machine SGX exporter (one instance per node, privileged).
 #[derive(Clone)]
 pub struct SgxExporter {
-    registry: Registry,
+    driver: SgxDriver,
+    node: Labels,
 }
 
 impl SgxExporter {
     /// Creates an exporter reading `driver`, labelling every sample with the
     /// node name.
     pub fn new(driver: SgxDriver, node: &str) -> Self {
-        let registry =
-            Registry::with_constant_labels(Labels::from_pairs([("node", node.to_string())]));
-        let collector_driver = driver.clone();
-        registry.register_source(Arc::new(move || Self::gather(&collector_driver)));
-        Self { registry }
+        Self { driver, node: crate::node_labels(node) }
     }
 
     fn gauge(name: &str, help: &str, value: f64) -> FamilySnapshot {
@@ -98,20 +93,13 @@ impl SgxExporter {
     }
 }
 
-impl SgxExporter {
-    /// The exporter's metric registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-}
-
 impl Collector for SgxExporter {
     fn job_name(&self) -> &str {
         "sgx_exporter"
     }
 
     fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
-        Ok(self.registry.gather())
+        Ok(crate::on_node(&self.node, Self::gather(&self.driver)))
     }
 }
 

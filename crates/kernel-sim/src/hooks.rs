@@ -178,7 +178,7 @@ impl HookEvent {
 /// A callback attached to a hook point.
 pub type HookHandler = Arc<dyn Fn(&HookEvent) + Send + Sync>;
 
-/// Registry of hook attachments.
+/// The table of hook attachments: which handlers run at which hook point.
 ///
 /// Attaching is cheap and detaching is supported so the exporters can be
 /// stopped (the "Monitoring OFF" configurations of §6.3 detach everything).

@@ -16,7 +16,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::MetricError;
-use crate::registry::Registry;
 use crate::snapshot::FamilySnapshot;
 
 /// Why a collection attempt failed.
@@ -105,74 +104,28 @@ impl<C: Collector + ?Sized> Collector for Box<C> {
     }
 }
 
-/// Adapter exposing a bare [`Registry`] as a [`Collector`] under a job name.
-///
-/// Used for ad-hoc registries (tests, custom user metrics) that are not
-/// wrapped in one of the standard exporters.
-#[derive(Clone)]
-pub struct RegistryCollector {
-    job: String,
-    registry: Registry,
-}
-
-impl RegistryCollector {
-    /// Wraps `registry` under `job`.
-    pub fn new(job: impl Into<String>, registry: Registry) -> Self {
-        Self { job: job.into(), registry }
-    }
-
-    /// The wrapped registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-}
-
-impl Collector for RegistryCollector {
-    fn job_name(&self) -> &str {
-        &self.job
-    }
-
-    fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
-        Ok(self.registry.gather())
-    }
-}
-
-impl fmt::Debug for RegistryCollector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RegistryCollector")
-            .field("job", &self.job)
-            .field("registry", &self.registry)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::Labels;
 
-    #[test]
-    fn registry_collector_gathers_typed_snapshots() {
-        let registry = Registry::new();
-        registry
-            .counter_family("jobs_total", "jobs")
-            .with(&Labels::from_pairs([("q", "high")]))
-            .inc_by(3.0);
-        let collector = RegistryCollector::new("custom", registry);
-        assert_eq!(collector.job_name(), "custom");
-        let families = collector.collect().unwrap();
-        assert_eq!(families.len(), 1);
-        assert_eq!(families[0].name, "jobs_total");
-        assert_eq!(families[0].total(), 3.0);
+    struct Empty;
+
+    impl Collector for Empty {
+        fn job_name(&self) -> &str {
+            "wrapped"
+        }
+
+        fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+            Ok(Vec::new())
+        }
     }
 
     #[test]
     fn arc_and_box_delegate() {
-        let collector = RegistryCollector::new("wrapped", Registry::new());
-        let arc: Arc<dyn Collector> = Arc::new(collector.clone());
+        let arc: Arc<dyn Collector> = Arc::new(Empty);
         assert_eq!(arc.job_name(), "wrapped");
         assert!(arc.collect().unwrap().is_empty());
-        let boxed: Box<dyn Collector> = Box::new(collector);
+        let boxed: Box<dyn Collector> = Box::new(Empty);
         boxed.refresh();
         assert_eq!(boxed.job_name(), "wrapped");
     }

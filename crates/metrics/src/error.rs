@@ -2,22 +2,13 @@
 
 use std::fmt;
 
-/// Errors produced while constructing, registering or parsing metrics.
+/// Errors produced while constructing or parsing metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricError {
     /// A metric name did not match `[a-zA-Z_:][a-zA-Z0-9_:]*`.
     InvalidMetricName(String),
     /// A label name did not match `[a-zA-Z_][a-zA-Z0-9_]*` or used a reserved prefix.
     InvalidLabelName(String),
-    /// A metric family with the same name but a different kind or help text
-    /// is already registered.
-    AlreadyRegistered(String),
-    /// A counter was decremented or incremented by a negative amount.
-    NegativeCounterIncrement(f64),
-    /// Histogram bucket boundaries were empty or not strictly increasing.
-    InvalidBuckets(String),
-    /// A summary quantile was outside `[0, 1]`.
-    InvalidQuantile(f64),
     /// The text exposition parser encountered a malformed line.
     Parse {
         /// 1-based line number of the offending line.
@@ -48,14 +39,6 @@ impl fmt::Display for MetricError {
             MetricError::InvalidLabelName(name) => {
                 write!(f, "invalid label name: {name:?}")
             }
-            MetricError::AlreadyRegistered(name) => {
-                write!(f, "metric family {name:?} already registered with different metadata")
-            }
-            MetricError::NegativeCounterIncrement(v) => {
-                write!(f, "counters may only increase, got increment {v}")
-            }
-            MetricError::InvalidBuckets(msg) => write!(f, "invalid histogram buckets: {msg}"),
-            MetricError::InvalidQuantile(q) => write!(f, "quantile {q} outside [0, 1]"),
             MetricError::Parse { line, message } => {
                 write!(f, "exposition parse error at line {line}: {message}")
             }
@@ -84,6 +67,6 @@ mod tests {
     #[test]
     fn error_is_std_error() {
         fn assert_err<E: std::error::Error>(_e: &E) {}
-        assert_err(&MetricError::InvalidQuantile(2.0));
+        assert_err(&MetricError::InvalidLabelName("__x".into()));
     }
 }

@@ -762,24 +762,36 @@ fn scan_labels<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
     use crate::snapshot::{MetricPoint, PointValue};
 
-    fn sample_registry() -> Registry {
-        let r = Registry::new();
-        let c = r.counter_family("teemon_syscalls_total", "System calls observed");
-        c.with(&Labels::from_pairs([("syscall", "read")])).inc_by(42.0);
-        c.with(&Labels::from_pairs([("syscall", "clock_gettime")])).inc_by(370_000.0);
-        let g = r.gauge_family("sgx_nr_free_pages", "Free EPC pages");
-        g.default_instance().set(23014.0);
-        let h = r.histogram_family("scrape_duration_seconds", "Scrape time", vec![0.01, 0.1, 1.0]);
-        h.default_instance().observe(0.05);
-        r
+    fn sample_families() -> Vec<FamilySnapshot> {
+        let syscalls = |syscall: &str, value: f64| {
+            MetricPoint::new(Labels::from_pairs([("syscall", syscall)]), PointValue::Counter(value))
+        };
+        let latency = HistogramSnapshot {
+            bounds: vec![0.01, 0.1, 1.0],
+            cumulative_counts: vec![0, 1, 1, 1],
+            sum: 0.05,
+            count: 1,
+        };
+        vec![
+            FamilySnapshot::new("scrape_duration_seconds", "Scrape time", MetricKind::Histogram)
+                .with_point(MetricPoint::new(Labels::new(), PointValue::Histogram(latency))),
+            FamilySnapshot::new("sgx_nr_free_pages", "Free EPC pages", MetricKind::Gauge)
+                .with_point(MetricPoint::new(Labels::new(), PointValue::Gauge(23014.0))),
+            FamilySnapshot::new(
+                "teemon_syscalls_total",
+                "System calls observed",
+                MetricKind::Counter,
+            )
+            .with_point(syscalls("clock_gettime", 370_000.0))
+            .with_point(syscalls("read", 42.0)),
+        ]
     }
 
     #[test]
     fn encode_contains_metadata_and_samples() {
-        let text = encode_text(&sample_registry().gather());
+        let text = encode_text(&sample_families());
         assert!(text.contains("# HELP teemon_syscalls_total System calls observed"));
         assert!(text.contains("# TYPE teemon_syscalls_total counter"));
         assert!(text.contains("teemon_syscalls_total{syscall=\"read\"} 42"));
@@ -843,7 +855,7 @@ rpc_seconds_count 4
 
     #[test]
     fn encode_parse_round_trip_preserves_samples() {
-        let families = sample_registry().gather();
+        let families = sample_families();
         let parsed = parse_families(&encode_text(&families)).unwrap();
         assert_eq!(parsed, families);
         let syscalls = parsed.iter().find(|f| f.name == "teemon_syscalls_total").unwrap();
@@ -944,7 +956,7 @@ vacuum -Inf
 
     #[test]
     fn network_limits_pass_healthy_exporter_documents() {
-        let text = encode_text(&sample_registry().gather());
+        let text = encode_text(&sample_families());
         let bounded = parse_families_bounded(&text, ParseLimits::network()).unwrap();
         assert_eq!(bounded, parse_families(&text).unwrap());
     }
@@ -960,10 +972,10 @@ vacuum -Inf
     proptest::proptest! {
         #[test]
         fn prop_counter_round_trip(value in 0.0f64..1e12, syscall in "[a-z_]{1,12}") {
-            let r = Registry::new();
-            let c = r.counter_family("prop_total", "prop");
-            c.with(&Labels::from_pairs([("syscall", syscall.clone())])).inc_by(value);
-            let parsed = parse_families(&encode_text(&r.gather())).unwrap();
+            let labels = Labels::from_pairs([("syscall", syscall.clone())]);
+            let fam = FamilySnapshot::new("prop_total", "prop", MetricKind::Counter)
+                .with_point(MetricPoint::new(labels, PointValue::Counter(value)));
+            let parsed = parse_families(&encode_text(&[fam])).unwrap();
             let got = parsed[0]
                 .point(&Labels::from_pairs([("syscall", syscall)]))
                 .unwrap()

@@ -1,15 +1,17 @@
-//! Metric primitives for the TEEMon monitoring framework.
+//! The metric data model and the text edge of the TEEMon monitoring
+//! framework.
 //!
 //! This crate provides the building blocks shared by every other TEEMon
 //! component:
 //!
-//! * [`Counter`], [`Gauge`], [`Histogram`] and [`Summary`] metric values,
+//! * [`FamilySnapshot`], [`MetricPoint`] and [`PointValue`] (with
+//!   [`HistogramSnapshot`] and [`SummarySnapshot`]) — the wire-level data
+//!   model every exporter produces and the aggregator stores,
 //! * [`Labels`] — validated, order-normalised label sets,
-//! * [`MetricFamily`] and [`Registry`] — grouping of metric instances and the
-//!   gathering machinery used by exporters (the PME component of the paper),
-//! * [`Collector`] — the **typed scrape contract**: exporters hand the
-//!   aggregation component (PMAG) structured [`FamilySnapshot`]s directly,
-//!   with no text round-trip on the in-process path,
+//! * [`Collector`] — the **typed scrape contract**: exporters (the PME
+//!   component of the paper) hand the aggregation component (PMAG) structured
+//!   [`FamilySnapshot`]s directly, with no text round-trip on the in-process
+//!   path,
 //! * [`series_hash`] / [`SeriesKey`] — stable structural identity of wire
 //!   series over borrowed snapshot data, the foundation of the aggregator's
 //!   per-target scrape cache (zero allocation on a steady-state hit),
@@ -22,20 +24,35 @@
 //! text-based format as specified by the OpenMetrics project" (§4) because
 //! exporters and Prometheus run as separate processes there; in this
 //! in-process reproduction the same data flows as typed snapshots and the
-//! text format only appears at the edges.
+//! text format only appears at the edges.  An exporter reads its source when
+//! it is collected and builds the snapshots from what it read; there are no
+//! live counter objects in between.
 //!
 //! # Example
 //!
 //! ```
-//! use teemon_metrics::{Collector, Labels, Registry, RegistryCollector, exposition};
+//! use teemon_metrics::{
+//!     CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
+//!     exposition,
+//! };
 //!
-//! let registry = Registry::new();
-//! let syscalls = registry.counter_family("teemon_syscalls_total", "System calls observed");
-//! syscalls.with(&Labels::from_pairs([("syscall", "read")])).inc_by(42.0);
+//! /// A collector reading one counter when it is scraped.
+//! struct Syscalls(u64);
+//!
+//! impl Collector for Syscalls {
+//!     fn job_name(&self) -> &str {
+//!         "custom"
+//!     }
+//!
+//!     fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+//!         let read = Labels::from_pairs([("syscall", "read")]);
+//!         Ok(vec![FamilySnapshot::new("teemon_syscalls_total", "System calls observed", MetricKind::Counter)
+//!             .with_point(MetricPoint::new(read, PointValue::Counter(self.0 as f64)))])
+//!     }
+//! }
 //!
 //! // The typed scrape path: structured snapshots, no text in between.
-//! let collector = RegistryCollector::new("custom", registry);
-//! let families = collector.collect().unwrap();
+//! let families = Syscalls(42).collect().unwrap();
 //! assert_eq!(families[0].name, "teemon_syscalls_total");
 //! assert_eq!(families[0].total(), 42.0);
 //!
@@ -50,18 +67,14 @@
 pub mod collector;
 pub mod error;
 pub mod exposition;
-pub mod family;
 pub mod identity;
 pub mod label;
-pub mod registry;
 pub mod snapshot;
 pub mod value;
 
-pub use collector::{CollectError, Collector, RegistryCollector};
+pub use collector::{CollectError, Collector};
 pub use error::MetricError;
-pub use family::{CounterFamily, GaugeFamily, HistogramFamily, MetricFamily, SummaryFamily};
 pub use identity::{series_hash, SeriesKey};
 pub use label::{LabelName, Labels, MetricName};
-pub use registry::{Registry, SnapshotSource};
 pub use snapshot::{format_bound, FamilySnapshot, MetricKind, MetricPoint, PointValue};
-pub use value::{Counter, Gauge, Histogram, HistogramSnapshot, Summary, SummarySnapshot};
+pub use value::{HistogramSnapshot, SummarySnapshot};

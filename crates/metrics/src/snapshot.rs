@@ -235,7 +235,16 @@ pub fn format_bound(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Histogram;
+
+    /// A histogram over `bounds` holding the cumulative `counts` (`+Inf` last).
+    fn histogram(bounds: &[f64], counts: &[u64], sum: f64) -> PointValue {
+        PointValue::Histogram(HistogramSnapshot {
+            bounds: bounds.to_vec(),
+            cumulative_counts: counts.to_vec(),
+            sum,
+            count: counts.last().copied().unwrap_or(0),
+        })
+    }
 
     #[test]
     fn kind_round_trips_through_token() {
@@ -257,10 +266,7 @@ mod tests {
         assert_eq!(PointValue::Counter(3.0).scalar(), 3.0);
         assert_eq!(PointValue::Gauge(-1.0).scalar(), -1.0);
         assert_eq!(PointValue::Untyped(7.0).scalar(), 7.0);
-        let h = Histogram::new(vec![1.0]).unwrap();
-        h.observe(0.5);
-        h.observe(0.25);
-        assert_eq!(PointValue::Histogram(h.snapshot()).scalar(), 0.75);
+        assert_eq!(histogram(&[1.0], &[2, 2], 0.75).scalar(), 0.75);
     }
 
     #[test]
@@ -290,12 +296,9 @@ mod tests {
 
     #[test]
     fn histogram_samples_expand_buckets() {
-        let h = Histogram::new(vec![1.0, 2.0]).unwrap();
-        h.observe(0.5);
-        h.observe(1.5);
-        h.observe(9.0);
+        // 0.5, 1.5 and 9.0 observed.
         let fam = FamilySnapshot::new("lat", "latency", MetricKind::Histogram)
-            .with_point(MetricPoint::new(Labels::new(), PointValue::Histogram(h.snapshot())));
+            .with_point(MetricPoint::new(Labels::new(), histogram(&[1.0, 2.0], &[1, 2, 3], 11.0)));
         let samples = visited(&fam);
         let names: Vec<_> = samples.iter().map(|s| s.0.as_str()).collect();
         assert_eq!(names, vec!["lat_bucket", "lat_bucket", "lat_bucket", "lat_sum", "lat_count"]);
@@ -314,10 +317,8 @@ mod tests {
 
     #[test]
     fn for_each_sample_matches_samples_and_borrows_plain_points() {
-        let h = Histogram::new(vec![1.0, 2.0]).unwrap();
-        h.observe(0.5);
         let fam = FamilySnapshot::new("lat", "latency", MetricKind::Histogram)
-            .with_point(MetricPoint::new(Labels::new(), PointValue::Histogram(h.snapshot())));
+            .with_point(MetricPoint::new(Labels::new(), histogram(&[1.0, 2.0], &[1, 1, 1], 0.5)));
         let le = |bound: &str| Labels::from_pairs([("le", bound)]);
         let expected = vec![
             ("lat_bucket".to_string(), le("1"), 1.0, None),

@@ -1,142 +1,11 @@
-//! Metric value primitives: counters, gauges, histograms and summaries.
+//! Histogram and summary values of the wire data model.
 //!
-//! All values are cheap to clone (internally `Arc`-backed) and thread safe so
-//! that simulated kernel hooks, eBPF programs and exporters can update them
-//! concurrently, mirroring how the paper's exporters update counters from
-//! kernel context while a scraper reads them.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{LockClass, Mutex};
-
-use crate::error::MetricError;
-
-/// Atomically stored `f64` built on top of an [`AtomicU64`] bit pattern.
-#[derive(Debug, Default)]
-struct AtomicF64(AtomicU64);
-
-impl AtomicF64 {
-    fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    fn add(&self, delta: f64) {
-        let mut current = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self.0.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-}
-
-/// A monotonically increasing counter.
-///
-/// Counters model event totals such as `teemon_syscalls_total` or
-/// `sgx_pages_evicted_total`; they can only grow (or be reset to zero, which
-/// the aggregator detects as a counter reset).
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    value: Arc<AtomicF64>,
-}
-
-impl Counter {
-    /// Creates a counter starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments the counter by one.
-    pub fn inc(&self) {
-        self.value.add(1.0);
-    }
-
-    /// Increments the counter by `delta`.
-    ///
-    /// Negative or NaN increments are ignored (counters are monotonic); use
-    /// [`Counter::try_inc_by`] to observe the rejection.
-    pub fn inc_by(&self, delta: f64) {
-        let _ = self.try_inc_by(delta);
-    }
-
-    /// Increments the counter by `delta`, rejecting negative or NaN deltas.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::NegativeCounterIncrement`] when `delta < 0` or
-    /// `delta` is NaN.
-    pub fn try_inc_by(&self, delta: f64) -> Result<(), MetricError> {
-        if delta.is_nan() || delta < 0.0 {
-            return Err(MetricError::NegativeCounterIncrement(delta));
-        }
-        self.value.add(delta);
-        Ok(())
-    }
-
-    /// Current counter value.
-    pub fn get(&self) -> f64 {
-        self.value.get()
-    }
-
-    /// Resets the counter to zero (models a process or driver restart).
-    pub fn reset(&self) {
-        self.value.set(0.0);
-    }
-}
-
-/// A gauge: a value that can go up and down.
-///
-/// Gauges model instantaneous readings such as `sgx_nr_free_pages` or memory
-/// consumption of a TEEMon component.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    value: Arc<AtomicF64>,
-}
-
-impl Gauge {
-    /// Creates a gauge starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the gauge to `value`.
-    pub fn set(&self, value: f64) {
-        self.value.set(value);
-    }
-
-    /// Adds `delta` (which may be negative) to the gauge.
-    pub fn add(&self, delta: f64) {
-        self.value.add(delta);
-    }
-
-    /// Subtracts `delta` from the gauge.
-    pub fn sub(&self, delta: f64) {
-        self.value.add(-delta);
-    }
-
-    /// Increments the gauge by one.
-    pub fn inc(&self) {
-        self.add(1.0);
-    }
-
-    /// Decrements the gauge by one.
-    pub fn dec(&self) {
-        self.sub(1.0);
-    }
-
-    /// Current gauge value.
-    pub fn get(&self) -> f64 {
-        self.value.get()
-    }
-}
+//! A histogram or summary point carries its whole distribution: cumulative
+//! bucket counts, or precomputed quantiles, plus the sum and count of the
+//! observations.  Collectors build these values from what they read at
+//! collect time (the engine's self-telemetry turns its latency histograms
+//! into [`HistogramSnapshot`]s), and the text exposition encodes and decodes
+//! the same types at the edges.
 
 /// Immutable snapshot of a histogram's state.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,149 +49,9 @@ impl HistogramSnapshot {
         // Falls into the +Inf bucket: report the largest finite bound.
         self.bounds.last().copied().unwrap_or(f64::NAN)
     }
-
-    /// Mean of the observed values.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
 }
 
-#[derive(Debug, Default)]
-struct HistogramInner {
-    counts: Vec<u64>,
-    inf_count: u64,
-    sum: f64,
-    total: u64,
-}
-
-/// A histogram with fixed bucket boundaries.
-///
-/// Used for latency-style metrics (e.g. scrape durations, request latencies in
-/// the Redis benchmark reproduction).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bounds: Arc<Vec<f64>>,
-    inner: Arc<Mutex<HistogramInner>>,
-}
-
-impl Histogram {
-    /// Creates a histogram with the provided strictly increasing bucket bounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidBuckets`] when `bounds` is empty, contains
-    /// NaN, or is not strictly increasing.
-    pub fn new(bounds: Vec<f64>) -> Result<Self, MetricError> {
-        if bounds.is_empty() {
-            return Err(MetricError::InvalidBuckets("no bucket bounds".into()));
-        }
-        if bounds.iter().any(|b| b.is_nan()) {
-            return Err(MetricError::InvalidBuckets("NaN bucket bound".into()));
-        }
-        if bounds.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(MetricError::InvalidBuckets(
-                "bucket bounds must be strictly increasing".into(),
-            ));
-        }
-        let counts = vec![0; bounds.len()];
-        Ok(Self {
-            bounds: Arc::new(bounds),
-            inner: Arc::new(Mutex::named(
-                HistogramInner { counts, inf_count: 0, sum: 0.0, total: 0 },
-                LockClass::new("metrics.value"),
-            )),
-        })
-    }
-
-    /// Creates a histogram with exponential bucket bounds
-    /// `start, start*factor, ...` (`count` buckets).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidBuckets`] for non-positive `start`,
-    /// `factor <= 1` or `count == 0`.
-    pub fn exponential(start: f64, factor: f64, count: usize) -> Result<Self, MetricError> {
-        if start <= 0.0 || factor <= 1.0 || count == 0 {
-            return Err(MetricError::InvalidBuckets(format!(
-                "invalid exponential bucket spec start={start} factor={factor} count={count}"
-            )));
-        }
-        let mut bounds = Vec::with_capacity(count);
-        let mut bound = start;
-        for _ in 0..count {
-            bounds.push(bound);
-            bound *= factor;
-        }
-        Self::new(bounds)
-    }
-
-    /// Creates a histogram with linear bucket bounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidBuckets`] for non-positive `width` or
-    /// `count == 0`.
-    pub fn linear(start: f64, width: f64, count: usize) -> Result<Self, MetricError> {
-        if width <= 0.0 || count == 0 {
-            return Err(MetricError::InvalidBuckets(format!(
-                "invalid linear bucket spec start={start} width={width} count={count}"
-            )));
-        }
-        let bounds = (0..count).map(|i| start + width * i as f64).collect();
-        Self::new(bounds)
-    }
-
-    /// Records a single observation.
-    pub fn observe(&self, value: f64) {
-        let mut inner = self.inner.lock();
-        inner.sum += value;
-        inner.total += 1;
-        match self.bounds.iter().position(|b| value <= *b) {
-            Some(idx) => inner.counts[idx] += 1,
-            None => inner.inf_count += 1,
-        }
-    }
-
-    /// Bucket upper bounds (excluding `+Inf`).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Takes an immutable snapshot with cumulative bucket counts.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let inner = self.inner.lock();
-        let mut cumulative = Vec::with_capacity(self.bounds.len() + 1);
-        let mut running = 0u64;
-        for c in &inner.counts {
-            running += c;
-            cumulative.push(running);
-        }
-        cumulative.push(running + inner.inf_count);
-        HistogramSnapshot {
-            bounds: self.bounds.as_ref().clone(),
-            cumulative_counts: cumulative,
-            sum: inner.sum,
-            count: inner.total,
-        }
-    }
-
-    /// Resets all buckets, the sum and the count to zero.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        for c in inner.counts.iter_mut() {
-            *c = 0;
-        }
-        inner.inf_count = 0;
-        inner.sum = 0.0;
-        inner.total = 0;
-    }
-}
-
-/// Immutable snapshot of a [`Summary`].
+/// Immutable state of a summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummarySnapshot {
     /// `(quantile, estimated value)` pairs in ascending quantile order.
@@ -333,242 +62,37 @@ pub struct SummarySnapshot {
     pub count: u64,
 }
 
-#[derive(Debug, Default)]
-struct SummaryInner {
-    samples: Vec<f64>,
-    sum: f64,
-    count: u64,
-}
-
-/// A summary computing exact quantiles over a bounded reservoir of recent
-/// observations.
-///
-/// The paper's PMAN component reports box-plot statistics (median, quartiles)
-/// over sliding windows; [`Summary`] provides the underlying quantile sketch.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    quantiles: Arc<Vec<f64>>,
-    capacity: usize,
-    inner: Arc<Mutex<SummaryInner>>,
-}
-
-impl Summary {
-    /// Default reservoir capacity.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// Creates a summary tracking the given quantiles (each in `[0, 1]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidQuantile`] for out-of-range quantiles.
-    pub fn new(quantiles: Vec<f64>) -> Result<Self, MetricError> {
-        Self::with_capacity(quantiles, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates a summary with an explicit reservoir capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidQuantile`] for out-of-range quantiles.
-    pub fn with_capacity(quantiles: Vec<f64>, capacity: usize) -> Result<Self, MetricError> {
-        for q in &quantiles {
-            if q.is_nan() || *q < 0.0 || *q > 1.0 {
-                return Err(MetricError::InvalidQuantile(*q));
-            }
-        }
-        let mut quantiles = quantiles;
-        quantiles.sort_by(|a, b| a.partial_cmp(b).expect("quantiles validated as non-NaN"));
-        Ok(Self {
-            quantiles: Arc::new(quantiles),
-            capacity: capacity.max(1),
-            inner: Arc::new(Mutex::named(SummaryInner::default(), LockClass::new("metrics.value"))),
-        })
-    }
-
-    /// Records an observation.  When the reservoir is full the oldest half is
-    /// discarded (a cheap sliding behaviour adequate for monitoring).
-    pub fn observe(&self, value: f64) {
-        let mut inner = self.inner.lock();
-        inner.sum += value;
-        inner.count += 1;
-        if inner.samples.len() >= self.capacity {
-            let keep_from = self.capacity / 2;
-            inner.samples.drain(..keep_from);
-        }
-        inner.samples.push(value);
-    }
-
-    /// Takes an immutable snapshot with estimated quantiles.
-    pub fn snapshot(&self) -> SummarySnapshot {
-        let inner = self.inner.lock();
-        let mut sorted = inner.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let quantiles = self.quantiles.iter().map(|q| (*q, exact_quantile(&sorted, *q))).collect();
-        SummarySnapshot { quantiles, sum: inner.sum, count: inner.count }
-    }
-}
-
-/// Exact quantile of a sorted slice using linear interpolation between ranks.
-pub(crate) fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lower = pos.floor() as usize;
-    let upper = pos.ceil() as usize;
-    if lower == upper {
-        sorted[lower]
-    } else {
-        let weight = pos - lower as f64;
-        sorted[lower] * (1.0 - weight) + sorted[upper] * weight
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn counter_increments_and_rejects_negative() {
-        let c = Counter::new();
-        c.inc();
-        c.inc_by(2.5);
-        assert_eq!(c.get(), 3.5);
-        assert!(c.try_inc_by(-1.0).is_err());
-        assert!(c.try_inc_by(f64::NAN).is_err());
-        assert_eq!(c.get(), 3.5);
-        c.reset();
-        assert_eq!(c.get(), 0.0);
-    }
-
-    #[test]
-    fn counter_clones_share_state() {
-        let c = Counter::new();
-        let c2 = c.clone();
-        c2.inc_by(10.0);
-        assert_eq!(c.get(), 10.0);
-    }
-
-    #[test]
-    fn gauge_moves_both_directions() {
-        let g = Gauge::new();
-        g.set(5.0);
-        g.add(2.0);
-        g.sub(4.0);
-        g.inc();
-        g.dec();
-        assert_eq!(g.get(), 3.0);
-    }
-
-    #[test]
-    fn histogram_rejects_bad_buckets() {
-        assert!(Histogram::new(vec![]).is_err());
-        assert!(Histogram::new(vec![1.0, 1.0]).is_err());
-        assert!(Histogram::new(vec![2.0, 1.0]).is_err());
-        assert!(Histogram::new(vec![1.0, f64::NAN]).is_err());
-        assert!(Histogram::exponential(0.0, 2.0, 4).is_err());
-        assert!(Histogram::linear(0.0, 0.0, 4).is_err());
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative() {
-        let h = Histogram::new(vec![1.0, 2.0, 4.0]).unwrap();
-        for v in [0.5, 1.5, 1.7, 3.0, 10.0] {
-            h.observe(v);
+    fn histogram(bounds: &[f64], cumulative_counts: &[u64], sum: f64) -> HistogramSnapshot {
+        let count = cumulative_counts.last().copied().unwrap_or(0);
+        HistogramSnapshot {
+            bounds: bounds.to_vec(),
+            cumulative_counts: cumulative_counts.to_vec(),
+            sum,
+            count,
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.cumulative_counts, vec![1, 3, 4, 5]);
-        assert_eq!(snap.count, 5);
-        assert!((snap.sum - 16.7).abs() < 1e-9);
-        assert!(snap.cumulative_counts.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
     fn histogram_quantile_estimation() {
-        let h = Histogram::linear(10.0, 10.0, 10).unwrap();
-        for i in 1..=100 {
-            h.observe(i as f64);
-        }
-        let snap = h.snapshot();
+        // 1..=100 observed into the linear buckets 10, 20, …, 100.
+        let bounds: Vec<f64> = (1..=10).map(|i| f64::from(i) * 10.0).collect();
+        let mut counts: Vec<u64> = (1..=10).map(|i| i * 10).collect();
+        counts.push(100);
+        let snap = histogram(&bounds, &counts, 5050.0);
         let median = snap.quantile(0.5);
         assert!((median - 50.0).abs() <= 10.0, "median estimate {median} too far from 50");
-        assert!((snap.mean() - 50.5).abs() < 1e-9);
         assert!(snap.quantile(0.0) <= snap.quantile(0.5));
         assert!(snap.quantile(0.5) <= snap.quantile(1.0));
+        // A rank past the last finite bucket reports the largest finite bound.
+        assert_eq!(histogram(&[1.0, 2.0], &[0, 0, 1], 9.0).quantile(0.5), 2.0);
     }
 
     #[test]
     fn histogram_quantile_of_empty_is_nan() {
-        let h = Histogram::linear(1.0, 1.0, 3).unwrap();
-        assert!(h.snapshot().quantile(0.5).is_nan());
-        assert!(h.snapshot().mean().is_nan());
-    }
-
-    #[test]
-    fn exponential_buckets_grow_by_factor() {
-        let h = Histogram::exponential(1.0, 2.0, 5).unwrap();
-        assert_eq!(h.bounds(), &[1.0, 2.0, 4.0, 8.0, 16.0]);
-    }
-
-    #[test]
-    fn summary_quantiles_track_distribution() {
-        let s = Summary::new(vec![0.5, 0.9, 0.99]).unwrap();
-        for i in 1..=1000 {
-            s.observe(i as f64);
-        }
-        let snap = s.snapshot();
-        assert_eq!(snap.count, 1000);
-        let median = snap.quantiles.iter().find(|(q, _)| *q == 0.5).unwrap().1;
-        assert!((median - 500.0).abs() < 20.0);
-        let p99 = snap.quantiles.iter().find(|(q, _)| *q == 0.99).unwrap().1;
-        assert!(p99 > 950.0);
-    }
-
-    #[test]
-    fn summary_rejects_invalid_quantiles() {
-        assert!(Summary::new(vec![1.5]).is_err());
-        assert!(Summary::new(vec![-0.1]).is_err());
-        assert!(Summary::new(vec![f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn summary_reservoir_is_bounded() {
-        let s = Summary::with_capacity(vec![0.5], 128).unwrap();
-        for i in 0..10_000 {
-            s.observe(i as f64);
-        }
-        let snap = s.snapshot();
-        assert_eq!(snap.count, 10_000);
-        // Median of the retained window must be near the end of the stream.
-        let median = snap.quantiles[0].1;
-        assert!(median > 9000.0, "median {median} should reflect recent samples");
-    }
-
-    #[test]
-    fn exact_quantile_interpolates() {
-        let v = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(exact_quantile(&v, 0.0), 1.0);
-        assert_eq!(exact_quantile(&v, 1.0), 4.0);
-        assert!((exact_quantile(&v, 0.5) - 2.5).abs() < 1e-9);
-        assert!(exact_quantile(&[], 0.5).is_nan());
-    }
-
-    #[test]
-    fn concurrent_counter_updates() {
-        let c = Counter::new();
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let c = c.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10_000 {
-                    c.inc();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 80_000.0);
+        assert!(histogram(&[1.0, 2.0, 3.0], &[0, 0, 0, 0], 0.0).quantile(0.5).is_nan());
     }
 }

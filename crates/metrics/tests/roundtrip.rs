@@ -9,10 +9,35 @@
 
 use teemon_metrics::exposition::{encode_text, parse_families};
 use teemon_metrics::{
-    FamilySnapshot, Histogram, Labels, MetricKind, MetricPoint, PointValue, Summary,
+    FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue, SummarySnapshot,
 };
 
-fn counter_family(name: &str, help: &str, points: &[(f64, String, Option<u64>)]) -> FamilySnapshot {
+/// The histogram of `observations` over `bounds`, as a collector reports it.
+fn histogram(bounds: &[f64], observations: &[f64]) -> HistogramSnapshot {
+    let below = |bound: &f64| observations.iter().filter(|v| *v <= bound).count() as u64;
+    let mut cumulative_counts: Vec<u64> = bounds.iter().map(below).collect();
+    cumulative_counts.push(observations.len() as u64);
+    HistogramSnapshot {
+        bounds: bounds.to_vec(),
+        cumulative_counts,
+        sum: observations.iter().sum(),
+        count: observations.len() as u64,
+    }
+}
+
+/// The median, p90 and p99 (nearest rank) of `observations`.
+fn summary(observations: &[f64]) -> SummarySnapshot {
+    let mut sorted = observations.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
+    SummarySnapshot {
+        quantiles: [0.5, 0.9, 0.99].map(|q| (q, rank(q))).to_vec(),
+        sum: observations.iter().sum(),
+        count: observations.len() as u64,
+    }
+}
+
+fn counters(name: &str, help: &str, points: &[(f64, String, Option<u64>)]) -> FamilySnapshot {
     let mut family = FamilySnapshot::new(name, help, MetricKind::Counter);
     for (value, label, ts) in points {
         let mut point = MetricPoint::new(
@@ -45,7 +70,7 @@ proptest::proptest! {
         // representative but normalised.
         let help = help.trim().to_string();
         let families = vec![
-            counter_family("req_total", &help, &points),
+            counters("req_total", &help, &points),
             FamilySnapshot::new("temp_gauge", "a gauge", MetricKind::Gauge).with_point(
                 MetricPoint::new(Labels::new(), PointValue::Gauge(gauge_value)),
             ),
@@ -61,24 +86,16 @@ proptest::proptest! {
         summary_observations in proptest::collection::vec(0.0f64..100.0, 1..25),
         label in "[a-z]{1,6}",
     ) {
-        let histogram = Histogram::new(vec![0.5, 2.0, 10.0]).unwrap();
-        for v in &observations {
-            histogram.observe(*v);
-        }
-        let summary = Summary::new(vec![0.5, 0.9, 0.99]).unwrap();
-        for v in &summary_observations {
-            summary.observe(*v);
-        }
         let families = vec![
             FamilySnapshot::new("latency_seconds", "request latency", MetricKind::Histogram)
                 .with_point(MetricPoint::new(
                     Labels::from_pairs([("endpoint", label.clone())]),
-                    PointValue::Histogram(histogram.snapshot()),
+                    PointValue::Histogram(histogram(&[0.5, 2.0, 10.0], &observations)),
                 )),
             FamilySnapshot::new("payload_bytes", "payload sizes", MetricKind::Summary)
                 .with_point(MetricPoint::new(
                     Labels::from_pairs([("endpoint", label)]),
-                    PointValue::Summary(summary.snapshot()),
+                    PointValue::Summary(summary(&summary_observations)),
                 )),
         ];
         let text = encode_text(&families);
@@ -105,13 +122,9 @@ fn multi_point_histogram_families_round_trip() {
     let mut family =
         FamilySnapshot::new("queue_depth", "queue depth distribution", MetricKind::Histogram);
     for (node, observations) in [("a", vec![0.1, 0.7]), ("b", vec![5.0, 0.2, 9.0])] {
-        let histogram = Histogram::new(vec![0.5, 1.0, 8.0]).unwrap();
-        for v in observations {
-            histogram.observe(v);
-        }
         family.points.push(MetricPoint::new(
             Labels::from_pairs([("node", node)]),
-            PointValue::Histogram(histogram.snapshot()),
+            PointValue::Histogram(histogram(&[0.5, 1.0, 8.0], &observations)),
         ));
     }
     let families = vec![family];

@@ -76,14 +76,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The scalar, when this value is a scalar.
-    pub fn as_scalar(&self) -> Option<f64> {
-        match self {
-            Value::Scalar(v) => Some(*v),
-            _ => None,
-        }
-    }
 }
 
 /// Why an evaluation failed.

@@ -111,11 +111,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Microseconds (truncated).
-    pub const fn as_micros(&self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Milliseconds (truncated).
     pub const fn as_millis(&self) -> u64 {
         self.0 / 1_000_000
@@ -139,11 +134,6 @@ impl SimDuration {
     /// Integer division of the duration.
     pub const fn div(&self, divisor: u64) -> SimDuration {
         SimDuration(self.0 / divisor)
-    }
-
-    /// `true` when the duration is zero.
-    pub const fn is_zero(&self) -> bool {
-        self.0 == 0
     }
 }
 

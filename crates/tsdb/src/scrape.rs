@@ -213,7 +213,7 @@ impl MetricsEndpoint for TextSourceEndpoint {
 /// everyone else.
 ///
 /// Register it with [`Scraper::add_self_target`] (or `add_target` under a
-/// custom config); for text exposition or registry composition use
+/// custom config); for text exposition or a typed `Collector` use
 /// [`teemon_obs::ObsCollector`] instead.
 pub struct ObsEndpoint {
     snapshot: Mutex<SelfSnapshot>,
@@ -1311,21 +1311,57 @@ impl std::fmt::Debug for Scraper {
 mod tests {
     use super::*;
     use crate::query::Selector;
-    use teemon_metrics::{Registry, RegistryCollector};
+    use teemon_metrics::{CollectError, HistogramSnapshot, MetricKind, MetricPoint, PointValue};
 
-    fn registry_collector(job: &str, registry: Registry) -> Arc<dyn Collector> {
-        Arc::new(RegistryCollector::new(job, registry))
+    /// A collector serving the families a test last handed it.
+    struct Fixture(Mutex<Vec<FamilySnapshot>>);
+
+    impl Fixture {
+        fn serving(families: Vec<FamilySnapshot>) -> Arc<Self> {
+            Arc::new(Self(Mutex::new(families)))
+        }
+
+        fn set(&self, families: Vec<FamilySnapshot>) {
+            *self.0.lock() = families;
+        }
+    }
+
+    impl Collector for Fixture {
+        fn job_name(&self) -> &str {
+            "fixture"
+        }
+
+        fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+            Ok(self.0.lock().clone())
+        }
+    }
+
+    /// A family of `kind` (counter or gauge) with one point per
+    /// `(label pairs, value)`, in the order given.
+    fn family(name: &str, kind: MetricKind, points: &[(&[(&str, &str)], f64)]) -> FamilySnapshot {
+        let mut family = FamilySnapshot::new(name, "", kind);
+        for &(pairs, value) in points {
+            let value = match kind {
+                MetricKind::Counter => PointValue::Counter(value),
+                _ => PointValue::Gauge(value),
+            };
+            family.points.push(MetricPoint::new(Labels::from_pairs(pairs.iter().copied()), value));
+        }
+        family
+    }
+
+    /// One unlabelled gauge family.
+    fn gauge(name: &str, value: f64) -> FamilySnapshot {
+        family(name, MetricKind::Gauge, &[(&[], value)])
     }
 
     #[test]
     fn typed_scrape_ingests_samples_with_target_labels() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        let registry = Registry::new();
-        registry.gauge_family("sgx_nr_free_pages", "free pages").default_instance().set(24_000.0);
         scraper.add_collector(
             ScrapeTargetConfig::new("sgx_exporter", "node-1:9090").with_label("node", "node-1"),
-            registry_collector("sgx_exporter", registry.clone()),
+            Fixture::serving(vec![gauge("sgx_nr_free_pages", 24_000.0)]),
         );
 
         let outcomes = scraper.scrape_once(5_000);
@@ -1351,14 +1387,15 @@ mod tests {
     fn repeated_scrapes_build_series() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone()).with_interval_ms(5_000);
-        let registry = Registry::new();
-        let counter = registry.counter_family("events_total", "events");
-        scraper.add_collector(
-            ScrapeTargetConfig::new("ebpf_exporter", "node-1:9435"),
-            registry_collector("ebpf_exporter", registry.clone()),
-        );
+        let events = Fixture::serving(Vec::new());
+        scraper
+            .add_collector(ScrapeTargetConfig::new("ebpf_exporter", "node-1:9435"), events.clone());
         for round in 0..5u64 {
-            counter.default_instance().inc_by(10.0);
+            events.set(vec![family(
+                "events_total",
+                MetricKind::Counter,
+                &[(&[], 10.0 * (round + 1) as f64)],
+            )]);
             scraper.scrape_once(round * scraper.interval_ms());
         }
         let results = db.select(&Selector::metric("events_total"));
@@ -1374,11 +1411,9 @@ mod tests {
     fn storage_self_metrics_are_recorded() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        let registry = Registry::new();
-        registry.gauge_family("g", "gauge").default_instance().set(1.0);
         scraper.add_collector(
             ScrapeTargetConfig::new("job", "n1:1"),
-            registry_collector("job", registry),
+            Fixture::serving(vec![gauge("g", 1.0)]),
         );
         scraper.add_self_target("self:0");
         // Storage stats publish into the obs gauges at the *end* of a round,
@@ -1405,22 +1440,15 @@ mod tests {
 
     #[test]
     fn measured_durations_are_positive_and_modelled_ones_deterministic() {
-        let registry = Registry::new();
-        registry.gauge_family("g", "gauge").default_instance().set(1.0);
+        let fixture = Fixture::serving(vec![gauge("g", 1.0)]);
         let db = TimeSeriesDb::new();
         let measured = Scraper::new(db.clone());
-        measured.add_collector(
-            ScrapeTargetConfig::new("job", "n1:1"),
-            registry_collector("job", registry.clone()),
-        );
+        measured.add_collector(ScrapeTargetConfig::new("job", "n1:1"), fixture.clone());
         let outcome = &measured.scrape_once(1_000)[0];
         assert!(outcome.duration_seconds > 0.0, "a real scrape takes real time");
 
         let modelled = Scraper::new(TimeSeriesDb::new()).with_modelled_durations();
-        modelled.add_collector(
-            ScrapeTargetConfig::new("job", "n1:1"),
-            registry_collector("job", registry),
-        );
+        modelled.add_collector(ScrapeTargetConfig::new("job", "n1:1"), fixture);
         let expected = Scraper::SCRAPE_BASE_SECONDS + 1.0 * Scraper::SCRAPE_PER_SAMPLE_SECONDS;
         for round in 1..=3u64 {
             let outcome = &modelled.scrape_once(round * 1_000)[0];
@@ -1446,11 +1474,9 @@ mod tests {
     fn a_removed_target_leaves_the_unhealthy_list_after_the_lookback() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        let registry = Registry::new();
-        registry.gauge_family("g", "gauge").default_instance().set(1.0);
         scraper.add_collector(
             ScrapeTargetConfig::new("live", "up:1"),
-            registry_collector("live", registry),
+            Fixture::serving(vec![gauge("g", 1.0)]),
         );
         scraper.add_target(
             ScrapeTargetConfig::new("dead", "down:1"),
@@ -1484,16 +1510,17 @@ mod tests {
     fn text_endpoint_round_trips_through_the_wire_format() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        let registry = Registry::new();
-        registry
-            .counter_family("teemon_syscalls_total", "syscalls")
-            .with(&teemon_metrics::Labels::from_pairs([("syscall", "read")]))
-            .inc_by(7.0);
-        registry
-            .histogram_family("lat_seconds", "latency", vec![0.01, 0.1])
-            .default_instance()
-            .observe(0.05);
-        let collector = registry_collector("text_job", registry);
+        let latency = HistogramSnapshot {
+            bounds: vec![0.01, 0.1],
+            cumulative_counts: vec![0, 1, 1],
+            sum: 0.05,
+            count: 1,
+        };
+        let collector = Fixture::serving(vec![
+            FamilySnapshot::new("lat_seconds", "latency", MetricKind::Histogram)
+                .with_point(MetricPoint::new(Labels::new(), PointValue::Histogram(latency))),
+            family("teemon_syscalls_total", MetricKind::Counter, &[(&[("syscall", "read")], 7.0)]),
+        ]);
 
         // The document an external process would serve on `/metrics`…
         let render = move || -> Result<String, String> {
@@ -1515,17 +1542,13 @@ mod tests {
     fn per_target_intervals_gate_scrape_due() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone()).with_interval_ms(5_000);
-        let fast = Registry::new();
-        fast.gauge_family("fast_gauge", "").default_instance().set(1.0);
-        let slow = Registry::new();
-        slow.gauge_family("slow_gauge", "").default_instance().set(1.0);
         scraper.add_collector(
             ScrapeTargetConfig::new("fast", "n1:1"),
-            registry_collector("fast", fast),
+            Fixture::serving(vec![gauge("fast_gauge", 1.0)]),
         );
         scraper.add_collector(
             ScrapeTargetConfig::new("slow", "n1:2").with_interval_ms(15_000),
-            registry_collector("slow", slow),
+            Fixture::serving(vec![gauge("slow_gauge", 1.0)]),
         );
 
         let rounds_of = |job: &str| {
@@ -1547,15 +1570,18 @@ mod tests {
 
     #[test]
     fn fast_lane_round_equals_per_sample_round() {
-        // The same registry through the scraper and through one `db.append`
+        // The same families through the scraper and through one `db.append`
         // per sample: identical contents, and the cache keeps working across
         // rounds.
-        let registry = Registry::new();
-        let family = registry.counter_family("teemon_syscalls_total", "syscalls");
-        for syscall in ["read", "write", "futex"] {
-            family.with(&Labels::from_pairs([("syscall", syscall)])).inc_by(5.0);
-        }
-        let collector = registry_collector("sgx_exporter", registry.clone());
+        let syscalls = |read: f64| {
+            let points: [(&[(&str, &str)], f64); 3] = [
+                (&[("syscall", "futex")], 5.0),
+                (&[("syscall", "read")], read),
+                (&[("syscall", "write")], 5.0),
+            ];
+            vec![family("teemon_syscalls_total", MetricKind::Counter, &points)]
+        };
+        let collector = Fixture::serving(syscalls(5.0));
         let config = ScrapeTargetConfig::new("sgx_exporter", "n1:9090").with_label("node", "n1");
         let base = config.target_labels();
         let fast_db = TimeSeriesDb::new();
@@ -1565,7 +1591,7 @@ mod tests {
         fast.add_collector(config, collector.clone());
         let slow_db = TimeSeriesDb::new();
         for round in 1..=5u64 {
-            family.with(&Labels::from_pairs([("syscall", "read")])).inc_by(1.0);
+            collector.set(syscalls(5.0 + round as f64));
             let now_ms = round * 5_000;
             let outcome = &fast.scrape_once(now_ms)[0];
             let (mut scraped, mut added) = (0u64, 0u64);
@@ -1602,16 +1628,19 @@ mod tests {
     fn fast_lane_repairs_cache_on_series_churn() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        let registry = Registry::new();
-        let family = registry.gauge_family("proc_cpu", "cpu");
-        family.with(&Labels::from_pairs([("process", "redis")])).set(1.0);
-        scraper.add_collector(
-            ScrapeTargetConfig::new("cadvisor", "n1:8080"),
-            registry_collector("cadvisor", registry.clone()),
-        );
+        let processes = Fixture::serving(vec![family(
+            "proc_cpu",
+            MetricKind::Gauge,
+            &[(&[("process", "redis")], 1.0)],
+        )]);
+        scraper.add_collector(ScrapeTargetConfig::new("cadvisor", "n1:8080"), processes.clone());
         scraper.scrape_once(5_000);
         // A process appears: the cached round shape changes mid-stream.
-        family.with(&Labels::from_pairs([("process", "nginx")])).set(2.0);
+        processes.set(vec![family(
+            "proc_cpu",
+            MetricKind::Gauge,
+            &[(&[("process", "nginx")], 2.0), (&[("process", "redis")], 1.0)],
+        )]);
         scraper.scrape_once(10_000);
         scraper.scrape_once(15_000);
         let results = db.select(&Selector::metric("proc_cpu"));
@@ -1627,13 +1656,10 @@ mod tests {
     fn fast_lane_re_resolves_dropped_series_mid_stream() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        let registry = Registry::new();
-        let family = registry.gauge_family("g", "gauge");
-        family.with(&Labels::from_pairs([("case", "kept")])).set(1.0);
-        family.with(&Labels::from_pairs([("case", "dropped")])).set(2.0);
+        let cases = [(&[("case", "dropped")][..], 2.0), (&[("case", "kept")][..], 1.0)];
         scraper.add_collector(
             ScrapeTargetConfig::new("job", "n1:1"),
-            registry_collector("job", registry),
+            Fixture::serving(vec![family("g", MetricKind::Gauge, &cases)]),
         );
         scraper.scrape_once(5_000);
         // An operator drops the series between rounds; the target's cache
@@ -1662,12 +1688,12 @@ mod tests {
     fn push_lane_ingests_like_a_scrape_target() {
         // The same families pushed through a PushLane and scraped through a
         // registered target must store identical series.
-        let registry = Registry::new();
-        let family = registry.counter_family("pushed_total", "pushed");
-        for case in ["a", "b"] {
-            family.with(&Labels::from_pairs([("case", case)])).inc_by(3.0);
-        }
-        let collector = registry_collector("remote", registry.clone());
+        let pushed = |a: f64| {
+            let points: [(&[(&str, &str)], f64); 2] =
+                [(&[("case", "a")], a), (&[("case", "b")], 3.0)];
+            vec![family("pushed_total", MetricKind::Counter, &points)]
+        };
+        let collector = Fixture::serving(pushed(3.0));
 
         let scraped_db = TimeSeriesDb::new();
         let scraper = Scraper::new(scraped_db.clone());
@@ -1679,11 +1705,8 @@ mod tests {
         assert_eq!(lane.db().series_count(), 0);
 
         for round in 1..=3u64 {
-            family.with(&Labels::from_pairs([("case", "a")])).inc_by(1.0);
-            let families = {
-                collector.refresh();
-                collector.collect().unwrap()
-            };
+            collector.set(pushed(3.0 + round as f64));
+            let families = collector.collect().unwrap();
             let outcome = lane.push(&families, round * 5_000);
             assert_eq!(outcome.scraped, 2);
             assert_eq!(outcome.ingested, 2);
@@ -1709,13 +1732,11 @@ mod tests {
     fn push_lane_survives_series_drop_between_pushes() {
         let db = TimeSeriesDb::new();
         let mut lane = PushLane::new(db.clone(), &ScrapeTargetConfig::new("remote", "w1:443"));
-        let registry = Registry::new();
-        let family = registry.gauge_family("g", "gauge");
-        family.with(&Labels::from_pairs([("case", "kept")])).set(1.0);
-        family.with(&Labels::from_pairs([("case", "dropped")])).set(2.0);
-        lane.push(&registry.gather(), 5_000);
+        let cases = [(&[("case", "dropped")][..], 2.0), (&[("case", "kept")][..], 1.0)];
+        let families = vec![family("g", MetricKind::Gauge, &cases)];
+        lane.push(&families, 5_000);
         assert_eq!(db.drop_series(&Selector::metric("g").with_label("case", "dropped")), 1);
-        let outcome = lane.push(&registry.gather(), 10_000);
+        let outcome = lane.push(&families, 10_000);
         assert_eq!(outcome.ingested, 2, "dropped series transparently re-created");
         assert_eq!(db.select(&Selector::metric("g")).len(), 2);
     }
@@ -1740,15 +1761,11 @@ mod tests {
     fn round_summaries_match_outcome_totals() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db).with_interval_ms(5_000);
-        let registry = Registry::new();
-        registry.gauge_family("g", "gauge").default_instance().set(1.0);
-        scraper.add_collector(
-            ScrapeTargetConfig::new("fast", "n1:1"),
-            registry_collector("fast", registry.clone()),
-        );
+        let fixture = Fixture::serving(vec![gauge("g", 1.0)]);
+        scraper.add_collector(ScrapeTargetConfig::new("fast", "n1:1"), fixture.clone());
         scraper.add_collector(
             ScrapeTargetConfig::new("slow", "n1:2").with_interval_ms(15_000),
-            registry_collector("slow", registry),
+            fixture,
         );
         scraper.add_target(
             ScrapeTargetConfig::new("down", "n1:3"),
@@ -1770,29 +1787,28 @@ mod tests {
     fn targets_can_be_removed() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db);
-        let registry = Registry::new();
+        let fixture = Fixture::serving(Vec::new());
         scraper.add_collector(
             ScrapeTargetConfig::new("node_exporter", "node-1:9100"),
-            registry_collector("node_exporter", registry.clone()),
+            fixture.clone(),
         );
-        scraper.add_collector(
-            ScrapeTargetConfig::new("sgx_exporter", "node-1:9090"),
-            registry_collector("sgx_exporter", registry),
-        );
+        scraper.add_collector(ScrapeTargetConfig::new("sgx_exporter", "node-1:9090"), fixture);
         assert_eq!(scraper.target_count(), 2);
         assert_eq!(scraper.remove_instance("node-1:9100"), 1);
         assert_eq!(scraper.target_count(), 1);
         assert_eq!(scraper.remove_instance("unknown"), 0);
     }
 
-    /// A registry exposing `n` gauge series `m{i="<k>"}`.
-    fn wide_registry(n: usize) -> Registry {
-        let registry = Registry::new();
-        let family = registry.gauge_family("m", "wide");
+    /// `n` gauge series `m{i="<k>"}`.
+    fn wide(n: usize) -> Vec<FamilySnapshot> {
+        let mut family = FamilySnapshot::new("m", "wide", MetricKind::Gauge);
         for k in 0..n {
-            family.with(&Labels::from_pairs([("i", format!("{k:03}"))])).set(k as f64);
+            family.points.push(MetricPoint::new(
+                Labels::from_pairs([("i", format!("{k:03}"))]),
+                PointValue::Gauge(k as f64),
+            ));
         }
-        registry
+        vec![family]
     }
 
     #[test]
@@ -1801,7 +1817,7 @@ mod tests {
         let scraper = Scraper::new(db.clone());
         scraper.add_collector(
             ScrapeTargetConfig::new("wide", "n1:1").with_series_budget(3),
-            registry_collector("wide", wide_registry(8)),
+            Fixture::serving(wide(8)),
         );
         let outcomes = scraper.scrape_once(1_000);
         assert!(outcomes[0].up);
@@ -1826,14 +1842,8 @@ mod tests {
         let budgets = CardinalityBudgets::new();
         budgets.set_job_limit("pool", 5);
         let scraper = Scraper::new(db.clone()).with_budgets(Arc::clone(&budgets));
-        scraper.add_collector(
-            ScrapeTargetConfig::new("pool", "a:1"),
-            registry_collector("pool", wide_registry(4)),
-        );
-        scraper.add_collector(
-            ScrapeTargetConfig::new("pool", "b:1"),
-            registry_collector("pool", wide_registry(4)),
-        );
+        scraper.add_collector(ScrapeTargetConfig::new("pool", "a:1"), Fixture::serving(wide(4)));
+        scraper.add_collector(ScrapeTargetConfig::new("pool", "b:1"), Fixture::serving(wide(4)));
         scraper.scrape_once(1_000);
         // First target took 4 of the pool, the second got the remaining 1.
         assert_eq!(budgets.job_used("pool"), 5);
@@ -1843,13 +1853,10 @@ mod tests {
         assert_eq!(budgets.job_used("pool"), 1);
         // … and the survivor's next repair (forced by a shape change) can
         // now admit its full set.
-        let registry = wide_registry(4);
-        registry.gauge_family("extra", "new").default_instance().set(1.0);
+        let mut grown = wide(4);
+        grown.insert(0, gauge("extra", 1.0));
         assert_eq!(scraper.remove_instance("b:1"), 1);
-        scraper.add_collector(
-            ScrapeTargetConfig::new("pool", "b:1"),
-            registry_collector("pool", registry),
-        );
+        scraper.add_collector(ScrapeTargetConfig::new("pool", "b:1"), Fixture::serving(grown));
         scraper.scrape_once(2_000);
         assert_eq!(budgets.job_used("pool"), 5);
         let m = db.select(&Selector::metric("m"));
@@ -1863,10 +1870,7 @@ mod tests {
         let budgets = CardinalityBudgets::new();
         budgets.set_job_limit("other", 1);
         let scraper = Scraper::new(db.clone()).with_budgets(budgets);
-        scraper.add_collector(
-            ScrapeTargetConfig::new("free", "n1:1"),
-            registry_collector("free", wide_registry(6)),
-        );
+        scraper.add_collector(ScrapeTargetConfig::new("free", "n1:1"), Fixture::serving(wide(6)));
         scraper.scrape_once(1_000);
         assert_eq!(db.select(&Selector::metric("m")).len(), 6);
         assert!(db.select(&Selector::metric("teemon_overflow_series_total")).is_empty());
@@ -1877,10 +1881,9 @@ mod tests {
         let db = TimeSeriesDb::new();
         let budgets = CardinalityBudgets::new();
         budgets.set_job_limit("push", 2);
-        let registry = wide_registry(5);
         let mut lane = PushLane::new(db.clone(), &ScrapeTargetConfig::new("push", "w:1"))
             .with_budgets(Arc::clone(&budgets));
-        let outcome = lane.push(&registry.gather(), 1_000);
+        let outcome = lane.push(&wide(5), 1_000);
         assert_eq!(outcome.scraped, 5);
         assert_eq!(outcome.ingested, 2);
         assert_eq!(outcome.overflow, 3);
@@ -1994,18 +1997,18 @@ mod tests {
         let db = TimeSeriesDb::new();
         let budgets = CardinalityBudgets::new();
         budgets.set_job_limit("j", 1);
-        let registry = wide_registry(3);
+        let mut families = wide(3);
         let mut lane = PushLane::new(db.clone(), &ScrapeTargetConfig::new("j", "w:1"))
             .with_budgets(Arc::clone(&budgets));
-        let first = lane.push(&registry.gather(), 1_000);
+        let first = lane.push(&families, 1_000);
         assert_eq!((first.ingested, first.overflow), (1, 2));
         // Raising the limit alone does not disturb the warm path …
         budgets.set_job_limit("j", 10);
-        let warm = lane.push(&registry.gather(), 2_000);
+        let warm = lane.push(&families, 2_000);
         assert_eq!((warm.ingested, warm.overflow), (1, 2));
         // … but the next shape change repairs under the new allowance.
-        registry.gauge_family("extra", "new").default_instance().set(1.0);
-        let repaired = lane.push(&registry.gather(), 3_000);
+        families.insert(0, gauge("extra", 1.0));
+        let repaired = lane.push(&families, 3_000);
         assert_eq!(repaired.overflow, 0);
         assert_eq!(db.select(&Selector::metric("m")).len(), 3);
     }

@@ -15,8 +15,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::audit;
-use teemon_metrics::{Labels, Registry, RegistryCollector};
+use parking_lot::{audit, LockClass, Mutex};
+use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_tsdb::{
     CardinalityBudgets, DurabilityOptions, FaultFs, ScrapeTargetConfig, Scraper, Selector,
     TimeSeriesDb, TsdbConfig,
@@ -111,14 +111,18 @@ fn concurrent_scrape_and_query_establish_a_clean_lock_order() {
     let budgets = CardinalityBudgets::new();
     budgets.set_job_limit("job", 1 << 20);
     let scraper = Scraper::new(db.clone()).with_budgets(budgets);
-    let registry = Registry::new();
-    let family = registry.counter_family("events_total", "events");
+    // The endpoint reads its families under a lock of its own, so the
+    // collection step joins the audited graph too.
+    let mut family = FamilySnapshot::new("events_total", "events", MetricKind::Counter);
     for case in ["a", "b", "c"] {
-        family.with(&Labels::from_pairs([("case", case)])).inc_by(1.0);
+        family
+            .points
+            .push(MetricPoint::new(Labels::from_pairs([("case", case)]), PointValue::Counter(1.0)));
     }
-    scraper.add_collector(
+    let families = Mutex::named(vec![family], LockClass::new("test.endpoint"));
+    scraper.add_target(
         ScrapeTargetConfig::new("job", "n1:1").with_series_budget(1 << 20),
-        Arc::new(RegistryCollector::new("job", registry.clone())),
+        Arc::new(move || Ok(families.lock().clone())),
     );
     let threads: Vec<_> = (0..4)
         .map(|worker| {

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use teemon_metrics::{Labels, Registry, RegistryCollector};
+use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_obs::probes;
 use teemon_tsdb::{
     CrashModel, DurabilityOptions, FaultFs, FsyncMode, ScrapeTargetConfig, Scraper, Selector,
@@ -244,11 +244,11 @@ fn scrape_driver_counts_unclean_rounds() {
     let fs = FaultFs::new();
     let db = open(&fs, u64::MAX);
     let scraper = Scraper::new(db.clone());
-    let registry = Registry::new();
-    registry.gauge_family("teemon_fault_gauge", "per-target gauge").default_instance().set(1.0);
-    scraper.add_collector(
+    let gauge = FamilySnapshot::new("teemon_fault_gauge", "per-target gauge", MetricKind::Gauge)
+        .with_point(MetricPoint::new(Labels::new(), PointValue::Gauge(1.0)));
+    scraper.add_target(
         ScrapeTargetConfig::new("fault_job", "node-1:9090"),
-        Arc::new(RegistryCollector::new("fault_job", registry)),
+        Arc::new(move || Ok(vec![gauge.clone()])),
     );
     // A clean round first: symbols and series go durable while fsync works.
     scraper.scrape_once(1_000);

@@ -2,7 +2,7 @@
 
 use std::sync::{Arc, Mutex};
 
-pub struct Registry {
+pub struct Table {
     values: Arc<Mutex<Vec<u64>>>,
     index: std::sync::RwLock<Vec<usize>>,
 }

@@ -7,13 +7,13 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-pub struct Registry {
+pub struct Table {
     values: Arc<Mutex<Vec<u64>>>,
     index: RwLock<Vec<usize>>,
     epoch: AtomicU64,
 }
 
-pub fn bump(registry: &Registry) -> u64 {
+pub fn bump(table: &Table) -> u64 {
     let (_tx, _rx) = mpsc::channel::<u64>();
-    registry.epoch.fetch_add(1, Ordering::Relaxed)
+    table.epoch.fetch_add(1, Ordering::Relaxed)
 }

@@ -1,20 +1,21 @@
 //! Failure-injection integration tests: failing scrape targets, counter
 //! resets, node churn and misbehaving exporters.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use teemon::ClusterMonitor;
-use teemon_metrics::{FamilySnapshot, Labels, Registry};
+use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_orchestrator::{Cluster, Node};
 use teemon_query::{QueryEngine, Value};
 use teemon_tsdb::{
     MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb,
 };
 
-/// A typed endpoint that can be switched into a failing state at runtime.
+/// A typed endpoint counting events that can be switched into a failing
+/// state at runtime.
 struct FlakyEndpoint {
-    registry: Registry,
+    events: Arc<AtomicU64>,
     failing: Arc<AtomicBool>,
 }
 
@@ -23,7 +24,9 @@ impl MetricsEndpoint for FlakyEndpoint {
         if self.failing.load(Ordering::Relaxed) {
             Err(ScrapeError::Unreachable("connection timed out".to_string()))
         } else {
-            Ok(self.registry.gather())
+            let events = self.events.load(Ordering::Relaxed) as f64;
+            Ok(vec![FamilySnapshot::new("events_total", "events", MetricKind::Counter)
+                .with_point(MetricPoint::new(Labels::new(), PointValue::Counter(events)))])
         }
     }
 }
@@ -32,17 +35,16 @@ impl MetricsEndpoint for FlakyEndpoint {
 fn scraper_survives_target_failures_and_recovers() {
     let db = TimeSeriesDb::new();
     let scraper = Scraper::new(db.clone());
-    let registry = Registry::new();
-    let counter = registry.counter_family("events_total", "events");
+    let events = Arc::new(AtomicU64::new(0));
     let failing = Arc::new(AtomicBool::new(false));
     scraper.add_target(
         ScrapeTargetConfig::new("flaky", "node-1:9999"),
-        Arc::new(FlakyEndpoint { registry: registry.clone(), failing: failing.clone() }),
+        Arc::new(FlakyEndpoint { events: events.clone(), failing: failing.clone() }),
     );
 
     // Healthy scrapes.
     for round in 0..3u64 {
-        counter.default_instance().inc_by(5.0);
+        events.fetch_add(5, Ordering::Relaxed);
         scraper.scrape_once(round * 5_000);
     }
     assert!(scraper.unhealthy_instances(15_000).is_empty());
@@ -57,7 +59,7 @@ fn scraper_survives_target_failures_and_recovers() {
 
     // Recovery: data flows again, and previously collected data is intact.
     failing.store(false, Ordering::Relaxed);
-    counter.default_instance().inc_by(5.0);
+    events.fetch_add(5, Ordering::Relaxed);
     scraper.scrape_once(30_000);
     assert!(scraper.unhealthy_instances(30_000).is_empty());
     let series = db.select(&Selector::metric("events_total"));
@@ -102,11 +104,11 @@ fn malformed_exporter_output_does_not_poison_the_db() {
         ScrapeTargetConfig::new("broken", "node-2:1234"),
         Arc::new(|| Ok("garbage {{{ not metrics".to_string())),
     );
-    let registry = Registry::new();
-    registry.gauge_family("good_metric", "fine").default_instance().set(1.0);
+    let good = FamilySnapshot::new("good_metric", "fine", MetricKind::Gauge)
+        .with_point(MetricPoint::new(Labels::new(), PointValue::Gauge(1.0)));
     scraper.add_target(
         ScrapeTargetConfig::new("good", "node-3:9100"),
-        Arc::new(move || Ok(registry.gather())),
+        Arc::new(move || Ok(vec![good.clone()])),
     );
 
     let outcomes = scraper.scrape_once(1_000);
