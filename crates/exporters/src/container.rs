@@ -57,7 +57,10 @@ pub struct ContainerExporter {
 impl ContainerExporter {
     /// Creates a container exporter labelled with the node name.
     pub fn new(node: &str) -> Self {
-        Self { state: Arc::new(RwLock::new(State::default())), node: crate::node_labels(node) }
+        Self {
+            state: Arc::new(RwLock::new(State::default())),
+            node: crate::registry::node_labels(node),
+        }
     }
 
     /// Registers (or replaces) a container.
@@ -159,7 +162,7 @@ impl Collector for ContainerExporter {
     }
 
     fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
-        Ok(crate::on_node(&self.node, Self::gather(&self.state.read())))
+        Ok(crate::registry::gather(&self.node, Self::gather(&self.state.read())))
     }
 }
 

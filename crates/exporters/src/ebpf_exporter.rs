@@ -38,7 +38,7 @@ impl EbpfExporter {
     fn attach_filtered(kernel: &Kernel, node: &str, filter: PidFilter) -> Self {
         let mut vm = EbpfVm::new(kernel.hooks().clone());
         let maps = vm.load_standard_programs(filter);
-        Self { vm, maps, filter, node: crate::node_labels(node) }
+        Self { vm, maps, filter, node: crate::registry::node_labels(node) }
     }
 
     /// The PID filter in effect.
@@ -125,7 +125,7 @@ impl Collector for EbpfExporter {
     }
 
     fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
-        Ok(crate::on_node(&self.node, Self::gather(&self.maps)))
+        Ok(crate::registry::gather(&self.node, Self::gather(&self.maps)))
     }
 }
 

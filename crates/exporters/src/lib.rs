@@ -18,14 +18,16 @@
 //! source when it is collected — the paper's SGX exporter likewise re-reads
 //! `/sys/module/isgx/parameters/*` on every scrape — and labelling every
 //! point with the node it runs on.  The aggregation component scrapes the
-//! structured [`FamilySnapshot`]s directly, and the OpenMetrics text document
-//! only exists at the edges (see [`teemon_metrics::exposition`]).
+//! structured [`FamilySnapshot`](teemon_metrics::FamilySnapshot)s directly,
+//! and the OpenMetrics text document only exists at the edges (see
+//! [`teemon_metrics::exposition`]).
 
 #![warn(missing_docs)]
 
 pub mod container;
 pub mod ebpf_exporter;
 pub mod node;
+mod registry;
 pub mod tme;
 
 pub use container::{ContainerExporter, ContainerSpec};
@@ -33,23 +35,3 @@ pub use ebpf_exporter::EbpfExporter;
 pub use node::NodeExporter;
 pub use teemon_metrics::{CollectError, Collector};
 pub use tme::SgxExporter;
-
-use teemon_metrics::{FamilySnapshot, Labels};
-
-/// The `{node="…"}` label set an exporter deployed on `node` stamps on
-/// every point, the way DaemonSet-deployed exporters tag their metrics.
-fn node_labels(node: &str) -> Labels {
-    Labels::from_pairs([("node", node)])
-}
-
-/// Adds `node` to every point of `families` and sorts the families by name:
-/// the last step of every exporter's `collect`.
-fn on_node(node: &Labels, mut families: Vec<FamilySnapshot>) -> Vec<FamilySnapshot> {
-    for family in &mut families {
-        for point in &mut family.points {
-            point.labels = point.labels.merged(node);
-        }
-    }
-    families.sort_by(|a, b| a.name.cmp(&b.name));
-    families
-}

@@ -47,7 +47,7 @@ impl NodeExporter {
         Self {
             usage: Arc::new(RwLock::new(NodeUsage::default())),
             kernel: kernel.clone(),
-            node: crate::node_labels(node),
+            node: crate::registry::node_labels(node),
         }
     }
 
@@ -141,7 +141,7 @@ impl Collector for NodeExporter {
     }
 
     fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
-        Ok(crate::on_node(&self.node, Self::gather(&self.kernel, &self.usage.read())))
+        Ok(crate::registry::gather(&self.node, Self::gather(&self.kernel, &self.usage.read())))
     }
 }
 

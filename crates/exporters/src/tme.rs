@@ -23,7 +23,7 @@ impl SgxExporter {
     /// Creates an exporter reading `driver`, labelling every sample with the
     /// node name.
     pub fn new(driver: SgxDriver, node: &str) -> Self {
-        Self { driver, node: crate::node_labels(node) }
+        Self { driver, node: crate::registry::node_labels(node) }
     }
 
     fn gauge(name: &str, help: &str, value: f64) -> FamilySnapshot {
@@ -99,7 +99,7 @@ impl Collector for SgxExporter {
     }
 
     fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
-        Ok(crate::on_node(&self.node, Self::gather(&self.driver)))
+        Ok(crate::registry::gather(&self.node, Self::gather(&self.driver)))
     }
 }
 
