@@ -414,7 +414,12 @@ impl HostMonitor {
     ///
     /// Runs through the scraper's ingest fast lane and the allocation-free
     /// [`teemon_tsdb::RoundSummary`] path — a steady-state tick touches each
-    /// storage shard lock once and allocates nothing.  Like
+    /// storage shard lock once.  The store's side allocates nothing, so a
+    /// tick over endpoints that refresh their families in place allocates
+    /// nothing either (`crates/tsdb/tests/alloc_free_scrape.rs`).  The
+    /// exporters this monitor installs do not yet: each `collect` builds
+    /// its families afresh, and a warm Full-mode round makes about 209
+    /// allocations (ROADMAP item 13).  Like
     /// [`HostMonitor::run_scrape_loop`] it then evaluates due rule groups
     /// and, each sixteenth of the retention window, applies the database's
     /// retention policy.

@@ -211,6 +211,7 @@ impl Ends {
     }
 }
 
+#[derive(Clone)]
 enum EndsIter<'a> {
     Inline(std::slice::Iter<'a, u16>),
     Heap(std::slice::Iter<'a, usize>),
@@ -228,6 +229,7 @@ impl Iterator for EndsIter<'_> {
 }
 
 /// [`Labels::iter`]: walks the offset table two entries at a time.
+#[derive(Clone)]
 struct Pairs<'a> {
     buf: &'a str,
     ends: EndsIter<'a>,
@@ -415,7 +417,7 @@ impl Labels {
     }
 
     /// Iterates over `(name, value)` pairs in sorted name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
         Pairs { buf: &self.buf, ends: self.ends.iter(), start: 0 }
     }
 

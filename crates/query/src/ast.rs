@@ -228,10 +228,10 @@ impl Grouping {
         use teemon_metrics::Labels;
         match self {
             Grouping::None => Labels::new(),
-            Grouping::By(keep) => {
-                Labels::from_pairs(labels.iter().filter(|(k, _)| keep.iter().any(|want| want == k)))
-            }
-            Grouping::Without(drop) => Labels::from_pairs(
+            Grouping::By(keep) => Labels::from_str_pairs(
+                labels.iter().filter(|(k, _)| keep.iter().any(|want| want == k)),
+            ),
+            Grouping::Without(drop) => Labels::from_str_pairs(
                 labels.iter().filter(|(k, _)| !drop.iter().any(|want| want == k)),
             ),
         }

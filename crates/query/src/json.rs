@@ -19,7 +19,10 @@
 //! `metric` object, timestamps and value strings appended in order, no
 //! intermediate tree — because a dashboard refresh renders tens of thousands
 //! of points and a tree costs three allocations per point before a byte is
-//! produced.
+//! produced.  For the same reason the two numbers of a point skip
+//! `core::fmt` where their text is plain digits — whole-second timestamps
+//! and integral values — and a matrix renders each `[<seconds>,"` prefix of
+//! its step grid once, copying it into every series that shares the step.
 
 use std::fmt::Write as _;
 
@@ -34,6 +37,13 @@ const BYTES_PER_POINT: usize = 32;
 /// Bytes reserved per series for `{"metric":{…},"values":[]},` around a
 /// handful of labels.
 const BYTES_PER_SERIES: usize = 128;
+
+/// Up to `2^53` ms a whole-second timestamp divides exactly into the `f64`
+/// seconds the general path prints, so the digit loop writes the same text.
+const EXACT_MS: u64 = 1 << 53;
+/// Integral values of smaller magnitude are written by the digit loop; `{v}`
+/// prints exactly their digits (`-0.0` aside, which keeps its sign).
+const INTEGRAL_BELOW: f64 = 1e15;
 
 /// The success envelope around whatever `result` writes, in a body reserved
 /// for about `capacity` bytes of it.
@@ -92,20 +102,121 @@ fn push_metric(out: &mut String, name: Option<&str>, labels: &Labels) {
     out.push('}');
 }
 
-/// `[seconds, "value"]` — one sample pair.  The timestamp is a JSON number
-/// (whole seconds without a fraction); the value is the exposition format's
-/// text ([`write_value`]), which never needs escaping.
+/// `[seconds, "value"]` — one sample pair.
 fn push_pair(out: &mut String, timestamp_ms: u64, value: f64) {
-    out.push('[');
-    let seconds = timestamp_ms as f64 / 1e3;
-    let _ = if seconds.fract() == 0.0 && seconds < 9.0e15 {
-        write!(out, "{}", seconds as i64)
-    } else {
-        write!(out, "{seconds}")
-    };
-    out.push_str(",\"");
-    write_value(out, value);
+    push_prefix(out, timestamp_ms);
+    push_value(out, value);
     out.push_str("\"]");
+}
+
+/// `[seconds,"` — a pair up to its value.  The timestamp is a JSON number:
+/// whole seconds without a fraction, anything else as `f64` seconds.
+fn push_prefix(out: &mut String, timestamp_ms: u64) {
+    out.push('[');
+    if timestamp_ms.is_multiple_of(1000) && timestamp_ms <= EXACT_MS {
+        push_digits(out, timestamp_ms / 1000);
+    } else {
+        let seconds = timestamp_ms as f64 / 1e3;
+        let _ = if seconds.fract() == 0.0 && seconds < 9.0e15 {
+            write!(out, "{}", seconds as i64)
+        } else {
+            write!(out, "{seconds}")
+        };
+    }
+    out.push_str(",\"");
+}
+
+/// A sample value as the exposition format writes it ([`write_value`]),
+/// which never needs escaping.
+fn push_value(out: &mut String, value: f64) {
+    let negative_zero = value == 0.0 && value.is_sign_negative();
+    if value.fract() == 0.0 && value.abs() < INTEGRAL_BELOW && !negative_zero {
+        if value < 0.0 {
+            out.push('-');
+        }
+        push_digits(out, value.abs() as u64);
+    } else {
+        write_value(out, value);
+    }
+}
+
+/// `n` in decimal, as `{n}` writes it.
+fn push_digits(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + (n % 10) as u8;
+        n /= 10;
+        start -= 1;
+        if n == 0 {
+            break;
+        }
+    }
+    // ASCII digits only, so the check always passes.
+    if let Ok(text) = std::str::from_utf8(digits.get(start..).unwrap_or_default()) {
+        out.push_str(text);
+    }
+}
+
+/// The `[seconds,"` prefixes of one series' points, rendered once and copied
+/// into the pairs of every series that shares their timestamps — on one step
+/// grid, every series of a matrix.
+#[derive(Default)]
+struct Prefixes {
+    text: String,
+    /// Per point, in the series' order: its timestamp and where its prefix
+    /// ends in `text`.
+    ends: Vec<(u64, usize)>,
+}
+
+impl Prefixes {
+    fn of(points: &[(u64, f64)]) -> Self {
+        let mut text = String::with_capacity(points.len() * BYTES_PER_POINT / 2);
+        let ends = points
+            .iter()
+            .map(|&(t, _)| {
+                push_prefix(&mut text, t);
+                (t, text.len())
+            })
+            .collect();
+        Self { text, ends }
+    }
+
+    /// A reader for one series whose timestamps ascend, as a range result's
+    /// do.
+    fn cursor(&self) -> PrefixCursor<'_> {
+        PrefixCursor { prefixes: self, at: 0 }
+    }
+}
+
+/// Walks [`Prefixes`] alongside one series: a timestamp it holds is copied,
+/// any other rendered afresh, so a series off the shared grid (or out of
+/// order) is written correctly, only more slowly.
+struct PrefixCursor<'a> {
+    prefixes: &'a Prefixes,
+    /// The first entry not yet passed.
+    at: usize,
+}
+
+impl PrefixCursor<'_> {
+    fn push(&mut self, out: &mut String, timestamp_ms: u64) {
+        let ends = &self.prefixes.ends;
+        while ends.get(self.at).is_some_and(|&(t, _)| t < timestamp_ms) {
+            self.at += 1;
+        }
+        let start = self.at.checked_sub(1).and_then(|before| ends.get(before)).map_or(0, |e| e.1);
+        let cached = match ends.get(self.at) {
+            Some(&(t, end)) if t == timestamp_ms => self.prefixes.text.get(start..end),
+            _ => None,
+        };
+        match cached {
+            Some(prefix) => {
+                out.push_str(prefix);
+                self.at += 1;
+            }
+            None => push_prefix(out, timestamp_ms),
+        }
+    }
 }
 
 /// `[a,b,…]` with each element written by `item`; `[]` when there are none.
@@ -148,12 +259,21 @@ pub fn instant_response(value: &Value, at_ms: u64) -> String {
 pub fn range_response(series: &[RangeSeries]) -> String {
     let capacity: usize =
         series.iter().map(|s| BYTES_PER_SERIES + s.points.len() * BYTES_PER_POINT).sum();
+    // The longest series' timestamps stand for the grid; a lone series has
+    // nobody to share its prefixes with.
+    let longest = series.iter().max_by_key(|s| s.points.len()).filter(|_| series.len() > 1);
+    let prefixes = longest.map(|s| Prefixes::of(&s.points)).unwrap_or_default();
     success("matrix", capacity, |out| {
         push_array(out, series, |out, s| {
             out.push_str(r#"{"metric":"#);
             push_metric(out, s.name.as_deref(), &s.labels);
             out.push_str(r#","values":"#);
-            push_array(out, &s.points, |out, &(t, v)| push_pair(out, t, v));
+            let mut prefix = prefixes.cursor();
+            push_array(out, &s.points, |out, &(t, v)| {
+                prefix.push(out, t);
+                push_value(out, v);
+                out.push_str("\"]");
+            });
             out.push('}');
         });
     })
@@ -384,6 +504,62 @@ mod tests {
             assert_eq!(instant_response(&scalar, at_ms), tree::instant_response(&scalar, at_ms));
             let (kind, text) = (text(message.0, message.2), text(message.1, message.2));
             assert_eq!(error_response(&kind, &text), tree::error_response(&kind, &text));
+        }
+    }
+
+    /// The digit loops and the shared prefixes against the tree renderer on
+    /// the edges of each fast path: every value on every timestamp, then
+    /// matrices whose series sit on different grids, so a copied prefix
+    /// could only ever be the right one.
+    #[test]
+    fn fast_paths_match_the_tree_renderer_on_their_edges() {
+        const TWO_53: u64 = 1 << 53;
+        let values = [
+            0.0,
+            -0.0,
+            1e15 - 1.0,
+            -(1e15 - 1.0),
+            1e15,
+            -1e15,
+            TWO_53 as f64,
+            0.1,
+            -2.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // The last whole second of `u64` is past the digit loop's reach: its
+        // `f64` seconds print rounded.
+        let timestamps =
+            [0, 999, 1_000, TWO_53, TWO_53 + 1_000, u64::MAX - u64::MAX % 1_000, u64::MAX];
+        let series = |points: Vec<(u64, f64)>| RangeSeries {
+            name: Some("m".to_string()),
+            labels: Labels::new(),
+            points,
+        };
+        let grid: Vec<RangeSeries> =
+            values.iter().map(|&v| series(timestamps.iter().map(|&t| (t, v)).collect())).collect();
+        for one in &grid {
+            let alone = std::slice::from_ref(one);
+            assert_eq!(range_response(alone), tree::range_response(alone));
+        }
+        assert_eq!(range_response(&grid), tree::range_response(&grid));
+
+        let off_grid = [
+            vec![(1_000, 1.0), (2_000, 2.0), (3_000, 3.0), (4_000, 4.0)],
+            vec![(1_500, 1.0), (2_000, 2.0), (4_000, 4.0)],
+            vec![(3_000, 3.0), (2_000, 2.0), (1_000, 1.0)],
+            vec![(2_000, 2.0), (2_000, 2.5), (5_000, 5.0)],
+            vec![(0, 0.0), (999, 0.5), (u64::MAX, 7.0)],
+            vec![],
+        ];
+        // Each series in turn leads the matrix, and so does the longest.
+        for lead in 0..off_grid.len() {
+            let mut matrix: Vec<RangeSeries> = off_grid.iter().cloned().map(series).collect();
+            matrix.rotate_left(lead);
+            assert_eq!(range_response(&matrix), tree::range_response(&matrix));
+            matrix.reverse();
+            assert_eq!(range_response(&matrix), tree::range_response(&matrix));
         }
     }
 

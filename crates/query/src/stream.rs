@@ -98,7 +98,7 @@ use std::collections::{BTreeMap, VecDeque};
 use teemon_metrics::Labels;
 use teemon_tsdb::{OwnedSampleCursor, Sample, Selector, TimeSeriesDb};
 
-use crate::ast::{AggregateOp, BinOp, Expr, RangeFunc};
+use crate::ast::{AggregateOp, BinOp, Expr, Grouping, RangeFunc};
 use crate::eval::{EvalError, RangeSeries};
 
 /// Work counters of one plan execution, totalled across every series when
@@ -321,17 +321,7 @@ fn plan(
             else {
                 return Err(EvalError::VectorRequired("aggregation"));
             };
-            let group_labels: Vec<Labels> =
-                child_keys.iter().map(|(_, labels)| grouping.key_for(labels)).collect();
-            let mut unique = group_labels.clone();
-            unique.sort();
-            unique.dedup();
-            let slot_group: Vec<usize> = group_labels
-                .iter()
-                // teemon-verify: allow(no-unwrap): invariant — `unique` is a sorted dedup of these exact labels
-                .map(|labels| unique.binary_search(labels).expect("deduped from the same set"))
-                .collect();
-            let keys: Vec<SeriesKey> = unique.into_iter().map(|labels| (None, labels)).collect();
+            let (slot_group, keys) = group_slots(grouping, &child_keys);
             let groups = keys.len();
             Planned::Vector(
                 Node::Group { input: Box::new(child), op: *op, slot_group, groups },
@@ -365,6 +355,29 @@ fn plan(
             }
         }
     })
+}
+
+/// The slot→group table of an aggregation over `child_keys`, and the group
+/// keys in sorted order (group `g` is the `g`-th smallest key).  The slots
+/// are sorted by their group key and numbered run by run, so each key is
+/// built once and moved, not cloned, into its group.
+fn group_slots(grouping: &Grouping, child_keys: &[SeriesKey]) -> (Vec<usize>, Vec<SeriesKey>) {
+    let mut slot_keys: Vec<Labels> =
+        child_keys.iter().map(|(_, labels)| grouping.key_for(labels)).collect();
+    let mut order: Vec<usize> = (0..slot_keys.len()).collect();
+    order.sort_unstable_by(|&a, &b| slot_keys.get(a).cmp(&slot_keys.get(b)));
+    let mut slot_group = vec![0; slot_keys.len()];
+    let mut keys: Vec<SeriesKey> = Vec::new();
+    for slot in order {
+        let Some(key) = slot_keys.get_mut(slot) else { continue };
+        if keys.last().is_none_or(|(_, last)| last != key) {
+            keys.push((None, std::mem::take(key)));
+        }
+        if let Some(group) = slot_group.get_mut(slot) {
+            *group = keys.len() - 1;
+        }
+    }
+    (slot_group, keys)
 }
 
 /// The key a binary operation gives its vector side's series: arithmetic
@@ -770,10 +783,14 @@ impl Window {
                 }
             } else {
                 // The same two edges, on timestamps alone.
-                let ahead = self.samples.get(entry..).unwrap_or(&[]);
-                entry += ahead.iter().take_while(|s| s.timestamp_ms <= t).count();
-                let held = self.samples.get(exit..entry).unwrap_or(&[]);
-                exit += held.iter().take_while(|s| s.timestamp_ms < window_start).count();
+                while self.samples.get(entry).is_some_and(|s| s.timestamp_ms <= t) {
+                    entry += 1;
+                }
+                while exit < entry
+                    && self.samples.get(exit).is_some_and(|s| s.timestamp_ms < window_start)
+                {
+                    exit += 1;
+                }
             }
             *slot = self.evaluate(exit, entry, stats);
         }

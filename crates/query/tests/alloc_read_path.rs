@@ -7,7 +7,8 @@
 //!   decode buffer and columns, the group accumulators and the result — and
 //!   the count does not move when every series holds twice the samples;
 //! * planning materialises each selected series' label set in one allocation,
-//!   however many labels it carries.
+//!   however many labels it carries, and an aggregation builds each series'
+//!   group key in one more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -164,4 +165,43 @@ fn a_plan_materialises_each_label_set_in_one_allocation() {
     // each (a handful of buffers sized by the label count aside).
     let (bare, labelled) = (planned(0), planned(5));
     assert!(labelled <= bare + 8, "{bare} allocations bare, {labelled} with five labels more");
+}
+
+/// `series` one-sample counters, each on its own `node`, carrying `extra`
+/// labels besides it.
+fn grouped_store(series: usize, extra: usize) -> TimeSeriesDb {
+    const NAMES: [&str; 5] = ["cluster", "job", "pod", "region", "zone"];
+    let db = TimeSeriesDb::new();
+    for i in 0..series {
+        let mut labels = Labels::from_pairs([("node", format!("node-{i}"))]);
+        for name in NAMES.iter().take(extra) {
+            labels.insert(*name, format!("{name}-{}", i % 7));
+        }
+        db.append("m", &labels, 1_000, i as f64);
+    }
+    db
+}
+
+#[test]
+fn a_grouped_plan_allocates_a_constant_per_series_however_many_labels() {
+    const SERIES: usize = 300;
+    let planned = |query: &str, extra: usize| {
+        let db = grouped_store(SERIES, extra);
+        let expr = parse(query).unwrap();
+        let (plan, allocations) = allocations_in(|| {
+            plan_or_reason(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, 0, 60_000)
+        });
+        assert!(plan.is_ok());
+        allocations
+    };
+    let (bare, labelled) =
+        (planned("sum by (node) (rate(m[5m]))", 0), planned("sum by (node) (rate(m[5m]))", 5));
+    assert!(bare <= 8 * SERIES as u64, "{bare} allocations for {SERIES} series");
+    assert_eq!(labelled, bare, "five labels more a series must allocate alike");
+    // What the grouping adds to the selection below it: each series' group
+    // key, built straight from borrowed pairs in one allocation, and a
+    // handful of tables.  A `String` per label, or a clone of every key to
+    // sort them, would be another allocation or more a series.
+    let grouping = bare - planned("rate(m[5m])", 0);
+    assert!(grouping <= SERIES as u64 + 16, "{grouping} allocations to group {SERIES} series");
 }
