@@ -759,6 +759,8 @@ impl Window {
             WindowFunc::Count | WindowFunc::Last | WindowFunc::Quantile(_) => false,
         };
         let (mut exit, mut entry) = (0usize, 0usize);
+        // The entry edge's last move, in samples.
+        let mut stride = 0;
         for (t, slot) in grid.times().zip(column.iter_mut()) {
             let window_start = t.saturating_sub(self.window_ms);
             if self.incremental {
@@ -782,9 +784,24 @@ impl Window {
                     exit += 1;
                 }
             } else {
-                // The same two edges, on timestamps alone.
+                // The same two edges, on timestamps alone.  At a steady
+                // cadence every step moves both edges by the same number of
+                // samples, so each edge first jumps by the entry edge's last
+                // move, if the last sample it jumps over is behind it.
+                let from = entry;
+                let jump = entry + stride;
+                if stride > 0 && self.samples.get(jump - 1).is_some_and(|s| s.timestamp_ms <= t) {
+                    entry = jump;
+                }
                 while self.samples.get(entry).is_some_and(|s| s.timestamp_ms <= t) {
                     entry += 1;
+                }
+                stride = entry - from;
+                let jump = exit + stride;
+                if stride > 0
+                    && self.samples.get(jump - 1).is_some_and(|s| s.timestamp_ms < window_start)
+                {
+                    exit = jump;
                 }
                 while exit < entry
                     && self.samples.get(exit).is_some_and(|s| s.timestamp_ms < window_start)
