@@ -21,12 +21,12 @@
 
 #![warn(missing_docs)]
 
-pub mod loadgen;
-pub mod mongodb;
-pub mod network;
-pub mod nginx;
-pub mod redis;
-pub mod spec;
+mod loadgen;
+mod mongodb;
+mod network;
+mod nginx;
+mod redis;
+mod spec;
 
 pub use loadgen::{run_benchmark, BenchmarkResult, MemtierConfig, MetricRates};
 pub use mongodb::MongoApp;

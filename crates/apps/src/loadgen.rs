@@ -58,12 +58,12 @@ impl MemtierConfig {
     }
 
     /// Total number of client connections.
-    pub fn total_connections(&self) -> u32 {
+    pub(crate) fn total_connections(&self) -> u32 {
         self.client_threads * self.connections_per_thread
     }
 
     /// Total requests kept outstanding by the closed-loop clients.
-    pub fn outstanding_requests(&self) -> u64 {
+    pub(crate) fn outstanding_requests(&self) -> u64 {
         self.total_connections() as u64 * self.pipeline as u64
     }
 
@@ -214,25 +214,6 @@ pub fn run_benchmark(
     };
     deployment.shutdown();
     Ok(result)
-}
-
-/// Convenience: runs the same app/framework across several connection counts,
-/// reusing one kernel per run (matching the paper's per-configuration runs).
-pub fn run_connection_sweep(
-    make_kernel: impl Fn() -> Kernel,
-    params: &FrameworkParams,
-    app: &dyn Application,
-    network: &NetworkModel,
-    connections: &[u32],
-    sample_requests: u64,
-) -> Result<Vec<BenchmarkResult>, DeploymentError> {
-    let mut results = Vec::with_capacity(connections.len());
-    for &conns in connections {
-        let kernel = make_kernel();
-        let config = MemtierConfig::paper_default(conns).with_samples(sample_requests);
-        results.push(run_benchmark(&kernel, params.clone(), app, network, &config)?);
-    }
-    Ok(results)
 }
 
 #[cfg(test)]
@@ -386,22 +367,5 @@ mod tests {
         assert!(result.rates.llc_misses > 0.0);
         assert!(result.rates.context_switches_host >= result.rates.context_switches_pid);
         assert!(result.kiops() > 0.0);
-    }
-
-    #[test]
-    fn connection_sweep_produces_one_result_per_point() {
-        let app = RedisApp::paper_config(32);
-        let results = run_connection_sweep(
-            kernel,
-            &FrameworkParams::native(),
-            &app,
-            &NetworkModel::default(),
-            &[8, 80, 320],
-            600,
-        )
-        .unwrap();
-        assert_eq!(results.len(), 3);
-        assert!(results[0].throughput_iops < results[2].throughput_iops);
-        assert!(results.windows(2).all(|w| w[0].connections < w[1].connections));
     }
 }

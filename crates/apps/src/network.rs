@@ -44,13 +44,13 @@ impl NetworkModel {
     }
 
     /// Bytes per second per direction.
-    pub fn bytes_per_second(&self) -> f64 {
+    pub(crate) fn bytes_per_second(&self) -> f64 {
         self.bandwidth_bps as f64 / 8.0
     }
 
     /// The maximum request rate the link sustains for the given request
     /// profile when `pipeline` requests share each packet's framing overhead.
-    pub fn max_requests_per_second(&self, req: &RequestProfile, pipeline: u32) -> f64 {
+    pub(crate) fn max_requests_per_second(&self, req: &RequestProfile, pipeline: u32) -> f64 {
         let overhead = self.per_packet_overhead_bytes as f64 / pipeline.max(1) as f64;
         let inbound = req.request_bytes as f64 + overhead;
         let outbound = req.response_bytes as f64 + overhead;
@@ -59,7 +59,7 @@ impl NetworkModel {
     }
 
     /// Network transfer time for one batch of `pipeline` requests.
-    pub fn batch_transfer_time(&self, req: &RequestProfile, pipeline: u32) -> SimDuration {
+    pub(crate) fn batch_transfer_time(&self, req: &RequestProfile, pipeline: u32) -> SimDuration {
         let bytes =
             (req.network_bytes() * pipeline as u64 + 2 * self.per_packet_overhead_bytes) as f64;
         SimDuration::from_secs_f64(bytes / self.bytes_per_second()) + self.base_rtt

@@ -97,7 +97,8 @@ mod tests {
         let redis = crate::redis::RedisApp::paper_config(64);
         let nginx_req = app.request(1, 320);
         let redis_req = redis.request(1, 320);
-        assert!(nginx_req.syscall_count() > redis_req.syscall_count());
+        let syscalls = |req: &RequestProfile| req.syscalls.iter().map(|(_, n)| n).sum::<f64>();
+        assert!(syscalls(&nginx_req) > syscalls(&redis_req));
         assert!(nginx_req.page_cache_ops > redis_req.page_cache_ops);
         assert!(nginx_req.response_bytes > redis_req.response_bytes);
     }

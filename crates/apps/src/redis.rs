@@ -39,15 +39,6 @@ impl RedisApp {
         }
     }
 
-    /// A Redis sized to hold roughly `db_mb` megabytes of data (derives the
-    /// value size from the paper's 720 000-key population).
-    pub fn with_database_mb(db_mb: u64) -> Self {
-        let total = db_mb * 1000 * 1000;
-        let per_key = total / 720_000;
-        let value = per_key.saturating_sub(76).max(8);
-        Self::paper_config(value)
-    }
-
     /// The three database sizes evaluated in the paper, as
     /// `(label, configured value size)` pairs.
     pub fn paper_database_sizes() -> [(u64, RedisApp); 3] {
@@ -56,11 +47,6 @@ impl RedisApp {
             (105, RedisApp::paper_config(64)),
             (127, RedisApp::paper_config(96)),
         ]
-    }
-
-    /// Approximate database size in megabytes (decimal, as the paper quotes).
-    pub fn database_mb(&self) -> u64 {
-        self.memory_bytes() / 1_000_000
     }
 }
 
@@ -120,20 +106,19 @@ impl Application for RedisApp {
 mod tests {
     use super::*;
 
+    /// Database size in megabytes (decimal, as the paper quotes).
+    fn database_mb(app: &RedisApp) -> u64 {
+        app.memory_bytes() / 1_000_000
+    }
+
     #[test]
     fn paper_database_sizes_are_close_to_quoted() {
         // 32/64/96-byte values with 720 000 keys ≈ 78/105/127 MB databases.
         let [(s, small), (m, medium), (l, large)] = RedisApp::paper_database_sizes();
         assert_eq!((s, m, l), (78, 105, 127));
-        assert!((small.database_mb() as i64 - 78).abs() <= 5, "{}", small.database_mb());
-        assert!((medium.database_mb() as i64 - 105).abs() <= 6, "{}", medium.database_mb());
-        assert!((large.database_mb() as i64 - 127).abs() <= 7, "{}", large.database_mb());
-    }
-
-    #[test]
-    fn with_database_mb_inverts_sizing() {
-        let app = RedisApp::with_database_mb(105);
-        assert!((app.database_mb() as i64 - 105).abs() <= 6);
+        assert!((database_mb(&small) as i64 - 78).abs() <= 5, "{}", database_mb(&small));
+        assert!((database_mb(&medium) as i64 - 105).abs() <= 6, "{}", database_mb(&medium));
+        assert!((database_mb(&large) as i64 - 127).abs() <= 7, "{}", database_mb(&large));
     }
 
     #[test]
@@ -141,7 +126,8 @@ mod tests {
         let app = RedisApp::paper_config(64);
         let req8 = app.request(8, 320);
         // Network syscalls amortised over the pipeline of 8.
-        assert!((req8.syscall_count() - 3.0 / 8.0).abs() < 1e-9);
+        let syscalls: f64 = req8.syscalls.iter().map(|(_, n)| n).sum();
+        assert!((syscalls - 3.0 / 8.0).abs() < 1e-9);
         assert_eq!(req8.time_queries, 2);
         assert_eq!(req8.response_bytes, 75);
         assert!(req8.block_probability < 0.01);

@@ -1,8 +1,7 @@
 //! Dashboards and the three standard TEEMon dashboards.
 
 use serde::{Deserialize, Serialize};
-use teemon_query::{parse, Expr};
-use teemon_tsdb::{LabelMatch, Selector, TimeSeriesDb};
+use teemon_tsdb::{Selector, TimeSeriesDb};
 
 use crate::panel::{Panel, PanelData, PanelKind};
 
@@ -17,35 +16,20 @@ pub struct Dashboard {
 
 impl Dashboard {
     /// Creates an empty dashboard.
-    pub fn new(title: impl Into<String>) -> Self {
+    pub(crate) fn new(title: impl Into<String>) -> Self {
         Self { title: title.into(), panels: Vec::new() }
     }
 
     /// Adds a panel.
     #[must_use]
-    pub fn with_panel(mut self, panel: Panel) -> Self {
+    pub(crate) fn with_panel(mut self, panel: Panel) -> Self {
         self.panels.push(panel);
         self
     }
 
     /// Evaluates every panel over `[start_ms, end_ms]`.
-    pub fn evaluate(&self, db: &TimeSeriesDb, start_ms: u64, end_ms: u64) -> Vec<PanelData> {
+    pub(crate) fn evaluate(&self, db: &TimeSeriesDb, start_ms: u64, end_ms: u64) -> Vec<PanelData> {
         self.panels.iter().map(|p| p.evaluate(db, start_ms, end_ms)).collect()
-    }
-
-    /// Applies a process filter (the drop-down of Figure 3): every selector
-    /// in every panel's expression gains a `process=<name>` matcher.  An
-    /// expression that does not parse is left as it is (it renders empty
-    /// either way).
-    #[must_use]
-    pub fn filtered_by_process(mut self, process: &str) -> Self {
-        for panel in &mut self.panels {
-            if let Ok(mut expr) = parse(&panel.expr) {
-                add_matcher(&mut expr, &LabelMatch::Equals("process".into(), process.into()));
-                panel.expr = expr.to_string();
-            }
-        }
-        self
     }
 
     /// Renders the whole dashboard as text.
@@ -56,37 +40,6 @@ impl Dashboard {
             out.push('\n');
         }
         out
-    }
-
-    /// Serialises the dashboard definition to JSON (the artefact a user would
-    /// import into Grafana).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
-    }
-
-    /// Loads a dashboard definition from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the serde error message on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
-}
-
-/// Adds `matcher` to every selector in `expr`.
-fn add_matcher(expr: &mut Expr, matcher: &LabelMatch) {
-    match expr {
-        Expr::Number(_) => {}
-        Expr::Selector(selector) | Expr::Range { selector, .. } => {
-            selector.matchers.push(matcher.clone());
-        }
-        Expr::Call { arg, .. } => add_matcher(arg, matcher),
-        Expr::Aggregate { expr, .. } => add_matcher(expr, matcher),
-        Expr::Binary { lhs, rhs, .. } => {
-            add_matcher(lhs, matcher);
-            add_matcher(rhs, matcher);
-        }
     }
 }
 
@@ -101,11 +54,6 @@ impl DashboardSet {
     /// Finds a dashboard by title.
     pub fn get(&self, title: &str) -> Option<&Dashboard> {
         self.dashboards.iter().find(|d| d.title == title)
-    }
-
-    /// Titles of every dashboard.
-    pub fn titles(&self) -> Vec<&str> {
-        self.dashboards.iter().map(|d| d.title.as_str()).collect()
     }
 }
 
@@ -348,10 +296,8 @@ mod tests {
     fn standard_set_has_five_dashboards() {
         let set = standard();
         assert_eq!(set.dashboards.len(), 5);
-        assert_eq!(
-            set.titles(),
-            vec!["SGX", "Containers", "Infrastructure", "PMAN", "Teemon Self"]
-        );
+        let titles: Vec<&str> = set.dashboards.iter().map(|d| d.title.as_str()).collect();
+        assert_eq!(titles, ["SGX", "Containers", "Infrastructure", "PMAN", "Teemon Self"]);
         assert!(set.get("SGX").is_some());
         assert!(set.get("Nope").is_none());
         // The SGX dashboard shows EPC metrics and eBPF metrics (Figure 3).
@@ -435,7 +381,7 @@ mod tests {
         assert!(rendered.contains("HTTP handler panics"));
         assert!(rendered.contains("HTTP slow clients"));
         let evaluated = set.get("Teemon Self").unwrap().evaluate(&db, 0, u64::MAX);
-        assert!(evaluated.iter().filter(|p| !p.is_empty()).count() >= 4);
+        assert!(evaluated.iter().filter(|p| !p.aggregated.is_empty()).count() >= 4);
     }
 
     #[test]
@@ -447,63 +393,7 @@ mod tests {
         assert!(rendered.contains("Active enclaves"));
         assert!(rendered.contains('#'), "gauge fill expected");
         let evaluated = set.get("Containers").unwrap().evaluate(&db, 0, u64::MAX);
-        assert!(evaluated.iter().any(|p| !p.is_empty()));
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let dashboard = standard().dashboards.remove(0);
-        let json = dashboard.to_json();
-        let parsed = Dashboard::from_json(&json).unwrap();
-        assert_eq!(parsed, dashboard);
-        assert!(Dashboard::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn process_filter_narrows_every_panel() {
-        let db = TimeSeriesDb::new();
-        db.append(
-            "teemon_syscalls_total",
-            &Labels::from_pairs([("process", "redis-server"), ("syscall", "read")]),
-            1_000,
-            5.0,
-        );
-        db.append(
-            "teemon_syscalls_total",
-            &Labels::from_pairs([("process", "nginx"), ("syscall", "read")]),
-            1_000,
-            7.0,
-        );
-        let dashboard = Dashboard::new("test")
-            .with_panel(Panel::stat("syscalls", Selector::metric("teemon_syscalls_total")))
-            .filtered_by_process("redis-server");
-        let data = dashboard.evaluate(&db, 0, u64::MAX);
-        assert_eq!(data[0].current, Some(5.0));
-    }
-
-    #[test]
-    fn process_filter_narrows_teeql_panels() {
-        // redis-server issues 10 syscalls/s, nginx 30/s.
-        let db = TimeSeriesDb::new();
-        for t in 0..10u64 {
-            for (process, per_tick) in [("redis-server", 50), ("nginx", 150)] {
-                db.append(
-                    "teemon_syscalls_total",
-                    &Labels::from_pairs([("process", process), ("syscall", "read")]),
-                    t * 5_000,
-                    (t * per_tick) as f64,
-                );
-            }
-        }
-        let dashboard = Dashboard::new("test")
-            .with_panel(Panel::teeql("rate", "sum(rate(teemon_syscalls_total[20s]))"))
-            .filtered_by_process("redis-server");
-        assert_eq!(
-            dashboard.panels[0].expr,
-            r#"sum(rate(teemon_syscalls_total{process="redis-server"}[20s]))"#
-        );
-        let data = dashboard.evaluate(&db, 0, u64::MAX);
-        assert!((data[0].current.unwrap() - 10.0).abs() < 1e-9, "{:?}", data[0].current);
+        assert!(evaluated.iter().any(|p| !p.aggregated.is_empty()));
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! This crate reproduces that layer with text rendering: [`Panel`]s bind a
 //! TeeQL expression to a visualisation type, [`Dashboard`]s group
 //! panels, [`standard`] builds the three dashboards of the paper, and
-//! rendering produces both human-readable ASCII and machine-readable JSON.
+//! rendering produces human-readable ASCII.
 
 #![warn(missing_docs)]
 
-pub mod dashboards;
+mod dashboards;
 pub mod panel;
-pub mod render;
+mod render;
 
 pub use dashboards::{standard, Dashboard, DashboardSet};
-pub use panel::{Panel, PanelData, PanelKind};
-pub use render::{render_ascii_chart, render_gauge, render_table};
+pub use panel::Panel;

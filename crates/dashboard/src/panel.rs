@@ -3,7 +3,7 @@
 //! A panel is one TeeQL expression evaluated by [`teemon_query::QueryEngine`]
 //! over a step grid, the way a Grafana panel embeds PromQL: `rate()`,
 //! `by`/`without` grouping and arithmetic all sit behind the one string.  The
-//! selector constructors ([`Panel::graph`] and friends) store their selector
+//! selector constructors (`Panel::graph` and friends) store their selector
 //! as that string, so a plain `sgx_nr_free_pages` panel is the instant
 //! selector read at every step, with the engine's staleness lookback.
 //!
@@ -64,36 +64,36 @@ impl Panel {
     }
 
     /// Creates a graph panel.
-    pub fn graph(title: impl Into<String>, selector: Selector) -> Self {
+    pub(crate) fn graph(title: impl Into<String>, selector: Selector) -> Self {
         Self::new(title, PanelKind::Graph, selector.to_string(), None)
     }
 
     /// Creates a gauge panel with a maximum.
-    pub fn gauge(title: impl Into<String>, selector: Selector, max: f64) -> Self {
+    pub(crate) fn gauge(title: impl Into<String>, selector: Selector, max: f64) -> Self {
         Self::new(title, PanelKind::Gauge, selector.to_string(), Some(max))
     }
 
     /// Creates a single-stat panel.
-    pub fn stat(title: impl Into<String>, selector: Selector) -> Self {
+    pub(crate) fn stat(title: impl Into<String>, selector: Selector) -> Self {
         Self::new(title, PanelKind::SingleStat, selector.to_string(), None)
     }
 
     /// Creates a table panel.
-    pub fn table(title: impl Into<String>, selector: Selector) -> Self {
+    pub(crate) fn table(title: impl Into<String>, selector: Selector) -> Self {
         Self::new(title, PanelKind::Table, selector.to_string(), None)
     }
 
     /// Creates a graph panel over any TeeQL expression
     /// (`Panel::teeql("EPC eviction rate", "sum by (node) \
-    /// (rate(sgx_pages_evicted_total[30s]))")`).  Use [`Panel::with_kind`]
-    /// to switch the visualisation.
+    /// (rate(sgx_pages_evicted_total[30s]))")`).  Set its
+    /// [`kind`](Panel::kind) to switch the visualisation.
     pub fn teeql(title: impl Into<String>, expr: impl Into<String>) -> Self {
         Self::new(title, PanelKind::Graph, expr.into(), None)
     }
 
     /// Changes the visualisation type.
     #[must_use]
-    pub fn with_kind(mut self, kind: PanelKind) -> Self {
+    pub(crate) fn with_kind(mut self, kind: PanelKind) -> Self {
         self.kind = kind;
         self
     }
@@ -217,11 +217,6 @@ impl PanelData {
         }
         out
     }
-
-    /// `true` when the panel has no data at all.
-    pub fn is_empty(&self) -> bool {
-        self.series.iter().all(|(_, points)| points.is_empty()) && self.aggregated.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +249,7 @@ mod tests {
             .with_unit("pages")
             .with_step_ms(5_000);
         let data = panel.evaluate(&db(), 0, u64::MAX);
-        assert!(!data.is_empty());
+        assert!(!data.aggregated.is_empty());
         assert_eq!(data.aggregated.len(), 10);
         assert_eq!(data.current, Some(15_000.0));
         let rendered = data.render(60);
@@ -293,7 +288,7 @@ mod tests {
                 .with_unit("calls/s")
                 .with_step_ms(5_000);
         let data = panel.evaluate(&db(), 0, u64::MAX);
-        assert!(!data.is_empty());
+        assert!(!data.aggregated.is_empty());
         // 100 syscalls per 5 s tick → 20/s once the window has two samples.
         assert!((data.current.unwrap() - 20.0).abs() < 1e-9);
         assert!(data.series[0].0.contains("syscall"), "grouped label kept: {}", data.series[0].0);
@@ -321,12 +316,12 @@ mod tests {
         for bad in ["rate(", "rate(sgx_nr_free_pages)", "sum(1)"] {
             let panel = Panel::teeql("broken", bad);
             let data = panel.evaluate(&db(), 0, u64::MAX);
-            assert!(data.is_empty(), "`{bad}` must evaluate to an empty panel");
+            assert!(data.aggregated.is_empty(), "`{bad}` must evaluate to an empty panel");
             let _ = data.render(40); // and rendering must not panic
         }
         // An empty database is handled before the engine is even consulted.
         let empty = Panel::teeql("no data", "up").evaluate(&TimeSeriesDb::new(), 0, u64::MAX);
-        assert!(empty.is_empty());
+        assert!(empty.aggregated.is_empty());
     }
 
     #[test]
@@ -400,7 +395,7 @@ mod tests {
     fn empty_query_produces_empty_panel() {
         let panel = Panel::graph("nothing", Selector::metric("does_not_exist"));
         let data = panel.evaluate(&db(), 0, u64::MAX);
-        assert!(data.is_empty());
+        assert!(data.aggregated.is_empty());
         assert_eq!(data.current, None);
         // Rendering must not panic on empty data.
         let _ = data.render(40);

@@ -2,7 +2,7 @@
 
 /// Renders a sparkline-style ASCII chart of `values` with the given width and
 /// height.  Values are downsampled (mean per bucket) to fit the width.
-pub fn render_ascii_chart(values: &[f64], width: usize, height: usize) -> String {
+pub(crate) fn render_ascii_chart(values: &[f64], width: usize, height: usize) -> String {
     let width = width.clamp(8, 200);
     let height = height.clamp(2, 40);
     if values.is_empty() {
@@ -57,7 +57,7 @@ pub fn render_ascii_chart(values: &[f64], width: usize, height: usize) -> String
 }
 
 /// Renders a filled gauge bar `value / max`.
-pub fn render_gauge(value: f64, max: f64, width: usize) -> String {
+pub(crate) fn render_gauge(value: f64, max: f64, width: usize) -> String {
     let width = width.clamp(10, 200);
     let bar_width = width.saturating_sub(2).max(4);
     let max = if max <= 0.0 { 1.0 } else { max };
@@ -73,7 +73,7 @@ pub fn render_gauge(value: f64, max: f64, width: usize) -> String {
 }
 
 /// Renders a two-column table of `(label, value)` rows.
-pub fn render_table(rows: &[(String, f64)], unit: &str) -> String {
+pub(crate) fn render_table(rows: &[(String, f64)], unit: &str) -> String {
     if rows.is_empty() {
         return "(no rows)\n".to_string();
     }

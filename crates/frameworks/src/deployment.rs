@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use teemon_kernel_sim::process::ProcessKind;
 use teemon_kernel_sim::{FaultKind, Kernel, PageCacheOp, Pid, SwitchKind, Syscall};
-use teemon_sgx_sim::{EnclaveId, SgxError, TransitionKind, TransitionTracker};
+use teemon_sgx_sim::{EnclaveId, SgxError, TransitionCounts, TransitionKind, TransitionTracker};
 use teemon_sim_core::{DetRng, SimDuration};
 
 use crate::profile::{FrameworkKind, FrameworkParams, SyscallPath};
@@ -60,16 +60,6 @@ pub struct ExecutionTotals {
     pub enclave_transitions: u64,
     /// Kernel-visible system calls issued.
     pub syscalls: u64,
-}
-
-impl ExecutionTotals {
-    /// Mean service time per request.
-    pub fn mean_service_time(&self) -> SimDuration {
-        self.busy_ns
-            .checked_div(self.requests)
-            .map(SimDuration::from_nanos)
-            .unwrap_or(SimDuration::ZERO)
-    }
 }
 
 /// A running application instance under one framework.
@@ -138,19 +128,9 @@ impl Deployment {
         })
     }
 
-    /// The framework parameters in effect.
-    pub fn params(&self) -> &FrameworkParams {
-        &self.params
-    }
-
     /// The framework kind.
     pub fn kind(&self) -> FrameworkKind {
         self.params.kind
-    }
-
-    /// The deployed application's name.
-    pub fn app_name(&self) -> &str {
-        &self.app_name
     }
 
     /// PID of the application process.
@@ -171,11 +151,6 @@ impl Deployment {
     /// Totals accumulated so far.
     pub fn totals(&self) -> ExecutionTotals {
         self.totals
-    }
-
-    /// The kernel this deployment runs on.
-    pub fn kernel(&self) -> &Kernel {
-        &self.kernel
     }
 
     fn sample_count(&mut self, expected: f64) -> u64 {
@@ -326,7 +301,7 @@ impl Deployment {
     }
 
     /// Transition counts accumulated through synchronous exits.
-    pub fn transition_counts(&self) -> teemon_sgx_sim::transition::TransitionCounts {
+    pub fn transition_counts(&self) -> TransitionCounts {
         self.transitions.counts()
     }
 
@@ -369,12 +344,8 @@ mod tests {
     }
 
     fn small_epc_kernel(mib: u64) -> Kernel {
-        Kernel::with_config(
-            SimClock::new(),
-            KernelConfig::default(),
-            EpcConfig::with_usable_mib(mib),
-            CostModel::default(),
-        )
+        let epc = EpcConfig { total_bytes: mib << 20, reserved_bytes: 0, ..EpcConfig::default() };
+        Kernel::with_config(SimClock::new(), KernelConfig::default(), epc, CostModel::default())
     }
 
     fn get_request(db_mib: u64) -> RequestProfile {
@@ -409,9 +380,10 @@ mod tests {
         assert!(d.enclave().is_some());
         assert!(d.startup_latency() > SimDuration::ZERO);
         assert_eq!(kernel.sgx_driver().stats().enclaves_active, 1);
+        let pid = d.pid();
         d.shutdown();
         assert_eq!(kernel.sgx_driver().stats().enclaves_active, 0);
-        assert!(kernel.processes().find_by_name("redis-server").is_none());
+        assert!(!kernel.processes().get(pid).unwrap().alive);
     }
 
     #[test]
@@ -480,7 +452,7 @@ mod tests {
         assert!(old_clock > 1_500, "old commit should flood clock_gettime, got {old_clock}");
         assert_eq!(new_clock, 0, "new commit handles clock_gettime in-enclave");
         // And the old commit is measurably slower per request.
-        assert!(old.totals().mean_service_time() > new.totals().mean_service_time());
+        assert!(old.totals().busy_ns > new.totals().busy_ns);
         // clock_gettime dominates read/write for the old commit (Figure 6a).
         let table = kernel_old.syscall_table(old.pid());
         assert!(table.count(Syscall::ClockGettime) > 5 * table.count(Syscall::Recvfrom));
@@ -565,7 +537,7 @@ mod tests {
         )
         .unwrap();
         d.execute_many(&get_request(16), 8, 200);
-        assert!(d.transition_counts().total() > 0);
+        assert!(d.transition_counts().exits > 0);
         assert!(d.totals().enclave_transitions > 0);
 
         let kernel2 = kernel_with_default();
@@ -579,7 +551,11 @@ mod tests {
         )
         .unwrap();
         scone.execute_many(&get_request(16), 8, 200);
-        assert_eq!(scone.transition_counts().total(), 0, "async syscalls avoid sync exits");
+        assert_eq!(
+            scone.transition_counts(),
+            TransitionCounts::default(),
+            "async syscalls avoid sync exits"
+        );
     }
 
     #[test]
@@ -620,12 +596,10 @@ mod tests {
         let mut d =
             Deployment::deploy(&kernel, FrameworkParams::native(), "redis-server", 1 << 20, 1, 2)
                 .unwrap();
-        assert_eq!(d.totals().mean_service_time(), SimDuration::ZERO);
         d.execute_many(&get_request(1), 8, 50);
         let totals = d.totals();
         assert_eq!(totals.requests, 50);
         assert!(totals.busy_ns > 0);
-        assert!(totals.mean_service_time() > SimDuration::ZERO);
         // The simulation clock advanced by the busy time.
         assert!(kernel.clock().now().as_nanos() >= totals.busy_ns);
     }

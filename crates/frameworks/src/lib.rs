@@ -24,9 +24,9 @@
 
 #![warn(missing_docs)]
 
-pub mod deployment;
-pub mod profile;
-pub mod request;
+mod deployment;
+mod profile;
+mod request;
 
 pub use deployment::{Deployment, DeploymentError, ExecutionTotals};
 pub use profile::{FrameworkKind, FrameworkParams, SconeVersion};

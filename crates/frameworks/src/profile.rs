@@ -69,14 +69,14 @@ impl SconeVersion {
     }
 
     /// `true` when this release handles `clock_gettime` inside the enclave.
-    pub fn clock_gettime_in_enclave(&self) -> bool {
+    pub(crate) fn clock_gettime_in_enclave(&self) -> bool {
         matches!(self, SconeVersion::Commit09fea91)
     }
 }
 
 /// How system calls leave (or do not leave) the enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SyscallPath {
+pub(crate) enum SyscallPath {
     /// Direct syscalls without any enclave involvement (native).
     Direct,
     /// Asynchronous syscall queue: enclave threads push requests to untrusted
@@ -93,7 +93,7 @@ pub struct FrameworkParams {
     /// Which framework these parameters describe.
     pub kind: FrameworkKind,
     /// How syscalls reach the kernel.
-    pub syscall_path: SyscallPath,
+    pub(crate) syscall_path: SyscallPath,
     /// Fraction of application syscalls the in-enclave libOS absorbs without
     /// ever reaching the host kernel (0.0 for SCONE/native; high for library
     /// OSes that implement e.g. file systems internally).
@@ -102,7 +102,7 @@ pub struct FrameworkParams {
     /// the libOS code path (shim, internal VFS/network stack), in nanoseconds.
     pub libos_syscall_ns: u64,
     /// Cost of signalling an asynchronous syscall (futex wake + response
-    /// polling) in nanoseconds; only used with [`SyscallPath::Asynchronous`].
+    /// polling) in nanoseconds; only used by the asynchronous (SCONE) path.
     pub async_signal_ns: u64,
     /// Whether `clock_gettime`/`gettimeofday` are served inside the enclave.
     pub time_in_enclave: bool,
@@ -171,7 +171,7 @@ impl FrameworkParams {
     }
 
     /// Parameters for SGX-LKL.
-    pub fn sgx_lkl() -> Self {
+    pub(crate) fn sgx_lkl() -> Self {
         Self {
             kind: FrameworkKind::SgxLkl,
             syscall_path: SyscallPath::SynchronousExit,
@@ -225,7 +225,7 @@ impl FrameworkParams {
 
     /// Service-time multiplier caused by contention at `connections` client
     /// connections (1.0 at 8 connections or fewer).
-    pub fn contention_factor(&self, connections: u32) -> f64 {
+    pub(crate) fn contention_factor(&self, connections: u32) -> f64 {
         let extra = (connections.saturating_sub(8)) as f64 / 100.0;
         1.0 + self.contention_per_100_conns * extra
     }

@@ -75,22 +75,9 @@ impl RequestProfile {
         }
     }
 
-    /// Expected number of kernel-visible syscalls per request (excluding time
-    /// queries).
-    pub fn syscall_count(&self) -> f64 {
-        self.syscalls.iter().map(|(_, n)| *n).sum()
-    }
-
     /// Total bytes moved over the network by this request.
     pub fn network_bytes(&self) -> u64 {
         self.request_bytes + self.response_bytes
-    }
-
-    /// Returns a copy with the blocking probability replaced.
-    #[must_use]
-    pub fn with_block_probability(mut self, p: f64) -> Self {
-        self.block_probability = p.clamp(0.0, 1.0);
-        self
     }
 
     /// Returns a copy scaled for a pipeline of `depth` requests handled per
@@ -118,32 +105,29 @@ impl RequestProfile {
 mod tests {
     use super::*;
 
+    /// Expected kernel-visible syscalls per request (time queries excluded).
+    fn syscall_count(req: &RequestProfile) -> f64 {
+        req.syscalls.iter().map(|(_, n)| n).sum()
+    }
+
     #[test]
     fn keyvalue_get_defaults_are_plausible() {
         let req = RequestProfile::keyvalue_get(64, 25_000);
         assert_eq!(req.operation, "GET");
-        assert!((req.syscall_count() - 3.0).abs() < 1e-9);
+        assert!((syscall_count(&req) - 3.0).abs() < 1e-9);
         assert_eq!(req.network_bytes(), 40 + 64 + 60);
         assert!(req.cache_miss_rate < 0.5);
         assert_eq!(req.working_set_pages, 25_000);
     }
 
     #[test]
-    fn block_probability_is_clamped() {
-        let req = RequestProfile::keyvalue_get(32, 100).with_block_probability(7.0);
-        assert_eq!(req.block_probability, 1.0);
-        let req = req.with_block_probability(-1.0);
-        assert_eq!(req.block_probability, 0.0);
-    }
-
-    #[test]
     fn pipeline_amortisation_reduces_network_syscalls() {
         let req = RequestProfile::keyvalue_get(64, 100);
         let single = req.clone().amortised_over_pipeline(1);
-        assert!((single.syscall_count() - req.syscall_count()).abs() < 1e-9);
+        assert!((syscall_count(&single) - syscall_count(&req)).abs() < 1e-9);
 
         let deep = req.clone().amortised_over_pipeline(8);
-        assert!((deep.syscall_count() - 3.0 / 8.0).abs() < 1e-9);
+        assert!((syscall_count(&deep) - 3.0 / 8.0).abs() < 1e-9);
 
         // Non-network syscalls are untouched.
         let mut custom = req;

@@ -12,37 +12,23 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::hooks::{HookEvent, HookPoint, HookRegistry, PerfEventKind};
+use crate::hooks::{AttachmentId, HookEvent, HookPoint, PerfEventKind};
 use crate::process::Pid;
+
+pub use crate::hooks::HookRegistry;
 
 /// A generic key/value aggregation map shared between "kernel-side" programs
 /// and "user-space" exporters, mirroring `BPF_MAP_TYPE_HASH` with `u64`
 /// values.
 #[derive(Debug, Clone, Default)]
 pub struct BpfMap {
-    name: String,
     entries: Arc<RwLock<BTreeMap<String, u64>>>,
 }
 
 impl BpfMap {
-    /// Creates an empty named map.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), entries: Arc::new(RwLock::new(BTreeMap::new())) }
-    }
-
-    /// The map's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Adds `delta` to `key` (creating it at zero first).
-    pub fn add(&self, key: impl Into<String>, delta: u64) {
+    pub(crate) fn add(&self, key: impl Into<String>, delta: u64) {
         *self.entries.write().entry(key.into()).or_insert(0) += delta;
-    }
-
-    /// Sets `key` to `value`.
-    pub fn set(&self, key: impl Into<String>, value: u64) {
-        self.entries.write().insert(key.into(), value);
     }
 
     /// Reads the value at `key`.
@@ -54,33 +40,13 @@ impl BpfMap {
     pub fn dump(&self) -> BTreeMap<String, u64> {
         self.entries.read().clone()
     }
-
-    /// Sum of all values.
-    pub fn total(&self) -> u64 {
-        self.entries.read().values().sum()
-    }
-
-    /// Removes every entry.
-    pub fn clear(&self) {
-        self.entries.write().clear();
-    }
-
-    /// Number of keys present.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// `true` when the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
 }
 
 /// A BPF program's handler body: reacts to a hook event by updating a map.
-pub type BpfHandler = Arc<dyn Fn(&HookEvent, &BpfMap) + Send + Sync>;
+pub(crate) type BpfHandler = Arc<dyn Fn(&HookEvent, &BpfMap) + Send + Sync>;
 
 /// A program attached to one or more hooks, aggregating into maps.
-pub struct BpfProgram {
+pub(crate) struct BpfProgram {
     /// Program name (mirrors the object file name in the real eBPF exporter).
     pub name: String,
     /// The hooks the program attaches to.
@@ -117,7 +83,7 @@ pub enum PidFilter {
 
 impl PidFilter {
     /// `true` when `pid` passes the filter.
-    pub fn accepts(&self, pid: Pid) -> bool {
+    pub(crate) fn accepts(&self, pid: Pid) -> bool {
         match self {
             PidFilter::All => true,
             PidFilter::Only(only) => *only == pid,
@@ -129,7 +95,7 @@ impl PidFilter {
 pub struct EbpfVm {
     registry: HookRegistry,
     programs: Vec<BpfProgram>,
-    attachments: Vec<crate::hooks::AttachmentId>,
+    attachments: Vec<AttachmentId>,
 }
 
 impl EbpfVm {
@@ -140,7 +106,7 @@ impl EbpfVm {
 
     /// Loads a program and attaches it to its hooks.  Returns the program's
     /// map so callers can read the aggregation results.
-    pub fn load(&mut self, program: BpfProgram) -> BpfMap {
+    pub(crate) fn load(&mut self, program: BpfProgram) -> BpfMap {
         let map = program.map.clone();
         for hook in &program.hooks {
             let body = Arc::clone(&program.body);
@@ -157,16 +123,6 @@ impl EbpfVm {
     /// Number of loaded programs.
     pub fn program_count(&self) -> usize {
         self.programs.len()
-    }
-
-    /// Names of loaded programs.
-    pub fn program_names(&self) -> Vec<String> {
-        self.programs.iter().map(|p| p.name.clone()).collect()
-    }
-
-    /// Returns the map of the program with the given name.
-    pub fn map_of(&self, program_name: &str) -> Option<BpfMap> {
-        self.programs.iter().find(|p| p.name == program_name).map(|p| p.map.clone())
     }
 
     /// Detaches every program (turning system-metric collection off).
@@ -188,7 +144,7 @@ impl EbpfVm {
         maps.push(self.load(BpfProgram {
             name: "syscall_counts".into(),
             hooks: vec![HookPoint::sys_enter()],
-            map: BpfMap::new("syscall_counts"),
+            map: BpfMap::default(),
             body: Arc::new(move |ev, map| {
                 if !filter.accepts(ev.pid) {
                     return;
@@ -208,7 +164,7 @@ impl EbpfVm {
         maps.push(self.load(BpfProgram {
             name: "context_switches".into(),
             hooks: vec![HookPoint::sched_switch()],
-            map: BpfMap::new("context_switches"),
+            map: BpfMap::default(),
             body: Arc::new(move |ev, map| {
                 // The host-wide total ignores the PID filter (Figure 11f is a
                 // per-node metric); the per-PID keys respect it (Figure 11e).
@@ -223,7 +179,7 @@ impl EbpfVm {
         maps.push(self.load(BpfProgram {
             name: "page_faults".into(),
             hooks: vec![HookPoint::page_fault_user(), HookPoint::page_fault_kernel()],
-            map: BpfMap::new("page_faults"),
+            map: BpfMap::default(),
             body: Arc::new(move |ev, map| {
                 map.add("host_total", ev.value);
                 if let Some(detail) = &ev.detail {
@@ -250,7 +206,7 @@ impl EbpfVm {
                 HookPoint::account_page_dirtied(),
                 HookPoint::mark_buffer_dirty(),
             ],
-            map: BpfMap::new("cache_stats"),
+            map: BpfMap::default(),
             body: Arc::new(move |ev, map| {
                 let key = ev.detail.clone().unwrap_or_else(|| "other".to_string());
                 map.add(key, ev.value);
@@ -271,32 +227,30 @@ impl std::fmt::Debug for EbpfVm {
 mod tests {
     use super::*;
     use crate::syscall::Syscall;
-    use teemon_sim_core::SimTime;
 
     fn ev(pid: u32) -> HookEvent {
-        HookEvent::basic(SimTime::ZERO, Pid::from_raw(pid), "redis-server")
+        HookEvent::basic(Pid::from_raw(pid))
     }
 
     #[test]
     fn bpf_map_basic_operations() {
-        let map = BpfMap::new("m");
-        assert!(map.is_empty());
+        let map = BpfMap::default();
+        assert!(map.dump().is_empty());
         map.add("read", 2);
         map.add("read", 3);
-        map.set("write", 7);
+        map.add("write", 7);
         assert_eq!(map.get("read"), Some(5));
         assert_eq!(map.get("write"), Some(7));
         assert_eq!(map.get("missing"), None);
-        assert_eq!(map.total(), 12);
-        assert_eq!(map.len(), 2);
-        assert_eq!(map.name(), "m");
-        map.clear();
-        assert!(map.is_empty());
+        assert_eq!(
+            map.dump().into_iter().collect::<Vec<_>>(),
+            [("read".into(), 5), ("write".into(), 7)]
+        );
     }
 
     #[test]
     fn map_clones_share_entries() {
-        let map = BpfMap::new("shared");
+        let map = BpfMap::default();
         let clone = map.clone();
         clone.add("k", 1);
         assert_eq!(map.get("k"), Some(1));
@@ -315,9 +269,6 @@ mod tests {
         assert_eq!(syscall_map.get("clock_gettime"), Some(2));
         assert_eq!(syscall_map.get("read"), Some(1));
         assert_eq!(vm.program_count(), 4);
-        assert!(vm.program_names().contains(&"page_faults".to_string()));
-        assert!(vm.map_of("cache_stats").is_some());
-        assert!(vm.map_of("nope").is_none());
     }
 
     #[test]
@@ -342,7 +293,7 @@ mod tests {
         let maps = vm.load_standard_programs(PidFilter::All);
         let faults = &maps[2];
 
-        registry.fire(&HookPoint::page_fault_user(), &ev(1).from_enclave(true));
+        registry.fire(&HookPoint::page_fault_user(), &ev(1).in_enclave(true));
         registry.fire(&HookPoint::page_fault_user(), &ev(1));
         registry.fire(&HookPoint::page_fault_kernel(), &ev(0));
         assert_eq!(faults.get("host_total"), Some(3));
@@ -360,7 +311,7 @@ mod tests {
         assert_eq!(registry.total_attached(), 0);
         assert_eq!(vm.program_count(), 0);
         registry.fire(&HookPoint::sys_enter(), &ev(1).with_syscall(Syscall::Read));
-        assert!(maps[0].is_empty(), "detached program must not observe events");
+        assert!(maps[0].dump().is_empty(), "detached program must not observe events");
     }
 
     #[test]
@@ -370,7 +321,7 @@ mod tests {
         let map = vm.load(BpfProgram {
             name: "futex_only".into(),
             hooks: vec![HookPoint::sys_enter()],
-            map: BpfMap::new("futex_only"),
+            map: BpfMap::default(),
             body: Arc::new(|ev, map| {
                 if ev.syscall == Some(Syscall::Futex) {
                     map.add("futex", ev.value);
@@ -379,7 +330,6 @@ mod tests {
         });
         registry.fire(&HookPoint::sys_enter(), &ev(3).with_syscall(Syscall::Futex));
         registry.fire(&HookPoint::sys_enter(), &ev(3).with_syscall(Syscall::Read));
-        assert_eq!(map.get("futex"), Some(1));
-        assert_eq!(map.len(), 1);
+        assert_eq!(map.dump().into_iter().collect::<Vec<_>>(), [("futex".into(), 1)]);
     }
 }

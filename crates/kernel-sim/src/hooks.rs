@@ -21,14 +21,13 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use teemon_sim_core::SimTime;
 
 use crate::process::Pid;
 use crate::syscall::Syscall;
 
 /// Hardware / software perf event kinds used by the SME.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PerfEventKind {
+pub(crate) enum PerfEventKind {
     /// `PERF_COUNT_HW_CACHE_MISSES`
     HwCacheMisses,
     /// `PERF_COUNT_HW_CACHE_REFERENCES`
@@ -39,21 +38,9 @@ pub enum PerfEventKind {
     SwPageFaults,
 }
 
-impl PerfEventKind {
-    /// The perf constant name (used in metric labels).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PerfEventKind::HwCacheMisses => "PERF_COUNT_HW_CACHE_MISSES",
-            PerfEventKind::HwCacheReferences => "PERF_COUNT_HW_CACHE_REFERENCES",
-            PerfEventKind::SwContextSwitches => "PERF_COUNT_SW_CONTEXT_SWITCHES",
-            PerfEventKind::SwPageFaults => "PERF_COUNT_SW_PAGE_FAULTS",
-        }
-    }
-}
-
 /// A kernel instrumentation point.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum HookPoint {
+pub(crate) enum HookPoint {
     /// A kernel tracepoint such as `raw_syscalls:sys_enter`.
     Tracepoint(String),
     /// A kprobe on a kernel function such as `add_to_page_cache_lru`.
@@ -64,61 +51,48 @@ pub enum HookPoint {
 
 impl HookPoint {
     /// `raw_syscalls:sys_enter`
-    pub fn sys_enter() -> Self {
+    pub(crate) fn sys_enter() -> Self {
         HookPoint::Tracepoint("raw_syscalls:sys_enter".into())
     }
     /// `raw_syscalls:sys_exit`
-    pub fn sys_exit() -> Self {
+    pub(crate) fn sys_exit() -> Self {
         HookPoint::Tracepoint("raw_syscalls:sys_exit".into())
     }
     /// `sched:sched_switch`
-    pub fn sched_switch() -> Self {
+    pub(crate) fn sched_switch() -> Self {
         HookPoint::Tracepoint("sched:sched_switch".into())
     }
     /// `exceptions:page_fault_user`
-    pub fn page_fault_user() -> Self {
+    pub(crate) fn page_fault_user() -> Self {
         HookPoint::Tracepoint("exceptions:page_fault_user".into())
     }
     /// `exceptions:page_fault_kernel`
-    pub fn page_fault_kernel() -> Self {
+    pub(crate) fn page_fault_kernel() -> Self {
         HookPoint::Tracepoint("exceptions:page_fault_kernel".into())
     }
     /// Kprobe on `add_to_page_cache_lru`.
-    pub fn add_to_page_cache_lru() -> Self {
+    pub(crate) fn add_to_page_cache_lru() -> Self {
         HookPoint::Kprobe("add_to_page_cache_lru".into())
     }
     /// Kprobe on `mark_page_accessed`.
-    pub fn mark_page_accessed() -> Self {
+    pub(crate) fn mark_page_accessed() -> Self {
         HookPoint::Kprobe("mark_page_accessed".into())
     }
     /// Kprobe on `account_page_dirtied`.
-    pub fn account_page_dirtied() -> Self {
+    pub(crate) fn account_page_dirtied() -> Self {
         HookPoint::Kprobe("account_page_dirtied".into())
     }
     /// Kprobe on `mark_buffer_dirty`.
-    pub fn mark_buffer_dirty() -> Self {
+    pub(crate) fn mark_buffer_dirty() -> Self {
         HookPoint::Kprobe("mark_buffer_dirty".into())
-    }
-
-    /// Human readable name of the hook (`tracepoint:...`, `kprobe:...`, …).
-    pub fn name(&self) -> String {
-        match self {
-            HookPoint::Tracepoint(n) => format!("tracepoint:{n}"),
-            HookPoint::Kprobe(n) => format!("kprobe:{n}"),
-            HookPoint::PerfEvent(k) => format!("perf_event:{}", k.as_str()),
-        }
     }
 }
 
 /// The payload delivered to programs when a hook fires.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HookEvent {
-    /// Virtual time of the event.
-    pub at: SimTime,
+pub(crate) struct HookEvent {
     /// Process the event is attributed to (0 for pure kernel context).
     pub pid: Pid,
-    /// Command name of the process, when known.
-    pub comm: String,
     /// Syscall involved, for syscall tracepoints.
     pub syscall: Option<Syscall>,
     /// Generic numeric payload: count of occurrences this event represents
@@ -133,50 +107,42 @@ pub struct HookEvent {
 }
 
 impl HookEvent {
-    /// Creates a minimal event for `pid` at `at` with `value == 1`.
-    pub fn basic(at: SimTime, pid: Pid, comm: impl Into<String>) -> Self {
-        Self {
-            at,
-            pid,
-            comm: comm.into(),
-            syscall: None,
-            value: 1,
-            from_enclave: false,
-            detail: None,
-        }
+    /// Creates a minimal event for `pid` with `value == 1`.
+    pub(crate) fn basic(pid: Pid) -> Self {
+        Self { pid, syscall: None, value: 1, from_enclave: false, detail: None }
     }
 
     /// Sets the syscall field.
     #[must_use]
-    pub fn with_syscall(mut self, syscall: Syscall) -> Self {
+    pub(crate) fn with_syscall(mut self, syscall: Syscall) -> Self {
         self.syscall = Some(syscall);
         self
     }
 
     /// Sets the value field.
     #[must_use]
-    pub fn with_value(mut self, value: u64) -> Self {
+    pub(crate) fn with_value(mut self, value: u64) -> Self {
         self.value = value;
         self
     }
 
     /// Marks the event as originating from enclave execution.
     #[must_use]
-    pub fn from_enclave(mut self, yes: bool) -> Self {
+    pub(crate) fn in_enclave(mut self, yes: bool) -> Self {
         self.from_enclave = yes;
         self
     }
 
     /// Attaches a hook-specific detail string.
     #[must_use]
-    pub fn with_detail(mut self, detail: impl Into<String>) -> Self {
+    pub(crate) fn with_detail(mut self, detail: impl Into<String>) -> Self {
         self.detail = Some(detail.into());
         self
     }
 }
 
 /// A callback attached to a hook point.
-pub type HookHandler = Arc<dyn Fn(&HookEvent) + Send + Sync>;
+pub(crate) type HookHandler = Arc<dyn Fn(&HookEvent) + Send + Sync>;
 
 /// The table of hook attachments: which handlers run at which hook point.
 ///
@@ -191,21 +157,20 @@ pub struct HookRegistry {
 struct RegistryInner {
     next_id: u64,
     handlers: HashMap<HookPoint, Vec<(u64, HookHandler)>>,
-    fired: HashMap<HookPoint, u64>,
 }
 
 /// Identifier of one attachment, used for detaching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AttachmentId(u64);
+pub(crate) struct AttachmentId(u64);
 
 impl HookRegistry {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Attaches `handler` to `hook` and returns an id usable for detaching.
-    pub fn attach(&self, hook: HookPoint, handler: HookHandler) -> AttachmentId {
+    pub(crate) fn attach(&self, hook: HookPoint, handler: HookHandler) -> AttachmentId {
         let mut inner = self.inner.write();
         let id = inner.next_id;
         inner.next_id += 1;
@@ -214,7 +179,7 @@ impl HookRegistry {
     }
 
     /// Detaches a previously attached handler.  Returns `true` when found.
-    pub fn detach(&self, id: AttachmentId) -> bool {
+    pub(crate) fn detach(&self, id: AttachmentId) -> bool {
         let mut inner = self.inner.write();
         let mut found = false;
         for handlers in inner.handlers.values_mut() {
@@ -227,16 +192,6 @@ impl HookRegistry {
         found
     }
 
-    /// Detaches every handler (monitoring fully off).
-    pub fn detach_all(&self) {
-        self.inner.write().handlers.clear();
-    }
-
-    /// Number of handlers currently attached to `hook`.
-    pub fn attached_count(&self, hook: &HookPoint) -> usize {
-        self.inner.read().handlers.get(hook).map(|h| h.len()).unwrap_or(0)
-    }
-
     /// Total number of attached handlers.
     pub fn total_attached(&self) -> usize {
         self.inner.read().handlers.values().map(Vec::len).sum()
@@ -246,24 +201,15 @@ impl HookRegistry {
     /// the number of handlers invoked (0 when nothing is attached — firing an
     /// unobserved hook is free, which is what keeps the "Monitoring OFF"
     /// baseline from paying instrumentation costs).
-    pub fn fire(&self, hook: &HookPoint, event: &HookEvent) -> usize {
-        let handlers: Vec<HookHandler> = {
-            let mut inner = self.inner.write();
-            *inner.fired.entry(hook.clone()).or_insert(0) += 1;
-            match inner.handlers.get(hook) {
-                Some(list) => list.iter().map(|(_, h)| Arc::clone(h)).collect(),
-                None => Vec::new(),
-            }
+    pub(crate) fn fire(&self, hook: &HookPoint, event: &HookEvent) -> usize {
+        let handlers: Vec<HookHandler> = match self.inner.read().handlers.get(hook) {
+            Some(list) => list.iter().map(|(_, h)| Arc::clone(h)).collect(),
+            None => Vec::new(),
         };
         for handler in &handlers {
             handler(event);
         }
         handlers.len()
-    }
-
-    /// Number of times `hook` has fired since the registry was created.
-    pub fn fire_count(&self, hook: &HookPoint) -> u64 {
-        self.inner.read().fired.get(hook).copied().unwrap_or(0)
     }
 }
 
@@ -280,16 +226,17 @@ mod tests {
 
     #[test]
     fn hook_names_match_table2() {
-        assert_eq!(HookPoint::sys_enter().name(), "tracepoint:raw_syscalls:sys_enter");
-        assert_eq!(HookPoint::add_to_page_cache_lru().name(), "kprobe:add_to_page_cache_lru");
-        assert_eq!(
-            HookPoint::PerfEvent(PerfEventKind::HwCacheMisses).name(),
-            "perf_event:PERF_COUNT_HW_CACHE_MISSES"
-        );
-        assert_eq!(
-            HookPoint::PerfEvent(PerfEventKind::SwContextSwitches).name(),
-            "perf_event:PERF_COUNT_SW_CONTEXT_SWITCHES"
-        );
+        let tracepoint = |name: &str| HookPoint::Tracepoint(name.into());
+        let kprobe = |name: &str| HookPoint::Kprobe(name.into());
+        assert_eq!(HookPoint::sys_enter(), tracepoint("raw_syscalls:sys_enter"));
+        assert_eq!(HookPoint::sys_exit(), tracepoint("raw_syscalls:sys_exit"));
+        assert_eq!(HookPoint::sched_switch(), tracepoint("sched:sched_switch"));
+        assert_eq!(HookPoint::page_fault_user(), tracepoint("exceptions:page_fault_user"));
+        assert_eq!(HookPoint::page_fault_kernel(), tracepoint("exceptions:page_fault_kernel"));
+        assert_eq!(HookPoint::add_to_page_cache_lru(), kprobe("add_to_page_cache_lru"));
+        assert_eq!(HookPoint::mark_page_accessed(), kprobe("mark_page_accessed"));
+        assert_eq!(HookPoint::account_page_dirtied(), kprobe("account_page_dirtied"));
+        assert_eq!(HookPoint::mark_buffer_dirty(), kprobe("mark_buffer_dirty"));
     }
 
     #[test]
@@ -303,19 +250,14 @@ mod tests {
                 c2.fetch_add(ev.value, Ordering::Relaxed);
             }),
         );
-        let event = HookEvent::basic(SimTime::ZERO, Pid::from_raw(1), "redis-server")
-            .with_syscall(Syscall::Read)
-            .with_value(3);
+        let event = HookEvent::basic(Pid::from_raw(1)).with_syscall(Syscall::Read).with_value(3);
         assert_eq!(registry.fire(&HookPoint::sys_enter(), &event), 1);
         assert_eq!(count.load(Ordering::Relaxed), 3);
-        assert_eq!(registry.fire_count(&HookPoint::sys_enter()), 1);
 
         assert!(registry.detach(id));
         assert!(!registry.detach(id));
         assert_eq!(registry.fire(&HookPoint::sys_enter(), &event), 0);
         assert_eq!(count.load(Ordering::Relaxed), 3);
-        // Fires are still counted even with nothing attached.
-        assert_eq!(registry.fire_count(&HookPoint::sys_enter()), 2);
     }
 
     #[test]
@@ -331,34 +273,42 @@ mod tests {
                 }),
             );
         }
-        assert_eq!(registry.attached_count(&HookPoint::sched_switch()), 3);
-        registry.fire(
-            &HookPoint::sched_switch(),
-            &HookEvent::basic(SimTime::ZERO, Pid::from_raw(7), "nginx"),
-        );
+        assert_eq!(registry.total_attached(), 3);
+        let invoked =
+            registry.fire(&HookPoint::sched_switch(), &HookEvent::basic(Pid::from_raw(7)));
+        assert_eq!(invoked, 3);
         assert_eq!(count.load(Ordering::Relaxed), 3);
-        registry.detach_all();
-        assert_eq!(registry.total_attached(), 0);
     }
 
     #[test]
     fn firing_unattached_hook_is_free_and_counted() {
         let registry = HookRegistry::new();
-        let ev = HookEvent::basic(SimTime::ZERO, Pid::from_raw(1), "x");
+        let count = Arc::new(AtomicU64::new(0));
+        let c = count.clone();
+        registry.attach(
+            HookPoint::page_fault_kernel(),
+            Arc::new(move |_| {
+                c.fetch_add(1, Ordering::Relaxed);
+            }),
+        );
+        let ev = HookEvent::basic(Pid::from_raw(1));
+        // Nothing observes user faults: firing one invokes no handler.
         assert_eq!(registry.fire(&HookPoint::page_fault_user(), &ev), 0);
-        assert_eq!(registry.fire_count(&HookPoint::page_fault_user()), 1);
-        assert_eq!(registry.fire_count(&HookPoint::page_fault_kernel()), 0);
+        assert_eq!(count.load(Ordering::Relaxed), 0);
+        // The observed hook's handler counts every fire.
+        assert_eq!(registry.fire(&HookPoint::page_fault_kernel(), &ev), 1);
+        assert_eq!(registry.fire(&HookPoint::page_fault_kernel(), &ev), 1);
+        assert_eq!(count.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn event_builder_sets_fields() {
-        let ev = HookEvent::basic(SimTime::from_secs(1), Pid::from_raw(9), "mongod")
+        let ev = HookEvent::basic(Pid::from_raw(9))
             .with_syscall(Syscall::Futex)
             .with_value(11)
-            .from_enclave(true);
+            .in_enclave(true);
         assert_eq!(ev.syscall, Some(Syscall::Futex));
         assert_eq!(ev.value, 11);
         assert!(ev.from_enclave);
-        assert_eq!(ev.comm, "mongod");
     }
 }

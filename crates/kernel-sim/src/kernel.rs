@@ -18,7 +18,6 @@ use teemon_sim_core::{SimClock, SimDuration};
 
 use crate::hooks::{HookEvent, HookPoint, HookRegistry, PerfEventKind};
 use crate::process::{Pid, ProcessKind, ProcessTable};
-use crate::scheduler::{RunQueue, SwitchKind};
 use crate::syscall::{Syscall, SyscallTable};
 
 /// Whether a page fault was taken in user or kernel mode.
@@ -28,6 +27,15 @@ pub enum FaultKind {
     User,
     /// `exceptions:page_fault_kernel`
     Kernel,
+}
+
+/// Why a context switch happened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum SwitchKind {
+    /// The running task blocked (I/O wait, futex, sleep).
+    Voluntary,
+    /// The running task was preempted at the end of its time slice.
+    Involuntary,
 }
 
 /// Page-cache operations observable through kprobes (Table 2).
@@ -45,7 +53,7 @@ pub enum PageCacheOp {
 
 impl PageCacheOp {
     /// The kprobed kernel function name.
-    pub fn function(&self) -> &'static str {
+    pub(crate) fn function(&self) -> &'static str {
         match self {
             PageCacheOp::AddToPageCacheLru => "add_to_page_cache_lru",
             PageCacheOp::MarkPageAccessed => "mark_page_accessed",
@@ -136,7 +144,6 @@ struct KernelInner {
     counters: KernelCounters,
     per_pid: BTreeMap<Pid, PidCounters>,
     syscall_tables: BTreeMap<Pid, SyscallTable>,
-    run_queue: RunQueue,
 }
 
 /// The simulated host kernel.  Clones share all state.
@@ -184,7 +191,6 @@ impl Kernel {
                 counters: KernelCounters::default(),
                 per_pid: BTreeMap::new(),
                 syscall_tables: BTreeMap::new(),
-                run_queue: RunQueue::with_defaults(),
             })),
         }
     }
@@ -214,22 +220,9 @@ impl Kernel {
         &self.sgx
     }
 
-    /// PID of the `ksgxswapd` kernel thread.
-    pub fn ksgxswapd_pid(&self) -> Pid {
-        self.ksgxswapd
-    }
-
     /// Spawns a process.
     pub fn spawn_process(&self, name: &str, kind: ProcessKind, threads: u32) -> Pid {
         self.processes.spawn(name, kind, threads, self.clock.now())
-    }
-
-    fn comm_of(&self, pid: Pid) -> String {
-        self.processes.get(pid).map(|p| p.name).unwrap_or_else(|| "unknown".to_string())
-    }
-
-    fn event(&self, pid: Pid) -> HookEvent {
-        HookEvent::basic(self.clock.now(), pid, self.comm_of(pid))
     }
 
     /// Converts a number of invoked instrumentation handlers into the time the
@@ -250,21 +243,21 @@ impl Kernel {
             inner.per_pid.entry(pid).or_default().syscalls += 1;
             inner.syscall_tables.entry(pid).or_default().record(syscall);
         }
-        let event = self.event(pid).with_syscall(syscall).from_enclave(from_enclave);
+        let event = HookEvent::basic(pid).with_syscall(syscall).in_enclave(from_enclave);
         let mut handlers = self.hooks.fire(&HookPoint::sys_enter(), &event);
         handlers += self.hooks.fire(&HookPoint::sys_exit(), &event);
         syscall.base_cost() + self.instrumentation_cost(handlers)
     }
 
     /// Records a context switch attributed to `pid` and returns its cost.
-    pub fn context_switch(&self, pid: Pid, kind: SwitchKind) -> SimDuration {
+    /// Both kinds count alike, as in `/proc/stat`'s `ctxt`.
+    pub fn context_switch(&self, pid: Pid, _kind: SwitchKind) -> SimDuration {
         {
             let mut inner = self.inner.lock();
             inner.counters.context_switches += 1;
             inner.per_pid.entry(pid).or_default().context_switches += 1;
-            inner.run_queue.record_switch(pid, kind);
         }
-        let event = self.event(pid);
+        let event = HookEvent::basic(pid);
         let mut handlers = self.hooks.fire(&HookPoint::sched_switch(), &event);
         handlers +=
             self.hooks.fire(&HookPoint::PerfEvent(PerfEventKind::SwContextSwitches), &event);
@@ -285,7 +278,7 @@ impl Kernel {
             FaultKind::User => "user",
             FaultKind::Kernel => "kernel",
         };
-        let event = self.event(pid).from_enclave(from_enclave).with_detail(detail);
+        let event = HookEvent::basic(pid).in_enclave(from_enclave).with_detail(detail);
         let hook = match kind {
             FaultKind::User => HookPoint::page_fault_user(),
             FaultKind::Kernel => HookPoint::page_fault_kernel(),
@@ -315,17 +308,16 @@ impl Kernel {
         }
         let mut handlers = 0;
         if references > 0 {
-            let event = self
-                .event(pid)
+            let event = HookEvent::basic(pid)
                 .with_value(references)
                 .with_detail("references")
-                .from_enclave(in_epc);
+                .in_enclave(in_epc);
             handlers +=
                 self.hooks.fire(&HookPoint::PerfEvent(PerfEventKind::HwCacheReferences), &event);
         }
         if misses > 0 {
             let event =
-                self.event(pid).with_value(misses).with_detail("misses").from_enclave(in_epc);
+                HookEvent::basic(pid).with_value(misses).with_detail("misses").in_enclave(in_epc);
             handlers +=
                 self.hooks.fire(&HookPoint::PerfEvent(PerfEventKind::HwCacheMisses), &event);
         }
@@ -336,7 +328,7 @@ impl Kernel {
     /// instrumentation cost (zero when no program is attached).
     pub fn page_cache_op(&self, pid: Pid, op: PageCacheOp) -> SimDuration {
         self.inner.lock().counters.page_cache_ops += 1;
-        let event = self.event(pid).with_detail(op.function());
+        let event = HookEvent::basic(pid).with_detail(op.function());
         let handlers = self.hooks.fire(&op.hook(), &event);
         self.instrumentation_cost(handlers)
     }
@@ -398,16 +390,6 @@ impl Kernel {
     pub fn syscall_table(&self, pid: Pid) -> SyscallTable {
         self.inner.lock().syscall_tables.get(&pid).cloned().unwrap_or_default()
     }
-
-    /// Merged syscall histogram across every PID.
-    pub fn syscall_table_host(&self) -> SyscallTable {
-        let inner = self.inner.lock();
-        let mut merged = SyscallTable::new();
-        for table in inner.syscall_tables.values() {
-            merged.merge(table);
-        }
-        merged
-    }
 }
 
 impl Default for Kernel {
@@ -431,12 +413,8 @@ mod tests {
     use crate::ebpf::{EbpfVm, PidFilter};
 
     fn kernel_with_epc_mib(mib: u64) -> Kernel {
-        Kernel::with_config(
-            SimClock::new(),
-            KernelConfig::default(),
-            EpcConfig::with_usable_mib(mib),
-            CostModel::default(),
-        )
+        let epc = EpcConfig { total_bytes: mib << 20, reserved_bytes: 0, ..EpcConfig::default() };
+        Kernel::with_config(SimClock::new(), KernelConfig::default(), epc, CostModel::default())
     }
 
     #[test]
@@ -451,8 +429,7 @@ mod tests {
         assert_eq!(kernel.pid_counters(pid).syscalls, 6);
         let table = kernel.syscall_table(pid);
         assert_eq!(table.count(Syscall::ClockGettime), 5);
-        assert_eq!(table.dominant().unwrap().0, Syscall::ClockGettime);
-        assert_eq!(kernel.syscall_table_host().total(), 6);
+        assert_eq!(table.count(Syscall::Read), 1);
     }
 
     #[test]
@@ -508,7 +485,7 @@ mod tests {
         let counters = kernel.counters();
         assert!(counters.page_faults_user > 0, "thrashing must fault");
         assert!(counters.page_faults_kernel > 0, "ksgxswapd writeback faults");
-        assert!(kernel.pid_counters(kernel.ksgxswapd_pid()).context_switches > 0);
+        assert!(kernel.pid_counters(kernel.ksgxswapd).context_switches > 0);
         assert!(total_latency > SimDuration::from_millis(1));
         assert!(kernel.sgx_driver().stats().epc_pages_evicted > 0);
     }
@@ -530,7 +507,7 @@ mod tests {
         kernel.sgx_driver().create_enclave(pid.as_u32(), 4 * 1024 * 1024 - 64 * 1024, 2).unwrap();
         let evicted = kernel.poll_epc_pressure();
         assert!(evicted > 0);
-        assert_eq!(kernel.pid_counters(kernel.ksgxswapd_pid()).context_switches, 1);
+        assert_eq!(kernel.pid_counters(kernel.ksgxswapd).context_switches, 1);
         // No pressure → no work.
         let kernel2 = kernel_with_epc_mib(64);
         assert_eq!(kernel2.poll_epc_pressure(), 0);

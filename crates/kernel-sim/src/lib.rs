@@ -7,13 +7,11 @@
 //!
 //! * [`Kernel`] — the host-kernel façade: process table, syscall dispatch,
 //!   context switches, page faults, cache accesses and page-cache operations,
-//!   each of which fires the corresponding [`hooks::HookPoint`],
-//! * [`syscall::Syscall`] — the syscall inventory with per-call base costs,
-//! * [`hooks`] — the tracepoint / kprobe / perf-event registry,
+//!   each of which fires the corresponding tracepoint, kprobe or perf event,
+//! * [`Syscall`] — the syscall inventory with per-call base costs,
 //! * [`ebpf`] — a small eBPF-like execution environment: programs attached to
-//!   hooks, aggregating into [`ebpf::BpfMap`]s that user-space exporters read,
-//! * [`scheduler`] — a round-robin run-queue model that produces context
-//!   switches with realistic voluntary/involuntary split.
+//!   those hooks through the [`ebpf::HookRegistry`], aggregating into
+//!   [`ebpf::BpfMap`]s that user-space exporters read.
 //!
 //! The simulated kernel also understands enclave-backed processes: syscalls
 //! issued from inside an enclave are charged the enclave-transition cost and
@@ -24,15 +22,13 @@
 #![warn(missing_docs)]
 
 pub mod ebpf;
-pub mod hooks;
-pub mod kernel;
+mod hooks;
+mod kernel;
 pub mod process;
-pub mod scheduler;
-pub mod syscall;
+mod syscall;
 
-pub use ebpf::{BpfMap, BpfProgram, EbpfVm};
-pub use hooks::{HookEvent, HookPoint, HookRegistry, PerfEventKind};
-pub use kernel::{FaultKind, Kernel, KernelConfig, KernelCounters, PageCacheOp};
-pub use process::{Pid, ProcessInfo, ProcessTable};
-pub use scheduler::{RunQueue, SwitchKind};
+pub use kernel::{
+    FaultKind, Kernel, KernelConfig, KernelCounters, PageCacheOp, PidCounters, SwitchKind,
+};
+pub use process::Pid;
 pub use syscall::{Syscall, SyscallTable};

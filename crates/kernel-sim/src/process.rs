@@ -74,14 +74,14 @@ struct ProcessTableInner {
 impl ProcessTable {
     /// Creates an empty process table; PIDs start at 100 to leave room for
     /// "well known" kernel threads registered explicitly.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let table = Self::default();
         table.inner.write().next_pid = 100;
         table
     }
 
     /// Registers a new process and returns its PID.
-    pub fn spawn(
+    pub(crate) fn spawn(
         &self,
         name: impl Into<String>,
         kind: ProcessKind,
@@ -121,24 +121,9 @@ impl ProcessTable {
         self.inner.read().processes.get(&pid).cloned()
     }
 
-    /// Finds the first live process with the given command name.
-    pub fn find_by_name(&self, name: &str) -> Option<ProcessInfo> {
-        self.inner.read().processes.values().find(|p| p.alive && p.name == name).cloned()
-    }
-
-    /// All live processes.
-    pub fn live(&self) -> Vec<ProcessInfo> {
-        self.inner.read().processes.values().filter(|p| p.alive).cloned().collect()
-    }
-
     /// Total number of processes ever registered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.read().processes.len()
-    }
-
-    /// `true` when no process has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -163,18 +148,7 @@ mod tests {
         let pid = table.spawn("memtier", ProcessKind::User, 8, SimTime::ZERO);
         assert!(table.exit(pid));
         assert!(!table.get(pid).unwrap().alive);
-        assert!(table.live().is_empty());
         assert!(!table.exit(Pid::from_raw(9999)));
-    }
-
-    #[test]
-    fn find_by_name_ignores_dead_processes() {
-        let table = ProcessTable::new();
-        let first = table.spawn("redis-server", ProcessKind::Enclave, 8, SimTime::ZERO);
-        table.exit(first);
-        assert!(table.find_by_name("redis-server").is_none());
-        let second = table.spawn("redis-server", ProcessKind::Enclave, 8, SimTime::ZERO);
-        assert_eq!(table.find_by_name("redis-server").unwrap().pid, second);
     }
 
     #[test]
@@ -190,6 +164,5 @@ mod tests {
         let clone = table.clone();
         clone.spawn("p", ProcessKind::User, 1, SimTime::ZERO);
         assert_eq!(table.len(), 1);
-        assert!(!table.is_empty());
     }
 }

@@ -48,79 +48,6 @@ pub enum Syscall {
 }
 
 impl Syscall {
-    /// All syscalls known to the simulation.
-    pub const ALL: [Syscall; 31] = [
-        Syscall::Read,
-        Syscall::Write,
-        Syscall::Open,
-        Syscall::Close,
-        Syscall::Mmap,
-        Syscall::Munmap,
-        Syscall::Brk,
-        Syscall::Futex,
-        Syscall::ClockGettime,
-        Syscall::EpollWait,
-        Syscall::EpollCtl,
-        Syscall::Accept,
-        Syscall::Recvfrom,
-        Syscall::Sendto,
-        Syscall::Socket,
-        Syscall::Bind,
-        Syscall::Listen,
-        Syscall::Fsync,
-        Syscall::Nanosleep,
-        Syscall::SchedYield,
-        Syscall::Getpid,
-        Syscall::Gettimeofday,
-        Syscall::Writev,
-        Syscall::Readv,
-        Syscall::Poll,
-        Syscall::Select,
-        Syscall::Fcntl,
-        Syscall::Stat,
-        Syscall::Fstat,
-        Syscall::Clone,
-        Syscall::Exit,
-    ];
-
-    /// Linux x86-64 syscall number (used as the `syscall_nr` label so the
-    /// exported metrics look like the real eBPF exporter's output).
-    pub fn number(&self) -> u32 {
-        match self {
-            Syscall::Read => 0,
-            Syscall::Write => 1,
-            Syscall::Open => 2,
-            Syscall::Close => 3,
-            Syscall::Stat => 4,
-            Syscall::Fstat => 5,
-            Syscall::Poll => 7,
-            Syscall::Mmap => 9,
-            Syscall::Munmap => 11,
-            Syscall::Brk => 12,
-            Syscall::Writev => 20,
-            Syscall::Readv => 19,
-            Syscall::Select => 23,
-            Syscall::SchedYield => 24,
-            Syscall::Nanosleep => 35,
-            Syscall::Getpid => 39,
-            Syscall::Socket => 41,
-            Syscall::Accept => 43,
-            Syscall::Recvfrom => 45,
-            Syscall::Sendto => 44,
-            Syscall::Bind => 49,
-            Syscall::Listen => 50,
-            Syscall::Fcntl => 72,
-            Syscall::Fsync => 74,
-            Syscall::Gettimeofday => 96,
-            Syscall::Futex => 202,
-            Syscall::ClockGettime => 228,
-            Syscall::Exit => 60,
-            Syscall::Clone => 56,
-            Syscall::EpollWait => 232,
-            Syscall::EpollCtl => 233,
-        }
-    }
-
     /// Canonical lowercase name (label value in exported metrics).
     pub fn name(&self) -> &'static str {
         match self {
@@ -158,16 +85,11 @@ impl Syscall {
         }
     }
 
-    /// Looks a syscall up by its canonical name.
-    pub fn from_name(name: &str) -> Option<Syscall> {
-        Self::ALL.iter().copied().find(|s| s.name() == name)
-    }
-
     /// Base in-kernel service time of the call when issued natively (without
     /// SGX transition overhead).  Calibrated to rough Linux magnitudes: a
     /// `clock_gettime` through the vDSO is tens of nanoseconds, socket I/O is
     /// a couple of microseconds, `fsync` is dominated by the device.
-    pub fn base_cost(&self) -> SimDuration {
+    pub(crate) fn base_cost(&self) -> SimDuration {
         let nanos = match self {
             Syscall::ClockGettime | Syscall::Gettimeofday | Syscall::Getpid => 40,
             Syscall::SchedYield => 300,
@@ -187,23 +109,6 @@ impl Syscall {
         };
         SimDuration::from_nanos(nanos)
     }
-
-    /// `true` when the call usually blocks awaiting external events, which
-    /// matters for the scheduler model (blocking calls yield the CPU and cause
-    /// voluntary context switches).
-    pub fn is_blocking(&self) -> bool {
-        matches!(
-            self,
-            Syscall::EpollWait
-                | Syscall::Poll
-                | Syscall::Select
-                | Syscall::Accept
-                | Syscall::Recvfrom
-                | Syscall::Futex
-                | Syscall::Nanosleep
-                | Syscall::Read
-        )
-    }
 }
 
 impl std::fmt::Display for Syscall {
@@ -220,46 +125,14 @@ pub struct SyscallTable {
 }
 
 impl SyscallTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one invocation.
-    pub fn record(&mut self, syscall: Syscall) {
+    pub(crate) fn record(&mut self, syscall: Syscall) {
         *self.counts.entry(syscall).or_insert(0) += 1;
-    }
-
-    /// Records `n` invocations.
-    pub fn record_n(&mut self, syscall: Syscall, n: u64) {
-        *self.counts.entry(syscall).or_insert(0) += n;
     }
 
     /// Count for one syscall.
     pub fn count(&self, syscall: Syscall) -> u64 {
         self.counts.get(&syscall).copied().unwrap_or(0)
-    }
-
-    /// Total invocations across all syscalls.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-
-    /// Iterates over `(syscall, count)` pairs with non-zero counts.
-    pub fn iter(&self) -> impl Iterator<Item = (Syscall, u64)> + '_ {
-        self.counts.iter().map(|(s, c)| (*s, *c))
-    }
-
-    /// The syscall with the highest count, if any.
-    pub fn dominant(&self) -> Option<(Syscall, u64)> {
-        self.counts.iter().max_by_key(|(_, c)| **c).map(|(s, c)| (*s, *c))
-    }
-
-    /// Merges another table into this one.
-    pub fn merge(&mut self, other: &SyscallTable) {
-        for (syscall, count) in other.iter() {
-            self.record_n(syscall, count);
-        }
     }
 }
 
@@ -268,64 +141,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn numbers_are_unique() {
-        let mut numbers: Vec<u32> = Syscall::ALL.iter().map(|s| s.number()).collect();
-        numbers.sort_unstable();
-        numbers.dedup();
-        assert_eq!(numbers.len(), Syscall::ALL.len());
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for syscall in Syscall::ALL {
-            assert_eq!(Syscall::from_name(syscall.name()), Some(syscall));
-            assert_eq!(syscall.to_string(), syscall.name());
-        }
-        assert_eq!(Syscall::from_name("not_a_syscall"), None);
-    }
-
-    #[test]
     fn clock_gettime_is_cheap_fsync_is_expensive() {
         assert!(Syscall::ClockGettime.base_cost() < Syscall::Read.base_cost());
         assert!(Syscall::Fsync.base_cost() > Syscall::Write.base_cost().mul(10));
     }
 
     #[test]
-    fn known_linux_numbers() {
-        assert_eq!(Syscall::Read.number(), 0);
-        assert_eq!(Syscall::Write.number(), 1);
-        assert_eq!(Syscall::Futex.number(), 202);
-        assert_eq!(Syscall::ClockGettime.number(), 228);
-    }
-
-    #[test]
-    fn blocking_classification() {
-        assert!(Syscall::EpollWait.is_blocking());
-        assert!(Syscall::Futex.is_blocking());
-        assert!(!Syscall::ClockGettime.is_blocking());
-        assert!(!Syscall::Write.is_blocking());
-    }
-
-    #[test]
     fn table_counts_and_dominant() {
-        let mut table = SyscallTable::new();
-        table.record_n(Syscall::ClockGettime, 370_000);
-        table.record_n(Syscall::Read, 23);
-        table.record_n(Syscall::Write, 23);
+        let mut table = SyscallTable::default();
+        for _ in 0..23 {
+            table.record(Syscall::Read);
+        }
         table.record(Syscall::Futex);
         assert_eq!(table.count(Syscall::Read), 23);
-        assert_eq!(table.total(), 370_047);
-        assert_eq!(table.dominant().unwrap().0, Syscall::ClockGettime);
-
-        let mut other = SyscallTable::new();
-        other.record_n(Syscall::Read, 7);
-        table.merge(&other);
-        assert_eq!(table.count(Syscall::Read), 30);
-    }
-
-    #[test]
-    fn empty_table_has_no_dominant() {
-        assert!(SyscallTable::new().dominant().is_none());
-        assert_eq!(SyscallTable::new().total(), 0);
+        assert_eq!(table.count(Syscall::Futex), 1);
+        assert_eq!(table.count(Syscall::Write), 0);
     }
 }

@@ -56,15 +56,8 @@ impl HelmChart {
         Self { name: "teemon".into(), version: "0.1.0".into(), values: ChartValues::default() }
     }
 
-    /// Overrides the chart values.
-    #[must_use]
-    pub fn with_values(mut self, values: ChartValues) -> Self {
-        self.values = values;
-        self
-    }
-
     /// Renders the DaemonSets the chart would install.
-    pub fn render_daemonsets(&self) -> Vec<DaemonSet> {
+    pub(crate) fn render_daemonsets(&self) -> Vec<DaemonSet> {
         let mut out = Vec::new();
         if self.values.sgx_exporter {
             out.push(DaemonSet::sgx_only("teemon-sgx-exporter", 9090));
@@ -107,18 +100,18 @@ mod tests {
         assert_eq!(chart.values.scrape_interval_seconds, 5);
         let mut discovery = ServiceDiscovery::new();
         chart.install(&mut discovery);
-        assert_eq!(discovery.daemonsets().len(), 4);
-        let cluster = Cluster::with_nodes(2, 0);
-        assert!(!discovery.endpoints(&cluster).is_empty());
+        // Two untainted nodes take only the two everywhere-DaemonSets; two
+        // SGX nodes take only the two SGX ones.
+        assert_eq!(discovery.endpoints(&Cluster::with_nodes(0, 2)).len(), 4);
+        assert_eq!(discovery.endpoints(&Cluster::with_nodes(2, 0)).len(), 4);
     }
 
     #[test]
     fn values_toggle_components() {
-        let chart = HelmChart::teemon().with_values(ChartValues {
-            cadvisor: false,
-            ebpf_exporter: false,
-            ..ChartValues::default()
-        });
+        let chart = HelmChart {
+            values: ChartValues { cadvisor: false, ebpf_exporter: false, ..ChartValues::default() },
+            ..HelmChart::teemon()
+        };
         let names: Vec<String> = chart.render_daemonsets().iter().map(|d| d.name.clone()).collect();
         assert_eq!(names, vec!["teemon-sgx-exporter", "teemon-node-exporter"]);
         // The paper notes cAdvisor could be deactivated "to further reduce

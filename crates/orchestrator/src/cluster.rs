@@ -17,7 +17,7 @@ pub struct Taint {
 
 impl Taint {
     /// Creates a taint.
-    pub fn new(key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn new(key: impl Into<String>, value: impl Into<String>) -> Self {
         Self { key: key.into(), value: value.into() }
     }
 }
@@ -39,10 +39,10 @@ pub struct Node {
 
 impl Node {
     /// The label used to advertise SGX capability.
-    pub const SGX_LABEL: &'static str = "intel.feature.node.kubernetes.io/sgx";
+    pub(crate) const SGX_LABEL: &'static str = "intel.feature.node.kubernetes.io/sgx";
 
     /// Creates a ready node without SGX.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
             labels: BTreeMap::new(),
@@ -62,33 +62,16 @@ impl Node {
         node
     }
 
-    /// Adds a label.
-    #[must_use]
-    pub fn with_label(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.labels.insert(key.into(), value.into());
-        self
-    }
-
     /// `true` when the node carries every label in `selector` with equal
     /// values.
-    pub fn matches_selector(&self, selector: &BTreeMap<String, String>) -> bool {
+    pub(crate) fn matches_selector(&self, selector: &BTreeMap<String, String>) -> bool {
         selector.iter().all(|(k, v)| self.labels.get(k) == Some(v))
     }
-}
-
-/// Cluster membership change events, consumed by service discovery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum NodeEvent {
-    /// A node joined (or re-joined) the cluster.
-    Joined(String),
-    /// A node left the cluster or became NotReady.
-    Left(String),
 }
 
 #[derive(Default)]
 struct ClusterInner {
     nodes: BTreeMap<String, Node>,
-    events: Vec<NodeEvent>,
 }
 
 /// The cluster: a dynamic set of nodes.  Clones share state.
@@ -99,7 +82,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// Creates an empty cluster.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -118,43 +101,23 @@ impl Cluster {
 
     /// Adds (or replaces) a node.
     pub fn add_node(&self, node: Node) {
-        let mut inner = self.inner.write();
-        inner.events.push(NodeEvent::Joined(node.name.clone()));
-        inner.nodes.insert(node.name.clone(), node);
+        self.inner.write().nodes.insert(node.name.clone(), node);
     }
 
     /// Removes a node.  Returns `true` when it existed.
     pub fn remove_node(&self, name: &str) -> bool {
-        let mut inner = self.inner.write();
-        let existed = inner.nodes.remove(name).is_some();
-        if existed {
-            inner.events.push(NodeEvent::Left(name.to_string()));
-        }
-        existed
+        self.inner.write().nodes.remove(name).is_some()
     }
 
     /// Marks a node ready / not ready.  Returns `false` for unknown nodes.
     pub fn set_ready(&self, name: &str, ready: bool) -> bool {
-        let mut inner = self.inner.write();
-        match inner.nodes.get_mut(name) {
+        match self.inner.write().nodes.get_mut(name) {
             Some(node) => {
-                if node.ready != ready {
-                    node.ready = ready;
-                    inner.events.push(if ready {
-                        NodeEvent::Joined(name.to_string())
-                    } else {
-                        NodeEvent::Left(name.to_string())
-                    });
-                }
+                node.ready = ready;
                 true
             }
             None => false,
         }
-    }
-
-    /// All nodes (ready or not).
-    pub fn nodes(&self) -> Vec<Node> {
-        self.inner.read().nodes.values().cloned().collect()
     }
 
     /// Ready nodes only.
@@ -162,30 +125,15 @@ impl Cluster {
         self.inner.read().nodes.values().filter(|n| n.ready).cloned().collect()
     }
 
-    /// Looks up a node by name.
-    pub fn node(&self, name: &str) -> Option<Node> {
-        self.inner.read().nodes.get(name).cloned()
-    }
-
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub fn node_count(&self) -> usize {
         self.inner.read().nodes.len()
-    }
-
-    /// `true` when the cluster has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drains the membership event log (consumed by service discovery).
-    pub fn drain_events(&self) -> Vec<NodeEvent> {
-        std::mem::take(&mut self.inner.write().events)
     }
 }
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cluster").field("nodes", &self.len()).finish()
+        f.debug_struct("Cluster").field("nodes", &self.node_count()).finish()
     }
 }
 
@@ -207,35 +155,27 @@ mod tests {
     }
 
     #[test]
-    fn cluster_membership_and_events() {
+    fn cluster_membership() {
         let cluster = Cluster::with_nodes(2, 1);
-        assert_eq!(cluster.len(), 3);
+        assert_eq!(cluster.node_count(), 3);
         assert_eq!(cluster.ready_nodes().len(), 3);
-        assert!(cluster.node("sgx-0").is_some());
-        // Initial joins are all recorded.
-        assert_eq!(cluster.drain_events().len(), 3);
-        assert!(cluster.drain_events().is_empty(), "events drain once");
 
         cluster.add_node(Node::sgx("sgx-late"));
         assert!(cluster.remove_node("node-0"));
         assert!(!cluster.remove_node("node-0"));
-        let events = cluster.drain_events();
-        assert_eq!(
-            events,
-            vec![NodeEvent::Joined("sgx-late".into()), NodeEvent::Left("node-0".into())]
-        );
+        let names: Vec<String> = cluster.ready_nodes().into_iter().map(|n| n.name).collect();
+        assert_eq!(names, ["sgx-0", "sgx-1", "sgx-late"]);
     }
 
     #[test]
-    fn readiness_toggles_generate_events() {
+    fn readiness_toggles_ready_nodes() {
         let cluster = Cluster::with_nodes(1, 0);
-        cluster.drain_events();
         assert!(cluster.set_ready("sgx-0", false));
         assert!(cluster.set_ready("sgx-0", false), "idempotent");
         assert_eq!(cluster.ready_nodes().len(), 0);
+        assert_eq!(cluster.node_count(), 1, "a NotReady node stays a member");
         assert!(cluster.set_ready("sgx-0", true));
+        assert_eq!(cluster.ready_nodes().len(), 1);
         assert!(!cluster.set_ready("ghost", true));
-        let events = cluster.drain_events();
-        assert_eq!(events.len(), 2);
     }
 }

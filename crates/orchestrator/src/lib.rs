@@ -11,7 +11,7 @@
 //!
 //! * [`Node`], [`Cluster`] — nodes with labels, taints and SGX capability,
 //!   joining and leaving dynamically,
-//! * [`DaemonSet`], [`Pod`] — per-node workload placement with taint
+//! * DaemonSets and pods — per-node workload placement with taint
 //!   toleration and node selectors,
 //! * [`HelmChart`] — the TEEMon chart: which exporters to deploy and where,
 //! * [`ServiceDiscovery`] — the catalog of scrape endpoints derived from the
@@ -19,10 +19,10 @@
 
 #![warn(missing_docs)]
 
-pub mod chart;
-pub mod cluster;
-pub mod workload;
+mod chart;
+mod cluster;
+mod workload;
 
 pub use chart::{ChartValues, HelmChart};
-pub use cluster::{Cluster, Node, NodeEvent, Taint};
-pub use workload::{DaemonSet, Pod, PodPhase, ScrapeEndpoint, ServiceDiscovery};
+pub use cluster::{Cluster, Node, Taint};
+pub use workload::{ScrapeEndpoint, ServiceDiscovery};

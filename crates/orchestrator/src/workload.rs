@@ -8,7 +8,7 @@ use crate::cluster::{Cluster, Node, Taint};
 
 /// Lifecycle phase of a pod.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PodPhase {
+pub(crate) enum PodPhase {
     /// Scheduled and running.
     Running,
     /// Could not be scheduled (no matching node).
@@ -17,7 +17,7 @@ pub enum PodPhase {
 
 /// A pod: one instance of an exporter (or other workload) on one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Pod {
+pub(crate) struct Pod {
     /// Pod name (`<daemonset>-<node>`).
     pub name: String,
     /// Owning DaemonSet.
@@ -32,7 +32,7 @@ pub struct Pod {
 
 /// A DaemonSet: one pod per matching node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DaemonSet {
+pub(crate) struct DaemonSet {
     /// DaemonSet name (e.g. `teemon-sgx-exporter`).
     pub name: String,
     /// Node selector labels; empty = every node.
@@ -45,7 +45,7 @@ pub struct DaemonSet {
 
 impl DaemonSet {
     /// Creates a DaemonSet that runs on every node.
-    pub fn everywhere(name: impl Into<String>, metrics_port: u16) -> Self {
+    pub(crate) fn everywhere(name: impl Into<String>, metrics_port: u16) -> Self {
         Self {
             name: name.into(),
             node_selector: BTreeMap::new(),
@@ -56,7 +56,7 @@ impl DaemonSet {
 
     /// Creates a DaemonSet restricted to SGX-capable nodes (selector on the
     /// SGX label plus a toleration for the SGX taint).
-    pub fn sgx_only(name: impl Into<String>, metrics_port: u16) -> Self {
+    pub(crate) fn sgx_only(name: impl Into<String>, metrics_port: u16) -> Self {
         let mut selector = BTreeMap::new();
         selector.insert(Node::SGX_LABEL.to_string(), "true".to_string());
         Self {
@@ -68,7 +68,7 @@ impl DaemonSet {
     }
 
     /// `true` when the DaemonSet can be placed on `node`.
-    pub fn schedulable_on(&self, node: &Node) -> bool {
+    pub(crate) fn schedulable_on(&self, node: &Node) -> bool {
         if !node.ready {
             return false;
         }
@@ -80,7 +80,7 @@ impl DaemonSet {
 
     /// Places the DaemonSet across the cluster: exactly one running pod per
     /// schedulable node.
-    pub fn place(&self, cluster: &Cluster) -> Vec<Pod> {
+    pub(crate) fn place(&self, cluster: &Cluster) -> Vec<Pod> {
         cluster
             .ready_nodes()
             .iter()
@@ -122,13 +122,8 @@ impl ServiceDiscovery {
     }
 
     /// Registers a DaemonSet whose pods should be scraped.
-    pub fn register(&mut self, daemonset: DaemonSet) {
+    pub(crate) fn register(&mut self, daemonset: DaemonSet) {
         self.daemonsets.push(daemonset);
-    }
-
-    /// Registered DaemonSets.
-    pub fn daemonsets(&self) -> &[DaemonSet] {
-        &self.daemonsets
     }
 
     /// Resolves the current endpoints against the cluster.  Called again after
@@ -149,21 +144,10 @@ impl ServiceDiscovery {
     }
 }
 
-/// The standard TEEMon DaemonSets the Helm chart deploys (§5.4): the SGX
-/// exporter and eBPF exporter restricted to SGX nodes, node exporter and
-/// cAdvisor everywhere.
-pub fn teemon_daemonsets() -> Vec<DaemonSet> {
-    vec![
-        DaemonSet::sgx_only("teemon-sgx-exporter", 9090),
-        DaemonSet::sgx_only("teemon-ebpf-exporter", 9435),
-        DaemonSet::everywhere("teemon-node-exporter", 9100),
-        DaemonSet::everywhere("teemon-cadvisor", 8080),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chart::HelmChart;
 
     #[test]
     fn daemonset_places_one_pod_per_matching_node() {
@@ -207,10 +191,7 @@ mod tests {
     fn service_discovery_adapts_to_topology_changes() {
         let cluster = Cluster::with_nodes(2, 1);
         let mut discovery = ServiceDiscovery::new();
-        for ds in teemon_daemonsets() {
-            discovery.register(ds);
-        }
-        assert_eq!(discovery.daemonsets().len(), 4);
+        HelmChart::teemon().install(&mut discovery);
         let before = discovery.endpoints(&cluster);
         // 2 SGX nodes × (sgx + ebpf) + 3 nodes × (node-exporter)... but the
         // everywhere DaemonSets lack the SGX taint toleration, so they only

@@ -57,37 +57,15 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A cost model in which every SGX-specific cost is zero — used to model
-    /// native (non-SGX) execution with the same code paths.
-    pub fn native() -> Self {
-        Self {
-            eenter_ns: 0,
-            eexit_ns: 0,
-            aex_ns: 0,
-            ewb_ns: 0,
-            eldu_ns: 0,
-            page_fault_ns: 1_500,
-            llc_miss_ns: 90,
-            mee_overhead: 0.0,
-            eadd_ns: 0,
-            ecreate_ns: 0,
-        }
-    }
-
-    /// Cost of one synchronous enclave round trip (EENTER + EEXIT).
-    pub fn transition_round_trip(&self) -> SimDuration {
-        SimDuration::from_nanos(self.eenter_ns + self.eexit_ns)
-    }
-
     /// Cost of handling an enclave page fault that requires reloading a page
     /// (AEX + kernel fault handling + ELDU, possibly preceded by an EWB of a
     /// victim page accounted separately).
-    pub fn fault_reload(&self) -> SimDuration {
+    pub(crate) fn fault_reload(&self) -> SimDuration {
         SimDuration::from_nanos(self.aex_ns + self.page_fault_ns + self.eldu_ns)
     }
 
     /// Cost of evicting one page.
-    pub fn evict(&self) -> SimDuration {
+    pub(crate) fn evict(&self) -> SimDuration {
         SimDuration::from_nanos(self.ewb_ns)
     }
 
@@ -107,18 +85,11 @@ mod tests {
     fn default_costs_have_expected_magnitudes() {
         let c = CostModel::default();
         // Transitions are microseconds, paging is tens of microseconds.
-        assert!(c.transition_round_trip() >= SimDuration::from_micros(3));
-        assert!(c.transition_round_trip() <= SimDuration::from_micros(20));
-        assert!(c.fault_reload() > c.transition_round_trip());
+        let round_trip = SimDuration::from_nanos(c.eenter_ns + c.eexit_ns);
+        assert!(round_trip >= SimDuration::from_micros(3));
+        assert!(round_trip <= SimDuration::from_micros(20));
+        assert!(c.fault_reload() > round_trip);
         assert!(c.evict() >= SimDuration::from_micros(5));
-    }
-
-    #[test]
-    fn native_model_removes_sgx_costs() {
-        let native = CostModel::native();
-        assert_eq!(native.transition_round_trip(), SimDuration::ZERO);
-        assert_eq!(native.evict(), SimDuration::ZERO);
-        assert_eq!(native.llc_miss(true), native.llc_miss(false));
     }
 
     #[test]
@@ -133,6 +104,6 @@ mod tests {
     fn cost_model_is_cloneable_and_comparable() {
         let c = CostModel::default();
         assert_eq!(c.clone(), c);
-        assert_ne!(CostModel::native(), CostModel::default());
+        assert_ne!(CostModel { mee_overhead: 0.0, ..CostModel::default() }, c);
     }
 }

@@ -4,8 +4,9 @@
 //! of code that export counters as module parameters under
 //! `/sys/module/isgx/parameters/<name>` (§5.1).  [`SgxDriver`] is the
 //! simulated equivalent: it owns the [`Epc`], tracks enclave lifecycles and
-//! exposes the same counter names through [`SgxDriver::module_params`], which
-//! is what the TEE Metrics Exporter reads on every scrape.
+//! exposes the same counters as one [`DriverStats`] snapshot
+//! ([`SgxDriver::stats`]), which is what the TEE Metrics Exporter reads on
+//! every scrape.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -46,27 +47,6 @@ pub struct DriverStats {
     pub enclave_page_faults: u64,
     /// ksgxswapd wakeups since load (`sgx_nr_swapd_runs`).
     pub swapd_wakeups: u64,
-}
-
-impl DriverStats {
-    /// Renders the stats as `/sys/module/isgx/parameters`-style key/value
-    /// pairs, using the hook names quoted in the paper where available.
-    pub fn as_module_params(&self) -> BTreeMap<String, u64> {
-        let mut map = BTreeMap::new();
-        map.insert("sgx_nr_created".into(), self.enclaves_created);
-        map.insert("sgx_nr_enclaves".into(), self.enclaves_active);
-        map.insert("sgx_nr_removed".into(), self.enclaves_removed);
-        map.insert("sgx_nr_total_pages".into(), self.epc_total_pages);
-        map.insert("sgx_nr_free_pages".into(), self.epc_free_pages);
-        map.insert("sgx_nr_old_pages".into(), self.epc_old_pages);
-        map.insert("sgx_nr_evicted".into(), self.epc_pages_evicted);
-        map.insert("sgx_nr_added".into(), self.epc_pages_added);
-        map.insert("sgx_nr_reclaimed".into(), self.epc_pages_reclaimed);
-        map.insert("sgx_nr_marked_old".into(), self.epc_pages_marked_old);
-        map.insert("sgx_nr_enclave_page_faults".into(), self.enclave_page_faults);
-        map.insert("sgx_nr_swapd_runs".into(), self.swapd_wakeups);
-        map
-    }
 }
 
 struct DriverInner {
@@ -110,11 +90,6 @@ impl SgxDriver {
     /// The cost model in effect.
     pub fn costs(&self) -> &CostModel {
         &self.costs
-    }
-
-    /// The shared simulation clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
     }
 
     /// Creates and initialises an enclave of `size_bytes` owned by `pid`.
@@ -225,27 +200,6 @@ impl SgxDriver {
         }
     }
 
-    /// The `/sys/module/isgx/parameters`-style view of [`SgxDriver::stats`].
-    pub fn module_params(&self) -> BTreeMap<String, u64> {
-        self.stats().as_module_params()
-    }
-
-    /// Information about a specific enclave, if it exists.
-    pub fn enclave(&self, id: EnclaveId) -> Option<Enclave> {
-        self.inner.lock().enclaves.get(&id).cloned()
-    }
-
-    /// Ids of all currently active enclaves.
-    pub fn active_enclaves(&self) -> Vec<EnclaveId> {
-        self.inner
-            .lock()
-            .enclaves
-            .values()
-            .filter(|e| e.state == EnclaveState::Active)
-            .map(|e| e.id)
-            .collect()
-    }
-
     /// Number of pages an enclave of `size_bytes` commits.
     pub fn pages_for(size_bytes: u64) -> u64 {
         size_bytes.div_ceil(PAGE_SIZE)
@@ -267,11 +221,8 @@ mod tests {
     use super::*;
 
     fn driver_with_usable_mib(mib: u64) -> SgxDriver {
-        SgxDriver::with_config(
-            SimClock::new(),
-            EpcConfig::with_usable_mib(mib),
-            CostModel::default(),
-        )
+        let epc = EpcConfig { total_bytes: mib << 20, reserved_bytes: 0, ..EpcConfig::default() };
+        SgxDriver::with_config(SimClock::new(), epc, CostModel::default())
     }
 
     #[test]
@@ -294,8 +245,7 @@ mod tests {
         assert_eq!(stats.enclaves_active, 1);
         assert_eq!(stats.enclaves_removed, 1);
         assert!(driver.destroy_enclave(id1).is_err(), "double destroy fails");
-        assert!(driver.enclave(id2).unwrap().is_active());
-        assert_eq!(driver.active_enclaves(), vec![id2]);
+        assert!(driver.access_page(id2, 0).is_ok(), "the other enclave stays usable");
     }
 
     #[test]
@@ -358,17 +308,6 @@ mod tests {
             assert!(!outcome.faulted);
         }
         assert_eq!(driver.stats().epc_pages_evicted, 0);
-    }
-
-    #[test]
-    fn module_params_use_paper_hook_names() {
-        let driver = driver_with_usable_mib(16);
-        driver.create_enclave(1, 1024 * 1024, 1).unwrap();
-        let params = driver.module_params();
-        for key in ["sgx_nr_free_pages", "sgx_nr_enclaves", "sgx_nr_evicted"] {
-            assert!(params.contains_key(key), "missing hook {key}");
-        }
-        assert_eq!(params["sgx_nr_enclaves"], 1);
     }
 
     #[test]

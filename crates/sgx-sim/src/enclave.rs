@@ -13,12 +13,12 @@ pub struct EnclaveId(u64);
 
 impl EnclaveId {
     /// Constructs an id from a raw integer (used by tests and the driver).
-    pub const fn from_raw(raw: u64) -> Self {
+    pub(crate) const fn from_raw(raw: u64) -> Self {
         Self(raw)
     }
 
     /// The raw integer value.
-    pub const fn as_u64(&self) -> u64 {
+    pub(crate) const fn as_u64(&self) -> u64 {
         self.0
     }
 }
@@ -31,9 +31,7 @@ impl std::fmt::Display for EnclaveId {
 
 /// Lifecycle state of an enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EnclaveState {
-    /// Created (ECREATE) but not yet initialised (EINIT).
-    Created,
+pub(crate) enum EnclaveState {
     /// Initialised and running.
     Active,
     /// Destroyed; kept only for accounting.
@@ -42,7 +40,7 @@ pub enum EnclaveState {
 
 /// A simulated enclave: its committed size, owner process and lifecycle.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Enclave {
+pub(crate) struct Enclave {
     /// Identifier assigned by the driver.
     pub id: EnclaveId,
     /// PID of the owning (simulated) process.
@@ -59,13 +57,8 @@ pub struct Enclave {
 
 impl Enclave {
     /// Number of 4 KiB pages the enclave commits.
-    pub fn pages(&self) -> u64 {
+    pub(crate) fn pages(&self) -> u64 {
         self.size_bytes.div_ceil(PAGE_SIZE)
-    }
-
-    /// `true` while the enclave is usable.
-    pub fn is_active(&self) -> bool {
-        self.state == EnclaveState::Active
     }
 }
 
@@ -84,7 +77,6 @@ mod tests {
             threads: 4,
         };
         assert_eq!(enclave.pages(), 4);
-        assert!(enclave.is_active());
     }
 
     #[test]
@@ -92,18 +84,5 @@ mod tests {
         let id = EnclaveId::from_raw(42);
         assert_eq!(id.as_u64(), 42);
         assert_eq!(id.to_string(), "enclave-42");
-    }
-
-    #[test]
-    fn removed_enclaves_are_not_active() {
-        let enclave = Enclave {
-            id: EnclaveId::from_raw(1),
-            owner_pid: 1,
-            size_bytes: PAGE_SIZE,
-            state: EnclaveState::Removed,
-            created_at: SimTime::ZERO,
-            threads: 1,
-        };
-        assert!(!enclave.is_active());
     }
 }

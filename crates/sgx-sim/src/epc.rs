@@ -22,7 +22,7 @@ use crate::SgxError;
 use teemon_sim_core::SimDuration;
 
 /// Size of one EPC page in bytes.
-pub const PAGE_SIZE: u64 = 4096;
+pub(crate) const PAGE_SIZE: u64 = 4096;
 
 /// Static configuration of the EPC.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,19 +55,8 @@ impl Default for EpcConfig {
 }
 
 impl EpcConfig {
-    /// Config for an EPC with exactly `usable_mib` MiB of application-usable
-    /// protected memory.
-    pub fn with_usable_mib(usable_mib: u64) -> Self {
-        let usable = usable_mib * 1024 * 1024;
-        Self {
-            total_bytes: usable + 8 * 1024 * 1024,
-            reserved_bytes: 8 * 1024 * 1024,
-            ..Self::default()
-        }
-    }
-
     /// Number of pages usable by enclaves.
-    pub fn usable_pages(&self) -> u64 {
+    pub(crate) fn usable_pages(&self) -> u64 {
         (self.total_bytes - self.reserved_bytes) / PAGE_SIZE
     }
 }
@@ -75,7 +64,7 @@ impl EpcConfig {
 /// Monotonic counters describing EPC activity since driver load — the exact
 /// set of values the paper's TME reads from the instrumented driver.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EpcCounters {
+pub(crate) struct EpcCounters {
     /// Pages added to enclaves (EADD/EAUG).
     pub pages_added: u64,
     /// Pages evicted from the EPC to main memory (EWB).
@@ -111,7 +100,7 @@ pub struct AccessOutcome {
 
 impl AccessOutcome {
     /// An access that hit a resident page and required no driver work.
-    pub const HIT: AccessOutcome =
+    pub(crate) const HIT: AccessOutcome =
         AccessOutcome { faulted: false, evicted: 0, latency: SimDuration::ZERO };
 }
 
@@ -119,7 +108,7 @@ type PageKey = (EnclaveId, u64);
 
 /// The Enclave Page Cache.
 #[derive(Debug)]
-pub struct Epc {
+pub(crate) struct Epc {
     config: EpcConfig,
     costs: CostModel,
     /// Pages currently resident, with their age state.
@@ -135,7 +124,7 @@ pub struct Epc {
 
 impl Epc {
     /// Creates an EPC with the given configuration and cost model.
-    pub fn new(config: EpcConfig, costs: CostModel) -> Self {
+    pub(crate) fn new(config: EpcConfig, costs: CostModel) -> Self {
         Self {
             config,
             costs,
@@ -147,38 +136,23 @@ impl Epc {
         }
     }
 
-    /// Creates an EPC with the default (~94 MiB usable) configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(EpcConfig::default(), CostModel::default())
-    }
-
     /// The static configuration.
-    pub fn config(&self) -> &EpcConfig {
+    pub(crate) fn config(&self) -> &EpcConfig {
         &self.config
     }
 
     /// Counter snapshot.
-    pub fn counters(&self) -> EpcCounters {
+    pub(crate) fn counters(&self) -> EpcCounters {
         self.counters
     }
 
     /// Number of pages currently free.
-    pub fn free_pages(&self) -> u64 {
+    pub(crate) fn free_pages(&self) -> u64 {
         self.config.usable_pages() - self.resident.len() as u64
     }
 
-    /// Number of pages currently resident.
-    pub fn resident_pages(&self) -> u64 {
-        self.resident.len() as u64
-    }
-
-    /// Number of committed pages currently living in main memory.
-    pub fn swapped_pages(&self) -> u64 {
-        self.swapped.len() as u64
-    }
-
     /// Number of resident pages currently marked old.
-    pub fn old_pages(&self) -> u64 {
+    pub(crate) fn old_pages(&self) -> u64 {
         self.resident.values().filter(|p| p.old).count() as u64
     }
 
@@ -201,7 +175,7 @@ impl Epc {
     /// Runs the swapping daemon: if free pages are below the low watermark,
     /// mark LRU pages old and evict old pages until the high watermark is
     /// reached.  Returns the number of pages evicted and the time spent.
-    pub fn run_swapd(&mut self) -> (u64, SimDuration) {
+    pub(crate) fn run_swapd(&mut self) -> (u64, SimDuration) {
         if self.free_pages() >= self.config.low_watermark_pages {
             return (0, SimDuration::ZERO);
         }
@@ -275,7 +249,11 @@ impl Epc {
     /// # Errors
     ///
     /// Returns [`SgxError::OutOfEpc`] when the EPC has zero usable pages.
-    pub fn add_page(&mut self, enclave: EnclaveId, page: u64) -> Result<AccessOutcome, SgxError> {
+    pub(crate) fn add_page(
+        &mut self,
+        enclave: EnclaveId,
+        page: u64,
+    ) -> Result<AccessOutcome, SgxError> {
         if self.config.usable_pages() == 0 {
             return Err(SgxError::OutOfEpc { requested_pages: 1 });
         }
@@ -298,7 +276,7 @@ impl Epc {
     /// Touching a page that was never committed behaves like [`Epc::add_page`]
     /// (demand paging via EAUG), which is how SGX2-style frameworks grow the
     /// heap lazily.
-    pub fn touch(&mut self, enclave: EnclaveId, page: u64) -> AccessOutcome {
+    pub(crate) fn touch(&mut self, enclave: EnclaveId, page: u64) -> AccessOutcome {
         let key = (enclave, page);
         if self.resident.contains_key(&key) {
             if let Some(p) = self.resident.get_mut(&key) {
@@ -325,7 +303,7 @@ impl Epc {
 
     /// Removes every page (resident or swapped) belonging to `enclave` and
     /// returns how many pages were released.
-    pub fn remove_enclave(&mut self, enclave: EnclaveId) -> u64 {
+    pub(crate) fn remove_enclave(&mut self, enclave: EnclaveId) -> u64 {
         let before = self.resident.len() + self.swapped.len();
         self.resident.retain(|(e, _), _| *e != enclave);
         self.swapped.retain(|(e, _), _| *e != enclave);
@@ -334,23 +312,18 @@ impl Epc {
         (before - self.resident.len() - self.swapped.len()) as u64
     }
 
-    /// Total pages committed (resident + swapped) for `enclave`.
-    pub fn committed_pages(&self, enclave: EnclaveId) -> u64 {
-        let resident = self.resident.keys().filter(|(e, _)| *e == enclave).count();
-        let swapped = self.swapped.keys().filter(|(e, _)| *e == enclave).count();
-        (resident + swapped) as u64
-    }
-
     /// Conservation invariant: free + resident == usable, and no page is both
-    /// resident and swapped.  Exposed for property-based tests.
-    pub fn check_invariants(&self) -> bool {
+    /// resident and swapped.  The property-based tests' oracle.
+    #[cfg(test)]
+    fn check_invariants(&self) -> bool {
         let no_overlap = self.resident.keys().all(|k| !self.swapped.contains_key(k));
         let lru_matches = self.lru.len() == self.resident.len()
             && self
                 .lru
                 .iter()
                 .all(|(seq, key)| self.resident.get(key).map(|p| p.seq == *seq).unwrap_or(false));
-        let conserved = self.free_pages() + self.resident_pages() == self.config.usable_pages();
+        let conserved =
+            self.free_pages() + self.resident.len() as u64 == self.config.usable_pages();
         no_overlap && lru_matches && conserved
     }
 }
@@ -403,7 +376,7 @@ mod tests {
         let outcome = epc.add_page(E1, 4).unwrap();
         assert_eq!(outcome.evicted, 1);
         assert_eq!(epc.counters().pages_evicted, 1);
-        assert_eq!(epc.swapped_pages(), 1);
+        assert_eq!(epc.swapped.len(), 1);
         // Touching page 0 now faults and reclaims it.
         let outcome = epc.touch(E1, 0);
         assert!(outcome.faulted);
@@ -490,11 +463,14 @@ mod tests {
         for i in 0..6 {
             epc.add_page(E2, i).unwrap();
         }
-        assert!(epc.swapped_pages() > 0);
+        assert!(!epc.swapped.is_empty());
         let released = epc.remove_enclave(E1);
         assert_eq!(released, 4);
-        assert_eq!(epc.committed_pages(E1), 0);
-        assert_eq!(epc.committed_pages(E2), 6);
+        let committed = |e: EnclaveId| {
+            epc.resident.keys().chain(epc.swapped.keys()).filter(|(owner, _)| *owner == e).count()
+        };
+        assert_eq!(committed(E1), 0);
+        assert_eq!(committed(E2), 6);
         assert!(epc.check_invariants());
     }
 
@@ -504,7 +480,7 @@ mod tests {
         epc.add_page(E1, 0).unwrap();
         epc.add_page(E1, 0).unwrap();
         assert_eq!(epc.counters().pages_added, 1);
-        assert_eq!(epc.resident_pages(), 1);
+        assert_eq!(epc.resident.len(), 1);
     }
 
     #[test]
@@ -534,7 +510,7 @@ mod tests {
                     _ => { let _ = epc.remove_enclave(enclave); }
                 }
                 proptest::prop_assert!(epc.check_invariants());
-                proptest::prop_assert!(epc.resident_pages() <= epc.config().usable_pages());
+                proptest::prop_assert!(epc.resident.len() as u64 <= epc.config().usable_pages());
             }
         }
 

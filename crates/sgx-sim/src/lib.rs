@@ -6,15 +6,15 @@
 //! Exporter").  Reproducing the paper without SGX hardware therefore requires
 //! a model of exactly that machinery, which this crate provides:
 //!
-//! * [`Epc`] — the Enclave Page Cache: a fixed pool of protected 4 KiB pages
+//! * `Epc` — the Enclave Page Cache: a fixed pool of protected 4 KiB pages
 //!   (~128 MiB raw, ~94 MiB usable) with LRU eviction (`EWB`) to main memory
 //!   and reload (`ELDU`), including the two-phase "mark old, then evict"
 //!   behaviour of `ksgxswapd`,
-//! * [`Enclave`] — enclave lifecycle and working-set bookkeeping,
+//! * `Enclave` — enclave lifecycle and working-set bookkeeping,
 //! * [`SgxDriver`] — the driver façade exposing the same counters the paper
 //!   instruments (`sgx_nr_free_pages`, `sgx_nr_enclaves`, `sgx_nr_evicted`, …)
-//!   through a `/sys/module/isgx/parameters`-style interface,
-//! * [`CostModel`] and [`transition`] — latency costs of EENTER/EEXIT/AEX,
+//!   as one [`DriverStats`] snapshot,
+//! * [`CostModel`] and [`TransitionTracker`] — latency costs of EENTER/EEXIT/AEX,
 //!   paging and MEE-encrypted memory access, used by the framework models.
 //!
 //! The simulation is deliberately a *cost and counter* model, not a functional
@@ -23,17 +23,17 @@
 
 #![warn(missing_docs)]
 
-pub mod costs;
-pub mod driver;
-pub mod enclave;
-pub mod epc;
-pub mod transition;
+mod costs;
+mod driver;
+mod enclave;
+mod epc;
+mod transition;
 
 pub use costs::CostModel;
 pub use driver::{DriverStats, SgxDriver};
-pub use enclave::{Enclave, EnclaveId, EnclaveState};
-pub use epc::{AccessOutcome, Epc, EpcConfig, EpcCounters, PAGE_SIZE};
-pub use transition::{TransitionKind, TransitionTracker};
+pub use enclave::EnclaveId;
+pub use epc::{AccessOutcome, EpcConfig};
+pub use transition::{TransitionCounts, TransitionKind, TransitionTracker};
 
 /// Errors produced by the SGX simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]

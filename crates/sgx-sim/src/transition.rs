@@ -35,30 +35,22 @@ pub struct TransitionCounts {
     pub async_exits: u64,
 }
 
-impl TransitionCounts {
-    /// Total number of transitions of any kind.
-    pub fn total(&self) -> u64 {
-        self.enters + self.exits + self.async_exits
-    }
-}
-
 /// Tracks enclave transitions and converts them into latency.
 #[derive(Debug, Clone)]
 pub struct TransitionTracker {
     costs: CostModel,
     counts: TransitionCounts,
-    total_latency: SimDuration,
 }
 
 impl TransitionTracker {
     /// Creates a tracker using `costs` for latency accounting.
     pub fn new(costs: CostModel) -> Self {
-        Self { costs, counts: TransitionCounts::default(), total_latency: SimDuration::ZERO }
+        Self { costs, counts: TransitionCounts::default() }
     }
 
     /// Records one transition and returns its latency.
     pub fn record(&mut self, kind: TransitionKind) -> SimDuration {
-        let latency = match kind {
+        match kind {
             TransitionKind::Enter => {
                 self.counts.enters += 1;
                 SimDuration::from_nanos(self.costs.eenter_ns)
@@ -71,25 +63,12 @@ impl TransitionTracker {
                 self.counts.async_exits += 1;
                 SimDuration::from_nanos(self.costs.aex_ns)
             }
-        };
-        self.total_latency += latency;
-        latency
-    }
-
-    /// Records a full synchronous round trip (exit + re-enter), the pattern a
-    /// blocking OCALL/system call produces, and returns its latency.
-    pub fn record_round_trip(&mut self) -> SimDuration {
-        self.record(TransitionKind::Exit) + self.record(TransitionKind::Enter)
+        }
     }
 
     /// Counter snapshot.
     pub fn counts(&self) -> TransitionCounts {
         self.counts
-    }
-
-    /// Total latency attributed to transitions so far.
-    pub fn total_latency(&self) -> SimDuration {
-        self.total_latency
     }
 }
 
@@ -100,31 +79,10 @@ mod tests {
     #[test]
     fn transitions_accumulate_latency() {
         let mut t = TransitionTracker::new(CostModel::default());
-        t.record(TransitionKind::Enter);
-        t.record(TransitionKind::Exit);
-        t.record(TransitionKind::AsyncExit);
-        assert_eq!(t.counts().total(), 3);
-        assert_eq!(t.counts().enters, 1);
-        assert!(t.total_latency() >= SimDuration::from_micros(5));
-    }
-
-    #[test]
-    fn round_trip_counts_exit_and_enter() {
-        let mut t = TransitionTracker::new(CostModel::default());
-        let latency = t.record_round_trip();
-        assert_eq!(t.counts().enters, 1);
-        assert_eq!(t.counts().exits, 1);
-        assert_eq!(t.counts().async_exits, 0);
-        assert_eq!(latency, t.total_latency());
-    }
-
-    #[test]
-    fn native_cost_model_is_free() {
-        let mut t = TransitionTracker::new(CostModel::native());
-        for _ in 0..100 {
-            t.record_round_trip();
-        }
-        assert_eq!(t.total_latency(), SimDuration::ZERO);
-        assert_eq!(t.counts().total(), 200);
+        let latency = t.record(TransitionKind::Enter)
+            + t.record(TransitionKind::Exit)
+            + t.record(TransitionKind::AsyncExit);
+        assert_eq!(t.counts(), TransitionCounts { enters: 1, exits: 1, async_exits: 1 });
+        assert!(latency >= SimDuration::from_micros(5));
     }
 }

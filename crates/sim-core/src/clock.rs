@@ -22,13 +22,6 @@ impl SimClock {
         Self::default()
     }
 
-    /// Creates a clock starting at `start`.
-    pub fn starting_at(start: SimTime) -> Self {
-        let clock = Self::new();
-        clock.now_nanos.store(start.as_nanos(), Ordering::Relaxed);
-        clock
-    }
-
     /// The current virtual instant.
     pub fn now(&self) -> SimTime {
         SimTime::from_nanos(self.now_nanos.load(Ordering::Relaxed))
@@ -38,25 +31,6 @@ impl SimClock {
     pub fn advance(&self, delta: SimDuration) -> SimTime {
         let new = self.now_nanos.fetch_add(delta.as_nanos(), Ordering::Relaxed) + delta.as_nanos();
         SimTime::from_nanos(new)
-    }
-
-    /// Advances the clock to `target` if `target` is in the future; the clock
-    /// never moves backwards.
-    pub fn advance_to(&self, target: SimTime) -> SimTime {
-        let target_nanos = target.as_nanos();
-        let mut current = self.now_nanos.load(Ordering::Relaxed);
-        while current < target_nanos {
-            match self.now_nanos.compare_exchange_weak(
-                current,
-                target_nanos,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return target,
-                Err(observed) => current = observed,
-            }
-        }
-        SimTime::from_nanos(current)
     }
 
     /// Milliseconds since simulation start; convenient for metric timestamps.
@@ -83,15 +57,6 @@ mod tests {
         let a = SimClock::new();
         let b = a.clone();
         a.advance(SimDuration::from_millis(100));
-        assert_eq!(b.now(), SimTime::from_millis(100));
-    }
-
-    #[test]
-    fn advance_to_never_goes_backwards() {
-        let clock = SimClock::starting_at(SimTime::from_secs(10));
-        assert_eq!(clock.advance_to(SimTime::from_secs(5)), SimTime::from_secs(10));
-        assert_eq!(clock.now(), SimTime::from_secs(10));
-        assert_eq!(clock.advance_to(SimTime::from_secs(20)), SimTime::from_secs(20));
-        assert_eq!(clock.now(), SimTime::from_secs(20));
+        assert_eq!(b.now(), SimTime::from_nanos(100_000_000));
     }
 }

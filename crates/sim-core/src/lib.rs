@@ -16,9 +16,9 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
-pub mod rng;
-pub mod time;
+pub(crate) mod clock;
+pub(crate) mod rng;
+pub(crate) mod time;
 
 pub use clock::SimClock;
 pub use rng::DetRng;

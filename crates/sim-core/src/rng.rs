@@ -33,15 +33,8 @@ impl DetRng {
         Self { state }
     }
 
-    /// Derives an independent child generator; children with distinct tags are
-    /// statistically independent but fully reproducible.
-    pub fn derive(&mut self, tag: u64) -> DetRng {
-        let seed = self.next_u64() ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        DetRng::seed_from_u64(seed)
-    }
-
     /// Uniform `u64` (xoshiro256++ output function).
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result =
             self.state[0].wrapping_add(self.state[3]).rotate_left(23).wrapping_add(self.state[0]);
         let t = self.state[1] << 17;
@@ -55,55 +48,15 @@ impl DetRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         // Use the top 53 bits for a uniformly distributed double.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform integer in `[low, high)`; `low` when the range is empty.
-    pub fn uniform_u64(&mut self, low: u64, high: u64) -> u64 {
-        if high <= low {
-            return low;
-        }
-        let span = high - low;
-        low + (self.next_f64() * span as f64) as u64
-    }
-
-    /// Uniform float in `[low, high)`.
-    pub fn uniform_f64(&mut self, low: f64, high: f64) -> f64 {
-        if high <= low {
-            return low;
-        }
-        low + self.next_f64() * (high - low)
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         self.next_f64() < p
-    }
-
-    /// Exponentially distributed value with the given mean (inter-arrival
-    /// times of an open-loop workload).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let u: f64 = self.next_f64().max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
-
-    /// Approximately normally distributed value (sum of uniforms), clamped to
-    /// be non-negative; good enough for latency jitter.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        // Irwin–Hall approximation with 12 uniform samples.
-        let sum: f64 = (0..12).map(|_| self.next_f64()).sum();
-        mean + (sum - 6.0) * std_dev
-    }
-
-    /// Positive, normal-ish value clamped at zero.
-    pub fn normal_pos(&mut self, mean: f64, std_dev: f64) -> f64 {
-        self.normal(mean, std_dev).max(0.0)
     }
 
     /// Zipf-distributed rank in `[0, n)` with skew `s` (used for key
@@ -128,24 +81,6 @@ impl DetRng {
             ((n_f.powf(one_minus_s) - 1.0) * u + 1.0).powf(1.0 / one_minus_s) - 1.0
         };
         (rank.max(0.0) as u64).min(n - 1)
-    }
-
-    /// Chooses one element of `slice` uniformly; `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            let idx = self.uniform_u64(0, slice.len() as u64) as usize;
-            Some(&slice[idx])
-        }
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.uniform_u64(0, (i + 1) as u64) as usize;
-            slice.swap(i, j);
-        }
     }
 }
 
@@ -174,13 +109,9 @@ mod tests {
     fn uniform_respects_bounds() {
         let mut rng = DetRng::seed_from_u64(7);
         for _ in 0..1000 {
-            let v = rng.uniform_u64(10, 20);
-            assert!((10..20).contains(&v));
-            let f = rng.uniform_f64(-1.0, 1.0);
-            assert!((-1.0..1.0).contains(&f));
+            let f = rng.next_f64();
+            assert!((0.0..1.0).contains(&f), "{f}");
         }
-        assert_eq!(rng.uniform_u64(5, 5), 5);
-        assert_eq!(rng.uniform_f64(2.0, 1.0), 2.0);
     }
 
     #[test]
@@ -189,24 +120,6 @@ mod tests {
         assert!(!(0..100).any(|_| rng.chance(0.0)));
         assert!((0..100).all(|_| rng.chance(1.0)));
         assert!((0..100).all(|_| rng.chance(2.0)));
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let mut rng = DetRng::seed_from_u64(11);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| rng.exponential(5.0)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.25, "sample mean {mean}");
-        assert_eq!(rng.exponential(0.0), 0.0);
-    }
-
-    #[test]
-    fn normal_mean_is_close() {
-        let mut rng = DetRng::seed_from_u64(13);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| rng.normal(10.0, 2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.15, "sample mean {mean}");
-        assert!(rng.normal_pos(-100.0, 1.0) >= 0.0);
     }
 
     #[test]
@@ -223,33 +136,5 @@ mod tests {
         );
         assert_eq!(rng.zipf(1, 1.0), 0);
         assert_eq!(rng.zipf(0, 1.0), 0);
-    }
-
-    #[test]
-    fn choose_and_shuffle() {
-        let mut rng = DetRng::seed_from_u64(23);
-        let items = [1, 2, 3, 4, 5];
-        for _ in 0..50 {
-            assert!(items.contains(rng.choose(&items).unwrap()));
-        }
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-
-        let mut v: Vec<u32> = (0..100).collect();
-        let original = v.clone();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort();
-        assert_eq!(sorted, original);
-        assert_ne!(v, original);
-    }
-
-    #[test]
-    fn derive_is_deterministic() {
-        let mut a = DetRng::seed_from_u64(99);
-        let mut b = DetRng::seed_from_u64(99);
-        let mut ca = a.derive(1);
-        let mut cb = b.derive(1);
-        assert_eq!(ca.next_u64(), cb.next_u64());
     }
 }

@@ -5,7 +5,7 @@
 //! reproducible.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, AddAssign};
 
 use serde::{Deserialize, Serialize};
 
@@ -26,18 +26,8 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Constructs a time from raw nanoseconds.
-    pub const fn from_nanos(nanos: u64) -> Self {
+    pub(crate) const fn from_nanos(nanos: u64) -> Self {
         Self(nanos)
-    }
-
-    /// Constructs a time from microseconds.
-    pub const fn from_micros(micros: u64) -> Self {
-        Self(micros * 1_000)
-    }
-
-    /// Constructs a time from milliseconds.
-    pub const fn from_millis(millis: u64) -> Self {
-        Self(millis * 1_000_000)
     }
 
     /// Constructs a time from whole seconds.
@@ -51,24 +41,13 @@ impl SimTime {
     }
 
     /// Milliseconds since simulation start (truncated).
-    pub const fn as_millis(&self) -> u64 {
+    pub(crate) const fn as_millis(&self) -> u64 {
         self.0 / 1_000_000
     }
 
     /// Seconds since simulation start as a float.
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Duration elapsed since `earlier`; saturates to zero when `earlier` is
-    /// in the future.
-    pub fn since(&self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Saturating addition of a duration.
-    pub fn saturating_add(&self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
     }
 }
 
@@ -111,11 +90,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Milliseconds (truncated).
-    pub const fn as_millis(&self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds as a float.
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e9
@@ -137,26 +111,6 @@ impl SimDuration {
     }
 }
 
-impl Add<SimDuration> for SimTime {
-    type Output = SimTime;
-    fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-}
-
 impl Add<SimDuration> for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
@@ -167,19 +121,6 @@ impl Add<SimDuration> for SimDuration {
 impl AddAssign<SimDuration> for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
-    }
-}
-
-impl Sub<SimDuration> for SimDuration {
-    type Output = SimDuration;
-    fn sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
     }
 }
 
@@ -203,30 +144,20 @@ mod tests {
 
     #[test]
     fn construction_units_agree() {
-        assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2_000));
-        assert_eq!(SimTime::from_millis(3), SimTime::from_micros(3_000));
+        assert_eq!(SimTime::from_secs(2).as_nanos(), 2_000_000_000);
+        assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_millis(), 500);
+        assert_eq!(SimDuration::from_secs_f64(0.5), SimDuration::from_millis(500));
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
     }
 
     #[test]
-    fn arithmetic_is_saturating_where_it_matters() {
-        let t0 = SimTime::from_secs(1);
-        let t1 = SimTime::from_secs(3);
-        assert_eq!(t1 - t0, SimDuration::from_secs(2));
-        assert_eq!(t0 - t1, SimDuration::ZERO);
-        assert_eq!(t0.since(t1), SimDuration::ZERO);
-        assert_eq!(t1.since(t0).as_secs_f64(), 2.0);
-    }
-
-    #[test]
     fn add_assign_and_scaling() {
-        let mut t = SimTime::ZERO;
-        t += SimDuration::from_millis(250);
-        t += SimDuration::from_millis(750);
-        assert_eq!(t, SimTime::from_secs(1));
+        let mut d = SimDuration::ZERO;
+        d += SimDuration::from_millis(250);
+        d += SimDuration::from_millis(750);
+        assert_eq!(d, SimDuration::from_secs(1));
         assert_eq!(SimDuration::from_secs(2).mul(3), SimDuration::from_secs(6));
         assert_eq!(SimDuration::from_secs(4).div(2), SimDuration::from_secs(2));
         assert_eq!(SimDuration::from_secs(2).mul_f64(0.5), SimDuration::from_secs(1));
@@ -238,12 +169,11 @@ mod tests {
         assert_eq!(SimDuration::from_micros(12).to_string(), "12.0us");
         assert_eq!(SimDuration::from_millis(12).to_string(), "12.0ms");
         assert_eq!(SimDuration::from_secs(12).to_string(), "12.000s");
-        assert_eq!(SimTime::from_secs(1).to_string(), "1.000000s");
     }
 
     #[test]
     fn ordering_is_chronological() {
-        let mut times = [SimTime::from_secs(5), SimTime::ZERO, SimTime::from_millis(10)];
+        let mut times = [SimTime::from_secs(5), SimTime::ZERO, SimTime::from_nanos(10)];
         times.sort();
         assert_eq!(times[0], SimTime::ZERO);
         assert_eq!(times[2], SimTime::from_secs(5));

@@ -15,7 +15,7 @@ use teemon_query::QueryEngine;
 fn main() {
     // A cluster with 4 SGX nodes and 2 ordinary nodes.
     let cluster = Cluster::with_nodes(4, 2);
-    println!("cluster: {} nodes ({} SGX-capable)", cluster.len(), 4);
+    println!("cluster: {} nodes ({} SGX-capable)", cluster.node_count(), 4);
     println!("helm chart:\n{}", HelmChart::teemon().to_json());
 
     // Install TEEMon: one HostMonitor per SGX node.

@@ -71,7 +71,7 @@ fn teeql_panel_recording_and_alert_rules_through_the_builder() {
             .with_unit("calls/s")
             .with_step_ms(5_000);
     let data = panel.evaluate(host.db(), 0, u64::MAX);
-    assert!(!data.is_empty());
+    assert!(!data.aggregated.is_empty());
     assert!(data.current.unwrap() > 0.0);
     assert!(data.render(60).contains("Syscall rate by node"));
 
