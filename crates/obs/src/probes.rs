@@ -312,7 +312,7 @@ probes! {
     ingest "teemon_scrape_round_seconds" "measured wall time of whole scrape rounds"
         { SCRAPE_ROUND_NS: LogLinearHist }
     ingest "teemon_scrape_stage_seconds"
-        "per-target stage timings: collect, cache_walk, append" by "stage" {
+        "per-target stage timings: collect, cache_walk, append (meta samples too)" by "stage" {
         SCRAPE_COLLECT_NS: LogLinearHist = "collect",
         SCRAPE_CACHE_WALK_NS: LogLinearHist = "cache_walk",
         SCRAPE_APPEND_NS: LogLinearHist = "append",

@@ -394,14 +394,14 @@ mod tests {
         // shard without it answers from the post-filter alone.
         let db = crate::TimeSeriesDb::new();
         db.resolve("carrier", &teemon_metrics::Labels::from_pairs([("pod", "p1")]));
-        let home = db.shard_series_counts().iter().position(|&n| n == 1).expect("one series");
+        let home = db.census().shard_series.iter().position(|&n| n == 1).expect("one series");
         let bare = teemon_metrics::Labels::new();
         let other = (0..64)
             .map(|i| format!("bare_{i}"))
             .find(|name| {
-                let before = db.shard_series_counts()[home];
+                let before = db.census().shard_series[home];
                 db.resolve(name, &bare);
-                db.shard_series_counts()[home] == before
+                db.census().shard_series[home] == before
             })
             .expect("some name hashes to another shard");
         let matched = db.select(&Selector::all().with_label_present("pod"));

@@ -62,8 +62,8 @@ pub use scrape::{
 pub use series::{Sample, SeriesId};
 pub use snapshot::{OwnedSampleCursor, SampleCursor, SeriesSnapshot};
 pub use storage::{
-    BatchOutcome, HandleAppend, SeriesHandle, StorageStats, TimeSeriesDb, TsdbConfig, SHARD_COUNT,
-    STALE_HEAD_MS,
+    BatchOutcome, HandleAppend, SeriesHandle, StorageCensus, StorageStats, TimeSeriesDb,
+    TsdbConfig, BATCH_BLOCK, SHARD_COUNT, STALE_HEAD_MS,
 };
 pub use wal::{
     CrashModel, DurabilityOptions, FailpointWriter, FaultFs, FsyncMode, RealFs, WalFile, WalFs,

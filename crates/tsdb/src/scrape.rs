@@ -483,6 +483,8 @@ struct TargetCache {
     /// The repair pass's index of unclaimed entries.  Kept here so that a
     /// repair clears it instead of allocating a new one.
     index: Unclaimed,
+    /// Handles of the series a round writes about the target itself.
+    meta: MetaSeries,
 }
 
 impl TargetCache {
@@ -744,19 +746,15 @@ impl Unclaimed {
 }
 
 /// Appends a filled [`TargetCache`] batch through
-/// [`TimeSeriesDb::append_batch`] and repairs stale handles.  A stale handle
-/// means the series was evicted or dropped after the cache resolved it: the
-/// entry is re-resolved by key (re-creating the series if need be) and the
-/// held-back sample appended individually.  A concurrent drop can race the
-/// re-resolve and stale it again, so the second attempt falls back to the
-/// by-key append, which cannot be stale — a stale handle may cost extra work
-/// but never loses a sample.  Returns the number of samples storage
-/// accepted.  Shared by the scraper's fast lane and [`PushLane`].
+/// [`TimeSeriesDb::append_batch`] and repairs stale handles through
+/// [`reappend`].  Returns the number of samples storage accepted.  Shared by
+/// the scraper's fast lane and [`PushLane`].
 fn append_batch_repairing(db: &TimeSeriesDb, cache: &mut TargetCache) -> u64 {
     let mut outcome = db.append_batch(&cache.batch);
     let mut ingested = outcome.appended;
-    // Stale indices come back grouped by shard; in batch order the dropped
-    // series are re-created in snapshot order, as a per-sample ingest would.
+    // Stale indices come back in no particular order; in batch order the
+    // dropped series are re-created in snapshot order, as a per-sample
+    // ingest would.
     outcome.stale.sort_unstable();
     for &index in &outcome.stale {
         // Stale indices address the batch the appender just consumed;
@@ -770,18 +768,93 @@ fn append_batch_repairing(db: &TimeSeriesDb, cache: &mut TargetCache) -> u64 {
         else {
             continue;
         };
-        entry.handle = db.resolve(entry.key.name(), &entry.merged);
-        match db.append_handle(entry.handle, timestamp_ms, value) {
-            HandleAppend::Appended => ingested += 1,
-            HandleAppend::Rejected => {}
-            HandleAppend::Stale => {
-                if db.append(entry.key.name(), &entry.merged, timestamp_ms, value) {
-                    ingested += 1;
-                }
+        let (name, labels) = (entry.key.name(), &entry.merged);
+        ingested += u64::from(reappend(db, name, labels, &mut entry.handle, timestamp_ms, value));
+    }
+    ingested
+}
+
+/// Appends one sample whose cached `handle` came back stale: the series was
+/// evicted or dropped after the cache resolved it.  The key is re-resolved
+/// (re-creating the series if need be) into `handle` and the sample appended
+/// through it.  A concurrent drop can race the re-resolve and stale it
+/// again, so the second attempt falls back to the by-key append, which
+/// cannot be stale — a stale handle may cost extra work but never loses a
+/// sample.  Returns whether storage accepted the sample.
+fn reappend(
+    db: &TimeSeriesDb,
+    name: &str,
+    labels: &Labels,
+    handle: &mut SeriesHandle,
+    timestamp_ms: u64,
+    value: f64,
+) -> bool {
+    *handle = db.resolve(name, labels);
+    match db.append_handle(*handle, timestamp_ms, value) {
+        HandleAppend::Appended => true,
+        HandleAppend::Rejected => false,
+        HandleAppend::Stale => db.append(name, labels, timestamp_ms, value),
+    }
+}
+
+/// The series a round writes about its target, in the order a target's
+/// first rounds create them (the by-key reference in `tests/support`
+/// creates them in this order too).
+const META_NAMES: [&str; 5] = [
+    "up",
+    "scrape_duration_seconds",
+    "scrape_samples_scraped",
+    "scrape_samples_added",
+    "teemon_overflow_series_total",
+];
+
+/// The handles of a target's [`META_NAMES`] series, kept beside its scrape
+/// cache so the round's own samples skip key hashing and the key index the
+/// way its data samples do.  Each is resolved the first time the series is
+/// written.
+struct MetaSeries([SeriesHandle; META_NAMES.len()]);
+
+impl Default for MetaSeries {
+    fn default() -> Self {
+        Self([SeriesHandle::unresolved(); META_NAMES.len()])
+    }
+}
+
+impl MetaSeries {
+    /// Appends one value per [`META_NAMES`] series (`None` writes nothing to
+    /// it) at `now_ms`, labelled `labels`, as one small
+    /// [`TimeSeriesDb::append_batch`].  A stale handle is repaired through
+    /// [`reappend`], as the data batch's are.
+    fn append(
+        &mut self,
+        db: &TimeSeriesDb,
+        labels: &Labels,
+        now_ms: u64,
+        values: [Option<f64>; META_NAMES.len()],
+    ) {
+        let mut batch = [(SeriesHandle::unresolved(), now_ms, 0.0); META_NAMES.len()];
+        let mut len = 0;
+        for ((value, handle), name) in values.iter().zip(&mut self.0).zip(META_NAMES) {
+            let Some(value) = *value else { continue };
+            if *handle == SeriesHandle::unresolved() {
+                *handle = db.resolve(name, labels);
+            }
+            if let Some(slot) = batch.get_mut(len) {
+                *slot = (*handle, now_ms, value);
+                len += 1;
+            }
+        }
+        let batch = batch.get(..len).unwrap_or_default();
+        let outcome = db.append_batch(batch);
+        // In `META_NAMES` order, so dropped series are re-created in the
+        // order a round first creates them.
+        for (handle, name) in self.0.iter_mut().zip(META_NAMES) {
+            let mut stale = outcome.stale.iter().filter_map(|&index| batch.get(index));
+            if let Some(&(_, _, value)) = stale.find(|(stale, ..)| stale == handle) {
+                reappend(db, name, labels, handle, now_ms, value);
             }
         }
     }
-    ingested
 }
 
 /// Outcome of one [`PushLane::push`] round.
@@ -871,7 +944,6 @@ impl PushLane {
         probes::SCRAPE_CACHE_WALK_NS.record_ns(walk_watch.elapsed_ns());
         let append_watch = Stopwatch::start();
         let ingested = append_batch_repairing(&self.db, cache);
-        probes::SCRAPE_APPEND_NS.record_ns(append_watch.elapsed_ns());
         if overflow > 0 {
             cache.overflow_total += overflow;
             probes::SCRAPE_BUDGET_REJECTED.add(overflow);
@@ -879,14 +951,16 @@ impl PushLane {
         if cache.overflow_total > 0 {
             // Cumulative roll-up series so the clipped tail stays observable
             // (and alertable) without creating one series per rejected key —
-            // warm-path append, same lane as the scrape meta-metrics.
-            self.db.append(
-                "teemon_overflow_series_total",
+            // through a cached handle, like the scrape meta-metrics.
+            let rollup = Some(cache.overflow_total as f64);
+            cache.meta.append(
+                &self.db,
                 &self.base_labels,
                 now_ms,
-                cache.overflow_total as f64,
+                [None, None, None, None, rollup],
             );
         }
+        probes::SCRAPE_APPEND_NS.record_ns(append_watch.elapsed_ns());
         PushOutcome { scraped, ingested, overflow }
     }
 
@@ -928,13 +1002,15 @@ pub struct RoundSummary {
 }
 
 /// What one target's ingest pass moved: wire samples seen, samples storage
-/// accepted, budget-clipped samples this round and cumulatively.
+/// accepted, budget-clipped samples this round and cumulatively, and the
+/// time its batch append took.
 #[derive(Default, Clone, Copy)]
 struct IngestStats {
     scraped: u64,
     ingested: u64,
     overflow: u64,
     overflow_total: u64,
+    append_ns: u64,
 }
 
 /// Per-target result of one round, before any strings are cloned for the
@@ -1176,9 +1252,10 @@ impl Scraper {
     /// `series` are gauges, not `_total`s: retention makes them go down, so
     /// counter names would bait bogus `rate()` queries.)
     fn publish_storage_stats(&self) {
-        let stats = self.db.stats();
+        let census = self.db.census();
+        let stats = &census.stats;
         probes::STORAGE_RESIDENT_BYTES.set(stats.resident_bytes as f64);
-        probes::STORAGE_HEAD_BYTES.set(self.db.head_bytes() as f64);
+        probes::STORAGE_HEAD_BYTES.set(census.head_bytes as f64);
         probes::STORAGE_SAMPLES.set(stats.samples as f64);
         probes::STORAGE_BYTES_PER_SAMPLE.set(stats.bytes_per_sample());
         probes::STORAGE_SERIES.set(stats.series as f64);
@@ -1187,10 +1264,10 @@ impl Scraper {
         probes::STORAGE_SYMBOL_BYTES.set(stats.symbol_bytes as f64);
         probes::STORAGE_INDEX_BYTES.set(stats.index_bytes as f64);
         probes::STORAGE_SERIES_BYTES.set(stats.series_bytes as f64);
-        for (shard, count) in self.db.shard_series_counts().iter().enumerate() {
+        for (shard, count) in census.shard_series.iter().enumerate() {
             probes::SHARD_SERIES.set(shard, *count as f64);
         }
-        for (shard, generation) in self.db.shard_generations().iter().enumerate() {
+        for (shard, generation) in census.shard_generations.iter().enumerate() {
             probes::SHARD_GENERATIONS.set(shard, *generation as f64);
         }
     }
@@ -1209,7 +1286,7 @@ impl Scraper {
             Ok(stats) => (true, stats, None),
             Err(error) => (false, IngestStats::default(), Some(error.to_string())),
         };
-        let IngestStats { scraped, ingested, overflow, overflow_total } = stats;
+        let IngestStats { scraped, ingested, overflow, overflow_total, append_ns } = stats;
         if overflow > 0 {
             probes::SCRAPE_BUDGET_REJECTED.add(overflow);
         }
@@ -1218,27 +1295,22 @@ impl Scraper {
         } else {
             watch.elapsed_seconds()
         };
-        let base_labels = &target.base_labels;
-        self.db.append("up", base_labels, now_ms, if up { 1.0 } else { 0.0 });
-        self.db.append("scrape_duration_seconds", base_labels, now_ms, duration_seconds);
-        if up {
-            // Prometheus semantics: `_scraped` counts the samples the target
-            // exposed, `_added` the ones storage accepted (out-of-order
-            // samples are rejected by the series).
-            self.db.append("scrape_samples_scraped", base_labels, now_ms, scraped as f64);
-            self.db.append("scrape_samples_added", base_labels, now_ms, ingested as f64);
-            if overflow_total > 0 {
-                // Cumulative roll-up of budget-clipped samples for this
-                // target — one series per target regardless of how many
-                // distinct keys the budget rejected.
-                self.db.append(
-                    "teemon_overflow_series_total",
-                    base_labels,
-                    now_ms,
-                    overflow_total as f64,
-                );
-            }
-        }
+        // Prometheus semantics: `_scraped` counts the samples the target
+        // exposed, `_added` the ones storage accepted (out-of-order samples
+        // are rejected by the series).  The overflow roll-up is cumulative:
+        // one series per target however many distinct keys the budget
+        // rejected.  The meta batch is storage-append work for the target,
+        // so it is timed into the same `append` stage observation.
+        let meta_watch = Stopwatch::start();
+        let values = [
+            Some(if up { 1.0 } else { 0.0 }),
+            Some(duration_seconds),
+            up.then_some(scraped as f64),
+            up.then_some(ingested as f64),
+            (up && overflow_total > 0).then_some(overflow_total as f64),
+        ];
+        target.cache.lock().meta.append(&self.db, &target.base_labels, now_ms, values);
+        probes::SCRAPE_APPEND_NS.record_ns(append_ns + meta_watch.elapsed_ns());
         TargetRound { up, scraped, ingested, duration_seconds, error }
     }
 
@@ -1250,6 +1322,7 @@ impl Scraper {
         let mut ingested = 0u64;
         let mut overflow = 0u64;
         let mut overflow_total = 0u64;
+        let mut append_ns = 0u64;
         let collect_watch = Stopwatch::start();
         // The cache lock is taken inside the visit, not around the whole
         // scrape, so an endpoint whose *collect* step transitively scrapes
@@ -1273,11 +1346,11 @@ impl Scraper {
             probes::SCRAPE_CACHE_WALK_NS.record_ns(walk_watch.elapsed_ns());
             let append_watch = Stopwatch::start();
             ingested = append_batch_repairing(&self.db, cache);
-            probes::SCRAPE_APPEND_NS.record_ns(append_watch.elapsed_ns());
+            append_ns += append_watch.elapsed_ns();
             cache.overflow_total += overflow;
             overflow_total = cache.overflow_total;
         })?;
-        Ok(IngestStats { scraped, ingested, overflow, overflow_total })
+        Ok(IngestStats { scraped, ingested, overflow, overflow_total, append_ns })
     }
 
     /// Instances whose most recent `up` sample is 0 at `now_ms` — the health
@@ -1468,6 +1541,44 @@ mod tests {
         assert!(!outcomes[0].up);
         assert!(outcomes[0].error.as_deref().unwrap().contains("refused"));
         assert_eq!(scraper.unhealthy_instances(1_000), vec!["node-2:9090".to_string()]);
+    }
+
+    #[test]
+    fn meta_series_dropped_between_rounds_are_written_again() {
+        let db = TimeSeriesDb::new();
+        let scraper = Scraper::new(db.clone());
+        scraper.add_collector(
+            ScrapeTargetConfig::new("live", "up:1"),
+            Fixture::serving(vec![gauge("g", 1.0)]),
+        );
+        scraper.add_target(
+            ScrapeTargetConfig::new("dead", "down:1"),
+            Arc::new(|| Err(ScrapeError::Unreachable("connection refused".to_string()))),
+        );
+        let points = |name: &str, instance: &str| match &db
+            .select(&Selector::metric(name).with_label("instance", instance))[..]
+        {
+            [series] => series.points_in(0, u64::MAX),
+            none_or_more => panic!("{} series {name}{{instance={instance}}}", none_or_more.len()),
+        };
+        scraper.scrape_once(5_000);
+        assert_eq!(scraper.unhealthy_instances(5_000), ["down:1"]);
+        // The cached meta handles go stale: the next round re-resolves them
+        // and writes every meta sample, into fresh series.
+        assert_eq!(db.drop_series(&Selector::metric("up")), 2);
+        assert_eq!(db.drop_series(&Selector::metric("scrape_samples_added")), 1);
+        scraper.scrape_once(10_000);
+        assert_eq!(points("up", "up:1"), [(10_000, 1.0)]);
+        assert_eq!(points("up", "down:1"), [(10_000, 0.0)]);
+        assert_eq!(points("scrape_samples_added", "up:1"), [(10_000, 1.0)]);
+        assert_eq!(points("scrape_samples_scraped", "up:1"), [(5_000, 1.0), (10_000, 1.0)]);
+        assert_eq!(points("scrape_duration_seconds", "up:1").len(), 2);
+        // A target whose collect fails writes `up 0` and its duration only.
+        assert_eq!(points("scrape_duration_seconds", "down:1").len(), 2);
+        assert!(db
+            .select(&Selector::metric("scrape_samples_scraped").with_label("instance", "down:1"))
+            .is_empty());
+        assert_eq!(scraper.unhealthy_instances(10_000), ["down:1"]);
     }
 
     #[test]

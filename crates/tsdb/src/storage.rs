@@ -39,7 +39,7 @@
 //!   tracks the resident footprint, surfaced as
 //!   [`StorageStats::resident_bytes`] / [`StorageStats::bytes_per_sample`],
 //!   and `head_bytes` the open heads' share of it
-//!   ([`TimeSeriesDb::head_bytes`]),
+//!   ([`StorageCensus::head_bytes`]),
 //! * the heap holds what that ledger counts: a head has no buffer until its
 //!   first burst, and the buffer doubles 32 → 64 → … bytes with the block in
 //!   it; a seal stores the block as one exact-sized allocation and keeps the
@@ -51,11 +51,12 @@
 //!   into a cheap [`SeriesHandle`] once, and
 //!   [`TimeSeriesDb::append_batch`] appends a whole scrape round of
 //!   `(handle, timestamp, value)` samples taking each shard lock **once per
-//!   round** instead of once per sample.  Handles carry the owning shard's
-//!   generation: series eviction ([`TimeSeriesDb::apply_retention`] dropping
-//!   fully-aged series, [`TimeSeriesDb::drop_series`]) bumps the generation,
-//!   so a stale handle is reported back for re-resolution instead of ever
-//!   writing to the wrong series.
+//!   block** of [`BATCH_BLOCK`] samples instead of once per sample.  Handles
+//!   carry the owning shard's generation: series eviction
+//!   ([`TimeSeriesDb::apply_retention`] dropping fully-aged series,
+//!   [`TimeSeriesDb::drop_series`]) bumps the generation, so a stale handle
+//!   is reported back for re-resolution instead of ever writing to the
+//!   wrong series.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -65,7 +66,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{LockClass, RwLock, RwLockWriteGuard};
+use parking_lot::{LockClass, RwLock};
 use serde::{Deserialize, Serialize};
 use teemon_metrics::Labels;
 use teemon_obs::{probes, Stopwatch};
@@ -81,6 +82,12 @@ use crate::wal::{self, DurabilityOptions, Wal};
 /// Number of lock shards.  A power of two so the shard of a key hash is a
 /// mask, sized for "more shards than scraper threads" on typical hosts.
 pub const SHARD_COUNT: usize = 16;
+
+/// Samples [`TimeSeriesDb::append_batch`] sorts by shard at a time: its
+/// positions fit a `u16`, and the sort's scratch is a stack array of this
+/// many of them (8 KiB), so a batch of any size is appended without
+/// allocating.  A scrape round of one target fits one block.
+pub const BATCH_BLOCK: usize = 4096;
 
 // The per-shard telemetry slots in `teemon_obs` are sized statically (obs
 // sits *below* this crate in the dependency graph, so it cannot read
@@ -187,6 +194,23 @@ impl StorageStats {
     pub fn total_bytes(&self) -> u64 {
         self.resident_bytes + self.symbol_bytes + self.index_bytes
     }
+}
+
+/// One pass over the shards ([`TimeSeriesDb::census`]): the store's
+/// [`StorageStats`] and the per-shard figures read alongside them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StorageCensus {
+    /// The store's statistics, as [`TimeSeriesDb::stats`] returns them.
+    pub stats: StorageStats,
+    /// The open heads' share of [`StorageStats::resident_bytes`]: per head,
+    /// the bytes in use of the block it is building plus 16 per sample of
+    /// its tail.
+    pub head_bytes: u64,
+    /// Series per lock shard — how evenly the series-key hash spreads
+    /// ingest load.
+    pub shard_series: [usize; SHARD_COUNT],
+    /// Each shard's generation (see [`SeriesHandle`]).
+    pub shard_generations: [u64; SHARD_COUNT],
 }
 
 /// A resolved reference to one stored series: the owning lock shard, the
@@ -1434,16 +1458,21 @@ impl TimeSeriesDb {
     }
 
     /// Appends a whole scrape round of handle-addressed samples, taking each
-    /// shard's write lock **once per round** instead of once per sample.
-    /// Samples are grouped by shard; within a shard they apply in input
-    /// order, so per-series semantics (out-of-order rejection, chunk sealing)
-    /// are identical to issuing the same appends one by one.
+    /// shard's write lock **once per block** of [`BATCH_BLOCK`] samples
+    /// instead of once per sample.  Each block is sorted by shard once (a
+    /// counting sort of its positions into a stack array); each shard with
+    /// samples in it is then locked once and walks only its own run, in
+    /// input order, so per-series semantics (out-of-order rejection, chunk
+    /// sealing) and WAL staging are identical to issuing the same appends
+    /// one by one.
     ///
     /// Stale handles (their shard evicted or dropped series since
-    /// resolution) are skipped and reported by input index in
-    /// [`BatchOutcome::stale`]; the caller re-resolves those keys and retries
-    /// — a stale handle can miss a beat but never write to the wrong series.
-    /// On a steady-state round the call performs zero heap allocations.
+    /// resolution, or a handle that never addressed a shard) are skipped and
+    /// reported by input index, in no particular order, in
+    /// [`BatchOutcome::stale`]; the caller re-resolves those keys and
+    /// retries — a stale handle can miss a beat but never write to the wrong
+    /// series.  On a steady-state round the call performs zero heap
+    /// allocations.
     pub fn append_batch(&self, batch: &[(SeriesHandle, u64, f64)]) -> BatchOutcome {
         let chunk_size = self.config.chunk_size.max(1);
         let mut outcome = BatchOutcome::default();
@@ -1453,59 +1482,78 @@ impl TimeSeriesDb {
         // taken; the section future-proofs overlapping holds.)
         #[cfg(lock_audit)]
         let _ordered = parking_lot::audit::ordered_section();
-        // 16 passes over the input beat one lock round-trip per sample: the
-        // scan is branch-predictable integer compares, and shards whose
-        // samples were all consumed earlier are skipped without locking.
-        let mut remaining = batch.len();
         let mut appended_per_shard = [0u64; SHARD_COUNT];
         let mut flush_due = false;
-        for shard in 0..SHARD_COUNT as u16 {
-            if remaining == 0 {
-                break;
-            }
-            let mut inner: Option<RwLockWriteGuard<'_, ShardInner>> = None;
-            // The WAL writer is taken lazily alongside the shard guard, so a
-            // shard with no samples this round locks nothing.
-            let mut writer: Option<wal::ShardWriter<'_>> = None;
-            let mut appended_here = 0u64;
-            for (index, &(handle, timestamp_ms, value)) in batch.iter().enumerate() {
-                if handle.shard != shard {
-                    continue;
+        // A block's positions, shard by shard: shard `s`'s run is
+        // `order[start[s]..start[s + 1]]`.
+        let mut order = [0u16; BATCH_BLOCK];
+        for (block_index, block) in batch.chunks(BATCH_BLOCK).enumerate() {
+            let base = block_index * BATCH_BLOCK;
+            // Count each shard's samples one slot up, then sum the counts
+            // into run starts.  A handle outside every shard (one that was
+            // never resolved) is stale: no generation can match it.
+            let mut start = [0usize; SHARD_COUNT + 1];
+            for (at, (handle, ..)) in block.iter().enumerate() {
+                match start.get_mut(handle.shard as usize + 1) {
+                    Some(count) => *count += 1,
+                    None => outcome.stale.push(base + at),
                 }
-                remaining -= 1;
-                let inner = match &mut inner {
-                    Some(inner) => inner,
-                    None => {
-                        let guard = inner.insert(self.shared.shard(shard as usize).write());
-                        writer = self.shared.stage(shard as usize);
-                        guard
-                    }
+            }
+            let mut sum = 0;
+            for slot in &mut start {
+                sum += *slot;
+                *slot = sum;
+            }
+            let mut next = start;
+            for (at, (handle, ..)) in block.iter().enumerate() {
+                let Some(cursor) =
+                    next.get_mut(..SHARD_COUNT).and_then(|n| n.get_mut(handle.shard as usize))
+                else {
+                    continue;
                 };
-                if handle.generation != inner.generation
-                    || (handle.local as usize) >= inner.series.len()
-                {
-                    // Stale handles are rare (a drop/retention pass raced the
-                    // round); growing the report is allowed to allocate.
-                    #[cfg(lock_audit)]
-                    let _allow = parking_lot::audit::allow_alloc();
-                    outcome.stale.push(index);
+                if let Some(slot) = order.get_mut(*cursor) {
+                    *slot = at as u16;
+                }
+                *cursor += 1;
+            }
+            for (shard, (bounds, appended)) in
+                start.windows(2).zip(&mut appended_per_shard).enumerate()
+            {
+                let &[from, to] = bounds else { continue };
+                let run = order.get(from..to).unwrap_or_default();
+                if run.is_empty() {
                     continue;
                 }
-                if let Some(writer) = writer.as_mut() {
-                    writer.sample(handle.local, timestamp_ms, value);
+                let mut inner = self.shared.shard(shard).write();
+                let mut writer = self.shared.stage(shard);
+                for &at in run {
+                    let Some(&(handle, timestamp_ms, value)) = block.get(at as usize) else {
+                        continue;
+                    };
+                    if handle.generation != inner.generation
+                        || (handle.local as usize) >= inner.series.len()
+                    {
+                        // Stale handles are rare (a drop/retention pass raced
+                        // the round); growing the report is allowed to
+                        // allocate.
+                        #[cfg(lock_audit)]
+                        let _allow = parking_lot::audit::allow_alloc();
+                        outcome.stale.push(base + at as usize);
+                        continue;
+                    }
+                    if let Some(writer) = writer.as_mut() {
+                        writer.sample(handle.local, timestamp_ms, value);
+                    }
+                    if inner.append(handle.local, Sample { timestamp_ms, value }, chunk_size) {
+                        *appended += 1;
+                    } else {
+                        outcome.rejected += 1;
+                    }
                 }
-                let sample = Sample { timestamp_ms, value };
-                if inner.append(handle.local, sample, chunk_size) {
-                    outcome.appended += 1;
-                    appended_here += 1;
-                } else {
-                    outcome.rejected += 1;
-                }
+                flush_due |= writer.is_some_and(|writer| writer.over_budget());
             }
-            // teemon-verify: allow(no-index): invariant — `shard` iterates 0..SHARD_COUNT, the array length
-            appended_per_shard[shard as usize] = appended_here;
-            flush_due |= writer.is_some_and(|writer| writer.over_budget());
         }
+        outcome.appended = appended_per_shard.iter().sum();
         if flush_due {
             // Every shard guard is released: the log lock stays outermost.
             self.wal_flush();
@@ -1604,17 +1652,24 @@ impl TimeSeriesDb {
         self.shared.shards.iter().map(|s| s.read().series.len()).sum()
     }
 
-    /// Number of series per lock shard — a diagnostic for how evenly the
-    /// series-key hash spreads ingest load.
-    pub fn shard_series_counts(&self) -> [usize; SHARD_COUNT] {
-        std::array::from_fn(|i| self.shared.shard(i).read().series.len())
-    }
-
     /// Storage statistics, folded from the per-shard aggregates in O(shards).
     pub fn stats(&self) -> StorageStats {
-        let mut stats = StorageStats::default();
-        for shard in &self.shared.shards {
+        self.census().stats
+    }
+
+    /// Everything the per-shard aggregates say, read under one read lock per
+    /// shard and then the symbol lock: the [`StorageStats`], the open heads'
+    /// share of their resident bytes, and each shard's series count and
+    /// generation.  The scrape driver publishes it after every round.
+    pub fn census(&self) -> StorageCensus {
+        let mut census = StorageCensus::default();
+        let stats = &mut census.stats;
+        let per_shard = census.shard_series.iter_mut().zip(&mut census.shard_generations);
+        for (shard, (series, generation)) in self.shared.shards.iter().zip(per_shard) {
             let inner = shard.read();
+            *series = inner.series.len();
+            *generation = inner.generation;
+            census.head_bytes += inner.head_bytes;
             stats.series += inner.series.len() as u64;
             stats.samples += inner.samples;
             stats.chunks += inner.chunks;
@@ -1630,14 +1685,7 @@ impl TimeSeriesDb {
         let symbols = self.shared.symbols.read();
         stats.symbols = symbols.len() as u64;
         stats.symbol_bytes = symbols.bytes();
-        stats
-    }
-
-    /// The open heads' share of [`StorageStats::resident_bytes`]: per head,
-    /// the bytes in use of the block it is building plus 16 per sample of
-    /// its tail.  Folded from the per-shard aggregates in O(shards).
-    pub fn head_bytes(&self) -> u64 {
-        self.shared.shards.iter().map(|s| s.read().head_bytes).sum()
+        census
     }
 
     /// Compiles `selector` once against the symbol table.  The symbol lock is
@@ -2150,6 +2198,17 @@ mod tests {
             [(2_000, 2.0)],
             "re-resolved series got the new sample"
         );
+    }
+
+    #[test]
+    fn a_handle_outside_every_shard_is_reported_stale() {
+        let db = TimeSeriesDb::new();
+        let live = db.resolve("m", &labels(&[("node", "n1")]));
+        let never = SeriesHandle::unresolved();
+        let outcome =
+            db.append_batch(&[(never, 1_000, 1.0), (live, 1_000, 2.0), (never, 2_000, 3.0)]);
+        assert_eq!(outcome, BatchOutcome { appended: 1, rejected: 0, stale: vec![0, 2] });
+        assert_eq!(db.stats().samples, 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use teemon_metrics::Labels;
-use teemon_tsdb::{Selector, TimeSeriesDb};
+use teemon_tsdb::{BatchOutcome, Selector, SeriesHandle, TimeSeriesDb, BATCH_BLOCK};
 
 struct CountingAllocator;
 
@@ -102,4 +102,37 @@ fn chunk_seal_allocates_only_at_the_boundary() {
     db.append("m", &labels, 301, 0.0);
     assert_eq!(allocations() - before, 0);
     assert_eq!(db.select(&Selector::metric("m"))[0].chunk_count(), 3);
+}
+
+/// A warm `append_batch` of more than one [`BATCH_BLOCK`]: sorting each block
+/// by shard uses a stack array, so however long the batch, nothing is
+/// allocated.
+#[test]
+fn a_warm_multi_block_batch_is_allocation_free() {
+    const SERIES: u64 = 200;
+    // Samples per series per batch: a divisor of the chunk size, so a
+    // batch that starts a chunk seals nothing.
+    const PER_SERIES: u64 = 24;
+    let db = TimeSeriesDb::new(); // chunk_size 120
+    let handles: Vec<SeriesHandle> = (0..SERIES)
+        .map(|i| db.resolve("m", &Labels::from_pairs([("idx", format!("{i}"))])))
+        .collect();
+    let mut batch = Vec::with_capacity((SERIES * PER_SERIES) as usize);
+    let round = |batch: &mut Vec<(SeriesHandle, u64, f64)>, first: u64| {
+        batch.clear();
+        for t in first..first + PER_SERIES {
+            batch.extend(handles.iter().map(|&h| (h, t * 1_000, t as f64)));
+        }
+        db.append_batch(batch)
+    };
+    const { assert!(SERIES * PER_SERIES > BATCH_BLOCK as u64) };
+    // Five batches take every series through its first chunk, where its
+    // block's buffer grows; the seal at its end keeps the buffer.
+    for first in (0..120).step_by(PER_SERIES as usize) {
+        assert_eq!(round(&mut batch, first).appended, SERIES * PER_SERIES);
+    }
+    let before = allocations();
+    let outcome = round(&mut batch, 120);
+    assert_eq!(allocations() - before, 0, "a warm multi-block batch must not allocate");
+    assert_eq!(outcome, BatchOutcome { appended: SERIES * PER_SERIES, ..BatchOutcome::default() });
 }

@@ -203,12 +203,12 @@ impl Pair {
         // Find labels that put `clock` into `m`'s shard: create `m`, then try
         // candidates, dropping the ones that land elsewhere.
         db.resolve("m", &Labels::new());
-        let shard = db.shard_series_counts().iter().position(|&n| n == 1).expect("m exists");
+        let shard = db.census().shard_series.iter().position(|&n| n == 1).expect("m exists");
         let clock = (0..)
             .map(|i| Labels::from_pairs([("probe", format!("{i}"))]))
             .find(|labels| {
                 db.resolve("clock", labels);
-                let landed = db.shard_series_counts()[shard] == 2;
+                let landed = db.census().shard_series[shard] == 2;
                 if !landed {
                     db.drop_series(&Selector::metric("clock"));
                 }
@@ -330,7 +330,10 @@ impl Pair {
             ..stats
         };
         assert_eq!(stats, expected);
-        assert_eq!(self.db.head_bytes(), models().map(|m| m.head_ledger_bytes() as u64).sum());
+        assert_eq!(
+            self.db.census().head_bytes,
+            models().map(|m| m.head_ledger_bytes() as u64).sum()
+        );
         assert_eq!(self.db.newest_timestamp(), self.newest());
     }
 }
@@ -563,7 +566,7 @@ fn a_store_crashed_mid_chunk_resumes_its_blocks_where_they_stood() {
         // `series_bytes` counts capacities — history, not state: a recovered
         // store's is its own.
         let stats = StorageStats { series_bytes: 0, ..db.stats() };
-        (stats, db.head_bytes(), series, points)
+        (stats, db.census().head_bytes, series, points)
     };
     for chunk_size in CHUNK_SIZES {
         let config = TsdbConfig { chunk_size, retention_ms: u64::MAX };
@@ -595,8 +598,8 @@ fn a_store_crashed_mid_chunk_resumes_its_blocks_where_they_stood() {
         let finished = fingerprint(&steady_db);
 
         // Crash after every acked round: the recovered store equals the
-        // live one then — `stats()` and `head_bytes()` included, partial
-        // blocks and all — and, fed the rest, ends where it ended.
+        // live one then — `stats()` and the census' head bytes included,
+        // partial blocks and all — and, fed the rest, ends where it ended.
         for (crashed_after, (bytes, live)) in acked.iter().enumerate() {
             let image = fs.crashed(*bytes, CrashModel::Torn);
             let recovered =

@@ -156,7 +156,7 @@ fn steady_series_hold_their_blocks_and_one_head_buffer() {
     assert_eq!((stats.samples, stats.chunks), (SERIES as u64 * ROUNDS, SERIES as u64 * 4));
     // Past its first seal a steady series keeps one block buffer; the ledger
     // counts the five bursts in it, the rest of it is stated here.
-    let in_use = db.head_bytes();
+    let in_use = db.census().head_bytes;
     assert!(in_use < SERIES as u64 * KEPT_BUFFER, "{in_use} B of open heads");
     let bound = allowance(&stats, SERIES as u64 * KEPT_BUFFER - in_use);
     assert!(held <= bound, "{held} B live for a ledger allowing {bound} B ({stats:?})");
@@ -182,7 +182,7 @@ fn preloaded_series_hold_exact_blocks_and_release_empty_heads_once_stale() {
     assert_eq!(stats.chunks, SERIES as u64 * 12);
     // Every head is empty and still has its buffer: the one thing here the
     // ledger does not count.
-    assert_eq!(db.head_bytes(), 0);
+    assert_eq!(db.census().head_bytes, 0);
     let kept_heads = SERIES as u64 * KEPT_BUFFER;
     let bound = allowance(&stats, kept_heads);
     assert!(held <= bound, "{held} B live for a ledger allowing {bound} B ({stats:?})");
@@ -214,8 +214,8 @@ fn churned_series_cost_their_samples_not_a_head_buffer() {
     // A head's buffer is at most twice the block in it (32 bytes at least,
     // in `PER_SERIES`), and the tail the ledger counts is not heap at all…
     let stats = db.stats();
-    assert_eq!(db.head_bytes(), stats.resident_bytes, "nothing is sealed yet");
-    let (held, bound) = (live() - before, allowance(&stats, db.head_bytes()));
+    assert_eq!(db.census().head_bytes, stats.resident_bytes, "nothing is sealed yet");
+    let (held, bound) = (live() - before, allowance(&stats, db.census().head_bytes));
     assert!(held <= bound, "{held} B live for a ledger allowing {bound} B ({stats:?})");
 
     // …and nothing once the series has been idle for five minutes: the
@@ -223,7 +223,7 @@ fn churned_series_cost_their_samples_not_a_head_buffer() {
     tick(&db, &tickers, 40 * TICK_MS + STALE_HEAD_MS + 1);
     assert_eq!(db.apply_retention(), 0);
     let sealed = db.stats();
-    assert_eq!(db.head_bytes(), 256 * 16, "the tickers' one sample each");
+    assert_eq!(db.census().head_bytes, 256 * 16, "the tickers' one sample each");
     assert_eq!(
         (sealed.samples, sealed.chunks, sealed.series),
         (stats.samples + 256, stats.chunks + 256, stats.series),
@@ -267,11 +267,11 @@ fn a_head_doubles_through_its_first_chunk_and_then_only_seals_allocate() {
     for t in CHUNK_SIZE as u64..2 * CHUNK_SIZE as u64 - 1 {
         assert_eq!(append(t), (0, 0), "append {t} of a warm head");
     }
-    let (before, head) = (db.stats().resident_bytes, db.head_bytes());
+    let (before, head) = (db.stats().resident_bytes, db.census().head_bytes);
     assert_eq!(append(2 * CHUNK_SIZE as u64 - 1), (2, 0));
     // The ledger swapped the open head (fourteen bursts as a block, seven
     // samples in the tail) for the finished block.
-    assert_eq!(db.head_bytes(), 0);
+    assert_eq!(db.census().head_bytes, 0);
     let block = db.stats().resident_bytes - (before - head);
     assert!(
         LAST_SIZES.with(Cell::get).contains(&(block as usize)),
@@ -317,7 +317,7 @@ fn a_float_valued_store_weighs_what_it_did_before_blocks_had_kinds() {
         }
         assert_eq!(db.append_batch(&batch).appended, SERIES as u64);
     }
-    assert_eq!((db.stats().resident_bytes, db.head_bytes()), (228_429, 22_052));
+    assert_eq!((db.stats().resident_bytes, db.census().head_bytes), (228_429, 22_052));
 }
 
 // ---------------------------------------------------------------------------
@@ -458,7 +458,7 @@ fn a_churned_series_costs_what_it_is_worth_from_before_it_is_resolved() {
     drop(handles);
     let stats = db.stats();
     // A head's buffer is at most twice the block in it, 32 bytes at least.
-    let head_slack = db.head_bytes() + 32 * SERIES as u64;
+    let head_slack = db.census().head_bytes + 32 * SERIES as u64;
     let held = per_series(
         "heads live",
         live() - before,
@@ -476,7 +476,7 @@ fn a_churned_series_costs_what_it_is_worth_from_before_it_is_resolved() {
     assert_eq!(db.apply_retention(), 0);
     drop(tickers);
     let (stats, held) = (db.stats(), live() - before);
-    assert_eq!(db.head_bytes(), 256 * 16, "the tickers' one sample each");
+    assert_eq!(db.census().head_bytes, 256 * 16, "the tickers' one sample each");
     let all: Vec<Key> = keys.iter().cloned().chain(ticker_keys(256)).collect();
     let held = per_series("stale", held, accounted(&stats, &all, 256 * 32), &stats, &all);
     assert!(held <= 600, "{held} B a churned series, stale");
@@ -545,7 +545,7 @@ fn series_bytes_is_what_the_allocator_attributes_to_the_records() {
     // in each shard's `names` map, whose size the shard's series count gives.
     let bare: Vec<Key> = (0..10_000).map(|i| key(format!("bare_{i}"), &[])).collect();
     let (held, db) = records_and_postings(&bare);
-    let names: i64 = db.shard_series_counts().iter().map(|&n| table_bytes(n, 4 + 4 + 24)).sum();
+    let names: i64 = db.census().shard_series.iter().map(|&n| table_bytes(n, 4 + 4 + 24)).sum();
     let (records, gauge) = (held - names, db.stats().series_bytes as i64);
     assert!((records - gauge).abs() * 10 <= records, "{gauge} B gauged, {records} B held");
 

@@ -233,7 +233,7 @@ fn concurrent_appends_lose_nothing() {
     // shards.  The hash is deterministic, so this cannot flake run to run;
     // for a uniform hash an empty shard among 16 with 128 series would be a
     // (15/16)^128 ≈ 0.03 % per-shard event.
-    let shard_counts = db.shard_series_counts();
+    let shard_counts = db.census().shard_series;
     let populated = shard_counts.iter().filter(|&&c| c > 0).count();
     assert!(
         populated >= SHARD_COUNT / 2,

@@ -12,6 +12,7 @@
 
 mod support;
 
+use std::path::Path;
 use std::sync::Arc;
 
 use proptest::{proptest, TestRng};
@@ -21,7 +22,8 @@ use teemon_metrics::{
 };
 use teemon_obs::probes;
 use teemon_tsdb::{
-    ScrapeError, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
+    DurabilityOptions, FaultFs, HandleAppend, ScrapeError, ScrapeTargetConfig, Scraper, Selector,
+    SeriesHandle, TimeSeriesDb, TsdbConfig, BATCH_BLOCK, STALE_HEAD_MS,
 };
 
 /// One logical series of the generated workload.
@@ -266,4 +268,75 @@ fn down_targets_stale_stamps_and_histograms_match_the_reference() {
     bounds.sort_unstable();
     assert_eq!(bounds, ["+Inf", "0.1", "1"]);
     assert!(buckets.iter().all(|s| s.len() == 4 && s.label_value("zone") == Some("z1")));
+}
+
+/// The storage half of the fast lane: [`TimeSeriesDb::append_batch`] over a
+/// shuffled batch of more than one [`BATCH_BLOCK`], some of whose handles a
+/// drop staled, does exactly what [`TimeSeriesDb::append_handle`] does entry
+/// by entry in input order — the same store, the same counts, the same
+/// stale entries — and its log replays to that store.
+#[test]
+fn a_multi_block_batch_equals_its_appends_one_by_one() {
+    const SERIES: usize = 600;
+    const ENTRIES: usize = 10_000;
+    const { assert!(ENTRIES > 2 * BATCH_BLOCK) };
+    let fs = FaultFs::new();
+    let open = |fs: &FaultFs| {
+        let options =
+            DurabilityOptions { fs: Arc::new(fs.clone()), ..DurabilityOptions::default() };
+        TimeSeriesDb::open_with(Path::new("/wal"), TsdbConfig::default(), options)
+            .expect("FaultFs open cannot fail")
+    };
+    let batched = open(&fs);
+    let one_by_one = TimeSeriesDb::new();
+    let handles: Vec<(SeriesHandle, SeriesHandle)> = (0..SERIES)
+        .map(|i| {
+            let labels =
+                Labels::from_pairs([("idx", format!("{i}")), ("node", format!("n{}", i % 7))]);
+            (batched.resolve("m", &labels), one_by_one.resolve("m", &labels))
+        })
+        .collect();
+    for idx in ["5", "123", "404"] {
+        let selector = Selector::metric("m").with_label("idx", idx);
+        assert_eq!((batched.drop_series(&selector), one_by_one.drop_series(&selector)), (1, 1));
+    }
+
+    // Series picked at random, timestamps rising with jitter (so some land
+    // out of order), values whole and fractional (both block kinds).
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let entries: Vec<(usize, u64, f64)> = (0..ENTRIES as u64)
+        .map(|k| {
+            let series = (next() % SERIES as u64) as usize;
+            let timestamp_ms = 1_000 * (k / 4) + next() % 20_000;
+            let value = (next() % 1_000) as f64 + if k % 3 == 0 { 0.5 } else { 0.0 };
+            (series, timestamp_ms, value)
+        })
+        .collect();
+
+    let batch: Vec<_> = entries.iter().map(|&(s, t, v)| (handles[s].0, t, v)).collect();
+    let outcome = batched.append_batch(&batch);
+    let (mut appended, mut rejected, mut stale) = (0u64, 0u64, Vec::new());
+    for (index, &(s, t, v)) in entries.iter().enumerate() {
+        match one_by_one.append_handle(handles[s].1, t, v) {
+            HandleAppend::Appended => appended += 1,
+            HandleAppend::Rejected => rejected += 1,
+            HandleAppend::Stale => stale.push(index),
+        }
+    }
+    assert!(appended > 0 && rejected > 0 && !stale.is_empty(), "{appended} {rejected}");
+    let mut reported = outcome.stale.clone();
+    reported.sort_unstable();
+    assert_eq!((outcome.appended, outcome.rejected, reported), (appended, rejected, stale));
+    assert_eq!(fingerprint(&batched), fingerprint(&one_by_one));
+
+    assert!(batched.wal_flush());
+    let live = fingerprint(&batched);
+    drop(batched);
+    assert_eq!(fingerprint(&open(&fs)), live, "the log replays to the store it was written by");
 }

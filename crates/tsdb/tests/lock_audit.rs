@@ -19,7 +19,7 @@ use parking_lot::{audit, LockClass, Mutex};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_tsdb::{
     CardinalityBudgets, DurabilityOptions, FaultFs, ScrapeTargetConfig, Scraper, Selector,
-    TimeSeriesDb, TsdbConfig,
+    TimeSeriesDb, TsdbConfig, BATCH_BLOCK,
 };
 
 /// Allocations observed while [`audit::alloc_armed`] reported `true` — i.e.
@@ -96,6 +96,57 @@ fn engine_exercise_allocates_only_in_approved_scopes() {
         "allocations under an exclusive shard lock outside allow_alloc scopes"
     );
     assert!(audit::acquisition_count() > 0, "the instrumentation must have been live");
+}
+
+/// A batch of more than one [`BATCH_BLOCK`] beside range readers: every
+/// block walks its shards in ascending order inside the batch's ordered
+/// section, each reader holds one shard at a time, and nothing allocates
+/// under a shard lock outside an approved scope (chunk seals are one).
+#[test]
+fn multi_block_batches_beside_range_reads_keep_the_lock_rules() {
+    const SERIES: u64 = 200;
+    const PER_SERIES: u64 = 24;
+    const { assert!(SERIES * PER_SERIES > BATCH_BLOCK as u64) };
+    let before = armed_allocations();
+    let db = TimeSeriesDb::new();
+    let handles: Vec<_> = (0..SERIES)
+        .map(|i| db.resolve("m", &Labels::from_pairs([("idx", format!("{i}"))])))
+        .collect();
+    let writer = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            let mut batch = Vec::new();
+            for first in (0..10 * PER_SERIES).step_by(PER_SERIES as usize) {
+                batch.clear();
+                for t in first..first + PER_SERIES {
+                    batch.extend(handles.iter().map(|&h| (h, t * 1_000, t as f64)));
+                }
+                assert_eq!(db.append_batch(&batch).appended, SERIES * PER_SERIES);
+            }
+        })
+    };
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                for _ in 0..50 {
+                    for series in db.select(&Selector::metric("m")) {
+                        series.points_in(30_000, 200_000);
+                    }
+                }
+            })
+        })
+        .collect();
+    writer.join().expect("no audit violation may fire in the writer");
+    for reader in readers {
+        reader.join().expect("no audit violation may fire in a reader");
+    }
+    assert_eq!(db.stats().samples, 10 * SERIES * PER_SERIES);
+    assert_eq!(
+        armed_allocations() - before,
+        0,
+        "allocations under an exclusive shard lock outside allow_alloc scopes"
+    );
 }
 
 /// A full multi-threaded scrape/query workload under the audit: concurrent

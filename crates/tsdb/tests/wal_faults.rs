@@ -508,7 +508,7 @@ fn a_warm_round_is_one_append() {
         let db = TimeSeriesDb::open_with(dir(), config(), options).expect("FaultFs open");
         assert!(run_round(&db, 1, 256));
         assert!(
-            db.shard_series_counts().iter().all(|&series| series > 0),
+            db.census().shard_series.iter().all(|&series| series > 0),
             "the workload must dirty every shard"
         );
         for round in 2..=5 {
