@@ -11,6 +11,13 @@
 //! [`encode_text`](crate::exposition::encode_text), and remote-write pushes
 //! and `teemon_tsdb::Scraper::add_text_source` targets are read with
 //! [`parse_families_bounded`](crate::exposition::parse_families_bounded).
+//! A push stays text: its [`Exposition`](crate::exposition::Exposition)
+//! keeps every counter, gauge or untyped line as the bytes it was sent as,
+//! and the push lane matches it by those bytes, building a label set only
+//! for a series it has not seen.  A text target is turned into this
+//! contract's snapshots by
+//! [`Exposition::to_snapshots`](crate::exposition::Exposition::to_snapshots)
+//! and scraped like any other target.
 
 use std::fmt;
 use std::sync::Arc;

@@ -224,9 +224,6 @@ pub fn format_bound(v: f64) -> String {
         "+Inf".to_string()
     } else if v == f64::NEG_INFINITY {
         "-Inf".to_string()
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        // Keep integers un-suffixed but make sure they stay parseable as f64.
-        format!("{v}")
     } else {
         format!("{v}")
     }

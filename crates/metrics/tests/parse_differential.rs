@@ -21,9 +21,11 @@ use teemon_metrics::exposition::{parse_families_bounded, ParseLimits};
 /// The parser as it stood before the one-pass rewrite, kept verbatim as the
 /// reference: phase one materialises every line as an owned [`Sample`] plus
 /// `String`-keyed `# TYPE`/`# HELP` maps, phase two folds clones of those
-/// samples into families.  The only edits are the two marked "bugfix hook"
-/// checks — the name validation that landed with the rewrite — placed where
-/// the rewritten tokenizer performs them, so error order can be compared.
+/// samples into families.  The only edits are the three marked "bugfix hook"
+/// checks — the name validation that landed with the rewrite, placed where
+/// the rewritten tokenizer performs them, and the histogram bucket bound
+/// check, placed where the fold performs it — so error order can be
+/// compared.
 mod oracle {
     use std::collections::BTreeMap;
 
@@ -40,6 +42,8 @@ mod oracle {
         pub labels: Labels,
         pub value: f64,
         pub timestamp_ms: Option<u64>,
+        /// Bugfix hook: the line the sample came from, for the bucket check.
+        pub line_no: usize,
     }
 
     fn unescape_help(s: &str) -> String {
@@ -96,7 +100,7 @@ mod oracle {
     }
 
     impl ParsedExposition {
-        pub fn to_families(&self) -> Vec<FamilySnapshot> {
+        pub fn to_families(&self) -> Result<Vec<FamilySnapshot>, MetricError> {
             let mut families: Vec<FamilySnapshot> = Vec::new();
             // Distribution accumulators keyed by (family index, grouping labels).
             let mut accs: Vec<(usize, Labels, DistAcc)> = Vec::new();
@@ -157,12 +161,27 @@ mod oracle {
                         acc.timestamp_ms = acc.timestamp_ms.or(sample.timestamp_ms);
                         match part {
                             SamplePart::Bucket => {
-                                if let Some(bound) = detail.as_deref().and_then(parse_bound) {
-                                    if bound.is_finite() {
-                                        acc.buckets.push((bound, sample.value as u64));
-                                    } else {
-                                        acc.inf_count = sample.value as u64;
-                                    }
+                                // Bugfix hook: only `+Inf` is the `+Inf`
+                                // count, `-Inf` is an ordinary bound, and a
+                                // NaN, missing or unparseable `le` is refused.
+                                let bound = detail
+                                    .as_deref()
+                                    .and_then(parse_bound)
+                                    .filter(|bound| !bound.is_nan());
+                                let Some(bound) = bound else {
+                                    let message = match &detail {
+                                        Some(le) => format!("bad bucket bound {le:?}"),
+                                        None => "bucket without an \"le\" label".to_string(),
+                                    };
+                                    return Err(MetricError::Parse {
+                                        line: sample.line_no,
+                                        message,
+                                    });
+                                };
+                                if bound == f64::INFINITY {
+                                    acc.inf_count = sample.value as u64;
+                                } else {
+                                    acc.buckets.push((bound, sample.value as u64));
                                 }
                             }
                             SamplePart::Sum => acc.sum = sample.value,
@@ -203,7 +222,7 @@ mod oracle {
                     })
                 };
             }
-            families
+            Ok(families)
         }
 
         /// Splits a wire sample name into its family name and role, honouring the
@@ -257,7 +276,7 @@ mod oracle {
         input: &str,
         limits: ParseLimits,
     ) -> Result<Vec<FamilySnapshot>, MetricError> {
-        Ok(parse_exposition(input, limits)?.to_families())
+        parse_exposition(input, limits)?.to_families()
     }
 
     pub fn parse_exposition(
@@ -381,7 +400,7 @@ mod oracle {
             return Err(err("trailing garbage after timestamp".into()));
         }
 
-        Ok(Sample { name: name.to_string(), labels, value, timestamp_ms })
+        Ok(Sample { name: name.to_string(), labels, value, timestamp_ms, line_no })
     }
 
     fn parse_value(s: &str) -> Option<f64> {

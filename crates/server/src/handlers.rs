@@ -114,14 +114,16 @@ fn self_metrics() -> Response {
 }
 
 /// `POST /api/v1/write` — remote-write ingest.  The body is an exposition
-/// text document; samples land through the connection's [`PushLane`]
-/// stamped with the server clock.
+/// text document, read once into an [`Exposition`](exposition::Exposition)
+/// borrowed from the request; samples land through the connection's
+/// [`PushLane`], which matches each line by its series bytes, stamped with
+/// the server clock.
 fn write(req: &Request, ctx: &mut HandlerCtx<'_>) -> Response {
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return Response::json(400, json::error_response("bad_data", "body is not valid UTF-8"));
     };
     match exposition::parse_families_bounded(text, ParseLimits::network()) {
-        Ok(families) => {
+        Ok(doc) => {
             // Cardinality defense, request-shaped: refuse a body whose series
             // count alone exceeds the per-request budget, before any of it
             // touches the lane or storage.  Series as storage will see them:
@@ -129,7 +131,7 @@ fn write(req: &Request, ctx: &mut HandlerCtx<'_>) -> Response {
             // the lane itself clip finer-grained and report through
             // `overflow`.)
             if let Some(budget) = ctx.write_series_budget {
-                let series: u64 = families.iter().map(|f| f.sample_count() as u64).sum();
+                let series = doc.sample_count() as u64;
                 if series > budget {
                     probes::HTTP_CARDINALITY_REJECTED.inc();
                     return Response::json(
@@ -145,7 +147,7 @@ fn write(req: &Request, ctx: &mut HandlerCtx<'_>) -> Response {
                     );
                 }
             }
-            let outcome = ctx.lane.push(&families, ctx.now_ms);
+            let outcome = ctx.lane.push(&doc, ctx.now_ms);
             probes::HTTP_INGESTED_SAMPLES.add(outcome.ingested);
             if outcome.overflow > 0 {
                 probes::HTTP_CARDINALITY_REJECTED.inc();

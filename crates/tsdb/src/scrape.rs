@@ -47,6 +47,14 @@
 //! re-resolved by key, so the fast lane can miss a beat but never writes to
 //! the wrong series.
 //!
+//! A [`PushLane`] runs the same cache over a parsed text document
+//! ([`Exposition`]) instead of snapshots.  Its warm check is one byte compare
+//! per line: the line's series bytes as sent against the bytes the entry at
+//! its position last saw (equal bytes parse to equal identities).  A line
+//! that misses has its label set built and goes through the same repair —
+//! position first by identity, then the hash index, swap and truncate — and
+//! the entry it claims remembers its spelling.
+//!
 //! The fast lane is the only lane.  What it must equal — merge the target
 //! labels and [`TimeSeriesDb::append`] every sample by key, every round —
 //! is written once against the public API in `tests/support/mod.rs`, the
@@ -59,8 +67,9 @@ use std::sync::Arc;
 
 use parking_lot::{LockClass, Mutex, RwLock};
 use serde::{Deserialize, Serialize};
+use teemon_metrics::exposition::{self, Exposition, SampleLine};
 use teemon_metrics::{
-    exposition, identity, CollectError, Collector, FamilySnapshot, Labels, MetricError, SeriesKey,
+    identity, CollectError, Collector, FamilySnapshot, Labels, MetricError, SeriesKey,
 };
 use teemon_obs::{probes, SelfSnapshot, Stopwatch};
 
@@ -200,7 +209,8 @@ struct TextSourceEndpoint(Arc<dyn TextSource>);
 impl MetricsEndpoint for TextSourceEndpoint {
     fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
         let text = self.0.fetch().map_err(ScrapeError::Unreachable)?;
-        Ok(exposition::parse_families_bounded(&text, exposition::ParseLimits::network())?)
+        Ok(exposition::parse_families_bounded(&text, exposition::ParseLimits::network())?
+            .to_snapshots())
     }
 }
 
@@ -456,6 +466,95 @@ struct CacheEntry {
     /// positional pass stays intact) but carry an unresolved handle, never
     /// reach the batch, and count as overflow instead.
     admitted: bool,
+    /// The series bytes a text round last spelled this sample with
+    /// (`name{…}` as sent); empty in a typed target's cache.
+    raw: String,
+}
+
+/// One wire sample as a cache walk meets it: its identity in whichever form
+/// the round holds it.
+enum Wire<'w> {
+    /// A typed snapshot's sample: the identity itself.
+    Typed(&'w str, &'w Labels),
+    /// A text line of a counter, gauge or untyped family: its series bytes
+    /// as sent; the label set is built only on a miss.
+    Line(&'w SampleLine<'w>),
+    /// A sample of a folded histogram or summary of a text round: its
+    /// series bytes rendered by [`exposition::write_series`], then the
+    /// identity they were rendered from.
+    Rendered(&'w str, &'w str, &'w Labels),
+}
+
+impl Wire<'_> {
+    /// The series bytes of a text round's sample; empty for a typed one.
+    fn raw(&self) -> &str {
+        match self {
+            Wire::Typed(..) => "",
+            Wire::Line(line) => line.series(),
+            Wire::Rendered(raw, ..) => raw,
+        }
+    }
+
+    /// Whether `entry` is this sample's series, by the cheapest test that
+    /// decides it: the cached identity for a typed sample, one byte compare
+    /// against the spelling the entry last saw for a text sample (equal
+    /// bytes parse to equal identities).
+    fn hits(&self, entry: &CacheEntry) -> bool {
+        match self {
+            Wire::Typed(name, labels) => entry.key.matches(name, labels),
+            _ => entry.raw == self.raw(),
+        }
+    }
+
+    /// Runs `f` over the sample's structural identity, building a text
+    /// line's label set for it.
+    fn with_identity<R>(&self, f: impl FnOnce(&str, &Labels) -> R) -> R {
+        match self {
+            Wire::Typed(name, labels) | Wire::Rendered(_, name, labels) => f(name, labels),
+            Wire::Line(line) => f(line.name(), &line.labels()),
+        }
+    }
+}
+
+/// What a cache walk reads a round from: a scrape target's typed snapshots
+/// or a push lane's parsed text document.
+trait WireSource {
+    /// Calls `visit` once per wire sample, in the order the round's samples
+    /// are stored: families in order, each family's samples in order.
+    /// `render` is scratch for keys that have to be rendered.
+    fn each(&self, render: &mut String, visit: impl FnMut(Wire<'_>, f64, Option<u64>));
+}
+
+impl WireSource for [FamilySnapshot] {
+    fn each(&self, _: &mut String, mut visit: impl FnMut(Wire<'_>, f64, Option<u64>)) {
+        for family in self {
+            family.for_each_sample(|name, labels, value, timestamp_ms| {
+                visit(Wire::Typed(name, labels), value, timestamp_ms);
+            });
+        }
+    }
+}
+
+impl WireSource for Exposition<'_> {
+    /// Families by first appearance; a counter, gauge or untyped family's
+    /// lines in document order, a folded family's samples as its snapshot
+    /// visits them — the order of [`Exposition::to_snapshots`].
+    fn each(&self, render: &mut String, mut visit: impl FnMut(Wire<'_>, f64, Option<u64>)) {
+        for family in self.families() {
+            match family.folded() {
+                Some(snapshot) => snapshot.for_each_sample(|name, labels, value, timestamp_ms| {
+                    render.clear();
+                    exposition::write_series(render, name, labels);
+                    visit(Wire::Rendered(render, name, labels), value, timestamp_ms);
+                }),
+                None => {
+                    for line in family.lines() {
+                        visit(Wire::Line(line), line.value(), line.timestamp_ms());
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The per-target scrape cache: one [`CacheEntry`] per wire sample in
@@ -483,54 +582,55 @@ struct TargetCache {
     /// The repair pass's index of unclaimed entries.  Kept here so that a
     /// repair clears it instead of allocating a new one.
     index: Unclaimed,
+    /// Where a text round's histogram and summary keys are rendered.
+    render: String,
     /// Handles of the series a round writes about the target itself.
     meta: MetaSeries,
 }
 
 impl TargetCache {
     /// The fast positional pass: verifies every wire sample against the
-    /// cached identity at its position and fills `batch` with
-    /// handle-addressed samples.  Returns `false` — without touching storage
-    /// — as soon as the round's shape deviates from the cache (new, vanished
-    /// or reordered series).  Sets `scraped` to the number of wire samples
+    /// cached entry at its position and fills `batch` with handle-addressed
+    /// samples.  Returns `false` — without touching storage — as soon as
+    /// the round's shape deviates from the cache (new, vanished or
+    /// reordered series).  Sets `scraped` to the number of wire samples
     /// seen and `overflow` to the matched-but-unadmitted samples the round's
     /// budget clipped.  Allocation-free apart from first-round `batch`
     /// growth.
-    fn fill(
+    fn fill<S: WireSource + ?Sized>(
         &mut self,
-        families: &[FamilySnapshot],
+        source: &S,
         now_ms: u64,
         scraped: &mut u64,
         overflow: &mut u64,
     ) -> bool {
-        self.batch.clear();
-        self.batch_entry.clear();
+        let Self { entries, batch, batch_entry, render, .. } = self;
+        batch.clear();
+        batch_entry.clear();
         let mut idx = 0usize;
         let mut matched = true;
         let mut clipped = 0u64;
-        for family in families {
-            family.for_each_sample(|name, labels, value, timestamp_ms| {
-                let position = idx;
-                idx += 1;
-                if !matched {
-                    return;
-                }
-                match self.entries.get(position) {
-                    Some(entry) if entry.key.matches(name, labels) => {
-                        if entry.admitted {
-                            self.batch.push((entry.handle, timestamp_ms.unwrap_or(now_ms), value));
-                            self.batch_entry.push(position as u32);
-                        } else {
-                            clipped += 1;
-                        }
+        source.each(render, |wire, value, timestamp_ms| {
+            let position = idx;
+            idx += 1;
+            if !matched {
+                return;
+            }
+            match entries.get(position) {
+                Some(entry) if wire.hits(entry) => {
+                    if entry.admitted {
+                        batch.push((entry.handle, timestamp_ms.unwrap_or(now_ms), value));
+                        batch_entry.push(position as u32);
+                    } else {
+                        clipped += 1;
                     }
-                    _ => matched = false,
                 }
-            });
-        }
+                _ => matched = false,
+            }
+        });
         *scraped = idx as u64;
         *overflow = clipped;
-        matched && idx == self.entries.len()
+        matched && idx == entries.len()
     }
 
     /// One round's identity walk, shared by the scraper's fast lane and
@@ -538,19 +638,19 @@ impl TargetCache {
     /// deviates from the cache, the repair pass.  Either way `batch` ends up
     /// holding the round's admitted samples, `scraped` the wire samples seen
     /// and `overflow` the ones a budget clipped.
-    fn walk(
+    fn walk<S: WireSource + ?Sized>(
         &mut self,
-        families: &[FamilySnapshot],
+        source: &S,
         now_ms: u64,
         ctx: &LaneCtx<'_>,
         scraped: &mut u64,
         overflow: &mut u64,
     ) {
-        if self.fill(families, now_ms, scraped, overflow) {
+        if self.fill(source, now_ms, scraped, overflow) {
             probes::CACHE_HITS.inc();
         } else {
             probes::CACHE_REBUILDS.inc();
-            self.repair(families, now_ms, ctx, scraped, overflow);
+            self.repair(source, now_ms, ctx, scraped, overflow);
         }
     }
 
@@ -563,7 +663,9 @@ impl TargetCache {
     /// nobody has claimed yet.  Each sample is tried against the entry at
     /// its own position first — a rename in place, the Kubernetes pattern,
     /// re-matches every unrenamed neighbour with the warm pass's one equality
-    /// check and nothing hashed.  Only a positional miss consults `index`,
+    /// check and nothing hashed.  A text sample that misses there by its
+    /// bytes has its label set built and is tried once more by identity (the
+    /// same series, spelled another way).  Only then is `index` consulted,
     /// the structural-hash index of the unclaimed entries, built on the first
     /// miss; a hit there is swapped into place (a reorder, or a shift after
     /// an insert or delete).  Only a sample that matches nothing pays the
@@ -571,7 +673,8 @@ impl TargetCache {
     /// an entry displaces moves further back, still unclaimed; what is left
     /// past the cursor at the end vanished from the target and is dropped.
     /// Every entry is claimed at most once, so samples sharing one identity
-    /// each get an entry of their own.
+    /// each get an entry of their own.  An entry a text sample claimed by
+    /// identity takes that sample's spelling.
     ///
     /// This is also the admission point of the cardinality defense: series
     /// are admitted in snapshot order until the target's own budget or the
@@ -582,9 +685,9 @@ impl TargetCache {
     /// shared-budget lock is taken once before the walk (to read the
     /// allowance) and once after (to commit the new contribution), never
     /// across storage calls.
-    fn repair(
+    fn repair<S: WireSource + ?Sized>(
         &mut self,
-        families: &[FamilySnapshot],
+        source: &S,
         now_ms: u64,
         ctx: &LaneCtx<'_>,
         scraped: &mut u64,
@@ -598,7 +701,7 @@ impl TargetCache {
         };
         let cap = ctx.target_limit.unwrap_or(u64::MAX).min(allowance);
         let generations = db.shard_generations();
-        let Self { entries, batch, batch_entry, index, .. } = self;
+        let Self { entries, batch, batch_entry, index, render, .. } = self;
         batch.clear();
         batch_entry.clear();
         index.clear();
@@ -606,11 +709,14 @@ impl TargetCache {
         let mut cursor = 0usize;
         let mut admitted = 0u64;
         let mut clipped = 0u64;
-        for family in families {
-            family.for_each_sample(|name, labels, value, timestamp_ms| {
-                let position = cursor;
-                cursor += 1;
-                if !entries.get(position).is_some_and(|e| e.key.matches(name, labels)) {
+        source.each(render, |wire, value, timestamp_ms| {
+            let position = cursor;
+            cursor += 1;
+            if !entries.get(position).is_some_and(|e| wire.hits(e)) {
+                wire.with_identity(|name, labels| {
+                    if entries.get(position).is_some_and(|e| e.key.matches(name, labels)) {
+                        return;
+                    }
                     if !indexed {
                         // Back to front, so that of several entries sharing
                         // one identity the earliest is claimed first.
@@ -633,6 +739,7 @@ impl TargetCache {
                             merged: labels.merged(base_labels),
                             handle: SeriesHandle::unresolved(),
                             admitted: false,
+                            raw: String::new(),
                         });
                         entries.len() - 1
                     });
@@ -640,22 +747,28 @@ impl TargetCache {
                     if let Some(displaced) = entries.get(from).filter(|_| from != position) {
                         index.insert(displaced.key.hash(), from);
                     }
-                }
-                let Some(entry) = entries.get_mut(position) else { return };
-                entry.admitted = admitted < cap;
-                if entry.admitted {
-                    if !db.handle_live_under(entry.handle, &generations) {
-                        entry.handle = db.resolve(entry.key.name(), &entry.merged);
+                });
+                if let Some(entry) = entries.get_mut(position) {
+                    if entry.raw != wire.raw() {
+                        entry.raw.clear();
+                        entry.raw.push_str(wire.raw());
                     }
-                    batch.push((entry.handle, timestamp_ms.unwrap_or(now_ms), value));
-                    batch_entry.push(position as u32);
-                    admitted += 1;
-                } else {
-                    entry.handle = SeriesHandle::unresolved();
-                    clipped += 1;
                 }
-            });
-        }
+            }
+            let Some(entry) = entries.get_mut(position) else { return };
+            entry.admitted = admitted < cap;
+            if entry.admitted {
+                if !db.handle_live_under(entry.handle, &generations) {
+                    entry.handle = db.resolve(entry.key.name(), &entry.merged);
+                }
+                batch.push((entry.handle, timestamp_ms.unwrap_or(now_ms), value));
+                batch_entry.push(position as u32);
+                admitted += 1;
+            } else {
+                entry.handle = SeriesHandle::unresolved();
+                clipped += 1;
+            }
+        });
         entries.truncate(cursor);
         if let Some(shared) = ctx.shared {
             shared.commit(ctx.job, prior, admitted);
@@ -875,7 +988,15 @@ pub struct PushOutcome {
 /// A remote writer behaves exactly like a scrape target seen from storage's
 /// side: it sends the same series set batch after batch, so the cache's
 /// positional verify + one-shard-lock-per-round [`TimeSeriesDb::append_batch`]
-/// apply unchanged.  Create **one lane per connection** (the cache assumes
+/// apply unchanged.  What differs is the key: a push arrives as text, so the
+/// lane matches each counter, gauge or untyped line by its raw series bytes
+/// ([`SampleLine::series`], `name{…}` exactly as sent) against the bytes the
+/// entry at its position last saw — one compare, the way Prometheus' scrape
+/// cache keys by the series text — and only a line that misses has its label
+/// set built and goes through the structural repair.  A histogram or summary
+/// family, which the parse folds, is matched by its key rendered into a
+/// reused buffer.  A warm push therefore builds no label set and makes no
+/// allocation.  Create **one lane per connection** (the cache assumes
 /// rounds from a single emitter; interleaving two writers through one lane
 /// would thrash the positional check into repairs — correct, but slow).
 /// The lane is deliberately not `Sync`: it is owned, mutable state.
@@ -922,13 +1043,15 @@ impl PushLane {
         self
     }
 
-    /// Ingests one pushed batch of families, stamping unstamped samples with
-    /// `now_ms`.  Steady state (same series set as the previous push) this
-    /// is the allocation-free fast path; churn triggers the same
+    /// Ingests one pushed document, as [`exposition::parse_families_bounded`]
+    /// read it, stamping unstamped samples with `now_ms`.  Samples are stored
+    /// in the order of the document's [`Exposition::to_snapshots`].  Steady
+    /// state (the same series lines as the previous push) this is the
+    /// allocation-free fast path; churn triggers the same
     /// handle-reusing cache repair a scrape target pays — including budget
     /// admission: over-budget series are clipped into
     /// [`PushOutcome::overflow`] instead of entering storage.
-    pub fn push(&mut self, families: &[FamilySnapshot], now_ms: u64) -> PushOutcome {
+    pub fn push(&mut self, doc: &Exposition<'_>, now_ms: u64) -> PushOutcome {
         let cache = &mut self.cache;
         let ctx = LaneCtx {
             db: &self.db,
@@ -940,7 +1063,7 @@ impl PushLane {
         let mut scraped = 0u64;
         let mut overflow = 0u64;
         let walk_watch = Stopwatch::start();
-        cache.walk(families, now_ms, &ctx, &mut scraped, &mut overflow);
+        cache.walk(doc, now_ms, &ctx, &mut scraped, &mut overflow);
         probes::SCRAPE_CACHE_WALK_NS.record_ns(walk_watch.elapsed_ns());
         let append_watch = Stopwatch::start();
         let ingested = append_batch_repairing(&self.db, cache);
@@ -1386,6 +1509,14 @@ mod tests {
     use crate::query::Selector;
     use teemon_metrics::{CollectError, HistogramSnapshot, MetricKind, MetricPoint, PointValue};
 
+    /// Pushes `families` the way the serving edge does: as exposition text,
+    /// read by the bounded parse.
+    fn push_text(lane: &mut PushLane, families: &[FamilySnapshot], now_ms: u64) -> PushOutcome {
+        let text = exposition::encode_text(families);
+        let doc = exposition::parse_families_bounded(&text, exposition::ParseLimits::unbounded());
+        lane.push(&doc.unwrap(), now_ms)
+    }
+
     /// A collector serving the families a test last handed it.
     struct Fixture(Mutex<Vec<FamilySnapshot>>);
 
@@ -1818,7 +1949,7 @@ mod tests {
         for round in 1..=3u64 {
             collector.set(pushed(3.0 + round as f64));
             let families = collector.collect().unwrap();
-            let outcome = lane.push(&families, round * 5_000);
+            let outcome = push_text(&mut lane, &families, round * 5_000);
             assert_eq!(outcome.scraped, 2);
             assert_eq!(outcome.ingested, 2);
             scraper.scrape_once(round * 5_000);
@@ -1845,11 +1976,52 @@ mod tests {
         let mut lane = PushLane::new(db.clone(), &ScrapeTargetConfig::new("remote", "w1:443"));
         let cases = [(&[("case", "dropped")][..], 2.0), (&[("case", "kept")][..], 1.0)];
         let families = vec![family("g", MetricKind::Gauge, &cases)];
-        lane.push(&families, 5_000);
+        push_text(&mut lane, &families, 5_000);
         assert_eq!(db.drop_series(&Selector::metric("g").with_label("case", "dropped")), 1);
-        let outcome = lane.push(&families, 10_000);
+        let outcome = push_text(&mut lane, &families, 10_000);
         assert_eq!(outcome.ingested, 2, "dropped series transparently re-created");
         assert_eq!(db.select(&Selector::metric("g")).len(), 2);
+    }
+
+    #[test]
+    fn a_text_push_is_matched_by_the_bytes_it_was_sent_as() {
+        let db = TimeSeriesDb::new();
+        let mut lane = PushLane::new(db.clone(), &ScrapeTargetConfig::new("j", "w:1"));
+        let parse =
+            |text| exposition::parse_families_bounded(text, exposition::ParseLimits::network());
+        let first = "m{b=\"2\",a=\"1\"} 1\nm{a=\"2\"} 1\n# TYPE h histogram\nh_bucket{le=\"0.50\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_count 2\n";
+        assert_eq!(lane.push(&parse(first).unwrap(), 1_000).ingested, 6);
+        let raw: Vec<_> = lane.cache.entries.iter().map(|e| e.raw.as_str()).collect();
+        // Lines keep their spelling, a folded histogram's samples their
+        // rendered keys (`le` as the fold re-renders it).
+        assert_eq!(
+            raw,
+            [
+                "m{b=\"2\",a=\"1\"}",
+                "m{a=\"2\"}",
+                "h_bucket{le=\"0.5\"}",
+                "h_bucket{le=\"+Inf\"}",
+                "h_sum",
+                "h_count"
+            ]
+        );
+        let handles: Vec<_> = lane.cache.entries.iter().map(|e| e.handle).collect();
+        // The same bytes again: the warm pass takes the whole round.
+        let (mut scraped, mut overflow) = (0, 0);
+        assert!(lane.cache.fill(&parse(first).unwrap(), 2_000, &mut scraped, &mut overflow));
+        assert_eq!(scraped, 6);
+        // The first series spelled another way: a miss by bytes, found again
+        // by identity in place — same entry, same handle, the new spelling.
+        let respelled = first.replace("m{b=\"2\",a=\"1\"}", "m{a = \"1\", b=\"2\"}");
+        let doc = parse(&respelled).unwrap();
+        assert!(!lane.cache.fill(&doc, 2_000, &mut scraped, &mut overflow));
+        assert_eq!(lane.push(&doc, 2_000).ingested, 6);
+        assert_eq!(lane.cache.entries.iter().map(|e| e.handle).collect::<Vec<_>>(), handles);
+        assert_eq!(lane.cache.entries[0].raw, "m{a = \"1\", b=\"2\"}");
+        assert!(lane.cache.fill(&doc, 3_000, &mut scraped, &mut overflow));
+        assert_eq!(db.series_count(), 6);
+        let stored = db.select(&Selector::metric("m").with_label("a", "1"));
+        assert_eq!(stored[0].points_in(0, u64::MAX), [(1_000, 1.0), (2_000, 1.0)]);
     }
 
     #[test]
@@ -1994,7 +2166,7 @@ mod tests {
         budgets.set_job_limit("push", 2);
         let mut lane = PushLane::new(db.clone(), &ScrapeTargetConfig::new("push", "w:1"))
             .with_budgets(Arc::clone(&budgets));
-        let outcome = lane.push(&wide(5), 1_000);
+        let outcome = push_text(&mut lane, &wide(5), 1_000);
         assert_eq!(outcome.scraped, 5);
         assert_eq!(outcome.ingested, 2);
         assert_eq!(outcome.overflow, 3);
@@ -2024,7 +2196,7 @@ mod tests {
         let mut now = 0;
         let mut push = |lane: &mut PushLane, ids: &[u32]| {
             now += 1_000;
-            let outcome = lane.push(&family(ids), now);
+            let outcome = push_text(lane, &family(ids), now);
             assert_eq!(outcome.scraped as usize, ids.len());
             // Every wire sample's entry sits at its position, and the index
             // covers at most the entries the round started with.
@@ -2091,7 +2263,7 @@ mod tests {
         for (round, runs) in rounds.into_iter().enumerate() {
             let samples: usize = runs.iter().map(|(_, times)| times).sum();
             let before = lane.cache.entries.len();
-            let outcome = lane.push(&snapshot(runs), (round as u64 + 1) * 1_000);
+            let outcome = push_text(&mut lane, &snapshot(runs), (round as u64 + 1) * 1_000);
             assert_eq!(outcome.scraped as usize, samples);
             assert_eq!(lane.cache.entries.len(), samples);
             let walked = lane.cache.index.walked as usize;
@@ -2111,15 +2283,15 @@ mod tests {
         let mut families = wide(3);
         let mut lane = PushLane::new(db.clone(), &ScrapeTargetConfig::new("j", "w:1"))
             .with_budgets(Arc::clone(&budgets));
-        let first = lane.push(&families, 1_000);
+        let first = push_text(&mut lane, &families, 1_000);
         assert_eq!((first.ingested, first.overflow), (1, 2));
         // Raising the limit alone does not disturb the warm path …
         budgets.set_job_limit("j", 10);
-        let warm = lane.push(&families, 2_000);
+        let warm = push_text(&mut lane, &families, 2_000);
         assert_eq!((warm.ingested, warm.overflow), (1, 2));
         // … but the next shape change repairs under the new allowance.
         families.insert(0, gauge("extra", 1.0));
-        let repaired = lane.push(&families, 3_000);
+        let repaired = push_text(&mut lane, &families, 3_000);
         assert_eq!(repaired.overflow, 0);
         assert_eq!(db.select(&Selector::metric("m")).len(), 3);
     }

@@ -19,6 +19,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use teemon_metrics::exposition::{encode_text, parse_families_bounded, ParseLimits};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_tsdb::{
     CardinalityBudgets, MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, TimeSeriesDb,
@@ -291,10 +292,11 @@ fn churned_push_allocates_for_what_changed_not_for_what_it_holds() {
     let mut next_pod = SERIES as u32;
     let mut now = 0u64;
     let mut push = |lane: &mut PushLane, pods: &[u32]| {
-        let families = pod_families(pods);
+        let text = encode_text(&pod_families(pods));
+        let doc = parse_families_bounded(&text, ParseLimits::network()).unwrap();
         now += 1_000;
         let before = allocations();
-        let outcome = lane.push(&families, now);
+        let outcome = lane.push(&doc, now);
         let spent = allocations() - before;
         assert_eq!((outcome.scraped, outcome.ingested), (SERIES as u64, SERIES as u64));
         spent
@@ -333,43 +335,85 @@ fn churned_push_allocates_for_what_changed_not_for_what_it_holds() {
     assert!(budget < SERIES as u64, "the bound has to be below one allocation per series held");
 }
 
-#[test]
-fn text_edge_parse_allocates_once_per_sample() {
-    // The inbound text edge cannot be allocation-free — every sample's label
-    // set has to be owned by the point that keeps it — but it can be exact:
-    // the packed `Labels` of an exporter-sized set is one allocation (the
-    // bytes; the offsets sit inline), the sample's name stays borrowed from
-    // the document and the label set is moved, not cloned, into its
-    // `MetricPoint`.  Everything else (the token list, each family's name
-    // and point vector, the `# TYPE` map) is sized once and bounded per
-    // family, not per sample.
+/// The body of one remote-write POST: `FAMILIES` gauge families of
+/// `PER_FAMILY` series each, labelled like the benchmark's writers (in their
+/// order, not sorted), every line stamped.
+fn write_body(round: u64) -> String {
     use std::fmt::Write;
-    const FAMILIES: usize = 8;
-    const PER_FAMILY: usize = 125;
     let mut doc = String::new();
     for f in 0..FAMILIES {
         writeln!(doc, "# TYPE bench_metric_{f} gauge").unwrap();
         for i in 0..PER_FAMILY {
             writeln!(
                 doc,
-                "bench_metric_{f}{{client=\"0\",idx=\"{i}\",node=\"node-{}\",pod=\"pod-{i:05}\"}} {i}.5 1700000000000",
-                i % 64
+                "bench_metric_{f}{{node=\"node-{}\",idx=\"{i}\",client=\"0\",pod=\"pod-{i:05}\"}} {}.5 {}",
+                i % 64,
+                round + i as u64,
+                1_700_000_000_000 + round * 1_000
             )
             .unwrap();
         }
     }
-    let limits = teemon_metrics::exposition::ParseLimits::network();
-    let parse = || teemon_metrics::exposition::parse_families_bounded(&doc, limits).unwrap();
-    let samples = (FAMILIES * PER_FAMILY) as u64;
-    assert_eq!(parse().iter().map(|f| f.points.len() as u64).sum::<u64>(), samples);
+    doc
+}
+
+const FAMILIES: usize = 8;
+const PER_FAMILY: usize = 125;
+
+#[test]
+fn text_edge_parse_allocates_per_family_not_per_sample() {
+    // The inbound text edge builds no label set while it reads: a line is
+    // kept as its series bytes, value and timestamp, borrowed from the
+    // document, in one list sized once.  What is left is bounded per family
+    // (the family list, the `# TYPE` map, the family-name set), not per
+    // sample.
+    let doc = write_body(1);
+    let limits = ParseLimits::network();
+    let parse = || parse_families_bounded(&doc, limits).unwrap();
+    let samples = FAMILIES * PER_FAMILY;
+    assert_eq!(parse().sample_count(), samples);
 
     let before = allocations();
-    let families = parse();
+    let parsed = parse();
     let spent = allocations() - before;
-    assert_eq!(families.len(), FAMILIES);
-    let budget = samples + 16 * FAMILIES as u64 + 32;
+    assert_eq!(parsed.families().count(), FAMILIES);
+    let budget = 16 * FAMILIES as u64 + 32;
     assert!(
         spent <= budget,
         "parsing {samples} samples in {FAMILIES} families allocated {spent} times (budget {budget})"
     );
+}
+
+#[test]
+fn warm_text_push_allocates_nothing_past_its_parse() {
+    // The remote-write edge end to end, as the handler runs it: parse the
+    // body, push it through the connection's lane.  Once the lane and the
+    // heads are warm, the parse allocates only per family and the push —
+    // one byte compare per line against the cache, one batch append —
+    // nothing at all.
+    use teemon_tsdb::PushLane;
+    let db = TimeSeriesDb::new();
+    let mut lane = PushLane::new(db.clone(), &ScrapeTargetConfig::new("remote_write", "c:1"));
+    let limits = ParseLimits::network();
+    let samples = (FAMILIES * PER_FAMILY) as u64;
+    // Round 1 creates the series and fills the cache; the rest take every
+    // head through its first chunk.
+    for round in 1..=FIRST_CHUNK_ROUNDS {
+        let body = write_body(round);
+        let outcome = lane.push(&parse_families_bounded(&body, limits).unwrap(), round * 1_000);
+        assert_eq!(outcome.ingested, samples);
+    }
+    for round in FIRST_CHUNK_ROUNDS + 1..FIRST_CHUNK_ROUNDS + 8 {
+        let body = write_body(round);
+        let before = allocations();
+        let doc = parse_families_bounded(&body, limits).unwrap();
+        let parsed = allocations() - before;
+        let outcome = lane.push(&doc, round * 1_000);
+        let pushed = allocations() - before - parsed;
+        assert_eq!(outcome.ingested, samples);
+        let budget = 16 * FAMILIES as u64 + 32;
+        assert!(parsed <= budget, "the parse allocated {parsed} times (budget {budget})");
+        assert_eq!(pushed, 0, "a warm text push must not allocate");
+    }
+    assert_eq!(db.stats().series, samples);
 }

@@ -31,6 +31,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use teemon_metrics::exposition::{encode_text, parse_families_bounded, ParseLimits};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_tsdb::{
     CardinalityBudgets, CrashModel, DurabilityOptions, FaultFs, FsyncMode, MetricsEndpoint,
@@ -197,7 +198,10 @@ fn churn_soak_survives_a_crash_with_bounded_memory() {
                 "the spike must tower over the soak"
             );
         }
-        let pushed = lane.push(&push_families(round), now);
+        // The push edge reads its round as the serving edge does, as text.
+        let text = encode_text(&push_families(round));
+        let pushed =
+            lane.push(&parse_families_bounded(&text, ParseLimits::network()).unwrap(), now);
         assert_eq!(pushed.overflow, 0, "round {round}: the push edge must not clip");
         assert_eq!(
             pushed.ingested,

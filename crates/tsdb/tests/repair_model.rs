@@ -16,8 +16,14 @@
 //!   a round that repeats the previous one keeps its admissions.  Stores
 //!   must be identical (ids, creation order, samples, stats), and so must
 //!   every [`PushOutcome`] and the pool's `job_used`.
+//!   The lane receives each round as the serving edge does, as text
+//!   (`encode_text`, then `parse_families_bounded`), and the model the
+//!   snapshots that text stands for (`Exposition::to_snapshots`).
 //! * The scraper target is checked against the same snapshots ingested by
 //!   the per-sample reference of `support/mod.rs`.
+//! * A text lane fed hand-spelled documents — labels permuted, blanks
+//!   around `=` and `,`, escapes, lines repeated or respelled — is checked
+//!   against the model the same way.
 //!
 //! Whatever the repair reuses, swaps into place or re-resolves, the stored
 //! result has to be what matching nothing and resolving everything gives.
@@ -28,6 +34,7 @@ use std::sync::Arc;
 
 use proptest::{proptest, TestRng};
 use support::{fingerprint, PerSampleScraper, ScriptedEndpoint};
+use teemon_metrics::exposition::{encode_text, parse_families_bounded, ParseLimits};
 use teemon_metrics::{
     FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
@@ -312,16 +319,22 @@ proptest! {
             if rng.below(3) == 0 {
                 neighbour_load.churn(&mut rng);
                 let families = neighbour_load.families(round, &mut rng);
+                let text = encode_text(&families);
+                let doc = parse_families_bounded(&text, ParseLimits::network()).unwrap();
                 assert_eq!(
-                    neighbour.push(&families, now),
-                    model_neighbour.push(&mut pool, &families, now),
+                    neighbour.push(&doc, now),
+                    model_neighbour.push(&mut pool, &doc.to_snapshots(), now),
                     "neighbour outcome at round {round} (case {case})"
                 );
             }
 
+            // The lane reads the round as the serving edge does, as text;
+            // the model reads the families that text stands for.
+            let text = encode_text(&families);
+            let doc = parse_families_bounded(&text, ParseLimits::network()).unwrap();
             assert_eq!(
-                lane.push(&families, now),
-                model.push(&mut pool, &families, now),
+                lane.push(&doc, now),
+                model.push(&mut pool, &doc.to_snapshots(), now),
                 "push outcome at round {round} (case {case})"
             );
             assert_eq!(budgets.job_used(JOB), pool.used, "job_used at round {round} (case {case})");
@@ -357,4 +370,164 @@ proptest! {
         drop(neighbour);
         assert_eq!(budgets.job_used(JOB), 0, "dropped lanes return their admissions");
     }
+}
+
+/// One label value a text writer may send, as it spells it between the
+/// quotes: plain, or with each of the three escapes.
+const SPELLED_VALUES: [&str; 4] = ["web", "say \\\"hi\\\"", "C:\\\\dir", "two\\nlines"];
+
+/// Writes one sample line for `name` with `labels` (name, value as spelled
+/// between the quotes), in a random label order and with random blanks
+/// around `=` and `,` — every spelling the parser reads as the same series.
+fn spell_line(
+    rng: &mut TestRng,
+    name: &str,
+    labels: &[(&str, &str)],
+    value: f64,
+    doc: &mut String,
+) {
+    let mut order: Vec<usize> = (0..labels.len()).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let blank = |rng: &mut TestRng| if rng.below(4) == 0 { " " } else { "" };
+    doc.push_str(name);
+    if !labels.is_empty() {
+        doc.push('{');
+        for (n, &i) in order.iter().enumerate() {
+            let (key, val) = labels[i];
+            if n > 0 {
+                let (before, after) = (blank(rng), blank(rng));
+                doc.push_str(&format!("{before},{after}"));
+            }
+            let (before, after) = (blank(rng), blank(rng));
+            doc.push_str(&format!("{key}{before}={after}\"{val}\""));
+        }
+        doc.push('}');
+    }
+    doc.push_str(&format!(" {value}\n"));
+}
+
+/// One round of a text writer: gauge and counter lines of interleaved
+/// families, some series sent twice (once possibly spelled another way),
+/// `# TYPE` lines before or after their samples, and a histogram whose
+/// buckets spell their bound `0.50`.
+fn text_round(rng: &mut TestRng, round: u64) -> String {
+    let mut lines: Vec<String> = Vec::new();
+    for _ in 0..rng.below(12) {
+        let metric = ["pod_cpu_seconds", "pod_restarts_total"][rng.below(2) as usize];
+        let pod = format!("p-{}", rng.below(6));
+        let zone = SPELLED_VALUES[rng.below(SPELLED_VALUES.len() as u64) as usize];
+        let labels = [("pod", pod.as_str()), ("zone", zone), ("node", "n1")];
+        let labels = &labels[..1 + rng.below(3) as usize];
+        let value = round as f64 + rng.below(1_000) as f64 / 8.0;
+        let mut line = String::new();
+        spell_line(rng, metric, labels, value, &mut line);
+        if rng.below(5) == 0 {
+            spell_line(rng, metric, labels, value + 1.0, &mut line);
+        }
+        lines.push(line);
+    }
+    if rng.below(2) == 0 {
+        let mut histogram = String::new();
+        for node in 0..2u64 {
+            let node = format!("n{node}");
+            for (le, count) in [("0.50", round), ("1", 2 * round), ("+Inf", 3 * round)] {
+                let labels = [("node", node.as_str()), ("le", le)];
+                spell_line(rng, "rpc_seconds_bucket", &labels, count as f64, &mut histogram);
+            }
+            spell_line(rng, "rpc_seconds_sum", &[("node", &node)], round as f64, &mut histogram);
+            spell_line(
+                rng,
+                "rpc_seconds_count",
+                &[("node", &node)],
+                3.0 * round as f64,
+                &mut histogram,
+            );
+        }
+        lines.insert(rng.below(lines.len() as u64 + 1) as usize, histogram);
+    }
+    for (family, kind) in [
+        ("pod_cpu_seconds", "gauge"),
+        ("pod_restarts_total", "counter"),
+        ("rpc_seconds", "histogram"),
+    ] {
+        if rng.below(4) != 0 {
+            let at = rng.below(lines.len() as u64 + 1) as usize;
+            lines.insert(at, format!("# TYPE {family} {kind}\n"));
+        }
+    }
+    lines.concat()
+}
+
+proptest! {
+    #[test]
+    fn a_text_push_stores_what_its_snapshots_store(
+        rounds in 2u64..12,
+        case in 0u64..1_000_000,
+    ) {
+        // Whatever spelling a line arrives in, matching by its bytes must
+        // store what the document's snapshots store when every sample is
+        // appended by key.
+        let mut rng = TestRng::deterministic(&format!("text-lane-{case}"));
+        let (lane_db, model_db) = (TimeSeriesDb::new(), TimeSeriesDb::new());
+        let mut lane = PushLane::new(lane_db.clone(), &lane_config("main:1", None));
+        let mut model = ModelLane::new(model_db.clone(), "main:1", None);
+        let mut pool = ModelPool::default();
+        let mut previous = String::new();
+        for round in 1..=rounds {
+            // Now and then the previous round again, byte for byte: the
+            // warm pass.
+            let text = if rng.below(4) == 0 && !previous.is_empty() {
+                previous.clone()
+            } else {
+                text_round(&mut rng, round)
+            };
+            let now = round * 5_000;
+            let doc = parse_families_bounded(&text, ParseLimits::network()).unwrap();
+            assert_eq!(
+                lane.push(&doc, now),
+                model.push(&mut pool, &doc.to_snapshots(), now),
+                "push outcome at round {round} (case {case}) of {text:?}"
+            );
+            assert_eq!(
+                fingerprint(&lane_db),
+                fingerprint(&model_db),
+                "lane and model stores diverged at round {round} (case {case}) on {text:?}"
+            );
+            previous = text;
+        }
+    }
+}
+
+#[test]
+fn respelled_and_repeated_lines_store_what_their_snapshots_store() {
+    // Each case of the generated test above, written out once.
+    let rounds = [
+        // Label order, blanks around `=` and `,`, an escaped value.
+        "m{b=\"2\",a=\"x\\\"y\"} 1\nm{a=\"z\"} 1\n",
+        "m{a = \"x\\\"y\" , b=\"2\"} 2\nm{a=\"z\"} 2\n",
+        // A `# TYPE` line after its samples, interleaved families, the same
+        // line twice, one series spelled two ways.
+        "c{a=\"1\"} 3\nm{a=\"z\"} 3\nc{a=\"1\"} 4\nc{ a=\"1\" } 5\n# TYPE c counter\n",
+        // `le="0.50"` on a histogram.
+        "# TYPE h histogram\nh_bucket{le=\"0.50\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\nm{a=\"z\"} 4\n",
+        "# TYPE h histogram\nh_bucket{le=\"0.50\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_sum 2\nh_count 3\nm{a=\"z\"} 5\n",
+    ];
+    let (lane_db, model_db) = (TimeSeriesDb::new(), TimeSeriesDb::new());
+    let mut lane = PushLane::new(lane_db.clone(), &lane_config("main:1", None));
+    let mut model = ModelLane::new(model_db.clone(), "main:1", None);
+    let mut pool = ModelPool::default();
+    for (round, text) in (1u64..).zip(rounds) {
+        let doc = parse_families_bounded(text, ParseLimits::network()).unwrap();
+        let now = round * 5_000;
+        assert_eq!(
+            lane.push(&doc, now),
+            model.push(&mut pool, &doc.to_snapshots(), now),
+            "{text:?}"
+        );
+        assert_eq!(fingerprint(&lane_db), fingerprint(&model_db), "{text:?}");
+    }
+    let stored = lane_db.select(&Selector::metric("h_bucket").with_label("le", "0.5"));
+    assert_eq!(stored[0].points_in(0, u64::MAX), [(20_000, 1.0), (25_000, 2.0)]);
 }
