@@ -71,17 +71,12 @@ impl Analyzer {
         Self { engine: QueryEngine::new(db) }
     }
 
-    /// The underlying database.
-    pub fn db(&self) -> &TimeSeriesDb {
-        self.engine.db()
-    }
-
     /// The instant and the window that cover `[start_ms, end_ms]` clamped to
     /// the data: evaluating `f(m[window])` at the instant reads exactly the
     /// clamped range.  `None` when no data falls in the range.
     fn window(&self, start_ms: u64, end_ms: u64) -> Option<(u64, String)> {
-        let start = start_ms.max(self.db().oldest_timestamp()?);
-        let end = end_ms.min(self.db().newest_timestamp()?);
+        let start = start_ms.max(self.engine.db().oldest_timestamp()?);
+        let end = end_ms.min(self.engine.db().newest_timestamp()?);
         (start <= end).then(|| (end, format_duration_ms((end - start).max(1))))
     }
 
@@ -111,7 +106,7 @@ impl Analyzer {
     pub fn detect_anomalies(&self, start_ms: u64, end_ms: u64) -> Vec<Anomaly> {
         let firing = Selector::metric("ALERTS").with_label("alertstate", "firing");
         let mut anomalies = Vec::new();
-        for series in self.db().select(&firing) {
+        for series in self.engine.db().select(&firing) {
             let rule = series.label_value("alertname").unwrap_or_default().to_string();
             let severity = [Severity::Info, Severity::Warning, Severity::Critical]
                 .into_iter()
@@ -195,7 +190,7 @@ impl Analyzer {
     }
 
     /// Diagnoses EPC thrashing from the eviction counter series.
-    pub fn diagnose_epc(
+    pub(crate) fn diagnose_epc(
         &self,
         evicted_metric: &str,
         requests: f64,
@@ -222,7 +217,7 @@ impl Analyzer {
     }
 
     /// Diagnoses a context-switch storm from host-wide switch counters.
-    pub fn diagnose_context_switches(
+    pub(crate) fn diagnose_context_switches(
         &self,
         switch_metric: &str,
         requests: f64,
@@ -276,18 +271,6 @@ impl Analyzer {
         }
         findings
     }
-}
-
-/// Helper used by tests and examples to render findings.
-pub fn summarize(findings: &[BottleneckFinding]) -> String {
-    if findings.is_empty() {
-        return "no bottlenecks detected".to_string();
-    }
-    findings
-        .iter()
-        .map(|f| format!("[{:?}] {}", f.kind, f.explanation))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 #[cfg(test)]
@@ -389,10 +372,10 @@ mod tests {
         let analyzer = Analyzer::new(db);
         let findings = analyzer.diagnose_all(10_000.0, 0, 120_000);
         assert!(findings.len() >= 2);
-        let summary = summarize(&findings);
-        assert!(summary.contains("SyscallDominance"));
-        assert!(summary.contains("EpcThrashing"));
-        assert_eq!(summarize(&[]), "no bottlenecks detected");
+        let kinds: Vec<_> = findings.iter().map(|f| f.kind).collect();
+        assert!(kinds.contains(&BottleneckKind::SyscallDominance));
+        assert!(kinds.contains(&BottleneckKind::EpcThrashing));
+        assert!(findings.iter().all(|f| !f.explanation.is_empty()));
     }
 
     #[test]

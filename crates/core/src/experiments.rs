@@ -25,9 +25,6 @@ use teemon_kernel_sim::{Kernel, Syscall};
 use crate::monitor::{MonitorBuilder, MonitoringMode};
 use crate::overhead::{ComponentFootprint, OverheadModel};
 
-/// Default number of sampled requests per configuration used by the benches.
-pub const DEFAULT_SAMPLES: u64 = 3_000;
-
 fn fresh_kernel() -> Kernel {
     Kernel::new()
 }
@@ -265,7 +262,7 @@ pub struct Fig11Row {
 }
 
 /// The (connections, database) configurations of Figure 11.
-pub const FIG11_CONFIGS: [(u32, u64); 6] =
+pub(crate) const FIG11_CONFIGS: [(u32, u64); 6] =
     [(8, 78), (8, 105), (320, 78), (320, 105), (580, 78), (580, 105)];
 
 /// Runs the Figure 11 experiment.

@@ -51,7 +51,6 @@ pub enum MonitoringMode {
 ///     .scrape_interval_ms(5_000)
 ///     .exporter_interval_ms("cadvisor", 15_000)
 ///     .build();
-/// assert_eq!(host.mode(), MonitoringMode::Full);
 /// // Full-mode recount: sgx_exporter, node_exporter, cadvisor and
 /// // ebpf_exporter — four exporters — plus the `teemon_self` self-scrape
 /// // target makes 5 targets per host.
@@ -235,7 +234,6 @@ impl MonitorBuilder {
         }
         let mut host = HostMonitor {
             node: self.node.clone(),
-            mode: self.mode,
             kernel,
             db,
             scraper,
@@ -309,7 +307,6 @@ impl MonitorBuilder {
 /// [`MonitorBuilder`] (or [`HostMonitor::new`] for the plain presets).
 pub struct HostMonitor {
     node: String,
-    mode: MonitoringMode,
     kernel: Kernel,
     db: TimeSeriesDb,
     scraper: Scraper,
@@ -329,16 +326,6 @@ impl HostMonitor {
     /// [`MonitorBuilder::new`]`(node).mode(mode).build()`.
     pub fn new(node: &str, mode: MonitoringMode) -> Self {
         MonitorBuilder::new(node).mode(mode).build()
-    }
-
-    /// Starts a [`MonitorBuilder`] for `node`.
-    pub fn builder(node: impl Into<String>) -> MonitorBuilder {
-        MonitorBuilder::new(node)
-    }
-
-    /// The monitoring mode in effect.
-    pub fn mode(&self) -> MonitoringMode {
-        self.mode
     }
 
     /// The node name.
@@ -364,11 +351,6 @@ impl HostMonitor {
     /// The analysis component (PMAN).
     pub fn analyzer(&self) -> &Analyzer {
         &self.analyzer
-    }
-
-    /// The dashboards (PMV).
-    pub fn dashboards(&self) -> &DashboardSet {
-        &self.dashboards
     }
 
     /// The TeeQL rule engine (recording + alert rules).  Groups added via
@@ -471,35 +453,21 @@ pub struct ClusterMonitor {
     cluster: Cluster,
     discovery: ServiceDiscovery,
     hosts: Vec<HostMonitor>,
-    db: TimeSeriesDb,
-    mode: MonitoringMode,
 }
 
 impl ClusterMonitor {
     /// Installs TEEMon on every SGX node of `cluster` using the default chart
     /// and full monitoring.
     pub fn install(cluster: Cluster) -> Self {
-        Self::install_with_mode(cluster, MonitoringMode::Full)
-    }
-
-    /// Installs TEEMon with an explicit monitoring mode preset on every SGX
-    /// node; each host is constructed through [`MonitorBuilder`].
-    pub fn install_with_mode(cluster: Cluster, mode: MonitoringMode) -> Self {
         let mut discovery = ServiceDiscovery::new();
         HelmChart::teemon().install(&mut discovery);
-        let db = TimeSeriesDb::new();
         let mut hosts = Vec::new();
         for node in cluster.ready_nodes() {
             if node.sgx_capable {
-                hosts.push(MonitorBuilder::new(&node.name).mode(mode).build());
+                hosts.push(MonitorBuilder::new(&node.name).mode(MonitoringMode::Full).build());
             }
         }
-        Self { cluster, discovery, hosts, db, mode }
-    }
-
-    /// The cluster being monitored.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
+        Self { cluster, discovery, hosts }
     }
 
     /// Per-node host monitors.
@@ -529,7 +497,7 @@ impl ClusterMonitor {
         let mut added = 0;
         for name in &ready_sgx {
             if !self.hosts.iter().any(|h| h.node() == name) {
-                self.hosts.push(MonitorBuilder::new(name).mode(self.mode).build());
+                self.hosts.push(MonitorBuilder::new(name).mode(MonitoringMode::Full).build());
                 added += 1;
             }
         }
@@ -544,12 +512,6 @@ impl ClusterMonitor {
     /// Total enclaves currently active across the cluster.
     pub fn total_active_enclaves(&self) -> u64 {
         self.hosts.iter().map(|h| h.kernel().sgx_driver().stats().enclaves_active).sum()
-    }
-
-    /// A cluster-level database for cross-node aggregation (currently fed by
-    /// callers; per-host data lives in each host's own db).
-    pub fn db(&self) -> &TimeSeriesDb {
-        &self.db
     }
 }
 
@@ -599,7 +561,6 @@ mod tests {
         let host = HostMonitor::new("n1", MonitoringMode::Off);
         assert_eq!(host.kernel().hooks().total_attached(), 0);
         assert_eq!(host.scrape_tick(), 0);
-        assert_eq!(host.mode(), MonitoringMode::Off);
     }
 
     #[test]

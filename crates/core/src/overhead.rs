@@ -69,7 +69,7 @@ impl OverheadModel {
     /// Evaluates the Figure 4 experiment: the CPU and memory footprint of each
     /// component over `hours` of monitoring with `samples_per_scrape` samples
     /// collected from `containers` containers on one host.
-    pub fn component_footprints(
+    pub(crate) fn component_footprints(
         &self,
         hours: f64,
         samples_per_scrape: f64,
@@ -128,21 +128,13 @@ impl OverheadModel {
         ]
     }
 
-    /// Total memory footprint of TEEMon in MB for the Figure 4 configuration.
-    pub fn total_memory_mb(&self, hours: f64, samples_per_scrape: f64, containers: f64) -> f64 {
-        self.component_footprints(hours, samples_per_scrape, containers)
-            .iter()
-            .map(|c| c.memory_mb)
-            .sum()
-    }
-
     /// The throughput factor (≤ 1.0) the *user-space* TEEMon components impose
     /// on a monitored application by competing for CPU.  The in-kernel eBPF
     /// cost is not included here — the kernel model charges it directly per
     /// traced event — so Figure 5's observation that "the eBPF programs …
     /// contribute for half of the performance drop" emerges from combining
     /// both halves.
-    pub fn userspace_throughput_factor(&self, mode: MonitoringMode, containers: f64) -> f64 {
+    pub(crate) fn userspace_throughput_factor(&self, mode: MonitoringMode, containers: f64) -> f64 {
         match mode {
             MonitoringMode::Off | MonitoringMode::EbpfOnly => 1.0,
             MonitoringMode::Full => {
@@ -180,7 +172,7 @@ mod tests {
             prometheus.memory_mb,
             others_max
         );
-        let total = model.total_memory_mb(24.0, 2_000.0, 10.0);
+        let total: f64 = footprints.iter().map(|c| c.memory_mb).sum();
         assert!(
             (500.0..1_000.0).contains(&total),
             "total memory {total} MB outside paper band (~700 MB)"

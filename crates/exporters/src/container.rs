@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use teemon_kernel_sim::Pid;
 use teemon_metrics::{
     CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
@@ -68,11 +67,6 @@ impl ContainerExporter {
         self.state.write().containers.insert(spec.name.clone(), (spec, ContainerUsage::default()));
     }
 
-    /// Removes a container (it exited).  Returns `true` when it existed.
-    pub fn remove_container(&self, name: &str) -> bool {
-        self.state.write().containers.remove(name).is_some()
-    }
-
     /// Adds usage to a container's counters and replaces its memory gauge.
     /// Returns `false` for unknown containers.
     pub fn record_usage(&self, name: &str, delta: ContainerUsage) -> bool {
@@ -89,21 +83,6 @@ impl ContainerExporter {
             }
             None => false,
         }
-    }
-
-    /// Number of registered containers.
-    pub fn container_count(&self) -> usize {
-        self.state.read().containers.len()
-    }
-
-    /// The container owning `pid`, if any.
-    pub fn container_of(&self, pid: Pid) -> Option<ContainerSpec> {
-        self.state
-            .read()
-            .containers
-            .values()
-            .find(|(spec, _)| spec.pid == pid.as_u32())
-            .map(|(spec, _)| spec.clone())
     }
 
     fn gather(state: &State) -> Vec<FamilySnapshot> {
@@ -213,7 +192,7 @@ mod tests {
             Some((1u64 << 30) as f64)
         );
         assert_eq!(exporter.job_name(), "cadvisor");
-        assert_eq!(exporter.container_count(), 1);
+        assert_eq!(exporter.state.read().containers.len(), 1);
     }
 
     #[test]
@@ -228,16 +207,5 @@ mod tests {
         let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
         let cpu = parsed.iter().find(|f| f.name == "container_cpu_usage_seconds_total").unwrap();
         assert_eq!(cpu.total(), 3.0);
-    }
-
-    #[test]
-    fn containers_can_be_looked_up_by_pid_and_removed() {
-        let exporter = ContainerExporter::new("n");
-        exporter.register_container(redis_spec());
-        assert_eq!(exporter.container_of(Pid::from_raw(1234)).unwrap().name, "redis-0");
-        assert!(exporter.container_of(Pid::from_raw(1)).is_none());
-        assert!(exporter.remove_container("redis-0"));
-        assert!(!exporter.remove_container("redis-0"));
-        assert_eq!(exporter.container_count(), 0);
     }
 }

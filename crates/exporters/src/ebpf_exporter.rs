@@ -10,7 +10,7 @@
 //! * `teemon_cache_events_total{event=…}`
 
 use teemon_kernel_sim::ebpf::{BpfMap, EbpfVm, PidFilter};
-use teemon_kernel_sim::{Kernel, Pid};
+use teemon_kernel_sim::Kernel;
 use teemon_metrics::{
     CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
@@ -19,42 +19,20 @@ use teemon_metrics::{
 pub struct EbpfExporter {
     vm: EbpfVm,
     maps: Vec<BpfMap>,
-    filter: PidFilter,
     node: Labels,
 }
 
 impl EbpfExporter {
     /// Attaches the standard program set to `kernel` observing every process.
     pub fn attach(kernel: &Kernel, node: &str) -> Self {
-        Self::attach_filtered(kernel, node, PidFilter::All)
-    }
-
-    /// Attaches with a PID filter (the "macro … set in the eBPF configuration
-    /// file" of §6.3) so per-PID series only exist for the filtered process.
-    pub fn attach_for_pid(kernel: &Kernel, node: &str, pid: Pid) -> Self {
-        Self::attach_filtered(kernel, node, PidFilter::Only(pid))
-    }
-
-    fn attach_filtered(kernel: &Kernel, node: &str, filter: PidFilter) -> Self {
         let mut vm = EbpfVm::new(kernel.hooks().clone());
-        let maps = vm.load_standard_programs(filter);
-        Self { vm, maps, filter, node: crate::registry::node_labels(node) }
-    }
-
-    /// The PID filter in effect.
-    pub fn filter(&self) -> PidFilter {
-        self.filter
+        let maps = vm.load_standard_programs(PidFilter::All);
+        Self { vm, maps, node: crate::registry::node_labels(node) }
     }
 
     /// Number of eBPF programs currently loaded.
-    pub fn program_count(&self) -> usize {
+    pub(crate) fn program_count(&self) -> usize {
         self.vm.program_count()
-    }
-
-    /// Detaches every program (monitoring off); the exporter keeps serving the
-    /// last observed values but stops paying instrumentation costs.
-    pub fn detach(&mut self) {
-        self.vm.unload_all();
     }
 
     fn family_from_map(
@@ -111,11 +89,6 @@ impl EbpfExporter {
                 |k| Some(k.to_string()),
             ),
         ]
-    }
-
-    /// Direct read of the syscall counts map (used by tests and analysis).
-    pub fn syscall_map(&self) -> &BpfMap {
-        &self.maps[0]
     }
 }
 
@@ -198,53 +171,5 @@ mod tests {
             ),
             Some(50.0)
         );
-    }
-
-    #[test]
-    fn pid_filter_restricts_per_pid_series() {
-        let kernel = Kernel::new();
-        let redis = kernel.spawn_process("redis-server", ProcessKind::Enclave, 8);
-        let other = kernel.spawn_process("noise", ProcessKind::User, 1);
-        let exporter = EbpfExporter::attach_for_pid(&kernel, "n1", redis);
-        kernel.context_switch(redis, SwitchKind::Voluntary);
-        kernel.context_switch(other, SwitchKind::Voluntary);
-
-        let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
-        let redis_scope = format!("pid_{redis}");
-        let other_scope = format!("pid_{other}");
-        assert!(value(
-            &parsed,
-            "teemon_context_switches_total",
-            &Labels::from_pairs([("node", "n1".to_string()), ("scope", redis_scope)])
-        )
-        .is_some());
-        assert!(value(
-            &parsed,
-            "teemon_context_switches_total",
-            &Labels::from_pairs([("node", "n1".to_string()), ("scope", other_scope)])
-        )
-        .is_none());
-        // Host total still counts both.
-        assert_eq!(
-            value(
-                &parsed,
-                "teemon_context_switches_total",
-                &Labels::from_pairs([("node", "n1"), ("scope", "host_total")])
-            ),
-            Some(2.0)
-        );
-    }
-
-    #[test]
-    fn detach_stops_observing_but_keeps_serving() {
-        let kernel = Kernel::new();
-        let mut exporter = EbpfExporter::attach(&kernel, "n1");
-        let pid = kernel.spawn_process("redis-server", ProcessKind::User, 1);
-        kernel.syscall(pid, Syscall::Write, false);
-        exporter.detach();
-        kernel.syscall(pid, Syscall::Write, false);
-        assert_eq!(exporter.syscall_map().get("write"), Some(1));
-        assert_eq!(exporter.program_count(), 0);
-        assert_eq!(kernel.hooks().total_attached(), 0);
     }
 }

@@ -63,11 +63,6 @@ impl NodeExporter {
         }
     }
 
-    /// The kernel being observed.
-    pub fn kernel(&self) -> &Kernel {
-        &self.kernel
-    }
-
     fn gauge(name: &str, help: &str, value: f64) -> FamilySnapshot {
         FamilySnapshot::new(name, help, MetricKind::Gauge)
             .with_point(MetricPoint::new(Labels::new(), PointValue::Gauge(value)))

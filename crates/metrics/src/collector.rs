@@ -35,13 +35,6 @@ pub enum CollectError {
     Invalid(MetricError),
 }
 
-impl CollectError {
-    /// Convenience constructor for an unavailable source.
-    pub fn unavailable(reason: impl Into<String>) -> Self {
-        CollectError::Unavailable(reason.into())
-    }
-}
-
 impl fmt::Display for CollectError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -139,7 +132,7 @@ mod tests {
 
     #[test]
     fn collect_error_displays_both_shapes() {
-        let unavailable = CollectError::unavailable("connection refused");
+        let unavailable = CollectError::Unavailable("connection refused".into());
         assert!(unavailable.to_string().contains("connection refused"));
         let invalid: CollectError = MetricError::InvalidMetricName("0bad".into()).into();
         assert!(invalid.to_string().contains("0bad"));

@@ -245,16 +245,6 @@ impl<'a> SampleLine<'a> {
         self.timestamp_ms
     }
 
-    /// The line's 1-based number in the document.
-    pub fn line_no(&self) -> usize {
-        self.line_no
-    }
-
-    /// Index of the line's family among [`Exposition::families`].
-    pub fn family(&self) -> usize {
-        self.family as usize
-    }
-
     /// The line's label set, built now: sorted, escapes resolved.
     pub fn labels(&self) -> Labels {
         self.labels_with(&mut Vec::new())
@@ -331,7 +321,7 @@ impl<'a> Exposition<'a> {
     /// How many samples the document's snapshots visit through
     /// [`FamilySnapshot::for_each_sample`] — the series it is in storage:
     /// one per counter, gauge or untyped line, and a folded histogram's or
-    /// summary's [`FamilySnapshot::sample_count`].
+    /// summary's `FamilySnapshot::sample_count`.
     pub fn sample_count(&self) -> usize {
         let count = |family: &Family<'_>| match &family.body {
             Body::Lines { len, .. } => *len,
@@ -395,17 +385,17 @@ pub struct ExpositionFamily<'d, 'a> {
 
 impl<'d, 'a> ExpositionFamily<'d, 'a> {
     /// The family name.
-    pub fn name(&self) -> &'a str {
+    pub(crate) fn name(&self) -> &'a str {
         self.family.name
     }
 
     /// The kind the document's `# TYPE` lines declared (untyped without one).
-    pub fn kind(&self) -> MetricKind {
+    pub(crate) fn kind(&self) -> MetricKind {
         self.family.kind
     }
 
     /// The help text, unescaped now (empty without a `# HELP` line).
-    pub fn help(&self) -> String {
+    pub(crate) fn help(&self) -> String {
         self.family.help.map(unescape_help).unwrap_or_default()
     }
 
@@ -1475,10 +1465,10 @@ m{a = \"1\", b=\"x\\\"y\"} 5
         let lines: Vec<_> = families[0].lines().collect();
         assert_eq!(lines[0].series(), "m{b=\"2\",a=\"1\"}");
         assert_eq!(lines[1].series(), "m{a = \"1\", b=\"x\\\"y\"}");
-        assert_eq!((lines[1].line_no(), lines[1].value(), lines[1].timestamp_ms()), (7, 5.0, None));
+        assert_eq!((lines[1].line_no, lines[1].value(), lines[1].timestamp_ms()), (7, 5.0, None));
         assert_eq!(lines[0].labels(), Labels::from_pairs([("a", "1"), ("b", "2")]));
         assert_eq!(lines[1].labels(), Labels::from_pairs([("a", "1"), ("b", "x\"y")]));
-        assert_eq!(lines.iter().map(|l| l.family()).collect::<Vec<_>>(), [0, 0]);
+        assert_eq!(lines.iter().map(|l| l.family as usize).collect::<Vec<_>>(), [0, 0]);
         assert!(families[1].lines().next().is_none());
         assert_eq!(families[1].folded().unwrap().sample_count(), 4);
         // A histogram point is as many series as it visits, `_sum` included.

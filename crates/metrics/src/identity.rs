@@ -84,11 +84,6 @@ impl SeriesKey {
         &self.name
     }
 
-    /// The captured label set.
-    pub fn labels(&self) -> &Labels {
-        &self.labels
-    }
-
     /// `true` when the borrowed `(name, labels)` pair is this series: real
     /// equality, so neither a hash collision nor a positional coincidence can
     /// read as a wrong-series hit.  Allocation-free.
@@ -143,7 +138,7 @@ mod tests {
         let hash = series_hash("teemon_syscalls_total", &l);
         assert_eq!(key.hash(), hash);
         assert_eq!(key.name(), "teemon_syscalls_total");
-        assert_eq!(key.labels(), &l);
+        assert_eq!(&key.labels, &l);
         assert!(key.matches("teemon_syscalls_total", &l));
         // Whatever nominated the entry, only equal data is a match.
         assert!(!key.matches("other_metric", &l));

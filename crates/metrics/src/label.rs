@@ -46,11 +46,6 @@ impl MetricName {
         }
         bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b':')
     }
-
-    /// Returns the name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
 }
 
 impl fmt::Display for MetricName {
@@ -96,11 +91,6 @@ impl LabelName {
             _ => return false,
         }
         bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
-    }
-
-    /// Returns the name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
     }
 }
 

@@ -75,17 +75,6 @@ impl PointValue {
             PointValue::Summary(s) => s.sum,
         }
     }
-
-    /// Kind of this point value.
-    pub fn kind(&self) -> MetricKind {
-        match self {
-            PointValue::Counter(_) => MetricKind::Counter,
-            PointValue::Gauge(_) => MetricKind::Gauge,
-            PointValue::Histogram(_) => MetricKind::Histogram,
-            PointValue::Summary(_) => MetricKind::Summary,
-            PointValue::Untyped(_) => MetricKind::Untyped,
-        }
-    }
 }
 
 /// One metric point: a label set plus its value, with an optional explicit
@@ -205,7 +194,7 @@ impl FamilySnapshot {
     /// without building a label: a histogram point with *n* bounds is
     /// *n* + 3 samples (its buckets, `+Inf`, `_sum`, `_count`), a summary
     /// point its quantiles + 2.
-    pub fn sample_count(&self) -> usize {
+    pub(crate) fn sample_count(&self) -> usize {
         let per_point = |point: &MetricPoint| match &point.value {
             PointValue::Counter(_) | PointValue::Gauge(_) | PointValue::Untyped(_) => 1,
             PointValue::Histogram(h) => h.bounds.len() + 3,

@@ -9,7 +9,7 @@
 //! seconds) follow Prometheus histogram conventions when snapshotted into a
 //! [`HistogramSnapshot`] for exposition.
 //!
-//! The bucket layout is fixed: [`BUCKETS`] counters covering
+//! The bucket layout is fixed: `BUCKETS` counters covering
 //! `(2^8, 2^31]` nanoseconds (≈ 512 ns to ≈ 2.1 s) in ×2 steps, with
 //! everything faster in the first bucket and everything slower in the
 //! implicit `+Inf` bucket — wide enough for a probe record on one end and a
@@ -21,7 +21,7 @@ use teemon_metrics::HistogramSnapshot;
 
 /// Number of atomic buckets (the last one doubles as the `+Inf` bucket, so
 /// there are `BUCKETS - 1` finite bounds).
-pub const BUCKETS: usize = 24;
+pub(crate) const BUCKETS: usize = 24;
 
 /// `log2` of the first bucket's upper bound in nanoseconds: bucket 0 holds
 /// everything up to `2^(MIN_SHIFT + 1)` ns.
@@ -69,7 +69,7 @@ impl LogLinearHist {
     /// Visits the histogram as cumulative Prometheus-style buckets without
     /// allocating: `visit(bound_seconds, cumulative_count)` for each finite
     /// bound, where `f64::INFINITY` closes the walk with the total count.
-    pub fn for_each_cumulative(&self, visit: &mut dyn FnMut(f64, u64)) {
+    pub(crate) fn for_each_cumulative(&self, visit: &mut dyn FnMut(f64, u64)) {
         let mut cumulative = 0u64;
         for (i, bucket) in self.buckets.iter().enumerate() {
             cumulative += bucket.load(Ordering::Relaxed);
@@ -78,7 +78,7 @@ impl LogLinearHist {
     }
 
     /// Snapshots into the canonical bucketed exposition form (allocates; use
-    /// [`LogLinearHist::for_each_cumulative`] on the in-place refresh path).
+    /// `LogLinearHist::for_each_cumulative` on the in-place refresh path).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut bounds = Vec::with_capacity(BUCKETS - 1);
         let mut cumulative_counts = Vec::with_capacity(BUCKETS);
@@ -98,7 +98,7 @@ impl LogLinearHist {
 /// additionally absorbing everything faster and the last bucket everything
 /// slower.
 #[inline]
-pub fn bucket_index(ns: u64) -> usize {
+pub(crate) fn bucket_index(ns: u64) -> usize {
     // `ns - 1` makes exact powers of two land in the bucket they bound
     // (le-inclusive, like Prometheus); `| 1` keeps 0 and 1 well-defined.
     let log2 = 63 - (ns.saturating_sub(1) | 1).leading_zeros();
@@ -106,7 +106,7 @@ pub fn bucket_index(ns: u64) -> usize {
 }
 
 /// Upper bound of bucket `i` in seconds (`+Inf` for the last bucket).
-pub fn bound_seconds(i: usize) -> f64 {
+pub(crate) fn bound_seconds(i: usize) -> f64 {
     if i >= BUCKETS - 1 {
         f64::INFINITY
     } else {

@@ -31,7 +31,7 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A zeroed counter (usable in `static` position).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
@@ -64,7 +64,7 @@ pub struct Gauge(AtomicU64);
 
 impl Gauge {
     /// A zeroed gauge (usable in `static` position).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
@@ -92,7 +92,7 @@ pub struct ShardCounters([Counter; SHARDS]);
 
 impl ShardCounters {
     /// Zeroed per-shard counters.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: Counter = Counter::new();
         Self([ZERO; SHARDS])
@@ -107,7 +107,7 @@ impl ShardCounters {
     }
 
     /// Current value of shard `shard` (0 when out of range).
-    pub fn get(&self, shard: usize) -> u64 {
+    pub(crate) fn get(&self, shard: usize) -> u64 {
         self.0.get(shard).map(Counter::get).unwrap_or(0)
     }
 }
@@ -123,7 +123,7 @@ pub struct ShardGauges([Gauge; SHARDS]);
 
 impl ShardGauges {
     /// Zeroed per-shard gauges.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: Gauge = Gauge::new();
         Self([ZERO; SHARDS])
@@ -138,7 +138,7 @@ impl ShardGauges {
     }
 
     /// Current value of shard `shard` (0 when out of range).
-    pub fn get(&self, shard: usize) -> f64 {
+    pub(crate) fn get(&self, shard: usize) -> f64 {
         self.0.get(shard).map(Gauge::get).unwrap_or(0.0)
     }
 }
@@ -162,12 +162,6 @@ impl Span {
     #[inline]
     pub fn start(hist: &'static LogLinearHist) -> Self {
         Self { hist, watch: Stopwatch::start() }
-    }
-
-    /// Elapsed nanoseconds so far (the span keeps running).
-    #[inline]
-    pub fn elapsed_ns(&self) -> u64 {
-        self.watch.elapsed_ns()
     }
 }
 
@@ -194,7 +188,7 @@ pub enum Slot {
 
 impl Slot {
     /// The metric kind a family of such slots exports as.
-    pub fn kind(&self) -> MetricKind {
+    pub(crate) fn kind(&self) -> MetricKind {
         match self {
             Slot::Counter(_) | Slot::ShardCounters(_) => MetricKind::Counter,
             Slot::Gauge(_) | Slot::ShardGauges(_) => MetricKind::Gauge,
@@ -205,7 +199,7 @@ impl Slot {
     /// Visits the slot's current scalar values as `(shard, value)`: one
     /// `(None, v)` for a counter or gauge, `(Some(i), v)` per shard for the
     /// per-shard slots, nothing for a histogram (see [`Probe::hists`]).
-    pub fn for_each_value(&self, mut visit: impl FnMut(Option<usize>, f64)) {
+    pub(crate) fn for_each_value(&self, mut visit: impl FnMut(Option<usize>, f64)) {
         match self {
             Slot::Counter(c) => visit(None, c.get() as f64),
             Slot::Gauge(g) => visit(None, g.get()),
@@ -235,14 +229,14 @@ pub struct Probe {
 impl Probe {
     /// The family's metric kind, derived from its slots (a family's members
     /// all share one slot type).
-    pub fn kind(&self) -> MetricKind {
+    pub(crate) fn kind(&self) -> MetricKind {
         self.members.first().map_or(MetricKind::Untyped, |(_, slot)| slot.kind())
     }
 
     /// The label set of one point: the member's value under
     /// [`Probe::label`] (grouped families only), then the shard index for
     /// per-shard slots.
-    pub fn labels(&self, member: &'static str, shard: Option<usize>) -> Labels {
+    pub(crate) fn labels(&self, member: &'static str, shard: Option<usize>) -> Labels {
         let labels = if self.label.is_empty() {
             Labels::new()
         } else {
@@ -255,7 +249,7 @@ impl Probe {
     }
 
     /// The family's histogram members as `(label value, histogram)`.
-    pub fn hists(&self) -> impl Iterator<Item = (&'static str, &'static LogLinearHist)> {
+    pub(crate) fn hists(&self) -> impl Iterator<Item = (&'static str, &'static LogLinearHist)> {
         self.members.iter().filter_map(|(member, slot)| match slot {
             Slot::LogLinearHist(hist) => Some((*member, *hist)),
             _ => None,

@@ -5,7 +5,7 @@
 //! into a fixed byte slot (truncated, never allocated), together with the
 //! wall time, the samples-decoded count and the irregular-series count.
 //! The ring keeps the most recent
-//! [`CAPACITY`] entries; the aggregate count is exported as the
+//! `CAPACITY` entries; the aggregate count is exported as the
 //! `teemon_query_slow_total` probe, while [`slow_queries`] hands operators
 //! the actual offenders (allocating — a cold diagnostic path, not a scrape
 //! path).
@@ -17,20 +17,20 @@ use parking_lot::{LockClass, Mutex};
 use crate::probes;
 
 /// Maximum number of retained slow queries.
-pub const CAPACITY: usize = 32;
+pub(crate) const CAPACITY: usize = 32;
 
 /// Bytes of query text kept per entry (longer queries are truncated).
-pub const TEXT_CAPACITY: usize = 120;
+pub(crate) const TEXT_CAPACITY: usize = 120;
 
 /// Default threshold: queries slower than 10 ms are slow.
-pub const DEFAULT_THRESHOLD_NS: u64 = 10_000_000;
+pub(crate) const DEFAULT_THRESHOLD_NS: u64 = 10_000_000;
 
 static THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_THRESHOLD_NS);
 
 /// One recorded slow query (the owned, public view).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlowQuery {
-    /// The query text, truncated to [`TEXT_CAPACITY`] bytes.
+    /// The query text, truncated to `TEXT_CAPACITY` bytes.
     pub query: String,
     /// Measured wall time in seconds.
     pub wall_seconds: f64,
@@ -86,7 +86,7 @@ pub fn set_threshold_seconds(seconds: f64) {
 }
 
 /// Records `query` if `wall_ns` crosses the threshold; returns whether it
-/// did.  Copies at most [`TEXT_CAPACITY`] bytes of the text — no allocation.
+/// did.  Copies at most `TEXT_CAPACITY` bytes of the text — no allocation.
 pub fn maybe_record(
     query: &str,
     wall_ns: u64,

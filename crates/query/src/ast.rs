@@ -43,7 +43,7 @@ impl BinOp {
     }
 
     /// Binding strength: comparisons bind loosest, `*`/`/` tightest.
-    pub fn precedence(&self) -> u8 {
+    pub(crate) fn precedence(&self) -> u8 {
         match self {
             BinOp::Eq | BinOp::Ne | BinOp::Gt | BinOp::Lt | BinOp::Ge | BinOp::Le => 1,
             BinOp::Add | BinOp::Sub => 2,
@@ -82,7 +82,7 @@ impl BinOp {
     }
 
     /// The operator's TeeQL spelling.
-    pub fn symbol(&self) -> &'static str {
+    pub(crate) fn symbol(&self) -> &'static str {
         match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
@@ -130,7 +130,7 @@ pub enum RangeFunc {
 
 impl RangeFunc {
     /// All functions, paired with their TeeQL names (used by the parser).
-    pub const ALL: [(RangeFunc, &'static str); 9] = [
+    pub(crate) const ALL: [(RangeFunc, &'static str); 9] = [
         (RangeFunc::Rate, "rate"),
         (RangeFunc::Increase, "increase"),
         (RangeFunc::AvgOverTime, "avg_over_time"),
@@ -143,12 +143,12 @@ impl RangeFunc {
     ];
 
     /// Looks a function up by its TeeQL name.
-    pub fn from_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
         Self::ALL.iter().find(|(_, n)| *n == name).map(|(f, _)| *f)
     }
 
     /// The function's TeeQL name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         Self::ALL.iter().find(|(f, _)| f == self).map(|(_, n)| *n).expect("listed in ALL")
     }
 
@@ -181,7 +181,7 @@ pub enum AggregateOp {
 
 impl AggregateOp {
     /// Looks an operator up by its TeeQL name.
-    pub fn from_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
         match name {
             "sum" => Some(AggregateOp::Sum),
             "avg" => Some(AggregateOp::Avg),

@@ -93,7 +93,7 @@ pub enum EvalError {
     /// A range query was issued with `step_ms == 0`.
     ZeroStep,
     /// A range query asked for this many steps, more than
-    /// [`QueryEngine::MAX_RANGE_STEPS`].
+    /// `QueryEngine::MAX_RANGE_STEPS`.
     TooManySteps(u64),
     /// A vector-vector binary operation found several right-hand series
     /// with the same label set, so matching would be ambiguous.
@@ -172,7 +172,9 @@ impl From<EvalError> for QueryError {
     }
 }
 
-/// Evaluates TeeQL expressions against a [`TimeSeriesDb`].
+/// Evaluates TeeQL expressions against a [`TimeSeriesDb`].  Instant
+/// selectors look back [`QueryEngine::DEFAULT_LOOKBACK_MS`], a constant
+/// shared with the storage engine's stale-head rule.
 ///
 /// ```
 /// use teemon_metrics::Labels;
@@ -191,42 +193,29 @@ impl From<EvalError> for QueryError {
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     db: TimeSeriesDb,
-    lookback_ms: u64,
 }
 
 impl QueryEngine {
-    /// Default staleness window for instant selectors: samples older than
-    /// this (relative to the query time) are not returned.  The storage
-    /// engine's stale-head rule is the same window: a series no instant
-    /// selector sees any more stops holding an uncompressed head.
+    /// The staleness window of instant selectors, a constant: samples older
+    /// than this (relative to the query time) are not returned.  The
+    /// storage engine's stale-head rule is the same window: a series no
+    /// instant selector sees any more stops holding an uncompressed head.
     pub const DEFAULT_LOOKBACK_MS: u64 = teemon_tsdb::STALE_HEAD_MS;
 
     /// The most steps one range query may evaluate (Prometheus' fixed
     /// 11 000 points per series).  Work and result size grow with
     /// `series × steps`, so without a bound a single request — a ten-year
     /// range at millisecond steps — asks for unbounded time and memory.
-    pub const MAX_RANGE_STEPS: u64 = 11_000;
+    pub(crate) const MAX_RANGE_STEPS: u64 = 11_000;
 
-    /// Creates an engine over `db` with the default lookback window.
+    /// Creates an engine over `db`.
     pub fn new(db: TimeSeriesDb) -> Self {
-        Self { db, lookback_ms: Self::DEFAULT_LOOKBACK_MS }
-    }
-
-    /// Overrides the instant-selector staleness window.
-    #[must_use]
-    pub fn with_lookback_ms(mut self, lookback_ms: u64) -> Self {
-        self.lookback_ms = lookback_ms.max(1);
-        self
+        Self { db }
     }
 
     /// The database queried.
     pub fn db(&self) -> &TimeSeriesDb {
         &self.db
-    }
-
-    /// The instant-selector staleness window in effect.
-    pub fn lookback_ms(&self) -> u64 {
-        self.lookback_ms
     }
 
     /// Parses and evaluates `query` at `at_ms`.
@@ -278,7 +267,7 @@ impl QueryEngine {
             });
             return Ok(Value::Matrix(series.collect()));
         }
-        let plan = stream::plan_or_reason(&self.db, self.lookback_ms, expr, at_ms, at_ms)?;
+        let plan = stream::plan_or_reason(&self.db, Self::DEFAULT_LOOKBACK_MS, expr, at_ms, at_ms)?;
         if let PlanKind::Scalar(value) = plan.kind {
             return Ok(Value::Scalar(value));
         }
@@ -300,7 +289,7 @@ impl QueryEngine {
     ///
     /// Returns [`EvalError::ZeroStep`] for a zero step,
     /// [`EvalError::TooManySteps`] when the grid has more than
-    /// [`QueryEngine::MAX_RANGE_STEPS`] steps (refused before any planning),
+    /// `QueryEngine::MAX_RANGE_STEPS` steps (refused before any planning),
     /// and the planner's error for an expression it refuses
     /// ([`stream::plan_or_reason`]) — a whole-query range selector (`m[5m]`)
     /// among them, with [`EvalError::UnexpectedRange`].
@@ -341,7 +330,8 @@ impl QueryEngine {
             return Err(EvalError::TooManySteps(steps));
         }
         let watch = Stopwatch::start();
-        let plan = stream::plan_or_reason(&self.db, self.lookback_ms, expr, start_ms, end_ms)?;
+        let plan =
+            stream::plan_or_reason(&self.db, Self::DEFAULT_LOOKBACK_MS, expr, start_ms, end_ms)?;
         let (result, stats) = plan.run_with_stats(start_ms, end_ms, step_ms);
         probes::QUERY_STREAMED.inc();
         probes::QUERY_SAMPLES_DECODED.add(stats.samples_decoded);
@@ -405,8 +395,7 @@ mod tests {
         assert_eq!(one[0].name.as_deref(), Some("sgx_nr_free_pages"));
         assert_eq!(one[0].value, 24_000.0 - 12.0 * 3_000.0);
         // Beyond the lookback window the series goes stale.
-        let stale = QueryEngine::new(db()).with_lookback_ms(10_000);
-        assert!(vector(&stale, "sgx_nr_free_pages", 500_000).is_empty());
+        assert!(vector(&engine, "sgx_nr_free_pages", 500_000).is_empty());
     }
 
     #[test]

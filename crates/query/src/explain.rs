@@ -128,13 +128,14 @@ impl QueryEngine {
     /// # Errors
     ///
     /// Returns the planner's error for an expression it refuses.
-    pub fn explain_expr(
+    pub(crate) fn explain_expr(
         &self,
         expr: &Expr,
         start_ms: u64,
         end_ms: u64,
     ) -> Result<Explain, EvalError> {
-        let plan = stream::plan_or_reason(self.db(), self.lookback_ms(), expr, start_ms, end_ms)?;
+        let plan =
+            stream::plan_or_reason(self.db(), Self::DEFAULT_LOOKBACK_MS, expr, start_ms, end_ms)?;
         let root = match &plan.kind {
             PlanKind::Scalar(value) => constant(*value),
             PlanKind::Vector { root, .. } => annotate(expr, root),

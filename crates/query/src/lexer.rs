@@ -4,7 +4,7 @@ use std::fmt;
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// An identifier: metric name, label name, keyword or function name.
     /// Metric names may contain `:` (recording-rule convention).
     Ident(String),
@@ -54,7 +54,7 @@ pub enum Token {
 
 impl Token {
     /// Human-readable description used in error messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Token::Ident(name) => format!("identifier `{name}`"),
             Token::Number(n) => format!("number `{n}`"),
@@ -91,7 +91,7 @@ impl Token {
 
 /// A token plus the character offset where it starts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     /// The token.
     pub token: Token,
     /// Character (not byte) offset into the query string.
@@ -138,7 +138,7 @@ fn duration_unit_ms(unit: &str) -> Option<u64> {
 ///
 /// Returns a [`ParseError`] on an unexpected character, an unterminated
 /// string, an invalid escape, a malformed number or an unknown duration unit.
-pub fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
     let chars: Vec<char> = input.chars().collect();
     let mut tokens = Vec::new();
     let mut i = 0;

@@ -305,7 +305,7 @@ pub enum AlertState {
 
 impl AlertState {
     /// The `alertstate` label value of the `ALERTS` series.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AlertState::Pending => "pending",
             AlertState::Firing => "firing",
@@ -393,23 +393,13 @@ impl RuleEngine {
 
     /// Evaluates every group whose cadence has elapsed at `now_ms`.
     pub fn evaluate_due(&self, now_ms: u64) -> RuleEvalSummary {
-        self.evaluate(now_ms, false)
-    }
-
-    /// Evaluates every group regardless of cadence (a forced tick).
-    pub fn evaluate_all(&self, now_ms: u64) -> RuleEvalSummary {
-        self.evaluate(now_ms, true)
-    }
-
-    fn evaluate(&self, now_ms: u64, force: bool) -> RuleEvalSummary {
         let mut summary = RuleEvalSummary::default();
         let mut inner = self.inner.lock();
         for state in inner.iter_mut() {
-            let due = force
-                || state
-                    .last_eval_ms
-                    .map(|last| now_ms.saturating_sub(last) >= state.group.interval_ms)
-                    .unwrap_or(true);
+            let due = state
+                .last_eval_ms
+                .map(|last| now_ms.saturating_sub(last) >= state.group.interval_ms)
+                .unwrap_or(true);
             if !due {
                 continue;
             }
@@ -592,7 +582,6 @@ mod tests {
         assert_eq!(engine.evaluate_due(0).groups_evaluated, 1);
         assert_eq!(engine.evaluate_due(30_000).groups_evaluated, 0, "not due yet");
         assert_eq!(engine.evaluate_due(60_000).groups_evaluated, 1);
-        assert_eq!(engine.evaluate_all(61_000).groups_evaluated, 1, "forced");
     }
 
     #[test]

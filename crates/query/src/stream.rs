@@ -148,7 +148,7 @@ impl StreamPlan {
     /// `start + step`, … up to and including the last step `<= end`).  Columns
     /// and accumulators are sized by the grid: bounding the number of steps
     /// is the caller's business ([`crate::QueryEngine::range`] refuses more
-    /// than [`crate::QueryEngine::MAX_RANGE_STEPS`]).
+    /// than `crate::QueryEngine::MAX_RANGE_STEPS`).
     pub fn run(self, start_ms: u64, end_ms: u64, step_ms: u64) -> Vec<RangeSeries> {
         self.run_with_stats(start_ms, end_ms, step_ms).0
     }

@@ -113,7 +113,7 @@ fn eval(
     match expr {
         Expr::Number(n) => Ok(Value::Scalar(*n)),
         Expr::Selector(selector) => {
-            let oldest_live = at_ms.saturating_sub(engine.lookback_ms());
+            let oldest_live = at_ms.saturating_sub(QueryEngine::DEFAULT_LOOKBACK_MS);
             let selection = cache.selection(engine, selector);
             let samples = selection.iter().filter_map(|series| {
                 let sample = series.snapshot.at(at_ms).filter(|s| s.timestamp_ms >= oldest_live)?;

@@ -1,7 +1,7 @@
 //! The connection abstraction the middleware stack is written against.
 //!
 //! Every layer — deadline reads, request parsing, response writes — talks to
-//! a [`Conn`], not a `TcpStream`.  Production uses [`TcpConn`]; the test
+//! a [`Conn`], not a `TcpStream`.  Production uses `TcpConn`; the test
 //! suite uses [`MockConn`], an in-memory connection with a scripted byte
 //! stream and a **virtual clock**, so slow-loris timeouts, torn requests and
 //! partial reads are exercised deterministically without sleeping (the
@@ -38,7 +38,7 @@ pub trait Conn {
 
 /// A real TCP connection: wraps the stream, caches the peer string and
 /// reads time from the server's monotonic epoch.
-pub struct TcpConn {
+pub(crate) struct TcpConn {
     stream: TcpStream,
     peer: String,
     epoch: Stopwatch,
@@ -47,7 +47,7 @@ pub struct TcpConn {
 impl TcpConn {
     /// Wraps an accepted stream.  `epoch` is the server's start stopwatch so
     /// every connection reports the same timeline.
-    pub fn new(stream: TcpStream, epoch: Stopwatch) -> Self {
+    pub(crate) fn new(stream: TcpStream, epoch: Stopwatch) -> Self {
         let peer = match stream.peer_addr() {
             Ok(addr) => addr.to_string(),
             Err(_) => "unknown".to_string(),

@@ -28,7 +28,7 @@ use crate::http::{Request, Response};
 
 /// Everything a handler may touch.  One per connection: the [`PushLane`]
 /// carries the per-connection ingest cache.
-pub struct HandlerCtx<'a> {
+pub(crate) struct HandlerCtx<'a> {
     /// The local database (shared, internally sharded).
     pub db: &'a TimeSeriesDb,
     /// This connection's remote-write fast lane.
@@ -46,7 +46,7 @@ pub struct HandlerCtx<'a> {
 
 /// Dispatches one request.  Never returns an error: failures are encoded as
 /// status codes per the overload-behaviour contract.
-pub fn route(req: &Request, ctx: &mut HandlerCtx<'_>) -> Response {
+pub(crate) fn route(req: &Request, ctx: &mut HandlerCtx<'_>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
         ("GET", "/metrics") => metrics(ctx),

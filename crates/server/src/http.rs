@@ -100,7 +100,7 @@ impl Request {
     }
 
     /// First query parameter with this name.
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
 }

@@ -33,7 +33,7 @@ pub mod middleware;
 pub mod server;
 
 pub use client::{http_get, http_post, HttpResponse};
-pub use conn::{Conn, MockConn, MockStep, TcpConn};
+pub use conn::{Conn, MockConn, MockStep};
 pub use http::{percent_encode, HttpLimits, ReadError, Request, Response};
-pub use middleware::{InflightGate, RateDecision, RateLimiter};
+pub use middleware::{RateDecision, RateLimiter};
 pub use server::{Server, ServerConfig, ServerCore};

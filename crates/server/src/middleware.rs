@@ -34,8 +34,8 @@ struct Bucket {
 ///
 /// Clients are keyed by the ip part of the peer address, so a client
 /// reconnecting from ephemeral ports keeps draining the same bucket.  The
-/// table is bounded: past [`RateLimiter::MAX_CLIENTS`] buckets, entries idle
-/// longer than [`RateLimiter::IDLE_EVICT_MS`] are evicted (full buckets
+/// table is bounded: past `RateLimiter::MAX_CLIENTS` buckets, entries idle
+/// longer than `RateLimiter::IDLE_EVICT_MS` are evicted (full buckets
 /// carry no history worth keeping).
 pub struct RateLimiter {
     buckets: Mutex<HashMap<String, Bucket>>,
@@ -45,10 +45,10 @@ pub struct RateLimiter {
 
 impl RateLimiter {
     /// Bucket-table size beyond which idle entries are evicted.
-    pub const MAX_CLIENTS: usize = 10_000;
+    pub(crate) const MAX_CLIENTS: usize = 10_000;
     /// Idle time after which an entry is evictable (its bucket has long
     /// refilled to `burst`, so eviction loses nothing).
-    pub const IDLE_EVICT_MS: u64 = 60_000;
+    pub(crate) const IDLE_EVICT_MS: u64 = 60_000;
 
     /// A limiter allowing `rate_per_sec` sustained requests per client with
     /// bursts up to `burst`.
@@ -82,11 +82,6 @@ impl RateLimiter {
             RateDecision::Limited { retry_after_secs: secs as u64 }
         }
     }
-
-    /// Number of tracked clients (test/diagnostic hook).
-    pub fn client_count(&self) -> usize {
-        self.buckets.lock().len()
-    }
 }
 
 /// The ip part of an `ip:port` peer string (handles `[v6]:port` too).
@@ -100,14 +95,14 @@ fn client_key(peer: &str) -> &str {
 /// Bounded in-flight concurrency: at most `max` connections are being
 /// served at once; the acceptor sheds the rest with an O(1) 503 **before**
 /// any request byte is parsed.
-pub struct InflightGate {
+pub(crate) struct InflightGate {
     inner: Arc<Mutex<usize>>,
     max: usize,
 }
 
 impl InflightGate {
     /// A gate admitting at most `max` concurrent connections.
-    pub fn new(max: usize) -> Self {
+    pub(crate) fn new(max: usize) -> Self {
         Self {
             inner: Arc::new(Mutex::named(0, LockClass::new("server.inflight"))),
             max: max.max(1),
@@ -117,7 +112,7 @@ impl InflightGate {
     /// Tries to enter the gate; `None` means shed.  The permit releases the
     /// slot (and updates the `teemon_http_inflight` gauge) on drop, so a
     /// panicking worker can never leak a slot.
-    pub fn try_acquire(&self) -> Option<InflightPermit> {
+    pub(crate) fn try_acquire(&self) -> Option<InflightPermit> {
         let mut count = self.inner.lock();
         if *count >= self.max {
             return None;
@@ -128,18 +123,13 @@ impl InflightGate {
     }
 
     /// Connections currently admitted.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         *self.inner.lock()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.max
     }
 }
 
 /// An admitted connection's slot; dropping it releases the slot.
-pub struct InflightPermit {
+pub(crate) struct InflightPermit {
     inner: Arc<Mutex<usize>>,
 }
 
@@ -187,7 +177,7 @@ mod tests {
             "a reconnect from a fresh ephemeral port must not reset the budget"
         );
         assert_eq!(limiter.check("10.0.0.2:1111", 0), RateDecision::Allow);
-        assert_eq!(limiter.client_count(), 2);
+        assert_eq!(limiter.buckets.lock().len(), 2);
     }
 
     #[test]
@@ -196,10 +186,10 @@ mod tests {
         for i in 0..RateLimiter::MAX_CLIENTS {
             limiter.check(&format!("10.1.{}.{}:1", i / 256, i % 256), 0);
         }
-        assert_eq!(limiter.client_count(), RateLimiter::MAX_CLIENTS);
+        assert_eq!(limiter.buckets.lock().len(), RateLimiter::MAX_CLIENTS);
         // A new client far in the future evicts the idle ten thousand.
         limiter.check("203.0.113.9:1", RateLimiter::IDLE_EVICT_MS + 1);
-        assert_eq!(limiter.client_count(), 1);
+        assert_eq!(limiter.buckets.lock().len(), 1);
     }
 
     #[test]

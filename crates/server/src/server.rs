@@ -119,29 +119,19 @@ impl ServerCore {
         &self.db
     }
 
-    /// The in-flight gate (the acceptor and the drain loop poll it).
-    pub fn gate(&self) -> &InflightGate {
-        &self.gate
-    }
-
-    /// The per-client rate limiter.
-    pub fn limiter(&self) -> &RateLimiter {
-        &self.limiter
-    }
-
     /// The server's monotonic epoch (stamps connection clocks).
-    pub fn epoch(&self) -> Stopwatch {
+    pub(crate) fn epoch(&self) -> Stopwatch {
         self.epoch
     }
 
     /// Flips the shutdown flag: the accept loop stops admitting and serving
     /// loops close their connection after the current request.
-    pub fn begin_shutdown(&self) {
+    pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
     /// Whether shutdown has begun.
-    pub fn is_shutting_down(&self) -> bool {
+    pub(crate) fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
@@ -293,11 +283,6 @@ impl Server {
     /// The shared serving core.
     pub fn core(&self) -> &Arc<ServerCore> {
         &self.core
-    }
-
-    /// The database this edge feeds and queries.
-    pub fn db(&self) -> &TimeSeriesDb {
-        self.core.db()
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight connections under

@@ -14,7 +14,7 @@
 //! * [`chunk_codec`] — Gorilla-style sealed-chunk compression (delta-of-delta
 //!   timestamps, XOR-encoded floats): sealed chunks cost a few bytes per
 //!   16-byte sample, and the decoder streams so queries never materialise a
-//!   decompressed chunk ([`StorageStats::bytes_per_sample`] reports the
+//!   decompressed chunk (`StorageStats::bytes_per_sample` reports the
 //!   realised ratio),
 //! * [`SeriesSnapshot`] — zero-copy reads: selection returns `Arc`-shared
 //!   sealed chunks with a footer-seeking cursor API instead of deep-cloned
@@ -56,8 +56,8 @@ pub mod wal;
 
 pub use query::{LabelMatch, Selector};
 pub use scrape::{
-    CardinalityBudgets, CollectorEndpoint, MetricsEndpoint, ObsEndpoint, PushLane, PushOutcome,
-    RoundSummary, ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Scraper, TextSource,
+    CardinalityBudgets, MetricsEndpoint, ObsEndpoint, PushLane, PushOutcome, RoundSummary,
+    ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Scraper, TextSource,
 };
 pub use series::{Sample, SeriesId};
 pub use snapshot::{OwnedSampleCursor, SampleCursor, SeriesSnapshot};
@@ -65,6 +65,4 @@ pub use storage::{
     BatchOutcome, HandleAppend, SeriesHandle, StorageCensus, StorageStats, TimeSeriesDb,
     TsdbConfig, BATCH_BLOCK, SHARD_COUNT, STALE_HEAD_MS,
 };
-pub use wal::{
-    CrashModel, DurabilityOptions, FailpointWriter, FaultFs, FsyncMode, RealFs, WalFile, WalFs,
-};
+pub use wal::{CrashModel, DurabilityOptions, FailpointWriter, FaultFs, FsyncMode, WalFile, WalFs};

@@ -13,47 +13,50 @@
 //! [`FamilySnapshot`]s and the scraper appends their samples straight into
 //! the [`TimeSeriesDb`].  The text wire format only appears at the edges:
 //! [`Scraper::add_text_source`] ingests raw exposition documents from
-//! targets that only speak text, and what the HTTP edge serves is
-//! [`exposition::encode_text`] of a collection.
+//! targets that only speak text — parsed and walked exactly as a push is —
+//! and what the HTTP edge serves is [`exposition::encode_text`] of a
+//! collection.
 //!
 //! # The ingest fast lane
 //!
 //! A scrape target emits the *same* series set round after round, so paying
 //! key hashing, label merging, symbol interning and an index lookup per
-//! sample per round is almost pure waste.  The scraper therefore keeps a
-//! **per-target scrape cache**: one entry per wire sample, holding the
-//! sample's structural identity ([`teemon_metrics::SeriesKey`]), the
-//! target-label-merged key and a resolved [`crate::SeriesHandle`].  A
-//! steady-state round walks the
-//! borrowed snapshots positionally, verifies each sample against the entry
-//! at its position by real equality (a name compare and two slice compares
-//! over the packed [`Labels`] — nothing is hashed), and hands the whole
-//! round to [`TimeSeriesDb::append_batch`], which takes each shard lock once
-//! per round.  No allocation (for plain counter/gauge/untyped points —
-//! histogram and summary families allocate their `le`/`quantile` label
-//! expansions in the snapshot walk itself), no interning, no index
+//! sample per round is almost pure waste.  Every target and every
+//! [`PushLane`] therefore owns one private `Lane`: the job, the merged
+//! target labels, the admission limits and a **scrape cache** holding one
+//! entry per wire sample — the sample's structural identity
+//! ([`teemon_metrics::SeriesKey`]), the target-label-merged key and a
+//! resolved [`crate::SeriesHandle`].  `Lane::ingest` is the one copy of a
+//! round: cache walk, [`TimeSeriesDb::append_batch`], stale-handle repair,
+//! overflow accounting.  Pull or push, typed or text, only decides what the
+//! walk reads and which meta samples the caller writes afterwards.
+//!
+//! A steady-state round walks the round positionally and verifies each
+//! sample against the entry at its position: a typed sample by real
+//! equality (a name compare and two slice compares over the packed
+//! [`Labels`] — nothing is hashed), a text line ([`Exposition`], from a push
+//! or a text target) by one byte compare of its series bytes as sent
+//! against the bytes the entry last saw (equal bytes parse to equal
+//! identities).  The whole round then goes to one batch append, which takes
+//! each shard lock once.  No allocation (for plain counter/gauge/untyped
+//! points — histogram and summary families allocate their `le`/`quantile`
+//! label expansions in the snapshot walk itself), no interning, no index
 //! traffic.  Churn (new, vanished or reordered series) fails the positional
 //! check and the round runs one repair pass instead, whose cost follows what
 //! changed rather than what the cache holds: each sample is tried against
 //! the previous round's entry **at its own position first** (a rename in
-//! place re-matches every unrenamed neighbour for what the warm pass pays),
-//! then against an index of the entries nobody has claimed yet — keyed by
-//! structural hash ([`teemon_metrics::series_hash`], confirmed by the same
-//! equality), built lazily at the first positional miss in a map the cache
-//! keeps — and only a sample that matches nothing pays the label merge, the
-//! key capture and [`TimeSeriesDb::resolve`].  Admission and the batch fill
-//! happen in the same walk.  Stale handles (series evicted by retention or
-//! dropped) are
+//! place re-matches every unrenamed neighbour for what the warm pass pays;
+//! a text line that misses by its bytes has its label set built and is
+//! tried once more by identity), then against an index of the entries
+//! nobody has claimed yet — keyed by structural hash
+//! ([`teemon_metrics::series_hash`], confirmed by the same equality), built
+//! lazily at the first positional miss in a map the cache keeps — and only
+//! a sample that matches nothing pays the label merge, the key capture and
+//! [`TimeSeriesDb::resolve`].  Admission and the batch fill happen in the
+//! same walk.  Stale handles (series evicted by retention or dropped) are
 //! re-resolved by key, so the fast lane can miss a beat but never writes to
-//! the wrong series.
-//!
-//! A [`PushLane`] runs the same cache over a parsed text document
-//! ([`Exposition`]) instead of snapshots.  Its warm check is one byte compare
-//! per line: the line's series bytes as sent against the bytes the entry at
-//! its position last saw (equal bytes parse to equal identities).  A line
-//! that misses has its label set built and goes through the same repair —
-//! position first by identity, then the hash index, swap and truncate — and
-//! the entry it claims remembers its spelling.
+//! the wrong series.  A lane gives its admissions back to the job pool when
+//! it is dropped — a removed target's and a closed connection's alike.
 //!
 //! The fast lane is the only lane.  What it must equal — merge the target
 //! labels and [`TimeSeriesDb::append`] every sample by key, every round —
@@ -112,9 +115,9 @@ impl From<MetricError> for ScrapeError {
 
 /// Something that can be scraped: returns the current typed family snapshots.
 ///
-/// This is the in-process scrape contract.  Every [`Collector`] can be turned
-/// into an endpoint with [`CollectorEndpoint`] (or [`Scraper::add_collector`]);
-/// closures returning snapshots work directly.
+/// This is the in-process scrape contract.  Every [`Collector`] is scraped
+/// as one through [`Scraper::add_collector`]; closures returning snapshots
+/// work directly.
 pub trait MetricsEndpoint: Send + Sync {
     /// Produces the current family snapshots.
     ///
@@ -162,11 +165,11 @@ where
 
 /// Typed endpoint over any [`Collector`]: refresh, then hand over snapshots.
 /// No serialisation of any kind is involved.
-pub struct CollectorEndpoint(Arc<dyn Collector>);
+pub(crate) struct CollectorEndpoint(Arc<dyn Collector>);
 
 impl CollectorEndpoint {
     /// Wraps a collector.
-    pub fn new(collector: Arc<dyn Collector>) -> Self {
+    pub(crate) fn new(collector: Arc<dyn Collector>) -> Self {
         Self(collector)
     }
 }
@@ -198,22 +201,6 @@ where
     }
 }
 
-/// Endpoint adapter parsing a [`TextSource`]'s document into snapshots.
-/// The document crossed a process (and possibly a network) boundary, so the
-/// parse is bounded by [`exposition::ParseLimits::network`]: a document over
-/// a limit fails the scrape with a typed [`ScrapeError::Parse`] carrying
-/// [`MetricError::LimitExceeded`] — never a silent truncation that would
-/// report a broken target as healthy.
-struct TextSourceEndpoint(Arc<dyn TextSource>);
-
-impl MetricsEndpoint for TextSourceEndpoint {
-    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
-        let text = self.0.fetch().map_err(ScrapeError::Unreachable)?;
-        Ok(exposition::parse_families_bounded(&text, exposition::ParseLimits::network())?
-            .to_snapshots())
-    }
-}
-
 /// The engine's own telemetry as an **in-place** scrape endpoint: a
 /// [`teemon_obs::SelfSnapshot`] refreshed under a private lock on every
 /// scrape, handed to the scraper by reference.  Point positions never move
@@ -231,7 +218,7 @@ pub struct ObsEndpoint {
 
 impl ObsEndpoint {
     /// Creates the endpoint (builds the initial probe snapshot).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { snapshot: Mutex::named(SelfSnapshot::new(), LockClass::new("scrape.self_snapshot")) }
     }
 }
@@ -387,11 +374,6 @@ impl CardinalityBudgets {
         self.jobs.lock().entry(job.into()).or_default().limit = Some(limit);
     }
 
-    /// The configured limit for `job`, if any.
-    pub fn job_limit(&self, job: &str) -> Option<u64> {
-        self.jobs.lock().get(job).and_then(|b| b.limit)
-    }
-
     /// Series currently admitted under `job` across every admission point.
     pub fn job_used(&self, job: &str) -> u64 {
         self.jobs.lock().get(job).map(|b| b.used).unwrap_or(0)
@@ -429,25 +411,19 @@ impl CardinalityBudgets {
     }
 }
 
-/// What one cache walk runs under: the database new series resolve in, the
-/// target labels every stored key carries, and the admission rules of a
-/// repair — the target's own cap, the job pool (when shared budgets are
-/// registered) and the job name the pool is keyed by.
-struct LaneCtx<'a> {
-    db: &'a TimeSeriesDb,
-    base_labels: &'a Labels,
-    job: &'a str,
-    target_limit: Option<u64>,
-    shared: Option<&'a CardinalityBudgets>,
+/// What a target is scraped through.
+enum Source {
+    /// Typed snapshots, walked as the endpoint hands them over.
+    Typed(Arc<dyn MetricsEndpoint>),
+    /// An exposition document, parsed and walked as a push is.
+    Text(Arc<dyn TextSource>),
 }
 
 struct Target {
     config: ScrapeTargetConfig,
-    endpoint: Arc<dyn MetricsEndpoint>,
-    /// `job`/`instance`/extra labels, merged once at registration.
-    base_labels: Labels,
-    /// The per-target ingest cache of the fast lane.
-    cache: Mutex<TargetCache>,
+    source: Source,
+    /// The target's ingest lane.
+    lane: Mutex<Lane>,
     /// Virtual time of the last scrape; `u64::MAX` = never scraped.
     last_scrape_ms: AtomicU64,
 }
@@ -557,34 +533,27 @@ impl WireSource for Exposition<'_> {
     }
 }
 
-/// The per-target scrape cache: one [`CacheEntry`] per wire sample in
+/// The per-lane scrape cache: one [`CacheEntry`] per wire sample in
 /// snapshot order, plus the reusable batch buffer handed to
-/// [`TimeSeriesDb::append_batch`].  Steady state, the cache turns a scrape
-/// round into: one equality check per sample against the entry at its
-/// position, one batch append.  Any churn — a series appearing, vanishing or moving —
-/// fails the positional check and triggers [`TargetCache::repair`], which
-/// reuses every surviving entry and resolves only what changed.
+/// [`TimeSeriesDb::append_batch`].  Steady state, the cache turns a round
+/// into: one equality check per sample against the entry at its position,
+/// one batch append.  Any churn — a series appearing, vanishing or moving —
+/// fails the positional check and triggers [`Lane::repair`], which reuses
+/// every surviving entry and resolves only what changed.
 #[derive(Default)]
 struct TargetCache {
     entries: Vec<CacheEntry>,
     batch: Vec<(SeriesHandle, u64, f64)>,
     /// Batch position → entry index.  Unadmitted entries are skipped when
     /// the batch fills, so batch position and entry index diverge as soon as
-    /// a budget clips the target; stale-handle repair maps through this.
+    /// a budget clips the lane; stale-handle repair maps through this.
     batch_entry: Vec<u32>,
-    /// Series currently admitted — this cache's contribution to its job's
-    /// shared budget.
-    admitted: u64,
-    /// Cumulative overflow samples (matched the cache, rejected by budget)
-    /// across the cache's lifetime — the `teemon_overflow_series_total`
-    /// roll-up value.
-    overflow_total: u64,
     /// The repair pass's index of unclaimed entries.  Kept here so that a
     /// repair clears it instead of allocating a new one.
     index: Unclaimed,
     /// Where a text round's histogram and summary keys are rendered.
     render: String,
-    /// Handles of the series a round writes about the target itself.
+    /// Handles of the series a round writes about the lane itself.
     meta: MetaSeries,
 }
 
@@ -632,26 +601,95 @@ impl TargetCache {
         *overflow = clipped;
         matched && idx == entries.len()
     }
+}
 
-    /// One round's identity walk, shared by the scraper's fast lane and
-    /// [`PushLane`]: the warm positional pass and, when the round's shape
-    /// deviates from the cache, the repair pass.  Either way `batch` ends up
-    /// holding the round's admitted samples, `scraped` the wire samples seen
-    /// and `overflow` the ones a budget clipped.
-    fn walk<S: WireSource + ?Sized>(
+/// What one [`Lane::ingest`] moved: wire samples seen, samples storage
+/// accepted, budget-clipped samples this round and cumulatively, and the
+/// time its batch append took.
+#[derive(Default)]
+struct IngestStats {
+    scraped: u64,
+    ingested: u64,
+    overflow: u64,
+    overflow_total: u64,
+    append_ns: u64,
+}
+
+/// The one ingest lane: what a scrape target and a [`PushLane`] both hold
+/// between rounds, and the one copy of the sequence a round runs through
+/// them — cache walk, batch append, stale-handle repair, overflow
+/// accounting.  Whether the round was pulled or pushed, typed or text, only
+/// decides the [`WireSource`] it walks and the meta samples its caller
+/// writes afterwards.
+struct Lane {
+    job: String,
+    /// `job`/`instance`/extra labels, merged once at registration.
+    base_labels: Labels,
+    /// The lane's own cap on admitted series.
+    target_limit: Option<u64>,
+    /// The job pool the lane's admissions are committed to, if any; the
+    /// lane gives them back to it when dropped.
+    budgets: Option<Arc<CardinalityBudgets>>,
+    cache: TargetCache,
+    /// Series currently admitted — this lane's contribution to its job's
+    /// shared budget.
+    admitted: u64,
+    /// Cumulative overflow samples (matched the cache, rejected by budget)
+    /// across the lane's lifetime — the `teemon_overflow_series_total`
+    /// roll-up value.
+    overflow_total: u64,
+}
+
+impl Lane {
+    fn new(config: &ScrapeTargetConfig, budgets: Option<Arc<CardinalityBudgets>>) -> Self {
+        Self {
+            job: config.job.clone(),
+            base_labels: config.target_labels(),
+            target_limit: config.series_budget,
+            budgets,
+            cache: TargetCache::default(),
+            admitted: 0,
+            overflow_total: 0,
+        }
+    }
+
+    /// Ingests one round read from `source`, stamping unstamped samples with
+    /// `now_ms`: the identity walk (timed as the cache-walk stage), then the
+    /// batch append with its stale-handle repair, then the overflow count.
+    fn ingest<S: WireSource + ?Sized>(
         &mut self,
+        db: &TimeSeriesDb,
         source: &S,
         now_ms: u64,
-        ctx: &LaneCtx<'_>,
-        scraped: &mut u64,
-        overflow: &mut u64,
-    ) {
-        if self.fill(source, now_ms, scraped, overflow) {
+    ) -> IngestStats {
+        let (mut scraped, mut overflow) = (0u64, 0u64);
+        let walk_watch = Stopwatch::start();
+        if self.cache.fill(source, now_ms, &mut scraped, &mut overflow) {
             probes::CACHE_HITS.inc();
         } else {
             probes::CACHE_REBUILDS.inc();
-            self.repair(source, now_ms, ctx, scraped, overflow);
+            self.repair(db, source, now_ms, &mut scraped, &mut overflow);
         }
+        probes::SCRAPE_CACHE_WALK_NS.record_ns(walk_watch.elapsed_ns());
+        let append_watch = Stopwatch::start();
+        let ingested = append_batch_repairing(db, &mut self.cache);
+        let append_ns = append_watch.elapsed_ns();
+        if overflow > 0 {
+            self.overflow_total += overflow;
+            probes::SCRAPE_BUDGET_REJECTED.add(overflow);
+        }
+        IngestStats { scraped, ingested, overflow, overflow_total: self.overflow_total, append_ns }
+    }
+
+    /// Writes the lane's own series ([`META_NAMES`]; `None` writes nothing
+    /// to one) at `now_ms`, labelled with the target labels.
+    fn append_meta(
+        &mut self,
+        db: &TimeSeriesDb,
+        now_ms: u64,
+        values: [Option<f64>; META_NAMES.len()],
+    ) {
+        self.cache.meta.append(db, &self.base_labels, now_ms, values);
     }
 
     /// The repair pass after churn: one walk that re-matches every sample,
@@ -669,15 +707,16 @@ impl TargetCache {
     /// the structural-hash index of the unclaimed entries, built on the first
     /// miss; a hit there is swapped into place (a reorder, or a shift after
     /// an insert or delete).  Only a sample that matches nothing pays the
-    /// label merge, the key capture and [`TimeSeriesDb::resolve`].  Whatever
-    /// an entry displaces moves further back, still unclaimed; what is left
-    /// past the cursor at the end vanished from the target and is dropped.
-    /// Every entry is claimed at most once, so samples sharing one identity
-    /// each get an entry of their own.  An entry a text sample claimed by
-    /// identity takes that sample's spelling.
+    /// label merge ([`stored_labels`]), the key capture and
+    /// [`TimeSeriesDb::resolve`].  Whatever an entry displaces moves further
+    /// back, still unclaimed; what is left past the cursor at the end
+    /// vanished from the source and is dropped.  Every entry is claimed at
+    /// most once, so samples sharing one identity each get an entry of their
+    /// own.  An entry a text sample claimed by identity takes that sample's
+    /// spelling.
     ///
     /// This is also the admission point of the cardinality defense: series
-    /// are admitted in snapshot order until the target's own budget or the
+    /// are admitted in snapshot order until the lane's own budget or the
     /// job's shared allowance runs out, and only admitted series ever touch
     /// [`TimeSeriesDb::resolve`] — an over-budget series is never created in
     /// storage.  Surviving handles are validated against one generation
@@ -687,21 +726,23 @@ impl TargetCache {
     /// across storage calls.
     fn repair<S: WireSource + ?Sized>(
         &mut self,
+        db: &TimeSeriesDb,
         source: &S,
         now_ms: u64,
-        ctx: &LaneCtx<'_>,
         scraped: &mut u64,
         overflow: &mut u64,
     ) {
-        let LaneCtx { db, base_labels, .. } = *ctx;
-        let prior = self.admitted;
-        let allowance = match ctx.shared {
-            Some(shared) => shared.begin(ctx.job, prior),
+        let Self {
+            job, base_labels, target_limit, budgets, cache, admitted: lane_admitted, ..
+        } = self;
+        let prior = *lane_admitted;
+        let allowance = match budgets {
+            Some(shared) => shared.begin(job, prior),
             None => u64::MAX,
         };
-        let cap = ctx.target_limit.unwrap_or(u64::MAX).min(allowance);
+        let cap = target_limit.unwrap_or(u64::MAX).min(allowance);
         let generations = db.shard_generations();
-        let Self { entries, batch, batch_entry, index, render, .. } = self;
+        let TargetCache { entries, batch, batch_entry, index, render, .. } = cache;
         batch.clear();
         batch_entry.clear();
         index.clear();
@@ -736,7 +777,7 @@ impl TargetCache {
                     let from = found.unwrap_or_else(|| {
                         entries.push(CacheEntry {
                             key: SeriesKey::capture(name, labels),
-                            merged: labels.merged(base_labels),
+                            merged: stored_labels(labels, base_labels),
                             handle: SeriesHandle::unresolved(),
                             admitted: false,
                             raw: String::new(),
@@ -770,13 +811,47 @@ impl TargetCache {
             }
         });
         entries.truncate(cursor);
-        if let Some(shared) = ctx.shared {
-            shared.commit(ctx.job, prior, admitted);
+        if let Some(shared) = budgets {
+            shared.commit(job, prior, admitted);
         }
-        self.admitted = admitted;
+        *lane_admitted = admitted;
         *scraped = cursor as u64;
         *overflow = clipped;
     }
+}
+
+impl Drop for Lane {
+    /// The one place admissions go back to the job pool: a removed target's
+    /// lane and a closed push lane both end here.  The series themselves
+    /// stay in storage for retention to age out.
+    fn drop(&mut self) {
+        if let Some(budgets) = &self.budgets {
+            budgets.release(&self.job, self.admitted);
+        }
+    }
+}
+
+/// The label set a wire sample is stored under: its own labels with the
+/// target labels merged over them.  A wire label whose name a target label
+/// takes with a **different** value is kept as `exported_<name>` (prefixed
+/// again while that name is taken), Prometheus' `honor_labels: false` rule,
+/// so two wire series that differ only in such a label stay two stored
+/// series.  A wire label whose value equals the target's is merged into it
+/// unrenamed, where Prometheus would rename it too: the exporters label
+/// their samples with the same `node` their target sets, and renaming it
+/// would give every such series a redundant `exported_node` and change the
+/// key of every series stored so far.
+fn stored_labels(wire: &Labels, target: &Labels) -> Labels {
+    let mut stored = wire.merged(target);
+    for (name, value) in target.iter() {
+        let Some(sent) = wire.get(name).filter(|sent| *sent != value) else { continue };
+        let mut exported = format!("exported_{name}");
+        while stored.get(&exported).is_some() {
+            exported.insert_str(0, "exported_");
+        }
+        stored.insert(exported, sent);
+    }
+    stored
 }
 
 /// End of a chain in [`Unclaimed`].
@@ -983,13 +1058,13 @@ pub struct PushOutcome {
 }
 
 /// The push-ingest entry: remote-write batches flow into storage through the
-/// **same fast lane** a scrape target uses, via a private `TargetCache`.
+/// **same lane** a scrape target uses.
 ///
 /// A remote writer behaves exactly like a scrape target seen from storage's
 /// side: it sends the same series set batch after batch, so the cache's
 /// positional verify + one-shard-lock-per-round [`TimeSeriesDb::append_batch`]
-/// apply unchanged.  What differs is the key: a push arrives as text, so the
-/// lane matches each counter, gauge or untyped line by its raw series bytes
+/// apply unchanged.  A push arrives as text, so the lane matches each
+/// counter, gauge or untyped line by its raw series bytes
 /// ([`SampleLine::series`], `name{…}` exactly as sent) against the bytes the
 /// entry at its position last saw — one compare, the way Prometheus' scrape
 /// cache keys by the series text — and only a line that misses has its label
@@ -1010,11 +1085,7 @@ pub struct PushOutcome {
 /// much per shard waits for the drain.
 pub struct PushLane {
     db: TimeSeriesDb,
-    job: String,
-    base_labels: Labels,
-    cache: TargetCache,
-    target_limit: Option<u64>,
-    budgets: Option<Arc<CardinalityBudgets>>,
+    lane: Lane,
 }
 
 impl PushLane {
@@ -1024,14 +1095,7 @@ impl PushLane {
     /// [`series_budget`](ScrapeTargetConfig::series_budget) caps the lane's
     /// own series set.
     pub fn new(db: TimeSeriesDb, config: &ScrapeTargetConfig) -> Self {
-        Self {
-            db,
-            job: config.job.clone(),
-            base_labels: config.target_labels(),
-            cache: TargetCache::default(),
-            target_limit: config.series_budget,
-            budgets: None,
-        }
+        Self { db, lane: Lane::new(config, None) }
     }
 
     /// Draws this lane's admissions from `budgets`'s shared per-job pool (on
@@ -1039,7 +1103,7 @@ impl PushLane {
     /// contribution when dropped.
     #[must_use]
     pub fn with_budgets(mut self, budgets: Arc<CardinalityBudgets>) -> Self {
-        self.budgets = Some(budgets);
+        self.lane.budgets = Some(budgets);
         self
     }
 
@@ -1052,59 +1116,23 @@ impl PushLane {
     /// admission: over-budget series are clipped into
     /// [`PushOutcome::overflow`] instead of entering storage.
     pub fn push(&mut self, doc: &Exposition<'_>, now_ms: u64) -> PushOutcome {
-        let cache = &mut self.cache;
-        let ctx = LaneCtx {
-            db: &self.db,
-            base_labels: &self.base_labels,
-            job: &self.job,
-            target_limit: self.target_limit,
-            shared: self.budgets.as_deref(),
-        };
-        let mut scraped = 0u64;
-        let mut overflow = 0u64;
-        let walk_watch = Stopwatch::start();
-        cache.walk(doc, now_ms, &ctx, &mut scraped, &mut overflow);
-        probes::SCRAPE_CACHE_WALK_NS.record_ns(walk_watch.elapsed_ns());
-        let append_watch = Stopwatch::start();
-        let ingested = append_batch_repairing(&self.db, cache);
-        if overflow > 0 {
-            cache.overflow_total += overflow;
-            probes::SCRAPE_BUDGET_REJECTED.add(overflow);
-        }
-        if cache.overflow_total > 0 {
+        let IngestStats { scraped, ingested, overflow, overflow_total, append_ns } =
+            self.lane.ingest(&self.db, doc, now_ms);
+        let meta_watch = Stopwatch::start();
+        if overflow_total > 0 {
             // Cumulative roll-up series so the clipped tail stays observable
             // (and alertable) without creating one series per rejected key —
             // through a cached handle, like the scrape meta-metrics.
-            let rollup = Some(cache.overflow_total as f64);
-            cache.meta.append(
-                &self.db,
-                &self.base_labels,
-                now_ms,
-                [None, None, None, None, rollup],
-            );
+            let rollup = Some(overflow_total as f64);
+            self.lane.append_meta(&self.db, now_ms, [None, None, None, None, rollup]);
         }
-        probes::SCRAPE_APPEND_NS.record_ns(append_watch.elapsed_ns());
+        probes::SCRAPE_APPEND_NS.record_ns(append_ns + meta_watch.elapsed_ns());
         PushOutcome { scraped, ingested, overflow }
     }
 
     /// The job this lane pushes under.
     pub fn job(&self) -> &str {
-        &self.job
-    }
-
-    /// The database this lane feeds.
-    pub fn db(&self) -> &TimeSeriesDb {
-        &self.db
-    }
-}
-
-impl Drop for PushLane {
-    fn drop(&mut self) {
-        // Give the lane's admitted series back to the shared job pool; the
-        // series themselves stay in storage for retention to age out.
-        if let Some(budgets) = &self.budgets {
-            budgets.release(&self.job, self.cache.admitted);
-        }
+        &self.lane.job
     }
 }
 
@@ -1122,18 +1150,6 @@ pub struct RoundSummary {
     pub samples_scraped: u64,
     /// Samples storage accepted.
     pub samples_added: u64,
-}
-
-/// What one target's ingest pass moved: wire samples seen, samples storage
-/// accepted, budget-clipped samples this round and cumulatively, and the
-/// time its batch append took.
-#[derive(Default, Clone, Copy)]
-struct IngestStats {
-    scraped: u64,
-    ingested: u64,
-    overflow: u64,
-    overflow_total: u64,
-    append_ns: u64,
 }
 
 /// Per-target result of one round, before any strings are cloned for the
@@ -1216,12 +1232,15 @@ impl Scraper {
     /// Registers a typed scrape target.  The target's `job`/`instance`/extra
     /// labels are merged once here; scrape rounds reuse the merged set.
     pub fn add_target(&self, config: ScrapeTargetConfig, endpoint: Arc<dyn MetricsEndpoint>) {
-        let base_labels = config.target_labels();
+        self.register(config, Source::Typed(endpoint));
+    }
+
+    fn register(&self, config: ScrapeTargetConfig, source: Source) {
+        let lane = Lane::new(&config, self.budgets.clone());
         self.targets.write().push(Target {
             config,
-            endpoint,
-            base_labels,
-            cache: Mutex::named(TargetCache::default(), LockClass::new("scrape.target_cache")),
+            source,
+            lane: Mutex::named(lane, LockClass::new("scrape.target_cache")),
             last_scrape_ms: AtomicU64::new(NEVER),
         });
     }
@@ -1232,9 +1251,12 @@ impl Scraper {
         self.add_target(config, Arc::new(CollectorEndpoint::new(collector)));
     }
 
-    /// Registers a raw-text target (the inbound wire-format edge).
+    /// Registers a raw-text target (the inbound wire-format edge).  Each
+    /// round parses the fetched document and walks it as a push is walked:
+    /// lines matched by their bytes, stored in the order of the document's
+    /// [`Exposition::to_snapshots`].
     pub fn add_text_source(&self, config: ScrapeTargetConfig, source: Arc<dyn TextSource>) {
-        self.add_target(config, Arc::new(TextSourceEndpoint(source)));
+        self.register(config, Source::Text(source));
     }
 
     /// Registers the engine's own telemetry as a scrape target (job
@@ -1254,18 +1276,8 @@ impl Scraper {
     pub fn remove_instance(&self, instance: &str) -> usize {
         let mut targets = self.targets.write();
         let before = targets.len();
-        targets.retain(|t| {
-            if t.config.instance != instance {
-                return true;
-            }
-            // A removed target's series go back to the job's shared pool
-            // (the series themselves stay for retention to age out).
-            if let Some(budgets) = &self.budgets {
-                let admitted = t.cache.lock().admitted;
-                budgets.release(&t.config.job, admitted);
-            }
-            false
-        });
+        // A dropped target's lane gives its admissions back to the job pool.
+        targets.retain(|t| t.config.instance != instance);
         before - targets.len()
     }
 
@@ -1409,10 +1421,7 @@ impl Scraper {
             Ok(stats) => (true, stats, None),
             Err(error) => (false, IngestStats::default(), Some(error.to_string())),
         };
-        let IngestStats { scraped, ingested, overflow, overflow_total, append_ns } = stats;
-        if overflow > 0 {
-            probes::SCRAPE_BUDGET_REJECTED.add(overflow);
-        }
+        let IngestStats { scraped, ingested, overflow_total, append_ns, .. } = stats;
         let duration_seconds = if self.modelled_durations {
             Self::SCRAPE_BASE_SECONDS + scraped as f64 * Self::SCRAPE_PER_SAMPLE_SECONDS
         } else {
@@ -1432,48 +1441,43 @@ impl Scraper {
             up.then_some(ingested as f64),
             (up && overflow_total > 0).then_some(overflow_total as f64),
         ];
-        target.cache.lock().meta.append(&self.db, &target.base_labels, now_ms, values);
+        target.lane.lock().append_meta(&self.db, now_ms, values);
         probes::SCRAPE_APPEND_NS.record_ns(append_ns + meta_watch.elapsed_ns());
         TargetRound { up, scraped, ingested, duration_seconds, error }
     }
 
-    /// One target's ingest pass: cache-verify the borrowed snapshots,
-    /// batch-append by handle, repair the cache on churn and re-resolve stale
-    /// handles.
+    /// One target's ingest pass: collect the round, then run it through the
+    /// target's lane.  A text target's document crossed a process (and
+    /// possibly a network) boundary, so its parse is bounded by
+    /// [`exposition::ParseLimits::network`]: a document over a limit fails
+    /// the scrape with a typed [`ScrapeError::Parse`] carrying
+    /// [`MetricError::LimitExceeded`] — never a silent truncation that would
+    /// report a broken target as healthy.
     fn ingest(&self, target: &Target, now_ms: u64) -> Result<IngestStats, ScrapeError> {
-        let mut scraped = 0u64;
-        let mut ingested = 0u64;
-        let mut overflow = 0u64;
-        let mut overflow_total = 0u64;
-        let mut append_ns = 0u64;
+        // The collect stage ends when the round is in hand: snapshots handed
+        // over, or the document fetched and parsed.
         let collect_watch = Stopwatch::start();
-        // The cache lock is taken inside the visit, not around the whole
-        // scrape, so an endpoint whose *collect* step transitively scrapes
-        // this target again (a composing/gateway endpoint) does not deadlock
-        // on its own cache.
-        target.endpoint.scrape_visit(&mut |families| {
-            // The collect stage ends when the endpoint hands its snapshots
-            // over; everything before this point was snapshot production.
-            probes::SCRAPE_COLLECT_NS.record_ns(collect_watch.elapsed_ns());
-            let mut cache = target.cache.lock();
-            let cache = &mut *cache;
-            let ctx = LaneCtx {
-                db: &self.db,
-                base_labels: &target.base_labels,
-                job: &target.config.job,
-                target_limit: target.config.series_budget,
-                shared: self.budgets.as_deref(),
-            };
-            let walk_watch = Stopwatch::start();
-            cache.walk(families, now_ms, &ctx, &mut scraped, &mut overflow);
-            probes::SCRAPE_CACHE_WALK_NS.record_ns(walk_watch.elapsed_ns());
-            let append_watch = Stopwatch::start();
-            ingested = append_batch_repairing(&self.db, cache);
-            append_ns += append_watch.elapsed_ns();
-            cache.overflow_total += overflow;
-            overflow_total = cache.overflow_total;
-        })?;
-        Ok(IngestStats { scraped, ingested, overflow, overflow_total, append_ns })
+        match &target.source {
+            Source::Typed(endpoint) => {
+                let mut stats = IngestStats::default();
+                // The lane lock is taken inside the visit, not around the
+                // whole scrape, so an endpoint whose *collect* step
+                // transitively scrapes this target again (a composing/gateway
+                // endpoint) does not deadlock on its own lane.
+                endpoint.scrape_visit(&mut |families| {
+                    probes::SCRAPE_COLLECT_NS.record_ns(collect_watch.elapsed_ns());
+                    stats = target.lane.lock().ingest(&self.db, families, now_ms);
+                })?;
+                Ok(stats)
+            }
+            Source::Text(source) => {
+                let text = source.fetch().map_err(ScrapeError::Unreachable)?;
+                let limits = exposition::ParseLimits::network();
+                let doc = exposition::parse_families_bounded(&text, limits)?;
+                probes::SCRAPE_COLLECT_NS.record_ns(collect_watch.elapsed_ns());
+                Ok(target.lane.lock().ingest(&self.db, &doc, now_ms))
+            }
+        }
     }
 
     /// Instances whose most recent `up` sample is 0 at `now_ms` — the health
@@ -1944,7 +1948,7 @@ mod tests {
         let pushed_db = TimeSeriesDb::new();
         let mut lane =
             PushLane::new(pushed_db.clone(), &ScrapeTargetConfig::new("remote", "w1:443"));
-        assert_eq!(lane.db().series_count(), 0);
+        assert_eq!(pushed_db.series_count(), 0);
 
         for round in 1..=3u64 {
             collector.set(pushed(3.0 + round as f64));
@@ -1991,7 +1995,7 @@ mod tests {
             |text| exposition::parse_families_bounded(text, exposition::ParseLimits::network());
         let first = "m{b=\"2\",a=\"1\"} 1\nm{a=\"2\"} 1\n# TYPE h histogram\nh_bucket{le=\"0.50\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_count 2\n";
         assert_eq!(lane.push(&parse(first).unwrap(), 1_000).ingested, 6);
-        let raw: Vec<_> = lane.cache.entries.iter().map(|e| e.raw.as_str()).collect();
+        let raw: Vec<_> = lane.lane.cache.entries.iter().map(|e| e.raw.as_str()).collect();
         // Lines keep their spelling, a folded histogram's samples their
         // rendered keys (`le` as the fold re-renders it).
         assert_eq!(
@@ -2005,20 +2009,20 @@ mod tests {
                 "h_count"
             ]
         );
-        let handles: Vec<_> = lane.cache.entries.iter().map(|e| e.handle).collect();
+        let handles: Vec<_> = lane.lane.cache.entries.iter().map(|e| e.handle).collect();
         // The same bytes again: the warm pass takes the whole round.
         let (mut scraped, mut overflow) = (0, 0);
-        assert!(lane.cache.fill(&parse(first).unwrap(), 2_000, &mut scraped, &mut overflow));
+        assert!(lane.lane.cache.fill(&parse(first).unwrap(), 2_000, &mut scraped, &mut overflow));
         assert_eq!(scraped, 6);
         // The first series spelled another way: a miss by bytes, found again
         // by identity in place — same entry, same handle, the new spelling.
         let respelled = first.replace("m{b=\"2\",a=\"1\"}", "m{a = \"1\", b=\"2\"}");
         let doc = parse(&respelled).unwrap();
-        assert!(!lane.cache.fill(&doc, 2_000, &mut scraped, &mut overflow));
+        assert!(!lane.lane.cache.fill(&doc, 2_000, &mut scraped, &mut overflow));
         assert_eq!(lane.push(&doc, 2_000).ingested, 6);
-        assert_eq!(lane.cache.entries.iter().map(|e| e.handle).collect::<Vec<_>>(), handles);
-        assert_eq!(lane.cache.entries[0].raw, "m{a = \"1\", b=\"2\"}");
-        assert!(lane.cache.fill(&doc, 3_000, &mut scraped, &mut overflow));
+        assert_eq!(lane.lane.cache.entries.iter().map(|e| e.handle).collect::<Vec<_>>(), handles);
+        assert_eq!(lane.lane.cache.entries[0].raw, "m{a = \"1\", b=\"2\"}");
+        assert!(lane.lane.cache.fill(&doc, 3_000, &mut scraped, &mut overflow));
         assert_eq!(db.series_count(), 6);
         let stored = db.select(&Selector::metric("m").with_label("a", "1"));
         assert_eq!(stored[0].points_in(0, u64::MAX), [(1_000, 1.0), (2_000, 1.0)]);
@@ -2200,29 +2204,29 @@ mod tests {
             assert_eq!(outcome.scraped as usize, ids.len());
             // Every wire sample's entry sits at its position, and the index
             // covers at most the entries the round started with.
-            for (entry, id) in lane.cache.entries.iter().zip(ids) {
+            for (entry, id) in lane.lane.cache.entries.iter().zip(ids) {
                 assert!(entry.key.matches("m", &Labels::from_pairs([("i", id.to_string())])));
             }
-            assert_eq!(lane.cache.entries.len(), ids.len());
+            assert_eq!(lane.lane.cache.entries.len(), ids.len());
             outcome
         };
         push(&mut lane, &[1, 2, 3, 4]);
-        let handles: Vec<_> = lane.cache.entries.iter().map(|e| e.handle).collect();
+        let handles: Vec<_> = lane.lane.cache.entries.iter().map(|e| e.handle).collect();
         // A rotation: every sample misses its position and is found by hash.
         push(&mut lane, &[2, 3, 4, 1]);
-        let rotated: Vec<_> = lane.cache.entries.iter().map(|e| e.handle).collect();
+        let rotated: Vec<_> = lane.lane.cache.entries.iter().map(|e| e.handle).collect();
         assert_eq!(rotated, [handles[1], handles[2], handles[3], handles[0]], "handles reused");
         assert_eq!(db.series_count(), 4);
         // One identity twice: each occurrence claims an entry of its own.
         push(&mut lane, &[2, 2, 3]);
-        let entries = &lane.cache.entries;
+        let entries = &lane.lane.cache.entries;
         assert_eq!(entries[0].handle, entries[1].handle, "both resolve to the one series");
         push(&mut lane, &[2, 2, 3]);
         // A small set growing large in one round: the few old entries are
         // displaced again and again, and the index must not grow with it.
         let many: Vec<u32> = (100..5_100).collect();
         push(&mut lane, &many);
-        let index = &lane.cache.index;
+        let index = &lane.lane.cache.index;
         assert!(index.heads.len() <= 2, "one chain per old identity, got {}", index.heads.len());
         assert!(index.walked <= 5_000, "index walked {} nodes", index.walked);
         assert_eq!(db.series_count(), 4 + 5_000);
@@ -2262,11 +2266,11 @@ mod tests {
         ];
         for (round, runs) in rounds.into_iter().enumerate() {
             let samples: usize = runs.iter().map(|(_, times)| times).sum();
-            let before = lane.cache.entries.len();
+            let before = lane.lane.cache.entries.len();
             let outcome = push_text(&mut lane, &snapshot(runs), (round as u64 + 1) * 1_000);
             assert_eq!(outcome.scraped as usize, samples);
-            assert_eq!(lane.cache.entries.len(), samples);
-            let walked = lane.cache.index.walked as usize;
+            assert_eq!(lane.lane.cache.entries.len(), samples);
+            let walked = lane.lane.cache.index.walked as usize;
             assert!(
                 walked <= 2 * (before + samples),
                 "round {round}: {walked} index steps for {before} entries and {samples} samples"
@@ -2294,5 +2298,50 @@ mod tests {
         let repaired = push_text(&mut lane, &families, 3_000);
         assert_eq!(repaired.overflow, 0);
         assert_eq!(db.select(&Selector::metric("m")).len(), 3);
+    }
+
+    #[test]
+    fn wire_series_differing_only_in_a_target_label_stay_apart() {
+        let stored = |db: &TimeSeriesDb, name: &str| {
+            let mut series: Vec<_> = db
+                .select(&Selector::metric(name))
+                .iter()
+                .map(|s| (s.to_labels().to_string(), s.points_in(0, u64::MAX)))
+                .collect();
+            series.sort_by(|a, b| a.0.cmp(&b.0));
+            series
+        };
+        let expected = |instance: &str, job: &str| {
+            let key = |sent: &str| {
+                format!("{{exported_instance=\"{sent}\",instance=\"{instance}\",job=\"{job}\"}}")
+            };
+            vec![(key("n1"), vec![(1_000, 1.0)]), (key("n2"), vec![(1_000, 0.0)])]
+        };
+        // Two writers' `up` relayed through one push lane.
+        let db = TimeSeriesDb::new();
+        let config = ScrapeTargetConfig::new("remote_write", "10.0.0.1:5555");
+        let mut lane = PushLane::new(db.clone(), &config);
+        let text = "up{instance=\"n1\"} 1\nup{instance=\"n2\"} 0\n";
+        let doc = exposition::parse_families_bounded(text, exposition::ParseLimits::network());
+        assert_eq!(lane.push(&doc.unwrap(), 1_000).ingested, 2);
+        assert_eq!(stored(&db, "up"), expected("10.0.0.1:5555", "remote_write"));
+        // The same two series from a scrape target.
+        let db = TimeSeriesDb::new();
+        let scraper = Scraper::new(db.clone());
+        let points = [(&[("instance", "n1")][..], 1.0), (&[("instance", "n2")][..], 0.0)];
+        let relayed = family("relayed_up", MetricKind::Gauge, &points);
+        scraper.add_collector(
+            ScrapeTargetConfig::new("relay", "r:1"),
+            Fixture::serving(vec![relayed]),
+        );
+        assert_eq!(scraper.scrape_once(1_000)[0].samples, 2);
+        assert_eq!(stored(&db, "relayed_up"), expected("r:1", "relay"));
+        // A wire label equal to the target's is merged, not renamed.
+        let db = TimeSeriesDb::new();
+        let mut lane = PushLane::new(db.clone(), &config.clone().with_label("node", "n1"));
+        let doc = exposition::parse_families_bounded("g{node=\"n1\"} 1\n", Default::default());
+        lane.push(&doc.unwrap(), 1_000);
+        let g = stored(&db, "g");
+        assert_eq!(g[0].0, "{instance=\"10.0.0.1:5555\",job=\"remote_write\",node=\"n1\"}");
     }
 }

@@ -37,7 +37,7 @@
 //!   append that fills it encodes the burst; a seal encodes what the tail
 //!   still holds and copies the block out.  The per-shard `bytes` aggregate
 //!   tracks the resident footprint, surfaced as
-//!   [`StorageStats::resident_bytes`] / [`StorageStats::bytes_per_sample`],
+//!   [`StorageStats::resident_bytes`] / `StorageStats::bytes_per_sample`,
 //!   and `head_bytes` the open heads' share of it
 //!   ([`StorageCensus::head_bytes`]),
 //! * the heap holds what that ledger counts: a head has no buffer until its
@@ -173,7 +173,7 @@ pub struct StorageStats {
 impl StorageStats {
     /// Average resident bytes per stored sample (`0.0` when empty) — the
     /// headline compression number; raw samples cost 16 bytes each.
-    pub fn bytes_per_sample(&self) -> f64 {
+    pub(crate) fn bytes_per_sample(&self) -> f64 {
         if self.samples == 0 {
             0.0
         } else {
@@ -1411,7 +1411,7 @@ impl TimeSeriesDb {
     /// The current generation of every lock shard, in shard order.  A scrape
     /// cache snapshots these once per repair pass to validate a batch of
     /// handles without locking per handle.
-    pub fn shard_generations(&self) -> [u64; SHARD_COUNT] {
+    pub(crate) fn shard_generations(&self) -> [u64; SHARD_COUNT] {
         std::array::from_fn(|i| self.shared.shard(i).read().generation)
     }
 
@@ -1419,7 +1419,7 @@ impl TimeSeriesDb {
     /// evicted or dropped series since the handle was resolved — under the
     /// given generation snapshot (from [`TimeSeriesDb::shard_generations`]).
     /// Lock-free.
-    pub fn handle_live_under(
+    pub(crate) fn handle_live_under(
         &self,
         handle: SeriesHandle,
         generations: &[u64; SHARD_COUNT],

@@ -86,7 +86,7 @@ fn apply_op(files: &mut HashMap<PathBuf, Vec<u8>>, op: &FsOp) {
 /// exact disk image "as of a crash after `k` appended bytes" under either
 /// [`CrashModel`]; [`FaultFs::corrupt`] flips bits in place; and the
 /// `fail_*_from` knobs turn later writes into short writes and later fsyncs
-/// into errors.  An atomic replace is journalled the way [`super::RealFs`]
+/// into errors.  An atomic replace is journalled the way `RealFs`
 /// performs it — the tmp file first, then the rename — so an op-boundary
 /// crash can strand the tmp file.
 #[derive(Debug, Default, Clone)]

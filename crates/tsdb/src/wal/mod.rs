@@ -523,7 +523,7 @@ impl<'a> Iterator for FrameScanner<'a> {
 
 /// One open log file: sequential appends plus durability flushes.
 ///
-/// Implemented by [`RealFs`] over `std::fs::File`, by the deterministic
+/// Implemented by `RealFs` over `std::fs::File`, by the deterministic
 /// in-memory [`FaultFs`] the fault-injection suite uses, and by
 /// [`FailpointWriter`], which wraps any other implementation with injected
 /// failures.
@@ -556,7 +556,7 @@ pub trait WalFs: Send + Sync {
 /// Production [`WalFs`]: real files, `sync_data` for fsync, atomic replace
 /// via tmp file + rename + best-effort parent directory sync.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct RealFs;
+pub(crate) struct RealFs;
 
 struct RealFile {
     file: fs::File,

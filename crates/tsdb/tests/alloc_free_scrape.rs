@@ -417,3 +417,40 @@ fn warm_text_push_allocates_nothing_past_its_parse() {
     }
     assert_eq!(db.stats().series, samples);
 }
+
+#[test]
+fn warm_text_target_round_allocates_only_its_document_and_parse() {
+    // A text scrape target takes the push lane's road: fetch the document,
+    // parse it under the network limits, walk it by its lines' bytes.  Once
+    // the lane and the heads are warm, a round allocates the fetched
+    // document and what its parse allocates per family — the walk, the
+    // batch append and the meta samples nothing.
+    let db = TimeSeriesDb::new();
+    let scraper = Scraper::new(db.clone()).with_modelled_durations();
+    let body = Arc::new(Mutex::new(String::new()));
+    let served = Arc::clone(&body);
+    let fetch = move || -> Result<String, String> { Ok(served.lock().clone()) };
+    scraper.add_text_source(ScrapeTargetConfig::new("text_exporter", "c:1"), Arc::new(fetch));
+    let limits = ParseLimits::network();
+    let samples = (FAMILIES * PER_FAMILY) as u64;
+    for round in 1..=FIRST_CHUNK_ROUNDS {
+        *body.lock() = write_body(round);
+        let summary = scraper.scrape_round(round * 1_000);
+        assert_eq!((summary.healthy, summary.samples_added), (1, samples));
+    }
+    for round in FIRST_CHUNK_ROUNDS + 1..FIRST_CHUNK_ROUNDS + 8 {
+        let text = write_body(round);
+        let before = allocations();
+        drop(parse_families_bounded(&text, limits).unwrap());
+        let parsed = allocations() - before;
+        *body.lock() = text;
+        let before = allocations();
+        let summary = scraper.scrape_round(round * 1_000);
+        let spent = allocations() - before;
+        assert_eq!(summary.samples_added, samples);
+        let budget = 16 * FAMILIES as u64 + 32;
+        assert!(parsed <= budget, "the parse allocated {parsed} times (budget {budget})");
+        assert_eq!(spent, 1 + parsed, "a warm text round allocates its document and its parse");
+    }
+    assert_eq!(db.stats().series, samples + 4, "the samples and the target's meta series");
+}

@@ -23,7 +23,10 @@
 //!   the per-sample reference of `support/mod.rs`.
 //! * A text lane fed hand-spelled documents — labels permuted, blanks
 //!   around `=` and `,`, escapes, lines repeated or respelled — is checked
-//!   against the model the same way.
+//!   against the model the same way, and the same documents are scraped
+//!   from a text target, from a typed target serving the snapshots they
+//!   stand for, and by the per-sample reference: outcomes and stores must
+//!   be the reference's.
 //!
 //! Whatever the repair reuses, swaps into place or re-resolves, the stored
 //! result has to be what matching nothing and resolving everything gives.
@@ -32,9 +35,10 @@ mod support;
 
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use proptest::{proptest, TestRng};
-use support::{fingerprint, PerSampleScraper, ScriptedEndpoint};
-use teemon_metrics::exposition::{encode_text, parse_families_bounded, ParseLimits};
+use support::{fingerprint, stored_labels, PerSampleScraper, ScriptedEndpoint};
+use teemon_metrics::exposition::{encode_text, parse_families_bounded, Exposition, ParseLimits};
 use teemon_metrics::{
     FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
@@ -213,7 +217,9 @@ impl ModelLane {
                 outcome.scraped += 1;
                 if admitted < cap {
                     admitted += 1;
-                    let stored = labels.merged(&self.base);
+                    // Bugfix hook: a wire label a target label overrides is
+                    // kept as `exported_<name>` (`support::stored_labels`).
+                    let stored = stored_labels(labels, &self.base);
                     if self.db.append(name, &stored, timestamp_ms.unwrap_or(now), value) {
                         outcome.ingested += 1;
                     }
@@ -474,6 +480,7 @@ proptest! {
         let mut lane = PushLane::new(lane_db.clone(), &lane_config("main:1", None));
         let mut model = ModelLane::new(model_db.clone(), "main:1", None);
         let mut pool = ModelPool::default();
+        let targets = DocTargets::new();
         let mut previous = String::new();
         for round in 1..=rounds {
             // Now and then the previous round again, byte for byte: the
@@ -495,6 +502,7 @@ proptest! {
                 fingerprint(&model_db),
                 "lane and model stores diverged at round {round} (case {case}) on {text:?}"
             );
+            targets.scrape(&text, &doc, now, &format!("at round {round} (case {case}) of {text:?}"));
             previous = text;
         }
     }
@@ -513,11 +521,16 @@ fn respelled_and_repeated_lines_store_what_their_snapshots_store() {
         // `le="0.50"` on a histogram.
         "# TYPE h histogram\nh_bucket{le=\"0.50\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\nm{a=\"z\"} 4\n",
         "# TYPE h histogram\nh_bucket{le=\"0.50\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_sum 2\nh_count 3\nm{a=\"z\"} 5\n",
+        // Labels the target labels override: `instance` sent with two other
+        // values, `job` while `exported_job` is taken too, `zone` with the
+        // targets' own value.
+        "up{instance=\"n1\"} 1\nup{instance=\"n2\"} 0\nm{job=\"x\",exported_job=\"y\"} 6\nm{zone=\"z1\"} 6\n",
     ];
     let (lane_db, model_db) = (TimeSeriesDb::new(), TimeSeriesDb::new());
     let mut lane = PushLane::new(lane_db.clone(), &lane_config("main:1", None));
     let mut model = ModelLane::new(model_db.clone(), "main:1", None);
     let mut pool = ModelPool::default();
+    let targets = DocTargets::new();
     for (round, text) in (1u64..).zip(rounds) {
         let doc = parse_families_bounded(text, ParseLimits::network()).unwrap();
         let now = round * 5_000;
@@ -527,7 +540,59 @@ fn respelled_and_repeated_lines_store_what_their_snapshots_store() {
             "{text:?}"
         );
         assert_eq!(fingerprint(&lane_db), fingerprint(&model_db), "{text:?}");
+        targets.scrape(text, &doc, now, &format!("{text:?}"));
     }
     let stored = lane_db.select(&Selector::metric("h_bucket").with_label("le", "0.5"));
     assert_eq!(stored[0].points_in(0, u64::MAX), [(20_000, 1.0), (25_000, 2.0)]);
+    let relayed = lane_db.select(&Selector::metric("up").with_label("instance", "main:1"));
+    let mut exported: Vec<_> =
+        relayed.iter().filter_map(|s| s.label_value("exported_instance")).collect();
+    exported.sort_unstable();
+    assert_eq!(exported, ["n1", "n2"], "two wire series, two stored series");
+    let job = lane_db.select(&Selector::metric("m").with_label("exported_exported_job", "x"));
+    assert_eq!(job[0].label_value("exported_job"), Some("y"));
+}
+
+/// The same documents scraped three ways — from a text target, from a typed
+/// target serving the snapshots they stand for, and by the per-sample
+/// reference over those snapshots — each into a store of its own.
+struct DocTargets {
+    document: Arc<Mutex<String>>,
+    snapshots: Arc<ScriptedEndpoint>,
+    text: (Scraper, TimeSeriesDb),
+    typed: (Scraper, TimeSeriesDb),
+    reference: (PerSampleScraper, TimeSeriesDb),
+}
+
+impl DocTargets {
+    fn new() -> Self {
+        let config = || ScrapeTargetConfig::new("doc_exporter", "main:1").with_label("zone", "z1");
+        let document = Arc::new(Mutex::new(String::new()));
+        let snapshots = Arc::new(ScriptedEndpoint::default());
+        let served = Arc::clone(&document);
+        let fetch = move || -> Result<String, String> { Ok(served.lock().clone()) };
+        let text_db = TimeSeriesDb::new();
+        let text = (Scraper::new(text_db.clone()).with_modelled_durations(), text_db);
+        text.0.add_text_source(config(), Arc::new(fetch));
+        let typed_db = TimeSeriesDb::new();
+        let typed = (Scraper::new(typed_db.clone()).with_modelled_durations(), typed_db);
+        typed.0.add_target(config(), snapshots.clone());
+        let reference_db = TimeSeriesDb::new();
+        let mut reference = (PerSampleScraper::new(reference_db.clone()), reference_db);
+        reference.0.add_target(config(), snapshots.clone());
+        Self { document, snapshots, text, typed, reference }
+    }
+
+    /// Scrapes `text`, parsed as `doc`, all three ways at `now`: the
+    /// outcomes and the stores must be the reference's.
+    fn scrape(&self, text: &str, doc: &Exposition<'_>, now: u64, context: &str) {
+        text.clone_into(&mut self.document.lock());
+        self.snapshots.set(doc.to_snapshots());
+        let outcomes = self.reference.0.scrape_once(now);
+        assert_eq!(self.text.0.scrape_once(now), outcomes, "text target {context}");
+        assert_eq!(self.typed.0.scrape_once(now), outcomes, "typed target {context}");
+        let stored = fingerprint(&self.reference.1);
+        assert_eq!(fingerprint(&self.text.1), stored, "text target store {context}");
+        assert_eq!(fingerprint(&self.typed.1), stored, "typed target store {context}");
+    }
 }

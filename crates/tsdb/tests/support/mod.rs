@@ -59,7 +59,8 @@ impl PerSampleScraper {
                         family.for_each_sample(|name, labels, value, timestamp_ms| {
                             scraped += 1;
                             let ts = timestamp_ms.unwrap_or(now_ms);
-                            added += u64::from(db.append(name, &labels.merged(base), ts, value));
+                            let stored = stored_labels(labels, base);
+                            added += u64::from(db.append(name, &stored, ts, value));
                         });
                     }
                 });
@@ -87,6 +88,26 @@ impl PerSampleScraper {
         db.wal_flush();
         outcomes
     }
+}
+
+/// Bugfix hook: the label set a wire sample is stored under, the rule stated
+/// a second time.  The target labels are merged over the sample's own; a
+/// sample label whose name a target label takes with a different value is
+/// kept as `exported_<name>` (prefixed again while that name is taken), so
+/// two wire series differing only there stay two series.  An equal value is
+/// simply merged.
+pub fn stored_labels(wire: &Labels, target: &Labels) -> Labels {
+    let mut stored = wire.merged(target);
+    for (name, value) in target.iter() {
+        if let Some(sent) = wire.get(name).filter(|sent| *sent != value) {
+            let mut exported = format!("exported_{name}");
+            while stored.get(&exported).is_some() {
+                exported = format!("exported_{exported}");
+            }
+            stored.insert(exported, sent);
+        }
+    }
+    stored
 }
 
 /// An endpoint whose snapshot set the test rewrites every round, shared by
