@@ -278,15 +278,18 @@ fn copy_into(body: &mut [u8], at: usize, bytes: &[u8]) -> usize {
 /// The body length the headers declare (0 without a `Content-Length`).
 /// Repeated headers and comma-separated lists are accepted only when every
 /// value agrees: framing a request by one of two differing lengths would
-/// hand the rest of its body to the parser as a pipelined request.
+/// hand the rest of its body to the parser as a pipelined request.  A value
+/// is `1*DIGIT` (RFC 9110): the sign `usize::from_str` also takes is refused,
+/// so no proxy in front can read a length this server does not.
 fn content_length(headers: &[(String, String)]) -> Result<usize, ReadError> {
     let mut declared: Option<usize> = None;
     for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
         for item in value.split(',') {
-            let length = item
-                .trim()
-                .parse::<usize>()
-                .map_err(|_| ReadError::Malformed(format!("invalid Content-Length {value:?}")))?;
+            let item = item.trim();
+            let length = Some(item)
+                .filter(|item| item.bytes().all(|byte| byte.is_ascii_digit()))
+                .and_then(|item| item.parse::<usize>().ok())
+                .ok_or_else(|| ReadError::Malformed(format!("invalid Content-Length {value:?}")))?;
             if declared.is_some_and(|earlier| earlier != length) {
                 return Err(ReadError::Malformed("conflicting Content-Length values".to_string()));
             }
@@ -676,6 +679,8 @@ mod tests {
             "Content-Length: 50\r\nContent-Length: 5\r\n",
             "Content-Length: 5, 50\r\n",
             "Content-Length: 5,\r\n",
+            "Content-Length: +5\r\n",
+            "Content-Length: +0\r\n",
         ] {
             let request = format!("POST / HTTP/1.1\r\n{head}\r\nhelloGET /x HTTP/1.1\r\n\r\n");
             let mut conn = MockConn::with_bytes(request.into_bytes());

@@ -1462,9 +1462,11 @@ impl TimeSeriesDb {
     /// instead of once per sample.  Each block is sorted by shard once (a
     /// counting sort of its positions into a stack array); each shard with
     /// samples in it is then locked once and walks only its own run, in
-    /// input order, so per-series semantics (out-of-order rejection, chunk
-    /// sealing) and WAL staging are identical to issuing the same appends
-    /// one by one.
+    /// local order — a run that steps back to a lower local is sorted in
+    /// place first, ties in input order — so per-series semantics
+    /// (out-of-order rejection, chunk sealing) are identical to issuing the
+    /// same appends one by one, and WAL staging is identical to issuing them
+    /// sorted by shard and local.
     ///
     /// Stale handles (their shard evicted or dropped series since
     /// resolution, or a handle that never addressed a shard) are skipped and
@@ -1505,25 +1507,45 @@ impl TimeSeriesDb {
                 *slot = sum;
             }
             let mut next = start;
+            // Per shard: the local its run last took, and whether the run
+            // ever stepped back from it.
+            let mut last = [0u32; SHARD_COUNT];
+            let mut unordered = 0u32;
             for (at, (handle, ..)) in block.iter().enumerate() {
-                let Some(cursor) =
-                    next.get_mut(..SHARD_COUNT).and_then(|n| n.get_mut(handle.shard as usize))
-                else {
+                let shard = handle.shard as usize;
+                let (Some(cursor), Some(last)) = (
+                    next.get_mut(..SHARD_COUNT).and_then(|n| n.get_mut(shard)),
+                    last.get_mut(shard),
+                ) else {
                     continue;
                 };
                 if let Some(slot) = order.get_mut(*cursor) {
                     *slot = at as u16;
                 }
                 *cursor += 1;
+                unordered |= u32::from(handle.local < *last) << shard;
+                *last = handle.local;
             }
             for (shard, (bounds, appended)) in
                 start.windows(2).zip(&mut appended_per_shard).enumerate()
             {
                 let &[from, to] = bounds else { continue };
-                let run = order.get(from..to).unwrap_or_default();
+                let run = order.get_mut(from..to).unwrap_or_default();
                 if run.is_empty() {
                     continue;
                 }
+                if unordered & 1 << shard != 0 {
+                    // Applied and staged in local order, a run's log entries
+                    // name their series by the control byte's inline delta
+                    // instead of a `u16` local.  Ties keep input order, so
+                    // each series sees its own samples as given; sorting in
+                    // place allocates nothing.
+                    run.sort_unstable_by_key(|&at| {
+                        let local = block.get(usize::from(at)).map_or(u32::MAX, |(h, ..)| h.local);
+                        u64::from(local) << 16 | u64::from(at)
+                    });
+                }
+                let run = &*run;
                 let mut inner = self.shared.shard(shard).write();
                 let mut writer = self.shared.stage(shard);
                 for &at in run {
@@ -2132,6 +2154,83 @@ mod tests {
         assert_eq!(m.points_in(0, u64::MAX), vec![(1_000, 1.0), (1_000, 2.0), (2_000, 4.0)]);
         assert_eq!(db.append_handle(h, 2_500, 5.0), HandleAppend::Appended);
         assert_eq!(db.append_handle(h, 100, 0.0), HandleAppend::Rejected);
+    }
+
+    /// Everything a store answers, as text — values as their bits — and
+    /// every file of its durability directory, after a flush.
+    fn state_of(db: &TimeSeriesDb, fs: &wal::FaultFs, dir: &Path) -> (String, Vec<Vec<u8>>) {
+        use crate::wal::WalFs as _;
+        assert!(db.wal_flush());
+        let mut out = format!("{:?}\n", StorageStats { series_bytes: 0, ..db.stats() });
+        for series in db.select(&Selector::all()).iter() {
+            out += &format!("{} {}\n", series.name(), series.to_labels());
+            for (t, v) in series.points_in(0, u64::MAX) {
+                out += &format!("  {t} {:016x}\n", v.to_bits());
+            }
+        }
+        let mut paths = fs.list(dir).expect("list");
+        paths.sort();
+        (out, paths.iter().map(|path| fs.read(path).expect("read").expect("a file")).collect())
+    }
+
+    proptest::proptest! {
+        /// A batch in any order — shards interleaved, a shard's series out
+        /// of local order, one series more than once, some of its samples
+        /// out of order — stores, stages and replays exactly what the same
+        /// batch sorted by shard and local does, each series' samples in
+        /// their order.
+        #[test]
+        fn a_batch_in_any_order_is_the_batch_sorted_by_local(
+            len in 1usize..600,
+            case in 0u64..u64::MAX,
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&format!("batch-order-{case}"));
+            let dir = Path::new("/order");
+            let config = TsdbConfig { chunk_size: 5, ..TsdbConfig::default() };
+            let stores: Vec<_> = (0..2)
+                .map(|_| {
+                    let fs = wal::FaultFs::new();
+                    let options = DurabilityOptions {
+                        fs: Arc::new(fs.clone()),
+                        ..DurabilityOptions::default()
+                    };
+                    let db = TimeSeriesDb::open_with(dir, config.clone(), options).expect("open");
+                    (db, fs)
+                })
+                .collect();
+            let series = 1 + rng.below(80);
+            let handles: Vec<Vec<SeriesHandle>> = stores
+                .iter()
+                .map(|(db, _)| {
+                    (0..series).map(|i| db.resolve("m", &labels(&[("i", &i.to_string())]))).collect()
+                })
+                .collect();
+            assert_eq!(handles[0], handles[1]);
+            for round in 0..3u64 {
+                let batch: Vec<(SeriesHandle, u64, f64)> = (0..len)
+                    .map(|_| {
+                        let handle = handles[0][rng.below(series) as usize];
+                        let timestamp_ms = 1_000 * (3 * round + rng.below(4));
+                        (handle, timestamp_ms, rng.below(1 << 20) as f64 / 4.0)
+                    })
+                    .collect();
+                let mut sorted = batch.clone();
+                sorted.sort_by_key(|(handle, ..)| (handle.shard, handle.local));
+                let shuffled = stores[0].0.append_batch(&batch);
+                let in_order = stores[1].0.append_batch(&sorted);
+                assert_eq!(shuffled, in_order);
+                assert!(shuffled.stale.is_empty());
+            }
+            let states: Vec<_> = stores.iter().map(|(db, fs)| state_of(db, fs, dir)).collect();
+            assert_eq!(states[0], states[1]);
+            for (db, fs) in stores {
+                drop(db);
+                let options =
+                    DurabilityOptions { fs: Arc::new(fs.clone()), ..DurabilityOptions::default() };
+                let reopened = TimeSeriesDb::open_with(dir, config.clone(), options).expect("reopen");
+                assert_eq!(state_of(&reopened, &fs, dir).0, states[1].0);
+            }
+        }
     }
 
     #[test]

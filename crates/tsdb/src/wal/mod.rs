@@ -33,22 +33,28 @@
 //! section = stream: u8 (shard 0..15, 16 = symbol binds), len: u32, body
 //! shard body   = records, type byte first: SERIES, SAMPLES, DROP, RETENTION
 //! symbols body = (slot: u32, len: u32, utf-8 string)*
+//! SERIES       = 22: u8, id, name, count, (key, value)*  (unsigned LEB128 each)
 //! SAMPLES      = 21: u8, body_len: u32, timestamp_ms: u64, entry*
 //! entry        = ctl: u8, [local: u16 | u32], n <= 8 value bytes
+//! DROP         = 19: u8, count: u32, (local: u32)*
+//! RETENTION    = 20: u8, cutoff_ms: u64
 //! ```
 //!
 //! A sample is logged for what it is worth, not at a fixed width: the batch
 //! carries its timestamp once, an entry names its series as a distance from
 //! the previous entry's shard-local index (in the control byte's high nibble
-//! when the round walks the shard in order, which it does) and stores the
-//! value's `f64` bits without their trailing zero bytes — 1 byte for `0.0`,
-//! 4 for a whole number below 2^13, at most 11 while a shard holds 65 536
-//! series or fewer and 13 beyond (`pack_sample`).  The coding is
-//! bit-exact for every `f64` and closed over the batch: no entry refers to
+//! when the round walks the shard in order — `append_batch` stages each
+//! shard's run sorted by local, so it does) and stores the value's `f64` bits
+//! without their trailing zero bytes — 1 byte for `0.0`, 4 for a whole number
+//! below 2^13, at most 11 while a shard holds 65 536 series or fewer and 13
+//! beyond (`pack_sample`).  A series is logged the same way: a `SERIES`
+//! record is its id, name and label symbols as varints, ≈ 22 bytes for a
+//! six-label series where the fixed-width record took 65.  The coding is
+//! bit-exact for every `f64` and closed over the record: no entry refers to
 //! anything outside its own record, so the log stays replayable on its own.
-//! Tag 18, the fixed `local: u32, value: f64` batch earlier versions wrote,
-//! is still read — a directory they left must open whole — and never
-//! written.
+//! Tag 17, the fixed-width series record, and tag 18, the fixed
+//! `local: u32, value: f64` batch, which earlier versions wrote, are still
+//! read — a directory they left must open whole — and never written.
 //!
 //! A shard snapshot is a header frame, one frame per series and a footer
 //! frame.  A series frame holds the series' identity, its open head and its
@@ -232,14 +238,38 @@ const SECTION_HEADER_BYTES: usize = 5;
 const MAX_SEGMENT_LAG: u64 = 2 * SHARD_COUNT as u64;
 
 // Shard records, inside a shard section:
-const REC_SERIES: u8 = 17;
+/// The fixed-width series record of earlier versions (`id: u64, name: u32,
+/// count: u32`, then `key: u32, value: u32` per label).  Read so a directory
+/// they wrote still opens; never written.  Deletable, with its reader, once
+/// an open rewrites such a directory in the current form at its first
+/// checkpoint and `tests/golden/wal-v1`..`wal-v3` are retired with it.
+const REC_SERIES_V1: u8 = 17;
 /// The fixed-entry sample batch of earlier versions (`count: u32,
 /// timestamp_ms: u64`, then `local: u32, value: f64` per sample).  Read so a
-/// directory they wrote still opens; never written.
+/// directory they wrote still opens; never written.  Deletable on the same
+/// condition as [`REC_SERIES_V1`], once `tests/golden/wal-v1` is retired.
 const REC_SAMPLES_V1: u8 = 18;
 const REC_DROP: u8 = 19;
 const REC_RETENTION: u8 = 20;
 const REC_SAMPLES: u8 = 21;
+/// Series creation: `id, name, count, (key, value)*`, every field unsigned
+/// LEB128 ([`put_varint`]).
+const REC_SERIES: u8 = 22;
+/// The most bytes a [`REC_SERIES`] record takes before its labels (type
+/// byte, a 64-bit id, two 32-bit fields), and per label pair.
+const SERIES_HEADER_MAX_BYTES: usize = 1 + 10 + 5 + 5;
+const SERIES_PAIR_MAX_BYTES: usize = 10;
+/// The fewest bytes one element takes wherever a count is read: a varint
+/// label pair, a fixed one, a symbol binding (`slot: u32, len: u32`), a
+/// `DROP` victim, a sealed chunk's header (kind, count, start, end, length),
+/// a shard snapshot's series frame.  A count the bytes left could not hold is
+/// refused before anything is reserved for it ([`Cur::room_for`]).
+const VARINT_PAIR_MIN_BYTES: usize = 2;
+const FIXED_PAIR_BYTES: usize = 8;
+const BINDING_MIN_BYTES: usize = 8;
+const VICTIM_BYTES: usize = 4;
+const SEALED_CHUNK_MIN_BYTES: usize = 1 + 4 + 8 + 8 + 4;
+const SNAP_SERIES_MIN_BYTES: usize = FRAME_BYTES + 1;
 
 /// Bytes of one entry of a [`REC_SAMPLES_V1`] batch.
 const SAMPLE_V1_ENTRY_BYTES: usize = 12;
@@ -296,6 +326,17 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `v` as unsigned LEB128: seven bits a byte, the low group first,
+/// the high bit set on every byte but the last — 1 byte below 128, 5 for any
+/// `u32`, 10 for any `u64`.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
 /// A counted list of `(key, value)` symbol pairs.
@@ -452,9 +493,48 @@ impl<'a> Cur<'a> {
         self.take(8).and_then(|b| <[u8; 8]>::try_from(b).ok()).map(u64::from_le_bytes)
     }
 
+    /// An unsigned LEB128 number of at most `bits` significant bits, as
+    /// [`put_varint`] writes it.  Refused: a number cut short, one in more
+    /// bytes than it needs (a last byte of zero behind the first), and one
+    /// past `bits`.
+    fn varint(&mut self, bits: u32) -> Option<u64> {
+        let mut value = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let byte = self.u8()?;
+            let group = u64::from(byte & 0x7F);
+            if shift >= bits || group.checked_shr(bits - shift).unwrap_or(0) != 0 {
+                return None;
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                return (byte != 0 || shift == 0).then_some(value);
+            }
+            shift += 7;
+        }
+    }
+
+    fn varint_u32(&mut self) -> Option<u32> {
+        u32::try_from(self.varint(32)?).ok()
+    }
+
+    /// `count`, iff the bytes left could hold that many elements of at least
+    /// `min_bytes` each: what a decoder may reserve for.
+    fn room_for(&self, count: usize, min_bytes: usize) -> Option<usize> {
+        let remaining = self.bytes.len().saturating_sub(self.pos);
+        (count.checked_mul(min_bytes)? <= remaining).then_some(count)
+    }
+
     /// An element count, bounded before anything is allocated for it.
     fn count(&mut self) -> Option<usize> {
         self.u32().filter(|&count| count <= MAX_COUNT).map(|count| count as usize)
+    }
+
+    /// An element count the bytes left could hold, at `min_bytes` or more an
+    /// element.
+    fn count_of(&mut self, min_bytes: usize) -> Option<usize> {
+        let count = self.count()?;
+        self.room_for(count, min_bytes)
     }
 
     /// One symbol binding, as [`put_bindings`] wrote it.
@@ -464,13 +544,30 @@ impl<'a> Cur<'a> {
         Some((raw, std::str::from_utf8(self.take(len)?).ok()?))
     }
 
-    /// A counted list of `(key, value)` symbol pairs.
+    /// A counted list of `(key, value)` symbol pairs, as [`put_label_syms`]
+    /// wrote it.
     fn label_syms(&mut self) -> Option<Vec<(SymbolId, SymbolId)>> {
-        let count = self.count()?;
+        let count = self.count_of(FIXED_PAIR_BYTES)?;
+        self.pairs(count, Self::u32)
+    }
+
+    /// The same list in a [`REC_SERIES`] record: count and fields varints.
+    fn varint_label_syms(&mut self) -> Option<Vec<(SymbolId, SymbolId)>> {
+        let count = self.varint_u32().filter(|&count| count <= MAX_COUNT)? as usize;
+        let count = self.room_for(count, VARINT_PAIR_MIN_BYTES)?;
+        self.pairs(count, Self::varint_u32)
+    }
+
+    /// `count` pairs of `field`s; `count` is already bounded by the bytes.
+    fn pairs(
+        &mut self,
+        count: usize,
+        field: fn(&mut Self) -> Option<u32>,
+    ) -> Option<Vec<(SymbolId, SymbolId)>> {
         let mut label_syms = Vec::with_capacity(count);
         for _ in 0..count {
-            let k = SymbolId::from_u32(self.u32()?);
-            let v = SymbolId::from_u32(self.u32()?);
+            let k = SymbolId::from_u32(field(self)?);
+            let v = SymbolId::from_u32(field(self)?);
             label_syms.push((k, v));
         }
         Some(label_syms)
@@ -1082,18 +1179,24 @@ impl ShardWriter<'_> {
         &mut self.0.staged
     }
 
-    /// Stages a series-creation record.
+    /// Stages a series-creation record, every field a varint: a six-label
+    /// series whose id and symbols sit below 2^14 takes at most 30 bytes,
+    /// where the fixed-width record of earlier versions took 65.
     pub(crate) fn series(
         &mut self,
         id: u64,
         name_sym: SymbolId,
         label_syms: &[(SymbolId, SymbolId)],
     ) {
-        let buf = self.begin(17 + label_syms.len() * 8);
+        let buf = self.begin(SERIES_HEADER_MAX_BYTES + label_syms.len() * SERIES_PAIR_MAX_BYTES);
         buf.push(REC_SERIES);
-        put_u64(buf, id);
-        put_u32(buf, name_sym.as_u32());
-        put_label_syms(buf, label_syms);
+        put_varint(buf, id);
+        put_varint(buf, name_sym.as_u32().into());
+        put_varint(buf, label_syms.len() as u64);
+        for (k, v) in label_syms {
+            put_varint(buf, k.as_u32().into());
+            put_varint(buf, v.as_u32().into());
+        }
     }
 
     /// Stages one attempted append (accepted *or* rejected — replay re-runs
@@ -1317,7 +1420,7 @@ fn decode_snap_series(payload: &[u8]) -> Option<SnapSeries> {
             chunk_codec::decode(block, kind, head_count)
         }
     };
-    let sealed_count = cur.count()?;
+    let sealed_count = cur.count_of(SEALED_CHUNK_MIN_BYTES)?;
     let mut sealed = Vec::with_capacity(sealed_count);
     for _ in 0..sealed_count {
         let kind = cur.u8()?;
@@ -1346,7 +1449,9 @@ fn decode_shard_snapshot(bytes: &[u8]) -> Option<ShardSnapshot> {
     let generation = cur.u64()?;
     let rejected = cur.u64()?;
     let series_count = cur.count()?;
-    if !cur.done() {
+    // The series frames follow the header: room for that many of them first.
+    let frames = Cur { bytes, pos: scanner.valid_len };
+    if !cur.done() || frames.room_for(series_count, SNAP_SERIES_MIN_BYTES).is_none() {
         return None;
     }
     let mut series = Vec::with_capacity(series_count);
@@ -1379,7 +1484,7 @@ fn decode_symbols_snapshot(bytes: &[u8]) -> Option<(u64, Vec<(u32, &str)>)> {
     let mut scanner = FrameScanner::new(bytes);
     let mut cur = Cur::new(scanner.typed(REC_SNAP_SYMBOLS)?);
     let base_seq = cur.u64()?;
-    let count = cur.count()?;
+    let count = cur.count_of(BINDING_MIN_BYTES)?;
     let mut bindings = Vec::with_capacity(count);
     for _ in 0..count {
         bindings.push(cur.binding()?);
@@ -1460,6 +1565,11 @@ fn decode_group(payload: &[u8]) -> Option<Group<'_>> {
 fn decode_shard_op<'a>(cur: &mut Cur<'a>) -> Option<ShardOp<'a>> {
     Some(match cur.u8()? {
         REC_SERIES => {
+            let id = cur.varint(64)?;
+            let name_sym = SymbolId::from_u32(cur.varint_u32()?);
+            ShardOp::Series { id, name_sym, label_syms: cur.varint_label_syms()? }
+        }
+        REC_SERIES_V1 => {
             let id = cur.u64()?;
             let name_sym = SymbolId::from_u32(cur.u32()?);
             ShardOp::Series { id, name_sym, label_syms: cur.label_syms()? }
@@ -1475,7 +1585,7 @@ fn decode_shard_op<'a>(cur: &mut Cur<'a>) -> Option<ShardOp<'a>> {
             ShardOp::Samples { timestamp_ms, count, entries }
         }
         REC_DROP => {
-            let count = cur.count()?;
+            let count = cur.count_of(VICTIM_BYTES)?;
             let mut victims = Vec::with_capacity(count);
             for _ in 0..count {
                 victims.push(cur.u32()?);
@@ -1993,6 +2103,19 @@ mod tests {
         )
     }
 
+    /// A checksum-valid log group of round `seq` holding `body` as shard 0's
+    /// section.
+    fn group(seq: u64, body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let at = begin_frame(&mut buf);
+        put_u64(&mut buf, seq);
+        buf.push(0); // shard 0's section
+        put_u32(&mut buf, body.len() as u32);
+        buf.extend_from_slice(body);
+        end_frame(&mut buf, at);
+        buf
+    }
+
     /// Every record of a shard section body, or `None` where
     /// [`decode_shard_op`] refuses one.
     fn decode_body(body: &[u8]) -> Option<Vec<ShardOp<'_>>> {
@@ -2100,6 +2223,8 @@ mod tests {
             let stage = stage();
             let mut writer = ShardWriter(stage.lock());
             writer.series(7, SymbolId::from_u32(1), &[]);
+            // Past the SERIES record and the batch header.
+            let entries_at = writer.0.staged.len() + SAMPLE_HEADER_BYTES;
             let mut local = u32::MAX;
             for _ in 0..len {
                 local = gen_local(&mut rng, local);
@@ -2111,7 +2236,6 @@ mod tests {
             // Half the cases mutate one byte of the valid body (header,
             // entries or neighbours alike), the other half overwrite the
             // entries with noise.
-            let entries_at = 17 + SAMPLE_HEADER_BYTES; // past the SERIES record and the header
             if rng.below(2) == 0 {
                 let at = rng.below(body.len() as u64) as usize;
                 body[at] ^= 1 + rng.below(255) as u8;
@@ -2202,16 +2326,6 @@ mod tests {
     /// well-formed records ahead of it in the same group are not applied.
     #[test]
     fn a_malformed_record_is_never_half_applied() {
-        let group = |seq: u64, body: &[u8]| {
-            let mut buf = Vec::new();
-            let at = begin_frame(&mut buf);
-            put_u64(&mut buf, seq);
-            buf.push(0); // shard 0's section
-            put_u32(&mut buf, body.len() as u32);
-            buf.extend_from_slice(body);
-            end_frame(&mut buf, at);
-            buf
-        };
         let stage = stage();
         let mut writer = ShardWriter(stage.lock());
         writer.series(1, SymbolId::from_u32(0), &[]);
@@ -2247,5 +2361,181 @@ mod tests {
         assert_eq!(series_ids, [1], "series 2 rode in the refused group");
         assert_eq!(samples, 1);
         assert_eq!(fs.file_len(&path), Some(good.len() as u64), "the segment is cut at the frame");
+    }
+
+    // -- varint series records and bounded counts --------------------------
+
+    /// The largest single heap request this thread has made: the lib test
+    /// binary's allocator notes it, so a test can show that a decoder sized
+    /// nothing by a count it had not checked against the bytes.
+    struct LargestRequest;
+
+    thread_local! {
+        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: delegates every operation to `System`; only bookkeeping is added.
+    unsafe impl std::alloc::GlobalAlloc for LargestRequest {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            LARGEST.with(|largest| largest.set(largest.get().max(layout.size())));
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            LARGEST.with(|largest| largest.set(largest.get().max(new_size)));
+            unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: LargestRequest = LargestRequest;
+
+    /// The largest heap request `f` makes on this thread.
+    fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = LARGEST.with(|largest| largest.replace(0));
+        let out = f();
+        let largest = LARGEST.with(|largest| largest.replace(before.max(largest.get())));
+        (out, largest)
+    }
+
+    /// A decoded `SERIES` record: id, name and label symbols.
+    type SeriesFields = (u64, SymbolId, Vec<(SymbolId, SymbolId)>);
+
+    /// The one series record `body` holds, decoded.
+    fn series_of(body: &[u8]) -> Option<SeriesFields> {
+        match decode_body(body)?.pop()? {
+            ShardOp::Series { id, name_sym, label_syms } => Some((id, name_sym, label_syms)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn varint_series_records_round_trip_and_refuse_malformed_fields() {
+        for (value, len) in [(0, 1), (127, 1), (128, 2), (u64::from(u32::MAX), 5), (u64::MAX, 10)] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, value);
+            assert_eq!(buf.len(), len, "{value}");
+            let mut cur = Cur::new(&buf);
+            assert_eq!(cur.varint(64), Some(value));
+            assert!(cur.done());
+            let fits = u32::try_from(value).ok();
+            assert_eq!(Cur::new(&buf).varint_u32(), fits, "{value} as a u32 field");
+        }
+
+        // A record of extreme fields decodes to exactly what was staged.
+        let labels = [
+            (SymbolId::from_u32(0), SymbolId::from_u32(127)),
+            (SymbolId::from_u32(128), SymbolId::from_u32(u32::MAX)),
+        ];
+        let stage = stage();
+        let mut writer = ShardWriter(stage.lock());
+        writer.series(u64::MAX, SymbolId::from_u32(u32::MAX), &labels);
+        let record = writer.0.staged.clone();
+        assert_eq!(record.len(), 1 + 10 + 5 + 1 + (1 + 1) + (2 + 5));
+        let expected = (u64::MAX, SymbolId::from_u32(u32::MAX), labels.to_vec());
+        assert_eq!(series_of(&record), Some(expected));
+
+        // `[REC_SERIES, id, name, count]` with one field replaced by `field`.
+        let series = |field: usize, bytes: &[u8]| {
+            let mut fields: Vec<&[u8]> = vec![&[7], &[1], &[0]];
+            fields[field] = bytes;
+            let mut record = vec![REC_SERIES];
+            fields.iter().for_each(|field| record.extend_from_slice(field));
+            record
+        };
+        assert!(decode_body(&series(0, &[7])).is_some(), "the record the cases below break");
+        for (what, field, bytes) in [
+            ("an overlong zero", 0, &[0x80, 0x00][..]),
+            ("an overlong one", 1, &[0x81, 0x80, 0x00][..]),
+            (
+                "eleven bytes",
+                0,
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x81, 0x00][..],
+            ),
+            (
+                "a u64 overflow",
+                0,
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02][..],
+            ),
+            ("a u32 overflow", 1, &[0x80, 0x80, 0x80, 0x80, 0x10][..]),
+            ("a u32 count overflow", 2, &[0xFF, 0xFF, 0xFF, 0xFF, 0x1F][..]),
+            ("a count past the bytes", 2, &[0x01][..]),
+            ("an unterminated field", 2, &[0x80][..]),
+        ] {
+            assert!(decode_body(&series(field, bytes)).is_none(), "{what}");
+        }
+        // A key or value past `u32` in an otherwise whole record.
+        let mut record = series(2, &[1]);
+        record.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10, 0x01]);
+        assert!(decode_body(&record).is_none(), "a u32 overflow in a label");
+
+        // The fixed-width record of earlier versions still decodes.
+        let mut record = vec![REC_SERIES_V1];
+        put_u64(&mut record, 9);
+        put_u32(&mut record, 3);
+        put_label_syms(&mut record, &labels);
+        assert_eq!(series_of(&record), Some((9, SymbolId::from_u32(3), labels.to_vec())));
+    }
+
+    #[test]
+    fn forged_counts_are_refused_without_a_large_allocation() {
+        const LARGE: usize = 1 << 20;
+        let dir = Path::new("/wal");
+        // A snapshot header that claims sixteen million series, checksum and
+        // all, with none behind it: the shard comes up flagged.
+        let fs = FaultFs::new();
+        let mut header = Vec::new();
+        [1u64, 0, 0].iter().for_each(|field| put_u64(&mut header, *field));
+        put_u32(&mut header, MAX_COUNT);
+        fs.write_atomic(&shard_snap_path(dir, 3), &frame(REC_SNAP_HEADER, &header))
+            .expect("write the snapshot");
+        let options = DurabilityOptions { fs: Arc::new(fs), ..DurabilityOptions::default() };
+        let (wal, largest) = largest_request(|| Wal::open(dir, &options, &mut |_| {}));
+        assert_eq!(wal.expect("open").failed_shard_count(), 1);
+        assert!(largest < LARGE, "reserved {largest} bytes for a forged series count");
+
+        // Log records that claim sixteen million label pairs, in each form:
+        // their groups are cut, the good group before them kept.
+        for forged in [REC_SERIES, REC_SERIES_V1] {
+            let mut record = vec![forged];
+            if forged == REC_SERIES {
+                [1, 0, u64::from(MAX_COUNT)]
+                    .iter()
+                    .for_each(|&field| put_varint(&mut record, field));
+            } else {
+                put_u64(&mut record, 1);
+                put_u32(&mut record, 0);
+                put_u32(&mut record, MAX_COUNT);
+            }
+            record.extend_from_slice(&[0; 64]);
+            let stage = stage();
+            let mut writer = ShardWriter(stage.lock());
+            writer.retention(1);
+            let good = group(1, &writer.0.staged);
+            let fs = FaultFs::new();
+            let path = segment_path(dir, 1);
+            let (mut file, _) = fs.open_append(&path).expect("FaultFs open");
+            file.append(&good).expect("append");
+            file.append(&group(2, &record)).expect("append");
+            let options =
+                DurabilityOptions { fs: Arc::new(fs.clone()), ..DurabilityOptions::default() };
+            let (wal, largest) = largest_request(|| Wal::open(dir, &options, &mut |_| {}));
+            assert_eq!(wal.expect("open").failed_shard_count(), 0);
+            assert_eq!(
+                fs.file_len(&path),
+                Some(good.len() as u64),
+                "tag {forged}: the tail is cut"
+            );
+            assert!(largest < LARGE, "tag {forged}: reserved {largest} bytes for a forged count");
+        }
     }
 }

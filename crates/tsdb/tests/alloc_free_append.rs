@@ -136,3 +136,34 @@ fn a_warm_multi_block_batch_is_allocation_free() {
     assert_eq!(allocations() - before, 0, "a warm multi-block batch must not allocate");
     assert_eq!(outcome, BatchOutcome { appended: SERIES * PER_SERIES, ..BatchOutcome::default() });
 }
+
+/// A warm batch whose shard runs step back to lower locals — the order a
+/// churned push lane hands over, renamed series last — is sorted run by run
+/// in place before it is applied, so it allocates nothing either.
+#[test]
+fn a_warm_out_of_order_batch_is_allocation_free() {
+    const SERIES: u64 = 200;
+    const PER_SERIES: u64 = 4;
+    let db = TimeSeriesDb::new(); // chunk_size 120
+    let mut handles: Vec<SeriesHandle> = (0..SERIES)
+        .map(|i| db.resolve("m", &Labels::from_pairs([("idx", format!("{i}"))])))
+        .collect();
+    // Newest series first: every shard's run descends.
+    handles.reverse();
+    let mut batch = Vec::with_capacity((SERIES * PER_SERIES) as usize);
+    let round = |batch: &mut Vec<(SeriesHandle, u64, f64)>, first: u64| {
+        batch.clear();
+        for t in first..first + PER_SERIES {
+            batch.extend(handles.iter().map(|&h| (h, t * 1_000, t as f64)));
+        }
+        db.append_batch(batch)
+    };
+    // Thirty batches take every series through its first chunk.
+    for first in (0..120).step_by(PER_SERIES as usize) {
+        assert_eq!(round(&mut batch, first).appended, SERIES * PER_SERIES);
+    }
+    let before = allocations();
+    let outcome = round(&mut batch, 120);
+    assert_eq!(allocations() - before, 0, "a warm out-of-order batch must not allocate");
+    assert_eq!(outcome, BatchOutcome { appended: SERIES * PER_SERIES, ..BatchOutcome::default() });
+}

@@ -17,13 +17,18 @@
 //! keep opening, answering sample for sample what fd16bc7 answered from it
 //! (`golden/wal-v2.expected.txt`, written by that commit), and keep working.
 //!
-//! `tests/golden/wal-v3/` pins today's bytes for the same workload: the
+//! `tests/golden/wal-v3/` is what commit 954e5f4, the last one to log
+//! `SERIES` records at fixed width (tag 17), wrote for the same workload: the
 //! first directory whose whole-number series are integer blocks (chunk tag 2
-//! in `shard-*.snap`).  The log's records did not change, so its segments and
-//! `symbols.snap` are byte for byte `wal-v2/`'s — only shard snapshots
-//! differ, and the test says so.  Today's store must write that directory,
-//! file for file (shard snapshots taken with heads mid-burst included), and
-//! carry it forward exactly as it carries its own.
+//! in `shard-*.snap`).  It opens the same way, against
+//! `golden/wal-v3.expected.txt`, written by that commit.
+//!
+//! `tests/golden/wal-v4/` pins today's bytes for the same workload: `SERIES`
+//! records as varints (tag 22).  Only the segments that hold one and the
+//! shard snapshots (checkpoints come due at other rounds) differ from
+//! `wal-v3/`, and the test says so.  Today's store must write that
+//! directory, file for file (shard snapshots taken with heads mid-burst
+//! included), and carry it forward exactly as it carries its own.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -32,7 +37,7 @@ use teemon_metrics::Labels;
 use teemon_obs::probes;
 use teemon_tsdb::{DurabilityOptions, Selector, TimeSeriesDb, TsdbConfig};
 
-/// What `wal-v2/` and `wal-v3/` hold: sixty rounds of twelve series at four paces, so
+/// What `wal-v2/`, `wal-v3/` and `wal-v4/` hold: sixty rounds of twelve series at four paces, so
 /// that whenever a shard is checkpointed (every 512 logged bytes) its heads
 /// stand at different places — empty, inside a first burst, a block and a
 /// tail — in chunks of eleven; NaN payloads, a signed zero and full-entropy
@@ -94,7 +99,7 @@ fn open(dir: &Path) -> TimeSeriesDb {
 /// A [`fingerprint`] less its `resident_bytes` and `index_bytes`: what a
 /// directory *answers*.  The bytes its samples take in memory are the
 /// codec's business — a whole-number series replayed from an old log is
-/// sealed into integer blocks today — and pinned elsewhere (`wal-v3/`, the
+/// sealed into integer blocks today — and pinned elsewhere (`wal-v4/`, the
 /// head model); the index is not persisted at all, so what it weighs is
 /// today's postings' business ([`index_bytes_built_afresh`] holds a
 /// recovered store to it).
@@ -134,6 +139,15 @@ fn fingerprint(db: &TimeSeriesDb) -> String {
     out
 }
 
+/// `probes::WAL_RECORDS_REPLAYED` and `probes::WAL_SALVAGE` are
+/// process-wide and both tests open directories while they count them: they
+/// take turns.
+static PROBES: std::sync::OnceLock<parking_lot::Mutex<()>> = std::sync::OnceLock::new();
+
+fn turn() -> parking_lot::MutexGuard<'static, ()> {
+    PROBES.get_or_init(Default::default).lock()
+}
+
 /// A scratch copy of the golden directory, removed on drop.
 struct ScratchCopy(PathBuf);
 
@@ -167,6 +181,7 @@ impl Drop for ScratchCopy {
 #[test]
 fn a_directory_written_with_fixed_sample_entries_opens_and_keeps_working() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let _turn = turn();
     let expected = std::fs::read_to_string(golden.join("wal-v1.expected.txt")).expect("expected");
     let scratch = ScratchCopy::of(&golden.join("wal-v1"));
     let (salvages, replayed) = (probes::WAL_SALVAGE.get(), probes::WAL_RECORDS_REPLAYED.get());
@@ -206,20 +221,23 @@ fn a_directory_written_with_fixed_sample_entries_opens_and_keeps_working() {
 }
 
 #[test]
-fn todays_store_writes_the_directory_the_raw_head_store_wrote() {
+fn todays_store_writes_the_pinned_directory_and_older_ones_carry_on() {
+    let _turn = turn();
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let (v2, pinned) = (files(&golden.join("wal-v2")), files(&golden.join("wal-v3")));
-    assert!(pinned.keys().any(|name| name.starts_with("shard-")), "snapshots are part of it");
-    // What changed on disk since `wal-v2/` is how a snapshot stores a
-    // whole-number chunk, nothing else: the same files, the segments and the
-    // symbols byte for byte, and shard snapshots that differ (not all: a
-    // shard may hold no whole-number series).
-    assert_eq!(pinned.keys().collect::<Vec<_>>(), v2.keys().collect::<Vec<_>>());
+    let (v3, pinned) = (files(&golden.join("wal-v3")), files(&golden.join("wal-v4")));
+    // What changed on disk since `wal-v3/` is how a `SERIES` record is
+    // written: the segments that hold one are smaller, and so shard
+    // checkpoints come due at other rounds — the same files, `symbols.snap`
+    // and every segment without a series creation byte for byte.
+    assert_eq!(pinned.keys().collect::<Vec<_>>(), v3.keys().collect::<Vec<_>>());
     let moved: Vec<_> =
-        pinned.iter().filter(|(name, bytes)| v2.get(*name) != Some(bytes)).collect();
-    assert!(!moved.is_empty(), "wal-v3 is wal-v2");
-    for (name, _) in moved {
-        assert!(name.starts_with("shard-"), "{name} differs from wal-v2's");
+        pinned.iter().filter(|(name, bytes)| v3.get(*name) != Some(bytes)).collect();
+    assert!(moved.iter().any(|(name, _)| name.starts_with("segment-")), "wal-v4 is wal-v3");
+    for (name, bytes) in moved {
+        assert!(name.starts_with("segment-") || name.starts_with("shard-"), "{name} moved");
+        if name.starts_with("segment-") {
+            assert!(bytes.len() < v3[name].len(), "{name} grew");
+        }
     }
 
     // The same appends, from nothing: no log, snapshot or symbol byte moved.
@@ -239,47 +257,69 @@ fn todays_store_writes_the_directory_the_raw_head_store_wrote() {
     // restored from snapshots mid-burst, the log tail replayed onto them —
     // and run thirty rounds further, it re-snapshots and logs exactly what a
     // store that wrote all ninety rounds itself does.
-    let resumed = ScratchCopy::of(&golden.join("wal-v3"));
+    let resumed = ScratchCopy::of(&golden.join("wal-v4"));
     let straight = ScratchCopy::empty("straight");
     let (resumed_db, straight_db) = (open_v2(&resumed.0), open_v2(&straight.0));
     workload(&straight_db, 0..60);
     assert_eq!(fingerprint(&resumed_db), fingerprint(&straight_db));
     assert_eq!(resumed_db.census().head_bytes, straight_db.census().head_bytes);
 
-    // The directory of XOR blocks only opens too, unmodified: sample for
-    // sample what the last commit that wrote such directories read from it,
-    // from as many replayed records, nothing salvaged — its sealed chunks
-    // the XOR blocks they are, its heads rebuilt as what today builds.
-    let expected = std::fs::read_to_string(golden.join("wal-v2.expected.txt")).expect("expected");
-    let legacy = ScratchCopy::of(&golden.join("wal-v2"));
-    let (salvages, replayed) = (probes::WAL_SALVAGE.get(), probes::WAL_RECORDS_REPLAYED.get());
-    let legacy_db = open_v2(&legacy.0);
-    let replayed = probes::WAL_RECORDS_REPLAYED.get() - replayed;
-    assert_eq!(
-        answers(&format!("replayed {replayed}\n{}", fingerprint(&legacy_db))),
-        answers(&expected)
-    );
-    assert_eq!(answers(&fingerprint(&legacy_db)), answers(&fingerprint(&straight_db)));
-    assert_eq!(legacy_db.census().head_bytes, straight_db.census().head_bytes);
-    assert_eq!(legacy_db.stats().index_bytes, index_bytes_built_afresh(&legacy_db));
-    assert_eq!(probes::WAL_SALVAGE.get(), salvages, "nothing may be cut from a healthy directory");
+    // The directories older stores wrote open too, unmodified: sample for
+    // sample what the last commit that wrote each read from it, from as many
+    // replayed records, nothing salvaged.  `wal-v2/` holds XOR blocks only,
+    // `wal-v3/` integer blocks too; both log fixed-width `SERIES` records.
+    let legacy: Vec<_> = ["wal-v2", "wal-v3"]
+        .into_iter()
+        .map(|name| {
+            let expected = std::fs::read_to_string(golden.join(format!("{name}.expected.txt")))
+                .expect("expected");
+            let scratch = ScratchCopy::of(&golden.join(name));
+            let (salvages, replayed) =
+                (probes::WAL_SALVAGE.get(), probes::WAL_RECORDS_REPLAYED.get());
+            let db = open_v2(&scratch.0);
+            let replayed = probes::WAL_RECORDS_REPLAYED.get() - replayed;
+            assert_eq!(
+                answers(&format!("replayed {replayed}\n{}", fingerprint(&db))),
+                answers(&expected),
+                "{name}"
+            );
+            assert_eq!(answers(&fingerprint(&db)), answers(&fingerprint(&straight_db)), "{name}");
+            assert_eq!(db.census().head_bytes, straight_db.census().head_bytes, "{name}");
+            assert_eq!(db.stats().index_bytes, index_bytes_built_afresh(&db), "{name}");
+            assert_eq!(probes::WAL_SALVAGE.get(), salvages, "nothing may be cut from {name}");
+            (name, scratch, db)
+        })
+        .collect();
 
     workload(&resumed_db, 60..90);
     workload(&straight_db, 60..90);
-    workload(&legacy_db, 60..90);
     assert_eq!(fingerprint(&resumed_db), fingerprint(&straight_db));
-    assert_eq!(answers(&fingerprint(&legacy_db)), answers(&fingerprint(&straight_db)));
-    drop((resumed_db, straight_db, legacy_db));
+    for (name, _, db) in &legacy {
+        workload(db, 60..90);
+        assert_eq!(answers(&fingerprint(db)), answers(&fingerprint(&straight_db)), "{name}");
+    }
+    let after = answers(&fingerprint(&straight_db));
+    drop((resumed_db, straight_db));
     let (resumed, straight) = (files(&resumed.0), files(&straight.0));
     assert_eq!(resumed.keys().collect::<Vec<_>>(), straight.keys().collect::<Vec<_>>());
     for (name, bytes) in &straight {
         assert!(resumed.get(name) == Some(bytes), "{name}: the resumed directory diverged");
     }
-    // The legacy directory's log went the same way — the records are the
-    // same records — whatever kind its old sealed chunks are snapshotted as.
-    let legacy = files(&legacy.0);
-    assert_eq!(legacy.keys().collect::<Vec<_>>(), straight.keys().collect::<Vec<_>>());
-    for (name, bytes) in straight.iter().filter(|(name, _)| !name.starts_with("shard-")) {
-        assert!(legacy.get(name) == Some(bytes), "{name}: the legacy directory diverged");
+    // The older directories' logs went the same way: the same files, and
+    // every segment written since the reopen byte for byte ours — records
+    // are logged in today's form whatever form the ones before them took.
+    // Only their shard snapshots may differ (the old `SERIES` records count
+    // more logged bytes against a shard's checkpoint budget), and a segment
+    // still holding such a record.
+    for (name, scratch, db) in legacy {
+        drop(db);
+        let (before, theirs) = (files(&golden.join(name)), files(&scratch.0));
+        assert_eq!(theirs.keys().collect::<Vec<_>>(), straight.keys().collect::<Vec<_>>());
+        let written = |file: &&String| file.starts_with("segment-") && !before.contains_key(*file);
+        for (file, bytes) in straight.iter().filter(|(file, _)| written(file)) {
+            assert!(theirs.get(file) == Some(bytes), "{name}: {file} diverged");
+        }
+        assert_eq!(theirs.get("symbols.snap"), straight.get("symbols.snap"), "{name}");
+        assert_eq!(answers(&fingerprint(&open_v2(&scratch.0))), after, "{name} reopened");
     }
 }
