@@ -1,17 +1,20 @@
 //! Experiment drivers regenerating every figure of the paper's evaluation.
 //!
-//! Each function returns structured rows (serialisable with serde) and is
-//! called both by the Criterion benches in `teemon-bench` and by the
-//! `fig*` binaries that print the tables recorded in `EXPERIMENTS.md`.
+//! Each function returns structured rows (serialisable with serde); the
+//! `figures` binary in `teemon-bench` prints them, and
+//! `tests/golden/figures/` pins its output for Figures 5–11.
 //!
 //! | function | paper artefact |
 //! |---|---|
-//! | [`figure4`] | Fig. 4a/4b — CPU & memory footprint of TEEMon's components |
+//! | [`figure4`] | Fig. 4a/4b — CPU & memory footprint of teemon's own stack |
 //! | [`figure5`] | Fig. 5 — monitoring overhead on MongoDB / NGINX / Redis |
 //! | [`figure6`] | Fig. 6 — syscall mix of two SCONE releases running Redis |
 //! | [`figure7`] | Fig. 7 — Redis throughput across SCONE code evolution |
 //! | [`figure8_9`] | Fig. 8/9/10 — throughput & latency of Redis under each framework |
 //! | [`figure11`] | Fig. 11a–f — per-100-request metric rates per framework |
+
+use std::io::{Read, Seek};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -19,11 +22,14 @@ use teemon_apps::{
     run_benchmark, Application, MemtierConfig, MetricRates, MongoApp, NetworkModel, NginxApp,
     RedisApp,
 };
+use teemon_exporters::ContainerSpec;
 use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams, SconeVersion};
 use teemon_kernel_sim::{Kernel, Syscall};
+use teemon_query::QueryEngine;
+use teemon_tsdb::StorageStats;
 
-use crate::monitor::{MonitorBuilder, MonitoringMode};
-use crate::overhead::{ComponentFootprint, OverheadModel};
+use crate::monitor::{HostMonitor, MonitorBuilder, MonitoringMode};
+use crate::overhead::paper_stack_throughput_factor;
 
 fn fresh_kernel() -> Kernel {
     Kernel::new()
@@ -33,10 +39,195 @@ fn fresh_kernel() -> Kernel {
 // Figure 4
 // ---------------------------------------------------------------------------
 
-/// Runs the Figure 4 experiment: 24 hours of monitoring on one host with the
-/// paper's scrape configuration, reporting per-component CPU and memory.
-pub fn figure4(hours: f64) -> Vec<ComponentFootprint> {
-    OverheadModel::default().component_footprints(hours, 2_000.0, 10.0)
+/// Requests Redis serves between two scrape rounds of [`figure4`].
+pub const FIG4_REQUESTS_PER_ROUND: u64 = 5;
+
+/// Figure 4 as teemon measures it (see [`figure4`]).
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Fig4 {
+    /// Virtual hours the run spanned.
+    pub hours: f64,
+    /// Scrape rounds run.
+    pub rounds: u64,
+    /// Containers cAdvisor exported at the end of the run.
+    pub containers: u64,
+    /// Samples stored per scrape round, averaged over the run.
+    pub samples_per_scrape: f64,
+    /// Per activity of the loop: its name, the windows it was timed in, and
+    /// its CPU seconds net of the clock reads in them.
+    pub activities: Vec<(String, u64, f64)>,
+    /// The store's `stats()` at the end of the run.
+    pub stats: StorageStats,
+    /// CPU seconds of the whole loop.
+    pub thread_cpu_s: f64,
+    /// CPU seconds of Redis's requests inside the loop.
+    pub app_cpu_s: f64,
+    /// Reads of the thread's CPU clock inside the loop.
+    pub reads: u64,
+    /// CPU seconds one read costs, calibrated in the same run.
+    pub read_cost_s: f64,
+}
+
+impl Fig4 {
+    /// The loop's CPU seconds that no activity, request or clock read holds.
+    pub fn residual_s(&self) -> f64 {
+        let activities: f64 = self.activities.iter().map(|a| a.2).sum();
+        self.thread_cpu_s - activities - self.app_cpu_s - self.reads as f64 * self.read_cost_s
+    }
+}
+
+/// The first field of `/proc/thread-self/schedstat`, the nanoseconds this
+/// thread has run, and a count of its reads.  The kernel brings a running
+/// thread's figure up to date only at scheduler ticks, so a short window
+/// reads nothing or a whole tick: a total over many windows is a sample.
+struct ThreadClock(std::fs::File, u64);
+
+impl ThreadClock {
+    fn now_ns(&mut self) -> u64 {
+        // Three numbers on one line: one read returns the whole file.
+        let mut buf = [0u8; 96];
+        self.0.rewind().expect("rewind /proc/thread-self/schedstat");
+        let n = self.0.read(&mut buf).expect("read /proc/thread-self/schedstat");
+        self.1 += 1;
+        let text = std::str::from_utf8(&buf[..n]).unwrap_or_default();
+        text.split(' ').next().and_then(|ns| ns.parse().ok()).expect("schedstat's run time")
+    }
+
+    /// Reads until the figure moves past `seen`.
+    fn next_update(&mut self, seen: u64) -> u64 {
+        loop {
+            let now = self.now_ns();
+            if now != seen {
+                return now;
+            }
+        }
+    }
+
+    /// The CPU nanoseconds one read costs: the reads between two updates of
+    /// the figure, at least ten updates and a thousand reads apart.
+    fn read_cost_ns(&mut self) -> f64 {
+        let seen = self.now_ns();
+        let (start, first_read) = (self.next_update(seen), self.1);
+        let (mut at, mut updates) = (start, 0);
+        while updates < 10 || self.1 - first_read < 1_000 {
+            at = self.next_update(at);
+            updates += 1;
+        }
+        (at - start) as f64 / (self.1 - first_read) as f64
+    }
+
+    /// Runs `f`, adding a window and the nanoseconds it read to `tally`.
+    fn time<T>(&mut self, tally: &mut (u64, u64), f: impl FnOnce() -> T) -> T {
+        let start = self.now_ns();
+        let out = f();
+        *tally = (tally.0 + 1, tally.1 + self.now_ns() - start);
+        out
+    }
+}
+
+/// Runs the Figure 4 experiment on teemon's own stack for `hours` of virtual
+/// time: one `Full` host set up as `quickstart` (scrapes every 5 s, cAdvisor
+/// every 15 s) on a durable store in a scratch directory removed afterwards.
+/// Redis (`paper_config(64)`, past the EPC limit) runs under SCONE,
+/// registered with cAdvisor, and serves [`FIG4_REQUESTS_PER_ROUND`] requests
+/// between rounds.  Timed on the thread's CPU clock: collection + ingest +
+/// WAL, the rule tick (PMAN's group included), retention at the monitoring
+/// loop's cadence, and a refresh of every standard dashboard over the last
+/// hour every 60 s.  The paper stack's rows are
+/// [`crate::overhead::PAPER_STACK_REFERENCE`].
+///
+/// Only the CPU figures and `stats.resident_bytes` differ between two runs
+/// in a process of their own: the self-scrape target stores wall-clock
+/// timings (its own and `scrape_duration_seconds`), which compress
+/// differently each time, and process-wide probes, which other threads move.
+///
+/// # Panics
+///
+/// When `/proc/thread-self/schedstat` cannot be read (the run needs Linux)
+/// or the store cannot be opened in the temp directory.
+pub fn figure4(hours: f64) -> Fig4 {
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("teemon-fig4-{}-{run}", std::process::id()));
+    let fig = run_figure4(hours, &dir).0;
+    // Best effort: a leftover scratch directory is harmless.
+    let _ = std::fs::remove_dir_all(&dir);
+    fig
+}
+
+fn run_figure4(hours: f64, dir: &std::path::Path) -> (Fig4, HostMonitor) {
+    let host = MonitorBuilder::new("worker-1")
+        .mode(MonitoringMode::Full)
+        .scrape_interval_ms(5_000)
+        .exporter_interval_ms("cadvisor", 15_000)
+        .with_durability(dir)
+        .build();
+    let app = RedisApp::paper_config(64);
+    let params = FrameworkParams::for_kind(FrameworkKind::Scone);
+    let (name, memory_limit_bytes) = (app.name(), app.memory_bytes());
+    let mut redis =
+        Deployment::deploy(host.kernel(), params, name, memory_limit_bytes, app.threads(), 42)
+            .expect("deploy Redis");
+    let image = "sconecuratedimages/redis:5-scone".into();
+    let pid = redis.pid().as_u32();
+    host.register_container(ContainerSpec { name: name.into(), image, pid, memory_limit_bytes });
+    let (request, dashboards) = (app.request(8, 320), teemon_dashboard::standard());
+    let (db, clock) = (host.db(), host.kernel().clock());
+    let interval_ms = host.scraper().interval_ms();
+    let rounds = (hours * 3_600_000.0 / interval_ms as f64).round() as u64;
+
+    let file = std::fs::File::open("/proc/thread-self/schedstat").expect("open schedstat");
+    let mut cpu = ThreadClock(file, 0);
+    let read_cost_ns = cpu.read_cost_ns();
+    let (mut tallies, mut app_tally, mut samples) = ([(0, 0); 4], (0, 0), 0);
+    let (start_ms, first_read, start_ns) = (clock.now_millis(), cpu.1, cpu.now_ns());
+    for round in 1..=rounds {
+        cpu.time(&mut app_tally, || {
+            for _ in 0..FIG4_REQUESTS_PER_ROUND {
+                redis.execute(&request, 320);
+            }
+        });
+        clock.advance(teemon_sim_core::SimDuration::from_millis(interval_ms));
+        let now = clock.now_millis();
+        samples += cpu.time(&mut tallies[0], || host.scraper().scrape_round_due(now)).samples_added;
+        cpu.time(&mut tallies[1], || host.rules().evaluate_due(now));
+        if host.retention_due(now) {
+            cpu.time(&mut tallies[2], || db.apply_retention());
+        }
+        // Every 60 s, every standard dashboard over the last hour.
+        if round % (60_000 / interval_ms) == 0 {
+            cpu.time(&mut tallies[3], || {
+                for dashboard in &dashboards.dashboards {
+                    dashboard.render(db, now.saturating_sub(3_600_000), now, 64);
+                }
+            });
+        }
+    }
+    let thread_ns = cpu.now_ns() - start_ns;
+
+    // A window that read no scheduler tick comes out below zero by its reads.
+    let net_s = |(runs, ns): (u64, u64)| ((ns as f64 - runs as f64 * read_cost_ns) / 1e9).max(0.0);
+    let names =
+        ["collection + ingest + WAL", "rule tick (PMAN group)", "retention", "dashboard refresh"];
+    let activities =
+        names.iter().zip(tallies).map(|(n, t)| (n.to_string(), t.0, net_s(t))).collect();
+    let count = "count(container_spec_memory_limit_bytes)";
+    let containers = QueryEngine::new(db.clone()).instant_query(count, clock.now_millis()).ok();
+    let fig = Fig4 {
+        hours: (clock.now_millis() - start_ms) as f64 / 3_600_000.0,
+        rounds,
+        containers: containers
+            .and_then(|v| Some(v.as_vector()?.first()?.value as u64))
+            .unwrap_or(0),
+        samples_per_scrape: samples as f64 / rounds.max(1) as f64,
+        activities,
+        stats: db.stats(),
+        thread_cpu_s: thread_ns as f64 / 1e9,
+        app_cpu_s: net_s(app_tally),
+        reads: cpu.1 - first_read,
+        read_cost_s: read_cost_ns / 1e9,
+    };
+    (fig, host)
 }
 
 // ---------------------------------------------------------------------------
@@ -72,7 +263,6 @@ pub fn figure5(samples: u64) -> Vec<Fig5Row> {
         ("nginx".into(), Box::new(NginxApp::small_site())),
         ("redis".into(), Box::new(RedisApp::paper_config(32))),
     ];
-    let overhead = OverheadModel::default();
     // Single-host (loopback) benchmark so the server, not the NIC, is the
     // bottleneck: on the 1 Gb/s default link NGINX's ~8 KB responses cap
     // throughput at the wire rate in every configuration, hiding the CPU-side
@@ -89,7 +279,7 @@ pub fn figure5(samples: u64) -> Vec<Fig5Row> {
                 run_benchmark(host.kernel(), params.clone(), app.as_ref(), &network, &config)
                     .expect("benchmark");
             // Full monitoring additionally competes for CPU in user space.
-            let factor = overhead.userspace_throughput_factor(mode, 10.0);
+            let factor = paper_stack_throughput_factor(mode);
             let throughput = result.throughput_iops * factor;
             let baseline_value = *baseline.get_or_insert(throughput);
             rows.push(Fig5Row {
@@ -311,13 +501,56 @@ mod tests {
 
     const QUICK: u64 = 400;
 
+    /// Fifteen virtual minutes: 180 rounds, 15 dashboard refreshes.
+    const SHORT_HOURS: f64 = 0.25;
+
     #[test]
     fn figure4_reproduces_component_shape() {
-        let rows = figure4(24.0);
-        assert_eq!(rows.len(), 7);
-        let total_memory: f64 = rows.iter().map(|r| r.memory_mb).sum();
+        let reference = crate::overhead::PAPER_STACK_REFERENCE;
+        let total_memory: f64 = reference.iter().map(|r| r.2).sum();
         assert!((500.0..1_000.0).contains(&total_memory));
-        assert!(rows.iter().all(|r| r.cpu_percent < 5.0));
+        assert!(reference.iter().all(|r| r.1 < 5.0));
+
+        let fig = figure4(SHORT_HOURS);
+        assert_eq!(fig.rounds, 180);
+        let runs: Vec<u64> = fig.activities.iter().map(|a| a.1).collect();
+        assert_eq!(runs, [180, 180, 0, 15], "retention is due every 90 min");
+        let span_s = fig.hours * 3_600.0;
+        assert!(fig.activities.iter().all(|a| a.2 / span_s * 100.0 < 5.0));
+        assert_eq!(fig.containers, 1);
+        assert!(fig.samples_per_scrape > 100.0, "{}", fig.samples_per_scrape);
+        let store_mb = fig.stats.total_bytes() as f64 / 1e6;
+        assert!(store_mb > 0.0 && store_mb < 346.4, "teemon's store holds {store_mb} MB");
+    }
+
+    #[test]
+    fn figure4_memory_rows_are_the_stores_stats() {
+        let dir =
+            std::env::temp_dir().join(format!("teemon-figure4-memory-rows-{}", std::process::id()));
+        let (fig, host) = run_figure4(SHORT_HOURS, &dir);
+        assert_eq!(fig.stats, host.db().stats());
+        assert!(fig.stats.series > 0 && fig.stats.series_bytes > 0);
+        drop(host);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn figure4_cpu_reconciles_with_the_thread_total() {
+        let fig = figure4(SHORT_HOURS);
+        let residual = fig.residual_s();
+        println!(
+            "loop {:.4} s, application {:.4} s, {} reads x {:.3} us, residual {residual:.4} s",
+            fig.thread_cpu_s,
+            fig.app_cpu_s,
+            fig.reads,
+            fig.read_cost_s * 1e6
+        );
+        assert!(fig.thread_cpu_s > 0.0);
+        assert!(
+            residual.abs() <= 0.1 * fig.thread_cpu_s,
+            "residual {residual} s of {} s",
+            fig.thread_cpu_s
+        );
     }
 
     #[test]
@@ -451,8 +684,8 @@ mod tests {
 
     #[test]
     fn experiment_rows_serialise_to_json() {
-        let json = to_json(&figure4(1.0));
-        assert!(json.contains("prometheus"));
+        let json = to_json(&figure4(SHORT_HOURS));
+        assert!(json.contains("samples_per_scrape"));
         let json = to_json(&figure7(200));
         assert!(json.contains("09fea91"));
     }

@@ -49,5 +49,5 @@ pub mod monitor;
 pub mod overhead;
 
 pub use monitor::{ClusterMonitor, HostMonitor, MonitorBuilder, MonitoringMode};
-pub use overhead::{ComponentFootprint, OverheadModel};
+pub use overhead::PAPER_STACK_REFERENCE;
 pub use teemon_query::{Alert, AlertRule, AlertState, RecordingRule, Rule, RuleEngine, RuleGroup};

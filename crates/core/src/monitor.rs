@@ -414,14 +414,23 @@ impl HostMonitor {
 
     /// What follows every scrape round of the monitoring loop: due rule
     /// groups are evaluated, and the database's retention policy is applied
-    /// when [`RETENTION_PASSES_PER_WINDOW`] says a pass is due.
+    /// when a pass is due.
     fn after_round(&self, now: u64) {
         self.rules.evaluate_due(now);
-        let every = (self.db.config().retention_ms / RETENTION_PASSES_PER_WINDOW).max(1);
-        if now.saturating_sub(self.last_retention_ms.load(Ordering::Relaxed)) >= every {
-            self.last_retention_ms.store(now, Ordering::Relaxed);
+        if self.retention_due(now) {
             self.db.apply_retention();
         }
+    }
+
+    /// Whether the loop's retention pass is due at `now` (see
+    /// [`RETENTION_PASSES_PER_WINDOW`]); a `true` counts as the pass taken.
+    pub(crate) fn retention_due(&self, now: u64) -> bool {
+        let every = (self.db.config().retention_ms / RETENTION_PASSES_PER_WINDOW).max(1);
+        let due = now.saturating_sub(self.last_retention_ms.load(Ordering::Relaxed)) >= every;
+        if due {
+            self.last_retention_ms.store(now, Ordering::Relaxed);
+        }
+        due
     }
 
     /// Runs `ticks` scrape rounds spaced by the scraper's global interval,

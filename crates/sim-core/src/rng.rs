@@ -2,15 +2,15 @@
 //!
 //! All stochastic behaviour in the reproduction (request inter-arrival jitter,
 //! key popularity, cache-miss probabilities, …) flows through [`DetRng`] so
-//! that a fixed seed reproduces the exact metric streams reported in
-//! `EXPERIMENTS.md`.
+//! that a fixed seed reproduces the exact metric streams the `figures`
+//! binary prints (pinned in `tests/golden/figures/`).
 
 /// A seedable deterministic random number generator.
 ///
 /// Internally this is a xoshiro256++ generator seeded through SplitMix64, the
 /// standard recipe for reproducible simulation RNGs.  It is intentionally
-/// self-contained so that the exact sample streams recorded in
-/// `EXPERIMENTS.md` remain stable across dependency upgrades.
+/// self-contained so that the exact sample streams pinned in
+/// `tests/golden/figures/` remain stable across dependency upgrades.
 #[derive(Debug, Clone)]
 pub struct DetRng {
     state: [u64; 4],

@@ -10,8 +10,8 @@
 # * Figure 5 is held row by row, keyed by (app, configuration): each of the
 #   nine rows of fig5.rows must be printed once and unchanged; rows for a
 #   configuration it does not name may be added beside them.
-# * Figure 4 is not held: it is the overhead model's output, not a run of
-#   the simulated testbed.
+# * Figure 4 is not held: beside the paper stack's frozen reference rows it
+#   prints a timed run of teemon's own stack, whose CPU figures vary.
 #
 # A change that is meant to alter a figure regenerates the files from the
 # binary's output (fig5.rows through `rows` below) and says so.
