@@ -8,7 +8,9 @@
 //!   the count does not move when every series holds twice the samples;
 //! * planning materialises each selected series' label set in one allocation,
 //!   however many labels it carries, and an aggregation builds each series'
-//!   group key in one more.
+//!   group key in one more;
+//! * selecting a series costs two allocations — its label strings and the
+//!   copy of its open head — however many sealed chunks it holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +18,7 @@ use std::cell::Cell;
 use teemon_metrics::Labels;
 use teemon_query::stream::plan_or_reason;
 use teemon_query::{json, parse, QueryEngine, RangeSeries};
-use teemon_tsdb::{Selector, TimeSeriesDb};
+use teemon_tsdb::{Selector, TimeSeriesDb, TsdbConfig};
 
 struct CountingAllocator;
 
@@ -204,4 +206,47 @@ fn a_grouped_plan_allocates_a_constant_per_series_however_many_labels() {
     // sort them, would be another allocation or more a series.
     let grouping = bare - planned("rate(m[5m])", 0);
     assert!(grouping <= SERIES as u64 + 16, "{grouping} allocations to group {SERIES} series");
+}
+
+/// `series` counters of 12 sealed chunks and an open head of 40 samples (five
+/// encoded bursts) each, all in the shapes `dashboard_read` preloads.
+fn chunked_store(series: usize) -> TimeSeriesDb {
+    const CHUNK_SIZE: u64 = 120;
+    let db = TimeSeriesDb::with_config(TsdbConfig {
+        chunk_size: CHUNK_SIZE as usize,
+        retention_ms: u64::MAX,
+    });
+    let handles: Vec<_> = (0..series)
+        .map(|i| db.resolve("m", &Labels::from_pairs([("node", format!("node-{i}"))])))
+        .collect();
+    let mut batch = Vec::with_capacity(series);
+    for tick in 0..12 * CHUNK_SIZE + 40 {
+        batch.clear();
+        batch.extend(handles.iter().map(|&h| (h, tick * 15_000, (tick * 3) as f64)));
+        assert_eq!(db.append_batch(&batch).appended, series as u64);
+    }
+    db
+}
+
+#[test]
+fn a_select_allocates_its_labels_and_its_head_copy_per_series() {
+    let allocations = |series: usize| {
+        let db = chunked_store(series);
+        let selector = Selector::metric("m");
+        // Warm: the head copy completes its block in a buffer it keeps.
+        db.select(&selector);
+        let (snapshots, allocations) = allocations_in(|| db.select(&selector));
+        assert_eq!(snapshots.len(), series);
+        assert!(snapshots.iter().all(|s| s.chunk_count() == 13 && s.len() == 12 * 120 + 40));
+        allocations
+    };
+    let (some, twice) = (allocations(160), allocations(320));
+    // Each series more: its label strings and its head's copy, exactly —
+    // the sealed chunks are one shared list, the result one vector sized
+    // before it is filled.
+    assert_eq!(twice - some, 2 * 160, "{some} allocations for 160 series, {twice} for 320");
+    // Beside them, a constant: the plan and a few a shard for its
+    // candidates (and, under `--cfg lock_audit`, the audit's bookkeeping of
+    // each lock taken).
+    assert!(some <= 2 * 160 + 10 * 16, "{some} allocations for 160 series");
 }

@@ -23,10 +23,12 @@
 //! set flapping between the kinds pays one per chunk).  Readers, the seal and
 //! the snapshot ask the encoder which it is.
 
+use std::cell::Cell;
+
 use teemon_obs::probes;
 
 use crate::chunk_codec::{whole, BlockEncoder, BlockKind, BlockSamples};
-use crate::series::{Chunk, ChunkData, Sample, SAMPLE_BYTES};
+use crate::series::{put_raw, Block, Chunk, Payload, Sample, SAMPLE_BYTES};
 
 /// Samples an open [`Head`] keeps raw, inline, in front of its block: the
 /// burst the encoder runs in.  A constant, not configuration: at eight the
@@ -38,10 +40,12 @@ pub(crate) const TAIL_SAMPLES: usize = 8;
 /// A head's first block buffer; it doubles from here with what it holds.
 const BLOCK_INITIAL_BYTES: usize = 32;
 
-/// The most one sample adds to a block: the 68-bit raw-delta escape and a
-/// 64-bit value behind a new 14-bit window header (an integer block's 72-bit
-/// escape is less), rounded up.
-const MAX_ENCODED_SAMPLE_BYTES: usize = 19;
+thread_local! {
+    /// The buffer a snapshot of a head completes the head's block in, kept
+    /// from one snapshot to the next, so the copy a snapshot keeps is one
+    /// allocation of exactly its size.
+    static SNAPSHOT_SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// The open chunk of a stored series: a Gorilla block built in bursts — a
 /// resumable [`BlockEncoder`] beside the buffer it writes — behind a tail of
@@ -189,25 +193,26 @@ impl Head {
         *tail_len = 0;
     }
 
-    /// Seals the non-empty head into an immutable chunk whose payload is one
-    /// exact-sized allocation — the block, after encoding what the tail
-    /// holds; or the samples decoded back out of it, in the rare case the
-    /// block outgrew them — and empties the head, keeping its buffer.
-    pub(crate) fn seal(&mut self) -> Chunk {
+    /// Seals the non-empty head: hands `keep` the chunk it makes — the
+    /// block, after encoding what the tail holds, borrowed where it lies; or
+    /// the samples decoded back out of it as a raw payload, in the rare case
+    /// the block outgrew them — and empties the head, keeping its buffer.
+    pub(crate) fn seal<R>(&mut self, keep: impl FnOnce(Chunk<'_>) -> R) -> R {
         self.flush();
         let count = self.encoder.count();
-        let chunk = if self.block.len() <= count as usize * SAMPLE_BYTES {
-            Chunk {
-                start_ms: self.first_timestamp().unwrap_or(0),
-                end_ms: self.last_timestamp().unwrap_or(0),
-                count,
-                data: ChunkData::Compressed(self.encoder.kind(), self.block.as_slice().into()),
-            }
+        let start_ms = self.first_timestamp().unwrap_or(0);
+        let end_ms = self.last_timestamp().unwrap_or(0);
+        let kept = if self.block.len() <= count as usize * SAMPLE_BYTES {
+            let payload = Payload::Block(self.encoder.kind(), &self.block);
+            keep(Chunk { start_ms, end_ms, count, payload })
         } else {
-            Chunk::from_samples(self.block_samples().collect())
+            let samples: Vec<Sample> = self.block_samples().collect();
+            let mut raw = vec![0; samples.len() * SAMPLE_BYTES];
+            put_raw(&samples, &mut raw);
+            keep(Chunk { start_ms, end_ms, count, payload: Payload::Raw(&raw) })
         };
         self.clear();
-        chunk
+        kept
     }
 
     /// Drops every sample, keeping the block's buffer.
@@ -218,24 +223,29 @@ impl Head {
     }
 
     /// The head as one chunk of a snapshot, so no reader of a snapshot knows
-    /// an open head from a sealed chunk: a copy of the block completed with
-    /// the tail — or, before the first burst, the tail as it is (a young
-    /// series costs a reader no decoding).  `None` for an empty head.
-    pub(crate) fn snapshot(&self) -> Option<Chunk> {
-        if self.is_empty() {
-            return None;
-        }
+    /// an open head from a sealed chunk: a block of one chunk, in one
+    /// allocation of exactly its size, holding a copy of the head's block
+    /// completed with the tail — or, before the first burst, the tail as it
+    /// is (a young series costs a reader no decoding).  `None` for an empty
+    /// head.
+    pub(crate) fn snapshot(&self) -> Option<Block> {
+        let start_ms = self.first_timestamp()?;
+        let end_ms = self.last_timestamp().unwrap_or(start_ms);
+        let count = self.len() as u32;
         if self.encoder.count() == 0 {
-            return Some(Chunk::from_samples(self.tail().to_vec()));
+            let mut raw = [0; TAIL_SAMPLES * SAMPLE_BYTES];
+            put_raw(self.tail(), &mut raw);
+            let payload = Payload::Raw(raw.get(..self.tail().len() * SAMPLE_BYTES)?);
+            return Some(Block::pack(std::iter::once(Chunk { start_ms, end_ms, count, payload })));
         }
-        let mut block =
-            Vec::with_capacity(self.block.len() + self.tail().len() * MAX_ENCODED_SAMPLE_BYTES + 8);
-        let kind = self.encode_into(&mut block)?;
-        Some(Chunk {
-            start_ms: self.first_timestamp().unwrap_or(0),
-            end_ms: self.last_timestamp().unwrap_or(0),
-            count: self.len() as u32,
-            data: ChunkData::Compressed(kind, block.into_boxed_slice()),
+        SNAPSHOT_SCRATCH.with(|scratch| {
+            let mut block = scratch.take();
+            let packed = self.encode_into(&mut block).map(|kind| {
+                let payload = Payload::Block(kind, &block);
+                Block::pack(std::iter::once(Chunk { start_ms, end_ms, count, payload }))
+            });
+            scratch.set(block);
+            packed
         })
     }
 
@@ -283,29 +293,29 @@ mod tests {
                 head.tail().len() * SAMPLE_BYTES + block.map_or(0, |(_, b)| b.len())
             );
             let snapshot = head.snapshot().expect("a non-empty head");
-            assert_eq!(snapshot.iter_samples().collect::<Vec<_>>(), held);
+            assert_eq!(snapshot.len(), 1, "a block of one chunk");
+            let copy = snapshot.chunk(0).expect("the head's chunk");
+            assert_eq!(copy.iter_samples().collect::<Vec<_>>(), held);
             if held.len() < TAIL_SAMPLES {
-                assert_eq!(snapshot.data, ChunkData::Raw(held.to_vec()), "no block yet");
+                assert!(matches!(copy.payload, Payload::Raw(_)), "no block yet");
             } else {
-                assert_eq!(
-                    snapshot.data,
-                    ChunkData::Compressed(kind, whole_block.as_slice().into())
-                );
+                assert_eq!(copy.payload, Payload::Block(kind, &whole_block));
             }
             assert_eq!(
-                (snapshot.start(), snapshot.end(), snapshot.len()),
+                (copy.start(), copy.end(), copy.len()),
                 (held.first().map(|s| s.timestamp_ms), Some(sample.timestamp_ms), held.len())
             );
         }
-        let chunk = head.seal();
-        assert_eq!(chunk.data, ChunkData::Compressed(kind, whole_block.into()));
         let (first, last) = (samples[0].timestamp_ms, samples[samples.len() - 1].timestamp_ms);
-        assert_eq!(
-            (chunk.start(), chunk.end(), chunk.len()),
-            (Some(first), Some(last), samples.len())
-        );
+        head.seal(|chunk| {
+            assert_eq!(chunk.payload, Payload::Block(kind, &whole_block));
+            assert_eq!(
+                (chunk.start(), chunk.end(), chunk.len()),
+                (Some(first), Some(last), samples.len())
+            );
+        });
         assert_eq!(head.encode_into(&mut Vec::new()), None, "an empty head has no block");
-        assert_eq!(head.snapshot(), None);
+        assert!(head.snapshot().is_none());
         assert_eq!(head.resident_bytes(), 0);
         kind
     }

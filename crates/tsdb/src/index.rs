@@ -246,15 +246,19 @@ pub(crate) enum Candidates {
 }
 
 /// Intersection of sorted postings lists, smallest list first so the work is
-/// bounded by the most selective matcher.
+/// bounded by the most selective matcher — in one allocation, sized for the
+/// smallest list, so what a selection allocates does not grow with it.
 fn intersect(lists: &mut [&[u32]]) -> Vec<u32> {
     lists.sort_by_key(|l| l.len());
     let Some((smallest, rest)) = lists.split_first() else { return Vec::new() };
-    smallest
-        .iter()
-        .copied()
-        .filter(|id| rest.iter().all(|list| list.binary_search(id).is_ok()))
-        .collect()
+    let mut out = Vec::with_capacity(smallest.len());
+    out.extend(
+        smallest
+            .iter()
+            .copied()
+            .filter(|id| rest.iter().all(|list| list.binary_search(id).is_ok())),
+    );
+    out
 }
 
 #[cfg(test)]

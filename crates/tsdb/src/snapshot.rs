@@ -1,34 +1,41 @@
 //! Zero-copy read handles over stored series.
 //!
 //! A [`SeriesSnapshot`] is what [`crate::TimeSeriesDb::select`] returns: the
-//! series' sealed chunks shared by `Arc` (no sample is copied or decoded),
-//! the open head copied once — the block it is building, completed with the
-//! few samples still in its tail (or, before its first burst, those samples
-//! as they are), so it reads like any sealed chunk — and the
+//! series' sealed chunks — its frozen list of packed blocks, each up to
+//! sixteen chunks' footers and payloads in one allocation — shared whole
+//! with one reference count (no sample is copied or decoded, and a seal or
+//! a retention pass after it builds new blocks and a new list rather than
+//! touch these), the open head copied once, in one allocation of exactly
+//! its size, as a block of one chunk — the block it is building, completed
+//! with the few samples still in its tail (or, before its first burst,
+//! those samples as they are), so it reads like any sealed chunk — and the
 //! metric name/label strings, materialised at selection: the stored series
 //! keeps its key as symbols only, and the snapshot gets its own packed copy
 //! of the label strings (one allocation; the shared strings are read, never
 //! written, so concurrent readers do not contend on their reference counts)
 //! and a reference on the name, so it keeps reading them after its series is
 //! evicted, its symbols swept and their slots reused.  Taking a snapshot is
-//! O(chunks + label bytes) regardless of how many samples the series holds,
-//! and the snapshot stays consistent while the database keeps ingesting.
+//! two allocations and O(label bytes + head) regardless of how many samples
+//! or chunks the series holds, and the snapshot stays consistent while the
+//! database keeps ingesting.
 //!
-//! Reads go through [`SeriesSnapshot::at`] (footer binary search, then a
-//! bounded in-chunk search), [`SeriesSnapshot::points_in`] (pre-sized range
-//! materialisation) or the streaming cursors.  Sealed chunks are
+//! Reads go through [`SeriesSnapshot::at`] (a binary search over the blocks'
+//! footers, then one in the block, then a bounded in-chunk search),
+//! [`SeriesSnapshot::points_in`] (pre-sized range materialisation) or the
+//! streaming cursors.  Sealed chunks are
 //! Gorilla-compressed (see [`crate::chunk_codec`]) in one of the codec's two
 //! kinds — whole-number values as integer deltas, anything else XOR-coded —
-//! which each chunk carries beside its bytes and every cursor hands to the
-//! decoder it opens on them, so nothing here cares which it is; the cursors
+//! which each chunk's footer carries and every cursor hands to the decoder
+//! it opens on it, so nothing here cares which it is; the cursors
 //! decode incrementally — a few words of decoder state per chunk — so a
 //! range scan never materialises a decompressed chunk, and chunks outside
 //! the queried window are skipped by their `(start, end, count)` footers
 //! without touching the compressed payload at all.
 //!
-//! [`SampleCursor`] borrows the snapshot; [`OwnedSampleCursor`] shares the
-//! chunks by `Arc` instead, for consumers like the query engine's plans that
-//! cannot hold a borrow.  The range evaluator does not step it: it drains one
+//! [`SampleCursor`] borrows the snapshot; [`OwnedSampleCursor`] shares its
+//! blocks by `Arc` instead (two reference counts, whatever the chunk
+//! count), for consumers like the query engine's plans that cannot hold a
+//! borrow.  The range evaluator does not step it: it drains one
 //! series' whole range with [`OwnedSampleCursor::read_into`] into a buffer it
 //! reuses for the next series.
 
@@ -36,7 +43,7 @@ use std::sync::Arc;
 
 use teemon_metrics::Labels;
 
-use crate::series::{at_in_chunks, extend_range, Chunk, ChunkIterState, Sample, SeriesId};
+use crate::series::{Block, ChunkIterState, ChunkPos, Chunks, Sample, Sealed, SeriesId};
 
 /// An immutable, cheaply clonable view of one series at selection time.
 #[derive(Debug, Clone)]
@@ -44,9 +51,9 @@ pub struct SeriesSnapshot {
     pub(crate) id: SeriesId,
     name: Arc<str>,
     labels: Labels,
-    /// Time-ordered, non-empty chunks: the sealed chunks plus (when the
-    /// series has unsealed samples) one chunk holding a copy of the head.
-    chunks: Arc<[Arc<Chunk>]>,
+    /// Time-ordered, non-empty chunks: the sealed blocks plus (when the
+    /// series has unsealed samples) one block holding a copy of the head.
+    chunks: Chunks,
 }
 
 impl SeriesSnapshot {
@@ -54,9 +61,10 @@ impl SeriesSnapshot {
         id: SeriesId,
         name: Arc<str>,
         labels: Labels,
-        chunks: Vec<Arc<Chunk>>,
+        sealed: Sealed,
+        head: Option<Block>,
     ) -> Self {
-        Self { id, name, labels, chunks: chunks.into() }
+        Self { id, name, labels, chunks: Chunks::new(sealed, head) }
     }
 
     /// The identifier the database assigned to this series (creation order).
@@ -102,12 +110,12 @@ impl SeriesSnapshot {
 
     /// `true` when the snapshot holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        self.chunks.first().is_none()
     }
 
     /// Number of chunks backing the snapshot.
     pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.chunks.chunk_count()
     }
 
     /// Bytes resident in the backing chunks: their compressed sizes, the
@@ -135,14 +143,14 @@ impl SeriesSnapshot {
     /// binary search over the chunk footers, then a bounded search inside the
     /// covering chunk.
     pub fn at(&self, at_ms: u64) -> Option<Sample> {
-        at_in_chunks(&self.chunks, at_ms)
+        self.chunks.at(at_ms)
     }
 
     /// `(timestamp_ms, value)` points within `[start_ms, end_ms]`, pre-sized
     /// and in chronological order.
     pub fn points_in(&self, start_ms: u64, end_ms: u64) -> Vec<(u64, f64)> {
         let mut out = Vec::new();
-        extend_range(&self.chunks, start_ms, end_ms, &mut out);
+        self.chunks.extend_range(start_ms, end_ms, &mut out);
         out
     }
 
@@ -158,25 +166,24 @@ impl SeriesSnapshot {
         self.cursor(0, u64::MAX)
     }
 
-    /// Like [`SeriesSnapshot::cursor`], but sharing the chunks by `Arc` so
+    /// Like [`SeriesSnapshot::cursor`], but sharing the blocks by `Arc` so
     /// the cursor is `'static` and can outlive the snapshot (a query plan
     /// holds one per series from planning until that series is evaluated).
     pub fn owned_cursor(&self, start_ms: u64, end_ms: u64) -> OwnedSampleCursor {
         OwnedSampleCursor {
             core: CursorCore::new(&self.chunks, start_ms, end_ms),
-            chunks: Arc::clone(&self.chunks),
+            chunks: self.chunks.clone(),
         }
     }
 }
 
-/// Chunk-walking state shared by the borrowed and owning cursors: the index
-/// of the chunk being read, the in-chunk position (slice index or streaming
-/// decoder registers) and the `[start_ms, end_ms]` bounds.
+/// Chunk-walking state shared by the borrowed and owning cursors: the
+/// position of the chunk being read, the in-chunk position (sample index or
+/// streaming decoder registers) and the `[start_ms, end_ms]` bounds.
 #[derive(Debug, Clone)]
 struct CursorCore {
-    /// Index of the next chunk to open (the chunk being read is at
-    /// `next_chunk - 1` while `state` is `Some`).
-    next_chunk: usize,
+    /// The chunk being read while `state` is `Some`, else the next to open.
+    pos: ChunkPos,
     state: Option<ChunkIterState>,
     start_ms: u64,
     end_ms: u64,
@@ -184,64 +191,53 @@ struct CursorCore {
 }
 
 impl CursorCore {
-    fn new(chunks: &[Arc<Chunk>], start_ms: u64, end_ms: u64) -> Self {
+    fn new(chunks: &Chunks, start_ms: u64, end_ms: u64) -> Self {
         // Skip chunks that end before the range starts via their footers.
-        let next_chunk = chunks.partition_point(|c| match c.end() {
-            Some(end) => end < start_ms,
-            None => false,
-        });
-        Self { next_chunk, state: None, start_ms, end_ms, done: false }
+        Self { pos: chunks.seek(start_ms), state: None, start_ms, end_ms, done: false }
     }
 
-    fn next(&mut self, chunks: &[Arc<Chunk>]) -> Option<Sample> {
+    fn next(&mut self, chunks: &Chunks) -> Option<Sample> {
         if self.done {
             return None;
         }
         loop {
-            let open = self.next_chunk.checked_sub(1).and_then(|idx| chunks.get(idx));
-            if let (Some(state), Some(chunk)) = (&mut self.state, open) {
-                match state.next(chunk) {
-                    // Only the first opened chunk can straddle the range
-                    // start; a compressed one is skipped sample by sample.
-                    Some(s) if s.timestamp_ms < self.start_ms => continue,
-                    Some(s) if s.timestamp_ms <= self.end_ms => return Some(s),
-                    Some(_) => {
-                        self.done = true;
-                        return None;
-                    }
-                    None => self.state = None,
+            let Some(chunk) = chunks.get(self.pos) else {
+                self.done = true;
+                return None;
+            };
+            let start_ms = self.start_ms;
+            let state =
+                self.state.get_or_insert_with(|| ChunkIterState::positioned(&chunk, start_ms));
+            match state.next(&chunk) {
+                // Only the first opened chunk can straddle the range
+                // start; a compressed one is skipped sample by sample.
+                Some(s) if s.timestamp_ms < self.start_ms => continue,
+                Some(s) if s.timestamp_ms <= self.end_ms => return Some(s),
+                Some(_) => {
+                    self.done = true;
+                    return None;
                 }
-            } else {
-                match chunks.get(self.next_chunk) {
-                    Some(chunk) => {
-                        self.next_chunk += 1;
-                        self.state = Some(ChunkIterState::positioned(chunk, self.start_ms));
-                    }
-                    None => {
-                        self.done = true;
-                        return None;
-                    }
+                None => {
+                    self.state = None;
+                    self.pos = chunks.next_pos(self.pos);
                 }
             }
         }
     }
-}
 
-impl CursorCore {
     /// Appends every sample [`CursorCore::next`] would still yield to `out`
     /// and exhausts the cursor.  From a chunk boundary (a fresh cursor above
     /// all) the rest is drained chunk by chunk: the footers bound the span
     /// and size one reservation, raw chunks are sliced, and blocks go through
     /// the bulk decoder.  A cursor stopped inside a chunk finishes
     /// sample by sample — a Gorilla stream cannot be re-entered mid-way.
-    fn read_into(&mut self, chunks: &[Arc<Chunk>], out: &mut Vec<Sample>) {
+    fn read_into(&mut self, chunks: &Chunks, out: &mut Vec<Sample>) {
         if self.state.is_some() {
             while let Some(sample) = self.next(chunks) {
                 out.push(sample);
             }
         } else if !self.done {
-            let rest = chunks.get(self.next_chunk..).unwrap_or(&[]);
-            extend_range(rest, self.start_ms, self.end_ms, out);
+            chunks.extend_from(self.pos, self.start_ms, self.end_ms, out);
             self.done = true;
         }
     }
@@ -250,7 +246,7 @@ impl CursorCore {
 /// A forward cursor over one snapshot's samples, bounded by an end timestamp.
 #[derive(Debug, Clone)]
 pub struct SampleCursor<'a> {
-    chunks: &'a [Arc<Chunk>],
+    chunks: &'a Chunks,
     core: CursorCore,
 }
 
@@ -262,11 +258,11 @@ impl Iterator for SampleCursor<'_> {
     }
 }
 
-/// A forward cursor that co-owns the snapshot's chunks (`Arc`-shared), so it
+/// A forward cursor that co-owns the snapshot's blocks (`Arc`-shared), so it
 /// has no lifetime tie to the [`SeriesSnapshot`] it came from.
 #[derive(Debug, Clone)]
 pub struct OwnedSampleCursor {
-    chunks: Arc<[Arc<Chunk>]>,
+    chunks: Chunks,
     core: CursorCore,
 }
 

@@ -13,9 +13,10 @@
 //!   `(label, value)` → series) and cheap aggregates (sample/chunk/rejection
 //!   counts, min/max timestamp), so selection and [`TimeSeriesDb::stats`]
 //!   never scan series,
-//! * a series record holds each thing once and only while it is needed (80
+//! * a series record holds each thing once and only while it is needed (72
 //!   bytes; see `MemSeries`): the key as symbols and the hash it is filed
-//!   under, the sealed chunks, and one pointer to the open head, which
+//!   under, one pointer to its frozen list of sealed blocks, and one to the
+//!   open head, which
 //!   exists only while the series is being written.  What the record and its
 //!   blocks weigh is [`StorageStats::series_bytes`], counted at the arrays'
 //!   capacities — and a removal that leaves an array under a quarter full
@@ -27,8 +28,9 @@
 //! * reads hand out [`SeriesSnapshot`]s: the key's strings are materialised
 //!   from the symbol table once per *selected* series (a packed copy of
 //!   the label strings and a reference on the name; the snapshot owns them
-//!   from then on), sealed chunks are `Arc`-shared, only the open head chunk
-//!   is copied — as the block it is, completed with its tail,
+//!   from then on), the list of sealed blocks is shared whole by one `Arc`,
+//!   only the open head chunk is copied — as the block it is, completed
+//!   with its tail, in one allocation of exactly its size,
 //! * chunks are Gorilla-compressed ([`crate::chunk_codec`]), the open head
 //!   included: a head is the delta-of-delta / XOR-float block it will seal,
 //!   built in bursts by a resumable encoder, behind a tail of its newest
@@ -42,11 +44,14 @@
 //!   ([`StorageCensus::head_bytes`]),
 //! * the heap holds what that ledger counts: a head has no buffer until its
 //!   first burst, and the buffer doubles 32 → 64 → … bytes with the block in
-//!   it; a seal stores the block as one exact-sized allocation and keeps the
-//!   buffer for the next chunk; and a retention pass seals the head of any
-//!   series that has gone [`STALE_HEAD_MS`] without a sample and drops it,
-//!   record and buffer, so a churned series costs an exact block behind a
-//!   one-slot chunk list and nothing more,
+//!   it; a seal copies the block into the series' last packed block of
+//!   sealed chunks (`crate::series::Sealed`: up to sixteen chunks' 25-byte
+//!   footers and payloads in one exact-sized allocation, built again by
+//!   every seal that lands in it) and keeps the buffer for the next chunk;
+//!   and a retention pass seals the head of any series that has gone
+//!   [`STALE_HEAD_MS`] without a sample and drops it, record and buffer, so
+//!   a churned series costs a one-chunk block behind a one-slot list and
+//!   nothing more,
 //! * the **ingest fast lane**: [`TimeSeriesDb::resolve`] turns a series key
 //!   into a cheap [`SeriesHandle`] once, and
 //!   [`TimeSeriesDb::append_batch`] appends a whole scrape round of
@@ -74,7 +79,7 @@ use teemon_obs::{probes, Stopwatch};
 use crate::head::{Head, TAIL_SAMPLES};
 use crate::index::{Candidates, Postings, SelectorPlan};
 use crate::query::Selector;
-use crate::series::{Chunk, Sample, SeriesId, SAMPLE_BYTES};
+use crate::series::{Sample, Sealed, SeriesId, SAMPLE_BYTES};
 use crate::snapshot::SeriesSnapshot;
 use crate::symbols::{SymbolId, SymbolTable, REPLAY_HOLE_MARKER};
 use crate::wal::{self, DurabilityOptions, Wal};
@@ -159,8 +164,9 @@ pub struct StorageStats {
     /// Bytes held by the series records, which none of the figures above
     /// count: the per-shard series arrays and key indexes at their
     /// *capacity*, and per series its label symbols, its head record while
-    /// it has one, its chunk list at its capacity and one 72-byte
-    /// `Arc<Chunk>` block a sealed chunk.  (A head's inline tail is in both
+    /// it has one, and what its sealed chunks hold beside their payloads —
+    /// the list of blocks, and per block its reference counts and count
+    /// byte and a 25-byte footer a chunk.  (A head's inline tail is in both
     /// this and `resident_bytes`, 16 bytes a sample it holds; its block
     /// buffer is in neither beyond the bytes in use.)  Capacities are
     /// history, not state: two stores holding the same series may differ
@@ -282,7 +288,8 @@ pub struct BatchOutcome {
 ///   check.  The strings live in the symbol table only; a borrowed key is
 ///   compared against them there ([`MemSeries::key_matches`]) and a reader
 ///   gets its own copy at selection ([`MemSeries::snapshot`]);
-/// * `sealed`: immutable chunks behind `Arc`, shared with snapshots;
+/// * `sealed`: the sealed chunks, packed into immutable blocks in one
+///   frozen list, shared whole with snapshots (see [`Sealed`]);
 /// * `head`: the open chunk, behind one pointer and only while the series is
 ///   being written — allocated with the series, dropped with its buffer by
 ///   the stale-head rule and by retention, allocated again by the append
@@ -297,7 +304,7 @@ struct MemSeries {
     id: SeriesId,
     key_hash: u64,
     label_syms: Box<[(SymbolId, SymbolId)]>,
-    sealed: Vec<Arc<Chunk>>,
+    sealed: Sealed,
     head: Option<Box<Head>>,
     /// [`MemSeries::last_timestamp`], `0` for none (nothing is older than
     /// that).
@@ -316,11 +323,6 @@ struct MemSeries {
     ever_appended: bool,
 }
 
-/// What one sealed chunk costs beside its payload: the `Arc<Chunk>` block —
-/// two counts, the `(start, end, count)` footer, the payload's kind, pointer
-/// and length.
-const ARC_CHUNK_BYTES: usize = 2 * size_of::<usize>() + size_of::<Chunk>();
-
 impl MemSeries {
     /// A series with no samples.  Its head is allocated here, not by its
     /// first append: a series is created to be written.
@@ -334,7 +336,7 @@ impl MemSeries {
             id,
             key_hash,
             label_syms: label_syms.into_boxed_slice(),
-            sealed: Vec::new(),
+            sealed: Sealed::default(),
             head: Some(Box::default()),
             last_ts: 0,
             name_sym,
@@ -393,28 +395,29 @@ impl MemSeries {
 
     /// The heap blocks this record owns beside its chunks' payloads and its
     /// head's block buffer (both in the resident ledger): the label symbols,
-    /// the head, the chunk list at its capacity and one `Arc<Chunk>` block a
-    /// sealed chunk — this series' share of [`StorageStats::series_bytes`].
+    /// the head, and the sealed list and blocks' overhead
+    /// ([`Sealed::overhead_bytes`]) — this series' share of
+    /// [`StorageStats::series_bytes`].
     fn boxes_bytes(&self) -> u64 {
         (size_of_val(&*self.label_syms)
             + self.head.as_ref().map_or(0, |_| size_of::<Head>())
-            + self.sealed.capacity() * size_of::<Arc<Chunk>>()
-            + self.sealed.len() * ARC_CHUNK_BYTES) as u64
+            + self.sealed.overhead_bytes()) as u64
     }
 
-    /// Seals the non-empty head into an immutable chunk — two allocations,
-    /// the `Arc<Chunk>` and its exact-sized payload, and at most a tail of
-    /// encoding — and returns the payload's size (`0` without a head).
-    fn seal_head(&mut self) -> usize {
-        let Some(head) = self.head.as_deref_mut() else { return 0 };
+    /// Seals the non-empty head into the series' last block — one
+    /// allocation, the block built again with the chunk in it, and one more
+    /// for the list when a snapshot shares it or the chunk opens a block;
+    /// at most a tail of encoding — and returns the payload's size and what
+    /// the seal added to [`MemSeries::boxes_bytes`] (`(0, 0)` without a
+    /// head).
+    fn seal_head(&mut self) -> (usize, usize) {
+        let Some(head) = self.head.as_deref_mut() else { return (0, 0) };
         // Sealing is the one allocating step in a chunk's lifetime; the
         // lock audit's no-alloc check is suspended for it explicitly.
         #[cfg(lock_audit)]
         let _allow = parking_lot::audit::allow_alloc();
-        let chunk = head.seal();
-        let bytes = chunk.data_bytes();
-        self.sealed.push(Arc::new(chunk));
-        bytes
+        let sealed = &mut self.sealed;
+        head.seal(|chunk| (chunk.data_bytes(), sealed.push(chunk)))
     }
 
     /// The stale-head rule of [`ShardInner::retention_pass`]: a series whose
@@ -426,10 +429,8 @@ impl MemSeries {
         if self.last_timestamp()? >= stale_before {
             return None;
         }
-        let sealed_bytes = holds_samples.then(|| self.seal_head());
+        let sealed_bytes = holds_samples.then(|| self.seal_head().0);
         self.drop_head();
-        // A series that stopped reporting keeps no spare chunk slots either.
-        self.sealed.shrink_to_fit();
         sealed_bytes
     }
 
@@ -441,35 +442,22 @@ impl MemSeries {
         Labels::from_str_pairs(self.label_syms.iter().map(|&(k, v)| (str_of(k), str_of(v))))
     }
 
-    /// A reader's view of the series: the chunks shared, the head copied and
-    /// the key's strings materialised from `symbols` — a reference on the
-    /// name, a copy of the labels — so it keeps them whatever happens to the
-    /// series and its symbols afterwards.
+    /// A reader's view of the series: the sealed list shared, the head
+    /// copied and the key's strings materialised from `symbols` — a
+    /// reference on the name, a copy of the labels — so it keeps them
+    /// whatever happens to the series and its symbols afterwards.
     fn snapshot(&self, symbols: &SymbolTable) -> SeriesSnapshot {
-        let mut chunks = Vec::with_capacity(self.sealed.len() + 1);
-        chunks.extend_from_slice(&self.sealed);
-        chunks.extend(self.head.as_deref().and_then(Head::snapshot).map(Arc::new));
+        let head = self.head.as_deref().and_then(Head::snapshot);
         let name = symbols.resolve(self.name_sym).map_or_else(|| Arc::from(""), Arc::clone);
-        SeriesSnapshot::new(self.id, name, self.labels(symbols), chunks)
+        SeriesSnapshot::new(self.id, name, self.labels(symbols), self.sealed.clone(), head)
     }
 
     /// Drops whole chunks (and the head, record and buffer) whose newest
-    /// sample is older than `cutoff_ms`.  Returns `(samples_dropped,
-    /// chunks_dropped, bytes_dropped)` so the shard can maintain its
-    /// aggregates.
+    /// sample is older than `cutoff_ms` ([`Sealed::drop_before`]).  Returns
+    /// `(samples_dropped, chunks_dropped, bytes_dropped)` so the shard can
+    /// maintain its aggregates.
     fn drop_before(&mut self, cutoff_ms: u64) -> (usize, usize, u64) {
-        let mut samples = 0;
-        let mut chunks = 0;
-        let mut bytes = 0u64;
-        let keep_from = self.sealed.partition_point(|c| match c.end() {
-            Some(end) => end < cutoff_ms,
-            None => false,
-        });
-        for chunk in self.sealed.drain(..keep_from) {
-            samples += chunk.len();
-            chunks += 1;
-            bytes += chunk.data_bytes() as u64;
-        }
+        let (mut samples, mut chunks, mut bytes) = self.sealed.drop_before(cutoff_ms);
         if self.sealed.is_empty() {
             if let Some(head) =
                 self.open_head().filter(|head| head.last_timestamp().is_some_and(|t| t < cutoff_ms))
@@ -492,20 +480,19 @@ impl MemSeries {
 
     /// Stored samples (sealed + head), for aggregate maintenance on drops.
     fn sample_count(&self) -> u64 {
-        self.sealed.iter().map(|c| c.len() as u64).sum::<u64>()
-            + self.open_head().map_or(0, |head| head.len() as u64)
+        self.sealed.sample_count() + self.open_head().map_or(0, |head| head.len() as u64)
     }
 
     /// Held chunks (sealed + the head when non-empty).
     fn chunk_total(&self) -> u64 {
-        self.sealed.len() as u64 + u64::from(self.open_head().is_some())
+        self.sealed.chunk_count() as u64 + u64::from(self.open_head().is_some())
     }
 
     /// Resident payload bytes, matching the shard's incremental `bytes`
     /// accounting (sealed chunk payloads + the head's, see
     /// [`Head::resident_bytes`]).
     fn resident_bytes(&self) -> u64 {
-        self.sealed.iter().map(|c| c.data_bytes() as u64).sum::<u64>() + self.head_resident_bytes()
+        self.sealed.payload_bytes() + self.head_resident_bytes()
     }
 
     /// The value symbol of label `key`, if the series carries that label.
@@ -683,22 +670,24 @@ impl ShardInner {
     #[inline(never)]
     fn append_encoding(&mut self, local: u32, sample: Sample, chunk_size: usize) -> bool {
         let Some(series) = self.series.get_mut(local as usize) else { return false };
-        let boxes_before = series.boxes_bytes();
-        let head = series.head.get_or_insert_with(|| {
+        if series.head.is_none() {
             #[cfg(lock_audit)]
             let _allow = parking_lot::audit::allow_alloc();
-            Box::default()
-        });
+            series.head = Some(Box::default());
+            self.boxes_bytes += size_of::<Head>() as u64;
+        }
+        let Some(head) = series.head.as_deref_mut() else { return false };
         let opened_chunk = head.is_empty();
         let mut head_delta = head.push(sample);
         let mut sealed_bytes = 0;
         if head.len() >= chunk_size {
             head_delta -= head.resident_bytes() as i64;
-            sealed_bytes = series.seal_head();
+            let (payload, boxes) = series.seal_head();
+            sealed_bytes = payload;
+            self.boxes_bytes += boxes as u64;
         }
         series.ever_appended = true;
         series.sync_head(chunk_size);
-        self.boxes_bytes = (self.boxes_bytes + series.boxes_bytes()).saturating_sub(boxes_before);
         self.account(sample.timestamp_ms, opened_chunk, head_delta, sealed_bytes);
         true
     }
@@ -1106,7 +1095,7 @@ impl<'a> Recovery<'a> {
                     head.push(sample);
                 }
             }
-            restored.sealed = series.sealed.into_iter().map(Arc::new).collect();
+            restored.sealed = series.sealed;
             restored.ever_appended = series.ever_appended;
             restored.sync_head(self.chunk_size);
             inner.series.push(restored);
@@ -1718,23 +1707,25 @@ impl TimeSeriesDb {
         SelectorPlan::compile(selector, &symbols)
     }
 
-    /// Runs `f` over every series matching `selector`, shard by shard, and
-    /// returns the collected results in series-creation order.
-    ///
-    /// `f` is handed the symbol table to materialise the key of a series it
-    /// answers for: the table's read lock is taken inside each shard's (lock
-    /// order: `tsdb.shard`, then `tsdb.symbols`) and only where the shard has
-    /// a match.
-    fn for_matching<T>(
-        &self,
-        selector: &Selector,
-        f: impl Fn(&MemSeries, &SymbolTable) -> Option<T>,
-    ) -> Vec<T> {
+    /// How many series match `plan`, one shard at a time.
+    fn count_matching(&self, plan: &SelectorPlan) -> usize {
+        self.shared.shards.iter().map(|shard| shard.read().matches(plan).len()).sum()
+    }
+
+    /// Zero-copy selection: a [`SeriesSnapshot`] for every series matching
+    /// `selector`, in creation order.  The matches are counted first, so the
+    /// result is one allocation of its size; then each shard's are
+    /// snapshotted under its read lock (and the symbol table's, taken inside
+    /// it — lock order: `tsdb.shard`, then `tsdb.symbols` — only where the
+    /// shard has a match).  Sealed blocks are shared, not cloned; only the
+    /// open head chunk of each series is copied, so a series costs two
+    /// allocations: that copy and its label strings.
+    pub fn select(&self, selector: &Selector) -> Vec<SeriesSnapshot> {
         let plan = self.plan(selector);
         if matches!(plan, SelectorPlan::Nothing) {
             return Vec::new();
         }
-        let mut out: Vec<(SeriesId, T)> = Vec::new();
+        let mut out = Vec::with_capacity(self.count_matching(&plan));
         for shard in &self.shared.shards {
             let inner = shard.read();
             let matched = inner.matches(&plan);
@@ -1742,22 +1733,10 @@ impl TimeSeriesDb {
                 continue;
             }
             let symbols = self.shared.symbols.read();
-            for local in matched {
-                let series = inner.series_at(local);
-                if let Some(value) = f(series, &symbols) {
-                    out.push((series.id, value));
-                }
-            }
+            out.extend(matched.into_iter().map(|local| inner.series_at(local).snapshot(&symbols)));
         }
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out.into_iter().map(|(_, value)| value).collect()
-    }
-
-    /// Zero-copy selection: a [`SeriesSnapshot`] for every series matching
-    /// `selector`, in creation order.  Sealed chunks are shared, not cloned;
-    /// only the open head chunk of each series is copied.
-    pub fn select(&self, selector: &Selector) -> Vec<SeriesSnapshot> {
-        self.for_matching(selector, |series, symbols| Some(series.snapshot(symbols)))
+        out.sort_unstable_by_key(|snapshot| snapshot.id);
+        out
     }
 
     /// The newest timestamp across every series, folded from the per-shard
@@ -1827,6 +1806,7 @@ impl std::fmt::Debug for TimeSeriesDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::{Block, FOOTER_BYTES};
 
     fn labels(pairs: &[(&str, &str)]) -> Labels {
         Labels::from_pairs(pairs.iter().copied())
@@ -2470,13 +2450,9 @@ mod tests {
             before.resident_bytes - idle_head as u64 + snapshot.resident_bytes() as u64
         );
         assert!(snapshot.resident_bytes() < idle_head);
-        // The records swap a head for a chunk's footer block and a chunk
-        // list of exactly one slot.
-        let chunk_and_list = (ARC_CHUNK_BYTES + size_of::<Arc<Chunk>>()) as u64;
-        assert_eq!(
-            after.series_bytes,
-            before.series_bytes - size_of::<Head>() as u64 + chunk_and_list
-        );
+        // The records swap a head for a list of one block of one chunk.
+        let list = one_chunk_list();
+        assert_eq!(after.series_bytes, before.series_bytes - size_of::<Head>() as u64 + list);
         assert_eq!(
             StorageStats { resident_bytes: 0, series_bytes: 0, ..after },
             StorageStats { resident_bytes: 0, series_bytes: 0, ..before }
@@ -2527,14 +2503,12 @@ mod tests {
         assert_eq!(head_of(&db, short), None);
         // A lone sample is 16 bytes as a block too, and an empty head's
         // buffer was never in the ledger: it does not move.  The records
-        // lose two heads and the three spare slots of `full`'s chunk list,
-        // and gain `short`'s chunk block and one-slot list.
+        // lose two heads and gain `short`'s list of one block of one chunk.
         let after = db.stats();
         assert_eq!(StorageStats { series_bytes: before.series_bytes, ..after }, before);
-        let slot = size_of::<Arc<Chunk>>() as u64;
         assert_eq!(
-            after.series_bytes + 2 * size_of::<Head>() as u64 + 3 * slot,
-            before.series_bytes + ARC_CHUNK_BYTES as u64 + slot
+            after.series_bytes + 2 * size_of::<Head>() as u64,
+            before.series_bytes + one_chunk_list()
         );
         assert_eq!(db.select(&Selector::metric("short"))[0].points_in(0, u64::MAX), [(7, 1.0)]);
         assert!(probes::STALE_HEADS_SEALED.get() > sealed_before, "`short` was sealed");
@@ -2559,15 +2533,62 @@ mod tests {
         assert_eq!(db.series_count(), 2);
     }
 
+    /// Every shard's `boxes_bytes`, kept incrementally, against a recount.
+    fn assert_boxes_recount(db: &TimeSeriesDb, when: &str) {
+        for shard in &db.shared.shards {
+            let inner = shard.read();
+            let recount: u64 = inner.series.iter().map(MemSeries::boxes_bytes).sum();
+            assert_eq!(inner.boxes_bytes, recount, "{when}");
+        }
+    }
+
+    #[test]
+    fn the_records_gauge_follows_seals_heads_and_revivals_incrementally() {
+        let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 4, retention_ms: u64::MAX });
+        // One shard, so `a` alone moving on makes the others stale.
+        let shard = db.resolve("a", &Labels::new()).shard as usize;
+        let keys = [("a", Labels::new()), ("b", labels_in_shard("b", shard))];
+        let mut held = Vec::new();
+        for t in 0..202u64 {
+            for (name, labels) in &keys {
+                db.append(name, labels, t, t as f64);
+            }
+            // Seals under readers build the list again; without, in place.
+            if t % 37 == 0 {
+                held.push(db.select(&Selector::all()));
+            }
+            assert_boxes_recount(&db, &format!("round {t}"));
+        }
+        // Stale heads sealed and dropped, then one revived.
+        db.append("a", &Labels::new(), 202 + STALE_HEAD_MS + 1, 1.0);
+        let sealed_before = probes::STALE_HEADS_SEALED.get();
+        db.apply_retention();
+        assert!(probes::STALE_HEADS_SEALED.get() > sealed_before, "`b` was sealed");
+        assert_boxes_recount(&db, "after the stale pass");
+        db.append("b", &keys[1].1, 202 + STALE_HEAD_MS + 2, 1.0);
+        assert_boxes_recount(&db, "after a revival");
+        assert!(held.iter().all(|snapshots| snapshots.len() == 2));
+    }
+
+    /// What a series' sealed chunks hold beside a lone chunk's payload: a
+    /// list of one slot, and a block of one footer, each behind its two
+    /// reference counts, and the block's count byte.
+    fn one_chunk_list() -> u64 {
+        (2 * size_of::<usize>() + size_of::<Block>() + 2 * size_of::<usize>() + 1 + FOOTER_BYTES)
+            as u64
+    }
+
     #[test]
     fn a_series_record_stays_small() {
         // The array element, which a shard's doubling slack multiplies: the
-        // key as symbols and its hash, the chunk list, one pointer to the
+        // key as symbols and its hash, the sealed list, one pointer to the
         // head and the append's three facts about it.  A string form of the
         // key, an inline head or a second index slot would show here.
-        assert!(size_of::<MemSeries>() <= 80, "{} B a series record", size_of::<MemSeries>());
+        assert!(size_of::<MemSeries>() <= 72, "{} B a series record", size_of::<MemSeries>());
         assert_eq!(size_of::<Head>(), 216, "what a series being written holds behind it");
-        assert_eq!(ARC_CHUNK_BYTES, 72);
+        // A sealed chunk's footer: start, end, count, payload end, kind.
+        assert_eq!(FOOTER_BYTES, 25);
+        assert_eq!(one_chunk_list(), 32 + 42);
     }
 
     /// Creates `name{labels}` in shard 0 filed under `key_hash`, whatever its

@@ -130,7 +130,7 @@ use teemon_obs::{probes, Stopwatch};
 
 use crate::chunk_codec::{self, BlockKind};
 use crate::head::Head;
-use crate::series::{Chunk, ChunkData, Sample};
+use crate::series::{Chunk, Payload, Sample, Sealed};
 use crate::storage::SHARD_COUNT;
 use crate::symbols::{SymbolId, SymbolTable};
 
@@ -1261,7 +1261,7 @@ pub(crate) struct SnapSeriesRef<'a> {
     pub(crate) ever_appended: bool,
     /// The open head, `None` for a series that has none.
     pub(crate) head: Option<&'a Head>,
-    pub(crate) sealed: &'a [Arc<Chunk>],
+    pub(crate) sealed: &'a Sealed,
 }
 
 /// Chunk payload kind tags inside snapshot records: plain samples, or a
@@ -1296,13 +1296,6 @@ fn block_can_hold(len: usize, count: usize) -> bool {
     match len.saturating_mul(8).checked_sub(128) {
         Some(later_bits) => count <= 1 + later_bits / 2,
         None => count == 0,
-    }
-}
-
-fn put_samples(buf: &mut Vec<u8>, samples: &[Sample]) {
-    for s in samples {
-        put_u64(buf, s.timestamp_ms);
-        put_u64(buf, s.value.to_bits());
     }
 }
 
@@ -1343,22 +1336,19 @@ pub(crate) fn encode_shard_snapshot(
         } else {
             buf.push(CHUNK_RAW);
         }
-        // Sealed chunks, payloads verbatim so reopen is byte-identical.
-        put_u32(&mut buf, s.sealed.len() as u32);
-        for chunk in s.sealed {
-            let (kind, len) = match &chunk.data {
-                ChunkData::Raw(samples) => (CHUNK_RAW, samples.len() * 16),
-                ChunkData::Compressed(kind, bytes) => (block_tag(*kind), bytes.len()),
-            };
-            buf.push(kind);
+        // Sealed chunks, payloads verbatim so reopen is byte-identical (a
+        // raw payload is already the little-endian run written here).
+        put_u32(&mut buf, s.sealed.chunk_count() as u32);
+        for chunk in s.sealed.chunks() {
+            buf.push(match chunk.payload {
+                Payload::Raw(_) => CHUNK_RAW,
+                Payload::Block(kind, _) => block_tag(kind),
+            });
             put_u32(&mut buf, chunk.count);
             put_u64(&mut buf, chunk.start_ms);
             put_u64(&mut buf, chunk.end_ms);
-            put_u32(&mut buf, len as u32);
-            match &chunk.data {
-                ChunkData::Raw(samples) => put_samples(&mut buf, samples),
-                ChunkData::Compressed(_, bytes) => buf.extend_from_slice(bytes),
-            }
+            put_u32(&mut buf, chunk.data_bytes() as u32);
+            buf.extend_from_slice(chunk.payload.bytes());
         }
         end_frame(&mut buf, at);
     }
@@ -1377,7 +1367,7 @@ pub(crate) struct SnapSeries {
     pub(crate) label_syms: Vec<(SymbolId, SymbolId)>,
     pub(crate) ever_appended: bool,
     pub(crate) head: Vec<Sample>,
-    pub(crate) sealed: Vec<Chunk>,
+    pub(crate) sealed: Sealed,
 }
 
 /// A decoded shard snapshot: the state as of round `base_seq`.
@@ -1428,17 +1418,14 @@ fn decode_snap_series(payload: &[u8]) -> Option<SnapSeries> {
         let start_ms = cur.u64()?;
         let end_ms = cur.u64()?;
         let len = cur.u32()? as usize;
-        let data = match block_kind(kind) {
-            None if kind == CHUNK_RAW && len == count * 16 => {
-                ChunkData::Raw(take_samples(&mut cur, count)?)
-            }
-            Some(block) if block_can_hold(len, count) => {
-                ChunkData::Compressed(block, cur.take(len)?.into())
-            }
+        let payload = match block_kind(kind) {
+            None if kind == CHUNK_RAW && len == count * 16 => Payload::Raw(cur.take(len)?),
+            Some(block) if block_can_hold(len, count) => Payload::Block(block, cur.take(len)?),
             _ => return None,
         };
-        sealed.push(Chunk { start_ms, end_ms, count: count as u32, data });
+        sealed.push(Chunk { start_ms, end_ms, count: count as u32, payload });
     }
+    let sealed = Sealed::from_chunks(&sealed);
     cur.done().then_some(SnapSeries { id, name_sym, label_syms, ever_appended, head, sealed })
 }
 
@@ -1946,13 +1933,35 @@ mod tests {
         head
     }
 
+    /// `samples` sealed by a head, as a list of one chunk.
+    fn sealed_head(samples: &[Sample]) -> Sealed {
+        let mut sealed = Sealed::default();
+        head_of(samples).seal(|chunk| sealed.push(chunk));
+        sealed
+    }
+
+    /// `samples` as a raw chunk, as a list of one.
+    fn raw_sealed(samples: &[Sample]) -> Sealed {
+        let mut raw = vec![0; samples.len() * 16];
+        crate::series::put_raw(samples, &mut raw);
+        let (start_ms, end_ms) = (samples[0].timestamp_ms, samples[samples.len() - 1].timestamp_ms);
+        let count = samples.len() as u32;
+        let mut sealed = Sealed::default();
+        sealed.push(Chunk { start_ms, end_ms, count, payload: Payload::Raw(&raw) });
+        sealed
+    }
+
+    fn chunks(sealed: &Sealed) -> Vec<Chunk<'_>> {
+        sealed.chunks().collect()
+    }
+
     /// A one-series shard snapshot of `head` and `sealed`, its series record
     /// passed through `patch` (the body behind the record's type byte) and
     /// framed again, checksum and all — what a colliding corruption or a
     /// hand-made file looks like to recovery.
     fn reframed_snapshot(
         head: &Head,
-        sealed: &[Arc<Chunk>],
+        sealed: &Sealed,
         patch: impl FnOnce(&mut Vec<u8>),
     ) -> Vec<u8> {
         let series = [SnapSeriesRef {
@@ -2003,24 +2012,25 @@ mod tests {
 
             // As a head: loads whole, reserving for its samples and no more…
             let head = head_of(&flat);
-            let image = reframed_snapshot(&head, &[], |_| {});
+            let image = reframed_snapshot(&head, &Sealed::default(), |_| {});
             let snap = decode_shard_snapshot(&image).expect("an honest snapshot");
             assert_eq!(snap.series[0].head, flat);
             assert!(snap.series[0].head.capacity() <= 4 * block.len());
             // …and one sample more than it can hold, or sixteen million, is
             // refused next to the same bytes.
             for count in [78, MAX_COUNT] {
-                let image =
-                    reframed_snapshot(&head, &[], |body| set_u32(body, HEAD_COUNT_AT, count));
+                let image = reframed_snapshot(&head, &Sealed::default(), |body| {
+                    set_u32(body, HEAD_COUNT_AT, count);
+                });
                 assert!(decode_shard_snapshot(&image).is_none(), "head of {count} in {kind:?}");
             }
 
             // As a sealed chunk: the same, for the count in its footer.
-            let sealed = [Arc::new(head_of(&flat).seal())];
-            assert_eq!(sealed[0].data, ChunkData::Compressed(kind, block.into()));
+            let sealed = sealed_head(&flat);
+            assert_eq!(sealed.first().map(|c| c.payload), Some(Payload::Block(kind, &block)));
             let image = reframed_snapshot(&Head::default(), &sealed, |_| {});
             let snap = decode_shard_snapshot(&image).expect("an honest snapshot");
-            assert_eq!(snap.series[0].sealed, [(*sealed[0]).clone()]);
+            assert_eq!(chunks(&snap.series[0].sealed), chunks(&sealed));
             for count in [78, MAX_COUNT] {
                 let image = reframed_snapshot(&Head::default(), &sealed, |body| {
                     set_u32(body, SEALED_COUNT_AT + 4 + 1, count);
@@ -2031,11 +2041,11 @@ mod tests {
 
         // A raw run is its count times sixteen bytes, present in the record:
         // an inflated count is refused before a vector is sized for it.
-        let raw = [Arc::new(Chunk::from_samples(vec![Sample { timestamp_ms: 1, value: 0.5 }]))];
+        let raw = raw_sealed(&[Sample { timestamp_ms: 1, value: 0.5 }]);
         let honest = reframed_snapshot(&Head::default(), &raw, |_| {});
         assert_eq!(
-            decode_shard_snapshot(&honest).expect("honest").series[0].sealed,
-            [(*raw[0]).clone()]
+            chunks(&decode_shard_snapshot(&honest).expect("honest").series[0].sealed),
+            chunks(&raw)
         );
         let image = reframed_snapshot(&Head::default(), &raw, |body| {
             set_u32(body, SEALED_COUNT_AT + 4 + 1, MAX_COUNT);
@@ -2043,7 +2053,7 @@ mod tests {
         });
         assert!(decode_shard_snapshot(&image).is_none());
         // …and so is a raw head's.
-        let image = reframed_snapshot(&Head::default(), &[], |body| {
+        let image = reframed_snapshot(&Head::default(), &Sealed::default(), |body| {
             set_u32(body, HEAD_COUNT_AT, MAX_COUNT);
         });
         assert!(decode_shard_snapshot(&image).is_none());
@@ -2058,16 +2068,19 @@ mod tests {
         let sealed_samples: Vec<Sample> =
             (0..8).map(|i| Sample { timestamp_ms: 10_000 + i * 500, value: i as f64 }).collect();
         // One sealed chunk of each kind of block, and a raw one.
-        let integer = Arc::new(head_of(&sealed_samples).seal());
-        let xor = Arc::new(head_of(&head_samples).seal());
-        let raw = Arc::new(Chunk::from_samples(sealed_samples.clone()));
+        let (integer, xor) = (sealed_head(&sealed_samples), sealed_head(&head_samples));
+        let raw = raw_sealed(&sealed_samples);
+        let mut sealed = Sealed::default();
+        for chunk in [&integer, &xor, &raw].into_iter().filter_map(Sealed::first) {
+            sealed.push(chunk);
+        }
         let series = [SnapSeriesRef {
             id: 9,
             name_sym: SymbolId::from_u32(3),
             label_syms: &[(SymbolId::from_u32(1), SymbolId::from_u32(2))],
             ever_appended: true,
             head: Some(&head),
-            sealed: &[Arc::clone(&integer), Arc::clone(&xor), Arc::clone(&raw)],
+            sealed: &sealed,
         }];
         let bytes = encode_shard_snapshot(5, 2, 7, &series);
         let snap = decode_shard_snapshot(&bytes).expect("decode");
@@ -2083,9 +2096,15 @@ mod tests {
         assert_eq!(s.head, head_samples);
         // Payloads are carried verbatim and keep their kind: byte-identical
         // restore.
-        assert!(matches!(integer.data, ChunkData::Compressed(BlockKind::Integer, _)));
-        assert!(matches!(xor.data, ChunkData::Compressed(BlockKind::Xor, _)));
-        assert_eq!(s.sealed, [(*integer).clone(), (*xor).clone(), (*raw).clone()]);
+        let kinds: Vec<Option<BlockKind>> = chunks(&s.sealed)
+            .iter()
+            .map(|c| match c.payload {
+                Payload::Block(kind, _) => Some(kind),
+                Payload::Raw(_) => None,
+            })
+            .collect();
+        assert_eq!(kinds, [Some(BlockKind::Integer), Some(BlockKind::Xor), None]);
+        assert_eq!(chunks(&s.sealed), chunks(&sealed));
         // Any truncation of the image is rejected outright — a snapshot is
         // only trusted whole.
         for cut in 0..bytes.len() {
