@@ -117,8 +117,13 @@ impl Analyzer {
                     .labels()
                     .filter(|(name, _)| !matches!(*name, "alertname" | "alertstate" | "severity")),
             );
-            anomalies.extend(series.points_in(start_ms, end_ms).into_iter().map(|(at_ms, _)| {
-                Anomaly { rule: rule.clone(), severity, labels: labels.clone(), at_ms }
+            anomalies.extend(series.points_in(start_ms, end_ms).into_iter().map(|sample| {
+                Anomaly {
+                    rule: rule.clone(),
+                    severity,
+                    labels: labels.clone(),
+                    at_ms: sample.timestamp_ms,
+                }
             }));
         }
         anomalies

@@ -257,7 +257,11 @@ impl QueryEngine {
         if let Expr::Range { selector, window_ms } = expr {
             let start = at_ms.saturating_sub(*window_ms);
             let series = self.db.select(selector).into_iter().filter_map(|snapshot| {
-                let points = snapshot.points_in(start, at_ms);
+                let points: Vec<(u64, f64)> = snapshot
+                    .points_in(start, at_ms)
+                    .into_iter()
+                    .map(|sample| (sample.timestamp_ms, sample.value))
+                    .collect();
                 let name = Some(snapshot.name().to_string());
                 (!points.is_empty()).then(|| RangeSeries {
                     name,

@@ -660,7 +660,7 @@ mod tests {
             assert_eq!(instance.get("node"), Some("n1"));
             assert_eq!(instance.get("alertname"), Some("low"));
             assert_eq!(instance.get("severity"), Some("warning"));
-            series[0].points_in(0, u64::MAX).into_iter().map(|(t, _)| t).collect::<Vec<_>>()
+            series[0].points_in(0, u64::MAX).iter().map(|s| s.timestamp_ms).collect::<Vec<_>>()
         };
         // Pending while the 10 s hold runs, firing from then on: each
         // evaluation is one sample of exactly one of the two series.

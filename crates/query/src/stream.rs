@@ -96,7 +96,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use teemon_metrics::Labels;
-use teemon_tsdb::{OwnedSampleCursor, Sample, Selector, TimeSeriesDb};
+use teemon_tsdb::{Sample, SampleRange, Selector, TimeSeriesDb};
 
 use crate::ast::{AggregateOp, BinOp, Expr, Grouping, RangeFunc};
 use crate::eval::{EvalError, RangeSeries};
@@ -127,7 +127,7 @@ type SeriesKey = (Option<String>, Labels);
 /// Built by [`plan_or_reason`]; consumed by [`StreamPlan::run`].  Selectors
 /// were already resolved against the storage index during planning, so running
 /// the plan touches no locks and no index — only the immutable `Arc`-shared
-/// chunk snapshots each leaf's cursors drain.
+/// chunk snapshots each leaf's sample ranges decode.
 pub struct StreamPlan {
     pub(crate) kind: PlanKind,
 }
@@ -274,15 +274,15 @@ fn plan(
     start_ms: u64,
     end_ms: u64,
 ) -> Result<Planned, EvalError> {
-    // One cursor per selected series over the window's reach.
+    // One sample range per selected series over the window's reach.
     let leaf = |selector: &Selector, window_ms: u64, func, keep_name: bool| {
         let mut keys = Vec::new();
-        let mut cursors = Vec::new();
+        let mut ranges = Vec::new();
         for snapshot in db.select(selector) {
             keys.push((keep_name.then(|| snapshot.name().to_string()), snapshot.to_labels()));
-            cursors.push(snapshot.owned_cursor(start_ms.saturating_sub(window_ms), end_ms));
+            ranges.push(snapshot.range(start_ms.saturating_sub(window_ms), end_ms));
         }
-        Planned::Vector(Node::Windows { cursors, window_ms, func }, keys)
+        Planned::Vector(Node::Windows { ranges, window_ms, func }, keys)
     };
     Ok(match expr {
         Expr::Number(n) => Planned::Scalar(*n),
@@ -426,9 +426,9 @@ fn join(
 /// One operator of the streaming pipeline.  [`Node::emit`] hands the node's
 /// output columns to `sink` one series at a time, in slot order.
 pub(crate) enum Node {
-    /// The leaves: one storage cursor per series, all sliding the same window
-    /// function over the same window length.
-    Windows { cursors: Vec<OwnedSampleCursor>, window_ms: u64, func: WindowFunc },
+    /// The leaves: one stored sample range per series, all sliding the same
+    /// window function over the same window length.
+    Windows { ranges: Vec<SampleRange>, window_ms: u64, func: WindowFunc },
     /// Vector ⇄ constant arithmetic or filtering comparison.
     Map { input: Box<Node>, op: BinOp, scalar: f64, scalar_left: bool },
     /// Grouped cross-series aggregation via a plan-time slot→group table.
@@ -456,7 +456,7 @@ impl Node {
     /// Series this node emits, resolved at plan time.
     pub(crate) fn series(&self) -> usize {
         match self {
-            Node::Windows { cursors, .. } => cursors.len(),
+            Node::Windows { ranges, .. } => ranges.len(),
             Node::Map { input, .. } => input.series(),
             Node::Group { groups, .. } => *groups,
             Node::Join { lhs_rows, .. } => lhs_rows.iter().flatten().count(),
@@ -465,11 +465,11 @@ impl Node {
 
     fn emit(self, grid: &Grid, stats: &mut RunStats, sink: ColumnSink<'_>) {
         match self {
-            Node::Windows { cursors, window_ms, func } => {
+            Node::Windows { ranges, window_ms, func } => {
                 let mut window = Window::new(window_ms, func);
                 let mut column = vec![None; grid.steps];
-                for cursor in cursors {
-                    window.evaluate_series(cursor, grid, &mut column, stats);
+                for range in ranges {
+                    window.evaluate_series(&range, grid, &mut column, stats);
                     sink(&mut column);
                 }
             }
@@ -728,17 +728,17 @@ impl Window {
     }
 
     /// Fills `column` with the function's value over `[t − window_ms, t]` at
-    /// every step `t` of `grid` for the series behind `cursor` (`None` where
+    /// every step `t` of `grid` for the series behind `range` (`None` where
     /// it is undefined), and adds the work done to `stats`.
     fn evaluate_series(
         &mut self,
-        mut cursor: OwnedSampleCursor,
+        range: &SampleRange,
         grid: &Grid,
         column: &mut [Option<f64>],
         stats: &mut RunStats,
     ) {
         self.samples.clear();
-        cursor.read_into(&mut self.samples);
+        range.read_into(&mut self.samples);
         self.sum = RunningSum::default();
         self.pairs = RunningSum::default();
         self.extremes.clear();
@@ -1187,7 +1187,7 @@ mod tests {
         let mut window = Window::new(window_ms, func);
         let mut stats = RunStats::default();
         let mut column = vec![None; grid.steps];
-        window.evaluate_series(series.owned_cursor(0, end), &grid, &mut column, &mut stats);
+        window.evaluate_series(&series.range(0, end), &grid, &mut column, &mut stats);
         (window, grid, stats)
     }
 

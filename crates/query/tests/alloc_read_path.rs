@@ -10,7 +10,9 @@
 //!   however many labels it carries, and an aggregation builds each series'
 //!   group key in one more;
 //! * selecting a series costs two allocations — its label strings and the
-//!   copy of its open head — however many sealed chunks it holds.
+//!   copy of its open head — however many sealed chunks it holds, and the
+//!   selection beside them at most one a shard: its postings are walked
+//!   where they lie.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,7 +20,7 @@ use std::cell::Cell;
 use teemon_metrics::Labels;
 use teemon_query::stream::plan_or_reason;
 use teemon_query::{json, parse, QueryEngine, RangeSeries};
-use teemon_tsdb::{Selector, TimeSeriesDb, TsdbConfig};
+use teemon_tsdb::{Selector, TimeSeriesDb, TsdbConfig, SHARD_COUNT};
 
 struct CountingAllocator;
 
@@ -245,8 +247,13 @@ fn a_select_allocates_its_labels_and_its_head_copy_per_series() {
     // the sealed chunks are one shared list, the result one vector sized
     // before it is filled.
     assert_eq!(twice - some, 2 * 160, "{some} allocations for 160 series, {twice} for 320");
-    // Beside them, a constant: the plan and a few a shard for its
-    // candidates (and, under `--cfg lock_audit`, the audit's bookkeeping of
-    // each lock taken).
-    assert!(some <= 2 * 160 + 10 * 16, "{some} allocations for 160 series");
+    // Beside them, a constant: the result, and at most one a shard for its
+    // candidates (a selector of one postings list walks it in place and
+    // makes none).  Under `--cfg lock_audit` the audit names each lock it
+    // records in one allocation more: the symbol table's for the plan, each
+    // shard's twice (counting, snapshotting) and the symbol table's once
+    // more in each shard that holds a match.
+    let shards = SHARD_COUNT as u64;
+    let audit = if cfg!(lock_audit) { 1 + 3 * shards } else { 0 };
+    assert!(some <= 2 * 160 + 1 + shards + audit, "{some} allocations for 160 series");
 }

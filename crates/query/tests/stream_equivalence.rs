@@ -14,7 +14,7 @@ use support::ranges_equivalent;
 use teemon_metrics::Labels;
 use teemon_query::stream::plan_or_reason;
 use teemon_query::{parse, QueryEngine, RangeSeries};
-use teemon_tsdb::{Selector, TimeSeriesDb, TsdbConfig};
+use teemon_tsdb::{Sample, Selector, TimeSeriesDb, TsdbConfig};
 
 /// One generated series: metric selector, node selector and sample shapes.
 type SeriesSpec = (u8, u8, Vec<(u8, u16)>);
@@ -307,9 +307,9 @@ fn edge_query(func: u8, wrap: u8, window_ms: u64) -> String {
 
 /// The definition the streamer's per-series fork is held to: consecutive
 /// samples without `next >= prev`, or whose difference is not finite.
-fn has_irregular_pair(points: &[(u64, f64)]) -> bool {
+fn has_irregular_pair(points: &[Sample]) -> bool {
     points.windows(2).any(|pair| {
-        let (prev, next) = (pair[0].1, pair[1].1);
+        let (prev, next) = (pair[0].value, pair[1].value);
         next.is_nan() || prev.is_nan() || next < prev || !(next - prev).is_finite()
     })
 }

@@ -129,7 +129,12 @@ fn eval(
             let start = at_ms.saturating_sub(*window_ms);
             let selection = cache.selection(engine, selector);
             let series = selection.iter().filter_map(|series| {
-                let points = series.snapshot.points_in(start, at_ms);
+                let points: Vec<(u64, f64)> = series
+                    .snapshot
+                    .points_in(start, at_ms)
+                    .iter()
+                    .map(|sample| (sample.timestamp_ms, sample.value))
+                    .collect();
                 (!points.is_empty()).then(|| RangeSeries {
                     name: Some(series.name.clone()),
                     labels: series.labels.clone(),

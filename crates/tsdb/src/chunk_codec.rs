@@ -46,31 +46,29 @@
 //! kind is not part of the byte stream: whoever keeps the bytes keeps it
 //! beside them and tells the decoder.
 //!
-//! There is one decoder with two front ends.  [`GorillaState`] is a few
-//! words of register state — a bit position plus the previous timestamp,
-//! delta and value registers — that yields one [`Sample`] per call, so a
-//! cursor that outlives any borrow of the chunk can still walk it sample by
-//! sample.  The bulk form ([`decode_into`], which every whole-chunk read —
-//! the range cursors, `points_in`, a chunk a range only partly covers —
-//! drains sealed chunks through) runs the same step over one bit reader kept
-//! alive for the whole block.  That reader buffers up to 64 bits in an
-//! accumulator refilled with a single unaligned big-endian load: a ladder
-//! rung is `leading_zeros` of the inverted word, and the XOR control bits
-//! and the 6+6-bit window header are peeled from the same peek, so a sample
-//! costs a couple of shifts, not a loop over bits.  And where the bits say
-//! "same again" — two zero bits, the steady sample of either kind, which is
-//! what monitoring data mostly says — the bulk form does not come back for
-//! them one at a time: from inside that branch it counts the zero pairs that
-//! follow in the accumulator, drops them in one step and emits that many
-//! samples as an arithmetic progression off the registers (a *run*; the
-//! one-at-a-time form asks for none, and the lazy `BlockSamples` iterator
-//! behind seeks and open heads is that form over a kept reader).  The number
-//! of encoded samples is not part of the byte stream — chunks store it in
-//! their footer — and the decoder must be stopped after that many samples: a
-//! run is cut to what the footer still owes.  Malformed bytes (or the wrong
-//! kind) can produce garbage samples but never panic or read out of bounds
-//! (a refill past the end loads zero bytes, so such reads observe zero
-//! bits), and every front end makes the same garbage of them.
+//! There is one decoder, `GorillaState`: a few words of register state —
+//! the previous timestamp, delta and value registers — stepped over a bit
+//! reader.  The bulk form ([`decode_into`], which every range read — a
+//! snapshot's `points_in` and `SampleRange`, a chunk a range only partly
+//! covers — drains sealed chunks through) keeps one bit reader alive for the
+//! whole block.  That reader buffers up to 64 bits in an accumulator refilled
+//! with a single unaligned big-endian load: a ladder rung is `leading_zeros`
+//! of the inverted word, and the XOR control bits and the 6+6-bit window
+//! header are peeled from the same peek, so a sample costs a couple of
+//! shifts, not a loop over bits.  And where the bits say "same again" — two
+//! zero bits, the steady sample of either kind, which is what monitoring
+//! data mostly says — the bulk form does not come back for them one at a
+//! time: from inside that branch it counts the zero pairs that follow in the
+//! accumulator, drops them in one step and emits that many samples as an
+//! arithmetic progression off the registers (a *run*; the lazy
+//! `BlockSamples` iterator behind seeks and open heads asks for none, one
+//! sample a call over a kept reader).  The number of encoded samples is not
+//! part of the byte stream — chunks store it in their footer — and the
+//! decoder must be stopped after that many samples: a run is cut to what
+//! the footer still owes.  Malformed bytes (or the wrong kind) can produce
+//! garbage samples but never panic or read out of bounds (a refill past the
+//! end loads zero bytes, so such reads observe zero bits), and the bulk and
+//! the lazy form make the same garbage of them.
 //!
 //! The encoder is the same idea run backwards: fields gather in a 64-bit
 //! accumulator that leaves as one big-endian word each time it fills, and a
@@ -99,7 +97,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::series::{Point, Sample};
+use crate::series::Sample;
 
 /// Appends bits to a byte buffer, most-significant bit of each field first —
 /// the mirror of [`BitReader`].  Bits gather bottom-aligned in a 64-bit
@@ -156,9 +154,9 @@ struct BitReader<'a> {
 const REFILL_BITS: u32 = 57;
 
 impl<'a> BitReader<'a> {
-    /// A reader whose next bit is at absolute position `pos`.
-    fn at(bytes: &'a [u8], pos: u64) -> Self {
-        Self { bytes, pos, acc: 0, avail: 0 }
+    /// A reader at the first bit of `bytes`.
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0, acc: 0, avail: 0 }
     }
 
     fn refill(&mut self) {
@@ -257,8 +255,7 @@ pub(crate) fn whole(value: f64) -> Option<i64> {
 /// Returns `None` for an empty slice and for input whose timestamps decrease
 /// anywhere (equal consecutive timestamps are fine).  Neither the sample
 /// count nor the kind is encoded; keep them alongside the bytes (the chunk
-/// footer does) and pass them to [`decode`] / [`GorillaState::new`], stopping
-/// the latter after that many samples.
+/// footer does) and pass them to [`decode`].
 pub fn encode(samples: &[Sample]) -> Option<(BlockKind, Vec<u8>)> {
     let mut out = Vec::new();
     encode_into(samples, &mut out).map(|kind| (kind, out))
@@ -572,12 +569,10 @@ fn put_value_dod(w: &mut BitWriter<'_>, dod: i64) {
     }
 }
 
-/// Streaming decoder state: a bit position plus the previous timestamp/delta/
-/// value registers.  A few words of plain data — cloning one is how two
-/// independent cursors walk the same compressed chunk.
-#[derive(Debug, Clone)]
-pub struct GorillaState {
-    bit_pos: u64,
+/// Decoder state: the previous timestamp/delta/value registers, a few words
+/// of plain data stepped over a [`BitReader`] the caller keeps.
+#[derive(Debug)]
+struct GorillaState {
     emitted: u32,
     kind: BlockKind,
     prev_ts: u64,
@@ -594,9 +589,8 @@ pub struct GorillaState {
 
 impl GorillaState {
     /// A decoder positioned at the start of a block of `kind`.
-    pub fn new(kind: BlockKind) -> Self {
+    fn new(kind: BlockKind) -> Self {
         Self {
-            bit_pos: 0,
             emitted: 0,
             kind,
             prev_ts: 0,
@@ -606,24 +600,6 @@ impl GorillaState {
             prev_leading: NO_WINDOW,
             prev_trailing: 0,
         }
-    }
-
-    /// Number of samples decoded so far.
-    pub fn emitted(&self) -> u32 {
-        self.emitted
-    }
-
-    /// Decodes the next sample from `bytes` (the same block every call).
-    ///
-    /// The stream does not carry its own length: the caller must stop after
-    /// the chunk footer's sample count.  Reading past the encoded data (or
-    /// feeding bytes that [`encode`] did not produce, or did for the other
-    /// kind) yields garbage samples, never a panic.
-    pub fn next(&mut self, bytes: &[u8]) -> Sample {
-        let mut reader = BitReader::at(bytes, self.bit_pos);
-        let sample = self.decode_next(&mut reader);
-        self.bit_pos = reader.pos;
-        sample
     }
 
     /// The sample the registers stand at.
@@ -636,8 +612,7 @@ impl GorillaState {
         Sample { timestamp_ms: self.prev_ts, value }
     }
 
-    /// One sample off `reader`: the one-at-a-time [`GorillaState::next`] and
-    /// the lazy [`BlockSamples`].
+    /// One sample off `reader`: the lazy [`BlockSamples`].
     #[inline]
     fn decode_next(&mut self, reader: &mut BitReader<'_>) -> Sample {
         let mut sample = Sample { timestamp_ms: 0, value: 0.0 };
@@ -646,9 +621,10 @@ impl GorillaState {
     }
 
     /// Decodes the next sample off `reader` into `emit` — the single decoder
-    /// behind every front end.  Where that sample is a steady one, the steady
-    /// samples that follow it in the reader's accumulator, at most `more` of
-    /// them, leave with it.  Returns how many samples were emitted.
+    /// behind the bulk and the lazy form.  Where that sample is a steady
+    /// one, the steady samples that follow it in the reader's accumulator, at
+    /// most `more` of them, leave with it.  Returns how many samples were
+    /// emitted.
     #[inline]
     fn step(
         &mut self,
@@ -682,7 +658,7 @@ impl GorillaState {
             // bits, and those zeros are not data — and take this sample and
             // what the caller still wants in one `consume` (fewer than 64
             // bits).  Wrapping steps, so garbage in gives the same garbage
-            // out whichever front end reads it.
+            // out whichever form reads it.
             let pairs = (word.leading_zeros().min(reader.avail) / 2).min(31);
             let run = (pairs as usize).clamp(1, more + 1);
             reader.consume(2 * run as u32);
@@ -787,7 +763,7 @@ pub(crate) struct BlockSamples<'a> {
 
 impl<'a> BlockSamples<'a> {
     pub(crate) fn new(bytes: &'a [u8], kind: BlockKind, count: usize) -> Self {
-        Self { state: GorillaState::new(kind), reader: BitReader::at(bytes, 0), remaining: count }
+        Self { state: GorillaState::new(kind), reader: BitReader::new(bytes), remaining: count }
     }
 }
 
@@ -805,29 +781,18 @@ impl Iterator for BlockSamples<'_> {
     }
 }
 
-/// The bulk form: appends the `count` samples of a block of `kind` to `out`
-/// as `T`s, reserving once — the one loop every whole-block read drains
-/// through.  A run of steady samples leaves the bit reader in one step and
-/// arrives as an arithmetic progression off the registers.
-pub(crate) fn decode_points<T: Point>(
-    bytes: &[u8],
-    kind: BlockKind,
-    count: usize,
-    out: &mut Vec<T>,
-) {
+/// The bulk form: appends the `count` samples of a block of `kind` produced
+/// by [`encode`] to `out`, reserving once — the one loop every whole-block
+/// read drains through.  A run of steady samples leaves the bit reader in one
+/// step and arrives as an arithmetic progression off the registers.
+pub fn decode_into(bytes: &[u8], kind: BlockKind, count: usize, out: &mut Vec<Sample>) {
     let mut state = GorillaState::new(kind);
-    let mut reader = BitReader::at(bytes, 0);
+    let mut reader = BitReader::new(bytes);
     out.reserve(count);
     let mut owed = count;
     while owed > 0 {
-        owed -= state.step(&mut reader, owed - 1, &mut |sample| out.push(T::of(sample)));
+        owed -= state.step(&mut reader, owed - 1, &mut |sample| out.push(sample));
     }
-}
-
-/// Appends the `count` samples of a block of `kind` produced by [`encode`]
-/// to `out`, reserving once.
-pub fn decode_into(bytes: &[u8], kind: BlockKind, count: usize, out: &mut Vec<Sample>) {
-    decode_points(bytes, kind, count, out);
 }
 
 /// Decodes `count` samples from a block of `kind` produced by [`encode`]
@@ -840,16 +805,16 @@ pub fn decode(bytes: &[u8], kind: BlockKind, count: usize) -> Vec<Sample> {
 
 #[cfg(test)]
 mod tests {
+    use super::codec_inputs::{build_samples, switch_at};
     use super::*;
 
-    /// Round-trips `samples` through every decoder front end and returns the
-    /// block's kind.
+    /// Round-trips `samples` through the bulk and the lazy decoder and
+    /// returns the block's kind.
     fn roundtrip(samples: &[Sample]) -> BlockKind {
         let (kind, bytes) = encode(samples).expect("ordered input must encode");
         let back = decode(&bytes, kind, samples.len());
-        let mut state = GorillaState::new(kind);
-        let streamed: Vec<Sample> = samples.iter().map(|_| state.next(&bytes)).collect();
-        assert_eq!(back.len(), samples.len());
+        let streamed: Vec<Sample> = BlockSamples::new(&bytes, kind, samples.len()).collect();
+        assert_eq!((back.len(), streamed.len()), (samples.len(), samples.len()));
         for ((a, b), c) in samples.iter().zip(&back).zip(&streamed) {
             assert_eq!((a.timestamp_ms, a.timestamp_ms), (b.timestamp_ms, c.timestamp_ms));
             assert_eq!(a.value.to_bits(), b.value.to_bits(), "{} vs {}", a.value, b.value);
@@ -1047,4 +1012,86 @@ mod tests {
             }
         }
     }
+    /// Bit-exact equality (plain `==` treats NaN as unequal).
+    fn identical(a: &[Sample], b: &[Sample]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.timestamp_ms == y.timestamp_ms && x.value.to_bits() == y.value.to_bits()
+            })
+    }
+
+    /// Asserts the lazy [`BlockSamples`] reads `count` samples off `bytes`
+    /// as a block of `kind` exactly as the bulk decoder does — which
+    /// `tests/chunk_codec.rs` holds to the bit-by-bit reference on the same
+    /// inputs, garbage included.
+    fn assert_lazy_matches_bulk(bytes: &[u8], kind: BlockKind, count: usize) {
+        let lazy: Vec<Sample> = BlockSamples::new(bytes, kind, count).collect();
+        assert!(identical(&lazy, &decode(bytes, kind, count)), "{kind:?}, {count} samples");
+    }
+
+    const KINDS: [BlockKind; 2] = [BlockKind::Xor, BlockKind::Integer];
+
+    proptest::proptest! {
+        /// Every time-ordered input reads back bit for bit through the lazy
+        /// decoder, and it reads what the bulk one does five samples past the
+        /// end, as the kind it is not, truncated anywhere and with a byte
+        /// mangled anywhere.
+        #[test]
+        fn the_lazy_decoder_reads_what_the_bulk_one_does(
+            specs in proptest::collection::vec((0u8..8, 0u8..10, 0u16..u16::MAX), 1..200),
+            switch in (0u8..3, 0usize..200),
+            cut in 0usize..4096,
+            mangle in (0usize..4096, 1u16..256),
+        ) {
+            let samples = build_samples(&specs, switch_at(switch, specs.len()));
+            let (kind, mut bytes) = encode(&samples).expect("time-ordered input must encode");
+            let lazy: Vec<Sample> = BlockSamples::new(&bytes, kind, samples.len()).collect();
+            assert!(identical(&lazy, &samples));
+            for kind in KINDS {
+                assert_lazy_matches_bulk(&bytes, kind, samples.len() + 5);
+                let cut = cut % (bytes.len() + 1);
+                assert_lazy_matches_bulk(&bytes[..cut], kind, samples.len() + 5);
+            }
+            let at = mangle.0 % bytes.len();
+            bytes[at] ^= mangle.1 as u8;
+            for kind in KINDS {
+                assert_lazy_matches_bulk(&bytes, kind, samples.len() + 5);
+            }
+        }
+
+        /// …on bytes no encoder produced…
+        #[test]
+        fn the_lazy_decoder_reads_random_bytes_as_the_bulk_one_does(
+            garbage in proptest::collection::vec(0u16..256, 0..300),
+            count in 0usize..400,
+        ) {
+            let garbage: Vec<u8> = garbage.iter().map(|&b| b as u8).collect();
+            for kind in KINDS {
+                assert_lazy_matches_bulk(&garbage, kind, count);
+            }
+        }
+
+        /// …and where the bits say "same again", which the bulk decoder takes
+        /// in runs and the lazy one a sample at a time: long steady stretches
+        /// of either kind between single escapes, five samples past the end,
+        /// and the block read as the kind it is not.
+        #[test]
+        fn the_lazy_decoder_reads_steady_stretches_as_the_bulk_one_does(
+            specs in proptest::collection::vec((0u8..10, 0u8..10, 0u16..u16::MAX), 1..12),
+            switch in (0u8..3, 0usize..12),
+        ) {
+            let samples = build_samples(&specs, switch_at(switch, specs.len()));
+            let (_, bytes) = encode(&samples).expect("time-ordered input must encode");
+            for kind in KINDS {
+                assert_lazy_matches_bulk(&bytes, kind, samples.len() + 5);
+            }
+        }
+    }
 }
+
+/// The sample generator of `tests/chunk_codec.rs`, shared so that the lazy
+/// decoder is held to the bulk one on the inputs the bulk one is held to the
+/// reference on.
+#[cfg(test)]
+#[path = "../tests/support/codec_inputs.rs"]
+mod codec_inputs;

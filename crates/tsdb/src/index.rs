@@ -197,31 +197,29 @@ impl SelectorPlan {
         SelectorPlan::Filtered { name, eq, exists, neq }
     }
 
-    /// Shard-local candidate series for this plan: the intersection of the
-    /// name's and every `=` matcher's postings list.  `Exists` and
-    /// `NotEquals` matchers are NOT applied here; the caller post-filters
-    /// with [`SelectorPlan::post_filters`].
-    pub(crate) fn candidates(&self, postings: &Postings) -> Candidates {
-        let SelectorPlan::Filtered { name, eq, .. } = self else {
-            return Candidates::Listed(Vec::new());
-        };
+    /// Shard-local candidate series for this plan among a shard's `series`:
+    /// the intersection of the name's and every `=` matcher's postings list,
+    /// walked where the lists lie.  `Exists` and `NotEquals` matchers are NOT
+    /// applied here; the caller post-filters with
+    /// [`SelectorPlan::post_filters`].
+    pub(crate) fn candidates<'a>(&self, postings: &'a Postings, series: u32) -> Candidates<'a> {
+        let SelectorPlan::Filtered { name, eq, .. } = self else { return Candidates::All(0..0) };
+        let name = name.map(|name| postings.name_list(name));
+        let mut lists = name.into_iter().chain(eq.iter().map(|&(k, v)| postings.pair_list(k, v)));
         // A matcher whose postings list is absent in this shard matches
         // nothing here.
-        let mut required: Vec<Option<&[u32]>> = Vec::new();
-        if let Some(name) = name {
-            required.push(postings.name_list(*name));
+        let Some(first) = lists.next() else { return Candidates::All(0..series) };
+        let Some(mut smallest) = first else { return Candidates::All(0..0) };
+        let mut others = Vec::new();
+        for list in lists {
+            let Some(mut list) = list else { return Candidates::All(0..0) };
+            if list.len() < smallest.len() {
+                std::mem::swap(&mut list, &mut smallest);
+            }
+            others.push(list);
         }
-        for &(k, v) in eq {
-            required.push(postings.pair_list(k, v));
-        }
-        if required.iter().any(Option::is_none) {
-            Candidates::Listed(Vec::new())
-        } else if required.is_empty() {
-            Candidates::All
-        } else {
-            let mut lists: Vec<&[u32]> = required.into_iter().flatten().collect();
-            Candidates::Listed(intersect(&mut lists))
-        }
+        others.sort_unstable_by_key(|list| list.len());
+        Candidates::Postings { walk: smallest.iter(), others }
     }
 
     /// What the caller checks per candidate series: the keys it must carry,
@@ -235,30 +233,32 @@ impl SelectorPlan {
     }
 }
 
-/// The series of one shard a compiled selector may match.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Candidates {
-    /// Every series in the shard (the plan carries neither a name nor an
-    /// equality, so no postings list constrains it).
-    All,
-    /// Exactly these shard-local indices, ascending.
-    Listed(Vec<u32>),
+/// The series of one shard a compiled selector may match, as shard-local
+/// indices in ascending order, walked where the postings lists lie.
+#[derive(Debug)]
+pub(crate) enum Candidates<'a> {
+    /// Every series in the shard, where no postings list constrains the plan
+    /// (it carries neither a name nor an equality) — or none, where a list
+    /// it names is absent.
+    All(std::ops::Range<u32>),
+    /// The indices of the smallest list that every other list holds too,
+    /// found by binary search, smallest list first: the work is bounded by
+    /// the most selective matcher, and `others` is the one allocation a
+    /// selection makes in a shard, where it names more than one list.
+    Postings { walk: std::slice::Iter<'a, u32>, others: Vec<&'a [u32]> },
 }
 
-/// Intersection of sorted postings lists, smallest list first so the work is
-/// bounded by the most selective matcher — in one allocation, sized for the
-/// smallest list, so what a selection allocates does not grow with it.
-fn intersect(lists: &mut [&[u32]]) -> Vec<u32> {
-    lists.sort_by_key(|l| l.len());
-    let Some((smallest, rest)) = lists.split_first() else { return Vec::new() };
-    let mut out = Vec::with_capacity(smallest.len());
-    out.extend(
-        smallest
-            .iter()
-            .copied()
-            .filter(|id| rest.iter().all(|list| list.binary_search(id).is_ok())),
-    );
-    out
+impl Iterator for Candidates<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Candidates::All(range) => range.next(),
+            Candidates::Postings { walk, others } => {
+                walk.by_ref().copied().find(|id| others.iter().all(|l| l.binary_search(id).is_ok()))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -274,13 +274,33 @@ mod tests {
     }
 
     #[test]
-    fn intersection_is_sorted_and_minimal() {
-        let a: &[u32] = &[0, 2, 4, 6, 8];
-        let b: &[u32] = &[2, 3, 4, 8, 9];
-        let c: &[u32] = &[4, 8];
-        assert_eq!(intersect(&mut [a, b, c]), vec![4, 8]);
-        assert_eq!(intersect(&mut [a, &[]]), Vec::<u32>::new());
-        assert_eq!(intersect(&mut [a]), a.to_vec());
+    fn walked_intersections_are_sorted_and_minimal() {
+        // Series 0..10 under `up`, with `a="1"` on the evens below ten,
+        // `b="1"` on 2, 3, 4, 8, 9 and `c="1"` on 4 and 8.
+        let mut table = SymbolTable::default();
+        let [up, a, b, c, one] = ["up", "a", "b", "c", "1"].map(|s| table.intern(s));
+        table.intern("x");
+        let mut postings = Postings::default();
+        for local in 0..10u32 {
+            let labels = [
+                (a, local % 2 == 0),
+                (b, [2, 3, 4, 8, 9].contains(&local)),
+                (c, local % 4 == 0 && local > 0),
+            ];
+            let labels: Vec<_> =
+                labels.iter().filter(|l| l.1).map(|&(key, _)| (key, one)).collect();
+            postings.register(local, up, &labels);
+        }
+        let walk = |selector: Selector| {
+            SelectorPlan::compile(&selector, &table).candidates(&postings, 10).collect::<Vec<_>>()
+        };
+        let all = Selector::metric("up");
+        let abc = all.clone().with_label("a", "1").with_label("b", "1").with_label("c", "1");
+        assert_eq!(walk(abc.clone()), [4, 8]);
+        assert_eq!(walk(abc.with_label("x", "1")), [], "a list this shard does not hold");
+        assert_eq!(walk(all.clone().with_label("b", "1").with_label("a", "1")), [2, 4, 8]);
+        assert_eq!(walk(all.with_label("a", "1")), [0, 2, 4, 6, 8]);
+        assert_eq!(walk(Selector::all()), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -326,13 +346,13 @@ mod tests {
         postings.register(1, up, &[(node, n2)]);
 
         let plan = SelectorPlan::compile(&Selector::metric("up").with_label("node", "n2"), &table);
-        assert_eq!(plan.candidates(&postings), Candidates::Listed(vec![1]));
+        assert_eq!(plan.candidates(&postings, 2).collect::<Vec<_>>(), [1]);
         let all = SelectorPlan::compile(&Selector::all(), &table);
-        assert_eq!(all.candidates(&postings), Candidates::All);
+        assert!(matches!(all.candidates(&postings, 2), Candidates::All(range) if range == (0..2)));
         // A name or pair absent from this shard's postings matches nothing
         // here.
         let other_shard = SelectorPlan::compile(&Selector::metric("up"), &table);
-        assert_eq!(other_shard.candidates(&Postings::default()), Candidates::Listed(Vec::new()));
+        assert_eq!(other_shard.candidates(&Postings::default(), 0).count(), 0);
     }
 
     #[test]
@@ -356,7 +376,7 @@ mod tests {
         postings.register(3, up, &[(pod, pods[1])]);
         assert_eq!(postings.pair_list(pod, pods[1]), Some(&[1, 3][..]));
         let plan = SelectorPlan::compile(&Selector::metric("up").with_label("pod", "p1"), &table);
-        assert_eq!(plan.candidates(&postings), Candidates::Listed(vec![1, 3]));
+        assert_eq!(plan.candidates(&postings, 4).collect::<Vec<_>>(), [1, 3]);
         // The model counts entries and lists as it always did.
         assert_eq!(postings.bytes(), 8 * POSTING_ENTRY_BYTES + 4 * POSTING_LIST_BYTES);
     }
@@ -381,13 +401,13 @@ mod tests {
             &Selector::all().with_label_present("pod").without_label_value("node", "n1"),
             &table,
         );
-        assert_eq!(only_filters.candidates(&postings), Candidates::All);
+        assert_eq!(only_filters.candidates(&postings, 2).collect::<Vec<_>>(), [0, 1]);
         assert_eq!(only_filters.post_filters(), (&[pod][..], &[(node, n1)][..]));
 
         // A name plus `exists`: the name's list, untouched by the matcher.
         let named =
             SelectorPlan::compile(&Selector::metric("up").with_label_present("pod"), &table);
-        assert_eq!(named.candidates(&postings), Candidates::Listed(vec![0, 1]));
+        assert_eq!(named.candidates(&postings, 2).collect::<Vec<_>>(), [0, 1]);
         assert_eq!(named.post_filters(), (&[pod][..], &[][..]));
     }
 

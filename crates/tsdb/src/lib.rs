@@ -60,7 +60,7 @@ pub use scrape::{
     ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Scraper, TextSource,
 };
 pub use series::{Sample, SeriesId};
-pub use snapshot::{OwnedSampleCursor, SampleCursor, SeriesSnapshot};
+pub use snapshot::{SampleRange, SeriesSnapshot};
 pub use storage::{
     BatchOutcome, HandleAppend, SeriesHandle, StorageCensus, StorageStats, TimeSeriesDb,
     TsdbConfig, BATCH_BLOCK, SHARD_COUNT, STALE_HEAD_MS,

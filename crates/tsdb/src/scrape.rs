@@ -1513,6 +1513,11 @@ mod tests {
     use crate::query::Selector;
     use teemon_metrics::{CollectError, HistogramSnapshot, MetricKind, MetricPoint, PointValue};
 
+    /// `samples` as `(timestamp_ms, value)` pairs, to compare with literals.
+    fn pairs(samples: Vec<crate::Sample>) -> Vec<(u64, f64)> {
+        samples.into_iter().map(|s| (s.timestamp_ms, s.value)).collect()
+    }
+
     /// Pushes `families` the way the serving edge does: as exposition text,
     /// read by the bounded parse.
     fn push_text(lane: &mut PushLane, families: &[FamilySnapshot], now_ms: u64) -> PushOutcome {
@@ -1608,7 +1613,7 @@ mod tests {
         }
         let results = db.select(&Selector::metric("events_total"));
         assert_eq!(results.len(), 1);
-        let points = results[0].points_in(0, u64::MAX);
+        let points = pairs(results[0].points_in(0, u64::MAX));
         assert_eq!(points.len(), 5);
         let (&(t0, v0), &(t1, v1)) = (points.first().unwrap(), points.last().unwrap());
         let r = (v1 - v0) / ((t1 - t0) as f64 / 1000.0);
@@ -1693,7 +1698,7 @@ mod tests {
         let points = |name: &str, instance: &str| match &db
             .select(&Selector::metric(name).with_label("instance", instance))[..]
         {
-            [series] => series.points_in(0, u64::MAX),
+            [series] => pairs(series.points_in(0, u64::MAX)),
             none_or_more => panic!("{} series {name}{{instance={instance}}}", none_or_more.len()),
         };
         scraper.scrape_once(5_000);
@@ -1916,7 +1921,7 @@ mod tests {
         let results = db.select(&Selector::metric("g"));
         assert_eq!(results.len(), 2, "the dropped series was transparently re-created");
         for r in &results {
-            let points = r.points_in(0, u64::MAX);
+            let points = pairs(r.points_in(0, u64::MAX));
             match r.label_value("case") {
                 Some("kept") => {
                     assert_eq!(points.iter().map(|p| p.0).collect::<Vec<_>>(), [5_000, 10_000]);
@@ -2025,7 +2030,7 @@ mod tests {
         assert!(lane.lane.cache.fill(&doc, 3_000, &mut scraped, &mut overflow));
         assert_eq!(db.series_count(), 6);
         let stored = db.select(&Selector::metric("m").with_label("a", "1"));
-        assert_eq!(stored[0].points_in(0, u64::MAX), [(1_000, 1.0), (2_000, 1.0)]);
+        assert_eq!(pairs(stored[0].points_in(0, u64::MAX)), [(1_000, 1.0), (2_000, 1.0)]);
     }
 
     #[test]
@@ -2306,7 +2311,7 @@ mod tests {
             let mut series: Vec<_> = db
                 .select(&Selector::metric(name))
                 .iter()
-                .map(|s| (s.to_labels().to_string(), s.points_in(0, u64::MAX)))
+                .map(|s| (s.to_labels().to_string(), pairs(s.points_in(0, u64::MAX))))
                 .collect();
             series.sort_by(|a, b| a.0.cmp(&b.0));
             series

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::chunk_codec::{decode_points, BlockKind, BlockSamples, GorillaState};
+use crate::chunk_codec::{decode_into, BlockKind, BlockSamples};
 
 /// Identifier of a series inside one [`crate::TimeSeriesDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -46,37 +46,6 @@ pub struct Sample {
     pub timestamp_ms: u64,
     /// Sample value.
     pub value: f64,
-}
-
-/// What a range read fills its buffer with: [`Sample`]s for the cursors,
-/// `(timestamp_ms, value)` pairs for `points_in`.
-pub(crate) trait Point {
-    fn of(sample: Sample) -> Self;
-    fn timestamp_ms(&self) -> u64;
-}
-
-impl Point for Sample {
-    #[inline]
-    fn of(sample: Sample) -> Self {
-        sample
-    }
-
-    #[inline]
-    fn timestamp_ms(&self) -> u64 {
-        self.timestamp_ms
-    }
-}
-
-impl Point for (u64, f64) {
-    #[inline]
-    fn of(sample: Sample) -> Self {
-        (sample.timestamp_ms, sample.value)
-    }
-
-    #[inline]
-    fn timestamp_ms(&self) -> u64 {
-        self.0
-    }
 }
 
 /// In-memory size of one raw sample, used for the resident-bytes estimate in
@@ -148,7 +117,7 @@ impl<'a> Payload<'a> {
 /// count)` footer and the payload behind it.  Samples are grouped into
 /// chunks for retrieval and retention, the way Prometheus groups samples
 /// into head/immutable chunks, and the footer is what lets time-based seeks
-/// (`at`, `points_in`, cursors, retention) skip — never touch, let alone
+/// (`at`, range reads, retention) skip — never touch, let alone
 /// decompress — the payload of a chunk outside the queried range.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Chunk<'a> {
@@ -225,26 +194,26 @@ impl<'a> Chunk<'a> {
     /// the loop would cost every sample of every chunk two compares — and a
     /// chunk the range only partly covers (the first of a windowed read, as a
     /// rule) is trimmed where it landed.
-    pub(crate) fn extend_into<T: Point>(&self, start_ms: u64, end_ms: u64, out: &mut Vec<T>) {
+    pub(crate) fn extend_into(&self, start_ms: u64, end_ms: u64, out: &mut Vec<Sample>) {
         match self.payload {
             Payload::Raw(bytes) => {
                 let ts = |i| raw_sample(bytes, i).map_or(u64::MAX, |s| s.timestamp_ms);
                 let a = partition(self.len(), |i| ts(i) < start_ms);
                 let b = partition(self.len(), |i| ts(i) <= end_ms);
-                out.extend((a..b).filter_map(|i| raw_sample(bytes, i)).map(T::of));
+                out.extend((a..b).filter_map(|i| raw_sample(bytes, i)));
             }
             Payload::Block(kind, bytes) => {
                 if self.is_empty() || self.start_ms > end_ms || self.end_ms < start_ms {
                     return;
                 }
                 let from = out.len();
-                decode_points(bytes, kind, self.len(), out);
+                decode_into(bytes, kind, self.len(), out);
                 if start_ms <= self.start_ms && self.end_ms <= end_ms {
                     return;
                 }
                 let decoded = out.get(from..).unwrap_or(&[]);
-                let keep = decoded.partition_point(|p| p.timestamp_ms() <= end_ms);
-                let skip = decoded.partition_point(|p| p.timestamp_ms() < start_ms);
+                let keep = decoded.partition_point(|s| s.timestamp_ms <= end_ms);
+                let skip = decoded.partition_point(|s| s.timestamp_ms < start_ms);
                 out.truncate(from + keep);
                 out.drain(from..from + skip.min(keep));
             }
@@ -259,46 +228,6 @@ impl<'a> Chunk<'a> {
             Payload::Block(kind, bytes) => {
                 ChunkSamples::Compressed(BlockSamples::new(bytes, kind, self.len()))
             }
-        }
-    }
-}
-
-/// Per-chunk cursor position: a sample index for raw chunks, the streaming
-/// decoder registers for compressed ones.  Kept apart from the chunk, which
-/// the cursor reads out of its block again at every step, so owning cursors
-/// need no self-reference.
-#[derive(Debug, Clone)]
-pub(crate) enum ChunkIterState {
-    Raw(usize),
-    Compressed(GorillaState),
-}
-
-impl ChunkIterState {
-    /// A cursor positioned at the first sample with `timestamp_ms >=
-    /// start_ms` — O(log n) for raw chunks.  Compressed chunks start at the
-    /// beginning (the caller's `< start_ms` skip loop pays the bounded
-    /// decode), since the bit stream cannot be entered mid-way.
-    pub(crate) fn positioned(chunk: &Chunk<'_>, start_ms: u64) -> Self {
-        match chunk.payload {
-            Payload::Raw(bytes) => ChunkIterState::Raw(partition(chunk.len(), |i| {
-                raw_sample(bytes, i).is_some_and(|s| s.timestamp_ms < start_ms)
-            })),
-            Payload::Block(kind, _) => ChunkIterState::Compressed(GorillaState::new(kind)),
-        }
-    }
-
-    /// The next sample of `chunk`, or `None` when exhausted.
-    pub(crate) fn next(&mut self, chunk: &Chunk<'_>) -> Option<Sample> {
-        match (self, chunk.payload) {
-            (ChunkIterState::Raw(idx), Payload::Raw(bytes)) => {
-                let sample = raw_sample(bytes, *idx)?;
-                *idx += 1;
-                Some(sample)
-            }
-            (ChunkIterState::Compressed(state), Payload::Block(_, bytes)) => {
-                (state.emitted() < chunk.count).then(|| state.next(bytes))
-            }
-            _ => None,
         }
     }
 }
@@ -648,7 +577,7 @@ impl Sealed {
 /// Where a chunk sits in a [`Chunks`]: its block (the head's copy counts as
 /// one more block behind the sealed ones) and its index in that block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ChunkPos {
+struct ChunkPos {
     block: usize,
     chunk: usize,
 }
@@ -686,21 +615,12 @@ impl Chunks {
     }
 
     /// The chunk at `pos`, `None` past the last.
-    pub(crate) fn get(&self, pos: ChunkPos) -> Option<Chunk<'_>> {
+    fn get(&self, pos: ChunkPos) -> Option<Chunk<'_>> {
         self.block(pos.block)?.chunk(pos.chunk)
     }
 
-    /// The position after `pos`.
-    pub(crate) fn next_pos(&self, pos: ChunkPos) -> ChunkPos {
-        if pos.chunk + 1 < self.block(pos.block).map_or(0, Block::len) {
-            ChunkPos { chunk: pos.chunk + 1, ..pos }
-        } else {
-            ChunkPos { block: pos.block + 1, chunk: 0 }
-        }
-    }
-
     /// Every chunk from `pos` on, in order.
-    pub(crate) fn iter_from(&self, pos: ChunkPos) -> impl Iterator<Item = Chunk<'_>> + Clone {
+    fn iter_from(&self, pos: ChunkPos) -> impl Iterator<Item = Chunk<'_>> + Clone {
         let blocks = self.sealed.blocks().iter().chain(self.head.as_ref());
         blocks
             .skip(pos.block)
@@ -724,7 +644,7 @@ impl Chunks {
     /// The position of the first chunk `pred` fails on, `pred` holding on a
     /// prefix of the chunks: a binary search over the blocks by their last
     /// footer, then one inside the block it lands in.
-    pub(crate) fn partition(&self, pred: impl Fn(&Chunk<'_>) -> bool) -> ChunkPos {
+    fn partition(&self, pred: impl Fn(&Chunk<'_>) -> bool) -> ChunkPos {
         let block = partition(self.block_count(), |b| {
             self.block(b).and_then(Block::last).is_some_and(|c| pred(&c))
         });
@@ -750,20 +670,14 @@ impl Chunks {
     }
 
     /// The position of the first chunk that ends at or after `start_ms`.
-    pub(crate) fn seek(&self, start_ms: u64) -> ChunkPos {
+    fn seek(&self, start_ms: u64) -> ChunkPos {
         self.partition(|c| c.end().is_some_and(|end| end < start_ms))
     }
 
     /// Appends every sample in `[start_ms, end_ms]` of the chunks from `pos`
     /// on — [`Chunks::seek`]`(start_ms)` or later — to `out`, pre-reserving
     /// the overlapping chunks' exact sample count.
-    pub(crate) fn extend_from<T: Point>(
-        &self,
-        pos: ChunkPos,
-        start_ms: u64,
-        end_ms: u64,
-        out: &mut Vec<T>,
-    ) {
+    fn extend_from(&self, pos: ChunkPos, start_ms: u64, end_ms: u64, out: &mut Vec<Sample>) {
         let overlapping =
             self.iter_from(pos).take_while(|c| c.start().is_some_and(|start| start <= end_ms));
         out.reserve(overlapping.clone().map(|c| c.len()).sum());
@@ -773,7 +687,7 @@ impl Chunks {
     }
 
     /// Appends every sample in `[start_ms, end_ms]` to `out`.
-    pub(crate) fn extend_range<T: Point>(&self, start_ms: u64, end_ms: u64, out: &mut Vec<T>) {
+    pub(crate) fn extend_range(&self, start_ms: u64, end_ms: u64, out: &mut Vec<Sample>) {
         self.extend_from(self.seek(start_ms), start_ms, end_ms, out);
     }
 }
@@ -929,7 +843,7 @@ mod tests {
         }
         let collect = |c: &Chunk<'_>, lo, hi| {
             let mut out = Vec::new();
-            c.extend_into::<Sample>(lo, hi, &mut out);
+            c.extend_into(lo, hi, &mut out);
             out
         };
         for (lo, hi) in [(0, u64::MAX), (250, 1_750), (500, 19_500), (20_000, 30_000)] {
@@ -937,10 +851,7 @@ mod tests {
         }
         for chunk in [raw, compressed] {
             assert_eq!(chunk.iter_samples().collect::<Vec<_>>(), samples);
-            // The owning cursors' per-chunk state walks it the same way.
-            let mut state = ChunkIterState::positioned(&chunk, 0);
-            let streamed: Vec<Sample> = std::iter::from_fn(|| state.next(&chunk)).collect();
-            assert_eq!(streamed, samples);
+            assert_eq!(collect(&chunk, 0, u64::MAX), samples);
         }
     }
 
@@ -1041,7 +952,7 @@ mod tests {
         }
         for (lo, hi) in [(0, u64::MAX), (3_500, 70_000), (63_000, 65_000), (71_000, 80_000)] {
             let mut out = Vec::new();
-            chunks.extend_range::<Sample>(lo, hi, &mut out);
+            chunks.extend_range(lo, hi, &mut out);
             let expected: Vec<Sample> =
                 model.iter().copied().filter(|s| (lo..=hi).contains(&s.timestamp_ms)).collect();
             assert_eq!(out, expected, "[{lo}, {hi}]");

@@ -21,29 +21,26 @@
 //!
 //! Reads go through [`SeriesSnapshot::at`] (a binary search over the blocks'
 //! footers, then one in the block, then a bounded in-chunk search),
-//! [`SeriesSnapshot::points_in`] (pre-sized range materialisation) or the
-//! streaming cursors.  Sealed chunks are
-//! Gorilla-compressed (see [`crate::chunk_codec`]) in one of the codec's two
-//! kinds — whole-number values as integer deltas, anything else XOR-coded —
-//! which each chunk's footer carries and every cursor hands to the decoder
-//! it opens on it, so nothing here cares which it is; the cursors
-//! decode incrementally — a few words of decoder state per chunk — so a
-//! range scan never materialises a decompressed chunk, and chunks outside
-//! the queried window are skipped by their `(start, end, count)` footers
-//! without touching the compressed payload at all.
+//! [`SeriesSnapshot::points_in`] (pre-sized range materialisation) or a
+//! [`SampleRange`].  Sealed chunks are Gorilla-compressed (see
+//! [`crate::chunk_codec`]) in one of the codec's two kinds — whole-number
+//! values as integer deltas, anything else XOR-coded — which each chunk's
+//! footer carries and the bulk decoder is handed, so nothing here cares which
+//! it is.  A range read skips the chunks outside its window by their `(start,
+//! end, count)` footers without touching their payloads, and decodes the rest
+//! whole.
 //!
-//! [`SampleCursor`] borrows the snapshot; [`OwnedSampleCursor`] shares its
-//! blocks by `Arc` instead (two reference counts, whatever the chunk
-//! count), for consumers like the query engine's plans that cannot hold a
-//! borrow.  The range evaluator does not step it: it drains one
-//! series' whole range with [`OwnedSampleCursor::read_into`] into a buffer it
-//! reuses for the next series.
+//! [`SampleRange`] shares the snapshot's blocks by `Arc` (two reference
+//! counts, whatever the chunk count), for consumers like the query engine's
+//! plans that cannot hold a borrow: a plan takes one per series and drains it
+//! with [`SampleRange::read_into`] into a buffer it reuses for the next
+//! series.
 
 use std::sync::Arc;
 
 use teemon_metrics::Labels;
 
-use crate::series::{Block, ChunkIterState, ChunkPos, Chunks, Sample, Sealed, SeriesId};
+use crate::series::{Block, Chunks, Sample, Sealed, SeriesId};
 
 /// An immutable, cheaply clonable view of one series at selection time.
 #[derive(Debug, Clone)]
@@ -146,139 +143,39 @@ impl SeriesSnapshot {
         self.chunks.at(at_ms)
     }
 
-    /// `(timestamp_ms, value)` points within `[start_ms, end_ms]`, pre-sized
-    /// and in chronological order.
-    pub fn points_in(&self, start_ms: u64, end_ms: u64) -> Vec<(u64, f64)> {
+    /// The samples within `[start_ms, end_ms]`, pre-sized and in
+    /// chronological order.
+    pub fn points_in(&self, start_ms: u64, end_ms: u64) -> Vec<Sample> {
         let mut out = Vec::new();
         self.chunks.extend_range(start_ms, end_ms, &mut out);
         out
     }
 
-    /// A streaming cursor over the samples within `[start_ms, end_ms]`.
-    /// Positions itself by the chunk footers; iteration decodes compressed
-    /// chunks incrementally and never copies one.
-    pub fn cursor(&self, start_ms: u64, end_ms: u64) -> SampleCursor<'_> {
-        SampleCursor { chunks: &self.chunks, core: CursorCore::new(&self.chunks, start_ms, end_ms) }
-    }
-
-    /// A cursor over every sample in the snapshot.
-    pub fn samples(&self) -> SampleCursor<'_> {
-        self.cursor(0, u64::MAX)
-    }
-
-    /// Like [`SeriesSnapshot::cursor`], but sharing the blocks by `Arc` so
-    /// the cursor is `'static` and can outlive the snapshot (a query plan
-    /// holds one per series from planning until that series is evaluated).
-    pub fn owned_cursor(&self, start_ms: u64, end_ms: u64) -> OwnedSampleCursor {
-        OwnedSampleCursor {
-            core: CursorCore::new(&self.chunks, start_ms, end_ms),
-            chunks: self.chunks.clone(),
-        }
+    /// The samples within `[start_ms, end_ms]` as a handle that shares the
+    /// blocks by `Arc`, so it is `'static` and can outlive the snapshot (a
+    /// query plan holds one per series from planning until that series is
+    /// evaluated).  Nothing is decoded until [`SampleRange::read_into`].
+    pub fn range(&self, start_ms: u64, end_ms: u64) -> SampleRange {
+        SampleRange { chunks: self.chunks.clone(), start_ms, end_ms }
     }
 }
 
-/// Chunk-walking state shared by the borrowed and owning cursors: the
-/// position of the chunk being read, the in-chunk position (sample index or
-/// streaming decoder registers) and the `[start_ms, end_ms]` bounds.
+/// One series' samples within `[start_ms, end_ms]`, co-owning the snapshot's
+/// blocks (`Arc`-shared), so it has no lifetime tie to the
+/// [`SeriesSnapshot`] it came from.
 #[derive(Debug, Clone)]
-struct CursorCore {
-    /// The chunk being read while `state` is `Some`, else the next to open.
-    pos: ChunkPos,
-    state: Option<ChunkIterState>,
+pub struct SampleRange {
+    chunks: Chunks,
     start_ms: u64,
     end_ms: u64,
-    done: bool,
 }
 
-impl CursorCore {
-    fn new(chunks: &Chunks, start_ms: u64, end_ms: u64) -> Self {
-        // Skip chunks that end before the range starts via their footers.
-        Self { pos: chunks.seek(start_ms), state: None, start_ms, end_ms, done: false }
-    }
-
-    fn next(&mut self, chunks: &Chunks) -> Option<Sample> {
-        if self.done {
-            return None;
-        }
-        loop {
-            let Some(chunk) = chunks.get(self.pos) else {
-                self.done = true;
-                return None;
-            };
-            let start_ms = self.start_ms;
-            let state =
-                self.state.get_or_insert_with(|| ChunkIterState::positioned(&chunk, start_ms));
-            match state.next(&chunk) {
-                // Only the first opened chunk can straddle the range
-                // start; a compressed one is skipped sample by sample.
-                Some(s) if s.timestamp_ms < self.start_ms => continue,
-                Some(s) if s.timestamp_ms <= self.end_ms => return Some(s),
-                Some(_) => {
-                    self.done = true;
-                    return None;
-                }
-                None => {
-                    self.state = None;
-                    self.pos = chunks.next_pos(self.pos);
-                }
-            }
-        }
-    }
-
-    /// Appends every sample [`CursorCore::next`] would still yield to `out`
-    /// and exhausts the cursor.  From a chunk boundary (a fresh cursor above
-    /// all) the rest is drained chunk by chunk: the footers bound the span
-    /// and size one reservation, raw chunks are sliced, and blocks go through
-    /// the bulk decoder.  A cursor stopped inside a chunk finishes
-    /// sample by sample — a Gorilla stream cannot be re-entered mid-way.
-    fn read_into(&mut self, chunks: &Chunks, out: &mut Vec<Sample>) {
-        if self.state.is_some() {
-            while let Some(sample) = self.next(chunks) {
-                out.push(sample);
-            }
-        } else if !self.done {
-            chunks.extend_from(self.pos, self.start_ms, self.end_ms, out);
-            self.done = true;
-        }
-    }
-}
-
-/// A forward cursor over one snapshot's samples, bounded by an end timestamp.
-#[derive(Debug, Clone)]
-pub struct SampleCursor<'a> {
-    chunks: &'a Chunks,
-    core: CursorCore,
-}
-
-impl Iterator for SampleCursor<'_> {
-    type Item = Sample;
-
-    fn next(&mut self) -> Option<Sample> {
-        self.core.next(self.chunks)
-    }
-}
-
-/// A forward cursor that co-owns the snapshot's blocks (`Arc`-shared), so it
-/// has no lifetime tie to the [`SeriesSnapshot`] it came from.
-#[derive(Debug, Clone)]
-pub struct OwnedSampleCursor {
-    chunks: Chunks,
-    core: CursorCore,
-}
-
-impl OwnedSampleCursor {
-    /// Appends every remaining sample to `out` and exhausts the cursor — what
-    /// collecting the iterator yields, but decoding sealed chunks in bulk
-    /// into a buffer the caller can reuse from series to series.
-    pub fn read_into(&mut self, out: &mut Vec<Sample>) {
-        self.core.read_into(&self.chunks, out);
-    }
-}
-
-impl Iterator for OwnedSampleCursor {
-    type Item = Sample;
-
-    fn next(&mut self) -> Option<Sample> {
-        self.core.next(&self.chunks)
+impl SampleRange {
+    /// Appends the range's samples to `out`, in chronological order: the
+    /// footers bound the span and size one reservation, raw chunks are
+    /// sliced and blocks go through the bulk decoder, into a buffer the
+    /// caller can reuse from series to series.
+    pub fn read_into(&self, out: &mut Vec<Sample>) {
+        self.chunks.extend_range(self.start_ms, self.end_ms, out);
     }
 }

@@ -77,7 +77,7 @@ use teemon_metrics::Labels;
 use teemon_obs::{probes, Stopwatch};
 
 use crate::head::{Head, TAIL_SAMPLES};
-use crate::index::{Candidates, Postings, SelectorPlan};
+use crate::index::{Postings, SelectorPlan};
 use crate::query::Selector;
 use crate::series::{Sample, Sealed, SeriesId, SAMPLE_BYTES};
 use crate::snapshot::SeriesSnapshot;
@@ -902,26 +902,19 @@ impl ShardInner {
         self.max_ts = self.series.iter().filter_map(MemSeries::last_timestamp).max();
     }
 
-    /// Shard-local matches for a compiled selector: candidates from the name
-    /// and equality postings, then the `exists` and `!=` matchers checked per
-    /// candidate against the series' own label symbols (the index holds no
-    /// list for them, see `index.rs`).
-    fn matches(&self, plan: &SelectorPlan) -> Vec<u32> {
-        let mut candidates = match plan.candidates(&self.postings) {
-            Candidates::All => (0..self.series.len() as u32).collect::<Vec<u32>>(),
-            Candidates::Listed(list) => list,
-        };
+    /// Shard-local matches for a compiled selector, ascending: candidates
+    /// from the name and equality postings, walked where they lie, then the
+    /// `exists` and `!=` matchers checked per candidate against the series'
+    /// own label symbols (the index holds no list for them, see `index.rs`).
+    fn matches<'a>(&'a self, plan: &'a SelectorPlan) -> impl Iterator<Item = u32> + 'a {
         let (exists, neq) = plan.post_filters();
-        if !(exists.is_empty() && neq.is_empty()) {
-            candidates.retain(|&local| {
-                let series = self.series_at(local);
-                exists.iter().all(|&key| series.label_value_sym(key).is_some())
-                    && neq.iter().all(|&(key, value)| {
-                        series.label_value_sym(key).is_some_and(|actual| actual != value)
-                    })
-            });
-        }
-        candidates
+        plan.candidates(&self.postings, self.series.len() as u32).filter(move |&local| {
+            let series = self.series_at(local);
+            exists.iter().all(|&key| series.label_value_sym(key).is_some())
+                && neq.iter().all(|&(key, value)| {
+                    series.label_value_sym(key).is_some_and(|actual| actual != value)
+                })
+        })
     }
 }
 
@@ -1610,7 +1603,7 @@ impl TimeSeriesDb {
             // and rebuilding the index allocate under the shard lock.
             #[cfg(lock_audit)]
             let _allow = parking_lot::audit::allow_alloc();
-            let victims = inner.matches(&plan);
+            let victims: Vec<u32> = inner.matches(&plan).collect();
             if victims.is_empty() {
                 continue;
             }
@@ -1709,7 +1702,7 @@ impl TimeSeriesDb {
 
     /// How many series match `plan`, one shard at a time.
     fn count_matching(&self, plan: &SelectorPlan) -> usize {
-        self.shared.shards.iter().map(|shard| shard.read().matches(plan).len()).sum()
+        self.shared.shards.iter().map(|shard| shard.read().matches(plan).count()).sum()
     }
 
     /// Zero-copy selection: a [`SeriesSnapshot`] for every series matching
@@ -1728,12 +1721,12 @@ impl TimeSeriesDb {
         let mut out = Vec::with_capacity(self.count_matching(&plan));
         for shard in &self.shared.shards {
             let inner = shard.read();
-            let matched = inner.matches(&plan);
-            if matched.is_empty() {
+            let mut matched = inner.matches(&plan).peekable();
+            if matched.peek().is_none() {
                 continue;
             }
             let symbols = self.shared.symbols.read();
-            out.extend(matched.into_iter().map(|local| inner.series_at(local).snapshot(&symbols)));
+            out.extend(matched.map(|local| inner.series_at(local).snapshot(&symbols)));
         }
         out.sort_unstable_by_key(|snapshot| snapshot.id);
         out
@@ -1807,6 +1800,11 @@ impl std::fmt::Debug for TimeSeriesDb {
 mod tests {
     use super::*;
     use crate::series::{Block, FOOTER_BYTES};
+
+    /// `samples` as `(timestamp_ms, value)` pairs, to compare with literals.
+    fn pairs(samples: Vec<Sample>) -> Vec<(u64, f64)> {
+        samples.into_iter().map(|s| (s.timestamp_ms, s.value)).collect()
+    }
 
     fn labels(pairs: &[(&str, &str)]) -> Labels {
         Labels::from_pairs(pairs.iter().copied())
@@ -1941,12 +1939,15 @@ mod tests {
         assert_eq!(a.chunk_count(), 3, "two sealed chunks plus the head copy");
         assert_eq!(a.at(3_500).unwrap().value, 3.0);
         assert_eq!(a.points_in(2_000, 5_000).len(), 4);
-        let collected: Vec<u64> = a.cursor(2_000, 5_000).map(|s| s.timestamp_ms).collect();
-        assert_eq!(collected, vec![2_000, 3_000, 4_000, 5_000]);
-        // Snapshots taken before later appends stay frozen.
+        let range = a.range(2_000, u64::MAX);
+        // Snapshots and ranges taken before later appends stay frozen.
         db.append("m", &Labels::new(), 20_000, 99.0);
         assert_eq!(a.len(), 10);
         assert_eq!(b.last_timestamp(), Some(9_000));
+        let mut read = Vec::new();
+        range.read_into(&mut read);
+        let collected: Vec<u64> = read.iter().map(|s| s.timestamp_ms).collect();
+        assert_eq!(collected, (2..10).map(|t| t * 1_000).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1992,32 +1993,26 @@ mod tests {
             let selector = Selector::metric(name);
             let a = &compressed.select(&selector)[0];
             assert_eq!(a.chunk_count(), 6 + 1, "the head joins as one more block");
-            let points = |lo, hi| -> Vec<(u64, f64)> {
-                range(lo, hi).iter().map(|s| (s.timestamp_ms, s.value)).collect()
-            };
             for (lo, hi) in [(0, u64::MAX), (17_000, 333_000), (490_000, 520_000)] {
-                assert_eq!(a.points_in(lo, hi), points(lo, hi));
+                assert_eq!(a.points_in(lo, hi), range(lo, hi));
             }
             for t in [0, 4_999, 5_000, 123_456, 481_000, 515_000, 529_999, u64::MAX] {
                 assert_eq!(a.at(t), at(t), "at {t}");
             }
-            assert_eq!(a.cursor(40_000, 200_000).collect::<Vec<_>>(), range(40_000, 200_000));
-            assert_eq!(
-                a.owned_cursor(0, u64::MAX).collect::<Vec<_>>(),
-                a.samples().collect::<Vec<_>>(),
-            );
             assert_eq!(a.last_sample(), b.last().copied());
-            // The bulk drain yields what stepping would, from a fresh cursor
-            // and from one stopped inside a sealed chunk or the head's block.
+            // A range handle appends to what its buffer holds, and reads the
+            // same again: inside one sealed chunk, across them, into the
+            // head's block and past the newest sample.
             for (lo, hi) in [(0, u64::MAX), (17_000, 333_000), (42_000, 42_000), (600_000, 700_000)]
             {
-                for consumed in [0usize, 1, 5, 37, 99, 105, 200] {
-                    let mut bulk = a.owned_cursor(lo, hi);
-                    let mut drained: Vec<Sample> = bulk.by_ref().take(consumed).collect();
-                    bulk.read_into(&mut drained);
-                    assert_eq!(drained, range(lo, hi));
-                    assert_eq!(bulk.next(), None, "read_into exhausts the cursor");
-                }
+                let handle = a.range(lo, hi);
+                let held = Sample { timestamp_ms: 7, value: -7.0 };
+                let mut read = vec![held];
+                handle.read_into(&mut read);
+                assert_eq!(read[1..], range(lo, hi));
+                read.truncate(1);
+                handle.read_into(&mut read);
+                assert_eq!(read, [&[held][..], &range(lo, hi)].concat());
             }
         }
         // Identical logical contents, far fewer resident bytes.
@@ -2131,7 +2126,7 @@ mod tests {
         assert_eq!(outcome.rejected, 1);
         assert_eq!(db.stats().rejected_samples, 1);
         let m = &db.select(&Selector::metric("m"))[0];
-        assert_eq!(m.points_in(0, u64::MAX), vec![(1_000, 1.0), (1_000, 2.0), (2_000, 4.0)]);
+        assert_eq!(pairs(m.points_in(0, u64::MAX)), [(1_000, 1.0), (1_000, 2.0), (2_000, 4.0)]);
         assert_eq!(db.append_handle(h, 2_500, 5.0), HandleAppend::Appended);
         assert_eq!(db.append_handle(h, 100, 0.0), HandleAppend::Rejected);
     }
@@ -2144,8 +2139,8 @@ mod tests {
         let mut out = format!("{:?}\n", StorageStats { series_bytes: 0, ..db.stats() });
         for series in db.select(&Selector::all()).iter() {
             out += &format!("{} {}\n", series.name(), series.to_labels());
-            for (t, v) in series.points_in(0, u64::MAX) {
-                out += &format!("  {t} {:016x}\n", v.to_bits());
+            for Sample { timestamp_ms, value } in series.points_in(0, u64::MAX) {
+                out += &format!("  {timestamp_ms} {:016x}\n", value.to_bits());
             }
         }
         let mut paths = fs.list(dir).expect("list");
@@ -2245,7 +2240,7 @@ mod tests {
         }
         // Nothing about n2's old data leaked into n1.
         let n1 = &db.select(&Selector::metric("m").with_label("node", "n1"))[0];
-        assert_eq!(n1.points_in(0, u64::MAX).first(), Some(&(1_000, 1.0)));
+        assert_eq!(pairs(n1.points_in(0, u64::MAX)).first(), Some(&(1_000, 1.0)));
         assert_eq!(db.drop_series(&Selector::metric("missing")), 0);
     }
 
@@ -2270,10 +2265,11 @@ mod tests {
             assert_eq!(db.append_handle(fresh, ts, v), HandleAppend::Appended);
         }
         let m = &db.select(&Selector::metric("m"))[0];
-        assert_eq!(m.points_in(0, u64::MAX), [(1_000, 1.0), (2_000, 2.0)], "no lost samples for m");
+        let m = pairs(m.points_in(0, u64::MAX));
+        assert_eq!(m, [(1_000, 1.0), (2_000, 2.0)], "no lost samples for m");
         let gone = &db.select(&Selector::metric("gone"))[0];
         assert_eq!(
-            gone.points_in(0, u64::MAX),
+            pairs(gone.points_in(0, u64::MAX)),
             [(2_000, 2.0)],
             "re-resolved series got the new sample"
         );
@@ -2510,7 +2506,10 @@ mod tests {
             after.series_bytes + 2 * size_of::<Head>() as u64,
             before.series_bytes + one_chunk_list()
         );
-        assert_eq!(db.select(&Selector::metric("short"))[0].points_in(0, u64::MAX), [(7, 1.0)]);
+        assert_eq!(
+            pairs(db.select(&Selector::metric("short"))[0].points_in(0, u64::MAX)),
+            [(7, 1.0)]
+        );
         assert!(probes::STALE_HEADS_SEALED.get() > sealed_before, "`short` was sealed");
         // The next head starts like a new series': a store, then a buffer.
         db.append_handle(full, 8 + STALE_HEAD_MS, 1.0);
@@ -2618,7 +2617,7 @@ mod tests {
             assert!(selected.len() <= 1, "{pod} selected {} series", selected.len());
             selected.first().map_or_else(Vec::new, |s| {
                 assert_eq!(s.label_value("pod"), Some(pod));
-                s.points_in(0, u64::MAX)
+                pairs(s.points_in(0, u64::MAX))
             })
         };
         // Either may be the one the index holds and the other the overflow.

@@ -129,7 +129,8 @@ fn recovery_restores_the_durable_state_from_real_files() {
     let db = TimeSeriesDb::open(&scratch.0, config).expect("reopen");
     let selected = db.select(&teemon_tsdb::Selector::metric("sgx_epc_pages"));
     assert_eq!(selected.len(), 1);
-    assert_eq!(selected[0].points_in(0, u64::MAX), samples);
+    let stored = selected[0].points_in(0, u64::MAX);
+    assert_eq!(stored.iter().map(|s| (s.timestamp_ms, s.value)).collect::<Vec<_>>(), samples);
     assert_eq!(db.stats().samples, 10);
     assert_eq!(db.stats().wal_failed_shards, 0);
 }

@@ -11,9 +11,9 @@
 //! 2 and 5, retention passes whose cutoffs land inside blocks, stale-head
 //! seals and `drop_series`.  After every operation the engine's `m` must
 //! read what the model holds, and every snapshot taken along the way — and
-//! an [`teemon_tsdb::OwnedSampleCursor`] taken from it and stepped a
-//! generated number of samples in — must still read exactly what it read
-//! when it was taken, whatever happened to the series since.
+//! a [`SampleRange`] taken from it over a generated window — must still read
+//! exactly what it read when it was taken, whatever happened to the series
+//! since.
 //!
 //! The last test checkpoints a durable store whose first blocks retention
 //! has aged in part, crashes it after every flush and reopens it: the
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use proptest::proptest;
 use teemon_metrics::Labels;
 use teemon_tsdb::{
-    CrashModel, DurabilityOptions, FaultFs, FsyncMode, OwnedSampleCursor, Sample, Selector,
+    CrashModel, DurabilityOptions, FaultFs, FsyncMode, Sample, SampleRange, Selector,
     SeriesSnapshot, StorageStats, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
 };
 
@@ -91,18 +91,18 @@ impl ModelSeries {
     }
 }
 
-/// A snapshot of `m`, what it read when taken, and a cursor taken from it
-/// over a window, stepped some samples in, with what it had left to read.
+/// A snapshot of `m`, what it read when taken, and a range taken from it
+/// over a window, with what the window held.
 struct Held {
     snapshot: SeriesSnapshot,
     samples: Vec<(u64, u64)>,
-    cursor: OwnedSampleCursor,
-    rest: Vec<(u64, u64)>,
+    range: SampleRange,
+    window: Vec<(u64, u64)>,
 }
 
 impl Held {
     fn take(snapshot: SeriesSnapshot, raw: u16) -> Self {
-        let samples = bits(snapshot.samples());
+        let samples = bits(snapshot.points_in(0, u64::MAX));
         // A window from a generated sample to the end or a later one.
         let len = samples.len() as u64;
         let from = samples.get((u64::from(raw) % len) as usize).map_or(0, |s| s.0);
@@ -110,23 +110,14 @@ impl Held {
             0 => u64::MAX,
             _ => samples.get((u64::from(raw / 3) % len) as usize).map_or(0, |s| s.0).max(from),
         };
-        let mut cursor = snapshot.owned_cursor(from, to);
-        let window: Vec<(u64, u64)> =
-            samples.iter().copied().filter(|s| (from..=to).contains(&s.0)).collect();
-        let steps = usize::from(raw / 7) % (window.len() + 1);
-        for expected in window.iter().take(steps) {
-            assert_eq!(cursor.next().map(|s| (s.timestamp_ms, s.value.to_bits())), Some(*expected));
-        }
-        let rest = window.get(steps..).unwrap_or(&[]).to_vec();
-        Self { snapshot, samples, cursor, rest }
+        let range = snapshot.range(from, to);
+        let window = samples.iter().copied().filter(|s| (from..=to).contains(&s.0)).collect();
+        Self { snapshot, samples, range, window }
     }
 
     /// Still reads what it read when taken.
     fn check(&self, op: usize) {
-        assert_eq!(bits(self.snapshot.samples()), self.samples, "snapshot, op {op}");
-        let points = self.snapshot.points_in(0, u64::MAX);
-        let points: Vec<(u64, u64)> = points.iter().map(|&(t, v)| (t, v.to_bits())).collect();
-        assert_eq!(points, self.samples, "points_in, op {op}");
+        assert_eq!(bits(self.snapshot.points_in(0, u64::MAX)), self.samples, "points_in, op {op}");
         // `at` on eight probes spread over the samples, a millisecond
         // either side of each, and past the end.
         let stride = self.samples.len() / 8 + 1;
@@ -137,10 +128,9 @@ impl Held {
             let at = self.snapshot.at(probe).map(|s| (s.timestamp_ms, s.value.to_bits()));
             assert_eq!(at, expected, "at {probe}, op {op}");
         }
-        assert_eq!(bits(self.cursor.clone()), self.rest, "stepped cursor, op {op}");
-        let mut drained = Vec::new();
-        self.cursor.clone().read_into(&mut drained);
-        assert_eq!(bits(drained), self.rest, "read_into, op {op}");
+        let mut read = Vec::new();
+        self.range.read_into(&mut read);
+        assert_eq!(bits(read), self.window, "range, op {op}");
     }
 }
 
@@ -252,7 +242,7 @@ impl Pair {
         match selected.as_slice() {
             [] => assert!(model.samples().is_empty(), "m is gone, op {op}"),
             [m] => {
-                assert_eq!(bits(m.samples()), bits(model.samples()), "m, op {op}");
+                assert_eq!(bits(m.points_in(0, u64::MAX)), bits(model.samples()), "m, op {op}");
                 assert_eq!(m.chunk_count(), model.chunk_count(), "m's chunks, op {op}");
             }
             more => panic!("{} series named m", more.len()),
@@ -265,7 +255,7 @@ impl Pair {
 
 proptest! {
     #[test]
-    fn snapshots_and_cursors_read_what_they_saw_whatever_the_series_does_after(
+    fn snapshots_and_ranges_read_what_they_saw_whatever_the_series_does_after(
         ops in proptest::collection::vec((0u8..16, 0u16..u16::MAX), 1..300),
         retention_kind in 0u8..3,
     ) {
@@ -317,7 +307,7 @@ fn a_checkpoint_of_partly_aged_blocks_reopens_to_the_same_store() {
         let series: Vec<_> = db
             .select(&Selector::all())
             .iter()
-            .map(|s| (s.to_labels().to_string(), s.chunk_count(), bits(s.samples())))
+            .map(|s| (s.to_labels().to_string(), s.chunk_count(), bits(s.points_in(0, u64::MAX))))
             .collect();
         // `series_bytes` counts capacities — history, not state.
         (StorageStats { series_bytes: 0, ..db.stats() }, db.census().head_bytes, series)

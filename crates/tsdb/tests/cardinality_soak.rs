@@ -118,7 +118,7 @@ fn push_families(round: u64) -> Vec<FamilySnapshot> {
 }
 
 /// One series as compared across the crash: id, name, labels, data.
-type SeriesDump = (u64, String, String, Vec<(u64, f64)>);
+type SeriesDump = (u64, String, String, Vec<teemon_tsdb::Sample>);
 
 /// Everything observable, in creation order — the restart-exactness oracle.
 fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {

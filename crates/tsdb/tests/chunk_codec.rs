@@ -6,37 +6,35 @@
 //! reader and writer replaced live on here as [`reference`], the oracles
 //! production must match — the decoder sample for sample on well-formed
 //! blocks of both kinds, past their end, read as the other kind, and on
-//! truncated, mangled, all-zero and random bytes, and the bulk front end,
-//! which takes runs of steady samples in one step, at every count it can be
-//! asked for; the encoder byte for byte and kind
-//! for kind on every input it accepts — whole, and through the resumable
-//! [`BlockEncoder`] in any split into bursts, wherever in the stream the
-//! first value that is not a whole number arrives.
+//! truncated, mangled, all-zero and random bytes, at every count it can be
+//! asked for (it takes runs of steady samples in one step); the encoder byte
+//! for byte and kind for kind on every input it accepts — whole, and through
+//! the resumable [`BlockEncoder`] in any split into bursts, wherever in the
+//! stream the first value that is not a whole number arrives.  The lazy
+//! decoder behind seeks and open heads is crate-private; the codec's unit
+//! tests hold it to the bulk one on the same inputs (`support/codec_inputs.rs`).
 //!
 //! [`reference::encode_xor`] is the encoder as it stood before blocks had
 //! kinds, kept verbatim: a block holding any value that does not qualify for
 //! the integer kind must still be, byte for byte, what it builds.
 
 use proptest::proptest;
-use teemon_tsdb::chunk_codec::{
-    decode, decode_into, encode, encode_into, BlockEncoder, BlockKind, GorillaState,
-};
+use teemon_tsdb::chunk_codec::{decode, decode_into, encode, encode_into, BlockEncoder, BlockKind};
 use teemon_tsdb::Sample;
 
 const KINDS: [BlockKind; 2] = [BlockKind::Xor, BlockKind::Integer];
 
-/// 2⁵³: the largest magnitude an integer block's value may have.
-const MAX_WHOLE: i64 = 1 << 53;
+#[path = "support/codec_inputs.rs"]
+mod codec_inputs;
 
-/// Payload widths of the integer value ladder, as the format documents them.
-const VALUE_LADDER: [u32; 7] = [5, 9, 14, 20, 26, 34, 48];
+use codec_inputs::{build_samples, qualifies, switch_at, MAX_WHOLE, VALUE_LADDER};
 
 /// The previous production decoder and encoder, verbatim — one `bytes.get`
 /// per bit or byte fragment and one `write_bit` per bit, no accumulator —
 /// and the integer kind written the same way.  Written against the byte
 /// format only.
 mod reference {
-    use super::{BlockKind, MAX_WHOLE, VALUE_LADDER};
+    use super::{qualifies, BlockKind, VALUE_LADDER};
     use teemon_tsdb::Sample;
 
     /// Appends bits to a byte buffer, most-significant bit of each value first.
@@ -73,15 +71,6 @@ mod reference {
 
     /// Sentinel for "no value window established yet".
     const NO_WINDOW: u32 = u32::MAX;
-
-    /// The qualification rule, from its definition: a whole number, not the
-    /// negative zero, of magnitude at most 2⁵³.
-    pub fn qualifies(value: f64) -> bool {
-        value.is_finite()
-            && value.trunc() == value
-            && value.abs() <= MAX_WHOLE as f64
-            && value.to_bits() != (-0.0f64).to_bits()
-    }
 
     /// The block of `samples` and its kind: the integer block iff every
     /// value qualifies, the XOR block as it always was otherwise.
@@ -288,7 +277,7 @@ mod reference {
             }
         }
 
-        pub fn next(&mut self, bytes: &[u8]) -> Sample {
+        pub fn next_sample(&mut self, bytes: &[u8]) -> Sample {
             if self.emitted == 0 {
                 self.prev_ts = read_bits(bytes, &mut self.bit_pos, 64);
                 self.prev_bits = read_bits(bytes, &mut self.bit_pos, 64);
@@ -368,129 +357,13 @@ mod reference {
 
     pub fn decode(bytes: &[u8], kind: BlockKind, count: usize) -> Vec<Sample> {
         let mut decoder = Decoder::new(kind);
-        (0..count).map(|_| decoder.next(bytes)).collect()
+        (0..count).map(|_| decoder.next_sample(bytes)).collect()
     }
 }
 
-/// Where in a generated stream the values stop being whole numbers only:
-/// nowhere (kind 0: the whole stream draws from every value kind), past the
-/// end (1: an integer block), or at a drawn position.
-fn switch_at((kind, position): (u8, usize), len: usize) -> usize {
-    match kind % 3 {
-        0 => 0,
-        1 => len,
-        _ => position % len.max(1),
-    }
-}
-
-/// Sample specs: a delta selector and a value selector, expanded into
-/// timestamp deltas / values that stress every encoder bucket.  Values
-/// before `whole_until` are whole numbers of magnitude at most 2⁵³ — the
-/// integer ladder's rungs, their edges and the extremes among them; from
-/// there on anything goes.
-///
-/// A delta selector of 8 or 9 is not one sample but a steady stretch: `1 +
-/// raw % 200` samples at the cadence of the two before it, the value standing
-/// still (8) or, whole numbers permitting, holding its rate (9) — two zero
-/// bits a sample in a block of the kind that suits, which is what the bulk
-/// decoder takes in runs.  Up to 200, so a run crosses the reader's 57-bit
-/// refills several times over; the sample specs around a stretch are the
-/// single escapes that interrupt it.  The properties that draw selectors
-/// below 8 see no stretches.
-fn build_samples(specs: &[(u8, u8, u16)], whole_until: usize) -> Vec<Sample> {
-    let mut ts = 0u64;
-    let mut prev_bits = 0u64;
-    let mut prev_int = 0i64;
-    let mut out: Vec<Sample> = Vec::new();
-    for (i, &(delta_kind, value_kind, raw)) in specs.iter().enumerate() {
-        if delta_kind >= 8 {
-            let (cadence, rate) = match out[..] {
-                [.., a, b] => (b.timestamp_ms - a.timestamp_ms, b.value - a.value),
-                _ => (5_000, 0.0),
-            };
-            let mut value = out.last().map_or(0.0, |s| s.value);
-            let holds_rate = delta_kind == 9 && reference::qualifies(value);
-            for _ in 0..=raw % 200 {
-                ts = ts.saturating_add(cadence);
-                if holds_rate && reference::qualifies(value + rate) {
-                    value += rate;
-                }
-                out.push(Sample { timestamp_ms: ts, value });
-            }
-            prev_bits = value.to_bits();
-            prev_int = if reference::qualifies(value) { value as i64 } else { 0 };
-            continue;
-        }
-        let delta = match delta_kind {
-            0 => 0,                            // duplicate timestamp
-            1 => 1,                            // minimal step
-            2 => 5_000,                        // steady scrape cadence
-            3 => 5_000 + u64::from(raw % 100), // jittered cadence
-            4 => u64::from(raw),               // small arbitrary
-            5 => u64::from(raw) * 1_000,       // Δ² beyond the 12-bit bucket
-            6 => u64::from(raw) << 32,         // huge: raw-delta escape
-            _ => 86_400_000,                   // one day
-        };
-        ts = ts.saturating_add(delta);
-        let value = if i < whole_until {
-            let step = i64::from(raw);
-            let int = match value_kind % 10 {
-                0 => 0,
-                1 => prev_int,                    // a gauge at rest
-                2 | 3 => prev_int + 1 + step % 3, // a counter, nearly steady
-                4 => prev_int - step,             // falling
-                5 => step << (raw % 38),          // anywhere up to 2⁵³
-                6 => {
-                    if raw % 2 == 0 {
-                        MAX_WHOLE
-                    } else {
-                        -MAX_WHOLE
-                    }
-                }
-                // A Δ² on, and one off, either end of a ladder rung.
-                7 => {
-                    let half = 1i64 << (VALUE_LADDER[usize::from(raw % 7)] - 1);
-                    prev_int + [half, half + 1, 1 - half, -half][usize::from(raw / 7 % 4)]
-                }
-                8 => -prev_int,
-                _ => step,
-            };
-            int.clamp(-MAX_WHOLE, MAX_WHOLE) as f64
-        } else {
-            // Kinds 10 and up are bit patterns aimed at the XOR encoder's
-            // window logic; the round-trip and decoder properties draw
-            // from the first ten only.
-            match value_kind % 14 {
-                0 => 0.0,
-                1 => -0.0,
-                2 => f64::NAN,
-                3 => f64::INFINITY,
-                4 => f64::NEG_INFINITY,
-                5 => f64::from(raw),          // small integers
-                6 => -f64::from(raw),         // negative
-                7 => f64::from(raw) * 1e-300, // subnormal territory
-                8 => f64::from(raw) * 1e300,  // huge magnitude
-                9 => f64::from(raw) + f64::from(raw % 7) * 0.1,
-                // Every bit flipped: a 64-bit meaningful window.
-                10 => f64::from_bits(!prev_bits),
-                // NaN payloads of either sign.
-                11 => f64::from_bits((0x7ff8 << 48) | (u64::from(raw) << 63) | u64::from(raw)),
-                // Full-entropy patterns: a new, wide window almost every time.
-                12 => f64::from_bits(u64::from(raw).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                // A few bits mid-word: fits (and reuses) the previous window.
-                _ => f64::from_bits(prev_bits ^ (u64::from(raw % 64) << 24)),
-            }
-        };
-        prev_bits = value.to_bits();
-        prev_int = if reference::qualifies(value) { value as i64 } else { 0 };
-        out.push(Sample { timestamp_ms: ts, value });
-    }
-    out
-}
-
-/// Asserts the production decoder — bulk `decode`/`decode_into` and the
-/// one-at-a-time `GorillaState` — reads `count` samples off `bytes` as a
-/// block of `kind` exactly as the reference does.  The bulk decoder takes a
+/// Asserts the production decoder — `decode` and `decode_into` — reads
+/// `count` samples off `bytes` as a block of `kind` exactly as the reference
+/// does.  The bulk decoder takes a
 /// run of steady samples in one step, cut to the count it was given, so for
 /// it every count up to `count` is a case of its own: a run that ends on the
 /// count, one short of it, or that the count cuts anywhere.
@@ -503,10 +376,6 @@ fn assert_matches_reference(bytes: &[u8], kind: BlockKind, count: usize) {
         decode_into(bytes, kind, upto, &mut appended);
         assert!(samples_identical(&appended[1..], &want[..upto]), "decode_into diverged at {upto}");
     }
-    let mut state = GorillaState::new(kind);
-    let streamed: Vec<Sample> = (0..count).map(|_| state.next(bytes)).collect();
-    assert!(samples_identical(&streamed, &want), "GorillaState diverged");
-    assert_eq!(state.emitted() as usize, count);
 }
 
 /// Bit-exact equality (plain `==` treats NaN as unequal).
@@ -519,7 +388,7 @@ fn samples_identical(a: &[Sample], b: &[Sample]) -> bool {
 
 /// The kind the samples call for.
 fn kind_of(samples: &[Sample]) -> BlockKind {
-    if samples.iter().all(|s| reference::qualifies(s.value)) {
+    if samples.iter().all(|s| qualifies(s.value)) {
         BlockKind::Integer
     } else {
         BlockKind::Xor
@@ -527,9 +396,8 @@ fn kind_of(samples: &[Sample]) -> BlockKind {
 }
 
 proptest! {
-    /// Round trip: every time-ordered input decodes back bit-for-bit, both
-    /// through the materialising `decode` and the streaming `GorillaState`,
-    /// and its kind is the one its values call for.
+    /// Round trip: every time-ordered input decodes back bit-for-bit, and its
+    /// kind is the one its values call for.
     #[test]
     fn encode_decode_round_trips(
         specs in proptest::collection::vec((0u8..8, 0u8..10, 0u16..u16::MAX), 1..200),
@@ -539,10 +407,6 @@ proptest! {
         let (kind, bytes) = encode(&samples).expect("time-ordered input must encode");
         assert_eq!(kind, kind_of(&samples));
         assert!(samples_identical(&decode(&bytes, kind, samples.len()), &samples));
-        let mut state = GorillaState::new(kind);
-        let streamed: Vec<Sample> = (0..samples.len()).map(|_| state.next(&bytes)).collect();
-        assert!(samples_identical(&streamed, &samples));
-        assert_eq!(state.emitted() as usize, samples.len());
     }
 
     /// The accumulator decoder equals the bit-by-bit reference on encoded
@@ -584,7 +448,7 @@ proptest! {
         }
     }
 
-    /// Three decoders, one answer, where the bits say "same again": long
+    /// Two decoders, one answer, where the bits say "same again": long
     /// steady stretches of either kind between single escapes, every count
     /// from nothing to five samples past the end, and the block read as the
     /// kind it is not.

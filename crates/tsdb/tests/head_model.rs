@@ -5,8 +5,9 @@
 //! that.  Here a plain `Vec<Sample>` chunk list plays the series — append,
 //! seal at `chunk_size`, the retention pass with its stale-head rule and
 //! eviction, all a few lines each — and after **every** operation of a
-//! generated stream the engine must agree with it: `at`, `points_in`, the
-//! borrowed and owned cursors, `read_into`, the chunk count, and the ledger ([`StorageStats::resident_bytes`],
+//! generated stream the engine must agree with it: `at`, `points_in`, a
+//! [`SeriesSnapshot::range`] read into a buffer that already holds samples,
+//! the chunk count, and the ledger ([`StorageStats::resident_bytes`],
 //! [`TimeSeriesDb::head_bytes`]) recounted from the model with
 //! [`chunk_codec::encode`].  Chunk sizes sit on both sides of the eight-sample
 //! tail (1, 4, 7, 8, 9) and at the default 120.
@@ -180,10 +181,6 @@ fn bits(samples: impl IntoIterator<Item = Sample>) -> Vec<(u64, u64)> {
     samples.into_iter().map(|s| (s.timestamp_ms, s.value.to_bits())).collect()
 }
 
-fn point_bits(points: &[(u64, f64)]) -> Vec<(u64, u64)> {
-    points.iter().map(|&(t, v)| (t, v.to_bits())).collect()
-}
-
 /// The engine and the model side by side: series `m` and, in the same lock
 /// shard, series `clock`.
 struct Pair {
@@ -270,7 +267,7 @@ impl Pair {
         let [snapshot] = snapshots.as_slice() else { panic!("{name}: one series expected") };
         assert_eq!(snapshot.len(), expected.len());
         assert_eq!(snapshot.chunk_count(), model.chunk_count());
-        assert_eq!(bits(snapshot.samples()), bits(expected.iter().copied()));
+        assert_eq!(bits(snapshot.points_in(0, u64::MAX)), bits(expected.iter().copied()));
         assert_eq!(snapshot.first_timestamp(), expected.first().map(|s| s.timestamp_ms));
         assert_eq!(snapshot.last_timestamp(), model.newest());
         assert_eq!(bits(snapshot.last_sample()), bits(expected.last().copied()));
@@ -300,16 +297,13 @@ impl Pair {
         for (lo, hi) in ranges {
             let want =
                 bits(expected.iter().filter(|s| (lo..=hi).contains(&s.timestamp_ms)).copied());
-            assert_eq!(point_bits(&snapshot.points_in(lo, hi)), want, "{name}: [{lo}, {hi}]");
-            assert_eq!(bits(snapshot.cursor(lo, hi)), want, "{name}: cursor [{lo}, {hi}]");
-            assert_eq!(bits(snapshot.owned_cursor(lo, hi)), want, "{name}: owned [{lo}, {hi}]");
-            // The bulk drain, fresh and from a cursor stopped anywhere.
-            for consumed in [0, 1, probe as usize % (want.len() + 1), want.len()] {
-                let mut cursor = snapshot.owned_cursor(lo, hi);
-                let mut drained: Vec<Sample> = cursor.by_ref().take(consumed).collect();
-                cursor.read_into(&mut drained);
-                assert_eq!(bits(drained), want, "{name}: read_into after {consumed}");
-                assert_eq!(cursor.next(), None);
+            assert_eq!(bits(snapshot.points_in(lo, hi)), want, "{name}: [{lo}, {hi}]");
+            // The range handle appends behind what its buffer already holds.
+            for kept in [0, 1, probe as usize % (expected.len() + 1), expected.len()] {
+                let mut read = expected[..kept].to_vec();
+                snapshot.range(lo, hi).read_into(&mut read);
+                assert_eq!(bits(read.drain(kept..)), want, "{name}: range [{lo}, {hi}]");
+                assert_eq!(bits(read), bits(expected[..kept].iter().copied()));
             }
         }
     }

@@ -226,7 +226,8 @@ fn concurrent_appends_lose_nothing() {
     // Every series kept every sample in order.
     for snap in &snaps {
         assert_eq!(snap.len() as u64, SAMPLES_PER_SERIES);
-        let timestamps: Vec<u64> = snap.samples().map(|s| s.timestamp_ms).collect();
+        let timestamps: Vec<u64> =
+            snap.points_in(0, u64::MAX).iter().map(|s| s.timestamp_ms).collect();
         assert!(timestamps.windows(2).all(|w| w[0] < w[1]));
     }
     // The key-hash distribution actually spreads series over the lock

@@ -258,7 +258,11 @@ fn down_targets_stale_stamps_and_histograms_match_the_reference() {
     assert_eq!(fast_db.stats().rejected_samples, 5);
     let swinging = Selector::metric("queue_depth").with_label("queue", "swinging");
     assert_eq!(
-        fast_db.select(&swinging)[0].points_in(0, u64::MAX),
+        fast_db.select(&swinging)[0]
+            .points_in(0, u64::MAX)
+            .iter()
+            .map(|s| (s.timestamp_ms, s.value))
+            .collect::<Vec<_>>(),
         [(6_000, 5_000.0), (16_000, 15_000.0)]
     );
     // Histogram: three buckets, `_sum` and `_count`, every round.

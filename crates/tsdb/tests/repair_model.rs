@@ -543,7 +543,9 @@ fn respelled_and_repeated_lines_store_what_their_snapshots_store() {
         targets.scrape(text, &doc, now, &format!("{text:?}"));
     }
     let stored = lane_db.select(&Selector::metric("h_bucket").with_label("le", "0.5"));
-    assert_eq!(stored[0].points_in(0, u64::MAX), [(20_000, 1.0), (25_000, 2.0)]);
+    let stored: Vec<_> =
+        stored[0].points_in(0, u64::MAX).iter().map(|s| (s.timestamp_ms, s.value)).collect();
+    assert_eq!(stored, [(20_000, 1.0), (25_000, 2.0)]);
     let relayed = lane_db.select(&Selector::metric("up").with_label("instance", "main:1"));
     let mut exported: Vec<_> =
         relayed.iter().filter_map(|s| s.label_value("exported_instance")).collect();

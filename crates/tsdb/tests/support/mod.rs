@@ -128,7 +128,7 @@ impl MetricsEndpoint for ScriptedEndpoint {
 }
 
 /// One series as compared across databases: id, name, rendered labels, data.
-pub type SeriesDump = (u64, String, String, Vec<(u64, f64)>);
+pub type SeriesDump = (u64, String, String, Vec<teemon_tsdb::Sample>);
 
 /// Everything observable about a database, in creation order.
 pub fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {

@@ -68,7 +68,7 @@ static ONE_CASE_AT_A_TIME: std::sync::OnceLock<parking_lot::Mutex<()>> = std::sy
 /// Ids are deliberately left out: a restart rewinds the id counter to the
 /// highest *surviving* id, so a durable database legitimately reuses the
 /// ids of dropped series where the never-restarted twin keeps counting.
-type SeriesDump = (String, String, Vec<(u64, f64)>);
+type SeriesDump = (String, String, Vec<teemon_tsdb::Sample>);
 
 /// Every observable series string and sample, in creation order.
 fn dump(db: &TimeSeriesDb) -> Vec<SeriesDump> {

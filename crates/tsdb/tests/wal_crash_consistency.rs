@@ -116,7 +116,7 @@ fn went_full_cycle(fs: &FaultFs) -> bool {
 }
 
 /// One series as compared across databases: id, name, rendered labels, data.
-type SeriesDump = (u64, String, String, Vec<(u64, f64)>);
+type SeriesDump = (u64, String, String, Vec<teemon_tsdb::Sample>);
 
 /// Everything observable about a database, in creation order.
 fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {

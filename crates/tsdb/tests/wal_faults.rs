@@ -60,7 +60,7 @@ fn run_round(db: &TimeSeriesDb, round: u64, series: usize) -> bool {
 }
 
 /// One series as compared across databases: id, name, rendered labels, data.
-type SeriesDump = (u64, String, String, Vec<(u64, f64)>);
+type SeriesDump = (u64, String, String, Vec<teemon_tsdb::Sample>);
 
 /// Everything observable about a database, in creation order.
 fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
@@ -87,7 +87,11 @@ fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
 fn series_points(db: &TimeSeriesDb) -> BTreeMap<(String, String), Vec<(u64, f64)>> {
     db.select(&Selector::all())
         .iter()
-        .map(|s| ((s.name().to_string(), s.to_labels().to_string()), s.points_in(0, u64::MAX)))
+        .map(|s| {
+            let points =
+                s.points_in(0, u64::MAX).iter().map(|p| (p.timestamp_ms, p.value)).collect();
+            ((s.name().to_string(), s.to_labels().to_string()), points)
+        })
         .collect()
 }
 

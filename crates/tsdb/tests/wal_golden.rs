@@ -132,7 +132,8 @@ fn fingerprint(db: &TimeSeriesDb) -> String {
     for s in db.select(&Selector::all()).iter() {
         writeln!(out, "series {} {} {}", s.series_id().as_u64(), s.name(), s.to_labels())
             .expect("write to a String");
-        for (t, v) in s.points_in(0, u64::MAX) {
+        for sample in s.points_in(0, u64::MAX) {
+            let (t, v) = (sample.timestamp_ms, sample.value);
             writeln!(out, "  {t} {:016x}", v.to_bits()).expect("write to a String");
         }
     }

@@ -57,7 +57,7 @@ fn full_pipeline_from_workload_to_dashboard() {
     // Counter series are monotonically non-decreasing (scrapes of counters).
     for series in db.select(&Selector::metric("teemon_syscalls_total")) {
         assert!(
-            series.points_in(0, u64::MAX).windows(2).all(|w| w[1].1 >= w[0].1),
+            series.points_in(0, u64::MAX).windows(2).all(|w| w[1].value >= w[0].value),
             "counter series {} went backwards",
             series.display_name()
         );
