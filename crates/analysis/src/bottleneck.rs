@@ -510,7 +510,7 @@ mod tests {
         // The alert's expression on the same grid: [0, 660 s] every minute.
         let engine = QueryEngine::new(db);
         let firing = engine.range(&expr, 0, 660_000, 60_000).unwrap();
-        let alerted: Vec<u64> = firing[0].points.iter().map(|&(t, _)| t).collect();
+        let alerted: Vec<u64> = firing[0].points.iter().map(|p| p.timestamp_ms).collect();
         assert_eq!(pman, alerted);
         assert_eq!(pman, (5..=10).map(|m| m * 60_000).collect::<Vec<_>>());
         assert!(anomalies.iter().all(|a| a.rule == "spike" && a.severity == Severity::Warning));

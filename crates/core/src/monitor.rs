@@ -778,7 +778,7 @@ mod tests {
         assert_eq!(derived.len(), 1);
         assert_eq!(derived[0].label_value("node"), Some("worker-3"));
         assert!(derived[0].len() >= 5, "one point per evaluation after warm-up");
-        assert!(derived[0].last_sample().unwrap().value > 0.0, "observed a positive syscall rate");
+        assert!(derived[0].at(u64::MAX).unwrap().value > 0.0, "observed a positive syscall rate");
         // The alert held for its `for` duration and fired, with the ALERTS
         // series exported for dashboards.
         let firing = host.rules().firing_alerts();

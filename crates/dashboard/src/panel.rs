@@ -10,15 +10,15 @@
 //! Dashboards are the read path's heaviest customer: every refresh is a
 //! range query per panel, which the engine's streaming range evaluator
 //! answers in `O(samples touched)` rather than `O(steps × window)` (see
-//! [`teemon_query::stream`]), reading sealed chunks in their
-//! Gorilla-compressed form through streaming-decode cursors — a dashboard
-//! refresh never materialises a decompressed chunk.
+//! [`teemon_query::stream`]): each series' chunks in range are decoded once,
+//! into a buffer the run reuses from series to series, and the points reach
+//! [`PanelData`] as the store's own [`Sample`]s.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use teemon_query::{QueryEngine, RangeSeries};
-use teemon_tsdb::{Selector, TimeSeriesDb};
+use teemon_tsdb::{Sample, Selector, TimeSeriesDb};
 
 use crate::render;
 
@@ -120,21 +120,24 @@ impl Panel {
     /// clamped end.  Every series shares that grid, so the aggregate is their
     /// per-step sum and the headline value its last point.
     pub fn evaluate(&self, db: &TimeSeriesDb, start_ms: u64, end_ms: u64) -> PanelData {
-        let series: Vec<(String, Vec<(u64, f64)>)> = self
+        let series: Vec<(String, Vec<Sample>)> = self
             .range(db, start_ms, end_ms)
             .into_iter()
             .map(|series| (series.display_name(), series.points))
             .collect();
         let mut per_step = BTreeMap::new();
-        for &(t, v) in series.iter().flat_map(|(_, points)| points) {
-            *per_step.entry(t).or_insert(0.0) += v;
+        for point in series.iter().flat_map(|(_, points)| points) {
+            *per_step.entry(point.timestamp_ms).or_insert(0.0) += point.value;
         }
-        let aggregated: Vec<(u64, f64)> = per_step.into_iter().collect();
+        let aggregated: Vec<Sample> = per_step
+            .into_iter()
+            .map(|(timestamp_ms, value)| Sample { timestamp_ms, value })
+            .collect();
         PanelData {
             title: self.title.clone(),
             kind: self.kind,
             unit: self.unit.clone(),
-            current: aggregated.last().map(|(_, v)| *v),
+            current: aggregated.last().map(|s| s.value),
             series,
             aggregated,
             max: self.max,
@@ -170,9 +173,9 @@ pub struct PanelData {
     /// Unit suffix.
     pub unit: String,
     /// Per-series points (label → points).
-    pub series: Vec<(String, Vec<(u64, f64)>)>,
+    pub series: Vec<(String, Vec<Sample>)>,
     /// Points aggregated across series.
-    pub aggregated: Vec<(u64, f64)>,
+    pub aggregated: Vec<Sample>,
     /// The headline value: the last aggregated point.
     pub current: Option<f64>,
     /// Gauge maximum.
@@ -185,7 +188,7 @@ impl PanelData {
         let mut out = format!("== {} ==\n", self.title);
         match self.kind {
             PanelKind::Graph | PanelKind::Histogram => {
-                let values: Vec<f64> = self.aggregated.iter().map(|(_, v)| *v).collect();
+                let values: Vec<f64> = self.aggregated.iter().map(|s| s.value).collect();
                 out.push_str(&render::render_ascii_chart(&values, width, 8));
             }
             PanelKind::Gauge => {
@@ -203,13 +206,13 @@ impl PanelData {
             PanelKind::Table => {
                 // One row per series with a value at the newest step: a
                 // series gone stale before it is not a current row.
-                let newest = self.aggregated.last().map(|(t, _)| *t);
+                let newest = self.aggregated.last().map(|s| s.timestamp_ms);
                 let rows: Vec<(String, f64)> = self
                     .series
                     .iter()
                     .filter_map(|(label, points)| {
-                        let &(t, v) = points.last()?;
-                        (Some(t) == newest).then(|| (label.clone(), v))
+                        let last = points.last()?;
+                        (Some(last.timestamp_ms) == newest).then(|| (label.clone(), last.value))
                     })
                     .collect();
                 out.push_str(&render::render_table(&rows, &self.unit));
@@ -296,7 +299,7 @@ mod tests {
         assert!(rendered.contains("Syscall rate"));
         // Expression panels honour explicit (clamped) ranges too.
         let clamped = panel.evaluate(&db(), 10_000, 30_000);
-        assert!(clamped.aggregated.iter().all(|(t, _)| (10_000..=30_000).contains(t)));
+        assert!(clamped.aggregated.iter().all(|s| (10_000..=30_000).contains(&s.timestamp_ms)));
     }
 
     #[test]
@@ -328,8 +331,8 @@ mod tests {
     fn panels_read_sealed_compressed_chunks() {
         use teemon_tsdb::TsdbConfig;
         // A tiny chunk size forces nearly all samples into sealed
-        // (Gorilla-compressed) chunks: both panel paths must read through
-        // the streaming decoders and agree with the default configuration.
+        // (Gorilla-compressed) chunks: both panel paths must read them
+        // through the decoder and agree with the default configuration.
         let small_chunks =
             TimeSeriesDb::with_config(TsdbConfig { chunk_size: 8, retention_ms: u64::MAX });
         let reference = db();
@@ -363,6 +366,16 @@ mod tests {
     }
 
     #[test]
+    fn panel_data_serde_round_trips() {
+        // Points travel as the store's samples: `{"timestamp_ms":…,"value":…}`.
+        let panel = Panel::table("t", Selector::metric("sgx_nr_free_pages")).with_step_ms(15_000);
+        let data = panel.evaluate(&db(), 0, 45_000);
+        let json = serde_json::to_string(&data).unwrap();
+        assert!(json.contains(r#""aggregated":[{"timestamp_ms":0,"value":24000},"#), "{json}");
+        assert_eq!(serde_json::from_str::<PanelData>(&json).unwrap(), data);
+    }
+
+    #[test]
     fn selector_panels_store_their_selector_as_teeql() {
         let selector = Selector::metric("m").with_label("node", "n\"1").with_label_present("job");
         let panel = Panel::table("t", selector.clone());
@@ -383,12 +396,13 @@ mod tests {
         }
         let data = Panel::graph("g", Selector::metric("g")).evaluate(&db, 0, u64::MAX);
         assert_eq!(data.aggregated.len(), 61);
-        assert_eq!(data.aggregated.last(), Some(&(145, 4.0)));
+        assert_eq!(data.aggregated.last(), Some(&Sample { timestamp_ms: 145, value: 4.0 }));
         assert_eq!(data.current, Some(4.0));
         // So does an explicit step that does not divide the range.
         let stepped = Panel::stat("g", Selector::metric("g")).with_step_ms(50);
         let data = stepped.evaluate(&db, 0, u64::MAX);
-        assert_eq!(data.aggregated, vec![(45, 2.0), (95, 3.0), (145, 4.0)]);
+        let at = |timestamp_ms, value| Sample { timestamp_ms, value };
+        assert_eq!(data.aggregated, [at(45, 2.0), at(95, 3.0), at(145, 4.0)]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt;
 
 use teemon_metrics::Labels;
 use teemon_obs::{probes, slow, Stopwatch};
-use teemon_tsdb::TimeSeriesDb;
+use teemon_tsdb::{Sample, TimeSeriesDb};
 
 use crate::ast::{Expr, RangeFunc};
 use crate::lexer::ParseError;
@@ -30,8 +30,8 @@ pub struct RangeSeries {
     pub name: Option<String>,
     /// Series labels.
     pub labels: Labels,
-    /// `(timestamp_ms, value)` points in chronological order.
-    pub points: Vec<(u64, f64)>,
+    /// Points in chronological order, as the store's [`Sample`]s.
+    pub points: Vec<Sample>,
 }
 
 impl RangeSeries {
@@ -257,11 +257,7 @@ impl QueryEngine {
         if let Expr::Range { selector, window_ms } = expr {
             let start = at_ms.saturating_sub(*window_ms);
             let series = self.db.select(selector).into_iter().filter_map(|snapshot| {
-                let points: Vec<(u64, f64)> = snapshot
-                    .points_in(start, at_ms)
-                    .into_iter()
-                    .map(|sample| (sample.timestamp_ms, sample.value))
-                    .collect();
+                let points = snapshot.points_in(start, at_ms);
                 let name = Some(snapshot.name().to_string());
                 (!points.is_empty()).then(|| RangeSeries {
                     name,
@@ -276,7 +272,7 @@ impl QueryEngine {
             return Ok(Value::Scalar(value));
         }
         let samples = plan.run(at_ms, at_ms, 1).into_iter().filter_map(|series| {
-            let &(_, value) = series.points.first()?;
+            let value = series.points.first()?.value;
             Some(VectorSample { name: series.name, labels: series.labels, value })
         });
         Ok(Value::Vector(samples.collect()))
@@ -481,12 +477,13 @@ mod tests {
         assert_eq!(series.len(), 2);
         for s in &series {
             assert_eq!(s.points.len(), 3, "steps at 30, 45, 60 s");
-            assert!(s.points.windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(s.points.windows(2).all(|w| w[0].timestamp_ms < w[1].timestamp_ms));
         }
         // Scalar expressions produce one label-less series.
         let scalar = engine.range_query("42", 0, 10_000, 5_000).unwrap();
         assert_eq!(scalar.len(), 1);
-        assert_eq!(scalar[0].points, vec![(0, 42.0), (5_000, 42.0), (10_000, 42.0)]);
+        let at = |timestamp_ms| Sample { timestamp_ms, value: 42.0 };
+        assert_eq!(scalar[0].points, [at(0), at(5_000), at(10_000)]);
         assert_eq!(scalar[0].display_name(), "{}");
     }
 

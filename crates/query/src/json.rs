@@ -28,6 +28,7 @@ use std::fmt::Write as _;
 
 use teemon_metrics::exposition::write_value;
 use teemon_metrics::Labels;
+use teemon_tsdb::Sample;
 
 use crate::eval::{RangeSeries, Value};
 
@@ -170,13 +171,13 @@ struct Prefixes {
 }
 
 impl Prefixes {
-    fn of(points: &[(u64, f64)]) -> Self {
+    fn of(points: &[Sample]) -> Self {
         let mut text = String::with_capacity(points.len() * BYTES_PER_POINT / 2);
         let ends = points
             .iter()
-            .map(|&(t, _)| {
-                push_prefix(&mut text, t);
-                (t, text.len())
+            .map(|point| {
+                push_prefix(&mut text, point.timestamp_ms);
+                (point.timestamp_ms, text.len())
             })
             .collect();
         Self { text, ends }
@@ -269,9 +270,9 @@ pub fn range_response(series: &[RangeSeries]) -> String {
             push_metric(out, s.name.as_deref(), &s.labels);
             out.push_str(r#","values":"#);
             let mut prefix = prefixes.cursor();
-            push_array(out, &s.points, |out, &(t, v)| {
-                prefix.push(out, t);
-                push_value(out, v);
+            push_array(out, &s.points, |out, point| {
+                prefix.push(out, point.timestamp_ms);
+                push_value(out, point.value);
                 out.push_str("\"]");
             });
             out.push('}');
@@ -359,8 +360,11 @@ mod tree {
             series
                 .iter()
                 .map(|s| {
-                    let values =
-                        s.points.iter().map(|&(t, v)| sample_pair(t, v)).collect::<Vec<Json>>();
+                    let values = s
+                        .points
+                        .iter()
+                        .map(|p| sample_pair(p.timestamp_ms, p.value))
+                        .collect::<Vec<Json>>();
                     Json::Object(vec![
                         ("metric".to_string(), metric_object(s.name.as_deref(), &s.labels)),
                         ("values".to_string(), Json::Array(values)),
@@ -451,7 +455,10 @@ mod tests {
                 labels: labels(label_spec),
                 points: points
                     .iter()
-                    .map(|&(tp, vp, raw)| (timestamp(tp, raw), value(vp, raw)))
+                    .map(|&(tp, vp, raw)| Sample {
+                        timestamp_ms: timestamp(tp, raw),
+                        value: value(vp, raw),
+                    })
                     .collect(),
             })
             .collect()
@@ -532,10 +539,13 @@ mod tests {
         // `f64` seconds print rounded.
         let timestamps =
             [0, 999, 1_000, TWO_53, TWO_53 + 1_000, u64::MAX - u64::MAX % 1_000, u64::MAX];
-        let series = |points: Vec<(u64, f64)>| RangeSeries {
+        let series = |points: Vec<_>| RangeSeries {
             name: Some("m".to_string()),
             labels: Labels::new(),
-            points,
+            points: points
+                .into_iter()
+                .map(|(timestamp_ms, value)| Sample { timestamp_ms, value })
+                .collect(),
         };
         let grid: Vec<RangeSeries> =
             values.iter().map(|&v| series(timestamps.iter().map(|&t| (t, v)).collect())).collect();
@@ -620,7 +630,10 @@ mod tests {
         let series = vec![RangeSeries {
             name: None,
             labels: Labels::from_pairs([("node", "n1")]),
-            points: vec![(5_000, 1.5), (10_000, 2.5)],
+            points: vec![
+                Sample { timestamp_ms: 5_000, value: 1.5 },
+                Sample { timestamp_ms: 10_000, value: 2.5 },
+            ],
         }];
         let json = parse(&range_response(&series));
         let data = json.get("data").expect("data");

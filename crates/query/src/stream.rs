@@ -165,7 +165,8 @@ impl StreamPlan {
         let mut stats = RunStats::default();
         match self.kind {
             PlanKind::Scalar(value) => {
-                let points = grid.times().map(|t| (t, value)).collect();
+                let points =
+                    grid.times().map(|timestamp_ms| Sample { timestamp_ms, value }).collect();
                 (vec![RangeSeries { name: None, labels: Labels::new(), points }], stats)
             }
             PlanKind::Vector { root, keys } => {
@@ -179,9 +180,9 @@ impl StreamPlan {
                         return;
                     }
                     let mut points = Vec::with_capacity(present);
-                    points.extend(
-                        grid.times().zip(column.iter()).filter_map(|(t, v)| v.map(|v| (t, v))),
-                    );
+                    points.extend(grid.times().zip(column.iter()).filter_map(
+                        |(timestamp_ms, v)| v.map(|value| Sample { timestamp_ms, value }),
+                    ));
                     series.push(RangeSeries { name, labels, points });
                 });
                 // The per-step accumulator returns series sorted by key (keys
@@ -1140,8 +1141,8 @@ mod tests {
         // Spot-check the headline case: sum over [2s,3s] and [3s,4s] windows.
         let expr = parse("sum_over_time(m[1s])").unwrap();
         let streamed = plan_or_reason(&db, 300_000, &expr, 0, 4_000).unwrap().run(0, 4_000, 1_000);
-        assert_eq!(streamed[0].points[3], (3_000, 5.0));
-        assert_eq!(streamed[0].points[4], (4_000, 7.0));
+        assert_eq!(streamed[0].points[3], Sample { timestamp_ms: 3_000, value: 5.0 });
+        assert_eq!(streamed[0].points[4], Sample { timestamp_ms: 4_000, value: 7.0 });
 
         // Accumulator overflow: two near-max samples push the running float
         // to +inf (matching the oracle while they are in the window); the
@@ -1163,7 +1164,8 @@ mod tests {
             );
         }
         let summed = engine.range_query("sum_over_time(m[1s])", 0, 3_000, 1_000).unwrap();
-        assert_eq!(summed[0].points[3], (3_000, 11.0), "must recover from inf");
+        let recovered = Sample { timestamp_ms: 3_000, value: 11.0 };
+        assert_eq!(summed[0].points[3], recovered, "must recover from inf");
     }
 
     /// Slides `func` over one series — `values` a second apart from zero, in

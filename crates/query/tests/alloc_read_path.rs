@@ -12,7 +12,9 @@
 //! * selecting a series costs two allocations — its label strings and the
 //!   copy of its open head — however many sealed chunks it holds, and the
 //!   selection beside them at most one a shard: its postings are walked
-//!   where they lie.
+//!   where they lie;
+//! * a warm point read (`SeriesSnapshot::at`) allocates nothing, whether it
+//!   lands in a compressed sealed chunk, a raw one or the head's copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,7 +22,7 @@ use std::cell::Cell;
 use teemon_metrics::Labels;
 use teemon_query::stream::plan_or_reason;
 use teemon_query::{json, parse, QueryEngine, RangeSeries};
-use teemon_tsdb::{Selector, TimeSeriesDb, TsdbConfig, SHARD_COUNT};
+use teemon_tsdb::{Sample, Selector, TimeSeriesDb, TsdbConfig, SHARD_COUNT};
 
 struct CountingAllocator;
 
@@ -65,7 +67,10 @@ fn rendering_a_matrix_allocates_a_constant_handful() {
                 ("pod", format!("pod-{i}-a1b2c3")),
             ]),
             points: (0..240u64)
-                .map(|t| (1_700_000_000_000 + t * 15_000, 12.480833333333324 * (t + i) as f64))
+                .map(|t| Sample {
+                    timestamp_ms: 1_700_000_000_000 + t * 15_000,
+                    value: 12.480833333333324 * (t + i) as f64,
+                })
                 .collect(),
         })
         .collect();
@@ -256,4 +261,41 @@ fn a_select_allocates_its_labels_and_its_head_copy_per_series() {
     let shards = SHARD_COUNT as u64;
     let audit = if cfg!(lock_audit) { 1 + 3 * shards } else { 0 };
     assert!(some <= 2 * 160 + 1 + shards + audit, "{some} allocations for 160 series");
+}
+
+#[test]
+fn a_warm_point_read_allocates_nothing() {
+    // On 16-sample chunks: `steady`, a counter of two compressed sealed
+    // chunks and an open head of twelve (a burst encoded, so its copy is a
+    // block); `jumpy`, whose first chunk's block would outgrow its samples —
+    // every delta the raw escape, every value a new window — so it is sealed
+    // raw, and a head of three, copied raw.
+    let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 16, retention_ms: u64::MAX });
+    for tick in 0..44u64 {
+        assert!(db.append("steady", &Labels::new(), tick * 15_000, (tick * 3) as f64));
+    }
+    let jumpy_value = |i: u64| f64::from_bits((i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    for i in 0..19u64 {
+        assert!(db.append("jumpy", &Labels::new(), (i * i) << 40, jumpy_value(i)));
+    }
+    let [steady] = &db.select(&Selector::metric("steady"))[..] else { panic!("one series") };
+    let [jumpy] = &db.select(&Selector::metric("jumpy"))[..] else { panic!("one series") };
+    assert_eq!((steady.chunk_count(), jumpy.chunk_count()), (3, 2));
+    assert!(steady.resident_bytes() < 16 * steady.len(), "compressed");
+    assert_eq!(jumpy.resident_bytes(), 16 * jumpy.len(), "raw");
+
+    let sample = |timestamp_ms, value| Some(Sample { timestamp_ms, value });
+    let reads = [
+        (steady, 100_000, sample(90_000, 18.0)),
+        (steady, 300_000, sample(300_000, 60.0)),
+        (steady, u64::MAX, sample(645_000, 129.0)),
+        (jumpy, 50 << 40, sample(49 << 40, jumpy_value(7))),
+        (jumpy, u64::MAX, sample(324 << 40, jumpy_value(18))),
+    ];
+    let answered = || reads.iter().all(|(series, at, want)| series.at(*at) == *want);
+    // The first read on a thread sizes the buffer it decodes a block into.
+    assert!(answered());
+    let (warm, allocations) = allocations_in(answered);
+    assert!(warm);
+    assert_eq!(allocations, 0, "a warm `at` allocated");
 }

@@ -8,10 +8,10 @@
 mod support;
 
 use proptest::proptest;
-use support::ranges_equivalent;
+use support::{bit_identical, ranges_equivalent};
 use teemon_metrics::Labels;
 use teemon_query::{parse, QueryEngine, RangeSeries, Value};
-use teemon_tsdb::{TimeSeriesDb, TsdbConfig};
+use teemon_tsdb::{Sample, TimeSeriesDb, TsdbConfig};
 
 /// One generated series: metric, node and `(gap, raw value)` samples.
 type SeriesSpec = (u8, u8, Vec<(u8, u16)>);
@@ -92,13 +92,14 @@ fn compose(shape: u8, a: u8, b: u8, w: u8) -> String {
 /// A value as the series a range query would return at `t`, in the value's
 /// own order.
 fn as_series(value: Value, t: u64) -> Vec<RangeSeries> {
+    let at_t = |value| vec![Sample { timestamp_ms: t, value }];
     match value {
         Value::Scalar(v) => {
-            vec![RangeSeries { name: None, labels: Labels::new(), points: vec![(t, v)] }]
+            vec![RangeSeries { name: None, labels: Labels::new(), points: at_t(v) }]
         }
         Value::Vector(samples) => samples
             .into_iter()
-            .map(|s| RangeSeries { name: s.name, labels: s.labels, points: vec![(t, s.value)] })
+            .map(|s| RangeSeries { name: s.name, labels: s.labels, points: at_t(s.value) })
             .collect(),
         Value::Matrix(series) => series,
     }
@@ -107,18 +108,6 @@ fn as_series(value: Value, t: u64) -> Vec<RangeSeries> {
 fn sorted(mut series: Vec<RangeSeries>) -> Vec<RangeSeries> {
     series.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
     series
-}
-
-fn bit_identical(a: &[RangeSeries], b: &[RangeSeries]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            (&x.name, &x.labels) == (&y.name, &y.labels)
-                && x.points.len() == y.points.len()
-                && x.points
-                    .iter()
-                    .zip(&y.points)
-                    .all(|(p, q)| p.0 == q.0 && p.1.to_bits() == q.1.to_bits())
-        })
 }
 
 proptest! {

@@ -10,10 +10,10 @@
 mod support;
 
 use proptest::proptest;
-use support::ranges_equivalent;
+use support::{bit_identical, ranges_equivalent};
 use teemon_metrics::Labels;
 use teemon_query::stream::plan_or_reason;
-use teemon_query::{parse, QueryEngine, RangeSeries};
+use teemon_query::{parse, QueryEngine};
 use teemon_tsdb::{Sample, Selector, TimeSeriesDb, TsdbConfig};
 
 /// One generated series: metric selector, node selector and sample shapes.
@@ -232,18 +232,6 @@ proptest! {
              streamed: {streamed:?}\noracle: {oracle:?}"
         );
     }
-}
-
-fn bit_identical(a: &[RangeSeries], b: &[RangeSeries]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            (&x.name, &x.labels) == (&y.name, &y.labels)
-                && x.points.len() == y.points.len()
-                && x.points
-                    .iter()
-                    .zip(&y.points)
-                    .all(|(p, q)| p.0 == q.0 && p.1.to_bits() == q.1.to_bits())
-        })
 }
 
 /// One series of [`build_edge_db`]: `(node, what bends it, where)` and its

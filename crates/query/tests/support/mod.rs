@@ -27,7 +27,7 @@ use teemon_query::{
     AggregateOp, BinOp, EvalError, Expr, Grouping, QueryEngine, RangeFunc, RangeSeries, Value,
     VectorSample,
 };
-use teemon_tsdb::{Selector, SeriesSnapshot};
+use teemon_tsdb::{Sample, Selector, SeriesSnapshot};
 
 /// A result series' identity: metric name (when kept) and labels.
 type Key = (Option<String>, Labels);
@@ -79,14 +79,18 @@ pub fn range(
         return Err(EvalError::ZeroStep);
     }
     let mut cache = SelectionCache::default();
-    let mut series: BTreeMap<Key, Vec<(u64, f64)>> = BTreeMap::new();
+    let mut series: BTreeMap<Key, Vec<Sample>> = BTreeMap::new();
     let mut t = start_ms;
     while t <= end_ms {
+        let point = |value| Sample { timestamp_ms: t, value };
         match eval(engine, expr, t, &mut cache)? {
-            Value::Scalar(v) => series.entry((None, Labels::new())).or_default().push((t, v)),
+            Value::Scalar(v) => series.entry((None, Labels::new())).or_default().push(point(v)),
             Value::Vector(samples) => {
                 for sample in samples {
-                    series.entry((sample.name, sample.labels)).or_default().push((t, sample.value));
+                    series
+                        .entry((sample.name, sample.labels))
+                        .or_default()
+                        .push(point(sample.value));
                 }
             }
             Value::Matrix(_) => return Err(EvalError::UnexpectedRange),
@@ -96,7 +100,7 @@ pub fn range(
     }
     let series = series.into_iter().map(|((name, labels), points)| {
         // A step holding two points is two series with one key.
-        if points.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+        if points.windows(2).any(|pair| pair[0].timestamp_ms == pair[1].timestamp_ms) {
             return Err(EvalError::DuplicateSeries(labels));
         }
         Ok(RangeSeries { name, labels, points })
@@ -129,12 +133,7 @@ fn eval(
             let start = at_ms.saturating_sub(*window_ms);
             let selection = cache.selection(engine, selector);
             let series = selection.iter().filter_map(|series| {
-                let points: Vec<(u64, f64)> = series
-                    .snapshot
-                    .points_in(start, at_ms)
-                    .iter()
-                    .map(|sample| (sample.timestamp_ms, sample.value))
-                    .collect();
+                let points = series.snapshot.points_in(start, at_ms);
                 (!points.is_empty()).then(|| RangeSeries {
                     name: Some(series.name.clone()),
                     labels: series.labels.clone(),
@@ -170,8 +169,8 @@ fn eval(
     }
 }
 
-fn apply_range_func(func: RangeFunc, param: Option<f64>, points: &[(u64, f64)]) -> Option<f64> {
-    let values = || points.iter().map(|(_, v)| *v).collect::<Vec<f64>>();
+fn apply_range_func(func: RangeFunc, param: Option<f64>, points: &[Sample]) -> Option<f64> {
+    let values = || points.iter().map(|p| p.value).collect::<Vec<f64>>();
     match func {
         RangeFunc::Rate => rate(points),
         RangeFunc::Increase => increase(points),
@@ -181,19 +180,19 @@ fn apply_range_func(func: RangeFunc, param: Option<f64>, points: &[(u64, f64)]) 
         RangeFunc::SumOverTime => apply(AggregateOp::Sum, &values()),
         RangeFunc::CountOverTime => apply(AggregateOp::Count, &values()),
         RangeFunc::QuantileOverTime => quantile(values(), param.unwrap_or(0.5)),
-        RangeFunc::LastOverTime => points.last().map(|(_, v)| *v),
+        RangeFunc::LastOverTime => points.last().map(|p| p.value),
     }
 }
 
 /// The window's increase: the sum of every adjacent pair's delta, where a
 /// decrease is a counter reset and the post-reset value is the increase.
-fn increase(points: &[(u64, f64)]) -> Option<f64> {
+fn increase(points: &[Sample]) -> Option<f64> {
     if points.len() < 2 {
         return None;
     }
     let mut total = 0.0;
     for pair in points.windows(2) {
-        let (prev, next) = (pair[0].1, pair[1].1);
+        let (prev, next) = (pair[0].value, pair[1].value);
         total += if next >= prev { next - prev } else { next };
     }
     Some(total)
@@ -201,8 +200,8 @@ fn increase(points: &[(u64, f64)]) -> Option<f64> {
 
 /// [`increase`] per second of the span between the window's first and last
 /// samples.
-fn rate(points: &[(u64, f64)]) -> Option<f64> {
-    let (&(t0, _), &(t1, _)) = (points.first()?, points.last()?);
+fn rate(points: &[Sample]) -> Option<f64> {
+    let (t0, t1) = (points.first()?.timestamp_ms, points.last()?.timestamp_ms);
     if t1 <= t0 {
         return None;
     }
@@ -290,10 +289,23 @@ pub fn ranges_equivalent(a: &[RangeSeries], b: &[RangeSeries]) -> bool {
             x.name == y.name
                 && x.labels == y.labels
                 && x.points.len() == y.points.len()
-                && x.points
-                    .iter()
-                    .zip(&y.points)
-                    .all(|(&(ta, va), &(tb, vb))| ta == tb && values_close(va, vb))
+                && x.points.iter().zip(&y.points).all(|(p, q)| {
+                    p.timestamp_ms == q.timestamp_ms && values_close(p.value, q.value)
+                })
+        })
+}
+
+/// `true` when two range results are the same bit for bit: series keys,
+/// timestamps and the values' bit patterns.
+pub fn bit_identical(a: &[RangeSeries], b: &[RangeSeries]) -> bool {
+    let same = |p: &Sample, q: &Sample| {
+        p.timestamp_ms == q.timestamp_ms && p.value.to_bits() == q.value.to_bits()
+    };
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            (&x.name, &x.labels) == (&y.name, &y.labels)
+                && x.points.len() == y.points.len()
+                && x.points.iter().zip(&y.points).all(|(p, q)| same(p, q))
         })
 }
 

@@ -48,27 +48,25 @@
 //!
 //! There is one decoder, `GorillaState`: a few words of register state —
 //! the previous timestamp, delta and value registers — stepped over a bit
-//! reader.  The bulk form ([`decode_into`], which every range read — a
-//! snapshot's `points_in` and `SampleRange`, a chunk a range only partly
-//! covers — drains sealed chunks through) keeps one bit reader alive for the
-//! whole block.  That reader buffers up to 64 bits in an accumulator refilled
-//! with a single unaligned big-endian load: a ladder rung is `leading_zeros`
-//! of the inverted word, and the XOR control bits and the 6+6-bit window
-//! header are peeled from the same peek, so a sample costs a couple of
-//! shifts, not a loop over bits.  And where the bits say "same again" — two
-//! zero bits, the steady sample of either kind, which is what monitoring
-//! data mostly says — the bulk form does not come back for them one at a
-//! time: from inside that branch it counts the zero pairs that follow in the
-//! accumulator, drops them in one step and emits that many samples as an
-//! arithmetic progression off the registers (a *run*; the lazy
-//! `BlockSamples` iterator behind seeks and open heads asks for none, one
-//! sample a call over a kept reader).  The number of encoded samples is not
-//! part of the byte stream — chunks store it in their footer — and the
-//! decoder must be stopped after that many samples: a run is cut to what
-//! the footer still owes.  Malformed bytes (or the wrong kind) can produce
-//! garbage samples but never panic or read out of bounds (a refill past the
-//! end loads zero bytes, so such reads observe zero bits), and the bulk and
-//! the lazy form make the same garbage of them.
+//! reader, and one way into it, [`decode_into`], which every read of a block
+//! drains through: a range read, a chunk a range only partly covers, a point
+//! read (`at`, which decodes the block it lands in whole and searches the
+//! samples), the seal that falls back to raw samples.  It keeps one bit reader
+//! alive for the whole block.  That reader buffers up to 64 bits in an
+//! accumulator refilled with a single unaligned big-endian load: a ladder
+//! rung is `leading_zeros` of the inverted word, and the XOR control bits and
+//! the 6+6-bit window header are peeled from the same peek, so a sample costs
+//! a couple of shifts, not a loop over bits.  And where the bits say "same
+//! again" — two zero bits, the steady sample of either kind, which is what
+//! monitoring data mostly says — the decoder does not come back for them one
+//! at a time: from inside that branch it counts the zero pairs that follow in
+//! the accumulator, drops them in one step and emits that many samples as an
+//! arithmetic progression off the registers (a *run*).  The number of encoded
+//! samples is not part of the byte stream — chunks store it in their footer —
+//! and the decoder must be stopped after that many samples: a run is cut to
+//! what the footer still owes.  Malformed bytes (or the wrong kind) can
+//! produce garbage samples but never panic or read out of bounds (a refill
+//! past the end loads zero bytes, so such reads observe zero bits).
 //!
 //! The encoder is the same idea run backwards: fields gather in a 64-bit
 //! accumulator that leaves as one big-endian word each time it fills, and a
@@ -573,7 +571,6 @@ fn put_value_dod(w: &mut BitWriter<'_>, dod: i64) {
 /// of plain data stepped over a [`BitReader`] the caller keeps.
 #[derive(Debug)]
 struct GorillaState {
-    emitted: u32,
     kind: BlockKind,
     prev_ts: u64,
     prev_delta: u64,
@@ -588,14 +585,20 @@ struct GorillaState {
 }
 
 impl GorillaState {
-    /// A decoder positioned at the start of a block of `kind`.
-    fn new(kind: BlockKind) -> Self {
+    /// A decoder of a block of `kind` standing at the block's first sample,
+    /// read off `reader`: a raw 64-bit timestamp and the value's raw bits.
+    fn first(kind: BlockKind, reader: &mut BitReader<'_>) -> Self {
+        let prev_ts = reader.read(64);
+        let bits = reader.read(64);
+        let prev_value = match kind {
+            BlockKind::Xor => bits,
+            BlockKind::Integer => f64::from_bits(bits) as i64 as u64,
+        };
         Self {
-            emitted: 0,
             kind,
-            prev_ts: 0,
+            prev_ts,
             prev_delta: 0,
-            prev_value: 0,
+            prev_value,
             value_delta: 0,
             prev_leading: NO_WINDOW,
             prev_trailing: 0,
@@ -612,37 +615,12 @@ impl GorillaState {
         Sample { timestamp_ms: self.prev_ts, value }
     }
 
-    /// One sample off `reader`: the lazy [`BlockSamples`].
+    /// Decodes the sample after the current one off `reader` onto `out`.
+    /// Where that sample is a steady one, the steady samples that follow it in
+    /// the reader's accumulator, at most `more` of them, leave with it.
+    /// Returns how many samples were pushed.
     #[inline]
-    fn decode_next(&mut self, reader: &mut BitReader<'_>) -> Sample {
-        let mut sample = Sample { timestamp_ms: 0, value: 0.0 };
-        self.step(reader, 0, &mut |s| sample = s);
-        sample
-    }
-
-    /// Decodes the next sample off `reader` into `emit` — the single decoder
-    /// behind the bulk and the lazy form.  Where that sample is a steady
-    /// one, the steady samples that follow it in the reader's accumulator, at
-    /// most `more` of them, leave with it.  Returns how many samples were
-    /// emitted.
-    #[inline]
-    fn step(
-        &mut self,
-        reader: &mut BitReader<'_>,
-        more: usize,
-        emit: &mut impl FnMut(Sample),
-    ) -> usize {
-        if self.emitted == 0 {
-            self.prev_ts = reader.read(64);
-            let bits = reader.read(64);
-            self.prev_value = match self.kind {
-                BlockKind::Xor => bits,
-                BlockKind::Integer => f64::from_bits(bits) as i64 as u64,
-            };
-            self.emitted = 1;
-            emit(self.current());
-            return 1;
-        }
+    fn step(&mut self, reader: &mut BitReader<'_>, more: usize, out: &mut Vec<Sample>) -> usize {
         // One peek covers the common sample whole: the Δ² bucket prefix is
         // the run of leading ones (at most four) and its payload at most 12
         // bits, and the 14 bits after that are an XOR value's two control
@@ -657,17 +635,15 @@ impl GorillaState {
             // top of the accumulator — which is zero below its `avail` valid
             // bits, and those zeros are not data — and take this sample and
             // what the caller still wants in one `consume` (fewer than 64
-            // bits).  Wrapping steps, so garbage in gives the same garbage
-            // out whichever form reads it.
+            // bits).  Wrapping steps: garbage in must not panic.
             let pairs = (word.leading_zeros().min(reader.avail) / 2).min(31);
             let run = (pairs as usize).clamp(1, more + 1);
             reader.consume(2 * run as u32);
             for _ in 0..run {
                 self.prev_ts = self.prev_ts.wrapping_add(self.prev_delta);
                 self.prev_value = self.prev_value.wrapping_add(self.value_delta as u64);
-                emit(self.current());
+                out.push(self.current());
             }
-            self.emitted += run as u32;
             return run;
         }
         let (delta, ts_bits) = match (!word).leading_zeros() {
@@ -689,8 +665,7 @@ impl GorillaState {
             BlockKind::Xor => self.decode_xor(reader, word, ts_bits),
             BlockKind::Integer => self.decode_integer(reader, word, ts_bits),
         }
-        self.emitted += 1;
-        emit(self.current());
+        out.push(self.current());
         1
     }
 
@@ -750,48 +725,18 @@ impl GorillaState {
     }
 }
 
-/// The lazy form of [`GorillaState`]: iterates the first `count` samples of
-/// one block with the bit accumulator kept alive from sample to sample, for
-/// the readers that stop early or chain what follows (a seek inside a chunk,
-/// an open head in front of its tail).
-#[derive(Debug)]
-pub(crate) struct BlockSamples<'a> {
-    state: GorillaState,
-    reader: BitReader<'a>,
-    remaining: usize,
-}
-
-impl<'a> BlockSamples<'a> {
-    pub(crate) fn new(bytes: &'a [u8], kind: BlockKind, count: usize) -> Self {
-        Self { state: GorillaState::new(kind), reader: BitReader::new(bytes), remaining: count }
-    }
-}
-
-impl Iterator for BlockSamples<'_> {
-    type Item = Sample;
-
-    #[inline]
-    fn next(&mut self) -> Option<Sample> {
-        self.remaining = self.remaining.checked_sub(1)?;
-        Some(self.state.decode_next(&mut self.reader))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// The bulk form: appends the `count` samples of a block of `kind` produced
-/// by [`encode`] to `out`, reserving once — the one loop every whole-block
-/// read drains through.  A run of steady samples leaves the bit reader in one
-/// step and arrives as an arithmetic progression off the registers.
+/// Appends the `count` samples of a block of `kind` produced by [`encode`]
+/// to `out`, reserving once — the one loop every read of a block drains
+/// through.  A run of steady samples leaves the bit reader in one step and
+/// arrives as an arithmetic progression off the registers.
 pub fn decode_into(bytes: &[u8], kind: BlockKind, count: usize, out: &mut Vec<Sample>) {
-    let mut state = GorillaState::new(kind);
+    let Some(mut owed) = count.checked_sub(1) else { return };
     let mut reader = BitReader::new(bytes);
+    let mut state = GorillaState::first(kind, &mut reader);
     out.reserve(count);
-    let mut owed = count;
+    out.push(state.current());
     while owed > 0 {
-        owed -= state.step(&mut reader, owed - 1, &mut |sample| out.push(sample));
+        owed -= state.step(&mut reader, owed - 1, out);
     }
 }
 
@@ -805,20 +750,17 @@ pub fn decode(bytes: &[u8], kind: BlockKind, count: usize) -> Vec<Sample> {
 
 #[cfg(test)]
 mod tests {
-    use super::codec_inputs::{build_samples, switch_at};
     use super::*;
 
-    /// Round-trips `samples` through the bulk and the lazy decoder and
-    /// returns the block's kind.
+    /// Round-trips `samples` through the decoder and returns the block's
+    /// kind.
     fn roundtrip(samples: &[Sample]) -> BlockKind {
         let (kind, bytes) = encode(samples).expect("ordered input must encode");
         let back = decode(&bytes, kind, samples.len());
-        let streamed: Vec<Sample> = BlockSamples::new(&bytes, kind, samples.len()).collect();
-        assert_eq!((back.len(), streamed.len()), (samples.len(), samples.len()));
-        for ((a, b), c) in samples.iter().zip(&back).zip(&streamed) {
-            assert_eq!((a.timestamp_ms, a.timestamp_ms), (b.timestamp_ms, c.timestamp_ms));
+        assert_eq!(back.len(), samples.len());
+        for (a, b) in samples.iter().zip(&back) {
+            assert_eq!(a.timestamp_ms, b.timestamp_ms);
             assert_eq!(a.value.to_bits(), b.value.to_bits(), "{} vs {}", a.value, b.value);
-            assert_eq!(a.value.to_bits(), c.value.to_bits(), "{} vs {}", a.value, c.value);
         }
         assert_eq!(kind == BlockKind::Integer, samples.iter().all(|s| whole(s.value).is_some()));
         kind
@@ -1012,86 +954,4 @@ mod tests {
             }
         }
     }
-    /// Bit-exact equality (plain `==` treats NaN as unequal).
-    fn identical(a: &[Sample], b: &[Sample]) -> bool {
-        a.len() == b.len()
-            && a.iter().zip(b).all(|(x, y)| {
-                x.timestamp_ms == y.timestamp_ms && x.value.to_bits() == y.value.to_bits()
-            })
-    }
-
-    /// Asserts the lazy [`BlockSamples`] reads `count` samples off `bytes`
-    /// as a block of `kind` exactly as the bulk decoder does — which
-    /// `tests/chunk_codec.rs` holds to the bit-by-bit reference on the same
-    /// inputs, garbage included.
-    fn assert_lazy_matches_bulk(bytes: &[u8], kind: BlockKind, count: usize) {
-        let lazy: Vec<Sample> = BlockSamples::new(bytes, kind, count).collect();
-        assert!(identical(&lazy, &decode(bytes, kind, count)), "{kind:?}, {count} samples");
-    }
-
-    const KINDS: [BlockKind; 2] = [BlockKind::Xor, BlockKind::Integer];
-
-    proptest::proptest! {
-        /// Every time-ordered input reads back bit for bit through the lazy
-        /// decoder, and it reads what the bulk one does five samples past the
-        /// end, as the kind it is not, truncated anywhere and with a byte
-        /// mangled anywhere.
-        #[test]
-        fn the_lazy_decoder_reads_what_the_bulk_one_does(
-            specs in proptest::collection::vec((0u8..8, 0u8..10, 0u16..u16::MAX), 1..200),
-            switch in (0u8..3, 0usize..200),
-            cut in 0usize..4096,
-            mangle in (0usize..4096, 1u16..256),
-        ) {
-            let samples = build_samples(&specs, switch_at(switch, specs.len()));
-            let (kind, mut bytes) = encode(&samples).expect("time-ordered input must encode");
-            let lazy: Vec<Sample> = BlockSamples::new(&bytes, kind, samples.len()).collect();
-            assert!(identical(&lazy, &samples));
-            for kind in KINDS {
-                assert_lazy_matches_bulk(&bytes, kind, samples.len() + 5);
-                let cut = cut % (bytes.len() + 1);
-                assert_lazy_matches_bulk(&bytes[..cut], kind, samples.len() + 5);
-            }
-            let at = mangle.0 % bytes.len();
-            bytes[at] ^= mangle.1 as u8;
-            for kind in KINDS {
-                assert_lazy_matches_bulk(&bytes, kind, samples.len() + 5);
-            }
-        }
-
-        /// …on bytes no encoder produced…
-        #[test]
-        fn the_lazy_decoder_reads_random_bytes_as_the_bulk_one_does(
-            garbage in proptest::collection::vec(0u16..256, 0..300),
-            count in 0usize..400,
-        ) {
-            let garbage: Vec<u8> = garbage.iter().map(|&b| b as u8).collect();
-            for kind in KINDS {
-                assert_lazy_matches_bulk(&garbage, kind, count);
-            }
-        }
-
-        /// …and where the bits say "same again", which the bulk decoder takes
-        /// in runs and the lazy one a sample at a time: long steady stretches
-        /// of either kind between single escapes, five samples past the end,
-        /// and the block read as the kind it is not.
-        #[test]
-        fn the_lazy_decoder_reads_steady_stretches_as_the_bulk_one_does(
-            specs in proptest::collection::vec((0u8..10, 0u8..10, 0u16..u16::MAX), 1..12),
-            switch in (0u8..3, 0usize..12),
-        ) {
-            let samples = build_samples(&specs, switch_at(switch, specs.len()));
-            let (_, bytes) = encode(&samples).expect("time-ordered input must encode");
-            for kind in KINDS {
-                assert_lazy_matches_bulk(&bytes, kind, samples.len() + 5);
-            }
-        }
-    }
 }
-
-/// The sample generator of `tests/chunk_codec.rs`, shared so that the lazy
-/// decoder is held to the bulk one on the inputs the bulk one is held to the
-/// reference on.
-#[cfg(test)]
-#[path = "../tests/support/codec_inputs.rs"]
-mod codec_inputs;

@@ -27,7 +27,7 @@ use std::cell::Cell;
 
 use teemon_obs::probes;
 
-use crate::chunk_codec::{whole, BlockEncoder, BlockKind, BlockSamples};
+use crate::chunk_codec::{decode, whole, BlockEncoder, BlockKind};
 use crate::series::{put_raw, Block, Chunk, Payload, Sample, SAMPLE_BYTES};
 
 /// Samples an open [`Head`] keeps raw, inline, in front of its block: the
@@ -100,10 +100,6 @@ impl Head {
     /// Timestamp of the newest sample: the tail's, or the encoder's register.
     pub(crate) fn last_timestamp(&self) -> Option<u64> {
         self.tail().last().map(|s| s.timestamp_ms).or_else(|| self.encoder.last_timestamp())
-    }
-
-    fn block_samples(&self) -> BlockSamples<'_> {
-        BlockSamples::new(&self.block, self.encoder.kind(), self.encoder.count() as usize)
     }
 
     /// What the ledger counts for this head: 16 bytes per tail sample and
@@ -206,7 +202,7 @@ impl Head {
             let payload = Payload::Block(self.encoder.kind(), &self.block);
             keep(Chunk { start_ms, end_ms, count, payload })
         } else {
-            let samples: Vec<Sample> = self.block_samples().collect();
+            let samples = decode(&self.block, self.encoder.kind(), count as usize);
             let mut raw = vec![0; samples.len() * SAMPLE_BYTES];
             put_raw(&samples, &mut raw);
             keep(Chunk { start_ms, end_ms, count, payload: Payload::Raw(&raw) })
@@ -295,7 +291,9 @@ mod tests {
             let snapshot = head.snapshot().expect("a non-empty head");
             assert_eq!(snapshot.len(), 1, "a block of one chunk");
             let copy = snapshot.chunk(0).expect("the head's chunk");
-            assert_eq!(copy.iter_samples().collect::<Vec<_>>(), held);
+            let mut samples = Vec::new();
+            copy.extend_into(0, u64::MAX, &mut samples);
+            assert_eq!(samples, held);
             if held.len() < TAIL_SAMPLES {
                 assert!(matches!(copy.payload, Payload::Raw(_)), "no block yet");
             } else {

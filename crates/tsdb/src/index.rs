@@ -263,7 +263,9 @@ impl Iterator for Candidates<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::selection::{intersection, matches};
     use super::*;
+    use teemon_metrics::Labels;
 
     fn table_with(strings: &[&str]) -> SymbolTable {
         let mut table = SymbolTable::default();
@@ -435,4 +437,76 @@ mod tests {
         assert!(!db.select(&Selector::metric(&other)).is_empty());
         assert!(db.select(&Selector::metric(&other).with_label_present("pod")).is_empty());
     }
+
+    /// The strings of the generated shards, all interned before anything is
+    /// registered, so that a plan is never `Nothing` for want of a symbol.
+    /// Series draw the first two names and the first three keys and values,
+    /// so the last of each names a list no series of the shard holds.
+    const NAMES: [&str; 3] = ["up", "m_total", "absent_total"];
+    const KEYS: [&str; 4] = ["node", "pod", "job", "zone"];
+    const VALUES: [&str; 4] = ["a", "b", "c", "z"];
+
+    proptest::proptest! {
+        /// A shard's postings walk yields what the model's sorted sets
+        /// intersect to — for a name alone, several `=`, `!=` and exists
+        /// beside them (which name no list), and a list the shard does not
+        /// hold — and, post-filtered by the model's matcher, exactly the
+        /// series a scan of the shard with it selects.
+        #[test]
+        fn the_postings_walk_is_the_sorted_set_intersection(
+            series in proptest::collection::vec(
+                (0u8..2, proptest::collection::vec((0u8..3, 0u8..3), 0..4)),
+                0..40,
+            ),
+            selectors in proptest::collection::vec(
+                (0u8..4, proptest::collection::vec((0u8..3, 0u8..4, 0u8..4), 0..4)),
+                1..8,
+            ),
+        ) {
+            let mut table = SymbolTable::default();
+            for s in NAMES.iter().chain(&KEYS).chain(&VALUES) {
+                table.intern(s);
+            }
+            let symbol = |s: &str| table.get(s).expect("interned up front");
+            let mut postings = Postings::default();
+            let mut stored = Vec::new();
+            for (name, pairs) in &series {
+                let name = NAMES[usize::from(*name)];
+                let labels = Labels::from_pairs(
+                    pairs.iter().map(|&(k, v)| (KEYS[usize::from(k)], VALUES[usize::from(v)])),
+                );
+                let pairs: Vec<_> = labels.iter().map(|(k, v)| (symbol(k), symbol(v))).collect();
+                postings.register(stored.len() as u32, symbol(name), &pairs);
+                stored.push((name, labels));
+            }
+            for (name, matchers) in &selectors {
+                let mut selector =
+                    NAMES.get(usize::from(*name)).map_or_else(Selector::all, |n| Selector::metric(*n));
+                for &(kind, k, v) in matchers {
+                    let (key, value) = (KEYS[usize::from(k)], VALUES[usize::from(v)]);
+                    selector = match kind {
+                        0 => selector.with_label(key, value),
+                        1 => selector.without_label_value(key, value),
+                        _ => selector.with_label_present(key),
+                    };
+                }
+                let plan = SelectorPlan::compile(&selector, &table);
+                let walked: Vec<u32> = plan.candidates(&postings, stored.len() as u32).collect();
+                let want: Vec<u32> = intersection(&selector, &stored).into_iter().collect();
+                assert_eq!(walked, want, "{selector}");
+                let selected = |local: &&u32| {
+                    let (name, labels) = &stored[**local as usize];
+                    matches(&selector, name, labels)
+                };
+                let scanned = stored.iter().filter(|(name, labels)| matches(&selector, name, labels));
+                assert_eq!(walked.iter().filter(selected).count(), scanned.count(), "{selector}");
+            }
+        }
+    }
 }
+
+/// The selection model of `tests/index_consistency.rs`, shared so that the
+/// postings walk is held to sorted-set intersections.
+#[cfg(test)]
+#[path = "../tests/support/selection.rs"]
+mod selection;

@@ -12,7 +12,6 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use teemon_metrics::Labels;
 
 /// How one label must compare for a series to match.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,20 +96,6 @@ impl Selector {
         self.matchers.push(LabelMatch::Exists(name.into()));
         self
     }
-
-    /// `true` when a series with `name` and `labels` matches this selector.
-    pub fn matches(&self, name: &str, labels: &Labels) -> bool {
-        if let Some(wanted) = &self.name {
-            if wanted != name {
-                return false;
-            }
-        }
-        self.matchers.iter().all(|m| match m {
-            LabelMatch::Equals(k, v) => labels.get(k) == Some(v.as_str()),
-            LabelMatch::NotEquals(k, v) => labels.get(k).map(|actual| actual != v).unwrap_or(false),
-            LabelMatch::Exists(k) => labels.get(k).is_some(),
-        })
-    }
 }
 
 impl fmt::Display for Selector {
@@ -139,24 +124,6 @@ impl fmt::Display for Selector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn labels(pairs: &[(&str, &str)]) -> Labels {
-        Labels::from_pairs(pairs.iter().copied())
-    }
-
-    #[test]
-    fn selector_matching_rules() {
-        let series_labels = labels(&[("node", "n1"), ("job", "sgx_exporter")]);
-        assert!(Selector::all().matches("anything", &series_labels));
-        assert!(Selector::metric("up").matches("up", &series_labels));
-        assert!(!Selector::metric("up").matches("down", &series_labels));
-        assert!(Selector::metric("up").with_label("node", "n1").matches("up", &series_labels));
-        assert!(!Selector::metric("up").with_label("node", "n2").matches("up", &series_labels));
-        assert!(Selector::all().without_label_value("node", "n2").matches("up", &series_labels));
-        assert!(!Selector::all().without_label_value("node", "n1").matches("up", &series_labels));
-        assert!(Selector::all().with_label_present("job").matches("up", &series_labels));
-        assert!(!Selector::all().with_label_present("pod").matches("up", &series_labels));
-    }
 
     #[test]
     fn selector_display_is_teeql_syntax() {

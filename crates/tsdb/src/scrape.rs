@@ -1513,9 +1513,8 @@ mod tests {
     use crate::query::Selector;
     use teemon_metrics::{CollectError, HistogramSnapshot, MetricKind, MetricPoint, PointValue};
 
-    /// `samples` as `(timestamp_ms, value)` pairs, to compare with literals.
-    fn pairs(samples: Vec<crate::Sample>) -> Vec<(u64, f64)> {
-        samples.into_iter().map(|s| (s.timestamp_ms, s.value)).collect()
+    fn sample(timestamp_ms: u64, value: f64) -> crate::Sample {
+        crate::Sample { timestamp_ms, value }
     }
 
     /// Pushes `families` the way the serving edge does: as exposition text,
@@ -1613,10 +1612,11 @@ mod tests {
         }
         let results = db.select(&Selector::metric("events_total"));
         assert_eq!(results.len(), 1);
-        let points = pairs(results[0].points_in(0, u64::MAX));
+        let points = results[0].points_in(0, u64::MAX);
         assert_eq!(points.len(), 5);
-        let (&(t0, v0), &(t1, v1)) = (points.first().unwrap(), points.last().unwrap());
-        let r = (v1 - v0) / ((t1 - t0) as f64 / 1000.0);
+        let (first, last) = (points.first().unwrap(), points.last().unwrap());
+        let r =
+            (last.value - first.value) / ((last.timestamp_ms - first.timestamp_ms) as f64 / 1000.0);
         assert!((r - 2.0).abs() < 1e-9, "10 events per 5s = 2/s, got {r}");
     }
 
@@ -1698,7 +1698,7 @@ mod tests {
         let points = |name: &str, instance: &str| match &db
             .select(&Selector::metric(name).with_label("instance", instance))[..]
         {
-            [series] => pairs(series.points_in(0, u64::MAX)),
+            [series] => series.points_in(0, u64::MAX),
             none_or_more => panic!("{} series {name}{{instance={instance}}}", none_or_more.len()),
         };
         scraper.scrape_once(5_000);
@@ -1708,10 +1708,11 @@ mod tests {
         assert_eq!(db.drop_series(&Selector::metric("up")), 2);
         assert_eq!(db.drop_series(&Selector::metric("scrape_samples_added")), 1);
         scraper.scrape_once(10_000);
-        assert_eq!(points("up", "up:1"), [(10_000, 1.0)]);
-        assert_eq!(points("up", "down:1"), [(10_000, 0.0)]);
-        assert_eq!(points("scrape_samples_added", "up:1"), [(10_000, 1.0)]);
-        assert_eq!(points("scrape_samples_scraped", "up:1"), [(5_000, 1.0), (10_000, 1.0)]);
+        assert_eq!(points("up", "up:1"), [sample(10_000, 1.0)]);
+        assert_eq!(points("up", "down:1"), [sample(10_000, 0.0)]);
+        assert_eq!(points("scrape_samples_added", "up:1"), [sample(10_000, 1.0)]);
+        let scraped = [sample(5_000, 1.0), sample(10_000, 1.0)];
+        assert_eq!(points("scrape_samples_scraped", "up:1"), scraped);
         assert_eq!(points("scrape_duration_seconds", "up:1").len(), 2);
         // A target whose collect fails writes `up 0` and its duration only.
         assert_eq!(points("scrape_duration_seconds", "down:1").len(), 2);
@@ -1921,14 +1922,14 @@ mod tests {
         let results = db.select(&Selector::metric("g"));
         assert_eq!(results.len(), 2, "the dropped series was transparently re-created");
         for r in &results {
-            let points = pairs(r.points_in(0, u64::MAX));
+            let points = r.points_in(0, u64::MAX);
             match r.label_value("case") {
                 Some("kept") => {
-                    assert_eq!(points.iter().map(|p| p.0).collect::<Vec<_>>(), [5_000, 10_000]);
-                    assert!(points.iter().all(|p| p.1 == 1.0), "no misrouted values");
+                    let kept = [sample(5_000, 1.0), sample(10_000, 1.0)];
+                    assert_eq!(points, kept, "no misrouted values");
                 }
                 Some("dropped") => {
-                    assert_eq!(points, vec![(10_000, 2.0)], "fresh series, fresh history");
+                    assert_eq!(points, [sample(10_000, 2.0)], "fresh series, fresh history");
                 }
                 other => panic!("unexpected series {other:?}"),
             }
@@ -2030,7 +2031,8 @@ mod tests {
         assert!(lane.lane.cache.fill(&doc, 3_000, &mut scraped, &mut overflow));
         assert_eq!(db.series_count(), 6);
         let stored = db.select(&Selector::metric("m").with_label("a", "1"));
-        assert_eq!(pairs(stored[0].points_in(0, u64::MAX)), [(1_000, 1.0), (2_000, 1.0)]);
+        let want = [sample(1_000, 1.0), sample(2_000, 1.0)];
+        assert_eq!(stored[0].points_in(0, u64::MAX), want);
     }
 
     #[test]
@@ -2311,7 +2313,7 @@ mod tests {
             let mut series: Vec<_> = db
                 .select(&Selector::metric(name))
                 .iter()
-                .map(|s| (s.to_labels().to_string(), pairs(s.points_in(0, u64::MAX))))
+                .map(|s| (s.to_labels().to_string(), s.points_in(0, u64::MAX)))
                 .collect();
             series.sort_by(|a, b| a.0.cmp(&b.0));
             series
@@ -2320,7 +2322,7 @@ mod tests {
             let key = |sent: &str| {
                 format!("{{exported_instance=\"{sent}\",instance=\"{instance}\",job=\"{job}\"}}")
             };
-            vec![(key("n1"), vec![(1_000, 1.0)]), (key("n2"), vec![(1_000, 0.0)])]
+            vec![(key("n1"), vec![sample(1_000, 1.0)]), (key("n2"), vec![sample(1_000, 0.0)])]
         };
         // Two writers' `up` relayed through one push lane.
         let db = TimeSeriesDb::new();

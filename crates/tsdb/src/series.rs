@@ -17,16 +17,22 @@
 //! costs beside its payload is therefore its 25-byte footer and a sixteenth
 //! of a block's and a list slot's overhead.
 //!
+//! A chunk is read one way, `Chunk::extend_into`: a raw payload sliced where
+//! it lies, a block decoded whole by [`crate::chunk_codec::decode_into`] and
+//! trimmed to the range.  A point read is that read up to its instant, into a
+//! buffer the reading thread keeps, and the last sample of it.
+//!
 //! The series itself — name, labels, its sealed chunks and its head — is the
 //! storage engine's (`MemSeries` in [`crate::storage`]); this module holds
 //! what a series is made of and the footer-seeking searches over it
 //! (`Chunks`, the sealed blocks and a snapshot's copy of the head).
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::chunk_codec::{decode_into, BlockKind, BlockSamples};
+use crate::chunk_codec::{decode_into, BlockKind};
 
 /// Identifier of a series inside one [`crate::TimeSeriesDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -75,6 +81,12 @@ pub(crate) fn put_raw(samples: &[Sample], out: &mut [u8]) {
         timestamp.copy_from_slice(&sample.timestamp_ms.to_le_bytes());
         value.copy_from_slice(&sample.value.to_bits().to_le_bytes());
     }
+}
+
+thread_local! {
+    /// The samples a point read on this thread read last, kept from one read
+    /// to the next, so a warm [`Chunk::sample_at`] allocates nothing.
+    static AT_SCRATCH: Cell<Vec<Sample>> = const { Cell::new(Vec::new()) };
 }
 
 /// The first index in `0..len` at which `pred` fails, `pred` holding on a
@@ -153,47 +165,27 @@ impl<'a> Chunk<'a> {
         self.payload.bytes().len()
     }
 
-    /// The last sample (decodes the tail of a compressed chunk).
-    pub(crate) fn last_sample(&self) -> Option<Sample> {
-        match self.payload {
-            _ if self.is_empty() => None,
-            Payload::Raw(bytes) => raw_sample(bytes, self.len() - 1),
-            Payload::Block(..) => self.iter_samples().last(),
-        }
-    }
-
-    /// The newest sample at or before `at_ms`: binary search in a raw chunk,
-    /// a bounded streaming scan (at most `count` decodes) in a compressed one.
+    /// The newest sample at or before `at_ms`: the last of the chunk's
+    /// samples up to `at_ms`, read as a range read reads them
+    /// ([`Chunk::extend_into`]: a block decoded whole) into the thread's
+    /// [`AT_SCRATCH`].
     pub(crate) fn sample_at(&self, at_ms: u64) -> Option<Sample> {
-        match self.payload {
-            Payload::Raw(bytes) => {
-                let idx = partition(self.len(), |i| {
-                    raw_sample(bytes, i).is_some_and(|s| s.timestamp_ms <= at_ms)
-                });
-                raw_sample(bytes, idx.checked_sub(1)?)
-            }
-            Payload::Block(..) => {
-                if self.is_empty() || self.start_ms > at_ms {
-                    return None;
-                }
-                let mut best = None;
-                for sample in self.iter_samples() {
-                    if sample.timestamp_ms > at_ms {
-                        break;
-                    }
-                    best = Some(sample);
-                }
-                best
-            }
-        }
+        AT_SCRATCH.with(|scratch| {
+            let mut samples = scratch.take();
+            samples.clear();
+            self.extend_into(0, at_ms, &mut samples);
+            let newest = samples.last().copied();
+            scratch.set(samples);
+            newest
+        })
     }
 
     /// Appends every sample in `[start_ms, end_ms]` to `out`.  Raw chunks
-    /// slice by binary search; a block is decoded whole through the bulk
-    /// decoder — a Gorilla stream cannot be entered mid-way, and a filter in
-    /// the loop would cost every sample of every chunk two compares — and a
-    /// chunk the range only partly covers (the first of a windowed read, as a
-    /// rule) is trimmed where it landed.
+    /// slice by binary search; a block is decoded whole — a Gorilla stream
+    /// cannot be entered mid-way, and a filter in the loop would cost every
+    /// sample of every chunk two compares — and a chunk the range only partly
+    /// covers (the first of a windowed read, as a rule) is trimmed where it
+    /// landed.
     pub(crate) fn extend_into(&self, start_ms: u64, end_ms: u64, out: &mut Vec<Sample>) {
         match self.payload {
             Payload::Raw(bytes) => {
@@ -217,42 +209,6 @@ impl<'a> Chunk<'a> {
                 out.truncate(from + keep);
                 out.drain(from..from + skip.min(keep));
             }
-        }
-    }
-
-    /// Iterates the chunk's samples in order (one bit reader stays alive for
-    /// the whole of a block).
-    pub(crate) fn iter_samples(&self) -> ChunkSamples<'a> {
-        match self.payload {
-            Payload::Raw(bytes) => ChunkSamples::Raw(bytes.chunks_exact(RAW_SAMPLE_BYTES)),
-            Payload::Block(kind, bytes) => {
-                ChunkSamples::Compressed(BlockSamples::new(bytes, kind, self.len()))
-            }
-        }
-    }
-}
-
-/// Borrowed iterator over one chunk's samples.
-pub(crate) enum ChunkSamples<'a> {
-    Raw(std::slice::ChunksExact<'a, u8>),
-    Compressed(BlockSamples<'a>),
-}
-
-impl Iterator for ChunkSamples<'_> {
-    type Item = Sample;
-
-    #[inline]
-    fn next(&mut self) -> Option<Sample> {
-        match self {
-            ChunkSamples::Raw(samples) => raw_sample(samples.next()?, 0),
-            ChunkSamples::Compressed(samples) => samples.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            ChunkSamples::Raw(samples) => samples.size_hint(),
-            ChunkSamples::Compressed(samples) => samples.size_hint(),
         }
     }
 }
@@ -759,7 +715,7 @@ mod tests {
         db.resolve("m", &Labels::new());
         let s = series(&db);
         assert!(s.is_empty());
-        assert_eq!(s.last_sample(), None);
+        assert_eq!(s.at(u64::MAX), None);
         assert_eq!(s.at(1_000), None);
         assert!(s.points_in(0, u64::MAX).is_empty());
     }
@@ -788,6 +744,13 @@ mod tests {
         }))
     }
 
+    /// Every sample of `chunk`, in order.
+    fn decoded(chunk: &Chunk<'_>) -> Vec<Sample> {
+        let mut out = Vec::new();
+        chunk.extend_into(0, u64::MAX, &mut out);
+        out
+    }
+
     /// Seals `head` into a block of its own.
     fn sealed(head: &mut Head) -> Block {
         head.seal(|chunk| Block::pack(std::iter::once(chunk)))
@@ -810,7 +773,7 @@ mod tests {
         assert_eq!(chunk.payload, Payload::Raw(&raw_bytes(&samples)));
         assert_eq!(chunk.data_bytes(), samples.len() * SAMPLE_BYTES);
         assert_eq!((chunk.start(), chunk.end(), chunk.len()), (Some(0), Some(49 << 40), 8));
-        assert_eq!(chunk.iter_samples().collect::<Vec<_>>(), samples);
+        assert_eq!(decoded(&chunk), samples);
         assert!(head.is_empty() && head.block_buffer().1 > 0, "the seal keeps the buffer");
         // A lone sample is 16 bytes either way and stays a block.
         let one = sealed(&mut head_of(&samples[..1]));
@@ -837,7 +800,6 @@ mod tests {
         assert_eq!(raw.start(), compressed.start());
         assert_eq!(raw.end(), compressed.end());
         assert_eq!(raw.len(), compressed.len());
-        assert_eq!(raw.last_sample(), compressed.last_sample());
         for at in [0, 499, 500, 7_777, 19_500, u64::MAX] {
             assert_eq!(raw.sample_at(at), compressed.sample_at(at), "at {at}");
         }
@@ -850,8 +812,7 @@ mod tests {
             assert_eq!(collect(&raw, lo, hi), collect(&compressed, lo, hi), "[{lo}, {hi}]");
         }
         for chunk in [raw, compressed] {
-            assert_eq!(chunk.iter_samples().collect::<Vec<_>>(), samples);
-            assert_eq!(collect(&chunk, 0, u64::MAX), samples);
+            assert_eq!(decoded(&chunk), samples);
         }
     }
 
@@ -870,7 +831,7 @@ mod tests {
     }
 
     fn samples_of(sealed: &Sealed) -> Vec<Sample> {
-        sealed.chunks().flat_map(|c| c.iter_samples().collect::<Vec<_>>()).collect()
+        sealed.chunks().flat_map(|c| decoded(&c)).collect()
     }
 
     #[test]

@@ -20,15 +20,17 @@
 //! database keeps ingesting.
 //!
 //! Reads go through [`SeriesSnapshot::at`] (a binary search over the blocks'
-//! footers, then one in the block, then a bounded in-chunk search),
-//! [`SeriesSnapshot::points_in`] (pre-sized range materialisation) or a
-//! [`SampleRange`].  Sealed chunks are Gorilla-compressed (see
+//! footers, then one in the block, then one over the covering chunk's
+//! samples), [`SeriesSnapshot::points_in`] (pre-sized range materialisation)
+//! or a [`SampleRange`].  Sealed chunks are Gorilla-compressed (see
 //! [`crate::chunk_codec`]) in one of the codec's two kinds — whole-number
 //! values as integer deltas, anything else XOR-coded — which each chunk's
-//! footer carries and the bulk decoder is handed, so nothing here cares which
-//! it is.  A range read skips the chunks outside its window by their `(start,
-//! end, count)` footers without touching their payloads, and decodes the rest
-//! whole.
+//! footer carries and the decoder is handed, so nothing here cares which it
+//! is.  Every read decodes a block whole, through the one decoder
+//! ([`crate::chunk_codec::decode_into`]): a range read skips the chunks
+//! outside its window by their `(start, end, count)` footers without touching
+//! their payloads and decodes the rest, a point read decodes the one chunk it
+//! lands in into a buffer the thread keeps.
 //!
 //! [`SampleRange`] shares the snapshot's blocks by `Arc` (two reference
 //! counts, whatever the chunk count), for consumers like the query engine's
@@ -131,14 +133,10 @@ impl SeriesSnapshot {
         self.chunks.last().and_then(|c| c.end())
     }
 
-    /// The newest sample.
-    pub fn last_sample(&self) -> Option<Sample> {
-        self.chunks.last().and_then(|c| c.last_sample())
-    }
-
-    /// The newest sample at or before `at_ms` (instant-query semantics):
-    /// binary search over the chunk footers, then a bounded search inside the
-    /// covering chunk.
+    /// The newest sample at or before `at_ms` (instant-query semantics; the
+    /// newest of all at `u64::MAX`): binary search over the chunk footers,
+    /// then one over the covering chunk's samples, a block's decoded whole
+    /// into a buffer the thread keeps.
     pub fn at(&self, at_ms: u64) -> Option<Sample> {
         self.chunks.at(at_ms)
     }
@@ -173,7 +171,7 @@ pub struct SampleRange {
 impl SampleRange {
     /// Appends the range's samples to `out`, in chronological order: the
     /// footers bound the span and size one reservation, raw chunks are
-    /// sliced and blocks go through the bulk decoder, into a buffer the
+    /// sliced and blocks go through the decoder, into a buffer the
     /// caller can reuse from series to series.
     pub fn read_into(&self, out: &mut Vec<Sample>) {
         self.chunks.extend_range(self.start_ms, self.end_ms, out);

@@ -1801,9 +1801,8 @@ mod tests {
     use super::*;
     use crate::series::{Block, FOOTER_BYTES};
 
-    /// `samples` as `(timestamp_ms, value)` pairs, to compare with literals.
-    fn pairs(samples: Vec<Sample>) -> Vec<(u64, f64)> {
-        samples.into_iter().map(|s| (s.timestamp_ms, s.value)).collect()
+    fn sample(timestamp_ms: u64, value: f64) -> Sample {
+        Sample { timestamp_ms, value }
     }
 
     fn labels(pairs: &[(&str, &str)]) -> Labels {
@@ -1999,7 +1998,7 @@ mod tests {
             for t in [0, 4_999, 5_000, 123_456, 481_000, 515_000, 529_999, u64::MAX] {
                 assert_eq!(a.at(t), at(t), "at {t}");
             }
-            assert_eq!(a.last_sample(), b.last().copied());
+            assert_eq!(a.at(u64::MAX), b.last().copied());
             // A range handle appends to what its buffer holds, and reads the
             // same again: inside one sealed chunk, across them, into the
             // head's block and past the newest sample.
@@ -2126,7 +2125,8 @@ mod tests {
         assert_eq!(outcome.rejected, 1);
         assert_eq!(db.stats().rejected_samples, 1);
         let m = &db.select(&Selector::metric("m"))[0];
-        assert_eq!(pairs(m.points_in(0, u64::MAX)), [(1_000, 1.0), (1_000, 2.0), (2_000, 4.0)]);
+        let want = [sample(1_000, 1.0), sample(1_000, 2.0), sample(2_000, 4.0)];
+        assert_eq!(m.points_in(0, u64::MAX), want);
         assert_eq!(db.append_handle(h, 2_500, 5.0), HandleAppend::Appended);
         assert_eq!(db.append_handle(h, 100, 0.0), HandleAppend::Rejected);
     }
@@ -2240,7 +2240,7 @@ mod tests {
         }
         // Nothing about n2's old data leaked into n1.
         let n1 = &db.select(&Selector::metric("m").with_label("node", "n1"))[0];
-        assert_eq!(pairs(n1.points_in(0, u64::MAX)).first(), Some(&(1_000, 1.0)));
+        assert_eq!(n1.points_in(0, u64::MAX).first(), Some(&sample(1_000, 1.0)));
         assert_eq!(db.drop_series(&Selector::metric("missing")), 0);
     }
 
@@ -2265,12 +2265,12 @@ mod tests {
             assert_eq!(db.append_handle(fresh, ts, v), HandleAppend::Appended);
         }
         let m = &db.select(&Selector::metric("m"))[0];
-        let m = pairs(m.points_in(0, u64::MAX));
-        assert_eq!(m, [(1_000, 1.0), (2_000, 2.0)], "no lost samples for m");
+        let m = m.points_in(0, u64::MAX);
+        assert_eq!(m, [sample(1_000, 1.0), sample(2_000, 2.0)], "no lost samples for m");
         let gone = &db.select(&Selector::metric("gone"))[0];
         assert_eq!(
-            pairs(gone.points_in(0, u64::MAX)),
-            [(2_000, 2.0)],
+            gone.points_in(0, u64::MAX),
+            [sample(2_000, 2.0)],
             "re-resolved series got the new sample"
         );
     }
@@ -2467,7 +2467,7 @@ mod tests {
         assert_eq!(revived.resident_bytes, after.resident_bytes + SAMPLE_BYTES as u64);
         let idle_series = &db.select(&Selector::metric("idle"))[0];
         assert_eq!(idle_series.len(), 18);
-        assert_eq!(idle_series.last_sample(), Some(Sample { timestamp_ms: idle_end, value: 17.0 }));
+        assert_eq!(idle_series.at(u64::MAX), Some(sample(idle_end, 17.0)));
 
         // Eviction is what it was: one retention window after the last sample.
         db.append_handle(live, idle_end + 20 * MINUTE, 1.0);
@@ -2507,8 +2507,8 @@ mod tests {
             before.series_bytes + one_chunk_list()
         );
         assert_eq!(
-            pairs(db.select(&Selector::metric("short"))[0].points_in(0, u64::MAX)),
-            [(7, 1.0)]
+            db.select(&Selector::metric("short"))[0].points_in(0, u64::MAX),
+            [sample(7, 1.0)]
         );
         assert!(probes::STALE_HEADS_SEALED.get() > sealed_before, "`short` was sealed");
         // The next head starts like a new series': a store, then a buffer.
@@ -2612,12 +2612,12 @@ mod tests {
         let find = |db: &TimeSeriesDb, (name, labels): &(&str, Labels)| {
             db.shared.shard(0).read().find(HASH, name, labels, &db.shared.symbols)
         };
-        let points = |db: &TimeSeriesDb, pod: &str| -> Vec<(u64, f64)> {
+        let points = |db: &TimeSeriesDb, pod: &str| -> Vec<Sample> {
             let selected = db.select(&Selector::metric("a_total").with_label("pod", pod));
             assert!(selected.len() <= 1, "{pod} selected {} series", selected.len());
             selected.first().map_or_else(Vec::new, |s| {
                 assert_eq!(s.label_value("pod"), Some(pod));
-                pairs(s.points_in(0, u64::MAX))
+                s.points_in(0, u64::MAX)
             })
         };
         // Either may be the one the index holds and the other the overflow.
@@ -2643,8 +2643,8 @@ mod tests {
             }
             check_both(&db);
             let [first_pod, second_pod] = order.map(|i| ["p-1", "p-2"][i]);
-            assert_eq!(points(&db, first_pod), [(1_000, 1.0)]);
-            assert_eq!(points(&db, second_pod), [(50_000, 2.0)]);
+            assert_eq!(points(&db, first_pod), [sample(1_000, 1.0)]);
+            assert_eq!(points(&db, second_pod), [sample(50_000, 2.0)]);
 
             // Retention evicts the aged one; the other is now the first — and
             // only — series under the hash.
@@ -2653,7 +2653,7 @@ mod tests {
             assert_eq!(find(&db, second), Some(0));
             assert!(db.shared.shard(0).read().collided.is_empty());
             assert_eq!(points(&db, first_pod), []);
-            assert_eq!(points(&db, second_pod), [(50_000, 2.0)]);
+            assert_eq!(points(&db, second_pod), [sample(50_000, 2.0)]);
 
             // A drop of the one the index held leaves the overflow series
             // standing, and the other way round.

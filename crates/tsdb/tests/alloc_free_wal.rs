@@ -16,7 +16,7 @@ use std::cell::Cell;
 use std::path::PathBuf;
 
 use teemon_metrics::Labels;
-use teemon_tsdb::{SeriesHandle, TimeSeriesDb, TsdbConfig};
+use teemon_tsdb::{Sample, SeriesHandle, TimeSeriesDb, TsdbConfig};
 
 struct CountingAllocator;
 
@@ -117,20 +117,20 @@ fn warm_durable_ingest_round_is_allocation_free() {
 fn recovery_restores_the_durable_state_from_real_files() {
     let scratch = ScratchDir::new("reopen");
     let config = TsdbConfig { chunk_size: 4, retention_ms: 86_400_000 };
-    let samples: Vec<(u64, f64)> = (1..=10u64).map(|t| (t * 1_000, t as f64)).collect();
+    let samples: Vec<Sample> =
+        (1..=10u64).map(|t| Sample { timestamp_ms: t * 1_000, value: t as f64 }).collect();
     {
         let db = TimeSeriesDb::open(&scratch.0, config.clone()).expect("open");
         let labels = Labels::from_pairs([("node", "n1")]);
-        for &(t, v) in &samples {
-            assert!(db.append("sgx_epc_pages", &labels, t, v));
+        for s in &samples {
+            assert!(db.append("sgx_epc_pages", &labels, s.timestamp_ms, s.value));
         }
         db.wal_flush();
     }
     let db = TimeSeriesDb::open(&scratch.0, config).expect("reopen");
     let selected = db.select(&teemon_tsdb::Selector::metric("sgx_epc_pages"));
     assert_eq!(selected.len(), 1);
-    let stored = selected[0].points_in(0, u64::MAX);
-    assert_eq!(stored.iter().map(|s| (s.timestamp_ms, s.value)).collect::<Vec<_>>(), samples);
+    assert_eq!(selected[0].points_in(0, u64::MAX), samples);
     assert_eq!(db.stats().samples, 10);
     assert_eq!(db.stats().wal_failed_shards, 0);
 }

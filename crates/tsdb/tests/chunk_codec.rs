@@ -10,9 +10,8 @@
 //! asked for (it takes runs of steady samples in one step); the encoder byte
 //! for byte and kind for kind on every input it accepts — whole, and through
 //! the resumable [`BlockEncoder`] in any split into bursts, wherever in the
-//! stream the first value that is not a whole number arrives.  The lazy
-//! decoder behind seeks and open heads is crate-private; the codec's unit
-//! tests hold it to the bulk one on the same inputs (`support/codec_inputs.rs`).
+//! stream the first value that is not a whole number arrives.  The inputs
+//! come from `support/codec_inputs.rs`.
 //!
 //! [`reference::encode_xor`] is the encoder as it stood before blocks had
 //! kinds, kept verbatim: a block holding any value that does not qualify for
@@ -363,13 +362,13 @@ mod reference {
 
 /// Asserts the production decoder — `decode` and `decode_into` — reads
 /// `count` samples off `bytes` as a block of `kind` exactly as the reference
-/// does.  The bulk decoder takes a
-/// run of steady samples in one step, cut to the count it was given, so for
-/// it every count up to `count` is a case of its own: a run that ends on the
-/// count, one short of it, or that the count cuts anywhere.
+/// does.  The decoder takes a run of steady samples in one step, cut to the
+/// count it was given, so every count up to `count` is a case of its own: a
+/// run that ends on the count, one short of it, or that the count cuts
+/// anywhere.
 fn assert_matches_reference(bytes: &[u8], kind: BlockKind, count: usize) {
     let want = reference::decode(bytes, kind, count);
-    assert!(samples_identical(&decode(bytes, kind, count), &want), "bulk decode diverged");
+    assert!(samples_identical(&decode(bytes, kind, count), &want), "decode diverged");
     let mut appended = vec![Sample { timestamp_ms: 7, value: 7.0 }];
     for upto in 0..=count {
         appended.truncate(1);

@@ -270,7 +270,7 @@ impl Pair {
         assert_eq!(bits(snapshot.points_in(0, u64::MAX)), bits(expected.iter().copied()));
         assert_eq!(snapshot.first_timestamp(), expected.first().map(|s| s.timestamp_ms));
         assert_eq!(snapshot.last_timestamp(), model.newest());
-        assert_eq!(bits(snapshot.last_sample()), bits(expected.last().copied()));
+        assert_eq!(bits(snapshot.at(u64::MAX)), bits(expected.last().copied()));
         // In a snapshot the open head is one chunk: its samples as they are
         // before the first burst, after it one block of bursts and tail.
         let head_block = match chunk_codec::encode(&model.head) {

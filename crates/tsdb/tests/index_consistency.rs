@@ -1,6 +1,7 @@
 //! The inverted index — two postings maps and a per-candidate check of the
 //! `exists` / `!=` matchers no list serves — must be indistinguishable from
-//! the naive all-series matcher scan, on a store however it came by its
+//! the naive all-series scan with the model's matcher
+//! (`support/selection.rs`), on a store however it came by its
 //! index (registered series by series, rebuilt after a drop or an eviction,
 //! recovered from a snapshot), and the sharded engine must not lose samples
 //! under concurrent appenders.
@@ -11,7 +12,14 @@ use std::sync::Arc;
 
 use proptest::proptest;
 use teemon_metrics::Labels;
-use teemon_tsdb::{DurabilityOptions, FaultFs, Selector, TimeSeriesDb, TsdbConfig, SHARD_COUNT};
+use teemon_tsdb::{
+    DurabilityOptions, FaultFs, LabelMatch, Selector, TimeSeriesDb, TsdbConfig, SHARD_COUNT,
+};
+
+#[path = "support/selection.rs"]
+mod selection;
+
+use selection::matches;
 
 const METRICS: &[&str] = &["up", "teemon_syscalls_total", "sgx_nr_free_pages"];
 const KEYS: &[&str] = &["node", "syscall", "job", "pod"];
@@ -80,7 +88,7 @@ fn build_unindexed_selector(spec: &SelectorSpec) -> Option<Selector> {
 fn assert_agrees(db: &TimeSeriesDb, live: &[(String, Labels)], selectors: &[Selector], at: &str) {
     for selector in selectors {
         let expected: Vec<(String, Labels)> =
-            live.iter().filter(|(name, labels)| selector.matches(name, labels)).cloned().collect();
+            live.iter().filter(|(name, labels)| matches(selector, name, labels)).cloned().collect();
         let got: Vec<(String, Labels)> = db
             .select(selector)
             .iter()
@@ -147,7 +155,7 @@ proptest! {
         // A drop rebuilds the postings of every shard it touched.
         let dropped = &selectors[0];
         let before = live.len();
-        live.retain(|(name, labels)| !dropped.matches(name, labels));
+        live.retain(|(name, labels)| !matches(dropped, name, labels));
         for db in &stores {
             assert_eq!(db.drop_series(dropped), before - live.len(), "dropping {dropped}");
         }
@@ -176,6 +184,22 @@ proptest! {
         assert!(fs.file_paths().iter().any(|p| p.to_string_lossy().contains("shard-")));
         assert_agrees(&open_durable(&fs, &config), &kept, &selectors, "after a reopen");
     }
+}
+
+#[test]
+fn selector_matching_rules() {
+    let series_labels = Labels::from_pairs([("node", "n1"), ("job", "sgx_exporter")]);
+    let holds = |selector: Selector, name: &str| matches(&selector, name, &series_labels);
+    assert!(holds(Selector::all(), "anything"));
+    assert!(holds(Selector::metric("up"), "up"));
+    assert!(!holds(Selector::metric("up"), "down"));
+    assert!(holds(Selector::metric("up").with_label("node", "n1"), "up"));
+    assert!(!holds(Selector::metric("up").with_label("node", "n2"), "up"));
+    assert!(holds(Selector::all().without_label_value("node", "n2"), "up"));
+    assert!(!holds(Selector::all().without_label_value("node", "n1"), "up"));
+    assert!(!holds(Selector::all().without_label_value("pod", "p1"), "up"), "`!=` needs the key");
+    assert!(holds(Selector::all().with_label_present("job"), "up"));
+    assert!(!holds(Selector::all().with_label_present("pod"), "up"));
 }
 
 #[test]

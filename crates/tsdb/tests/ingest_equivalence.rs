@@ -192,7 +192,7 @@ fn the_stale_head_rule_fires_inside_the_sweep() {
 /// The last value of `metric` for `instance`, if the series exists.
 fn last_value(db: &TimeSeriesDb, metric: &str, instance: &str) -> Option<f64> {
     let selector = Selector::metric(metric).with_label("instance", instance);
-    db.select(&selector).iter().find_map(|series| series.last_sample()).map(|s| s.value)
+    db.select(&selector).iter().find_map(|series| series.at(u64::MAX)).map(|s| s.value)
 }
 
 /// Holds the scraper and the reference to each other on the three rounds a

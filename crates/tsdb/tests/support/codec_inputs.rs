@@ -1,8 +1,7 @@
-//! The sample generator of the chunk-codec properties, shared by
-//! `tests/chunk_codec.rs` (the codec against its bit-by-bit reference) and
-//! the codec's unit tests (the lazy decoder against the bulk one), so both
-//! read the same inputs: every timestamp bucket and escape, every rung of the
-//! integer ladder, the IEEE specials and long steady stretches.
+//! The sample generator of the chunk-codec properties in
+//! `tests/chunk_codec.rs` (the codec against its bit-by-bit reference):
+//! every timestamp bucket and escape, every rung of the integer ladder, the
+//! IEEE specials and long steady stretches.
 
 use super::Sample;
 
@@ -41,7 +40,7 @@ pub fn switch_at((kind, position): (u8, usize), len: usize) -> usize {
 /// A delta selector of 8 or 9 is not one sample but a steady stretch: `1 +
 /// raw % 200` samples at the cadence of the two before it, the value standing
 /// still (8) or, whole numbers permitting, holding its rate (9) — two zero
-/// bits a sample in a block of the kind that suits, which is what the bulk
+/// bits a sample in a block of the kind that suits, which is what the
 /// decoder takes in runs.  Up to 200, so a run crosses the reader's 57-bit
 /// refills several times over; the sample specs around a stretch are the
 /// single escapes that interrupt it.  The properties that draw selectors

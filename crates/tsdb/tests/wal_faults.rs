@@ -24,8 +24,8 @@ use std::sync::{Arc, Barrier};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_obs::probes;
 use teemon_tsdb::{
-    CrashModel, DurabilityOptions, FaultFs, FsyncMode, ScrapeTargetConfig, Scraper, Selector,
-    StorageStats, TimeSeriesDb, TsdbConfig, WalFile, WalFs, SHARD_COUNT,
+    CrashModel, DurabilityOptions, FaultFs, FsyncMode, Sample, ScrapeTargetConfig, Scraper,
+    Selector, StorageStats, TimeSeriesDb, TsdbConfig, WalFile, WalFs, SHARD_COUNT,
 };
 
 fn config() -> TsdbConfig {
@@ -84,14 +84,10 @@ fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
 
 /// Points keyed by (name, labels) — the oracle for the corruption tests,
 /// where a salvaged shard must hold a *prefix* of the acked data.
-fn series_points(db: &TimeSeriesDb) -> BTreeMap<(String, String), Vec<(u64, f64)>> {
+fn series_points(db: &TimeSeriesDb) -> BTreeMap<(String, String), Vec<Sample>> {
     db.select(&Selector::all())
         .iter()
-        .map(|s| {
-            let points =
-                s.points_in(0, u64::MAX).iter().map(|p| (p.timestamp_ms, p.value)).collect();
-            ((s.name().to_string(), s.to_labels().to_string()), points)
-        })
+        .map(|s| ((s.name().to_string(), s.to_labels().to_string()), s.points_in(0, u64::MAX)))
         .collect()
 }
 
@@ -592,7 +588,8 @@ fn unflushed_ingest_commits_itself_in_bounded_groups() {
         let got = &points[&("push_metric".to_string(), labels.to_string())];
         let singles = if lane == 0 { single } else { 0 };
         assert_eq!(got.len() as u64, singles + acked_batches, "lane {lane}");
-        assert!(got.iter().all(|&(t, v)| v.to_bits() == value(t).to_bits()), "lane {lane}");
+        let logged = |s: &Sample| s.value.to_bits() == value(s.timestamp_ms).to_bits();
+        assert!(got.iter().all(logged), "lane {lane}");
     }
 }
 
@@ -692,7 +689,7 @@ impl WalFs for HookFs {
 }
 
 /// The points of each appender's series, in lane order.
-type LanePoints = Vec<Vec<(u64, f64)>>;
+type LanePoints = Vec<Vec<Sample>>;
 
 /// Appends racing the flush: two appender threads each stage a sample into
 /// a shard **after** the flusher drained that shard's buffer and **before**
@@ -745,14 +742,14 @@ fn samples_staged_after_the_drain_wait_for_the_next_round() {
         for round in 1..=ROUNDS {
             for (labels, points) in lanes.iter().zip(&mut staged) {
                 assert!(db.append("race_metric", labels, round * 1_000, round as f64));
-                points.push((round * 1_000, round as f64));
+                points.push(Sample { timestamp_ms: round * 1_000, value: round as f64 });
             }
             assert!(db.wal_flush());
             // Acked: everything staged before the flush began.  The late
             // samples were staged during it, behind the drain.
             acked.push((fs.op_count(), staged.clone()));
             for points in &mut staged {
-                points.push((round * 1_000 + 500, -1.0));
+                points.push(Sample { timestamp_ms: round * 1_000 + 500, value: -1.0 });
             }
         }
         armed.store(false, Ordering::SeqCst);

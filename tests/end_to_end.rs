@@ -77,7 +77,7 @@ fn full_pipeline_from_workload_to_dashboard() {
     let evicted_metric: f64 = db
         .select(&Selector::metric("sgx_pages_evicted_total"))
         .iter()
-        .filter_map(|series| series.last_sample())
+        .filter_map(|series| series.at(u64::MAX))
         .map(|sample| sample.value)
         .sum();
     let evicted_driver = host.kernel().sgx_driver().stats().epc_pages_evicted as f64;
@@ -146,7 +146,7 @@ fn framework_transparency_same_monitoring_for_all_frameworks() {
             .db()
             .select(&Selector::metric("sgx_nr_enclaves"))
             .iter()
-            .map(|series| series.last_sample().unwrap().value)
+            .map(|series| series.at(u64::MAX).unwrap().value)
             .sum();
         assert_eq!(enclaves > 0.0, kind.uses_enclave(), "{kind}: enclave count mismatch");
     }
