@@ -62,7 +62,7 @@ pub use scrape::{
 pub use series::{Sample, SeriesId};
 pub use snapshot::{SampleRange, SeriesSnapshot};
 pub use storage::{
-    BatchOutcome, HandleAppend, SeriesHandle, StorageCensus, StorageStats, TimeSeriesDb,
-    TsdbConfig, BATCH_BLOCK, SHARD_COUNT, STALE_HEAD_MS,
+    BatchOutcome, SeriesHandle, StorageCensus, StorageStats, TimeSeriesDb, TsdbConfig, BATCH_BLOCK,
+    SHARD_COUNT, STALE_HEAD_MS,
 };
 pub use wal::{CrashModel, DurabilityOptions, FailpointWriter, FaultFs, FsyncMode, WalFile, WalFs};

@@ -53,10 +53,11 @@
 //! lazily at the first positional miss in a map the cache keeps — and only
 //! a sample that matches nothing pays the label merge, the key capture and
 //! [`TimeSeriesDb::resolve`].  Admission and the batch fill happen in the
-//! same walk.  Stale handles (series evicted by retention or dropped) are
-//! re-resolved by key, so the fast lane can miss a beat but never writes to
-//! the wrong series.  A lane gives its admissions back to the job pool when
-//! it is dropped — a removed target's and a closed connection's alike.
+//! same walk.  A sample whose handle went stale (its series evicted by
+//! retention or dropped) is appended by key and the key re-resolved, so the
+//! fast lane can miss a beat but never writes to the wrong series.  A lane
+//! gives its admissions back to the job pool when it is dropped — a removed
+//! target's and a closed connection's alike.
 //!
 //! The fast lane is the only lane.  What it must equal — merge the target
 //! labels and [`TimeSeriesDb::append`] every sample by key, every round —
@@ -76,7 +77,7 @@ use teemon_metrics::{
 };
 use teemon_obs::{probes, SelfSnapshot, Stopwatch};
 
-use crate::storage::{HandleAppend, SeriesHandle, TimeSeriesDb, STALE_HEAD_MS};
+use crate::storage::{SeriesHandle, TimeSeriesDb, STALE_HEAD_MS};
 
 /// Why scraping one target failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -963,12 +964,11 @@ fn append_batch_repairing(db: &TimeSeriesDb, cache: &mut TargetCache) -> u64 {
 }
 
 /// Appends one sample whose cached `handle` came back stale: the series was
-/// evicted or dropped after the cache resolved it.  The key is re-resolved
-/// (re-creating the series if need be) into `handle` and the sample appended
-/// through it.  A concurrent drop can race the re-resolve and stale it
-/// again, so the second attempt falls back to the by-key append, which
-/// cannot be stale — a stale handle may cost extra work but never loses a
-/// sample.  Returns whether storage accepted the sample.
+/// evicted or dropped after the cache resolved it.  The sample goes in by
+/// key — which re-creates the series if need be and cannot be stale, so a
+/// stale handle may cost extra work but never loses a sample — and the key
+/// is then re-resolved into `handle` for the next round.  Returns whether
+/// storage accepted the sample.
 fn reappend(
     db: &TimeSeriesDb,
     name: &str,
@@ -977,12 +977,9 @@ fn reappend(
     timestamp_ms: u64,
     value: f64,
 ) -> bool {
+    let accepted = db.append(name, labels, timestamp_ms, value);
     *handle = db.resolve(name, labels);
-    match db.append_handle(*handle, timestamp_ms, value) {
-        HandleAppend::Appended => true,
-        HandleAppend::Rejected => false,
-        HandleAppend::Stale => db.append(name, labels, timestamp_ms, value),
-    }
+    accepted
 }
 
 /// The series a round writes about its target, in the order a target's

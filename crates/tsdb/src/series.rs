@@ -504,9 +504,8 @@ impl Sealed {
 
     /// Drops every chunk whose newest sample is older than `cutoff_ms`:
     /// whole blocks, and the aged front of the first block kept, which is
-    /// built again without it.  Returns `(samples, chunks, payload bytes)`
-    /// dropped.
-    pub(crate) fn drop_before(&mut self, cutoff_ms: u64) -> (usize, usize, u64) {
+    /// built again without it.
+    pub(crate) fn drop_before(&mut self, cutoff_ms: u64) {
         let aged =
             |c: Option<Chunk<'_>>| c.and_then(|c| c.end()).is_some_and(|end| end < cutoff_ms);
         let blocks = self.blocks();
@@ -514,19 +513,14 @@ impl Sealed {
         let first = blocks.get(whole);
         let partial = first.map_or(0, |b| partition(b.len(), |c| aged(b.chunk(c))));
         if whole == 0 && partial == 0 {
-            return (0, 0, 0);
+            return;
         }
-        let dropped = blocks.iter().take(whole).flat_map(Block::chunks);
-        let dropped = dropped.chain(first.into_iter().flat_map(|b| b.chunks().take(partial)));
-        let (samples, chunks, bytes) = dropped
-            .fold((0, 0, 0u64), |(s, n, b), c| (s + c.len(), n + 1, b + c.data_bytes() as u64));
         let rebuilt = first.filter(|_| partial > 0).map(|b| Block::pack(b.chunks().skip(partial)));
         let kept = blocks.get(whole + usize::from(rebuilt.is_some())..).unwrap_or(&[]);
         self.0 = match (rebuilt, kept.is_empty()) {
             (None, true) => None,
             (rebuilt, _) => Some(rebuilt.into_iter().chain(kept.iter().cloned()).collect()),
         };
-        (samples, chunks, bytes)
     }
 }
 
@@ -869,19 +863,24 @@ mod tests {
 
         // A cutoff inside the second block: the first goes whole, the second
         // is built again from its young end, the third is kept as it is.
+        // What is left: chunks, samples and the first chunk's start.
+        let left =
+            |s: &Sealed| (s.chunk_count(), s.sample_count(), s.first().and_then(|c| c.start()));
         let before = sealed.clone();
-        let cutoff = 4_000 * (BLOCK_CHUNKS as u64 + 5) + 1;
-        let (samples, chunks, bytes) = sealed.drop_before(cutoff);
-        assert_eq!((samples, chunks), (4 * (BLOCK_CHUNKS + 5), BLOCK_CHUNKS + 5));
-        assert_eq!(bytes, before.payload_bytes() - sealed.payload_bytes());
-        let kept: Vec<Sample> = model.iter().copied().skip(samples).collect();
+        let first_kept = 4_000 * (BLOCK_CHUNKS as u64 + 5);
+        sealed.drop_before(first_kept + 1);
+        assert_eq!(left(&sealed), (14, 4 * 14, Some(first_kept)));
+        let kept: Vec<Sample> = model.iter().copied().skip(4 * (BLOCK_CHUNKS + 5)).collect();
         assert_eq!(samples_of(&sealed), kept);
+        let payload: u64 = sealed.chunks().map(|c| c.data_bytes() as u64).sum();
+        assert_eq!(sealed.payload_bytes(), payload);
         assert_eq!(sealed.blocks().iter().map(Block::len).collect::<Vec<_>>(), [11, 3]);
         assert!(Arc::ptr_eq(&sealed.blocks()[1].0, &before.blocks()[2].0), "kept, not copied");
         assert_eq!(samples_of(&before), model, "the snapshot held before is untouched");
-        // Nothing more to drop; then everything.
-        assert_eq!(sealed.drop_before(cutoff), (0, 0, 0));
-        assert_eq!(sealed.drop_before(u64::MAX).1, 14);
+        sealed.drop_before(first_kept + 1);
+        assert_eq!(left(&sealed), (14, 4 * 14, Some(first_kept)), "nothing more to drop");
+        sealed.drop_before(u64::MAX);
+        assert_eq!(left(&sealed), (0, 0, None));
         assert!(sealed.is_empty() && sealed.blocks().is_empty());
         assert_eq!(sealed.overhead_bytes(), 0);
 

@@ -138,9 +138,9 @@ pub struct StorageStats {
     /// one allocation of exactly that size) plus, per open head, the bytes
     /// in use of the block it is building and 16 bytes per sample of its
     /// inline tail (a head's buffer is at most twice what it holds, 32 bytes
-    /// at least, and nothing once the series has gone stale).  Maintained
-    /// incrementally per shard (appends, seals, retention), so reading it
-    /// never scans storage.
+    /// at least, and nothing once the series has gone stale).  Kept per
+    /// shard — by appends and seals incrementally, recounted by retention,
+    /// drops and recovery —, so reading it never scans storage.
     pub resident_bytes: u64,
     /// Shards whose write-ahead log has failed (write/fsync errors, or
     /// unrecoverable corruption found at startup).  Always `0` for a
@@ -230,8 +230,8 @@ pub struct StorageCensus {
 /// move or drop series within a shard (retention evicting fully-aged series,
 /// [`TimeSeriesDb::drop_series`]) bumps that shard's generation, after which
 /// every previously issued handle into the shard is *stale*.  Stale handles
-/// are reported back (never silently redirected), and the holder re-resolves
-/// by key — see [`BatchOutcome::stale`] and [`HandleAppend::Stale`].
+/// are reported back (never silently redirected) in [`BatchOutcome::stale`],
+/// and the holder appends that sample by key and re-resolves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SeriesHandle {
     shard: u16,
@@ -247,20 +247,6 @@ impl SeriesHandle {
     pub(crate) fn unresolved() -> Self {
         Self { shard: u16::MAX, local: u32::MAX, generation: u64::MAX }
     }
-}
-
-/// What one handle-addressed append did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandleAppend {
-    /// The sample was stored.
-    Appended,
-    /// The sample was out of order and rejected (counted in
-    /// [`StorageStats::rejected_samples`]).
-    Rejected,
-    /// The handle's shard generation has moved on (series were evicted or
-    /// dropped); nothing was written.  Re-resolve the key with
-    /// [`TimeSeriesDb::resolve`] and retry.
-    Stale,
 }
 
 /// Result of one [`TimeSeriesDb::append_batch`] round.
@@ -423,15 +409,18 @@ impl MemSeries {
     /// The stale-head rule of [`ShardInner::retention_pass`]: a series whose
     /// newest sample is older than `stale_before` gives its head back — the
     /// record and its block buffer — sealing what the head holds first.
-    /// Returns the payload size of the chunk that made.
-    fn seal_if_stale(&mut self, stale_before: u64) -> Option<usize> {
-        let holds_samples = !self.head.as_deref()?.is_empty();
-        if self.last_timestamp()? >= stale_before {
-            return None;
+    /// Returns whether it sealed a chunk.
+    fn seal_if_stale(&mut self, stale_before: u64) -> bool {
+        let Some(head) = self.head.as_deref() else { return false };
+        let holds_samples = !head.is_empty();
+        if self.last_timestamp().is_none_or(|last| last >= stale_before) {
+            return false;
         }
-        let sealed_bytes = holds_samples.then(|| self.seal_head().0);
+        if holds_samples {
+            self.seal_head();
+        }
         self.drop_head();
-        sealed_bytes
+        holds_samples
     }
 
     /// The labels, materialised from `symbols` as a packed copy of their
@@ -453,22 +442,13 @@ impl MemSeries {
     }
 
     /// Drops whole chunks (and the head, record and buffer) whose newest
-    /// sample is older than `cutoff_ms` ([`Sealed::drop_before`]).  Returns
-    /// `(samples_dropped, chunks_dropped, bytes_dropped)` so the shard can
-    /// maintain its aggregates.
-    fn drop_before(&mut self, cutoff_ms: u64) -> (usize, usize, u64) {
-        let (mut samples, mut chunks, mut bytes) = self.sealed.drop_before(cutoff_ms);
-        if self.sealed.is_empty() {
-            if let Some(head) =
-                self.open_head().filter(|head| head.last_timestamp().is_some_and(|t| t < cutoff_ms))
-            {
-                samples += head.len();
-                chunks += 1;
-                bytes += head.resident_bytes() as u64;
-                self.drop_head();
-            }
+    /// sample is older than `cutoff_ms` ([`Sealed::drop_before`]).
+    fn drop_before(&mut self, cutoff_ms: u64) {
+        self.sealed.drop_before(cutoff_ms);
+        let aged = |head: &Head| head.last_timestamp().is_some_and(|t| t < cutoff_ms);
+        if self.sealed.is_empty() && self.open_head().is_some_and(aged) {
+            self.drop_head();
         }
-        (samples, chunks, bytes)
     }
 
     /// `true` when the series once held data and retention has since drained
@@ -478,7 +458,7 @@ impl MemSeries {
         self.ever_appended && self.sealed.is_empty() && self.open_head().is_none()
     }
 
-    /// Stored samples (sealed + head), for aggregate maintenance on drops.
+    /// Stored samples (sealed + head).
     fn sample_count(&self) -> u64 {
         self.sealed.sample_count() + self.open_head().map_or(0, |head| head.len() as u64)
     }
@@ -488,8 +468,7 @@ impl MemSeries {
         self.sealed.chunk_count() as u64 + u64::from(self.open_head().is_some())
     }
 
-    /// Resident payload bytes, matching the shard's incremental `bytes`
-    /// accounting (sealed chunk payloads + the head's, see
+    /// Resident payload bytes: sealed chunk payloads + the head's (see
     /// [`Head::resident_bytes`]).
     fn resident_bytes(&self) -> u64 {
         self.sealed.payload_bytes() + self.head_resident_bytes()
@@ -574,9 +553,15 @@ struct ShardInner {
     /// evicted by retention or dropped); stale [`SeriesHandle`]s are detected
     /// by comparing against this.
     generation: u64,
-    samples: u64,
-    chunks: u64,
+    /// Samples rejected as out of order: history, which no series holds.
     rejected: u64,
+    /// Stored samples.  This and the six fields after it are the shard's
+    /// ledger: aggregates of `series` that the append path keeps
+    /// incrementally ([`ShardInner::account`]) and every cold path
+    /// recomputes ([`ShardInner::recount`]).
+    samples: u64,
+    /// Chunks, an open head counting as one.
+    chunks: u64,
     /// Resident payload bytes (sealed chunk data + every head's, see
     /// [`Head::resident_bytes`]).
     bytes: u64,
@@ -632,8 +617,8 @@ impl ShardInner {
     /// Appends `sample` to the series at `local` (same invariant as
     /// [`ShardInner::series_at`]) and folds the result into the shard
     /// aggregates.  Returns `true` when the sample was stored.  The one
-    /// append every path — per-sample, by handle, batched, WAL replay —
-    /// goes through, so acceptance and accounting cannot diverge.
+    /// append every path — by key, batched, WAL replay — goes through, so
+    /// acceptance and accounting cannot diverge.
     ///
     /// The hot path is the ordering check against the newest timestamp and
     /// the room check, both against the series record, and a sixteen-byte
@@ -731,9 +716,9 @@ impl ShardInner {
         self.postings.register(local, series.name_sym, &series.label_syms);
     }
 
-    /// Rebuilds the key index and postings from the stored series without
-    /// touching the generation — WAL replay reconstructs a shard whose
-    /// durable generation is restored explicitly.
+    /// Rebuilds the key index and postings from the stored series.  The
+    /// generation is the caller's: a removal bumps it, recovery restores
+    /// the durable one.
     fn reindex(&mut self) {
         self.key_index.clear();
         self.collided = Vec::new();
@@ -747,39 +732,26 @@ impl ShardInner {
         self.series = series;
     }
 
-    /// Rebuilds the key index and postings from the surviving series and
-    /// bumps the shard generation.  Must be called after any operation that
-    /// removes series (and thereby renumbers shard-local indices); every
-    /// previously issued handle into this shard becomes stale.
+    /// Removes the series at `victims` (ascending pre-removal shard-local
+    /// indices) — the one way series leave a shard: what
+    /// [`TimeSeriesDb::drop_series`] drops, what
+    /// [`ShardInner::retention_pass`] evicts, and both replayed, so the live
+    /// and the replayed state cannot diverge.  The victims' symbol
+    /// references are released (no-ops during replay: refcounts are rebuilt
+    /// wholesale at the end of recovery), the key index and postings are
+    /// rebuilt from the survivors and the generation is bumped, so every
+    /// previously issued handle into this shard becomes stale.  Ends in
+    /// [`ShardInner::recount`] (all it does without victims).  Returns how
+    /// many series were removed.
     ///
     /// A removal that leaves the array under a quarter full also gives the
     /// spike back: the array and the key index shrink to twice what they
     /// hold (the postings maps are rebuilt from nothing every time), so a
     /// burst of cardinality costs memory for its retention window, not for
     /// the life of the process.
-    fn rebuild_after_removal(&mut self) {
-        let held = self.series.len();
-        if held < self.series.capacity() / 4 {
-            self.series.shrink_to(2 * held);
-            self.key_index.clear();
-            self.key_index.shrink_to(2 * held);
-        }
-        self.reindex();
-        self.generation += 1;
-    }
-
-    /// Removes the series at `victims` (ascending pre-removal shard-local
-    /// indices), maintains the shard aggregates, releases the victims'
-    /// symbol references and renumbers the shard.  Shared by
-    /// [`TimeSeriesDb::drop_series`] and WAL replay so the live and the
-    /// replayed state cannot diverge (during replay the releases are no-ops
-    /// — refcounts are rebuilt wholesale at the end of recovery).  Returns
-    /// how many series were removed.
     fn remove_locals(&mut self, victims: &[u32], symbols: &RwLock<SymbolTable>) -> usize {
-        if victims.is_empty() {
-            return 0;
-        }
-        {
+        let held = self.series.len();
+        if !victims.is_empty() {
             // Lock order: the caller holds this shard's lock; `tsdb.symbols`
             // nests inside it, same as the series-creation path.
             let mut table = symbols.write();
@@ -788,44 +760,34 @@ impl ShardInner {
                     series.release_symbols(&mut table);
                 }
             }
-        }
-        // `victims` is ascending; walk it alongside a retain pass.
-        let mut next_victim = 0usize;
-        let mut local = 0u32;
-        let mut removed = 0usize;
-        let mut removed_samples = 0u64;
-        let mut removed_chunks = 0u64;
-        let mut removed_bytes = 0u64;
-        let mut removed_head_bytes = 0u64;
-        let mut removed_boxes_bytes = 0u64;
-        self.series.retain(|series| {
-            let doomed = victims.get(next_victim) == Some(&local);
-            if doomed {
-                next_victim += 1;
-                removed += 1;
-                removed_samples += series.sample_count();
-                removed_chunks += series.chunk_total();
-                removed_bytes += series.resident_bytes();
-                removed_head_bytes += series.head_resident_bytes();
-                removed_boxes_bytes += series.boxes_bytes();
+            drop(table);
+            // `victims` is ascending; walk it alongside a retain pass.
+            let (mut next_victim, mut local) = (0, 0u32);
+            self.series.retain(|_| {
+                let doomed = victims.get(next_victim) == Some(&local);
+                next_victim += usize::from(doomed);
+                local += 1;
+                !doomed
+            });
+            let kept = self.series.len();
+            if kept < self.series.capacity() / 4 {
+                self.series.shrink_to(2 * kept);
+                self.key_index.clear();
+                self.key_index.shrink_to(2 * kept);
             }
-            local += 1;
-            !doomed
-        });
-        self.samples = self.samples.saturating_sub(removed_samples);
-        self.chunks = self.chunks.saturating_sub(removed_chunks);
-        self.bytes = self.bytes.saturating_sub(removed_bytes);
-        self.head_bytes = self.head_bytes.saturating_sub(removed_head_bytes);
-        self.boxes_bytes = self.boxes_bytes.saturating_sub(removed_boxes_bytes);
-        self.rebuild_after_removal();
-        self.refresh_time_bounds();
-        removed
+            self.reindex();
+            self.generation += 1;
+        }
+        self.recount();
+        held - self.series.len()
     }
 
-    /// One shard's retention sweep at `cutoff`: drops aged chunks, evicts
-    /// fully drained series, seals stale heads and maintains the aggregates.
+    /// One shard's retention sweep at `cutoff`: drops aged chunks, seals
+    /// stale heads and evicts the series it drained through
+    /// [`ShardInner::remove_locals`], whose recount leaves the ledger right.
     /// Shared by [`TimeSeriesDb::apply_retention`] and WAL replay.  Returns
-    /// how many samples were dropped.
+    /// how many samples were dropped: the ledger's count before the pass
+    /// less its count after.
     ///
     /// A head is *stale* once its series' newest sample is more than
     /// [`STALE_HEAD_MS`] behind the shard's newest: instant selectors have
@@ -837,69 +799,44 @@ impl ShardInner {
     /// reads only what replay reproduces — `max_ts` and the head — so it
     /// needs no WAL record.
     fn retention_pass(&mut self, cutoff: u64, symbols: &RwLock<SymbolTable>) -> u64 {
-        let mut dropped_samples = 0u64;
-        let mut dropped_chunks = 0u64;
-        let mut dropped_bytes = 0u64;
-        let mut drained = false;
-        let mut min_ts = None;
+        let samples = self.samples;
         let stale_before = self.max_ts.map_or(0, |newest| newest.saturating_sub(STALE_HEAD_MS));
         let mut stale_sealed = 0u64;
-        let mut head_bytes = 0u64;
-        let mut boxes_bytes = 0u64;
-        for series in &mut self.series {
-            let (samples, chunks, bytes) = series.drop_before(cutoff);
-            dropped_samples += samples as u64;
-            dropped_chunks += chunks as u64;
-            dropped_bytes += bytes;
-            let is_drained = series.is_drained();
-            drained |= is_drained;
-            let head_before = series.head_resident_bytes();
-            if let Some(sealed_bytes) = series.seal_if_stale(stale_before) {
-                self.bytes = (self.bytes + sealed_bytes as u64).saturating_sub(head_before);
-                stale_sealed += 1;
+        let mut drained = Vec::new();
+        for (local, series) in (0u32..).zip(&mut self.series) {
+            series.drop_before(cutoff);
+            if series.is_drained() {
+                drained.push(local);
             }
-            head_bytes += series.head_resident_bytes();
-            if !is_drained {
-                boxes_bytes += series.boxes_bytes();
-            }
-            min_ts = match (min_ts, series.first_timestamp()) {
-                (Some(a), Some(b)) => Some(std::cmp::min::<u64>(a, b)),
-                (a, b) => a.or(b),
-            };
+            stale_sealed += u64::from(series.seal_if_stale(stale_before));
         }
         if stale_sealed > 0 {
             probes::STALE_HEADS_SEALED.add(stale_sealed);
         }
-        self.samples -= dropped_samples;
-        self.chunks -= dropped_chunks;
-        self.bytes = self.bytes.saturating_sub(dropped_bytes);
-        self.head_bytes = head_bytes;
-        self.boxes_bytes = boxes_bytes;
-        if drained {
-            // Evicting renumbers the shard; the second walk to refresh
-            // both time bounds only runs on this rare path.
-            {
-                let mut table = symbols.write();
-                for series in self.series.iter().filter(|s| s.is_drained()) {
-                    series.release_symbols(&mut table);
-                }
-            }
-            self.series.retain(|series| !series.is_drained());
-            self.rebuild_after_removal();
-            self.refresh_time_bounds();
-        } else {
-            // Dropping old data can only raise the minimum (folded for
-            // free above); the maximum is untouched by retention.
-            self.min_ts = min_ts;
-        }
-        dropped_samples
+        self.remove_locals(&drained, symbols);
+        samples.saturating_sub(self.samples)
     }
 
-    /// Recomputes the min/max timestamp aggregates from the stored series
-    /// (used after removals, where incremental maintenance cannot shrink).
-    fn refresh_time_bounds(&mut self) {
-        self.min_ts = self.series.iter().filter_map(MemSeries::first_timestamp).min();
-        self.max_ts = self.series.iter().filter_map(MemSeries::last_timestamp).max();
+    /// Recomputes the ledger — `samples`, `chunks`, `bytes`, `head_bytes`,
+    /// `boxes_bytes`, `min_ts` and `max_ts` — from the series, in one walk.
+    /// Every cold path that changes series ends here
+    /// ([`ShardInner::remove_locals`], and through it retention; recovery's
+    /// `Recovery::restore`); only the append path keeps the ledger
+    /// incrementally ([`ShardInner::account`]).  `rejected` and `generation`
+    /// are history no series holds, and stay.
+    fn recount(&mut self) {
+        (self.samples, self.chunks, self.bytes, self.head_bytes, self.boxes_bytes) =
+            (0, 0, 0, 0, 0);
+        (self.min_ts, self.max_ts) = (None, None);
+        for series in &self.series {
+            self.samples += series.sample_count();
+            self.chunks += series.chunk_total();
+            self.bytes += series.resident_bytes();
+            self.head_bytes += series.head_resident_bytes();
+            self.boxes_bytes += series.boxes_bytes();
+            self.min_ts = self.min_ts.into_iter().chain(series.first_timestamp()).min();
+            self.max_ts = self.max_ts.max(series.last_timestamp());
+        }
     }
 
     /// Shard-local matches for a compiled selector, ascending: candidates
@@ -954,16 +891,6 @@ impl DbShared {
     /// lock held.
     fn stage(&self, shard: usize) -> Option<wal::ShardWriter<'_>> {
         self.wal.as_ref()?.shard_writer(shard)
-    }
-
-    /// Stages one attempted append to `shard`.  `true` when the shard's
-    /// staging has outgrown its budget: the caller then runs
-    /// [`TimeSeriesDb::wal_flush`] once it has released the shard lock.
-    fn stage_sample(&self, shard: usize, local: u32, timestamp_ms: u64, value: f64) -> bool {
-        self.stage(shard).is_some_and(|mut writer| {
-            writer.sample(local, timestamp_ms, value);
-            writer.over_budget()
-        })
     }
 
     /// The lock shard at `index`.  Masked with `SHARD_COUNT - 1`, so the
@@ -1094,12 +1021,7 @@ impl<'a> Recovery<'a> {
             inner.series.push(restored);
         }
         inner.reindex();
-        inner.samples = inner.series.iter().map(MemSeries::sample_count).sum();
-        inner.chunks = inner.series.iter().map(MemSeries::chunk_total).sum();
-        inner.bytes = inner.series.iter().map(MemSeries::resident_bytes).sum();
-        inner.head_bytes = inner.series.iter().map(MemSeries::head_resident_bytes).sum();
-        inner.boxes_bytes = inner.series.iter().map(MemSeries::boxes_bytes).sum();
-        inner.refresh_time_bounds();
+        inner.recount();
         if let Some(shard) = self.shards.get_mut(index) {
             shard.inner = inner;
         }
@@ -1287,14 +1209,13 @@ impl TimeSeriesDb {
     /// error or a shard came up unrecoverable (sticky; also surfaced in
     /// [`StorageStats::wal_failed_shards`]).
     ///
-    /// Called once per scrape round by the scrape driver — and by any
-    /// appender ([`TimeSeriesDb::append`], [`TimeSeriesDb::append_handle`],
-    /// [`TimeSeriesDb::append_batch`]) that leaves a shard with more than
-    /// 256 KiB staged, so ingest without a driver cannot stage without
-    /// bound.  After a commit, every shard that has logged more than the
-    /// segment budget since its last snapshot is checkpointed — its state
-    /// snapshotted, Gorilla blocks re-used verbatim — and log segments no
-    /// stream needs are deleted.
+    /// Called once per scrape round by the scrape driver — and by either
+    /// appender ([`TimeSeriesDb::append`], [`TimeSeriesDb::append_batch`])
+    /// that leaves a shard with more than 256 KiB staged, so ingest without
+    /// a driver cannot stage without bound.  After a commit, every shard
+    /// that has logged more than the segment budget since its last snapshot
+    /// is checkpointed — its state snapshotted, Gorilla blocks re-used
+    /// verbatim — and log segments no stream needs are deleted.
     pub fn wal_flush(&self) -> bool {
         let Some(wal) = &self.shared.wal else {
             return true;
@@ -1356,7 +1277,12 @@ impl TimeSeriesDb {
             Some(local) => local,
             None => self.create_series(&mut inner, shard, key_hash, name, labels),
         };
-        let flush_due = self.shared.stage_sample(shard, local, timestamp_ms, value);
+        // Over budget, the shard's staging is flushed once its lock is
+        // released.
+        let flush_due = self.shared.stage(shard).is_some_and(|mut writer| {
+            writer.sample(local, timestamp_ms, value);
+            writer.over_budget()
+        });
         let chunk_size = self.config.chunk_size.max(1);
         let accepted = inner.append(local, Sample { timestamp_ms, value }, chunk_size);
         drop(inner);
@@ -1369,9 +1295,9 @@ impl TimeSeriesDb {
     /// Resolves `name` + `labels` to a [`SeriesHandle`], creating the series
     /// on first use — the slow half of the ingest fast lane, paid once per
     /// series per cache (re)build.  The returned handle stays valid until the
-    /// owning shard evicts or drops series (see [`SeriesHandle`]); appending
-    /// through it afterwards reports [`HandleAppend::Stale`] rather than ever
-    /// touching another series.
+    /// owning shard evicts or drops series (see [`SeriesHandle`]); a batch
+    /// entry through it afterwards comes back in [`BatchOutcome::stale`]
+    /// rather than ever touching another series.
     pub fn resolve(&self, name: &str, labels: &Labels) -> SeriesHandle {
         let key_hash = series_key_hash(name, labels);
         let shard = shard_of(key_hash);
@@ -1409,36 +1335,6 @@ impl TimeSeriesDb {
         generations.get(handle.shard as usize).is_some_and(|&g| g == handle.generation)
     }
 
-    /// Appends one sample through a resolved handle.  Unlike
-    /// [`TimeSeriesDb::append`] this never hashes the key or touches the key
-    /// index; unlike [`TimeSeriesDb::append_batch`] it locks the shard for a
-    /// single sample — use it for stragglers (e.g. re-appending after a stale
-    /// handle was re-resolved), not for whole rounds.
-    pub fn append_handle(
-        &self,
-        handle: SeriesHandle,
-        timestamp_ms: u64,
-        value: f64,
-    ) -> HandleAppend {
-        let chunk_size = self.config.chunk_size.max(1);
-        let mut inner = self.shared.shard(handle.shard as usize).write();
-        if handle.generation != inner.generation || (handle.local as usize) >= inner.series.len() {
-            return HandleAppend::Stale;
-        }
-        let flush_due =
-            self.shared.stage_sample(handle.shard as usize, handle.local, timestamp_ms, value);
-        let accepted = inner.append(handle.local, Sample { timestamp_ms, value }, chunk_size);
-        drop(inner);
-        if flush_due {
-            self.wal_flush();
-        }
-        if accepted {
-            HandleAppend::Appended
-        } else {
-            HandleAppend::Rejected
-        }
-    }
-
     /// Appends a whole scrape round of handle-addressed samples, taking each
     /// shard's write lock **once per block** of [`BATCH_BLOCK`] samples
     /// instead of once per sample.  Each block is sorted by shard once (a
@@ -1453,9 +1349,9 @@ impl TimeSeriesDb {
     /// Stale handles (their shard evicted or dropped series since
     /// resolution, or a handle that never addressed a shard) are skipped and
     /// reported by input index, in no particular order, in
-    /// [`BatchOutcome::stale`]; the caller re-resolves those keys and
-    /// retries — a stale handle can miss a beat but never write to the wrong
-    /// series.  On a steady-state round the call performs zero heap
+    /// [`BatchOutcome::stale`]; the caller appends those samples by key and
+    /// re-resolves the keys — a stale handle can miss a beat but never write
+    /// to the wrong series.  On a steady-state round the call performs zero heap
     /// allocations.
     pub fn append_batch(&self, batch: &[(SeriesHandle, u64, f64)]) -> BatchOutcome {
         let chunk_size = self.config.chunk_size.max(1);
@@ -1814,6 +1710,16 @@ mod tests {
         db.handle_live_under(handle, &db.shard_generations())
     }
 
+    /// One sample through `handle`: a batch of one.
+    fn append_one(db: &TimeSeriesDb, handle: SeriesHandle, ts: u64, value: f64) -> BatchOutcome {
+        db.append_batch(&[(handle, ts, value)])
+    }
+
+    /// What [`append_one`] reports for a sample stored and for one rejected
+    /// as out of order.
+    const APPENDED: BatchOutcome = BatchOutcome { appended: 1, rejected: 0, stale: Vec::new() };
+    const REJECTED: BatchOutcome = BatchOutcome { appended: 0, rejected: 1, stale: Vec::new() };
+
     #[test]
     fn append_creates_series_lazily() {
         let db = TimeSeriesDb::new();
@@ -2127,8 +2033,8 @@ mod tests {
         let m = &db.select(&Selector::metric("m"))[0];
         let want = [sample(1_000, 1.0), sample(1_000, 2.0), sample(2_000, 4.0)];
         assert_eq!(m.points_in(0, u64::MAX), want);
-        assert_eq!(db.append_handle(h, 2_500, 5.0), HandleAppend::Appended);
-        assert_eq!(db.append_handle(h, 100, 0.0), HandleAppend::Rejected);
+        assert_eq!(append_one(&db, h, 2_500, 5.0), APPENDED);
+        assert_eq!(append_one(&db, h, 100, 0.0), REJECTED);
     }
 
     /// Everything a store answers, as text — values as their bits — and
@@ -2215,8 +2121,8 @@ mod tests {
         let drop = labels(&[("node", "n2")]);
         let h_keep = db.resolve("m", &keep);
         let h_drop = db.resolve("m", &drop);
-        db.append_handle(h_keep, 1_000, 1.0);
-        db.append_handle(h_drop, 1_000, 2.0);
+        append_one(&db, h_keep, 1_000, 1.0);
+        append_one(&db, h_drop, 1_000, 2.0);
 
         assert_eq!(db.drop_series(&Selector::metric("m").with_label("node", "n2")), 1);
         assert_eq!(db.series_count(), 1);
@@ -2229,13 +2135,13 @@ mod tests {
         let generations = db.shard_generations();
         for (h, key) in [(h_keep, &keep), (h_drop, &drop)] {
             if db.handle_live_under(h, &generations) {
-                assert_eq!(db.append_handle(h, 2_000, 9.0), HandleAppend::Appended);
+                assert_eq!(append_one(&db, h, 2_000, 9.0), APPENDED);
             } else {
                 assert!(!is_live(&db, h));
-                assert_eq!(db.append_handle(h, 2_000, 9.0), HandleAppend::Stale);
+                assert_eq!(append_one(&db, h, 2_000, 9.0).stale, [0]);
                 // Re-resolving repairs the fast lane.
                 let fresh = db.resolve("m", key);
-                assert_eq!(db.append_handle(fresh, 2_000, 9.0), HandleAppend::Appended);
+                assert_eq!(append_one(&db, fresh, 2_000, 9.0), APPENDED);
             }
         }
         // Nothing about n2's old data leaked into n1.
@@ -2262,7 +2168,7 @@ mod tests {
             let (_, ts, v) = [(a, 2_000u64, 2.0f64), (b, 2_000, 2.0)][idx];
             let key = if idx == 0 { "m" } else { "gone" };
             let fresh = db.resolve(key, &labels(&[("node", "n1")]));
-            assert_eq!(db.append_handle(fresh, ts, v), HandleAppend::Appended);
+            assert_eq!(append_one(&db, fresh, ts, v), APPENDED);
         }
         let m = &db.select(&Selector::metric("m"))[0];
         let m = m.points_in(0, u64::MAX);
@@ -2293,7 +2199,7 @@ mod tests {
         let live = labels(&[("node", "new")]);
         let dead_handle = db.resolve("m", &dead);
         for t in 0..8u64 {
-            db.append_handle(dead_handle, t * 1_000, 1.0);
+            append_one(&db, dead_handle, t * 1_000, 1.0);
         }
         for t in 0..40u64 {
             db.append("m", &live, t * 1_000, 2.0);
@@ -2304,14 +2210,14 @@ mod tests {
         assert_eq!(db.series_count(), 1);
         assert!(db.select(&Selector::all().with_label("node", "old")).is_empty());
         assert_eq!(db.stats().series, 1);
-        assert_eq!(db.append_handle(dead_handle, 50_000, 1.0), HandleAppend::Stale);
+        assert_eq!(append_one(&db, dead_handle, 50_000, 1.0).stale, [0]);
         // The survivor still answers, and its creation-order id is retained.
         let results = db.select(&Selector::metric("m"));
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].label_value("node"), Some("new"));
         // A re-resolved key gets a fresh series (new id, empty history).
         let reborn = db.resolve("m", &dead);
-        assert_eq!(db.append_handle(reborn, 60_000, 3.0), HandleAppend::Appended);
+        assert_eq!(append_one(&db, reborn, 60_000, 3.0), APPENDED);
         assert_eq!(db.series_count(), 2);
     }
 
@@ -2350,10 +2256,10 @@ mod tests {
         let small =
             TimeSeriesDb::with_config(TsdbConfig { chunk_size: 3, ..TsdbConfig::default() });
         let h = small.resolve("m", &Labels::new());
-        small.append_handle(h, 0, 1.0);
-        small.append_handle(h, 1, 1.0);
+        append_one(&small, h, 0, 1.0);
+        append_one(&small, h, 1, 1.0);
         assert_eq!(head_of(&small, h), Some((2, 2, 0)), "two samples are two stores");
-        small.append_handle(h, 2, 1.0);
+        append_one(&small, h, 2, 1.0);
         assert_eq!(head_of(&small, h), Some((0, 0, 32)));
         assert_eq!(largest_burst(), 3);
     }
@@ -2365,7 +2271,7 @@ mod tests {
         largest_burst();
         let mut capacities = Vec::new();
         for t in 0..119u64 {
-            db.append_handle(h, t * 5_000, value(t));
+            append_one(&db, h, t * 5_000, value(t));
             let (len, tail, capacity) = head_of(&db, h).expect("an open head");
             assert_eq!((len, tail), (t as usize + 1, (t as usize + 1) % 8), "bursts of eight");
             let inner = db.shared.shard(h.shard as usize).read();
@@ -2383,7 +2289,7 @@ mod tests {
         assert_eq!(largest_burst(), 8, "no append encodes more than a tail");
         // The seal encodes the seven samples the tail held and the 120th,
         // copies the block out and keeps the buffer.
-        db.append_handle(h, 119 * 5_000, value(119));
+        append_one(&db, h, 119 * 5_000, value(119));
         assert_eq!(largest_burst(), 8);
         let kept = *expected_capacities.last().expect("a buffer");
         assert_eq!(
@@ -2407,8 +2313,8 @@ mod tests {
         let live = db.resolve("live", &labels_in_shard("live", idle.shard as usize));
         assert_eq!(live.shard, idle.shard, "staleness is judged against the shard's own newest");
         for t in 0..17u64 {
-            db.append_handle(idle, t * 1_000, t as f64);
-            db.append_handle(live, t * 1_000, 1.0);
+            append_one(&db, idle, t * 1_000, t as f64);
+            append_one(&db, live, t * 1_000, 1.0);
         }
         let idle_end = 16_000;
         let head_bytes = |db: &TimeSeriesDb| db.shared.shard(idle.shard as usize).read().head_bytes;
@@ -2419,7 +2325,7 @@ mod tests {
         assert!(idle_head < 17 * SAMPLE_BYTES, "two bursts are already a block");
 
         // Exactly the lookback behind is not yet *more than* it: nothing moves.
-        db.append_handle(live, idle_end + STALE_HEAD_MS, 1.0);
+        append_one(&db, live, idle_end + STALE_HEAD_MS, 1.0);
         let before = db.stats();
         let sealed_before = probes::STALE_HEADS_SEALED.get();
         assert_eq!(db.apply_retention(), 0);
@@ -2430,7 +2336,7 @@ mod tests {
         // released; the live one is untouched.  No sample, chunk or series
         // count moves, and the ledger swaps the head's tail and block for
         // the exact-sized block of all seventeen.
-        db.append_handle(live, idle_end + STALE_HEAD_MS + 1, 1.0);
+        append_one(&db, live, idle_end + STALE_HEAD_MS + 1, 1.0);
         let before = db.stats();
         let heads_before = head_bytes(&db);
         assert_eq!(db.apply_retention(), 0);
@@ -2459,8 +2365,8 @@ mod tests {
 
         // A revival is checked against the sealed chunk's end and is a store
         // into the tail of a new chunk: no buffer until a burst needs one.
-        assert_eq!(db.append_handle(idle, idle_end - 1, 0.0), HandleAppend::Rejected);
-        assert_eq!(db.append_handle(idle, idle_end, 17.0), HandleAppend::Appended);
+        assert_eq!(append_one(&db, idle, idle_end - 1, 0.0), REJECTED);
+        assert_eq!(append_one(&db, idle, idle_end, 17.0), APPENDED);
         assert_eq!(head_of(&db, idle), Some((1, 1, 0)));
         let revived = db.stats();
         assert_eq!(revived.chunks, after.chunks + 1);
@@ -2470,10 +2376,10 @@ mod tests {
         assert_eq!(idle_series.at(u64::MAX), Some(sample(idle_end, 17.0)));
 
         // Eviction is what it was: one retention window after the last sample.
-        db.append_handle(live, idle_end + 20 * MINUTE, 1.0);
+        append_one(&db, live, idle_end + 20 * MINUTE, 1.0);
         db.apply_retention();
         assert!(is_live(&db, idle), "the newest idle sample is exactly at the cutoff");
-        db.append_handle(live, idle_end + 20 * MINUTE + 1, 1.0);
+        append_one(&db, live, idle_end + 20 * MINUTE + 1, 1.0);
         assert_eq!(db.apply_retention(), 18, "the sealed 17 and the revived one");
         assert!(!is_live(&db, idle));
         assert!(db.select(&Selector::metric("idle")).is_empty());
@@ -2486,12 +2392,12 @@ mod tests {
         let short = db.resolve("short", &labels_in_shard("short", full.shard as usize));
         let live = db.resolve("live", &labels_in_shard("live", full.shard as usize));
         for t in 0..8u64 {
-            db.append_handle(full, t, 1.0);
+            append_one(&db, full, t, 1.0);
         }
-        db.append_handle(short, 7, 1.0);
+        append_one(&db, short, 7, 1.0);
         assert_eq!(head_of(&db, full), Some((0, 0, 32)));
         assert_eq!(head_of(&db, short), Some((1, 1, 0)));
-        db.append_handle(live, 8 + STALE_HEAD_MS, 1.0);
+        append_one(&db, live, 8 + STALE_HEAD_MS, 1.0);
         let before = db.stats();
         let sealed_before = probes::STALE_HEADS_SEALED.get();
         db.apply_retention();
@@ -2512,7 +2418,7 @@ mod tests {
         );
         assert!(probes::STALE_HEADS_SEALED.get() > sealed_before, "`short` was sealed");
         // The next head starts like a new series': a store, then a buffer.
-        db.append_handle(full, 8 + STALE_HEAD_MS, 1.0);
+        append_one(&db, full, 8 + STALE_HEAD_MS, 1.0);
         assert_eq!(head_of(&db, full), Some((1, 1, 0)));
     }
 
@@ -2528,45 +2434,138 @@ mod tests {
         // maintenance pass between resolve and first append must not
         // invalidate every handle in the shard.
         assert!(is_live(&db, pending));
-        assert_eq!(db.append_handle(pending, 100_000, 2.0), HandleAppend::Appended);
+        assert_eq!(append_one(&db, pending, 100_000, 2.0), APPENDED);
         assert_eq!(db.series_count(), 2);
     }
 
-    /// Every shard's `boxes_bytes`, kept incrementally, against a recount.
-    fn assert_boxes_recount(db: &TimeSeriesDb, when: &str) {
-        for shard in &db.shared.shards {
+    /// Every shard's ledger — the seven aggregates the append path keeps
+    /// incrementally and the cold paths recount — against a fold over its
+    /// series, one aggregate at a time.
+    fn assert_ledger(db: &TimeSeriesDb, when: &str) {
+        for (index, shard) in db.shared.shards.iter().enumerate() {
             let inner = shard.read();
-            let recount: u64 = inner.series.iter().map(MemSeries::boxes_bytes).sum();
-            assert_eq!(inner.boxes_bytes, recount, "{when}");
+            let series = &inner.series;
+            let sum = |of: fn(&MemSeries) -> u64| series.iter().map(of).sum::<u64>();
+            let folded = (
+                sum(MemSeries::sample_count),
+                sum(MemSeries::chunk_total),
+                sum(MemSeries::resident_bytes),
+                sum(MemSeries::head_resident_bytes),
+                sum(MemSeries::boxes_bytes),
+                series.iter().filter_map(MemSeries::first_timestamp).min(),
+                series.iter().filter_map(MemSeries::last_timestamp).max(),
+            );
+            let kept = (
+                inner.samples,
+                inner.chunks,
+                inner.bytes,
+                inner.head_bytes,
+                inner.boxes_bytes,
+                inner.min_ts,
+                inner.max_ts,
+            );
+            assert_eq!(kept, folded, "shard {index}, {when}");
         }
     }
 
-    #[test]
-    fn the_records_gauge_follows_seals_heads_and_revivals_incrementally() {
-        let db = TimeSeriesDb::with_config(TsdbConfig { chunk_size: 4, retention_ms: u64::MAX });
-        // One shard, so `a` alone moving on makes the others stale.
-        let shard = db.resolve("a", &Labels::new()).shard as usize;
-        let keys = [("a", Labels::new()), ("b", labels_in_shard("b", shard))];
-        let mut held = Vec::new();
-        for t in 0..202u64 {
-            for (name, labels) in &keys {
-                db.append(name, labels, t, t as f64);
+    proptest::proptest! {
+        /// The ledger is the fold over each shard's series after every step
+        /// of a generated schedule: by-key and batched appends (out of order,
+        /// sealing across blocks under held readers, through stale handles),
+        /// clock jumps, stale-head and evicting retention passes, drops, and
+        /// a checkpoint and reopen on a [`wal::FaultFs`].
+        #[test]
+        fn the_ledger_is_a_fold_over_the_series_after_every_step(case in 0u64..u64::MAX) {
+            const MINUTE: u64 = 60_000;
+            let mut rng = proptest::TestRng::deterministic(&format!("ledger-{case}"));
+            let (dir, fs) = (Path::new("/ledger"), wal::FaultFs::new());
+            // Chunks shorter than the head's tail, of one burst and of two.
+            let chunk_size = [4u64, 9, 17][rng.below(3) as usize];
+            let config = TsdbConfig { chunk_size: chunk_size as usize, retention_ms: 10 * MINUTE };
+            // A small checkpoint budget: most flushes snapshot a shard, so a
+            // reopen restores snapshots and replays the records behind them.
+            let open = || {
+                let fs = Arc::new(fs.clone());
+                let options = DurabilityOptions { segment_bytes: 1 << 10, fs, ..Default::default() };
+                TimeSeriesDb::open_with(dir, config.clone(), options).expect("open")
+            };
+            let totals = |db: &TimeSeriesDb| {
+                let stats = StorageStats { series_bytes: 0, ..db.stats() };
+                (stats, db.oldest_timestamp(), db.newest_timestamp())
+            };
+            // Four series in each of two shards, so the stale-head rule has
+            // neighbours to judge by; a drop takes a name, one in each.
+            let name = |i: usize| format!("m{}", i % 4);
+            let keys: Vec<(String, Labels)> =
+                (0..8).map(|i| (name(i), labels_in_shard(&name(i), i / 4))).collect();
+            let (mut db, mut handles, mut held, mut now) = (open(), Vec::new(), Vec::new(), 0u64);
+            for step in 0..20 + rng.below(200) {
+                if handles.is_empty() {
+                    handles = keys.iter().map(|(name, labels)| db.resolve(name, labels)).collect();
+                }
+                let value = rng.below(1_000) as f64 + if rng.below(2) == 0 { 0.5 } else { 0.0 };
+                let what = match rng.below(13) {
+                    0..=2 => {
+                        let (name, labels) = &keys[rng.below(8) as usize];
+                        db.append(name, labels, now.saturating_sub(rng.below(3) * 1_000), value);
+                        "a by-key append"
+                    }
+                    3..=5 => {
+                        // A burst for one series, long enough at times to
+                        // seal into a second block, or samples strewn over
+                        // all of them; some out of order.
+                        let burst = (rng.below(2) == 0).then(|| rng.below(8) as usize);
+                        let len = 1 + rng.below(if burst.is_some() { 20 * chunk_size } else { 40 });
+                        let entries: Vec<(usize, u64, f64)> = (0..len)
+                            .map(|j| {
+                                let key = burst.unwrap_or_else(|| rng.below(8) as usize);
+                                let ts = (now + 100 * j).saturating_sub(rng.below(2) * 2_000);
+                                (key, ts, value + j as f64)
+                            })
+                            .collect();
+                        now += 100 * len;
+                        let batch: Vec<_> =
+                            entries.iter().map(|&(key, ts, v)| (handles[key], ts, v)).collect();
+                        // Stale entries the way the scraper repairs them.
+                        for index in db.append_batch(&batch).stale {
+                            let (key, ts, v) = entries[index];
+                            let (name, labels) = &keys[key];
+                            db.append(name, labels, ts, v);
+                            handles[key] = db.resolve(name, labels);
+                        }
+                        "a batch"
+                    }
+                    6 | 7 => {
+                        now += rng.below(8 * MINUTE);
+                        "a clock jump"
+                    }
+                    8 | 9 => {
+                        db.apply_retention();
+                        "a retention pass"
+                    }
+                    10 => {
+                        db.drop_series(&Selector::metric(name(rng.below(4) as usize)));
+                        "a drop"
+                    }
+                    11 => {
+                        // Seals under a reader build the list again.
+                        held.push(db.select(&Selector::all()));
+                        "a held selection"
+                    }
+                    _ => {
+                        assert!(db.wal_flush());
+                        let live = totals(&db);
+                        drop(db);
+                        db = open();
+                        assert_eq!(totals(&db), live, "step {step}: the reopened copy");
+                        handles.clear();
+                        "a checkpoint and reopen"
+                    }
+                };
+                now += rng.below(5_000);
+                assert_ledger(&db, &format!("step {step}, after {what}"));
             }
-            // Seals under readers build the list again; without, in place.
-            if t % 37 == 0 {
-                held.push(db.select(&Selector::all()));
-            }
-            assert_boxes_recount(&db, &format!("round {t}"));
         }
-        // Stale heads sealed and dropped, then one revived.
-        db.append("a", &Labels::new(), 202 + STALE_HEAD_MS + 1, 1.0);
-        let sealed_before = probes::STALE_HEADS_SEALED.get();
-        db.apply_retention();
-        assert!(probes::STALE_HEADS_SEALED.get() > sealed_before, "`b` was sealed");
-        assert_boxes_recount(&db, "after the stale pass");
-        db.append("b", &keys[1].1, 202 + STALE_HEAD_MS + 2, 1.0);
-        assert_boxes_recount(&db, "after a revival");
-        assert!(held.iter().all(|snapshots| snapshots.len() == 2));
     }
 
     /// What a series' sealed chunks hold beside a lone chunk's payload: a

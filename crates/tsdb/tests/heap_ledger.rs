@@ -137,7 +137,7 @@ fn allowance(stats: &StorageStats, head_slack: u64) -> i64 {
 /// series to land in every shard), so a retention pass judges the rest idle.
 fn tick(db: &TimeSeriesDb, tickers: &[SeriesHandle], at_ms: u64) {
     for &ticker in tickers {
-        db.append_handle(ticker, at_ms, 1.0);
+        db.append_batch(&[(ticker, at_ms, 1.0)]);
     }
 }
 
@@ -211,7 +211,7 @@ fn churned_series_cost_their_samples_not_a_head_buffer() {
     let before = live();
     for (i, &handle) in handles.iter().enumerate() {
         for t in 0..1 + (i as u64 * 7) % 40 {
-            db.append_handle(handle, t * TICK_MS, (t * 3) as f64);
+            db.append_batch(&[(handle, t * TICK_MS, (t * 3) as f64)]);
         }
     }
     // A head's buffer is at most twice the block in it (32 bytes at least,
@@ -243,10 +243,7 @@ fn a_head_doubles_through_its_first_chunk_and_then_only_seals_allocate() {
     let handle = db.resolve("m", &Labels::new());
     let append = |t: u64| {
         let before = events();
-        assert_eq!(
-            db.append_handle(handle, t * TICK_MS, t as f64),
-            teemon_tsdb::HandleAppend::Appended
-        );
+        assert_eq!(db.append_batch(&[(handle, t * TICK_MS, t as f64)]).appended, 1);
         let after = events();
         (after.0 - before.0, after.1 - before.1)
     };
@@ -504,7 +501,7 @@ fn a_churned_series_costs_what_it_is_worth_from_before_it_is_resolved() {
     let handles = resolve_keys(&db, &keys);
     for (i, &handle) in handles.iter().enumerate() {
         for t in 0..1 + (i as u64 * 7) % 40 {
-            db.append_handle(handle, t * TICK_MS, (t * 3) as f64);
+            db.append_batch(&[(handle, t * TICK_MS, (t * 3) as f64)]);
         }
     }
     drop(handles);

@@ -22,8 +22,8 @@ use teemon_metrics::{
 };
 use teemon_obs::probes;
 use teemon_tsdb::{
-    DurabilityOptions, FaultFs, HandleAppend, ScrapeError, ScrapeTargetConfig, Scraper, Selector,
-    SeriesHandle, TimeSeriesDb, TsdbConfig, BATCH_BLOCK, STALE_HEAD_MS,
+    DurabilityOptions, FaultFs, ScrapeError, ScrapeTargetConfig, Scraper, Selector, SeriesHandle,
+    TimeSeriesDb, TsdbConfig, BATCH_BLOCK, STALE_HEAD_MS,
 };
 
 /// One logical series of the generated workload.
@@ -276,9 +276,10 @@ fn down_targets_stale_stamps_and_histograms_match_the_reference() {
 
 /// The storage half of the fast lane: [`TimeSeriesDb::append_batch`] over a
 /// shuffled batch of more than one [`BATCH_BLOCK`], some of whose handles a
-/// drop staled, does exactly what [`TimeSeriesDb::append_handle`] does entry
-/// by entry in input order — the same store, the same counts, the same
-/// stale entries — and its log replays to that store.
+/// drop staled, does exactly what batches of one entry do in input order —
+/// the same store, the same counts, the same stale entries — and its log
+/// replays to that store.  A batch of one takes no sort, no run and no block
+/// boundary, so it is the per-sample reference.
 #[test]
 fn a_multi_block_batch_equals_its_appends_one_by_one() {
     const SERIES: usize = 600;
@@ -327,10 +328,11 @@ fn a_multi_block_batch_equals_its_appends_one_by_one() {
     let outcome = batched.append_batch(&batch);
     let (mut appended, mut rejected, mut stale) = (0u64, 0u64, Vec::new());
     for (index, &(s, t, v)) in entries.iter().enumerate() {
-        match one_by_one.append_handle(handles[s].1, t, v) {
-            HandleAppend::Appended => appended += 1,
-            HandleAppend::Rejected => rejected += 1,
-            HandleAppend::Stale => stale.push(index),
+        let one = one_by_one.append_batch(&[(handles[s].1, t, v)]);
+        appended += one.appended;
+        rejected += one.rejected;
+        if !one.stale.is_empty() {
+            stale.push(index);
         }
     }
     assert!(appended > 0 && rejected > 0 && !stale.is_empty(), "{appended} {rejected}");
