@@ -242,8 +242,8 @@ const TYPICAL_LABEL_BYTES: usize = 24;
 
 impl Labels {
     /// Creates an empty label set.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self { buf: String::new(), ends: Ends::Inline { len: 0, table: [0; INLINE_ENDS] } }
     }
 
     /// An empty set with room for `bytes` bytes of names and values.
@@ -346,14 +346,33 @@ impl Labels {
     /// value for `name`).
     #[must_use]
     pub fn with(&self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.with_str(&name.into(), &value.into())
+        let (name, value) = (name.into(), value.into());
+        let mut out = self.clone_with_room(1, name.len() + value.len());
+        out.insert_str(&name, &value);
+        out
     }
 
-    /// [`Labels::with`] for callers that hold string slices.
-    pub(crate) fn with_str(&self, name: &str, value: &str) -> Self {
-        let mut out = self.clone_with_room(1, name.len() + value.len());
-        out.insert_str(name, value);
-        out
+    /// Makes `self` a copy of `base` with `name=value` inserted (replacing
+    /// any value `base` has for `name`), written into `self`'s own buffer
+    /// in sorted order: once that buffer is large enough, a refill of a set
+    /// that keeps its offset table inline allocates nothing.
+    pub(crate) fn refill_with(&mut self, base: &Labels, name: &str, value: &str) {
+        self.buf.clear();
+        self.ends = Ends::default();
+        let mut pending = Some((name, value));
+        for (k, v) in base.iter() {
+            if let Some((name, value)) = pending.filter(|&(name, _)| name <= k) {
+                self.push_last(name, value);
+                pending = None;
+                if name == k {
+                    continue;
+                }
+            }
+            self.push_last(k, v);
+        }
+        if let Some((name, value)) = pending {
+            self.push_last(name, value);
+        }
     }
 
     /// Inserts a label in place, replacing any previous value.
@@ -617,6 +636,26 @@ mod tests {
         assert_eq!(merged.get("node"), Some("n2"));
         assert_eq!(merged.get("job"), Some("redis"));
         assert_eq!(merged.get("extra"), Some("x"));
+    }
+
+    #[test]
+    fn a_refill_equals_the_copy_with_the_label_inserted() {
+        // Front, middle, end and replacement; a set that spilled its offset
+        // table and, refilled after it, one that fits inline again.
+        let wide = Labels::from_pairs((0..7).map(|i| (format!("k{i}"), format!("v{i}"))));
+        let bases = [
+            Labels::from_pairs([("stage", "collect")]),
+            Labels::from_pairs([("class", "tsdb.shard"), ("node", "n1")]),
+            Labels::new(),
+            Labels::from_pairs([("le", "old"), ("z", "1")]),
+            wide,
+            Labels::from_pairs([("a", "1")]),
+        ];
+        let mut out = Labels::new();
+        for base in &bases {
+            out.refill_with(base, "le", "0.5");
+            assert_eq!(out, base.with("le", "0.5"), "refilled from {base}");
+        }
     }
 
     #[test]

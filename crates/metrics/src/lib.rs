@@ -76,5 +76,5 @@ pub use collector::{CollectError, Collector};
 pub use error::MetricError;
 pub use identity::{series_hash, SeriesKey};
 pub use label::{LabelName, Labels, MetricName};
-pub use snapshot::{format_bound, FamilySnapshot, MetricKind, MetricPoint, PointValue};
+pub use snapshot::{FamilySnapshot, MetricKind, MetricPoint, PointValue};
 pub use value::{HistogramSnapshot, SummarySnapshot};

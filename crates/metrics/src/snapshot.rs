@@ -5,6 +5,9 @@
 //! encodes and decodes the same types at the edges.  The types are therefore
 //! the wire-level data model of TEEMon.
 
+use std::cell::Cell;
+use std::fmt::Write;
+
 use serde::{Deserialize, Serialize};
 
 use crate::label::Labels;
@@ -142,79 +145,131 @@ impl FamilySnapshot {
     /// Visits every wire-level sample of the family as `(name, labels, value,
     /// timestamp_ms)`: plain counter/gauge/untyped points are passed with
     /// **borrowed** name and labels (zero clones — this is the scraper's hot
-    /// path, and the text encoder's only input), while histogram and summary expansions pass locally built
-    /// `_bucket`/`_sum`/`_count` names and `le`/`quantile` label sets.
+    /// path, and the text encoder's only input), while histogram and summary
+    /// points are expanded into `_bucket`/`_sum`/`_count` names and
+    /// `le`/`quantile` label sets built in a per-thread scratch kept between
+    /// calls, so a warm walk allocates nothing whatever the family kind.  A histogram
+    /// bound without a count is skipped, not read past.
     pub fn for_each_sample(&self, mut visit: impl FnMut(&str, &Labels, f64, Option<u64>)) {
-        let mut scratch = String::new();
-        let suffixed = |suffix: &str, scratch: &mut String| {
-            scratch.clear();
-            scratch.push_str(&self.name);
-            scratch.push_str(suffix);
-        };
         for point in &self.points {
             let ts = point.timestamp_ms;
+            let base = &point.labels;
             match &point.value {
                 PointValue::Counter(v) | PointValue::Gauge(v) | PointValue::Untyped(v) => {
-                    visit(&self.name, &point.labels, *v, ts);
+                    visit(&self.name, base, *v, ts);
                 }
-                PointValue::Histogram(h) => {
-                    suffixed("_bucket", &mut scratch);
-                    for (i, bound) in h.bounds.iter().enumerate() {
-                        let labels = point.labels.with_str("le", &format_bound(*bound));
-                        visit(&scratch, &labels, h.cumulative_counts[i] as f64, ts);
+                PointValue::Histogram(h) => with_expansion(|x| {
+                    x.rename(&self.name, "_bucket");
+                    let buckets = h.bounds.iter().zip(&h.cumulative_counts);
+                    for (at, (bound, count)) in buckets.enumerate() {
+                        x.bounded(at, base, "le", *bound);
+                        visit(&x.name, &x.labels, *count as f64, ts);
                     }
-                    let inf_labels = point.labels.with_str("le", "+Inf");
-                    visit(
-                        &scratch,
-                        &inf_labels,
-                        *h.cumulative_counts.last().unwrap_or(&0) as f64,
-                        ts,
-                    );
-                    suffixed("_sum", &mut scratch);
-                    visit(&scratch, &point.labels, h.sum, ts);
-                    suffixed("_count", &mut scratch);
-                    visit(&scratch, &point.labels, h.count as f64, ts);
-                }
-                PointValue::Summary(s) => {
-                    for (q, v) in &s.quantiles {
-                        let labels = point.labels.with_str("quantile", &format_bound(*q));
-                        visit(&self.name, &labels, *v, ts);
+                    x.labels.refill_with(base, "le", "+Inf");
+                    let total = h.cumulative_counts.last().map_or(0.0, |&count| count as f64);
+                    visit(&x.name, &x.labels, total, ts);
+                    x.rename(&self.name, "_sum");
+                    visit(&x.name, base, h.sum, ts);
+                    x.rename(&self.name, "_count");
+                    visit(&x.name, base, h.count as f64, ts);
+                }),
+                PointValue::Summary(s) => with_expansion(|x| {
+                    for (at, (q, v)) in s.quantiles.iter().enumerate() {
+                        x.bounded(at, base, "quantile", *q);
+                        visit(&self.name, &x.labels, *v, ts);
                     }
-                    suffixed("_sum", &mut scratch);
-                    visit(&scratch, &point.labels, s.sum, ts);
-                    suffixed("_count", &mut scratch);
-                    visit(&scratch, &point.labels, s.count as f64, ts);
-                }
+                    x.rename(&self.name, "_sum");
+                    visit(&x.name, base, s.sum, ts);
+                    x.rename(&self.name, "_count");
+                    visit(&x.name, base, s.count as f64, ts);
+                }),
             }
         }
     }
 
     /// How many samples [`FamilySnapshot::for_each_sample`] visits — the
     /// series this family is on the wire and in storage — in closed form,
-    /// without building a label: a histogram point with *n* bounds is
-    /// *n* + 3 samples (its buckets, `+Inf`, `_sum`, `_count`), a summary
+    /// without building a label: a histogram point with *n* counted bounds
+    /// is *n* + 3 samples (its buckets, `+Inf`, `_sum`, `_count`), a summary
     /// point its quantiles + 2.
     pub(crate) fn sample_count(&self) -> usize {
         let per_point = |point: &MetricPoint| match &point.value {
             PointValue::Counter(_) | PointValue::Gauge(_) | PointValue::Untyped(_) => 1,
-            PointValue::Histogram(h) => h.bounds.len() + 3,
+            PointValue::Histogram(h) => h.bounds.len().min(h.cumulative_counts.len()) + 3,
             PointValue::Summary(s) => s.quantiles.len() + 2,
         };
         self.points.iter().map(per_point).sum()
     }
 }
 
-/// Formats a bucket bound or quantile the way the exposition format expects
-/// (`+Inf`/`-Inf` specials, plain `{}` otherwise).  Public so out-of-crate
-/// expanders — notably the self-telemetry snapshot in `teemon_obs` — produce
-/// byte-identical `le` labels to [`FamilySnapshot::for_each_sample`].
-pub fn format_bound(v: f64) -> String {
+thread_local! {
+    /// What expanding a histogram or summary point on this thread built
+    /// last, kept from one expansion to the next.
+    static EXPANSION: Cell<Expansion> = const { Cell::new(Expansion::new()) };
+}
+
+/// Runs `f` over this thread's [`EXPANSION`], taken out of its cell for the
+/// call (a nested expansion starts from an empty one).
+fn with_expansion(f: impl FnOnce(&mut Expansion)) {
+    EXPANSION.with(|cell| {
+        let mut expansion = cell.take();
+        f(&mut expansion);
+        cell.set(expansion);
+    });
+}
+
+/// The pieces of an expanded sample: the suffixed name, the point's labels
+/// with `le` / `quantile` inserted, and the texts of the two bounds last
+/// written at each position, newest first.  Histograms of one layout share
+/// their bounds, so a warm walk over at most two layouts (a self-scrape's
+/// probe and lock-wait histograms) formats no bound.
+#[derive(Default)]
+struct Expansion {
+    name: String,
+    labels: Labels,
+    bounds: Vec<[(Option<u64>, String); 2]>,
+}
+
+impl Expansion {
+    const fn new() -> Self {
+        Self { name: String::new(), labels: Labels::new(), bounds: Vec::new() }
+    }
+
+    fn rename(&mut self, family: &str, suffix: &str) {
+        self.name.clear();
+        self.name.push_str(family);
+        self.name.push_str(suffix);
+    }
+
+    /// Refills `labels` with `base` plus `key` set to the text of `bound`,
+    /// the bound at position `at` of its point.
+    fn bounded(&mut self, at: usize, base: &Labels, key: &str, bound: f64) {
+        if self.bounds.len() <= at {
+            self.bounds.resize_with(at + 1, Default::default);
+        }
+        let Some([newest, older]) = self.bounds.get_mut(at) else { return };
+        let bits = Some(bound.to_bits());
+        if newest.0 != bits {
+            std::mem::swap(newest, older);
+        }
+        if newest.0 != bits {
+            newest.0 = bits;
+            newest.1.clear();
+            format_bound(&mut newest.1, bound);
+        }
+        self.labels.refill_with(base, key, &newest.1);
+    }
+}
+
+/// Writes a bucket bound or quantile the way the exposition format expects
+/// (`+Inf`/`-Inf` specials, plain `{}` otherwise).
+fn format_bound(out: &mut String, v: f64) {
     if v == f64::INFINITY {
-        "+Inf".to_string()
+        out.push_str("+Inf");
     } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
+        out.push_str("-Inf");
     } else {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -295,6 +350,53 @@ mod tests {
     }
 
     #[test]
+    fn a_histogram_with_fewer_counts_than_bounds_expands_without_panicking() {
+        // The fields are public: a collector can hand over counts that stop
+        // short of the bounds.  The bounds without a count are skipped.
+        let short = PointValue::Histogram(HistogramSnapshot {
+            bounds: vec![1.0, 2.0, 4.0],
+            cumulative_counts: vec![3],
+            sum: 1.5,
+            count: 3,
+        });
+        let fam = FamilySnapshot::new("lat", "", MetricKind::Histogram)
+            .with_point(MetricPoint::new(Labels::new(), short));
+        let samples = visited(&fam);
+        let rows: Vec<_> = samples.iter().map(|s| (s.0.as_str(), s.1.get("le"), s.2)).collect();
+        assert_eq!(
+            rows,
+            [
+                ("lat_bucket", Some("1"), 3.0),
+                ("lat_bucket", Some("+Inf"), 3.0),
+                ("lat_sum", None, 1.5),
+                ("lat_count", None, 3.0),
+            ]
+        );
+        assert_eq!(fam.sample_count(), samples.len());
+    }
+
+    #[test]
+    fn bounds_of_alternating_layouts_are_labelled_as_written() {
+        // The walk keeps the texts of the last two bounds at each position;
+        // three layouts in turn must still label every bucket right.
+        let layouts = [[1.0, 2.0], [0.5, 2.0], [1.0, 2.0], [4.0, 8.0], [0.5, 2.0]];
+        let mut fam = FamilySnapshot::new("lat", "", MetricKind::Histogram);
+        for bounds in layouts {
+            fam.points.push(MetricPoint::new(Labels::new(), histogram(&bounds, &[1, 1, 1], 0.5)));
+        }
+        let les: Vec<String> = visited(&fam)
+            .iter()
+            .filter(|s| s.0 == "lat_bucket")
+            .filter_map(|s| s.1.get("le").map(str::to_owned))
+            .collect();
+        let expected: Vec<String> = layouts
+            .iter()
+            .flat_map(|bounds| bounds.iter().map(f64::to_string).chain(["+Inf".to_string()]))
+            .collect();
+        assert_eq!(les, expected);
+    }
+
+    #[test]
     fn timestamps_are_propagated() {
         let fam = FamilySnapshot::new("g", "gauge", MetricKind::Gauge)
             .with_point(MetricPoint::new(Labels::new(), PointValue::Gauge(1.0)).at(12345));
@@ -333,9 +435,14 @@ mod tests {
 
     #[test]
     fn format_bound_handles_specials() {
-        assert_eq!(format_bound(f64::INFINITY), "+Inf");
-        assert_eq!(format_bound(f64::NEG_INFINITY), "-Inf");
-        assert_eq!(format_bound(2.0), "2");
-        assert_eq!(format_bound(0.5), "0.5");
+        let formatted = |v: f64| {
+            let mut out = String::new();
+            format_bound(&mut out, v);
+            out
+        };
+        assert_eq!(formatted(f64::INFINITY), "+Inf");
+        assert_eq!(formatted(f64::NEG_INFINITY), "-Inf");
+        assert_eq!(formatted(2.0), "2");
+        assert_eq!(formatted(0.5), "0.5");
     }
 }

@@ -8,7 +8,7 @@
 //! the same types at the edges.
 
 /// Immutable snapshot of a histogram's state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSnapshot {
     /// Upper bounds of each bucket (excluding the implicit `+Inf` bucket).
     pub bounds: Vec<f64>,

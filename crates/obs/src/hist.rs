@@ -66,30 +66,28 @@ impl LogLinearHist {
         self.sum_ns.load(Ordering::Relaxed)
     }
 
-    /// Visits the histogram as cumulative Prometheus-style buckets without
-    /// allocating: `visit(bound_seconds, cumulative_count)` for each finite
-    /// bound, where `f64::INFINITY` closes the walk with the total count.
-    pub(crate) fn for_each_cumulative(&self, visit: &mut dyn FnMut(f64, u64)) {
+    /// Snapshots into the canonical bucketed exposition form.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let mut snapshot = HistogramSnapshot::default();
+        self.snapshot_into(&mut snapshot);
+        snapshot
+    }
+
+    /// Overwrites `out` with the histogram's current state in place: once
+    /// `out` has held a snapshot of this layout, nothing is allocated.
+    pub(crate) fn snapshot_into(&self, out: &mut HistogramSnapshot) {
+        out.bounds.clear();
+        out.cumulative_counts.clear();
         let mut cumulative = 0u64;
         for (i, bucket) in self.buckets.iter().enumerate() {
             cumulative += bucket.load(Ordering::Relaxed);
-            visit(bound_seconds(i), cumulative);
-        }
-    }
-
-    /// Snapshots into the canonical bucketed exposition form (allocates; use
-    /// `LogLinearHist::for_each_cumulative` on the in-place refresh path).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut bounds = Vec::with_capacity(BUCKETS - 1);
-        let mut cumulative_counts = Vec::with_capacity(BUCKETS);
-        self.for_each_cumulative(&mut |bound, cumulative| {
-            if bound.is_finite() {
-                bounds.push(bound);
+            if i < BUCKETS - 1 {
+                out.bounds.push(bound_seconds(i));
             }
-            cumulative_counts.push(cumulative);
-        });
-        let count = cumulative_counts.last().copied().unwrap_or(0);
-        HistogramSnapshot { bounds, cumulative_counts, sum: self.sum_ns() as f64 / 1e9, count }
+            out.cumulative_counts.push(cumulative);
+        }
+        out.sum = self.sum_ns() as f64 / 1e9;
+        out.count = cumulative;
     }
 }
 

@@ -12,16 +12,16 @@
 //!   statics (counters, gauges, per-shard slots, [`hist::LogLinearHist`]
 //!   latency histograms) and expands to the `pub static`s that `teemon_tsdb`,
 //!   `teemon_query` and `teemon_server` record into — directly or through
-//!   RAII [`Span`] timers — plus the [`PROBES`] table the two views below
-//!   interpret.  Lock contention probes live in the `parking_lot` shim's
+//!   RAII [`Span`] timers — plus the [`PROBES`] table the one walk below
+//!   interprets.  Lock contention probes live in the `parking_lot` shim's
 //!   `contention` table and are exported alongside.
-//! * [`snapshot::SelfSnapshot`] — [`PROBES`] pre-expanded into scalar metric
-//!   families for the engine's own scrape loop: built once, refreshed in
-//!   place with zero allocations, so self-scraping costs the same as any
-//!   other warm fast-lane target.
-//! * [`collector::ObsCollector`] — [`PROBES`] behind the standard
-//!   `Collector` trait (canonical bucketed histograms) for exposition and
-//!   registry composition.
+//! * [`snapshot::SelfSnapshot`] — [`PROBES`] as metric families, histograms
+//!   in their canonical bucketed form, for the engine's own scrape loop:
+//!   built once, refreshed in place with zero allocations, so
+//!   self-scraping costs the same as any other warm fast-lane target.
+//! * [`collector::ObsCollector`] — the same families, built afresh by the
+//!   same walk (over every layer or one), behind the standard `Collector`
+//!   trait for exposition.
 //! * [`slow`] — a fixed-capacity slow-query ring fed by the query layer.
 //! * [`clock`] — the monotonic clock and [`clock::Stopwatch`] behind every
 //!   measured duration (the only place the engine reads the host clock for

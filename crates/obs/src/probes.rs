@@ -9,8 +9,8 @@
 //! declaration** of each metric family: its layer, exported name, help text,
 //! optional member label and the statics behind it.  It expands to the
 //! `pub static` slots the engine records into and to [`PROBES`], the table
-//! [`crate::SelfSnapshot`] and [`crate::ObsCollector`] interpret when the
-//! engine scrapes itself.  Adding a probe is one row there — nothing else in
+//! the one walk behind [`crate::SelfSnapshot`] and [`crate::ObsCollector`]
+//! interprets when the engine scrapes itself.  Adding a probe is one row there — nothing else in
 //! this crate names a metric, except the three [`LOCK_FAMILIES`] whose points
 //! come from the `parking_lot` shim's runtime contention table.
 
@@ -212,8 +212,8 @@ impl Slot {
 
 /// One metric family of the self-telemetry surface: a row of [`PROBES`].
 pub struct Probe {
-    /// Exported family name (histograms expand into `_bucket`/`_sum`/`_count`
-    /// on the wire).
+    /// Exported family name (a histogram's bucket, sum and count samples
+    /// take it as their prefix on the wire).
     pub name: &'static str,
     /// The engine layer that records it: `ingest`, `storage`, `query`, `http`.
     pub layer: &'static str,
@@ -260,7 +260,7 @@ impl Probe {
 /// The lock-contention families (layer `locks`) as `(name, help)`: acquires,
 /// contended acquisitions, wait-time histogram.  Their points are not static
 /// slots — there is one per lock class in the `parking_lot` shim's runtime
-/// `contention` table — so both views append them by hand after [`PROBES`].
+/// `contention` table — so the walk appends them by hand after [`PROBES`].
 pub const LOCK_FAMILIES: [(&str, &str); 3] = [
     ("teemon_lock_acquires_total", "lock acquisitions per lock class"),
     ("teemon_lock_contended_total", "acquisitions that found the lock held and waited"),
@@ -271,7 +271,7 @@ pub const LOCK_FAMILIES: [(&str, &str); 3] = [
 /// `layer "family_name" "help" [by "label"] { STATIC: SlotType [= "label value"], … }`
 /// and expands to one `pub static STATIC: SlotType` per member plus the
 /// family's [`Probe`] entry in [`PROBES`], in declaration order (which is the
-/// export order of both views).
+/// export order).
 macro_rules! probes {
     ($(
         $layer:ident $name:literal $help:literal $(by $label:literal)? {
@@ -284,8 +284,8 @@ macro_rules! probes {
         )+)+
 
         /// Every engine self-metric family except [`LOCK_FAMILIES`], in
-        /// export order: the table [`crate::SelfSnapshot`] and
-        /// [`crate::ObsCollector`] interpret.
+        /// export order: the table the walk behind [`crate::SelfSnapshot`]
+        /// and [`crate::ObsCollector`] interprets.
         pub static PROBES: &[Probe] = &[$(
             Probe {
                 name: $name,

@@ -1,228 +1,170 @@
-//! The allocation-free self-scrape view of the probe table.
+//! The engine's self-telemetry as metric families: the one view of the
+//! probe table.
 //!
-//! Nothing here names a metric: `emit_all` interprets [`PROBES`] (the single
+//! Nothing here names a metric: `walk` interprets [`PROBES`] (the single
 //! declaration of every family, in `probes.rs`) and appends the
-//! lock-contention [`LOCK_FAMILIES`].
+//! lock-contention [`LOCK_FAMILIES`].  Histograms stay in their canonical
+//! bucketed form ([`PointValue::Histogram`] points); on the wire
+//! [`FamilySnapshot::for_each_sample`] expands them as it expands every
+//! other family's.
 //!
-//! [`SelfSnapshot`] holds every probe pre-expanded into scalar
-//! [`FamilySnapshot`]s — histograms appear as explicit `_bucket` (with `le`
-//! labels), `_sum` and `_count` families, per-shard and per-lock-class
-//! probes as labelled points — so the sample stream is byte-identical to
-//! what [`FamilySnapshot::for_each_sample`] would produce from the canonical
-//! bucketed form, without the per-scrape `le` label allocation that
-//! expansion performs.
-//!
-//! The structure (family names, label sets, point order) is built once;
-//! [`SelfSnapshot::refresh`] re-walks the same emission sequence and only
-//! overwrites the scalar values in place.  Label closures are never invoked
-//! on the refresh path, so a warm refresh performs zero allocations — and
-//! because point positions never move between rounds, the scraper's
-//! positional target cache verifies on every self-scrape.  The layout is
-//! rebuilt (allocating, rare) only when a new lock class registers in the
-//! `parking_lot` contention table.
+//! The walk writes into a list of families: a point already at its
+//! position is overwritten in place, a missing one is built and appended.
+//! [`crate::ObsCollector`] walks into an empty list; [`SelfSnapshot`] walks
+//! into the one it keeps, so a warm refresh never invokes a label closure
+//! and performs zero allocations — and because point positions never move
+//! between rounds, the scraper's positional target cache verifies on every
+//! self-scrape.  Points only ever append: the probes are static, and a lock
+//! class registers into the `parking_lot` contention table's next free slot
+//! and never leaves it.
 
 use parking_lot::contention;
-use teemon_metrics::{format_bound, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
+use teemon_metrics::{
+    FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue,
+};
 
 use crate::probes::{LOCK_FAMILIES, PROBES};
 
-/// One emission step: build mode materialises families and points, refresh
-/// mode advances cursors and overwrites values.  A family is named
-/// `name` + `suffix` (`_bucket`/`_sum`/`_count` for expanded histograms) and
-/// `labels` is a thunk, so the refresh path never pays for name or label
-/// construction.
-trait Emit {
-    fn family(&mut self, name: &str, suffix: &str, help: &'static str, kind: MetricKind);
-    fn point(&mut self, labels: impl FnOnce() -> Labels, value: f64);
-}
-
-/// Build mode: allocates the family/point structure.
-struct BuildEmit {
-    families: Vec<FamilySnapshot>,
-}
-
-impl Emit for BuildEmit {
-    fn family(&mut self, name: &str, suffix: &str, help: &'static str, kind: MetricKind) {
-        self.families.push(FamilySnapshot::new(format!("{name}{suffix}"), help, kind));
-    }
-
-    fn point(&mut self, labels: impl FnOnce() -> Labels, value: f64) {
-        if let Some(family) = self.families.last_mut() {
-            let value = match family.kind {
-                MetricKind::Counter => PointValue::Counter(value),
-                MetricKind::Gauge => PointValue::Gauge(value),
-                _ => PointValue::Untyped(value),
-            };
-            family.points.push(MetricPoint::new(labels(), value));
-        }
-    }
-}
-
-/// Refresh mode: walks the already-built structure with a (family, point)
-/// cursor and overwrites scalar values only.  Any cursor/shape mismatch
-/// (a probe emitted more or fewer points than the built layout) flips
-/// `mismatch`, telling the caller to rebuild.
-struct RefreshEmit<'a> {
-    families: &'a mut [FamilySnapshot],
-    family: Option<usize>,
+/// Where the walk is: how many families it has entered (it writes the last
+/// of them) and the position of its next point there.
+struct Cursor<'a> {
+    families: &'a mut Vec<FamilySnapshot>,
+    entered: usize,
     point: usize,
-    mismatch: bool,
 }
 
-impl Emit for RefreshEmit<'_> {
-    fn family(&mut self, _name: &str, _suffix: &str, _help: &'static str, _kind: MetricKind) {
-        let next = self.family.map_or(0, |f| f + 1);
-        if let Some(family) = self.family {
-            // The previous family must have been walked exactly.
-            if self.families.get(family).map(|f| f.points.len()) != Some(self.point) {
-                self.mismatch = true;
-            }
+impl Cursor<'_> {
+    /// Enters the next family, appending it if the list ends here.
+    fn family(&mut self, name: &'static str, help: &'static str, kind: MetricKind) {
+        if self.entered == self.families.len() {
+            self.families.push(FamilySnapshot::new(name, help, kind));
         }
-        self.family = Some(next);
+        self.entered += 1;
         self.point = 0;
-        if next >= self.families.len() {
-            self.mismatch = true;
+    }
+
+    /// The value of the next point, appended (labelled by `labels`, valued
+    /// by `empty`) if the family ends here.
+    fn next(
+        &mut self,
+        labels: impl FnOnce() -> Labels,
+        empty: impl FnOnce(MetricKind) -> PointValue,
+    ) -> Option<&mut PointValue> {
+        let family = self.families.get_mut(self.entered.checked_sub(1)?)?;
+        if self.point == family.points.len() {
+            family.points.push(MetricPoint::new(labels(), empty(family.kind)));
+        }
+        self.point += 1;
+        family.points.get_mut(self.point - 1).map(|point| &mut point.value)
+    }
+
+    fn scalar(&mut self, labels: impl FnOnce() -> Labels, value: f64) {
+        let empty = |kind| match kind {
+            MetricKind::Counter => PointValue::Counter(0.0),
+            _ => PointValue::Gauge(0.0),
+        };
+        if let Some(PointValue::Counter(v) | PointValue::Gauge(v)) = self.next(labels, empty) {
+            *v = value;
         }
     }
 
-    fn point(&mut self, _labels: impl FnOnce() -> Labels, value: f64) {
-        let slot = self
-            .family
-            .and_then(|f| self.families.get_mut(f))
-            .and_then(|family| family.points.get_mut(self.point));
-        match slot {
-            Some(point) => {
-                match &mut point.value {
-                    PointValue::Counter(v) | PointValue::Gauge(v) | PointValue::Untyped(v) => {
-                        *v = value;
-                    }
-                    _ => self.mismatch = true,
-                }
-                self.point += 1;
-            }
-            None => self.mismatch = true,
+    fn histogram(
+        &mut self,
+        labels: impl FnOnce() -> Labels,
+        fill: impl FnOnce(&mut HistogramSnapshot),
+    ) {
+        let empty = |_| PointValue::Histogram(HistogramSnapshot::default());
+        if let Some(PointValue::Histogram(histogram)) = self.next(labels, empty) {
+            fill(histogram);
         }
     }
 }
 
-/// Number of lock classes currently registered in the contention table.
-fn lock_class_count() -> usize {
-    let mut n = 0usize;
-    contention::for_each(&mut |_| n += 1);
-    n
+/// Overwrites `out` with one lock class's wait histogram, in seconds.
+fn wait_into(class: &contention::ClassContention, out: &mut HistogramSnapshot) {
+    out.bounds.clear();
+    out.cumulative_counts.clear();
+    let mut cumulative = 0u64;
+    for (i, bucket) in class.wait_buckets.iter().enumerate() {
+        cumulative += bucket;
+        if i < contention::WAIT_BUCKETS - 1 {
+            out.bounds.push(contention::bucket_upper_bound_ns(i) as f64 / 1e9);
+        }
+        out.cumulative_counts.push(cumulative);
+    }
+    out.sum = class.wait_ns_sum as f64 / 1e9;
+    out.count = class.contended;
 }
 
-/// The full emission sequence: [`PROBES`] in table order, then the
-/// lock-contention families.  Called with a [`BuildEmit`] to create the
-/// layout and a [`RefreshEmit`] to update it.  Histograms are pre-expanded
-/// into `_bucket`/`_sum`/`_count` scalar families (cumulative counts, `le`
-/// labels via [`format_bound`]) — identical on the wire to the canonical
-/// bucketed expansion.
-fn emit_all(e: &mut impl Emit) {
-    for probe in PROBES {
-        let kind = probe.kind();
-        if kind != MetricKind::Histogram {
-            e.family(probe.name, "", probe.help, kind);
-            for (member, slot) in probe.members {
-                slot.for_each_value(|shard, value| {
-                    e.point(|| probe.labels(member, shard), value);
-                });
-            }
-            continue;
-        }
-        e.family(probe.name, "_bucket", probe.help, MetricKind::Counter);
+/// Writes the current values of `layer`'s families (every layer for
+/// `None`) into `families`: [`PROBES`] in table order, then the
+/// lock-contention families (layer `locks`), one point per registered
+/// class.
+fn walk(families: &mut Vec<FamilySnapshot>, layer: Option<&str>) {
+    let cursor = &mut Cursor { families, entered: 0, point: 0 };
+    let covers = |probe_layer: &str| layer.is_none_or(|only| only == probe_layer);
+    for probe in PROBES.iter().filter(|probe| covers(probe.layer)) {
+        cursor.family(probe.name, probe.help, probe.kind());
         for (member, hist) in probe.hists() {
-            hist.for_each_cumulative(&mut |bound, cumulative| {
-                e.point(
-                    || probe.labels(member, None).with("le", format_bound(bound)),
-                    cumulative as f64,
-                );
+            cursor.histogram(|| probe.labels(member, None), |out| hist.snapshot_into(out));
+        }
+        for (member, slot) in probe.members {
+            slot.for_each_value(|shard, value| {
+                cursor.scalar(|| probe.labels(member, shard), value)
             });
         }
-        e.family(probe.name, "_sum", probe.help, MetricKind::Counter);
-        for (member, hist) in probe.hists() {
-            e.point(|| probe.labels(member, None), hist.sum_ns() as f64 / 1e9);
-        }
-        e.family(probe.name, "_count", probe.help, MetricKind::Counter);
-        for (member, hist) in probe.hists() {
-            e.point(|| probe.labels(member, None), hist.count() as f64);
-        }
     }
-
-    // One point per registered contention class.
+    if !covers("locks") {
+        return;
+    }
     let [(acquires, acquires_help), (contended, contended_help), (wait, wait_help)] = LOCK_FAMILIES;
     let class_labels =
         |class: &contention::ClassContention| Labels::new().with("class", class.name);
-    e.family(acquires, "", acquires_help, MetricKind::Counter);
-    contention::for_each(&mut |class| e.point(|| class_labels(class), class.acquires as f64));
-    e.family(contended, "", contended_help, MetricKind::Counter);
-    contention::for_each(&mut |class| e.point(|| class_labels(class), class.contended as f64));
-    e.family(wait, "_bucket", wait_help, MetricKind::Counter);
+    cursor.family(acquires, acquires_help, MetricKind::Counter);
+    contention::for_each(&mut |class| cursor.scalar(|| class_labels(class), class.acquires as f64));
+    cursor.family(contended, contended_help, MetricKind::Counter);
     contention::for_each(&mut |class| {
-        let mut cumulative = 0u64;
-        for (i, bucket) in class.wait_buckets.iter().enumerate() {
-            cumulative += bucket;
-            let bound = if i >= contention::WAIT_BUCKETS - 1 {
-                f64::INFINITY
-            } else {
-                contention::bucket_upper_bound_ns(i) as f64 / 1e9
-            };
-            e.point(|| class_labels(class).with("le", format_bound(bound)), cumulative as f64);
-        }
+        cursor.scalar(|| class_labels(class), class.contended as f64)
     });
-    e.family(wait, "_sum", wait_help, MetricKind::Counter);
+    cursor.family(wait, wait_help, MetricKind::Histogram);
     contention::for_each(&mut |class| {
-        e.point(|| class_labels(class), class.wait_ns_sum as f64 / 1e9);
+        cursor.histogram(|| class_labels(class), |out| wait_into(class, out));
     });
-    e.family(wait, "_count", wait_help, MetricKind::Counter);
-    contention::for_each(&mut |class| e.point(|| class_labels(class), class.contended as f64));
 }
 
-/// The engine's own telemetry, pre-expanded for allocation-free refresh.
+/// The families of `layer` (every layer for `None`), freshly built.
+pub(crate) fn build(layer: Option<&str>) -> Vec<FamilySnapshot> {
+    let mut families = Vec::new();
+    walk(&mut families, layer);
+    families
+}
+
+/// The engine's own telemetry, built once and refreshed in place.
 ///
 /// Build one with [`SelfSnapshot::new`], then call
 /// [`SelfSnapshot::refresh`] before each read of
 /// [`SelfSnapshot::families`].  A warm refresh (no new lock classes since
-/// the last build) allocates nothing and keeps every family and point at a
+/// the last) allocates nothing and keeps every family and point at a
 /// stable position.
 pub struct SelfSnapshot {
     families: Vec<FamilySnapshot>,
-    lock_classes: usize,
 }
 
 impl SelfSnapshot {
-    /// Builds the expanded family layout from the current probe values.
+    /// Builds the families from the current probe values.
     pub fn new() -> Self {
-        let mut snap = Self { families: Vec::new(), lock_classes: 0 };
-        snap.rebuild();
-        snap
+        Self { families: build(None) }
     }
 
-    fn rebuild(&mut self) {
-        self.lock_classes = lock_class_count();
-        let mut build = BuildEmit { families: Vec::new() };
-        emit_all(&mut build);
-        self.families = build.families;
-    }
-
-    /// Re-reads every probe into the existing layout.  Allocation-free on
-    /// the warm path; rebuilds (allocating) only when the set of registered
-    /// lock classes changed or the layout no longer matches.
+    /// Re-reads every probe into the existing families.  Allocation-free
+    /// on the warm path; a lock class registered since the last refresh
+    /// appends its points (allocating, rare).
     pub fn refresh(&mut self) {
-        if lock_class_count() != self.lock_classes {
-            self.rebuild();
-            return;
-        }
-        let mut refresh =
-            RefreshEmit { families: &mut self.families, family: None, point: 0, mismatch: false };
-        emit_all(&mut refresh);
-        if refresh.mismatch {
-            self.rebuild();
-        }
+        walk(&mut self.families, None);
     }
 
-    /// The expanded families (call [`SelfSnapshot::refresh`] first for
-    /// current values).
+    /// The families (call [`SelfSnapshot::refresh`] first for current
+    /// values).
     pub fn families(&self) -> &[FamilySnapshot] {
         &self.families
     }
@@ -242,21 +184,24 @@ mod tests {
 
     #[test]
     fn layout_expands_histograms_like_the_canonical_form() {
+        // A histogram probe is one bucketed point per member, its bounds the
+        // log-linear layout's finite ones and one count more for `+Inf`.
         let snap = SelfSnapshot::new();
-        let bucket = snap
+        let family = snap
             .families()
             .iter()
-            .find(|f| f.name == "teemon_scrape_round_seconds_bucket")
-            .expect("bucket family");
-        assert_eq!(bucket.points.len(), hist::BUCKETS);
-        for (i, point) in bucket.points.iter().enumerate() {
-            assert_eq!(
-                point.labels.get("le").map(str::to_owned),
-                Some(format_bound(hist::bound_seconds(i))),
-            );
+            .find(|f| f.name == "teemon_scrape_stage_seconds")
+            .expect("stage family");
+        assert_eq!(family.kind, MetricKind::Histogram);
+        let stages: Vec<_> = family.points.iter().filter_map(|p| p.labels.get("stage")).collect();
+        assert_eq!(stages, ["collect", "cache_walk", "append"]);
+        for point in &family.points {
+            let PointValue::Histogram(histogram) = &point.value else { panic!("not a histogram") };
+            let bounds: Vec<f64> = (0..hist::BUCKETS - 1).map(hist::bound_seconds).collect();
+            assert_eq!(histogram.bounds, bounds);
+            assert_eq!(histogram.cumulative_counts.len(), hist::BUCKETS);
+            assert_eq!(histogram.cumulative_counts.last().copied(), Some(histogram.count));
         }
-        let last = bucket.points.last().expect("at least one bucket");
-        assert_eq!(last.labels.get("le"), Some("+Inf"));
     }
 
     #[test]

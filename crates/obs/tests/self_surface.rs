@@ -1,7 +1,8 @@
 //! Pins the self-telemetry wire surface: every sample identity and, per
-//! family in export order, the name, kind and point count of both views
-//! ([`ObsCollector`]'s canonical bucketed form and [`SelfSnapshot`]'s
-//! pre-expanded one) must match `golden/self_surface.txt` byte for byte.
+//! family in export order, the name, kind and point count of the probe
+//! table's families must match `golden/self_surface.txt` byte for byte —
+//! and [`SelfSnapshot`], the in-place form the self-scrape refreshes, must
+//! hold exactly [`ObsCollector`]'s layout.
 //! Dashboards, alert rules and the scraper's positional cache all key on
 //! this surface; a change to it must be deliberate and show up as a diff of
 //! the golden file.
@@ -51,21 +52,17 @@ fn layout(out: &mut String, families: &[FamilySnapshot]) {
 fn render() -> String {
     let collected = ObsCollector::new().collect().expect("collect is infallible");
     let snapshot = SelfSnapshot::new();
-    let canonical = identities(&collected);
-    assert_eq!(
-        canonical,
-        identities(snapshot.families()),
-        "the two views must expand to the same sample identities"
-    );
+    let (mut collected_layout, mut snapshot_layout) = (String::new(), String::new());
+    layout(&mut collected_layout, &collected);
+    layout(&mut snapshot_layout, snapshot.families());
+    assert_eq!(snapshot_layout, collected_layout, "SelfSnapshot holds ObsCollector's families");
     let mut out = String::from("# sample identities, sorted (both views expand to this set)\n");
-    for row in &canonical {
-        out.push_str(row);
+    for row in identities(&collected) {
+        out.push_str(&row);
         out.push('\n');
     }
     out.push_str("# ObsCollector families in export order: name kind points\n");
-    layout(&mut out, &collected);
-    out.push_str("# SelfSnapshot families in export order: name kind points\n");
-    layout(&mut out, snapshot.families());
+    out.push_str(&collected_layout);
     out
 }
 

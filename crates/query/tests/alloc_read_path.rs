@@ -256,10 +256,10 @@ fn a_select_allocates_its_labels_and_its_head_copy_per_series() {
     // candidates (a selector of one postings list walks it in place and
     // makes none).  Under `--cfg lock_audit` the audit names each lock it
     // records in one allocation more: the symbol table's for the plan, each
-    // shard's twice (counting, snapshotting) and the symbol table's once
-    // more in each shard that holds a match.
+    // shard's once (held from counting through snapshotting) and the symbol
+    // table's once more in each shard that holds a match.
     let shards = SHARD_COUNT as u64;
-    let audit = if cfg!(lock_audit) { 1 + 3 * shards } else { 0 };
+    let audit = if cfg!(lock_audit) { 1 + 2 * shards } else { 0 };
     assert!(some <= 2 * 160 + 1 + shards + audit, "{some} allocations for 160 series");
 }
 

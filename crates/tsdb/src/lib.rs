@@ -13,12 +13,13 @@
 //!   chunked append-only storage with retention,
 //! * [`chunk_codec`] — Gorilla-style sealed-chunk compression (delta-of-delta
 //!   timestamps, XOR-encoded floats): sealed chunks cost a few bytes per
-//!   16-byte sample, and the decoder streams so queries never materialise a
-//!   decompressed chunk (`StorageStats::bytes_per_sample` reports the
-//!   realised ratio),
+//!   16-byte sample, and one bulk decoder front end (`decode_into`) reads
+//!   the blocks a range covers, whole, into the caller's buffer
+//!   (`StorageStats::bytes_per_sample` reports the realised ratio),
 //! * [`SeriesSnapshot`] — zero-copy reads: selection returns `Arc`-shared
-//!   sealed chunks with a footer-seeking cursor API instead of deep-cloned
-//!   series,
+//!   sealed blocks instead of deep-cloned series; a range is decoded in bulk
+//!   (`points_in`, `range`) and a point read (`at`) decodes the one chunk it
+//!   lands in,
 //! * [`Selector`] and the [`query`] module — label matching; selection is
 //!   the store's only read (functions, aggregation and arithmetic over the
 //!   selected snapshots are `teemon_query`'s TeeQL),

@@ -38,10 +38,9 @@
 //! or a text target) by one byte compare of its series bytes as sent
 //! against the bytes the entry last saw (equal bytes parse to equal
 //! identities).  The whole round then goes to one batch append, which takes
-//! each shard lock once.  No allocation (for plain counter/gauge/untyped
-//! points — histogram and summary families allocate their `le`/`quantile`
-//! label expansions in the snapshot walk itself), no interning, no index
-//! traffic.  Churn (new, vanished or reordered series) fails the positional
+//! each shard lock once.  No allocation (histogram and summary points
+//! included: their `le`/`quantile` expansions are built in a per-thread
+//! scratch the snapshot walk keeps), no interning, no index traffic.  Churn (new, vanished or reordered series) fails the positional
 //! check and the round runs one repair pass instead, whose cost follows what
 //! changed rather than what the cache holds: each sample is tried against
 //! the previous round's entry **at its own position first** (a rename in
@@ -203,16 +202,18 @@ where
 }
 
 /// The engine's own telemetry as an **in-place** scrape endpoint: a
-/// [`teemon_obs::SelfSnapshot`] refreshed under a private lock on every
+/// [`teemon_obs::SelfSnapshot`] — the probe table's families, histograms in
+/// their canonical bucketed form — refreshed under a private lock on every
 /// scrape, handed to the scraper by reference.  Point positions never move
-/// between rounds, so the fast lane's positional cache verifies every time
-/// and a warm self-scrape round is allocation-free like any other in-place
+/// between rounds, so the fast lane's positional cache verifies every time,
+/// and the walk expands the histograms as it expands any target's, so a
+/// warm self-scrape round is allocation-free like any other in-place
 /// endpoint — the engine monitors itself at the same cost it monitors
 /// everyone else.
 ///
 /// Register it with [`Scraper::add_self_target`] (or `add_target` under a
 /// custom config); for text exposition or a typed `Collector` use
-/// [`teemon_obs::ObsCollector`] instead.
+/// [`teemon_obs::ObsCollector`], which builds the same families afresh.
 pub struct ObsEndpoint {
     snapshot: Mutex<SelfSnapshot>,
 }
@@ -1293,11 +1294,9 @@ impl Scraper {
 
     /// Like [`Scraper::scrape_once`], but folds the round into a
     /// [`RoundSummary`] instead of materialising per-target outcomes.  This
-    /// is the monitoring loop's path: a steady-state round of plain
-    /// counter/gauge points performs zero heap allocations end to end
-    /// (proved by `tests/alloc_free_scrape.rs`; histogram/summary families
-    /// allocate their bucket/quantile label expansions in the snapshot
-    /// walk).
+    /// is the monitoring loop's path: a steady-state round performs zero
+    /// heap allocations end to end, whatever the family kind (proved by
+    /// `tests/alloc_free_scrape.rs`).
     pub fn scrape_round(&self, now_ms: u64) -> RoundSummary {
         self.round(now_ms, false)
     }
@@ -1678,6 +1677,30 @@ mod tests {
         assert!(!outcomes[0].up);
         assert!(outcomes[0].error.as_deref().unwrap().contains("refused"));
         assert_eq!(scraper.unhealthy_instances(1_000), vec!["node-2:9090".to_string()]);
+    }
+
+    #[test]
+    fn a_histogram_with_fewer_counts_than_bounds_does_not_panic_the_round() {
+        // The snapshot's fields are public, so a collector can hand over a
+        // point whose counts stop short of its bounds: the round expands
+        // the bounds that have a count and stays healthy.
+        let db = TimeSeriesDb::new();
+        let scraper = Scraper::new(db.clone());
+        let short = HistogramSnapshot {
+            bounds: vec![0.1, 1.0, 10.0],
+            cumulative_counts: vec![2],
+            sum: 0.5,
+            count: 2,
+        };
+        let family = FamilySnapshot::new("lat_seconds", "", MetricKind::Histogram)
+            .with_point(MetricPoint::new(Labels::new(), PointValue::Histogram(short)));
+        scraper
+            .add_collector(ScrapeTargetConfig::new("short", "s:1"), Fixture::serving(vec![family]));
+        let summary = scraper.scrape_round(1_000);
+        assert_eq!((summary.healthy, summary.samples_scraped), (1, 4), "le=0.1, +Inf, sum, count");
+        let buckets = db.select(&Selector::metric("lat_seconds_bucket"));
+        let les: Vec<_> = buckets.iter().filter_map(|s| s.label_value("le")).collect();
+        assert_eq!(les, ["0.1", "+Inf"]);
     }
 
     #[test]

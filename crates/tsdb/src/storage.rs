@@ -1596,33 +1596,33 @@ impl TimeSeriesDb {
         SelectorPlan::compile(selector, &symbols)
     }
 
-    /// How many series match `plan`, one shard at a time.
-    fn count_matching(&self, plan: &SelectorPlan) -> usize {
-        self.shared.shards.iter().map(|shard| shard.read().matches(plan).count()).sum()
-    }
-
     /// Zero-copy selection: a [`SeriesSnapshot`] for every series matching
-    /// `selector`, in creation order.  The matches are counted first, so the
-    /// result is one allocation of its size; then each shard's are
-    /// snapshotted under its read lock (and the symbol table's, taken inside
-    /// it — lock order: `tsdb.shard`, then `tsdb.symbols` — only where the
-    /// shard has a match).  Sealed blocks are shared, not cloned; only the
-    /// open head chunk of each series is copied, so a series costs two
-    /// allocations: that copy and its label strings.
+    /// `selector`, in creation order.  Every shard's read lock is taken
+    /// once, in ascending order, and the matches counted under it, so the
+    /// result is one allocation of its size; then each shard's matches are
+    /// snapshotted (under the symbol table's read lock, taken inside the
+    /// shard's — lock order: `tsdb.shard`, then `tsdb.symbols` — only where
+    /// the shard has a match) and its lock released.  Sealed blocks are
+    /// shared, not cloned; only the open head chunk of each series is
+    /// copied, so a series costs two allocations: that copy and its label
+    /// strings.
     pub fn select(&self, selector: &Selector) -> Vec<SeriesSnapshot> {
         let plan = self.plan(selector);
         if matches!(plan, SelectorPlan::Nothing) {
             return Vec::new();
         }
-        let mut out = Vec::with_capacity(self.count_matching(&plan));
-        for shard in &self.shared.shards {
-            let inner = shard.read();
-            let mut matched = inner.matches(&plan).peekable();
-            if matched.peek().is_none() {
+        // Holding several shard locks at once is legal in ascending order.
+        #[cfg(lock_audit)]
+        let _ordered = parking_lot::audit::ordered_section();
+        let shards = self.shared.shards.each_ref().map(RwLock::read);
+        let counts = shards.each_ref().map(|inner| inner.matches(&plan).count());
+        let mut out = Vec::with_capacity(counts.iter().sum());
+        for (inner, count) in shards.into_iter().zip(counts) {
+            if count == 0 {
                 continue;
             }
             let symbols = self.shared.symbols.read();
-            out.extend(matched.map(|local| inner.series_at(local).snapshot(&symbols)));
+            out.extend(inner.matches(&plan).map(|local| inner.series_at(local).snapshot(&symbols)));
         }
         out.sort_unstable_by_key(|snapshot| snapshot.id);
         out

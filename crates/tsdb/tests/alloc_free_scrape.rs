@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use teemon_metrics::exposition::{encode_text, parse_families_bounded, ParseLimits};
-use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
+use teemon_metrics::{
+    FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue, SummarySnapshot,
+};
 use teemon_tsdb::{
     CardinalityBudgets, MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, TimeSeriesDb,
 };
@@ -145,6 +147,98 @@ fn steady_state_scrape_round_is_allocation_free() {
     // (Storage self-gauges no longer arrive as ad-hoc appends — they flow
     // through the `ObsEndpoint` self-target, exercised separately below.)
     assert_eq!(db.stats().samples, 157 * 48 + 157 * 4, "samples + per-target meta metrics");
+}
+
+/// An in-place endpoint of one histogram and one summary family: every
+/// round each point observes one more value, its counts, sum and count
+/// overwritten where they lie.
+struct DistributionEndpoint(Mutex<Vec<FamilySnapshot>>);
+
+impl DistributionEndpoint {
+    fn new(points: usize) -> Self {
+        let mut histograms =
+            FamilySnapshot::new("request_seconds", "latency", MetricKind::Histogram);
+        let mut summaries = FamilySnapshot::new("payload_bytes", "sizes", MetricKind::Summary);
+        for i in 0..points {
+            let labels = Labels::from_pairs([("idx", format!("{i}")), ("node", "n1".to_string())]);
+            let histogram = HistogramSnapshot {
+                bounds: vec![0.005, 0.05, 0.5, 5.0],
+                cumulative_counts: vec![0; 5],
+                sum: 0.5,
+                count: 0,
+            };
+            histograms
+                .points
+                .push(MetricPoint::new(labels.clone(), PointValue::Histogram(histogram)));
+            let summary = SummarySnapshot {
+                quantiles: vec![(0.5, 0.25), (0.9, 0.75), (0.99, 1.5)],
+                sum: 0.5,
+                count: 0,
+            };
+            summaries.points.push(MetricPoint::new(labels, PointValue::Summary(summary)));
+        }
+        Self(Mutex::new(vec![histograms, summaries]))
+    }
+}
+
+impl MetricsEndpoint for DistributionEndpoint {
+    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
+        Ok(self.0.lock().clone())
+    }
+
+    fn scrape_visit(&self, visit: &mut dyn FnMut(&[FamilySnapshot])) -> Result<(), ScrapeError> {
+        let mut families = self.0.lock();
+        for point in families.iter_mut().flat_map(|family| family.points.iter_mut()) {
+            match &mut point.value {
+                PointValue::Histogram(h) => {
+                    // One observation in the third bucket.
+                    for count in h.cumulative_counts.iter_mut().skip(2) {
+                        *count += 1;
+                    }
+                    h.sum += 0.25;
+                    h.count += 1;
+                }
+                PointValue::Summary(s) => {
+                    s.sum += 0.25;
+                    s.count += 1;
+                }
+                _ => {}
+            }
+        }
+        visit(&families);
+        Ok(())
+    }
+}
+
+#[test]
+fn warm_histogram_and_summary_round_is_allocation_free() {
+    // Expanding a histogram into its `_bucket` / `_sum` / `_count` samples
+    // and a summary into its quantiles builds names and `le` / `quantile`
+    // label sets; once they are warm, a round of them allocates no more
+    // than a round of gauges.
+    let db = TimeSeriesDb::new();
+    let scraper = Scraper::new(db.clone());
+    scraper.add_target(
+        ScrapeTargetConfig::new("app", "node-1:9100"),
+        Arc::new(DistributionEndpoint::new(6)),
+    );
+    // Per point: 4 bounds + `+Inf` + `_sum` + `_count`, 3 quantiles + 2.
+    let samples = 6 * (7 + 5);
+    for round in 1..=FIRST_CHUNK_ROUNDS {
+        let summary = scraper.scrape_round(round * 5_000);
+        assert_eq!((summary.healthy, summary.samples_added), (1, samples));
+    }
+
+    let before = allocations();
+    for round in FIRST_CHUNK_ROUNDS + 1..FIRST_CHUNK_ROUNDS + 38 {
+        assert_eq!(scraper.scrape_round(round * 5_000).samples_added, samples);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a warm round of histogram and summary families must not allocate"
+    );
+    assert_eq!(db.stats().series, samples + 4, "the samples and the target's meta series");
 }
 
 #[test]
