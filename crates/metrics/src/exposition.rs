@@ -102,7 +102,7 @@ fn encode_sample(
 /// labels in their sorted order and the values escaped — what
 /// [`encode_text`] writes before a sample's value, and so the bytes a
 /// document produced by it carries as that sample's [`SampleLine::series`].
-pub fn write_series(out: &mut String, name: &str, labels: &Labels) {
+fn write_series(out: &mut String, name: &str, labels: &Labels) {
     out.push_str(name);
     if labels.is_empty() {
         return;

@@ -188,6 +188,33 @@ impl Ends {
         }
     }
 
+    /// Moves the offsets from index `from` on by `new - old`: the piece
+    /// ending there now ends at `new`.  In place while the table keeps its
+    /// kind; rebuilt, and so canonical again, when it changes it.
+    fn shift(&mut self, from: usize, old: usize, new: usize) {
+        let moved = |end: usize| end - old + new;
+        let last = self.len().checked_sub(1).and_then(|last| self.get(last)).map_or(0, moved);
+        let inline = self.len() <= INLINE_ENDS && u16::try_from(last).is_ok();
+        match self {
+            Ends::Inline { len, table } if inline => {
+                for end in table.iter_mut().take(usize::from(*len)).skip(from) {
+                    *end = u16::try_from(moved(usize::from(*end))).unwrap_or(u16::MAX);
+                }
+            }
+            Ends::Heap(ends) if !inline => {
+                for end in ends.iter_mut().skip(from) {
+                    *end = moved(*end);
+                }
+            }
+            _ => {
+                let old_table = std::mem::take(self);
+                for (at, end) in old_table.iter().enumerate() {
+                    self.push(if at < from { end } else { moved(end) });
+                }
+            }
+        }
+    }
+
     /// A copy with room for `more` further offsets.
     fn clone_with_room(&self, more: usize) -> Self {
         match self {
@@ -355,24 +382,38 @@ impl Labels {
     /// Makes `self` a copy of `base` with `name=value` inserted (replacing
     /// any value `base` has for `name`), written into `self`'s own buffer
     /// in sorted order: once that buffer is large enough, a refill of a set
-    /// that keeps its offset table inline allocates nothing.
-    pub(crate) fn refill_with(&mut self, base: &Labels, name: &str, value: &str) {
+    /// that keeps its offset table inline allocates nothing.  Returns the
+    /// index `name` landed at, for [`Labels::set_value_at`].
+    pub(crate) fn refill_with(&mut self, base: &Labels, name: &str, value: &str) -> usize {
         self.buf.clear();
         self.ends = Ends::default();
-        let mut pending = Some((name, value));
+        let mut at = None;
         for (k, v) in base.iter() {
-            if let Some((name, value)) = pending.filter(|&(name, _)| name <= k) {
+            if at.is_none() && name <= k {
+                at = Some(self.len());
                 self.push_last(name, value);
-                pending = None;
                 if name == k {
                     continue;
                 }
             }
             self.push_last(k, v);
         }
-        if let Some((name, value)) = pending {
+        at.unwrap_or_else(|| {
             self.push_last(name, value);
-        }
+            self.len() - 1
+        })
+    }
+
+    /// Replaces the value of the label at index `at` (in sorted order) with
+    /// `value`, moving only the bytes after it: once the buffer is large
+    /// enough, a set that keeps its offset table inline allocates nothing.
+    /// An index past the end changes nothing.
+    pub(crate) fn set_value_at(&mut self, at: usize, value: &str) {
+        let piece = 2 * at + 1;
+        let Some(old_end) = self.ends.get(piece) else { return };
+        let start = self.piece_start(piece);
+        self.buf.replace_range(start..old_end, value);
+        self.ends.shift(piece, old_end, start + value.len());
     }
 
     /// Inserts a label in place, replacing any previous value.
@@ -655,6 +696,38 @@ mod tests {
         for base in &bases {
             out.refill_with(base, "le", "0.5");
             assert_eq!(out, base.with("le", "0.5"), "refilled from {base}");
+        }
+    }
+
+    #[test]
+    fn a_value_set_in_place_equals_the_copy_with_the_value_replaced() {
+        // Shorter, longer, first and last label; a value long enough to
+        // spill the inline table's `u16` offsets, and back.
+        let wide = Labels::from_pairs((0..7).map(|i| (format!("k{i}"), format!("v{i}"))));
+        let long = "x".repeat(70_000);
+        let cases = [
+            (Labels::from_pairs([("class", "tsdb"), ("le", "0.005"), ("z", "1")]), 1, "10"),
+            (Labels::from_pairs([("class", "tsdb"), ("le", "1"), ("z", "1")]), 1, "0.025"),
+            (Labels::from_pairs([("a", "1"), ("le", "1")]), 1, "+Inf"),
+            (Labels::from_pairs([("le", "1"), ("z", "1")]), 0, ""),
+            (wide.clone(), 3, "a longer value"),
+            (Labels::from_pairs([("le", "1"), ("z", "1")]), 0, long.as_str()),
+            (Labels::from_pairs([("le", long.as_str()), ("z", "1")]), 0, "1"),
+        ];
+        for (labels, at, value) in cases {
+            let name = labels.iter().nth(at).map(|(name, _)| name.to_string()).unwrap();
+            let mut set = labels.clone();
+            set.set_value_at(at, value);
+            assert_eq!(set, labels.with(name, value), "{labels} at {at}");
+        }
+        let mut unchanged = wide.clone();
+        unchanged.set_value_at(7, "past the end");
+        assert_eq!(unchanged, wide);
+        // A refill reports where its label landed, replaced or inserted.
+        let mut refilled = Labels::new();
+        for base in [Labels::new(), wide, Labels::from_pairs([("le", "old"), ("z", "1")])] {
+            let at = refilled.refill_with(&base, "le", "0.5");
+            assert_eq!(refilled.iter().nth(at), Some(("le", "0.5")), "refilled from {base}");
         }
     }
 

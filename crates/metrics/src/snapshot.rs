@@ -160,12 +160,13 @@ impl FamilySnapshot {
                 }
                 PointValue::Histogram(h) => with_expansion(|x| {
                     x.rename(&self.name, "_bucket");
+                    x.label(base, "le");
                     let buckets = h.bounds.iter().zip(&h.cumulative_counts);
                     for (at, (bound, count)) in buckets.enumerate() {
-                        x.bounded(at, base, "le", *bound);
+                        x.bounded(at, *bound);
                         visit(&x.name, &x.labels, *count as f64, ts);
                     }
-                    x.labels.refill_with(base, "le", "+Inf");
+                    x.labels.set_value_at(x.label_at, "+Inf");
                     let total = h.cumulative_counts.last().map_or(0.0, |&count| count as f64);
                     visit(&x.name, &x.labels, total, ts);
                     x.rename(&self.name, "_sum");
@@ -174,8 +175,9 @@ impl FamilySnapshot {
                     visit(&x.name, base, h.count as f64, ts);
                 }),
                 PointValue::Summary(s) => with_expansion(|x| {
+                    x.label(base, "quantile");
                     for (at, (q, v)) in s.quantiles.iter().enumerate() {
-                        x.bounded(at, base, "quantile", *q);
+                        x.bounded(at, *q);
                         visit(&self.name, &x.labels, *v, ts);
                     }
                     x.rename(&self.name, "_sum");
@@ -219,20 +221,22 @@ fn with_expansion(f: impl FnOnce(&mut Expansion)) {
 }
 
 /// The pieces of an expanded sample: the suffixed name, the point's labels
-/// with `le` / `quantile` inserted, and the texts of the two bounds last
-/// written at each position, newest first.  Histograms of one layout share
-/// their bounds, so a warm walk over at most two layouts (a self-scrape's
-/// probe and lock-wait histograms) formats no bound.
+/// with `le` / `quantile` inserted and the index it sits at, and the texts
+/// of the two bounds last written at each position, newest first.
+/// Histograms of one layout share their bounds, so a warm walk over at most
+/// two layouts (a self-scrape's probe and lock-wait histograms) formats no
+/// bound.
 #[derive(Default)]
 struct Expansion {
     name: String,
     labels: Labels,
+    label_at: usize,
     bounds: Vec<[(Option<u64>, String); 2]>,
 }
 
 impl Expansion {
     const fn new() -> Self {
-        Self { name: String::new(), labels: Labels::new(), bounds: Vec::new() }
+        Self { name: String::new(), labels: Labels::new(), label_at: 0, bounds: Vec::new() }
     }
 
     fn rename(&mut self, family: &str, suffix: &str) {
@@ -241,9 +245,16 @@ impl Expansion {
         self.name.push_str(suffix);
     }
 
-    /// Refills `labels` with `base` plus `key` set to the text of `bound`,
-    /// the bound at position `at` of its point.
-    fn bounded(&mut self, at: usize, base: &Labels, key: &str, bound: f64) {
+    /// Refills `labels` with `base` plus `key`, the one label a point's
+    /// expanded samples differ in, once per point; [`Expansion::bounded`]
+    /// then sets only its value.
+    fn label(&mut self, base: &Labels, key: &str) {
+        self.label_at = self.labels.refill_with(base, key, "");
+    }
+
+    /// Sets the expanded label to the text of `bound`, the bound at
+    /// position `at` of its point.
+    fn bounded(&mut self, at: usize, bound: f64) {
         if self.bounds.len() <= at {
             self.bounds.resize_with(at + 1, Default::default);
         }
@@ -257,7 +268,7 @@ impl Expansion {
             newest.1.clear();
             format_bound(&mut newest.1, bound);
         }
-        self.labels.refill_with(base, key, &newest.1);
+        self.labels.set_value_at(self.label_at, &newest.1);
     }
 }
 

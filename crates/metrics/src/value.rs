@@ -33,8 +33,8 @@ impl HistogramSnapshot {
         let rank = q * self.count as f64;
         let mut prev_count = 0u64;
         let mut prev_bound = 0.0f64;
-        for (i, bound) in self.bounds.iter().enumerate() {
-            let c = self.cumulative_counts[i];
+        // A bound without a count is not read past.
+        for (bound, &c) in self.bounds.iter().zip(&self.cumulative_counts) {
             if (c as f64) >= rank {
                 let bucket_count = c - prev_count;
                 if bucket_count == 0 {
@@ -89,6 +89,19 @@ mod tests {
         assert!(snap.quantile(0.5) <= snap.quantile(1.0));
         // A rank past the last finite bucket reports the largest finite bound.
         assert_eq!(histogram(&[1.0, 2.0], &[0, 0, 1], 9.0).quantile(0.5), 2.0);
+    }
+
+    #[test]
+    fn a_histogram_with_fewer_counts_than_bounds_estimates_without_panicking() {
+        // The fields are public, so a collector may hand over any shape.
+        let short = HistogramSnapshot {
+            bounds: vec![1.0, 2.0, 3.0],
+            cumulative_counts: vec![4],
+            sum: 4.0,
+            count: 8,
+        };
+        assert_eq!(short.quantile(0.5), 1.0);
+        assert_eq!(short.quantile(0.9), 3.0);
     }
 
     #[test]

@@ -157,31 +157,28 @@ impl ServerCore {
             let request = match read_request(conn, &self.config.limits, &mut carry) {
                 Ok(Some(request)) => request,
                 Ok(None) => break, // clean keep-alive EOF
-                Err(ReadError::Timeout { phase }) => {
-                    probes::HTTP_SLOW_CLIENTS.inc();
-                    let resp = Response::text(408, format!("timed out reading request {phase}\n"));
+                Err(error) => {
+                    let (probe, status, body) = match error {
+                        ReadError::Timeout { phase } => (
+                            &probes::HTTP_SLOW_CLIENTS,
+                            408,
+                            format!("timed out reading request {phase}\n"),
+                        ),
+                        ReadError::Malformed(reason) => {
+                            (&probes::HTTP_MALFORMED, 400, format!("malformed request: {reason}\n"))
+                        }
+                        ReadError::Oversized { what, limit } => {
+                            let body = format!("request {what} over the {limit}-byte limit\n");
+                            (&probes::HTTP_OVERSIZED, 413, body)
+                        }
+                        ReadError::Io(_) => break, // transport gone; nothing to say
+                    };
+                    probe.inc();
+                    let resp = Response::text(status, body);
                     count_status(resp.status);
                     let _ = resp.write_to(conn, true);
                     break;
                 }
-                Err(ReadError::Malformed(reason)) => {
-                    probes::HTTP_MALFORMED.inc();
-                    let resp = Response::text(400, format!("malformed request: {reason}\n"));
-                    count_status(resp.status);
-                    let _ = resp.write_to(conn, true);
-                    break;
-                }
-                Err(ReadError::Oversized { what, limit }) => {
-                    probes::HTTP_OVERSIZED.inc();
-                    let resp = Response::text(
-                        413,
-                        format!("request {what} over the {limit}-byte limit\n"),
-                    );
-                    count_status(resp.status);
-                    let _ = resp.write_to(conn, true);
-                    break;
-                }
-                Err(ReadError::Io(_)) => break, // transport gone; nothing to say
             };
 
             probes::HTTP_REQUESTS.inc();

@@ -31,31 +31,36 @@
 //! overflow accounting.  Pull or push, typed or text, only decides what the
 //! walk reads and which meta samples the caller writes afterwards.
 //!
-//! A steady-state round walks the round positionally and verifies each
-//! sample against the entry at its position: a typed sample by real
-//! equality (a name compare and two slice compares over the packed
-//! [`Labels`] — nothing is hashed), a text line ([`Exposition`], from a push
-//! or a text target) by one byte compare of its series bytes as sent
-//! against the bytes the entry last saw (equal bytes parse to equal
-//! identities).  The whole round then goes to one batch append, which takes
-//! each shard lock once.  No allocation (histogram and summary points
+//! A round is one cache walk, run in up to two modes.  The **warm** mode
+//! walks the round positionally and verifies each sample against the entry
+//! at its position: a typed sample — a snapshot's, or a histogram or
+//! summary sample a text round's parse folded — by real equality of its
+//! identity (a name compare and two slice compares over the packed
+//! [`Labels`] — nothing is hashed or rendered), a text line
+//! ([`Exposition`], from a push or a text target) by one byte compare of its
+//! series bytes as sent against the bytes the entry last saw (equal bytes
+//! parse to equal identities).  Each entry keeps the admission its last
+//! repair gave it.  The whole round then goes to one batch append, which
+//! takes each shard lock once.  No allocation (histogram and summary points
 //! included: their `le`/`quantile` expansions are built in a per-thread
-//! scratch the snapshot walk keeps), no interning, no index traffic.  Churn (new, vanished or reordered series) fails the positional
-//! check and the round runs one repair pass instead, whose cost follows what
-//! changed rather than what the cache holds: each sample is tried against
-//! the previous round's entry **at its own position first** (a rename in
-//! place re-matches every unrenamed neighbour for what the warm pass pays;
-//! a text line that misses by its bytes has its label set built and is
-//! tried once more by identity), then against an index of the entries
-//! nobody has claimed yet — keyed by structural hash
-//! ([`teemon_metrics::series_hash`], confirmed by the same equality), built
-//! lazily at the first positional miss in a map the cache keeps — and only
-//! a sample that matches nothing pays the label merge, the key capture and
-//! [`TimeSeriesDb::resolve`].  Admission and the batch fill happen in the
-//! same walk.  A sample whose handle went stale (its series evicted by
-//! retention or dropped) is appended by key and the key re-resolved, so the
-//! fast lane can miss a beat but never writes to the wrong series.  A lane
-//! gives its admissions back to the job pool when it is dropped — a removed
+//! scratch the snapshot walk keeps), no interning, no index traffic.  Churn
+//! (new, vanished or reordered series) stops the warm mode at its first
+//! miss, before storage is touched, and the same walk runs again in
+//! **repair** mode, whose cost follows what changed rather than what the
+//! cache holds: each sample is tried against the previous round's entry
+//! **at its own position first** (a rename in place re-matches every
+//! unrenamed neighbour for what the warm mode pays; a text line that misses
+//! by its bytes has its label set built and is tried once more by
+//! identity), then against an index of the entries nobody has claimed yet —
+//! keyed by structural hash ([`teemon_metrics::series_hash`], confirmed by
+//! the same equality), built lazily at the first positional miss in a map
+//! the cache keeps — and only a sample that matches nothing pays the label
+//! merge, the key capture and [`TimeSeriesDb::resolve`].  Admission and the
+//! batch fill happen in the same walk.  A sample whose handle went stale
+//! (its series evicted by retention or dropped) is appended by key and the
+//! key re-resolved — the lane's own meta series the same way — so the fast
+//! lane can miss a beat but never writes to the wrong series.  A lane gives
+//! its admissions back to the job pool when it is dropped — a removed
 //! target's and a closed connection's alike.
 //!
 //! The fast lane is the only lane.  What it must equal — merge the target
@@ -160,24 +165,6 @@ where
 {
     fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
         (self)()
-    }
-}
-
-/// Typed endpoint over any [`Collector`]: refresh, then hand over snapshots.
-/// No serialisation of any kind is involved.
-pub(crate) struct CollectorEndpoint(Arc<dyn Collector>);
-
-impl CollectorEndpoint {
-    /// Wraps a collector.
-    pub(crate) fn new(collector: Arc<dyn Collector>) -> Self {
-        Self(collector)
-    }
-}
-
-impl MetricsEndpoint for CollectorEndpoint {
-    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
-        self.0.refresh();
-        Ok(self.0.collect()?)
     }
 }
 
@@ -441,70 +428,59 @@ struct CacheEntry {
     handle: SeriesHandle,
     /// Whether this series fit its target/job cardinality budget at the last
     /// repair.  Unadmitted entries keep their wire identity (so the warm
-    /// positional pass stays intact) but carry an unresolved handle, never
-    /// reach the batch, and count as overflow instead.
+    /// mode stays intact) but carry an unresolved handle, never reach the
+    /// batch, and count as overflow instead.
     admitted: bool,
-    /// The series bytes a text round last spelled this sample with
-    /// (`name{…}` as sent); empty in a typed target's cache.
+    /// The series bytes a text line last spelled this sample with
+    /// (`name{…}` as sent); empty until a line claims the entry.
     raw: String,
 }
 
 /// One wire sample as a cache walk meets it: its identity in whichever form
 /// the round holds it.
 enum Wire<'w> {
-    /// A typed snapshot's sample: the identity itself.
+    /// A typed sample — a snapshot's, or a histogram or summary sample a
+    /// text round's parse folded: the identity itself.  Two samples render
+    /// to equal bytes exactly when their identities are equal, so nothing is
+    /// rendered to match one.
     Typed(&'w str, &'w Labels),
     /// A text line of a counter, gauge or untyped family: its series bytes
     /// as sent; the label set is built only on a miss.
     Line(&'w SampleLine<'w>),
-    /// A sample of a folded histogram or summary of a text round: its
-    /// series bytes rendered by [`exposition::write_series`], then the
-    /// identity they were rendered from.
-    Rendered(&'w str, &'w str, &'w Labels),
 }
 
 impl Wire<'_> {
-    /// The series bytes of a text round's sample; empty for a typed one.
-    fn raw(&self) -> &str {
-        match self {
-            Wire::Typed(..) => "",
-            Wire::Line(line) => line.series(),
-            Wire::Rendered(raw, ..) => raw,
-        }
-    }
-
     /// Whether `entry` is this sample's series, by the cheapest test that
     /// decides it: the cached identity for a typed sample, one byte compare
-    /// against the spelling the entry last saw for a text sample (equal
-    /// bytes parse to equal identities).
+    /// against the spelling the entry last saw for a line (equal bytes parse
+    /// to equal identities).
     fn hits(&self, entry: &CacheEntry) -> bool {
         match self {
             Wire::Typed(name, labels) => entry.key.matches(name, labels),
-            _ => entry.raw == self.raw(),
+            Wire::Line(line) => entry.raw == line.series(),
         }
     }
 
-    /// Runs `f` over the sample's structural identity, building a text
-    /// line's label set for it.
+    /// Runs `f` over the sample's structural identity, building a line's
+    /// label set for it.
     fn with_identity<R>(&self, f: impl FnOnce(&str, &Labels) -> R) -> R {
         match self {
-            Wire::Typed(name, labels) | Wire::Rendered(_, name, labels) => f(name, labels),
+            Wire::Typed(name, labels) => f(name, labels),
             Wire::Line(line) => f(line.name(), &line.labels()),
         }
     }
 }
 
 /// What a cache walk reads a round from: a scrape target's typed snapshots
-/// or a push lane's parsed text document.
+/// or a parsed text document, pushed or fetched.
 trait WireSource {
     /// Calls `visit` once per wire sample, in the order the round's samples
     /// are stored: families in order, each family's samples in order.
-    /// `render` is scratch for keys that have to be rendered.
-    fn each(&self, render: &mut String, visit: impl FnMut(Wire<'_>, f64, Option<u64>));
+    fn each(&self, visit: impl FnMut(Wire<'_>, f64, Option<u64>));
 }
 
 impl WireSource for [FamilySnapshot] {
-    fn each(&self, _: &mut String, mut visit: impl FnMut(Wire<'_>, f64, Option<u64>)) {
+    fn each(&self, mut visit: impl FnMut(Wire<'_>, f64, Option<u64>)) {
         for family in self {
             family.for_each_sample(|name, labels, value, timestamp_ms| {
                 visit(Wire::Typed(name, labels), value, timestamp_ms);
@@ -517,13 +493,11 @@ impl WireSource for Exposition<'_> {
     /// Families by first appearance; a counter, gauge or untyped family's
     /// lines in document order, a folded family's samples as its snapshot
     /// visits them — the order of [`Exposition::to_snapshots`].
-    fn each(&self, render: &mut String, mut visit: impl FnMut(Wire<'_>, f64, Option<u64>)) {
+    fn each(&self, mut visit: impl FnMut(Wire<'_>, f64, Option<u64>)) {
         for family in self.families() {
             match family.folded() {
                 Some(snapshot) => snapshot.for_each_sample(|name, labels, value, timestamp_ms| {
-                    render.clear();
-                    exposition::write_series(render, name, labels);
-                    visit(Wire::Rendered(render, name, labels), value, timestamp_ms);
+                    visit(Wire::Typed(name, labels), value, timestamp_ms);
                 }),
                 None => {
                     for line in family.lines() {
@@ -540,8 +514,8 @@ impl WireSource for Exposition<'_> {
 /// [`TimeSeriesDb::append_batch`].  Steady state, the cache turns a round
 /// into: one equality check per sample against the entry at its position,
 /// one batch append.  Any churn — a series appearing, vanishing or moving —
-/// fails the positional check and triggers [`Lane::repair`], which reuses
-/// every surviving entry and resolves only what changed.
+/// fails the positional check and [`Lane::walk`] runs again as the repair,
+/// which reuses every surviving entry and resolves only what changed.
 #[derive(Default)]
 struct TargetCache {
     entries: Vec<CacheEntry>,
@@ -550,60 +524,18 @@ struct TargetCache {
     /// the batch fills, so batch position and entry index diverge as soon as
     /// a budget clips the lane; stale-handle repair maps through this.
     batch_entry: Vec<u32>,
-    /// The repair pass's index of unclaimed entries.  Kept here so that a
-    /// repair clears it instead of allocating a new one.
+    /// The repair's index of unclaimed entries.  Kept here so that a repair
+    /// clears it instead of allocating a new one.
     index: Unclaimed,
-    /// Where a text round's histogram and summary keys are rendered.
-    render: String,
-    /// Handles of the series a round writes about the lane itself.
-    meta: MetaSeries,
+    /// Handles of the series a round writes about the lane itself, kept
+    /// beside the cache so that those samples skip key hashing and the key
+    /// index the way data samples do.
+    meta: MetaHandles,
 }
 
-impl TargetCache {
-    /// The fast positional pass: verifies every wire sample against the
-    /// cached entry at its position and fills `batch` with handle-addressed
-    /// samples.  Returns `false` — without touching storage — as soon as
-    /// the round's shape deviates from the cache (new, vanished or
-    /// reordered series).  Sets `scraped` to the number of wire samples
-    /// seen and `overflow` to the matched-but-unadmitted samples the round's
-    /// budget clipped.  Allocation-free apart from first-round `batch`
-    /// growth.
-    fn fill<S: WireSource + ?Sized>(
-        &mut self,
-        source: &S,
-        now_ms: u64,
-        scraped: &mut u64,
-        overflow: &mut u64,
-    ) -> bool {
-        let Self { entries, batch, batch_entry, render, .. } = self;
-        batch.clear();
-        batch_entry.clear();
-        let mut idx = 0usize;
-        let mut matched = true;
-        let mut clipped = 0u64;
-        source.each(render, |wire, value, timestamp_ms| {
-            let position = idx;
-            idx += 1;
-            if !matched {
-                return;
-            }
-            match entries.get(position) {
-                Some(entry) if wire.hits(entry) => {
-                    if entry.admitted {
-                        batch.push((entry.handle, timestamp_ms.unwrap_or(now_ms), value));
-                        batch_entry.push(position as u32);
-                    } else {
-                        clipped += 1;
-                    }
-                }
-                _ => matched = false,
-            }
-        });
-        *scraped = idx as u64;
-        *overflow = clipped;
-        matched && idx == entries.len()
-    }
-}
+/// The handles of a lane's [`META_NAMES`] series, each resolved the first
+/// time the series is written.
+type MetaHandles = [Option<SeriesHandle>; META_NAMES.len()];
 
 /// What one [`Lane::ingest`] moved: wire samples seen, samples storage
 /// accepted, budget-clipped samples this round and cumulatively, and the
@@ -664,17 +596,21 @@ impl Lane {
         source: &S,
         now_ms: u64,
     ) -> IngestStats {
-        let (mut scraped, mut overflow) = (0u64, 0u64);
         let walk_watch = Stopwatch::start();
-        if self.cache.fill(source, now_ms, &mut scraped, &mut overflow) {
-            probes::CACHE_HITS.inc();
-        } else {
-            probes::CACHE_REBUILDS.inc();
-            self.repair(db, source, now_ms, &mut scraped, &mut overflow);
-        }
+        let (scraped, overflow) = match self.walk::<false, _>(db, source, now_ms) {
+            Some(walked) => {
+                probes::CACHE_HITS.inc();
+                walked
+            }
+            None => {
+                probes::CACHE_REBUILDS.inc();
+                self.walk::<true, _>(db, source, now_ms).unwrap_or_default()
+            }
+        };
         probes::SCRAPE_CACHE_WALK_NS.record_ns(walk_watch.elapsed_ns());
         let append_watch = Stopwatch::start();
-        let ingested = append_batch_repairing(db, &mut self.cache);
+        let TargetCache { entries, batch, batch_entry, .. } = &mut self.cache;
+        let ingested = append_batch_repairing(db, batch, batch_entry, entries.as_mut_slice());
         let append_ns = append_watch.elapsed_ns();
         if overflow > 0 {
             self.overflow_total += overflow;
@@ -684,141 +620,182 @@ impl Lane {
     }
 
     /// Writes the lane's own series ([`META_NAMES`]; `None` writes nothing
-    /// to one) at `now_ms`, labelled with the target labels.
+    /// to one) at `now_ms`, labelled with the target labels, as one small
+    /// batch through [`append_batch_repairing`], as the data batch is.
     fn append_meta(
         &mut self,
         db: &TimeSeriesDb,
         now_ms: u64,
         values: [Option<f64>; META_NAMES.len()],
     ) {
-        self.cache.meta.append(db, &self.base_labels, now_ms, values);
+        let labels = &self.base_labels;
+        let mut batch = [(SeriesHandle::unresolved(), now_ms, 0.0); META_NAMES.len()];
+        let mut batch_entry = [0u32; META_NAMES.len()];
+        let mut len = 0;
+        let slots = values.iter().zip(&mut self.cache.meta).zip(META_NAMES).zip(0u32..);
+        for (((value, handle), name), at) in slots {
+            let Some(value) = *value else { continue };
+            let handle = *handle.get_or_insert_with(|| db.resolve(name, labels));
+            if let (Some(slot), Some(entry)) = (batch.get_mut(len), batch_entry.get_mut(len)) {
+                (*slot, *entry) = ((handle, now_ms, value), at);
+                len += 1;
+            }
+        }
+        let batch = batch.get(..len).unwrap_or_default();
+        let batch_entry = batch_entry.get(..len).unwrap_or_default();
+        append_batch_repairing(db, batch, batch_entry, &mut (&mut self.cache.meta, labels));
     }
 
-    /// The repair pass after churn: one walk that re-matches every sample,
-    /// re-admits in snapshot order and fills `batch`, at a cost proportional
-    /// to what changed.
+    /// The cache walk: one pass over the round that matches every wire
+    /// sample to its entry and fills `batch` — what it pushes, its batch
+    /// index's entry, the clipped count — in one of two modes.  Returns the
+    /// wire samples seen and the matched-but-unadmitted ones the round's
+    /// budget clipped.
     ///
-    /// The entry list is repaired **in place**.  Below the cursor it holds
-    /// this round's entries, from the cursor on the previous round's entries
-    /// nobody has claimed yet.  Each sample is tried against the entry at
-    /// its own position first — a rename in place, the Kubernetes pattern,
-    /// re-matches every unrenamed neighbour with the warm pass's one equality
-    /// check and nothing hashed.  A text sample that misses there by its
+    /// The **warm** mode (`REPAIR` false) verifies each sample against the
+    /// entry at its position and keeps that entry's admission as its last
+    /// repair decided it: no generation is checked, no budget read.  At the
+    /// first miss, or when the round is shorter or longer than the cache, it
+    /// returns `None` without having touched storage.  It allocates nothing
+    /// once `batch` has grown.
+    ///
+    /// The **repair** mode (`REPAIR` true), run after the warm mode missed,
+    /// re-matches every sample, re-admits in snapshot order and refills
+    /// `batch`, at a cost proportional to what changed.  The entry list is
+    /// repaired **in place**.  Below the cursor it holds this round's
+    /// entries, from the cursor on the previous round's entries nobody has
+    /// claimed yet.  Each sample is tried against the entry at its own
+    /// position first — a rename in place, the Kubernetes pattern,
+    /// re-matches every unrenamed neighbour with the warm mode's one
+    /// equality check and nothing hashed.  A line that misses there by its
     /// bytes has its label set built and is tried once more by identity (the
     /// same series, spelled another way).  Only then is `index` consulted,
-    /// the structural-hash index of the unclaimed entries, built on the first
-    /// miss; a hit there is swapped into place (a reorder, or a shift after
-    /// an insert or delete).  Only a sample that matches nothing pays the
-    /// label merge ([`stored_labels`]), the key capture and
+    /// the structural-hash index of the unclaimed entries, built on the
+    /// first miss; a hit there is swapped into place (a reorder, or a shift
+    /// after an insert or delete).  Only a sample that matches nothing pays
+    /// the label merge ([`stored_labels`]), the key capture and
     /// [`TimeSeriesDb::resolve`].  Whatever an entry displaces moves further
     /// back, still unclaimed; what is left past the cursor at the end
     /// vanished from the source and is dropped.  Every entry is claimed at
     /// most once, so samples sharing one identity each get an entry of their
-    /// own.  An entry a text sample claimed by identity takes that sample's
-    /// spelling.
+    /// own.  An entry a line claimed takes that line's spelling.
     ///
-    /// This is also the admission point of the cardinality defense: series
-    /// are admitted in snapshot order until the lane's own budget or the
-    /// job's shared allowance runs out, and only admitted series ever touch
-    /// [`TimeSeriesDb::resolve`] — an over-budget series is never created in
-    /// storage.  Surviving handles are validated against one generation
-    /// snapshot and re-resolved when their shard moved on.  The
+    /// The repair is also the admission point of the cardinality defense:
+    /// series are admitted in snapshot order until the lane's own budget or
+    /// the job's shared allowance runs out, and only admitted series ever
+    /// touch [`TimeSeriesDb::resolve`] — an over-budget series is never
+    /// created in storage.  Surviving handles are validated against one
+    /// generation snapshot and re-resolved when their shard moved on.  The
     /// shared-budget lock is taken once before the walk (to read the
     /// allowance) and once after (to commit the new contribution), never
     /// across storage calls.
-    fn repair<S: WireSource + ?Sized>(
+    fn walk<const REPAIR: bool, S: WireSource + ?Sized>(
         &mut self,
         db: &TimeSeriesDb,
         source: &S,
         now_ms: u64,
-        scraped: &mut u64,
-        overflow: &mut u64,
-    ) {
+    ) -> Option<(u64, u64)> {
         let Self {
             job, base_labels, target_limit, budgets, cache, admitted: lane_admitted, ..
         } = self;
         let prior = *lane_admitted;
-        let allowance = match budgets {
-            Some(shared) => shared.begin(job, prior),
-            None => u64::MAX,
+        let (cap, generations) = if REPAIR {
+            let allowance = budgets.as_ref().map_or(u64::MAX, |shared| shared.begin(job, prior));
+            (target_limit.unwrap_or(u64::MAX).min(allowance), db.shard_generations())
+        } else {
+            (u64::MAX, Default::default())
         };
-        let cap = target_limit.unwrap_or(u64::MAX).min(allowance);
-        let generations = db.shard_generations();
-        let TargetCache { entries, batch, batch_entry, index, render, .. } = cache;
+        let TargetCache { entries, batch, batch_entry, index, .. } = cache;
         batch.clear();
         batch_entry.clear();
-        index.clear();
-        let mut indexed = false;
+        if REPAIR {
+            index.clear();
+        }
+        let (mut indexed, mut missed) = (false, false);
         let mut cursor = 0usize;
         let mut admitted = 0u64;
         let mut clipped = 0u64;
-        source.each(render, |wire, value, timestamp_ms| {
+        source.each(|wire, value, timestamp_ms| {
             let position = cursor;
             cursor += 1;
-            if !entries.get(position).is_some_and(|e| wire.hits(e)) {
-                wire.with_identity(|name, labels| {
-                    if entries.get(position).is_some_and(|e| e.key.matches(name, labels)) {
-                        return;
-                    }
-                    if !indexed {
-                        // Back to front, so that of several entries sharing
-                        // one identity the earliest is claimed first.
-                        for (at, entry) in entries.iter().enumerate().skip(position).rev() {
-                            index.insert(entry.key.hash(), at);
+            if missed {
+                return;
+            }
+            if REPAIR {
+                if !entries.get(position).is_some_and(|e| wire.hits(e)) {
+                    wire.with_identity(|name, labels| {
+                        if entries.get(position).is_some_and(|e| e.key.matches(name, labels)) {
+                            return;
                         }
-                        indexed = true;
-                    }
-                    let hash = identity::series_hash(name, labels);
-                    let found = index.claim(hash, position, |at| {
-                        entries.get(at).is_some_and(|e| e.key.matches(name, labels))
-                    });
-                    // The sample's entry is the one found further back, or a
-                    // fresh one appended there; swapped into place, whatever
-                    // it displaces takes its spot, still unclaimed, and is
-                    // indexed where it now stands.
-                    let from = found.unwrap_or_else(|| {
-                        entries.push(CacheEntry {
-                            key: SeriesKey::capture(name, labels),
-                            merged: stored_labels(labels, base_labels),
-                            handle: SeriesHandle::unresolved(),
-                            admitted: false,
-                            raw: String::new(),
+                        if !indexed {
+                            // Back to front, so that of several entries sharing
+                            // one identity the earliest is claimed first.
+                            for (at, entry) in entries.iter().enumerate().skip(position).rev() {
+                                index.insert(entry.key.hash(), at);
+                            }
+                            indexed = true;
+                        }
+                        let hash = identity::series_hash(name, labels);
+                        let found = index.claim(hash, position, |at| {
+                            entries.get(at).is_some_and(|e| e.key.matches(name, labels))
                         });
-                        entries.len() - 1
+                        // The sample's entry is the one found further back, or a
+                        // fresh one appended there; swapped into place, whatever
+                        // it displaces takes its spot, still unclaimed, and is
+                        // indexed where it now stands.
+                        let from = found.unwrap_or_else(|| {
+                            entries.push(CacheEntry {
+                                key: SeriesKey::capture(name, labels),
+                                merged: stored_labels(labels, base_labels),
+                                handle: SeriesHandle::unresolved(),
+                                admitted: false,
+                                raw: String::new(),
+                            });
+                            entries.len() - 1
+                        });
+                        entries.swap(position, from);
+                        if let Some(displaced) = entries.get(from).filter(|_| from != position) {
+                            index.insert(displaced.key.hash(), from);
+                        }
                     });
-                    entries.swap(position, from);
-                    if let Some(displaced) = entries.get(from).filter(|_| from != position) {
-                        index.insert(displaced.key.hash(), from);
-                    }
-                });
-                if let Some(entry) = entries.get_mut(position) {
-                    if entry.raw != wire.raw() {
+                    if let (Wire::Line(line), Some(entry)) = (&wire, entries.get_mut(position)) {
                         entry.raw.clear();
-                        entry.raw.push_str(wire.raw());
+                        entry.raw.push_str(line.series());
+                    }
+                }
+                if let Some(entry) = entries.get_mut(position) {
+                    entry.admitted = admitted < cap;
+                    admitted += u64::from(entry.admitted);
+                    if !entry.admitted {
+                        entry.handle = SeriesHandle::unresolved();
+                    } else if !db.handle_live_under(entry.handle, &generations) {
+                        entry.handle = db.resolve(entry.key.name(), &entry.merged);
                     }
                 }
             }
-            let Some(entry) = entries.get_mut(position) else { return };
-            entry.admitted = admitted < cap;
-            if entry.admitted {
-                if !db.handle_live_under(entry.handle, &generations) {
-                    entry.handle = db.resolve(entry.key.name(), &entry.merged);
+            // The one hit path; the repair has just put this sample's entry
+            // in place.
+            match entries.get(position) {
+                Some(entry) if REPAIR || wire.hits(entry) => {
+                    if entry.admitted {
+                        batch.push((entry.handle, timestamp_ms.unwrap_or(now_ms), value));
+                        batch_entry.push(position as u32);
+                    } else {
+                        clipped += 1;
+                    }
                 }
-                batch.push((entry.handle, timestamp_ms.unwrap_or(now_ms), value));
-                batch_entry.push(position as u32);
-                admitted += 1;
-            } else {
-                entry.handle = SeriesHandle::unresolved();
-                clipped += 1;
+                _ => missed = true,
             }
         });
+        if !REPAIR {
+            return (!missed && cursor == entries.len()).then_some((cursor as u64, clipped));
+        }
         entries.truncate(cursor);
         if let Some(shared) = budgets {
             shared.commit(job, prior, admitted);
         }
         *lane_admitted = admitted;
-        *scraped = cursor as u64;
-        *overflow = clipped;
+        Some((cursor as u64, clipped))
     }
 }
 
@@ -935,52 +912,61 @@ impl Unclaimed {
     }
 }
 
-/// Appends a filled [`TargetCache`] batch through
-/// [`TimeSeriesDb::append_batch`] and repairs stale handles through
-/// [`reappend`].  Returns the number of samples storage accepted.  Shared by
-/// the scraper's fast lane and [`PushLane`].
-fn append_batch_repairing(db: &TimeSeriesDb, cache: &mut TargetCache) -> u64 {
-    let mut outcome = db.append_batch(&cache.batch);
+/// Where the series of a batch handed to [`append_batch_repairing`] live:
+/// at each position a batch index maps to, the key the series is stored
+/// under and the handle its sample was appended through.
+trait BatchSeries {
+    fn series(&mut self, at: usize) -> Option<(&str, &Labels, &mut SeriesHandle)>;
+}
+
+/// A data batch: positions are cache entries.
+impl BatchSeries for [CacheEntry] {
+    fn series(&mut self, at: usize) -> Option<(&str, &Labels, &mut SeriesHandle)> {
+        let entry = self.get_mut(at)?;
+        Some((entry.key.name(), &entry.merged, &mut entry.handle))
+    }
+}
+
+/// A meta batch: positions index [`META_NAMES`], all under one label set.
+impl BatchSeries for (&mut MetaHandles, &Labels) {
+    fn series(&mut self, at: usize) -> Option<(&str, &Labels, &mut SeriesHandle)> {
+        Some((META_NAMES.get(at)?, self.1, self.0.get_mut(at)?.as_mut()?))
+    }
+}
+
+/// Appends `batch` through [`TimeSeriesDb::append_batch`] and repairs every
+/// stale handle: a sample whose series was evicted or dropped after its
+/// handle was resolved goes in by key — which re-creates the series if need
+/// be and cannot be stale, so a stale handle may cost extra work but never
+/// loses a sample — and the key is re-resolved into the handle for the next
+/// round.  `batch_entry` maps a batch index to its position in `series`.
+/// Returns the number of samples storage accepted.  The one append of every
+/// batch a lane writes, its data and its meta series alike.
+fn append_batch_repairing(
+    db: &TimeSeriesDb,
+    batch: &[(SeriesHandle, u64, f64)],
+    batch_entry: &[u32],
+    series: &mut (impl BatchSeries + ?Sized),
+) -> u64 {
+    let mut outcome = db.append_batch(batch);
     let mut ingested = outcome.appended;
     // Stale indices come back in no particular order; in batch order the
-    // dropped series are re-created in snapshot order, as a per-sample
-    // ingest would.
+    // dropped series are re-created in the order a round first creates
+    // them, as a per-sample ingest would.
     outcome.stale.sort_unstable();
     for &index in &outcome.stale {
-        // Stale indices address the batch the appender just consumed;
-        // `batch_entry` maps them back to entry indices (the two diverge
-        // when a budget clips unadmitted entries out of the batch).  The
-        // get-based destructuring keeps the round panic-free even if that
-        // invariant ever broke.
-        let entry_at = cache.batch_entry.get(index).map(|&at| at as usize);
-        let (Some(&(_, timestamp_ms, value)), Some(entry)) =
-            (cache.batch.get(index), entry_at.and_then(|at| cache.entries.get_mut(at)))
+        // The get-based destructuring keeps the round panic-free even if the
+        // batch and its map ever disagreed.
+        let at = batch_entry.get(index).map(|&at| at as usize);
+        let (Some(&(_, timestamp_ms, value)), Some((name, labels, handle))) =
+            (batch.get(index), at.and_then(|at| series.series(at)))
         else {
             continue;
         };
-        let (name, labels) = (entry.key.name(), &entry.merged);
-        ingested += u64::from(reappend(db, name, labels, &mut entry.handle, timestamp_ms, value));
+        ingested += u64::from(db.append(name, labels, timestamp_ms, value));
+        *handle = db.resolve(name, labels);
     }
     ingested
-}
-
-/// Appends one sample whose cached `handle` came back stale: the series was
-/// evicted or dropped after the cache resolved it.  The sample goes in by
-/// key — which re-creates the series if need be and cannot be stale, so a
-/// stale handle may cost extra work but never loses a sample — and the key
-/// is then re-resolved into `handle` for the next round.  Returns whether
-/// storage accepted the sample.
-fn reappend(
-    db: &TimeSeriesDb,
-    name: &str,
-    labels: &Labels,
-    handle: &mut SeriesHandle,
-    timestamp_ms: u64,
-    value: f64,
-) -> bool {
-    let accepted = db.append(name, labels, timestamp_ms, value);
-    *handle = db.resolve(name, labels);
-    accepted
 }
 
 /// The series a round writes about its target, in the order a target's
@@ -993,55 +979,6 @@ const META_NAMES: [&str; 5] = [
     "scrape_samples_added",
     "teemon_overflow_series_total",
 ];
-
-/// The handles of a target's [`META_NAMES`] series, kept beside its scrape
-/// cache so the round's own samples skip key hashing and the key index the
-/// way its data samples do.  Each is resolved the first time the series is
-/// written.
-struct MetaSeries([SeriesHandle; META_NAMES.len()]);
-
-impl Default for MetaSeries {
-    fn default() -> Self {
-        Self([SeriesHandle::unresolved(); META_NAMES.len()])
-    }
-}
-
-impl MetaSeries {
-    /// Appends one value per [`META_NAMES`] series (`None` writes nothing to
-    /// it) at `now_ms`, labelled `labels`, as one small
-    /// [`TimeSeriesDb::append_batch`].  A stale handle is repaired through
-    /// [`reappend`], as the data batch's are.
-    fn append(
-        &mut self,
-        db: &TimeSeriesDb,
-        labels: &Labels,
-        now_ms: u64,
-        values: [Option<f64>; META_NAMES.len()],
-    ) {
-        let mut batch = [(SeriesHandle::unresolved(), now_ms, 0.0); META_NAMES.len()];
-        let mut len = 0;
-        for ((value, handle), name) in values.iter().zip(&mut self.0).zip(META_NAMES) {
-            let Some(value) = *value else { continue };
-            if *handle == SeriesHandle::unresolved() {
-                *handle = db.resolve(name, labels);
-            }
-            if let Some(slot) = batch.get_mut(len) {
-                *slot = (*handle, now_ms, value);
-                len += 1;
-            }
-        }
-        let batch = batch.get(..len).unwrap_or_default();
-        let outcome = db.append_batch(batch);
-        // In `META_NAMES` order, so dropped series are re-created in the
-        // order a round first creates them.
-        for (handle, name) in self.0.iter_mut().zip(META_NAMES) {
-            let mut stale = outcome.stale.iter().filter_map(|&index| batch.get(index));
-            if let Some(&(_, _, value)) = stale.find(|(stale, ..)| stale == handle) {
-                reappend(db, name, labels, handle, now_ms, value);
-            }
-        }
-    }
-}
 
 /// Outcome of one [`PushLane::push`] round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1067,9 +1004,9 @@ pub struct PushOutcome {
 /// entry at its position last saw — one compare, the way Prometheus' scrape
 /// cache keys by the series text — and only a line that misses has its label
 /// set built and goes through the structural repair.  A histogram or summary
-/// family, which the parse folds, is matched by its key rendered into a
-/// reused buffer.  A warm push therefore builds no label set and makes no
-/// allocation.  Create **one lane per connection** (the cache assumes
+/// family, which the parse folds, is matched sample by sample by identity,
+/// as a typed target's samples are; nothing is rendered.  A warm push
+/// therefore builds no label set and makes no allocation.  Create **one lane per connection** (the cache assumes
 /// rounds from a single emitter; interleaving two writers through one lane
 /// would thrash the positional check into repairs — correct, but slow).
 /// The lane is deliberately not `Sync`: it is owned, mutable state.
@@ -1244,9 +1181,14 @@ impl Scraper {
     }
 
     /// Registers a [`Collector`] as a typed scrape target (the default,
-    /// zero-serialisation path).
+    /// zero-serialisation path): each round refreshes it, then takes its
+    /// snapshots.
     pub fn add_collector(&self, config: ScrapeTargetConfig, collector: Arc<dyn Collector>) {
-        self.add_target(config, Arc::new(CollectorEndpoint::new(collector)));
+        let endpoint = move || -> Result<_, ScrapeError> {
+            collector.refresh();
+            Ok(collector.collect()?)
+        };
+        self.add_target(config, Arc::new(endpoint));
     }
 
     /// Registers a raw-text target (the inbound wire-format edge).  Each
@@ -2022,37 +1964,71 @@ mod tests {
         let first = "m{b=\"2\",a=\"1\"} 1\nm{a=\"2\"} 1\n# TYPE h histogram\nh_bucket{le=\"0.50\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_count 2\n";
         assert_eq!(lane.push(&parse(first).unwrap(), 1_000).ingested, 6);
         let raw: Vec<_> = lane.lane.cache.entries.iter().map(|e| e.raw.as_str()).collect();
-        // Lines keep their spelling, a folded histogram's samples their
-        // rendered keys (`le` as the fold re-renders it).
-        assert_eq!(
-            raw,
-            [
-                "m{b=\"2\",a=\"1\"}",
-                "m{a=\"2\"}",
-                "h_bucket{le=\"0.5\"}",
-                "h_bucket{le=\"+Inf\"}",
-                "h_sum",
-                "h_count"
-            ]
-        );
+        // Lines keep their spelling; a folded histogram's samples are
+        // matched by identity and have none.
+        assert_eq!(raw, ["m{b=\"2\",a=\"1\"}", "m{a=\"2\"}", "", "", "", ""]);
+        let bucket = &lane.lane.cache.entries[2].key;
+        assert!(bucket.matches("h_bucket", &Labels::from_pairs([("le", "0.5")])));
         let handles: Vec<_> = lane.lane.cache.entries.iter().map(|e| e.handle).collect();
         // The same bytes again: the warm pass takes the whole round.
-        let (mut scraped, mut overflow) = (0, 0);
-        assert!(lane.lane.cache.fill(&parse(first).unwrap(), 2_000, &mut scraped, &mut overflow));
-        assert_eq!(scraped, 6);
+        let warm =
+            |lane: &mut PushLane, doc: &Exposition<'_>| lane.lane.walk::<false, _>(&db, doc, 0);
+        assert_eq!(warm(&mut lane, &parse(first).unwrap()), Some((6, 0)));
         // The first series spelled another way: a miss by bytes, found again
         // by identity in place — same entry, same handle, the new spelling.
         let respelled = first.replace("m{b=\"2\",a=\"1\"}", "m{a = \"1\", b=\"2\"}");
         let doc = parse(&respelled).unwrap();
-        assert!(!lane.lane.cache.fill(&doc, 2_000, &mut scraped, &mut overflow));
+        assert_eq!(warm(&mut lane, &doc), None);
         assert_eq!(lane.push(&doc, 2_000).ingested, 6);
         assert_eq!(lane.lane.cache.entries.iter().map(|e| e.handle).collect::<Vec<_>>(), handles);
         assert_eq!(lane.lane.cache.entries[0].raw, "m{a = \"1\", b=\"2\"}");
-        assert!(lane.lane.cache.fill(&doc, 3_000, &mut scraped, &mut overflow));
+        assert_eq!(warm(&mut lane, &doc), Some((6, 0)));
         assert_eq!(db.series_count(), 6);
         let stored = db.select(&Selector::metric("m").with_label("a", "1"));
         let want = [sample(1_000, 1.0), sample(2_000, 1.0)];
         assert_eq!(stored[0].points_in(0, u64::MAX), want);
+    }
+
+    #[test]
+    fn a_histogram_that_gains_and_loses_its_type_line_stores_what_its_snapshots_store() {
+        // Without its `# TYPE` line a histogram's series arrive as plain
+        // lines, matched by their bytes; with it, as folded samples, matched
+        // by identity.  One entry has to carry the same series either way.
+        let lines =
+            "m{a=\"1\"} 1\nh_bucket{le=\"0.5\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 0.5\nh_count 2\n";
+        let typed = format!("# TYPE h histogram\n{lines}");
+        let config = ScrapeTargetConfig::new("j", "w:1");
+        let (lane_db, reference_db) = (TimeSeriesDb::new(), TimeSeriesDb::new());
+        let mut lane = PushLane::new(lane_db.clone(), &config);
+        let stored = |db: &TimeSeriesDb| -> Vec<_> {
+            let all = db.select(&Selector::all());
+            all.iter()
+                .map(|s| (s.name().to_string(), s.to_labels(), s.points_in(0, u64::MAX)))
+                .collect()
+        };
+        let mut first_handles = None;
+        for (round, text) in (1..).zip([lines, &typed, lines, &typed, &typed, lines]) {
+            let now = round * 1_000;
+            let doc = exposition::parse_families_bounded(text, exposition::ParseLimits::network());
+            let doc = doc.unwrap();
+            // Every round after the first is the warm pass's, whichever
+            // form the previous one came in.
+            let warm = lane.lane.walk::<false, _>(&lane_db, &doc, now);
+            assert_eq!(warm.is_some(), round > 1, "round {round}");
+            assert_eq!(lane.push(&doc, now), PushOutcome { scraped: 5, ingested: 5, overflow: 0 });
+            // The by-key reference: every sample of the snapshots the
+            // document stands for, target labels merged, appended by key.
+            for family in doc.to_snapshots() {
+                family.for_each_sample(|name, labels, value, timestamp_ms| {
+                    let labels = labels.merged(&config.target_labels());
+                    reference_db.append(name, &labels, timestamp_ms.unwrap_or(now), value);
+                });
+            }
+            assert_eq!(stored(&lane_db), stored(&reference_db), "round {round}: {text:?}");
+            let handles: Vec<_> = lane.lane.cache.entries.iter().map(|e| e.handle).collect();
+            assert_eq!(*first_handles.get_or_insert_with(|| handles.clone()), handles);
+        }
+        assert_eq!(lane_db.series_count(), 5);
     }
 
     #[test]
