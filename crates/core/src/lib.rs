@@ -15,7 +15,7 @@
 //!
 //! // A simulated SGX host with full TEEMon monitoring attached.  The builder
 //! // composes the deployment: mode preset, scrape intervals, extra
-//! // collectors; `HostMonitor::new(node, mode)` remains as shorthand.
+//! // endpoints; `HostMonitor::new(node, mode)` remains as shorthand.
 //! let host = MonitorBuilder::new("worker-1").mode(MonitoringMode::Full).build();
 //!
 //! // Run a Redis-like workload under SCONE on that host.

@@ -3,8 +3,10 @@
 //!
 //! Monitoring is composed, not hard-wired: the builder picks which exporters
 //! to deploy (the [`MonitoringMode`] presets reproduce the three
-//! configurations of §6.3), lets callers plug additional [`Collector`]s in
-//! and set per-target scrape intervals.  Every exporter is scraped typed.
+//! configurations of §6.3), lets callers plug additional
+//! [`MetricsEndpoint`]s in and set per-target scrape intervals.  Every
+//! exporter is scraped typed, registered under the job name the builder
+//! gives it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,13 +15,11 @@ use serde::{Deserialize, Serialize};
 
 use teemon_analysis::{pman_alerts, Analyzer};
 use teemon_dashboard::{standard, DashboardSet};
-use teemon_exporters::{
-    Collector, ContainerExporter, ContainerSpec, EbpfExporter, NodeExporter, SgxExporter,
-};
+use teemon_exporters::{ContainerExporter, ContainerSpec, EbpfExporter, NodeExporter, SgxExporter};
 use teemon_kernel_sim::Kernel;
 use teemon_orchestrator::{Cluster, HelmChart, ServiceDiscovery};
 use teemon_query::{RuleEngine, RuleGroup};
-use teemon_tsdb::{ScrapeTargetConfig, Scraper, TimeSeriesDb, TsdbConfig};
+use teemon_tsdb::{MetricsEndpoint, ScrapeTargetConfig, Scraper, TimeSeriesDb, TsdbConfig};
 
 /// The monitoring loop runs a retention pass each time scraped time has
 /// advanced this fraction of [`TsdbConfig::retention_ms`] since the last one:
@@ -63,7 +63,7 @@ pub struct MonitorBuilder {
     db: Option<TimeSeriesDb>,
     scrape_interval_ms: u64,
     exporter_intervals: Vec<(String, u64)>,
-    extra_collectors: Vec<(ScrapeTargetConfig, Arc<dyn Collector>)>,
+    extra_targets: Vec<(ScrapeTargetConfig, Arc<dyn MetricsEndpoint>)>,
     rule_groups: Vec<RuleGroup>,
     self_observe_alerts: bool,
     durability_dir: Option<std::path::PathBuf>,
@@ -80,7 +80,7 @@ impl MonitorBuilder {
             db: None,
             scrape_interval_ms: Scraper::DEFAULT_INTERVAL_MS,
             exporter_intervals: Vec::new(),
-            extra_collectors: Vec::new(),
+            extra_targets: Vec::new(),
             rule_groups: Vec::new(),
             self_observe_alerts: false,
             durability_dir: None,
@@ -144,12 +144,16 @@ impl MonitorBuilder {
         self
     }
 
-    /// Plugs an additional collector into the scrape set — monitoring for
-    /// sources the standard exporters do not cover (application metrics,
-    /// sidecars, …).
+    /// Plugs an additional endpoint into the scrape set under `config`'s job
+    /// and instance — monitoring for sources the standard exporters do not
+    /// cover (application metrics, sidecars, …).
     #[must_use]
-    pub fn collector(mut self, config: ScrapeTargetConfig, collector: Arc<dyn Collector>) -> Self {
-        self.extra_collectors.push((config, collector));
+    pub fn collector(
+        mut self,
+        config: ScrapeTargetConfig,
+        endpoint: Arc<dyn MetricsEndpoint>,
+    ) -> Self {
+        self.extra_targets.push((config, endpoint));
         self
     }
 
@@ -273,18 +277,12 @@ impl MonitorBuilder {
                 let containers = ContainerExporter::new(&self.node);
 
                 let scraper = &host.scraper;
-                scraper.add_collector(self.target_config("sgx_exporter", 9090), Arc::new(sgx));
+                scraper.add_target(self.target_config("sgx_exporter", 9090), Arc::new(sgx));
+                scraper.add_target(self.target_config("node_exporter", 9100), Arc::new(node_exp));
                 scraper
-                    .add_collector(self.target_config("node_exporter", 9100), Arc::new(node_exp));
-                scraper.add_collector(
-                    self.target_config("cadvisor", 8080),
-                    Arc::new(containers.clone()),
-                );
+                    .add_target(self.target_config("cadvisor", 8080), Arc::new(containers.clone()));
                 // Scraped through the same `Arc` the host keeps.
-                scraper.add_collector(
-                    self.target_config("ebpf_exporter", 9435),
-                    Arc::clone(&ebpf) as Arc<dyn Collector>,
-                );
+                scraper.add_target(self.target_config("ebpf_exporter", 9435), ebpf.clone());
                 host.container_exporter = Some(containers);
                 host.ebpf_exporter = Some(ebpf);
             }
@@ -296,8 +294,8 @@ impl MonitorBuilder {
             // the same database every round.
             host.scraper.add_self_target(format!("{}:self", self.node));
         }
-        for (config, collector) in &self.extra_collectors {
-            host.scraper.add_collector(config.clone(), Arc::clone(collector));
+        for (config, endpoint) in &self.extra_targets {
+            host.scraper.add_target(config.clone(), Arc::clone(endpoint));
         }
     }
 }
@@ -399,7 +397,7 @@ impl HostMonitor {
     /// storage shard lock once.  The store's side allocates nothing, so a
     /// tick over endpoints that refresh their families in place allocates
     /// nothing either (`crates/tsdb/tests/alloc_free_scrape.rs`).  The
-    /// exporters this monitor installs do not yet: each `collect` builds
+    /// exporters this monitor installs do not yet: each `scrape` builds
     /// its families afresh, and a warm Full-mode round makes about 209
     /// allocations (ROADMAP item 13).  Like
     /// [`HostMonitor::run_scrape_loop`] it then evaluates due rule groups
@@ -529,9 +527,7 @@ mod tests {
     use super::*;
     use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams};
     use teemon_kernel_sim::Syscall;
-    use teemon_metrics::{
-        CollectError, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
-    };
+    use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
     use teemon_orchestrator::Node;
     use teemon_tsdb::Selector;
 
@@ -555,12 +551,8 @@ mod tests {
         }
     }
 
-    impl Collector for AppExporter {
-        fn job_name(&self) -> &str {
-            "app"
-        }
-
-        fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+    impl MetricsEndpoint for AppExporter {
+        fn scrape(&self) -> Result<Vec<FamilySnapshot>, teemon_tsdb::ScrapeError> {
             Ok(vec![self.0.clone()])
         }
     }
@@ -706,7 +698,7 @@ mod tests {
         );
         kernel.clock().advance(teemon_sim_core::SimDuration::from_secs(5));
         assert_eq!(host.scrape_tick(), 6);
-        // The plugged-in collector's samples land in the shared db.
+        // The plugged-in endpoint's samples land in the shared db.
         let results = db.select(&Selector::metric("app_requests_total"));
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].label_value("job"), Some("redis_exporter"));
@@ -720,7 +712,8 @@ mod tests {
             .exporter_interval_ms("cadvisor", 20_000)
             .build();
         // Four rounds at t = 5, 10, 15, 20 s: cadvisor (20 s interval) is
-        // only due on the first round; the other three scrape every round.
+        // only due on the first round; every other job a Full host stores —
+        // the other three exporters and the self-scrape — every round.
         host.run_scrape_loop(4);
         let up = host.db().select(&Selector::metric("up"));
         let points_of = |job: &str| {
@@ -728,6 +721,8 @@ mod tests {
         };
         assert_eq!(points_of("node_exporter"), 4);
         assert_eq!(points_of("sgx_exporter"), 4);
+        assert_eq!(points_of("ebpf_exporter"), 4);
+        assert_eq!(points_of("teemon_self"), 4);
         assert_eq!(points_of("cadvisor"), 1);
     }
 
@@ -965,12 +960,17 @@ mod tests {
         let request = teemon_frameworks::RequestProfile::keyvalue_get(64, 30_000);
         deployment.execute_many(&request, 320, 3_000);
 
-        let collectors: [&dyn Collector; 4] = [&sgx, &ebpf, &node, &containers];
-        for collector in collectors {
-            let typed = collector.collect()?;
-            assert!(!typed.is_empty(), "{} collected nothing", collector.job_name());
+        let exporters: [(&str, &dyn MetricsEndpoint); 4] = [
+            ("sgx_exporter", &sgx),
+            ("ebpf_exporter", &ebpf),
+            ("node_exporter", &node),
+            ("cadvisor", &containers),
+        ];
+        for (job, exporter) in exporters {
+            let typed = exporter.scrape()?;
+            assert!(!typed.is_empty(), "{job} scraped nothing");
             let parsed = parse_families(&encode_text(&typed))?;
-            assert_eq!(parsed, collector.collect()?, "{}", collector.job_name());
+            assert_eq!(parsed, exporter.scrape()?, "{job}");
         }
         Ok(())
     }

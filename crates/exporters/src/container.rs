@@ -12,7 +12,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use teemon_metrics::{
-    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
+    FamilySnapshot, Labels, MetricKind, MetricPoint, MetricsEndpoint, PointValue, ScrapeError,
 };
 
 /// Static description of a running container.
@@ -135,12 +135,8 @@ impl ContainerExporter {
     }
 }
 
-impl Collector for ContainerExporter {
-    fn job_name(&self) -> &str {
-        "cadvisor"
-    }
-
-    fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+impl MetricsEndpoint for ContainerExporter {
+    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
         Ok(crate::registry::gather(&self.node, Self::gather(&self.state.read())))
     }
 }
@@ -176,7 +172,7 @@ mod tests {
                 network_tx_bytes: 2_000,
             },
         );
-        let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        let parsed = parse_families(&encode_text(&exporter.scrape().unwrap())).unwrap();
         let labels = Labels::from_pairs([
             ("node", "worker-1"),
             ("container", "redis-0"),
@@ -191,7 +187,6 @@ mod tests {
             value(&parsed, "container_spec_memory_limit_bytes", &labels),
             Some((1u64 << 30) as f64)
         );
-        assert_eq!(exporter.job_name(), "cadvisor");
         assert_eq!(exporter.state.read().containers.len(), 1);
     }
 
@@ -204,7 +199,7 @@ mod tests {
         assert!(exporter
             .record_usage("redis-0", ContainerUsage { cpu_seconds: 2.0, ..Default::default() }));
         assert!(!exporter.record_usage("nope", ContainerUsage::default()));
-        let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        let parsed = parse_families(&encode_text(&exporter.scrape().unwrap())).unwrap();
         let cpu = parsed.iter().find(|f| f.name == "container_cpu_usage_seconds_total").unwrap();
         assert_eq!(cpu.total(), 3.0);
     }

@@ -12,7 +12,7 @@
 use teemon_kernel_sim::ebpf::{BpfMap, EbpfVm, PidFilter};
 use teemon_kernel_sim::Kernel;
 use teemon_metrics::{
-    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
+    FamilySnapshot, Labels, MetricKind, MetricPoint, MetricsEndpoint, PointValue, ScrapeError,
 };
 
 /// The eBPF-based system metrics exporter (one per node).
@@ -92,12 +92,8 @@ impl EbpfExporter {
     }
 }
 
-impl Collector for EbpfExporter {
-    fn job_name(&self) -> &str {
-        "ebpf_exporter"
-    }
-
-    fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+impl MetricsEndpoint for EbpfExporter {
+    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
         Ok(crate::registry::gather(&self.node, Self::gather(&self.maps)))
     }
 }
@@ -129,11 +125,10 @@ mod tests {
         }
         kernel.syscall(pid, Syscall::Read, true);
 
-        let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        let parsed = parse_families(&encode_text(&exporter.scrape().unwrap())).unwrap();
         let labels = Labels::from_pairs([("node", "worker-1"), ("syscall", "clock_gettime")]);
         assert_eq!(value(&parsed, "teemon_syscalls_total", &labels), Some(5.0));
         assert_eq!(exporter.program_count(), 4);
-        assert_eq!(exporter.job_name(), "ebpf_exporter");
     }
 
     #[test]
@@ -145,7 +140,7 @@ mod tests {
         kernel.page_fault(pid, FaultKind::User, false);
         kernel.cache_access(pid, 1_000, 50, false);
 
-        let text = encode_text(&exporter.collect().unwrap());
+        let text = encode_text(&exporter.scrape().unwrap());
         let parsed = parse_families(&text).unwrap();
         assert_eq!(
             value(

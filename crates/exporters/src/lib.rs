@@ -14,12 +14,16 @@
 //!   [`EbpfExporter`], [`NodeExporter`] and [`ContainerExporter`] reading the
 //!   simulated kernel.
 //!
-//! Every exporter implements the typed [`Collector`] contract by reading its
-//! source when it is collected — the paper's SGX exporter likewise re-reads
-//! `/sys/module/isgx/parameters/*` on every scrape — and labelling every
-//! point with the node it runs on.  The aggregation component scrapes the
-//! structured [`FamilySnapshot`](teemon_metrics::FamilySnapshot)s directly,
-//! and the OpenMetrics text document only exists at the edges (see
+//! Every exporter implements
+//! [`MetricsEndpoint`](teemon_metrics::MetricsEndpoint), the one typed scrape
+//! contract, by reading its source when it is scraped — the paper's SGX
+//! exporter likewise re-reads `/sys/module/isgx/parameters/*` on every
+//! scrape — and labelling every point with the node it runs on.  An
+//! exporter does not name its job: the deployment registers it with the
+//! scraper under one (`sgx_exporter`, `ebpf_exporter`, `node_exporter`,
+//! `cadvisor`).  The aggregation component scrapes the structured
+//! [`FamilySnapshot`](teemon_metrics::FamilySnapshot)s directly, and the
+//! OpenMetrics text document only exists at the edges (see
 //! [`teemon_metrics::exposition`]).
 
 #![warn(missing_docs)]
@@ -33,5 +37,4 @@ pub mod tme;
 pub use container::{ContainerExporter, ContainerSpec};
 pub use ebpf_exporter::EbpfExporter;
 pub use node::NodeExporter;
-pub use teemon_metrics::{CollectError, Collector};
 pub use tme::SgxExporter;

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use teemon_kernel_sim::Kernel;
 use teemon_metrics::{
-    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
+    FamilySnapshot, Labels, MetricKind, MetricPoint, MetricsEndpoint, PointValue, ScrapeError,
 };
 
 /// Mutable node-level statistics updated by the host model (disk and network
@@ -130,12 +130,8 @@ impl NodeExporter {
     }
 }
 
-impl Collector for NodeExporter {
-    fn job_name(&self) -> &str {
-        "node_exporter"
-    }
-
-    fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+impl MetricsEndpoint for NodeExporter {
+    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
         Ok(crate::registry::gather(&self.node, Self::gather(&self.kernel, &self.usage.read())))
     }
 }
@@ -155,7 +151,7 @@ mod tests {
     fn exports_cpu_memory_fs_and_network_classes() {
         let kernel = Kernel::new();
         let exporter = NodeExporter::new(&kernel, "worker-1");
-        let text = encode_text(&exporter.collect().unwrap());
+        let text = encode_text(&exporter.scrape().unwrap());
         for metric in [
             "node_cpu_cores",
             "node_memory_MemTotal_bytes",
@@ -164,7 +160,6 @@ mod tests {
         ] {
             assert!(text.contains(metric), "missing {metric}");
         }
-        assert_eq!(exporter.job_name(), "node_exporter");
     }
 
     #[test]
@@ -181,7 +176,7 @@ mod tests {
         });
         exporter.record_usage(NodeUsage { network_rx_bytes: 500, ..NodeUsage::default() });
 
-        let parsed = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        let parsed = parse_families(&encode_text(&exporter.scrape().unwrap())).unwrap();
         let labels = Labels::from_pairs([("node", "worker-1")]);
         assert_eq!(value(&parsed, "node_syscalls_total", &labels), Some(1.0));
         assert_eq!(value(&parsed, "node_network_receive_bytes_total", &labels), Some(1_500.0));

@@ -1,4 +1,4 @@
-//! The last step of every exporter's `collect`: what a Prometheus client
+//! The last step of every exporter's `scrape`: what a Prometheus client
 //! library's registry does when it is gathered — stamp the exporter's
 //! constant `node` label on every point and order the families by name.
 
@@ -24,8 +24,8 @@ pub(crate) fn gather(node: &Labels, mut families: Vec<FamilySnapshot>) -> Vec<Fa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Collector, SgxExporter};
-    use teemon_metrics::{MetricKind, MetricPoint, PointValue};
+    use crate::SgxExporter;
+    use teemon_metrics::{MetricKind, MetricPoint, MetricsEndpoint, PointValue};
     use teemon_sgx_sim::SgxDriver;
     use teemon_sim_core::SimClock;
 
@@ -64,8 +64,8 @@ mod tests {
             let family = families.into_iter().find(|f| f.name == "sgx_nr_enclaves").unwrap();
             family.point(&node_labels("n1")).unwrap().value.scalar()
         };
-        assert_eq!(enclaves(exporter.collect().unwrap()), 0.0);
+        assert_eq!(enclaves(exporter.scrape().unwrap()), 0.0);
         driver.create_enclave(7, 1024 * 1024, 1).unwrap();
-        assert_eq!(enclaves(exporter.collect().unwrap()), 1.0);
+        assert_eq!(enclaves(exporter.scrape().unwrap()), 1.0);
     }
 }

@@ -8,7 +8,7 @@
 //! "files" are the simulated driver's [`teemon_sgx_sim::DriverStats`].
 
 use teemon_metrics::{
-    CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
+    FamilySnapshot, Labels, MetricKind, MetricPoint, MetricsEndpoint, PointValue, ScrapeError,
 };
 use teemon_sgx_sim::SgxDriver;
 
@@ -93,12 +93,8 @@ impl SgxExporter {
     }
 }
 
-impl Collector for SgxExporter {
-    fn job_name(&self) -> &str {
-        "sgx_exporter"
-    }
-
-    fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+impl MetricsEndpoint for SgxExporter {
+    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
         Ok(crate::registry::gather(&self.node, Self::gather(&self.driver)))
     }
 }
@@ -119,7 +115,7 @@ mod tests {
         driver.create_enclave(100, 8 * 1024 * 1024, 4).unwrap();
         let exporter = SgxExporter::new(driver.clone(), "worker-1");
 
-        let text = encode_text(&exporter.collect().unwrap());
+        let text = encode_text(&exporter.scrape().unwrap());
         let parsed = parse_families(&text).unwrap();
         let labels = Labels::from_pairs([("node", "worker-1")]);
         assert_eq!(value(&parsed, "sgx_nr_enclaves", &labels), Some(1.0));
@@ -127,7 +123,6 @@ mod tests {
         assert_eq!(added, SgxDriver::pages_for(8 * 1024 * 1024) as f64);
         let free = parsed.iter().find(|f| f.name == "sgx_nr_free_pages").unwrap();
         assert_eq!(free.kind, teemon_metrics::MetricKind::Gauge);
-        assert_eq!(exporter.job_name(), "sgx_exporter");
     }
 
     #[test]
@@ -136,15 +131,15 @@ mod tests {
         let exporter = SgxExporter::new(driver.clone(), "worker-1");
         let labels = Labels::from_pairs([("node", "worker-1")]);
 
-        let before = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        let before = parse_families(&encode_text(&exporter.scrape().unwrap())).unwrap();
         assert_eq!(value(&before, "sgx_nr_enclaves", &labels), Some(0.0));
 
         let (id, _) = driver.create_enclave(1, 1024 * 1024, 1).unwrap();
-        let during = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        let during = parse_families(&encode_text(&exporter.scrape().unwrap())).unwrap();
         assert_eq!(value(&during, "sgx_nr_enclaves", &labels), Some(1.0));
 
         driver.destroy_enclave(id).unwrap();
-        let after = parse_families(&encode_text(&exporter.collect().unwrap())).unwrap();
+        let after = parse_families(&encode_text(&exporter.scrape().unwrap())).unwrap();
         assert_eq!(value(&after, "sgx_nr_enclaves", &labels), Some(0.0));
         assert_eq!(value(&after, "sgx_enclaves_removed_total", &labels), Some(1.0));
     }
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn exposes_all_paper_metric_classes() {
         let driver = SgxDriver::new(SimClock::new());
-        let text = encode_text(&SgxExporter::new(driver, "n").collect().unwrap());
+        let text = encode_text(&SgxExporter::new(driver, "n").scrape().unwrap());
         for metric in [
             "sgx_enclaves_created_total",
             "sgx_nr_enclaves",

@@ -2,11 +2,12 @@
 //!
 //! One fixed host state — a process that makes syscalls, switches, faults
 //! and touches caches, an enclave holding EPC pages, a container with recorded usage —
-//! is collected from each of the four exporters and encoded as OpenMetrics
-//! text; the result must equal `tests/golden/exporter_output.txt`.  The state
-//! then changes (more syscalls, the enclave destroyed, more usage, time
-//! passes) and the second collection must equal the second half of the file,
-//! so the pin covers values read at collect time, not at construction.
+//! is scraped from each of the four exporters and encoded as OpenMetrics
+//! text, under the job name a deployment registers it with; the result must
+//! equal `tests/golden/exporter_output.txt`.  The state then changes (more
+//! syscalls, the enclave destroyed, more usage, time passes) and the second
+//! scrape must equal the second half of the file, so the pin covers values
+//! read at scrape time, not at construction.
 //!
 //! Besides the bytes, the test states the two properties every exporter
 //! shares: families come sorted by name, and every point carries the
@@ -17,33 +18,32 @@
 
 use teemon_exporters::container::ContainerUsage;
 use teemon_exporters::node::NodeUsage;
-use teemon_exporters::{
-    Collector, ContainerExporter, ContainerSpec, EbpfExporter, NodeExporter, SgxExporter,
-};
+use teemon_exporters::{ContainerExporter, ContainerSpec, EbpfExporter, NodeExporter, SgxExporter};
 use teemon_kernel_sim::process::ProcessKind;
 use teemon_kernel_sim::{FaultKind, Kernel, PageCacheOp, SwitchKind, Syscall};
 use teemon_metrics::exposition::encode_text;
+use teemon_metrics::MetricsEndpoint;
 use teemon_sim_core::SimDuration;
 
 const GOLDEN: &str = include_str!("golden/exporter_output.txt");
 const NODE: &str = "worker-1";
 
-/// Renders one collection round of every exporter, checking the shared
+/// Renders one scrape round of every `(job, exporter)`, checking the shared
 /// properties on the way.
-fn render(round: u32, exporters: &[&dyn Collector]) -> String {
+fn render(round: u32, exporters: &[(&str, &dyn MetricsEndpoint)]) -> String {
     let mut out = String::new();
-    for exporter in exporters {
-        let families = exporter.collect().expect("an in-process exporter always collects");
+    for &(job, exporter) in exporters {
+        let families = exporter.scrape().expect("an in-process exporter always scrapes");
         let names: Vec<&str> = families.iter().map(|f| f.name.as_str()).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
-        assert_eq!(names, sorted, "{} families out of order", exporter.job_name());
+        assert_eq!(names, sorted, "{job} families out of order");
         for family in &families {
             for point in &family.points {
                 assert_eq!(point.labels.get("node"), Some(NODE), "{}", family.name);
             }
         }
-        out.push_str(&format!("## {} round {round}\n", exporter.job_name()));
+        out.push_str(&format!("## {job} round {round}\n"));
         out.push_str(&encode_text(&families));
     }
     out
@@ -91,7 +91,12 @@ fn every_exporter_output_is_pinned_byte_for_byte() {
     });
     kernel.clock().advance(SimDuration::from_secs(5));
 
-    let exporters: [&dyn Collector; 4] = [&sgx, &ebpf, &node, &containers];
+    let exporters: [(&str, &dyn MetricsEndpoint); 4] = [
+        ("sgx_exporter", &sgx),
+        ("ebpf_exporter", &ebpf),
+        ("node_exporter", &node),
+        ("cadvisor", &containers),
+    ];
     let mut rendered = render(1, &exporters);
 
     for _ in 0..3 {

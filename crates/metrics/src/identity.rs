@@ -86,7 +86,9 @@ impl SeriesKey {
 
     /// `true` when the borrowed `(name, labels)` pair is this series: real
     /// equality, so neither a hash collision nor a positional coincidence can
-    /// read as a wrong-series hit.  Allocation-free.
+    /// read as a wrong-series hit.  Allocation-free; inlined into the scrape
+    /// walk, which calls it once per typed sample per round.
+    #[inline]
     pub fn matches(&self, name: &str, labels: &Labels) -> bool {
         self.name == name && &self.labels == labels
     }

@@ -8,10 +8,10 @@
 //!   [`HistogramSnapshot`] and [`SummarySnapshot`]) — the wire-level data
 //!   model every exporter produces and the aggregator stores,
 //! * [`Labels`] — validated, order-normalised label sets,
-//! * [`Collector`] — the **typed scrape contract**: exporters (the PME
-//!   component of the paper) hand the aggregation component (PMAG) structured
-//!   [`FamilySnapshot`]s directly, with no text round-trip on the in-process
-//!   path,
+//! * [`MetricsEndpoint`] — the **typed scrape contract**: exporters (the
+//!   PME component of the paper) hand the aggregation component (PMAG)
+//!   structured [`FamilySnapshot`]s directly, with no text round-trip on the
+//!   in-process path; a failed scrape is a [`ScrapeError`],
 //! * [`series_hash`] / [`SeriesKey`] — stable structural identity of wire
 //!   series over borrowed snapshot data, the foundation of the aggregator's
 //!   per-target scrape cache (zero allocation on a steady-state hit),
@@ -25,26 +25,22 @@
 //! exporters and Prometheus run as separate processes there; in this
 //! in-process reproduction the same data flows as typed snapshots and the
 //! text format only appears at the edges.  An exporter reads its source when
-//! it is collected and builds the snapshots from what it read; there are no
+//! it is scraped and builds the snapshots from what it read; there are no
 //! live counter objects in between.
 //!
 //! # Example
 //!
 //! ```
 //! use teemon_metrics::{
-//!     CollectError, Collector, FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue,
-//!     exposition,
+//!     exposition, FamilySnapshot, Labels, MetricKind, MetricPoint, MetricsEndpoint, PointValue,
+//!     ScrapeError,
 //! };
 //!
-//! /// A collector reading one counter when it is scraped.
+//! /// An endpoint reading one counter when it is scraped.
 //! struct Syscalls(u64);
 //!
-//! impl Collector for Syscalls {
-//!     fn job_name(&self) -> &str {
-//!         "custom"
-//!     }
-//!
-//!     fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+//! impl MetricsEndpoint for Syscalls {
+//!     fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
 //!         let read = Labels::from_pairs([("syscall", "read")]);
 //!         Ok(vec![FamilySnapshot::new("teemon_syscalls_total", "System calls observed", MetricKind::Counter)
 //!             .with_point(MetricPoint::new(read, PointValue::Counter(self.0 as f64)))])
@@ -52,7 +48,7 @@
 //! }
 //!
 //! // The typed scrape path: structured snapshots, no text in between.
-//! let families = Syscalls(42).collect().unwrap();
+//! let families = Syscalls(42).scrape().unwrap();
 //! assert_eq!(families[0].name, "teemon_syscalls_total");
 //! assert_eq!(families[0].total(), 42.0);
 //!
@@ -64,7 +60,7 @@
 
 #![warn(missing_docs)]
 
-pub mod collector;
+pub mod endpoint;
 pub mod error;
 pub mod exposition;
 pub mod identity;
@@ -72,7 +68,7 @@ pub mod label;
 pub mod snapshot;
 pub mod value;
 
-pub use collector::{CollectError, Collector};
+pub use endpoint::{MetricsEndpoint, ScrapeError};
 pub use error::MetricError;
 pub use identity::{series_hash, SeriesKey};
 pub use label::{LabelName, Labels, MetricName};

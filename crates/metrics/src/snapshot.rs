@@ -362,7 +362,7 @@ mod tests {
 
     #[test]
     fn a_histogram_with_fewer_counts_than_bounds_expands_without_panicking() {
-        // The fields are public: a collector can hand over counts that stop
+        // The fields are public: an endpoint can hand over counts that stop
         // short of the bounds.  The bounds without a count are skipped.
         let short = PointValue::Histogram(HistogramSnapshot {
             bounds: vec![1.0, 2.0, 4.0],

@@ -2,8 +2,8 @@
 //!
 //! A histogram or summary point carries its whole distribution: cumulative
 //! bucket counts, or precomputed quantiles, plus the sum and count of the
-//! observations.  Collectors build these values from what they read at
-//! collect time (the engine's self-telemetry turns its latency histograms
+//! observations.  Exporters build these values from what they read at
+//! scrape time (the engine's self-telemetry turns its latency histograms
 //! into [`HistogramSnapshot`]s), and the text exposition encodes and decodes
 //! the same types at the edges.
 
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn a_histogram_with_fewer_counts_than_bounds_estimates_without_panicking() {
-        // The fields are public, so a collector may hand over any shape.
+        // The fields are public, so an exporter may hand over any shape.
         let short = HistogramSnapshot {
             bounds: vec![1.0, 2.0, 3.0],
             cumulative_counts: vec![4],

@@ -12,7 +12,7 @@ use teemon_metrics::{
     FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue, SummarySnapshot,
 };
 
-/// The histogram of `observations` over `bounds`, as a collector reports it.
+/// The histogram of `observations` over `bounds`, as an exporter reports it.
 fn histogram(bounds: &[f64], observations: &[f64]) -> HistogramSnapshot {
     let below = |bound: &f64| observations.iter().filter(|v| *v <= bound).count() as u64;
     let mut cumulative_counts: Vec<u64> = bounds.iter().map(below).collect();

@@ -19,32 +19,35 @@
 //!   in their canonical bucketed form, for the engine's own scrape loop:
 //!   built once, refreshed in place with zero allocations, so
 //!   self-scraping costs the same as any other warm fast-lane target.
-//! * [`collector::ObsCollector`] — the same families, built afresh by the
-//!   same walk (over every layer or one), behind the standard `Collector`
-//!   trait for exposition.
+//!   [`snapshot::build`] builds the same families afresh by the same walk
+//!   (over every layer or one) for text exposition.
 //! * [`slow`] — a fixed-capacity slow-query ring fed by the query layer.
 //! * [`clock`] — the monotonic clock and [`clock::Stopwatch`] behind every
 //!   measured duration (the only place the engine reads the host clock for
 //!   self-timing).
 //!
-//! The tsdb's scraper registers the self endpoint by default, so a running
-//! monitor's TSDB always contains a `job="teemon_self"` slice ready for the
-//! built-in "teemon self" dashboard and alert rules.
+//! A scraper holds no target until one is added: the self endpoint is
+//! registered under [`SELF_JOB`] by `teemon_tsdb::Scraper::add_self_target`,
+//! which `teemon_core`'s `MonitorBuilder` calls in Full mode or when it
+//! attaches a server.  Only such a monitor's TSDB holds the
+//! `job="teemon_self"` slice the built-in "teemon self" dashboard and alert
+//! rules read.
 
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod collector;
 pub mod hist;
 pub mod probes;
 pub mod slow;
 pub mod snapshot;
 
 pub use clock::{now_ns, Stopwatch};
-pub use collector::{ObsCollector, SELF_JOB};
 pub use hist::LogLinearHist;
 pub use probes::{
     Counter, Gauge, Probe, ShardCounters, ShardGauges, Slot, Span, LOCK_FAMILIES, PROBES, SHARDS,
 };
 pub use slow::{set_threshold_seconds, slow_queries, SlowQuery};
 pub use snapshot::SelfSnapshot;
+
+/// The default job label under which the engine scrapes itself.
+pub const SELF_JOB: &str = "teemon_self";

@@ -9,7 +9,7 @@
 //! declaration** of each metric family: its layer, exported name, help text,
 //! optional member label and the statics behind it.  It expands to the
 //! `pub static` slots the engine records into and to [`PROBES`], the table
-//! the one walk behind [`crate::SelfSnapshot`] and [`crate::ObsCollector`]
+//! the one walk behind [`crate::SelfSnapshot`] and [`crate::snapshot::build`]
 //! interprets when the engine scrapes itself.  Adding a probe is one row there — nothing else in
 //! this crate names a metric, except the three [`LOCK_FAMILIES`] whose points
 //! come from the `parking_lot` shim's runtime contention table.
@@ -285,7 +285,7 @@ macro_rules! probes {
 
         /// Every engine self-metric family except [`LOCK_FAMILIES`], in
         /// export order: the table the walk behind [`crate::SelfSnapshot`]
-        /// and [`crate::ObsCollector`] interprets.
+        /// and [`crate::snapshot::build`] interprets.
         pub static PROBES: &[Probe] = &[$(
             Probe {
                 name: $name,

@@ -10,8 +10,9 @@
 //!
 //! The walk writes into a list of families: a point already at its
 //! position is overwritten in place, a missing one is built and appended.
-//! [`crate::ObsCollector`] walks into an empty list; [`SelfSnapshot`] walks
-//! into the one it keeps, so a warm refresh never invokes a label closure
+//! [`build`] walks into an empty list, over every layer or one, for text
+//! exposition (`/self/metrics`); [`SelfSnapshot`] walks into the one it
+//! keeps, for the engine's own per-round self-scrape, so a warm refresh never invokes a label closure
 //! and performs zero allocations — and because point positions never move
 //! between rounds, the scraper's positional target cache verifies on every
 //! self-scrape.  Points only ever append: the probes are static, and a lock
@@ -132,8 +133,12 @@ fn walk(families: &mut Vec<FamilySnapshot>, layer: Option<&str>) {
     });
 }
 
-/// The families of `layer` (every layer for `None`), freshly built.
-pub(crate) fn build(layer: Option<&str>) -> Vec<FamilySnapshot> {
+/// The families of `layer` (`ingest`, `storage`, `query`, `http` or
+/// `locks`; every layer for `None`), freshly built — so a caller that
+/// exports a slice of the surface does not pay for snapshotting the rest.
+/// It allocates a fresh set per call, which is fine for exposition; the
+/// per-round self-scrape refreshes a [`SelfSnapshot`] in place instead.
+pub fn build(layer: Option<&str>) -> Vec<FamilySnapshot> {
     let mut families = Vec::new();
     walk(&mut families, layer);
     families
@@ -180,7 +185,8 @@ impl Default for SelfSnapshot {
 mod tests {
     use super::*;
 
-    use crate::{hist, probes};
+    use crate::hist;
+    use crate::probes::{self, LOCK_FAMILIES};
 
     #[test]
     fn layout_expands_histograms_like_the_canonical_form() {
@@ -202,6 +208,16 @@ mod tests {
             assert_eq!(histogram.cumulative_counts.len(), hist::BUCKETS);
             assert_eq!(histogram.cumulative_counts.last().copied(), Some(histogram.count));
         }
+    }
+
+    #[test]
+    fn a_layer_build_exports_only_that_layer() {
+        let http = build(Some("http"));
+        assert_eq!(http.len(), PROBES.iter().filter(|p| p.layer == "http").count());
+        assert!(http.iter().all(|f| f.name.starts_with("teemon_http_")));
+        let locks = build(Some("locks"));
+        let names: Vec<&str> = locks.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, LOCK_FAMILIES.map(|(name, _)| name));
     }
 
     #[test]

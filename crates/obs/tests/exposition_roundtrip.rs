@@ -5,10 +5,9 @@
 //! self-metrics from another) without losing bucket fidelity.
 
 use teemon_metrics::exposition::{encode_text, parse_families};
-use teemon_metrics::Collector;
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_obs::hist::LogLinearHist;
-use teemon_obs::ObsCollector;
+use teemon_obs::snapshot;
 
 proptest::proptest! {
     #[test]
@@ -57,7 +56,7 @@ fn collector_families_survive_the_text_edge() {
     // least one class registered.
     let lock = parking_lot::Mutex::named(0u8, parking_lot::LockClass::new("obs.roundtrip_test"));
     *lock.lock() += 1;
-    let families = ObsCollector::new().collect().expect("collect is infallible");
+    let families = snapshot::build(None);
     let text = encode_text(&families);
     let parsed = parse_families(&text).expect("rendered exposition parses");
     // Parsing sorts/folds by name; compare as (name → family) maps.

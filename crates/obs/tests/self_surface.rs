@@ -2,7 +2,7 @@
 //! family in export order, the name, kind and point count of the probe
 //! table's families must match `golden/self_surface.txt` byte for byte —
 //! and [`SelfSnapshot`], the in-place form the self-scrape refreshes, must
-//! hold exactly [`ObsCollector`]'s layout.
+//! hold exactly the layout [`snapshot::build`] gives `/self/metrics`.
 //! Dashboards, alert rules and the scraper's positional cache all key on
 //! this surface; a change to it must be deliberate and show up as a diff of
 //! the golden file.
@@ -13,8 +13,8 @@
 
 use std::fmt::Write;
 
-use teemon_metrics::{Collector, FamilySnapshot};
-use teemon_obs::{ObsCollector, SelfSnapshot};
+use teemon_metrics::FamilySnapshot;
+use teemon_obs::{snapshot, SelfSnapshot};
 
 const GOLDEN: &str = include_str!("golden/self_surface.txt");
 
@@ -50,17 +50,19 @@ fn layout(out: &mut String, families: &[FamilySnapshot]) {
 }
 
 fn render() -> String {
-    let collected = ObsCollector::new().collect().expect("collect is infallible");
+    let collected = snapshot::build(None);
     let snapshot = SelfSnapshot::new();
     let (mut collected_layout, mut snapshot_layout) = (String::new(), String::new());
     layout(&mut collected_layout, &collected);
     layout(&mut snapshot_layout, snapshot.families());
-    assert_eq!(snapshot_layout, collected_layout, "SelfSnapshot holds ObsCollector's families");
+    assert_eq!(snapshot_layout, collected_layout, "SelfSnapshot holds the built families");
     let mut out = String::from("# sample identities, sorted (both views expand to this set)\n");
     for row in identities(&collected) {
         out.push_str(&row);
         out.push('\n');
     }
+    // The built families' section; its header keeps the golden file's
+    // wording, which names the type that built them before `build` did.
     out.push_str("# ObsCollector families in export order: name kind points\n");
     out.push_str(&collected_layout);
     out

@@ -18,8 +18,8 @@
 use std::collections::BTreeMap;
 
 use teemon_metrics::exposition::{self, ParseLimits};
-use teemon_metrics::{Collector, FamilySnapshot, MetricError, MetricKind, MetricPoint, PointValue};
-use teemon_obs::{probes, ObsCollector};
+use teemon_metrics::{FamilySnapshot, MetricError, MetricKind, MetricPoint, PointValue};
+use teemon_obs::{probes, snapshot};
 use teemon_query::{json, QueryEngine};
 use teemon_tsdb::scrape::PushLane;
 use teemon_tsdb::{Selector, TimeSeriesDb, STALE_HEAD_MS};
@@ -107,10 +107,7 @@ fn metrics(ctx: &mut HandlerCtx<'_>) -> Response {
 
 /// `GET /self/metrics` — just the `http` layer of the probe table.
 fn self_metrics() -> Response {
-    match ObsCollector::layer("http").collect() {
-        Ok(families) => Response::metrics(exposition::encode_text(&families)),
-        Err(e) => Response::text(500, format!("self-collection failed: {e}\n")),
-    }
+    Response::metrics(exposition::encode_text(&snapshot::build(Some("http"))))
 }
 
 /// `POST /api/v1/write` — remote-write ingest.  The body is an exposition

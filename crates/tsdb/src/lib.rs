@@ -28,8 +28,9 @@
 //!   recovery ([`TimeSeriesDb::open`]), per-shard checkpoints onto
 //!   Gorilla-block snapshots and corruption salvage that truncates torn
 //!   tails and isolates damaged shards instead of panicking,
-//! * [`Scraper`] — the pull loop: scrapes typed [`MetricsEndpoint`]s on an
-//!   interval (per-target intervals supported) through one ingest path — a
+//! * [`Scraper`] — the pull loop: scrapes typed [`MetricsEndpoint`]s (the
+//!   one scrape contract, re-exported from `teemon_metrics` with
+//!   [`ScrapeError`]) on an interval (per-target intervals supported) through one ingest path — a
 //!   per-target scrape cache and one batched append a round — attaches
 //!   `job`/`instance` labels, records
 //!   `up`/`scrape_duration_seconds`/`scrape_samples_scraped` meta-metrics,
@@ -57,8 +58,8 @@ pub mod wal;
 
 pub use query::{LabelMatch, Selector};
 pub use scrape::{
-    CardinalityBudgets, MetricsEndpoint, ObsEndpoint, PushLane, PushOutcome, RoundSummary,
-    ScrapeError, ScrapeOutcome, ScrapeTargetConfig, Scraper, TextSource,
+    CardinalityBudgets, ObsEndpoint, PushLane, PushOutcome, RoundSummary, ScrapeOutcome,
+    ScrapeTargetConfig, Scraper, TextSource,
 };
 pub use series::{Sample, SeriesId};
 pub use snapshot::{SampleRange, SeriesSnapshot};
@@ -66,4 +67,5 @@ pub use storage::{
     BatchOutcome, SeriesHandle, StorageCensus, StorageStats, TimeSeriesDb, TsdbConfig, BATCH_BLOCK,
     SHARD_COUNT, STALE_HEAD_MS,
 };
+pub use teemon_metrics::{MetricsEndpoint, ScrapeError};
 pub use wal::{CrashModel, DurabilityOptions, FailpointWriter, FaultFs, FsyncMode, WalFile, WalFs};

@@ -9,13 +9,16 @@
 //!
 //! Unlike the paper's deployment — where exporters and Prometheus are
 //! separate processes and every scrape round-trips through OpenMetrics text —
-//! the default path here is **typed**: a [`MetricsEndpoint`] returns owned
-//! [`FamilySnapshot`]s and the scraper appends their samples straight into
-//! the [`TimeSeriesDb`].  The text wire format only appears at the edges:
-//! [`Scraper::add_text_source`] ingests raw exposition documents from
-//! targets that only speak text — parsed and walked exactly as a push is —
-//! and what the HTTP edge serves is [`exposition::encode_text`] of a
-//! collection.
+//! the default path here is **typed**: every exporter implements
+//! [`MetricsEndpoint`], the one scrape contract (it lives in
+//! `teemon_metrics` and is re-exported here), and [`Scraper::add_target`]
+//! registers it under the job and instance the deployment names.  A round
+//! hands over [`FamilySnapshot`]s and the scraper appends their samples
+//! straight into the [`TimeSeriesDb`].  The text wire format only appears
+//! at the edges: [`Scraper::add_text_source`] ingests raw exposition
+//! documents from targets that only speak text — parsed and walked exactly
+//! as a push is — and what the HTTP edge serves is
+//! [`exposition::encode_text`] of a scrape.
 //!
 //! # The ingest fast lane
 //!
@@ -76,97 +79,10 @@ use std::sync::Arc;
 use parking_lot::{LockClass, Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use teemon_metrics::exposition::{self, Exposition, SampleLine};
-use teemon_metrics::{
-    identity, CollectError, Collector, FamilySnapshot, Labels, MetricError, SeriesKey,
-};
+use teemon_metrics::{identity, FamilySnapshot, Labels, MetricsEndpoint, ScrapeError, SeriesKey};
 use teemon_obs::{probes, SelfSnapshot, Stopwatch};
 
 use crate::storage::{SeriesHandle, TimeSeriesDb, STALE_HEAD_MS};
-
-/// Why scraping one target failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScrapeError {
-    /// The target was unreachable or refused to produce metrics.
-    Unreachable(String),
-    /// The target's collector failed.
-    Collect(CollectError),
-    /// A text target produced a malformed exposition document.
-    Parse(MetricError),
-}
-
-impl std::fmt::Display for ScrapeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScrapeError::Unreachable(reason) => write!(f, "target unreachable: {reason}"),
-            ScrapeError::Collect(err) => write!(f, "{err}"),
-            ScrapeError::Parse(err) => write!(f, "{err}"),
-        }
-    }
-}
-
-impl std::error::Error for ScrapeError {}
-
-impl From<CollectError> for ScrapeError {
-    fn from(err: CollectError) -> Self {
-        ScrapeError::Collect(err)
-    }
-}
-
-impl From<MetricError> for ScrapeError {
-    fn from(err: MetricError) -> Self {
-        ScrapeError::Parse(err)
-    }
-}
-
-/// Something that can be scraped: returns the current typed family snapshots.
-///
-/// This is the in-process scrape contract.  Every [`Collector`] is scraped
-/// as one through [`Scraper::add_collector`]; closures returning snapshots
-/// work directly.
-pub trait MetricsEndpoint: Send + Sync {
-    /// Produces the current family snapshots.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScrapeError`] when the endpoint is unreachable or failing,
-    /// which the scraper records as `up == 0`.
-    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError>;
-
-    /// Hands the current snapshots to `visit` by reference instead of
-    /// returning them by value.  The scraper ingests through this method, so
-    /// an endpoint that maintains its snapshots in place (updating values
-    /// without reallocating points) can override it and make a steady-state
-    /// scrape round allocation-free end to end; the default simply wraps
-    /// [`MetricsEndpoint::scrape`] and visits the freshly collected
-    /// families.
-    ///
-    /// Contract: implementations must invoke `visit` **exactly once** on
-    /// success, passing the complete round (chunked delivery would make the
-    /// scraper's per-round sample accounting and scrape cache see partial
-    /// rounds), and must not scrape the same target from *inside* `visit`
-    /// (the scraper holds the target's ingest-cache lock while `visit`
-    /// runs; collecting before calling `visit` — as the default does — is
-    /// always safe).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScrapeError`] when the endpoint is unreachable or
-    /// failing; `visit` is not called in that case.
-    fn scrape_visit(&self, visit: &mut dyn FnMut(&[FamilySnapshot])) -> Result<(), ScrapeError> {
-        let families = self.scrape()?;
-        visit(&families);
-        Ok(())
-    }
-}
-
-impl<F> MetricsEndpoint for F
-where
-    F: Fn() -> Result<Vec<FamilySnapshot>, ScrapeError> + Send + Sync,
-{
-    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
-        (self)()
-    }
-}
 
 /// A source of raw exposition text (an external process's `/metrics` output).
 /// The inbound text edge: use [`Scraper::add_text_source`] to scrape it.
@@ -199,8 +115,8 @@ where
 /// everyone else.
 ///
 /// Register it with [`Scraper::add_self_target`] (or `add_target` under a
-/// custom config); for text exposition or a typed `Collector` use
-/// [`teemon_obs::ObsCollector`], which builds the same families afresh.
+/// custom config); for text exposition use [`teemon_obs::snapshot::build`],
+/// which builds the same families afresh.
 pub struct ObsEndpoint {
     snapshot: Mutex<SelfSnapshot>,
 }
@@ -1180,17 +1096,6 @@ impl Scraper {
         });
     }
 
-    /// Registers a [`Collector`] as a typed scrape target (the default,
-    /// zero-serialisation path): each round refreshes it, then takes its
-    /// snapshots.
-    pub fn add_collector(&self, config: ScrapeTargetConfig, collector: Arc<dyn Collector>) {
-        let endpoint = move || -> Result<_, ScrapeError> {
-            collector.refresh();
-            Ok(collector.collect()?)
-        };
-        self.add_target(config, Arc::new(endpoint));
-    }
-
     /// Registers a raw-text target (the inbound wire-format edge).  Each
     /// round parses the fetched document and walks it as a push is walked:
     /// lines matched by their bytes, stored in the order of the document's
@@ -1389,7 +1294,7 @@ impl Scraper {
     /// possibly a network) boundary, so its parse is bounded by
     /// [`exposition::ParseLimits::network`]: a document over a limit fails
     /// the scrape with a typed [`ScrapeError::Parse`] carrying
-    /// [`MetricError::LimitExceeded`] — never a silent truncation that would
+    /// [`teemon_metrics::MetricError::LimitExceeded`] — never a silent truncation that would
     /// report a broken target as healthy.
     fn ingest(&self, target: &Target, now_ms: u64) -> Result<IngestStats, ScrapeError> {
         // The collect stage ends when the round is in hand: snapshots handed
@@ -1449,7 +1354,7 @@ impl std::fmt::Debug for Scraper {
 mod tests {
     use super::*;
     use crate::query::Selector;
-    use teemon_metrics::{CollectError, HistogramSnapshot, MetricKind, MetricPoint, PointValue};
+    use teemon_metrics::{HistogramSnapshot, MetricKind, MetricPoint, PointValue};
 
     fn sample(timestamp_ms: u64, value: f64) -> crate::Sample {
         crate::Sample { timestamp_ms, value }
@@ -1463,7 +1368,7 @@ mod tests {
         lane.push(&doc.unwrap(), now_ms)
     }
 
-    /// A collector serving the families a test last handed it.
+    /// An endpoint serving the families a test last handed it.
     struct Fixture(Mutex<Vec<FamilySnapshot>>);
 
     impl Fixture {
@@ -1476,12 +1381,8 @@ mod tests {
         }
     }
 
-    impl Collector for Fixture {
-        fn job_name(&self) -> &str {
-            "fixture"
-        }
-
-        fn collect(&self) -> Result<Vec<FamilySnapshot>, CollectError> {
+    impl MetricsEndpoint for Fixture {
+        fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
             Ok(self.0.lock().clone())
         }
     }
@@ -1509,7 +1410,7 @@ mod tests {
     fn typed_scrape_ingests_samples_with_target_labels() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        scraper.add_collector(
+        scraper.add_target(
             ScrapeTargetConfig::new("sgx_exporter", "node-1:9090").with_label("node", "node-1"),
             Fixture::serving(vec![gauge("sgx_nr_free_pages", 24_000.0)]),
         );
@@ -1538,8 +1439,7 @@ mod tests {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone()).with_interval_ms(5_000);
         let events = Fixture::serving(Vec::new());
-        scraper
-            .add_collector(ScrapeTargetConfig::new("ebpf_exporter", "node-1:9435"), events.clone());
+        scraper.add_target(ScrapeTargetConfig::new("ebpf_exporter", "node-1:9435"), events.clone());
         for round in 0..5u64 {
             events.set(vec![family(
                 "events_total",
@@ -1562,7 +1462,7 @@ mod tests {
     fn storage_self_metrics_are_recorded() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        scraper.add_collector(
+        scraper.add_target(
             ScrapeTargetConfig::new("job", "n1:1"),
             Fixture::serving(vec![gauge("g", 1.0)]),
         );
@@ -1594,12 +1494,12 @@ mod tests {
         let fixture = Fixture::serving(vec![gauge("g", 1.0)]);
         let db = TimeSeriesDb::new();
         let measured = Scraper::new(db.clone());
-        measured.add_collector(ScrapeTargetConfig::new("job", "n1:1"), fixture.clone());
+        measured.add_target(ScrapeTargetConfig::new("job", "n1:1"), fixture.clone());
         let outcome = &measured.scrape_once(1_000)[0];
         assert!(outcome.duration_seconds > 0.0, "a real scrape takes real time");
 
         let modelled = Scraper::new(TimeSeriesDb::new()).with_modelled_durations();
-        modelled.add_collector(ScrapeTargetConfig::new("job", "n1:1"), fixture);
+        modelled.add_target(ScrapeTargetConfig::new("job", "n1:1"), fixture);
         let expected = Scraper::SCRAPE_BASE_SECONDS + 1.0 * Scraper::SCRAPE_PER_SAMPLE_SECONDS;
         for round in 1..=3u64 {
             let outcome = &modelled.scrape_once(round * 1_000)[0];
@@ -1623,7 +1523,7 @@ mod tests {
 
     #[test]
     fn a_histogram_with_fewer_counts_than_bounds_does_not_panic_the_round() {
-        // The snapshot's fields are public, so a collector can hand over a
+        // The snapshot's fields are public, so an endpoint can hand over a
         // point whose counts stop short of its bounds: the round expands
         // the bounds that have a count and stays healthy.
         let db = TimeSeriesDb::new();
@@ -1636,8 +1536,7 @@ mod tests {
         };
         let family = FamilySnapshot::new("lat_seconds", "", MetricKind::Histogram)
             .with_point(MetricPoint::new(Labels::new(), PointValue::Histogram(short)));
-        scraper
-            .add_collector(ScrapeTargetConfig::new("short", "s:1"), Fixture::serving(vec![family]));
+        scraper.add_target(ScrapeTargetConfig::new("short", "s:1"), Fixture::serving(vec![family]));
         let summary = scraper.scrape_round(1_000);
         assert_eq!((summary.healthy, summary.samples_scraped), (1, 4), "le=0.1, +Inf, sum, count");
         let buckets = db.select(&Selector::metric("lat_seconds_bucket"));
@@ -1649,7 +1548,7 @@ mod tests {
     fn meta_series_dropped_between_rounds_are_written_again() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        scraper.add_collector(
+        scraper.add_target(
             ScrapeTargetConfig::new("live", "up:1"),
             Fixture::serving(vec![gauge("g", 1.0)]),
         );
@@ -1688,7 +1587,7 @@ mod tests {
     fn a_removed_target_leaves_the_unhealthy_list_after_the_lookback() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        scraper.add_collector(
+        scraper.add_target(
             ScrapeTargetConfig::new("live", "up:1"),
             Fixture::serving(vec![gauge("g", 1.0)]),
         );
@@ -1730,7 +1629,7 @@ mod tests {
             sum: 0.05,
             count: 1,
         };
-        let collector = Fixture::serving(vec![
+        let endpoint = Fixture::serving(vec![
             FamilySnapshot::new("lat_seconds", "latency", MetricKind::Histogram)
                 .with_point(MetricPoint::new(Labels::new(), PointValue::Histogram(latency))),
             family("teemon_syscalls_total", MetricKind::Counter, &[(&[("syscall", "read")], 7.0)]),
@@ -1738,7 +1637,7 @@ mod tests {
 
         // The document an external process would serve on `/metrics`…
         let render = move || -> Result<String, String> {
-            let families = collector.collect().map_err(|err| err.to_string())?;
+            let families = endpoint.scrape().map_err(|err| err.to_string())?;
             Ok(exposition::encode_text(&families))
         };
         let text = render().unwrap();
@@ -1756,11 +1655,11 @@ mod tests {
     fn per_target_intervals_gate_scrape_due() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone()).with_interval_ms(5_000);
-        scraper.add_collector(
+        scraper.add_target(
             ScrapeTargetConfig::new("fast", "n1:1"),
             Fixture::serving(vec![gauge("fast_gauge", 1.0)]),
         );
-        scraper.add_collector(
+        scraper.add_target(
             ScrapeTargetConfig::new("slow", "n1:2").with_interval_ms(15_000),
             Fixture::serving(vec![gauge("slow_gauge", 1.0)]),
         );
@@ -1795,21 +1694,21 @@ mod tests {
             ];
             vec![family("teemon_syscalls_total", MetricKind::Counter, &points)]
         };
-        let collector = Fixture::serving(syscalls(5.0));
+        let endpoint = Fixture::serving(syscalls(5.0));
         let config = ScrapeTargetConfig::new("sgx_exporter", "n1:9090").with_label("node", "n1");
         let base = config.target_labels();
         let fast_db = TimeSeriesDb::new();
         // Modelled durations: the per-sample side below charges the same
         // model, which wall time would never reproduce.
         let fast = Scraper::new(fast_db.clone()).with_modelled_durations();
-        fast.add_collector(config, collector.clone());
+        fast.add_target(config, endpoint.clone());
         let slow_db = TimeSeriesDb::new();
         for round in 1..=5u64 {
-            collector.set(syscalls(5.0 + round as f64));
+            endpoint.set(syscalls(5.0 + round as f64));
             let now_ms = round * 5_000;
             let outcome = &fast.scrape_once(now_ms)[0];
             let (mut scraped, mut added) = (0u64, 0u64);
-            for snapshot in collector.collect().unwrap() {
+            for snapshot in endpoint.scrape().unwrap() {
                 snapshot.for_each_sample(|name, labels, value, timestamp_ms| {
                     scraped += 1;
                     let ts = timestamp_ms.unwrap_or(now_ms);
@@ -1847,7 +1746,7 @@ mod tests {
             MetricKind::Gauge,
             &[(&[("process", "redis")], 1.0)],
         )]);
-        scraper.add_collector(ScrapeTargetConfig::new("cadvisor", "n1:8080"), processes.clone());
+        scraper.add_target(ScrapeTargetConfig::new("cadvisor", "n1:8080"), processes.clone());
         scraper.scrape_once(5_000);
         // A process appears: the cached round shape changes mid-stream.
         processes.set(vec![family(
@@ -1871,7 +1770,7 @@ mod tests {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
         let cases = [(&[("case", "dropped")][..], 2.0), (&[("case", "kept")][..], 1.0)];
-        scraper.add_collector(
+        scraper.add_target(
             ScrapeTargetConfig::new("job", "n1:1"),
             Fixture::serving(vec![family("g", MetricKind::Gauge, &cases)]),
         );
@@ -1907,11 +1806,11 @@ mod tests {
                 [(&[("case", "a")], a), (&[("case", "b")], 3.0)];
             vec![family("pushed_total", MetricKind::Counter, &points)]
         };
-        let collector = Fixture::serving(pushed(3.0));
+        let endpoint = Fixture::serving(pushed(3.0));
 
         let scraped_db = TimeSeriesDb::new();
         let scraper = Scraper::new(scraped_db.clone());
-        scraper.add_collector(ScrapeTargetConfig::new("remote", "w1:443"), collector.clone());
+        scraper.add_target(ScrapeTargetConfig::new("remote", "w1:443"), endpoint.clone());
 
         let pushed_db = TimeSeriesDb::new();
         let mut lane =
@@ -1919,8 +1818,8 @@ mod tests {
         assert_eq!(pushed_db.series_count(), 0);
 
         for round in 1..=3u64 {
-            collector.set(pushed(3.0 + round as f64));
-            let families = collector.collect().unwrap();
+            endpoint.set(pushed(3.0 + round as f64));
+            let families = endpoint.scrape().unwrap();
             let outcome = push_text(&mut lane, &families, round * 5_000);
             assert_eq!(outcome.scraped, 2);
             assert_eq!(outcome.ingested, 2);
@@ -2052,11 +1951,9 @@ mod tests {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db).with_interval_ms(5_000);
         let fixture = Fixture::serving(vec![gauge("g", 1.0)]);
-        scraper.add_collector(ScrapeTargetConfig::new("fast", "n1:1"), fixture.clone());
-        scraper.add_collector(
-            ScrapeTargetConfig::new("slow", "n1:2").with_interval_ms(15_000),
-            fixture,
-        );
+        scraper.add_target(ScrapeTargetConfig::new("fast", "n1:1"), fixture.clone());
+        scraper
+            .add_target(ScrapeTargetConfig::new("slow", "n1:2").with_interval_ms(15_000), fixture);
         scraper.add_target(
             ScrapeTargetConfig::new("down", "n1:3"),
             Arc::new(|| Err(ScrapeError::Unreachable("nope".to_string()))),
@@ -2078,11 +1975,9 @@ mod tests {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db);
         let fixture = Fixture::serving(Vec::new());
-        scraper.add_collector(
-            ScrapeTargetConfig::new("node_exporter", "node-1:9100"),
-            fixture.clone(),
-        );
-        scraper.add_collector(ScrapeTargetConfig::new("sgx_exporter", "node-1:9090"), fixture);
+        scraper
+            .add_target(ScrapeTargetConfig::new("node_exporter", "node-1:9100"), fixture.clone());
+        scraper.add_target(ScrapeTargetConfig::new("sgx_exporter", "node-1:9090"), fixture);
         assert_eq!(scraper.target_count(), 2);
         assert_eq!(scraper.remove_instance("node-1:9100"), 1);
         assert_eq!(scraper.target_count(), 1);
@@ -2105,7 +2000,7 @@ mod tests {
     fn per_target_budget_clips_series_and_counts_overflow() {
         let db = TimeSeriesDb::new();
         let scraper = Scraper::new(db.clone());
-        scraper.add_collector(
+        scraper.add_target(
             ScrapeTargetConfig::new("wide", "n1:1").with_series_budget(3),
             Fixture::serving(wide(8)),
         );
@@ -2132,8 +2027,8 @@ mod tests {
         let budgets = CardinalityBudgets::new();
         budgets.set_job_limit("pool", 5);
         let scraper = Scraper::new(db.clone()).with_budgets(Arc::clone(&budgets));
-        scraper.add_collector(ScrapeTargetConfig::new("pool", "a:1"), Fixture::serving(wide(4)));
-        scraper.add_collector(ScrapeTargetConfig::new("pool", "b:1"), Fixture::serving(wide(4)));
+        scraper.add_target(ScrapeTargetConfig::new("pool", "a:1"), Fixture::serving(wide(4)));
+        scraper.add_target(ScrapeTargetConfig::new("pool", "b:1"), Fixture::serving(wide(4)));
         scraper.scrape_once(1_000);
         // First target took 4 of the pool, the second got the remaining 1.
         assert_eq!(budgets.job_used("pool"), 5);
@@ -2146,7 +2041,7 @@ mod tests {
         let mut grown = wide(4);
         grown.insert(0, gauge("extra", 1.0));
         assert_eq!(scraper.remove_instance("b:1"), 1);
-        scraper.add_collector(ScrapeTargetConfig::new("pool", "b:1"), Fixture::serving(grown));
+        scraper.add_target(ScrapeTargetConfig::new("pool", "b:1"), Fixture::serving(grown));
         scraper.scrape_once(2_000);
         assert_eq!(budgets.job_used("pool"), 5);
         let m = db.select(&Selector::metric("m"));
@@ -2160,7 +2055,7 @@ mod tests {
         let budgets = CardinalityBudgets::new();
         budgets.set_job_limit("other", 1);
         let scraper = Scraper::new(db.clone()).with_budgets(budgets);
-        scraper.add_collector(ScrapeTargetConfig::new("free", "n1:1"), Fixture::serving(wide(6)));
+        scraper.add_target(ScrapeTargetConfig::new("free", "n1:1"), Fixture::serving(wide(6)));
         scraper.scrape_once(1_000);
         assert_eq!(db.select(&Selector::metric("m")).len(), 6);
         assert!(db.select(&Selector::metric("teemon_overflow_series_total")).is_empty());
@@ -2333,10 +2228,8 @@ mod tests {
         let scraper = Scraper::new(db.clone());
         let points = [(&[("instance", "n1")][..], 1.0), (&[("instance", "n2")][..], 0.0)];
         let relayed = family("relayed_up", MetricKind::Gauge, &points);
-        scraper.add_collector(
-            ScrapeTargetConfig::new("relay", "r:1"),
-            Fixture::serving(vec![relayed]),
-        );
+        scraper
+            .add_target(ScrapeTargetConfig::new("relay", "r:1"), Fixture::serving(vec![relayed]));
         assert_eq!(scraper.scrape_once(1_000)[0].samples, 2);
         assert_eq!(stored(&db, "relayed_up"), expected("r:1", "relay"));
         // A wire label equal to the target's is merged, not renamed.

@@ -27,16 +27,17 @@
 //! Sized for CI by default; set `TEEMON_SOAK_ROUNDS` to lengthen the soak
 //! (the bounds are cadence-relative, so they hold at any length).
 
+mod support;
+
 use std::path::Path;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use support::{fingerprint, ScriptedEndpoint};
 use teemon_metrics::exposition::{encode_text, parse_families_bounded, ParseLimits};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_tsdb::{
-    CardinalityBudgets, CrashModel, DurabilityOptions, FaultFs, FsyncMode, MetricsEndpoint,
-    PushLane, ScrapeError, ScrapeTargetConfig, Scraper, Selector, StorageStats, TimeSeriesDb,
-    TsdbConfig,
+    CardinalityBudgets, CrashModel, DurabilityOptions, FaultFs, FsyncMode, PushLane,
+    ScrapeTargetConfig, Scraper, StorageStats, TimeSeriesDb, TsdbConfig,
 };
 
 /// Scrape interval the soak advances by each round.
@@ -76,16 +77,6 @@ fn open(fs: &FaultFs) -> TimeSeriesDb {
     TimeSeriesDb::open_with(Path::new("/wal"), config(), options).expect("FaultFs open cannot fail")
 }
 
-/// An endpoint whose snapshot set the soak rewrites every round.
-#[derive(Default)]
-struct ScriptedEndpoint(Mutex<Vec<FamilySnapshot>>);
-
-impl MetricsEndpoint for ScriptedEndpoint {
-    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
-        Ok(self.0.lock().clone())
-    }
-}
-
 /// The scrape edge's families for one round: a fixed stable set plus
 /// all-new churny series tagged with the round number.
 fn scrape_families(round: u64) -> Vec<FamilySnapshot> {
@@ -117,29 +108,6 @@ fn push_families(round: u64) -> Vec<FamilySnapshot> {
     vec![stable, churn]
 }
 
-/// One series as compared across the crash: id, name, labels, data.
-type SeriesDump = (u64, String, String, Vec<teemon_tsdb::Sample>);
-
-/// Everything observable, in creation order — the restart-exactness oracle.
-fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
-    let series = db
-        .select(&Selector::all())
-        .iter()
-        .map(|s| {
-            (
-                s.series_id().as_u64(),
-                s.name().to_string(),
-                s.to_labels().to_string(),
-                s.points_in(0, u64::MAX),
-            )
-        })
-        .collect();
-    // `series_bytes` counts capacities — history, not state: a recovered
-    // store's is its own.
-    let stats = StorageStats { series_bytes: 0, ..db.stats() };
-    (format!("{stats:?}"), series)
-}
-
 /// Builds the soak's moving parts around `db`: budget pool, scrape target,
 /// push lane.  Re-invoked after the mid-soak crash on the recovered handle.
 fn rig(db: &TimeSeriesDb, endpoint: &Arc<ScriptedEndpoint>) -> (Scraper, PushLane) {
@@ -151,7 +119,7 @@ fn rig(db: &TimeSeriesDb, endpoint: &Arc<ScriptedEndpoint>) -> (Scraper, PushLan
     let scraper = Scraper::new(db.clone()).with_budgets(budgets.clone());
     scraper.add_target(
         ScrapeTargetConfig::new("sgx_exporter", "node-1:9090").with_series_budget(2_048),
-        Arc::clone(endpoint) as Arc<dyn MetricsEndpoint>,
+        endpoint.clone(),
     );
     let lane = PushLane::new(
         db.clone(),
@@ -183,7 +151,7 @@ fn churn_soak_survives_a_crash_with_bounded_memory() {
     let mut peak_symbols = 0u64;
     for round in 1..=rounds {
         let now = round * STEP_MS;
-        *endpoint.0.lock() = scrape_families(round);
+        endpoint.set(scrape_families(round));
 
         // Retention first: its WAL records ride this round's commit.
         db.apply_retention();

@@ -8,6 +8,12 @@
 //! right, which is all a reference has to be — it is test code, so nothing
 //! ships it.  Cardinality budgets are not modelled here (`repair_model.rs`
 //! has `ModelLane` for those).
+//!
+//! [`ScriptedEndpoint`] and [`fingerprint`] are the scripted target and the
+//! state oracle every scrape suite shares; a suite that includes this
+//! module uses a part of it, so unused items are allowed.
+
+#![allow(dead_code)]
 
 use std::sync::Arc;
 

@@ -13,33 +13,19 @@
 //! mid-stream — a rule with no WAL record of its own, which replay must
 //! reproduce from the retention record and the state it rebuilt.
 
+mod support;
+
 use std::path::Path;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::{proptest, TestRng};
+use support::{fingerprint, ScriptedEndpoint};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_obs::probes;
 use teemon_tsdb::{
-    CrashModel, DurabilityOptions, FaultFs, FsyncMode, MetricsEndpoint, ScrapeError,
-    ScrapeTargetConfig, Scraper, Selector, StorageStats, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
+    CrashModel, DurabilityOptions, FaultFs, FsyncMode, ScrapeTargetConfig, Scraper, Selector,
+    TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
 };
-
-/// An endpoint whose snapshot set the test rewrites every round.
-#[derive(Default)]
-struct ScriptedEndpoint(Mutex<Vec<FamilySnapshot>>);
-
-impl ScriptedEndpoint {
-    fn set(&self, families: Vec<FamilySnapshot>) {
-        *self.0.lock() = families;
-    }
-}
-
-impl MetricsEndpoint for ScriptedEndpoint {
-    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
-        Ok(self.0.lock().clone())
-    }
-}
 
 /// One logical series of the generated workload.
 #[derive(Clone)]
@@ -113,29 +99,6 @@ fn went_full_cycle(fs: &FaultFs) -> bool {
     !names.contains(&"segment-00000001.log".to_string())
         && names.contains(&"symbols.snap".to_string())
         && names.iter().any(|name| name.starts_with("shard-"))
-}
-
-/// One series as compared across databases: id, name, rendered labels, data.
-type SeriesDump = (u64, String, String, Vec<teemon_tsdb::Sample>);
-
-/// Everything observable about a database, in creation order.
-fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
-    let series = db
-        .select(&Selector::all())
-        .iter()
-        .map(|s| {
-            (
-                s.series_id().as_u64(),
-                s.name().to_string(),
-                s.to_labels().to_string(),
-                s.points_in(0, u64::MAX),
-            )
-        })
-        .collect();
-    // `series_bytes` counts capacities — history, not state: a recovered
-    // store's is its own.
-    let stats = StorageStats { series_bytes: 0, ..db.stats() };
-    (format!("{stats:?}"), series)
 }
 
 /// Samples per chunk: low, so rounds seal chunks mid-stream — four, under
