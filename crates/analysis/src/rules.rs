@@ -20,8 +20,7 @@ use teemon_query::{parse, AlertRule, RuleGroup, Severity};
 ///   second.
 pub fn pman_alerts() -> RuleGroup {
     let rule = |name: &str, query: &str, severity, hint: &str| {
-        // teemon-verify: allow(no-unwrap): the expressions are compile-time
-        // constants; a unit test reparses every one of them.
+        // The expressions are compile-time constants; a unit test reparses every one of them.
         AlertRule::new(name, parse(query).expect("built-in rule parses"), severity).with_hint(hint)
     };
     RuleGroup::new("teemon_pman", 60_000)

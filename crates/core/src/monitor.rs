@@ -216,8 +216,8 @@ impl MonitorBuilder {
     pub fn build(self) -> HostMonitor {
         let kernel = self.kernel.clone().unwrap_or_default();
         let db = self.db.clone().unwrap_or_else(|| match &self.durability_dir {
-            // teemon-verify: allow(no-unwrap): documented panic — a monitor
-            // asked to be durable must not come up silently volatile.
+            // Documented panic: a monitor asked to be durable must not come
+            // up silently volatile.
             Some(dir) => TimeSeriesDb::open(dir, TsdbConfig::default())
                 .expect("open the durable aggregation database"),
             None => TimeSeriesDb::new(),
@@ -250,8 +250,8 @@ impl MonitorBuilder {
             last_retention_ms: AtomicU64::new(0),
         };
         if let Some(addr) = &self.server_addr {
-            // teemon-verify: allow(no-unwrap): documented panic — a monitor
-            // asked to serve must not come up silently unreachable.
+            // Documented panic: a monitor asked to serve must not come up
+            // silently unreachable.
             let server = teemon_server::Server::start(
                 addr,
                 teemon_server::ServerConfig::default(),

@@ -109,7 +109,7 @@ mod tests {
     fn scrape_error_displays_both_shapes() {
         let unreachable = ScrapeError::Unreachable("connection refused".into());
         assert!(unreachable.to_string().contains("connection refused"));
-        let invalid: ScrapeError = MetricError::InvalidMetricName("0bad".into()).into();
+        let invalid: ScrapeError = MetricError::InvalidLabelName("0bad".into()).into();
         assert!(invalid.to_string().contains("0bad"));
     }
 }

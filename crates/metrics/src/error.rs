@@ -5,8 +5,6 @@ use std::fmt;
 /// Errors produced while constructing or parsing metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricError {
-    /// A metric name did not match `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-    InvalidMetricName(String),
     /// A label name did not match `[a-zA-Z_][a-zA-Z0-9_]*` or used a reserved prefix.
     InvalidLabelName(String),
     /// The text exposition parser encountered a malformed line.
@@ -33,9 +31,6 @@ pub enum MetricError {
 impl fmt::Display for MetricError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MetricError::InvalidMetricName(name) => {
-                write!(f, "invalid metric name: {name:?}")
-            }
             MetricError::InvalidLabelName(name) => {
                 write!(f, "invalid label name: {name:?}")
             }
@@ -57,7 +52,7 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let e = MetricError::InvalidMetricName("0bad".into());
+        let e = MetricError::InvalidLabelName("0bad".into());
         assert!(e.to_string().contains("0bad"));
         let e = MetricError::Parse { line: 7, message: "boom".into() };
         assert!(e.to_string().contains("line 7"));

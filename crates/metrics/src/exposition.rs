@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::error::MetricError;
-use crate::label::{LabelName, Labels, MetricName};
+use crate::label::{is_valid_label_name, is_valid_metric_name, Labels};
 use crate::snapshot::{FamilySnapshot, MetricKind, MetricPoint, PointValue};
 use crate::value::{HistogramSnapshot, SummarySnapshot};
 
@@ -1013,7 +1013,7 @@ fn scan_sample<'a>(
         // that byte opens a multi-byte blank.
         None => {
             let (name, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-            (name, name, MetricName::is_valid(name), rest)
+            (name, name, is_valid_metric_name(name), rest)
         }
     };
     if name.is_empty() {
@@ -1095,7 +1095,7 @@ fn scan_labels<'a>(
         let name_is_valid = if tight {
             !name.starts_with("__") && name.bytes().next().is_some_and(|b| !b.is_ascii_digit())
         } else {
-            LabelName::is_valid(name)
+            is_valid_label_name(name)
         };
         let Some(quoted) = trim_start(after_eq).strip_prefix('"') else {
             return Err(err(format!("label value for {name:?} not quoted")));

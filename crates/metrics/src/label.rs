@@ -17,87 +17,29 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::error::MetricError;
 
-/// A validated metric name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct MetricName(String);
-
-impl MetricName {
-    /// Validates and constructs a metric name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidMetricName`] when the name is empty or
-    /// contains characters outside `[a-zA-Z0-9_:]` (or starts with a digit).
-    pub fn new(name: impl Into<String>) -> Result<Self, MetricError> {
-        let name = name.into();
-        if Self::is_valid(&name) {
-            Ok(Self(name))
-        } else {
-            Err(MetricError::InvalidMetricName(name))
-        }
+/// Returns `true` when `name` is a valid metric name:
+/// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
+pub fn is_valid_metric_name(name: &str) -> bool {
+    let mut bytes = name.bytes();
+    match bytes.next() {
+        Some(b) if b.is_ascii_alphabetic() || b == b'_' || b == b':' => {}
+        _ => return false,
     }
-
-    /// Returns `true` when `name` is a valid metric name.
-    pub fn is_valid(name: &str) -> bool {
-        let mut bytes = name.bytes();
-        match bytes.next() {
-            Some(b) if b.is_ascii_alphabetic() || b == b'_' || b == b':' => {}
-            _ => return false,
-        }
-        bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b':')
-    }
+    bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b':')
 }
 
-impl fmt::Display for MetricName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+/// Returns `true` when `name` is a valid, non-reserved label name:
+/// `[a-zA-Z_][a-zA-Z0-9_]*`, not starting with `__`.
+pub fn is_valid_label_name(name: &str) -> bool {
+    if name.starts_with("__") {
+        return false;
     }
-}
-
-impl AsRef<str> for MetricName {
-    fn as_ref(&self) -> &str {
-        &self.0
+    let mut bytes = name.bytes();
+    match bytes.next() {
+        Some(b) if b.is_ascii_alphabetic() || b == b'_' => {}
+        _ => return false,
     }
-}
-
-/// A validated label name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct LabelName(String);
-
-impl LabelName {
-    /// Validates and constructs a label name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::InvalidLabelName`] when the name is empty,
-    /// starts with `__`, or contains characters outside `[a-zA-Z0-9_]`.
-    pub fn new(name: impl Into<String>) -> Result<Self, MetricError> {
-        let name = name.into();
-        if Self::is_valid(&name) {
-            Ok(Self(name))
-        } else {
-            Err(MetricError::InvalidLabelName(name))
-        }
-    }
-
-    /// Returns `true` when `name` is a valid, non-reserved label name.
-    pub fn is_valid(name: &str) -> bool {
-        if name.starts_with("__") {
-            return false;
-        }
-        let mut bytes = name.bytes();
-        match bytes.next() {
-            Some(b) if b.is_ascii_alphabetic() || b == b'_' => {}
-            _ => return false,
-        }
-        bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
-    }
-}
-
-impl fmt::Display for LabelName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
+    bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
 /// A normalised set of labels attached to a metric point.
@@ -307,7 +249,7 @@ impl Labels {
         let mut labels = Self::with_capacity(expected.saturating_mul(TYPICAL_LABEL_BYTES));
         for (k, v) in pairs {
             let k = k.into();
-            debug_assert!(LabelName::is_valid(&k), "invalid label name {k:?}");
+            debug_assert!(is_valid_label_name(&k), "invalid label name {k:?}");
             labels.insert_str(&k, &v.into());
         }
         labels
@@ -328,7 +270,7 @@ impl Labels {
         let pairs = pairs.into_iter();
         let (mut count, mut bytes, mut sorted, mut last) = (0usize, 0usize, true, None);
         for (k, v) in pairs.clone() {
-            debug_assert!(LabelName::is_valid(k), "invalid label name {k:?}");
+            debug_assert!(is_valid_label_name(k), "invalid label name {k:?}");
             sorted &= last.is_none_or(|last| last < k);
             last = Some(k);
             count += 1;
@@ -361,7 +303,7 @@ impl Labels {
         let mut labels = Self::new();
         for (k, v) in pairs {
             let k = k.into();
-            if !LabelName::is_valid(&k) {
+            if !is_valid_label_name(&k) {
                 return Err(MetricError::InvalidLabelName(k));
             }
             labels.insert_str(&k, &v.into());
@@ -619,23 +561,23 @@ mod tests {
 
     #[test]
     fn metric_name_validation() {
-        assert!(MetricName::new("teemon_syscalls_total").is_ok());
-        assert!(MetricName::new("node:cpu:rate5m").is_ok());
-        assert!(MetricName::new("_private").is_ok());
-        assert!(MetricName::new("9starts_with_digit").is_err());
-        assert!(MetricName::new("has space").is_err());
-        assert!(MetricName::new("").is_err());
-        assert!(MetricName::new("dash-es").is_err());
+        assert!(is_valid_metric_name("teemon_syscalls_total"));
+        assert!(is_valid_metric_name("node:cpu:rate5m"));
+        assert!(is_valid_metric_name("_private"));
+        assert!(!is_valid_metric_name("9starts_with_digit"));
+        assert!(!is_valid_metric_name("has space"));
+        assert!(!is_valid_metric_name(""));
+        assert!(!is_valid_metric_name("dash-es"));
     }
 
     #[test]
     fn label_name_validation() {
-        assert!(LabelName::new("syscall").is_ok());
-        assert!(LabelName::new("_internal").is_ok());
-        assert!(LabelName::new("__reserved").is_err());
-        assert!(LabelName::new("1digit").is_err());
-        assert!(LabelName::new("colon:bad").is_err());
-        assert!(LabelName::new("").is_err());
+        assert!(is_valid_label_name("syscall"));
+        assert!(is_valid_label_name("_internal"));
+        assert!(!is_valid_label_name("__reserved"));
+        assert!(!is_valid_label_name("1digit"));
+        assert!(!is_valid_label_name("colon:bad"));
+        assert!(!is_valid_label_name(""));
     }
 
     #[test]

@@ -59,6 +59,19 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod endpoint;
 pub mod error;
@@ -71,6 +84,6 @@ pub mod value;
 pub use endpoint::{MetricsEndpoint, ScrapeError};
 pub use error::MetricError;
 pub use identity::{series_hash, SeriesKey};
-pub use label::{LabelName, Labels, MetricName};
+pub use label::{is_valid_label_name, is_valid_metric_name, Labels};
 pub use snapshot::{FamilySnapshot, MetricKind, MetricPoint, PointValue};
 pub use value::{HistogramSnapshot, SummarySnapshot};

@@ -12,7 +12,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
-use teemon_metrics::{LabelName, Labels, MetricError};
+use teemon_metrics::{is_valid_label_name, Labels, MetricError};
 
 type Model = BTreeMap<String, String>;
 
@@ -62,7 +62,7 @@ fn assert_canonical(labels: &Labels, model: &Model) {
     // pairs (its one-allocation path), from reversed ones, and from pairs
     // that repeat a name with a value that loses.  (Like `from_pairs`, it is
     // for names the program wrote: it debug-asserts them valid.)
-    if !model.keys().all(|name| LabelName::is_valid(name)) {
+    if !model.keys().all(|name| is_valid_label_name(name)) {
         return;
     }
     let pairs: Vec<(&str, &str)> = model.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
@@ -159,7 +159,7 @@ proptest::proptest! {
                     // try_from_pairs: any names; the first invalid one fails it.
                     let pairs: Vec<(&str, &str)> = (0..(v % 5)).map(|i| pick(k + i * 7, v + i)).collect();
                     let built = Labels::try_from_pairs(pairs.iter().copied());
-                    match pairs.iter().find(|(n, _)| !LabelName::is_valid(n)) {
+                    match pairs.iter().find(|(n, _)| !is_valid_label_name(n)) {
                         Some((bad, _)) => {
                             assert_eq!(built, Err(MetricError::InvalidLabelName(bad.to_string())));
                         }

@@ -31,8 +31,8 @@ mod oracle {
 
     use teemon_metrics::exposition::ParseLimits;
     use teemon_metrics::{
-        FamilySnapshot, HistogramSnapshot, LabelName, Labels, MetricError, MetricKind, MetricName,
-        MetricPoint, PointValue, SummarySnapshot,
+        is_valid_label_name, is_valid_metric_name, FamilySnapshot, HistogramSnapshot, Labels,
+        MetricError, MetricKind, MetricPoint, PointValue, SummarySnapshot,
     };
 
     /// A single flattened sample as it appears on the exposition wire.
@@ -384,7 +384,7 @@ mod oracle {
             return Err(err("empty metric name".into()));
         }
         // Bugfix hook: names the rest of the system cannot represent.
-        if !MetricName::is_valid(name) {
+        if !is_valid_metric_name(name) {
             return Err(err(format!("invalid metric name {name:?}")));
         }
 
@@ -445,7 +445,7 @@ mod oracle {
             let end = end.ok_or_else(|| err(format!("unterminated label value for {key:?}")))?;
             let raw_value = &after_eq[1..end];
             // Bugfix hook: invalid, reserved and duplicate label names.
-            if !LabelName::is_valid(key) {
+            if !is_valid_label_name(key) {
                 return Err(err(format!("invalid label name {key:?}")));
             }
             if labels.get(key).is_some() {

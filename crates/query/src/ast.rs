@@ -77,6 +77,7 @@ impl BinOp {
             BinOp::Lt => lhs < rhs,
             BinOp::Ge => lhs >= rhs,
             BinOp::Le => lhs <= rhs,
+            #[expect(clippy::unreachable, reason = "every caller checks `is_comparison` first")]
             _ => unreachable!("compare called on arithmetic operator"),
         }
     }
@@ -148,6 +149,7 @@ impl RangeFunc {
     }
 
     /// The function's TeeQL name.
+    #[expect(clippy::expect_used, reason = "every variant is listed in ALL")]
     pub(crate) fn name(&self) -> &'static str {
         Self::ALL.iter().find(|(f, _)| f == self).map(|(_, n)| *n).expect("listed in ALL")
     }
@@ -302,6 +304,7 @@ pub enum Expr {
 
 /// Renders a millisecond duration in the largest unit that divides it evenly
 /// (`300000` → `"5m"`, `90000` → `"90s"`, `1500` → `"1500ms"`).
+#[expect(clippy::unreachable, reason = "the 1ms unit divides every duration")]
 pub fn format_duration_ms(ms: u64) -> String {
     const UNITS: [(u64, &str); 5] =
         [(86_400_000, "d"), (3_600_000, "h"), (60_000, "m"), (1_000, "s"), (1, "ms")];

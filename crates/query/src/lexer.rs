@@ -142,9 +142,8 @@ pub(crate) fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
     let chars: Vec<char> = input.chars().collect();
     let mut tokens = Vec::new();
     let mut i = 0;
-    while i < chars.len() {
+    while let Some(&c) = chars.get(i) {
         let start = i;
-        let c = chars[i];
         match c {
             ' ' | '\t' | '\n' | '\r' => {
                 i += 1;
@@ -204,15 +203,13 @@ pub(crate) fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
             }
             c if c.is_ascii_alphabetic() || c == '_' || c == ':' => {
                 let mut end = i;
-                while end < chars.len()
-                    && (chars[end].is_ascii_alphanumeric()
-                        || chars[end] == '_'
-                        || chars[end] == ':')
+                while chars
+                    .get(end)
+                    .is_some_and(|&c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
                 {
                     end += 1;
                 }
-                let ident: String = chars[i..end].iter().collect();
-                tokens.push(Spanned { token: Token::Ident(ident), pos: start });
+                tokens.push(Spanned { token: Token::Ident(string_of(&chars, i, end)), pos: start });
                 i = end;
             }
             other => {
@@ -228,11 +225,17 @@ fn push(tokens: &mut Vec<Spanned>, token: Token, start: usize, i: &mut usize) {
     *i += 1;
 }
 
+/// The characters `from..to` as a string; every caller's range was scanned,
+/// so it is in bounds.
+fn string_of(chars: &[char], from: usize, to: usize) -> String {
+    chars.get(from..to).unwrap_or_default().iter().collect()
+}
+
 fn lex_string(chars: &[char], start: usize) -> Result<(String, usize), ParseError> {
     let mut out = String::new();
     let mut i = start + 1; // skip opening quote
-    while i < chars.len() {
-        match chars[i] {
+    while let Some(&c) = chars.get(i) {
+        match c {
             '"' => return Ok((out, i + 1)),
             '\\' => {
                 let escape = chars.get(i + 1).copied();
@@ -258,24 +261,26 @@ fn lex_string(chars: &[char], start: usize) -> Result<(String, usize), ParseErro
 }
 
 fn lex_number_or_duration(chars: &[char], start: usize) -> Result<(Token, usize), ParseError> {
+    let digit_at = |k: usize| chars.get(k).is_some_and(char::is_ascii_digit);
+    let alpha_at = |k: usize| chars.get(k).is_some_and(char::is_ascii_alphabetic);
     let mut i = start;
     let mut seen_dot = false;
-    while i < chars.len() && (chars[i].is_ascii_digit() || (chars[i] == '.' && !seen_dot)) {
-        seen_dot |= chars[i] == '.';
+    while let Some(&c) = chars.get(i).filter(|&&c| c.is_ascii_digit() || (c == '.' && !seen_dot)) {
+        seen_dot |= c == '.';
         i += 1;
     }
     // Exponent part (`1e9`, `2.5e-3`).
-    if i < chars.len() && (chars[i] == 'e' || chars[i] == 'E') {
+    if matches!(chars.get(i), Some('e' | 'E')) {
         let mut j = i + 1;
-        if j < chars.len() && (chars[j] == '+' || chars[j] == '-') {
+        if matches!(chars.get(j), Some('+' | '-')) {
             j += 1;
         }
-        if j < chars.len() && chars[j].is_ascii_digit() {
+        if digit_at(j) {
             i = j;
-            while i < chars.len() && chars[i].is_ascii_digit() {
+            while digit_at(i) {
                 i += 1;
             }
-            let text: String = chars[start..i].iter().collect();
+            let text = string_of(chars, start, i);
             let value = text
                 .parse::<f64>()
                 .map_err(|_| ParseError::new(start, format!("malformed number `{text}`")))?;
@@ -283,26 +288,26 @@ fn lex_number_or_duration(chars: &[char], start: usize) -> Result<(Token, usize)
         }
     }
     // Duration: one or more `<integer><unit>` segments (`1h30m`, `250ms`).
-    if i < chars.len() && chars[i].is_ascii_alphabetic() {
+    if alpha_at(i) {
         if seen_dot {
             return Err(ParseError::new(start, "durations must use integer segments"));
         }
         let mut total_ms = 0u64;
         let mut j = start;
-        while j < chars.len() && chars[j].is_ascii_digit() {
+        while digit_at(j) {
             let digits_start = j;
-            while j < chars.len() && chars[j].is_ascii_digit() {
+            while digit_at(j) {
                 j += 1;
             }
-            let digits: String = chars[digits_start..j].iter().collect();
+            let digits = string_of(chars, digits_start, j);
             let amount = digits
                 .parse::<u64>()
                 .map_err(|_| ParseError::new(digits_start, "duration segment too large"))?;
             let unit_start = j;
-            while j < chars.len() && chars[j].is_ascii_alphabetic() {
+            while alpha_at(j) {
                 j += 1;
             }
-            let unit: String = chars[unit_start..j].iter().collect();
+            let unit = string_of(chars, unit_start, j);
             let scale = duration_unit_ms(&unit).ok_or_else(|| {
                 ParseError::new(
                     unit_start,
@@ -311,12 +316,12 @@ fn lex_number_or_duration(chars: &[char], start: usize) -> Result<(Token, usize)
             })?;
             total_ms = total_ms.saturating_add(amount.saturating_mul(scale));
         }
-        if j < chars.len() && (chars[j].is_ascii_digit() || chars[j] == '.') {
+        if digit_at(j) || chars.get(j) == Some(&'.') {
             return Err(ParseError::new(j, "trailing digits after duration"));
         }
         return Ok((Token::Duration(total_ms), j));
     }
-    let text: String = chars[start..i].iter().collect();
+    let text = string_of(chars, start, i);
     let value = text
         .parse::<f64>()
         .map_err(|_| ParseError::new(start, format!("malformed number `{text}`")))?;

@@ -132,9 +132,11 @@ impl AlertRule {
 pub fn self_observe_alerts(interval_ms: u64) -> RuleGroup {
     let interval_ms = interval_ms.max(1);
     let window = format_duration_ms(interval_ms.saturating_mul(2).max(1_000));
+    #[expect(
+        clippy::expect_used,
+        reason = "the expressions are built from compile-time templates; a unit test reparses every one of them"
+    )]
     let rule = |name: &str, query: String, severity, hint: &str| {
-        // teemon-verify: allow(no-unwrap): the expressions are built from
-        // compile-time templates; a unit test reparses every one of them.
         AlertRule::new(name, parse(&query).expect("built-in rule parses"), severity).with_hint(hint)
     };
     RuleGroup::new("teemon_self", interval_ms)
@@ -202,9 +204,11 @@ pub fn cardinality_alerts(interval_ms: u64) -> RuleGroup {
     // Memory-growth trends need more than two rounds of history to mean
     // anything; give them a longer window.
     let growth = format_duration_ms(interval_ms.saturating_mul(8).max(10_000));
+    #[expect(
+        clippy::expect_used,
+        reason = "the expressions are built from compile-time templates; a unit test reparses every one of them"
+    )]
     let rule = |name: &str, query: String, severity, hint: &str| {
-        // teemon-verify: allow(no-unwrap): the expressions are built from
-        // compile-time templates; a unit test reparses every one of them.
         AlertRule::new(name, parse(&query).expect("built-in rule parses"), severity).with_hint(hint)
     };
     RuleGroup::new("teemon_cardinality", interval_ms)

@@ -54,8 +54,11 @@ pub(crate) fn route(req: &Request, ctx: &mut HandlerCtx<'_>) -> Response {
         ("POST", "/api/v1/write") => write(req, ctx),
         ("GET", "/api/v1/query") => query(req, ctx),
         ("GET", "/api/v1/query_range") => query_range(req, ctx),
+        #[expect(
+            clippy::panic,
+            reason = "the deliberate panic route the resilience suite uses to prove the shield holds; config-gated, off by default"
+        )]
         ("GET", "/panic") if ctx.panic_route => {
-            // teemon-verify: allow(no-panic): the deliberate panic route the resilience suite uses to prove the shield holds; config-gated, off by default
             panic!("deliberate panic requested via /panic")
         }
         (

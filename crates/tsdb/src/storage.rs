@@ -514,8 +514,11 @@ impl MemSeries {
 struct PreHashed(u64);
 
 impl Hasher for PreHashed {
+    #[expect(
+        clippy::unreachable,
+        reason = "invariant — this hasher is only built for u64-keyed maps"
+    )]
     fn write(&mut self, _bytes: &[u8]) {
-        // teemon-verify: allow(no-panic): invariant — this hasher is only built for u64-keyed maps
         unreachable!("key index only hashes u64 keys");
     }
 
@@ -578,8 +581,11 @@ impl ShardInner {
     /// in the crate: every caller passes an index from the key index or the
     /// postings, maintained under the same shard lock, or has validated it
     /// against `series.len()` under the current generation.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "shard-local indices come from the key index/postings under this lock"
+    )]
     fn series_at(&self, local: u32) -> &MemSeries {
-        // teemon-verify: allow(no-index): shard-local indices come from the key index/postings under this lock
         &self.series[local as usize]
     }
 
@@ -627,7 +633,10 @@ impl ShardInner {
     /// chunk, fills the tail or fills the head leaves through
     /// [`ShardInner::append_encoding`].
     fn append(&mut self, local: u32, sample: Sample, chunk_size: usize) -> bool {
-        // teemon-verify: allow(no-index): shard-local indices come from the key index/postings under this lock
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard-local indices come from the key index/postings under this lock"
+        )]
         let series = &mut self.series[local as usize];
         if sample.timestamp_ms < series.last_ts {
             self.rejected += 1;
@@ -695,7 +704,10 @@ impl ShardInner {
     /// Appends a new series, registering it in the key index and the
     /// postings; returns its shard-local index.
     fn push_series(&mut self, series: MemSeries) -> u32 {
-        // teemon-verify: allow(no-unwrap): invariant — u32 handles cap a shard at 2^32 series, unreachable in memory
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant — u32 handles cap a shard at 2^32 series, unreachable in memory"
+        )]
         let local = u32::try_from(self.series.len()).expect("fewer than 2^32 series per shard");
         self.index(local, &series);
         self.boxes_bytes += series.boxes_bytes();
@@ -725,7 +737,10 @@ impl ShardInner {
         self.postings = Postings::default();
         let series = std::mem::take(&mut self.series);
         for (local, series) in series.iter().enumerate() {
-            // teemon-verify: allow(no-unwrap): invariant — u32 handles cap a shard at 2^32 series, unreachable in memory
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant — u32 handles cap a shard at 2^32 series, unreachable in memory"
+            )]
             let local = u32::try_from(local).expect("fewer than 2^32 series per shard");
             self.index(local, series);
         }
@@ -896,8 +911,8 @@ impl DbShared {
     /// The lock shard at `index`.  Masked with `SHARD_COUNT - 1`, so the
     /// accessor itself can never panic; every caller derives `index` from a
     /// key hash or a [`SeriesHandle`], both already in range.
+    #[expect(clippy::indexing_slicing, reason = "masked by SHARD_COUNT - 1, always in bounds")]
     fn shard(&self, index: usize) -> &RwLock<ShardInner> {
-        // teemon-verify: allow(no-index): masked by SHARD_COUNT - 1, always in bounds
         &self.shards[index & (SHARD_COUNT - 1)]
     }
 }
@@ -2668,5 +2683,26 @@ mod tests {
                 assert_eq!(db.series_count(), 1);
             }
         }
+    }
+
+    /// Two shard locks may be held at once only inside an ordered section,
+    /// in ascending instance order; the lock audit panics on any other
+    /// nesting, whether the second lock is taken in the same function or in
+    /// a callee.
+    #[cfg(lock_audit)]
+    #[test]
+    fn shard_locks_nest_only_inside_an_ordered_section() {
+        let shared = DbShared::default();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _first = shared.shard(0).read();
+            let _second = shared.shard(1).read();
+        }))
+        .expect_err("two shard locks outside an ordered section must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("outside an ordered section"), "unexpected message: {msg}");
+
+        let _section = parking_lot::audit::ordered_section();
+        let guards: Vec<_> = (0..SHARD_COUNT).map(|i| shared.shard(i).write()).collect();
+        assert_eq!(guards.len(), SHARD_COUNT);
     }
 }

@@ -154,7 +154,10 @@ impl SymbolTable {
                 idx
             }
             None => {
-                // teemon-verify: allow(no-unwrap, no-panic): 2^32 distinct live strings exceeds addressable memory.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "2^32 distinct live strings exceeds addressable memory"
+                )]
                 let idx = u32::try_from(self.slots.len()).expect("fewer than 2^32 symbols");
                 self.slots.push(Slot { string: Some(Arc::clone(&string)), refs: 0, generation: 0 });
                 idx
@@ -234,7 +237,7 @@ impl SymbolTable {
             if front.since_commit + COOLING_COMMITS > self.commits {
                 break;
             }
-            // teemon-verify: allow(no-unwrap): front() above proved non-empty.
+            #[expect(clippy::expect_used, reason = "front() above proved non-empty")]
             let entry = self.cooling.pop_front().expect("cooling front checked");
             let mut released: Option<Arc<str>> = None;
             if let Some(slot) = self.slots.get_mut(entry.slot as usize) {
@@ -339,7 +342,7 @@ impl SymbolTable {
                 continue;
             }
             if string.starts_with(REPLAY_HOLE_MARKER) {
-                // teemon-verify: allow(no-unwrap): starts_with above proved the slot bound.
+                #[expect(clippy::expect_used, reason = "starts_with above proved the slot bound")]
                 let string = slot.string.take().expect("bound slot checked");
                 self.bytes = self.bytes.saturating_sub(string.len() as u64 + SLOT_OVERHEAD_BYTES);
                 self.live = self.live.saturating_sub(1);

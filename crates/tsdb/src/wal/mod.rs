@@ -868,8 +868,11 @@ struct Stream {
 }
 
 impl Log {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "reduced modulo the array length, always in bounds"
+    )]
     fn stream(&mut self, stream: usize) -> &mut Stream {
-        // teemon-verify: allow(no-index): reduced modulo the array length, always in bounds
         &mut self.streams[stream % STREAMS]
     }
 
