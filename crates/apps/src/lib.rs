@@ -12,12 +12,14 @@
 //!   which caps native Redis throughput above 320 connections,
 //! * [`MemtierConfig`] and [`run_benchmark`] — a memtier-like closed-loop load
 //!   generator: N client threads × M connections × pipeline depth, measuring
-//!   throughput, latency and the per-100-request metric rates of Figure 11.
+//!   throughput and latency.
 //!
 //! The engine executes a sample of requests through a
 //! [`teemon_frameworks::Deployment`] (so every kernel/SGX hook fires and the
 //! TEEMon exporters observe the workload) and extrapolates steady-state
-//! throughput with a closed-loop queueing model.
+//! throughput with a closed-loop queueing model.  It reports no event rates:
+//! a caller that wants them scrapes a monitor at the two edges of the
+//! measured phase, as `teemon::experiments::figure11` does for Figure 11.
 
 #![warn(missing_docs)]
 
@@ -28,7 +30,7 @@ mod nginx;
 mod redis;
 mod spec;
 
-pub use loadgen::{run_benchmark, BenchmarkResult, MemtierConfig, MetricRates};
+pub use loadgen::{run_benchmark, BenchmarkResult, MemtierConfig};
 pub use mongodb::MongoApp;
 pub use network::NetworkModel;
 pub use nginx::NginxApp;

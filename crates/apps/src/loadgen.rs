@@ -6,7 +6,8 @@
 //!
 //! [`run_benchmark`] deploys an [`Application`] under a
 //! framework, executes a sample of requests through the simulated kernel (so
-//! that every TEEMon-observable event actually happens) and extrapolates
+//! that every TEEMon-observable event actually happens, and a monitor scraping
+//! at the edges of the measured phase sees them) and extrapolates
 //! steady-state throughput and latency with a closed-loop queueing model:
 //!
 //! * the server completes `parallelism / S` requests per second, where `S` is
@@ -21,7 +22,7 @@
 use serde::{Deserialize, Serialize};
 
 use teemon_frameworks::{Deployment, DeploymentError, FrameworkKind, FrameworkParams};
-use teemon_kernel_sim::Kernel;
+use teemon_kernel_sim::{Kernel, Pid};
 
 use crate::network::NetworkModel;
 use crate::spec::Application;
@@ -36,8 +37,8 @@ pub struct MemtierConfig {
     pub connections_per_thread: u32,
     /// Pipeline depth per connection (the paper uses 8).
     pub pipeline: u32,
-    /// Number of requests to actually simulate for measuring service time and
-    /// metric rates (larger = tighter estimates, slower benches).
+    /// Number of requests in the measured phase, which service time is
+    /// averaged over (larger = tighter estimates, slower benches).
     pub sample_requests: u64,
     /// RNG seed for the deployment's stochastic choices.
     pub seed: u64,
@@ -75,26 +76,6 @@ impl MemtierConfig {
     }
 }
 
-/// Event rates normalised to 100 requests — the unit used throughout
-/// Figure 11 of the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct MetricRates {
-    /// User-space page faults per 100 requests (Figure 11a).
-    pub user_page_faults: f64,
-    /// Total (host-wide) page faults per 100 requests (Figure 11b).
-    pub total_page_faults: f64,
-    /// Last-level-cache misses per 100 requests (Figure 11c).
-    pub llc_misses: f64,
-    /// Evicted EPC pages per 100 requests (Figure 11d).
-    pub evicted_epc_pages: f64,
-    /// Context switches of the application PID per 100 requests (Figure 11e).
-    pub context_switches_pid: f64,
-    /// Host-wide context switches per 100 requests (Figure 11f).
-    pub context_switches_host: f64,
-    /// Kernel-visible system calls per 100 requests.
-    pub syscalls: f64,
-}
-
 /// The outcome of one benchmark configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchmarkResult {
@@ -116,8 +97,6 @@ pub struct BenchmarkResult {
     pub service_time_us: f64,
     /// Requests actually simulated to obtain the estimates.
     pub sampled_requests: u64,
-    /// Per-100-request metric rates observed while sampling.
-    pub rates: MetricRates,
 }
 
 impl BenchmarkResult {
@@ -130,6 +109,11 @@ impl BenchmarkResult {
 /// Runs one benchmark configuration: deploys `app` under `params` on `kernel`,
 /// samples requests and extrapolates steady-state performance.
 ///
+/// `at_edge` is called with the deployment's PID just before and just after
+/// the measured requests, after the warm-up: a caller that observes the run
+/// (scrapes a monitor, reads counters) acts there; one that does not passes
+/// `|_| {}`.
+///
 /// # Errors
 ///
 /// Propagates deployment failures (zero-sized application, SGX errors).
@@ -139,6 +123,7 @@ pub fn run_benchmark(
     app: &dyn Application,
     network: &NetworkModel,
     config: &MemtierConfig,
+    mut at_edge: impl FnMut(Pid),
 ) -> Result<BenchmarkResult, DeploymentError> {
     let connections = config.total_connections();
     let request = app.request(config.pipeline, connections);
@@ -154,36 +139,14 @@ pub fn run_benchmark(
     let pid = deployment.pid();
 
     // Warm up (populate phase): touch the working set once so that steady
-    // state, not cold faults, dominates the measured rates.
+    // state, not cold faults, dominates the measured phase.
     let warmup = (config.sample_requests / 10).clamp(50, 2_000);
     deployment.execute_many(&request, connections, warmup);
 
-    // Measurement phase.
-    let counters_before = kernel.counters();
-    let pid_before = kernel.pid_counters(pid);
-    let evicted_before = kernel.sgx_driver().stats().epc_pages_evicted;
-    let faults_user_before = counters_before.page_faults_user;
-
+    // Measurement phase, between the caller's two edges.
+    at_edge(pid);
     let mean_service = deployment.execute_many(&request, connections, config.sample_requests);
-
-    let counters_after = kernel.counters();
-    let pid_after = kernel.pid_counters(pid);
-    let evicted_after = kernel.sgx_driver().stats().epc_pages_evicted;
-
-    let per_100 = |delta: u64| delta as f64 * 100.0 / config.sample_requests as f64;
-    let rates = MetricRates {
-        user_page_faults: per_100(counters_after.page_faults_user - faults_user_before),
-        total_page_faults: per_100(
-            counters_after.page_faults_total() - counters_before.page_faults_total(),
-        ),
-        llc_misses: per_100(counters_after.llc_misses - counters_before.llc_misses),
-        evicted_epc_pages: per_100(evicted_after - evicted_before),
-        context_switches_pid: per_100(pid_after.context_switches - pid_before.context_switches),
-        context_switches_host: per_100(
-            counters_after.context_switches - counters_before.context_switches,
-        ),
-        syscalls: per_100(counters_after.syscalls - counters_before.syscalls),
-    };
+    at_edge(pid);
 
     // --- Closed-loop steady-state model ------------------------------------
     let service_s = mean_service.as_secs_f64().max(1e-9);
@@ -210,7 +173,6 @@ pub fn run_benchmark(
         latency_ms: latency_s * 1_000.0,
         service_time_us: mean_service.as_secs_f64() * 1e6,
         sampled_requests: config.sample_requests,
-        rates,
     };
     deployment.shutdown();
     Ok(result)
@@ -258,6 +220,7 @@ mod tests {
             &app,
             &NetworkModel::default(),
             &quick(320),
+            |_| {},
         )
         .unwrap();
         // Paper: 1.01–1.2 M IOP/s.  Accept a generous band around it.
@@ -285,6 +248,7 @@ mod tests {
             &app,
             &NetworkModel::default(),
             &quick(320),
+            |_| {},
         )
         .unwrap();
         let scone = run_benchmark(
@@ -293,6 +257,7 @@ mod tests {
             &app,
             &NetworkModel::default(),
             &quick(560),
+            |_| {},
         )
         .unwrap();
         let ratio = scone.throughput_iops / native.throughput_iops;
@@ -312,6 +277,7 @@ mod tests {
             &app,
             &NetworkModel::default(),
             &quick(8).with_samples(800),
+            |_| {},
         )
         .unwrap();
         let at320 = run_benchmark(
@@ -320,6 +286,7 @@ mod tests {
             &app,
             &NetworkModel::default(),
             &quick(320).with_samples(800),
+            |_| {},
         )
         .unwrap();
         assert!(
@@ -339,17 +306,16 @@ mod tests {
         let large = RedisApp::paper_config(64); // ~105 MB, exceeds EPC
         let params = FrameworkParams::scone(SconeVersion::Commit09fea91);
         let net = NetworkModel::default();
-        let r_small = run_benchmark(&kernel(), params.clone(), &small, &net, &quick(320)).unwrap();
-        let r_large = run_benchmark(&kernel(), params, &large, &net, &quick(320)).unwrap();
+        let run = |app: &RedisApp| {
+            run_benchmark(&kernel(), params.clone(), app, &net, &quick(320), |_| {}).unwrap()
+        };
+        let (r_small, r_large) = (run(&small), run(&large));
         assert!(
             r_large.throughput_iops < r_small.throughput_iops,
             "paging should reduce throughput ({} !< {})",
             r_large.throughput_iops,
             r_small.throughput_iops
         );
-        assert!(r_large.rates.evicted_epc_pages > r_small.rates.evicted_epc_pages);
-        assert!(r_large.rates.user_page_faults > 0.0);
-        assert_eq!(r_small.rates.evicted_epc_pages, 0.0);
     }
 
     #[test]
@@ -361,11 +327,9 @@ mod tests {
             &app,
             &NetworkModel::default(),
             &quick(320),
+            |_| {},
         )
         .unwrap();
-        assert!(result.rates.syscalls > 0.0);
-        assert!(result.rates.llc_misses > 0.0);
-        assert!(result.rates.context_switches_host >= result.rates.context_switches_pid);
         assert!(result.kiops() > 0.0);
     }
 }

@@ -12,6 +12,10 @@
 //! | [`figure7`] | Fig. 7 — Redis throughput across SCONE code evolution |
 //! | [`figure8_9`] | Fig. 8/9/10 — throughput & latency of Redis under each framework |
 //! | [`figure11`] | Fig. 11a–f — per-100-request metric rates per framework |
+//!
+//! Figure 11 is read through a `Full` monitor.  Figure 6 still reads the
+//! kernel's syscall table: eBPF instrumentation would lengthen the busy time
+//! its per-second rows divide by.
 
 use std::io::{Read, Seek};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,21 +23,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
 
 use teemon_apps::{
-    run_benchmark, Application, MemtierConfig, MetricRates, MongoApp, NetworkModel, NginxApp,
-    RedisApp,
+    run_benchmark, Application, MemtierConfig, MongoApp, NetworkModel, NginxApp, RedisApp,
 };
 use teemon_exporters::ContainerSpec;
 use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams, SconeVersion};
-use teemon_kernel_sim::{Kernel, Syscall};
+use teemon_kernel_sim::{Kernel, Pid, Syscall};
 use teemon_query::QueryEngine;
 use teemon_tsdb::StorageStats;
 
 use crate::monitor::{HostMonitor, MonitorBuilder, MonitoringMode};
 use crate::overhead::paper_stack_throughput_factor;
-
-fn fresh_kernel() -> Kernel {
-    Kernel::new()
-}
 
 // ---------------------------------------------------------------------------
 // Figure 4
@@ -275,9 +274,15 @@ pub fn figure5(samples: u64) -> Vec<Fig5Row> {
         for mode in [MonitoringMode::Off, MonitoringMode::EbpfOnly, MonitoringMode::Full] {
             let host = MonitorBuilder::new("bench-node").mode(mode).build();
             let config = MemtierConfig::paper_default(320).with_samples(samples);
-            let result =
-                run_benchmark(host.kernel(), params.clone(), app.as_ref(), &network, &config)
-                    .expect("benchmark");
+            let result = run_benchmark(
+                host.kernel(),
+                params.clone(),
+                app.as_ref(),
+                &network,
+                &config,
+                |_| {},
+            )
+            .expect("benchmark");
             // Full monitoring additionally competes for CPU in user space.
             let factor = paper_stack_throughput_factor(mode);
             let throughput = result.throughput_iops * factor;
@@ -325,7 +330,7 @@ pub fn figure6(samples: u64) -> Vec<Fig6Row> {
     let app = RedisApp::paper_config(32);
     let mut rows = Vec::new();
     for version in [SconeVersion::Commit572bd1a5, SconeVersion::Commit09fea91] {
-        let kernel = fresh_kernel();
+        let kernel = Kernel::new();
         let mut deployment = Deployment::deploy(
             &kernel,
             FrameworkParams::scone(version),
@@ -368,8 +373,8 @@ pub fn figure7(samples: u64) -> Vec<Fig7Row> {
         ("09fea91".to_string(), FrameworkParams::scone(SconeVersion::Commit09fea91)),
         ("native".to_string(), FrameworkParams::native()),
     ] {
-        let result =
-            run_benchmark(&fresh_kernel(), params, &app, &network, &config).expect("benchmark");
+        let result = run_benchmark(&Kernel::new(), params, &app, &network, &config, |_| {})
+            .expect("benchmark");
         rows.push(Fig7Row { configuration: label, throughput_iops: result.throughput_iops });
     }
     rows
@@ -408,11 +413,12 @@ pub fn figure8_9(samples: u64, connections: &[u32]) -> Vec<FrameworkSweepRow> {
             for &conns in connections {
                 let config = MemtierConfig::paper_default(conns).with_samples(samples);
                 let result = run_benchmark(
-                    &fresh_kernel(),
+                    &Kernel::new(),
                     FrameworkParams::for_kind(kind),
                     &app,
                     &network,
                     &config,
+                    |_| {},
                 )
                 .expect("benchmark");
                 rows.push(FrameworkSweepRow {
@@ -437,6 +443,26 @@ pub fn figure10(samples: u64, connections: &[u32]) -> Vec<FrameworkSweepRow> {
 // Figure 11
 // ---------------------------------------------------------------------------
 
+/// Event rates per 100 requests, the unit of Figure 11, each read through the
+/// monitor from the exporter series its field names.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct MetricRates {
+    /// Figure 11a: `teemon_page_faults_total{scope="user"}`.
+    pub user_page_faults: f64,
+    /// Figure 11b, the whole host's page faults: `node_vmstat_pgfault_total`.
+    pub total_page_faults: f64,
+    /// Figure 11c: `teemon_cache_events_total{event="misses"}`.
+    pub llc_misses: f64,
+    /// Figure 11d: `sgx_pages_evicted_total`.
+    pub evicted_epc_pages: f64,
+    /// Figure 11e: `teemon_context_switches_total{scope="pid_<application pid>"}`.
+    pub context_switches_pid: f64,
+    /// Figure 11f: `teemon_context_switches_total{scope="host_total"}`.
+    pub context_switches_host: f64,
+    /// System calls: `sum(teemon_syscalls_total)`.
+    pub syscalls: f64,
+}
+
 /// One group of bars of Figure 11: the per-100-request metric rates for one
 /// framework at one (connections, database size) configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -451,36 +477,72 @@ pub struct Fig11Row {
     pub rates: MetricRates,
 }
 
-/// The (connections, database) configurations of Figure 11.
-pub(crate) const FIG11_CONFIGS: [(u32, u64); 6] =
-    [(8, 78), (8, 105), (320, 78), (320, 105), (580, 78), (580, 105)];
+/// Runs `app` under `params` on a fresh `Full` host, scraping it just before
+/// and just after the measured requests.  Returns the host, the deployment's
+/// PID and the times of the two scrapes.
+fn monitored_run(
+    params: FrameworkParams,
+    app: &RedisApp,
+    config: &MemtierConfig,
+) -> (HostMonitor, Pid, [u64; 2]) {
+    let host = MonitorBuilder::new("bench-node").mode(MonitoringMode::Full).build();
+    let clock = host.kernel().clock();
+    let mut edges = Vec::with_capacity(2);
+    run_benchmark(host.kernel(), params, app, &NetworkModel::default(), config, |pid| {
+        // A short phase can move the clock by less than a millisecond, and a
+        // second scrape in the same millisecond would store no new point.
+        clock.advance(teemon_sim_core::SimDuration::from_millis(1));
+        host.scrape_tick();
+        edges.push((pid, clock.now_millis()));
+    })
+    .expect("benchmark");
+    let [(pid, start), (_, end)] = edges[..] else { unreachable!("a run has two edges") };
+    (host, pid, [start, end])
+}
 
-/// Runs the Figure 11 experiment.
+/// The Figure 11 rates of one configuration as the monitor saw them: each is
+/// the difference of two instant TeeQL reads of an exporter series, taken at
+/// the edges of the measured phase, per 100 requests.
+fn figure11_rates(params: FrameworkParams, app: &RedisApp, config: &MemtierConfig) -> MetricRates {
+    let (host, pid, [start, end]) = monitored_run(params, app, config);
+    let engine = QueryEngine::new(host.db().clone());
+    let per_100 = |series: &str| {
+        let read = |at| {
+            let value = engine.instant_query(&format!("sum({series})"), at).ok();
+            value.and_then(|v| Some(v.as_vector()?.first()?.value)).unwrap_or(0.0)
+        };
+        (read(end) - read(start)) * 100.0 / config.sample_requests as f64
+    };
+    MetricRates {
+        user_page_faults: per_100(r#"teemon_page_faults_total{scope="user"}"#),
+        total_page_faults: per_100("node_vmstat_pgfault_total"),
+        llc_misses: per_100(r#"teemon_cache_events_total{event="misses"}"#),
+        evicted_epc_pages: per_100("sgx_pages_evicted_total"),
+        context_switches_pid: per_100(&format!(
+            r#"teemon_context_switches_total{{scope="pid_{pid}"}}"#
+        )),
+        context_switches_host: per_100(r#"teemon_context_switches_total{scope="host_total"}"#),
+        syscalls: per_100("teemon_syscalls_total"),
+    }
+}
+
+/// Runs the Figure 11 experiment: every framework at 8, 320 and 580
+/// connections on the 78 and 105 MB databases, each read through a `Full`
+/// monitor (see [`MetricRates`]).
 pub fn figure11(samples: u64) -> Vec<Fig11Row> {
-    let network = NetworkModel::default();
+    let [small, large, _] = RedisApp::paper_database_sizes();
     let mut rows = Vec::new();
     for kind in FrameworkKind::ALL {
-        for (conns, db_mb) in FIG11_CONFIGS {
-            let app = match db_mb {
-                78 => RedisApp::paper_config(32),
-                105 => RedisApp::paper_config(64),
-                _ => RedisApp::paper_config(96),
-            };
-            let config = MemtierConfig::paper_default(conns).with_samples(samples);
-            let result = run_benchmark(
-                &fresh_kernel(),
-                FrameworkParams::for_kind(kind),
-                &app,
-                &network,
-                &config,
-            )
-            .expect("benchmark");
-            rows.push(Fig11Row {
-                framework: kind.name().to_string(),
-                connections: conns,
-                database_mb: db_mb,
-                rates: result.rates,
-            });
+        for conns in [8, 320, 580] {
+            for (db_mb, app) in [&small, &large] {
+                let config = MemtierConfig::paper_default(conns).with_samples(samples);
+                rows.push(Fig11Row {
+                    framework: kind.name().to_string(),
+                    connections: conns,
+                    database_mb: *db_mb,
+                    rates: figure11_rates(FrameworkParams::for_kind(kind), app, &config),
+                });
+            }
         }
     }
     rows
@@ -498,6 +560,7 @@ pub fn to_json<T: Serialize>(rows: &T) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teemon_analysis::BottleneckKind;
 
     const QUICK: u64 = 400;
 
@@ -609,6 +672,23 @@ mod tests {
     }
 
     #[test]
+    fn pman_flags_clock_gettime_only_in_old_commit() {
+        // §6.4: the monitor's syscall statistics are how the regression was
+        // found.  PMAN reads them over the measured phase at 320 connections.
+        let app = RedisApp::paper_config(32);
+        let config = MemtierConfig::paper_default(320).with_samples(QUICK);
+        let diagnose = |version| {
+            let (host, _, [start, end]) =
+                monitored_run(FrameworkParams::scone(version), &app, &config);
+            host.analyzer().diagnose_syscall_mix("teemon_syscalls_total", start, end)
+        };
+        let old = diagnose(SconeVersion::Commit572bd1a5).expect("572bd1a5 is diagnosed");
+        assert_eq!(old.kind, BottleneckKind::SyscallDominance);
+        assert!(old.explanation.starts_with("clock_gettime accounts for"), "{}", old.explanation);
+        assert_eq!(diagnose(SconeVersion::Commit09fea91), None);
+    }
+
+    #[test]
     fn figure7_new_commit_roughly_doubles_throughput() {
         let rows = figure7(QUICK);
         let old = rows.iter().find(|r| r.configuration == "572bd1a5").unwrap().throughput_iops;
@@ -680,6 +760,55 @@ mod tests {
                 "graphene ({graphene_cs}) vs {fw}"
             );
         }
+    }
+
+    #[test]
+    fn figure11_rates_are_the_kernels_counts() {
+        // The reference is the kernel's own counters read around the same
+        // measured phase on a kernel no monitor is attached to.  The PID's
+        // switches have no host-wide counter to compare with.
+        let app = RedisApp::paper_config(64);
+        let config = MemtierConfig::paper_default(320).with_samples(QUICK);
+        let network = NetworkModel::default();
+        let per_100 = |delta: u64| delta as f64 * 100.0 / QUICK as f64;
+        for kind in FrameworkKind::ALL {
+            let params = FrameworkParams::for_kind(kind);
+            let monitored = figure11_rates(params.clone(), &app, &config);
+            let (kernel, mut reads) = (Kernel::new(), Vec::new());
+            run_benchmark(&kernel, params, &app, &network, &config, |_| {
+                reads.push((kernel.counters(), kernel.sgx_driver().stats().epc_pages_evicted));
+            })
+            .unwrap();
+            let [(before, evicted_before), (after, evicted_after)] = reads[..] else {
+                panic!("two edges, not {}", reads.len())
+            };
+            let direct = MetricRates {
+                user_page_faults: per_100(after.page_faults_user - before.page_faults_user),
+                total_page_faults: per_100(after.page_faults_total() - before.page_faults_total()),
+                llc_misses: per_100(after.llc_misses - before.llc_misses),
+                evicted_epc_pages: per_100(evicted_after - evicted_before),
+                context_switches_pid: monitored.context_switches_pid,
+                context_switches_host: per_100(after.context_switches - before.context_switches),
+                syscalls: per_100(after.syscalls - before.syscalls),
+            };
+            assert_eq!(monitored, direct, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn figure11_rates_follow_the_database_size() {
+        let config = MemtierConfig::paper_default(320).with_samples(QUICK);
+        let [(_, small), (_, large), _] = RedisApp::paper_database_sizes();
+        let scone = || FrameworkParams::scone(SconeVersion::Commit09fea91);
+        let (small, large) =
+            (figure11_rates(scone(), &small, &config), figure11_rates(scone(), &large, &config));
+        // Only the database past the EPC evicts and faults in user space.
+        assert!(large.evicted_epc_pages > small.evicted_epc_pages);
+        assert!(large.user_page_faults > 0.0);
+        assert_eq!(small.evicted_epc_pages, 0.0);
+        assert!(small.syscalls > 0.0);
+        assert!(small.llc_misses > 0.0);
+        assert!(small.context_switches_host >= small.context_switches_pid);
     }
 
     #[test]

@@ -125,24 +125,8 @@ impl KernelCounters {
     }
 }
 
-/// Per-process counters (what the PID-filtered eBPF programs observe).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PidCounters {
-    /// Syscalls issued by this PID.
-    pub syscalls: u64,
-    /// Context switches involving this PID.
-    pub context_switches: u64,
-    /// Page faults attributed to this PID.
-    pub page_faults: u64,
-    /// LLC misses attributed to this PID.
-    pub llc_misses: u64,
-    /// LLC references attributed to this PID.
-    pub llc_references: u64,
-}
-
 struct KernelInner {
     counters: KernelCounters,
-    per_pid: BTreeMap<Pid, PidCounters>,
     syscall_tables: BTreeMap<Pid, SyscallTable>,
 }
 
@@ -189,7 +173,6 @@ impl Kernel {
             ksgxswapd,
             inner: Arc::new(Mutex::new(KernelInner {
                 counters: KernelCounters::default(),
-                per_pid: BTreeMap::new(),
                 syscall_tables: BTreeMap::new(),
             })),
         }
@@ -240,7 +223,6 @@ impl Kernel {
         {
             let mut inner = self.inner.lock();
             inner.counters.syscalls += 1;
-            inner.per_pid.entry(pid).or_default().syscalls += 1;
             inner.syscall_tables.entry(pid).or_default().record(syscall);
         }
         let event = HookEvent::basic(pid).with_syscall(syscall).in_enclave(from_enclave);
@@ -252,11 +234,7 @@ impl Kernel {
     /// Records a context switch attributed to `pid` and returns its cost.
     /// Both kinds count alike, as in `/proc/stat`'s `ctxt`.
     pub fn context_switch(&self, pid: Pid, _kind: SwitchKind) -> SimDuration {
-        {
-            let mut inner = self.inner.lock();
-            inner.counters.context_switches += 1;
-            inner.per_pid.entry(pid).or_default().context_switches += 1;
-        }
+        self.inner.lock().counters.context_switches += 1;
         let event = HookEvent::basic(pid);
         let mut handlers = self.hooks.fire(&HookPoint::sched_switch(), &event);
         handlers +=
@@ -272,7 +250,6 @@ impl Kernel {
                 FaultKind::User => inner.counters.page_faults_user += 1,
                 FaultKind::Kernel => inner.counters.page_faults_kernel += 1,
             }
-            inner.per_pid.entry(pid).or_default().page_faults += 1;
         }
         let detail = match kind {
             FaultKind::User => "user",
@@ -302,9 +279,6 @@ impl Kernel {
             let mut inner = self.inner.lock();
             inner.counters.llc_references += references;
             inner.counters.llc_misses += misses;
-            let per_pid = inner.per_pid.entry(pid).or_default();
-            per_pid.llc_references += references;
-            per_pid.llc_misses += misses;
         }
         let mut handlers = 0;
         if references > 0 {
@@ -381,11 +355,6 @@ impl Kernel {
         self.inner.lock().counters
     }
 
-    /// Counters for one PID.
-    pub fn pid_counters(&self, pid: Pid) -> PidCounters {
-        self.inner.lock().per_pid.get(&pid).copied().unwrap_or_default()
-    }
-
     /// The per-PID syscall histogram.
     pub fn syscall_table(&self, pid: Pid) -> SyscallTable {
         self.inner.lock().syscall_tables.get(&pid).cloned().unwrap_or_default()
@@ -426,7 +395,6 @@ mod tests {
         }
         kernel.syscall(pid, Syscall::Read, true);
         assert_eq!(kernel.counters().syscalls, 6);
-        assert_eq!(kernel.pid_counters(pid).syscalls, 6);
         let table = kernel.syscall_table(pid);
         assert_eq!(table.count(Syscall::ClockGettime), 5);
         assert_eq!(table.count(Syscall::Read), 1);
@@ -470,6 +438,8 @@ mod tests {
     #[test]
     fn enclave_thrashing_produces_faults_and_swapd_switches() {
         let kernel = kernel_with_epc_mib(8);
+        let mut vm = EbpfVm::new(kernel.hooks().clone());
+        let maps = vm.load_standard_programs(PidFilter::All);
         let pid = kernel.spawn_process("redis-server", ProcessKind::Enclave, 8);
         let (enclave, _) =
             kernel.sgx_driver().create_enclave(pid.as_u32(), 16 * 1024 * 1024, 8).unwrap();
@@ -485,7 +455,7 @@ mod tests {
         let counters = kernel.counters();
         assert!(counters.page_faults_user > 0, "thrashing must fault");
         assert!(counters.page_faults_kernel > 0, "ksgxswapd writeback faults");
-        assert!(kernel.pid_counters(kernel.ksgxswapd).context_switches > 0);
+        assert!(maps[1].get(&format!("pid:{}", kernel.ksgxswapd)).is_some_and(|n| n > 0));
         assert!(total_latency > SimDuration::from_millis(1));
         assert!(kernel.sgx_driver().stats().epc_pages_evicted > 0);
     }
@@ -497,17 +467,18 @@ mod tests {
         kernel.cache_access(pid, 10, 100, false);
         assert_eq!(kernel.counters().llc_misses, 10);
         assert_eq!(kernel.counters().llc_references, 10);
-        assert_eq!(kernel.pid_counters(pid).llc_misses, 10);
     }
 
     #[test]
     fn epc_pressure_polling_accounts_to_ksgxswapd() {
         let kernel = kernel_with_epc_mib(4);
+        let mut vm = EbpfVm::new(kernel.hooks().clone());
+        let maps = vm.load_standard_programs(PidFilter::All);
         let pid = kernel.spawn_process("redis-server", ProcessKind::Enclave, 2);
         kernel.sgx_driver().create_enclave(pid.as_u32(), 4 * 1024 * 1024 - 64 * 1024, 2).unwrap();
         let evicted = kernel.poll_epc_pressure();
         assert!(evicted > 0);
-        assert_eq!(kernel.pid_counters(kernel.ksgxswapd).context_switches, 1);
+        assert_eq!(maps[1].get(&format!("pid:{}", kernel.ksgxswapd)), Some(1));
         // No pressure → no work.
         let kernel2 = kernel_with_epc_mib(64);
         assert_eq!(kernel2.poll_epc_pressure(), 0);

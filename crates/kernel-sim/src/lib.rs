@@ -13,6 +13,10 @@
 //!   those hooks through the [`ebpf::HookRegistry`], aggregating into
 //!   [`ebpf::BpfMap`]s that user-space exporters read.
 //!
+//! Per-process event counts exist only in those maps (the `pid:<n>` keys of
+//! the standard programs).  The kernel itself keeps the host-wide
+//! [`KernelCounters`] the node exporter reads and a per-PID [`SyscallTable`].
+//!
 //! The simulated kernel also understands enclave-backed processes: syscalls
 //! issued from inside an enclave are charged the enclave-transition cost and
 //! paging activity from the [`teemon_sgx_sim::SgxDriver`] surfaces as page
@@ -27,8 +31,6 @@ mod kernel;
 pub mod process;
 mod syscall;
 
-pub use kernel::{
-    FaultKind, Kernel, KernelConfig, KernelCounters, PageCacheOp, PidCounters, SwitchKind,
-};
+pub use kernel::{FaultKind, Kernel, KernelConfig, KernelCounters, PageCacheOp, SwitchKind};
 pub use process::Pid;
 pub use syscall::{Syscall, SyscallTable};
