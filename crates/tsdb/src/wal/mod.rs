@@ -35,7 +35,8 @@
 //! symbols body = (slot: u32, len: u32, utf-8 string)*
 //! SERIES       = 22: u8, id, name, count, (key, value)*  (unsigned LEB128 each)
 //! SAMPLES      = 21: u8, body_len: u32, timestamp_ms: u64, entry*
-//! entry        = ctl: u8, [local: u16 | u32], n <= 8 value bytes
+//! entry        = ctl: u8, [local: u16 | u32], value: 0..=8 bytes
+//!                (a float's high bytes, or a whole number's low ones)
 //! DROP         = 19: u8, count: u32, (local: u32)*
 //! RETENTION    = 20: u8, cutoff_ms: u64
 //! ```
@@ -44,10 +45,12 @@
 //! carries its timestamp once, an entry names its series as a distance from
 //! the previous entry's shard-local index (in the control byte's high nibble
 //! when the round walks the shard in order — `append_batch` stages each
-//! shard's run sorted by local, so it does) and stores the value's `f64` bits
-//! without their trailing zero bytes — 1 byte for `0.0`, 4 for a whole number
-//! below 2^13, at most 11 while a shard holds 65 536 series or fewer and 13
-//! beyond (`pack_sample`).  A series is logged the same way: a `SERIES`
+//! shard's run sorted by local, so it does) and stores the value either as
+//! its `f64` bits without their trailing zero bytes or, where that is
+//! shorter, as a whole number in one to four bytes (one to three if negative)
+//! — 1 byte for `0.0`, 2 for a whole number below 2^8, 3 below 2^16, at most
+//! 11 while a shard holds 65 536 series or fewer and 13 beyond
+//! (`pack_sample`).  A series is logged the same way: a `SERIES`
 //! record is its id, name and label symbols as varints, ≈ 22 bytes for a
 //! six-label series where the fixed-width record took 65.  The coding is
 //! bit-exact for every `f64` and closed over the record: no entry refers to
@@ -283,6 +286,11 @@ const SAMPLE_HEADER_BYTES: usize = 13;
 /// shard holds at most 65 536 series) — and therefore the spare capacity
 /// [`ShardWriter::sample`] wants before staging one.
 const SAMPLE_SLOT_BYTES: usize = 16;
+/// Low-nibble bases of an entry's integer forms: `9..=12` is a whole number
+/// `>= 0` in `nibble - 8` bytes, `13..=15` a negative one whose magnitude
+/// takes `nibble - 12` (see [`pack_sample`]).
+const INT_NON_NEGATIVE: u32 = 8;
+const INT_NEGATIVE: u32 = 12;
 /// High-nibble codes of an entry's control byte past the inline deltas
 /// `0..=13`: the local index follows as a `u16`, or as a `u32`.
 const LOCAL_U16: u8 = 14;
@@ -360,27 +368,48 @@ fn put_bindings(buf: &mut Vec<u8>, bindings: &[(u32, Arc<str>)]) {
 /// in a fixed slot, and its length (at most 13):
 ///
 /// ```text
-/// entry    = ctl: u8, [local: u16 | u32], n value bytes
+/// entry    = ctl: u8, [local: u16 | u32], value bytes
 /// ctl >> 4 = 0..=13: local = the batch's previous local + 1 + this (the
 ///            previous local starts at -1, wrapping); 14: the local follows
 ///            as a u16; 15: it follows as a u32
-/// ctl & 15 = n <= 8: the n high-order bytes of value.to_bits() follow,
-///            the low 8 - n are zero
+/// ctl & 15 = n in 0..=8: the n high-order bytes of value.to_bits()
+///            follow, the low 8 - n are zero (the float form); n in
+///            9..=12: value is the whole number m >= 0 whose n - 8
+///            little-endian bytes follow; n in 13..=15: value is -m, m in
+///            n - 12 bytes
 /// ```
 ///
 /// Bit-exact for every `f64`, and decodable from the batch alone — nothing is
 /// coded against the series' previous value, so a log record never depends on
 /// store state.  What it exploits is what monitoring data looks like: a round
-/// visits a shard's series in order, and counts, page numbers and zeroes end
-/// in zero bytes (0.0 costs none, a whole number below 2^13 three, below 2^21
-/// four).  A full mantissa in shuffled order still fits 11 bytes while the
-/// shard holds at most 65 536 series.
+/// visits a shard's series in order, and counts, page numbers and zeroes are
+/// whole numbers.  The integer form is taken only where it is strictly
+/// shorter than the float form and the value is exactly `i as f64` for an `i`
+/// inside its widths (which leaves −0.0, NaN and ±∞ to the float form), so an
+/// entry is never longer than its float form: 0.0 costs no value byte, a
+/// whole number below 2^8 one, below 2^16 two.  A full mantissa in shuffled
+/// order still fits 11 bytes while the shard holds at most 65 536 series.
 #[inline(always)]
 fn pack_sample(prev: u32, local: u32, value: f64) -> ([u8; SAMPLE_SLOT_BYTES], usize) {
     let bits = value.to_bits();
-    let cut = (bits.trailing_zeros() / 8).min(8);
-    let value_bytes = 8 - cut;
-    let high = u128::from(bits.checked_shr(cut * 8).unwrap_or(0));
+    let zeros = bits.trailing_zeros();
+    let cut = (zeros / 8).min(8);
+    let float_bytes = 8 - cut;
+    // Read off the bits, without a conversion: `value` is ±m for a whole m
+    // in 2^e..2^(e + 1) iff its exponent is e >= 0 and no mantissa bit below
+    // 2^0 is set — at least 52 − e trailing zeros.  (A zero, a subnormal or
+    // a fraction below 1 has an exponent below 0, which wraps past any
+    // width; ±∞ and NaN one of 1024.)
+    let exponent = ((bits >> 52) as u32 & 0x7FF).wrapping_sub(1023);
+    let negative = (bits >> 63) as u32;
+    let int_bytes = exponent / 8 + 1;
+    let (form, payload, value_bytes) =
+        if int_bytes <= 4 - negative && zeros + exponent >= 52 && int_bytes < float_bytes {
+            let magnitude = (bits & ((1 << 52) - 1) | 1 << 52) >> (52 - exponent);
+            (INT_NON_NEGATIVE + 4 * negative + int_bytes, magnitude, int_bytes)
+        } else {
+            (float_bytes, bits.checked_shr(cut * 8).unwrap_or(0), float_bytes)
+        };
     let delta = local.wrapping_sub(prev).wrapping_sub(1);
     let (code, local_bits, local_bytes) = if delta < u32::from(LOCAL_U16) {
         (delta, 0, 0)
@@ -389,14 +418,16 @@ fn pack_sample(prev: u32, local: u32, value: f64) -> ([u8; SAMPLE_SLOT_BYTES], u
     } else {
         (u32::from(LOCAL_U32), u128::from(local), 4)
     };
-    let entry =
-        u128::from(code << 4 | value_bytes) | local_bits << 8 | high << (8 + 8 * local_bytes);
+    let entry = u128::from(code << 4 | form)
+        | local_bits << 8
+        | u128::from(payload) << (8 + 8 * local_bytes);
     (entry.to_le_bytes(), (1 + local_bytes + value_bytes) as usize)
 }
 
 /// The still-encoded entries of one sample batch, decoded as they are
-/// iterated: `(local, value)` pairs in staging order.  Iteration ends at the
-/// first entry that is malformed or cut short, leaving it unconsumed —
+/// iterated: `(local, value)` pairs in staging order.  Every control byte
+/// names a length, so iteration ends only at an entry the batch cuts short,
+/// leaving it unconsumed —
 /// [`SampleEntries::validated`] is how [`decode_shard_op`] refuses such a
 /// batch before anything of its group is applied.
 #[derive(Clone, Copy)]
@@ -421,6 +452,7 @@ impl<'a> SampleEntries<'a> {
 impl Iterator for SampleEntries<'_> {
     type Item = (u32, f64);
 
+    #[inline]
     fn next(&mut self) -> Option<(u32, f64)> {
         if !self.packed {
             let (local, rest) = self.bytes.split_first_chunk::<4>()?;
@@ -440,24 +472,30 @@ impl Iterator for SampleEntries<'_> {
             }
             delta => (self.prev.wrapping_add(1).wrapping_add(u32::from(delta)), rest),
         };
-        let value_bytes = usize::from(ctl & 15);
-        if value_bytes > 8 {
-            return None;
-        }
-        let value = rest.get(..value_bytes)?;
+        let form = u32::from(ctl & 15);
+        let value_bytes = match form {
+            0..=8 => form,
+            9..=12 => form - INT_NON_NEGATIVE,
+            _ => form - INT_NEGATIVE,
+        };
+        let value = rest.get(..value_bytes as usize)?;
         // The value bytes as the low end of a word: one eight-byte load
         // wherever the batch runs on that far (what it picks up of later
-        // entries is shifted out below), a copy at the batch's tail.
+        // entries is masked out), a copy at the batch's tail.
         let word = match rest.first_chunk::<8>() {
             Some(word) => u64::from_le_bytes(*word),
             None => {
                 let mut word = [0u8; 8];
-                word.get_mut(..value_bytes)?.copy_from_slice(value);
+                word.get_mut(..value.len())?.copy_from_slice(value);
                 u64::from_le_bytes(word)
             }
+        } & u64::MAX.checked_shr(64 - 8 * value_bytes).unwrap_or(0);
+        let bits = match form {
+            0..=8 => word.checked_shl(64 - 8 * value_bytes).unwrap_or(0),
+            9..=12 => f64::from(word as u32).to_bits(),
+            _ => (-f64::from(word as u32)).to_bits(),
         };
-        let bits = word.checked_shl(64 - 8 * value_bytes as u32).unwrap_or(0);
-        self.bytes = rest.get(value_bytes..)?;
+        self.bytes = rest.get(value_bytes as usize..)?;
         self.prev = local;
         Some((local, f64::from_bits(bits)))
     }
@@ -2192,14 +2230,109 @@ mod tests {
             3 => if rng.below(2) == 0 { f64::INFINITY } else { f64::NEG_INFINITY }.to_bits(),
             4 => QUIET_NAN | rng.below(1 << 51),
             5 => SIGNALLING_NAN | (1 + rng.below(1 << 51)) | rng.below(2) << 63,
-            // Whole numbers either side of where one more byte is needed.
+            // Whole numbers of either sign on both sides of where one more
+            // byte is needed, in the float form or the integer one.
             6..=8 => {
-                let power = [5, 13, 21, 29, 37, 45, 53][rng.below(7) as usize];
-                (((1u64 << power) - 2 + rng.below(4)) as f64).to_bits()
+                let power = [5, 8, 13, 16, 21, 24, 29, 32, 37, 45, 53][rng.below(11) as usize];
+                (((1u64 << power) - 2 + rng.below(4)) as f64).to_bits() | rng.below(2) << 63
             }
             9 => (rng.below(100_000) as f64 / 8.0).to_bits(),
             10 => rng.next_u64() << (8 * rng.below(8)), // a chosen count of zero bytes
             _ => rng.next_u64(),                        // a full mantissa
+        }
+    }
+
+    /// Values where an entry's form or length turns: whole numbers at ±0,
+    /// ±1, ±(2^(8k) − 1, 2^(8k), 2^(8k) + 1) — the edges of each integer
+    /// width — ±2^32, ±2^53 and ±(2^53 + 2), the last past where `i as f64`
+    /// is exact for every `i`; then NaN payloads, subnormals and ±∞.
+    fn value_edges() -> Vec<f64> {
+        let mut wholes = vec![0.0, 1.0, 2f64.powi(32), 2f64.powi(53), 2f64.powi(53) + 2.0];
+        for k in 1..=7 {
+            let power = 2f64.powi(8 * k);
+            wholes.extend([power - 1.0, power, power + 1.0]);
+        }
+        let mut edges: Vec<f64> = wholes.iter().flat_map(|&v| [v, -v]).collect();
+        edges.extend(
+            [
+                0x7FF8_0000_0000_0000, // the quiet NaN
+                0x7FF8_0000_0000_002A, // a quiet NaN payload
+                0xFFF0_0000_0000_0001, // a negative signalling NaN
+                1,                     // the smallest subnormal
+                0x000F_FFFF_FFFF_FFFF, // the largest subnormal
+                0x8000_0000_0000_00FF, // a negative subnormal
+                f64::INFINITY.to_bits(),
+                f64::NEG_INFINITY.to_bits(),
+            ]
+            .map(f64::from_bits),
+        );
+        edges
+    }
+
+    /// The length `value`'s entry must take after local `prev`, and the
+    /// length of its float form: the integer form wherever `value` is a
+    /// whole number in −(2^24 − 1)..=2^32 − 1 whose bytes are fewer.
+    fn entry_lens(prev: u32, local: u32, value: f64) -> (usize, usize) {
+        let local_bytes = if local.wrapping_sub(prev).wrapping_sub(1) < 14 {
+            0
+        } else if local <= 0xFFFF {
+            2
+        } else {
+            4
+        };
+        let float_bytes = 8 - (value.to_bits().trailing_zeros() / 8).min(8) as usize;
+        let whole = value.fract() == 0.0 && value > -16_777_216.0 && value < 4_294_967_296.0;
+        let int_bytes = if whole {
+            (1..=4).find(|&n| value.abs() < 256f64.powi(n)).unwrap_or(4) as usize
+        } else {
+            8
+        };
+        (1 + local_bytes + float_bytes.min(int_bytes), 1 + local_bytes + float_bytes)
+    }
+
+    /// Packs `values` with [`pack_sample`] after generated locals, holds each
+    /// entry to [`entry_lens`], and reads them back through
+    /// [`SampleEntries`]: every local and every value's bits come back.
+    fn assert_packs_exactly(rng: &mut proptest::TestRng, values: impl IntoIterator<Item = f64>) {
+        let (mut prev, mut bytes, mut expected) = (u32::MAX, Vec::new(), Vec::new());
+        for value in values {
+            let local = gen_local(rng, prev);
+            let (slot, len) = pack_sample(prev, local, value);
+            let (shortest, float_only) = entry_lens(prev, local, value);
+            let bits = value.to_bits();
+            assert_eq!(len, shortest, "{value:?} ({bits:#018x}) after local {prev}");
+            assert!(len <= float_only, "{value:?} ({bits:#018x}) outgrew its float form");
+            bytes.extend_from_slice(&slot[..len]);
+            expected.push((local, bits));
+            prev = local;
+        }
+        let (entries, count) = SampleEntries::validated(&bytes, true).expect("what was packed");
+        assert_eq!(count, expected.len());
+        assert_eq!(entries.map(|(local, v)| (local, v.to_bits())).collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn every_value_edge_packs_at_its_shortest_and_comes_back() {
+        let mut rng = proptest::TestRng::deterministic("value-edges");
+        assert_packs_exactly(&mut rng, value_edges());
+        // The forms as the format states them, after local 0 in order: a
+        // whole number's low bytes with the nibble 8 + n (12 + n if
+        // negative) where they are fewer than the float's high bytes.
+        for (value, entry) in [
+            (0.0, &[0x00][..]),
+            (-0.0, &[0x01, 0x80]),
+            (1.0, &[0x09, 0x01]),
+            (2.0, &[0x01, 0x40]),
+            (255.0, &[0x09, 0xFF]),
+            (-1.0, &[0x0D, 0x01]),
+            (1_000.0, &[0x0A, 0xE8, 0x03]),
+            (-16_777_215.0, &[0x0F, 0xFF, 0xFF, 0xFF]),
+            (4_294_967_295.0, &[0x0C, 0xFF, 0xFF, 0xFF, 0xFF]),
+            (-16_777_216.0, &[0x02, 0x70, 0xC1]),
+            (0.5, &[0x02, 0xE0, 0x3F]),
+        ] {
+            let (slot, len) = pack_sample(u32::MAX, 0, value);
+            assert_eq!(&slot[..len], entry, "{value:?}");
         }
     }
 
@@ -2233,6 +2366,26 @@ mod tests {
             stage.close_samples();
             let ops = decode_body(&stage.staged).expect("what the encoder wrote must decode");
             assert_eq!(sample_triples(&ops), expected);
+        }
+
+        /// `pack_sample` → `SampleEntries` is the identity on every value's
+        /// bits — edges, the generator's values and raw bit patterns — and no
+        /// entry is ever longer than its float form.
+        #[test]
+        fn packed_values_come_back_bit_exact_and_never_outgrow_the_float_form(
+            len in 1usize..64,
+            case in 0u64..u64::MAX,
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&format!("packed-values-{case}"));
+            let edges = value_edges();
+            let values: Vec<f64> = (0..len)
+                .map(|_| match rng.below(3) {
+                    0 => edges[rng.below(edges.len() as u64) as usize],
+                    1 => f64::from_bits(gen_bits(&mut rng)),
+                    _ => f64::from_bits(rng.next_u64()),
+                })
+                .collect();
+            assert_packs_exactly(&mut rng, values);
         }
 
         /// Whatever bytes stand where a batch's entries should, decoding
@@ -2310,6 +2463,7 @@ mod tests {
 
     #[test]
     fn every_control_byte_decodes_exactly_or_not_at_all() {
+        const ALL_5A: u64 = 0x5A5A_5A5A_5A5A_5A5A;
         let batch = |entries: &[u8]| {
             let mut body = vec![REC_SAMPLES];
             put_u32(&mut body, entries.len() as u32);
@@ -2323,15 +2477,25 @@ mod tests {
                 LOCAL_U32 => 4,
                 _ => 0,
             };
-            let value_bytes = usize::from(ctl & 15);
+            // The value bytes, all 0x5A, and what they stand for.
+            let (value_bytes, value) = match ctl & 15 {
+                n @ 0..=8 => {
+                    let high = ALL_5A.checked_shl(64 - 8 * u32::from(n)).unwrap_or(0);
+                    (n, f64::from_bits(high))
+                }
+                n @ 9..=12 => (n - 8, (ALL_5A >> (64 - 8 * u32::from(n - 8))) as f64),
+                n => (n - 12, -((ALL_5A >> (64 - 8 * u32::from(n - 12))) as f64)),
+            };
             // The entry exactly as long as its control byte says.
             let mut entry = vec![ctl];
-            entry.resize(1 + local_bytes + value_bytes, 0x5A);
+            entry.resize(1 + local_bytes + usize::from(value_bytes), 0x5A);
             let whole = batch(&entry);
             match decode_body(&whole).as_deref() {
-                Some([ShardOp::Samples { count: 1, .. }]) => assert!(value_bytes <= 8),
-                Some(_) => panic!("ctl {ctl:#04x} decoded to something else"),
-                None => assert!(value_bytes > 8, "ctl {ctl:#04x} must decode"),
+                Some([ShardOp::Samples { count: 1, entries, .. }]) => {
+                    let bits: Vec<_> = entries.map(|(_, v)| v.to_bits()).collect();
+                    assert_eq!(bits, [value.to_bits()], "ctl {ctl:#04x}");
+                }
+                _ => panic!("ctl {ctl:#04x} must decode to its one entry"),
             }
             // One byte short, and one byte over (a trailing byte reads as an
             // entry of its own, cut short): refused either way.
@@ -2359,10 +2523,11 @@ mod tests {
         writer.sample(1, 2_000, 2.0);
         writer.0.close_samples();
         let mut body = writer.0.staged.clone();
-        // The entry is `[ctl, 0x40]`: make its control byte ask for nine
-        // value bytes.
+        // The entry is `[ctl, 0x40]`: make its control byte ask for eight
+        // value bytes, seven more than the record holds.
         let ctl = body.len() - 2;
-        body[ctl] = 0x19;
+        assert_eq!(body[ctl..], [0x11, 0x40]);
+        body[ctl] = 0x18;
         let bad = group(2, &body);
 
         let fs = FaultFs::new();

@@ -8,6 +8,10 @@
 //! database must equal the acked prefix exactly: same series with the same
 //! ids in the same creation order, same samples, same aggregate stats.
 //!
+//! Values are whole numbers of either sign and every integer width the log
+//! writes, and fractions, so the crash points land inside entries of both
+//! forms.
+//!
 //! The scrape clock jumps past the stale-head window every few rounds and
 //! most cases retain longer than it, so retention passes seal idle heads
 //! mid-stream — a rule with no WAL record of its own, which replay must
@@ -50,6 +54,29 @@ fn gen_series(rng: &mut TestRng) -> GenSeries {
     GenSeries { metric, labels }
 }
 
+/// A sample's value: half the time what the scrape clock and the metric
+/// make — a positive whole number — and otherwise its negative, a whole
+/// number of either sign at each integer width a log entry can take (one
+/// below, at and above `2^8`, `2^16`, `2^24`, `2^32`), or a fraction, so the
+/// crash sweep cuts through entries of both forms.
+fn gen_value(rng: &mut TestRng, now: u64, metric: usize) -> f64 {
+    let whole = (now / 1000) as f64 + metric as f64;
+    match rng.below(8) {
+        0..=3 => whole,
+        4 => -whole,
+        5 => {
+            let edge = (1u64 << (8 * (1 + rng.below(4)))) as f64 - 1.0 + rng.below(3) as f64;
+            if rng.below(2) == 0 {
+                edge
+            } else {
+                -edge
+            }
+        }
+        6 => whole + 0.5,
+        _ => whole + rng.below(1_000) as f64 / 1_000.0,
+    }
+}
+
 /// Builds the round's snapshot: one family per metric, label pairs inserted
 /// in a per-round shuffled order, occasional explicit (sometimes
 /// out-of-order) timestamps so replay must reproduce rejections too.
@@ -71,7 +98,7 @@ fn build_families(
                 pairs.reverse();
             }
             let labels = Labels::from_pairs(pairs);
-            let value = (now as f64 / 1000.0) + series.metric as f64;
+            let value = gen_value(rng, now, series.metric);
             let mut point = MetricPoint::new(labels, PointValue::Gauge(value));
             match rng.below(10) {
                 0 => point = point.at(now.saturating_sub(rng.below(20_000))),

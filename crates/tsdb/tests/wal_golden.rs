@@ -23,12 +23,19 @@
 //! in `shard-*.snap`).  It opens the same way, against
 //! `golden/wal-v3.expected.txt`, written by that commit.
 //!
-//! `tests/golden/wal-v4/` pins today's bytes for the same workload: `SERIES`
-//! records as varints (tag 22).  Only the segments that hold one and the
-//! shard snapshots (checkpoints come due at other rounds) differ from
-//! `wal-v3/`, and the test says so.  Today's store must write that
-//! directory, file for file (shard snapshots taken with heads mid-burst
-//! included), and carry it forward exactly as it carries its own.
+//! `tests/golden/wal-v4/` is what commit 561aaca, the last one to log every
+//! sample value in the float form (an `f64`'s high bytes), wrote for the same
+//! workload: the first directory whose `SERIES` records are varints (tag 22).
+//! It opens the same way, against `golden/wal-v4.expected.txt`, written by
+//! that commit.
+//!
+//! `tests/golden/wal-v5/` pins today's bytes for the same workload: a whole
+//! number's sample entry takes the integer form where that is shorter.
+//! Every segment differs from `wal-v4/` and is smaller, and so do the shard
+//! snapshots whose checkpoints came due at other rounds; the test says so.
+//! Today's store must write that directory, file for file (shard snapshots
+//! taken with heads mid-burst included), and carry it forward exactly as it
+//! carries its own.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -37,7 +44,7 @@ use teemon_metrics::Labels;
 use teemon_obs::probes;
 use teemon_tsdb::{DurabilityOptions, Selector, TimeSeriesDb, TsdbConfig};
 
-/// What `wal-v2/`, `wal-v3/` and `wal-v4/` hold: sixty rounds of twelve series at four paces, so
+/// What `wal-v2/` … `wal-v5/` hold: sixty rounds of twelve series at four paces, so
 /// that whenever a shard is checkpointed (every 512 logged bytes) its heads
 /// stand at different places — empty, inside a first burst, a block and a
 /// tail — in chunks of eleven; NaN payloads, a signed zero and full-entropy
@@ -99,7 +106,7 @@ fn open(dir: &Path) -> TimeSeriesDb {
 /// A [`fingerprint`] less its `resident_bytes` and `index_bytes`: what a
 /// directory *answers*.  The bytes its samples take in memory are the
 /// codec's business — a whole-number series replayed from an old log is
-/// sealed into integer blocks today — and pinned elsewhere (`wal-v4/`, the
+/// sealed into integer blocks today — and pinned elsewhere (`wal-v5/`, the
 /// head model); the index is not persisted at all, so what it weighs is
 /// today's postings' business ([`index_bytes_built_afresh`] holds a
 /// recovered store to it).
@@ -225,21 +232,22 @@ fn a_directory_written_with_fixed_sample_entries_opens_and_keeps_working() {
 fn todays_store_writes_the_pinned_directory_and_older_ones_carry_on() {
     let _turn = turn();
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let (v3, pinned) = (files(&golden.join("wal-v3")), files(&golden.join("wal-v4")));
-    // What changed on disk since `wal-v3/` is how a `SERIES` record is
-    // written: the segments that hold one are smaller, and so shard
-    // checkpoints come due at other rounds — the same files, `symbols.snap`
-    // and every segment without a series creation byte for byte.
-    assert_eq!(pinned.keys().collect::<Vec<_>>(), v3.keys().collect::<Vec<_>>());
+    let (v4, pinned) = (files(&golden.join("wal-v4")), files(&golden.join("wal-v5")));
+    // What changed on disk since `wal-v4/` is how a whole number is logged:
+    // every segment holds some and is smaller, and so shard checkpoints come
+    // due at other rounds — the same files, `symbols.snap` byte for byte.
+    assert_eq!(pinned.keys().collect::<Vec<_>>(), v4.keys().collect::<Vec<_>>());
     let moved: Vec<_> =
-        pinned.iter().filter(|(name, bytes)| v3.get(*name) != Some(bytes)).collect();
-    assert!(moved.iter().any(|(name, _)| name.starts_with("segment-")), "wal-v4 is wal-v3");
-    for (name, bytes) in moved {
+        pinned.iter().filter(|(name, bytes)| v4.get(*name) != Some(bytes)).collect();
+    for (name, bytes) in &moved {
         assert!(name.starts_with("segment-") || name.starts_with("shard-"), "{name} moved");
         if name.starts_with("segment-") {
-            assert!(bytes.len() < v3[name].len(), "{name} grew");
+            assert!(bytes.len() < v4[*name].len(), "{name} grew");
         }
     }
+    let segments = pinned.keys().filter(|name| name.starts_with("segment-")).count();
+    let moved_segments = moved.iter().filter(|(name, _)| name.starts_with("segment-")).count();
+    assert_eq!(moved_segments, segments, "a segment of wal-v5 is wal-v4's");
 
     // The same appends, from nothing: no log, snapshot or symbol byte moved.
     let written = ScratchCopy::empty("written");
@@ -258,7 +266,7 @@ fn todays_store_writes_the_pinned_directory_and_older_ones_carry_on() {
     // restored from snapshots mid-burst, the log tail replayed onto them —
     // and run thirty rounds further, it re-snapshots and logs exactly what a
     // store that wrote all ninety rounds itself does.
-    let resumed = ScratchCopy::of(&golden.join("wal-v4"));
+    let resumed = ScratchCopy::of(&golden.join("wal-v5"));
     let straight = ScratchCopy::empty("straight");
     let (resumed_db, straight_db) = (open_v2(&resumed.0), open_v2(&straight.0));
     workload(&straight_db, 0..60);
@@ -269,7 +277,8 @@ fn todays_store_writes_the_pinned_directory_and_older_ones_carry_on() {
     // sample what the last commit that wrote each read from it, from as many
     // replayed records, nothing salvaged.  `wal-v2/` holds XOR blocks only,
     // `wal-v3/` integer blocks too; both log fixed-width `SERIES` records.
-    let legacy: Vec<_> = ["wal-v2", "wal-v3"]
+    // `wal-v4/` logs varint ones, and every sample value in the float form.
+    let legacy: Vec<_> = ["wal-v2", "wal-v3", "wal-v4"]
         .into_iter()
         .map(|name| {
             let expected = std::fs::read_to_string(golden.join(format!("{name}.expected.txt")))
@@ -309,9 +318,9 @@ fn todays_store_writes_the_pinned_directory_and_older_ones_carry_on() {
     // The older directories' logs went the same way: the same files, and
     // every segment written since the reopen byte for byte ours — records
     // are logged in today's form whatever form the ones before them took.
-    // Only their shard snapshots may differ (the old `SERIES` records count
-    // more logged bytes against a shard's checkpoint budget), and a segment
-    // still holding such a record.
+    // Only their shard snapshots may differ (the old `SERIES` records and
+    // float-form whole numbers count more logged bytes against a shard's
+    // checkpoint budget), and a segment still holding such a record.
     for (name, scratch, db) in legacy {
         drop(db);
         let (before, theirs) = (files(&golden.join(name)), files(&scratch.0));
