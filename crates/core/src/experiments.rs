@@ -13,9 +13,9 @@
 //! | [`figure8_9`] | Fig. 8/9/10 — throughput & latency of Redis under each framework |
 //! | [`figure11`] | Fig. 11a–f — per-100-request metric rates per framework |
 //!
-//! Figure 11 is read through a `Full` monitor.  Figure 6 still reads the
-//! kernel's syscall table: eBPF instrumentation would lengthen the busy time
-//! its per-second rows divide by.
+//! Figures 6 and 11 are what a `Full` monitor saw: each count is the
+//! difference of two instant TeeQL reads of an exporter series, scraped at
+//! the edges of the measured requests.
 
 use std::io::{Read, Seek};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,13 +211,10 @@ fn run_figure4(hours: f64, dir: &std::path::Path) -> (Fig4, HostMonitor) {
     let activities =
         names.iter().zip(tallies).map(|(n, t)| (n.to_string(), t.0, net_s(t))).collect();
     let count = "count(container_spec_memory_limit_bytes)";
-    let containers = QueryEngine::new(db.clone()).instant_query(count, clock.now_millis()).ok();
     let fig = Fig4 {
         hours: (clock.now_millis() - start_ms) as f64 / 3_600_000.0,
         rounds,
-        containers: containers
-            .and_then(|v| Some(v.as_vector()?.first()?.value as u64))
-            .unwrap_or(0),
+        containers: instant(&QueryEngine::new(db.clone()), count, clock.now_millis()) as u64,
         samples_per_scrape: samples as f64 / rounds.max(1) as f64,
         activities,
         stats: db.stats(),
@@ -310,7 +307,7 @@ pub struct Fig6Row {
     pub commit: String,
     /// Syscall name.
     pub syscall: String,
-    /// Kernel-visible occurrences per second of wall-clock (server) time.
+    /// Occurrences per second of the server's busy time.
     pub per_second: f64,
 }
 
@@ -325,14 +322,16 @@ pub struct Fig7Row {
 }
 
 /// Runs the Figure 6 experiment: the syscall mix of Redis under the two SCONE
-/// releases.
+/// releases, each read from `teemon_syscalls_total{syscall="…"}` on its own
+/// `Full` host, per second of busy time (which the eBPF programs lengthen).
 pub fn figure6(samples: u64) -> Vec<Fig6Row> {
+    use Syscall::{ClockGettime, EpollWait, Futex, Recvfrom, Sendto};
     let app = RedisApp::paper_config(32);
     let mut rows = Vec::new();
     for version in [SconeVersion::Commit572bd1a5, SconeVersion::Commit09fea91] {
-        let kernel = Kernel::new();
+        let host = MonitorBuilder::new("bench-node").mode(MonitoringMode::Full).build();
         let mut deployment = Deployment::deploy(
-            &kernel,
+            host.kernel(),
             FrameworkParams::scone(version),
             app.name(),
             app.memory_bytes(),
@@ -340,21 +339,17 @@ pub fn figure6(samples: u64) -> Vec<Fig6Row> {
             17,
         )
         .expect("deploy");
-        let request = app.request(8, 320);
-        deployment.execute_many(&request, 320, samples);
+        let start = scrape_edge(&host);
+        deployment.execute_many(&app.request(8, 320), 320, samples);
+        let edges = [start, scrape_edge(&host)];
         let elapsed_s = (deployment.totals().busy_ns as f64 / 1e9).max(1e-9);
-        let table = kernel.syscall_table(deployment.pid());
-        for syscall in [
-            Syscall::ClockGettime,
-            Syscall::Futex,
-            Syscall::Recvfrom,
-            Syscall::Sendto,
-            Syscall::EpollWait,
-        ] {
+        let engine = QueryEngine::new(host.db().clone());
+        for syscall in [ClockGettime, Futex, Recvfrom, Sendto, EpollWait] {
+            let series = format!(r#"teemon_syscalls_total{{syscall="{syscall}"}}"#);
             rows.push(Fig6Row {
                 commit: version.commit_hash().to_string(),
                 syscall: syscall.name().to_string(),
-                per_second: table.count(syscall) as f64 / elapsed_s,
+                per_second: increase(&engine, &series, edges) / elapsed_s,
             });
         }
     }
@@ -486,33 +481,44 @@ fn monitored_run(
     config: &MemtierConfig,
 ) -> (HostMonitor, Pid, [u64; 2]) {
     let host = MonitorBuilder::new("bench-node").mode(MonitoringMode::Full).build();
-    let clock = host.kernel().clock();
     let mut edges = Vec::with_capacity(2);
     run_benchmark(host.kernel(), params, app, &NetworkModel::default(), config, |pid| {
-        // A short phase can move the clock by less than a millisecond, and a
-        // second scrape in the same millisecond would store no new point.
-        clock.advance(teemon_sim_core::SimDuration::from_millis(1));
-        host.scrape_tick();
-        edges.push((pid, clock.now_millis()));
+        edges.push((pid, scrape_edge(&host)));
     })
     .expect("benchmark");
     let [(pid, start), (_, end)] = edges[..] else { unreachable!("a run has two edges") };
     (host, pid, [start, end])
 }
 
+/// Scrapes `host` a millisecond on and returns the scrape's time: a short
+/// phase can move the clock by less than a millisecond, and a second scrape
+/// in the same millisecond would store no new point.
+fn scrape_edge(host: &HostMonitor) -> u64 {
+    host.kernel().clock().advance(teemon_sim_core::SimDuration::from_millis(1));
+    host.scrape_tick();
+    host.kernel().clock().now_millis()
+}
+
+/// `expr`'s first value at `at` through TeeQL; 0 when it has none.
+fn instant(engine: &QueryEngine, expr: &str, at: u64) -> f64 {
+    let value = engine.instant_query(expr, at).ok();
+    value.and_then(|v| Some(v.as_vector()?.first()?.value)).unwrap_or(0.0)
+}
+
+/// How much `sum(<series>)` rose from the first edge to the second.
+fn increase(engine: &QueryEngine, series: &str, [start, end]: [u64; 2]) -> f64 {
+    let sum = format!("sum({series})");
+    instant(engine, &sum, end) - instant(engine, &sum, start)
+}
+
 /// The Figure 11 rates of one configuration as the monitor saw them: each is
 /// the difference of two instant TeeQL reads of an exporter series, taken at
 /// the edges of the measured phase, per 100 requests.
 fn figure11_rates(params: FrameworkParams, app: &RedisApp, config: &MemtierConfig) -> MetricRates {
-    let (host, pid, [start, end]) = monitored_run(params, app, config);
+    let (host, pid, edges) = monitored_run(params, app, config);
     let engine = QueryEngine::new(host.db().clone());
-    let per_100 = |series: &str| {
-        let read = |at| {
-            let value = engine.instant_query(&format!("sum({series})"), at).ok();
-            value.and_then(|v| Some(v.as_vector()?.first()?.value)).unwrap_or(0.0)
-        };
-        (read(end) - read(start)) * 100.0 / config.sample_requests as f64
-    };
+    let per_100 =
+        |series: &str| increase(&engine, series, edges) * 100.0 / config.sample_requests as f64;
     MetricRates {
         user_page_faults: per_100(r#"teemon_page_faults_total{scope="user"}"#),
         total_page_faults: per_100("node_vmstat_pgfault_total"),

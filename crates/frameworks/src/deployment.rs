@@ -330,6 +330,7 @@ impl std::fmt::Debug for Deployment {
 mod tests {
     use super::*;
     use crate::profile::SconeVersion;
+    use teemon_kernel_sim::ebpf::{EbpfVm, PidFilter};
     use teemon_kernel_sim::KernelConfig;
     use teemon_sgx_sim::{CostModel, EpcConfig};
     use teemon_sim_core::SimClock;
@@ -423,39 +424,28 @@ mod tests {
     #[test]
     fn scone_old_commit_issues_many_clock_gettime_syscalls() {
         let req = get_request(78);
-        let kernel_old = kernel();
-        let mut old = Deployment::deploy(
-            &kernel_old,
-            FrameworkParams::scone(SconeVersion::Commit572bd1a5),
-            "redis-server",
-            78 << 20,
-            8,
-            3,
-        )
-        .unwrap();
-        old.execute_many(&req, 320, 1_000);
-        let old_clock = kernel_old.syscall_table(old.pid()).count(Syscall::ClockGettime);
-
-        let kernel_new = kernel();
-        let mut new = Deployment::deploy(
-            &kernel_new,
-            FrameworkParams::scone(SconeVersion::Commit09fea91),
-            "redis-server",
-            78 << 20,
-            8,
-            3,
-        )
-        .unwrap();
-        new.execute_many(&req, 320, 1_000);
-        let new_clock = kernel_new.syscall_table(new.pid()).count(Syscall::ClockGettime);
+        // A release's syscall table is the eBPF syscall map filtered to its
+        // process, as TEEMon's SME would load it.
+        let run = |version| {
+            let kernel = kernel();
+            let params = FrameworkParams::scone(version);
+            let mut d =
+                Deployment::deploy(&kernel, params, "redis-server", 78 << 20, 8, 3).unwrap();
+            let mut vm = EbpfVm::new(kernel.hooks().clone());
+            let table = vm.load_standard_programs(PidFilter::Only(d.pid())).remove(0);
+            d.execute_many(&req, 320, 1_000);
+            let count = |syscall: Syscall| table.get(syscall.name()).unwrap_or(0);
+            (count(Syscall::ClockGettime), count(Syscall::Recvfrom), d.totals().busy_ns)
+        };
+        let (old_clock, old_recvfrom, old_busy_ns) = run(SconeVersion::Commit572bd1a5);
+        let (new_clock, _, new_busy_ns) = run(SconeVersion::Commit09fea91);
 
         assert!(old_clock > 1_500, "old commit should flood clock_gettime, got {old_clock}");
         assert_eq!(new_clock, 0, "new commit handles clock_gettime in-enclave");
         // And the old commit is measurably slower per request.
-        assert!(old.totals().busy_ns > new.totals().busy_ns);
+        assert!(old_busy_ns > new_busy_ns);
         // clock_gettime dominates read/write for the old commit (Figure 6a).
-        let table = kernel_old.syscall_table(old.pid());
-        assert!(table.count(Syscall::ClockGettime) > 5 * table.count(Syscall::Recvfrom));
+        assert!(old_clock > 5 * old_recvfrom);
     }
 
     #[test]

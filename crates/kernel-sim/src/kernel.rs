@@ -7,7 +7,6 @@
 //! eBPF-style programs (and therefore the TEEMon exporters) observe exactly
 //! the events a real kernel would produce.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -18,7 +17,7 @@ use teemon_sim_core::{SimClock, SimDuration};
 
 use crate::hooks::{HookEvent, HookPoint, HookRegistry, PerfEventKind};
 use crate::process::{Pid, ProcessKind, ProcessTable};
-use crate::syscall::{Syscall, SyscallTable};
+use crate::syscall::Syscall;
 
 /// Whether a page fault was taken in user or kernel mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -127,7 +126,6 @@ impl KernelCounters {
 
 struct KernelInner {
     counters: KernelCounters,
-    syscall_tables: BTreeMap<Pid, SyscallTable>,
 }
 
 /// The simulated host kernel.  Clones share all state.
@@ -171,10 +169,7 @@ impl Kernel {
             hooks: HookRegistry::new(),
             sgx,
             ksgxswapd,
-            inner: Arc::new(Mutex::new(KernelInner {
-                counters: KernelCounters::default(),
-                syscall_tables: BTreeMap::new(),
-            })),
+            inner: Arc::new(Mutex::new(KernelInner { counters: KernelCounters::default() })),
         }
     }
 
@@ -220,11 +215,7 @@ impl Kernel {
     /// the flag propagates into the hook events so monitoring can attribute
     /// them.
     pub fn syscall(&self, pid: Pid, syscall: Syscall, from_enclave: bool) -> SimDuration {
-        {
-            let mut inner = self.inner.lock();
-            inner.counters.syscalls += 1;
-            inner.syscall_tables.entry(pid).or_default().record(syscall);
-        }
+        self.inner.lock().counters.syscalls += 1;
         let event = HookEvent::basic(pid).with_syscall(syscall).in_enclave(from_enclave);
         let mut handlers = self.hooks.fire(&HookPoint::sys_enter(), &event);
         handlers += self.hooks.fire(&HookPoint::sys_exit(), &event);
@@ -354,11 +345,6 @@ impl Kernel {
     pub fn counters(&self) -> KernelCounters {
         self.inner.lock().counters
     }
-
-    /// The per-PID syscall histogram.
-    pub fn syscall_table(&self, pid: Pid) -> SyscallTable {
-        self.inner.lock().syscall_tables.get(&pid).cloned().unwrap_or_default()
-    }
 }
 
 impl Default for Kernel {
@@ -390,14 +376,18 @@ mod tests {
     fn syscalls_update_counters_and_tables() {
         let kernel = Kernel::new();
         let pid = kernel.spawn_process("redis-server", ProcessKind::Enclave, 8);
+        let other = kernel.spawn_process("sshd", ProcessKind::User, 1);
+        // A process's syscall table is an eBPF map filtered to its PID.
+        let mut vm = EbpfVm::new(kernel.hooks().clone());
+        let table = vm.load_standard_programs(PidFilter::Only(pid)).remove(0);
         for _ in 0..5 {
             kernel.syscall(pid, Syscall::ClockGettime, true);
         }
         kernel.syscall(pid, Syscall::Read, true);
-        assert_eq!(kernel.counters().syscalls, 6);
-        let table = kernel.syscall_table(pid);
-        assert_eq!(table.count(Syscall::ClockGettime), 5);
-        assert_eq!(table.count(Syscall::Read), 1);
+        kernel.syscall(other, Syscall::Read, false);
+        assert_eq!(kernel.counters().syscalls, 7);
+        assert_eq!(table.get("clock_gettime"), Some(5));
+        assert_eq!(table.get("read"), Some(1));
     }
 
     #[test]

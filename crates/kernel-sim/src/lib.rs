@@ -13,9 +13,10 @@
 //!   those hooks through the [`ebpf::HookRegistry`], aggregating into
 //!   [`ebpf::BpfMap`]s that user-space exporters read.
 //!
-//! Per-process event counts exist only in those maps (the `pid:<n>` keys of
-//! the standard programs).  The kernel itself keeps the host-wide
-//! [`KernelCounters`] the node exporter reads and a per-PID [`SyscallTable`].
+//! Per-process event counts, the syscall mix of one process included, exist
+//! only in those maps (the `pid:<n>` keys of the standard programs, or a VM
+//! loaded with [`ebpf::PidFilter::Only`]).  The kernel itself keeps only the
+//! host-wide [`KernelCounters`] the node exporter reads.
 //!
 //! The simulated kernel also understands enclave-backed processes: syscalls
 //! issued from inside an enclave are charged the enclave-transition cost and
@@ -33,4 +34,4 @@ mod syscall;
 
 pub use kernel::{FaultKind, Kernel, KernelConfig, KernelCounters, PageCacheOp, SwitchKind};
 pub use process::Pid;
-pub use syscall::{Syscall, SyscallTable};
+pub use syscall::Syscall;

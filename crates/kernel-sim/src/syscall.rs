@@ -117,25 +117,6 @@ impl std::fmt::Display for Syscall {
     }
 }
 
-/// A syscall statistics table: per-syscall invocation counts, as an eBPF
-/// program attached to `raw_syscalls:sys_enter` would aggregate them.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SyscallTable {
-    counts: std::collections::BTreeMap<Syscall, u64>,
-}
-
-impl SyscallTable {
-    /// Records one invocation.
-    pub(crate) fn record(&mut self, syscall: Syscall) {
-        *self.counts.entry(syscall).or_insert(0) += 1;
-    }
-
-    /// Count for one syscall.
-    pub fn count(&self, syscall: Syscall) -> u64 {
-        self.counts.get(&syscall).copied().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,17 +125,5 @@ mod tests {
     fn clock_gettime_is_cheap_fsync_is_expensive() {
         assert!(Syscall::ClockGettime.base_cost() < Syscall::Read.base_cost());
         assert!(Syscall::Fsync.base_cost() > Syscall::Write.base_cost().mul(10));
-    }
-
-    #[test]
-    fn table_counts_and_dominant() {
-        let mut table = SyscallTable::default();
-        for _ in 0..23 {
-            table.record(Syscall::Read);
-        }
-        table.record(Syscall::Futex);
-        assert_eq!(table.count(Syscall::Read), 23);
-        assert_eq!(table.count(Syscall::Futex), 1);
-        assert_eq!(table.count(Syscall::Write), 0);
     }
 }
