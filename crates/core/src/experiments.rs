@@ -136,9 +136,9 @@ impl ThreadClock {
 /// [`crate::overhead::PAPER_STACK_REFERENCE`].
 ///
 /// Only the CPU figures and `stats.resident_bytes` differ between two runs
-/// in a process of their own: the self-scrape target stores wall-clock
-/// timings (its own and `scrape_duration_seconds`), which compress
-/// differently each time, and process-wide probes, which other threads move.
+/// in a process of their own: the self-scrape target stores the engine's
+/// wall-clock timings, which compress differently each time, and
+/// process-wide probes, which other threads move.
 ///
 /// # Panics
 ///

@@ -7,7 +7,12 @@
 //! [`MetricsEndpoint`]s in and set per-target scrape intervals.  Every
 //! exporter is scraped typed, registered under the job name the builder
 //! gives it.
+//!
+//! A [`ClusterMonitor`] is one [`HostMonitor`] — the aggregator, with the one
+//! store, scraper, rule engine and monitoring loop — whose targets are every
+//! SGX node's exporters, as §5.4 deploys TEEMon.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,6 +32,10 @@ use teemon_tsdb::{MetricsEndpoint, ScrapeTargetConfig, Scraper, TimeSeriesDb, Ts
 /// that stopped receiving samples give their head buffers back — without it
 /// a deployed monitor grows without bound.
 const RETENTION_PASSES_PER_WINDOW: u64 = 16;
+
+/// The job and port of each exporter a `Full` node runs, in scrape order.
+const FULL_EXPORTERS: [(&str, u16); 4] =
+    [("sgx_exporter", 9090), ("node_exporter", 9100), ("cadvisor", 8080), ("ebpf_exporter", 9435)];
 
 /// Which parts of TEEMon are active — the three configurations of §6.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -203,31 +212,24 @@ impl MonitorBuilder {
         self
     }
 
-    fn target_config(&self, job: &str, port: u16) -> ScrapeTargetConfig {
-        let mut config = ScrapeTargetConfig::new(job, format!("{}:{port}", self.node))
-            .with_label("node", self.node.clone());
-        if let Some((_, interval)) = self.exporter_intervals.iter().find(|(j, _)| j == job) {
-            config = config.with_interval_ms(*interval);
-        }
-        config
-    }
-
     /// Builds the host monitor, deploying exporters according to the mode.
+    /// The loop runs on virtual time, so `scrape_duration_seconds` is charged
+    /// from the scraper's model: two identical runs store the same values.
     pub fn build(self) -> HostMonitor {
-        let kernel = self.kernel.clone().unwrap_or_default();
-        let db = self.db.clone().unwrap_or_else(|| match &self.durability_dir {
+        let kernel = self.kernel.unwrap_or_default();
+        let db = self.db.unwrap_or_else(|| match &self.durability_dir {
             // Documented panic: a monitor asked to be durable must not come
             // up silently volatile.
             Some(dir) => TimeSeriesDb::open(dir, TsdbConfig::default())
                 .expect("open the durable aggregation database"),
             None => TimeSeriesDb::new(),
         });
-        let scraper = Scraper::new(db.clone()).with_interval_ms(self.scrape_interval_ms);
-        let analyzer = Analyzer::new(db.clone());
-        let dashboards = standard();
+        let scraper = Scraper::new(db.clone())
+            .with_interval_ms(self.scrape_interval_ms)
+            .with_modelled_durations();
         let rules = RuleEngine::new(db.clone());
-        for group in &self.rule_groups {
-            rules.add_group(group.clone());
+        for group in self.rule_groups {
+            rules.add_group(group);
         }
         if self.mode == MonitoringMode::Full {
             rules.add_group(pman_alerts());
@@ -236,75 +238,78 @@ impl MonitorBuilder {
             rules.add_group(teemon_query::self_observe_alerts(self.scrape_interval_ms));
             rules.add_group(teemon_query::cardinality_alerts(self.scrape_interval_ms));
         }
-        let mut host = HostMonitor {
-            node: self.node.clone(),
-            kernel,
-            db,
-            scraper,
-            analyzer,
-            dashboards,
-            rules,
-            container_exporter: None,
-            ebpf_exporter: None,
-            server: None,
-            last_retention_ms: AtomicU64::new(0),
-        };
-        if let Some(addr) = &self.server_addr {
-            // Documented panic: a monitor asked to serve must not come up
-            // silently unreachable.
-            let server = teemon_server::Server::start(
-                addr,
-                teemon_server::ServerConfig::default(),
-                host.db.clone(),
-            )
-            .expect("bind the HTTP serving edge");
-            host.server = Some(server);
-        }
-        self.deploy(&mut host);
-        host
-    }
-
-    fn deploy(self, host: &mut HostMonitor) {
-        match self.mode {
-            MonitoringMode::Off => {}
+        let container_exporter = match self.mode {
+            MonitoringMode::Off => None,
             MonitoringMode::EbpfOnly => {
-                host.ebpf_exporter = Some(Arc::new(EbpfExporter::attach(&host.kernel, &self.node)));
+                // The programs stay attached; nothing scrapes their maps.
+                EbpfExporter::attach(&kernel, &self.node);
+                None
             }
             MonitoringMode::Full => {
-                let ebpf = Arc::new(EbpfExporter::attach(&host.kernel, &self.node));
-                let sgx = SgxExporter::new(host.kernel.sgx_driver().clone(), &self.node);
-                let node_exp = NodeExporter::new(&host.kernel, &self.node);
-                let containers = ContainerExporter::new(&self.node);
-
-                let scraper = &host.scraper;
-                scraper.add_target(self.target_config("sgx_exporter", 9090), Arc::new(sgx));
-                scraper.add_target(self.target_config("node_exporter", 9100), Arc::new(node_exp));
-                scraper
-                    .add_target(self.target_config("cadvisor", 8080), Arc::new(containers.clone()));
-                // Scraped through the same `Arc` the host keeps.
-                scraper.add_target(self.target_config("ebpf_exporter", 9435), ebpf.clone());
-                host.container_exporter = Some(containers);
-                host.ebpf_exporter = Some(ebpf);
+                Some(deploy_exporters(&scraper, &kernel, &self.node, &self.exporter_intervals))
             }
-        }
+        };
         if self.server_addr.is_some() || self.mode == MonitoringMode::Full {
             // The engine watches itself: the self-scrape target snapshots
             // the `teemon_obs` probes (scrape timings, shard heat, query
             // modes, lock contention, the serving edge's middleware) into
             // the same database every round.
-            host.scraper.add_self_target(format!("{}:self", self.node));
+            scraper.add_self_target(format!("{}:self", self.node));
         }
-        for (config, endpoint) in &self.extra_targets {
-            host.scraper.add_target(config.clone(), Arc::clone(endpoint));
+        for (config, endpoint) in self.extra_targets {
+            scraper.add_target(config, endpoint);
+        }
+        // Documented panic: a monitor asked to serve must not come up
+        // silently unreachable.
+        let server = self.server_addr.map(|addr| {
+            teemon_server::Server::start(&addr, teemon_server::ServerConfig::default(), db.clone())
+                .expect("bind the HTTP serving edge")
+        });
+        HostMonitor {
+            kernel,
+            scraper,
+            analyzer: Analyzer::new(db.clone()),
+            dashboards: standard(),
+            rules,
+            db,
+            container_exporter,
+            server,
+            last_retention_ms: AtomicU64::new(0),
         }
     }
+}
+
+/// Attaches `node`'s `Full`-mode exporters to `kernel` and registers them
+/// with `scraper` under their job, a `<node>:<port>` instance and a `node`
+/// label (`intervals` overrides a job's interval).  Returns cAdvisor's.
+fn deploy_exporters(
+    scraper: &Scraper,
+    kernel: &Kernel,
+    node: &str,
+    intervals: &[(String, u64)],
+) -> ContainerExporter {
+    let containers = ContainerExporter::new(node);
+    let endpoints: [Arc<dyn MetricsEndpoint>; 4] = [
+        Arc::new(SgxExporter::new(kernel.sgx_driver().clone(), node)),
+        Arc::new(NodeExporter::new(kernel, node)),
+        Arc::new(containers.clone()),
+        Arc::new(EbpfExporter::attach(kernel, node)),
+    ];
+    for ((job, port), endpoint) in FULL_EXPORTERS.into_iter().zip(endpoints) {
+        let mut config =
+            ScrapeTargetConfig::new(job, format!("{node}:{port}")).with_label("node", node);
+        if let Some((_, interval)) = intervals.iter().find(|(j, _)| j == job) {
+            config = config.with_interval_ms(*interval);
+        }
+        scraper.add_target(config, endpoint);
+    }
+    containers
 }
 
 /// One monitored host: a simulated kernel plus the TEEMon components deployed
 /// on it according to the [`MonitoringMode`].  Construct with
 /// [`MonitorBuilder`] (or [`HostMonitor::new`] for the plain presets).
 pub struct HostMonitor {
-    node: String,
     kernel: Kernel,
     db: TimeSeriesDb,
     scraper: Scraper,
@@ -312,7 +317,6 @@ pub struct HostMonitor {
     dashboards: DashboardSet,
     rules: RuleEngine,
     container_exporter: Option<ContainerExporter>,
-    ebpf_exporter: Option<Arc<EbpfExporter>>,
     server: Option<teemon_server::Server>,
     /// Scraped time of the last retention pass (see
     /// [`RETENTION_PASSES_PER_WINDOW`]).
@@ -324,11 +328,6 @@ impl HostMonitor {
     /// [`MonitorBuilder::new`]`(node).mode(mode).build()`.
     pub fn new(node: &str, mode: MonitoringMode) -> Self {
         MonitorBuilder::new(node).mode(mode).build()
-    }
-
-    /// The node name.
-    pub fn node(&self) -> &str {
-        &self.node
     }
 
     /// The simulated kernel workloads should run against.
@@ -372,12 +371,6 @@ impl HostMonitor {
             Some(server) => server.shutdown(),
             None => true,
         }
-    }
-
-    /// The container exporter, when full monitoring is active, so the host
-    /// model can register containers (cAdvisor's data source).
-    pub fn container_exporter(&self) -> Option<&ContainerExporter> {
-        self.container_exporter.as_ref()
     }
 
     /// Registers a container with the container exporter (no-op unless full
@@ -453,33 +446,43 @@ impl HostMonitor {
     }
 }
 
-/// A monitored Kubernetes-like cluster: one [`HostMonitor`] per SGX node,
-/// deployed through the TEEMon Helm chart and discovered via the cluster's
-/// service discovery (§5.4).
+/// A Kubernetes-like cluster monitored as §5.4 deploys TEEMon: every ready
+/// SGX node runs the four exporters a `Full` host runs, registered as that
+/// host registers them, and one aggregator scrapes them all — a
+/// [`HostMonitor`] exporting nothing of its own host, with one store, scraper
+/// and rule engine (PMAN's group once), the dashboards and a `teemon_self`
+/// target.  A node contributes only its kernel, on the aggregator's clock; a
+/// cluster-wide question is TeeQL over the one store.
 pub struct ClusterMonitor {
     cluster: Cluster,
     discovery: ServiceDiscovery,
-    hosts: Vec<HostMonitor>,
+    aggregator: HostMonitor,
+    /// The monitored nodes' kernels, by node name.
+    nodes: BTreeMap<String, Kernel>,
 }
 
 impl ClusterMonitor {
-    /// Installs TEEMon on every SGX node of `cluster` using the default chart
-    /// and full monitoring.
+    /// Installs TEEMon on `cluster` using the default chart: the aggregator,
+    /// and the exporters of every ready SGX node.
     pub fn install(cluster: Cluster) -> Self {
         let mut discovery = ServiceDiscovery::new();
         HelmChart::teemon().install(&mut discovery);
-        let mut hosts = Vec::new();
-        for node in cluster.ready_nodes() {
-            if node.sgx_capable {
-                hosts.push(MonitorBuilder::new(&node.name).mode(MonitoringMode::Full).build());
-            }
-        }
-        Self { cluster, discovery, hosts }
+        let aggregator = MonitorBuilder::new("aggregator").with_rules(pman_alerts()).build();
+        aggregator.scraper().add_self_target("aggregator:self");
+        let mut monitor = Self { cluster, discovery, aggregator, nodes: BTreeMap::new() };
+        monitor.reconcile();
+        monitor
     }
 
-    /// Per-node host monitors.
-    pub fn hosts(&self) -> &[HostMonitor] {
-        &self.hosts
+    /// The aggregator: the cluster's store, scraper, rule engine, analyzer,
+    /// dashboards and monitoring loop.
+    pub fn aggregator(&self) -> &HostMonitor {
+        &self.aggregator
+    }
+
+    /// The monitored nodes' kernels, by node name.
+    pub fn nodes(&self) -> &BTreeMap<String, Kernel> {
+        &self.nodes
     }
 
     /// The scrape endpoints service discovery currently resolves.
@@ -487,38 +490,29 @@ impl ClusterMonitor {
         self.discovery.endpoints(&self.cluster)
     }
 
-    /// Reconciles monitors after cluster topology changes: adds monitors for
-    /// new SGX nodes, drops monitors for departed ones.  Returns
-    /// `(added, removed)`.
+    /// Follows topology changes: a new ready SGX node gets a kernel and its
+    /// exporters as targets, a node that left loses its targets; returns the
+    /// `(added, removed)` node counts.  A departed node's series stay in the
+    /// store until retention, and leave instant queries at the 5-minute lookback.
     pub fn reconcile(&mut self) -> (usize, usize) {
-        let ready_sgx: Vec<String> = self
-            .cluster
-            .ready_nodes()
-            .iter()
-            .filter(|n| n.sgx_capable)
-            .map(|n| n.name.clone())
-            .collect();
-        let before = self.hosts.len();
-        self.hosts.retain(|h| ready_sgx.contains(&h.node().to_string()));
-        let removed = before - self.hosts.len();
-        let mut added = 0;
-        for name in &ready_sgx {
-            if !self.hosts.iter().any(|h| h.node() == name) {
-                self.hosts.push(MonitorBuilder::new(name).mode(MonitoringMode::Full).build());
-                added += 1;
+        let (scraper, before) = (self.aggregator.scraper(), self.nodes.len());
+        let mut ready = BTreeMap::new();
+        for node in self.cluster.ready_nodes().into_iter().filter(|n| n.sgx_capable) {
+            let kernel = self.nodes.remove(&node.name).unwrap_or_else(|| {
+                let kernel = Kernel::with_clock(self.aggregator.kernel().clock().clone());
+                deploy_exporters(scraper, &kernel, &node.name, &[]);
+                kernel
+            });
+            ready.insert(node.name, kernel);
+        }
+        // The nodes not taken over departed.
+        for name in self.nodes.keys() {
+            for (_, port) in FULL_EXPORTERS {
+                scraper.remove_instance(&format!("{name}:{port}"));
             }
         }
-        (added, removed)
-    }
-
-    /// Scrapes every host once.  Returns the number of healthy targets.
-    pub fn scrape_all(&self) -> usize {
-        self.hosts.iter().map(|h| h.scrape_tick()).sum()
-    }
-
-    /// Total enclaves currently active across the cluster.
-    pub fn total_active_enclaves(&self) -> u64 {
-        self.hosts.iter().map(|h| h.kernel().sgx_driver().stats().enclaves_active).sum()
+        let removed = std::mem::replace(&mut self.nodes, ready).len();
+        (self.nodes.len() + removed - before, removed)
     }
 }
 
@@ -976,19 +970,112 @@ mod tests {
     }
 
     #[test]
+    fn two_identical_hosts_store_identical_scrape_durations() {
+        // The four exporters' durations only: the self target's size follows
+        // process-wide probes that concurrent tests move.
+        let run = |node: &str| {
+            let host = HostMonitor::new(node, MonitoringMode::Full);
+            host.run_scrape_loop(3);
+            let mut durations = Vec::new();
+            for series in host.db().select(&Selector::metric("scrape_duration_seconds")) {
+                if series.label_value("job") != Some("teemon_self") {
+                    let points = series.points_in(0, u64::MAX);
+                    let bits: Vec<_> =
+                        points.iter().map(|p| (p.timestamp_ms, p.value.to_bits())).collect();
+                    durations.push((series.label_value("job").map(String::from), bits));
+                }
+            }
+            durations.sort();
+            durations
+        };
+        let first = run("worker-a");
+        assert_eq!(first.len(), 4, "one series per exporter");
+        assert!(first.iter().all(|(_, points)| points.len() == 3));
+        assert_eq!(first, run("worker-b"));
+    }
+
+    /// `expr` over the aggregator's store at its newest sample: each result's
+    /// `node` label (empty when it has none) and value, in that order.
+    fn by_node(monitor: &ClusterMonitor, expr: &str) -> Vec<(String, f64)> {
+        let db = monitor.aggregator().db();
+        let at = db.newest_timestamp().unwrap_or(0);
+        let value = teemon_query::QueryEngine::new(db.clone()).instant_query(expr, at).unwrap();
+        let mut out: Vec<_> = value
+            .as_vector()
+            .unwrap_or(&[])
+            .iter()
+            .map(|s| (s.labels.get("node").unwrap_or("").to_string(), s.value))
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    #[test]
     fn cluster_monitor_follows_topology() {
         let cluster = Cluster::with_nodes(2, 1);
         let mut monitor = ClusterMonitor::install(cluster.clone());
-        assert_eq!(monitor.hosts().len(), 2, "one monitor per SGX node");
+        assert_eq!(monitor.nodes().len(), 2, "one kernel per SGX node");
         assert!(monitor.endpoints().len() >= 4);
-        assert_eq!(monitor.total_active_enclaves(), 0);
+        monitor.aggregator().run_scrape_loop(1);
+        assert_eq!(by_node(&monitor, "sum(sgx_nr_enclaves)"), [(String::new(), 0.0)]);
 
         cluster.add_node(Node::sgx("sgx-new"));
         cluster.remove_node("sgx-0");
         let (added, removed) = monitor.reconcile();
         assert_eq!((added, removed), (1, 1));
-        assert_eq!(monitor.hosts().len(), 2);
-        let healthy = monitor.scrape_all();
-        assert_eq!(healthy, 2 * 5);
+        assert_eq!(monitor.nodes().len(), 2);
+        let healthy = monitor.aggregator().scrape_tick();
+        assert_eq!(healthy, 2 * 4 + 1, "four exporters a node and the aggregator's self target");
+    }
+
+    #[test]
+    fn cluster_wide_syscalls_are_the_sum_of_the_nodes_kernels() {
+        let monitor = ClusterMonitor::install(Cluster::with_nodes(3, 1));
+        let aggregator = monitor.aggregator();
+        assert_eq!(aggregator.rules().group_count(), 1, "PMAN's group, once for the fleet");
+        for (calls, kernel) in [10, 20, 30].into_iter().zip(monitor.nodes().values()) {
+            let enclave = teemon_kernel_sim::process::ProcessKind::Enclave;
+            let pid = kernel.spawn_process("redis-server", enclave, 4);
+            for _ in 0..calls {
+                kernel.syscall(pid, Syscall::Read, true);
+            }
+        }
+        aggregator.run_scrape_loop(1);
+        let kernels: Vec<_> = monitor
+            .nodes()
+            .iter()
+            .map(|(node, k)| (node.clone(), k.counters().syscalls as f64))
+            .collect();
+        assert_eq!(kernels.iter().map(|(_, n)| n).sum::<f64>(), 10.0 + 20.0 + 30.0);
+        assert_eq!(by_node(&monitor, "sum(teemon_syscalls_total)"), [(String::new(), 60.0)]);
+        assert_eq!(by_node(&monitor, "sum by (node) (teemon_syscalls_total)"), kernels);
+    }
+
+    #[test]
+    fn a_drained_node_leaves_the_targets_and_then_the_lookback() {
+        let cluster = Cluster::with_nodes(2, 0);
+        let mut monitor = ClusterMonitor::install(cluster.clone());
+        let run = |monitor: &ClusterMonitor, rounds| monitor.aggregator().run_scrape_loop(rounds);
+        let ups = |monitor: &ClusterMonitor| {
+            by_node(monitor, r#"sum by (node) (up{job!="teemon_self"})"#)
+        };
+        run(&monitor, 2);
+        assert_eq!(ups(&monitor), [("sgx-0".into(), 4.0), ("sgx-1".into(), 4.0)]);
+
+        // The drained node's four targets leave in the reconcile; its series
+        // stay visible to instant queries until the 5-minute lookback passes.
+        cluster.set_ready("sgx-0", false);
+        assert_eq!(monitor.reconcile(), (0, 1));
+        assert_eq!(monitor.aggregator().scraper().target_count(), 4 + 1);
+        run(&monitor, 1);
+        assert_eq!(ups(&monitor), [("sgx-0".into(), 4.0), ("sgx-1".into(), 4.0)]);
+        run(&monitor, 5 * 60 / 5);
+        assert_eq!(ups(&monitor), [("sgx-1".into(), 4.0)]);
+
+        // A joining node's targets scrape healthy at the next tick.
+        cluster.add_node(Node::sgx("sgx-join"));
+        assert_eq!(monitor.reconcile(), (1, 0));
+        run(&monitor, 1);
+        assert_eq!(ups(&monitor), [("sgx-1".into(), 4.0), ("sgx-join".into(), 4.0)]);
     }
 }

@@ -144,8 +144,14 @@ impl Kernel {
     /// Creates a kernel with default configuration, a default-sized EPC and a
     /// fresh clock.
     pub fn new() -> Self {
+        Self::with_clock(SimClock::new())
+    }
+
+    /// Creates a kernel with default configuration and a default-sized EPC
+    /// on `clock`, which it may share with other kernels (a cluster's nodes).
+    pub fn with_clock(clock: SimClock) -> Self {
         Self::with_config(
-            SimClock::new(),
+            clock,
             KernelConfig::default(),
             EpcConfig::default(),
             CostModel::default(),

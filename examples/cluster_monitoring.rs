@@ -1,7 +1,8 @@
 //! Cluster-scale deployment (§5.4 of the paper): TEEMon installed through the
 //! Helm chart onto a Kubernetes-like cluster, exporters placed as DaemonSets
-//! on SGX nodes, service discovery following topology changes, and enclaves
-//! monitored across nodes.
+//! on SGX nodes, one aggregator scraping every node's exporters into one
+//! store, and service discovery following topology changes.  Cluster-wide
+//! figures are TeeQL over that store.
 //!
 //! ```text
 //! cargo run --release --example cluster_monitoring
@@ -18,7 +19,8 @@ fn main() {
     println!("cluster: {} nodes ({} SGX-capable)", cluster.node_count(), 4);
     println!("helm chart:\n{}", HelmChart::teemon().to_json());
 
-    // Install TEEMon: one HostMonitor per SGX node.
+    // Install TEEMon: four exporters on every SGX node, one aggregator
+    // scraping them all.
     let mut monitor = ClusterMonitor::install(cluster.clone());
     println!("\nservice discovery resolved {} scrape endpoints:", monitor.endpoints().len());
     for endpoint in monitor.endpoints() {
@@ -27,9 +29,9 @@ fn main() {
 
     // Start enclave workloads on every SGX node.
     let mut deployments = Vec::new();
-    for host in monitor.hosts() {
+    for kernel in monitor.nodes().values() {
         let mut d = Deployment::deploy(
-            host.kernel(),
+            kernel,
             FrameworkParams::for_kind(FrameworkKind::Scone),
             "redis-server",
             64 << 20,
@@ -43,35 +45,43 @@ fn main() {
         }
         deployments.push(d);
     }
-    println!("\nactive enclaves across the cluster: {}", monitor.total_active_enclaves());
 
-    // Scrape everything and summarise per node.
-    let healthy = monitor.scrape_all();
+    // One aggregator round over every node, then the cluster-wide figures
+    // from its store.
+    let healthy = monitor.aggregator().scrape_tick();
+    let engine = QueryEngine::new(monitor.aggregator().db().clone());
+    let enclaves = by_node(&engine, "sum(sgx_nr_enclaves)").first().map_or(0.0, |e| e.1);
+    println!("\nactive enclaves across the cluster: {enclaves}");
     println!("healthy scrape targets: {healthy}");
-    for host in monitor.hosts() {
-        let engine = QueryEngine::new(host.db().clone());
-        let evicted = latest_total(&engine, "sgx_pages_evicted_total");
-        let syscalls = latest_total(&engine, "teemon_syscalls_total");
-        println!(
-            "  node {:<8} syscalls observed: {:>8.0}  EPC pages evicted: {:>6.0}",
-            host.node(),
-            syscalls,
-            evicted
-        );
+    let evicted = by_node(&engine, "sum by (node) (sgx_pages_evicted_total)");
+    for (node, syscalls) in by_node(&engine, "sum by (node) (teemon_syscalls_total)") {
+        let evicted = evicted.iter().find(|(n, _)| *n == node).map_or(0.0, |e| e.1);
+        println!("  node {node:<8} syscalls observed: {syscalls:>8.0}  EPC pages evicted: {evicted:>6.0}");
     }
 
     // Topology change: a new SGX node joins, an old one drains.
     cluster.add_node(Node::sgx("sgx-burst"));
     cluster.set_ready("sgx-0", false);
     let (added, removed) = monitor.reconcile();
-    println!("\ntopology change reconciled: {added} monitor(s) added, {removed} removed");
+    println!("\ntopology change reconciled: {added} node(s) added, {removed} removed");
     println!("service discovery now resolves {} endpoints", monitor.endpoints().len());
+    println!(
+        "the aggregator now scrapes {} targets",
+        monitor.aggregator().scraper().target_count()
+    );
 }
 
-/// `sum(metric)` at the newest stored sample: the latest value of every
-/// series of `metric`, added up.
-fn latest_total(engine: &QueryEngine, metric: &str) -> f64 {
+/// `expr` at the newest stored sample, as (`node` label, value) pairs sorted
+/// by node; a result without a `node` label has an empty one.
+fn by_node(engine: &QueryEngine, expr: &str) -> Vec<(String, f64)> {
     let now = engine.db().newest_timestamp().unwrap_or(0);
-    let total = engine.instant_query(&format!("sum({metric})"), now).expect("sum parses");
-    total.as_vector().and_then(|samples| samples.first()).map_or(0.0, |sample| sample.value)
+    let value = engine.instant_query(expr, now).expect("the query parses");
+    let mut out: Vec<_> = value
+        .as_vector()
+        .unwrap_or(&[])
+        .iter()
+        .map(|s| (s.labels.get("node").unwrap_or("").to_string(), s.value))
+        .collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
 }

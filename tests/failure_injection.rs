@@ -124,7 +124,7 @@ fn malformed_exporter_output_does_not_poison_the_db() {
 fn cluster_monitor_handles_node_churn() {
     let cluster = Cluster::with_nodes(3, 0);
     let mut monitor = ClusterMonitor::install(cluster.clone());
-    assert_eq!(monitor.hosts().len(), 3);
+    assert_eq!(monitor.nodes().len(), 3);
     let baseline_endpoints = monitor.endpoints().len();
 
     // Two nodes die, one new node joins.
@@ -134,16 +134,16 @@ fn cluster_monitor_handles_node_churn() {
     let (added, removed) = monitor.reconcile();
     assert_eq!(added, 1);
     assert_eq!(removed, 2);
-    assert_eq!(monitor.hosts().len(), 2);
+    assert_eq!(monitor.nodes().len(), 2);
     assert!(monitor.endpoints().len() < baseline_endpoints);
 
-    // Everything that remains is scrapable: four exporters plus the
-    // engine's own self-telemetry target per Full-mode host.
-    assert_eq!(monitor.scrape_all(), monitor.hosts().len() * 5);
+    // Everything that remains is scrapable: four exporters per node plus
+    // the aggregator's own self-telemetry target.
+    assert_eq!(monitor.aggregator().scrape_tick(), monitor.nodes().len() * 4 + 1);
 
     // The failed node recovers.
     cluster.set_ready("sgx-0", true);
     let (added, removed) = monitor.reconcile();
     assert_eq!((added, removed), (1, 0));
-    assert_eq!(monitor.hosts().len(), 3);
+    assert_eq!(monitor.nodes().len(), 3);
 }
