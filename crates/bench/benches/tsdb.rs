@@ -26,6 +26,8 @@ use teemon_tsdb::Sample;
 /// each, so µs per iteration / 120 is ns per sample.
 fn bench_codec_bytes(c: &mut Criterion) {
     const SAMPLES: u64 = 120;
+    // Every chunk's start: the first timestamp its block leaves out.
+    const START_MS: u64 = 1_700_000_000_000;
     let series = if smoke() { 16 } else { 1_000 };
     // A value from the tick, the previous value and a uniform draw below `n`.
     type Shape = fn(u64, f64, &mut dyn FnMut(u64) -> i64) -> f64;
@@ -60,7 +62,7 @@ fn bench_codec_bytes(c: &mut Criterion) {
                 (0..SAMPLES)
                     .map(|tick| {
                         value = shape(tick, value, &mut below);
-                        Sample { timestamp_ms: 1_700_000_000_000 + tick * 5_000, value }
+                        Sample { timestamp_ms: START_MS + tick * 5_000, value }
                     })
                     .collect()
             })
@@ -91,7 +93,13 @@ fn bench_codec_bytes(c: &mut Criterion) {
                 let mut newest = 0;
                 for (kind, block) in &blocks {
                     decoded.clear();
-                    chunk_codec::decode_into(block, *kind, SAMPLES as usize, &mut decoded);
+                    chunk_codec::decode_into(
+                        block,
+                        *kind,
+                        START_MS,
+                        SAMPLES as usize,
+                        &mut decoded,
+                    );
                     newest ^= decoded.last().map_or(0, |s| s.value.to_bits());
                 }
                 black_box(newest)

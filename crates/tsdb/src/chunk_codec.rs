@@ -20,36 +20,54 @@
 //!
 //! The format, per block:
 //!
-//! * sample 0: raw 64-bit timestamp, raw 64-bit value bits;
+//! * sample 0: no timestamp — the first timestamp is the block's *start*,
+//!   which whoever keeps the bytes keeps beside them (a chunk's footer holds
+//!   it anyway) and hands the decoder, as it does the count and the kind; the
+//!   value as its raw 64 bits in an [`BlockKind::Xor`] block, and in an
+//!   [`BlockKind::Integer`] block as a `Δ²` against zero registers — the value
+//!   itself — through the integer ladder below (`0` for a zero);
+//! * sample 1's timestamp: its delta from the start, unbiased, as `0`+14
+//!   bits, with `1` + the raw 64-bit delta as the escape — every scrape
+//!   interval up to 16.383 s in 15 bits, any `u64` delta exact;
 //! * timestamps thereafter: `Δ²` buckets `0` / `10`+7 bits / `110`+9 bits /
 //!   `1110`+12 bits, with `1111` + a raw 64-bit *delta* as the escape (so
 //!   arbitrary `u64` timestamps round-trip without overflow);
-//! * values thereafter, in an [`BlockKind::Xor`] block: `0` for an identical
-//!   bit pattern, otherwise `1` and either `0` + the meaningful bits inside
-//!   the previous leading/trailing window, or `1` + 6-bit leading-zero count
-//!   + 6-bit length + the bits;
-//! * values thereafter, in an [`BlockKind::Integer`] block: the `Δ²` of the
-//!   value as an `i64` (the first delta is taken against zero) through the
-//!   same kind of ladder, `0` for "same rate as before", then `10`+5 bits /
-//!   `110`+9 / `1110`+14 / `11110`+20 / `111110`+26 / `1111110`+34 /
-//!   `11111110`+48, each payload biased like the timestamps' (an `n`-bit rung
-//!   holds `-(2ⁿ⁻¹ - 1) ..= 2ⁿ⁻¹`), and `11111111` + the raw 64-bit `Δ²` as
-//!   the escape.
+//! * values thereafter, in an XOR block: `0` for an identical bit pattern,
+//!   otherwise `1` and either `0` + the meaningful bits inside the previous
+//!   leading/trailing window, or `1` + 6-bit leading-zero count + 6-bit
+//!   length + the bits;
+//! * values thereafter, in an integer block: the `Δ²` of the value as an
+//!   `i64` (the first delta is taken against zero) through the same kind of
+//!   ladder, `0` for "same rate as before", then `10`+5 bits / `110`+9 /
+//!   `1110`+14 / `11110`+20 / `111110`+26 / `1111110`+34 / `11111110`+48,
+//!   each payload biased like the timestamps' (an `n`-bit rung holds
+//!   `-(2ⁿ⁻¹ - 1) ..= 2ⁿ⁻¹`), and `11111111` + the raw 64-bit `Δ²` as the
+//!   escape.
+//!
+//! So a steady chunk of 120 samples at 5 s is 15 bits of first delta, the
+//! first value (its 64 raw bits in an XOR block; in an integer block one bit
+//! for a zero, 18 for a magnitude below 8 192), that value's first step and
+//! two bits a sample after that: 33–35 bytes for a gauge or counter where a
+//! raw first sample made it 55–56.  Blocks written before this format opened
+//! with a raw 64-bit timestamp and the first value's raw bits, and took
+//! sample 1's delta as a `Δ²`; [`decode_legacy`] reads those — only a
+//! store's recovery calls it, to seal each such block again in this form.
 //!
 //! **Which kind a block is, is a function of its samples alone**, never of a
 //! setting: [`BlockKind::Integer`] iff every value *qualifies* — survives
 //! `f64 → i64 → f64` bit for bit and has `|v| ≤ 2⁵³`, the range in which
 //! every integer is an `f64` and the `Δ²` of any two fits an `i64` with room
 //! to spare.  `-0.0`, NaN, ±∞ and anything with a fraction do not qualify,
-//! and a block holding even one such value is an XOR block, byte for byte
-//! what it was before the integer kind existed.  Like the sample count, the
-//! kind is not part of the byte stream: whoever keeps the bytes keeps it
-//! beside them and tells the decoder.
+//! and a block holding even one such value is an XOR block, coded — past its
+//! opening — as every block was before the integer kind existed.  Like the
+//! sample count and the start, the kind is not part of the byte stream:
+//! whoever keeps the bytes keeps it beside them and tells the decoder.
 //!
 //! There is one decoder, `GorillaState`: a few words of register state —
 //! the previous timestamp, delta and value registers — stepped over a bit
-//! reader, and one way into it, [`decode_into`], which every read of a block
-//! drains through: a range read, a chunk a range only partly covers, a point
+//! reader, and one way into it, [`decode_into`] ([`decode_legacy`] enters
+//! it through the older opening), which every read of a block drains
+//! through: a range read, a chunk a range only partly covers, a point
 //! read (`at`, which decodes the block it lands in whole and searches the
 //! samples), the seal that falls back to raw samples.  It keeps one bit reader
 //! alive for the whole block.  That reader buffers up to 64 bits in an
@@ -72,11 +90,13 @@
 //! accumulator that leaves as one big-endian word each time it fills, and a
 //! ladder marker with its payload, or the XOR control bits with the 6+6-bit
 //! window header, go in as a single field.  It is *resumable*: what one
-//! block's encoding carries from sample to sample — previous timestamp,
-//! delta and value, the value window or the value delta, the pending word and
-//! the bit count — is [`BlockEncoder`], a few words of plain data beside the
-//! buffer the block grows in, with [`BlockEncoder::push`] taking any number
-//! of samples and [`BlockEncoder::finish`] completing the last byte.  A block
+//! block's encoding carries from sample to sample — the start, the previous
+//! timestamp, delta and value, the value window or the value delta, and the
+//! bit count — is [`BlockEncoder`], a few words of plain data beside the
+//! buffer the block grows in.  [`BlockEncoder::push`] takes any number of
+//! samples and leaves the buffer holding the finished block, the last byte
+//! zero-padded; the next push takes the unfinished word back off the buffer,
+//! so the pending bits live there and not in the encoder.  A block
 //! starts in the integer kind when its first value qualifies; the first
 //! value that does not **re-encodes what the block holds as XOR, in place**
 //! — cold, at most once per block, and the only step here that allocates
@@ -84,8 +104,8 @@
 //! So a block built in bursts is byte-identical to one built at once, kind
 //! included, which is how the storage engine's open head *is* the block it
 //! will seal (eight samples a burst; see `crate::head::Head`).
-//! [`encode_into`] is one `push` and a `finish` into a buffer the caller
-//! reuses, and [`encode`] is that plus a fresh `Vec`.
+//! [`encode_into`] is one `push` into a buffer the caller reuses, and
+//! [`encode`] is that plus a fresh `Vec`.
 //!
 //! [`encode`] rejects (returns `None` for) timestamp sequences that go
 //! backwards: the storage engine never produces them (out-of-order appends
@@ -110,10 +130,27 @@ struct BitWriter<'a> {
     used: u32,
 }
 
-impl BitWriter<'_> {
+impl<'a> BitWriter<'a> {
+    /// A writer behind the `bits` bits of the finished block in `out`: the
+    /// block's whole words stay where they are and its unfinished one comes
+    /// back off the buffer into the accumulator.
+    fn resume(out: &'a mut Vec<u8>, bits: u64) -> Self {
+        let whole = usize::try_from(bits / 64 * 8).unwrap_or(usize::MAX);
+        let used = (bits % 64) as u32;
+        let mut word = [0u8; 8];
+        for (dst, src) in word.iter_mut().zip(out.get(whole..).unwrap_or(&[])) {
+            *dst = *src;
+        }
+        // Bits past the block's end, if the buffer holds any, shift out.
+        let acc = u64::from_be_bytes(word).checked_shr(64 - used).unwrap_or(0);
+        out.truncate(whole);
+        Self { out, acc, used }
+    }
+
     /// Writes the low `count` bits of `value`, MSB first.  `1 <= count <= 64`
-    /// and `value` has no bit set above them.
-    #[inline]
+    /// and `value` has no bit set above them.  Always inlined: every field of
+    /// every sample goes through it.
+    #[inline(always)]
     fn put(&mut self, value: u64, count: u32) {
         debug_assert!((1..=64).contains(&count) && (count == 64 || value >> count == 0));
         let free = 64 - self.used;
@@ -130,6 +167,19 @@ impl BitWriter<'_> {
         self.out.extend_from_slice(&word.to_be_bytes());
         self.acc = value;
         self.used = carry;
+    }
+
+    /// Finishes the block: the pending bits, zero-padded to a whole byte.
+    /// Returns how many bits the block holds.
+    fn finish(self) -> u64 {
+        let bits = self.out.len() as u64 * 8 + u64::from(self.used);
+        if self.used > 0 {
+            // The whole word goes out (a fixed-size copy) and the padding
+            // past the last used byte comes back off.
+            self.out.extend_from_slice(&(self.acc << (64 - self.used)).to_be_bytes());
+            self.out.truncate(usize::try_from(bits.div_ceil(8)).unwrap_or(usize::MAX));
+        }
+        bits
     }
 }
 
@@ -206,8 +256,8 @@ impl<'a> BitReader<'a> {
 /// Sentinel for "no value window established yet".
 const NO_WINDOW: u32 = u32::MAX;
 
-/// How a block stores its values after the first: the one thing besides the
-/// sample count a decoder has to be told.  Decided by the encoder from the
+/// How a block stores its values: the one thing besides the sample count and
+/// the start a decoder has to be told.  Decided by the encoder from the
 /// values it is given (see the module docs), never configured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BlockKind {
@@ -226,6 +276,12 @@ const VALUE_LADDER: [u32; 7] = [5, 9, 14, 20, 26, 34, 48];
 
 /// Marker bits of the integer ladder's escape.
 const VALUE_ESCAPE_ONES: u32 = VALUE_LADDER.len() as u32 + 1;
+
+/// Payload width of a block's first delta, from its start to its second
+/// sample: a zero and the delta as it is (a delta is never negative) up to
+/// 16.383 s, a 5, 10 or 15 s scrape interval in 15 bits; a one and the raw
+/// 64-bit delta otherwise.
+const FIRST_DELTA_BITS: u32 = 14;
 
 /// What a `width`-bit rung adds to a `Δ²` so that `-(2^(width-1) - 1) ..=
 /// 2^(width-1)` lands on `0 .. 2^width`.
@@ -251,18 +307,18 @@ pub(crate) fn whole(value: f64) -> Option<i64> {
 /// kind it is.
 ///
 /// Returns `None` for an empty slice and for input whose timestamps decrease
-/// anywhere (equal consecutive timestamps are fine).  Neither the sample
-/// count nor the kind is encoded; keep them alongside the bytes (the chunk
-/// footer does) and pass them to [`decode`].
+/// anywhere (equal consecutive timestamps are fine).  Neither the start (the
+/// first sample's timestamp), the sample count nor the kind is encoded; keep
+/// them alongside the bytes (the chunk footer does) and pass them to
+/// [`decode`].
 pub fn encode(samples: &[Sample]) -> Option<(BlockKind, Vec<u8>)> {
     let mut out = Vec::new();
     encode_into(samples, &mut out).map(|kind| (kind, out))
 }
 
 /// [`encode`] into a caller-owned buffer: `out` is cleared, then holds the
-/// block — one [`BlockEncoder::push`] and a [`BlockEncoder::finish`].
-/// Returns `None` where [`encode`] does; `out` then holds a partial block
-/// and stays reusable.
+/// block — one [`BlockEncoder::push`].  Returns `None` where [`encode`]
+/// does; `out` then holds a partial block and stays reusable.
 #[must_use]
 pub fn encode_into(samples: &[Sample], out: &mut Vec<u8>) -> Option<BlockKind> {
     out.clear();
@@ -270,7 +326,6 @@ pub fn encode_into(samples: &[Sample], out: &mut Vec<u8>) -> Option<BlockKind> {
     if samples.is_empty() || !encoder.push(samples, out) {
         return None;
     }
-    encoder.finish(out);
     Some(encoder.kind())
 }
 
@@ -284,21 +339,22 @@ thread_local! {
 }
 
 /// The encoder, resumable: the registers one block's encoding carries from
-/// sample to sample — previous timestamp, delta and value, the value window
-/// or the value delta, the pending word and how many bits the block holds —
+/// sample to sample — the start, the previous timestamp, delta and value,
+/// the value window or the value delta, and how many bits the block holds —
 /// as a few words of plain data beside the buffer the block grows in.  A
-/// block built by any split of its samples into [`BlockEncoder::push`] bursts
-/// is byte-identical to [`encode`] of the whole and of the same kind, which
-/// is how the storage engine's open head is the block it will seal.
+/// block built by any split of its samples into [`BlockEncoder::push`]
+/// bursts is byte-identical to [`encode`] of the whole and of the same kind,
+/// which is how the storage engine's open head is the block it will seal.
 ///
-/// Between calls the buffer may hold the block either way: whole words only
-/// (what `push` leaves) or zero-padded to a byte (what `finish` leaves, and
-/// what the decoder reads).  Both calls first cut it back to its whole
-/// words, so a finished block can be pushed to again and finishing twice
-/// changes nothing.  The buffer must be the one this encoder's earlier calls
-/// wrote, untouched in between.
+/// Between calls the buffer holds the finished block: whole words, then the
+/// bits of the unfinished one zero-padded to a byte — what the decoder reads.
+/// The buffer must be the one this encoder's earlier pushes wrote, untouched
+/// in between.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockEncoder {
+    /// The block's start: its first sample's timestamp, which the block
+    /// itself does not hold.
+    first_ts: u64,
     prev_ts: u64,
     prev_delta: u64,
     /// The newest value: its `f64` bits in an XOR block, its `i64` in an
@@ -306,9 +362,6 @@ pub struct BlockEncoder {
     prev_value: u64,
     /// Integer blocks: the newest value less the one before it.
     value_delta: i64,
-    /// The pending word: its low `bits % 64` bits have not reached the
-    /// buffer as part of a whole word yet.
-    acc: u64,
     /// Bits encoded so far.
     bits: u64,
     count: u32,
@@ -332,11 +385,11 @@ impl BlockEncoder {
     /// An encoder at the start of an empty block.
     pub fn new() -> Self {
         Self {
+            first_ts: 0,
             prev_ts: 0,
             prev_delta: 0,
             prev_value: 0,
             value_delta: 0,
-            acc: 0,
             bits: 0,
             count: 0,
             kind: BlockKind::Integer,
@@ -350,11 +403,17 @@ impl BlockEncoder {
         self.count
     }
 
-    /// The kind of the block as it stands — the other thing a decoder of it
+    /// The kind of the block as it stands — another thing a decoder of it
     /// needs: integer until a value that does not qualify has been pushed
     /// (an empty block included), XOR from then on.
     pub fn kind(&self) -> BlockKind {
         self.kind
+    }
+
+    /// The block's start — the timestamp of its first sample, the last thing
+    /// a decoder of it needs — `None` for an empty block.
+    pub fn first_timestamp(&self) -> Option<u64> {
+        (self.count > 0).then_some(self.first_ts)
     }
 
     /// Timestamp of the newest encoded sample, `None` for an empty block.
@@ -362,19 +421,15 @@ impl BlockEncoder {
         (self.count > 0).then_some(self.prev_ts)
     }
 
-    /// Length of the finished block in bytes.
+    /// Length of the block in bytes.
     pub fn byte_len(&self) -> usize {
         usize::try_from(self.bits.div_ceil(8)).unwrap_or(usize::MAX)
     }
 
-    /// Length of the block's whole 64-bit words in bytes.
-    fn whole_bytes(&self) -> usize {
-        usize::try_from(self.bits / 64 * 8).unwrap_or(usize::MAX)
-    }
-
-    /// Appends `samples` to the block in `out`.  Returns `false` at the first
-    /// sample older than its predecessor (the block's newest included); the
-    /// samples before it are encoded, it and the rest are not.
+    /// Appends `samples` to the block in `out` and leaves it finished.
+    /// Returns `false` at the first sample older than its predecessor (the
+    /// block's newest included); the samples before it are encoded, it and
+    /// the rest are not.
     ///
     /// The first value of an integer block that is not a whole number turns
     /// the block into an XOR one: what it holds is decoded and encoded again
@@ -400,8 +455,7 @@ impl BlockEncoder {
     #[cold]
     #[inline(never)]
     fn convert_to_xor(&mut self, out: &mut Vec<u8>) {
-        self.finish(out);
-        let held = decode(out, BlockKind::Integer, self.count as usize);
+        let held = decode(out, BlockKind::Integer, self.first_ts, self.count as usize);
         *self = Self { kind: BlockKind::Xor, ..Self::new() };
         let (_, ordered) = self.push_values::<false>(&held, out);
         debug_assert!(ordered, "samples a block held are in order");
@@ -411,15 +465,38 @@ impl BlockEncoder {
     /// samples it took and whether it stopped at a backwards timestamp; an
     /// integer block also stops, in order, at the first value that does not
     /// qualify — before anything of that sample is written.
+    ///
+    /// A block's first two samples open it — a value alone, then the first
+    /// delta — and everything after them takes the loop of `Δ²`s: two runs
+    /// of one loop, so the hot one tests nothing the opening needs.
     #[inline]
     fn push_values<const INTEGER: bool>(
         &mut self,
         samples: &[Sample],
         out: &mut Vec<u8>,
     ) -> (usize, bool) {
-        out.truncate(self.whole_bytes());
+        let opening = 2usize.saturating_sub(self.count as usize).min(samples.len());
+        let (head, rest) = samples.split_at(opening);
+        if opening > 0 {
+            let (taken, ordered) = self.run::<INTEGER, true>(head, out);
+            if taken < opening || !ordered {
+                return (taken, ordered);
+            }
+        }
+        let (taken, ordered) = self.run::<INTEGER, false>(rest, out);
+        (opening + taken, ordered)
+    }
+
+    /// [`BlockEncoder::push_values`]' loop over `samples`: with `OPENING`,
+    /// the block's first two samples at most, else samples behind them.
+    #[inline]
+    fn run<const INTEGER: bool, const OPENING: bool>(
+        &mut self,
+        samples: &[Sample],
+        out: &mut Vec<u8>,
+    ) -> (usize, bool) {
         // Registers live in locals across the loop and go back once.
-        let mut w = BitWriter { out, acc: self.acc, used: (self.bits % 64) as u32 };
+        let mut w = BitWriter::resume(out, self.bits);
         let mut prev_ts = self.prev_ts;
         let mut prev_delta = self.prev_delta;
         let mut prev_value = self.prev_value;
@@ -427,16 +504,19 @@ impl BlockEncoder {
         let mut prev_leading = u32::from(self.prev_leading);
         let mut prev_trailing = u32::from(self.prev_trailing);
         let mut rest = samples;
-        if self.count == 0 {
+        if OPENING && self.count == 0 {
+            // The first sample: its timestamp is the block's start, kept
+            // beside the block, and its value goes in alone.
             let Some((first, tail)) = samples.split_first() else { return (0, true) };
-            prev_value = if INTEGER {
+            if INTEGER {
                 let Some(int) = whole(first.value) else { return (0, true) };
-                int as u64
+                put_value_dod(&mut w, int);
+                prev_value = int as u64;
             } else {
-                first.value.to_bits()
-            };
-            w.put(first.timestamp_ms, 64);
-            w.put(first.value.to_bits(), 64);
+                prev_value = first.value.to_bits();
+                w.put(prev_value, 64);
+            }
+            self.first_ts = first.timestamp_ms;
             prev_ts = first.timestamp_ms;
             rest = tail;
         }
@@ -454,25 +534,30 @@ impl BlockEncoder {
                 0
             };
             let delta = sample.timestamp_ms - prev_ts;
-            if INTEGER && delta == prev_delta && int - prev_value as i64 == value_delta {
-                w.put(0, 2);
-                prev_ts = sample.timestamp_ms;
-                prev_value = int as u64;
-                encoded += 1;
-                continue;
-            }
-            // i128 so the delta-of-delta of arbitrary u64 deltas cannot overflow.
-            let dod = delta as i128 - prev_delta as i128;
-            // Bucket marker and biased Δ² leave as one field.
-            match dod {
-                0 => w.put(0, 1),
-                -63..=64 => w.put((0b10 << 7) | (dod + 63) as u64, 2 + 7),
-                -255..=256 => w.put((0b110 << 9) | (dod + 255) as u64, 3 + 9),
-                -2047..=2048 => w.put((0b1110 << 12) | (dod + 2047) as u64, 4 + 12),
-                _ => {
-                    // Escape: the raw delta (not the Δ²), so huge jumps stay exact.
-                    w.put(0b1111, 4);
-                    w.put(delta, 64);
+            if OPENING {
+                // The second sample: no delta before it to take a `Δ²` of.
+                put_first_delta(&mut w, delta);
+            } else {
+                if INTEGER && delta == prev_delta && int - prev_value as i64 == value_delta {
+                    w.put(0, 2);
+                    prev_ts = sample.timestamp_ms;
+                    prev_value = int as u64;
+                    encoded += 1;
+                    continue;
+                }
+                // i128 so the delta-of-delta of arbitrary u64 deltas cannot overflow.
+                let dod = delta as i128 - prev_delta as i128;
+                // Bucket marker and biased Δ² leave as one field.
+                match dod {
+                    0 => w.put(0, 1),
+                    -63..=64 => w.put((0b10 << 7) | (dod + 63) as u64, 2 + 7),
+                    -255..=256 => w.put((0b110 << 9) | (dod + 255) as u64, 3 + 9),
+                    -2047..=2048 => w.put((0b1110 << 12) | (dod + 2047) as u64, 4 + 12),
+                    _ => {
+                        // Escape: the raw delta (not the Δ²), so huge jumps stay exact.
+                        w.put(0b1111, 4);
+                        w.put(delta, 64);
+                    }
                 }
             }
             prev_ts = sample.timestamp_ms;
@@ -518,8 +603,7 @@ impl BlockEncoder {
             prev_value = bits;
             encoded += 1;
         }
-        self.acc = w.acc;
-        self.bits = w.out.len() as u64 * 8 + u64::from(w.used);
+        self.bits = w.finish();
         self.prev_ts = prev_ts;
         self.prev_delta = prev_delta;
         self.prev_value = prev_value;
@@ -530,26 +614,18 @@ impl BlockEncoder {
         self.count = self.count.saturating_add(encoded as u32);
         (encoded, ordered)
     }
-
-    /// Completes the block in `out`: the pending bits, zero-padded to a whole
-    /// byte.  The encoder is unchanged and can be pushed to again.
-    pub fn finish(&self, out: &mut Vec<u8>) {
-        out.truncate(self.whole_bytes());
-        let used = (self.bits % 64) as u32;
-        if used > 0 {
-            // The whole word goes out (a fixed-size copy) and the padding
-            // past the last used byte comes back off.
-            out.extend_from_slice(&(self.acc << (64 - used)).to_be_bytes());
-            out.truncate(self.byte_len());
-        }
-    }
 }
 
-/// Writes a nonzero value `Δ²` of an integer block: the narrowest rung of
-/// [`VALUE_LADDER`] that holds it, marker and biased payload as one field,
-/// or the escape.
-#[inline]
+/// Writes an integer block's value `Δ²`: `0` for a zero, otherwise the
+/// narrowest rung of [`VALUE_LADDER`] that holds it, marker and biased
+/// payload as one field, or the escape.  Always inlined: it is the loop
+/// body's, and a block's first value takes it too.
+#[inline(always)]
 fn put_value_dod(w: &mut BitWriter<'_>, dod: i64) {
+    if dod == 0 {
+        w.put(0, 1);
+        return;
+    }
     // An `n`-bit rung holds `-(2ⁿ⁻¹ - 1) ..= 2ⁿ⁻¹`: exactly the `Δ²` whose
     // magnitude — one less on the positive side — has fewer than `n` bits.
     let magnitude = (dod - i64::from(dod > 0)).unsigned_abs();
@@ -564,6 +640,18 @@ fn put_value_dod(w: &mut BitWriter<'_>, dod: i64) {
             w.put((1 << VALUE_ESCAPE_ONES) - 1, VALUE_ESCAPE_ONES);
             w.put(dod as u64, 64);
         }
+    }
+}
+
+/// Writes a block's first timestamp delta: a zero and
+/// [`FIRST_DELTA_BITS`] bits as one field, or the escape.
+#[inline]
+fn put_first_delta(w: &mut BitWriter<'_>, delta: u64) {
+    if delta >> FIRST_DELTA_BITS == 0 {
+        w.put(delta, FIRST_DELTA_BITS + 1);
+    } else {
+        w.put(1, 1);
+        w.put(delta, 64);
     }
 }
 
@@ -585,24 +673,48 @@ struct GorillaState {
 }
 
 impl GorillaState {
-    /// A decoder of a block of `kind` standing at the block's first sample,
-    /// read off `reader`: a raw 64-bit timestamp and the value's raw bits.
-    fn first(kind: BlockKind, reader: &mut BitReader<'_>) -> Self {
-        let prev_ts = reader.read(64);
-        let bits = reader.read(64);
-        let prev_value = match kind {
-            BlockKind::Xor => bits,
-            BlockKind::Integer => f64::from_bits(bits) as i64 as u64,
-        };
+    /// Registers at rest: no sample behind them.
+    fn at_rest(kind: BlockKind, prev_ts: u64) -> Self {
         Self {
             kind,
             prev_ts,
             prev_delta: 0,
-            prev_value,
+            prev_value: 0,
             value_delta: 0,
             prev_leading: NO_WINDOW,
             prev_trailing: 0,
         }
+    }
+
+    /// A decoder of a block of `kind` that starts at `start_ms`, standing at
+    /// the block's first sample: its value read off `reader` — raw bits, or
+    /// an integer `Δ²` against zero registers.
+    fn first(kind: BlockKind, start_ms: u64, reader: &mut BitReader<'_>) -> Self {
+        let mut state = Self::at_rest(kind, start_ms);
+        match kind {
+            BlockKind::Xor => state.prev_value = reader.read(64),
+            BlockKind::Integer => {
+                let word = reader.peek(14);
+                state.decode_integer(reader, word, 0);
+                // The value came as its own step from zero: the first step
+                // of the block is taken against zero again.
+                state.value_delta = 0;
+            }
+        }
+        state
+    }
+
+    /// A decoder of a block in the form written before the start was left
+    /// out, standing at its first sample: a raw 64-bit timestamp and the
+    /// value's raw bits, off `reader`.
+    fn legacy_first(kind: BlockKind, reader: &mut BitReader<'_>) -> Self {
+        let mut state = Self::at_rest(kind, reader.read(64));
+        let bits = reader.read(64);
+        state.prev_value = match kind {
+            BlockKind::Xor => bits,
+            BlockKind::Integer => f64::from_bits(bits) as i64 as u64,
+        };
+        state
     }
 
     /// The sample the registers stand at.
@@ -615,11 +727,37 @@ impl GorillaState {
         Sample { timestamp_ms: self.prev_ts, value }
     }
 
+    /// Decodes the block's second sample off `reader` onto `out`: its delta
+    /// from the start ([`FIRST_DELTA_BITS`] or the escape's 64), then its
+    /// value as any later sample's.
+    fn second(&mut self, reader: &mut BitReader<'_>, out: &mut Vec<Sample>) {
+        let escaped = reader.read(1) == 1;
+        let delta = reader.read(if escaped { 64 } else { FIRST_DELTA_BITS });
+        self.prev_ts = self.prev_ts.wrapping_add(delta);
+        self.prev_delta = delta;
+        let word = reader.peek(14);
+        match self.kind {
+            BlockKind::Xor => self.decode_xor(reader, word, 0),
+            BlockKind::Integer => self.decode_integer(reader, word, 0),
+        }
+        out.push(self.current());
+    }
+
+    /// Decodes the `owed` samples after the current one off `reader` onto
+    /// `out`.
+    #[inline]
+    fn drain(&mut self, reader: &mut BitReader<'_>, mut owed: usize, out: &mut Vec<Sample>) {
+        while owed > 0 {
+            owed -= self.step(reader, owed - 1, out);
+        }
+    }
+
     /// Decodes the sample after the current one off `reader` onto `out`.
     /// Where that sample is a steady one, the steady samples that follow it in
     /// the reader's accumulator, at most `more` of them, leave with it.
-    /// Returns how many samples were pushed.
-    #[inline]
+    /// Returns how many samples were pushed.  Always inlined: it is the
+    /// loop body of every decode, and the older form's decoder calls it too.
+    #[inline(always)]
     fn step(&mut self, reader: &mut BitReader<'_>, more: usize, out: &mut Vec<Sample>) -> usize {
         // One peek covers the common sample whole: the Δ² bucket prefix is
         // the run of leading ones (at most four) and its payload at most 12
@@ -725,26 +863,52 @@ impl GorillaState {
     }
 }
 
-/// Appends the `count` samples of a block of `kind` produced by [`encode`]
-/// to `out`, reserving once — the one loop every read of a block drains
-/// through.  A run of steady samples leaves the bit reader in one step and
-/// arrives as an arithmetic progression off the registers.
-pub fn decode_into(bytes: &[u8], kind: BlockKind, count: usize, out: &mut Vec<Sample>) {
-    let Some(mut owed) = count.checked_sub(1) else { return };
+/// Appends the `count` samples of a block of `kind` that starts at
+/// `start_ms`, produced by [`encode`], to `out`, reserving once — the one
+/// loop every read of a block drains through.  A run of steady samples
+/// leaves the bit reader in one step and arrives as an arithmetic
+/// progression off the registers.
+pub fn decode_into(
+    bytes: &[u8],
+    kind: BlockKind,
+    start_ms: u64,
+    count: usize,
+    out: &mut Vec<Sample>,
+) {
+    if count == 0 {
+        return;
+    }
     let mut reader = BitReader::new(bytes);
-    let mut state = GorillaState::first(kind, &mut reader);
+    let mut state = GorillaState::first(kind, start_ms, &mut reader);
     out.reserve(count);
     out.push(state.current());
-    while owed > 0 {
-        owed -= state.step(&mut reader, owed - 1, out);
+    if let Some(owed) = count.checked_sub(2) {
+        state.second(&mut reader, out);
+        state.drain(&mut reader, owed, out);
     }
 }
 
-/// Decodes `count` samples from a block of `kind` produced by [`encode`]
-/// into a new vector.
-pub fn decode(bytes: &[u8], kind: BlockKind, count: usize) -> Vec<Sample> {
+/// Decodes `count` samples from a block of `kind` that starts at `start_ms`,
+/// produced by [`encode`], into a new vector.
+pub fn decode(bytes: &[u8], kind: BlockKind, start_ms: u64, count: usize) -> Vec<Sample> {
     let mut out = Vec::new();
-    decode_into(bytes, kind, count, &mut out);
+    decode_into(bytes, kind, start_ms, count, &mut out);
+    out
+}
+
+/// Decodes `count` samples from a block of `kind` in the form written before
+/// blocks left their start out — a raw 64-bit timestamp and raw value bits
+/// first, sample 1's delta as a `Δ²` — into a new vector.  A store's
+/// recovery reads the blocks older snapshots hold with it, and seals them
+/// again with [`encode`].
+pub fn decode_legacy(bytes: &[u8], kind: BlockKind, count: usize) -> Vec<Sample> {
+    let mut out = Vec::new();
+    let Some(owed) = count.checked_sub(1) else { return out };
+    let mut reader = BitReader::new(bytes);
+    let mut state = GorillaState::legacy_first(kind, &mut reader);
+    out.reserve(count);
+    out.push(state.current());
+    state.drain(&mut reader, owed, &mut out);
     out
 }
 
@@ -756,7 +920,7 @@ mod tests {
     /// kind.
     fn roundtrip(samples: &[Sample]) -> BlockKind {
         let (kind, bytes) = encode(samples).expect("ordered input must encode");
-        let back = decode(&bytes, kind, samples.len());
+        let back = decode(&bytes, kind, samples[0].timestamp_ms, samples.len());
         assert_eq!(back.len(), samples.len());
         for (a, b) in samples.iter().zip(&back) {
             assert_eq!(a.timestamp_ms, b.timestamp_ms);
@@ -772,7 +936,6 @@ mod tests {
         let mut xor = BlockEncoder { kind: BlockKind::Xor, ..BlockEncoder::new() };
         let mut block = Vec::new();
         assert!(xor.push(samples, &mut block));
-        xor.finish(&mut block);
         block
     }
 
@@ -867,7 +1030,6 @@ mod tests {
                 let before = if split > at { BlockKind::Xor } else { BlockKind::Integer };
                 assert_eq!(encoder.kind(), before);
                 assert!(encoder.push(&samples[split..], &mut block));
-                encoder.finish(&mut block);
                 assert_eq!((encoder.kind(), &block), (BlockKind::Xor, &want), "{at} / {split}");
             }
             roundtrip(&samples);
@@ -940,18 +1102,57 @@ mod tests {
     fn malformed_bytes_never_panic() {
         let garbage: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(113)).collect();
         for kind in [BlockKind::Xor, BlockKind::Integer] {
-            assert_eq!(decode(&garbage, kind, 100).len(), 100);
-            assert_eq!(decode(&[0xff; 40], kind, 100).len(), 100);
+            for start in [0, 1_700_000_000_000, u64::MAX] {
+                assert_eq!(decode(&garbage, kind, start, 100).len(), 100);
+                assert_eq!(decode(&[0xff; 40], kind, start, 100).len(), 100);
+            }
+            assert_eq!(decode_legacy(&garbage, kind, 100).len(), 100);
+            assert_eq!(decode_legacy(&[0xff; 40], kind, 100).len(), 100);
         }
-        // Truncated real data, and real data read as the other kind, decode
-        // without panicking too.
+        // Truncated real data, real data read as the other kind or from a
+        // wrong start — the far end of the clock, where every delta wraps —
+        // and real data read in the older form decode without panicking too.
         for scale in [1.0, 0.37] {
             let samples = at_5s((0..50).map(|t| (t * t) as f64 * scale));
             let (_, bytes) = encode(&samples).unwrap();
             for kind in [BlockKind::Xor, BlockKind::Integer] {
-                let _ = decode(&bytes[..bytes.len() / 2], kind, 50);
-                let _ = decode(&bytes, kind, 60);
+                for start in [0, 5_000, u64::MAX - 3, u64::MAX] {
+                    let _ = decode(&bytes[..bytes.len() / 2], kind, start, 50);
+                    let _ = decode(&bytes, kind, start, 60);
+                }
+                let _ = decode_legacy(&bytes, kind, 60);
             }
+        }
+        // A wrong start moves the samples and nothing else.
+        let samples = at_5s((0..50).map(|t| (t * 3) as f64));
+        let (kind, bytes) = encode(&samples).unwrap();
+        let moved = decode(&bytes, kind, u64::MAX - 4_999, samples.len());
+        for (got, want) in moved.iter().zip(&samples) {
+            assert_eq!(got.timestamp_ms, want.timestamp_ms.wrapping_add(u64::MAX - 4_999));
+            assert_eq!(got.value.to_bits(), want.value.to_bits());
+        }
+    }
+
+    #[test]
+    fn every_bench_shape_weighs_its_pinned_bytes() {
+        // The exact bytes of each shape's block, and (in the comment) what it
+        // took while a block opened with its first timestamp and value raw
+        // and took its first delta as a Δ²: 19 to 23 bytes more.
+        let pinned = [
+            ("constant", 34),           // 55
+            ("gauge_plus_1", 35),       // 55
+            ("counter_plus_77", 33),    // 56
+            ("counter_noise_8", 117),   // 137
+            ("counter_noise_300", 191), // 212
+            ("counter_noise_20k", 331), // 350
+            ("counter_noise_5m", 480),  // 499
+            ("walk_8", 117),            // 138
+            ("walk_300", 226),          // 246
+            ("walk_20k", 354),          // 373
+        ];
+        for (name, bytes) in pinned {
+            let (kind, block) = encode(&shape(name)).expect("ordered");
+            assert_eq!((kind, block.len()), (BlockKind::Integer, bytes), "{name}");
         }
     }
 }

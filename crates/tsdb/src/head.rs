@@ -7,12 +7,15 @@
 //! does, an append is a sixteen-byte store, and sealing is a copy.
 //!
 //! A head is its own heap block, 216 bytes — the tail, the encoder's
-//! registers, the block buffer's header — behind one pointer in the series
-//! record, and exists only while its series is being written: the storage
-//! engine allocates it with the series, **drops** it (not merely empties it)
-//! when a retention pass finds the series stale or drops the samples it
-//! holds, and allocates another when a sample revives the series.  A seal of
-//! a full chunk keeps it, and its buffer, for the next.  The record keeps the
+//! registers (the block's start among them: the block does not hold its
+//! first timestamp, see [`crate::chunk_codec`]; the pending bits of its last
+//! word live in the buffer, not the encoder), the block buffer's header —
+//! behind one pointer in the series record, and exists only while its series
+//! is being written: the storage engine allocates it with the series,
+//! **drops** it (not merely empties it) when a retention pass finds the
+//! series stale or drops the samples it holds, and allocates another when a
+//! sample revives the series.  A seal of a full chunk keeps it, and its
+//! buffer, for the next.  The record keeps the
 //! tail's length and the newest timestamp beside the pointer, so the common
 //! append goes through [`Head::store_at`] and reads nothing here.
 //!
@@ -89,12 +92,11 @@ impl Head {
         self.len() == 0
     }
 
-    /// Timestamp of the oldest sample: a block opens with it, raw.
+    /// Timestamp of the oldest sample: the block's start, which the
+    /// encoder keeps (the block leaves it out), or before the first burst
+    /// the tail's.
     pub(crate) fn first_timestamp(&self) -> Option<u64> {
-        match self.block.first_chunk::<8>() {
-            Some(first) if self.encoder.count() > 0 => Some(u64::from_be_bytes(*first)),
-            _ => self.tail().first().map(|s| s.timestamp_ms),
-        }
+        self.encoder.first_timestamp().or_else(|| self.tail().first().map(|s| s.timestamp_ms))
     }
 
     /// Timestamp of the newest sample: the tail's, or the encoder's register.
@@ -182,7 +184,6 @@ impl Head {
             && (encoder.count() > 0 || tail.first().is_some_and(|s| whole(s.value).is_some()));
         let ordered = encoder.push(tail, block);
         debug_assert!(ordered, "appends are checked against the newest sample");
-        encoder.finish(block);
         if was_integer && encoder.kind() == BlockKind::Xor {
             probes::BLOCK_REENCODES.inc();
         }
@@ -202,7 +203,7 @@ impl Head {
             let payload = Payload::Block(self.encoder.kind(), &self.block);
             keep(Chunk { start_ms, end_ms, count, payload })
         } else {
-            let samples = decode(&self.block, self.encoder.kind(), count as usize);
+            let samples = decode(&self.block, self.encoder.kind(), start_ms, count as usize);
             let mut raw = vec![0; samples.len() * SAMPLE_BYTES];
             put_raw(&samples, &mut raw);
             keep(Chunk { start_ms, end_ms, count, payload: Payload::Raw(&raw) })
@@ -256,7 +257,6 @@ impl Head {
         let mut encoder = self.encoder;
         let ordered = encoder.push(self.tail(), out);
         debug_assert!(ordered, "appends are checked against the newest sample");
-        encoder.finish(out);
         (!self.is_empty()).then_some(encoder.kind())
     }
 }

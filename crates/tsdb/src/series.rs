@@ -5,7 +5,8 @@
 //! [`crate::chunk_codec`]) behind a `(start, end, count)` footer and the
 //! block's kind — whether its values are XOR-coded floats or delta-of-delta
 //! integers, which the codec decided from the values and every decoder of
-//! the block is told; the open one is the same block still being built, with
+//! the block is told, as it is told the footer's start: the block leaves its
+//! first timestamp out; the open one is the same block still being built, with
 //! its newest samples raw in an inline tail in front of it (`crate::head`).
 //!
 //! Sealed chunks are packed `BLOCK_CHUNKS` (16) at a time into a `Block`: one
@@ -199,7 +200,7 @@ impl<'a> Chunk<'a> {
                     return;
                 }
                 let from = out.len();
-                decode_into(bytes, kind, self.len(), out);
+                decode_into(bytes, kind, self.start_ms, self.len(), out);
                 if start_ms <= self.start_ms && self.end_ms <= end_ms {
                     return;
                 }
@@ -753,8 +754,9 @@ mod tests {
     #[test]
     fn a_block_larger_than_its_samples_is_stored_raw() {
         // Every delta takes the 68-bit raw escape and every value a new,
-        // near-full window: ≈ 140 bits a sample against 128 raw.
-        let samples: Vec<Sample> = (0..8u64)
+        // near-full window: ≈ 140 bits a sample against 128 raw, which
+        // sixteen samples need to outweigh the 64 bits the first one saves.
+        let samples: Vec<Sample> = (0..16u64)
             .map(|i| Sample {
                 timestamp_ms: (i * i) << 40,
                 value: f64::from_bits((i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
@@ -766,12 +768,12 @@ mod tests {
         let chunk = block.chunk(0).expect("one chunk");
         assert_eq!(chunk.payload, Payload::Raw(&raw_bytes(&samples)));
         assert_eq!(chunk.data_bytes(), samples.len() * SAMPLE_BYTES);
-        assert_eq!((chunk.start(), chunk.end(), chunk.len()), (Some(0), Some(49 << 40), 8));
+        assert_eq!((chunk.start(), chunk.end(), chunk.len()), (Some(0), Some(225 << 40), 16));
         assert_eq!(decoded(&chunk), samples);
         assert!(head.is_empty() && head.block_buffer().1 > 0, "the seal keeps the buffer");
-        // A lone sample is 16 bytes either way and stays a block.
+        // A lone sample is its value's 8 bytes as an XOR block: a block.
         let one = sealed(&mut head_of(&samples[..1]));
-        assert!(matches!(one.chunk(0).unwrap().payload, Payload::Block(_, b) if b.len() == 16));
+        assert!(matches!(one.chunk(0).unwrap().payload, Payload::Block(_, b) if b.len() == 8));
     }
 
     #[test]

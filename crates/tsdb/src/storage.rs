@@ -2261,11 +2261,11 @@ mod tests {
     #[test]
     fn heads_grow_with_their_samples_and_keep_the_buffer_after_a_seal() {
         // A counter's block is an integer one, 2 bits a sample at a steady
-        // rate: its first burst fits the initial 32 bytes and the chunk 64.
-        // A gauge moving in halves is an XOR block: its first eight samples
-        // already outgrow the 32 bytes.
-        head_grows_and_keeps_its_buffer(|t| (t * 17) as f64, &[0, 32, 64]);
-        head_grows_and_keeps_its_buffer(|t| t as f64 * 0.5, &[0, 64, 128, 256]);
+        // rate: its first bursts fit the initial 32 bytes and the chunk 64.
+        // A gauge moving in halves is an XOR block: its first burst fits the
+        // 32 bytes too, and the chunk outgrows them eightfold.
+        head_grows_and_keeps_its_buffer(|t| (5_000 + t * 17) as f64, &[0, 32, 64]);
+        head_grows_and_keeps_its_buffer(|t| t as f64 * 0.5, &[0, 32, 64, 128, 256]);
 
         // A chunk shorter than the tail seals without a burst before it.
         let small =
@@ -2418,11 +2418,16 @@ mod tests {
         db.apply_retention();
         assert_eq!(head_of(&db, full), None);
         assert_eq!(head_of(&db, short), None);
-        // A lone sample is 16 bytes as a block too, and an empty head's
-        // buffer was never in the ledger: it does not move.  The records
-        // lose two heads and gain `short`'s list of one block of one chunk.
+        // A lone sample of 1 is one byte as a block (a 7-bit value, no
+        // timestamp) where it was 16 in the tail, and an empty head's buffer
+        // was never in the ledger: nothing else moves.  The records lose two
+        // heads and gain `short`'s list of one block of one chunk.
         let after = db.stats();
-        assert_eq!(StorageStats { series_bytes: before.series_bytes, ..after }, before);
+        let resident_bytes = before.resident_bytes - 16 + 1;
+        assert_eq!(
+            after,
+            StorageStats { series_bytes: after.series_bytes, resident_bytes, ..before }
+        );
         assert_eq!(
             after.series_bytes + 2 * size_of::<Head>() as u64,
             before.series_bytes + one_chunk_list()

@@ -62,15 +62,20 @@
 //! A shard snapshot is a header frame, one frame per series and a footer
 //! frame.  A series frame holds the series' identity, its open head and its
 //! sealed chunks, each chunk payload behind a one-byte kind tag: `0` plain
-//! `(timestamp, value)` pairs, `1` a Gorilla block with XOR-coded values, `2`
+//! `(timestamp, value)` pairs, `3` a Gorilla block with XOR-coded values, `4`
 //! a Gorilla block whose values — whole numbers all — are integer deltas
-//! (see [`crate::chunk_codec`]; tag `2` is the newest, directories written
-//! before it hold `0` and `1` only and read as they always did).  The tag and
-//! the sample count beside it are all a block's decoder needs to be told, and
-//! recovery believes a count only if the bytes next to it could hold that
-//! many samples (a raw run `count × 16` bytes, a block 128 bits and two more
-//! per further sample): anything else fails the snapshot, never an
-//! allocation.
+//! (see [`crate::chunk_codec`]).  Neither block holds its first timestamp: a
+//! sealed chunk's is the `start` of the footer it is recorded with, and a
+//! head's block has its start written beside it.  Tags `1` (XOR) and `2`
+//! (integer) are blocks of the older form, which opened with their first
+//! sample raw; directories written before tags 3 and 4 hold them (and
+//! before tag 2, `0` and `1` only), and recovery decodes each such block
+//! once and seals it again in today's form.  The tag, the sample count and
+//! the start are all a block's decoder needs to be told, and recovery
+//! believes a count only if the bytes next to it could hold that many
+//! samples (a raw run `count × 16` bytes; a block the fewest bits that many
+//! samples take in its form, two a sample past the second): anything else
+//! fails the snapshot, never an allocation.
 //!
 //! Commit *is* the frame boundary: a group that verifies is a round that was
 //! written whole, and nothing else confirms it.  Recovery therefore has one
@@ -121,6 +126,7 @@
 //! allocates under them, and the allocation-freedom of the *warm* durable
 //! round is proven directly by the counting-allocator test instead.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
@@ -133,7 +139,7 @@ use teemon_obs::{probes, Stopwatch};
 
 use crate::chunk_codec::{self, BlockKind};
 use crate::head::Head;
-use crate::series::{Chunk, Payload, Sample, Sealed};
+use crate::series::{put_raw, Chunk, Payload, Sample, Sealed, SAMPLE_BYTES};
 use crate::storage::SHARD_COUNT;
 use crate::symbols::{SymbolId, SymbolTable};
 
@@ -1306,38 +1312,94 @@ pub(crate) struct SnapSeriesRef<'a> {
 }
 
 /// Chunk payload kind tags inside snapshot records: plain samples, or a
-/// block of one of the codec's two kinds.  `CHUNK_GORILLA` is the XOR block,
-/// the only kind there was before `CHUNK_INTEGER`; directories from then hold
-/// tags 0 and 1 only and read as they always did.
+/// block of one of the codec's two kinds.  Tags 3 (XOR) and 4 (integer) are
+/// the blocks written today, which leave their first timestamp to the
+/// record (see [`crate::chunk_codec`]).  Tags 1 (XOR) and 2 (integer) are
+/// blocks of the older form, which open with it: directories written before
+/// hold them, and recovery reads them with [`chunk_codec::decode_legacy`]
+/// and seals them again in today's form ([`reseal`]).
 const CHUNK_RAW: u8 = 0;
-const CHUNK_GORILLA: u8 = 1;
-const CHUNK_INTEGER: u8 = 2;
+const CHUNK_LEGACY_XOR: u8 = 1;
+const CHUNK_LEGACY_INTEGER: u8 = 2;
+const CHUNK_XOR: u8 = 3;
+const CHUNK_INTEGER: u8 = 4;
 
 fn block_tag(kind: BlockKind) -> u8 {
     match kind {
-        BlockKind::Xor => CHUNK_GORILLA,
+        BlockKind::Xor => CHUNK_XOR,
         BlockKind::Integer => CHUNK_INTEGER,
     }
 }
 
-/// The kind of block `tag` marks, `None` for a raw run or an unknown tag.
-fn block_kind(tag: u8) -> Option<BlockKind> {
+/// The kind of block `tag` marks and whether it is of the older form,
+/// `None` for a raw run or an unknown tag.
+fn block_kind(tag: u8) -> Option<(BlockKind, bool)> {
     match tag {
-        CHUNK_GORILLA => Some(BlockKind::Xor),
-        CHUNK_INTEGER => Some(BlockKind::Integer),
+        CHUNK_XOR => Some((BlockKind::Xor, false)),
+        CHUNK_INTEGER => Some((BlockKind::Integer, false)),
+        CHUNK_LEGACY_XOR => Some((BlockKind::Xor, true)),
+        CHUNK_LEGACY_INTEGER => Some((BlockKind::Integer, true)),
         _ => None,
     }
 }
 
-/// Whether a block of `len` bytes can hold `count` samples: the first is 128
-/// bits and every later one at least two (a one-bit timestamp `Δ²`, a
-/// one-bit value, in either kind).  A count is believed — allocated for,
-/// decoded up to — only once it has passed this.
-fn block_can_hold(len: usize, count: usize) -> bool {
-    match len.saturating_mul(8).checked_sub(128) {
-        Some(later_bits) => count <= 1 + later_bits / 2,
-        None => count == 0,
+/// Whether a block behind `tag` of `len` bytes can hold `count` samples.
+/// The first sample takes 64 bits in an XOR block (its raw value), one at
+/// the least in an integer block (a zero), 128 in a block of the older form
+/// (timestamp and value, raw); the second 16 at the least (a 15-bit first
+/// delta and a one-bit value), two in the older form (a one-bit `Δ²`); and
+/// every later one at least two (a one-bit timestamp `Δ²`, a one-bit value,
+/// in either kind).  A count is believed — allocated for, decoded up to —
+/// only once it has passed this.
+fn block_can_hold(tag: u8, len: usize, count: usize) -> bool {
+    let (first, second) = match tag {
+        CHUNK_XOR => (64, 16),
+        CHUNK_INTEGER => (1, 16),
+        _ => (128, 2),
+    };
+    let least_bits = match count {
+        0 => 0,
+        1 => first,
+        n => first + second + 2 * (n - 2),
+    };
+    least_bits <= len.saturating_mul(8)
+}
+
+/// The samples of a block behind `tag` holding `count` of them, read off
+/// `cur`: its start (today's form only), its length and its bytes.  `None`
+/// where the bytes cannot hold the count.
+fn take_block(cur: &mut Cur<'_>, tag: u8, count: usize) -> Option<Vec<Sample>> {
+    let (kind, legacy) = block_kind(tag)?;
+    let start_ms = if legacy { 0 } else { cur.u64()? };
+    let len = cur.u32()? as usize;
+    let block = cur.take(len)?;
+    if !block_can_hold(tag, len, count) {
+        return None;
     }
+    Some(if legacy {
+        chunk_codec::decode_legacy(block, kind, count)
+    } else {
+        chunk_codec::decode(block, kind, start_ms, count)
+    })
+}
+
+/// A sealed chunk of the older form sealed again in today's: the block of
+/// its `samples` ([`chunk_codec::encode`]: of the kind their values call
+/// for), or their raw run where the block would be larger — the rule a seal
+/// applies — with `None` for its kind.  `None` unless the samples run in
+/// order from the footer's `start_ms` to its `end_ms`.
+fn reseal(samples: &[Sample], start_ms: u64, end_ms: u64) -> Option<(Option<BlockKind>, Vec<u8>)> {
+    let ends = (samples.first()?.timestamp_ms, samples.last()?.timestamp_ms);
+    if ends != (start_ms, end_ms) {
+        return None;
+    }
+    let (kind, block) = chunk_codec::encode(samples)?;
+    if block.len() <= samples.len() * SAMPLE_BYTES {
+        return Some((Some(kind), block));
+    }
+    let mut raw = vec![0; samples.len() * SAMPLE_BYTES];
+    put_raw(samples, &mut raw);
+    Some((None, raw))
 }
 
 /// Encodes a shard's full state as a snapshot file image: header, one record
@@ -1368,10 +1430,14 @@ pub(crate) fn encode_shard_snapshot(
         buf.push(u8::from(s.ever_appended));
         put_label_syms(&mut buf, s.label_syms);
         // Head: its samples as one Gorilla block (the block it is building,
-        // completed with its tail), an empty raw run when it holds none.
+        // completed with its tail) behind its start, an empty raw run when
+        // it holds none.
         put_u32(&mut buf, s.head.map_or(0, Head::len) as u32);
-        if let Some(kind) = s.head.and_then(|head| head.encode_into(&mut block)) {
+        let head =
+            s.head.and_then(|head| Some((head.encode_into(&mut block)?, head.first_timestamp()?)));
+        if let Some((kind, start_ms)) = head {
             buf.push(block_tag(kind));
+            put_u64(&mut buf, start_ms);
             put_u32(&mut buf, block.len() as u32);
             buf.extend_from_slice(&block);
         } else {
@@ -1441,31 +1507,47 @@ fn decode_snap_series(payload: &[u8]) -> Option<SnapSeries> {
     let head_count = cur.count()?;
     let head = match cur.u8()? {
         CHUNK_RAW => take_samples(&mut cur, head_count)?,
-        tag => {
-            let kind = block_kind(tag)?;
-            let len = cur.u32()? as usize;
-            let block = cur.take(len)?;
-            if !block_can_hold(block.len(), head_count) {
-                return None;
-            }
-            chunk_codec::decode(block, kind, head_count)
-        }
+        tag => take_block(&mut cur, tag, head_count)?,
     };
     let sealed_count = cur.count_of(SEALED_CHUNK_MIN_BYTES)?;
-    let mut sealed = Vec::with_capacity(sealed_count);
+    // Each chunk's footer and payload: borrowed from the record, or sealed
+    // again here when it is a block of the older form.
+    let mut held = Vec::with_capacity(sealed_count);
     for _ in 0..sealed_count {
-        let kind = cur.u8()?;
+        let tag = cur.u8()?;
         let count = cur.count()?;
         let start_ms = cur.u64()?;
         let end_ms = cur.u64()?;
-        let len = cur.u32()? as usize;
-        let payload = match block_kind(kind) {
-            None if kind == CHUNK_RAW && len == count * 16 => Payload::Raw(cur.take(len)?),
-            Some(block) if block_can_hold(len, count) => Payload::Block(block, cur.take(len)?),
-            _ => return None,
+        let (kind, payload) = match block_kind(tag) {
+            Some((_, true)) => {
+                let samples = take_block(&mut cur, tag, count)?;
+                let (kind, bytes) = reseal(&samples, start_ms, end_ms)?;
+                (kind, Cow::Owned(bytes))
+            }
+            kind => {
+                let len = cur.u32()? as usize;
+                let fits = match kind {
+                    None => tag == CHUNK_RAW && len == count * 16,
+                    Some(_) => block_can_hold(tag, len, count),
+                };
+                if !fits {
+                    return None;
+                }
+                (kind.map(|(kind, _)| kind), Cow::Borrowed(cur.take(len)?))
+            }
         };
-        sealed.push(Chunk { start_ms, end_ms, count: count as u32, payload });
+        held.push((start_ms, end_ms, count as u32, kind, payload));
     }
+    let sealed: Vec<Chunk<'_>> = held
+        .iter()
+        .map(|(start_ms, end_ms, count, kind, bytes)| {
+            let payload = match kind {
+                Some(kind) => Payload::Block(*kind, bytes),
+                None => Payload::Raw(bytes),
+            };
+            Chunk { start_ms: *start_ms, end_ms: *end_ms, count: *count, payload }
+        })
+        .collect();
     let sealed = Sealed::from_chunks(&sealed);
     cur.done().then_some(SnapSeries { id, name_sym, label_syms, ever_appended, head, sealed })
 }
@@ -2039,17 +2121,35 @@ mod tests {
     #[test]
     fn a_count_its_block_cannot_hold_is_refused_and_the_fullest_honest_block_loads() {
         // Recovery allocates for a count only once the bytes beside it could
-        // hold that many samples: 128 bits, then two a sample at the least.
-        assert!(block_can_hold(0, 0) && !block_can_hold(15, 1) && block_can_hold(16, 1));
-        assert!(!block_can_hold(16, 2) && block_can_hold(17, 5) && !block_can_hold(17, 6));
+        // hold that many samples.  An XOR block: 64 bits, 16 for the second
+        // sample, then two a sample at the least; an integer block the same
+        // from one bit; a block of the older form 128 bits, then two a sample.
+        for tag in [CHUNK_XOR, CHUNK_INTEGER, CHUNK_LEGACY_XOR, CHUNK_LEGACY_INTEGER] {
+            assert!(block_can_hold(tag, 0, 0), "{tag}");
+        }
+        assert!(!block_can_hold(CHUNK_XOR, 7, 1) && block_can_hold(CHUNK_XOR, 8, 1));
+        assert!(!block_can_hold(CHUNK_XOR, 9, 2) && block_can_hold(CHUNK_XOR, 10, 2));
+        assert!(block_can_hold(CHUNK_XOR, 11, 6) && !block_can_hold(CHUNK_XOR, 11, 7));
+        assert!(!block_can_hold(CHUNK_INTEGER, 0, 1) && block_can_hold(CHUNK_INTEGER, 1, 1));
+        assert!(!block_can_hold(CHUNK_INTEGER, 2, 2) && block_can_hold(CHUNK_INTEGER, 3, 2));
+        assert!(block_can_hold(CHUNK_INTEGER, 3, 5) && !block_can_hold(CHUNK_INTEGER, 3, 6));
+        for tag in [CHUNK_LEGACY_XOR, CHUNK_LEGACY_INTEGER] {
+            assert!(!block_can_hold(tag, 15, 1) && block_can_hold(tag, 16, 1));
+            assert!(!block_can_hold(tag, 16, 2) && block_can_hold(tag, 17, 5));
+            assert!(!block_can_hold(tag, 17, 6));
+        }
 
-        // The fullest honest block: one timestamp, one value, 2 bits a sample
-        // past the first — whole numbers or not.
-        for value in [7.0, 0.5] {
-            let flat: Vec<Sample> = (0..77).map(|_| Sample { timestamp_ms: 9, value }).collect();
+        // The fullest honest block: one value, a zero first delta, 2 bits a
+        // sample past the second — as an integer block (a zero, one bit) and
+        // an XOR one, each at a count that leaves no spare bit but padding.
+        for (value, count) in [(0.0, 77), (0.5, 78)] {
+            let flat: Vec<Sample> = (0..count).map(|_| Sample { timestamp_ms: 9, value }).collect();
             let (kind, block) = chunk_codec::encode(&flat).expect("ordered");
-            assert_eq!(block.len(), 16 + 76 / 4);
-            assert!(block_can_hold(block.len(), 77) && !block_can_hold(block.len(), 78));
+            let tag = block_tag(kind);
+            let first: usize = if kind == BlockKind::Xor { 64 } else { 1 };
+            assert_eq!(block.len(), (first + 16 + 2 * (count - 2)).div_ceil(8));
+            assert!(block_can_hold(tag, block.len(), count));
+            assert!(!block_can_hold(tag, block.len(), count + 1));
 
             // As a head: loads whole, reserving for its samples and no more…
             let head = head_of(&flat);
@@ -2059,25 +2159,32 @@ mod tests {
             assert!(snap.series[0].head.capacity() <= 4 * block.len());
             // …and one sample more than it can hold, or sixteen million, is
             // refused next to the same bytes.
-            for count in [78, MAX_COUNT] {
+            for count in [count as u32 + 1, MAX_COUNT] {
                 let image = reframed_snapshot(&head, &Sealed::default(), |body| {
                     set_u32(body, HEAD_COUNT_AT, count);
                 });
                 assert!(decode_shard_snapshot(&image).is_none(), "head of {count} in {kind:?}");
             }
 
-            // As a sealed chunk: the same, for the count in its footer.
+            // As a sealed chunk: the same, for the count in its footer — and
+            // under the older form's tag, whose bound is the tighter one here.
             let sealed = sealed_head(&flat);
             assert_eq!(sealed.first().map(|c| c.payload), Some(Payload::Block(kind, &block)));
             let image = reframed_snapshot(&Head::default(), &sealed, |_| {});
             let snap = decode_shard_snapshot(&image).expect("an honest snapshot");
             assert_eq!(chunks(&snap.series[0].sealed), chunks(&sealed));
-            for count in [78, MAX_COUNT] {
+            for count in [count as u32 + 1, MAX_COUNT] {
                 let image = reframed_snapshot(&Head::default(), &sealed, |body| {
                     set_u32(body, SEALED_COUNT_AT + 4 + 1, count);
                 });
                 assert!(decode_shard_snapshot(&image).is_none(), "chunk of {count} in {kind:?}");
             }
+            let legacy =
+                if kind == BlockKind::Xor { CHUNK_LEGACY_XOR } else { CHUNK_LEGACY_INTEGER };
+            let image = reframed_snapshot(&Head::default(), &sealed, |body| {
+                body[SEALED_COUNT_AT + 4] = legacy;
+            });
+            assert!(decode_shard_snapshot(&image).is_none(), "{count} in an older {kind:?} block");
         }
 
         // A raw run is its count times sixteen bytes, present in the record:

@@ -5,20 +5,27 @@
 //! running backwards).  The bit-by-bit decoder and encoder the accumulator
 //! reader and writer replaced live on here as [`reference`], the oracles
 //! production must match — the decoder sample for sample on well-formed
-//! blocks of both kinds, past their end, read as the other kind, and on
-//! truncated, mangled, all-zero and random bytes, at every count it can be
-//! asked for (it takes runs of steady samples in one step); the encoder byte
-//! for byte and kind for kind on every input it accepts — whole, and through
-//! the resumable [`BlockEncoder`] in any split into bursts, wherever in the
-//! stream the first value that is not a whole number arrives.  The inputs
-//! come from `support/codec_inputs.rs`.
+//! blocks of both kinds, past their end, read as the other kind, from a
+//! wrong start, and on truncated, mangled, all-zero and random bytes, at
+//! every count it can be asked for (it takes runs of steady samples in one
+//! step); the encoder byte for byte and kind for kind on every input it
+//! accepts — whole, and through the resumable [`BlockEncoder`] in any split
+//! into bursts, wherever in the stream the first value that is not a whole
+//! number arrives.  The inputs come from `support/codec_inputs.rs`.
 //!
 //! [`reference::encode_xor`] is the encoder as it stood before blocks had
-//! kinds, kept verbatim: a block holding any value that does not qualify for
-//! the integer kind must still be, byte for byte, what it builds.
+//! kinds but for the block's opening, which today leaves the first timestamp
+//! to the chunk's footer and takes the second sample's delta through its own
+//! ladder: a block holding any value that does not qualify for the integer
+//! kind must be, byte for byte, what it builds.  [`reference::encode_legacy`]
+//! is the form blocks had before that, raw first sample and all — what
+//! `decode_legacy`, the reader recovery takes older snapshots' blocks through,
+//! must read back.
 
 use proptest::proptest;
-use teemon_tsdb::chunk_codec::{decode, decode_into, encode, encode_into, BlockEncoder, BlockKind};
+use teemon_tsdb::chunk_codec::{
+    decode, decode_into, decode_legacy, encode, encode_into, BlockEncoder, BlockKind,
+};
 use teemon_tsdb::Sample;
 
 const KINDS: [BlockKind; 2] = [BlockKind::Xor, BlockKind::Integer];
@@ -28,13 +35,17 @@ mod codec_inputs;
 
 use codec_inputs::{build_samples, qualifies, switch_at, MAX_WHOLE, VALUE_LADDER};
 
-/// The previous production decoder and encoder, verbatim — one `bytes.get`
-/// per bit or byte fragment and one `write_bit` per bit, no accumulator —
-/// and the integer kind written the same way.  Written against the byte
-/// format only.
+/// The previous production decoder and encoder — one `bytes.get` per bit or
+/// byte fragment and one `write_bit` per bit, no accumulator — and the
+/// integer kind and the block's opening written the same way.  Written
+/// against the byte format only.
 mod reference {
     use super::{qualifies, BlockKind, VALUE_LADDER};
     use teemon_tsdb::Sample;
+
+    /// Payload width of the first delta, as the format documents it:
+    /// `0`+14 bits, `1`+64 raw.
+    const FIRST_DELTA_BITS: u32 = 14;
 
     /// Appends bits to a byte buffer, most-significant bit of each value first.
     #[derive(Debug, Default)]
@@ -66,6 +77,71 @@ mod reference {
         fn into_bytes(self) -> Vec<u8> {
             self.bytes
         }
+
+        /// A timestamp's `Δ²` bucket, or the raw-delta escape.
+        fn write_timestamp(&mut self, delta: u64, prev_delta: u64) {
+            // i128 so the delta-of-delta of arbitrary u64 deltas cannot overflow.
+            let dod = delta as i128 - prev_delta as i128;
+            match dod {
+                0 => self.write_bit(false),
+                -63..=64 => {
+                    self.write_bits(0b10, 2);
+                    self.write_bits((dod + 63) as u64, 7);
+                }
+                -255..=256 => {
+                    self.write_bits(0b110, 3);
+                    self.write_bits((dod + 255) as u64, 9);
+                }
+                -2047..=2048 => {
+                    self.write_bits(0b1110, 4);
+                    self.write_bits((dod + 2047) as u64, 12);
+                }
+                _ => {
+                    // Escape: the raw delta (not the Δ²), so huge jumps stay exact.
+                    self.write_bits(0b1111, 4);
+                    self.write_bits(delta, 64);
+                }
+            }
+        }
+
+        /// The block's first delta: in 14 bits if it fits, or the escape.
+        fn write_first_delta(&mut self, delta: u64) {
+            if delta < 1u64 << FIRST_DELTA_BITS {
+                self.write_bit(false);
+                self.write_bits(delta, FIRST_DELTA_BITS);
+            } else {
+                self.write_bit(true);
+                self.write_bits(delta, 64);
+            }
+        }
+
+        /// An integer block's value `Δ²`: `0`, the narrowest rung that holds
+        /// it — one more one bit per rung, a zero, the biased payload — or
+        /// the escape.
+        fn write_value_dod(&mut self, dod: i128) {
+            if dod == 0 {
+                self.write_bit(false);
+                return;
+            }
+            let rung = VALUE_LADDER.iter().position(|&width| {
+                let half = 1i128 << (width - 1);
+                (-(half - 1)..=half).contains(&dod)
+            });
+            match rung {
+                Some(rung) => {
+                    let width = VALUE_LADDER[rung];
+                    for _ in 0..=rung {
+                        self.write_bit(true);
+                    }
+                    self.write_bit(false);
+                    self.write_bits((dod + (1i128 << (width - 1)) - 1) as u64, width);
+                }
+                None => {
+                    self.write_bits(0xff, 8);
+                    self.write_bits(dod as i64 as u64, 64);
+                }
+            }
+        }
     }
 
     /// Sentinel for "no value window established yet".
@@ -81,42 +157,36 @@ mod reference {
         }
     }
 
+    /// The XOR block of `samples`: the first value's raw bits, the first
+    /// delta through its ladder, then every later sample as the encoder
+    /// wrote it before blocks had kinds.
     pub fn encode_xor(samples: &[Sample]) -> Option<Vec<u8>> {
+        encode_xor_in(samples, false)
+    }
+
+    /// [`encode_xor`], or with `legacy` the older form: a raw first
+    /// timestamp ahead of the first value, and the first delta as a `Δ²`.
+    fn encode_xor_in(samples: &[Sample], legacy: bool) -> Option<Vec<u8>> {
         let first = samples.first()?;
         let mut w = BitWriter::default();
-        w.write_bits(first.timestamp_ms, 64);
+        if legacy {
+            w.write_bits(first.timestamp_ms, 64);
+        }
         w.write_bits(first.value.to_bits(), 64);
         let mut prev_ts = first.timestamp_ms;
         let mut prev_delta: u64 = 0;
         let mut prev_bits = first.value.to_bits();
         let mut prev_leading: u32 = NO_WINDOW;
         let mut prev_trailing: u32 = 0;
-        for sample in samples.iter().skip(1) {
+        for (i, sample) in samples.iter().enumerate().skip(1) {
             if sample.timestamp_ms < prev_ts {
                 return None;
             }
             let delta = sample.timestamp_ms - prev_ts;
-            // i128 so the delta-of-delta of arbitrary u64 deltas cannot overflow.
-            let dod = delta as i128 - prev_delta as i128;
-            match dod {
-                0 => w.write_bit(false),
-                -63..=64 => {
-                    w.write_bits(0b10, 2);
-                    w.write_bits((dod + 63) as u64, 7);
-                }
-                -255..=256 => {
-                    w.write_bits(0b110, 3);
-                    w.write_bits((dod + 255) as u64, 9);
-                }
-                -2047..=2048 => {
-                    w.write_bits(0b1110, 4);
-                    w.write_bits((dod + 2047) as u64, 12);
-                }
-                _ => {
-                    // Escape: the raw delta (not the Δ²), so huge jumps stay exact.
-                    w.write_bits(0b1111, 4);
-                    w.write_bits(delta, 64);
-                }
+            if i == 1 && !legacy {
+                w.write_first_delta(delta);
+            } else {
+                w.write_timestamp(delta, prev_delta);
             }
             prev_ts = sample.timestamp_ms;
             prev_delta = delta;
@@ -150,77 +220,60 @@ mod reference {
         Some(w.into_bytes())
     }
 
-    /// The integer block of `samples`, every value of which qualifies:
-    /// timestamps as in [`encode_xor`], each value after the first as the
-    /// `Δ²` of the values as integers.
+    /// The integer block of `samples`, every value of which qualifies: the
+    /// first value as its `Δ²` against zero — itself — then timestamps as
+    /// in [`encode_xor`], each value after the first as the `Δ²` of the
+    /// values as integers, the first delta taken against zero.
     pub fn encode_integer(samples: &[Sample]) -> Option<Vec<u8>> {
+        encode_integer_in(samples, false)
+    }
+
+    /// [`encode_integer`], or with `legacy` the older form: a raw first
+    /// timestamp and the first value's raw bits, and the first delta as a
+    /// `Δ²`.
+    fn encode_integer_in(samples: &[Sample], legacy: bool) -> Option<Vec<u8>> {
         let first = samples.first()?;
         let mut w = BitWriter::default();
-        w.write_bits(first.timestamp_ms, 64);
-        w.write_bits(first.value.to_bits(), 64);
+        if legacy {
+            w.write_bits(first.timestamp_ms, 64);
+            w.write_bits(first.value.to_bits(), 64);
+        } else {
+            w.write_value_dod(first.value as i128);
+        }
         let mut prev_ts = first.timestamp_ms;
         let mut prev_delta: u64 = 0;
         let mut prev_value = first.value as i128;
         let mut prev_value_delta: i128 = 0;
-        for sample in samples.iter().skip(1) {
+        for (i, sample) in samples.iter().enumerate().skip(1) {
             if sample.timestamp_ms < prev_ts {
                 return None;
             }
             let delta = sample.timestamp_ms - prev_ts;
-            let dod = delta as i128 - prev_delta as i128;
-            match dod {
-                0 => w.write_bit(false),
-                -63..=64 => {
-                    w.write_bits(0b10, 2);
-                    w.write_bits((dod + 63) as u64, 7);
-                }
-                -255..=256 => {
-                    w.write_bits(0b110, 3);
-                    w.write_bits((dod + 255) as u64, 9);
-                }
-                -2047..=2048 => {
-                    w.write_bits(0b1110, 4);
-                    w.write_bits((dod + 2047) as u64, 12);
-                }
-                _ => {
-                    w.write_bits(0b1111, 4);
-                    w.write_bits(delta, 64);
-                }
+            if i == 1 && !legacy {
+                w.write_first_delta(delta);
+            } else {
+                w.write_timestamp(delta, prev_delta);
             }
             prev_ts = sample.timestamp_ms;
             prev_delta = delta;
 
             let value = sample.value as i128;
             let value_delta = value - prev_value;
-            let dod = value_delta - prev_value_delta;
-            if dod == 0 {
-                w.write_bit(false);
-            } else {
-                // The narrowest rung holding the Δ²: one more one bit per
-                // rung, a zero, the biased payload.
-                let rung = VALUE_LADDER.iter().position(|&width| {
-                    let half = 1i128 << (width - 1);
-                    (-(half - 1)..=half).contains(&dod)
-                });
-                match rung {
-                    Some(rung) => {
-                        let width = VALUE_LADDER[rung];
-                        for _ in 0..=rung {
-                            w.write_bit(true);
-                        }
-                        w.write_bit(false);
-                        w.write_bits((dod + (1i128 << (width - 1)) - 1) as u64, width);
-                    }
-                    None => {
-                        w.write_bits(0xff, 8);
-                        w.write_bits(dod as i64 as u64, 64);
-                    }
-                }
-            }
+            w.write_value_dod(value_delta - prev_value_delta);
             prev_value = value;
             prev_value_delta = value_delta;
         }
         Some(w.into_bytes())
+    }
+
+    /// The block of `samples` in the form blocks had before they left their
+    /// start out, and its kind: what `decode_legacy` must read.
+    pub fn encode_legacy(samples: &[Sample]) -> Option<(BlockKind, Vec<u8>)> {
+        if samples.iter().all(|s| qualifies(s.value)) {
+            encode_integer_in(samples, true).map(|block| (BlockKind::Integer, block))
+        } else {
+            encode_xor_in(samples, true).map(|block| (BlockKind::Xor, block))
+        }
     }
 
     fn read_bit(bytes: &[u8], pos: &mut u64) -> bool {
@@ -248,6 +301,9 @@ mod reference {
 
     pub struct Decoder {
         kind: BlockKind,
+        /// The block's start; `None` for a block of the older form, which
+        /// holds it.
+        start: Option<u64>,
         bit_pos: u64,
         emitted: u32,
         prev_ts: u64,
@@ -261,9 +317,10 @@ mod reference {
     }
 
     impl Decoder {
-        pub fn new(kind: BlockKind) -> Self {
+        pub fn new(kind: BlockKind, start: Option<u64>) -> Self {
             Self {
                 kind,
+                start,
                 bit_pos: 0,
                 emitted: 0,
                 prev_ts: 0,
@@ -278,21 +335,13 @@ mod reference {
 
         pub fn next_sample(&mut self, bytes: &[u8]) -> Sample {
             if self.emitted == 0 {
-                self.prev_ts = read_bits(bytes, &mut self.bit_pos, 64);
-                self.prev_bits = read_bits(bytes, &mut self.bit_pos, 64);
-                self.emitted = 1;
-                let value = f64::from_bits(self.prev_bits);
-                // An integer block keeps its values as integers from here on
-                // (garbage first values saturate; they never panic).
-                self.prev_int = value as i64;
-                return match self.kind {
-                    BlockKind::Xor => Sample { timestamp_ms: self.prev_ts, value },
-                    BlockKind::Integer => {
-                        Sample { timestamp_ms: self.prev_ts, value: self.prev_int as f64 }
-                    }
-                };
+                return self.first_sample(bytes);
             }
-            let delta = if !read_bit(bytes, &mut self.bit_pos) {
+            let delta = if self.emitted == 1 && self.start.is_some() {
+                let escaped = read_bit(bytes, &mut self.bit_pos);
+                let width = if escaped { 64 } else { FIRST_DELTA_BITS };
+                read_bits(bytes, &mut self.bit_pos, width)
+            } else if !read_bit(bytes, &mut self.bit_pos) {
                 self.prev_delta
             } else if !read_bit(bytes, &mut self.bit_pos) {
                 self.bucket_delta(bytes, 7, 63)
@@ -326,6 +375,35 @@ mod reference {
             Sample { timestamp_ms: self.prev_ts, value: f64::from_bits(self.prev_bits) }
         }
 
+        /// The first sample: the start and the first value — raw bits, or
+        /// an integer `Δ²` from zero — or, in the older form, a raw
+        /// timestamp and raw value bits.
+        fn first_sample(&mut self, bytes: &[u8]) -> Sample {
+            match self.start {
+                Some(start) => self.prev_ts = start,
+                None => self.prev_ts = read_bits(bytes, &mut self.bit_pos, 64),
+            }
+            match (self.kind, self.start) {
+                (BlockKind::Integer, Some(_)) => {
+                    let sample = self.next_integer(bytes);
+                    self.prev_int_delta = 0;
+                    return sample;
+                }
+                _ => self.prev_bits = read_bits(bytes, &mut self.bit_pos, 64),
+            }
+            self.emitted = 1;
+            let value = f64::from_bits(self.prev_bits);
+            // An integer block keeps its values as integers from here on
+            // (garbage first values saturate; they never panic).
+            self.prev_int = value as i64;
+            match self.kind {
+                BlockKind::Xor => Sample { timestamp_ms: self.prev_ts, value },
+                BlockKind::Integer => {
+                    Sample { timestamp_ms: self.prev_ts, value: self.prev_int as f64 }
+                }
+            }
+        }
+
         /// The value of an integer block's sample: count the marker's one
         /// bits (eight are the escape), read that rung's payload.
         fn next_integer(&mut self, bytes: &[u8]) -> Sample {
@@ -354,27 +432,31 @@ mod reference {
         }
     }
 
-    pub fn decode(bytes: &[u8], kind: BlockKind, count: usize) -> Vec<Sample> {
-        let mut decoder = Decoder::new(kind);
+    /// `count` samples of a block of `kind` that starts at `start`, or of
+    /// the older form for `None`.
+    pub fn decode(bytes: &[u8], kind: BlockKind, start: Option<u64>, count: usize) -> Vec<Sample> {
+        let mut decoder = Decoder::new(kind, start);
         (0..count).map(|_| decoder.next_sample(bytes)).collect()
     }
 }
 
-/// Asserts the production decoder — `decode` and `decode_into` — reads
-/// `count` samples off `bytes` as a block of `kind` exactly as the reference
-/// does.  The decoder takes a run of steady samples in one step, cut to the
-/// count it was given, so every count up to `count` is a case of its own: a
-/// run that ends on the count, one short of it, or that the count cuts
-/// anywhere.
-fn assert_matches_reference(bytes: &[u8], kind: BlockKind, count: usize) {
-    let want = reference::decode(bytes, kind, count);
-    assert!(samples_identical(&decode(bytes, kind, count), &want), "decode diverged");
+/// Asserts the production decoders read `count` samples off `bytes` as a
+/// block of `kind` exactly as the reference does: `decode` and `decode_into`
+/// from `start`, `decode_legacy` as a block of the older form.  The decoder
+/// takes a run of steady samples in one step, cut to the count it was given,
+/// so every count up to `count` is a case of its own: a run that ends on the
+/// count, one short of it, or that the count cuts anywhere.
+fn assert_matches_reference(bytes: &[u8], kind: BlockKind, start: u64, count: usize) {
+    let want = reference::decode(bytes, kind, Some(start), count);
+    assert!(samples_identical(&decode(bytes, kind, start, count), &want), "decode diverged");
     let mut appended = vec![Sample { timestamp_ms: 7, value: 7.0 }];
     for upto in 0..=count {
         appended.truncate(1);
-        decode_into(bytes, kind, upto, &mut appended);
+        decode_into(bytes, kind, start, upto, &mut appended);
         assert!(samples_identical(&appended[1..], &want[..upto]), "decode_into diverged at {upto}");
     }
+    let want = reference::decode(bytes, kind, None, count);
+    assert!(samples_identical(&decode_legacy(bytes, kind, count), &want), "decode_legacy diverged");
 }
 
 /// Bit-exact equality (plain `==` treats NaN as unequal).
@@ -405,33 +487,41 @@ proptest! {
         let samples = build_samples(&specs, switch_at(switch, specs.len()));
         let (kind, bytes) = encode(&samples).expect("time-ordered input must encode");
         assert_eq!(kind, kind_of(&samples));
-        assert!(samples_identical(&decode(&bytes, kind, samples.len()), &samples));
+        let start = samples[0].timestamp_ms;
+        assert!(samples_identical(&decode(&bytes, kind, start, samples.len()), &samples));
+        // The older form of the same samples reads back too.
+        let (kind, bytes) = reference::encode_legacy(&samples).expect("time-ordered input");
+        assert!(samples_identical(&decode_legacy(&bytes, kind, samples.len()), &samples));
     }
 
     /// The accumulator decoder equals the bit-by-bit reference on encoded
-    /// series of both kinds (every Δ² bucket, the raw-delta escape,
-    /// value-window reuse and re-establishment, the IEEE specials, every rung
-    /// of the integer ladder and its escape), five samples past their end,
-    /// read as the kind they are not, on every kind of truncation and with a
-    /// byte mangled anywhere.
+    /// series of both kinds (every Δ² bucket, both first-delta widths, the
+    /// raw-delta escapes, value-window reuse and re-establishment, the IEEE
+    /// specials, every rung of the integer ladder and its escape), five
+    /// samples past their end, read as the kind they are not, from a wrong
+    /// start, in the older form, on every kind of truncation and with a byte
+    /// mangled anywhere.
     #[test]
     fn decoder_matches_the_bit_by_bit_reference(
         specs in proptest::collection::vec((0u8..8, 0u8..10, 0u16..u16::MAX), 1..200),
         switch in (0u8..3, 0usize..200),
         cut in 0usize..4096,
         mangle in (0usize..4096, 1u16..256),
+        wrong_start in 0u64..u64::MAX,
     ) {
         let samples = build_samples(&specs, switch_at(switch, specs.len()));
         let (_, mut bytes) = encode(&samples).expect("time-ordered input must encode");
+        let start = samples[0].timestamp_ms;
         for kind in KINDS {
-            assert_matches_reference(&bytes, kind, samples.len() + 5);
+            assert_matches_reference(&bytes, kind, start, samples.len() + 5);
+            assert_matches_reference(&bytes, kind, wrong_start, samples.len() + 5);
             let cut = cut % (bytes.len() + 1);
-            assert_matches_reference(&bytes[..cut], kind, samples.len() + 5);
+            assert_matches_reference(&bytes[..cut], kind, start, samples.len() + 5);
         }
         let at = mangle.0 % bytes.len();
         bytes[at] ^= mangle.1 as u8;
         for kind in KINDS {
-            assert_matches_reference(&bytes, kind, samples.len() + 5);
+            assert_matches_reference(&bytes, kind, start, samples.len() + 5);
         }
     }
 
@@ -440,10 +530,11 @@ proptest! {
     fn decoder_matches_the_reference_on_random_bytes(
         garbage in proptest::collection::vec(0u16..256, 0..300),
         count in 0usize..400,
+        start in 0u64..u64::MAX,
     ) {
         let garbage: Vec<u8> = garbage.iter().map(|&b| b as u8).collect();
         for kind in KINDS {
-            assert_matches_reference(&garbage, kind, count);
+            assert_matches_reference(&garbage, kind, start, count);
         }
     }
 
@@ -459,10 +550,14 @@ proptest! {
         let samples = build_samples(&specs, switch_at(switch, specs.len()));
         let (kind, bytes) = encode(&samples).expect("time-ordered input must encode");
         assert_eq!(kind, kind_of(&samples));
-        assert!(samples_identical(&decode(&bytes, kind, samples.len()), &samples));
+        let start = samples[0].timestamp_ms;
+        assert!(samples_identical(&decode(&bytes, kind, start, samples.len()), &samples));
         for kind in KINDS {
-            assert_matches_reference(&bytes, kind, samples.len() + 5);
+            assert_matches_reference(&bytes, kind, start, samples.len() + 5);
         }
+        let (kind, legacy) = reference::encode_legacy(&samples).expect("time-ordered input");
+        assert!(samples_identical(&decode_legacy(&legacy, kind, samples.len()), &samples));
+        assert_matches_reference(&legacy, kind, start, samples.len() + 5);
     }
 
     /// Any input with a backwards timestamp anywhere is rejected whole.
@@ -516,39 +611,36 @@ proptest! {
         assert_eq!(encode(&samples), reference::encode(&samples));
     }
 
-    /// A block built by any split of its samples into bursts — finished
-    /// after a burst or not, empty bursts in between — is byte for byte the
-    /// block `encode` builds and of its kind, and at every burst boundary
-    /// the finished buffer is the block of the samples pushed so far: the
-    /// integer block until a burst brings a value that does not qualify, the
-    /// XOR block of everything from that burst on.
+    /// A block built by any split of its samples into bursts — empty bursts
+    /// in between — is byte for byte the block `encode` builds and of its
+    /// kind, and after every burst the buffer is the block of the samples
+    /// pushed so far: the integer block until a burst brings a value that
+    /// does not qualify, the XOR block of everything from that burst on.
+    /// The encoder keeps the start the block leaves out.
     #[test]
     fn any_split_into_bursts_builds_the_same_block(
         specs in proptest::collection::vec((0u8..8, 0u8..14, 0u16..u16::MAX), 1..200),
         switch in (0u8..3, 0usize..200),
-        cuts in proptest::collection::vec((0usize..12, 0u8..2), 1..60),
+        cuts in proptest::collection::vec(0usize..12, 1..60),
     ) {
         let samples = build_samples(&specs, switch_at(switch, specs.len()));
         let mut encoder = BlockEncoder::new();
         let mut block = vec![0xa5; 3];
-        assert_eq!((encoder.count(), encoder.last_timestamp(), encoder.byte_len()), (0, None, 0));
+        let empty = (encoder.count(), encoder.first_timestamp(), encoder.last_timestamp());
+        assert_eq!((empty, encoder.byte_len()), ((0, None, None), 0));
         let mut pushed = 0;
-        for &(burst, finish) in cuts.iter().cycle() {
+        for &burst in cuts.iter().cycle() {
             let end = (pushed + burst).min(samples.len());
             assert!(encoder.push(&samples[pushed..end], &mut block));
             pushed = end;
             assert_eq!(encoder.count() as usize, pushed);
             assert_eq!(encoder.kind(), kind_of(&samples[..pushed]));
-            assert_eq!(encoder.last_timestamp(), samples[..pushed].last().map(|s| s.timestamp_ms));
-            if finish == 1 || pushed == samples.len() {
-                encoder.finish(&mut block);
-                let want = reference::encode(&samples[..pushed]).map(|(_, b)| b).unwrap_or_default();
-                assert_eq!(block, want, "the first {pushed} samples, finished");
-                assert_eq!(encoder.byte_len(), want.len());
-                // Finishing is idempotent.
-                encoder.finish(&mut block);
-                assert_eq!(block, want);
-            }
+            let held = &samples[..pushed];
+            assert_eq!(encoder.first_timestamp(), held.first().map(|s| s.timestamp_ms));
+            assert_eq!(encoder.last_timestamp(), held.last().map(|s| s.timestamp_ms));
+            let want = reference::encode(held).map(|(_, b)| b).unwrap_or_default();
+            assert_eq!(block, want, "the first {pushed} samples");
+            assert_eq!(encoder.byte_len(), want.len());
             if pushed == samples.len() {
                 break;
             }
@@ -579,7 +671,6 @@ proptest! {
         assert_eq!(encoder.count() as usize, flip);
         assert_eq!(encoder.kind(), kind_of(&good[..flip]));
         assert!(encoder.push(&good[flip..], &mut block));
-        encoder.finish(&mut block);
         assert_eq!(Some((encoder.kind(), block)), reference::encode(&good));
     }
 
@@ -606,12 +697,13 @@ proptest! {
 
 #[test]
 fn zero_bytes_are_one_long_run_that_the_count_cuts() {
-    // 960 zero bits: a first sample of zeros and 416 steady ones behind it,
-    // then the zeros a refill past the end reads.  Nothing in the bytes ends
-    // the run — the footer's count does, wherever it falls.
+    // 960 zero bits: a first value of zero, a second sample at the start (a
+    // zero first delta) and hundreds of steady ones behind it, then the
+    // zeros a refill past the end reads.  Nothing in the bytes ends the run
+    // — the footer's count does, wherever it falls.
     for kind in KINDS {
-        assert_matches_reference(&[0; 120], kind, 500);
-        assert_matches_reference(&[], kind, 40);
+        assert_matches_reference(&[0; 120], kind, 1_000, 500);
+        assert_matches_reference(&[], kind, 0, 40);
     }
     // A steady block cut at every byte: the zeros past the cut extend the
     // run the cut interrupted.
@@ -620,33 +712,43 @@ fn zero_bytes_are_one_long_run_that_the_count_cuts() {
         .collect();
     let (kind, bytes) = encode(&steady).expect("ordered");
     for cut in 0..=bytes.len() {
-        assert_matches_reference(&bytes[..cut], kind, steady.len() + 3);
+        assert_matches_reference(&bytes[..cut], kind, 1_000, steady.len() + 3);
     }
 }
 
 #[test]
 fn blocks_ending_on_byte_and_word_boundaries_match_the_reference() {
-    // A first sample is 128 bits — two whole words — and each exact repeat
-    // adds two, so 1 + 4k samples end on a byte and 1 + 32k on a word.  A
-    // scrape cadence puts a 69-bit raw-delta escape in front of the repeats
-    // and walks the same boundaries at another phase.  In both kinds: a
-    // repeated value costs a bit either way.
+    // A first sample is its value alone — 64 bits as a float (one whole
+    // word), 12 as the whole number 42 — the second adds 16 (a 15-bit first
+    // delta, a repeated value's bit) and each repeat after that two: so the
+    // XOR block ends on a word at 26 + 32k samples and the integer block at
+    // 20 + 32k.  A minute's cadence puts the first delta's 65-bit escape in
+    // front of the repeats and walks the same boundaries at another phase.  (When a block
+    // opened with its first sample raw, 128 bits, both kinds took 16 bytes
+    // for one sample and 24 for 33.)
     let mut scratch = Vec::new();
-    for value in [42.0, 42.5] {
+    for (value, one, words) in [(42.0, 2, [(20, 8), (52, 16)]), (42.5, 8, [(26, 16), (58, 24)])] {
         let flat: Vec<Sample> = (0..98).map(|_| Sample { timestamp_ms: 7, value }).collect();
         let cadence: Vec<Sample> =
-            (0..98u64).map(|t| Sample { timestamp_ms: t * 15_000, value }).collect();
+            (0..98u64).map(|t| Sample { timestamp_ms: t * 60_000, value }).collect();
         for input in [&flat, &cadence] {
             for end in 1..=input.len() {
                 let kind = encode_into(&input[..end], &mut scratch).expect("ordered");
-                assert_eq!(Some((kind, scratch.clone())), reference::encode(&input[..end]));
-                assert_eq!(Some(&scratch), reference::encode_xor(&input[..end]).as_ref(), "{end}");
+                assert_eq!(
+                    Some((kind, scratch.clone())),
+                    reference::encode(&input[..end]),
+                    "{end}"
+                );
             }
         }
         assert!(encode_into(&flat[..1], &mut scratch).is_some());
-        assert_eq!(scratch.len(), 16);
-        assert!(encode_into(&flat[..33], &mut scratch).is_some());
-        assert_eq!(scratch.len(), 24, "32 repeats fill exactly one more word");
+        assert_eq!(scratch.len(), one, "{value}: one sample");
+        for (end, bytes) in words {
+            assert!(encode_into(&flat[..end], &mut scratch).is_some());
+            assert_eq!(scratch.len(), bytes, "{value}: {end} samples fill whole words");
+            assert!(encode_into(&flat[..end + 1], &mut scratch).is_some());
+            assert_eq!(scratch.len(), bytes + 1, "{value}: one more starts the next");
+        }
     }
     assert_eq!(encode_into(&[], &mut scratch), None, "an empty block is rejected, as by `encode`");
 }
@@ -680,7 +782,6 @@ fn the_first_fraction_turns_the_block_wherever_it_arrives() {
         let mut block = Vec::new();
         for (burst, chunk) in samples.chunks(8).enumerate() {
             assert!(encoder.push(chunk, &mut block));
-            encoder.finish(&mut block);
             let held = &samples[..(burst * 8 + chunk.len())];
             let turned = held.len() > at;
             assert_eq!(encoder.kind() == BlockKind::Xor, turned, "{at}: burst {burst}");
@@ -734,7 +835,8 @@ fn edge_values_take_the_kind_they_must() {
             let (got, block) = encode(&samples).expect("ordered");
             assert_eq!(got, kind, "{value} at {at}");
             assert_eq!(Some((got, block.clone())), reference::encode(&samples), "{value} at {at}");
-            assert!(samples_identical(&decode(&block, got, 3), &samples), "{value} at {at}");
+            let back = decode(&block, got, samples[0].timestamp_ms, 3);
+            assert!(samples_identical(&back, &samples), "{value} at {at}");
         }
     }
 }
@@ -777,16 +879,30 @@ fn every_rung_of_the_value_ladder_holds_what_it_says_and_no_more() {
     let (kind, block) = encode(&samples).expect("ordered");
     assert_eq!(kind, BlockKind::Integer);
     assert_eq!(Some((kind, block.clone())), reference::encode(&samples));
-    assert!(samples_identical(&decode(&block, kind, samples.len()), &samples));
+    assert!(samples_identical(&decode(&block, kind, 1_000, samples.len()), &samples));
 
     let deltas: Vec<i64> =
         std::iter::once(0).chain(values.windows(2).map(|w| w[1] - w[0])).collect();
     let dods: Vec<i64> = deltas.windows(2).map(|w| w[1] - w[0]).collect();
     assert!(dods.contains(&(1 << 54)) && dods.contains(&-(1 << 55)), "the extremes are in it");
-    // 128 bits, a 68-bit first timestamp delta, one bit per timestamp after.
-    let timestamp_bits = 68 + (samples.len() as u64 - 2);
-    let bits = 128 + timestamp_bits + dods.iter().map(|&dod| value_bits(dod)).sum::<u64>();
+    // The first value on the ladder, a 15-bit first delta, one bit per
+    // timestamp after.
+    let timestamp_bits = 15 + (samples.len() as u64 - 2);
+    let bits = value_bits(values[0])
+        + timestamp_bits
+        + dods.iter().map(|&dod| value_bits(dod)).sum::<u64>();
     assert_eq!(block.len() as u64, bits.div_ceil(8));
+
+    // A first value is its own `Δ²` from zero, on the same ladder: each
+    // rung's ends, the escape's, and the extremes.
+    let firsts = VALUE_LADDER.iter().flat_map(|&w| [1i64 << (w - 1), (1i64 << (w - 1)) + 1]);
+    for first in firsts.chain([0, -1, MAX_WHOLE, -MAX_WHOLE]) {
+        let samples = at_5s([first as f64, first as f64]);
+        let (kind, block) = encode(&samples).expect("ordered");
+        assert_eq!(Some((kind, block.clone())), reference::encode(&samples), "{first}");
+        assert!(samples_identical(&decode(&block, kind, 1_000, 2), &samples), "{first}");
+        assert_eq!(block.len() as u64, (value_bits(first) + 15 + 1).div_ceil(8), "{first}");
+    }
 }
 
 #[test]

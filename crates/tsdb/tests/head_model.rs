@@ -13,7 +13,8 @@
 //! tail (1, 4, 7, 8, 9) and at the default 120.
 //!
 //! The streams mix equal timestamps, rejected out-of-order samples, NaN
-//! payloads / ±∞ / −0.0, every Δ² bucket and the raw-delta escape, clock
+//! payloads / ±∞ / −0.0, every Δ² bucket and the raw-delta escape — now and
+//! then a run of those with full-entropy values, long enough to seal raw — clock
 //! jumps past [`STALE_HEAD_MS`] with a retention pass, and retention cutting
 //! mid-series — and runs of whole numbers of every length between the rest,
 //! so that blocks are sealed in both kinds and open integer blocks are turned
@@ -341,6 +342,9 @@ struct Values {
     prev_int: i64,
     /// Values still to come of a run of whole numbers.
     whole_run: u32,
+    /// Operations still to come of a hostile run: huge jumps, full-entropy
+    /// values.
+    hostile_run: u32,
 }
 
 /// Value kinds [`Values::next`] tells apart.
@@ -383,8 +387,8 @@ impl Values {
             7 => f64::from(raw) * 1e300,
             // NaN payloads of either sign.
             8 => f64::from_bits((0x7ff8 << 48) | (u64::from(raw) << 63) | u64::from(raw)),
-            // Full entropy: a new, wide window almost every time — and now
-            // and then a block larger than its samples, which seals raw.
+            // Full entropy: a new, wide window almost every time — and in a
+            // hostile run, a block larger than its samples, which seals raw.
             9 => f64::from_bits(u64::from(raw).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
             // A few bits mid-word: fits (and reuses) the previous window.
             10 => f64::from_bits(self.prev_bits ^ (u64::from(raw % 64) << 24)),
@@ -398,6 +402,22 @@ impl Values {
 /// encoder bucket, now and then a rejected sample, a retention pass, or the
 /// clock running ahead.
 fn apply(pair: &mut Pair, (kind, value_kind, raw): (u8, u8, u16), values: &mut Values) {
+    // A huge jump with a full-entropy value starts a run of them: a block
+    // leaves its first timestamp to its chunk's footer, so it outweighs its
+    // raw samples only where nearly every sample after the first costs both
+    // escapes.
+    if (kind % 16, value_kind % VALUE_KINDS) == (9, 9)
+        && values.whole_run == 0
+        && values.hostile_run == 0
+    {
+        values.hostile_run = u32::from(raw % 24);
+    }
+    let (kind, value_kind) = if values.hostile_run > 0 {
+        values.hostile_run -= 1;
+        (9, 9)
+    } else {
+        (kind, value_kind)
+    };
     let value = values.next(value_kind, raw);
     let base = pair.series[M].2.newest().or(pair.newest()).unwrap_or(0);
     let append_m = |pair: &mut Pair, delta: u64| {

@@ -243,13 +243,16 @@ fn a_head_doubles_through_its_first_chunk_and_then_only_seals_allocate() {
     let handle = db.resolve("m", &Labels::new());
     let append = |t: u64| {
         let before = events();
-        assert_eq!(db.append_batch(&[(handle, t * TICK_MS, t as f64)]).appended, 1);
+        let value = (1_000_000 + t) as f64;
+        assert_eq!(db.append_batch(&[(handle, t * TICK_MS, value)]).appended, 1);
         let after = events();
         (after.0 - before.0, after.1 - before.1)
     };
 
     // First chunk: one allocation for the block's first 32 bytes at the
-    // first burst, then a realloc per doubling — one, to 64, for a counter.
+    // first burst, then a realloc per doubling — one, to 64, for a counter
+    // already past a million (a counter from zero fits its first 119
+    // samples in the 32 bytes, and doubles at the seal).
     let (mut allocs, mut reallocs) = (0, 0);
     for t in 0..CHUNK_SIZE as u64 - 1 {
         let (a, r) = append(t);
@@ -350,8 +353,10 @@ fn a_sealed_chunk_costs_at_most_forty_bytes_beside_its_payload() {
 #[test]
 fn a_float_valued_store_weighs_what_it_did_before_blocks_had_kinds() {
     // Values with a fraction take the XOR road, the only one there was at
-    // commit fd16bc7: a store of them must cost, byte for byte of its ledger,
-    // what that commit's did (both numbers measured there, with this test).
+    // commit fd16bc7: a store of them must cost no more than that commit's
+    // did, (228 429, 22 052) bytes of ledger (measured there, with this
+    // test), and costs exactly this since blocks leave their first timestamp
+    // to the footer and take their first delta through a ladder.
     const SERIES: usize = 200;
     const ROUNDS: u64 = 400;
     let db = db();
@@ -366,7 +371,30 @@ fn a_float_valued_store_weighs_what_it_did_before_blocks_had_kinds() {
         }
         assert_eq!(db.append_batch(&batch).appended, SERIES as u64);
     }
-    assert_eq!((db.stats().resident_bytes, db.census().head_bytes), (228_429, 22_052));
+    let weighs = (db.stats().resident_bytes, db.census().head_bytes);
+    assert!(weighs.0 <= 228_429 && weighs.1 <= 22_052, "{weighs:?}");
+    assert_eq!(weighs, (216_732, 19_123));
+}
+
+#[test]
+fn a_whole_number_store_weighs_what_its_blocks_say() {
+    // The twin of the float-valued store: the same series, rounds and value
+    // walk less the fraction, so every block is an integer one.
+    const SERIES: usize = 200;
+    const ROUNDS: u64 = 400;
+    let db = db();
+    let handles = resolve(&db, "whole", SERIES);
+    let mut batch = Vec::with_capacity(SERIES);
+    for r in 1..=ROUNDS {
+        batch.clear();
+        for (i, &handle) in handles.iter().enumerate() {
+            let value = ((i as u64 * 31 + r * 17) % 1_009) as f64;
+            batch.push((handle, r * TICK_MS, value));
+        }
+        assert_eq!(db.append_batch(&batch).appended, SERIES as u64);
+    }
+    // (46 081, 7 699) while blocks opened with their first sample raw.
+    assert_eq!((db.stats().resident_bytes, db.census().head_bytes), (29_855, 3_637));
 }
 
 // ---------------------------------------------------------------------------

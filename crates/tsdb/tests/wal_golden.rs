@@ -29,12 +29,20 @@
 //! It opens the same way, against `golden/wal-v4.expected.txt`, written by
 //! that commit.
 //!
-//! `tests/golden/wal-v5/` pins today's bytes for the same workload: a whole
-//! number's sample entry takes the integer form where that is shorter.
-//! Every segment differs from `wal-v4/` and is smaller, and so do the shard
-//! snapshots whose checkpoints came due at other rounds; the test says so.
-//! Today's store must write that directory, file for file (shard snapshots
-//! taken with heads mid-burst included), and carry it forward exactly as it
+//! `tests/golden/wal-v5/` is what commit cf6cdaf, the last one whose blocks
+//! opened with their first sample raw (snapshot chunk tags 1 and 2), wrote
+//! for the same workload: the first directory whose whole numbers are logged
+//! in the integer form where that is shorter.  It opens the same way, against
+//! `golden/wal-v5.expected.txt`, written by that commit.
+//!
+//! `tests/golden/wal-v6/` pins today's bytes for the same workload: blocks
+//! leave their first timestamp to the chunk's footer (or, for a head, to the
+//! snapshot record beside it) and take their first delta and an integer
+//! block's first value through a ladder — chunk tags 3 and 4.  The log is
+//! what it was: every segment and `symbols.snap` are `wal-v5/`'s byte for
+//! byte, and every shard snapshot is smaller; the test says so.  Today's
+//! store must write that directory, file for file (shard snapshots taken
+//! with heads mid-burst included), and carry it forward exactly as it
 //! carries its own.
 
 use std::fmt::Write as _;
@@ -44,7 +52,7 @@ use teemon_metrics::Labels;
 use teemon_obs::probes;
 use teemon_tsdb::{DurabilityOptions, Selector, TimeSeriesDb, TsdbConfig};
 
-/// What `wal-v2/` … `wal-v5/` hold: sixty rounds of twelve series at four paces, so
+/// What `wal-v2/` … `wal-v6/` hold: sixty rounds of twelve series at four paces, so
 /// that whenever a shard is checkpointed (every 512 logged bytes) its heads
 /// stand at different places — empty, inside a first burst, a block and a
 /// tail — in chunks of eleven; NaN payloads, a signed zero and full-entropy
@@ -106,7 +114,7 @@ fn open(dir: &Path) -> TimeSeriesDb {
 /// A [`fingerprint`] less its `resident_bytes` and `index_bytes`: what a
 /// directory *answers*.  The bytes its samples take in memory are the
 /// codec's business — a whole-number series replayed from an old log is
-/// sealed into integer blocks today — and pinned elsewhere (`wal-v5/`, the
+/// sealed into integer blocks today — and pinned elsewhere (`wal-v6/`, the
 /// head model); the index is not persisted at all, so what it weighs is
 /// today's postings' business ([`index_bytes_built_afresh`] holds a
 /// recovered store to it).
@@ -232,22 +240,19 @@ fn a_directory_written_with_fixed_sample_entries_opens_and_keeps_working() {
 fn todays_store_writes_the_pinned_directory_and_older_ones_carry_on() {
     let _turn = turn();
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let (v4, pinned) = (files(&golden.join("wal-v4")), files(&golden.join("wal-v5")));
-    // What changed on disk since `wal-v4/` is how a whole number is logged:
-    // every segment holds some and is smaller, and so shard checkpoints come
-    // due at other rounds — the same files, `symbols.snap` byte for byte.
-    assert_eq!(pinned.keys().collect::<Vec<_>>(), v4.keys().collect::<Vec<_>>());
-    let moved: Vec<_> =
-        pinned.iter().filter(|(name, bytes)| v4.get(*name) != Some(bytes)).collect();
-    for (name, bytes) in &moved {
-        assert!(name.starts_with("segment-") || name.starts_with("shard-"), "{name} moved");
-        if name.starts_with("segment-") {
-            assert!(bytes.len() < v4[*name].len(), "{name} grew");
+    let (v5, pinned) = (files(&golden.join("wal-v5")), files(&golden.join("wal-v6")));
+    // What changed on disk since `wal-v5/` is how a block opens, and blocks
+    // live in shard snapshots only: the same files, every segment and
+    // `symbols.snap` byte for byte — the log did not move — and every shard
+    // snapshot smaller.
+    assert_eq!(pinned.keys().collect::<Vec<_>>(), v5.keys().collect::<Vec<_>>());
+    for (name, bytes) in &pinned {
+        if name.starts_with("shard-") {
+            assert!(bytes.len() < v5[name].len(), "{name} did not shrink");
+        } else {
+            assert!(v5.get(name) == Some(bytes), "{name} moved");
         }
     }
-    let segments = pinned.keys().filter(|name| name.starts_with("segment-")).count();
-    let moved_segments = moved.iter().filter(|(name, _)| name.starts_with("segment-")).count();
-    assert_eq!(moved_segments, segments, "a segment of wal-v5 is wal-v4's");
 
     // The same appends, from nothing: no log, snapshot or symbol byte moved.
     let written = ScratchCopy::empty("written");
@@ -266,7 +271,7 @@ fn todays_store_writes_the_pinned_directory_and_older_ones_carry_on() {
     // restored from snapshots mid-burst, the log tail replayed onto them —
     // and run thirty rounds further, it re-snapshots and logs exactly what a
     // store that wrote all ninety rounds itself does.
-    let resumed = ScratchCopy::of(&golden.join("wal-v5"));
+    let resumed = ScratchCopy::of(&golden.join("wal-v6"));
     let straight = ScratchCopy::empty("straight");
     let (resumed_db, straight_db) = (open_v2(&resumed.0), open_v2(&straight.0));
     workload(&straight_db, 0..60);
@@ -277,8 +282,10 @@ fn todays_store_writes_the_pinned_directory_and_older_ones_carry_on() {
     // sample what the last commit that wrote each read from it, from as many
     // replayed records, nothing salvaged.  `wal-v2/` holds XOR blocks only,
     // `wal-v3/` integer blocks too; both log fixed-width `SERIES` records.
-    // `wal-v4/` logs varint ones, and every sample value in the float form.
-    let legacy: Vec<_> = ["wal-v2", "wal-v3", "wal-v4"]
+    // `wal-v4/` logs varint ones, and every sample value in the float form;
+    // `wal-v5/` whole numbers in the integer form.  All four hold blocks
+    // that open with their first sample raw, sealed again on the way in.
+    let legacy: Vec<_> = ["wal-v2", "wal-v3", "wal-v4", "wal-v5"]
         .into_iter()
         .map(|name| {
             let expected = std::fs::read_to_string(golden.join(format!("{name}.expected.txt")))
