@@ -12,15 +12,16 @@
 //!
 //! This crate provides those pieces over the engine the rest of TEEMon runs:
 //!
-//! * [`pman_alerts`] — the user-defined thresholds as the `teemon_pman` rule
-//!   group: TeeQL alert rules over 5-minute windows, evaluated every minute
-//!   by [`teemon_query::RuleEngine`] inside the monitoring loop (a full
-//!   monitoring host installs it),
-//! * [`Analyzer`] — reads the [`Anomaly`] reports back: every firing
+//! * [`pman_alerts`] — the user-defined thresholds and the bottleneck
+//!   diagnoses of §6.4/§6.5 (e.g. "`clock_gettime` dominates read/write",
+//!   EPC pages evicted per 100 requests, host context switches per request)
+//!   as the `teemon_pman` rule group: TeeQL alert rules over 5-minute
+//!   windows, evaluated every minute by [`teemon_query::RuleEngine`] inside
+//!   the monitoring loop (a full monitoring host installs it), each firing
+//!   with a hint that explains it,
+//! * [`detect_anomalies`] — reads the [`Anomaly`] reports back: every firing
 //!   evaluation the rule engine stored as an `ALERTS{alertstate="firing"}`
-//!   sample, and diagnoses the bottlenecks of §6.4/§6.5 (e.g.
-//!   "`clock_gettime` dominates read/write"), every one a TeeQL evaluation
-//!   through [`teemon_query::QueryEngine`].
+//!   sample.
 //!
 //! The box plot is drawn where the paper draws it, on the "PMAN" dashboard
 //! of `teemon_dashboard`: `min_over_time`, `quantile_over_time(0.25 | 0.5 |
@@ -29,10 +30,8 @@
 #![warn(missing_docs)]
 
 pub mod anomaly;
-pub mod bottleneck;
 pub mod rules;
 
-pub use anomaly::Anomaly;
-pub use bottleneck::{Analyzer, BottleneckFinding, BottleneckKind};
+pub use anomaly::{detect_anomalies, Anomaly};
 pub use rules::pman_alerts;
 pub use teemon_query::Severity;

@@ -22,7 +22,7 @@
 use serde::{Deserialize, Serialize};
 
 use teemon_frameworks::{Deployment, DeploymentError, FrameworkKind, FrameworkParams};
-use teemon_kernel_sim::{Kernel, Pid};
+use teemon_kernel_sim::Kernel;
 
 use crate::network::NetworkModel;
 use crate::spec::Application;
@@ -109,10 +109,10 @@ impl BenchmarkResult {
 /// Runs one benchmark configuration: deploys `app` under `params` on `kernel`,
 /// samples requests and extrapolates steady-state performance.
 ///
-/// `at_edge` is called with the deployment's PID just before and just after
-/// the measured requests, after the warm-up: a caller that observes the run
-/// (scrapes a monitor, reads counters) acts there; one that does not passes
-/// `|_| {}`.
+/// `at_edge` is called with the deployment just before and just after the
+/// measured requests, after the warm-up: a caller that observes the run
+/// (scrapes a monitor, reads counters, registers the deployment's request
+/// counter) acts there; one that does not passes `|_| {}`.
 ///
 /// # Errors
 ///
@@ -123,7 +123,7 @@ pub fn run_benchmark(
     app: &dyn Application,
     network: &NetworkModel,
     config: &MemtierConfig,
-    mut at_edge: impl FnMut(Pid),
+    mut at_edge: impl FnMut(&Deployment),
 ) -> Result<BenchmarkResult, DeploymentError> {
     let connections = config.total_connections();
     let request = app.request(config.pipeline, connections);
@@ -136,7 +136,6 @@ pub fn run_benchmark(
         app.threads(),
         config.seed,
     )?;
-    let pid = deployment.pid();
 
     // Warm up (populate phase): touch the working set once so that steady
     // state, not cold faults, dominates the measured phase.
@@ -144,9 +143,9 @@ pub fn run_benchmark(
     deployment.execute_many(&request, connections, warmup);
 
     // Measurement phase, between the caller's two edges.
-    at_edge(pid);
+    at_edge(&deployment);
     let mean_service = deployment.execute_many(&request, connections, config.sample_requests);
-    at_edge(pid);
+    at_edge(&deployment);
 
     // --- Closed-loop steady-state model ------------------------------------
     let service_s = mean_service.as_secs_f64().max(1e-9);

@@ -19,9 +19,11 @@
 
 use std::io::{Read, Seek};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use teemon_analysis::pman_alerts;
 use teemon_apps::{
     run_benchmark, Application, MemtierConfig, MongoApp, NetworkModel, NginxApp, RedisApp,
 };
@@ -29,7 +31,7 @@ use teemon_exporters::ContainerSpec;
 use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams, SconeVersion};
 use teemon_kernel_sim::{Kernel, Pid, Syscall};
 use teemon_query::QueryEngine;
-use teemon_tsdb::StorageStats;
+use teemon_tsdb::{ScrapeTargetConfig, StorageStats};
 
 use crate::monitor::{HostMonitor, MonitorBuilder, MonitoringMode};
 use crate::overhead::paper_stack_throughput_factor;
@@ -473,8 +475,12 @@ pub struct Fig11Row {
 }
 
 /// Runs `app` under `params` on a fresh `Full` host, scraping it just before
-/// and just after the measured requests.  Returns the host, the deployment's
-/// PID and the times of the two scrapes.
+/// and just after the measured requests, with the deployment's request
+/// counter a target from the first scrape on.  The measured phase is shorter
+/// than PMAN's one-minute cadence, so the monitoring loop then runs on for
+/// one cadence: the group evaluates after the phase, over a trailing window
+/// whose first sample is the first edge's, after the warm-up.  Returns the
+/// host, the deployment's PID and the times of the two edge scrapes.
 fn monitored_run(
     params: FrameworkParams,
     app: &RedisApp,
@@ -482,10 +488,15 @@ fn monitored_run(
 ) -> (HostMonitor, Pid, [u64; 2]) {
     let host = MonitorBuilder::new("bench-node").mode(MonitoringMode::Full).build();
     let mut edges = Vec::with_capacity(2);
-    run_benchmark(host.kernel(), params, app, &NetworkModel::default(), config, |pid| {
-        edges.push((pid, scrape_edge(&host)));
+    run_benchmark(host.kernel(), params, app, &NetworkModel::default(), config, |deployment| {
+        if edges.is_empty() {
+            let target = ScrapeTargetConfig::new("app", "bench-node:app");
+            host.scraper().add_target(target, Arc::new(deployment.request_counter()));
+        }
+        edges.push((deployment.pid(), scrape_edge(&host)));
     })
     .expect("benchmark");
+    host.run_scrape_loop(pman_alerts().interval_ms.div_ceil(host.scraper().interval_ms()));
     let [(pid, start), (_, end)] = edges[..] else { unreachable!("a run has two edges") };
     (host, pid, [start, end])
 }
@@ -566,7 +577,6 @@ pub fn to_json<T: Serialize>(rows: &T) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teemon_analysis::BottleneckKind;
 
     const QUICK: u64 = 400;
 
@@ -677,21 +687,54 @@ mod tests {
         assert!(clock_new < clock_old / 100.0, "new commit handles clock_gettime in-enclave");
     }
 
+    /// The instances of `rule` the monitoring loop stored as firing.
+    fn fired(host: &HostMonitor, rule: &str) -> Vec<teemon_metrics::Labels> {
+        let anomalies = teemon_analysis::detect_anomalies(host.db(), 0, u64::MAX);
+        let mut labels: Vec<_> =
+            anomalies.into_iter().filter(|a| a.rule == rule).map(|a| a.labels).collect();
+        labels.dedup();
+        labels
+    }
+
     #[test]
     fn pman_flags_clock_gettime_only_in_old_commit() {
         // §6.4: the monitor's syscall statistics are how the regression was
-        // found.  PMAN reads them over the measured phase at 320 connections.
+        // found.  PMAN's loop judges them over the measured phase at 320
+        // connections.
         let app = RedisApp::paper_config(32);
         let config = MemtierConfig::paper_default(320).with_samples(QUICK);
         let diagnose = |version| {
-            let (host, _, [start, end]) =
-                monitored_run(FrameworkParams::scone(version), &app, &config);
-            host.analyzer().diagnose_syscall_mix("teemon_syscalls_total", start, end)
+            let (host, _, _) = monitored_run(FrameworkParams::scone(version), &app, &config);
+            fired(&host, "syscall_dominance")
         };
-        let old = diagnose(SconeVersion::Commit572bd1a5).expect("572bd1a5 is diagnosed");
-        assert_eq!(old.kind, BottleneckKind::SyscallDominance);
-        assert!(old.explanation.starts_with("clock_gettime accounts for"), "{}", old.explanation);
-        assert_eq!(diagnose(SconeVersion::Commit09fea91), None);
+        let clock_gettime = teemon_metrics::Labels::from_pairs([("syscall", "clock_gettime")]);
+        assert_eq!(diagnose(SconeVersion::Commit572bd1a5), [clock_gettime]);
+        assert_eq!(diagnose(SconeVersion::Commit09fea91), []);
+    }
+
+    #[test]
+    fn pman_storm_rule_fires_for_graphene_sgx_only() {
+        // §6.5: Graphene-SGX's host interaction, not the EPC, is its
+        // bottleneck.  Over every Figure 11 configuration the per-request
+        // storm rule fires for Graphene-SGX and for no other framework —
+        // SGX-LKL at 105 MB included, whose ksgxswapd switches (one per
+        // eviction) the rule leaves to `epc_thrashing`.
+        let [small, large, _] = RedisApp::paper_database_sizes();
+        for kind in FrameworkKind::ALL {
+            for conns in [8, 320, 580] {
+                for (db_mb, app) in [&small, &large] {
+                    let config = MemtierConfig::paper_default(conns).with_samples(QUICK);
+                    let (host, _, _) = monitored_run(FrameworkParams::for_kind(kind), app, &config);
+                    let stormy = !fired(&host, "context_switch_storm_per_request").is_empty();
+                    assert_eq!(
+                        stormy,
+                        kind == FrameworkKind::GrapheneSgx,
+                        "{} at {conns} connections, {db_mb} MB",
+                        kind.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

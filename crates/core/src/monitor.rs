@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use teemon_analysis::{pman_alerts, Analyzer};
+use teemon_analysis::pman_alerts;
 use teemon_dashboard::{standard, DashboardSet};
 use teemon_exporters::{ContainerExporter, ContainerSpec, EbpfExporter, NodeExporter, SgxExporter};
 use teemon_kernel_sim::Kernel;
@@ -268,7 +268,6 @@ impl MonitorBuilder {
         HostMonitor {
             kernel,
             scraper,
-            analyzer: Analyzer::new(db.clone()),
             dashboards: standard(),
             rules,
             db,
@@ -313,7 +312,6 @@ pub struct HostMonitor {
     kernel: Kernel,
     db: TimeSeriesDb,
     scraper: Scraper,
-    analyzer: Analyzer,
     dashboards: DashboardSet,
     rules: RuleEngine,
     container_exporter: Option<ContainerExporter>,
@@ -345,15 +343,11 @@ impl HostMonitor {
         &self.scraper
     }
 
-    /// The analysis component (PMAN).
-    pub fn analyzer(&self) -> &Analyzer {
-        &self.analyzer
-    }
-
-    /// The TeeQL rule engine (recording + alert rules).  Groups added via
-    /// [`MonitorBuilder::with_rules`] evaluate inside the monitoring loop;
-    /// inspect firing alerts with
-    /// [`rules().firing_alerts()`](RuleEngine::firing_alerts).
+    /// The TeeQL rule engine (recording + alert rules), PMAN's among them.
+    /// Groups added via [`MonitorBuilder::with_rules`] evaluate inside the
+    /// monitoring loop; inspect firing alerts with
+    /// [`rules().firing_alerts()`](RuleEngine::firing_alerts), or read the
+    /// stored history with [`teemon_analysis::detect_anomalies`].
     pub fn rules(&self) -> &RuleEngine {
         &self.rules
     }
@@ -404,8 +398,9 @@ impl HostMonitor {
     }
 
     /// What follows every scrape round of the monitoring loop: due rule
-    /// groups are evaluated, and the database's retention policy is applied
-    /// when a pass is due.
+    /// groups are evaluated (a rule the engine refuses is counted in
+    /// `teemon_rule_evaluation_failures_total`), and the database's retention
+    /// policy is applied when a pass is due.
     fn after_round(&self, now: u64) {
         self.rules.evaluate_due(now);
         if self.retention_due(now) {
@@ -474,8 +469,8 @@ impl ClusterMonitor {
         monitor
     }
 
-    /// The aggregator: the cluster's store, scraper, rule engine, analyzer,
-    /// dashboards and monitoring loop.
+    /// The aggregator: the cluster's store, scraper, rule engine (PMAN's
+    /// group among them), dashboards and monitoring loop.
     pub fn aggregator(&self) -> &HostMonitor {
         &self.aggregator
     }
@@ -606,10 +601,10 @@ mod tests {
         assert!(host.render_dashboard("missing", 50).is_none());
     }
 
-    #[test]
-    fn workload_on_monitored_host_is_observable_end_to_end() {
-        let host = HostMonitor::new("worker-1", MonitoringMode::Full);
-        let mut deployment = Deployment::deploy(
+    /// Deploys a Redis-like application under SCONE on `host` and registers
+    /// its request counter as a scrape target.
+    fn deploy_redis(host: &HostMonitor) -> Deployment {
+        let deployment = Deployment::deploy(
             host.kernel(),
             FrameworkParams::for_kind(FrameworkKind::Scone),
             "redis-server",
@@ -618,15 +613,35 @@ mod tests {
             11,
         )
         .unwrap();
+        host.scraper().add_target(
+            ScrapeTargetConfig::new("redis", "worker:6379"),
+            Arc::new(deployment.request_counter()),
+        );
+        deployment
+    }
+
+    #[test]
+    fn workload_on_monitored_host_is_observable_end_to_end() {
+        let host = HostMonitor::new("worker-1", MonitoringMode::Full);
+        let mut deployment = deploy_redis(&host);
+        // The counter is process-wide; no rule of any test here is refused.
+        let failures = teemon_obs::probes::RULE_EVALUATION_FAILURES.get();
+        host.run_scrape_loop(1);
         let request = teemon_frameworks::RequestProfile::keyvalue_get(64, 8_000);
         for _ in 0..300 {
             deployment.execute(&request, 320);
         }
-        host.run_scrape_loop(3);
+        // The PMAN group evaluates at 5 s and again at 65 s, over the
+        // requests in between.
+        host.run_scrape_loop(12);
         assert!(!host.db().select(&Selector::metric("teemon_syscalls_total")).is_empty());
-        // The analyzer can run over the scraped data without findings blowing up.
-        let findings = host.analyzer().diagnose_all(300.0, 0, u64::MAX);
-        let _ = findings;
+        assert!(!host.db().select(&Selector::metric("app_requests_total")).is_empty());
+        assert_eq!(host.rules().rule_count(), 7, "PMAN's seven rules");
+        assert_eq!(
+            teemon_obs::probes::RULE_EVALUATION_FAILURES.get(),
+            failures,
+            "every PMAN rule evaluated over the scraped data"
+        );
     }
 
     #[test]
@@ -748,7 +763,7 @@ mod tests {
             )
             .build();
         assert_eq!(host.rules().group_count(), 2, "teeql + teemon_pman");
-        assert_eq!(host.rules().rule_count(), 2 + 4);
+        assert_eq!(host.rules().rule_count(), 2 + 7);
 
         let pid = host.kernel().spawn_process(
             "redis-server",
@@ -794,10 +809,10 @@ mod tests {
         assert_eq!(host.rules().group_count(), 3, "teemon_pman + teemon_self + teemon_cardinality");
         assert_eq!(
             host.rules().rule_count(),
-            4 + 11,
-            "PMAN's four thresholds; imbalance, slow-query, WAL-salvage, \
-             WAL-unclean, HTTP-shed, HTTP-panic and HTTP-slow-client alerts, \
-             plus the four cardinality-defense alerts"
+            7 + 11,
+            "PMAN's four thresholds and three bottleneck rules; imbalance, \
+             slow-query, WAL-salvage, WAL-unclean, HTTP-shed, HTTP-panic and \
+             HTTP-slow-client alerts, plus the four cardinality-defense alerts"
         );
         // The group evaluates inside the monitoring loop over the series the
         // self target ingests — it must run cleanly against live self data
@@ -813,7 +828,7 @@ mod tests {
             Expr::Number(_) => {}
             Expr::Selector(selector) | Expr::Range { selector, .. } => out.push(selector.clone()),
             Expr::Call { arg, .. } => selectors(arg, out),
-            Expr::Aggregate { expr, .. } => selectors(expr, out),
+            Expr::Aggregate { expr, .. } | Expr::Scalar(expr) => selectors(expr, out),
             Expr::Binary { lhs, rhs, .. } => {
                 selectors(lhs, out);
                 selectors(rhs, out);
@@ -825,13 +840,12 @@ mod tests {
     fn full_mode_runs_pman_over_series_the_stack_exports() {
         let host = HostMonitor::new("worker-4", MonitoringMode::Full);
         assert_eq!(host.rules().group_count(), 1, "teemon_pman, with no builder call");
-        let pid = host.kernel().spawn_process(
-            "redis-server",
-            teemon_kernel_sim::process::ProcessKind::Enclave,
-            4,
-        );
-        // What any running enclave does: a system call, a context switch.
+        // An application whose request counter is a target, and what any
+        // running enclave does: system calls, a context switch.
+        let deployment = deploy_redis(&host);
+        let pid = deployment.pid();
         host.kernel().syscall(pid, Syscall::Read, true);
+        host.kernel().syscall(pid, Syscall::Futex, true);
         host.kernel().context_switch(pid, teemon_kernel_sim::SwitchKind::Voluntary);
         host.run_scrape_loop(2);
         let mut watched = Vec::new();
@@ -839,7 +853,7 @@ mod tests {
             let teemon_query::Rule::Alert(alert) = rule else { panic!("alerts only") };
             selectors(&alert.expr, &mut watched);
         }
-        assert_eq!(watched.len(), 4);
+        assert_eq!(watched.len(), 10);
         for selector in watched {
             assert!(!host.db().select(&selector).is_empty(), "PMAN watches {selector}: no series");
         }

@@ -9,10 +9,16 @@
 //! property §6.5 relies on ("TEEMon can be transparently used across a variety
 //! of SGX frameworks without changing their source code").
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use teemon_kernel_sim::process::ProcessKind;
 use teemon_kernel_sim::{FaultKind, Kernel, PageCacheOp, Pid, SwitchKind, Syscall};
+use teemon_metrics::{
+    FamilySnapshot, Labels, MetricKind, MetricPoint, MetricsEndpoint, PointValue, ScrapeError,
+};
 use teemon_sgx_sim::{EnclaveId, SgxError, TransitionCounts, TransitionKind, TransitionTracker};
 use teemon_sim_core::{DetRng, SimDuration};
 
@@ -48,7 +54,7 @@ impl From<SgxError> for DeploymentError {
 /// Aggregate execution statistics of a deployment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionTotals {
-    /// Requests executed.
+    /// Requests executed: the deployment's [`RequestCounter`].
     pub requests: u64,
     /// Total service time spent on the server side (nanoseconds).
     pub busy_ns: u64,
@@ -62,6 +68,31 @@ pub struct ExecutionTotals {
     pub syscalls: u64,
 }
 
+/// The requests a deployment served, published the way an application's
+/// own exporter (a Redis or NGINX exporter) publishes them: one
+/// `app_requests_total{app="<name>"}` counter, the same family for every
+/// application.  [`Deployment::execute`] bumps it; the handle
+/// [`Deployment::request_counter`] returns reads the same count, so it can
+/// be registered as a scrape target.
+#[derive(Debug, Clone)]
+pub struct RequestCounter {
+    app: String,
+    served: Arc<AtomicU64>,
+}
+
+impl MetricsEndpoint for RequestCounter {
+    fn scrape(&self) -> Result<Vec<FamilySnapshot>, ScrapeError> {
+        let served = self.served.load(Ordering::Relaxed) as f64;
+        let point = MetricPoint::new(
+            Labels::from_pairs([("app", self.app.as_str())]),
+            PointValue::Counter(served),
+        );
+        let family =
+            FamilySnapshot::new("app_requests_total", "Requests served", MetricKind::Counter);
+        Ok(vec![family.with_point(point)])
+    }
+}
+
 /// A running application instance under one framework.
 pub struct Deployment {
     kernel: Kernel,
@@ -72,6 +103,7 @@ pub struct Deployment {
     enclave_pages: u64,
     transitions: TransitionTracker,
     totals: ExecutionTotals,
+    requests: RequestCounter,
     rng: DetRng,
     startup_latency: SimDuration,
 }
@@ -123,6 +155,10 @@ impl Deployment {
             enclave_pages,
             transitions: TransitionTracker::new(costs),
             totals: ExecutionTotals::default(),
+            requests: RequestCounter {
+                app: app_name.to_string(),
+                served: Arc::new(AtomicU64::new(0)),
+            },
             rng: DetRng::seed_from_u64(seed),
             startup_latency,
         })
@@ -150,7 +186,13 @@ impl Deployment {
 
     /// Totals accumulated so far.
     pub fn totals(&self) -> ExecutionTotals {
-        self.totals
+        ExecutionTotals { requests: self.requests.served.load(Ordering::Relaxed), ..self.totals }
+    }
+
+    /// A handle on the deployment's request counter, to register as a
+    /// scrape target.
+    pub fn request_counter(&self) -> RequestCounter {
+        self.requests.clone()
     }
 
     fn sample_count(&mut self, expected: f64) -> u64 {
@@ -281,7 +323,7 @@ impl Deployment {
         // --- Contention --------------------------------------------------------
         let latency = latency.mul_f64(self.params.contention_factor(connections));
 
-        self.totals.requests += 1;
+        self.requests.served.fetch_add(1, Ordering::Relaxed);
         self.totals.busy_ns += latency.as_nanos();
         self.kernel.clock().advance(latency);
         latency
@@ -364,6 +406,25 @@ mod tests {
         assert_eq!(d.startup_latency(), SimDuration::ZERO);
         assert_eq!(kernel.sgx_driver().stats().enclaves_active, 0);
         d.shutdown();
+    }
+
+    #[test]
+    fn the_request_counter_exports_every_executed_request() {
+        let kernel = kernel();
+        let mut d =
+            Deployment::deploy(&kernel, FrameworkParams::native(), "redis-server", 78 << 20, 8, 1)
+                .unwrap();
+        // The handle is taken before the requests and still sees them.
+        let counter = d.request_counter();
+        d.execute_many(&get_request(78), 8, 25);
+        let families = counter.scrape().unwrap();
+        assert_eq!(families.len(), 1);
+        assert_eq!(families[0].name, "app_requests_total");
+        assert_eq!(families[0].kind, MetricKind::Counter);
+        let labels = Labels::from_pairs([("app", "redis-server")]);
+        let point = families[0].point(&labels).expect("one point per application");
+        assert_eq!(point.value.scalar(), 25.0);
+        assert_eq!(d.totals().requests, 25);
     }
 
     #[test]

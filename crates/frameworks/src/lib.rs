@@ -15,6 +15,8 @@
 //! * [`Deployment`] — a running application instance under a framework: it
 //!   owns the enclave, issues syscalls through the kernel (firing the hooks
 //!   TEEMon observes) and touches enclave memory through the EPC model,
+//! * [`RequestCounter`] — the requests a deployment served, published as the
+//!   application's own exporter would (`app_requests_total{app=…}`),
 //! * [`RequestProfile`] — the per-request behaviour of an application
 //!   (syscalls, memory touched, cache behaviour, CPU work).
 //!
@@ -28,6 +30,6 @@ mod deployment;
 mod profile;
 mod request;
 
-pub use deployment::{Deployment, DeploymentError, ExecutionTotals};
+pub use deployment::{Deployment, DeploymentError, ExecutionTotals, RequestCounter};
 pub use profile::{FrameworkKind, FrameworkParams, SconeVersion};
 pub use request::RequestProfile;

@@ -407,6 +407,9 @@ probes! {
         { QUERY_NS: LogLinearHist }
     query "teemon_query_slow_total" "range queries over the slow-query threshold"
         { QUERY_SLOW: Counter }
+    query "teemon_rule_evaluation_failures_total"
+        "rule evaluations the query engine refused, so the rule recorded or raised nothing"
+        { RULE_EVALUATION_FAILURES: Counter }
     http "teemon_http_connections_total" "connections accepted by the HTTP listener"
         { HTTP_CONNECTIONS: Counter }
     http "teemon_http_requests_total" "requests that entered the middleware stack"

@@ -291,6 +291,9 @@ pub enum Expr {
         /// The aggregated expression.
         expr: Box<Expr>,
     },
+    /// `scalar(v)`: the value of a one-element instant vector as a scalar,
+    /// `NaN` when the vector is empty or has several elements.
+    Scalar(Box<Expr>),
     /// A binary arithmetic or comparison expression.
     Binary {
         /// The operator.
@@ -345,6 +348,7 @@ impl fmt::Display for Expr {
                 Grouping::None => write!(f, "{op}({expr})"),
                 _ => write!(f, "{op} {grouping} ({expr})"),
             },
+            Expr::Scalar(expr) => write!(f, "scalar({expr})"),
             Expr::Binary { op, lhs, rhs } => {
                 // Left-associative grammar: the left child may print bare at
                 // equal precedence, the right child needs parentheses there.

@@ -268,8 +268,10 @@ impl QueryEngine {
             return Ok(Value::Matrix(series.collect()));
         }
         let plan = stream::plan_or_reason(&self.db, Self::DEFAULT_LOOKBACK_MS, expr, at_ms, at_ms)?;
-        if let PlanKind::Scalar(value) = plan.kind {
-            return Ok(Value::Scalar(value));
+        if !matches!(plan.kind, PlanKind::Vector { .. }) {
+            let series = plan.run(at_ms, at_ms, 1);
+            let point = series.first().and_then(|series| series.points.first());
+            return Ok(Value::Scalar(point.map_or(f64::NAN, |point| point.value)));
         }
         let samples = plan.run(at_ms, at_ms, 1).into_iter().filter_map(|series| {
             let value = series.points.first()?.value;
@@ -529,6 +531,52 @@ mod tests {
         // Errors render readable messages.
         let msg = QueryError::from(EvalError::RangeRequired(RangeFunc::Rate)).to_string();
         assert!(msg.contains("rate"), "{msg}");
+    }
+
+    #[test]
+    fn scalar_is_the_value_of_a_one_element_vector() {
+        let engine = QueryEngine::new(db());
+        let scalar = |q: &str, at| match engine.instant_query(q, at).unwrap() {
+            Value::Scalar(v) => v,
+            other => panic!("expected a scalar for `{q}`, got {other:?}"),
+        };
+        assert_eq!(scalar(r#"scalar(sgx_nr_free_pages{node="n1"})"#, 0), 24_000.0);
+        // An empty or a two-element vector is NaN, and nothing compares
+        // true against NaN: a rule built on it does not fire.
+        for q in ["scalar(sgx_nr_free_pages)", "scalar(missing)"] {
+            assert!(scalar(q, 0).is_nan(), "`{q}`");
+            let filtered = format!("sgx_nr_free_pages / {q} >= 0");
+            assert!(vector(&engine, &filtered, 0).is_empty(), "`{filtered}`");
+        }
+        // A share of the whole: both nodes hold 24 000 pages at t = 0.
+        let share = vector(
+            &engine,
+            "sum by (node) (sgx_nr_free_pages) / scalar(sum(sgx_nr_free_pages)) >= 0.5",
+            0,
+        );
+        assert_eq!(share.iter().map(|s| s.value).collect::<Vec<_>>(), [0.5, 0.5]);
+        // Between two scalars a comparison is 1 or 0.
+        assert_eq!(scalar("scalar(sum(sgx_nr_free_pages)) > 1", 0), 1.0);
+        assert_eq!(scalar("2 * scalar(sum(sgx_nr_free_pages)) < 1", 0), 0.0);
+        // Over a range: one series with a value at every step, NaN until
+        // n1 alone has dropped below 20 000 pages (from 25 s on).
+        let low = r#"scalar(sgx_nr_free_pages{node="n1"} < 20000)"#;
+        let series = engine.range_query(low, 0, 60_000, 5_000).unwrap();
+        assert_eq!(series.len(), 1);
+        let values: Vec<f64> = series[0].points.iter().map(|p| p.value).collect();
+        assert!(values[..5].iter().all(|v| v.is_nan()), "{values:?}");
+        assert_eq!(
+            values[5..],
+            [19_000.0, 18_000.0, 17_000.0, 16_000.0, 15_000.0, 14_000.0, 13_000.0, 12_000.0]
+        );
+        // Only an instant vector has a `scalar()`.
+        for q in ["scalar(1)", "scalar(sgx_nr_free_pages[1m])"] {
+            assert_eq!(
+                engine.instant_query(q, 0),
+                Err(QueryError::Eval(EvalError::VectorRequired("scalar"))),
+                "`{q}`"
+            );
+        }
     }
 
     #[test]

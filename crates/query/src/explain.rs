@@ -18,7 +18,7 @@ use std::fmt;
 use crate::ast::{format_duration_ms, Expr, Grouping};
 use crate::eval::{EvalError, QueryEngine, QueryError, RangeSeries};
 use crate::parser::parse;
-use crate::stream::{self, Node, PlanKind};
+use crate::stream::{self, Node, Operand, PlanKind};
 
 /// One node of an explained plan, mirroring the expression tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,7 +138,7 @@ impl QueryEngine {
             stream::plan_or_reason(self.db(), Self::DEFAULT_LOOKBACK_MS, expr, start_ms, end_ms)?;
         let root = match &plan.kind {
             PlanKind::Scalar(value) => constant(*value),
-            PlanKind::Vector { root, .. } => annotate(expr, root),
+            PlanKind::Steps(root) | PlanKind::Vector { root, .. } => annotate(expr, root),
         };
         Ok(Explain { query: expr.to_string(), root })
     }
@@ -200,12 +200,17 @@ fn annotate(expr: &Expr, plan: &Node) -> PlanNode {
             };
             node(label, series, vec![annotate(expr, input)])
         }
+        (Expr::Scalar(arg), Node::Scalar { input }) => {
+            node("scalar(·)".to_string(), series, vec![annotate(arg, input)])
+        }
         (Expr::Binary { op, lhs, rhs }, Node::Map { input, scalar, scalar_left, .. }) => {
-            let children = if *scalar_left {
-                vec![constant(*scalar), annotate(rhs, input)]
-            } else {
-                vec![annotate(lhs, input), constant(*scalar)]
+            let (input_expr, scalar_expr) = if *scalar_left { (rhs, lhs) } else { (lhs, rhs) };
+            let scalar = match scalar {
+                Operand::Const(value) => constant(*value),
+                Operand::Steps(plan) => annotate(scalar_expr, plan),
             };
+            let input = annotate(input_expr, input);
+            let children = if *scalar_left { vec![scalar, input] } else { vec![input, scalar] };
             node(format!("binary {op}"), series, children)
         }
         (Expr::Binary { op, lhs, rhs }, Node::Join { lhs: left, rhs: right, .. }) => {
@@ -273,6 +278,15 @@ mod tests {
         let rendered = explain.to_string();
         assert!(rendered.contains("- scalar 2 → 1 series"), "{rendered}");
         assert!(rendered.contains("- scalar 100 → 1 series"), "{rendered}");
+        // `scalar()` is one series over the vector it reads.
+        let explain =
+            engine.explain("requests_total / scalar(sum(requests_total)) * 2", 0, 95_000).unwrap();
+        let rendered = explain.to_string();
+        assert!(rendered.contains("\n    - scalar(·) → 1 series\n"), "{rendered}");
+        assert!(rendered.contains("\n      - sum(·) → 1 series\n"), "{rendered}");
+        assert!(rendered.contains("\n        - selector requests_total → 3 series"), "{rendered}");
+        assert!(rendered.contains("\n  - scalar 2 → 1 series"), "{rendered}");
+        assert_eq!(explain.root.series, 3);
         // An ill-typed query is explained by the error that refuses it.
         assert_eq!(
             engine.explain("rate(requests_total)", 0, 95_000),

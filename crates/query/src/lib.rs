@@ -19,9 +19,9 @@
 //!   the database and [`AlertRule`]s (expression + `for` hold +
 //!   [`Severity`]).
 //!
-//! `teemon_dashboard`'s panels and `teemon_analysis`' bottleneck diagnoses
-//! evaluate through the same engine, and PMAN's thresholds are a
-//! [`RuleGroup`] of [`AlertRule`]s (`teemon_analysis::pman_alerts`).
+//! `teemon_dashboard`'s panels evaluate through the same engine, and PMAN —
+//! its thresholds and bottleneck diagnoses — is a [`RuleGroup`] of
+//! [`AlertRule`]s (`teemon_analysis::pman_alerts`).
 //!
 //! # The language
 //!
@@ -30,6 +30,7 @@
 //!           | expr (+ | -) expr | expr (* | /) expr     scalar arithmetic
 //!           | (sum|avg|min|max|count) [by|without (labels)] (expr)
 //!           | func(expr) | quantile_over_time(q, expr)  range functions
+//!           | scalar(expr)                              one-element vector → scalar
 //!           | name{label="v", label!="v"} [window]      selectors
 //!           | number | (expr)
 //! func     := rate | increase | avg_over_time | min_over_time

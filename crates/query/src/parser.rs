@@ -163,6 +163,12 @@ impl Parser {
                         return self.call(func, next.pos);
                     }
                 }
+                if name == "scalar" && matches!(self.peek(), Some(s) if s.token == Token::LParen) {
+                    self.index += 1;
+                    let arg = self.expression()?;
+                    self.expect(&Token::RParen, "`)` closing the function call")?;
+                    return Ok(Expr::Scalar(Box::new(arg)));
+                }
                 let selector = self.selector(Some(name))?;
                 self.maybe_range(selector)
             }
@@ -393,6 +399,7 @@ mod tests {
         roundtrip("avg_over_time(sgx_nr_free_pages[5m]) < 512");
         roundtrip("sum(a) - sum(b) - sum(c)");
         roundtrip("node:syscalls:rate5m > 100");
+        roundtrip("m / scalar(sum(m)) >= 0.5");
     }
 
     #[test]
@@ -433,6 +440,8 @@ mod tests {
     fn aggregation_names_still_work_as_metric_names() {
         // `count` not followed by `(`/`by`/`without` is an ordinary selector.
         assert_eq!(parse(r#"count{job="x"} + 1"#).unwrap().to_string(), r#"count{job="x"} + 1"#);
+        // So is `scalar` without its call parentheses.
+        assert_eq!(parse("scalar + 1").unwrap().to_string(), "scalar + 1");
     }
 
     #[test]

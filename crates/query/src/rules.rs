@@ -12,6 +12,7 @@ use std::collections::{HashMap, HashSet};
 use parking_lot::{LockClass, Mutex};
 use serde::{Deserialize, Serialize};
 use teemon_metrics::Labels;
+use teemon_obs::probes;
 use teemon_tsdb::TimeSeriesDb;
 
 use crate::ast::{format_duration_ms, Expr};
@@ -428,12 +429,14 @@ impl RuleEngine {
                         summary.samples_recorded += self.record(recording, value, now_ms);
                     }
                     Err(err) => {
+                        probes::RULE_EVALUATION_FAILURES.inc();
                         summary.errors.push(format!("{}/{}: {err}", group.name, recording.record))
                     }
                 },
                 Rule::Alert(alert) => match self.engine.instant(&alert.expr, now_ms) {
                     Ok(value) => self.transition_alerts(active, index, alert, &value, now_ms),
                     Err(err) => {
+                        probes::RULE_EVALUATION_FAILURES.inc();
                         summary.errors.push(format!("{}/{}: {err}", group.name, alert.name))
                     }
                 },
@@ -781,5 +784,28 @@ mod tests {
         let summary = engine.evaluate_due(0);
         assert_eq!(summary.errors.len(), 1);
         assert!(summary.errors[0].contains("broken/bad"), "{:?}", summary.errors);
+    }
+
+    #[test]
+    fn a_refused_rule_is_counted() {
+        // A name-less right-hand selector that matches two metrics with one
+        // label set: the planner refuses the match as many-to-one, so the
+        // alert can never fire, and the failure counter says so.
+        let db = TimeSeriesDb::new();
+        let labels = Labels::from_pairs([("node", "n1")]);
+        db.append("metric_a", &labels, 0, 7.0);
+        db.append("metric_b", &labels, 0, 100.0);
+        let engine = RuleEngine::new(db);
+        engine.add_group(RuleGroup::new("refused", 1_000).with_rule(AlertRule::new(
+            "never",
+            parse(r#"metric_a + {node="n1"} > 0"#).unwrap(),
+            Severity::Warning,
+        )));
+        // The counter is process-wide and other tests may bump it too.
+        let before = probes::RULE_EVALUATION_FAILURES.get();
+        let summary = engine.evaluate_due(0);
+        assert!(summary.errors[0].contains("many-to-one"), "{:?}", summary.errors);
+        assert!(probes::RULE_EVALUATION_FAILURES.get() > before);
+        assert!(engine.active_alerts().is_empty());
     }
 }

@@ -49,7 +49,10 @@
 //! *slot* each) is resolved **once** at plan time, and a node emits its
 //! columns to its parent in slot order.  `Map` (arithmetic or a filtering
 //! comparison against a constant) rewrites a column in place and passes it
-//! on.  `Group` folds each child column into its row of a `groups × steps`
+//! on; against a per-step scalar (`scalar(v)`, whose node folds its input's
+//! columns into one — the one present value a step, NaN for none or
+//! several) it first takes that scalar's one column.  `Group` folds each
+//! child column into its row of a `groups × steps`
 //! accumulator through a slot→group table computed at plan time, and emits
 //! the rows as columns once its child is done.  `Join` (vector-vector
 //! matching on identical label sets) buffers the right-hand columns some
@@ -80,8 +83,9 @@
 //!
 //! [`plan_or_reason`] plans every well-typed expression and refuses the rest
 //! with a typed [`EvalError`] before anything is decoded: a range function
-//! over something that is not a range selector, an aggregation over a
-//! scalar, a range vector outside a range function, a quantile outside
+//! over something that is not a range selector, an aggregation or a
+//! `scalar()` over a scalar, a range vector outside a range function, a
+//! quantile outside
 //! `[0, 1]`, two right-hand series of a vector-vector operation with one
 //! label set, and output series that collide once the metric name is
 //! dropped.  A step-major evaluator lives on as test support
@@ -136,6 +140,9 @@ pub(crate) enum PlanKind {
     /// A constant scalar expression: one label-less series, present at every
     /// step.
     Scalar(f64),
+    /// A scalar with a value per step (`scalar(v)` and arithmetic on it):
+    /// one label-less series, present at every step.
+    Steps(Node),
     Vector {
         root: Node,
         keys: Vec<SeriesKey>,
@@ -163,12 +170,9 @@ impl StreamPlan {
     ) -> (Vec<RangeSeries>, RunStats) {
         let grid = Grid::new(start_ms, end_ms, step_ms);
         let mut stats = RunStats::default();
-        match self.kind {
-            PlanKind::Scalar(value) => {
-                let points =
-                    grid.times().map(|timestamp_ms| Sample { timestamp_ms, value }).collect();
-                (vec![RangeSeries { name: None, labels: Labels::new(), points }], stats)
-            }
+        let scalar = match self.kind {
+            PlanKind::Scalar(value) => vec![value; grid.steps],
+            PlanKind::Steps(root) => root.column(&grid, &mut stats),
             PlanKind::Vector { root, keys } => {
                 let mut series = Vec::new();
                 // Columns arrive in slot order, one per key.
@@ -188,9 +192,12 @@ impl StreamPlan {
                 // The per-step accumulator returns series sorted by key (keys
                 // are unique — `plan_or_reason` refuses collisions).
                 series.sort_unstable_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-                (series, stats)
+                return (series, stats);
             }
-        }
+        };
+        let points =
+            grid.times().zip(scalar).map(|(timestamp_ms, value)| Sample { timestamp_ms, value });
+        (vec![RangeSeries { name: None, labels: Labels::new(), points: points.collect() }], stats)
     }
 }
 
@@ -243,6 +250,7 @@ pub fn plan_or_reason(
 ) -> Result<StreamPlan, EvalError> {
     let (root, keys) = match plan(db, lookback_ms, expr, start_ms, end_ms)? {
         Planned::Scalar(value) => return Ok(StreamPlan { kind: PlanKind::Scalar(value) }),
+        Planned::Steps(root) => return Ok(StreamPlan { kind: PlanKind::Steps(root) }),
         Planned::Vector(root, keys) => (root, keys),
         Planned::Range => return Err(EvalError::UnexpectedRange),
     };
@@ -263,6 +271,8 @@ pub fn plan_or_reason(
 /// What a subexpression plans to: the types of the instant evaluation.
 enum Planned {
     Scalar(f64),
+    /// A scalar per step: a node emitting one column, present at every step.
+    Steps(Node),
     Vector(Node, Vec<SeriesKey>),
     /// A range selector, which only a range function may consume.
     Range,
@@ -329,13 +339,28 @@ fn plan(
                 keys,
             )
         }
+        // The value of a one-element vector, NaN otherwise, at every step.
+        Expr::Scalar(arg) => {
+            let Planned::Vector(input, _) = plan(db, lookback_ms, arg, start_ms, end_ms)? else {
+                return Err(EvalError::VectorRequired("scalar"));
+            };
+            Planned::Steps(Node::Scalar { input: Box::new(input) })
+        }
         // Arithmetic drops the metric name; comparisons filter and keep it.
+        // Between two scalars a comparison is 1 or 0.
         Expr::Binary { op, lhs, rhs } => {
             let op = *op;
-            let map = |input, keys: Vec<SeriesKey>, scalar, scalar_left| {
-                let keys = keys.into_iter().map(|key| rename(op, key)).collect();
-                Planned::Vector(Node::Map { input: Box::new(input), op, scalar, scalar_left }, keys)
+            let map = |input, keys: Option<Vec<SeriesKey>>, scalar, scalar_left| {
+                let filter = keys.is_some() && op.is_comparison();
+                let node = Node::Map { input: Box::new(input), op, scalar, scalar_left, filter };
+                match keys {
+                    Some(keys) => {
+                        Planned::Vector(node, keys.into_iter().map(|key| rename(op, key)).collect())
+                    }
+                    None => Planned::Steps(node),
+                }
             };
+            let steps = |node| Operand::Steps(Box::new(node));
             match (
                 plan(db, lookback_ms, lhs, start_ms, end_ms)?,
                 plan(db, lookback_ms, rhs, start_ms, end_ms)?,
@@ -344,14 +369,29 @@ fn plan(
                     return Err(EvalError::UnexpectedRange)
                 }
                 (Planned::Scalar(a), Planned::Scalar(b)) => Planned::Scalar(op.apply(a, b)),
-                (Planned::Vector(input, keys), Planned::Scalar(scalar)) => {
-                    map(input, keys, scalar, false)
-                }
-                (Planned::Scalar(scalar), Planned::Vector(input, keys)) => {
-                    map(input, keys, scalar, true)
-                }
                 (Planned::Vector(lhs, lhs_keys), Planned::Vector(rhs, rhs_keys)) => {
                     join(op, (lhs, lhs_keys), (rhs, rhs_keys))?
+                }
+                (Planned::Vector(input, keys), Planned::Scalar(c)) => {
+                    map(input, Some(keys), Operand::Const(c), false)
+                }
+                (Planned::Scalar(c), Planned::Vector(input, keys)) => {
+                    map(input, Some(keys), Operand::Const(c), true)
+                }
+                (Planned::Vector(input, keys), Planned::Steps(other)) => {
+                    map(input, Some(keys), steps(other), false)
+                }
+                (Planned::Steps(other), Planned::Vector(input, keys)) => {
+                    map(input, Some(keys), steps(other), true)
+                }
+                (Planned::Steps(input), Planned::Scalar(c)) => {
+                    map(input, None, Operand::Const(c), false)
+                }
+                (Planned::Scalar(c), Planned::Steps(input)) => {
+                    map(input, None, Operand::Const(c), true)
+                }
+                (Planned::Steps(input), Planned::Steps(other)) => {
+                    map(input, None, steps(other), false)
                 }
             }
         }
@@ -430,8 +470,13 @@ pub(crate) enum Node {
     /// The leaves: one stored sample range per series, all sliding the same
     /// window function over the same window length.
     Windows { ranges: Vec<SampleRange>, window_ms: u64, func: WindowFunc },
-    /// Vector ⇄ constant arithmetic or filtering comparison.
-    Map { input: Box<Node>, op: BinOp, scalar: f64, scalar_left: bool },
+    /// Arithmetic or comparison against a scalar, on the side `scalar_left`
+    /// says; a comparison keeps the input's value where it holds when
+    /// `filter` is set (a vector input), and is 1 or 0 when not (a scalar).
+    Map { input: Box<Node>, op: BinOp, scalar: Operand, scalar_left: bool, filter: bool },
+    /// `scalar()`: one column, the input's one present value at a step and
+    /// NaN where it has none or several.
+    Scalar { input: Box<Node> },
     /// Grouped cross-series aggregation via a plan-time slot→group table.
     Group { input: Box<Node>, op: AggregateOp, slot_group: Vec<usize>, groups: usize },
     /// Vector-vector arithmetic or filtering comparison.  `rhs_rows` gives
@@ -459,9 +504,22 @@ impl Node {
         match self {
             Node::Windows { ranges, .. } => ranges.len(),
             Node::Map { input, .. } => input.series(),
+            Node::Scalar { .. } => 1,
             Node::Group { groups, .. } => *groups,
             Node::Join { lhs_rows, .. } => lhs_rows.iter().flatten().count(),
         }
+    }
+
+    /// The value at every step of a node that emits one column present at
+    /// every step: a scalar's.
+    fn column(self, grid: &Grid, stats: &mut RunStats) -> Vec<f64> {
+        let mut values = vec![f64::NAN; grid.steps];
+        self.emit(grid, stats, &mut |column| {
+            for (value, cell) in values.iter_mut().zip(column.iter()) {
+                *value = cell.unwrap_or(f64::NAN);
+            }
+        });
+        values
     }
 
     fn emit(self, grid: &Grid, stats: &mut RunStats, sink: ColumnSink<'_>) {
@@ -474,12 +532,16 @@ impl Node {
                     sink(&mut column);
                 }
             }
-            Node::Map { input, op, scalar, scalar_left } => {
+            Node::Map { input, op, scalar, scalar_left, filter } => {
+                let scalar = match scalar {
+                    Operand::Const(value) => vec![value; grid.steps],
+                    Operand::Steps(node) => node.column(grid, stats),
+                };
                 input.emit(grid, stats, &mut |column| {
-                    for slot in column.iter_mut() {
+                    for (slot, &scalar) in column.iter_mut().zip(&scalar) {
                         *slot = slot.and_then(|v| {
                             let (lhs, rhs) = if scalar_left { (scalar, v) } else { (v, scalar) };
-                            if op.is_comparison() {
+                            if filter {
                                 // Comparisons filter: the sample survives as-is.
                                 op.compare(lhs, rhs).then_some(v)
                             } else {
@@ -489,6 +551,22 @@ impl Node {
                     }
                     sink(column);
                 })
+            }
+            Node::Scalar { input } => {
+                let mut only = vec![(0u32, f64::NAN); grid.steps];
+                input.emit(grid, stats, &mut |column| {
+                    for ((count, value), cell) in only.iter_mut().zip(column.iter()) {
+                        if let Some(v) = *cell {
+                            *count += 1;
+                            *value = v;
+                        }
+                    }
+                });
+                let mut column: Vec<Option<f64>> = only
+                    .into_iter()
+                    .map(|(count, value)| Some(if count == 1 { value } else { f64::NAN }))
+                    .collect();
+                sink(&mut column);
             }
             Node::Group { input, op, slot_group, groups } => {
                 let steps = grid.steps;
@@ -567,6 +645,14 @@ impl Node {
             }
         }
     }
+}
+
+/// The scalar side of a [`Node::Map`].
+pub(crate) enum Operand {
+    /// A constant.
+    Const(f64),
+    /// A scalar per step: the one column its node emits.
+    Steps(Box<Node>),
 }
 
 /// The aggregate a [`Window`] maintains.

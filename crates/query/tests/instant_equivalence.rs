@@ -2,8 +2,8 @@
 //! bit for bit, because it runs the very same plan — and it matches the
 //! step-major instant walker in `support` up to floating-point
 //! re-association, over generated series contents and expressions that nest
-//! range functions, aggregations, constant arithmetic and vector-vector
-//! matching.
+//! range functions, aggregations, constant arithmetic, vector-vector
+//! matching and `scalar()`.
 
 mod support;
 
@@ -69,13 +69,14 @@ fn leaf(pick: u8, w: u8) -> String {
 }
 
 /// The leaves under every operator: constant arithmetic and filters on
-/// either side, aggregations, and vector-vector arithmetic and comparisons
+/// either side, aggregations, vector-vector arithmetic and comparisons
 /// between `by (node)` groups of different metrics (node sets that overlap
-/// in part) and between leaves of one metric (identical label sets).
+/// in part) and between leaves of one metric (identical label sets), and
+/// `scalar()` against a vector and against another scalar.
 fn compose(shape: u8, a: u8, b: u8, w: u8) -> String {
     let (x, y) = (leaf(a, w), leaf(b, w / 4));
     let agg = ["sum", "avg", "min", "max", "count"][usize::from(shape / 10 % 5)];
-    match shape % 10 {
+    match shape % 12 {
         0 => x,
         1 => format!("({x}) * 2 - 1"),
         2 => format!("1000 >= ({x})"),
@@ -85,7 +86,9 @@ fn compose(shape: u8, a: u8, b: u8, w: u8) -> String {
         6 => format!("{agg} by (node) ({x}) > max by (node) ({y})"),
         7 => format!("rate(requests_total[{}s]) - increase(requests_total[20s])", 10 + 5 * w),
         8 => format!("{agg}((queue_depth < avg_over_time(queue_depth[30s])) * 3)"),
-        _ => "4 + 4 * 2".to_string(),
+        9 => "4 + 4 * 2".to_string(),
+        10 => format!("({x}) / scalar({agg}({y})) >= 0.5"),
+        _ => format!("scalar({agg}({x})) * 2 - scalar(count({y}))"),
     }
 }
 

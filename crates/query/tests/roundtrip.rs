@@ -2,8 +2,8 @@
 //!
 //! The generator covers every expression form (selectors with all matcher
 //! kinds, range windows, all range functions including the quantile
-//! parameter, aggregations with `by`/`without` grouping, nested binary
-//! arithmetic and comparisons) while avoiding the two documented
+//! parameter, aggregations with `by`/`without` grouping, `scalar()`, nested
+//! binary arithmetic and comparisons) while avoiding the two documented
 //! non-round-trippable values: non-finite scalar literals and
 //! `NotEquals(_, "")` matchers (which canonicalise to `Exists`).
 
@@ -105,7 +105,7 @@ fn gen_grouping(rng: &mut TestRng) -> Grouping {
 
 /// Generates an expression with bounded nesting depth.
 fn gen_expr(rng: &mut TestRng, depth: u32) -> Expr {
-    let choice = if depth == 0 { rng.below(3) } else { rng.below(6) };
+    let choice = if depth == 0 { rng.below(3) } else { rng.below(7) };
     match choice {
         0 => Expr::Number(gen_number(rng)),
         1 => Expr::Selector(gen_selector(rng)),
@@ -116,6 +116,7 @@ fn gen_expr(rng: &mut TestRng, depth: u32) -> Expr {
             expr: Box::new(gen_expr(rng, depth - 1)),
         },
         4 => gen_range(rng),
+        5 => Expr::Scalar(Box::new(gen_expr(rng, depth - 1))),
         _ => Expr::Binary {
             op: pick(rng, &BIN_OPS),
             lhs: Box::new(gen_expr(rng, depth - 1)),

@@ -57,7 +57,7 @@ fn build_db(series_specs: &[SeriesSpec]) -> TimeSeriesDb {
 fn build_query(pick: u8, w: u8, q: u8) -> String {
     let window = ["7s", "20s", "45s", "2m"][w as usize % 4];
     let quantile = f64::from(q % 11) / 10.0;
-    match pick % 20 {
+    match pick % 23 {
         0 => "requests_total".to_string(),
         1 => format!("rate(requests_total[{window}])"),
         2 => format!("increase(requests_total[{window}])"),
@@ -84,7 +84,19 @@ fn build_query(pick: u8, w: u8, q: u8) -> String {
             "sum by (node) ((avg without (idx) (avg_over_time(free_pages[{window}])) \
              - sum by (node) (queue_depth)) * 2)"
         ),
-        _ => format!("queue_depth != last_over_time(queue_depth[{window}])"),
+        19 => format!("queue_depth != last_over_time(queue_depth[{window}])"),
+        // `scalar()`: a share of a one-element total, a scalar-vector filter
+        // fed by scalar arithmetic (NaN where a vector is not one element),
+        // and a comparison of two scalars (1 or 0).
+        20 => format!(
+            "sum by (node) (increase(requests_total[{window}])) \
+             / scalar(sum(increase(requests_total[{window}]))) >= 0.5"
+        ),
+        21 => format!(
+            "scalar(max(queue_depth)) - scalar(count_over_time(free_pages[{window}])) * 2 \
+             < queue_depth"
+        ),
+        _ => "scalar(sum(free_pages)) > 100".to_string(),
     }
 }
 
@@ -109,11 +121,14 @@ proptest! {
         let end = start + span;
         let step = step.max(span / 10_000 + 1); // inside `MAX_RANGE_STEPS`
 
-        // Every template must actually exercise the streaming path.
+        // Every template must actually exercise the streaming path.  The
+        // engine runs the same plan, bit for bit (`==` would reject the NaN
+        // a `scalar()` of no or several elements is).
         let streamed = plan_or_reason(&db, QueryEngine::DEFAULT_LOOKBACK_MS, &expr, start, end)
             .unwrap_or_else(|why| panic!("`{query}` must stream: {why}"))
             .run(start, end, step);
-        assert_eq!(engine.range(&expr, start, end, step).as_deref(), Ok(&streamed[..]));
+        let again = engine.range(&expr, start, end, step).unwrap();
+        assert!(bit_identical(&again, &streamed), "`{query}`: {again:?} vs {streamed:?}");
 
         let oracle = support::range(&engine, &expr, start, end, step).unwrap();
         assert!(
@@ -184,7 +199,7 @@ fn compose(func: u8, grouping: u8, wrap: u8, w: u8, q: u8) -> String {
         1 => format!("{agg} by (node) ({leaf})"),
         _ => format!("{agg} without (idx) ({leaf})"),
     };
-    match wrap % 9 {
+    match wrap % 10 {
         0 => grouped,
         1 => format!("({grouped}) * 2 - 1"),
         2 => format!("max(({grouped}) + 1)"),
@@ -193,7 +208,8 @@ fn compose(func: u8, grouping: u8, wrap: u8, w: u8, q: u8) -> String {
         5 => format!("100 - count(3 < ({grouped}))"),
         6 => format!("({grouped}) - ({grouped}) * 0.5"),
         7 => format!("({grouped}) < max by (node) (wild)"),
-        _ => format!("sum by (node) (({grouped}) / ({grouped} > 1))"),
+        8 => format!("sum by (node) (({grouped}) / ({grouped} > 1))"),
+        _ => format!("({grouped}) / scalar(max({grouped})) - scalar(count({grouped}))"),
     }
 }
 

@@ -161,6 +161,15 @@ fn eval(
             };
             Ok(Value::Vector(aggregate(&samples, *op, grouping)))
         }
+        Expr::Scalar(arg) => {
+            let Value::Vector(samples) = eval(engine, arg, at_ms, cache)? else {
+                return Err(EvalError::VectorRequired("scalar"));
+            };
+            Ok(Value::Scalar(match samples[..] {
+                [ref only] => only.value,
+                _ => f64::NAN,
+            }))
+        }
         Expr::Binary { op, lhs, rhs } => {
             let lhs = eval(engine, lhs, at_ms, cache)?;
             let rhs = eval(engine, rhs, at_ms, cache)?;

@@ -28,10 +28,11 @@
 //! starts from every series of the shard ([`Candidates::All`]).  That is a
 //! deliberate trade: a label-key → series map would hold one more entry per
 //! label per series — close to half of all postings entries, resident for as
-//! long as the series lives — to serve matchers no dashboard panel, alert or
-//! recording rule, analyzer, example or benchmark workload issues.  With a
-//! name or an equality in the selector (every shape the parser's users
-//! write) the post-filter walks a list that is already short; without one,
+//! long as the series lives — to serve matchers that no dashboard panel,
+//! recording rule, example or benchmark workload issues, and only two of
+//! PMAN's alert rules do, each beside a metric name.  With a name or an
+//! equality in the selector (every shape the parser's users write) the
+//! post-filter walks a list that is already short; without one,
 //! `{k!=""}` is a shard scan, as `{}` already is.
 //!
 //! [`Selector`]: crate::query::Selector

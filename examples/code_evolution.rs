@@ -4,18 +4,24 @@
 //! host and shows how TEEMon's syscall statistics reveal the
 //! `clock_gettime` bottleneck that the later commit fixes — roughly doubling
 //! throughput.  The host is scraped just before and just after the measured
-//! requests; the syscall rate and PMAN's verdict are read from those scrapes.
+//! requests, and the syscall rate is read from those scrapes.  The run is
+//! shorter than PMAN's one-minute cadence, so the monitoring loop runs on for
+//! one cadence past it, and PMAN's verdict is what the loop's rule group
+//! raised over that trailing window.
 //!
 //! ```text
 //! cargo run --release --example code_evolution
 //! ```
 
+use std::sync::Arc;
+
 use teemon::{MonitorBuilder, MonitoringMode};
-use teemon_analysis::Analyzer;
+use teemon_analysis::pman_alerts;
 use teemon_apps::{run_benchmark, MemtierConfig, NetworkModel, RedisApp};
 use teemon_frameworks::{FrameworkParams, SconeVersion};
 use teemon_query::QueryEngine;
 use teemon_sim_core::SimDuration;
+use teemon_tsdb::ScrapeTargetConfig;
 
 fn main() {
     let app = RedisApp::paper_config(32);
@@ -28,7 +34,11 @@ fn main() {
         let clock = host.kernel().clock();
         let params = FrameworkParams::scone(version);
         let mut edges = Vec::new();
-        let result = run_benchmark(host.kernel(), params, &app, &network, &config, |_| {
+        let result = run_benchmark(host.kernel(), params, &app, &network, &config, |deployment| {
+            if edges.is_empty() {
+                let target = ScrapeTargetConfig::new("redis", "ci-runner:9121");
+                host.scraper().add_target(target, Arc::new(deployment.request_counter()));
+            }
             // Each scrape lands in a millisecond of its own.
             clock.advance(SimDuration::from_millis(1));
             host.scrape_tick();
@@ -36,6 +46,8 @@ fn main() {
         })
         .expect("benchmark run");
         let (start, end) = (edges[0], edges[1]);
+        // One more cadence of the monitoring loop: PMAN evaluates after the run.
+        host.run_scrape_loop(pman_alerts().interval_ms.div_ceil(host.scraper().interval_ms()));
 
         let engine = QueryEngine::new(host.db().clone());
         let syscalls = |at| {
@@ -64,10 +76,15 @@ fn main() {
             println!("    {syscall:<16} {count:>12.0}");
         }
 
-        // PMAN's diagnosis.
-        let analyzer: &Analyzer = host.analyzer();
-        match analyzer.diagnose_syscall_mix("teemon_syscalls_total", start, end) {
-            Some(finding) => println!("  PMAN: {}", finding.explanation),
+        // PMAN's diagnosis, as the loop raised it.
+        let firing = host.rules().firing_alerts();
+        match firing.iter().find(|alert| alert.rule == "syscall_dominance") {
+            Some(alert) => println!(
+                "  PMAN: {} accounts for {:.0}% of system calls — {}",
+                alert.labels.get("syscall").unwrap_or("one call"),
+                alert.value * 100.0,
+                alert.hint
+            ),
             None => println!("  PMAN: syscall mix looks healthy (I/O-bound)"),
         }
         println!();

@@ -7,10 +7,14 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use std::sync::Arc;
+
 use teemon::{MonitorBuilder, MonitoringMode};
+use teemon_analysis::detect_anomalies;
 use teemon_apps::{Application, RedisApp};
 use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams};
 use teemon_query::QueryEngine;
+use teemon_tsdb::ScrapeTargetConfig;
 
 fn main() {
     // 1. A simulated SGX host with the full TEEMon stack (SGX exporter, eBPF
@@ -35,6 +39,13 @@ fn main() {
         42,
     )
     .expect("deployment");
+    // Redis exports the requests it served, as its own exporter would; the
+    // host scrapes them with everything else (PMAN's per-request rules read
+    // them).
+    host.scraper().add_target(
+        ScrapeTargetConfig::new("redis", "worker-1:9121"),
+        Arc::new(deployment.request_counter()),
+    );
     println!(
         "deployed {} under {} (enclave: {:?}, startup {})",
         app.name(),
@@ -73,25 +84,21 @@ fn main() {
     println!("\n{}", host.render_dashboard("SGX", 64).expect("SGX dashboard"));
     println!("{}", host.render_dashboard("PMAN", 64).expect("PMAN dashboard"));
 
-    // 6. PMAN's thresholds ran in the monitoring loop: what fired?
-    for alert in host.rules().firing_alerts() {
-        println!(
-            "PMAN alert [{:?}] {}{}: {}",
-            alert.severity, alert.rule, alert.labels, alert.hint
-        );
-    }
-    let anomalies = host.analyzer().detect_anomalies(0, u64::MAX);
+    // 6. PMAN's rules ran in the monitoring loop: how often did they fire?
+    let anomalies = detect_anomalies(db, 0, u64::MAX);
     println!("PMAN anomalies recorded: {}", anomalies.len());
 
-    // 7. Ask PMAN whether it sees a bottleneck.
-    let requests = deployment.totals().requests as f64;
-    let findings = host.analyzer().diagnose_all(requests, 0, u64::MAX);
-    if findings.is_empty() {
+    // 7. Its diagnoses: the alerts firing at the last evaluation, each with
+    //    the value that crossed its threshold.
+    let firing = host.rules().firing_alerts();
+    if firing.is_empty() {
         println!("PMAN: no bottlenecks detected");
-    } else {
-        for finding in findings {
-            println!("PMAN finding [{:?}]: {}", finding.kind, finding.explanation);
-        }
+    }
+    for alert in firing {
+        println!(
+            "PMAN alert [{:?}] {}{} = {:.2}: {}",
+            alert.severity, alert.rule, alert.labels, alert.value, alert.hint
+        );
     }
 }
 

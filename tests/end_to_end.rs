@@ -2,13 +2,17 @@
 //! workload → kernel/SGX simulation → exporters → scraper → TSDB → analysis →
 //! dashboards.
 
+use std::sync::Arc;
+
 use teemon::{HostMonitor, MonitorBuilder, MonitoringMode};
-use teemon_analysis::BottleneckKind;
+use teemon_analysis::{detect_anomalies, pman_alerts};
 use teemon_apps::{Application, RedisApp};
 use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams, SconeVersion};
 use teemon_query::{QueryEngine, Value};
-use teemon_tsdb::Selector;
+use teemon_tsdb::{ScrapeTargetConfig, Selector};
 
+/// Runs Redis with its request counter as a scrape target, a scrape after
+/// each of eight batches.
 fn run_workload(host: &HostMonitor, value_bytes: u64, requests: u64) -> Deployment {
     let app = RedisApp::paper_config(value_bytes);
     let mut deployment = Deployment::deploy(
@@ -20,6 +24,13 @@ fn run_workload(host: &HostMonitor, value_bytes: u64, requests: u64) -> Deployme
         99,
     )
     .expect("deploy");
+    // A monitor that scrapes nothing (monitoring off) is given nothing more.
+    if host.scraper().target_count() > 0 {
+        host.scraper().add_target(
+            ScrapeTargetConfig::new("redis", "it-node:9121"),
+            Arc::new(deployment.request_counter()),
+        );
+    }
     let request = app.request(8, 320);
     let batches = 8;
     for _ in 0..batches {
@@ -31,10 +42,19 @@ fn run_workload(host: &HostMonitor, value_bytes: u64, requests: u64) -> Deployme
     deployment
 }
 
+/// Whether the monitoring loop stored a firing `rule`.  The workload spans
+/// less than PMAN's one-minute cadence, so the loop first runs on for one
+/// cadence: the group evaluates after the workload, over a trailing window
+/// that starts at the first batch's scrape.
+fn pman_fired(host: &HostMonitor, rule: &str) -> bool {
+    host.run_scrape_loop(pman_alerts().interval_ms.div_ceil(host.scraper().interval_ms()));
+    detect_anomalies(host.db(), 0, u64::MAX).iter().any(|anomaly| anomaly.rule == rule)
+}
+
 #[test]
 fn full_pipeline_from_workload_to_dashboard() {
     let host = MonitorBuilder::new("it-node").mode(MonitoringMode::Full).build();
-    let deployment = run_workload(&host, 64, 2_400);
+    run_workload(&host, 64, 2_400);
 
     // The aggregation database holds series from all four exporters.
     let db = host.db();
@@ -90,22 +110,14 @@ fn full_pipeline_from_workload_to_dashboard() {
     assert!(sgx_dashboard.contains("System calls by type"));
 
     // PMAN sees the EPC thrashing.
-    let findings = host.analyzer().diagnose_all(deployment.totals().requests as f64, 0, u64::MAX);
-    assert!(
-        findings.iter().any(|f| f.kind == BottleneckKind::EpcThrashing),
-        "expected an EPC thrashing diagnosis, got {findings:?}"
-    );
+    assert!(pman_fired(&host, "epc_thrashing"), "expected an EPC thrashing alert");
 }
 
 #[test]
 fn small_database_produces_no_epc_findings() {
     let host = MonitorBuilder::new("it-node").mode(MonitoringMode::Full).build();
-    let deployment = run_workload(&host, 32, 1_200);
-    let findings = host.analyzer().diagnose_all(deployment.totals().requests as f64, 0, u64::MAX);
-    assert!(
-        !findings.iter().any(|f| f.kind == BottleneckKind::EpcThrashing),
-        "78 MB database fits the EPC; found {findings:?}"
-    );
+    run_workload(&host, 32, 1_200);
+    assert!(!pman_fired(&host, "epc_thrashing"), "78 MB database fits the EPC");
 }
 
 #[test]
