@@ -9,10 +9,11 @@
 //! gives it.
 //!
 //! A [`ClusterMonitor`] is one [`HostMonitor`] — the aggregator, with the one
-//! store, scraper, rule engine and monitoring loop — whose targets are every
-//! SGX node's exporters, as §5.4 deploys TEEMon.
+//! store, scraper, rule engine and monitoring loop — whose targets are the
+//! endpoints service discovery resolves from the chart, on every node that
+//! hosts one, as §5.4 deploys TEEMon.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,7 +23,7 @@ use teemon_analysis::pman_alerts;
 use teemon_dashboard::{standard, DashboardSet};
 use teemon_exporters::{ContainerExporter, ContainerSpec, EbpfExporter, NodeExporter, SgxExporter};
 use teemon_kernel_sim::Kernel;
-use teemon_orchestrator::{Cluster, HelmChart, ServiceDiscovery};
+use teemon_orchestrator::{Cluster, Exporter, HelmChart, ScrapeEndpoint, ServiceDiscovery};
 use teemon_query::{RuleEngine, RuleGroup};
 use teemon_tsdb::{MetricsEndpoint, ScrapeTargetConfig, Scraper, TimeSeriesDb, TsdbConfig};
 
@@ -32,10 +33,6 @@ use teemon_tsdb::{MetricsEndpoint, ScrapeTargetConfig, Scraper, TimeSeriesDb, Ts
 /// that stopped receiving samples give their head buffers back — without it
 /// a deployed monitor grows without bound.
 const RETENTION_PASSES_PER_WINDOW: u64 = 16;
-
-/// The job and port of each exporter a `Full` node runs, in scrape order.
-const FULL_EXPORTERS: [(&str, u16); 4] =
-    [("sgx_exporter", 9090), ("node_exporter", 9100), ("cadvisor", 8080), ("ebpf_exporter", 9435)];
 
 /// Which parts of TEEMon are active — the three configurations of §6.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -246,7 +243,12 @@ impl MonitorBuilder {
                 None
             }
             MonitoringMode::Full => {
-                Some(deploy_exporters(&scraper, &kernel, &self.node, &self.exporter_intervals))
+                let (node, containers) = (&self.node, ContainerExporter::new(&self.node));
+                for exporter in Exporter::ALL {
+                    let ms = self.exporter_intervals.iter().find(|(j, _)| j == exporter.job());
+                    add_exporter(&scraper, exporter, node, &kernel, &containers, ms.map(|j| j.1));
+                }
+                Some(containers)
             }
         };
         if self.server_addr.is_some() || self.mode == MonitoringMode::Full {
@@ -278,31 +280,30 @@ impl MonitorBuilder {
     }
 }
 
-/// Attaches `node`'s `Full`-mode exporters to `kernel` and registers them
-/// with `scraper` under their job, a `<node>:<port>` instance and a `node`
-/// label (`intervals` overrides a job's interval).  Returns cAdvisor's.
-fn deploy_exporters(
+/// Attaches `exporter` of `node` to `kernel` (cAdvisor is `containers`) and
+/// registers it with `scraper` under its job, `<node>:<port>` instance and a
+/// `node` label, every `interval_ms` if given: a `Full` host's and the
+/// cluster's one way to deploy an exporter.
+fn add_exporter(
     scraper: &Scraper,
-    kernel: &Kernel,
+    exporter: Exporter,
     node: &str,
-    intervals: &[(String, u64)],
-) -> ContainerExporter {
-    let containers = ContainerExporter::new(node);
-    let endpoints: [Arc<dyn MetricsEndpoint>; 4] = [
-        Arc::new(SgxExporter::new(kernel.sgx_driver().clone(), node)),
-        Arc::new(NodeExporter::new(kernel, node)),
-        Arc::new(containers.clone()),
-        Arc::new(EbpfExporter::attach(kernel, node)),
-    ];
-    for ((job, port), endpoint) in FULL_EXPORTERS.into_iter().zip(endpoints) {
-        let mut config =
-            ScrapeTargetConfig::new(job, format!("{node}:{port}")).with_label("node", node);
-        if let Some((_, interval)) = intervals.iter().find(|(j, _)| j == job) {
-            config = config.with_interval_ms(*interval);
-        }
-        scraper.add_target(config, endpoint);
+    kernel: &Kernel,
+    containers: &ContainerExporter,
+    interval_ms: Option<u64>,
+) {
+    let endpoint: Arc<dyn MetricsEndpoint> = match exporter {
+        Exporter::Sgx => Arc::new(SgxExporter::new(kernel.sgx_driver().clone(), node)),
+        Exporter::Node => Arc::new(NodeExporter::new(kernel, node)),
+        Exporter::Cadvisor => Arc::new(containers.clone()),
+        Exporter::Ebpf => Arc::new(EbpfExporter::attach(kernel, node)),
+    };
+    let mut config =
+        ScrapeTargetConfig::new(exporter.job(), exporter.instance(node)).with_label("node", node);
+    if let Some(interval_ms) = interval_ms {
+        config = config.with_interval_ms(interval_ms);
     }
-    containers
+    scraper.add_target(config, endpoint);
 }
 
 /// One monitored host: a simulated kernel plus the TEEMon components deployed
@@ -441,30 +442,39 @@ impl HostMonitor {
     }
 }
 
-/// A Kubernetes-like cluster monitored as §5.4 deploys TEEMon: every ready
-/// SGX node runs the four exporters a `Full` host runs, registered as that
-/// host registers them, and one aggregator scrapes them all — a
-/// [`HostMonitor`] exporting nothing of its own host, with one store, scraper
-/// and rule engine (PMAN's group once), the dashboards and a `teemon_self`
-/// target.  A node contributes only its kernel, on the aggregator's clock; a
-/// cluster-wide question is TeeQL over the one store.
+/// A Kubernetes-like cluster monitored as §5.4 deploys TEEMon: every
+/// endpoint service discovery resolves from the chart (all four exporters on
+/// an SGX node, the node exporter and cAdvisor on any other) is a target of
+/// one aggregator — a [`HostMonitor`] exporting nothing of its own host, with
+/// one store, scraper and rule engine (PMAN's group once), the dashboards and
+/// a `teemon_self` target.  A node contributes only its kernel, on the
+/// aggregator's clock; a cluster-wide question is TeeQL over the one store.
 pub struct ClusterMonitor {
     cluster: Cluster,
     discovery: ServiceDiscovery,
     aggregator: HostMonitor,
-    /// The monitored nodes' kernels, by node name.
+    /// The kernels of the nodes that host an endpoint, by node name.
     nodes: BTreeMap<String, Kernel>,
+    /// The endpoints the last reconcile left as targets.
+    targets: BTreeSet<ScrapeEndpoint>,
 }
 
 impl ClusterMonitor {
-    /// Installs TEEMon on `cluster` using the default chart: the aggregator,
-    /// and the exporters of every ready SGX node.
-    pub fn install(cluster: Cluster) -> Self {
+    /// Installs `chart` on `cluster`: the aggregator, scraping every
+    /// `scrape_interval_seconds` into a store that keeps `retention_hours`,
+    /// and the exporters of every endpoint discovery resolves.
+    pub fn install(cluster: Cluster, chart: &HelmChart) -> Self {
         let mut discovery = ServiceDiscovery::new();
-        HelmChart::teemon().install(&mut discovery);
-        let aggregator = MonitorBuilder::new("aggregator").with_rules(pman_alerts()).build();
+        chart.install(&mut discovery);
+        let retention_ms = chart.values.retention_hours.saturating_mul(3_600_000);
+        let aggregator = MonitorBuilder::new("aggregator")
+            .scrape_interval_ms(chart.values.scrape_interval_seconds.saturating_mul(1_000))
+            .db(TimeSeriesDb::with_config(TsdbConfig { retention_ms, ..TsdbConfig::default() }))
+            .with_rules(pman_alerts())
+            .build();
         aggregator.scraper().add_self_target("aggregator:self");
-        let mut monitor = Self { cluster, discovery, aggregator, nodes: BTreeMap::new() };
+        let (nodes, targets) = (BTreeMap::new(), BTreeSet::new());
+        let mut monitor = Self { cluster, discovery, aggregator, nodes, targets };
         monitor.reconcile();
         monitor
     }
@@ -475,38 +485,39 @@ impl ClusterMonitor {
         &self.aggregator
     }
 
-    /// The monitored nodes' kernels, by node name.
+    /// The kernels of every node hosting an endpoint, SGX or not, by name.
     pub fn nodes(&self) -> &BTreeMap<String, Kernel> {
         &self.nodes
     }
 
     /// The scrape endpoints service discovery currently resolves.
-    pub fn endpoints(&self) -> Vec<teemon_orchestrator::ScrapeEndpoint> {
+    pub fn endpoints(&self) -> Vec<ScrapeEndpoint> {
         self.discovery.endpoints(&self.cluster)
     }
 
-    /// Follows topology changes: a new ready SGX node gets a kernel and its
-    /// exporters as targets, a node that left loses its targets; returns the
-    /// `(added, removed)` node counts.  A departed node's series stay in the
-    /// store until retention, and leave instant queries at the 5-minute lookback.
+    /// Follows topology changes: diffs discovery's endpoints against the
+    /// targets the last reconcile left, removing the gone and adding the new
+    /// (a node's first endpoint brings its kernel); returns the `(added,
+    /// removed)` node counts.  A departed node's series stay in the store
+    /// until retention, and leave instant queries at the 5-minute lookback.
     pub fn reconcile(&mut self) -> (usize, usize) {
         let (scraper, before) = (self.aggregator.scraper(), self.nodes.len());
-        let mut ready = BTreeMap::new();
-        for node in self.cluster.ready_nodes().into_iter().filter(|n| n.sgx_capable) {
-            let kernel = self.nodes.remove(&node.name).unwrap_or_else(|| {
-                let kernel = Kernel::with_clock(self.aggregator.kernel().clock().clone());
-                deploy_exporters(scraper, &kernel, &node.name, &[]);
-                kernel
-            });
-            ready.insert(node.name, kernel);
+        let resolved: BTreeSet<_> = self.endpoints().into_iter().collect();
+        for gone in self.targets.difference(&resolved) {
+            scraper.remove_instance(&gone.instance);
         }
-        // The nodes not taken over departed.
-        for name in self.nodes.keys() {
-            for (_, port) in FULL_EXPORTERS {
-                scraper.remove_instance(&format!("{name}:{port}"));
+        let (clock, mut hosting) = (self.aggregator.kernel().clock(), BTreeMap::new());
+        for endpoint @ ScrapeEndpoint { exporter, node, .. } in &resolved {
+            let kernel = hosting.entry(node.clone()).or_insert_with(|| {
+                self.nodes.remove(node).unwrap_or_else(|| Kernel::with_clock(clock.clone()))
+            });
+            if !self.targets.contains(endpoint) {
+                add_exporter(scraper, *exporter, node, kernel, &ContainerExporter::new(node), None);
             }
         }
-        let removed = std::mem::replace(&mut self.nodes, ready).len();
+        self.targets = resolved;
+        // The nodes not taken over host nothing any more.
+        let removed = std::mem::replace(&mut self.nodes, hosting).len();
         (self.nodes.len() + removed - before, removed)
     }
 }
@@ -517,7 +528,7 @@ mod tests {
     use teemon_frameworks::{Deployment, FrameworkKind, FrameworkParams};
     use teemon_kernel_sim::Syscall;
     use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
-    use teemon_orchestrator::Node;
+    use teemon_orchestrator::{ChartValues, Node};
     use teemon_tsdb::Selector;
 
     /// An application's own exporter, plugged into a host: one unlabelled
@@ -1027,9 +1038,9 @@ mod tests {
     #[test]
     fn cluster_monitor_follows_topology() {
         let cluster = Cluster::with_nodes(2, 1);
-        let mut monitor = ClusterMonitor::install(cluster.clone());
-        assert_eq!(monitor.nodes().len(), 2, "one kernel per SGX node");
-        assert!(monitor.endpoints().len() >= 4);
+        let mut monitor = ClusterMonitor::install(cluster.clone(), &HelmChart::teemon());
+        assert_eq!(monitor.nodes().len(), 3, "one kernel per node hosting an endpoint");
+        assert_eq!(monitor.endpoints().len(), 2 * 4 + 2);
         monitor.aggregator().run_scrape_loop(1);
         assert_eq!(by_node(&monitor, "sum(sgx_nr_enclaves)"), [(String::new(), 0.0)]);
 
@@ -1037,17 +1048,22 @@ mod tests {
         cluster.remove_node("sgx-0");
         let (added, removed) = monitor.reconcile();
         assert_eq!((added, removed), (1, 1));
-        assert_eq!(monitor.nodes().len(), 2);
+        assert_eq!(monitor.nodes().len(), 3);
         let healthy = monitor.aggregator().scrape_tick();
-        assert_eq!(healthy, 2 * 4 + 1, "four exporters a node and the aggregator's self target");
+        assert_eq!(
+            healthy,
+            2 * 4 + 2 + 1,
+            "four exporters an SGX node, two on the plain node, and the aggregator's self target"
+        );
     }
 
     #[test]
     fn cluster_wide_syscalls_are_the_sum_of_the_nodes_kernels() {
-        let monitor = ClusterMonitor::install(Cluster::with_nodes(3, 1));
+        let monitor = ClusterMonitor::install(Cluster::with_nodes(3, 1), &HelmChart::teemon());
         let aggregator = monitor.aggregator();
         assert_eq!(aggregator.rules().group_count(), 1, "PMAN's group, once for the fleet");
-        for (calls, kernel) in [10, 20, 30].into_iter().zip(monitor.nodes().values()) {
+        let sgx_nodes = || monitor.nodes().iter().filter(|(node, _)| node.starts_with("sgx-"));
+        for (calls, (_, kernel)) in [10, 20, 30].into_iter().zip(sgx_nodes()) {
             let enclave = teemon_kernel_sim::process::ProcessKind::Enclave;
             let pid = kernel.spawn_process("redis-server", enclave, 4);
             for _ in 0..calls {
@@ -1055,11 +1071,8 @@ mod tests {
             }
         }
         aggregator.run_scrape_loop(1);
-        let kernels: Vec<_> = monitor
-            .nodes()
-            .iter()
-            .map(|(node, k)| (node.clone(), k.counters().syscalls as f64))
-            .collect();
+        let kernels: Vec<_> =
+            sgx_nodes().map(|(node, k)| (node.clone(), k.counters().syscalls as f64)).collect();
         assert_eq!(kernels.iter().map(|(_, n)| n).sum::<f64>(), 10.0 + 20.0 + 30.0);
         assert_eq!(by_node(&monitor, "sum(teemon_syscalls_total)"), [(String::new(), 60.0)]);
         assert_eq!(by_node(&monitor, "sum by (node) (teemon_syscalls_total)"), kernels);
@@ -1068,7 +1081,7 @@ mod tests {
     #[test]
     fn a_drained_node_leaves_the_targets_and_then_the_lookback() {
         let cluster = Cluster::with_nodes(2, 0);
-        let mut monitor = ClusterMonitor::install(cluster.clone());
+        let mut monitor = ClusterMonitor::install(cluster.clone(), &HelmChart::teemon());
         let run = |monitor: &ClusterMonitor, rounds| monitor.aggregator().run_scrape_loop(rounds);
         let ups = |monitor: &ClusterMonitor| {
             by_node(monitor, r#"sum by (node) (up{job!="teemon_self"})"#)
@@ -1091,5 +1104,101 @@ mod tests {
         assert_eq!(monitor.reconcile(), (1, 0));
         run(&monitor, 1);
         assert_eq!(ups(&monitor), [("sgx-1".into(), 4.0), ("sgx-join".into(), 4.0)]);
+    }
+
+    /// The `(job, instance)` of every target the aggregator scrapes, its own
+    /// `aggregator:self` aside, from one forced round.
+    fn scraped(monitor: &ClusterMonitor) -> BTreeSet<(String, String)> {
+        let aggregator = monitor.aggregator();
+        let now = aggregator.kernel().clock().now_millis();
+        let outcomes = aggregator.scraper().scrape_once(now);
+        outcomes
+            .into_iter()
+            .filter(|o| o.instance != "aggregator:self")
+            .map(|o| (o.job, o.instance))
+            .collect()
+    }
+
+    /// The `(job, instance)` of every endpoint discovery resolves.
+    fn discovered(monitor: &ClusterMonitor) -> BTreeSet<(String, String)> {
+        monitor.endpoints().into_iter().map(|e| (e.job, e.instance)).collect()
+    }
+
+    #[test]
+    fn the_discovered_list_is_the_scraped_list() {
+        let cluster = Cluster::with_nodes(4, 2);
+        let mut monitor = ClusterMonitor::install(cluster.clone(), &HelmChart::teemon());
+        assert_eq!(monitor.endpoints().len(), 4 * 4 + 2 * 2);
+        assert_eq!(scraped(&monitor), discovered(&monitor));
+        assert_eq!(
+            monitor.aggregator().scrape_tick(),
+            20 + 1,
+            "every endpoint and the self target"
+        );
+
+        cluster.add_node(Node::sgx("sgx-join"));
+        cluster.set_ready("sgx-0", false);
+        assert_eq!(monitor.reconcile(), (1, 1));
+        assert_eq!(scraped(&monitor), discovered(&monitor));
+        assert_eq!(monitor.aggregator().scrape_tick(), monitor.endpoints().len() + 1);
+    }
+
+    #[test]
+    fn each_chart_value_takes_effect() {
+        let cluster = Cluster::with_nodes(2, 1);
+        let default = ClusterMonitor::install(cluster.clone(), &HelmChart::teemon());
+        assert_eq!(default.aggregator().scraper().interval_ms(), 5_000);
+        assert_eq!(default.aggregator().db().config().retention_ms, 24 * 3_600_000);
+        let everything = scraped(&default);
+        for off in Exporter::ALL {
+            let mut chart = HelmChart::teemon();
+            let flag = match off {
+                Exporter::Sgx => &mut chart.values.sgx_exporter,
+                Exporter::Node => &mut chart.values.node_exporter,
+                Exporter::Cadvisor => &mut chart.values.cadvisor,
+                Exporter::Ebpf => &mut chart.values.ebpf_exporter,
+            };
+            *flag = false;
+            let monitor = ClusterMonitor::install(cluster.clone(), &chart);
+            let expected: BTreeSet<_> =
+                everything.iter().filter(|(job, _)| job != off.job()).cloned().collect();
+            assert!(expected.len() < everything.len(), "{off:?} had targets");
+            assert_eq!(scraped(&monitor), expected, "{off:?} off");
+        }
+    }
+
+    #[test]
+    fn a_drained_nodes_series_leave_the_store() {
+        let chart = HelmChart {
+            values: ChartValues { retention_hours: 1, ..ChartValues::default() },
+            ..HelmChart::teemon()
+        };
+        let cluster = Cluster::with_nodes(2, 0);
+        let mut monitor = ClusterMonitor::install(cluster.clone(), &chart);
+        let db = monitor.aggregator().db().clone();
+        assert_eq!(db.config().retention_ms, 3_600_000);
+        // The `teemon_self` job left out: its size follows the process's
+        // history.
+        let series_on = |node: Option<&str>| {
+            db.select(&Selector::all())
+                .iter()
+                .filter(|s| s.label_value("job") != Some(teemon_obs::SELF_JOB))
+                .filter(|s| node.is_none_or(|node| s.label_value("node") == Some(node)))
+                .count()
+        };
+        monitor.aggregator().run_scrape_loop(2);
+        let (held, drained) = (series_on(None), series_on(Some("sgx-0")));
+        assert!(drained > 0 && held > drained);
+
+        cluster.set_ready("sgx-0", false);
+        assert_eq!(monitor.reconcile(), (0, 1));
+        // One window of rounds, and one pass more: the loop's retention pass
+        // runs each sixteenth of the window.
+        let window = 3_600 / 5;
+        monitor.aggregator().run_scrape_loop(window / 2);
+        assert_eq!(series_on(None), held, "still inside the retention window");
+        monitor.aggregator().run_scrape_loop(window / 2 + window / RETENTION_PASSES_PER_WINDOW);
+        assert_eq!(series_on(Some("sgx-0")), 0, "the drained node's series are evicted");
+        assert_eq!(series_on(None), held - drained, "what the remaining node holds");
     }
 }

@@ -3,11 +3,60 @@
 //! §5.4: "We created a chart to install TEEMon in large-scale infrastructures
 //! managed by Kubernetes."  [`HelmChart`] captures the chart's values
 //! (which exporters to enable, scrape interval, retention) and renders the
-//! resulting DaemonSets.
+//! resulting DaemonSets, one per enabled [`Exporter`].
 
 use serde::{Deserialize, Serialize};
 
 use crate::workload::{DaemonSet, ServiceDiscovery};
+
+/// An exporter the chart deploys: the one table of each exporter's
+/// DaemonSet, scrape job and port, for a `Full` host and the cluster alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum Exporter {
+    /// The SGX (TME) exporter, on SGX nodes.
+    Sgx,
+    /// The node exporter, on every node.
+    Node,
+    /// cAdvisor, on every node.
+    Cadvisor,
+    /// The eBPF exporter, on SGX nodes.
+    Ebpf,
+}
+
+impl Exporter {
+    /// Every exporter, in a `Full` host's scrape order.
+    pub const ALL: [Self; 4] = [Self::Sgx, Self::Node, Self::Cadvisor, Self::Ebpf];
+
+    /// The DaemonSet name, scrape job and metrics port.
+    fn spec(self) -> (&'static str, &'static str, u16) {
+        match self {
+            Self::Sgx => ("teemon-sgx-exporter", "sgx_exporter", 9090),
+            Self::Node => ("teemon-node-exporter", "node_exporter", 9100),
+            Self::Cadvisor => ("teemon-cadvisor", "cadvisor", 8080),
+            Self::Ebpf => ("teemon-ebpf-exporter", "ebpf_exporter", 9435),
+        }
+    }
+
+    /// The DaemonSet the chart renders for it.
+    pub fn daemonset(self) -> &'static str {
+        self.spec().0
+    }
+
+    /// The scrape job its targets are stored under.
+    pub fn job(self) -> &'static str {
+        self.spec().1
+    }
+
+    /// Its `<node>:<port>` instance on `node`.
+    pub fn instance(self, node: &str) -> String {
+        format!("{node}:{}", self.spec().2)
+    }
+
+    /// Whether it runs on SGX-capable nodes only.
+    pub(crate) fn sgx_only(self) -> bool {
+        matches!(self, Self::Sgx | Self::Ebpf)
+    }
+}
 
 /// The chart's `values.yaml` equivalent.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,6 +88,18 @@ impl Default for ChartValues {
     }
 }
 
+impl ChartValues {
+    /// Whether the chart deploys `exporter`.
+    fn deploys(&self, exporter: Exporter) -> bool {
+        match exporter {
+            Exporter::Sgx => self.sgx_exporter,
+            Exporter::Node => self.node_exporter,
+            Exporter::Cadvisor => self.cadvisor,
+            Exporter::Ebpf => self.ebpf_exporter,
+        }
+    }
+}
+
 /// The TEEMon Helm chart.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HelmChart {
@@ -56,30 +117,16 @@ impl HelmChart {
         Self { name: "teemon".into(), version: "0.1.0".into(), values: ChartValues::default() }
     }
 
-    /// Renders the DaemonSets the chart would install.
+    /// Renders the DaemonSets the chart would install, in [`Exporter::ALL`]'s
+    /// order.
     pub(crate) fn render_daemonsets(&self) -> Vec<DaemonSet> {
-        let mut out = Vec::new();
-        if self.values.sgx_exporter {
-            out.push(DaemonSet::sgx_only("teemon-sgx-exporter", 9090));
-        }
-        if self.values.ebpf_exporter {
-            out.push(DaemonSet::sgx_only("teemon-ebpf-exporter", 9435));
-        }
-        if self.values.node_exporter {
-            out.push(DaemonSet::everywhere("teemon-node-exporter", 9100));
-        }
-        if self.values.cadvisor {
-            out.push(DaemonSet::everywhere("teemon-cadvisor", 8080));
-        }
-        out
+        Exporter::ALL.into_iter().filter(|&e| self.values.deploys(e)).map(DaemonSet::new).collect()
     }
 
     /// Installs the chart into a service-discovery catalog (the equivalent of
     /// `helm install teemon`).
     pub fn install(&self, discovery: &mut ServiceDiscovery) {
-        for ds in self.render_daemonsets() {
-            discovery.register(ds);
-        }
+        discovery.daemonsets.extend(self.render_daemonsets());
     }
 
     /// Serialises the chart (name, version, values) to JSON.
@@ -96,14 +143,16 @@ mod tests {
     #[test]
     fn default_chart_installs_four_daemonsets() {
         let chart = HelmChart::teemon();
-        assert_eq!(chart.render_daemonsets().len(), 4);
+        let rendered: Vec<Exporter> =
+            chart.render_daemonsets().iter().map(|d| d.exporter).collect();
+        assert_eq!(rendered, Exporter::ALL, "a `Full` host's scrape order");
         assert_eq!(chart.values.scrape_interval_seconds, 5);
         let mut discovery = ServiceDiscovery::new();
         chart.install(&mut discovery);
         // Two untainted nodes take only the two everywhere-DaemonSets; two
-        // SGX nodes take only the two SGX ones.
+        // SGX nodes take all four, the everywhere ones tolerating the taint.
         assert_eq!(discovery.endpoints(&Cluster::with_nodes(0, 2)).len(), 4);
-        assert_eq!(discovery.endpoints(&Cluster::with_nodes(2, 0)).len(), 4);
+        assert_eq!(discovery.endpoints(&Cluster::with_nodes(2, 0)).len(), 8);
     }
 
     #[test]
@@ -112,11 +161,12 @@ mod tests {
             values: ChartValues { cadvisor: false, ebpf_exporter: false, ..ChartValues::default() },
             ..HelmChart::teemon()
         };
-        let names: Vec<String> = chart.render_daemonsets().iter().map(|d| d.name.clone()).collect();
+        let names: Vec<&str> =
+            chart.render_daemonsets().iter().map(|d| d.exporter.daemonset()).collect();
         assert_eq!(names, vec!["teemon-sgx-exporter", "teemon-node-exporter"]);
         // The paper notes cAdvisor could be deactivated "to further reduce
         // interferences induced by the tool itself" (§6.2).
-        assert!(!names.contains(&"teemon-cadvisor".to_string()));
+        assert!(!names.contains(&"teemon-cadvisor"));
     }
 
     #[test]

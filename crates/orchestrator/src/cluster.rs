@@ -16,9 +16,9 @@ pub struct Taint {
 }
 
 impl Taint {
-    /// Creates a taint.
-    pub(crate) fn new(key: impl Into<String>, value: impl Into<String>) -> Self {
-        Self { key: key.into(), value: value.into() }
+    /// The taint SGX device plugins put on SGX nodes.
+    pub(crate) fn sgx() -> Self {
+        Self { key: "sgx.intel.com/epc".into(), value: "present".into() }
     }
 }
 
@@ -58,7 +58,7 @@ impl Node {
         let mut node = Self::new(name);
         node.sgx_capable = true;
         node.labels.insert(Self::SGX_LABEL.to_string(), "true".to_string());
-        node.taints.push(Taint::new("sgx.intel.com/epc", "present"));
+        node.taints.push(Taint::sgx());
         node
     }
 

@@ -11,11 +11,10 @@
 //!
 //! * [`Node`], [`Cluster`] — nodes with labels, taints and SGX capability,
 //!   joining and leaving dynamically,
-//! * DaemonSets and pods — per-node workload placement with taint
-//!   toleration and node selectors,
-//! * [`HelmChart`] — the TEEMon chart: which exporters to deploy and where,
-//! * [`ServiceDiscovery`] — the catalog of scrape endpoints derived from the
-//!   running pods, consumed by the scrape manager.
+//! * [`HelmChart`] — the TEEMon chart: one DaemonSet per enabled
+//!   [`Exporter`], placed by node selector and taint toleration,
+//! * [`ServiceDiscovery`] — the scrape endpoints the DaemonSets resolve to on
+//!   the current cluster: the aggregator's target set.
 
 #![warn(missing_docs)]
 
@@ -23,6 +22,6 @@ mod chart;
 mod cluster;
 mod workload;
 
-pub use chart::{ChartValues, HelmChart};
+pub use chart::{ChartValues, Exporter, HelmChart};
 pub use cluster::{Cluster, Node, Taint};
 pub use workload::{ScrapeEndpoint, ServiceDiscovery};

@@ -1,106 +1,50 @@
-//! DaemonSets, pods and service discovery.
+//! DaemonSets and service discovery.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::chart::Exporter;
 use crate::cluster::{Cluster, Node, Taint};
 
-/// Lifecycle phase of a pod.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) enum PodPhase {
-    /// Scheduled and running.
-    Running,
-    /// Could not be scheduled (no matching node).
-    Pending,
-}
-
-/// A pod: one instance of an exporter (or other workload) on one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct Pod {
-    /// Pod name (`<daemonset>-<node>`).
-    pub name: String,
-    /// Owning DaemonSet.
-    pub owner: String,
-    /// Node the pod runs on (empty when pending).
-    pub node: String,
-    /// Phase.
-    pub phase: PodPhase,
-    /// Port the pod's metrics endpoint listens on.
-    pub metrics_port: u16,
-}
-
-/// A DaemonSet: one pod per matching node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A DaemonSet: one pod of an [`Exporter`] on every matching node.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DaemonSet {
-    /// DaemonSet name (e.g. `teemon-sgx-exporter`).
-    pub name: String,
+    /// The exporter its pods run.
+    pub exporter: Exporter,
     /// Node selector labels; empty = every node.
     pub node_selector: BTreeMap<String, String>,
     /// Taints this DaemonSet tolerates.
     pub tolerations: Vec<Taint>,
-    /// Port its pods expose metrics on.
-    pub metrics_port: u16,
 }
 
 impl DaemonSet {
-    /// Creates a DaemonSet that runs on every node.
-    pub(crate) fn everywhere(name: impl Into<String>, metrics_port: u16) -> Self {
-        Self {
-            name: name.into(),
-            node_selector: BTreeMap::new(),
-            tolerations: Vec::new(),
-            metrics_port,
+    /// The chart's DaemonSet for `exporter`: it tolerates the SGX taint, and
+    /// an SGX-only exporter selects the SGX label.
+    pub(crate) fn new(exporter: Exporter) -> Self {
+        let mut node_selector = BTreeMap::new();
+        if exporter.sgx_only() {
+            node_selector.insert(Node::SGX_LABEL.to_string(), "true".to_string());
         }
+        Self { exporter, node_selector, tolerations: vec![Taint::sgx()] }
     }
 
-    /// Creates a DaemonSet restricted to SGX-capable nodes (selector on the
-    /// SGX label plus a toleration for the SGX taint).
-    pub(crate) fn sgx_only(name: impl Into<String>, metrics_port: u16) -> Self {
-        let mut selector = BTreeMap::new();
-        selector.insert(Node::SGX_LABEL.to_string(), "true".to_string());
-        Self {
-            name: name.into(),
-            node_selector: selector,
-            tolerations: vec![Taint::new("sgx.intel.com/epc", "present")],
-            metrics_port,
-        }
-    }
-
-    /// `true` when the DaemonSet can be placed on `node`.
-    pub(crate) fn schedulable_on(&self, node: &Node) -> bool {
-        if !node.ready {
-            return false;
-        }
-        if !node.matches_selector(&self.node_selector) {
-            return false;
-        }
-        node.taints.iter().all(|t| self.tolerations.contains(t))
-    }
-
-    /// Places the DaemonSet across the cluster: exactly one running pod per
-    /// schedulable node.
-    pub(crate) fn place(&self, cluster: &Cluster) -> Vec<Pod> {
-        cluster
-            .ready_nodes()
-            .iter()
-            .filter(|node| self.schedulable_on(node))
-            .map(|node| Pod {
-                name: format!("{}-{}", self.name, node.name),
-                owner: self.name.clone(),
-                node: node.name.clone(),
-                phase: PodPhase::Running,
-                metrics_port: self.metrics_port,
-            })
-            .collect()
+    /// Places the DaemonSet across the cluster: the ready nodes it runs one
+    /// pod on, those matching its selector whose every taint it tolerates.
+    pub(crate) fn place(&self, cluster: &Cluster) -> Vec<Node> {
+        let tolerated = |node: &Node| node.taints.iter().all(|t| self.tolerations.contains(t));
+        let fits = |node: &Node| node.matches_selector(&self.node_selector) && tolerated(node);
+        cluster.ready_nodes().into_iter().filter(|node| fits(node)).collect()
     }
 }
 
 /// One discoverable scrape endpoint (what Kubernetes service discovery hands
 /// to the aggregation component).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ScrapeEndpoint {
-    /// Job name, derived from the owning DaemonSet.
+    /// The exporter serving it.
+    pub exporter: Exporter,
+    /// Scrape job, the exporter's ([`Exporter::job`]).
     pub job: String,
     /// `<node>:<port>` instance string.
     pub instance: String,
@@ -112,7 +56,7 @@ pub struct ScrapeEndpoint {
 /// cluster state.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceDiscovery {
-    daemonsets: Vec<DaemonSet>,
+    pub(crate) daemonsets: Vec<DaemonSet>,
 }
 
 impl ServiceDiscovery {
@@ -121,22 +65,19 @@ impl ServiceDiscovery {
         Self::default()
     }
 
-    /// Registers a DaemonSet whose pods should be scraped.
-    pub(crate) fn register(&mut self, daemonset: DaemonSet) {
-        self.daemonsets.push(daemonset);
-    }
-
     /// Resolves the current endpoints against the cluster.  Called again after
     /// every topology change ("these two features allow TEEMon to adapt to
     /// arbitrary changes in the cluster topology", §5.4).
     pub fn endpoints(&self, cluster: &Cluster) -> Vec<ScrapeEndpoint> {
         let mut endpoints = Vec::new();
         for ds in &self.daemonsets {
-            for pod in ds.place(cluster) {
+            let exporter = ds.exporter;
+            for node in ds.place(cluster) {
                 endpoints.push(ScrapeEndpoint {
-                    job: ds.name.clone(),
-                    instance: format!("{}:{}", pod.node, ds.metrics_port),
-                    node: pod.node,
+                    exporter,
+                    job: exporter.job().to_string(),
+                    instance: exporter.instance(&node.name),
+                    node: node.name,
                 });
             }
         }
@@ -152,16 +93,13 @@ mod tests {
     #[test]
     fn daemonset_places_one_pod_per_matching_node() {
         let cluster = Cluster::with_nodes(3, 2);
-        let everywhere = DaemonSet::everywhere("teemon-node-exporter", 9100);
-        // "Everywhere" still respects taints: only the 2 untainted nodes take
-        // the pod unless a toleration is added.
-        assert_eq!(everywhere.place(&cluster).len(), 2);
+        // An "everywhere" DaemonSet tolerates the SGX taint: all 5 nodes
+        // take its pod.
+        assert_eq!(DaemonSet::new(Exporter::Node).place(&cluster).len(), 5);
 
-        let sgx_only = DaemonSet::sgx_only("teemon-sgx-exporter", 9090);
-        let pods = sgx_only.place(&cluster);
-        assert_eq!(pods.len(), 3, "SGX exporter must land only on SGX nodes");
-        assert!(pods.iter().all(|p| p.node.starts_with("sgx-")));
-        assert!(pods.iter().all(|p| p.phase == PodPhase::Running));
+        let nodes = DaemonSet::new(Exporter::Sgx).place(&cluster);
+        assert_eq!(nodes.len(), 3, "SGX exporter must land only on SGX nodes");
+        assert!(nodes.iter().all(|n| n.sgx_capable));
     }
 
     #[test]
@@ -170,12 +108,10 @@ mod tests {
         cluster.add_node(Node::sgx("sgx-0"));
         // A DaemonSet without the toleration cannot land on the tainted node,
         // even though the selector is empty.
-        let no_toleration = DaemonSet::everywhere("plain", 9100);
+        let no_toleration = DaemonSet { tolerations: Vec::new(), ..DaemonSet::new(Exporter::Node) };
         assert!(no_toleration.place(&cluster).is_empty());
-        let tolerating = DaemonSet {
-            tolerations: vec![Taint::new("sgx.intel.com/epc", "present")],
-            ..DaemonSet::everywhere("tolerant", 9100)
-        };
+        let tolerating = DaemonSet::new(Exporter::Node);
+        assert!(tolerating.node_selector.is_empty());
         assert_eq!(tolerating.place(&cluster).len(), 1);
     }
 
@@ -183,8 +119,7 @@ mod tests {
     fn not_ready_nodes_are_skipped() {
         let cluster = Cluster::with_nodes(2, 0);
         cluster.set_ready("sgx-1", false);
-        let ds = DaemonSet::sgx_only("teemon-sgx-exporter", 9090);
-        assert_eq!(ds.place(&cluster).len(), 1);
+        assert_eq!(DaemonSet::new(Exporter::Sgx).place(&cluster).len(), 1);
     }
 
     #[test]
@@ -193,18 +128,17 @@ mod tests {
         let mut discovery = ServiceDiscovery::new();
         HelmChart::teemon().install(&mut discovery);
         let before = discovery.endpoints(&cluster);
-        // 2 SGX nodes × (sgx + ebpf) + 3 nodes × (node-exporter)... but the
-        // everywhere DaemonSets lack the SGX taint toleration, so they only
-        // land on untainted nodes: 2×2 + 1×2 = 6.
-        assert_eq!(before.len(), 2 * 2 + 2);
-        assert!(before
-            .iter()
-            .any(|e| e.job == "teemon-sgx-exporter" && e.instance == "sgx-0:9090"));
+        // Each SGX node runs all four exporters, the plain node the two
+        // "everywhere" ones: 2×4 + 1×2 = 10.
+        assert_eq!(before.len(), 2 * 4 + 2);
+        assert!(before.iter().any(|e| e.exporter == Exporter::Sgx
+            && e.job == "sgx_exporter"
+            && e.instance == "sgx-0:9090"));
 
-        // A new SGX node joins: the SGX exporters follow automatically.
+        // A new SGX node joins: the four exporters follow automatically.
         cluster.add_node(Node::sgx("sgx-new"));
         let after = discovery.endpoints(&cluster);
-        assert_eq!(after.len(), before.len() + 2);
+        assert_eq!(after.len(), before.len() + 4);
         assert!(after.iter().any(|e| e.node == "sgx-new"));
 
         // The node leaves again: its endpoints disappear.

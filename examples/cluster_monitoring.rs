@@ -1,8 +1,9 @@
 //! Cluster-scale deployment (§5.4 of the paper): TEEMon installed through the
 //! Helm chart onto a Kubernetes-like cluster, exporters placed as DaemonSets
-//! on SGX nodes, one aggregator scraping every node's exporters into one
-//! store, and service discovery following topology changes.  Cluster-wide
-//! figures are TeeQL over that store.
+//! (all four on SGX nodes, the node exporter and cAdvisor on the others), one
+//! aggregator scraping every endpoint service discovery resolves into one
+//! store, and discovery following topology changes.  Cluster-wide figures are
+//! TeeQL over that store.
 //!
 //! ```text
 //! cargo run --release --example cluster_monitoring
@@ -17,11 +18,12 @@ fn main() {
     // A cluster with 4 SGX nodes and 2 ordinary nodes.
     let cluster = Cluster::with_nodes(4, 2);
     println!("cluster: {} nodes ({} SGX-capable)", cluster.node_count(), 4);
-    println!("helm chart:\n{}", HelmChart::teemon().to_json());
+    let chart = HelmChart::teemon();
+    println!("helm chart:\n{}", chart.to_json());
 
-    // Install TEEMon: four exporters on every SGX node, one aggregator
-    // scraping them all.
-    let mut monitor = ClusterMonitor::install(cluster.clone());
+    // Install TEEMon: the chart's exporters on every node, one aggregator
+    // scraping every endpoint discovery resolves.
+    let mut monitor = ClusterMonitor::install(cluster.clone(), &chart);
     println!("\nservice discovery resolved {} scrape endpoints:", monitor.endpoints().len());
     for endpoint in monitor.endpoints() {
         println!("  {:<24} {}", endpoint.job, endpoint.instance);
@@ -29,7 +31,8 @@ fn main() {
 
     // Start enclave workloads on every SGX node.
     let mut deployments = Vec::new();
-    for kernel in monitor.nodes().values() {
+    for node in cluster.ready_nodes().into_iter().filter(|n| n.sgx_capable) {
+        let kernel = &monitor.nodes()[&node.name];
         let mut d = Deployment::deploy(
             kernel,
             FrameworkParams::for_kind(FrameworkKind::Scone),

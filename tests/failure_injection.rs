@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use teemon::ClusterMonitor;
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
-use teemon_orchestrator::{Cluster, Node};
+use teemon_orchestrator::{Cluster, HelmChart, Node};
 use teemon_query::{QueryEngine, Value};
 use teemon_tsdb::{
     MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb,
@@ -123,7 +123,7 @@ fn malformed_exporter_output_does_not_poison_the_db() {
 #[test]
 fn cluster_monitor_handles_node_churn() {
     let cluster = Cluster::with_nodes(3, 0);
-    let mut monitor = ClusterMonitor::install(cluster.clone());
+    let mut monitor = ClusterMonitor::install(cluster.clone(), &HelmChart::teemon());
     assert_eq!(monitor.nodes().len(), 3);
     let baseline_endpoints = monitor.endpoints().len();
 
