@@ -386,8 +386,9 @@ impl HostMonitor {
     /// tick over endpoints that refresh their families in place allocates
     /// nothing either (`crates/tsdb/tests/alloc_free_scrape.rs`).  The
     /// exporters this monitor installs do not yet: each `scrape` builds
-    /// its families afresh, and a warm Full-mode round makes about 209
-    /// allocations (ROADMAP item 13).  Like
+    /// its families afresh, and `crates/core/tests/full_host_allocations.rs`
+    /// pins what a warm Full-mode tick allocates, exporter by exporter
+    /// (ROADMAP item 13).  Like
     /// [`HostMonitor::run_scrape_loop`] it then evaluates due rule groups
     /// and, each sixteenth of the retention window, applies the database's
     /// retention policy.
@@ -453,8 +454,9 @@ pub struct ClusterMonitor {
     cluster: Cluster,
     discovery: ServiceDiscovery,
     aggregator: HostMonitor,
-    /// The kernels of the nodes that host an endpoint, by node name.
-    nodes: BTreeMap<String, Kernel>,
+    /// The nodes that host an endpoint, by name: each one's kernel, and the
+    /// container table its `cadvisor` target exports.
+    nodes: BTreeMap<String, (Kernel, ContainerExporter)>,
     /// The endpoints the last reconcile left as targets.
     targets: BTreeSet<ScrapeEndpoint>,
 }
@@ -486,8 +488,18 @@ impl ClusterMonitor {
     }
 
     /// The kernels of every node hosting an endpoint, SGX or not, by name.
-    pub fn nodes(&self) -> &BTreeMap<String, Kernel> {
-        &self.nodes
+    pub fn nodes(&self) -> BTreeMap<&str, &Kernel> {
+        self.nodes.iter().map(|(name, (kernel, _))| (name.as_str(), kernel)).collect()
+    }
+
+    /// Registers a container with `node`'s cAdvisor, as
+    /// [`HostMonitor::register_container`] does on a host: its series come
+    /// in with that node's `cadvisor` target from the next round (no-op when
+    /// `node` hosts no endpoint).
+    pub fn register_container(&self, node: &str, spec: ContainerSpec) {
+        if let Some((_, containers)) = self.nodes.get(node) {
+            containers.register_container(spec);
+        }
     }
 
     /// The scrape endpoints service discovery currently resolves.
@@ -508,11 +520,13 @@ impl ClusterMonitor {
         }
         let (clock, mut hosting) = (self.aggregator.kernel().clock(), BTreeMap::new());
         for endpoint @ ScrapeEndpoint { exporter, node, .. } in &resolved {
-            let kernel = hosting.entry(node.clone()).or_insert_with(|| {
-                self.nodes.remove(node).unwrap_or_else(|| Kernel::with_clock(clock.clone()))
+            let (kernel, containers) = hosting.entry(node.clone()).or_insert_with(|| {
+                self.nodes.remove(node).unwrap_or_else(|| {
+                    (Kernel::with_clock(clock.clone()), ContainerExporter::new(node))
+                })
             });
             if !self.targets.contains(endpoint) {
-                add_exporter(scraper, *exporter, node, kernel, &ContainerExporter::new(node), None);
+                add_exporter(scraper, *exporter, node, kernel, containers, None);
             }
         }
         self.targets = resolved;
@@ -1062,7 +1076,7 @@ mod tests {
         let monitor = ClusterMonitor::install(Cluster::with_nodes(3, 1), &HelmChart::teemon());
         let aggregator = monitor.aggregator();
         assert_eq!(aggregator.rules().group_count(), 1, "PMAN's group, once for the fleet");
-        let sgx_nodes = || monitor.nodes().iter().filter(|(node, _)| node.starts_with("sgx-"));
+        let sgx_nodes = || monitor.nodes().into_iter().filter(|(node, _)| node.starts_with("sgx-"));
         for (calls, (_, kernel)) in [10, 20, 30].into_iter().zip(sgx_nodes()) {
             let enclave = teemon_kernel_sim::process::ProcessKind::Enclave;
             let pid = kernel.spawn_process("redis-server", enclave, 4);
@@ -1072,10 +1086,33 @@ mod tests {
         }
         aggregator.run_scrape_loop(1);
         let kernels: Vec<_> =
-            sgx_nodes().map(|(node, k)| (node.clone(), k.counters().syscalls as f64)).collect();
+            sgx_nodes().map(|(node, k)| (node.to_string(), k.counters().syscalls as f64)).collect();
         assert_eq!(kernels.iter().map(|(_, n)| n).sum::<f64>(), 10.0 + 20.0 + 30.0);
         assert_eq!(by_node(&monitor, "sum(teemon_syscalls_total)"), [(String::new(), 60.0)]);
         assert_eq!(by_node(&monitor, "sum by (node) (teemon_syscalls_total)"), kernels);
+    }
+
+    #[test]
+    fn a_container_registered_on_a_node_is_exported_by_that_node_only() {
+        let monitor = ClusterMonitor::install(Cluster::with_nodes(2, 1), &HelmChart::teemon());
+        let spec = ContainerSpec {
+            name: "redis-0".into(),
+            image: "redis:5".into(),
+            pid: 1,
+            memory_limit_bytes: 1 << 30,
+        };
+        monitor.register_container("sgx-1", spec);
+        monitor.aggregator().run_scrape_loop(1);
+        assert_eq!(
+            by_node(&monitor, r#"count(container_spec_memory_limit_bytes{node="sgx-1"})"#),
+            [(String::new(), 1.0)]
+        );
+        // Every node's cAdvisor answers, and only sgx-1's with a container.
+        assert_eq!(
+            by_node(&monitor, r#"count by (node) (container_spec_memory_limit_bytes)"#),
+            [("sgx-1".into(), 1.0)]
+        );
+        assert_eq!(by_node(&monitor, r#"sum(up{job="cadvisor"})"#), [(String::new(), 3.0)]);
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //! forward byte scanner can get wrong: labels in any order and more of them
 //! than the inline offset table holds, structural characters inside values,
 //! multi-byte blanks, braces after the label block, every spelling of the
-//! special values and timestamps at the edge of `u64`.  The mangler applies the
-//! four operations of `crates/server/tests/resilience.rs` (truncate, flip
-//! bits, insert bytes, swap bytes) to whole documents, which is how invalid
+//! special values and timestamps at the edge of `u64`.  The mangler
+//! (`teemon_testkit::mangle`, shared with `crates/server/tests/resilience.rs`)
+//! applies its four operations (truncate, flip bits, insert bytes, swap
+//! bytes) to whole documents, which is how invalid
 //! names, torn quotes and stray braces get in.
 
 use teemon_metrics::exposition::{parse_families_bounded, ParseLimits};
+use teemon_testkit::mangle::{mangle, Rng};
 
 /// The parser as it stood before the one-pass rewrite, kept verbatim as the
 /// reference: phase one materialises every line as an owned [`Sample`] plus
@@ -463,30 +465,6 @@ mod oracle {
     }
 }
 
-/// xorshift64, as in the resilience suite's mangler.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound.max(1) as u64) as usize
-    }
-
-    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
-        items[self.below(items.len())]
-    }
-
-    fn chance(&mut self, one_in: usize) -> bool {
-        self.below(one_in) == 0
-    }
-}
-
 /// Compares through `Debug`: results hold `f64`s and `NaN != NaN` would fail
 /// a structural comparison of two identical parses.
 fn assert_same(doc: &str, limits: ParseLimits) {
@@ -792,36 +770,6 @@ fn label_sets_past_the_inline_offset_table_parse_as_the_two_phase_parser_did() {
             for doc in [long_line, short_line] {
                 assert_same(&doc, ParseLimits::unbounded());
                 assert_same(&doc, ParseLimits::network());
-            }
-        }
-    }
-}
-
-/// The resilience suite's four corruptions, applied to a document.
-fn mangle(rng: &mut Rng, bytes: &mut Vec<u8>, round: usize) {
-    match round % 4 {
-        0 => {
-            let cut = rng.below(bytes.len());
-            bytes.truncate(cut);
-        }
-        1 => {
-            for _ in 0..1 + rng.below(4) {
-                let i = rng.below(bytes.len());
-                let bit = 1u8 << rng.below(8);
-                if let Some(b) = bytes.get_mut(i) {
-                    *b ^= bit;
-                }
-            }
-        }
-        2 => {
-            let i = rng.below(bytes.len() + 1);
-            let inserted = [(rng.next() & 0xff) as u8, (rng.next() & 0xff) as u8];
-            bytes.splice(i..i, inserted);
-        }
-        _ => {
-            if !bytes.is_empty() {
-                let (i, j) = (rng.below(bytes.len()), rng.below(bytes.len()));
-                bytes.swap(i, j);
             }
         }
     }

@@ -9,40 +9,11 @@
 // only hold without `--cfg lock_audit`.
 #![cfg(not(lock_audit))]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use teemon_obs::{probes, slow, snapshot::SelfSnapshot, Span};
-
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: delegates every operation to `System`; only bookkeeping is added.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use teemon_testkit::alloc::{allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 /// One "round" of engine self-telemetry: the writes the ingest, storage and
 /// query layers perform, followed by the in-place snapshot refresh the

@@ -16,46 +16,14 @@
 //! * a warm point read (`SeriesSnapshot::at`) allocates nothing, whether it
 //!   lands in a compressed sealed chunk, a raw one or the head's copy.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use teemon_metrics::Labels;
 use teemon_query::stream::plan_or_reason;
 use teemon_query::{json, parse, QueryEngine, RangeSeries};
+use teemon_testkit::alloc::{allocations_in, CountingAllocator};
 use teemon_tsdb::{Sample, Selector, TimeSeriesDb, TsdbConfig, SHARD_COUNT};
-
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: delegates every operation to `System`; only bookkeeping is added.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Heap allocations (and reallocations) `f` performs on this thread.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
 
 #[test]
 fn rendering_a_matrix_allocates_a_constant_handful() {

@@ -4,8 +4,9 @@
 //! a [`Conn`], not a `TcpStream`.  Production uses `TcpConn`; the test
 //! suite uses [`MockConn`], an in-memory connection with a scripted byte
 //! stream and a **virtual clock**, so slow-loris timeouts, torn requests and
-//! partial reads are exercised deterministically without sleeping (the
-//! `FaultFs` idiom from the durability tier, applied to sockets).
+//! partial reads are exercised deterministically without sleeping (the idiom
+//! of `teemon_testkit::FaultFs`, the durability tier's crashable filesystem,
+//! applied to sockets).
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;

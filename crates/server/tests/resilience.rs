@@ -8,6 +8,7 @@
 
 use teemon_obs::probes;
 use teemon_server::{MockConn, MockStep, ServerConfig, ServerCore};
+use teemon_testkit::mangle::{mangle, Rng};
 use teemon_tsdb::TimeSeriesDb;
 
 fn core() -> ServerCore {
@@ -274,9 +275,9 @@ fn unbounded_range_queries_get_400_not_unbounded_work() {
     assert_eq!(status_of(&get("/healthz")), Some(200));
 }
 
-/// A deterministic xorshift byte-mangler in the FaultFs spirit: valid
+/// The deterministic byte mangler (`teemon_testkit::mangle`): valid
 /// requests with seeded corruption — truncation, bit flips, byte
-/// insertion — must always produce a clean HTTP response (or a silent
+/// insertion, a swap — must always produce a clean HTTP response (or a silent
 /// close), never a panic or a hang.
 #[test]
 fn byte_mangler_fuzz_never_panics_the_server() {
@@ -284,43 +285,10 @@ fn byte_mangler_fuzz_never_panics_the_server() {
     let template =
         b"POST /api/v1/write HTTP/1.1\r\nContent-Length: 24\r\n\r\ndemo_metric{a=\"b\"} 42\n x"
             .to_vec();
-    let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
     for round in 0..500 {
         let mut bytes = template.clone();
-        match round % 4 {
-            0 => {
-                // Truncate somewhere.
-                let cut = (next() as usize) % bytes.len().max(1);
-                bytes.truncate(cut);
-            }
-            1 => {
-                // Flip a few bits.
-                for _ in 0..1 + (next() % 4) {
-                    let i = (next() as usize) % bytes.len();
-                    let bit = 1u8 << (next() % 8);
-                    if let Some(b) = bytes.get_mut(i) {
-                        *b ^= bit;
-                    }
-                }
-            }
-            2 => {
-                // Insert random bytes.
-                let i = (next() as usize) % (bytes.len() + 1);
-                bytes.splice(i..i, [(next() & 0xff) as u8, (next() & 0xff) as u8]);
-            }
-            _ => {
-                // Swap two regions' bytes.
-                let i = (next() as usize) % bytes.len();
-                let j = (next() as usize) % bytes.len();
-                bytes.swap(i, j);
-            }
-        }
+        mangle(&mut rng, &mut bytes, round);
         // Distinct peers: the fuzz measures parser robustness, not the
         // (also exercised above) rate limiter.
         let peer = format!("10.9.{}.{}:1", round / 250, round % 250);

@@ -1,9 +1,12 @@
-//! The sample generator of the chunk-codec properties in
+//! The sample generator of the chunk-codec properties in tsdb's
 //! `tests/chunk_codec.rs` (the codec against its bit-by-bit reference):
 //! every timestamp bucket and escape, every rung of the integer ladder, the
-//! IEEE specials and long steady stretches.
+//! IEEE specials and long steady stretches — and what the codec, head and
+//! block suites compare samples by: the block kind a run calls for and a
+//! NaN-proof key.
 
-use super::Sample;
+use teemon_tsdb::chunk_codec::BlockKind;
+use teemon_tsdb::Sample;
 
 /// 2⁵³: the largest magnitude an integer block's value may have.
 pub const MAX_WHOLE: i64 = 1 << 53;
@@ -18,6 +21,20 @@ pub fn qualifies(value: f64) -> bool {
         && value.trunc() == value
         && value.abs() <= MAX_WHOLE as f64
         && value.to_bits() != (-0.0f64).to_bits()
+}
+
+/// The kind the samples call for.
+pub fn kind_of(samples: &[Sample]) -> BlockKind {
+    if samples.iter().all(|s| qualifies(s.value)) {
+        BlockKind::Integer
+    } else {
+        BlockKind::Xor
+    }
+}
+
+/// NaN-proof comparison key.
+pub fn bits(samples: impl IntoIterator<Item = Sample>) -> Vec<(u64, u64)> {
+    samples.into_iter().map(|s| (s.timestamp_ms, s.value.to_bits())).collect()
 }
 
 /// Where in a generated stream the values stop being whole numbers only:

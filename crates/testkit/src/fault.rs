@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use super::{WalFile, WalFs};
+use teemon_tsdb::{WalFile, WalFs};
 
 /// How [`FaultFs::crashed`] decides what survives the crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,5 +343,88 @@ impl WalFile for FailpointWriter {
             return Err(io::Error::other("injected fsync failure"));
         }
         self.inner.sync()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fault_fs_crash_models_honour_sync_points() {
+        let fs = FaultFs::new();
+        let path = Path::new("/x.wal");
+        let (mut file, len) = fs.open_append(path).expect("FaultFs open");
+        assert_eq!(len, 0);
+        file.append(b"aaaa").expect("append");
+        file.sync().expect("sync");
+        file.append(b"bbbb").expect("append");
+        // No sync after "bbbb".
+        assert_eq!(fs.total_write_bytes(), 8);
+
+        // Torn with a full budget keeps everything written...
+        let torn = fs.crashed(8, CrashModel::Torn);
+        assert_eq!(torn.file_len(path), Some(8));
+        // ...a smaller budget tears mid-write...
+        let torn = fs.crashed(6, CrashModel::Torn);
+        assert_eq!(torn.file_len(path), Some(6));
+        // ...and SyncedOnly drops everything after the last fsync.
+        let synced = fs.crashed(8, CrashModel::SyncedOnly);
+        assert_eq!(synced.file_len(path), Some(4));
+
+        // Atomic replaces are all-or-nothing and consume no byte budget —
+        // but they still honour journal order: a budget that tears an
+        // earlier write never reaches them.
+        fs.write_atomic(Path::new("/y.snap"), b"snapshot").expect("atomic");
+        let image = fs.crashed(8, CrashModel::SyncedOnly);
+        assert_eq!(image.file_len(Path::new("/y.snap")), Some(8));
+        assert_eq!(image.file_len(path), Some(4));
+        let image = fs.crashed(0, CrashModel::SyncedOnly);
+        assert_eq!(image.file_len(Path::new("/y.snap")), None, "torn before the atomic");
+    }
+
+    #[test]
+    fn op_boundary_crashes_split_non_append_operations() {
+        let fs = FaultFs::new();
+        let wal = Path::new("/m.wal");
+        let snap = Path::new("/m.snap");
+        let (mut file, _) = fs.open_append(wal).expect("FaultFs open");
+        file.append(b"tail").expect("append");
+        fs.write_atomic(snap, b"snapshot").expect("atomic");
+        fs.remove(wal).expect("remove");
+        // An atomic replace is two operations: the tmp file, then the rename.
+        assert_eq!(fs.op_count(), 4);
+        // The byte budget cannot separate the atomic replace from the
+        // removal that follows it: both ride on the last appended byte.
+        let image = fs.crashed(4, CrashModel::Torn);
+        assert_eq!(image.file_len(snap), Some(8));
+        assert_eq!(image.file_len(wal), None);
+        // Op boundaries can: a crash after the snapshot install but before
+        // the removal — the window an interrupted checkpoint leaves.
+        let image = fs.crashed_at_op(3, CrashModel::Torn);
+        assert_eq!(image.file_len(snap), Some(8));
+        assert_eq!(image.file_len(wal), Some(4), "log must not be removed yet");
+        // ...or between the tmp write and its rename, stranding the tmp file.
+        let image = fs.crashed_at_op(2, CrashModel::Torn);
+        assert_eq!(image.file_len(snap), None, "crash before the rename");
+        assert_eq!(image.list(Path::new("/")).expect("list"), [Path::new("/m.tmp"), wal]);
+        let image = fs.crashed_at_op(1, CrashModel::Torn);
+        assert_eq!(image.list(Path::new("/")).expect("list"), [wal]);
+    }
+
+    #[test]
+    fn failpoint_writer_injects_short_writes_and_fsync_errors() {
+        let fs = FaultFs::new();
+        let path = Path::new("/fp.wal");
+        let (inner, _) = fs.open_append(path).expect("FaultFs open");
+        let mut writer = FailpointWriter::new(inner, Some(1), Some(2));
+        writer.append(b"12345678").expect("first write passes");
+        let err = writer.append(b"12345678").expect_err("second write fails");
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        // The failing write left half the bytes behind — a torn tail.
+        assert_eq!(fs.file_len(path), Some(12));
+        writer.sync().expect("first fsync passes");
+        writer.sync().expect("second fsync passes");
+        assert!(writer.sync().is_err(), "third fsync must fail");
     }
 }

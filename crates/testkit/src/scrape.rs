@@ -1,19 +1,16 @@
 //! What the ingest suites hold the [`Scraper`](teemon_tsdb::Scraper) to,
-//! written against the crate's public API only.
+//! written against `teemon_tsdb`'s public API only.
 //!
 //! [`PerSampleScraper`] is a scrape round with no cache, no handles and no
 //! batch: every wire sample gets its target labels merged and is appended by
 //! key, then the target's meta-series follow.  It is what every round did
 //! before the scrape cache existed and it is simple enough to be obviously
 //! right, which is all a reference has to be — it is test code, so nothing
-//! ships it.  Cardinality budgets are not modelled here (`repair_model.rs`
-//! has `ModelLane` for those).
+//! ships it.  Cardinality budgets are not modelled here (tsdb's
+//! `tests/repair_model.rs` has `ModelLane` for those).
 //!
 //! [`ScriptedEndpoint`] and [`fingerprint`] are the scripted target and the
-//! state oracle every scrape suite shares; a suite that includes this
-//! module uses a part of it, so unused items are allowed.
-
-#![allow(dead_code)]
+//! state oracle every scrape and durability suite shares.
 
 use std::sync::Arc;
 

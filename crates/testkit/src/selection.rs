@@ -1,8 +1,9 @@
 //! The selection model: what a [`Selector`] picks, stated plainly, for the
-//! suites that hold the inverted index to it — `tests/index_consistency.rs`
-//! (a whole store against a scan of every series with [`matches`]) and the
-//! index's unit tests (a shard's postings walk against [`intersection`]).
-//! The includer brings `Selector` and `LabelMatch` into scope; what one
+//! suites that hold the inverted index to it — tsdb's
+//! `tests/index_consistency.rs` (a whole store against a scan of every
+//! series with [`matches()`]) and the index's unit tests (a shard's postings
+//! walk against [`intersection`]), which include this file by path.  The
+//! parent module brings `Selector` and `LabelMatch` into scope; what one
 //! includer leaves unused is allowed.
 
 #![allow(dead_code)]

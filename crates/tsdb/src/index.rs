@@ -506,8 +506,10 @@ mod tests {
     }
 }
 
-/// The selection model of `tests/index_consistency.rs`, shared so that the
-/// postings walk is held to sorted-set intersections.
+/// The selection model of `tests/index_consistency.rs`, kept in the test
+/// support crate and included by path (a unit test cannot depend on a crate
+/// that depends on this one), so that the postings walk is held to
+/// sorted-set intersections.
 #[cfg(test)]
-#[path = "../tests/support/selection.rs"]
+#[path = "../../testkit/src/selection.rs"]
 mod selection;

@@ -81,4 +81,10 @@ pub use storage::{
     SHARD_COUNT, STALE_HEAD_MS,
 };
 pub use teemon_metrics::{MetricsEndpoint, ScrapeError};
-pub use wal::{CrashModel, DurabilityOptions, FailpointWriter, FaultFs, FsyncMode, WalFile, WalFs};
+pub use wal::{DurabilityOptions, FsyncMode, WalFile, WalFs};
+
+// The test support crate's scratch directory: a unit test cannot depend on a
+// crate that depends on this one, so it includes the file.
+#[cfg(test)]
+#[path = "../../testkit/src/scratch.rs"]
+mod scratch;

@@ -1710,6 +1710,7 @@ impl std::fmt::Debug for TimeSeriesDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use crate::series::{Block, FOOTER_BYTES};
 
     fn sample(timestamp_ms: u64, value: f64) -> Sample {
@@ -2054,8 +2055,8 @@ mod tests {
 
     /// Everything a store answers, as text — values as their bits — and
     /// every file of its durability directory, after a flush.
-    fn state_of(db: &TimeSeriesDb, fs: &wal::FaultFs, dir: &Path) -> (String, Vec<Vec<u8>>) {
-        use crate::wal::WalFs as _;
+    fn state_of(db: &TimeSeriesDb, dir: &Path) -> (String, Vec<Vec<u8>>) {
+        use crate::wal::{RealFs, WalFs as _};
         assert!(db.wal_flush());
         let mut out = format!("{:?}\n", StorageStats { series_bytes: 0, ..db.stats() });
         for series in db.select(&Selector::all()).iter() {
@@ -2064,9 +2065,9 @@ mod tests {
                 out += &format!("  {timestamp_ms} {:016x}\n", value.to_bits());
             }
         }
-        let mut paths = fs.list(dir).expect("list");
+        let mut paths = RealFs.list(dir).expect("list");
         paths.sort();
-        (out, paths.iter().map(|path| fs.read(path).expect("read").expect("a file")).collect())
+        (out, paths.iter().map(|path| RealFs.read(path).expect("read").expect("a file")).collect())
     }
 
     proptest::proptest! {
@@ -2081,17 +2082,14 @@ mod tests {
             case in 0u64..u64::MAX,
         ) {
             let mut rng = proptest::TestRng::deterministic(&format!("batch-order-{case}"));
-            let dir = Path::new("/order");
             let config = TsdbConfig { chunk_size: 5, ..TsdbConfig::default() };
             let stores: Vec<_> = (0..2)
                 .map(|_| {
-                    let fs = wal::FaultFs::new();
-                    let options = DurabilityOptions {
-                        fs: Arc::new(fs.clone()),
-                        ..DurabilityOptions::default()
-                    };
-                    let db = TimeSeriesDb::open_with(dir, config.clone(), options).expect("open");
-                    (db, fs)
+                    let dir = ScratchDir::new("batch-order");
+                    let options = DurabilityOptions::default();
+                    let db = TimeSeriesDb::open_with(dir.path(), config.clone(), options)
+                        .expect("open");
+                    (db, dir)
                 })
                 .collect();
             let series = 1 + rng.below(80);
@@ -2117,14 +2115,14 @@ mod tests {
                 assert_eq!(shuffled, in_order);
                 assert!(shuffled.stale.is_empty());
             }
-            let states: Vec<_> = stores.iter().map(|(db, fs)| state_of(db, fs, dir)).collect();
+            let states: Vec<_> = stores.iter().map(|(db, dir)| state_of(db, dir.path())).collect();
             assert_eq!(states[0], states[1]);
-            for (db, fs) in stores {
+            for (db, dir) in stores {
                 drop(db);
-                let options =
-                    DurabilityOptions { fs: Arc::new(fs.clone()), ..DurabilityOptions::default() };
-                let reopened = TimeSeriesDb::open_with(dir, config.clone(), options).expect("reopen");
-                assert_eq!(state_of(&reopened, &fs, dir).0, states[1].0);
+                let options = DurabilityOptions::default();
+                let reopened =
+                    TimeSeriesDb::open_with(dir.path(), config.clone(), options).expect("reopen");
+                assert_eq!(state_of(&reopened, dir.path()).0, states[1].0);
             }
         }
     }
@@ -2493,20 +2491,20 @@ mod tests {
         /// of a generated schedule: by-key and batched appends (out of order,
         /// sealing across blocks under held readers, through stale handles),
         /// clock jumps, stale-head and evicting retention passes, drops, and
-        /// a checkpoint and reopen on a [`wal::FaultFs`].
+        /// a checkpoint and reopen on a scratch directory.
         #[test]
         fn the_ledger_is_a_fold_over_the_series_after_every_step(case in 0u64..u64::MAX) {
             const MINUTE: u64 = 60_000;
             let mut rng = proptest::TestRng::deterministic(&format!("ledger-{case}"));
-            let (dir, fs) = (Path::new("/ledger"), wal::FaultFs::new());
+            let scratch = ScratchDir::new("ledger");
+            let dir = scratch.path();
             // Chunks shorter than the head's tail, of one burst and of two.
             let chunk_size = [4u64, 9, 17][rng.below(3) as usize];
             let config = TsdbConfig { chunk_size: chunk_size as usize, retention_ms: 10 * MINUTE };
             // A small checkpoint budget: most flushes snapshot a shard, so a
             // reopen restores snapshots and replays the records behind them.
             let open = || {
-                let fs = Arc::new(fs.clone());
-                let options = DurabilityOptions { segment_bytes: 1 << 10, fs, ..Default::default() };
+                let options = DurabilityOptions { segment_bytes: 1 << 10, ..Default::default() };
                 TimeSeriesDb::open_with(dir, config.clone(), options).expect("open")
             };
             let totals = |db: &TimeSeriesDb| {

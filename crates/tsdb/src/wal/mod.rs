@@ -122,8 +122,8 @@
 //! tsdb.wal.shard}` — is acyclic: nothing that holds a shard lock ever takes
 //! the log lock (an appender over its staging budget flushes only after it
 //! let go of the shard).  The WAL classes are deliberately not marked `no_alloc`:
-//! cold-path buffer growth (and the in-memory [`FaultFs`] used by tests)
-//! allocates under them, and the allocation-freedom of the *warm* durable
+//! cold-path buffer growth (and the in-memory `teemon_testkit::FaultFs` the
+//! durability suites plug in) allocates under them, and the allocation-freedom of the *warm* durable
 //! round is proven directly by the counting-allocator test instead.
 
 use std::borrow::Cow;
@@ -142,10 +142,6 @@ use crate::head::Head;
 use crate::series::{put_raw, Chunk, Payload, Sample, Sealed, SAMPLE_BYTES};
 use crate::storage::SHARD_COUNT;
 use crate::symbols::{SymbolId, SymbolTable};
-
-mod fault;
-
-pub use fault::{CrashModel, FailpointWriter, FaultFs};
 
 // ---------------------------------------------------------------------------
 // XXH64 and record framing
@@ -664,10 +660,10 @@ impl<'a> Iterator for FrameScanner<'a> {
 
 /// One open log file: sequential appends plus durability flushes.
 ///
-/// Implemented by `RealFs` over `std::fs::File`, by the deterministic
-/// in-memory [`FaultFs`] the fault-injection suite uses, and by
-/// [`FailpointWriter`], which wraps any other implementation with injected
-/// failures.
+/// Implemented here by `RealFs` over `std::fs::File`; the test support
+/// crate's `teemon_testkit::FaultFs` (deterministic, in memory, crashable)
+/// and `teemon_testkit::FailpointWriter` (injected failures around any
+/// other implementation) implement it for the fault-injection suites.
 pub trait WalFile: Send {
     /// Appends `bytes` at the end of the file.
     fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
@@ -804,7 +800,8 @@ pub struct DurabilityOptions {
     pub segment_bytes: u64,
     /// Fsync policy; see [`FsyncMode`].
     pub fsync: FsyncMode,
-    /// Filesystem implementation; tests substitute [`FaultFs`].
+    /// Filesystem implementation; the fault-injection suites substitute
+    /// `teemon_testkit::FaultFs`.
     pub fs: Arc<dyn WalFs>,
 }
 
@@ -1907,6 +1904,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
 
     #[test]
     fn xxh64_matches_the_reference_vectors() {
@@ -1968,84 +1966,6 @@ mod tests {
             assert!(scanner.next().is_none(), "bit flip at {bit} must not verify");
             assert_eq!(scanner.valid_len, first.len());
         }
-    }
-
-    #[test]
-    fn fault_fs_crash_models_honour_sync_points() {
-        let fs = FaultFs::new();
-        let path = Path::new("/x.wal");
-        let (mut file, len) = fs.open_append(path).expect("FaultFs open");
-        assert_eq!(len, 0);
-        file.append(b"aaaa").expect("append");
-        file.sync().expect("sync");
-        file.append(b"bbbb").expect("append");
-        // No sync after "bbbb".
-        assert_eq!(fs.total_write_bytes(), 8);
-
-        // Torn with a full budget keeps everything written...
-        let torn = fs.crashed(8, CrashModel::Torn);
-        assert_eq!(torn.file_len(path), Some(8));
-        // ...a smaller budget tears mid-write...
-        let torn = fs.crashed(6, CrashModel::Torn);
-        assert_eq!(torn.file_len(path), Some(6));
-        // ...and SyncedOnly drops everything after the last fsync.
-        let synced = fs.crashed(8, CrashModel::SyncedOnly);
-        assert_eq!(synced.file_len(path), Some(4));
-
-        // Atomic replaces are all-or-nothing and consume no byte budget —
-        // but they still honour journal order: a budget that tears an
-        // earlier write never reaches them.
-        fs.write_atomic(Path::new("/y.snap"), b"snapshot").expect("atomic");
-        let image = fs.crashed(8, CrashModel::SyncedOnly);
-        assert_eq!(image.file_len(Path::new("/y.snap")), Some(8));
-        assert_eq!(image.file_len(path), Some(4));
-        let image = fs.crashed(0, CrashModel::SyncedOnly);
-        assert_eq!(image.file_len(Path::new("/y.snap")), None, "torn before the atomic");
-    }
-
-    #[test]
-    fn op_boundary_crashes_split_non_append_operations() {
-        let fs = FaultFs::new();
-        let wal = Path::new("/m.wal");
-        let snap = Path::new("/m.snap");
-        let (mut file, _) = fs.open_append(wal).expect("FaultFs open");
-        file.append(b"tail").expect("append");
-        fs.write_atomic(snap, b"snapshot").expect("atomic");
-        fs.remove(wal).expect("remove");
-        // An atomic replace is two operations: the tmp file, then the rename.
-        assert_eq!(fs.op_count(), 4);
-        // The byte budget cannot separate the atomic replace from the
-        // removal that follows it: both ride on the last appended byte.
-        let image = fs.crashed(4, CrashModel::Torn);
-        assert_eq!(image.file_len(snap), Some(8));
-        assert_eq!(image.file_len(wal), None);
-        // Op boundaries can: a crash after the snapshot install but before
-        // the removal — the window an interrupted checkpoint leaves.
-        let image = fs.crashed_at_op(3, CrashModel::Torn);
-        assert_eq!(image.file_len(snap), Some(8));
-        assert_eq!(image.file_len(wal), Some(4), "log must not be removed yet");
-        // ...or between the tmp write and its rename, stranding the tmp file.
-        let image = fs.crashed_at_op(2, CrashModel::Torn);
-        assert_eq!(image.file_len(snap), None, "crash before the rename");
-        assert_eq!(image.list(Path::new("/")).expect("list"), [Path::new("/m.tmp"), wal]);
-        let image = fs.crashed_at_op(1, CrashModel::Torn);
-        assert_eq!(image.list(Path::new("/")).expect("list"), [wal]);
-    }
-
-    #[test]
-    fn failpoint_writer_injects_short_writes_and_fsync_errors() {
-        let fs = FaultFs::new();
-        let path = Path::new("/fp.wal");
-        let (inner, _) = fs.open_append(path).expect("FaultFs open");
-        let mut writer = FailpointWriter::new(inner, Some(1), Some(2));
-        writer.append(b"12345678").expect("first write passes");
-        let err = writer.append(b"12345678").expect_err("second write fails");
-        assert_eq!(err.kind(), io::ErrorKind::Other);
-        // The failing write left half the bytes behind — a torn tail.
-        assert_eq!(fs.file_len(path), Some(12));
-        writer.sync().expect("first fsync passes");
-        writer.sync().expect("second fsync passes");
-        assert!(writer.sync().is_err(), "third fsync must fail");
     }
 
     fn head_of(samples: &[Sample]) -> Head {
@@ -2637,16 +2557,15 @@ mod tests {
         body[ctl] = 0x18;
         let bad = group(2, &body);
 
-        let fs = FaultFs::new();
-        let path = segment_path(Path::new("/wal"), 1);
-        let (mut file, _) = fs.open_append(&path).expect("FaultFs open");
+        let scratch = ScratchDir::new("malformed-record");
+        let path = segment_path(scratch.path(), 1);
+        let (mut file, _) = RealFs.open_append(&path).expect("open");
         file.append(&good).expect("append");
         file.append(&bad).expect("append");
-        let options =
-            DurabilityOptions { fs: Arc::new(fs.clone()), ..DurabilityOptions::default() };
+        let options = DurabilityOptions::default();
         let mut series_ids = Vec::new();
         let mut samples = 0;
-        Wal::open(Path::new("/wal"), &options, &mut |item| match item {
+        Wal::open(scratch.path(), &options, &mut |item| match item {
             Replay::Op(_, ShardOp::Series { id, .. }) => series_ids.push(id),
             Replay::Op(_, ShardOp::Samples { count, .. }) => samples += count,
             _ => {}
@@ -2654,7 +2573,11 @@ mod tests {
         .expect("open");
         assert_eq!(series_ids, [1], "series 2 rode in the refused group");
         assert_eq!(samples, 1);
-        assert_eq!(fs.file_len(&path), Some(good.len() as u64), "the segment is cut at the frame");
+        assert_eq!(file_len(&path), Some(good.len() as u64), "the segment is cut at the frame");
+    }
+
+    fn file_len(path: &Path) -> Option<u64> {
+        fs::metadata(path).ok().map(|meta| meta.len())
     }
 
     // -- varint series records and bounded counts --------------------------
@@ -2783,16 +2706,17 @@ mod tests {
     #[test]
     fn forged_counts_are_refused_without_a_large_allocation() {
         const LARGE: usize = 1 << 20;
-        let dir = Path::new("/wal");
+        let options = DurabilityOptions::default();
         // A snapshot header that claims sixteen million series, checksum and
         // all, with none behind it: the shard comes up flagged.
-        let fs = FaultFs::new();
+        let scratch = ScratchDir::new("forged-snapshot");
+        let dir = scratch.path();
         let mut header = Vec::new();
         [1u64, 0, 0].iter().for_each(|field| put_u64(&mut header, *field));
         put_u32(&mut header, MAX_COUNT);
-        fs.write_atomic(&shard_snap_path(dir, 3), &frame(REC_SNAP_HEADER, &header))
+        RealFs
+            .write_atomic(&shard_snap_path(dir, 3), &frame(REC_SNAP_HEADER, &header))
             .expect("write the snapshot");
-        let options = DurabilityOptions { fs: Arc::new(fs), ..DurabilityOptions::default() };
         let (wal, largest) = largest_request(|| Wal::open(dir, &options, &mut |_| {}));
         assert_eq!(wal.expect("open").failed_shard_count(), 1);
         assert!(largest < LARGE, "reserved {largest} bytes for a forged series count");
@@ -2815,20 +2739,15 @@ mod tests {
             let mut writer = ShardWriter(stage.lock());
             writer.retention(1);
             let good = group(1, &writer.0.staged);
-            let fs = FaultFs::new();
+            let scratch = ScratchDir::new(&format!("forged-{forged}"));
+            let dir = scratch.path();
             let path = segment_path(dir, 1);
-            let (mut file, _) = fs.open_append(&path).expect("FaultFs open");
+            let (mut file, _) = RealFs.open_append(&path).expect("open");
             file.append(&good).expect("append");
             file.append(&group(2, &record)).expect("append");
-            let options =
-                DurabilityOptions { fs: Arc::new(fs.clone()), ..DurabilityOptions::default() };
             let (wal, largest) = largest_request(|| Wal::open(dir, &options, &mut |_| {}));
             assert_eq!(wal.expect("open").failed_shard_count(), 0);
-            assert_eq!(
-                fs.file_len(&path),
-                Some(good.len() as u64),
-                "tag {forged}: the tail is cut"
-            );
+            assert_eq!(file_len(&path), Some(good.len() as u64), "tag {forged}: the tail is cut");
             assert!(largest < LARGE, "tag {forged}: reserved {largest} bytes for a forged count");
         }
     }

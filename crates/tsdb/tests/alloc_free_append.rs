@@ -9,41 +9,12 @@
 // `tests/lock_audit.rs` covers the allocation rule in that mode.
 #![cfg(not(lock_audit))]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use teemon_metrics::Labels;
+use teemon_testkit::alloc::{allocations, CountingAllocator};
 use teemon_tsdb::{BatchOutcome, Selector, SeriesHandle, TimeSeriesDb, BATCH_BLOCK};
-
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: delegates every operation to `System`; only bookkeeping is added.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 #[test]
 fn append_to_existing_series_is_allocation_free() {

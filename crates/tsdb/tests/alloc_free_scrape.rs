@@ -14,8 +14,6 @@
 // `tests/lock_audit.rs` covers the allocation rule in that mode.
 #![cfg(not(lock_audit))]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -23,39 +21,13 @@ use teemon_metrics::exposition::{encode_text, parse_families_bounded, ParseLimit
 use teemon_metrics::{
     FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue, SummarySnapshot,
 };
+use teemon_testkit::alloc::{allocations, CountingAllocator};
 use teemon_tsdb::{
     CardinalityBudgets, MetricsEndpoint, ScrapeError, ScrapeTargetConfig, Scraper, TimeSeriesDb,
 };
 
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: delegates every operation to `System`; only bookkeeping is added.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 /// A collector-style endpoint that owns its snapshots and refreshes them
 /// **in place** each round (gauges move, counters accumulate — no point is

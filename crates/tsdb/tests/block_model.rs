@@ -24,17 +24,14 @@ use std::sync::Arc;
 
 use proptest::proptest;
 use teemon_metrics::Labels;
+use teemon_testkit::codec_inputs::bits;
+use teemon_testkit::{CrashModel, FaultFs};
 use teemon_tsdb::{
-    CrashModel, DurabilityOptions, FaultFs, FsyncMode, Sample, SampleRange, Selector,
-    SeriesSnapshot, StorageStats, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
+    DurabilityOptions, FsyncMode, Sample, SampleRange, Selector, SeriesSnapshot, StorageStats,
+    TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
 };
 
 const CHUNK_SIZES: [usize; 3] = [1, 2, 5];
-
-/// NaN-proof comparison key.
-fn bits(samples: impl IntoIterator<Item = Sample>) -> Vec<(u64, u64)> {
-    samples.into_iter().map(|s| (s.timestamp_ms, s.value.to_bits())).collect()
-}
 
 /// One series as a list of plain chunks.
 #[derive(Default)]

@@ -27,17 +27,16 @@
 //! Sized for CI by default; set `TEEMON_SOAK_ROUNDS` to lengthen the soak
 //! (the bounds are cadence-relative, so they hold at any length).
 
-mod support;
-
 use std::path::Path;
 use std::sync::Arc;
 
-use support::{fingerprint, ScriptedEndpoint};
 use teemon_metrics::exposition::{encode_text, parse_families_bounded, ParseLimits};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
+use teemon_testkit::scrape::{fingerprint, ScriptedEndpoint};
+use teemon_testkit::{CrashModel, FaultFs};
 use teemon_tsdb::{
-    CardinalityBudgets, CrashModel, DurabilityOptions, FaultFs, FsyncMode, PushLane,
-    ScrapeTargetConfig, Scraper, StorageStats, TimeSeriesDb, TsdbConfig,
+    CardinalityBudgets, DurabilityOptions, FsyncMode, PushLane, ScrapeTargetConfig, Scraper,
+    StorageStats, TimeSeriesDb, TsdbConfig,
 };
 
 /// Scrape interval the soak advances by each round.

@@ -11,7 +11,7 @@
 //! step); the encoder byte for byte and kind for kind on every input it
 //! accepts — whole, and through the resumable [`BlockEncoder`] in any split
 //! into bursts, wherever in the stream the first value that is not a whole
-//! number arrives.  The inputs come from `support/codec_inputs.rs`.
+//! number arrives.  The inputs come from `teemon_testkit::codec_inputs`.
 //!
 //! [`reference::encode_xor`] is the encoder as it stood before blocks had
 //! kinds but for the block's opening, which today leaves the first timestamp
@@ -23,17 +23,15 @@
 //! must read back.
 
 use proptest::proptest;
+use teemon_testkit::codec_inputs::{
+    build_samples, kind_of, qualifies, switch_at, MAX_WHOLE, VALUE_LADDER,
+};
 use teemon_tsdb::chunk_codec::{
     decode, decode_into, decode_legacy, encode, encode_into, BlockEncoder, BlockKind,
 };
 use teemon_tsdb::Sample;
 
 const KINDS: [BlockKind; 2] = [BlockKind::Xor, BlockKind::Integer];
-
-#[path = "support/codec_inputs.rs"]
-mod codec_inputs;
-
-use codec_inputs::{build_samples, qualifies, switch_at, MAX_WHOLE, VALUE_LADDER};
 
 /// The previous production decoder and encoder — one `bytes.get` per bit or
 /// byte fragment and one `write_bit` per bit, no accumulator — and the
@@ -465,15 +463,6 @@ fn samples_identical(a: &[Sample], b: &[Sample]) -> bool {
         && a.iter().zip(b).all(|(x, y)| {
             x.timestamp_ms == y.timestamp_ms && x.value.to_bits() == y.value.to_bits()
         })
-}
-
-/// The kind the samples call for.
-fn kind_of(samples: &[Sample]) -> BlockKind {
-    if samples.iter().all(|s| qualifies(s.value)) {
-        BlockKind::Integer
-    } else {
-        BlockKind::Xor
-    }
 }
 
 proptest! {

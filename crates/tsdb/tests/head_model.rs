@@ -35,10 +35,12 @@ use parking_lot::Mutex;
 use proptest::proptest;
 use teemon_metrics::Labels;
 use teemon_obs::probes;
+use teemon_testkit::codec_inputs::{bits, kind_of, qualifies};
+use teemon_testkit::{CrashModel, FaultFs};
 use teemon_tsdb::chunk_codec::{self, BlockKind};
 use teemon_tsdb::{
-    CrashModel, DurabilityOptions, FaultFs, FsyncMode, Sample, Selector, SeriesSnapshot,
-    StorageStats, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
+    DurabilityOptions, FsyncMode, Sample, Selector, SeriesSnapshot, StorageStats, TimeSeriesDb,
+    TsdbConfig, STALE_HEAD_MS,
 };
 
 const CHUNK_SIZES: [usize; 6] = [1, 4, 7, 8, 9, 120];
@@ -52,24 +54,6 @@ static REENCODES: std::sync::OnceLock<Mutex<()>> = std::sync::OnceLock::new();
 
 fn turn() -> parking_lot::MutexGuard<'static, ()> {
     REENCODES.get_or_init(Default::default).lock()
-}
-
-/// The integer kind's qualification rule: a whole number, not the negative
-/// zero, of magnitude at most 2⁵³.
-fn is_whole(value: f64) -> bool {
-    value.is_finite()
-        && value.trunc() == value
-        && value.abs() <= (1u64 << 53) as f64
-        && value.to_bits() != (-0.0f64).to_bits()
-}
-
-/// The kind of the block holding `samples`.
-fn kind_of(samples: &[Sample]) -> BlockKind {
-    if samples.iter().all(|s| is_whole(s.value)) {
-        BlockKind::Integer
-    } else {
-        BlockKind::Xor
-    }
 }
 
 /// One series as a list of plain chunks.
@@ -108,7 +92,7 @@ impl ModelSeries {
     fn burst(&mut self) {
         let Some(first) = self.head.first() else { return };
         let was_integer =
-            is_whole(first.value) && kind_of(&self.head[..self.encoded]) == BlockKind::Integer;
+            qualifies(first.value) && kind_of(&self.head[..self.encoded]) == BlockKind::Integer;
         self.reencodes += u64::from(was_integer && kind_of(&self.head) == BlockKind::Xor);
         self.encoded = self.head.len();
     }
@@ -175,11 +159,6 @@ impl ModelSeries {
         self.sealed.iter().map(|chunk| Self::sealed_bytes(chunk)).sum::<usize>()
             + self.head_ledger_bytes()
     }
-}
-
-/// NaN-proof comparison key.
-fn bits(samples: impl IntoIterator<Item = Sample>) -> Vec<(u64, u64)> {
-    samples.into_iter().map(|s| (s.timestamp_ms, s.value.to_bits())).collect()
 }
 
 /// The engine and the model side by side: series `m` and, in the same lock

@@ -26,55 +26,12 @@
 // design, so heap accounting only holds without `lock_audit`.
 #![cfg(not(lock_audit))]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use teemon_metrics::Labels;
+use teemon_testkit::alloc::{events, last_alloc_size, live, CountingAllocator};
 use teemon_tsdb::{Selector, SeriesHandle, StorageStats, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS};
 
-struct LiveBytesAllocator;
-
-thread_local! {
-    /// Bytes this thread has allocated and not yet freed.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static REALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// Sizes of the two most recent `alloc` calls, newest first.
-    static LAST_SIZES: Cell<[usize; 2]> = const { Cell::new([0; 2]) };
-}
-
-// SAFETY: delegates every operation to `System`; only bookkeeping is added.
-unsafe impl GlobalAlloc for LiveBytesAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.with(|c| c.set(c.get() + layout.size() as i64));
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        LAST_SIZES.with(|c| c.set([layout.size(), c.get()[0]]));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.with(|c| c.set(c.get() + new_size as i64 - layout.size() as i64));
-        REALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.with(|c| c.set(c.get() - layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: LiveBytesAllocator = LiveBytesAllocator;
-
-fn live() -> i64 {
-    LIVE.with(Cell::get)
-}
-
-/// `(alloc calls, realloc calls)` so far on this thread.
-fn events() -> (u64, u64) {
-    (ALLOCS.with(Cell::get), REALLOCS.with(Cell::get))
-}
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 const CHUNK_SIZE: usize = 120;
 const TICK_MS: u64 = 5_000;
@@ -281,7 +238,7 @@ fn a_head_doubles_through_its_first_chunk_and_then_only_seals_allocate() {
     let second = db.stats().resident_bytes - (before - head);
     let packed = (16 + 1 + 2 * 25 + first + second).next_multiple_of(8);
     assert_eq!(
-        LAST_SIZES.with(Cell::get)[0],
+        last_alloc_size(),
         packed as usize,
         "the seal's allocation is the block of both chunks ({first} + {second} B of payload)"
     );

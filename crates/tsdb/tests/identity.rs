@@ -12,8 +12,9 @@ use std::sync::Arc;
 
 use proptest::proptest;
 use teemon_metrics::Labels;
+use teemon_testkit::FaultFs;
 use teemon_tsdb::{
-    DurabilityOptions, FaultFs, FsyncMode, Selector, SeriesSnapshot, TimeSeriesDb, TsdbConfig,
+    DurabilityOptions, FsyncMode, Selector, SeriesSnapshot, TimeSeriesDb, TsdbConfig,
 };
 
 const NAMES: &[&str] = &["up", "teemon_syscalls_total", "sgx:epc_free_pages", "m"];

@@ -1,7 +1,7 @@
 //! The inverted index — two postings maps and a per-candidate check of the
 //! `exists` / `!=` matchers no list serves — must be indistinguishable from
 //! the naive all-series scan with the model's matcher
-//! (`support/selection.rs`), on a store however it came by its
+//! (`teemon_testkit::selection`), on a store however it came by its
 //! index (registered series by series, rebuilt after a drop or an eviction,
 //! recovered from a snapshot), and the sharded engine must not lose samples
 //! under concurrent appenders.
@@ -12,14 +12,9 @@ use std::sync::Arc;
 
 use proptest::proptest;
 use teemon_metrics::Labels;
-use teemon_tsdb::{
-    DurabilityOptions, FaultFs, LabelMatch, Selector, TimeSeriesDb, TsdbConfig, SHARD_COUNT,
-};
-
-#[path = "support/selection.rs"]
-mod selection;
-
-use selection::matches;
+use teemon_testkit::selection::matches;
+use teemon_testkit::FaultFs;
+use teemon_tsdb::{DurabilityOptions, Selector, TimeSeriesDb, TsdbConfig, SHARD_COUNT};
 
 const METRICS: &[&str] = &["up", "teemon_syscalls_total", "sgx_nr_free_pages"];
 const KEYS: &[&str] = &["node", "syscall", "job", "pod"];

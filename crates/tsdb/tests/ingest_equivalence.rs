@@ -2,52 +2,30 @@
 //! churn, label-insertion reorderings, explicit/out-of-order timestamps,
 //! retention (including whole-series eviction) and explicit series drops
 //! kicking in mid-stream — ingested through the [`Scraper`]'s cached batch
-//! path and through the per-sample reference of `support/mod.rs` (merge the
-//! target labels, append every sample by key) must produce **identical**
+//! path and through the per-sample reference of `teemon_testkit::scrape`
+//! (merge the target labels, append every sample by key) must produce
+//! **identical**
 //! databases: same series in the same creation order with the same ids,
 //! same samples, same aggregate stats (including rejection counts and
 //! resident bytes).  The scrape clock jumps past the stale-head window every
 //! few rounds, so the retention passes also seal idle heads — on both sides
 //! alike, or the resident bytes and chunk counts part ways.
 
-mod support;
-
 use std::path::Path;
 use std::sync::Arc;
 
 use proptest::{proptest, TestRng};
-use support::{fingerprint, PerSampleScraper, ScriptedEndpoint};
 use teemon_metrics::{
     FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
 use teemon_obs::probes;
+use teemon_testkit::scrape::{fingerprint, PerSampleScraper, ScriptedEndpoint};
+use teemon_testkit::workload::{chunk_size, gen_series, GenSeries, METRICS};
+use teemon_testkit::FaultFs;
 use teemon_tsdb::{
-    DurabilityOptions, FaultFs, ScrapeError, ScrapeTargetConfig, Scraper, Selector, SeriesHandle,
+    DurabilityOptions, ScrapeError, ScrapeTargetConfig, Scraper, Selector, SeriesHandle,
     TimeSeriesDb, TsdbConfig, BATCH_BLOCK, STALE_HEAD_MS,
 };
-
-/// One logical series of the generated workload.
-#[derive(Clone)]
-struct GenSeries {
-    metric: usize,
-    labels: Vec<(String, String)>,
-}
-
-const METRICS: [&str; 4] =
-    ["sgx_epc_pages", "teemon_syscalls_total", "proc_cpu_seconds", "container_mem_bytes"];
-const LABEL_KEYS: [&str; 3] = ["node", "syscall", "pod"];
-const LABEL_VALUES: [&str; 4] = ["n1", "n2", "read", "web-0"];
-
-fn gen_series(rng: &mut TestRng) -> GenSeries {
-    let metric = rng.below(METRICS.len() as u64) as usize;
-    let label_count = rng.below(3) as usize;
-    let mut labels = Vec::new();
-    for key in LABEL_KEYS.iter().take(label_count) {
-        let value = LABEL_VALUES[rng.below(LABEL_VALUES.len() as u64) as usize];
-        labels.push((key.to_string(), value.to_string()));
-    }
-    GenSeries { metric, labels }
-}
 
 /// Builds the round's snapshot: one family per metric in metric order,
 /// points in pool order, label pairs inserted in a per-round shuffled order
@@ -86,18 +64,6 @@ fn build_families(
         }
     }
     families
-}
-
-/// Samples per chunk: low, so rounds seal chunks mid-stream — four, under
-/// the eight-sample tail an open head encodes in bursts of, or on one case
-/// in four nine: a burst at the eighth sample, the seal one later, partial
-/// blocks in between.
-fn chunk_size(case: u64) -> usize {
-    if case % 4 == 1 {
-        9
-    } else {
-        4
-    }
 }
 
 /// [`run_case`] reports whether a retention pass sealed a stale head by the

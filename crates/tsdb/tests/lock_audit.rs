@@ -17,9 +17,10 @@ use std::sync::Arc;
 
 use parking_lot::{audit, LockClass, Mutex};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
+use teemon_testkit::FaultFs;
 use teemon_tsdb::{
-    CardinalityBudgets, DurabilityOptions, FaultFs, ScrapeTargetConfig, Scraper, Selector,
-    TimeSeriesDb, TsdbConfig, BATCH_BLOCK,
+    CardinalityBudgets, DurabilityOptions, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb,
+    TsdbConfig, BATCH_BLOCK,
 };
 
 /// Allocations observed while [`audit::alloc_armed`] reported `true` — i.e.

@@ -20,7 +20,7 @@
 //!   (`encode_text`, then `parse_families_bounded`), and the model the
 //!   snapshots that text stands for (`Exposition::to_snapshots`).
 //! * The scraper target is checked against the same snapshots ingested by
-//!   the per-sample reference of `support/mod.rs`.
+//!   the per-sample reference of `teemon_testkit::scrape`.
 //! * A text lane fed hand-spelled documents — labels permuted, blanks
 //!   around `=` and `,`, escapes, lines repeated or respelled — is checked
 //!   against the model the same way, and the same documents are scraped
@@ -31,17 +31,15 @@
 //! Whatever the repair reuses, swaps into place or re-resolves, the stored
 //! result has to be what matching nothing and resolving everything gives.
 
-mod support;
-
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::{proptest, TestRng};
-use support::{fingerprint, stored_labels, PerSampleScraper, ScriptedEndpoint};
 use teemon_metrics::exposition::{encode_text, parse_families_bounded, Exposition, ParseLimits};
 use teemon_metrics::{
     FamilySnapshot, HistogramSnapshot, Labels, MetricKind, MetricPoint, PointValue,
 };
+use teemon_testkit::scrape::{fingerprint, stored_labels, PerSampleScraper, ScriptedEndpoint};
 use teemon_tsdb::{
     CardinalityBudgets, PushLane, PushOutcome, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb,
     TsdbConfig,
@@ -218,7 +216,7 @@ impl ModelLane {
                 if admitted < cap {
                     admitted += 1;
                     // Bugfix hook: a wire label a target label overrides is
-                    // kept as `exported_<name>` (`support::stored_labels`).
+                    // kept as `exported_<name>` (`teemon_testkit::scrape::stored_labels`).
                     let stored = stored_labels(labels, &self.base);
                     if self.db.append(name, &stored, timestamp_ms.unwrap_or(now), value) {
                         outcome.ingested += 1;

@@ -24,23 +24,13 @@ use std::sync::Arc;
 use proptest::{proptest, TestRng};
 use teemon_metrics::Labels;
 use teemon_obs::probes;
+use teemon_testkit::workload::chunk_size;
+use teemon_testkit::FaultFs;
 use teemon_tsdb::{
-    DurabilityOptions, FaultFs, FsyncMode, Selector, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
+    DurabilityOptions, FsyncMode, Selector, TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
 };
 
 const METRICS: [&str; 3] = ["sgx_epc_pages", "teemon_syscalls_total", "proc_cpu_seconds"];
-/// Samples per chunk: low, so rounds seal chunks mid-stream — four, under
-/// the eight-sample tail an open head encodes in bursts of, or on one case
-/// in four nine: a burst at the eighth sample, the seal one later, partial
-/// blocks in between.
-fn chunk_size(case: u64) -> usize {
-    if case % 4 == 1 {
-        9
-    } else {
-        4
-    }
-}
-
 /// Six rounds of retention — series age out before anything goes stale — or
 /// long enough for idle heads to be sealed, revived and evicted a few clock
 /// jumps later.

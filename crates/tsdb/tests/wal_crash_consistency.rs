@@ -17,42 +17,19 @@
 //! mid-stream — a rule with no WAL record of its own, which replay must
 //! reproduce from the retention record and the state it rebuilt.
 
-mod support;
-
 use std::path::Path;
 use std::sync::Arc;
 
 use proptest::{proptest, TestRng};
-use support::{fingerprint, ScriptedEndpoint};
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_obs::probes;
+use teemon_testkit::scrape::{fingerprint, ScriptedEndpoint};
+use teemon_testkit::workload::{chunk_size, gen_series, went_full_cycle, GenSeries, METRICS};
+use teemon_testkit::{CrashModel, FaultFs};
 use teemon_tsdb::{
-    CrashModel, DurabilityOptions, FaultFs, FsyncMode, ScrapeTargetConfig, Scraper, Selector,
-    TimeSeriesDb, TsdbConfig, STALE_HEAD_MS,
+    DurabilityOptions, FsyncMode, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb, TsdbConfig,
+    STALE_HEAD_MS,
 };
-
-/// One logical series of the generated workload.
-#[derive(Clone)]
-struct GenSeries {
-    metric: usize,
-    labels: Vec<(String, String)>,
-}
-
-const METRICS: [&str; 4] =
-    ["sgx_epc_pages", "teemon_syscalls_total", "proc_cpu_seconds", "container_mem_bytes"];
-const LABEL_KEYS: [&str; 3] = ["node", "syscall", "pod"];
-const LABEL_VALUES: [&str; 4] = ["n1", "n2", "read", "web-0"];
-
-fn gen_series(rng: &mut TestRng) -> GenSeries {
-    let metric = rng.below(METRICS.len() as u64) as usize;
-    let label_count = rng.below(3) as usize;
-    let mut labels = Vec::new();
-    for key in LABEL_KEYS.iter().take(label_count) {
-        let value = LABEL_VALUES[rng.below(LABEL_VALUES.len() as u64) as usize];
-        labels.push((key.to_string(), value.to_string()));
-    }
-    GenSeries { metric, labels }
-}
 
 /// A sample's value: half the time what the scrape clock and the metric
 /// make — a positive whole number — and otherwise its negative, a whole
@@ -112,32 +89,6 @@ fn build_families(
         }
     }
     families
-}
-
-/// Whether the log behind `fs` has been through the whole checkpoint cycle:
-/// the first segment sealed, covered and deleted, and both kinds of snapshot
-/// installed.
-fn went_full_cycle(fs: &FaultFs) -> bool {
-    let names: Vec<String> = fs
-        .file_paths()
-        .iter()
-        .filter_map(|path| Some(path.file_name()?.to_str()?.to_string()))
-        .collect();
-    !names.contains(&"segment-00000001.log".to_string())
-        && names.contains(&"symbols.snap".to_string())
-        && names.iter().any(|name| name.starts_with("shard-"))
-}
-
-/// Samples per chunk: low, so rounds seal chunks mid-stream — four, under
-/// the eight-sample tail an open head encodes in bursts of, or on one case
-/// in four nine: a burst at the eighth sample, the seal one later, partial
-/// blocks in between.
-fn chunk_size(case: u64) -> usize {
-    if case % 4 == 1 {
-        9
-    } else {
-        4
-    }
 }
 
 /// [`run_case`] reports whether a retention pass sealed a stale head by the

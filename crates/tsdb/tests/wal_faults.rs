@@ -23,9 +23,12 @@ use std::sync::{Arc, Barrier};
 
 use teemon_metrics::{FamilySnapshot, Labels, MetricKind, MetricPoint, PointValue};
 use teemon_obs::probes;
+use teemon_testkit::scrape::fingerprint;
+use teemon_testkit::workload::{file_names, went_full_cycle};
+use teemon_testkit::{CrashModel, FaultFs};
 use teemon_tsdb::{
-    CrashModel, DurabilityOptions, FaultFs, FsyncMode, Sample, ScrapeTargetConfig, Scraper,
-    Selector, StorageStats, TimeSeriesDb, TsdbConfig, WalFile, WalFs, SHARD_COUNT,
+    DurabilityOptions, FsyncMode, Sample, ScrapeTargetConfig, Scraper, Selector, TimeSeriesDb,
+    TsdbConfig, WalFile, WalFs, SHARD_COUNT,
 };
 
 fn config() -> TsdbConfig {
@@ -59,29 +62,6 @@ fn run_round(db: &TimeSeriesDb, round: u64, series: usize) -> bool {
     db.wal_flush()
 }
 
-/// One series as compared across databases: id, name, rendered labels, data.
-type SeriesDump = (u64, String, String, Vec<teemon_tsdb::Sample>);
-
-/// Everything observable about a database, in creation order.
-fn fingerprint(db: &TimeSeriesDb) -> (String, Vec<SeriesDump>) {
-    let series = db
-        .select(&Selector::all())
-        .iter()
-        .map(|s| {
-            (
-                s.series_id().as_u64(),
-                s.name().to_string(),
-                s.to_labels().to_string(),
-                s.points_in(0, u64::MAX),
-            )
-        })
-        .collect();
-    // `series_bytes` counts capacities — history, not state: a recovered
-    // store's is its own.
-    let stats = StorageStats { series_bytes: 0, ..db.stats() };
-    (format!("{stats:?}"), series)
-}
-
 /// Points keyed by (name, labels) — the oracle for the corruption tests,
 /// where a salvaged shard must hold a *prefix* of the acked data.
 fn series_points(db: &TimeSeriesDb) -> BTreeMap<(String, String), Vec<Sample>> {
@@ -89,24 +69,6 @@ fn series_points(db: &TimeSeriesDb) -> BTreeMap<(String, String), Vec<Sample>> {
         .iter()
         .map(|s| ((s.name().to_string(), s.to_labels().to_string()), s.points_in(0, u64::MAX)))
         .collect()
-}
-
-/// The names of the files in `fs`.
-fn file_names(fs: &FaultFs) -> Vec<String> {
-    fs.file_paths()
-        .iter()
-        .filter_map(|path| Some(path.file_name()?.to_str()?.to_string()))
-        .collect()
-}
-
-/// Whether the workload behind `fs` has been through the whole checkpoint
-/// cycle: the first segment sealed, covered and deleted, and both kinds of
-/// snapshot installed.
-fn went_full_cycle(fs: &FaultFs) -> bool {
-    let names = file_names(fs);
-    !names.contains(&"segment-00000001.log".to_string())
-        && names.contains(&"symbols.snap".to_string())
-        && names.iter().any(|name| name.starts_with("shard-"))
 }
 
 /// A sweep that claims to cross seal, checkpoint and deletion asserts it

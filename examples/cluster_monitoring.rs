@@ -32,7 +32,7 @@ fn main() {
     // Start enclave workloads on every SGX node.
     let mut deployments = Vec::new();
     for node in cluster.ready_nodes().into_iter().filter(|n| n.sgx_capable) {
-        let kernel = &monitor.nodes()[&node.name];
+        let kernel = monitor.nodes()[node.name.as_str()];
         let mut d = Deployment::deploy(
             kernel,
             FrameworkParams::for_kind(FrameworkKind::Scone),
